@@ -1,9 +1,8 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/tuple"
@@ -55,18 +54,22 @@ type GroupCol struct {
 }
 
 // HashAgg is a blocking hash aggregation with deterministic (sorted by
-// group key) output order. The child is drained batch-at-a-time. With
+// group key) output order. The child is drained batch-at-a-time, and a row
+// finds its group by the hash of its group values plus an equality check,
+// so folding allocates when a new group appears, not per row. With
 // Parallelize(dop > 1) the drain runs on the morsel pool: every worker
-// folds its morsels into a private accumulator map and the partial
-// states are merged at drain time, so the sorted output is identical at
-// any DOP.
+// folds its morsels into a private group table and the partial states are
+// merged at drain time, so the sorted output is identical at any DOP.
 type HashAgg struct {
 	child  Iterator
 	bchild BatchIterator
 	groups []GroupCol
 	aggs   []AggSpec
-	schema *tuple.Schema
-	dop    int
+	// groupKeys is 0..len(groups)-1: the key columns of a row of group
+	// values, for tuple.HashRowKey and keysEqual.
+	groupKeys []int
+	schema    *tuple.Schema
+	dop       int
 
 	out    []tuple.Row
 	idx    int
@@ -84,7 +87,11 @@ func NewHashAgg(child Iterator, groups []GroupCol, aggs []AggSpec) *HashAgg {
 	for _, a := range aggs {
 		cols = append(cols, tuple.Column{Name: a.Name, Kind: aggOutputKind(a)})
 	}
-	return &HashAgg{child: child, bchild: AsBatch(child), groups: groups, aggs: aggs, schema: tuple.NewSchema(cols...)}
+	groupKeys := make([]int, len(groups))
+	for i := range groupKeys {
+		groupKeys[i] = i
+	}
+	return &HashAgg{child: child, bchild: AsBatch(child), groups: groups, aggs: aggs, groupKeys: groupKeys, schema: tuple.NewSchema(cols...)}
 }
 
 // aggOutputKind: COUNT yields int64, SUM/AVG yield float64, MIN/MAX yield
@@ -108,6 +115,10 @@ func (a *HashAgg) setParallelism(dop int) { a.dop = normDOP(dop) }
 
 // accum is one group's accumulator state.
 type accum struct {
+	// hash is the hash of groupV; next chains the groups that share it.
+	hash uint64
+	next *accum
+	// key is the group's position in the output order, rendered at emit.
 	key    string
 	groupV tuple.Row
 	counts []int64
@@ -116,32 +127,64 @@ type accum struct {
 	seen   []bool
 }
 
-// foldRow folds one input row into the accumulator map. It touches only
-// groups and the row, so each parallel worker can fold into a private
-// map without locking.
-func (a *HashAgg) foldRow(groups map[string]*accum, row tuple.Row) error {
-	gv := make(tuple.Row, len(a.groups))
-	var kb strings.Builder
-	for i, g := range a.groups {
+func (a *HashAgg) newAccum(hash uint64, groupV tuple.Row) *accum {
+	return &accum{
+		hash:   hash,
+		groupV: groupV,
+		counts: make([]int64, len(a.aggs)),
+		sums:   make([]float64, len(a.aggs)),
+		minmax: make([]tuple.Value, len(a.aggs)),
+		seen:   make([]bool, len(a.aggs)),
+	}
+}
+
+// aggTable is the set of groups of one drain, or of one worker of a
+// parallel drain: a hash table chained through accum.next, plus the groups
+// in the order they were first seen.
+type aggTable struct {
+	byHash map[uint64]*accum
+	order  []*accum
+	// gv holds the group values of the row being folded.
+	gv tuple.Row
+}
+
+func newAggTable() *aggTable { return &aggTable{byHash: make(map[uint64]*accum)} }
+
+// find returns the group with the given values (keys lists their
+// positions), nil if there is none. Values of different kinds never share
+// a group, equal payloads or not.
+func (t *aggTable) find(hash uint64, groupV tuple.Row, keys []int) *accum {
+	for acc := t.byHash[hash]; acc != nil; acc = acc.next {
+		if keysEqual(acc.groupV, keys, groupV, keys) {
+			return acc
+		}
+	}
+	return nil
+}
+
+func (t *aggTable) insert(acc *accum) {
+	acc.next = t.byHash[acc.hash]
+	t.byHash[acc.hash] = acc
+	t.order = append(t.order, acc)
+}
+
+// foldRow folds one input row into the group table. It touches only the
+// table and the row, so each parallel worker can fold into a private
+// table without locking.
+func (a *HashAgg) foldRow(t *aggTable, row tuple.Row) error {
+	t.gv = t.gv[:0]
+	for _, g := range a.groups {
 		v, err := g.E.Eval(row)
 		if err != nil {
 			return err
 		}
-		gv[i] = v
-		fmt.Fprintf(&kb, "%d|%s\x00", v.K, v.String())
+		t.gv = append(t.gv, v)
 	}
-	key := kb.String()
-	acc, ok := groups[key]
-	if !ok {
-		acc = &accum{
-			key:    key,
-			groupV: gv,
-			counts: make([]int64, len(a.aggs)),
-			sums:   make([]float64, len(a.aggs)),
-			minmax: make([]tuple.Value, len(a.aggs)),
-			seen:   make([]bool, len(a.aggs)),
-		}
-		groups[key] = acc
+	hash := tuple.HashRowKey(t.gv, a.groupKeys)
+	acc := t.find(hash, t.gv, a.groupKeys)
+	if acc == nil {
+		acc = a.newAccum(hash, t.gv.Clone())
+		t.insert(acc)
 	}
 	for i, spec := range a.aggs {
 		var v tuple.Value
@@ -193,26 +236,26 @@ func (a *HashAgg) mergeAccum(dst, src *accum) {
 }
 
 // drainSerial aggregates the child on the calling goroutine (DOP=1).
-func (a *HashAgg) drainSerial() (map[string]*accum, error) {
-	groups := make(map[string]*accum)
+func (a *HashAgg) drainSerial() (*aggTable, error) {
+	t := newAggTable()
 	err := drainBatches(a.bchild, func(row tuple.Row) error {
-		return a.foldRow(groups, row)
+		return a.foldRow(t, row)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return groups, nil
+	return t, nil
 }
 
 // drainParallel aggregates the child on the morsel pool: the child is
 // still pulled by the calling goroutine (so Fetcher/Clock stay on it),
-// workers fold private maps, and the partials are merged serially at the
+// workers fold private tables, and the partials are merged serially at the
 // end.
-func (a *HashAgg) drainParallel() (map[string]*accum, error) {
-	maps := make([]map[string]*accum, a.dop)
+func (a *HashAgg) drainParallel() (*aggTable, error) {
+	tables := make([]*aggTable, a.dop)
 	scratch := make([]tuple.Row, a.dop)
-	for w := range maps {
-		maps[w] = make(map[string]*accum)
+	for w := range tables {
+		tables[w] = newAggTable()
 	}
 	if err := a.bchild.Open(); err != nil {
 		a.bchild.Close()
@@ -222,7 +265,7 @@ func (a *HashAgg) drainParallel() (map[string]*accum, error) {
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			scratch[w] = b.AppendRowTo(scratch[w][:0], i)
-			if err := a.foldRow(maps[w], scratch[w]); err != nil {
+			if err := a.foldRow(tables[w], scratch[w]); err != nil {
 				return err
 			}
 		}
@@ -234,49 +277,59 @@ func (a *HashAgg) drainParallel() (map[string]*accum, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups := maps[0]
-	for _, m := range maps[1:] {
-		for key, acc := range m {
-			if dst, ok := groups[key]; ok {
+	t := tables[0]
+	for _, part := range tables[1:] {
+		for _, acc := range part.order {
+			if dst := t.find(acc.hash, acc.groupV, a.groupKeys); dst != nil {
 				a.mergeAccum(dst, acc)
 			} else {
-				groups[key] = acc
+				t.insert(acc)
 			}
 		}
 	}
-	return groups, nil
+	return t, nil
+}
+
+// sortKey renders the key groups are ordered by: per group value, its
+// kind number, '|', its display form and a NUL. The order is the one
+// callers have always seen (so 10 sorts before 9), not the values' own.
+func sortKey(buf []byte, groupV tuple.Row) []byte {
+	for _, v := range groupV {
+		buf = strconv.AppendUint(buf, uint64(v.K), 10)
+		buf = append(buf, '|')
+		buf = append(buf, v.String()...)
+		buf = append(buf, 0)
+	}
+	return buf
 }
 
 // Open implements Iterator: drains the child batch-at-a-time and
 // aggregates, then renders the sorted output rows.
 func (a *HashAgg) Open() error {
-	var groups map[string]*accum
+	var t *aggTable
 	var err error
 	if a.dop > 1 {
-		groups, err = a.drainParallel()
+		t, err = a.drainParallel()
 	} else {
-		groups, err = a.drainSerial()
+		t, err = a.drainSerial()
 	}
 	if err != nil {
 		return err
 	}
 	// Global aggregation over zero rows still yields one row of zeros.
-	if len(a.groups) == 0 && len(groups) == 0 {
-		groups[""] = &accum{
-			counts: make([]int64, len(a.aggs)),
-			sums:   make([]float64, len(a.aggs)),
-			minmax: make([]tuple.Value, len(a.aggs)),
-			seen:   make([]bool, len(a.aggs)),
-		}
+	if len(a.groups) == 0 && len(t.order) == 0 {
+		t.order = append(t.order, a.newAccum(0, nil))
 	}
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+	var buf []byte
+	for _, acc := range t.order {
+		buf = sortKey(buf[:0], acc.groupV)
+		acc.key = string(buf)
 	}
-	sort.Strings(keys)
+	// Distinct groups can render the same key (a string value may contain
+	// the separators); the stable sort keeps those in first-seen order.
+	sort.SliceStable(t.order, func(i, j int) bool { return t.order[i].key < t.order[j].key })
 	a.out = a.out[:0]
-	for _, k := range keys {
-		acc := groups[k]
+	for _, acc := range t.order {
 		row := make(tuple.Row, 0, len(a.groups)+len(a.aggs))
 		row = append(row, acc.groupV...)
 		for i, spec := range a.aggs {

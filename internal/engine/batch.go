@@ -132,14 +132,15 @@ func (c *rowCursor) next(bi BatchIterator) (tuple.Row, bool, error) {
 }
 
 // serveRowSlice serves rows[*idx:] through a lazily allocated, reused
-// batch, advancing *idx — the shared NextBatch body of every operator
-// that holds its output as a materialized row slice.
+// batch no larger than the rows need, advancing *idx — the shared
+// NextBatch body of every operator that holds its output as a
+// materialized row slice.
 func serveRowSlice(out **tuple.Batch, schema *tuple.Schema, rows []tuple.Row, idx *int) (*tuple.Batch, bool, error) {
 	if *idx >= len(rows) {
 		return nil, false, nil
 	}
 	if *out == nil {
-		*out = tuple.NewBatch(schema, DefaultBatchSize)
+		*out = tuple.NewBatch(schema, min(len(rows), DefaultBatchSize))
 	}
 	b := *out
 	b.Reset()
@@ -169,7 +170,7 @@ func CollectBatches(bi BatchIterator) ([]tuple.Row, error) {
 		if !ok {
 			return out, nil
 		}
-		out = append(out, b.Rows()...)
+		out = b.AppendRows(out)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -47,6 +48,41 @@ func TestRowAdapterOverBatchNative(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, rows) {
 		t.Fatal("RowAdapter differs from source rows")
+	}
+}
+
+// TestBatchValuesServesBatchesAsTheyAre: the batch-backed leaf hands out
+// the caller's batches themselves, skips empty ones, serves the same rows
+// through either protocol and starts over on re-Open.
+func TestBatchValuesServesBatchesAsTheyAre(t *testing.T) {
+	rows, sch := benchRowsN(300)
+	batches := []*tuple.Batch{
+		tuple.FromRows(sch, rows[:100]), tuple.NewBatch(sch, 4), tuple.FromRows(sch, rows[100:]),
+	}
+	v := NewBatchValues(sch, batches)
+	for pass := 0; pass < 2; pass++ {
+		got, err := Collect(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rows) {
+			t.Fatalf("pass %d: batch protocol returned %d rows, want %d", pass, len(got), len(rows))
+		}
+		if got, err = Collect(rowOnlyIter{v}); err != nil || !reflect.DeepEqual(got, rows) {
+			t.Fatalf("pass %d: row protocol differs (%d rows, err %v)", pass, len(got), err)
+		}
+	}
+	if err := v.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok, _ := v.NextBatch(); !ok || b != batches[0] {
+		t.Fatal("first batch served is not the caller's first batch")
+	}
+	if b, ok, _ := v.NextBatch(); !ok || b != batches[2] {
+		t.Fatal("empty batch not skipped")
+	}
+	if !strings.Contains(Explain(v), "Values (300 rows in 3 batches)") {
+		t.Fatalf("explain: %s", Explain(v))
 	}
 }
 

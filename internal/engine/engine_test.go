@@ -402,3 +402,128 @@ func TestCollectPropagatesFetchError(t *testing.T) {
 		t.Fatal("missing object not reported")
 	}
 }
+
+// TestHashAggSeparatorsInGroupValues: two groups whose values differ but
+// whose rendered order keys coincide — a string may contain the NUL and
+// the "kind|" the key is built from — are two groups, not one. They tie in
+// the output order, and ties keep the order the groups were first seen in.
+func TestHashAggSeparatorsInGroupValues(t *testing.T) {
+	sch := tuple.NewSchema(
+		tuple.Column{Name: "g", Kind: tuple.KindString},
+		tuple.Column{Name: "h", Kind: tuple.KindString},
+		tuple.Column{Name: "x", Kind: tuple.KindInt64},
+	)
+	split := tuple.Row{tuple.Str("x"), tuple.Str("y\x002|z"), tuple.Int(1)}
+	fused := tuple.Row{tuple.Str("x\x002|y"), tuple.Str("z"), tuple.Int(10)}
+	splitOut, fusedOut := `"x" "y\x002|z" 2`, `"x\x002|y" "z" 10`
+	for _, tc := range []struct {
+		in   []tuple.Row
+		want []string
+	}{
+		{[]tuple.Row{split, fused, split}, []string{splitOut, fusedOut}},
+		{[]tuple.Row{fused, split, split}, []string{fusedOut, splitOut}},
+	} {
+		agg := NewHashAgg(NewValues(sch, tc.in),
+			[]GroupCol{
+				{Name: "g", Kind: tuple.KindString, E: expr.Bind(sch, "g")},
+				{Name: "h", Kind: tuple.KindString, E: expr.Bind(sch, "h")},
+			},
+			[]AggSpec{{Kind: AggSum, Arg: expr.Bind(sch, "x"), Name: "s"}})
+		rows, err := Collect(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, r := range rows {
+			got = append(got, fmt.Sprintf("%q %q %v", r[0].S, r[1].S, r[2].F))
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("groups:\n got %v\nwant %v", got, tc.want)
+		}
+	}
+}
+
+// TestHashAggOutputOrder pins the order HashAgg has always emitted groups
+// in: by the text "kind|display" of the group values, so int 10 sorts
+// before int 9, every int before every float, floats before strings,
+// strings before dates — and same payload under another kind is another
+// group. A Sort on top orders by value as usual.
+func TestHashAggOutputOrder(t *testing.T) {
+	sch := tuple.NewSchema(tuple.Column{Name: "g", Kind: tuple.KindInt64})
+	group := []GroupCol{{Name: "g", Kind: tuple.KindInt64, E: expr.Bind(sch, "g")}}
+	count := []AggSpec{{Kind: AggCount, Name: "n"}}
+	render := func(it Iterator) []string {
+		t.Helper()
+		rows, err := Collect(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprintf("%v:%s x%d", r[0].K, r[0], r[1].AsInt())
+		}
+		return out
+	}
+
+	mixed := []tuple.Row{
+		{tuple.Int(9)}, {tuple.Str("9")}, {tuple.Int(10)}, {tuple.DateFromDays(3)},
+		{tuple.Float(2.5)}, {tuple.Int(3)}, {tuple.Int(9)}, {tuple.Str("10")},
+	}
+	got := render(NewHashAgg(NewValues(sch, mixed), group, count))
+	want := []string{
+		"int64:10 x1", "int64:3 x1", "int64:9 x2", "float64:2.5 x1",
+		"string:10 x1", "string:9 x1", "date:1970-01-04 x1",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("mixed kinds:\n got %v\nwant %v", got, want)
+	}
+
+	ints := []tuple.Row{{tuple.Int(9)}, {tuple.Int(10)}, {tuple.Int(3)}, {tuple.Int(10)}}
+	got = render(NewHashAgg(NewValues(sch, ints), group, count))
+	if want := []string{"int64:10 x2", "int64:3 x1", "int64:9 x1"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ints, no Sort:\n got %v\nwant %v", got, want)
+	}
+	agg := NewHashAgg(NewValues(sch, ints), group, count)
+	got = render(NewSort(agg, []SortKey{{E: expr.Bind(agg.Schema(), "g")}}))
+	if want := []string{"int64:3 x1", "int64:9 x1", "int64:10 x2"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ints under Sort:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestHashAggAllocationsDoNotScaleWithRows: folding allocates per group,
+// not per row — four times the input rows over the same groups must cost
+// about the same number of allocations.
+func TestHashAggAllocationsDoNotScaleWithRows(t *testing.T) {
+	sch := tuple.NewSchema(
+		tuple.Column{Name: "g", Kind: tuple.KindString},
+		tuple.Column{Name: "k", Kind: tuple.KindInt64},
+		tuple.Column{Name: "x", Kind: tuple.KindFloat64},
+	)
+	allocs := func(n int) float64 {
+		rows := make([]tuple.Row, n)
+		for i := range rows {
+			rows[i] = tuple.Row{tuple.Str(fmt.Sprintf("g%d", i%7)), tuple.Int(int64(i % 5)), tuple.Float(float64(i))}
+		}
+		in := NewValues(sch, rows)
+		return testing.AllocsPerRun(5, func() {
+			agg := NewHashAgg(in,
+				[]GroupCol{
+					{Name: "g", Kind: tuple.KindString, E: expr.Bind(sch, "g")},
+					{Name: "k", Kind: tuple.KindInt64, E: expr.Bind(sch, "k")},
+				},
+				[]AggSpec{{Kind: AggCount, Name: "n"}, {Kind: AggSum, Arg: expr.Bind(sch, "x"), Name: "s"}})
+			out, err := Collect(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != 35 {
+				t.Fatalf("%d groups, want 35", len(out))
+			}
+		})
+	}
+	small, large := allocs(2000), allocs(8000)
+	t.Logf("%.0f allocations over 2000 rows, %.0f over 8000", small, large)
+	if large > 1.25*small {
+		t.Errorf("allocations grew from %.0f to %.0f (x%.2f) with 4x the rows; want within x1.25", small, large, large/small)
+	}
+}

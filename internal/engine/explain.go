@@ -71,6 +71,14 @@ func (v *Values) explain() (string, []Iterator) {
 	return fmt.Sprintf("Values (%d rows)", len(v.rows)), nil
 }
 
+func (v *BatchValues) explain() (string, []Iterator) {
+	rows := 0
+	for _, b := range v.batches {
+		rows += b.Len()
+	}
+	return fmt.Sprintf("Values (%d rows in %d batches)", rows, len(v.batches)), nil
+}
+
 // dopSuffix annotates parallel operators in plan displays; serial
 // operators stay unmarked so DOP=1 plans render exactly as before.
 func dopSuffix(dop int) string {

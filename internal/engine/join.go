@@ -30,8 +30,8 @@ type HashJoin struct {
 	schema              *tuple.Schema
 	dop                 int
 
-	// table maps key hash -> indices into buildRows (serial build).
-	table     map[uint64][]int32
+	// index chains the indices into buildRows by key hash (serial build).
+	index     tuple.HashIndex
 	buildRows []tuple.Row
 
 	// Parallel build state: partition p holds the build rows whose key
@@ -45,8 +45,9 @@ type HashJoin struct {
 	probeHashes []uint64
 	probeIdx    int
 	probeRow    tuple.Row
-	matches     []int32
-	matchIdx    int
+	// match is the next build row of the probe row's bucket to look at,
+	// -1 once the chain is exhausted.
+	match int32
 
 	// Parallel probe output: per-worker reused columnar buffers plus the
 	// queue of non-empty ones awaiting service for the current probe
@@ -122,32 +123,29 @@ func (j *HashJoin) Open() error {
 	if err := j.bleft.Close(); err != nil {
 		return err
 	}
-	j.probeBatch, j.probeIdx, j.matches, j.matchIdx = nil, 0, nil, 0
+	j.probeBatch, j.probeIdx, j.match = nil, 0, -1
 	j.parQueue = nil
 	j.cur.reset()
 	return j.bright.Open()
 }
 
-// buildSerial is the DOP=1 build: one goroutine hashes and inserts every
-// build batch.
+// buildSerial is the DOP=1 build: one goroutine hashes every build batch
+// and indexes the collected rows once the side is drained.
 func (j *HashJoin) buildSerial() error {
-	j.table = make(map[uint64][]int32)
 	j.buildRows = j.buildRows[:0]
-	var hashes []uint64
+	var hashes, all []uint64 // of the current batch, of every build row
 	for {
 		b, ok, err := j.bleft.NextBatch()
 		if err != nil {
 			return err
 		}
 		if !ok {
+			j.index.Build(all)
 			return nil
 		}
 		hashes = b.HashColumns(j.leftKeys, hashes)
-		rows := b.Rows()
-		for i, row := range rows {
-			j.table[hashes[i]] = append(j.table[hashes[i]], int32(len(j.buildRows)))
-			j.buildRows = append(j.buildRows, row)
-		}
+		all = append(all, hashes...)
+		j.buildRows = b.AppendRows(j.buildRows)
 	}
 }
 
@@ -239,8 +237,7 @@ func (j *HashJoin) buildParallel() error {
 func (j *HashJoin) loadProbeRow(i int) {
 	j.probeIdx = i
 	j.probeRow = j.probeBatch.AppendRowTo(j.probeRow[:0], i)
-	j.matches = j.table[j.probeHashes[i]]
-	j.matchIdx = 0
+	j.match = j.index.First(j.probeHashes[i])
 }
 
 // NextBatch implements BatchIterator: emits up to a batch of joined rows.
@@ -261,11 +258,11 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 	j.out.Reset()
 	for {
 		for j.probeBatch != nil && j.probeIdx < j.probeBatch.Len() {
-			for j.matchIdx < len(j.matches) {
-				build := j.buildRows[j.matches[j.matchIdx]]
-				j.matchIdx++
+			for j.match >= 0 {
+				build := j.buildRows[j.match]
+				j.match = j.index.Next(j.match)
 				if !keysEqual(build, j.leftKeys, j.probeRow, j.rightKeys) {
-					continue // hash collision
+					continue // another key of the same bucket
 				}
 				j.outBuf = append(j.outBuf[:0], build...)
 				j.outBuf = append(j.outBuf, j.probeRow...)
@@ -395,10 +392,9 @@ func (j *HashJoin) Next() (tuple.Row, bool, error) { return j.cur.next(j) }
 
 // Close implements Iterator.
 func (j *HashJoin) Close() error {
-	j.table = nil
-	j.buildRows = nil
+	j.index, j.buildRows = tuple.HashIndex{}, nil
 	j.partRows, j.partTables = nil, nil
-	j.probeBatch, j.matches = nil, nil
+	j.probeBatch = nil
 	j.parOut, j.parQueue = nil, nil
 	return j.bright.Close()
 }

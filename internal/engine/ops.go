@@ -311,9 +311,8 @@ func rowKey(row tuple.Row) string {
 	return string(sb)
 }
 
-// Values is a leaf iterator over in-memory rows; used by tests and by the
-// MJoin result bridge. Next and NextBatch share one cursor, so the two
-// protocols can be mixed safely.
+// Values is a leaf iterator over in-memory rows. Next and NextBatch share
+// one cursor, so the two protocols can be mixed safely.
 type Values struct {
 	schema *tuple.Schema
 	rows   []tuple.Row
@@ -357,3 +356,56 @@ func (v *Values) nextBatch() (*tuple.Batch, bool, error) {
 
 // Close implements Iterator.
 func (v *Values) Close() error { return nil }
+
+// BatchValues is a leaf iterator over batches the caller already holds,
+// served as they are, without a copy — the MJoin result bridge: the join's
+// output chunks flow into the shaping stage without ever becoming rows.
+// The batches must stay untouched while the plan runs.
+type BatchValues struct {
+	schema  *tuple.Schema
+	batches []*tuple.Batch
+	idx     int
+	cur     rowCursor
+	ostats  *OpStats
+}
+
+// NewBatchValues builds a constant relation over batches of the given
+// schema.
+func NewBatchValues(schema *tuple.Schema, batches []*tuple.Batch) *BatchValues {
+	return &BatchValues{schema: schema, batches: batches}
+}
+
+// Schema implements Iterator.
+func (v *BatchValues) Schema() *tuple.Schema { return v.schema }
+
+// Open implements Iterator.
+func (v *BatchValues) Open() error {
+	v.idx = 0
+	v.cur.reset()
+	return nil
+}
+
+// Next implements Iterator.
+func (v *BatchValues) Next() (tuple.Row, bool, error) { return v.cur.next(v) }
+
+// NextBatch implements BatchIterator.
+func (v *BatchValues) NextBatch() (*tuple.Batch, bool, error) {
+	if v.ostats != nil {
+		return timedBatch(v.ostats, v.nextBatch)
+	}
+	return v.nextBatch()
+}
+
+func (v *BatchValues) nextBatch() (*tuple.Batch, bool, error) {
+	for v.idx < len(v.batches) {
+		b := v.batches[v.idx]
+		v.idx++
+		if b.Len() > 0 {
+			return b, true, nil
+		}
+	}
+	return nil, false, nil
+}
+
+// Close implements Iterator.
+func (v *BatchValues) Close() error { return nil }

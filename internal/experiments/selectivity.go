@@ -247,7 +247,7 @@ func verifyPruneIdentical(ds *workload.Dataset, spec skipper.QuerySpec) error {
 }
 
 // evalLocal runs the spec without simulation: the pull plan for
-// ModeVanilla, mjoin.Run over an immediate source for ModeSkipper, with
+// ModeVanilla, mjoin.RunBatches over an immediate source for ModeSkipper, with
 // data skipping per prune.
 func evalLocal(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode, prune bool) ([]tuple.Row, error) {
 	if mode == skipper.ModeVanilla {
@@ -263,14 +263,15 @@ func evalLocal(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode, 
 	}
 	cfg := mjoin.DefaultConfig(len(spec.Join.Objects()))
 	cfg.StatsPruning = prune
-	res, err := mjoin.Run(spec.Join, cfg, &immediateSource{store: ds.Store})
+	res, err := mjoin.RunBatches(spec.Join, cfg, &immediateSource{store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
-	if spec.Shape == nil {
-		return res.Rows, nil
+	var it engine.Iterator = engine.NewBatchValues(res.Schema, res.Batches)
+	if spec.Shape != nil {
+		it = spec.Shape(it)
 	}
-	return engine.Collect(spec.Shape(engine.NewValues(res.Schema, res.Rows)))
+	return engine.Collect(it)
 }
 
 // equalRows requires two result sets to be identical, row for row.

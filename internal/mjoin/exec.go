@@ -2,6 +2,7 @@ package mjoin
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,37 +12,54 @@ import (
 )
 
 // This file implements the stateless n-ary join operator (§4.1): the
-// state manager builds one hash table per cached object, keyed by the
-// join column that attaches the object's relation to the chain, and
-// subplan execution probes those tables directly — no per-subplan
-// rebuild. Relation 0 (the probe root) needs no hash table.
+// state manager builds one hash index per cached object, over the join
+// column that attaches the object's relation to the chain, and subplan
+// execution probes those indexes directly — no per-subplan rebuild.
+// Relation 0 (the probe root) needs no index.
 //
-// Execution is batch-at-a-time: cached rows live in columnar batches
-// whose key column is hashed with one vectorized pass at build time, and
-// probe chains advance level by level over slices of partial tuples, so
-// the per-row work in the inner loop is a table lookup plus an equality
-// check — no hashing, no schema lookups.
+// Nothing on this path materializes a row:
+//
+//   - An arrival is filtered into a selection vector first, and its cache
+//     entry is allocated at the survivor count; an unfiltered arrival's
+//     entry simply owns the freshly decoded columns (decodeArrival).
+//   - A partial tuple is one int32 row id per relation joined so far, held
+//     in per-worker struct-of-arrays scratch. Each chain level reads its
+//     left key straight from the cached column of the relation that owns
+//     it, walks the matching bucket of the next relation's index in
+//     ascending row order, and appends the ids of the matches
+//     (probeLevels).
+//   - Only the partials that survive the last level are gathered, column
+//     by column, into the output chunks (emit). Run turns chunks into rows
+//     for callers that want rows; RunBatches hands the chunks on as they
+//     are.
+//
+// So steady-state probing and table building allocate per object and per
+// output chunk, never per row.
 //
 // With Config.Parallelism > 1 the probeChunk-sized root partitions of a
 // subplan are claimed by a pool of workers, each expanding its chunks
-// through the full probe chain with private scratch buffers against the
-// shared (read-only) cache entries. Per-chunk outputs are stitched back
-// in chunk order, so the result rows are byte-identical to the serial
-// execution's, in the same order, at any DOP.
+// through the full probe chain with private scratch against the shared
+// (read-only) cache entries and gathering them into a chunk of its own.
+// The chunks are stitched back in root order, so the result rows are
+// byte-identical to the serial execution's, in the same order, at any DOP.
 
 // probeChunk bounds how many root rows are expanded through the probe
-// chain at once, keeping intermediate buffers cache-sized.
+// chain at once, keeping the id arrays cache-sized.
 const probeChunk = 1024
 
+// outChunkRows is the capacity output chunks grow to: early chunks double
+// from the size of the first emit, so a small result costs what it holds.
+const outChunkRows = 1024
+
 // cacheEntry is the cached state of one arrived object: its filtered
-// rows in columnar form plus the hash table on the relation's inbound
+// rows in columnar form plus the hash index on the relation's inbound
 // join column.
 type cacheEntry struct {
 	batch *tuple.Batch
-	// table maps hash(join-key) -> row indices into batch; nil for
+	// index chains the rows of batch by hash(join-key); unbuilt for
 	// relation 0.
-	table map[uint64][]int32
-	// keyIdx is the column the table is keyed on (RightCol of the
+	index tuple.HashIndex
+	// keyIdx is the column the index is built over (RightCol of the
 	// relation's JoinCond), -1 for relation 0.
 	keyIdx int
 }
@@ -79,19 +97,20 @@ func (m *manager) arrivalBatch(rel int, seg *segment.Segment) (*tuple.Batch, err
 
 // decodeArrival turns one delivered segment into the filtered columnar
 // batch a cache entry holds. Materialized segments filter their rows as
-// before; lazily decoded segments decode only the relation's projected
-// column blocks (Relation.Cols) and filter straight off the decoded
-// columns — no intermediate Row materialization on the scan path.
-// Everything cached is copied out of the decode buffer, so reuse can be
-// recycled once the call returns. Decode errors (lazy stores validate
-// headers at build time, block contents on first decode) surface as
-// errors, like the vanilla scan path; filter failures still panic — the
-// predicate was validated at plan time, so they indicate a bug.
+// before. Lazily decoded segments decode only the relation's projected
+// column blocks (Relation.Cols); without a filter the batch takes the
+// freshly decoded columns over as they are, with a filter the predicate is
+// evaluated into a selection vector off the reused decode buffer and only
+// the survivors are copied out, into a batch of exactly that many rows.
+// Decode errors (lazy stores validate headers at build time, block
+// contents on first decode) surface as errors, like the vanilla scan path;
+// filter failures still panic — the predicate was validated at plan time,
+// so they indicate a bug.
 //
 // decodeArrival is a pure computation over immutable manager state (the
-// query plan) plus the reuse buffer the caller hands over: it is safe to
-// run on a decode-pool worker as long as each concurrent call owns a
-// distinct reuse buffer.
+// query plan) plus the reuse buffer the caller hands over and gets back:
+// it is safe to run on a decode-pool worker as long as each concurrent
+// call owns a distinct reuse buffer.
 func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.ColumnData) (*tuple.Batch, *segment.ColumnData, arrivalBytes, error) {
 	var by arrivalBytes
 	r := &m.q.Relations[rel]
@@ -101,11 +120,15 @@ func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.Co
 		if err != nil {
 			panic(fmt.Sprintf("mjoin: filter on %v: %v", seg.ID, err))
 		}
-		return tuple.FromRows(schema, rows), nil, by, nil
+		return tuple.FromRows(schema, rows), reuse, by, nil
 	}
-	cd, err := seg.DecodeColumns(schema, r.Cols, reuse)
+	into := reuse
+	if r.Filter == nil {
+		into = nil // decode into fresh columns the batch will own
+	}
+	cd, err := seg.DecodeColumns(schema, r.Cols, into)
 	if err != nil {
-		return nil, nil, by, fmt.Errorf("mjoin: decode %v: %w", seg.ID, err)
+		return nil, reuse, by, fmt.Errorf("mjoin: decode %v: %w", seg.ID, err)
 	}
 	by = arrivalBytes{
 		fetched:             seg.EncodedSize(),
@@ -113,20 +136,22 @@ func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.Co
 		skippedByProjection: cd.BytesSkipped,
 		materialized:        cd.BytesMaterialized,
 	}
-	batch := tuple.NewBatch(schema, cd.NumRows)
 	if r.Filter == nil {
-		batch.AppendColumns(cd.Cols, 0, cd.NumRows)
-		return batch, cd, by, nil
+		return tuple.BatchOf(schema, cd.Cols, cd.NumRows), reuse, by, nil
 	}
 	// Evaluate the filter over a scratch row assembled per index; columns
 	// outside the projection keep a fixed typed zero value (the planner
 	// guarantees the filter never reads them).
 	scratch := make(tuple.Row, schema.Len())
+	decoded := 0
 	for c := range cd.Cols {
 		if cd.Cols[c] == nil {
 			scratch[c] = tuple.Value{K: schema.Cols[c].Kind}
+		} else {
+			decoded++
 		}
 	}
+	sel := make([]int32, 0, cd.NumRows)
 	for i := 0; i < cd.NumRows; i++ {
 		for c := range cd.Cols {
 			if cd.Cols[c] != nil {
@@ -138,10 +163,23 @@ func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.Co
 			panic(fmt.Sprintf("mjoin: filter on %v: %v", seg.ID, err))
 		}
 		if keep {
-			batch.AppendRow(scratch)
+			sel = append(sel, int32(i))
 		}
 	}
-	return batch, cd, by, nil
+	// One arena holds the survivors of every decoded column.
+	n := len(sel)
+	arena := make([]tuple.Value, decoded*n)
+	cols := make([][]tuple.Value, len(cd.Cols))
+	for c, src := range cd.Cols {
+		if src == nil {
+			continue
+		}
+		cols[c], arena = arena[:n:n], arena[n:]
+		for k, i := range sel {
+			cols[c][k] = src[i]
+		}
+	}
+	return tuple.BatchOf(schema, cols, n), cd, by, nil
 }
 
 // buildEntry constructs the cache entry for an arrival of relation rel.
@@ -153,81 +191,90 @@ func (m *manager) buildEntry(rel int, batch *tuple.Batch) *cacheEntry {
 		return e
 	}
 	e.keyIdx = m.keyIdxByRel[rel]
-	sc := &m.scratches[0]
-	sc.hashBuf = e.batch.HashColumns([]int{e.keyIdx}, sc.hashBuf)
-	e.table = make(map[uint64][]int32, e.batch.Len())
-	for i, h := range sc.hashBuf {
-		e.table[h] = append(e.table[h], int32(i))
-	}
+	m.hashBuf = batch.HashColumns([]int{e.keyIdx}, m.hashBuf)
+	e.index.Build(m.hashBuf)
 	return e
 }
 
-// probePlan precomputes, for each relation i>0, where the chain's left
-// key lives in the accumulated partial tuple.
+// probePlan precomputes, for each relation i>0, which cached column the
+// chain's left key is read from.
 type probePlan struct {
-	// leftIdx[i-1] is the offset of Joins[i-1].LeftCol within the
-	// concatenation of relations 0..i-1.
-	leftIdx []int
-	// width[i] is the arity of relation i.
-	width []int
+	// leftRel[i-1] and leftCol[i-1] are the relation (< i) and the column
+	// within it that Joins[i-1].LeftCol names.
+	leftRel, leftCol []int
 }
 
 func buildProbePlan(q *Query) (*probePlan, error) {
 	pp := &probePlan{}
 	acc := q.Relations[0].Table.Schema
-	pp.width = append(pp.width, acc.Len())
+	// starts[r] is the offset of relation r's columns in the accumulated
+	// schema, which is what LeftCol resolves against.
+	starts := []int{0}
 	for i, jc := range q.Joins {
 		idx, ok := acc.ColIndex(jc.LeftCol)
 		if !ok {
 			return nil, fmt.Errorf("mjoin: join %d: column %q not found in accumulated schema", i, jc.LeftCol)
 		}
-		pp.leftIdx = append(pp.leftIdx, idx)
-		rs := q.Relations[jc.Rel].Table.Schema
-		pp.width = append(pp.width, rs.Len())
-		acc = acc.Concat(rs)
+		rel := len(starts) - 1
+		for starts[rel] > idx {
+			rel--
+		}
+		pp.leftRel = append(pp.leftRel, rel)
+		pp.leftCol = append(pp.leftCol, idx-starts[rel])
+		starts = append(starts, acc.Len())
+		acc = acc.Concat(q.Relations[jc.Rel].Table.Schema)
 	}
 	return pp, nil
 }
 
-// probeScratch is one worker's reusable probe-chain state: the hash
-// buffer for the vectorized key pass and the two partial-tuple buffers
-// ping-ponged across chain levels.
+// probeScratch is one worker's reusable probe-chain state: the partial
+// tuples of the level being read and of the level being written, as one
+// row-id array per relation (cur[r][k] is partial k's row in relation r's
+// cached batch). The arrays are allocated on first use and ping-ponged
+// across chain levels.
 type probeScratch struct {
-	hashBuf []uint64
-	curBuf  []tuple.Row
-	nextBuf []tuple.Row
+	cur, next [][]int32
 }
 
 // executeSubplan joins the subplan's cached segments by probing the
-// per-object hash tables left to right, a batch of partial tuples at a
-// time, and appends result tuples. With DOP > 1 and more than one chunk
-// of root rows, the chunks run on a worker pool.
+// per-object hash indexes left to right, a chunk of root rows at a time,
+// and emits the surviving tuples. With DOP > 1 and more than one chunk of
+// root rows, the chunks run on a worker pool.
 func (m *manager) executeSubplan(sp subplan) {
-	entries := make([]*cacheEntry, len(sp))
+	entries, srcs := m.entries[:0], m.srcs[:0]
+	empty := false
 	for ri, si := range sp {
 		id := m.objByRef[objRef{ri, si}]
 		e, ok := m.cache[id]
 		if !ok {
 			panic(fmt.Sprintf("mjoin: executing subplan with uncached object %v", id))
 		}
-		if e.batch.Len() == 0 {
-			return // an empty leg cannot produce output
-		}
-		entries[ri] = e
+		empty = empty || e.batch.Len() == 0
+		entries, srcs = append(entries, e), append(srcs, e.batch)
 	}
-	root := entries[0].batch
-	nChunks := (root.Len() + probeChunk - 1) / probeChunk
+	m.entries, m.srcs = entries, srcs
+	if m.onSubplan != nil {
+		m.onSubplan(entries)
+	}
+	if empty {
+		return // an empty leg cannot produce output
+	}
+	rootLen := srcs[0].Len()
+	nChunks := (rootLen + probeChunk - 1) / probeChunk
 	if m.dop <= 1 || nChunks <= 1 {
-		for start := 0; start < root.Len(); start += probeChunk {
-			end := min(start+probeChunk, root.Len())
-			m.probeLevels(entries, root, start, end, &m.scratches[0], &m.rows)
+		sc := &m.scratches[0]
+		for start := 0; start < rootLen; start += probeChunk {
+			if n := m.probeLevels(entries, start, min(start+probeChunk, rootLen), sc); n > 0 {
+				m.emit(srcs, sc.cur, n)
+			}
 		}
 		return
 	}
-	// Parallel path: workers claim chunk indices off a shared counter and
-	// expand them with private scratch; results land in per-chunk slots
-	// and are appended in chunk order, matching the serial output exactly.
-	results := make([][]tuple.Row, nChunks)
+	// Parallel path: workers claim chunk indices off a shared counter,
+	// expand them with private scratch and gather the survivors into a
+	// chunk of their own; the chunks are adopted in root order, matching
+	// the serial output exactly.
+	results := make([]*tuple.Batch, nChunks)
 	var nextChunk atomic.Int32
 	var wg sync.WaitGroup
 	workers := min(m.dop, nChunks)
@@ -242,57 +289,91 @@ func (m *manager) executeSubplan(sp subplan) {
 					return
 				}
 				start := c * probeChunk
-				end := min(start+probeChunk, root.Len())
-				m.probeLevels(entries, root, start, end, sc, &results[c])
+				if n := m.probeLevels(entries, start, min(start+probeChunk, rootLen), sc); n > 0 {
+					results[c] = tuple.NewBatch(m.schema, n)
+					results[c].AppendJoined(srcs, sc.cur, 0, n)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for _, rs := range results {
-		m.rows = append(m.rows, rs...)
+	for _, b := range results {
+		if b != nil {
+			m.out = append(m.out, b)
+			m.stats.ResultRows += b.Len()
+		}
 	}
 }
 
-// probeLevels expands root rows [start, end) through every probe level,
-// appending the surviving full-width tuples to *sink. All mutable state
-// lives in sc and sink, so concurrent calls over disjoint chunks with
-// distinct scratches are race-free; entries and the probe plan are only
-// read.
-func (m *manager) probeLevels(entries []*cacheEntry, root *tuple.Batch, start, end int, sc *probeScratch, sink *[]tuple.Row) {
-	cur := sc.curBuf[:0]
-	for i := start; i < end; i++ {
-		cur = append(cur, root.Row(i))
+// probeLevels expands root rows [start, end) through every probe level and
+// returns how many partial tuples survive the last one; their row ids are
+// left in sc.cur. All mutable state lives in sc, so concurrent calls over
+// disjoint chunks with distinct scratches are race-free; entries and the
+// probe plan are only read.
+func (m *manager) probeLevels(entries []*cacheEntry, start, end int, sc *probeScratch) int {
+	if sc.cur == nil {
+		sc.cur, sc.next = make([][]int32, len(entries)), make([][]int32, len(entries))
 	}
-	next := sc.nextBuf[:0]
-	for depth := 1; depth < len(entries) && len(cur) > 0; depth++ {
+	cur, next := sc.cur, sc.next
+	cur[0] = slices.Grow(cur[0][:0], end-start)
+	for i := start; i < end; i++ {
+		cur[0] = append(cur[0], int32(i))
+	}
+	for depth := 1; depth < len(entries) && len(cur[0]) > 0; depth++ {
 		e := entries[depth]
-		keyIdx := m.probe.leftIdx[depth-1]
-		width := m.probe.width[depth]
-		// One vectorized pass hashes every partial's key; the inner loop
-		// below only looks up and verifies.
-		sc.hashBuf = tuple.HashRowsKey(cur, keyIdx, sc.hashBuf)
+		leftRel := m.probe.leftRel[depth-1]
+		leftIDs := cur[leftRel]
+		leftCol := entries[leftRel].batch.Col(m.probe.leftCol[depth-1])
 		keyCol := e.batch.Col(e.keyIdx)
-		next = next[:0]
-		for i, p := range cur {
-			key := p[keyIdx]
-			for _, mi := range e.table[sc.hashBuf[i]] {
+		// Most joins here are key/foreign-key, so about one match per
+		// partial is the size to start from.
+		for r := 0; r <= depth; r++ {
+			next[r] = slices.Grow(next[r][:0], len(leftIDs))
+		}
+		for k, id := range leftIDs {
+			key := leftCol[id]
+			for mi := e.index.First(tuple.HashKey(key)); mi >= 0; mi = e.index.Next(mi) {
 				mv := keyCol[mi]
 				if mv.K != key.K || !tuple.Equal(key, mv) {
-					continue // hash collision
+					continue // another key of the same bucket
 				}
-				combined := make(tuple.Row, 0, len(p)+width)
-				combined = append(combined, p...)
-				combined = e.batch.AppendRowTo(combined, int(mi))
-				next = append(next, combined)
+				for r := 0; r < depth; r++ {
+					next[r] = append(next[r], cur[r][k])
+				}
+				next[depth] = append(next[depth], mi)
 			}
 		}
 		cur, next = next, cur
 	}
-	*sink = append(*sink, cur...)
-	// Hand the (possibly grown) buffers back for reuse. After the swaps,
-	// cur's backing array holds the emitted row headers; the sink slice
-	// copied them, so both arrays are safe to recycle.
-	sc.curBuf, sc.nextBuf = cur[:0], next[:0]
+	// Hand the (possibly grown) arrays back for reuse, survivors in cur.
+	sc.cur, sc.next = cur, next
+	return len(cur[0])
+}
+
+// emit gathers n surviving partial tuples into the output chunks, filling
+// the open chunk before starting another. A new chunk has room for what is
+// left to emit or twice the previous chunk, whichever is more, up to
+// outChunkRows: chunks are never regrown, and a result of a few rows is
+// not charged a full-sized chunk.
+func (m *manager) emit(srcs []*tuple.Batch, ids [][]int32, n int) {
+	m.stats.ResultRows += n
+	for lo := 0; lo < n; {
+		var tail *tuple.Batch
+		if k := len(m.out); k > 0 {
+			tail = m.out[k-1]
+		}
+		if tail == nil || tail.Full() {
+			room := n - lo
+			if tail != nil {
+				room = max(room, 2*tail.Cap())
+			}
+			tail = tuple.NewBatch(m.schema, min(room, outChunkRows))
+			m.out = append(m.out, tail)
+		}
+		hi := min(n, lo+tail.Cap()-tail.Len())
+		tail.AppendJoined(srcs, ids, lo, hi)
+		lo = hi
+	}
 }
 
 // filterRows applies the relation's local predicate.

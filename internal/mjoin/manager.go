@@ -144,7 +144,11 @@ type Stats struct {
 type Result struct {
 	// Schema describes the output rows (all relations concatenated).
 	Schema *tuple.Schema
-	// Rows is the join output, deterministic given the arrival order.
+	// Batches is the join output in columnar chunks, none of them empty:
+	// deterministic, row order included, given the arrival order.
+	Batches []*tuple.Batch
+	// Rows is the same output as rows, in the same order. Only Run fills
+	// it.
 	Rows []tuple.Row
 	// Stats reports what the execution did.
 	Stats Stats
@@ -172,9 +176,9 @@ type manager struct {
 	keyIdxByRel []int
 	// dop is the normalized Config.Parallelism (>= 1).
 	dop int
-	// arrivalCD is the reused projected-decode buffer for lazy arrivals;
-	// cache entries copy out of it, so one buffer set serves every
-	// (re)arrival. Only the serial receive path uses it.
+	// arrivalCD is the reused projected-decode buffer for filtered lazy
+	// arrivals; cache entries copy the survivors out of it, so one buffer
+	// set serves every (re)arrival. Only the serial receive path uses it.
 	arrivalCD *segment.ColumnData
 	// freeCD is the pipelined path's decode-buffer free list. Each
 	// in-flight decode job owns exactly one buffer (popped at submit,
@@ -182,9 +186,18 @@ type manager struct {
 	// share storage; steady state holds DecodeAhead+1 buffers.
 	freeCD []*segment.ColumnData
 	// scratches holds one probe-chain scratch per worker, reused across
-	// arrivals and subplans; scratches[0] doubles as the serial path's
-	// buffer set, and its hashBuf serves the vectorized cache-entry build.
+	// arrivals and subplans; scratches[0] is the serial path's.
 	scratches []probeScratch
+	// hashBuf is the reused key-hash buffer of the cache-entry build.
+	hashBuf []uint64
+	// entries and srcs are executeSubplan's reused views of the subplan
+	// being run: its cache entries and their batches, by relation.
+	entries []*cacheEntry
+	srcs    []*tuple.Batch
+	// onSubplan, when set, sees the cache entries of every subplan about
+	// to run. Production code never sets it: the differential tests check
+	// the probe chain against a row-at-a-time reference through it.
+	onSubplan func(entries []*cacheEntry)
 
 	pending      map[string]subplan
 	pendingCount map[segment.ObjectID]int
@@ -195,7 +208,8 @@ type manager struct {
 	seq        int
 
 	stats Stats
-	rows  []tuple.Row
+	// out is the join output so far; emit fills the last chunk.
+	out []*tuple.Batch
 
 	arriving segment.ObjectID // current arrival, for ExecutableCount
 
@@ -209,8 +223,39 @@ type manager struct {
 	pinned map[segment.ObjectID]bool
 }
 
-// Run executes the query to completion against the source.
+// Run executes the query to completion against the source and
+// materializes the output as rows — the row boundary for callers that
+// count or compare rows. A caller that goes on to process the output
+// batch-at-a-time uses RunBatches and never pays for the rows.
 func Run(q *Query, cfg Config, src Source) (*Result, error) {
+	res, err := RunBatches(q, cfg, src)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = make([]tuple.Row, 0, res.Stats.ResultRows)
+	for _, b := range res.Batches {
+		res.Rows = b.AppendRows(res.Rows)
+	}
+	return res, nil
+}
+
+// RunBatches executes the query to completion against the source, leaving
+// the output in the columnar chunks it was gathered into (Result.Batches;
+// Result.Rows stays nil).
+func RunBatches(q *Query, cfg Config, src Source) (*Result, error) {
+	m, err := newManager(q, cfg, src)
+	if err != nil {
+		return nil, err
+	}
+	if err := m.loop(); err != nil {
+		return nil, err
+	}
+	return &Result{Schema: m.schema, Batches: m.out, Stats: m.stats}, nil
+}
+
+// newManager validates the query and configuration and builds the
+// execution state up to, not including, the first request cycle.
+func newManager(q *Query, cfg Config, src Source) (*manager, error) {
 	schema, err := q.Validate()
 	if err != nil {
 		return nil, err
@@ -268,11 +313,7 @@ func Run(q *Query, cfg Config, src Source) (*Result, error) {
 	if cfg.StatsPruning {
 		m.skipByStats()
 	}
-	if err := m.loop(); err != nil {
-		return nil, err
-	}
-	m.stats.ResultRows = len(m.rows)
-	return &Result{Schema: schema, Rows: m.rows, Stats: m.stats}, nil
+	return m, nil
 }
 
 // skipByStats retires, before the first request cycle, every subplan

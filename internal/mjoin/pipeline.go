@@ -214,7 +214,7 @@ func (m *manager) processDecoded(da *decodedArrival) error {
 		return da.err
 	}
 	m.addArrivalBytes(da.bytes)
-	m.recycleCD(da.cd) // cache entries copied out of it during decode
+	m.recycleCD(da.cd) // the batch copied what it keeps out of it
 	m.admitArrival(id, ref.rel, da.batch)
 	return nil
 }

@@ -345,7 +345,7 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 	if c.Pruning != nil {
 		cfg.Pruning = *c.Pruning
 	}
-	res, err := mjoin.Run(spec.Join, cfg, px)
+	res, err := mjoin.RunBatches(spec.Join, cfg, px)
 	if err != nil {
 		return nil, err
 	}
@@ -356,20 +356,15 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 	c.stats.BytesDecoded += res.Stats.BytesDecoded
 	c.stats.BytesSkippedByProjection += res.Stats.BytesSkippedByProjection
 	c.stats.BytesMaterialized += res.Stats.BytesMaterialized
-	rows := res.Rows
+	// The MJoin output chunks feed the shaping stage as they are, so
+	// post-join filters, aggregation and ORDER BY run batch-at-a-time in
+	// skipper mode too, on the morsel pool when the client sets
+	// Parallelism; rows exist only for what the query returns.
+	var it engine.Iterator = engine.NewBatchValues(res.Schema, res.Batches)
 	if spec.Shape != nil {
-		// The MJoin result bridges into the shaping stage as batches, so
-		// post-join filters, aggregation and ORDER BY run batch-at-a-time
-		// in skipper mode too (Collect dispatches to the batch protocol),
-		// on the morsel pool when the client sets Parallelism.
-		shaped, err := engine.Collect(engine.Parallelize(
-			spec.Shape(engine.NewValues(res.Schema, res.Rows)), c.Parallelism))
-		if err != nil {
-			return nil, err
-		}
-		rows = shaped
+		it = spec.Shape(it)
 	}
-	return rows, nil
+	return engine.Collect(engine.Parallelize(it, c.Parallelism))
 }
 
 // demandHeat counts, per object, the demand references the workload

@@ -34,6 +34,32 @@ func FromRows(schema *Schema, rows []Row) *Batch {
 	return b
 }
 
+// BatchOf wraps caller-provided columns, each at least n values long, as
+// a batch of n rows without copying; the caller gives the columns up. A nil
+// column — one a projected decode skipped — reads as the column kind's zero
+// value, like AppendColumns fills it: all nil columns of one kind share a
+// single zero column. Because of that sharing, and because every column is
+// capped at n, the batch is read-only: appending to it reallocates, and
+// Reset followed by appends would write through the shared columns.
+func BatchOf(schema *Schema, cols [][]Value, n int) *Batch {
+	var zeros [KindBool + 1][]Value // by Kind, of which KindBool is the last
+	for c := range cols {
+		if cols[c] != nil {
+			cols[c] = cols[c][:n:n]
+			continue
+		}
+		k := schema.Cols[c].Kind
+		if zeros[k] == nil {
+			zeros[k] = make([]Value, n)
+			for i := range zeros[k] {
+				zeros[k][i].K = k
+			}
+		}
+		cols[c] = zeros[k]
+	}
+	return &Batch{schema: schema, cols: cols, n: n}
+}
+
 // Schema describes the batch's columns.
 func (b *Batch) Schema() *Schema { return b.schema }
 
@@ -111,6 +137,27 @@ func (b *Batch) AppendColumns(cols [][]Value, start, end int) {
 	b.n += n
 }
 
+// AppendJoined appends hi-lo rows to a batch whose schema is the
+// concatenation of the srcs' schemas: output row k is row ids[0][lo+k] of
+// srcs[0] followed by row ids[1][lo+k] of srcs[1], and so on — the late
+// materialization step of a join that carried its partial tuples as one
+// row id per input. Values are gathered column by column.
+func (b *Batch) AppendJoined(srcs []*Batch, ids [][]int32, lo, hi int) {
+	c := 0
+	for r, src := range srcs {
+		sel := ids[r][lo:hi]
+		for _, col := range src.cols {
+			dst := b.cols[c]
+			for _, id := range sel {
+				dst = append(dst, col[id])
+			}
+			b.cols[c] = dst
+			c++
+		}
+	}
+	b.n += hi - lo
+}
+
 // Row materializes row i as a freshly allocated Row.
 func (b *Batch) Row(i int) Row {
 	out := make(Row, len(b.cols))
@@ -136,16 +183,22 @@ func (b *Batch) Rows() []Row {
 	if b.n == 0 {
 		return nil
 	}
-	arena := make([]Value, b.n*len(b.cols))
-	out := make([]Row, b.n)
+	return b.AppendRows(make([]Row, 0, b.n))
+}
+
+// AppendRows appends the materialized rows of the batch to dst, as Rows
+// does: one arena per call, however many rows.
+func (b *Batch) AppendRows(dst []Row) []Row {
+	w := len(b.cols)
+	arena := make([]Value, b.n*w)
 	for i := 0; i < b.n; i++ {
-		row := arena[i*len(b.cols) : (i+1)*len(b.cols) : (i+1)*len(b.cols)]
+		row := arena[i*w : (i+1)*w : (i+1)*w]
 		for c := range b.cols {
 			row[c] = b.cols[c][i]
 		}
-		out[i] = row
+		dst = append(dst, row)
 	}
-	return out
+	return dst
 }
 
 // FNV-1a parameters shared by the scalar and vectorized hash paths.
@@ -198,19 +251,9 @@ func HashRowKey(r Row, keys []int) uint64 {
 	return h
 }
 
-// HashRowsKey hashes one key column across a slice of rows, writing into
-// dst (reused when large enough). It vectorizes the probe side of chains
-// whose partial tuples are materialized rows.
-func HashRowsKey(rows []Row, keyIdx int, dst []uint64) []uint64 {
-	if cap(dst) < len(rows) {
-		dst = make([]uint64, len(rows))
-	} else {
-		dst = dst[:len(rows)]
-	}
-	seed := uint64(hashBasis)
-	seed *= hashPrime // wraps; matches HashRowKey's first step
-	for i, r := range rows {
-		dst[i] = seed ^ r[keyIdx].Hash()
-	}
-	return dst
+// HashKey returns the hash HashColumns gives a row whose single key
+// column holds v — the probe side of a HashIndex built over that column.
+func HashKey(v Value) uint64 {
+	h := hashBasis // a variable, so the product wraps as HashColumns' does
+	return h*hashPrime ^ v.Hash()
 }

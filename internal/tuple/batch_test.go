@@ -97,8 +97,8 @@ func TestBatchAppendBatchRow(t *testing.T) {
 }
 
 // TestHashColumnsMatchesHashRowKey: the vectorized column hash, the scalar
-// row-key hash and the single-column row-slice hash must agree — the
-// engine mixes all three on the two sides of a join.
+// row-key hash and the single-value key hash must agree — the engines mix
+// them on the two sides of a join.
 func TestHashColumnsMatchesHashRowKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sch := batchTestSchema()
@@ -115,10 +115,9 @@ func TestHashColumnsMatchesHashRowKey(t *testing.T) {
 			}
 		}
 		if len(keys) == 1 {
-			sl := HashRowsKey(rows, keys[0], nil)
-			for i := range rows {
-				if sl[i] != hashes[i] {
-					t.Fatalf("HashRowsKey key %d row %d differs", keys[0], i)
+			for i, r := range rows {
+				if HashKey(r[keys[0]]) != hashes[i] {
+					t.Fatalf("HashKey key %d row %d differs", keys[0], i)
 				}
 			}
 		}
@@ -152,5 +151,108 @@ func TestValueHashEqualImpliesHashEqual(t *testing.T) {
 	}
 	if Int(7).Hash() == Str("7").Hash() {
 		t.Fatal("int and string with same rendering must not collide")
+	}
+}
+
+// TestBatchOfFillsSkippedColumns: BatchOf adopts the given columns as they
+// are and reads nil ones as typed zeros, so a projected decode costs no
+// copy and downstream code sees a kind-consistent batch.
+func TestBatchOfFillsSkippedColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sch := batchTestSchema()
+	rows := make([]Row, 7)
+	for i := range rows {
+		rows[i] = randRow(rng)
+	}
+	full := FromRows(sch, rows)
+	cols := [][]Value{full.Col(0), nil, full.Col(2), nil, nil}
+	b := BatchOf(sch, cols, 5)
+	if b.Len() != 5 {
+		t.Fatalf("len %d, want 5", b.Len())
+	}
+	for i := 0; i < b.Len(); i++ {
+		want := Row{rows[i][0], {K: KindFloat64}, rows[i][2], {K: KindDate}, {K: KindBool}}
+		if !reflect.DeepEqual(b.Row(i), want) {
+			t.Fatalf("row %d = %v, want %v", i, b.Row(i), want)
+		}
+	}
+	if &b.Col(0)[0] != &full.Col(0)[0] {
+		t.Fatal("BatchOf copied a provided column")
+	}
+	if empty := BatchOf(sch, make([][]Value, sch.Len()), 0); empty.Len() != 0 {
+		t.Fatalf("empty batch has %d rows", empty.Len())
+	}
+}
+
+// TestAppendJoinedGathersByRowID: AppendJoined lays the selected rows of
+// each source side by side, in id order, for any [lo, hi) window.
+func TestAppendJoinedGathersByRowID(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	ls := NewSchema(Column{Name: "a", Kind: KindInt64}, Column{Name: "b", Kind: KindString})
+	rs := NewSchema(Column{Name: "c", Kind: KindFloat64})
+	var lrows, rrows []Row
+	for i := 0; i < 20; i++ {
+		lrows = append(lrows, Row{Int(int64(i)), Str(string(rune('a' + i)))})
+		rrows = append(rrows, Row{Float(float64(i) / 2)})
+	}
+	srcs := []*Batch{FromRows(ls, lrows), FromRows(rs, rrows)}
+	ids := [][]int32{nil, nil}
+	var want []Row
+	for k := 0; k < 50; k++ {
+		l, r := rng.Intn(20), rng.Intn(20)
+		ids[0], ids[1] = append(ids[0], int32(l)), append(ids[1], int32(r))
+		want = append(want, lrows[l].Concat(rrows[r]))
+	}
+	out := NewBatch(ls.Concat(rs), 4)
+	out.AppendJoined(srcs, ids, 0, 13)
+	out.AppendJoined(srcs, ids, 13, 13)
+	out.AppendJoined(srcs, ids, 13, 50)
+	if !reflect.DeepEqual(out.Rows(), want) {
+		t.Fatalf("joined rows differ:\n got %v\nwant %v", out.Rows(), want)
+	}
+	if got := out.AppendRows(out.Rows()[:2]); !reflect.DeepEqual(got[2:], want) || len(got) != 52 {
+		t.Fatal("AppendRows did not append the batch's rows after dst's")
+	}
+}
+
+// TestHashIndexChainsAscending: every row is reachable from its hash's
+// bucket, chains ascend, and rows with equal hashes therefore come out in
+// build order — also when many keys share a bucket, when the index is
+// rebuilt smaller, and when it is empty.
+func TestHashIndexChainsAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var ix HashIndex
+	for _, n := range []int{0, 1, 2, 300, 17} {
+		hashes := make([]uint64, n)
+		for i := range hashes {
+			// Few distinct hashes, some differing only in the low bits, so
+			// buckets hold duplicates and foreign keys alike.
+			hashes[i] = uint64(rng.Intn(8)) | uint64(rng.Intn(3))<<60
+		}
+		ix.Build(hashes)
+		for h := uint64(0); h < 8; h++ {
+			for hi := uint64(0); hi < 3; hi++ {
+				key := h | hi<<60
+				var got, want []int32
+				prev := int32(-1)
+				for i := ix.First(key); i >= 0; i = ix.Next(i) {
+					if i <= prev {
+						t.Fatalf("n=%d: chain not ascending: %d after %d", n, i, prev)
+					}
+					prev = i
+					if hashes[i] == key {
+						got = append(got, i)
+					}
+				}
+				for i, x := range hashes {
+					if x == key {
+						want = append(want, int32(i))
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("n=%d hash %x: rows %v, want %v", n, key, got, want)
+				}
+			}
+		}
 	}
 }

@@ -1,0 +1,62 @@
+package tuple
+
+import "math/bits"
+
+// HashIndex is a chained hash index over rows 0..n-1 of a build side, built
+// in one pass from the rows' key hashes (Batch.HashColumns): two flat int32
+// arrays instead of a map of per-key slices, so building allocates twice
+// however many rows or distinct keys there are. A bucket chains every row
+// whose hash falls into it — rows of different keys included — in ascending
+// row order, so a prober walks First/Next, verifies the key of each row it
+// visits, and sees equal-key rows in the order they were built.
+type HashIndex struct {
+	// heads[b] is the first row of bucket b, next[i] the row after i in its
+	// bucket; -1 ends a chain.
+	heads []int32
+	next  []int32
+	// shift takes the top log2(len(heads)) bits of the mixed hash.
+	shift uint
+}
+
+// hashMix spreads a hash over the high bits the bucket number is read from
+// (Fibonacci hashing): FNV-1a's own high bits barely depend on the last
+// bytes absorbed.
+const hashMix = 0x9E3779B97F4A7C15
+
+// Build indexes rows 0..len(hashes)-1, replacing what the index held and
+// reusing its arrays when they are large enough. Buckets number at least
+// twice the rows.
+func (ix *HashIndex) Build(hashes []uint64) {
+	n := len(hashes)
+	logSize := bits.Len(uint(2*n - 1))
+	if n == 0 {
+		logSize = 0
+	}
+	size := 1 << logSize
+	if cap(ix.heads) < size {
+		ix.heads = make([]int32, size)
+	}
+	ix.heads = ix.heads[:size]
+	for b := range ix.heads {
+		ix.heads[b] = -1
+	}
+	if cap(ix.next) < n {
+		ix.next = make([]int32, n)
+	}
+	ix.next = ix.next[:n]
+	ix.shift = uint(64 - logSize)
+	// Inserting at the head in descending row order leaves every chain
+	// ascending.
+	for i := n - 1; i >= 0; i-- {
+		b := (hashes[i] * hashMix) >> ix.shift
+		ix.next[i] = ix.heads[b]
+		ix.heads[b] = int32(i)
+	}
+}
+
+// First returns the first row of the bucket hash h falls into, -1 if the
+// bucket is empty. The index must have been built.
+func (ix *HashIndex) First(h uint64) int32 { return ix.heads[(h*hashMix)>>ix.shift] }
+
+// Next returns the row after row i in its bucket, -1 at the end.
+func (ix *HashIndex) Next(i int32) int32 { return ix.next[i] }
