@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/tuple"
@@ -90,45 +88,16 @@ func (s *Sort) opStats() **OpStats        { return &s.ostats }
 // EnableAnalyze arms every operator in the plan for measurement. The
 // armed plan must be drained serially (dop=1): OpStats is not locked.
 func EnableAnalyze(it Iterator) {
-	if a, ok := it.(analyzable); ok {
-		slot := a.opStats()
-		if *slot == nil {
-			*slot = &OpStats{}
+	walkPlan(it, func(n any) {
+		if a, ok := n.(analyzable); ok {
+			if slot := a.opStats(); *slot == nil {
+				*slot = &OpStats{}
+			}
 		}
-	}
-	if e, ok := it.(explainable); ok {
-		_, children := e.explain()
-		for _, c := range children {
-			EnableAnalyze(c)
-		}
-	}
+	})
 }
 
 // ExplainAnalyze renders the plan tree with per-operator measurements —
 // the EXPLAIN ANALYZE output. Operators that were never armed (or a
 // plan rendered before draining) show zeros.
-func ExplainAnalyze(it Iterator) string {
-	var sb strings.Builder
-	var walk func(it Iterator, depth int)
-	walk = func(it Iterator, depth int) {
-		indent := strings.Repeat("  ", depth)
-		label := fmt.Sprintf("%T", it)
-		var children []Iterator
-		if e, ok := it.(explainable); ok {
-			label, children = e.explain()
-		}
-		fmt.Fprintf(&sb, "%s-> %s", indent, label)
-		if a, ok := it.(analyzable); ok {
-			if st := *a.opStats(); st != nil {
-				fmt.Fprintf(&sb, "  (rows=%d batches=%d bytes=%d time=%s)",
-					st.Rows, st.Batches, st.Bytes, st.Time.Round(time.Microsecond))
-			}
-		}
-		sb.WriteByte('\n')
-		for _, c := range children {
-			walk(c, depth+1)
-		}
-	}
-	walk(it, 0)
-	return sb.String()
-}
+func ExplainAnalyze(it Iterator) string { return renderPlan(it, true) }

@@ -131,19 +131,27 @@ func (c *rowCursor) next(bi BatchIterator) (tuple.Row, bool, error) {
 	return row, true, nil
 }
 
-// serveRowSlice serves rows[*idx:] through a lazily allocated, reused
-// batch no larger than the rows need, advancing *idx — the shared
-// NextBatch body of every operator that holds its output as a
-// materialized row slice.
+// sizedOutput returns an operator's reused output batch, emptied, with room
+// for an input of the given row count up to DefaultBatchSize. The batch is
+// allocated on first use at the size of that first input and replaced only
+// when a larger input follows, so a plan moving 25 rows never pays for 1024;
+// the batch handed out by the previous call stays valid until this one.
+func sizedOutput(out **tuple.Batch, schema *tuple.Schema, rows int) *tuple.Batch {
+	if want := min(rows, DefaultBatchSize); *out == nil || (*out).Cap() < want {
+		*out = tuple.NewBatch(schema, want)
+	}
+	(*out).Reset()
+	return *out
+}
+
+// serveRowSlice serves rows[*idx:] through a reused batch no larger than
+// the rows need, advancing *idx — the shared NextBatch body of every
+// operator that holds its output as a materialized row slice.
 func serveRowSlice(out **tuple.Batch, schema *tuple.Schema, rows []tuple.Row, idx *int) (*tuple.Batch, bool, error) {
 	if *idx >= len(rows) {
 		return nil, false, nil
 	}
-	if *out == nil {
-		*out = tuple.NewBatch(schema, min(len(rows), DefaultBatchSize))
-	}
-	b := *out
-	b.Reset()
+	b := sizedOutput(out, schema, len(rows)-*idx)
 	n := len(rows) - *idx
 	if n > b.Cap() {
 		n = b.Cap()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/segment"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -152,19 +153,11 @@ func Collect(it Iterator) ([]tuple.Row, error) {
 }
 
 // SeqScan reads a relation segment by segment, in catalog order — the
-// strict plan-order pull that defeats CSD scheduling. It is batch-native:
-// NextBatch copies up to DefaultBatchSize rows of the current segment into
-// a reused columnar batch; Next serves single rows off the same segment
-// cursor, so mixing the two protocols stays consistent and per-segment
-// cost charges are identical on both paths.
-//
-// Against lazily decoded segments (segment.DecodeLazy output) the scan
-// performs the decode itself, per segment, and — when Project is set on a
-// v2 segment — decodes only the projected column blocks, copying them
-// straight into the reused output batch with no intermediate Row
-// materialization. Columns outside the projection are filled with typed
-// zero values; the planner only sets Project when no downstream operator
-// reads them.
+// strict plan-order pull that defeats CSD scheduling. It is the pull
+// engine's relation leg: every loaded segment goes through the Leg kernel
+// (decode → filter → select) a batch-sized range at a time, so the scan's
+// output is Filter's survivors of Project's columns and nothing wider ever
+// exists above it. Per-segment cost charges do not depend on either.
 type SeqScan struct {
 	ctx   *Ctx
 	table *catalog.TableMeta
@@ -173,16 +166,26 @@ type SeqScan struct {
 	// segment it proves result-free (from the catalog's zone maps and
 	// Bloom filters) is skipped without issuing a GET or charging any
 	// processing cost. Because pruning is conservative, the surviving
-	// row stream is identical to the unpruned one after the predicate's
-	// Filter.
+	// row stream is identical to the unpruned one after Filter.
 	Pruner stats.Pruner
 
-	// Project lists the schema columns the query references (sorted,
-	// possibly empty = none but the row count). nil decodes everything —
-	// the conservative default. It only affects lazily decoded segments;
-	// materialized segments always carry all columns.
+	// Project is the scan's physical projection: the table columns, in
+	// ascending order, that its schema and batches consist of (empty = bare
+	// row counts, nil = every column). Lazily decoded v2 segments decode
+	// only these blocks, and an operator above the scan binds against
+	// Schema(), so it cannot name a column outside the projection.
 	Project []int
 
+	// Filter is the scan's local predicate, bound against the table schema
+	// (not the projected one); it may only read columns of Project. Rows
+	// failing it never leave the decode buffer. nil keeps every row.
+	// Project and Filter are read once, when the scan is first asked for
+	// its schema or opened.
+	Filter expr.Expr
+
+	leg     *Leg
+	scratch legScratch
+	cur     rowCursor
 	segIdx  int
 	rows    []tuple.Row
 	cd      *segment.ColumnData
@@ -246,11 +249,18 @@ func NewSeqScan(ctx *Ctx, table *catalog.TableMeta) *SeqScan {
 	return &SeqScan{ctx: ctx, table: table, tr: ctx.Trace}
 }
 
-// Schema implements Iterator.
-func (s *SeqScan) Schema() *tuple.Schema { return s.table.Schema }
+// Schema implements Iterator: the table schema restricted to Project.
+func (s *SeqScan) Schema() *tuple.Schema {
+	if s.leg == nil {
+		s.leg = NewLeg(s.table.Schema, s.Project, s.Filter)
+	}
+	return s.leg.schema
+}
 
 // Open implements Iterator.
 func (s *SeqScan) Open() error {
+	s.Schema() // builds the leg
+	s.cur.reset()
 	s.drainAhead()
 	s.segIdx, s.rowIdx, s.nrows, s.rows, s.skipped = 0, 0, 0, nil, 0
 	s.bytes = ScanBytes{}
@@ -288,6 +298,42 @@ func (s *SeqScan) Bytes() ScanBytes { return s.bytes }
 // comparison.
 func (s *SeqScan) PipeStats() PipeStats { return s.pstats }
 
+// nextUnpruned passes over the segments the Pruner proves result-free and
+// reports whether any segment is left.
+func (s *SeqScan) nextUnpruned() bool {
+	for s.Pruner != nil && s.segIdx < len(s.table.Objects) && s.Pruner.CanSkip(s.segIdx) {
+		s.segIdx++
+		s.skipped++
+	}
+	return s.segIdx < len(s.table.Objects)
+}
+
+// fetchNext fetches segment segIdx, blocking, and advances past it.
+func (s *SeqScan) fetchNext() (*segment.Segment, error) {
+	id := s.table.Objects[s.segIdx]
+	start := time.Now()
+	sg, err := s.ctx.Fetch.Fetch(id)
+	s.pstats.FetchStall += time.Since(start)
+	if s.tr.Enabled() {
+		s.tr.Emit(trace.CatFetch, id.String(), start)
+	}
+	if err == nil {
+		s.segIdx++
+	}
+	return sg, err
+}
+
+// consume makes a fetched segment — decoded into cd when it is lazy — the
+// one being served, and charges the per-segment processing cost.
+func (s *SeqScan) consume(sg *segment.Segment, cd *segment.ColumnData) {
+	s.cd, s.rows, s.nrows, s.rowIdx = cd, sg.Rows, len(sg.Rows), 0
+	if cd != nil {
+		s.bytes.add(segmentBytes(sg, cd))
+		s.nrows = cd.NumRows
+	}
+	s.ctx.Clock.Sleep(s.ctx.Costs.ProcessPerObject)
+}
+
 // loadSegment advances to the next segment holding unread rows, charging
 // the per-segment processing cost per fetch; prunable segments are
 // passed over without a fetch. Lazy segments are decoded here — only the
@@ -298,28 +344,19 @@ func (s *SeqScan) loadSegment() (ok bool, err error) {
 		return s.loadSegmentPipelined()
 	}
 	for s.rowIdx >= s.nrows {
-		for s.Pruner != nil && s.segIdx < len(s.table.Objects) && s.Pruner.CanSkip(s.segIdx) {
-			s.segIdx++
-			s.skipped++
-		}
-		if s.segIdx >= len(s.table.Objects) {
+		if !s.nextUnpruned() {
 			return false, nil
 		}
-		fetchStart := time.Now()
-		sg, err := s.ctx.Fetch.Fetch(s.table.Objects[s.segIdx])
-		s.pstats.FetchStall += time.Since(fetchStart)
-		if s.tr.Enabled() {
-			s.tr.Emit(trace.CatFetch, s.table.Objects[s.segIdx].String(), fetchStart)
-		}
+		sg, err := s.fetchNext()
 		if err != nil {
 			return false, err
 		}
-		s.segIdx++
+		var cd *segment.ColumnData
 		if sg.Lazy() {
 			start := time.Now()
-			cd, err := sg.DecodeColumns(s.table.Schema, s.Project, s.cd)
+			cd, err = sg.DecodeColumns(s.table.Schema, s.Project, s.cd)
 			if s.tr.Enabled() {
-				s.tr.Emit(trace.CatDecode, s.table.Objects[s.segIdx-1].String(), start)
+				s.tr.Emit(trace.CatDecode, sg.ID.String(), start)
 			}
 			if err != nil {
 				return false, err
@@ -331,17 +368,8 @@ func (s *SeqScan) loadSegment() (ok bool, err error) {
 			s.pstats.DecodeBusy += d
 			s.pstats.DecodeStall += d
 			s.pstats.Decodes++
-			s.bytes.Fetched += sg.EncodedSize()
-			s.bytes.Decoded += cd.BytesDecoded
-			s.bytes.SkippedByProjection += cd.BytesSkipped
-			s.bytes.Materialized += cd.BytesMaterialized
-			s.cd, s.rows, s.nrows, s.rowIdx = cd, nil, cd.NumRows, 0
-		} else {
-			s.cd, s.rows, s.nrows, s.rowIdx = nil, sg.Rows, len(sg.Rows), 0
 		}
-		// Charge the per-segment processing cost as the segment is
-		// consumed.
-		s.ctx.Clock.Sleep(s.ctx.Costs.ProcessPerObject)
+		s.consume(sg, cd)
 	}
 	return true, nil
 }
@@ -364,23 +392,13 @@ func (s *SeqScan) loadSegmentPipelined() (bool, error) {
 		if len(s.ahead) == 0 {
 			// Nothing immediately available: demand-fetch the next
 			// unpruned segment, blocking, then decode it on the pool.
-			for s.Pruner != nil && s.segIdx < len(s.table.Objects) && s.Pruner.CanSkip(s.segIdx) {
-				s.segIdx++
-				s.skipped++
-			}
-			if s.segIdx >= len(s.table.Objects) {
+			if !s.nextUnpruned() {
 				return false, nil
 			}
-			fetchStart := time.Now()
-			sg, err := s.ctx.Fetch.Fetch(s.table.Objects[s.segIdx])
-			s.pstats.FetchStall += time.Since(fetchStart)
-			if s.tr.Enabled() {
-				s.tr.Emit(trace.CatFetch, s.table.Objects[s.segIdx].String(), fetchStart)
-			}
+			sg, err := s.fetchNext()
 			if err != nil {
 				return false, err
 			}
-			s.segIdx++
 			s.submitAhead(sg)
 			// The demand fetch may have made successors available (e.g.
 			// the prefetcher delivered meanwhile): top the window up so
@@ -409,17 +427,7 @@ func (s *SeqScan) loadSegmentPipelined() (bool, error) {
 			// next decode submission.
 			s.freeCD = append(s.freeCD, s.cd)
 		}
-		if job.cd != nil {
-			cd := job.cd
-			s.bytes.Fetched += job.seg.EncodedSize()
-			s.bytes.Decoded += cd.BytesDecoded
-			s.bytes.SkippedByProjection += cd.BytesSkipped
-			s.bytes.Materialized += cd.BytesMaterialized
-			s.cd, s.rows, s.nrows, s.rowIdx = cd, nil, cd.NumRows, 0
-		} else {
-			s.cd, s.rows, s.nrows, s.rowIdx = nil, job.seg.Rows, len(job.seg.Rows), 0
-		}
-		s.ctx.Clock.Sleep(s.ctx.Costs.ProcessPerObject)
+		s.consume(job.seg, job.cd)
 	}
 	return true, nil
 }
@@ -433,14 +441,7 @@ func (s *SeqScan) fillAhead() error {
 		return nil
 	}
 	depth := s.ctx.Pipe.depth()
-	for len(s.ahead) < depth {
-		for s.Pruner != nil && s.segIdx < len(s.table.Objects) && s.Pruner.CanSkip(s.segIdx) {
-			s.segIdx++
-			s.skipped++
-		}
-		if s.segIdx >= len(s.table.Objects) {
-			return nil
-		}
+	for len(s.ahead) < depth && s.nextUnpruned() {
 		sg, avail, err := tf.TryFetch(s.table.Objects[s.segIdx])
 		if err != nil {
 			return err
@@ -482,27 +483,7 @@ func (s *SeqScan) submitAhead(sg *segment.Segment) {
 }
 
 // Next implements Iterator.
-func (s *SeqScan) Next() (tuple.Row, bool, error) {
-	ok, err := s.loadSegment()
-	if !ok {
-		return nil, false, err
-	}
-	if s.cd != nil {
-		row := make(tuple.Row, len(s.cd.Cols))
-		for c := range s.cd.Cols {
-			if s.cd.Cols[c] == nil {
-				row[c] = tuple.Value{K: s.table.Schema.Cols[c].Kind}
-			} else {
-				row[c] = s.cd.Cols[c][s.rowIdx]
-			}
-		}
-		s.rowIdx++
-		return row, true, nil
-	}
-	row := s.rows[s.rowIdx]
-	s.rowIdx++
-	return row, true, nil
-}
+func (s *SeqScan) Next() (tuple.Row, bool, error) { return s.cur.next(s) }
 
 // NextBatch implements BatchIterator. Batches never span a segment
 // boundary, so early termination (e.g. under a LIMIT) fetches exactly the
@@ -515,24 +496,24 @@ func (s *SeqScan) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func (s *SeqScan) nextBatch() (*tuple.Batch, bool, error) {
-	ok, err := s.loadSegment()
-	if !ok {
-		return nil, false, err
-	}
-	if s.cd != nil {
-		if s.out == nil {
-			s.out = tuple.NewBatch(s.table.Schema, DefaultBatchSize)
+	for {
+		ok, err := s.loadSegment()
+		if !ok {
+			return nil, false, err
 		}
-		s.out.Reset()
-		n := s.nrows - s.rowIdx
-		if n > s.out.Cap() {
-			n = s.out.Cap()
+		lo := s.rowIdx
+		s.rowIdx = min(s.nrows, lo+DefaultBatchSize)
+		out := sizedOutput(&s.out, s.leg.schema, s.rowIdx-lo)
+		if s.leg.filter != nil {
+			if err := s.leg.selectRows(s.cd, s.rows, lo, s.rowIdx, &s.scratch); err != nil {
+				return nil, false, err
+			}
 		}
-		s.out.AppendColumns(s.cd.Cols, s.rowIdx, s.rowIdx+n)
-		s.rowIdx += n
-		return s.out, true, nil
+		s.leg.appendRows(out, s.cd, s.rows, lo, s.rowIdx, s.scratch.sel)
+		if out.Len() > 0 {
+			return out, true, nil
+		}
 	}
-	return serveRowSlice(&s.out, s.table.Schema, s.rows, &s.rowIdx)
 }
 
 // Close implements Iterator.

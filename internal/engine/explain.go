@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -14,17 +15,27 @@ type explainable interface {
 
 // Explain renders the operator tree as an indented plan, similar to
 // EXPLAIN output in classical engines.
-func Explain(it Iterator) string {
+func Explain(it Iterator) string { return renderPlan(it, false) }
+
+// renderPlan renders the plan tree, one operator per line, with each armed
+// operator's EXPLAIN ANALYZE measurements when analyzed is set.
+func renderPlan(it Iterator, analyzed bool) string {
 	var sb strings.Builder
 	var walk func(it Iterator, depth int)
 	walk = func(it Iterator, depth int) {
-		indent := strings.Repeat("  ", depth)
 		label := fmt.Sprintf("%T", it)
 		var children []Iterator
 		if e, ok := it.(explainable); ok {
 			label, children = e.explain()
 		}
-		fmt.Fprintf(&sb, "%s-> %s\n", indent, label)
+		fmt.Fprintf(&sb, "%s-> %s", strings.Repeat("  ", depth), label)
+		if a, ok := it.(analyzable); ok && analyzed {
+			if st := *a.opStats(); st != nil {
+				fmt.Fprintf(&sb, "  (rows=%d batches=%d bytes=%d time=%s)",
+					st.Rows, st.Batches, st.Bytes, st.Time.Round(time.Microsecond))
+			}
+		}
+		sb.WriteByte('\n')
 		for _, c := range children {
 			walk(c, depth+1)
 		}
@@ -47,6 +58,9 @@ func (s *SeqScan) explain() (string, []Iterator) {
 		}
 		label += fmt.Sprintf(" [project %d/%d cols: %s]",
 			len(s.Project), s.table.Schema.Len(), strings.Join(names, ","))
+	}
+	if s.Filter != nil {
+		label += fmt.Sprintf(" [filter %s]", s.Filter)
 	}
 	return label, nil
 }

@@ -252,10 +252,9 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 	if j.dop > 1 {
 		return j.nextBatchParallel()
 	}
-	if j.out == nil {
-		j.out = tuple.NewBatch(j.schema, DefaultBatchSize)
+	if j.out != nil {
+		j.out.Reset()
 	}
-	j.out.Reset()
 	for {
 		for j.probeBatch != nil && j.probeIdx < j.probeBatch.Len() {
 			for j.match >= 0 {
@@ -282,10 +281,15 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 			return nil, false, err
 		}
 		if !ok {
-			if j.out.Len() > 0 {
+			if j.out != nil && j.out.Len() > 0 {
 				return j.out, true, nil
 			}
 			return nil, false, nil
+		}
+		// An output batch that holds rows keeps its size until it is handed
+		// out; an empty one follows the probe side's batch size.
+		if j.out == nil || j.out.Len() == 0 {
+			sizedOutput(&j.out, j.schema, b.Len())
 		}
 		j.probeBatch = b
 		j.probeHashes = b.HashColumns(j.rightKeys, j.probeHashes)
@@ -330,7 +334,7 @@ func (j *HashJoin) probeParallel(b *tuple.Batch) {
 	if j.parOut == nil {
 		j.parOut = make([]*tuple.Batch, j.dop)
 		for w := range j.parOut {
-			j.parOut[w] = tuple.NewBatch(j.schema, DefaultBatchSize)
+			j.parOut[w] = tuple.NewBatch(j.schema, min(b.Len(), DefaultBatchSize))
 		}
 	}
 	workers := j.dop

@@ -44,16 +44,13 @@ func (f *Filter) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func (f *Filter) nextBatch() (*tuple.Batch, bool, error) {
-	if f.out == nil {
-		f.out = tuple.NewBatch(f.child.Schema(), DefaultBatchSize)
-	}
 	for {
 		in, ok, err := f.bchild.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		f.out.Reset()
 		n := in.Len()
+		out := sizedOutput(&f.out, in.Schema(), n)
 		for i := 0; i < n; i++ {
 			f.rowBuf = in.AppendRowTo(f.rowBuf[:0], i)
 			keep, err := expr.EvalBool(f.pred, f.rowBuf)
@@ -61,11 +58,11 @@ func (f *Filter) nextBatch() (*tuple.Batch, bool, error) {
 				return nil, false, err
 			}
 			if keep {
-				f.out.AppendBatchRow(in, i)
+				out.AppendBatchRow(in, i)
 			}
 		}
-		if f.out.Len() > 0 {
-			return f.out, true, nil
+		if out.Len() > 0 {
+			return out, true, nil
 		}
 	}
 }
@@ -132,12 +129,11 @@ func (pr *Project) nextBatch() (*tuple.Batch, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	if pr.out == nil {
-		pr.out = tuple.NewBatch(pr.schema, DefaultBatchSize)
+	if pr.outBuf == nil {
 		pr.outBuf = make(tuple.Row, len(pr.cols))
 	}
-	pr.out.Reset()
 	n := in.Len()
+	out := sizedOutput(&pr.out, pr.schema, n)
 	for i := 0; i < n; i++ {
 		pr.rowBuf = in.AppendRowTo(pr.rowBuf[:0], i)
 		for c, pc := range pr.cols {
@@ -150,9 +146,9 @@ func (pr *Project) nextBatch() (*tuple.Batch, bool, error) {
 			}
 			pr.outBuf[c] = v
 		}
-		pr.out.AppendRow(pr.outBuf)
+		out.AppendRow(pr.outBuf)
 	}
-	return pr.out, true, nil
+	return out, true, nil
 }
 
 // Next implements Iterator.
@@ -211,15 +207,12 @@ func (l *Limit) nextBatch() (*tuple.Batch, bool, error) {
 		l.seen += in.Len()
 		return in, true, nil
 	}
-	if l.out == nil {
-		l.out = tuple.NewBatch(l.child.Schema(), DefaultBatchSize)
-	}
-	l.out.Reset()
+	out := sizedOutput(&l.out, in.Schema(), take)
 	for i := 0; i < take; i++ {
-		l.out.AppendBatchRow(in, i)
+		out.AppendBatchRow(in, i)
 	}
 	l.seen += take
-	return l.out, true, nil
+	return out, true, nil
 }
 
 // Next implements Iterator.
@@ -266,16 +259,13 @@ func (d *Distinct) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
-	if d.out == nil {
-		d.out = tuple.NewBatch(d.child.Schema(), DefaultBatchSize)
-	}
 	for {
 		in, ok, err := d.bchild.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		d.out.Reset()
 		n := in.Len()
+		out := sizedOutput(&d.out, in.Schema(), n)
 		for i := 0; i < n; i++ {
 			d.rowBuf = in.AppendRowTo(d.rowBuf[:0], i)
 			key := rowKey(d.rowBuf)
@@ -283,10 +273,10 @@ func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
 				continue
 			}
 			d.seen[key] = struct{}{}
-			d.out.AppendBatchRow(in, i)
+			out.AppendBatchRow(in, i)
 		}
-		if d.out.Len() > 0 {
-			return d.out, true, nil
+		if out.Len() > 0 {
+			return out, true, nil
 		}
 	}
 }

@@ -24,64 +24,49 @@ type parallelizable interface {
 	setParallelism(dop int)
 }
 
+// walkPlan calls visit on every operator of the plan rooted at n,
+// descending through the adapter wrappers and every operator's children.
+func walkPlan(n any, visit func(n any)) {
+	switch v := n.(type) {
+	case *RowAdapter:
+		walkPlan(v.B, visit)
+		return
+	case *BatchAdapter:
+		walkPlan(v.It, visit)
+		return
+	}
+	visit(n)
+	if e, ok := n.(explainable); ok {
+		_, children := e.explain()
+		for _, c := range children {
+			walkPlan(c, visit)
+		}
+	}
+}
+
 // Parallelize sets the degree of parallelism on every operator of the
 // plan rooted at it that supports parallel execution (HashJoin, HashAgg)
 // and returns the root for chaining. dop <= 1 selects the serial path —
-// the zero value is always safe. The walk descends through the adapter
-// wrappers and every operator's children, so one call covers a whole
-// plan.
+// the zero value is always safe.
 func Parallelize(it Iterator, dop int) Iterator {
-	var walk func(n any)
-	walk = func(n any) {
-		switch v := n.(type) {
-		case *RowAdapter:
-			walk(v.B)
-			return
-		case *BatchAdapter:
-			walk(v.It)
-			return
-		}
+	walkPlan(it, func(n any) {
 		if p, ok := n.(parallelizable); ok {
 			p.setParallelism(dop)
 		}
-		if e, ok := n.(explainable); ok {
-			_, children := e.explain()
-			for _, c := range children {
-				walk(c)
-			}
-		}
-	}
-	walk(it)
+	})
 	return it
 }
 
-// SeqScans returns every SeqScan leaf of the plan rooted at it, walking
-// through the adapter wrappers and every operator's children (the same
-// traversal as Parallelize). Callers use it to read per-scan counters —
-// e.g. SegmentsSkipped — after a plan has been drained.
+// SeqScans returns every SeqScan leaf of the plan rooted at it. Callers use
+// it to read per-scan counters — e.g. SegmentsSkipped — after a plan has
+// been drained.
 func SeqScans(it Iterator) []*SeqScan {
 	var out []*SeqScan
-	var walk func(n any)
-	walk = func(n any) {
-		switch v := n.(type) {
-		case *RowAdapter:
-			walk(v.B)
-			return
-		case *BatchAdapter:
-			walk(v.It)
-			return
-		case *SeqScan:
-			out = append(out, v)
-			return
+	walkPlan(it, func(n any) {
+		if s, ok := n.(*SeqScan); ok {
+			out = append(out, s)
 		}
-		if e, ok := n.(explainable); ok {
-			_, children := e.explain()
-			for _, c := range children {
-				walk(c)
-			}
-		}
-	}
-	walk(it)
+	})
 	return out
 }
 

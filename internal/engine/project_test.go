@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/expr"
 	"repro/internal/segment"
 	"repro/internal/tuple"
 )
@@ -59,16 +62,13 @@ func TestSeqScanLazyProjectedBatches(t *testing.T) {
 	if len(rows) != 10 {
 		t.Fatalf("%d rows", len(rows))
 	}
+	if got := scan.Schema().ColumnNames(); len(got) != 1 || got[0] != "k" {
+		t.Fatalf("scan schema %v, want [k]", got)
+	}
 	for i, r := range rows {
-		if r[0].AsInt() != int64(i) {
-			t.Fatalf("row %d: k=%v", i, r[0])
-		}
-		// Unprojected columns are typed zero values.
-		if r[1].K != tuple.KindString || r[1].S != "" {
-			t.Fatalf("row %d: s=%v, want zero string", i, r[1])
-		}
-		if r[2].K != tuple.KindFloat64 || r[2].F != 0 {
-			t.Fatalf("row %d: f=%v, want zero float", i, r[2])
+		// Unprojected columns do not exist above the scan.
+		if len(r) != 1 || r[0].AsInt() != int64(i) {
+			t.Fatalf("row %d = %v, want (%d)", i, r, i)
 		}
 	}
 	b := scan.Bytes()
@@ -137,5 +137,149 @@ func TestSeqScanEmptyProjectionCountsRows(t *testing.T) {
 	b := scan.Bytes()
 	if b.Decoded != 0 || b.SkippedByProjection <= 0 {
 		t.Fatalf("empty projection accounting %+v", b)
+	}
+}
+
+// TestSeqScanLegKernel: a scan with Project and Filter emits exactly the
+// filter's survivors of exactly the projected columns — over materialized
+// and lazily decoded segments, serial and pipelined, through both protocols
+// — and the filter, bound against the table schema, still reads its column
+// by its table position when the projection moves it.
+func TestSeqScanLegKernel(t *testing.T) {
+	all := lazyRows(2500) // segments of 1100 rows span two batches
+	lazyTM, lazyStore := lazyTable(t, all, 1100)
+	memTM, memStore := buildMemTable(t, lazyTM.Schema, all, 1100)
+	pool := NewDecodePool(2)
+	defer pool.Close()
+
+	pred := expr.NewAnd(
+		expr.ColGE(lazyTM.Schema, "f", tuple.Float(100)), // table column 2, leg column 1
+		expr.ColEq(lazyTM.Schema, "s", tuple.Str("b")),
+	)
+	var want [][][]tuple.Row // [filtered][projection] rows
+	projections := [][]int{nil, {1, 2}, {}}
+	for _, filtered := range []bool{false, true} {
+		var byProj [][]tuple.Row
+		for _, proj := range projections {
+			var rows []tuple.Row
+			for _, r := range all {
+				if filtered && !(r[2].F >= 100 && r[1].S == "b") {
+					continue
+				}
+				out := r
+				if proj != nil {
+					out = make(tuple.Row, len(proj))
+					for c, ci := range proj {
+						out[c] = r[ci]
+					}
+				}
+				rows = append(rows, out)
+			}
+			byProj = append(byProj, rows)
+		}
+		want = append(want, byProj)
+	}
+	for fi, filtered := range []bool{false, true} {
+		for pi, proj := range projections {
+			if filtered && proj != nil && len(proj) == 0 {
+				continue // the filter's columns are not in an empty projection
+			}
+			for _, src := range []struct {
+				name  string
+				tm    *catalog.TableMeta
+				store map[segment.ObjectID]*segment.Segment
+			}{{"mem", memTM, memStore}, {"v2", lazyTM, lazyStore}} {
+				for _, pipe := range []*Pipeline{nil, {Pool: pool, Depth: 2}} {
+					for _, rowwise := range []bool{false, true} {
+						ctx := NewTestCtx(src.store)
+						ctx.Pipe = pipe
+						scan := NewSeqScan(ctx, src.tm)
+						scan.Project = proj
+						if filtered {
+							scan.Filter = pred
+						}
+						var got []tuple.Row
+						var err error
+						if rowwise {
+							got, err = Collect(rowOnlyIter{scan})
+						} else {
+							got, err = CollectBatches(scan)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						label := fmt.Sprintf("%s filtered=%v project=%v pipelined=%v rowwise=%v", src.name, filtered, proj, pipe != nil, rowwise)
+						w := want[fi][pi]
+						if len(w) == 0 || len(got) != len(w) {
+							t.Fatalf("%s: %d rows, want %d (non-zero)", label, len(got), len(w))
+						}
+						if !reflect.DeepEqual(renderRows(got), renderRows(w)) {
+							t.Fatalf("%s: rows differ from the filtered, projected input", label)
+						}
+						if len(got[0]) != len(w[0]) {
+							t.Fatalf("%s: rows are %d wide, want %d", label, len(got[0]), len(w[0]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// buildMemTable registers rows as materialized (never encoded) segments.
+func buildMemTable(t *testing.T, sch *tuple.Schema, rows []tuple.Row, perSeg int) (*catalog.TableMeta, map[segment.ObjectID]*segment.Segment) {
+	t.Helper()
+	segs := segment.Split(0, "mem", rows, perSeg, 1e9)
+	store := make(map[segment.ObjectID]*segment.Segment)
+	for _, sg := range segs {
+		store[sg.ID] = sg
+	}
+	return catalog.New(0).MustAddTable("mem", sch, segs), store
+}
+
+// TestStreamingOutputSizedByInput: streaming operators size their output
+// batch by the input they see, not by DefaultBatchSize — a 25-row result
+// does not allocate 1024-row buffers — and replace the buffer, inside the
+// next call as the batch-validity contract allows, when a larger input
+// follows.
+func TestStreamingOutputSizedByInput(t *testing.T) {
+	sch := tuple.NewSchema(tuple.Column{Name: "k", Kind: tuple.KindInt64}, tuple.Column{Name: "v", Kind: tuple.KindString})
+	small, large := tuple.FromRows(sch, kvRows(25)), tuple.FromRows(sch, kvRows(800)[100:])
+	keepAll := expr.ColGE(sch, "k", tuple.Int(0))
+	proj := []ProjectCol{{Name: "k", Kind: tuple.KindInt64, E: expr.Bind(sch, "k")}}
+	plans := map[string]func(in Iterator) Iterator{
+		"filter":   func(in Iterator) Iterator { return NewFilter(in, keepAll) },
+		"project":  func(in Iterator) Iterator { return NewProject(in, proj) },
+		"distinct": func(in Iterator) Iterator { return NewDistinct(in) },
+		"join": func(in Iterator) Iterator {
+			return JoinOn(NewValues(sch, kvRows(800)), in, [][2]string{{"k", "k"}})
+		},
+	}
+	for name, plan := range plans {
+		it := AsBatch(plan(NewBatchValues(sch, []*tuple.Batch{small, large})))
+		if err := it.Open(); err != nil {
+			t.Fatal(err)
+		}
+		first, ok, err := it.NextBatch()
+		if err != nil || !ok {
+			t.Fatalf("%s: first batch: ok=%v err=%v", name, ok, err)
+		}
+		if first.Len() != 25 || first.Cap() != 25 {
+			t.Fatalf("%s: first batch len %d cap %d, want 25 25", name, first.Len(), first.Cap())
+		}
+		if got := first.Col(0); got[0].AsInt() != 0 || got[24].AsInt() != 24 {
+			t.Fatalf("%s: first batch holds keys %v..%v, want 0..24", name, got[0], got[24])
+		}
+		second, ok, err := it.NextBatch()
+		if err != nil || !ok {
+			t.Fatalf("%s: second batch: ok=%v err=%v", name, ok, err)
+		}
+		if second.Len() != 700 || second.Cap() != 700 {
+			t.Fatalf("%s: second batch len %d cap %d, want 700 700", name, second.Len(), second.Cap())
+		}
+		if got := second.Col(0); got[0].AsInt() != 100 || got[699].AsInt() != 799 {
+			t.Fatalf("%s: second batch holds keys %v..%v, want 100..799", name, got[0], got[699])
+		}
+		it.Close()
 	}
 }

@@ -364,6 +364,52 @@ func EvalBool(e Expr, row tuple.Row) (bool, error) {
 	return v.AsBool(), nil
 }
 
+// Columns calls fn for every column reference in e. It reports false when e
+// contains a node of a type this package does not define, whose references
+// it cannot see.
+func Columns(e Expr, fn func(Col)) bool {
+	switch v := e.(type) {
+	case Col:
+		fn(v)
+		return true
+	case Const:
+		return true
+	case Cmp:
+		return columnsOf(fn, v.L, v.R)
+	case Arith:
+		return columnsOf(fn, v.L, v.R)
+	case And:
+		return columnsOf(fn, v.Terms...)
+	case Or:
+		return columnsOf(fn, v.Terms...)
+	case Not:
+		return Columns(v.E, fn)
+	case In:
+		return Columns(v.Needle, fn)
+	case Between:
+		return Columns(v.E, fn)
+	case Prefix:
+		return Columns(v.E, fn)
+	case Case:
+		ok := true
+		for _, b := range v.Branches {
+			ok = columnsOf(fn, b.When, b.Then) && ok
+		}
+		return (v.Else == nil || Columns(v.Else, fn)) && ok
+	default:
+		return false
+	}
+}
+
+// columnsOf is Columns over several expressions.
+func columnsOf(fn func(Col), es ...Expr) bool {
+	ok := true
+	for _, e := range es {
+		ok = Columns(e, fn) && ok
+	}
+	return ok
+}
+
 // True is a predicate that always holds.
 var True Expr = Const{V: tuple.Bool(true)}
 

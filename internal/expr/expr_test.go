@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -291,3 +293,32 @@ func TestStringRendering(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnsVisitsEveryReference: Columns reaches the column references
+// under every node type of this package and says so when it meets a node it
+// does not know.
+func TestColumnsVisitsEveryReference(t *testing.T) {
+	col := func(i int) Col { return NewCol(i, fmt.Sprintf("c%d", i)) }
+	e := NewAnd(
+		Cmp{Op: LT, L: col(0), R: Arith{Op: Add, L: col(1), R: Lit(tuple.Int(1))}},
+		NewOr(Not{E: In{Needle: col(2), Set: []tuple.Value{tuple.Int(1)}}}, Between{E: col(3), Lo: tuple.Int(0), Hi: tuple.Int(9)}),
+		Prefix{E: col(4), Prefix: "x"},
+		Cmp{Op: EQ, L: Case{Branches: []CaseBranch{{When: Cmp{Op: GT, L: col(5), R: Lit(tuple.Int(0))}, Then: col(6)}}, Else: col(7)}, R: Lit(tuple.Int(2))},
+	)
+	var seen []int
+	if !Columns(e, func(c Col) { seen = append(seen, c.Idx) }) {
+		t.Fatal("Columns reported an unknown node in a tree of known ones")
+	}
+	if want := []int{0, 1, 2, 3, 4, 5, 6, 7}; !reflect.DeepEqual(seen, want) {
+		t.Fatalf("visited columns %v, want %v", seen, want)
+	}
+	if Columns(NewAnd(col(0), opaqueExpr{}), func(Col) {}) {
+		t.Fatal("Columns claimed to see through a foreign node")
+	}
+}
+
+// opaqueExpr is an Expr defined outside package expr's node set.
+type opaqueExpr struct{}
+
+func (opaqueExpr) Eval(tuple.Row) (tuple.Value, error) { return tuple.Bool(true), nil }
+func (opaqueExpr) String() string                      { return "opaque" }

@@ -53,15 +53,16 @@ type AdmissionSnapshot struct {
 // snapshot as a whole is not a consistent cut under concurrent updates,
 // which is fine for monitoring output.
 func (c *AdmissionCounters) Snapshot() AdmissionSnapshot {
-	return AdmissionSnapshot{
-		Admitted:  c.Admitted.Load(),
-		Rejected:  c.Rejected.Load(),
-		Queued:    c.Queued.Load(),
-		Expired:   c.Expired.Load(),
-		Completed: c.Completed.Load(),
-		Failed:    c.Failed.Load(),
-		QueueWait: time.Duration(c.QueueWaitNS.Load()),
-	}
+	// Outcomes are loaded before admissions: a query is admitted before it
+	// completes or fails, so even a torn snapshot never shows more finished
+	// work than admitted work.
+	s := AdmissionSnapshot{Completed: c.Completed.Load(), Failed: c.Failed.Load()}
+	s.Admitted = c.Admitted.Load()
+	s.Rejected = c.Rejected.Load()
+	s.Queued = c.Queued.Load()
+	s.Expired = c.Expired.Load()
+	s.QueueWait = time.Duration(c.QueueWaitNS.Load())
+	return s
 }
 
 // Add folds another snapshot into s — the cluster-wide total of

@@ -1,0 +1,109 @@
+package mjoin
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/expr"
+	"repro/internal/segment"
+	"repro/internal/tuple"
+)
+
+// TestColsNarrowTheOutput: Relation.Cols is a physical projection. The
+// output schema is the concatenation of the legs' projected schemas, cache
+// entries and output rows are that wide, and the rows are the Cols = nil
+// run's rows restricted to those columns — over materialized and lazily
+// decoded sources.
+func TestColsNarrowTheOutput(t *testing.T) {
+	specs := []relSpec{
+		{name: "a", col: "ak", keys: seqKeys(40), perSeg: 10},
+		{name: "b", col: "bk", keys: seqKeys(40), perSeg: 20},
+	}
+	for name, build := range map[string]func(testing.TB, []relSpec) (*catalog.Catalog, map[segment.ObjectID]*segment.Segment){"mem": buildDB, "v2": lazyDB} {
+		cat, store := build(t, specs)
+		bSch := cat.MustTable("b").Schema
+		mk := func(project bool) *Query {
+			q := twoWayQuery(cat)
+			q.Relations[1].Filter = expr.ColGE(bSch, "bk", tuple.Int(7))
+			if project {
+				q.Relations[0].Cols = []int{0} // ak; ak_tag is not read
+				q.Relations[1].Cols = []int{0, 1}
+			}
+			return q
+		}
+		narrowQ := mk(true)
+		if got, want := narrowQ.OutputSchema().ColumnNames(), []string{"ak", "bk", "bk_tag"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: output schema %v, want %v", name, got, want)
+		}
+		m, err := newManager(narrowQ, DefaultConfig(3), &scriptSource{store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.onSubplan = func(entries []*cacheEntry) {
+			if w := entries[0].batch.Schema().Len(); w != 1 {
+				t.Fatalf("%s: cache entry of relation a is %d columns wide, want 1", name, w)
+			}
+		}
+		if err := m.loop(); err != nil {
+			t.Fatal(err)
+		}
+		var narrow []tuple.Row
+		for _, b := range m.out {
+			if b.Schema().Len() != 3 {
+				t.Fatalf("%s: output chunk is %d columns wide, want 3", name, b.Schema().Len())
+			}
+			narrow = b.AppendRows(narrow)
+		}
+		wide, err := Run(mk(false), DefaultConfig(3), &scriptSource{store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(narrow) != 33 || len(wide.Rows) != 33 {
+			t.Fatalf("%s: %d narrow and %d wide rows, want 33 each", name, len(narrow), len(wide.Rows))
+		}
+		for i, r := range wide.Rows {
+			if want := (tuple.Row{r[0], r[2], r[3]}); !reflect.DeepEqual(narrow[i], want) {
+				t.Fatalf("%s: row %d = %v, want %v", name, i, narrow[i], want)
+			}
+		}
+	}
+}
+
+// TestColsValidated: a query whose Cols are malformed, or leave out a column
+// a join condition or the relation's filter reads, is rejected when it is
+// validated — nothing reads a column that is not there at run time.
+func TestColsValidated(t *testing.T) {
+	cat, _ := buildDB(t, []relSpec{
+		{name: "a", col: "ak", keys: seqKeys(4), perSeg: 2},
+		{name: "b", col: "bk", keys: seqKeys(4), perSeg: 2},
+	})
+	aSch := cat.MustTable("a").Schema
+	cases := []struct {
+		name string
+		edit func(q *Query)
+		want string
+	}{
+		{"out of range", func(q *Query) { q.Relations[0].Cols = []int{0, 2} }, "must ascend"},
+		{"negative", func(q *Query) { q.Relations[0].Cols = []int{-1} }, "must ascend"},
+		{"descending", func(q *Query) { q.Relations[0].Cols = []int{1, 0} }, "must ascend"},
+		{"duplicate", func(q *Query) { q.Relations[0].Cols = []int{0, 0} }, "must ascend"},
+		{"left key left out", func(q *Query) { q.Relations[0].Cols = []int{1} }, `column "ak" not in accumulated schema`},
+		{"right key left out", func(q *Query) { q.Relations[1].Cols = []int{1} }, `column "bk" not among the columns`},
+		{"filter column left out", func(q *Query) {
+			q.Relations[0].Cols = []int{0}
+			q.Relations[0].Filter = expr.ColEq(aSch, "ak_tag", tuple.Str("a1"))
+		}, "filter reads [ak_tag]"},
+	}
+	for _, tc := range cases {
+		q := twoWayQuery(cat)
+		tc.edit(q)
+		if _, err := q.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+		if _, err := Run(q, DefaultConfig(10), &scriptSource{}); err == nil {
+			t.Errorf("%s: Run accepted the query", tc.name)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/segment"
 	"repro/internal/tuple"
@@ -17,11 +18,14 @@ import (
 // execution probes those indexes directly — no per-subplan rebuild.
 // Relation 0 (the probe root) needs no index.
 //
-// Nothing on this path materializes a row:
+// Nothing on this path materializes a row, or carries a column the query
+// does not read:
 //
-//   - An arrival is filtered into a selection vector first, and its cache
-//     entry is allocated at the survivor count; an unfiltered arrival's
-//     entry simply owns the freshly decoded columns (decodeArrival).
+//   - An arrival goes through its relation's leg kernel (engine.Leg): only
+//     Relation.Cols are decoded, the filter becomes a selection vector, and
+//     the cache entry holds the survivors of those columns, allocated at
+//     the survivor count; an unfiltered arrival's entry simply owns the
+//     freshly decoded columns (decodeArrival).
 //   - A partial tuple is one int32 row id per relation joined so far, held
 //     in per-worker struct-of-arrays scratch. Each chain level reads its
 //     left key straight from the cached column of the relation that owns
@@ -29,9 +33,9 @@ import (
 //     ascending row order, and appends the ids of the matches
 //     (probeLevels).
 //   - Only the partials that survive the last level are gathered, column
-//     by column, into the output chunks (emit). Run turns chunks into rows
-//     for callers that want rows; RunBatches hands the chunks on as they
-//     are.
+//     by column, into output chunks as wide as the legs together (emit).
+//     Run turns chunks into rows for callers that want rows; RunBatches
+//     hands the chunks on as they are.
 //
 // So steady-state probing and table building allocate per object and per
 // output chunk, never per row.
@@ -64,156 +68,119 @@ type cacheEntry struct {
 	keyIdx int
 }
 
-// arrivalBytes is the byte accounting of one decoded arrival, kept out
-// of Stats until the arrival is actually consumed: the pipelined path
-// decodes speculatively and discards the accounting of arrivals no
-// pending subplan needs (the serial path never decodes those at all).
-type arrivalBytes struct {
-	fetched, decoded, skippedByProjection, materialized int64
-}
-
 // addArrivalBytes folds one consumed arrival's byte accounting into Stats.
-func (m *manager) addArrivalBytes(by arrivalBytes) {
-	m.stats.BytesFetched += by.fetched
-	m.stats.BytesDecoded += by.decoded
-	m.stats.BytesSkippedByProjection += by.skippedByProjection
-	m.stats.BytesMaterialized += by.materialized
+// It is kept out of Stats until the arrival is actually consumed: the
+// pipelined path decodes speculatively and discards the accounting of
+// arrivals no pending subplan needs (the serial path never decodes those at
+// all).
+func (m *manager) addArrivalBytes(by engine.ScanBytes) {
+	m.stats.BytesFetched += by.Fetched
+	m.stats.BytesDecoded += by.Decoded
+	m.stats.BytesSkippedByProjection += by.SkippedByProjection
+	m.stats.BytesMaterialized += by.Materialized
 }
 
-// arrivalBatch is the serial decode step: decodeArrival against the
-// manager's single reused buffer, with the byte accounting applied
-// immediately.
-func (m *manager) arrivalBatch(rel int, seg *segment.Segment) (*tuple.Batch, error) {
-	batch, cd, by, err := m.decodeArrival(rel, seg, m.arrivalCD)
-	if err != nil {
-		return nil, err
-	}
-	if cd != nil {
-		m.arrivalCD = cd
-	}
-	m.addArrivalBytes(by)
-	return batch, nil
-}
-
-// decodeArrival turns one delivered segment into the filtered columnar
-// batch a cache entry holds. Materialized segments filter their rows as
-// before. Lazily decoded segments decode only the relation's projected
-// column blocks (Relation.Cols); without a filter the batch takes the
-// freshly decoded columns over as they are, with a filter the predicate is
-// evaluated into a selection vector off the reused decode buffer and only
-// the survivors are copied out, into a batch of exactly that many rows.
-// Decode errors (lazy stores validate headers at build time, block
-// contents on first decode) surface as errors, like the vanilla scan path;
-// filter failures still panic — the predicate was validated at plan time,
-// so they indicate a bug.
+// decodeArrival turns one delivered segment into the batch a cache entry
+// holds — the relation's filtered rows, Cols wide — by running the
+// relation's leg kernel over it (engine.Leg.ReadSegment): a filtered
+// arrival is copied out of the reuse buffer at the survivor count, an
+// unfiltered lazy one owns its freshly decoded columns. It returns the
+// decode buffer to hand to the next call. Decode errors (lazy stores
+// validate headers at build time, block contents on first decode) and
+// filter errors surface as errors, like the vanilla scan path.
 //
 // decodeArrival is a pure computation over immutable manager state (the
 // query plan) plus the reuse buffer the caller hands over and gets back:
 // it is safe to run on a decode-pool worker as long as each concurrent
 // call owns a distinct reuse buffer.
-func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.ColumnData) (*tuple.Batch, *segment.ColumnData, arrivalBytes, error) {
-	var by arrivalBytes
-	r := &m.q.Relations[rel]
-	schema := r.Table.Schema
-	if !seg.Lazy() {
-		rows, err := filterRows(r.Filter, seg.Rows)
-		if err != nil {
-			panic(fmt.Sprintf("mjoin: filter on %v: %v", seg.ID, err))
-		}
-		return tuple.FromRows(schema, rows), reuse, by, nil
-	}
-	into := reuse
-	if r.Filter == nil {
-		into = nil // decode into fresh columns the batch will own
-	}
-	cd, err := seg.DecodeColumns(schema, r.Cols, into)
+func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.ColumnData) (*tuple.Batch, *segment.ColumnData, engine.ScanBytes, error) {
+	batch, reuse, by, err := m.probe.legs[rel].ReadSegment(seg, reuse)
 	if err != nil {
-		return nil, reuse, by, fmt.Errorf("mjoin: decode %v: %w", seg.ID, err)
+		err = fmt.Errorf("mjoin: arrival %v: %w", seg.ID, err)
 	}
-	by = arrivalBytes{
-		fetched:             seg.EncodedSize(),
-		decoded:             cd.BytesDecoded,
-		skippedByProjection: cd.BytesSkipped,
-		materialized:        cd.BytesMaterialized,
-	}
-	if r.Filter == nil {
-		return tuple.BatchOf(schema, cd.Cols, cd.NumRows), reuse, by, nil
-	}
-	// Evaluate the filter over a scratch row assembled per index; columns
-	// outside the projection keep a fixed typed zero value (the planner
-	// guarantees the filter never reads them).
-	scratch := make(tuple.Row, schema.Len())
-	decoded := 0
-	for c := range cd.Cols {
-		if cd.Cols[c] == nil {
-			scratch[c] = tuple.Value{K: schema.Cols[c].Kind}
-		} else {
-			decoded++
-		}
-	}
-	sel := make([]int32, 0, cd.NumRows)
-	for i := 0; i < cd.NumRows; i++ {
-		for c := range cd.Cols {
-			if cd.Cols[c] != nil {
-				scratch[c] = cd.Cols[c][i]
-			}
-		}
-		keep, err := expr.EvalBool(r.Filter, scratch)
-		if err != nil {
-			panic(fmt.Sprintf("mjoin: filter on %v: %v", seg.ID, err))
-		}
-		if keep {
-			sel = append(sel, int32(i))
-		}
-	}
-	// One arena holds the survivors of every decoded column.
-	n := len(sel)
-	arena := make([]tuple.Value, decoded*n)
-	cols := make([][]tuple.Value, len(cd.Cols))
-	for c, src := range cd.Cols {
-		if src == nil {
-			continue
-		}
-		cols[c], arena = arena[:n:n], arena[n:]
-		for k, i := range sel {
-			cols[c][k] = src[i]
-		}
-	}
-	return tuple.BatchOf(schema, cols, n), cd, by, nil
+	return batch, reuse, by, err
 }
 
-// buildEntry constructs the cache entry for an arrival of relation rel.
-// The key column index is precomputed per relation (m.keyIdxByRel), and
-// the whole segment is hashed in one vectorized pass.
+// buildEntry constructs the cache entry for an arrival of relation rel,
+// hashing the whole segment's key column in one vectorized pass.
 func (m *manager) buildEntry(rel int, batch *tuple.Batch) *cacheEntry {
-	e := &cacheEntry{batch: batch, keyIdx: -1}
+	e := &cacheEntry{batch: batch, keyIdx: m.probe.keyCol[rel]}
 	if rel == 0 {
 		return e
 	}
-	e.keyIdx = m.keyIdxByRel[rel]
 	m.hashBuf = batch.HashColumns([]int{e.keyIdx}, m.hashBuf)
 	e.index.Build(m.hashBuf)
 	return e
 }
 
-// probePlan precomputes, for each relation i>0, which cached column the
-// chain's left key is read from.
+// probePlan is everything execution derives from a valid query, once: the
+// relations' legs and, resolved against the legs' narrow schemas, where each
+// join reads its keys.
 type probePlan struct {
+	// legs[r] is relation r's leg: Table.Schema restricted to Cols, with
+	// the relation's Filter.
+	legs []*engine.Leg
+	// out is the output schema: the leg schemas, concatenated.
+	out *tuple.Schema
 	// leftRel[i-1] and leftCol[i-1] are the relation (< i) and the column
-	// within it that Joins[i-1].LeftCol names.
+	// within its leg that Joins[i-1].LeftCol names.
 	leftRel, leftCol []int
+	// keyCol[r] is the column of leg r that the relation's cache-entry
+	// index is keyed on (RightCol of its JoinCond); -1 for relation 0.
+	keyCol []int
 }
 
+// buildProbePlan validates the query's structure and resolves it.
 func buildProbePlan(q *Query) (*probePlan, error) {
-	pp := &probePlan{}
-	acc := q.Relations[0].Table.Schema
+	if len(q.Relations) == 0 {
+		return nil, fmt.Errorf("mjoin: query %s has no relations", q.ID)
+	}
+	if len(q.Joins) != len(q.Relations)-1 {
+		return nil, fmt.Errorf("mjoin: query %s has %d relations but %d join conditions", q.ID, len(q.Relations), len(q.Joins))
+	}
+	// A plan is built per validation and per run: one slab backs its int
+	// lists.
+	n := len(q.Relations)
+	ints := make([]int, 4*n)
+	pp := &probePlan{
+		legs:    make([]*engine.Leg, 0, n),
+		leftRel: ints[:0:n], leftCol: ints[n : n : 2*n], keyCol: append(ints[2*n:2*n:3*n], -1),
+	}
+	for ri, rel := range q.Relations {
+		for i, ci := range rel.Cols {
+			if ci < 0 || ci >= rel.Table.Schema.Len() || (i > 0 && ci <= rel.Cols[i-1]) {
+				return nil, fmt.Errorf("mjoin: query %s relation %d: projected columns %v must ascend within the table's %d columns", q.ID, ri, rel.Cols, rel.Table.Schema.Len())
+			}
+		}
+		if rel.Cols != nil && rel.Filter != nil {
+			var outside []string
+			expr.Columns(rel.Filter, func(c expr.Col) {
+				if !slices.Contains(rel.Cols, c.Idx) {
+					outside = append(outside, c.Name)
+				}
+			})
+			if outside != nil {
+				return nil, fmt.Errorf("mjoin: query %s relation %d: filter reads %v, which Cols leaves out", q.ID, ri, outside)
+			}
+		}
+		pp.legs = append(pp.legs, engine.NewLeg(rel.Table.Schema, rel.Cols, rel.Filter))
+	}
+	pp.out = pp.legs[0].Schema()
 	// starts[r] is the offset of relation r's columns in the accumulated
 	// schema, which is what LeftCol resolves against.
-	starts := []int{0}
+	starts := ints[3*n : 3*n+1 : 4*n]
 	for i, jc := range q.Joins {
-		idx, ok := acc.ColIndex(jc.LeftCol)
+		if jc.Rel != i+1 {
+			return nil, fmt.Errorf("mjoin: join %d must attach relation %d, got %d", i, i+1, jc.Rel)
+		}
+		idx, ok := pp.out.ColIndex(jc.LeftCol)
 		if !ok {
-			return nil, fmt.Errorf("mjoin: join %d: column %q not found in accumulated schema", i, jc.LeftCol)
+			return nil, fmt.Errorf("mjoin: join %d: column %q not in accumulated schema %v", i, jc.LeftCol, pp.out.ColumnNames())
+		}
+		rs := pp.legs[jc.Rel].Schema()
+		key, ok := rs.ColIndex(jc.RightCol)
+		if !ok {
+			return nil, fmt.Errorf("mjoin: join %d: column %q not among the columns %v read from relation %q", i, jc.RightCol, rs.ColumnNames(), q.Relations[jc.Rel].Table.Name)
 		}
 		rel := len(starts) - 1
 		for starts[rel] > idx {
@@ -221,8 +188,9 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 		}
 		pp.leftRel = append(pp.leftRel, rel)
 		pp.leftCol = append(pp.leftCol, idx-starts[rel])
-		starts = append(starts, acc.Len())
-		acc = acc.Concat(q.Relations[jc.Rel].Table.Schema)
+		pp.keyCol = append(pp.keyCol, key)
+		starts = append(starts, pp.out.Len())
+		pp.out = pp.out.Concat(rs)
 	}
 	return pp, nil
 }
@@ -290,7 +258,7 @@ func (m *manager) executeSubplan(sp subplan) {
 				}
 				start := c * probeChunk
 				if n := m.probeLevels(entries, start, min(start+probeChunk, rootLen), sc); n > 0 {
-					results[c] = tuple.NewBatch(m.schema, n)
+					results[c] = tuple.NewBatch(m.probe.out, n)
 					results[c].AppendJoined(srcs, sc.cur, 0, n)
 				}
 			}
@@ -367,29 +335,11 @@ func (m *manager) emit(srcs []*tuple.Batch, ids [][]int32, n int) {
 			if tail != nil {
 				room = max(room, 2*tail.Cap())
 			}
-			tail = tuple.NewBatch(m.schema, min(room, outChunkRows))
+			tail = tuple.NewBatch(m.probe.out, min(room, outChunkRows))
 			m.out = append(m.out, tail)
 		}
 		hi := min(n, lo+tail.Cap()-tail.Len())
 		tail.AppendJoined(srcs, ids, lo, hi)
 		lo = hi
 	}
-}
-
-// filterRows applies the relation's local predicate.
-func filterRows(pred expr.Expr, rows []tuple.Row) ([]tuple.Row, error) {
-	if pred == nil {
-		return rows, nil
-	}
-	var out []tuple.Row
-	for _, r := range rows {
-		keep, err := expr.EvalBool(pred, r)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }

@@ -142,7 +142,8 @@ type Stats struct {
 
 // Result bundles the join output with execution statistics.
 type Result struct {
-	// Schema describes the output rows (all relations concatenated).
+	// Schema describes the output rows: the relations' leg schemas
+	// (Table.Schema restricted to Cols), concatenated.
 	Schema *tuple.Schema
 	// Batches is the join output in columnar chunks, none of them empty:
 	// deterministic, row order included, given the arrival order.
@@ -165,25 +166,17 @@ type manager struct {
 	cfg Config
 	src Source
 
-	schema   *tuple.Schema
 	probe    *probePlan
 	objIndex map[segment.ObjectID]objRef
 	objByRef map[objRef]segment.ObjectID
 
-	// keyIdxByRel[rel] is the inbound join column of relation rel (the
-	// column its cache-entry hash tables are keyed on), precomputed so
-	// arrivals never resolve schema names; -1 for relation 0.
-	keyIdxByRel []int
 	// dop is the normalized Config.Parallelism (>= 1).
 	dop int
-	// arrivalCD is the reused projected-decode buffer for filtered lazy
-	// arrivals; cache entries copy the survivors out of it, so one buffer
-	// set serves every (re)arrival. Only the serial receive path uses it.
-	arrivalCD *segment.ColumnData
-	// freeCD is the pipelined path's decode-buffer free list. Each
-	// in-flight decode job owns exactly one buffer (popped at submit,
-	// recycled after the job is waited on), so concurrent decodes never
-	// share storage; steady state holds DecodeAhead+1 buffers.
+	// freeCD is the free list of projected-decode buffers for filtered lazy
+	// arrivals; cache entries copy the survivors out of them. Each decode
+	// owns exactly one buffer (popped before it starts, recycled once its
+	// arrival is processed), so concurrent decodes never share storage:
+	// the serial path cycles one buffer, the pipelined path DecodeAhead+1.
 	freeCD []*segment.ColumnData
 	// scratches holds one probe-chain scratch per worker, reused across
 	// arrivals and subplans; scratches[0] is the serial path's.
@@ -250,13 +243,13 @@ func RunBatches(q *Query, cfg Config, src Source) (*Result, error) {
 	if err := m.loop(); err != nil {
 		return nil, err
 	}
-	return &Result{Schema: m.schema, Batches: m.out, Stats: m.stats}, nil
+	return &Result{Schema: m.probe.out, Batches: m.out, Stats: m.stats}, nil
 }
 
 // newManager validates the query and configuration and builds the
 // execution state up to, not including, the first request cycle.
 func newManager(q *Query, cfg Config, src Source) (*manager, error) {
-	schema, err := q.Validate()
+	probe, err := buildProbePlan(q)
 	if err != nil {
 		return nil, err
 	}
@@ -272,15 +265,10 @@ func newManager(q *Query, cfg Config, src Source) (*manager, error) {
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 1 << 20
 	}
-	probe, err := buildProbePlan(q)
-	if err != nil {
-		return nil, err
-	}
 	m := &manager{
 		q:            q,
 		cfg:          cfg,
 		src:          src,
-		schema:       schema,
 		probe:        probe,
 		objIndex:     make(map[segment.ObjectID]objRef),
 		objByRef:     make(map[objRef]segment.ObjectID),
@@ -291,11 +279,6 @@ func newManager(q *Query, cfg Config, src Source) (*manager, error) {
 	}
 	m.dop = max(cfg.Parallelism, 1)
 	m.scratches = make([]probeScratch, m.dop)
-	m.keyIdxByRel = make([]int, len(q.Relations))
-	m.keyIdxByRel[0] = -1
-	for i, jc := range q.Joins {
-		m.keyIdxByRel[i+1] = q.Relations[jc.Rel].Table.Schema.MustColIndex(jc.RightCol)
-	}
 	for ri, rel := range q.Relations {
 		for si, id := range rel.Table.Objects {
 			ref := objRef{rel: ri, seg: si}
@@ -434,41 +417,6 @@ func (m *manager) neededObjects() []segment.ObjectID {
 		}
 	}
 	return out
-}
-
-// processArrival folds one delivered object into the cache and runs every
-// subplan it makes runnable. It fails on a corrupt arrival (lazy-store
-// block decode), mirroring the vanilla scan path.
-func (m *manager) processArrival(seg *segment.Segment) error {
-	m.stats.Arrivals++
-	id := seg.ID
-	ref, known := m.objIndex[id]
-	if !known {
-		panic(fmt.Sprintf("mjoin: arrival of object %v not in query %s", id, m.q.ID))
-	}
-	if m.pendingCount[id] == 0 {
-		// Raced with pruning/completion: no pending subplan needs it.
-		return nil
-	}
-	// Scanning the object into a hash table costs processing time, every
-	// time it (re)arrives.
-	m.cfg.Clock.Sleep(m.cfg.Costs.ProcessPerObject)
-	start := time.Now()
-	batch, err := m.arrivalBatch(ref.rel, seg)
-	d := time.Since(start)
-	// Inline decode is both busy time and critical-path stall — the
-	// pipeline-off baseline of the wall-clock accounting.
-	m.stats.Pipe.DecodeBusy += d
-	m.stats.Pipe.DecodeStall += d
-	m.stats.Pipe.Decodes++
-	if m.cfg.Trace.Enabled() {
-		m.cfg.Trace.Emit(trace.CatDecode, id.String(), start)
-	}
-	if err != nil {
-		return err
-	}
-	m.admitArrival(id, ref.rel, batch)
-	return nil
 }
 
 // admitArrival folds one decoded arrival into the cache — pruning empty

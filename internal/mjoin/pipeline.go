@@ -51,7 +51,7 @@ type decodedArrival struct {
 	// Outputs of the decode job; owned by the worker until t is waited on.
 	batch *tuple.Batch
 	cd    *segment.ColumnData
-	bytes arrivalBytes
+	bytes engine.ScanBytes
 	err   error
 	// t is the decode ticket; nil when the decode was skipped (no pending
 	// subplan needed the object at submit time).
@@ -75,7 +75,7 @@ func (m *manager) receiveArrivals(n int) error {
 		if err != nil {
 			return fmt.Errorf("mjoin: arrival: %w", err)
 		}
-		if err := m.processArrival(seg); err != nil {
+		if err := m.processArrival(&decodedArrival{seg: seg}); err != nil {
 			return err
 		}
 	}
@@ -128,7 +128,7 @@ func (m *manager) receiveArrivalsPipelined(n int, try TryArrivalSource) error {
 		da := window[0]
 		copy(window, window[1:])
 		window = window[:len(window)-1]
-		if err := m.processDecoded(da); err != nil {
+		if err := m.processArrival(da); err != nil {
 			m.drainWindow(window)
 			return err
 		}
@@ -144,14 +144,9 @@ func (m *manager) submitArrival(seg *segment.Segment) *decodedArrival {
 	da := &decodedArrival{seg: seg}
 	ref, known := m.objIndex[seg.ID]
 	if !known || m.pendingCount[seg.ID] == 0 {
-		return da // processDecoded panics (unknown) or discards (unneeded)
+		return da // processArrival panics (unknown) or discards (unneeded)
 	}
-	var reuse *segment.ColumnData
-	if seg.Lazy() {
-		if k := len(m.freeCD); k > 0 {
-			reuse, m.freeCD = m.freeCD[k-1], m.freeCD[:k-1]
-		}
-	}
+	reuse := m.popCD()
 	rel := ref.rel
 	var name string
 	if m.cfg.Trace.Enabled() {
@@ -169,10 +164,14 @@ func (m *manager) submitArrival(seg *segment.Segment) *decodedArrival {
 	return da
 }
 
-// processDecoded consumes one window slot in delivery order: the exact
-// serial processArrival semantics, with the decode result coming from
-// the worker instead of being computed inline.
-func (m *manager) processDecoded(da *decodedArrival) error {
+// processArrival folds one delivered object, in delivery order, into the
+// cache and runs every subplan it makes runnable. The serial receive path
+// hands it a bare arrival, decoded here, inline; the pipelined path a
+// window slot whose decode a worker has done or is doing. Everything else —
+// what is counted, charged, discarded and when — is the same. It fails on
+// a corrupt arrival (lazy-store block decode), mirroring the vanilla scan
+// path.
+func (m *manager) processArrival(da *decodedArrival) error {
 	if da.srcErr != nil {
 		return fmt.Errorf("mjoin: arrival: %w", da.srcErr)
 	}
@@ -201,14 +200,17 @@ func (m *manager) processDecoded(da *decodedArrival) error {
 		m.stats.Pipe.DecodeBusy += da.t.Busy
 		m.stats.Pipe.Decodes++
 	} else {
-		// Unreachable in practice (pendingCount never increases), kept as
-		// a correct fallback: decode inline, like the serial path.
+		// The serial path: inline decode is both busy time and critical-path
+		// stall — the pipeline-off baseline of the wall-clock accounting.
 		start := time.Now()
-		da.batch, da.cd, da.bytes, da.err = m.decodeArrival(ref.rel, da.seg, nil)
+		da.batch, da.cd, da.bytes, da.err = m.decodeArrival(ref.rel, da.seg, m.popCD())
 		d := time.Since(start)
 		m.stats.Pipe.DecodeBusy += d
 		m.stats.Pipe.DecodeStall += d
 		m.stats.Pipe.Decodes++
+		if m.cfg.Trace.Enabled() {
+			m.cfg.Trace.Emit(trace.CatDecode, id.String(), start)
+		}
 	}
 	if da.err != nil {
 		return da.err
@@ -217,6 +219,17 @@ func (m *manager) processDecoded(da *decodedArrival) error {
 	m.recycleCD(da.cd) // the batch copied what it keeps out of it
 	m.admitArrival(id, ref.rel, da.batch)
 	return nil
+}
+
+// popCD takes a decode buffer off the free list, nil when it is empty.
+func (m *manager) popCD() *segment.ColumnData {
+	k := len(m.freeCD)
+	if k == 0 {
+		return nil
+	}
+	cd := m.freeCD[k-1]
+	m.freeCD = m.freeCD[:k-1]
+	return cd
 }
 
 // recycleCD returns a decode buffer to the free list.

@@ -9,8 +9,6 @@
 package mjoin
 
 import (
-	"fmt"
-
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/segment"
@@ -31,14 +29,20 @@ type Relation struct {
 	// under Filter before any CSD request is issued: their subplans are
 	// retired upfront, so the objects never appear in a request cycle.
 	Pruner stats.Pruner
-	// Cols lists the schema columns the query references in this relation
-	// (sorted; empty non-nil = none beyond the row count). nil decodes
-	// every column — the conservative default. It only matters when the
-	// source delivers lazily decoded v2 segments: arrivals then decode
-	// exactly these column blocks and skip the rest. Columns outside the
-	// set are zero-filled in the cached batches and must not be read by
-	// Filter, the join conditions or the caller's shaping stage — the SQL
-	// planner computes the set so that this holds.
+	// Cols is the relation's physical projection: the table columns, in
+	// ascending order, that the query reads from this relation (empty
+	// non-nil = none, the leg contributes bare row counts). The leg's schema
+	// is Table.Schema restricted to Cols, the query's output schema is the
+	// concatenation of the leg schemas, and nothing in between — arrival
+	// decode, cache entries, hash indexes, output chunks, the pull engine's
+	// scan batches and join rows — is wider. nil carries every column.
+	//
+	// Filter stays bound against Table.Schema and may only read columns of
+	// Cols; JoinCond columns and whatever the caller's shaping stage binds
+	// are resolved by name against the narrow schemas, so a reference to a
+	// column outside Cols fails when the query is validated or the shape is
+	// bound, never at run time. Against lazily decoded v2 segments only
+	// these column blocks are decoded.
 	Cols []int
 }
 
@@ -66,36 +70,14 @@ type Query struct {
 	Joins []JoinCond
 }
 
-// Validate checks structural soundness and returns the output schema.
+// Validate checks structural soundness and returns the output schema: the
+// relations' leg schemas (Table.Schema restricted to Cols), concatenated.
 func (q *Query) Validate() (*tuple.Schema, error) {
-	if len(q.Relations) == 0 {
-		return nil, fmt.Errorf("mjoin: query %s has no relations", q.ID)
+	pp, err := buildProbePlan(q)
+	if err != nil {
+		return nil, err
 	}
-	if len(q.Joins) != len(q.Relations)-1 {
-		return nil, fmt.Errorf("mjoin: query %s has %d relations but %d join conditions", q.ID, len(q.Relations), len(q.Joins))
-	}
-	for ri, rel := range q.Relations {
-		for _, ci := range rel.Cols {
-			if ci < 0 || ci >= rel.Table.Schema.Len() {
-				return nil, fmt.Errorf("mjoin: query %s relation %d: projected column %d out of range (%d columns)", q.ID, ri, ci, rel.Table.Schema.Len())
-			}
-		}
-	}
-	acc := q.Relations[0].Table.Schema
-	for i, jc := range q.Joins {
-		if jc.Rel != i+1 {
-			return nil, fmt.Errorf("mjoin: join %d must attach relation %d, got %d", i, i+1, jc.Rel)
-		}
-		if _, ok := acc.ColIndex(jc.LeftCol); !ok {
-			return nil, fmt.Errorf("mjoin: join %d: column %q not in accumulated schema %v", i, jc.LeftCol, acc.ColumnNames())
-		}
-		rs := q.Relations[jc.Rel].Table.Schema
-		if _, ok := rs.ColIndex(jc.RightCol); !ok {
-			return nil, fmt.Errorf("mjoin: join %d: column %q not in relation %q", i, jc.RightCol, q.Relations[jc.Rel].Table.Name)
-		}
-		acc = acc.Concat(rs)
-	}
-	return acc, nil
+	return pp.out, nil
 }
 
 // OutputSchema returns the join output schema, panicking on an invalid

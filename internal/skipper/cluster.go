@@ -413,9 +413,10 @@ func addStats(a, b mjoin.Stats) mjoin.Stats {
 }
 
 // BuildPullPlan translates an mjoin.Query into the classical engine's
-// left-deep plan: filtered sequential scans joined by blocking binary
-// hash joins, pulled in plan order. Relation Pruners are attached to the
-// scans (data skipping on).
+// left-deep plan: sequential scans — each carrying its relation's Cols and
+// Filter, so it emits the same narrow, filtered leg MJoin caches — joined by
+// blocking binary hash joins, pulled in plan order. Relation Pruners are
+// attached to the scans (data skipping on).
 func BuildPullPlan(ctx *engine.Ctx, q *mjoin.Query) (engine.Iterator, error) {
 	return BuildPullPlanPruned(ctx, q, true)
 }
@@ -430,15 +431,11 @@ func BuildPullPlanPruned(ctx *engine.Ctx, q *mjoin.Query, prune bool) (engine.It
 	its := make([]engine.Iterator, len(q.Relations))
 	for i, rel := range q.Relations {
 		scan := engine.NewSeqScan(ctx, rel.Table)
-		scan.Project = rel.Cols
+		scan.Project, scan.Filter = rel.Cols, rel.Filter
 		if prune {
 			scan.Pruner = rel.Pruner
 		}
-		var it engine.Iterator = scan
-		if rel.Filter != nil {
-			it = engine.NewFilter(it, rel.Filter)
-		}
-		its[i] = it
+		its[i] = scan
 	}
 	it := its[0]
 	for i, jc := range q.Joins {

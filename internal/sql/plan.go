@@ -113,14 +113,13 @@ func (pl *Planner) PlanStmt(stmt *SelectStmt) (skipper.QuerySpec, error) {
 	}
 
 	// Compute, per table, the set of base columns the whole statement
-	// references — the projection pushed down to the storage format, so
-	// scans over columnar (v2) segments decode only these blocks.
+	// references — each relation's physical projection: its leg carries
+	// these columns and no others from decode to join output.
 	proj := referencedColumns(stmt, b)
 
 	// Assemble the MJoin query in chain order.
 	var q mjoin.Query
 	q.ID = "sql"
-	joined := tables[order[0]].meta.Schema
 	for pos, ti := range order {
 		rel := mjoin.Relation{Table: tables[ti].meta, Cols: proj[ti]}
 		if fs := localFilters[ti]; len(fs) > 0 {
@@ -142,10 +141,12 @@ func (pl *Planner) PlanStmt(stmt *SelectStmt) (skipper.QuerySpec, error) {
 		if pos > 0 {
 			e := conds[pos-1]
 			q.Joins = append(q.Joins, mjoin.JoinCond{Rel: pos, LeftCol: e.c1, RightCol: e.c2})
-			joined = joined.Concat(tables[ti].meta.Schema)
 		}
 	}
-	if _, err := q.Validate(); err != nil {
+	// The shaping stage binds against the join's narrow output schema, so a
+	// column the projection analysis missed fails here, by name.
+	joined, err := q.Validate()
+	if err != nil {
 		return skipper.QuerySpec{}, err
 	}
 
@@ -815,15 +816,15 @@ func stripQualifiers(n Node) Node {
 // terms alike), select items, GROUP BY, and — when it binds against the
 // base schema — ORDER BY. HAVING and the ORDER BY of aggregated or
 // DISTINCT queries bind against the output schema, whose inputs are
-// already covered by the select items and GROUP BY. The result feeds
-// mjoin.Relation.Cols / engine.SeqScan.Project: scans over columnar
-// segments decode exactly these blocks.
+// already covered by the select items and GROUP BY. The result becomes
+// mjoin.Relation.Cols, the physical projection of each relation's leg on
+// both engines.
 //
-// The analysis is strictly conservative: a SELECT *, or any reference it
-// cannot resolve (binding will fail later with a proper error anyway),
-// widens the projection to every column (nil). A table none of whose
-// columns are referenced — SELECT COUNT(*) with no predicate — yields an
-// empty non-nil set: the scan needs only row counts.
+// A SELECT *, or any reference the analysis cannot resolve (binding will
+// fail later with a proper error anyway), widens the projection to every
+// column (nil). A table none of whose columns are referenced — SELECT
+// COUNT(*) with no predicate — yields an empty non-nil set: a leg of bare
+// row counts.
 func referencedColumns(stmt *SelectStmt, b *binder) [][]int {
 	refs := make([]map[string]bool, len(b.tables))
 	for i := range refs {

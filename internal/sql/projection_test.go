@@ -7,9 +7,10 @@ import (
 )
 
 // The planner's projection pushdown: every base column the statement can
-// read must be in the relation's Cols set (missing one would zero-fill a
-// live column), and nothing else should be (extra ones forfeit the
-// format's decode savings). nil means "all columns".
+// read must be in the relation's Cols set (missing one fails the plan: the
+// shape cannot bind a column its leg does not carry), and nothing else
+// should be (extra ones forfeit the decode and width savings). nil means
+// "all columns".
 
 // colNames maps a relation's Cols indexes to names; nil stays nil.
 func colNames(t *testing.T, pl *sql.Planner, table string, cols []int) []string {

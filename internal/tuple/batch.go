@@ -10,19 +10,24 @@ type Batch struct {
 	schema *Schema
 	cols   [][]Value
 	n      int
+	// capacity is the row count the batch was made for. It is kept apart
+	// from the column buffers so that a batch of a zero-column schema — a
+	// COUNT(*) leg — still has room for rows.
+	capacity int
 }
 
 // NewBatch returns an empty batch over schema with room for capacity rows
-// per column.
+// per column; the columns share one allocation.
 func NewBatch(schema *Schema, capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	cols := make([][]Value, schema.Len())
+	arena := make([]Value, len(cols)*capacity)
 	for i := range cols {
-		cols[i] = make([]Value, 0, capacity)
+		cols[i] = arena[i*capacity : i*capacity : (i+1)*capacity]
 	}
-	return &Batch{schema: schema, cols: cols}
+	return &Batch{schema: schema, cols: cols, capacity: capacity}
 }
 
 // FromRows builds a batch holding a copy of rows.
@@ -34,30 +39,14 @@ func FromRows(schema *Schema, rows []Row) *Batch {
 	return b
 }
 
-// BatchOf wraps caller-provided columns, each at least n values long, as
-// a batch of n rows without copying; the caller gives the columns up. A nil
-// column — one a projected decode skipped — reads as the column kind's zero
-// value, like AppendColumns fills it: all nil columns of one kind share a
-// single zero column. Because of that sharing, and because every column is
-// capped at n, the batch is read-only: appending to it reallocates, and
-// Reset followed by appends would write through the shared columns.
+// BatchOf wraps caller-provided columns, one per schema column and each at
+// least n values long, as a full batch of n rows without copying; the
+// caller gives the columns up.
 func BatchOf(schema *Schema, cols [][]Value, n int) *Batch {
-	var zeros [KindBool + 1][]Value // by Kind, of which KindBool is the last
 	for c := range cols {
-		if cols[c] != nil {
-			cols[c] = cols[c][:n:n]
-			continue
-		}
-		k := schema.Cols[c].Kind
-		if zeros[k] == nil {
-			zeros[k] = make([]Value, n)
-			for i := range zeros[k] {
-				zeros[k][i].K = k
-			}
-		}
-		cols[c] = zeros[k]
+		cols[c] = cols[c][:n:n]
 	}
-	return &Batch{schema: schema, cols: cols, n: n}
+	return &Batch{schema: schema, cols: cols, n: n, capacity: n}
 }
 
 // Schema describes the batch's columns.
@@ -66,16 +55,12 @@ func (b *Batch) Schema() *Schema { return b.schema }
 // Len returns the number of rows currently in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// Cap returns the per-column buffer capacity.
-func (b *Batch) Cap() int {
-	if len(b.cols) == 0 {
-		return 0
-	}
-	return cap(b.cols[0])
-}
+// Cap returns the row capacity the batch was made with. Appending past it
+// grows the column buffers; the batch then stays Full.
+func (b *Batch) Cap() int { return b.capacity }
 
 // Full reports whether the batch has reached its capacity.
-func (b *Batch) Full() bool { return b.n >= b.Cap() }
+func (b *Batch) Full() bool { return b.n >= b.capacity }
 
 // Reset empties the batch, keeping the column buffers for reuse.
 func (b *Batch) Reset() {
@@ -116,25 +101,36 @@ func (b *Batch) AppendBatch(src *Batch) {
 	b.n += src.n
 }
 
-// AppendColumns appends rows [start, end) of the given per-column value
-// slices (one slice per schema column, as produced by a projected segment
-// decode) into the batch, one bulk copy per column. A nil column slice —
-// a column the projection skipped — is filled with the column kind's zero
-// value so the batch stays kind-consistent; the planner guarantees such
-// columns are never read downstream.
-func (b *Batch) AppendColumns(cols [][]Value, start, end int) {
-	n := end - start
-	for c := range b.cols {
-		if cols[c] == nil {
-			zero := Value{K: b.schema.Cols[c].Kind}
-			for i := 0; i < n; i++ {
-				b.cols[c] = append(b.cols[c], zero)
-			}
-			continue
-		}
-		b.cols[c] = append(b.cols[c], cols[c][start:end]...)
+// AppendColumns appends rows [start, end) of a decoded segment to the
+// batch, one bulk copy per column: batch column c is read from cols[pick[c]],
+// so a batch narrower than the segment's table copies only its own columns.
+func (b *Batch) AppendColumns(cols [][]Value, pick []int, start, end int) {
+	for c, src := range pick {
+		b.cols[c] = append(b.cols[c], cols[src][start:end]...)
 	}
-	b.n += n
+	b.n += end - start
+}
+
+// AppendSelected is AppendColumns for the rows a selection vector names,
+// gathered column by column.
+func (b *Batch) AppendSelected(cols [][]Value, pick []int, sel []int32) {
+	for c, src := range pick {
+		dst, col := b.cols[c], cols[src]
+		for _, i := range sel {
+			dst = append(dst, col[i])
+		}
+		b.cols[c] = dst
+	}
+	b.n += len(sel)
+}
+
+// AppendProjected appends one row of a wider schema: batch column c takes
+// r[pick[c]].
+func (b *Batch) AppendProjected(r Row, pick []int) {
+	for c, src := range pick {
+		b.cols[c] = append(b.cols[c], r[src])
+	}
+	b.n++
 }
 
 // AppendJoined appends hi-lo rows to a batch whose schema is the

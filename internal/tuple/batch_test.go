@@ -154,10 +154,9 @@ func TestValueHashEqualImpliesHashEqual(t *testing.T) {
 	}
 }
 
-// TestBatchOfFillsSkippedColumns: BatchOf adopts the given columns as they
-// are and reads nil ones as typed zeros, so a projected decode costs no
-// copy and downstream code sees a kind-consistent batch.
-func TestBatchOfFillsSkippedColumns(t *testing.T) {
+// TestBatchOfAdoptsColumns: BatchOf wraps the given columns as they are —
+// a projected decode costs no copy — as a full batch of n rows.
+func TestBatchOfAdoptsColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	sch := batchTestSchema()
 	rows := make([]Row, 7)
@@ -165,22 +164,93 @@ func TestBatchOfFillsSkippedColumns(t *testing.T) {
 		rows[i] = randRow(rng)
 	}
 	full := FromRows(sch, rows)
-	cols := [][]Value{full.Col(0), nil, full.Col(2), nil, nil}
-	b := BatchOf(sch, cols, 5)
-	if b.Len() != 5 {
-		t.Fatalf("len %d, want 5", b.Len())
+	narrow := sch.Project([]int{0, 2})
+	b := BatchOf(narrow, [][]Value{full.Col(0), full.Col(2)}, 5)
+	if b.Len() != 5 || b.Cap() != 5 || !b.Full() {
+		t.Fatalf("len %d cap %d full %v, want 5 5 true", b.Len(), b.Cap(), b.Full())
 	}
 	for i := 0; i < b.Len(); i++ {
-		want := Row{rows[i][0], {K: KindFloat64}, rows[i][2], {K: KindDate}, {K: KindBool}}
-		if !reflect.DeepEqual(b.Row(i), want) {
+		if want := (Row{rows[i][0], rows[i][2]}); !reflect.DeepEqual(b.Row(i), want) {
 			t.Fatalf("row %d = %v, want %v", i, b.Row(i), want)
 		}
 	}
 	if &b.Col(0)[0] != &full.Col(0)[0] {
 		t.Fatal("BatchOf copied a provided column")
 	}
-	if empty := BatchOf(sch, make([][]Value, sch.Len()), 0); empty.Len() != 0 {
-		t.Fatalf("empty batch has %d rows", empty.Len())
+}
+
+// TestZeroColumnBatchCountsRows: a batch over a schema without columns — a
+// COUNT(*) leg — has the capacity it was made with and counts the rows
+// appended to it, through every append path.
+func TestZeroColumnBatchCountsRows(t *testing.T) {
+	none := NewSchema()
+	b := NewBatch(none, 4)
+	if b.Cap() != 4 || b.Full() {
+		t.Fatalf("new batch: cap %d full %v, want 4 false", b.Cap(), b.Full())
+	}
+	b.AppendRow(Row{})
+	b.AppendProjected(Row{Int(1), Str("x")}, []int{})
+	b.AppendColumns([][]Value{{Int(1), Int(2), Int(3)}}, []int{}, 1, 3)
+	if b.Len() != 4 || !b.Full() {
+		t.Fatalf("after 4 rows: len %d full %v", b.Len(), b.Full())
+	}
+	b.Reset()
+	b.AppendSelected([][]Value{{Int(1), Int(2), Int(3)}}, []int{}, []int32{0, 2})
+	if b.Len() != 2 || b.Full() {
+		t.Fatalf("after reset + 2 rows: len %d full %v", b.Len(), b.Full())
+	}
+	if rows := b.Rows(); len(rows) != 2 || len(rows[0]) != 0 {
+		t.Fatalf("rows %v, want two empty rows", rows)
+	}
+	if adopted := BatchOf(none, nil, 9); adopted.Len() != 9 || adopted.Cap() != 9 {
+		t.Fatalf("BatchOf: len %d cap %d, want 9 9", adopted.Len(), adopted.Cap())
+	}
+	joined := NewBatch(none, 3)
+	joined.AppendJoined([]*Batch{b}, [][]int32{{0, 1, 0}}, 0, 3)
+	if joined.Len() != 3 {
+		t.Fatalf("AppendJoined: len %d, want 3", joined.Len())
+	}
+}
+
+// TestAppendPicksColumns: the three segment-to-batch copies read batch
+// column c from source column pick[c], whole ranges and selections alike.
+func TestAppendPicksColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	sch := batchTestSchema()
+	rows := make([]Row, 12)
+	for i := range rows {
+		rows[i] = randRow(rng)
+	}
+	full := FromRows(sch, rows)
+	cols := make([][]Value, sch.Len())
+	for c := range cols {
+		cols[c] = full.Col(c)
+	}
+	pick := []int{1, 4}
+	narrow := sch.Project(pick)
+	sel := []int32{0, 3, 4, 11}
+
+	ranged := NewBatch(narrow, 2) // grows past its capacity
+	ranged.AppendColumns(cols, pick, 2, 9)
+	selected := NewBatch(narrow, len(sel))
+	selected.AppendSelected(cols, pick, sel)
+	rowwise := NewBatch(narrow, len(sel))
+	for _, i := range sel {
+		rowwise.AppendProjected(rows[i], pick)
+	}
+	if ranged.Len() != 7 || selected.Len() != len(sel) || rowwise.Len() != len(sel) {
+		t.Fatalf("lens %d %d %d", ranged.Len(), selected.Len(), rowwise.Len())
+	}
+	for k := 0; k < ranged.Len(); k++ {
+		if want := (Row{rows[2+k][1], rows[2+k][4]}); !reflect.DeepEqual(ranged.Row(k), want) {
+			t.Fatalf("range row %d = %v, want %v", k, ranged.Row(k), want)
+		}
+	}
+	for k, i := range sel {
+		want := Row{rows[i][1], rows[i][4]}
+		if !reflect.DeepEqual(selected.Row(k), want) || !reflect.DeepEqual(rowwise.Row(k), want) {
+			t.Fatalf("selection %d: %v / %v, want %v", k, selected.Row(k), rowwise.Row(k), want)
+		}
 	}
 }
 

@@ -314,13 +314,14 @@ func (s *Schema) Concat(t *Schema) *Schema {
 	return NewSchema(cols...)
 }
 
-// Project returns a schema with only the named columns, in the given order.
-func (s *Schema) Project(names ...string) *Schema {
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		cols[i] = s.Cols[s.MustColIndex(n)]
+// Project returns a schema with only the columns at the given positions, in
+// the given order — the schema of a relation leg that carries just those.
+func (s *Schema) Project(cols []int) *Schema {
+	out := make([]Column, len(cols))
+	for i, c := range cols {
+		out[i] = s.Cols[c]
 	}
-	return NewSchema(cols...)
+	return NewSchema(out...)
 }
 
 // Validate checks that the row matches the schema arity and kinds.

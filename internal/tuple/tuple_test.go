@@ -176,7 +176,7 @@ func TestSchemaConcatDisambiguates(t *testing.T) {
 
 func TestSchemaProject(t *testing.T) {
 	s := NewSchema(Column{"a", KindInt64}, Column{"b", KindString}, Column{"c", KindBool})
-	p := s.Project("c", "a")
+	p := s.Project([]int{2, 0})
 	if got := p.ColumnNames(); !reflect.DeepEqual(got, []string{"c", "a"}) {
 		t.Fatalf("project %v", got)
 	}

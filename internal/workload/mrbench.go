@@ -92,7 +92,7 @@ func MRJoinTask(cat *catalog.Catalog) skipper.QuerySpec {
 	join := &mjoin.Query{
 		ID: "mr-join",
 		Relations: []mjoin.Relation{
-			{Table: rankings},
+			{Table: rankings, Cols: colsOf(rankings.Schema, "pageURL", "pageRank")},
 			{Table: uservisits, Filter: uvFilter},
 		},
 		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "pageURL", RightCol: "destURL"}},

@@ -117,8 +117,9 @@ func NREFJoin(cat *catalog.Catalog) skipper.QuerySpec {
 	join := &mjoin.Query{
 		ID: "nref-4join",
 		Relations: []mjoin.Relation{
-			{Table: sequence, Filter: expr.ColGE(sequence.Schema, "seq_mw", tuple.Float(20000))},
-			{Table: protein},
+			{Table: sequence, Filter: expr.ColGE(sequence.Schema, "seq_mw", tuple.Float(20000)),
+				Cols: colsOf(sequence.Schema, "seq_pid", "seq_mw")},
+			{Table: protein, Cols: colsOf(protein.Schema, "p_id", "p_taxid", "p_sourceid")},
 			{Table: taxonomy, Filter: expr.ColEq(taxonomy.Schema, "tax_kingdom", tuple.Str("Bacteria"))},
 			{Table: sourcedb, Filter: expr.In{
 				Needle: expr.Bind(sourcedb.Schema, "src_name"),

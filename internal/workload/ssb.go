@@ -94,8 +94,10 @@ func SSBQ1(cat *catalog.Catalog) skipper.QuerySpec {
 	join := &mjoin.Query{
 		ID: "ssb-q1",
 		Relations: []mjoin.Relation{
-			{Table: lineorder, Filter: loFilter},
-			{Table: date, Filter: expr.ColEq(date.Schema, "d_year", tuple.Int(1993))},
+			{Table: lineorder, Filter: loFilter,
+				Cols: colsOf(los, "lo_orderdate", "lo_quantity", "lo_extendedprice", "lo_discount")},
+			{Table: date, Filter: expr.ColEq(date.Schema, "d_year", tuple.Int(1993)),
+				Cols: colsOf(date.Schema, "d_datekey", "d_year")},
 		},
 		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "lo_orderdate", RightCol: "d_datekey"}},
 	}

@@ -258,8 +258,9 @@ func Q12(cat *catalog.Catalog) skipper.QuerySpec {
 	join := &mjoin.Query{
 		ID: "q12",
 		Relations: []mjoin.Relation{
-			{Table: lineitem, Filter: lineFilter},
-			{Table: orders},
+			{Table: lineitem, Filter: lineFilter,
+				Cols: colsOf(ls, "l_orderkey", "l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode")},
+			{Table: orders, Cols: colsOf(orders.Schema, "o_orderkey", "o_orderpriority")},
 		},
 		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "l_orderkey", RightCol: "o_orderkey"}},
 	}
@@ -304,9 +305,9 @@ func Q5(cat *catalog.Catalog) skipper.QuerySpec {
 	join := &mjoin.Query{
 		ID: "q5",
 		Relations: []mjoin.Relation{
-			{Table: customer},
-			{Table: orders, Filter: orderFilter},
-			{Table: lineitem},
+			{Table: customer, Cols: colsOf(customer.Schema, "c_custkey", "c_nationkey")},
+			{Table: orders, Filter: orderFilter, Cols: colsOf(os, "o_orderkey", "o_custkey", "o_orderdate")},
+			{Table: lineitem, Cols: colsOf(lineitem.Schema, "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount")},
 			{Table: supplier},
 			{Table: nation},
 			{Table: region, Filter: expr.ColEq(region.Schema, "r_name", tuple.Str("ASIA"))},

@@ -1,0 +1,106 @@
+#!/usr/bin/env bash
+# Paired before/after runs of the repository benchmark.
+#
+#   scripts/bench_pairs.sh <parent-ref> [pairs] [bench args...]
+#
+# Checks <parent-ref> out into a temporary git worktree and runs `pairs`
+# (default 10) pairs of `bash bench/run.sh --trace 0 [bench args...]`, one
+# run from the worktree (parent) and one from this working tree (change),
+# alternating which side goes first. Each side builds its own benchmark
+# binary from its own source. Prints, per workload x end-to-end metric, each
+# side's median [q1-q3] (quartiles by linear interpolation), change/parent
+# and the pairs the change won (a lower value wins, ties count for neither),
+# as the markdown table docs/reports/ uses. Fails if any run does.
+#
+#   scripts/bench_pairs.sh HEAD~1 10 --seed 1
+#   scripts/bench_pairs.sh HEAD 1 -scale tiny -seconds 0.1     # CI smoke
+set -euo pipefail
+
+if [ $# -lt 1 ]; then
+	sed -n '2,17p' "$0" >&2
+	exit 2
+fi
+ref=$1
+shift
+pairs=10
+if [[ ${1:-} =~ ^[0-9]+$ ]]; then
+	pairs=$1
+	shift
+fi
+
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+parent="$tmp/parent"
+cleanup() {
+	git -C "$root" worktree remove --force "$parent" >/dev/null 2>&1 || true
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --detach "$parent" "$ref" >/dev/null
+
+# run <side> <dir> <pair> [bench args...]: one benchmark run; appends
+# "workload metric side pair value" lines to the sample file.
+run() {
+	local side=$1 dir=$2 pair=$3
+	shift 3
+	echo "pair $pair/$pairs: $side" >&2
+	# The benchmark names the workload on stderr, then prints its result
+	# line on stdout: read both in order, pass everything else through.
+	(cd "$dir" && bash bench/run.sh --trace 0 "$@" 2>&1) | awk -v side="$side" -v pair="$pair" '
+		/^== / { workload = $2 }
+		!/^\{"correct"/ { print > "/dev/stderr" }
+		/^\{"correct"/ {
+			s = $0
+			while (match(s, /"[A-Za-z0-9_.]+":\{"value":[-+0-9.eE]+/)) {
+				tok = substr(s, RSTART, RLENGTH)
+				s = substr(s, RSTART + RLENGTH)
+				name = tok; sub(/^"/, "", name); sub(/".*/, "", name)
+				value = tok; sub(/.*:/, "", value)
+				print workload, name, side, pair, value
+			}
+		}' >>"$tmp/samples"
+}
+
+for ((pair = 1; pair <= pairs; pair++)); do
+	if ((pair % 2)); then
+		run parent "$parent" "$pair" "$@"
+		run change "$root" "$pair" "$@"
+	else
+		run change "$root" "$pair" "$@"
+		run parent "$parent" "$pair" "$@"
+	fi
+done
+
+awk -v pairs="$pairs" '
+	function quantile(a, n, p,    pos, lo) {
+		pos = (n - 1) * p
+		lo = int(pos)
+		if (lo + 1 >= n) return a[n - 1]
+		return a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
+	}
+	# summary sorts the samples of one side and renders "median [q1–q3]".
+	function summary(key, side,    n, i, j, t, a) {
+		n = 0
+		for (i = 1; i <= pairs; i++) if ((key, side, i) in v) a[n++] = v[key, side, i]
+		for (i = 1; i < n; i++) for (j = i; j > 0 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+		med[side] = quantile(a, n, 0.5)
+		return sprintf("%.4g [%.4g–%.4g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
+	}
+	{
+		key = $1 " | " $2
+		if (!(key in seen)) { seen[key] = 1; order[nkeys++] = key }
+		v[key, $3, $4] = $5
+	}
+	END {
+		print "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | pairs won |"
+		print "|---|---|---|---|---|---|"
+		for (k = 0; k < nkeys; k++) {
+			key = order[k]
+			won = 0
+			for (i = 1; i <= pairs; i++) if (v[key, "change", i] + 0 < v[key, "parent", i] + 0) won++
+			p = summary(key, "parent")
+			c = summary(key, "change")
+			ratio = med["parent"] == 0 ? "n/a" : sprintf("%.3f", med["change"] / med["parent"])
+			printf "| %s | %s | %s | %s | %d/%d |\n", key, p, c, ratio, won, pairs
+		}
+	}' "$tmp/samples"
