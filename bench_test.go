@@ -274,7 +274,7 @@ func benchOrdering(b *testing.B, order csd.OrderKind) {
 		}
 		cfg := csd.DefaultConfig()
 		cfg.Order = order
-		res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: store, CSD: cfg}).Run()
+		res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: store, Fleet: skipper.FleetSpec{Device: cfg}}).Run()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -350,7 +350,7 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 				cfg := csd.DefaultConfig()
 				cfg.Scheduler = sched
 				res, err := (&skipper.Cluster{
-					Clients: clients, Store: store, CSD: cfg,
+					Clients: clients, Store: store, Fleet: skipper.FleetSpec{Device: cfg},
 					Layout: layout.ByTenant{Groups: []int{0, 0, 1, 1, 2}},
 				}).Run()
 				if err != nil {
@@ -389,7 +389,7 @@ func BenchmarkOutlookParallelStreams(b *testing.B) {
 				}
 				cfg := csd.DefaultConfig()
 				cfg.StreamsPerTenant = streams
-				res, err := (&skipper.Cluster{Clients: clients, Store: store, CSD: cfg}).Run()
+				res, err := (&skipper.Cluster{Clients: clients, Store: store, Fleet: skipper.FleetSpec{Device: cfg}}).Run()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -423,83 +423,13 @@ func BenchmarkMJoinEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkPullPlanRowVsBatch drives the classical engine's full Q5 join
+// BenchmarkPullPlanParallel drives the classical engine's full Q5 join
 // chain (multi-segment scans feeding a five-way hash-join chain) over an
-// in-memory store, comparing the row-at-a-time Iterator protocol against
-// the batch-at-a-time BatchIterator protocol on the same batched core.
-// The local predicates are dropped so the join carries real row traffic
-// at the reduced Quick scale (the filtered plans select zero rows there).
-func BenchmarkPullPlanRowVsBatch(b *testing.B) {
-	p := params()
-	ds := workload.TPCH(0, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
-	q5 := workload.Q5(ds.Catalog)
-	spec := skipper.QuerySpec{Join: &mjoin.Query{ID: q5.Join.ID, Joins: q5.Join.Joins}}
-	for _, r := range q5.Join.Relations {
-		spec.Join.Relations = append(spec.Join.Relations, mjoin.Relation{Table: r.Table})
-	}
-	ctx := engine.NewTestCtx(ds.Store)
-	b.Run("row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it, err := skipper.BuildPullPlan(ctx, spec.Join)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := it.Open(); err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				_, ok, err := it.Next()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				n++
-			}
-			it.Close()
-			if n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			it, err := skipper.BuildPullPlan(ctx, spec.Join)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bi := engine.AsBatch(it)
-			if err := bi.Open(); err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for {
-				batch, ok, err := bi.NextBatch()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				n += batch.Len()
-			}
-			bi.Close()
-			if n == 0 {
-				b.Fatal("no rows")
-			}
-		}
-	})
-}
-
-// BenchmarkPullPlanParallel drives the full Q5 join chain (the same plan
-// as BenchmarkPullPlanRowVsBatch, batch protocol) at DOP=1 versus
-// DOP=NumCPU: the morsel-driven parallel mode versus the serial batch
-// core on identical data, with the result cardinality cross-checked
-// between the two.
+// in-memory store at DOP=1 versus DOP=NumCPU: the morsel-driven parallel
+// mode versus the serial batch core on identical data, with the result
+// cardinality cross-checked between the two. The local predicates are
+// dropped so the join carries real row traffic at the reduced Quick scale
+// (the filtered plans select zero rows there).
 func BenchmarkPullPlanParallel(b *testing.B) {
 	p := params()
 	ds := workload.TPCH(0, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
@@ -514,14 +444,14 @@ func BenchmarkPullPlanParallel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bi := engine.AsBatch(engine.Parallelize(it, dop))
-		if err := bi.Open(); err != nil {
+		it = engine.Parallelize(it, dop)
+		if err := it.Open(); err != nil {
 			b.Fatal(err)
 		}
-		defer bi.Close()
+		defer it.Close()
 		n := 0
 		for {
-			batch, ok, err := bi.NextBatch()
+			batch, ok, err := it.NextBatch()
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,67 +1,40 @@
 // Command skipperbench regenerates any table or figure of the paper's
-// evaluation on the simulated testbed.
+// evaluation on the simulated testbed, and the feature reports that grew
+// beside them.
 //
 // Usage:
 //
-//	skipperbench -fig all            # everything (slow)
-//	skipperbench -fig 7              # Figure 7 only
-//	skipperbench -fig table3 -quick  # reduced-scale smoke run
-//	skipperbench -prune -quick       # data-skipping report (fails on divergence)
-//	skipperbench -proj -quick        # projection/format report (fails on divergence)
-//	skipperbench -cache -quick       # shared-cache sweep (fails on divergence)
-//	skipperbench -pipeline -quick    # async-pipeline report (fails on divergence)
-//	skipperbench -format v2 -fig 9   # serve columnar (v2) encoded objects
+//	skipperbench -fig all              # every paper figure (slow)
+//	skipperbench -fig 7                # Figure 7 only
+//	skipperbench -fig table3 -quick    # reduced-scale smoke run
+//	skipperbench -report cache -quick  # one feature report
+//	skipperbench -report all -quick    # every feature report
+//	skipperbench -format v2 -fig 9     # serve columnar (v2) encoded objects
 //
 // Figures: table1, 2, 3, 4, 5, 7, 8, 9, table3, 10, 11a, 11b, 11c, 12,
 // selectivity (the data-skipping sweep — ours, not the paper's).
 //
-// -prune runs the join+agg and Q5-style selective workloads on both
-// engines with data skipping on and off, reports segments fetched vs
-// skipped, and exits non-zero if any pair of runs diverges in its query
-// results — the CI gate for the statistics subsystem.
+// Reports (-report takes a comma-separated list, or all):
 //
-// -proj runs the projective probe queries over the same dataset encoded
-// in the row-major (v1) and columnar (v2) segment formats, reports bytes
-// fetched vs decoded vs skipped-by-projection plus scan-side decode
-// time, and exits non-zero on any result divergence — the CI gate for
-// the segment format.
+//	prune     segments fetched vs skipped with data skipping on and off,
+//	          join+agg and Q5-style selective workloads, both engines
+//	proj      bytes fetched vs decoded vs skipped-by-projection and scan-side
+//	          decode time, row-major (v1) vs columnar (v2) segments
+//	cache     shared segment cache budget sweep over a repeated-query
+//	          multi-tenant workload: device GETs, switches, coalesced
+//	          transfers, hits and timings per budget
+//	pipeline  async pipeline off/on per engine on both clocks: simulated
+//	          makespan, and host wall time with the decode busy/stall/hidden
+//	          breakdown (-rows raises per-object decode work)
+//	faults    fault-rate sweep plus a crash/restart scenario: makespan
+//	          degradation, extra device GETs, retries, backoff
+//	scale     makespan per fleet size, then a device-0 crash with and
+//	          without hot replication; fails unless the replicated fleet
+//	          fails over and degrades strictly less than the unreplicated one
 //
-// -cache verifies byte-identical results with the shared segment cache
-// on and off — across both engines, the mem/v1/v2 segment formats,
-// DOP {1,4} and pruning on/off — then sweeps the cache budget over a
-// repeated-query multi-tenant workload (three tenants sharing one
-// dataset), reporting device GETs, group switches, coalesced transfers,
-// hits and timings per budget. Exits non-zero on any divergence — the
-// CI gate for the cache layer.
-//
-// -pipeline verifies byte-identical results with the asynchronous
-// execution pipeline (scheduler-aware prefetch + concurrent decode
-// workers) on and off — across both engines, the v1/v2 wire formats,
-// DOP {1,4} and pruning on/off — then reports both clocks for each
-// engine with the pipeline off and on: simulated makespan (prefetch
-// discloses future demand to the device scheduler) and host wall-clock
-// time with the decode busy/stall/hidden breakdown (decode workers
-// overlap decode with compute). Exits non-zero on any divergence — the
-// CI gate for the pipeline. -rows raises per-object decode work.
-//
-// -faults runs the fault-injection report: first the chaos gate —
-// a retryable-only fault plan (transient failures, stalls, corrupt
-// payloads, per-object cap) must leave results byte-identical to the
-// clean run across both engines, the v1/v2 formats, DOP {1,4} and the
-// pipeline off/on, with GET conservation extended to retries — then a
-// fault-rate sweep plus a crash/restart scenario reporting the measured
-// degradation (makespan, extra device GETs, retries, backoff). Exits
-// non-zero on any divergence — the CI gate for the fault layer.
-//
-// -scale runs the scale-out report: first the fleet gate — the
-// repeated-query workload must produce byte-identical results on 1, 2
-// and 4 devices with and without replication (hot/full) across both
-// engines, the v1/v2 formats and DOP {1,4}, with GET conservation held
-// per device — then measures the makespan at each fleet size and under
-// a device-0 crash, with hot replication required to fail over (zero
-// failed queries when the device never restarts) and to degrade
-// strictly less than the unreplicated fleet. Exits non-zero on any
-// divergence — the CI gate for the fleet layer.
+// A report measures; it does not gate. That no setting changes what a
+// query returns, and that no GET is lost, is held by the lattice harness
+// (go test ./internal/lattice ./internal/skipper).
 //
 // -format selects the wire format the CSD store serves for figure runs:
 // mem (in-memory segments, no decode work — the default), v1, or v2.
@@ -90,12 +63,7 @@ func main() {
 	dop := flag.Int("dop", 0, "per-client query-execution parallelism (0 = number of CPUs, 1 = serial)")
 	outFmt := flag.String("out", "table", "output format: table or csv")
 	showTrace := flag.Bool("trace", false, "run a small 3-client scenario and print its event trace instead of figures")
-	prune := flag.Bool("prune", false, "run the data-skipping report (segments fetched vs skipped, on/off, both engines) and exit non-zero on result divergence")
-	proj := flag.Bool("proj", false, "run the projection/format report (v1 vs v2 decode bytes and time) and exit non-zero on result divergence")
-	cacheSweep := flag.Bool("cache", false, "run the shared segment cache sweep (budgets × repeated-query multi-tenant workload) and exit non-zero on any cache-on/off result divergence")
-	pipeline := flag.Bool("pipeline", false, "run the async-pipeline report (prefetch + decode workers, on/off, both engines; simulated and wall-clock time) and exit non-zero on any result divergence")
-	faultsReport := flag.Bool("faults", false, "run the fault-injection report (chaos gate: clean vs faulted byte-identical results; then a fault-rate sweep plus crash/restart with measured degradation) and exit non-zero on any divergence")
-	scaleReport := flag.Bool("scale", false, "run the scale-out report (gate: byte-identical results on 1/2/4 devices with and without replication; then fleet makespans plus device-0 crash scenarios with failover) and exit non-zero on any divergence")
+	reportArg := flag.String("report", "", "comma-separated feature reports (prune,proj,cache,pipeline,faults,scale) or 'all'; runs instead of -fig")
 	rows := flag.Int("rows", 0, "override rows per 1 GB object (more rows = more decode work per object)")
 	segFormat := flag.String("format", "mem", "segment wire format served by the CSD store: mem, v1 or v2")
 	flag.Parse()
@@ -126,98 +94,15 @@ func main() {
 	}
 	p.Format = wireFmt
 
-	if *prune {
-		f, err := p.PruneReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: prune report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
-	if *proj {
-		f, err := p.ProjectionReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: projection report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
-	if *cacheSweep {
-		f, err := p.CacheReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: cache report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
-	if *pipeline {
-		f, err := p.PipelineReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: pipeline report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
-	if *faultsReport {
-		f, err := p.FaultReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: fault report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
-	if *scaleReport {
-		f, err := p.ScaleReport()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: scale report: %v\n", err)
-			os.Exit(1)
-		}
-		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
-		} else {
-			fmt.Println(f)
-		}
-		return
-	}
-
 	type gen func() (*experiments.Figure, error)
 	static := func(f *experiments.Figure) gen {
 		return func() (*experiments.Figure, error) { return f, nil }
 	}
-	all := []struct {
+	type entry struct {
 		id string
 		fn gen
-	}{
+	}
+	all, arg := []entry{
 		{"table1", static(experiments.Table1())},
 		{"2", static(experiments.Figure2())},
 		{"3", static(experiments.Figure3())},
@@ -233,11 +118,21 @@ func main() {
 		{"11c", p.Figure11c},
 		{"12", p.Figure12},
 		{"selectivity", p.FigureSelectivity},
+	}, *figArg
+	if *reportArg != "" {
+		all, arg = []entry{
+			{"prune", p.PruneReport},
+			{"proj", p.ProjectionReport},
+			{"cache", p.CacheReport},
+			{"pipeline", p.PipelineReport},
+			{"faults", p.FaultReport},
+			{"scale", p.ScaleReport},
+		}, *reportArg
 	}
 
 	want := map[string]bool{}
-	runAll := *figArg == "all"
-	for _, id := range strings.Split(*figArg, ",") {
+	runAll := arg == "all"
+	for _, id := range strings.Split(arg, ",") {
 		want[strings.TrimSpace(strings.ToLower(id))] = true
 	}
 
@@ -259,7 +154,7 @@ func main() {
 		}
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "skipperbench: no figure matched %q\n", *figArg)
+		fmt.Fprintf(os.Stderr, "skipperbench: no figure or report matched %q\n", arg)
 		os.Exit(2)
 	}
 }

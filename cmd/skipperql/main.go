@@ -51,14 +51,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/csd"
+	"repro/internal/cliflags"
 	"repro/internal/engine"
-	"repro/internal/faults"
-	"repro/internal/layout"
 	"repro/internal/metrics"
-	"repro/internal/objstore"
 	"repro/internal/segcache"
-	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/sql"
 	"repro/internal/stats"
@@ -81,7 +77,7 @@ type obs struct {
 // capture starts a span capture for one statement when -trace-out is
 // set (nil otherwise — tracing-off runs record nothing).
 func (o *obs) capture(stmtText string) *trace.QueryTrace {
-	if o == nil || o.traceOut == "" {
+	if o.traceOut == "" {
 		return nil
 	}
 	o.seq++
@@ -110,132 +106,45 @@ func (o *obs) flush(qt *trace.QueryTrace) {
 	fmt.Printf("-- trace: %d spans captured (chrome://tracing file %s)\n", len(e.Spans), o.traceOut)
 }
 
+// session is one shell's state: what the flags resolved to, the planner
+// over its dataset, and the segment cache that persists across statements
+// — a re-run of a query (or one touching the same segments) is served
+// from memory instead of the device.
+type session struct {
+	*cliflags.Run
+	planner *sql.Planner
+	cache   *segcache.Cache
+	obs     *obs
+}
+
 func main() {
-	wl := flag.String("workload", "tpch", "dataset: tpch, ssb, mrbench, nref")
-	sf := flag.Int("sf", 10, "scale factor / footprint in GB")
-	rows := flag.Int("rows", 20, "tuples per 1 GB object")
-	engineName := flag.String("engine", "skipper", "execution engine: skipper, vanilla, local")
-	cache := flag.Int("cache", 10, "MJoin cache size in objects (skipper engine)")
-	segCache := flag.Int("segcache", 0, "shared segment cache budget in objects (0 = off); persists across statements, so re-running a query hits")
-	prune := flag.Bool("prune", true, "enable zone-map/Bloom data skipping of segment requests")
-	segFormat := flag.String("format", "v2", "segment wire format the store serves: mem, v1 or v2")
-	pipeline := flag.Bool("pipeline", false, "enable the async execution pipeline: scheduler-aware prefetch plus concurrent decode workers")
-	prefetchGB := flag.Int("prefetch", 4, "prefetch budget in 1 GB objects ahead of demand (with -pipeline)")
-	decodeWorkers := flag.Int("decode-workers", 2, "background decode workers (with -pipeline)")
-	clustered := flag.Bool("clustered", false, "sort the TPC-H date columns before segmenting (makes date predicates prunable)")
-	devices := flag.Int("devices", 1, "CSD fleet size: disk groups spread across this many devices, GETs fan out per placement")
-	replication := flag.String("replication", "none", "object replication across the fleet: none, full, hot or hot:N (with -devices > 1)")
-	faultTransient := flag.Float64("fault-transient", 0, "probability a device transfer fails transiently and is retried, in [0,1]")
-	faultCorrupt := flag.Float64("fault-corrupt", 0, "probability a transfer delivers a corrupt payload — caught by checksum and re-requested — in [0,1]")
-	faultStall := flag.Float64("fault-stall", 0, "probability a transfer stalls for -fault-stall-dur extra simulated time, in [0,1]")
-	faultStallDur := flag.Duration("fault-stall-dur", 3*time.Second, "extra simulated latency of a stalled transfer")
-	faultCap := flag.Int("fault-cap", 3, "max transient+corrupt faults charged per object (negative = unlimited; retries may exhaust)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed of the deterministic fault schedule")
-	crashAt := flag.Duration("crash-at", 0, "crash the device this far into each statement's simulated run (0 = never)")
-	crashDowntime := flag.Duration("crash-downtime", 0, "restart the device this long after -crash-at (0 with -crash-at set = permanent crash)")
-	retryAttempts := flag.Int("retry-attempts", 0, "max transfer attempts per object before the statement fails (0 = default 12)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base retry backoff, doubling per attempt up to 8s with deterministic jitter (0 = default 250ms)")
+	shared := cliflags.Bind(flag.CommandLine, 0)
+	shared.AllowLocal = true
 	command := flag.String("c", "", "run one statement and exit")
 	traceFlag := flag.Bool("trace", false, "record simulator trace events and print a per-statement summary")
 	traceOut := flag.String("trace-out", "", "capture per-statement span trees and write a Chrome trace-event JSON file")
 	flag.Parse()
 
-	var ds *workload.Dataset
-	switch *wl {
-	case "tpch":
-		ds = workload.TPCH(0, workload.TPCHConfig{SF: *sf, RowsPerObject: *rows, Seed: 1, ClusteredDates: *clustered})
-	case "ssb":
-		ds = workload.SSB(0, workload.SSBConfig{SF: *sf, RowsPerObject: *rows, Seed: 1})
-	case "mrbench":
-		ds = workload.MRBench(0, workload.MRBenchConfig{TotalGB: *sf, RowsPerObject: *rows, Seed: 1})
-	case "nref":
-		ds = workload.NREF(0, workload.NREFConfig{TotalGB: *sf, RowsPerObject: *rows, Seed: 1})
-	default:
-		fmt.Fprintf(os.Stderr, "skipperql: unknown workload %q\n", *wl)
-		os.Exit(2)
-	}
-
-	wireFmt, err := segment.ParseFormat(*segFormat)
+	run, err := shared.Resolve()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skipperql: %v\n", err)
 		os.Exit(2)
 	}
-	// Re-encode the dataset in the chosen wire format: the store then
-	// serves lazily decoded segments, scans pay (and report) real decode
-	// work, and the catalog statistics come from the v2 column
-	// directories. FormatMem keeps the generator's in-memory segments.
-	ds, err = objstore.ReencodeDataset(ds, wireFmt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipperql: encode dataset: %v\n", err)
-		os.Exit(1)
+	sess := &session{
+		Run:     run,
+		planner: &sql.Planner{Catalog: run.Dataset.Catalog},
+		obs:     &obs{traceLog: *traceFlag, traceOut: *traceOut},
 	}
-
-	// The session's shared segment cache persists across statements, so a
-	// re-run of a query (or one touching the same segments) is served
-	// from memory instead of the device — the interactive view of the
-	// cluster-wide cache.
-	var sc *segcache.Cache
-	if *segCache > 0 {
-		sc = segcache.NewObjects(*segCache)
+	if run.SegCache > 0 {
+		sess.cache = segcache.NewObjects(run.SegCache)
 	}
-
-	var pc *skipper.PipelineConfig
-	if *pipeline {
-		pc = &skipper.PipelineConfig{
-			PrefetchBytes: int64(*prefetchGB) * 1e9,
-			DecodeWorkers: *decodeWorkers,
-		}
-	}
-
-	// Chaos knobs: a deterministic fault schedule applied afresh to each
-	// statement's device run, plus the recovery policy that rides it out.
-	var fs faultSetup
-	plan := faults.Plan{
-		Seed:               *faultSeed,
-		TransientRate:      *faultTransient,
-		StallRate:          *faultStall,
-		Stall:              *faultStallDur,
-		CorruptRate:        *faultCorrupt,
-		MaxFaultsPerObject: *faultCap,
-		CrashAt:            *crashAt,
-		CrashDowntime:      *crashDowntime,
-	}
-	if plan.Enabled() {
-		if err := plan.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "skipperql: %v\n", err)
-			os.Exit(2)
-		}
-		fs.plan = &plan
-	}
-	if *retryAttempts > 0 || *retryBackoff > 0 {
-		rp := skipper.DefaultRetryPolicy()
-		if *retryAttempts > 0 {
-			rp.MaxAttempts = *retryAttempts
-		}
-		if *retryBackoff > 0 {
-			rp.BaseBackoff = *retryBackoff
-		}
-		fs.retry = rp
-	}
-	if *devices < 1 {
-		fmt.Fprintf(os.Stderr, "skipperql: -devices %d < 1\n", *devices)
-		os.Exit(2)
-	}
-	rep, err := layout.ParseReplication(*replication)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipperql: %v\n", err)
-		os.Exit(2)
-	}
-	fs.devices, fs.rep = *devices, rep
-
-	planner := &sql.Planner{Catalog: ds.Catalog}
-	ob := &obs{traceLog: *traceFlag, traceOut: *traceOut}
 	if *command != "" {
-		execute(planner, ds, *engineName, *cache, *prune, sc, pc, ob, fs, *command)
+		sess.execute(*command)
 		return
 	}
 
-	fmt.Printf("skipperql — %s dataset, %d objects, engine=%s, format=%s\n", *wl, len(ds.Catalog.AllObjects()), *engineName, wireFmt)
+	ds := run.Dataset
+	fmt.Printf("skipperql — %s dataset, %d objects, engine=%s, format=%s\n", run.Workload, len(ds.Catalog.AllObjects()), run.Engine, run.Format)
 	fmt.Printf("tables: %s\n", strings.Join(ds.Catalog.TableNames(), ", "))
 	fmt.Println(`end statements with ';', '\q' quits, '\d table' describes a table, EXPLAIN SELECT ... shows the plan`)
 
@@ -262,7 +171,7 @@ func main() {
 		}
 		stmtText := buf.String()
 		buf.Reset()
-		execute(planner, ds, *engineName, *cache, *prune, sc, pc, ob, fs, stmtText)
+		sess.execute(stmtText)
 		fmt.Print("> ")
 	}
 }
@@ -285,33 +194,27 @@ func describe(ds *workload.Dataset, table string) {
 	}
 }
 
-// faultSetup carries the session's chaos and fleet configuration: the
-// fault plan (nil = clean devices), the retry-policy override (nil =
-// defaults), and the device-fleet shape (devices <= 1 = the classic
-// single device).
-type faultSetup struct {
-	plan    *faults.Plan
-	retry   *skipper.RetryPolicy
-	devices int
-	rep     layout.Replication
-}
-
-func execute(planner *sql.Planner, ds *workload.Dataset, engineName string, cache int, prune bool, sc *segcache.Cache, pc *skipper.PipelineConfig, ob *obs, fs faultSetup, stmtText string) {
+// execute runs one statement. A query runs as a single-client cluster
+// over the session's fleet — a fresh expansion per statement, so every
+// statement sees the same deterministic fault schedule on its own virtual
+// clock — and the rows printed are the rows that cluster returned.
+func (s *session) execute(stmtText string) {
+	ds, prune, sc, pc := s.Dataset, s.Prune, s.cache, s.Pipeline
 	if rest, analyze, ok := sql.StripExplain(stmtText); ok {
 		if analyze {
-			explainAnalyzeStmt(planner, ds, prune, rest)
+			explainAnalyzeStmt(s.planner, ds, prune, rest)
 			return
 		}
-		explainStmt(planner, ds, prune, sc, pc, rest)
+		explainStmt(s.planner, ds, prune, sc, pc, rest)
 		return
 	}
-	spec, err := planner.Plan(stmtText)
+	spec, err := s.planner.Plan(stmtText)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	if engineName == "local" {
-		rows, err := evalPulled(ds, spec, prune)
+	if s.Local {
+		rows, err := workload.EvaluatePruned(ds, spec, prune)
 		if err != nil {
 			fmt.Println(err)
 			return
@@ -319,46 +222,21 @@ func execute(planner *sql.Planner, ds *workload.Dataset, engineName string, cach
 		printRows(rows)
 		return
 	}
-	mode := skipper.ModeSkipper
-	if engineName == "vanilla" {
-		mode = skipper.ModeVanilla
-	}
-	store := make(map[segment.ObjectID]*segment.Segment)
-	ds.MergeInto(store)
+	ob := s.obs
 	qt := ob.capture(stmtText)
 	client := &skipper.Client{
-		Tenant: 0, Mode: mode, Catalog: ds.Catalog,
-		Queries: []skipper.QuerySpec{spec}, CacheObjects: cache,
+		Tenant: 0, Mode: s.Mode, Catalog: ds.Catalog,
+		Queries: []skipper.QuerySpec{spec}, CacheObjects: s.MJoinCache,
 		StatsPruning: &prune,
 		SegCache:     sc,
 		Pipeline:     pc,
 		QTrace:       qt,
-		Retry:        fs.retry,
+		Retry:        s.Retry,
+		KeepResults:  true,
 	}
-	cluster := &skipper.Cluster{Clients: []*skipper.Client{client}, Store: store}
-	if fs.devices > 1 {
-		cluster.Devices = make([]csd.Config, fs.devices)
-		cluster.Replication = fs.rep
-	}
-	if fs.plan != nil {
-		// A fresh injector per statement (and per device): every statement
-		// sees the same deterministic fault schedule on its own virtual
-		// clock. Crashes are confined to device 0 so a replicated fleet
-		// always has a live side to fail over to.
-		if fs.devices > 1 {
-			for d := range cluster.Devices {
-				plan := *fs.plan
-				if d > 0 {
-					plan.CrashAt, plan.CrashDowntime = 0, 0
-				}
-				cluster.Devices[d].Faults = faults.MustNew(plan)
-			}
-		} else {
-			cluster.CSD = csd.Config{Faults: faults.MustNew(*fs.plan)}
-		}
-	}
+	cluster := &skipper.Cluster{Clients: []*skipper.Client{client}, Fleet: s.Fleet, Store: ds.Store}
 	var tl *trace.Log
-	if ob != nil && ob.traceLog {
+	if ob.traceLog {
 		tl = &trace.Log{}
 		cluster.Events = tl
 	}
@@ -367,23 +245,19 @@ func execute(planner *sql.Planner, ds *workload.Dataset, engineName string, cach
 		fmt.Println(err)
 		return
 	}
-	rows, err := evalPulled(ds, spec, prune)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	printRows(rows)
 	cs := res.Clients[0]
+	printRows(cs.PerQuery[0].Results)
+	mode := s.Mode
 	fmt.Printf("-- %s: %.1fs virtual (processing %.1fs, stalled %.1fs), %d GETs (%d from cache, %d pruned), %d switches\n",
 		mode, cs.Elapsed().Seconds(), cs.Processing.Seconds(), cs.Stalled().Seconds(),
 		cs.GetsIssued, cs.CacheHits, cs.SegmentsSkipped, res.CSD.GroupSwitches)
-	if fs.devices > 1 {
+	if len(res.Devices) > 1 {
 		parts := make([]string, len(res.Devices))
 		for d, st := range res.Devices {
 			parts[d] = fmt.Sprintf("d%d:%d", d, st.GetsReceived)
 		}
 		fmt.Printf("-- fleet: %d devices, replication %s, GETs %s\n",
-			fs.devices, fs.rep, strings.Join(parts, " "))
+			len(res.Devices), s.Fleet.Replication, strings.Join(parts, " "))
 	}
 	if cs.Retries > 0 || cs.TransientFaults > 0 || cs.CorruptDeliveries > 0 || res.CSD.Crashes > 0 {
 		fmt.Printf("-- faults: %d transient, %d corrupt, %d crashes; recovered with %d retries (%.1fs backoff)",
@@ -533,19 +407,6 @@ func explainStmt(planner *sql.Planner, ds *workload.Dataset, prune bool, sc *seg
 		fmt.Printf("-- pipeline: prefetch up to %s ahead (%d candidate segment fetches disclosed to the scheduler), %d decode workers\n",
 			gb(pc.PrefetchBytes), candidates, pc.DecodeWorkers)
 	}
-}
-
-// evalPulled runs the spec locally on the pull engine (no simulation),
-// honouring the data-skipping toggle.
-func evalPulled(ds *workload.Dataset, spec skipper.QuerySpec, prune bool) ([]tuple.Row, error) {
-	it, err := skipper.BuildPullPlanPruned(engine.NewTestCtx(ds.Store), spec.Join, prune)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Shape != nil {
-		it = spec.Shape(it)
-	}
-	return engine.Collect(it)
 }
 
 func printRows(rows []tuple.Row) {

@@ -29,7 +29,7 @@ func run(mode skipper.Mode) (*skipper.RunResult, error) {
 			CacheObjects: 14,
 		}
 	}
-	return (&skipper.Cluster{Clients: clients, Store: store, CSD: csd.Pelican()}).Run()
+	return (&skipper.Cluster{Clients: clients, Store: store, Fleet: skipper.FleetSpec{Device: csd.Pelican()}}).Run()
 }
 
 func main() {

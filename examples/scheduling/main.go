@@ -67,7 +67,7 @@ func main() {
 			Clients: clients,
 			Store:   store,
 			Layout:  layout.ByTenant{Groups: []int{0, 0, 1, 1, 2}},
-			CSD:     cfg,
+			Fleet:   skipper.FleetSpec{Device: cfg},
 		}
 		res, err := cluster.Run()
 		if err != nil {

@@ -1,0 +1,142 @@
+package cliflags
+
+import (
+	"flag"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/faults"
+	"repro/internal/layout"
+	"repro/internal/segment"
+	"repro/internal/skipper"
+)
+
+// resolve parses one flag line on a fresh set and resolves it.
+func resolve(t *testing.T, allowLocal bool, line string) (*Run, error) {
+	t.Helper()
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	f := Bind(fs, 0)
+	f.AllowLocal = allowLocal
+	if err := fs.Parse(strings.Fields(line)); err != nil {
+		t.Fatalf("parse %q: %v", line, err)
+	}
+	return f.Resolve()
+}
+
+// small keeps the generated dataset tiny; every case appends its own flags.
+const small = "-sf 1 -rows 2 "
+
+// TestFullFlagLine: one line setting every group resolves to exactly the
+// values the library takes.
+func TestFullFlagLine(t *testing.T) {
+	r, err := resolve(t, false, small+"-workload tpch -clustered -format v1 "+
+		"-engine vanilla -cache 7 -segcache 5 -prune=false -pipeline -prefetch 3 -decode-workers 6 "+
+		"-devices 2 -replication hot:4 "+
+		"-fault-transient 0.4 -fault-corrupt 0.25 -fault-stall 0.2 -fault-stall-dur 5s -fault-cap 2 -fault-seed 42 "+
+		"-crash-at 15s -crash-downtime 20s -retry-attempts 40 -retry-backoff 500ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Workload != "tpch" || r.Engine != "vanilla" || r.Format != segment.FormatV1 || r.Dataset == nil {
+		t.Errorf("dataset group: %q %q %v %v", r.Workload, r.Engine, r.Format, r.Dataset)
+	}
+	if r.Mode != skipper.ModeVanilla || r.Local || r.MJoinCache != 7 || r.SegCache != 5 || r.Prune {
+		t.Errorf("execution group: %+v", r)
+	}
+	if want := (&skipper.PipelineConfig{PrefetchBytes: 3e9, DecodeWorkers: 6}); !reflect.DeepEqual(r.Pipeline, want) {
+		t.Errorf("pipeline %+v, want %+v", r.Pipeline, want)
+	}
+	wantFleet := skipper.FleetSpec{
+		N:           2,
+		Replication: layout.Replication{Kind: layout.ReplicateHot, Hot: 4},
+		Faults: &faults.Plan{
+			Seed: 42, TransientRate: 0.4, StallRate: 0.2, Stall: 5 * time.Second, CorruptRate: 0.25,
+			MaxFaultsPerObject: 2, CrashAt: 15 * time.Second, CrashDowntime: 20 * time.Second,
+		},
+	}
+	if !reflect.DeepEqual(r.Fleet, wantFleet) {
+		t.Errorf("fleet %+v (plan %+v), want %+v (plan %+v)", r.Fleet, r.Fleet.Faults, wantFleet, wantFleet.Faults)
+	}
+	wantRetry := skipper.DefaultRetryPolicy()
+	wantRetry.MaxAttempts, wantRetry.BaseBackoff = 40, 500*time.Millisecond
+	if !reflect.DeepEqual(r.Retry, wantRetry) {
+		t.Errorf("retry %+v, want %+v", r.Retry, wantRetry)
+	}
+}
+
+// TestDefaultsResolveToTheZeroFleet: no flags means today's plain run —
+// skipper engine, v2, pruning on, and the fleet every library caller gets
+// by saying nothing (one device, clean), with library-default retries.
+func TestDefaultsResolveToTheZeroFleet(t *testing.T) {
+	r, err := resolve(t, false, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Mode != skipper.ModeSkipper || r.Format != segment.FormatV2 || !r.Prune || r.MJoinCache != 10 {
+		t.Errorf("defaults: %+v", r)
+	}
+	if r.Pipeline != nil || r.Retry != nil || !reflect.DeepEqual(r.Fleet, skipper.FleetSpec{N: 1}) {
+		t.Errorf("defaults: pipeline %v retry %v fleet %+v", r.Pipeline, r.Retry, r.Fleet)
+	}
+}
+
+// TestOutsideInputIsRejected: names and ranges nobody checked used to
+// select a default silently ("-engine vanila" served MJoin).
+func TestOutsideInputIsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name, line string
+		allowLocal bool
+	}{
+		{"unknown engine", "-engine vanila", false},
+		{"unknown engine with local allowed", "-engine vanila", true},
+		{"local engine where there is none", "-engine local", false},
+		{"unknown format", "-format v3", false},
+		{"unknown replication", "-replication warm", false},
+		{"malformed hot count", "-replication hot:x", false},
+		{"no devices", "-devices 0", false},
+		{"unknown workload", "-workload tpcc", false},
+		{"rate out of range", "-fault-transient 1.5", false},
+		{"stall rate without a duration", "-fault-stall 0.5 -fault-stall-dur 0s", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if r, err := resolve(t, tc.allowLocal, small+tc.line); err == nil {
+				t.Fatalf("%q accepted: %+v", tc.line, r)
+			}
+		})
+	}
+	if r, err := resolve(t, true, small+"-engine local"); err != nil || !r.Local {
+		t.Fatalf("-engine local refused where allowed: %+v, %v", r, err)
+	}
+}
+
+// TestSharedDefaultsDifferOnlyInSegcache: skipperd (8) and skipperql (0)
+// bind the same flags with the same defaults, except -segcache — kept
+// apart on purpose, see Bind.
+func TestSharedDefaultsDifferOnlyInSegcache(t *testing.T) {
+	defaults := func(segCache int) map[string]string {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		Bind(fs, segCache)
+		out := map[string]string{}
+		fs.VisitAll(func(f *flag.Flag) { out[f.Name] = f.DefValue })
+		return out
+	}
+	d, ql := defaults(8), defaults(0)
+	if len(d) != 24 || len(ql) != len(d) {
+		t.Fatalf("bound %d and %d flags, want 24 each", len(d), len(ql))
+	}
+	for name, def := range d {
+		if name == "segcache" {
+			if def != "8" || ql[name] != "0" {
+				t.Errorf("-segcache defaults %s / %s, want 8 / 0", def, ql[name])
+			}
+			continue
+		}
+		if ql[name] != def {
+			t.Errorf("-%s: skipperd defaults to %q, skipperql to %q", name, def, ql[name])
+		}
+	}
+}

@@ -439,7 +439,6 @@ func (c *CSD) crash(p *vtime.Proc) {
 	c.down = true
 	c.stats.Crashes++
 	restarting := c.willRestart()
-	c.sim.Tracef("csd: crash (restarting=%v, %d pending)", restarting, len(c.pending))
 	c.cfg.Events.Add(trace.Event{
 		At: p.Now(), Kind: trace.KindSwitch, Tenant: -1, Group: -1, Device: c.cfg.ID,
 		Note: fmt.Sprintf("crash restarting=%v", restarting),
@@ -504,7 +503,6 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 		if c.down {
 			c.down = false
 			c.stats.Restarts++
-			c.sim.Tracef("csd: restarted")
 			c.cfg.Events.Add(trace.Event{
 				At: p.Now(), Kind: trace.KindSwitch, Tenant: -1, Group: c.loaded, Device: c.cfg.ID,
 				Note: "restart",
@@ -627,7 +625,6 @@ func (c *CSD) switchGroup(p *vtime.Proc) error {
 	c.loaded = next
 	c.stats.GroupSwitches++
 	c.stats.SwitchIntervals = append(c.stats.SwitchIntervals, Interval{From: from, To: p.Now()})
-	c.sim.Tracef("csd: switched to group %d (%d pending)", next, len(c.pending))
 	c.cfg.Events.Add(trace.Event{
 		At: p.Now(), Kind: trace.KindSwitch, Tenant: -1, Group: next, Device: c.cfg.ID,
 		Note: fmt.Sprintf("g%d->g%d", prev, next),
@@ -641,7 +638,6 @@ func (c *CSD) switchGroup(p *vtime.Proc) error {
 // In-flight transfers complete normally.
 func (c *CSD) fail(p *vtime.Proc, err error) {
 	c.fatal = err
-	c.sim.Tracef("csd: fail-stop: %v", err)
 	for _, r := range c.pending {
 		r.Reply.Send(p, Delivery{Object: r.Object, Device: c.cfg.ID, Err: err})
 	}

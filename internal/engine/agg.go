@@ -62,7 +62,6 @@ type GroupCol struct {
 // merged at drain time, so the sorted output is identical at any DOP.
 type HashAgg struct {
 	child  Iterator
-	bchild BatchIterator
 	groups []GroupCol
 	aggs   []AggSpec
 	// groupKeys is 0..len(groups)-1: the key columns of a row of group
@@ -91,7 +90,7 @@ func NewHashAgg(child Iterator, groups []GroupCol, aggs []AggSpec) *HashAgg {
 	for i := range groupKeys {
 		groupKeys[i] = i
 	}
-	return &HashAgg{child: child, bchild: AsBatch(child), groups: groups, aggs: aggs, groupKeys: groupKeys, schema: tuple.NewSchema(cols...)}
+	return &HashAgg{child: child, groups: groups, aggs: aggs, groupKeys: groupKeys, schema: tuple.NewSchema(cols...)}
 }
 
 // aggOutputKind: COUNT yields int64, SUM/AVG yield float64, MIN/MAX yield
@@ -238,7 +237,7 @@ func (a *HashAgg) mergeAccum(dst, src *accum) {
 // drainSerial aggregates the child on the calling goroutine (DOP=1).
 func (a *HashAgg) drainSerial() (*aggTable, error) {
 	t := newAggTable()
-	err := drainBatches(a.bchild, func(row tuple.Row) error {
+	err := drainBatches(a.child, func(row tuple.Row) error {
 		return a.foldRow(t, row)
 	})
 	if err != nil {
@@ -257,11 +256,11 @@ func (a *HashAgg) drainParallel() (*aggTable, error) {
 	for w := range tables {
 		tables[w] = newAggTable()
 	}
-	if err := a.bchild.Open(); err != nil {
-		a.bchild.Close()
+	if err := a.child.Open(); err != nil {
+		a.child.Close()
 		return nil, err
 	}
-	err := runMorsels(a.bchild, a.dop, func(w int, b *tuple.Batch) error {
+	err := runMorsels(a.child, a.dop, func(w int, b *tuple.Batch) error {
 		n := b.Len()
 		for i := 0; i < n; i++ {
 			scratch[w] = b.AppendRowTo(scratch[w][:0], i)
@@ -271,7 +270,7 @@ func (a *HashAgg) drainParallel() (*aggTable, error) {
 		}
 		return nil
 	})
-	if cerr := a.bchild.Close(); err == nil {
+	if cerr := a.child.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
@@ -354,17 +353,7 @@ func (a *HashAgg) Open() error {
 	return nil
 }
 
-// Next implements Iterator.
-func (a *HashAgg) Next() (tuple.Row, bool, error) {
-	if a.idx >= len(a.out) {
-		return nil, false, nil
-	}
-	r := a.out[a.idx]
-	a.idx++
-	return r, true, nil
-}
-
-// NextBatch implements BatchIterator, sharing the row cursor with Next.
+// NextBatch implements Iterator.
 func (a *HashAgg) NextBatch() (*tuple.Batch, bool, error) {
 	if a.ostats != nil {
 		return timedBatch(a.ostats, a.nextBatch)

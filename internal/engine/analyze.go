@@ -88,7 +88,7 @@ func (s *Sort) opStats() **OpStats        { return &s.ostats }
 // EnableAnalyze arms every operator in the plan for measurement. The
 // armed plan must be drained serially (dop=1): OpStats is not locked.
 func EnableAnalyze(it Iterator) {
-	walkPlan(it, func(n any) {
+	walkPlan(it, func(n Iterator) {
 		if a, ok := n.(analyzable); ok {
 			if slot := a.opStats(); *slot == nil {
 				*slot = &OpStats{}

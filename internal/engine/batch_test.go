@@ -14,46 +14,40 @@ import (
 	"repro/internal/tuple"
 )
 
-// rowOnlyIter hides the batch interface of an operator, forcing AsBatch
-// to fall back to the BatchAdapter — the row-at-a-time protocol of the
-// seed engine.
-type rowOnlyIter struct{ it Iterator }
-
-func (r rowOnlyIter) Open() error                    { return r.it.Open() }
-func (r rowOnlyIter) Next() (tuple.Row, bool, error) { return r.it.Next() }
-func (r rowOnlyIter) Close() error                   { return r.it.Close() }
-func (r rowOnlyIter) Schema() *tuple.Schema          { return r.it.Schema() }
-
-func TestBatchAdapterRoundTrip(t *testing.T) {
-	rows, sch := benchRowsN(2500) // not a multiple of DefaultBatchSize
-	bi := AsBatch(rowOnlyIter{NewValues(sch, rows)})
-	if _, isAdapter := bi.(*BatchAdapter); !isAdapter {
-		t.Fatal("row-only iterator should wrap in BatchAdapter")
-	}
-	got, err := CollectBatches(bi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatalf("adapter round trip differs: %d rows vs %d", len(got), len(rows))
-	}
+// oneRowIter re-serves its child's batches one row at a time — the
+// degenerate batching of the seed engine's Volcano protocol. No operator
+// may depend on where its input's batch boundaries fall.
+type oneRowIter struct {
+	Iterator
+	in  *tuple.Batch
+	idx int
+	out *tuple.Batch
 }
 
-func TestRowAdapterOverBatchNative(t *testing.T) {
-	rows, sch := benchRowsN(2500)
-	ra := &RowAdapter{B: NewValues(sch, rows)}
-	got, err := Collect(Iterator(ra))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatal("RowAdapter differs from source rows")
-	}
+func (r *oneRowIter) Open() error {
+	r.in, r.idx = nil, 0
+	return r.Iterator.Open()
 }
+
+func (r *oneRowIter) NextBatch() (*tuple.Batch, bool, error) {
+	for r.in == nil || r.idx >= r.in.Len() {
+		b, ok, err := r.Iterator.NextBatch()
+		if err != nil || !ok {
+			return nil, false, err
+		}
+		r.in, r.idx = b, 0
+	}
+	out := sizedOutput(&r.out, r.Schema(), 1)
+	out.AppendBatchRow(r.in, r.idx)
+	r.idx++
+	return out, true, nil
+}
+
+func oneRow(it Iterator) Iterator { return &oneRowIter{Iterator: it} }
 
 // TestBatchValuesServesBatchesAsTheyAre: the batch-backed leaf hands out
-// the caller's batches themselves, skips empty ones, serves the same rows
-// through either protocol and starts over on re-Open.
+// the caller's batches themselves, skips empty ones and starts over on
+// re-Open.
 func TestBatchValuesServesBatchesAsTheyAre(t *testing.T) {
 	rows, sch := benchRowsN(300)
 	batches := []*tuple.Batch{
@@ -67,9 +61,6 @@ func TestBatchValuesServesBatchesAsTheyAre(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, rows) {
 			t.Fatalf("pass %d: batch protocol returned %d rows, want %d", pass, len(got), len(rows))
-		}
-		if got, err = Collect(rowOnlyIter{v}); err != nil || !reflect.DeepEqual(got, rows) {
-			t.Fatalf("pass %d: row protocol differs (%d rows, err %v)", pass, len(got), err)
 		}
 	}
 	if err := v.Open(); err != nil {
@@ -151,7 +142,7 @@ func TestHashJoinBuildSideFetchError(t *testing.T) {
 	}
 }
 
-// --- differential property test: severed row edges vs end-to-end batches ---
+// --- differential property test: one-row edges vs end-to-end batches ---
 
 // randTable builds the segments of a random multi-segment table.
 func randTable(t *testing.T, rng *rand.Rand, name string, cols []tuple.Column, n, perSeg int) []*segment.Segment {
@@ -176,7 +167,7 @@ func randTable(t *testing.T, rng *rand.Rand, name string, cols []tuple.Column, n
 
 // TestBatchVsRowPropertyPipelines: for several random datasets, a
 // scan→filter→join→agg→sort pipeline run with every edge severed to
-// row-at-a-time must match the same pipeline run batch-to-batch.
+// one row per batch must match the same pipeline run on full batches.
 func TestBatchVsRowPropertyPipelines(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -217,11 +208,11 @@ func TestBatchVsRowPropertyPipelines(t *testing.T) {
 			return NewSort(edge(agg), []SortKey{{E: expr.NewCol(0, "dn")}})
 		}
 
-		rowRes, err := Collect(rowOnlyIter{mkPlan(func(it Iterator) Iterator { return rowOnlyIter{it} })})
+		rowRes, err := Collect(oneRow(mkPlan(oneRow)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchRes, err := CollectBatches(AsBatch(mkPlan(func(it Iterator) Iterator { return it })))
+		batchRes, err := Collect(mkPlan(func(it Iterator) Iterator { return it }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,11 +227,11 @@ func TestBatchVsRowPropertyPipelines(t *testing.T) {
 			proj := NewProject(edge(scanF), []ProjectCol{{Name: "fk", Kind: tuple.KindInt64, E: expr.Bind(fm.Schema, "fk")}})
 			return NewLimit(edge(NewDistinct(edge(proj))), 25)
 		}
-		rowTail, err := Collect(rowOnlyIter{mkTail(func(it Iterator) Iterator { return rowOnlyIter{it} })})
+		rowTail, err := Collect(oneRow(mkTail(oneRow)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		batchTail, err := CollectBatches(AsBatch(mkTail(func(it Iterator) Iterator { return it })))
+		batchTail, err := Collect(mkTail(func(it Iterator) Iterator { return it }))
 		if err != nil {
 			t.Fatal(err)
 		}

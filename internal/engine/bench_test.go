@@ -28,22 +28,7 @@ func BenchmarkHashJoin10k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		join := JoinOn(NewValues(sch, rows), NewValues(sch, rows), [][2]string{{"k", "k"}})
-		n := 0
-		if err := join.Open(); err != nil {
-			b.Fatal(err)
-		}
-		for {
-			_, ok, err := join.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			n++
-		}
-		join.Close()
-		if n == 0 {
+		if drainBatchwise(b, join) == 0 {
 			b.Fatal("no rows")
 		}
 	}
@@ -91,15 +76,9 @@ func BenchmarkSort10k(b *testing.B) {
 	}
 }
 
-// --- Row vs batch execution benchmarks ---
-//
-// The same physical plans driven through the two protocols: the row path
-// pulls one tuple per Iterator.Next call (via the thin row cursor over the
-// batched core), the batch path moves DefaultBatchSize rows per
-// BatchIterator.NextBatch call.
-
-// drainRows drives a plan row-at-a-time through the Iterator interface.
-func drainRows(b *testing.B, it Iterator) int {
+// drainBatchwise drains a plan without materializing rows and returns
+// its row count.
+func drainBatchwise(b *testing.B, it Iterator) int {
 	b.Helper()
 	if err := it.Open(); err != nil {
 		b.Fatal(err)
@@ -107,28 +86,7 @@ func drainRows(b *testing.B, it Iterator) int {
 	defer it.Close()
 	n := 0
 	for {
-		_, ok, err := it.Next()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !ok {
-			return n
-		}
-		n++
-	}
-}
-
-// drainBatchwise drives a plan batch-at-a-time through BatchIterator.
-func drainBatchwise(b *testing.B, it Iterator) int {
-	b.Helper()
-	bi := AsBatch(it)
-	if err := bi.Open(); err != nil {
-		b.Fatal(err)
-	}
-	defer bi.Close()
-	n := 0
-	for {
-		batch, ok, err := bi.NextBatch()
+		batch, ok, err := it.NextBatch()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,54 +95,6 @@ func drainBatchwise(b *testing.B, it Iterator) int {
 		}
 		n += batch.Len()
 	}
-}
-
-// rowOnly hides an operator's batch interface, forcing row-at-a-time flow
-// across the edge above it — the seed engine's Volcano protocol, where
-// every tuple crosses an Iterator.Next interface call.
-type rowOnly struct{ it Iterator }
-
-func (r rowOnly) Open() error                    { return r.it.Open() }
-func (r rowOnly) Next() (tuple.Row, bool, error) { return r.it.Next() }
-func (r rowOnly) Close() error                   { return r.it.Close() }
-func (r rowOnly) Schema() *tuple.Schema          { return r.it.Schema() }
-
-// benchmarkRowVsBatch runs the same plan under both protocols. mkPlan
-// receives an edge wrapper applied between operators: the row variant
-// severs the batch interface at every edge, the batch variant keeps
-// batches flowing end-to-end.
-func benchmarkRowVsBatch(b *testing.B, mkPlan func(edge func(Iterator) Iterator) Iterator, wantRows int) {
-	b.Run("row", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if n := drainRows(b, mkPlan(func(it Iterator) Iterator { return rowOnly{it} })); n != wantRows {
-				b.Fatalf("rows %d, want %d", n, wantRows)
-			}
-		}
-	})
-	b.Run("batch", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if n := drainBatchwise(b, mkPlan(func(it Iterator) Iterator { return it })); n != wantRows {
-				b.Fatalf("rows %d, want %d", n, wantRows)
-			}
-		}
-	})
-}
-
-func BenchmarkRowVsBatchFilter(b *testing.B) {
-	rows, sch := benchRows(10000)
-	pred := expr.ColGE(sch, "k", tuple.Int(500))
-	benchmarkRowVsBatch(b, func(edge func(Iterator) Iterator) Iterator {
-		return NewFilter(edge(NewValues(sch, rows)), pred)
-	}, 5000)
-}
-
-func BenchmarkRowVsBatchJoin(b *testing.B) {
-	rows, sch := benchRows(10000)
-	benchmarkRowVsBatch(b, func(edge func(Iterator) Iterator) Iterator {
-		return JoinOn(edge(NewValues(sch, rows)), edge(NewValues(sch, rows)), [][2]string{{"k", "k"}})
-	}, 100000)
 }
 
 // benchJoinAggDataset builds a multi-segment star join: a fact table of
@@ -223,26 +133,8 @@ func benchJoinAggDataset() (*Ctx, *catalog.TableMeta, *catalog.TableMeta) {
 	return NewTestCtx(store), fact, dim
 }
 
-// BenchmarkRowVsBatchJoinAgg is the acceptance workload: a multi-segment
-// scan → filter → hash join → grouped aggregation pipeline, row path vs
-// batch path.
-func BenchmarkRowVsBatchJoinAgg(b *testing.B) {
-	ctx, fact, dim := benchJoinAggDataset()
-	mkPlan := func(edge func(Iterator) Iterator) Iterator {
-		scanF := NewFilter(edge(NewSeqScan(ctx, fact)), expr.ColGE(fact.Schema, "f_id", tuple.Int(1000)))
-		join := JoinOn(edge(scanF), edge(NewSeqScan(ctx, dim)), [][2]string{{"f_dim", "d_id"}})
-		return NewHashAgg(edge(join),
-			[]GroupCol{{Name: "d_grp", Kind: tuple.KindInt64, E: expr.Bind(join.Schema(), "d_grp")}},
-			[]AggSpec{
-				{Kind: AggSum, Arg: expr.Bind(join.Schema(), "f_val"), Name: "s"},
-				{Kind: AggCount, Name: "n"},
-			})
-	}
-	benchmarkRowVsBatch(b, mkPlan, 10)
-}
-
-// BenchmarkParallelJoinAgg runs the same multi-segment join+agg pipeline
-// end-to-end in batches at several degrees of parallelism — the
+// BenchmarkParallelJoinAgg runs a multi-segment scan → filter → hash join
+// → grouped aggregation pipeline at several degrees of parallelism — the
 // acceptance comparison for the morsel-driven execution mode. The dop-1
 // sub-bench is the serial PR 1 path; results are checked identical at
 // every DOP.

@@ -116,39 +116,40 @@ func NewTestCtx(store map[segment.ObjectID]*segment.Segment) *Ctx {
 	return &Ctx{Clock: NopClock{}, Fetch: MapFetcher(store)}
 }
 
-// Iterator is the Volcano operator interface.
+// Iterator is the operator interface, a batched Volcano protocol:
+// operators move up to DefaultBatchSize rows per call instead of one, so
+// per-call dispatch, hashing setup and schema lookups amortize over the
+// batch. Rows exist only at the result boundary (Collect).
 type Iterator interface {
 	// Open prepares the operator for iteration.
 	Open() error
-	// Next returns the next row; ok=false signals exhaustion.
-	Next() (row tuple.Row, ok bool, err error)
+	// NextBatch returns the next batch of rows; ok=false signals
+	// exhaustion. A returned batch is never empty, and is valid only
+	// until the next NextBatch call, so blocking consumers copy what
+	// they keep.
+	NextBatch() (*tuple.Batch, bool, error)
 	// Close releases resources. Close after a failed Open is allowed.
 	Close() error
 	// Schema describes the output rows.
 	Schema() *tuple.Schema
 }
 
-// Collect fully drains an iterator and returns all rows. Batch-native
-// operators are drained batch-at-a-time; row-only iterators fall back to
-// the classic pull loop.
+// Collect fully drains an iterator and materializes all rows.
 func Collect(it Iterator) ([]tuple.Row, error) {
-	if bi, ok := it.(BatchIterator); ok {
-		return CollectBatches(bi)
-	}
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
 	defer it.Close()
 	var out []tuple.Row
 	for {
-		row, ok, err := it.Next()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			return out, nil
 		}
-		out = append(out, row)
+		out = b.AppendRows(out)
 	}
 }
 
@@ -185,7 +186,6 @@ type SeqScan struct {
 
 	leg     *Leg
 	scratch legScratch
-	cur     rowCursor
 	segIdx  int
 	rows    []tuple.Row
 	cd      *segment.ColumnData
@@ -260,7 +260,6 @@ func (s *SeqScan) Schema() *tuple.Schema {
 // Open implements Iterator.
 func (s *SeqScan) Open() error {
 	s.Schema() // builds the leg
-	s.cur.reset()
 	s.drainAhead()
 	s.segIdx, s.rowIdx, s.nrows, s.rows, s.skipped = 0, 0, 0, nil, 0
 	s.bytes = ScanBytes{}
@@ -482,12 +481,9 @@ func (s *SeqScan) submitAhead(sg *segment.Segment) {
 	s.ahead = append(s.ahead, job)
 }
 
-// Next implements Iterator.
-func (s *SeqScan) Next() (tuple.Row, bool, error) { return s.cur.next(s) }
-
-// NextBatch implements BatchIterator. Batches never span a segment
-// boundary, so early termination (e.g. under a LIMIT) fetches exactly the
-// segments the row path would.
+// NextBatch implements Iterator. Batches never span a segment boundary,
+// so early termination (e.g. under a LIMIT) fetches only the segments it
+// consumed.
 func (s *SeqScan) NextBatch() (*tuple.Batch, bool, error) {
 	if s.ostats != nil {
 		return timedBatch(s.ostats, s.nextBatch)

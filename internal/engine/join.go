@@ -25,7 +25,6 @@ import (
 // differ.
 type HashJoin struct {
 	left, right         Iterator
-	bleft, bright       BatchIterator
 	leftKeys, rightKeys []int
 	schema              *tuple.Schema
 	dop                 int
@@ -60,7 +59,6 @@ type HashJoin struct {
 	out    *tuple.Batch
 	outBuf tuple.Row
 	ostats *OpStats
-	cur    rowCursor
 }
 
 // NewHashJoin joins left and right on equality of the given key columns
@@ -71,7 +69,6 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []int) *HashJoin {
 	}
 	return &HashJoin{
 		left: left, right: right,
-		bleft: AsBatch(left), bright: AsBatch(right),
 		leftKeys: leftKeys, rightKeys: rightKeys,
 		schema: left.Schema().Concat(right.Schema()),
 	}
@@ -107,7 +104,7 @@ func keysEqual(a tuple.Row, ak []int, b tuple.Row, bk []int) bool {
 // Open implements Iterator: drains the build side batch-at-a-time, hashing
 // each batch's key columns in one vectorized pass.
 func (j *HashJoin) Open() error {
-	if err := j.bleft.Open(); err != nil {
+	if err := j.left.Open(); err != nil {
 		return err
 	}
 	var buildErr error
@@ -117,16 +114,15 @@ func (j *HashJoin) Open() error {
 		buildErr = j.buildSerial()
 	}
 	if buildErr != nil {
-		j.bleft.Close()
+		j.left.Close()
 		return buildErr
 	}
-	if err := j.bleft.Close(); err != nil {
+	if err := j.left.Close(); err != nil {
 		return err
 	}
 	j.probeBatch, j.probeIdx, j.match = nil, 0, -1
 	j.parQueue = nil
-	j.cur.reset()
-	return j.bright.Open()
+	return j.right.Open()
 }
 
 // buildSerial is the DOP=1 build: one goroutine hashes every build batch
@@ -135,7 +131,7 @@ func (j *HashJoin) buildSerial() error {
 	j.buildRows = j.buildRows[:0]
 	var hashes, all []uint64 // of the current batch, of every build row
 	for {
-		b, ok, err := j.bleft.NextBatch()
+		b, ok, err := j.left.NextBatch()
 		if err != nil {
 			return err
 		}
@@ -170,7 +166,7 @@ func (j *HashJoin) buildParallel() error {
 		parts[w] = make([]buildPart, numParts)
 	}
 	hashBufs := make([][]uint64, j.dop)
-	err := runMorsels(j.bleft, j.dop, func(w int, b *tuple.Batch) error {
+	err := runMorsels(j.left, j.dop, func(w int, b *tuple.Batch) error {
 		hashBufs[w] = b.HashColumns(j.leftKeys, hashBufs[w])
 		rows := b.Rows()
 		mine := parts[w]
@@ -240,7 +236,7 @@ func (j *HashJoin) loadProbeRow(i int) {
 	j.match = j.index.First(j.probeHashes[i])
 }
 
-// NextBatch implements BatchIterator: emits up to a batch of joined rows.
+// NextBatch implements Iterator: emits up to a batch of joined rows.
 func (j *HashJoin) NextBatch() (*tuple.Batch, bool, error) {
 	if j.ostats != nil {
 		return timedBatch(j.ostats, j.nextBatch)
@@ -276,7 +272,7 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 				j.probeIdx = j.probeBatch.Len()
 			}
 		}
-		b, ok, err := j.bright.NextBatch()
+		b, ok, err := j.right.NextBatch()
 		if err != nil {
 			return nil, false, err
 		}
@@ -308,7 +304,7 @@ func (j *HashJoin) nextBatchParallel() (*tuple.Batch, bool, error) {
 			j.parQueue = j.parQueue[1:]
 			return b, true, nil
 		}
-		b, ok, err := j.bright.NextBatch()
+		b, ok, err := j.right.NextBatch()
 		if err != nil {
 			return nil, false, err
 		}
@@ -391,16 +387,13 @@ func (j *HashJoin) probeRange(b *tuple.Batch, start, end int, out *tuple.Batch) 
 	}
 }
 
-// Next implements Iterator.
-func (j *HashJoin) Next() (tuple.Row, bool, error) { return j.cur.next(j) }
-
 // Close implements Iterator.
 func (j *HashJoin) Close() error {
 	j.index, j.buildRows = tuple.HashIndex{}, nil
 	j.partRows, j.partTables = nil, nil
 	j.probeBatch = nil
 	j.parOut, j.parQueue = nil, nil
-	return j.bright.Close()
+	return j.right.Close()
 }
 
 // BuildJoinTree chains binary hash joins left-deep over the inputs:

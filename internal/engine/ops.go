@@ -7,23 +7,21 @@ import (
 	"repro/internal/tuple"
 )
 
-// Filter passes through rows satisfying a boolean predicate. The core is
-// batch-at-a-time: each child batch is evaluated in one pass and survivors
-// are copied into a reused output batch; Next is a thin cursor on top.
+// Filter passes through rows satisfying a boolean predicate: each child
+// batch is evaluated in one pass and survivors are copied into a reused
+// output batch.
 type Filter struct {
-	child  Iterator
-	bchild BatchIterator
-	pred   expr.Expr
+	child Iterator
+	pred  expr.Expr
 
 	out    *tuple.Batch
 	rowBuf tuple.Row
-	cur    rowCursor
 	ostats *OpStats
 }
 
 // NewFilter wraps child with predicate pred (bound to child's schema).
 func NewFilter(child Iterator, pred expr.Expr) *Filter {
-	return &Filter{child: child, bchild: AsBatch(child), pred: pred}
+	return &Filter{child: child, pred: pred}
 }
 
 // Schema implements Iterator.
@@ -31,11 +29,10 @@ func (f *Filter) Schema() *tuple.Schema { return f.child.Schema() }
 
 // Open implements Iterator.
 func (f *Filter) Open() error {
-	f.cur.reset()
-	return f.bchild.Open()
+	return f.child.Open()
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (f *Filter) NextBatch() (*tuple.Batch, bool, error) {
 	if f.ostats != nil {
 		return timedBatch(f.ostats, f.nextBatch)
@@ -45,7 +42,7 @@ func (f *Filter) NextBatch() (*tuple.Batch, bool, error) {
 
 func (f *Filter) nextBatch() (*tuple.Batch, bool, error) {
 	for {
-		in, ok, err := f.bchild.NextBatch()
+		in, ok, err := f.child.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -67,11 +64,8 @@ func (f *Filter) nextBatch() (*tuple.Batch, bool, error) {
 	}
 }
 
-// Next implements Iterator.
-func (f *Filter) Next() (tuple.Row, bool, error) { return f.cur.next(f) }
-
 // Close implements Iterator.
-func (f *Filter) Close() error { return f.bchild.Close() }
+func (f *Filter) Close() error { return f.child.Close() }
 
 // ProjectCol is one output column of a projection.
 type ProjectCol struct {
@@ -87,14 +81,12 @@ type ProjectCol struct {
 // batch-at-a-time.
 type Project struct {
 	child  Iterator
-	bchild BatchIterator
 	cols   []ProjectCol
 	schema *tuple.Schema
 
 	out    *tuple.Batch
 	rowBuf tuple.Row
 	outBuf tuple.Row
-	cur    rowCursor
 	ostats *OpStats
 }
 
@@ -104,7 +96,7 @@ func NewProject(child Iterator, cols []ProjectCol) *Project {
 	for i, c := range cols {
 		sc[i] = tuple.Column{Name: c.Name, Kind: c.Kind}
 	}
-	return &Project{child: child, bchild: AsBatch(child), cols: cols, schema: tuple.NewSchema(sc...)}
+	return &Project{child: child, cols: cols, schema: tuple.NewSchema(sc...)}
 }
 
 // Schema implements Iterator.
@@ -112,11 +104,10 @@ func (pr *Project) Schema() *tuple.Schema { return pr.schema }
 
 // Open implements Iterator.
 func (pr *Project) Open() error {
-	pr.cur.reset()
-	return pr.bchild.Open()
+	return pr.child.Open()
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (pr *Project) NextBatch() (*tuple.Batch, bool, error) {
 	if pr.ostats != nil {
 		return timedBatch(pr.ostats, pr.nextBatch)
@@ -125,7 +116,7 @@ func (pr *Project) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func (pr *Project) nextBatch() (*tuple.Batch, bool, error) {
-	in, ok, err := pr.bchild.NextBatch()
+	in, ok, err := pr.child.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -151,29 +142,24 @@ func (pr *Project) nextBatch() (*tuple.Batch, bool, error) {
 	return out, true, nil
 }
 
-// Next implements Iterator.
-func (pr *Project) Next() (tuple.Row, bool, error) { return pr.cur.next(pr) }
-
 // Close implements Iterator.
-func (pr *Project) Close() error { return pr.bchild.Close() }
+func (pr *Project) Close() error { return pr.child.Close() }
 
 // Limit passes through at most N rows. Full child batches within the
 // budget pass through unchanged (zero copy); the batch straddling the
 // limit is truncated into a private buffer.
 type Limit struct {
-	child  Iterator
-	bchild BatchIterator
-	n      int
-	seen   int
+	child Iterator
+	n     int
+	seen  int
 
 	out    *tuple.Batch
-	cur    rowCursor
 	ostats *OpStats
 }
 
 // NewLimit wraps child with a row cap.
 func NewLimit(child Iterator, n int) *Limit {
-	return &Limit{child: child, bchild: AsBatch(child), n: n}
+	return &Limit{child: child, n: n}
 }
 
 // Schema implements Iterator.
@@ -182,11 +168,10 @@ func (l *Limit) Schema() *tuple.Schema { return l.child.Schema() }
 // Open implements Iterator.
 func (l *Limit) Open() error {
 	l.seen = 0
-	l.cur.reset()
-	return l.bchild.Open()
+	return l.child.Open()
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (l *Limit) NextBatch() (*tuple.Batch, bool, error) {
 	if l.ostats != nil {
 		return timedBatch(l.ostats, l.nextBatch)
@@ -198,7 +183,7 @@ func (l *Limit) nextBatch() (*tuple.Batch, bool, error) {
 	if l.seen >= l.n {
 		return nil, false, nil
 	}
-	in, ok, err := l.bchild.NextBatch()
+	in, ok, err := l.child.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -215,29 +200,24 @@ func (l *Limit) nextBatch() (*tuple.Batch, bool, error) {
 	return out, true, nil
 }
 
-// Next implements Iterator.
-func (l *Limit) Next() (tuple.Row, bool, error) { return l.cur.next(l) }
-
 // Close implements Iterator.
-func (l *Limit) Close() error { return l.bchild.Close() }
+func (l *Limit) Close() error { return l.child.Close() }
 
 // Distinct suppresses duplicate rows (SELECT DISTINCT). It is streaming:
 // each row is remembered by its rendered key, so memory grows with the
 // number of distinct rows seen.
 type Distinct struct {
-	child  Iterator
-	bchild BatchIterator
-	seen   map[string]struct{}
+	child Iterator
+	seen  map[string]struct{}
 
 	out    *tuple.Batch
 	rowBuf tuple.Row
-	cur    rowCursor
 	ostats *OpStats
 }
 
 // NewDistinct wraps child with duplicate elimination.
 func NewDistinct(child Iterator) *Distinct {
-	return &Distinct{child: child, bchild: AsBatch(child)}
+	return &Distinct{child: child}
 }
 
 // Schema implements Iterator.
@@ -246,11 +226,10 @@ func (d *Distinct) Schema() *tuple.Schema { return d.child.Schema() }
 // Open implements Iterator.
 func (d *Distinct) Open() error {
 	d.seen = make(map[string]struct{})
-	d.cur.reset()
-	return d.bchild.Open()
+	return d.child.Open()
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (d *Distinct) NextBatch() (*tuple.Batch, bool, error) {
 	if d.ostats != nil {
 		return timedBatch(d.ostats, d.nextBatch)
@@ -260,7 +239,7 @@ func (d *Distinct) NextBatch() (*tuple.Batch, bool, error) {
 
 func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
 	for {
-		in, ok, err := d.bchild.NextBatch()
+		in, ok, err := d.child.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -281,13 +260,10 @@ func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
 	}
 }
 
-// Next implements Iterator.
-func (d *Distinct) Next() (tuple.Row, bool, error) { return d.cur.next(d) }
-
 // Close implements Iterator.
 func (d *Distinct) Close() error {
 	d.seen = nil
-	return d.bchild.Close()
+	return d.child.Close()
 }
 
 // rowKey renders a canonical duplicate-detection key.
@@ -301,8 +277,7 @@ func rowKey(row tuple.Row) string {
 	return string(sb)
 }
 
-// Values is a leaf iterator over in-memory rows. Next and NextBatch share
-// one cursor, so the two protocols can be mixed safely.
+// Values is a leaf iterator over in-memory rows.
 type Values struct {
 	schema *tuple.Schema
 	rows   []tuple.Row
@@ -322,17 +297,7 @@ func (v *Values) Schema() *tuple.Schema { return v.schema }
 // Open implements Iterator.
 func (v *Values) Open() error { v.idx = 0; return nil }
 
-// Next implements Iterator.
-func (v *Values) Next() (tuple.Row, bool, error) {
-	if v.idx >= len(v.rows) {
-		return nil, false, nil
-	}
-	r := v.rows[v.idx]
-	v.idx++
-	return r, true, nil
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (v *Values) NextBatch() (*tuple.Batch, bool, error) {
 	if v.ostats != nil {
 		return timedBatch(v.ostats, v.nextBatch)
@@ -355,7 +320,6 @@ type BatchValues struct {
 	schema  *tuple.Schema
 	batches []*tuple.Batch
 	idx     int
-	cur     rowCursor
 	ostats  *OpStats
 }
 
@@ -371,14 +335,10 @@ func (v *BatchValues) Schema() *tuple.Schema { return v.schema }
 // Open implements Iterator.
 func (v *BatchValues) Open() error {
 	v.idx = 0
-	v.cur.reset()
 	return nil
 }
 
-// Next implements Iterator.
-func (v *BatchValues) Next() (tuple.Row, bool, error) { return v.cur.next(v) }
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (v *BatchValues) NextBatch() (*tuple.Batch, bool, error) {
 	if v.ostats != nil {
 		return timedBatch(v.ostats, v.nextBatch)

@@ -24,17 +24,8 @@ type parallelizable interface {
 	setParallelism(dop int)
 }
 
-// walkPlan calls visit on every operator of the plan rooted at n,
-// descending through the adapter wrappers and every operator's children.
-func walkPlan(n any, visit func(n any)) {
-	switch v := n.(type) {
-	case *RowAdapter:
-		walkPlan(v.B, visit)
-		return
-	case *BatchAdapter:
-		walkPlan(v.It, visit)
-		return
-	}
+// walkPlan calls visit on every operator of the plan rooted at n.
+func walkPlan(n Iterator, visit func(n Iterator)) {
 	visit(n)
 	if e, ok := n.(explainable); ok {
 		_, children := e.explain()
@@ -49,7 +40,7 @@ func walkPlan(n any, visit func(n any)) {
 // and returns the root for chaining. dop <= 1 selects the serial path —
 // the zero value is always safe.
 func Parallelize(it Iterator, dop int) Iterator {
-	walkPlan(it, func(n any) {
+	walkPlan(it, func(n Iterator) {
 		if p, ok := n.(parallelizable); ok {
 			p.setParallelism(dop)
 		}
@@ -62,7 +53,7 @@ func Parallelize(it Iterator, dop int) Iterator {
 // been drained.
 func SeqScans(it Iterator) []*SeqScan {
 	var out []*SeqScan
-	walkPlan(it, func(n any) {
+	walkPlan(it, func(n Iterator) {
 		if s, ok := n.(*SeqScan); ok {
 			out = append(out, s)
 		}
@@ -88,7 +79,7 @@ func normDOP(dop int) int {
 // worker is called from dop goroutines, with w in [0, dop) identifying
 // the worker, so per-worker state indexed by w needs no locking. The
 // morsel is only valid for the duration of the call.
-func runMorsels(src BatchIterator, dop int, worker func(w int, morsel *tuple.Batch) error) error {
+func runMorsels(src Iterator, dop int, worker func(w int, morsel *tuple.Batch) error) error {
 	morsels := make(chan *tuple.Batch, dop)
 	free := make(chan *tuple.Batch, 2*dop+1)
 	stop := make(chan struct{})

@@ -19,7 +19,7 @@ var diffDOPs = []int{1, 2, 8}
 // collectAtDOP parallelizes the plan and drains it batch-at-a-time.
 func collectAtDOP(t *testing.T, plan Iterator, dop int) []tuple.Row {
 	t.Helper()
-	rows, err := CollectBatches(AsBatch(Parallelize(plan, dop)))
+	rows, err := Collect(Parallelize(plan, dop))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +228,14 @@ func TestParallelEmptyInputs(t *testing.T) {
 }
 
 // TestParallelizeWalksPlan: one Parallelize call at the root must reach
-// joins and aggregations below other operators and through the adapter
-// wrappers, and dop<=1 must normalize to the serial path.
+// joins and aggregations below other operators, and dop<=1 must normalize
+// to the serial path.
 func TestParallelizeWalksPlan(t *testing.T) {
 	rows, sch := benchRowsN(10)
 	join := JoinOn(NewValues(sch, rows), NewValues(sch, rows), [][2]string{{"k", "k"}})
 	agg := NewHashAgg(NewFilter(join, expr.ColGE(sch, "k", tuple.Int(0))), nil,
 		[]AggSpec{{Kind: AggCount, Name: "n"}})
-	root := &RowAdapter{B: agg}
+	root := NewLimit(agg, 1)
 	Parallelize(root, 8)
 	if agg.dop != 8 || join.dop != 8 {
 		t.Fatalf("Parallelize did not reach nested operators: agg=%d join=%d", agg.dop, join.dop)

@@ -16,7 +16,7 @@ func (p fakePruner) Predicate() string    { return "fake" }
 
 // TestSeqScanPipelinedIdentical is the scan-level differential: the
 // pipelined scan (decode pool + read-ahead) must produce byte-identical
-// rows to the serial scan, on both the row and batch protocols, with and
+// rows to the serial scan, at full and one-row batches, with and
 // without pruning and projection. Run under -race this also exercises
 // the pool's buffer ownership.
 func TestSeqScanPipelinedIdentical(t *testing.T) {
@@ -35,9 +35,9 @@ func TestSeqScanPipelinedIdentical(t *testing.T) {
 		var rows []tuple.Row
 		var err error
 		if batch {
-			rows, err = CollectBatches(scan)
-		} else {
 			rows, err = Collect(scan)
+		} else {
+			rows, err = Collect(oneRow(scan))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -126,8 +126,8 @@ func TestSeqScanPipelinedEarlyClose(t *testing.T) {
 	if err := scan.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := scan.Next(); err != nil || !ok {
-		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	if _, ok, err := scan.NextBatch(); err != nil || !ok {
+		t.Fatalf("first batch: ok=%v err=%v", ok, err)
 	}
 	if err := scan.Close(); err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func TestSeqScanLazyProjectedBatches(t *testing.T) {
 	tm, store := lazyTable(t, lazyRows(10), 4)
 	scan := NewSeqScan(NewTestCtx(store), tm)
 	scan.Project = []int{0} // only k
-	rows, err := CollectBatches(scan)
+	rows, err := Collect(scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSeqScanLazyProjectedBatches(t *testing.T) {
 
 	// The same scan without projection decodes more and skips nothing.
 	full := NewSeqScan(NewTestCtx(store), tm)
-	if _, err := CollectBatches(full); err != nil {
+	if _, err := Collect(full); err != nil {
 		t.Fatal(err)
 	}
 	fb := full.Bytes()
@@ -90,44 +90,11 @@ func TestSeqScanLazyProjectedBatches(t *testing.T) {
 	}
 }
 
-func TestSeqScanLazyRowProtocol(t *testing.T) {
-	tm, store := lazyTable(t, lazyRows(7), 3)
-	scan := NewSeqScan(NewTestCtx(store), tm)
-	// Drain through the row protocol explicitly (Collect would dispatch
-	// to the batch path).
-	if err := scan.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer scan.Close()
-	var rows []tuple.Row
-	for {
-		row, ok, err := scan.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		rows = append(rows, row)
-	}
-	want := lazyRows(7)
-	if len(rows) != len(want) {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for i := range want {
-		for c := range want[i] {
-			if !tuple.Equal(rows[i][c], want[i][c]) {
-				t.Fatalf("row %d col %d: %v != %v", i, c, rows[i][c], want[i][c])
-			}
-		}
-	}
-}
-
 func TestSeqScanEmptyProjectionCountsRows(t *testing.T) {
 	tm, store := lazyTable(t, lazyRows(9), 4)
 	scan := NewSeqScan(NewTestCtx(store), tm)
 	scan.Project = []int{}
-	rows, err := CollectBatches(scan)
+	rows, err := Collect(scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +168,9 @@ func TestSeqScanLegKernel(t *testing.T) {
 						var got []tuple.Row
 						var err error
 						if rowwise {
-							got, err = Collect(rowOnlyIter{scan})
+							got, err = Collect(oneRow(scan))
 						} else {
-							got, err = CollectBatches(scan)
+							got, err = Collect(scan)
 						}
 						if err != nil {
 							t.Fatal(err)
@@ -256,7 +223,7 @@ func TestStreamingOutputSizedByInput(t *testing.T) {
 		},
 	}
 	for name, plan := range plans {
-		it := AsBatch(plan(NewBatchValues(sch, []*tuple.Batch{small, large})))
+		it := plan(NewBatchValues(sch, []*tuple.Batch{small, large}))
 		if err := it.Open(); err != nil {
 			t.Fatal(err)
 		}

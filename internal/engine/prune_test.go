@@ -47,7 +47,7 @@ func pruneFixture(t *testing.T) (*catalog.TableMeta, map[segment.ObjectID]*segme
 
 // TestSeqScanPruning: a pruned scan must fetch (and charge) only the
 // surviving segments while the filtered row stream stays byte-identical,
-// on both the row and the batch protocol.
+// at full and at one-row batches.
 func TestSeqScanPruning(t *testing.T) {
 	tm, store := pruneFixture(t)
 	pred := expr.ColBetween(tm.Schema, "k", tuple.Int(23), tuple.Int(31))
@@ -70,22 +70,7 @@ func TestSeqScanPruning(t *testing.T) {
 		if batch {
 			rows, err = Collect(it)
 		} else {
-			// Force the row-at-a-time protocol.
-			if err := it.Open(); err != nil {
-				t.Fatal(err)
-			}
-			for {
-				row, ok, nerr := it.Next()
-				if nerr != nil {
-					err = nerr
-					break
-				}
-				if !ok {
-					break
-				}
-				rows = append(rows, row.Clone())
-			}
-			it.Close()
+			rows, err = Collect(oneRow(it))
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -16,11 +16,10 @@ type SortKey struct {
 }
 
 // Sort is a blocking in-memory sort with a stable order. The child is
-// drained batch-at-a-time; sorted rows are served row-wise or in batches.
+// drained batch-at-a-time and the sorted rows are served in batches.
 type Sort struct {
-	child  Iterator
-	bchild BatchIterator
-	keys   []SortKey
+	child Iterator
+	keys  []SortKey
 
 	out    []tuple.Row
 	idx    int
@@ -30,7 +29,7 @@ type Sort struct {
 
 // NewSort wraps child with an ORDER BY.
 func NewSort(child Iterator, keys []SortKey) *Sort {
-	return &Sort{child: child, bchild: AsBatch(child), keys: keys}
+	return &Sort{child: child, keys: keys}
 }
 
 // Schema implements Iterator.
@@ -38,13 +37,13 @@ func (s *Sort) Schema() *tuple.Schema { return s.child.Schema() }
 
 // Open implements Iterator: drains and sorts the child.
 func (s *Sort) Open() error {
-	if err := s.bchild.Open(); err != nil {
+	if err := s.child.Open(); err != nil {
 		return err
 	}
-	defer s.bchild.Close()
+	defer s.child.Close()
 	s.out = s.out[:0]
 	for {
-		b, ok, err := s.bchild.NextBatch()
+		b, ok, err := s.child.NextBatch()
 		if err != nil {
 			return err
 		}
@@ -92,17 +91,7 @@ func (s *Sort) Open() error {
 	return nil
 }
 
-// Next implements Iterator.
-func (s *Sort) Next() (tuple.Row, bool, error) {
-	if s.idx >= len(s.out) {
-		return nil, false, nil
-	}
-	r := s.out[s.idx]
-	s.idx++
-	return r, true, nil
-}
-
-// NextBatch implements BatchIterator, sharing the row cursor with Next.
+// NextBatch implements Iterator.
 func (s *Sort) NextBatch() (*tuple.Batch, bool, error) {
 	if s.ostats != nil {
 		return timedBatch(s.ostats, s.nextBatch)

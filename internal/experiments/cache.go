@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/csd"
-	"repro/internal/layout"
+	"repro/internal/catalog"
+	"repro/internal/lattice"
 	"repro/internal/metrics"
 	"repro/internal/objstore"
-	"repro/internal/segcache"
 	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/workload"
@@ -16,10 +15,9 @@ import (
 
 // This file is the evaluation of the shared segment cache and CSD
 // request coalescing: a budget sweep over a repeated-query multi-tenant
-// workload behind `skipperbench -cache`, which doubles as the CI
-// divergence gate — every configuration is executed with the cache on
-// and off, across both engines, segment formats, DOP and pruning, and
-// the result sets must match byte for byte.
+// workload behind `skipperbench -report cache`. (That the cache never
+// changes a result is the lattice harness's cache axis, not this
+// report's.)
 
 // cacheSweepClients and cacheSweepPasses shape the repeated-query
 // multi-tenant workload: every client runs cacheSweepPasses rounds of
@@ -54,134 +52,33 @@ type CachePoint struct {
 	AvgClient time.Duration
 }
 
-// runCacheCluster executes the repeated-query workload on a cluster of
-// clients sharing one dataset — and, when budgetObjects > 0, one segment
-// cache. The object layout is round-robin across groups, the adversarial
-// no-locality placement, so group switches are actually at stake.
-func (p Params) runCacheCluster(ds *workload.Dataset, mode skipper.Mode, dop int, prune bool, budgetObjects int, keep bool) (*skipper.RunResult, error) {
-	store := make(mapStore)
-	ds.MergeInto(store)
-	pr := prune
-	clients := make([]*skipper.Client, cacheSweepClients)
-	for t := range clients {
-		clients[t] = &skipper.Client{
-			Tenant:       t,
-			Mode:         mode,
-			Catalog:      ds.Catalog,
-			Queries:      workload.MultiPass(ds.Catalog, cacheSweepPasses),
-			CacheObjects: p.CacheObjects,
-			StatsPruning: &pr,
-			Parallelism:  dop,
-			KeepResults:  keep,
-		}
-	}
-	cfg := csd.DefaultConfig()
-	cfg.GroupSwitch = p.GroupSwitch
-	cfg.Bandwidth = p.Bandwidth
-	cl := &skipper.Cluster{
-		Clients: clients,
-		Layout:  layout.RoundRobinObjects{NumGroups: cacheSweepGroups},
-		CSD:     cfg,
-		Store:   store,
-	}
-	if budgetObjects > 0 {
-		cl.SharedCache = segcache.NewObjects(budgetObjects)
-	}
-	return cl.Run()
+// sweepWorkload is the repeated-query multi-tenant workload of the
+// feature sweeps: cacheSweepClients clients sharing ds, each running
+// cacheSweepPasses rounds of the probe pair. The object layout is
+// round-robin across groups, the adversarial no-locality placement, so
+// group switches are actually at stake.
+func sweepWorkload(ds *workload.Dataset) lattice.Workload {
+	return lattice.Shared(ds, func(cat *catalog.Catalog) []skipper.QuerySpec {
+		return workload.MultiPass(cat, cacheSweepPasses)
+	}, cacheSweepClients, cacheSweepGroups)
 }
 
-// compareRunResults requires two cluster runs to have byte-identical
-// per-query results for every client.
-func compareRunResults(a, b *skipper.RunResult) error {
-	if len(a.Clients) != len(b.Clients) {
-		return fmt.Errorf("%d clients vs %d", len(a.Clients), len(b.Clients))
+// measured is the encoded dataset the pipeline, fault and scale sweeps
+// measure on: the Params' format, except that FormatMem is promoted to
+// FormatV2 — in-memory segments have no decode work, so there would be
+// nothing for the pipeline to overlap.
+func (p Params) measured() (*workload.Dataset, error) {
+	f := p.Format
+	if f == segment.FormatMem {
+		f = segment.FormatV2
 	}
-	for i := range a.Clients {
-		qa, qb := a.Clients[i].PerQuery, b.Clients[i].PerQuery
-		if len(qa) != len(qb) {
-			return fmt.Errorf("client %d: %d queries vs %d", i, len(qa), len(qb))
-		}
-		for j := range qa {
-			if err := equalRows(qa[j].Results, qb[j].Results); err != nil {
-				return fmt.Errorf("client %d query %s: %w", i, qa[j].Name, err)
-			}
-		}
-	}
-	return nil
+	return objstore.ReencodeDataset(p.clusteredDataset(), f)
 }
 
-// checkCacheAccounting enforces the traffic invariant of a cache-on run:
-// per client, the GETs the device saw plus the cache hits equal the GETs
-// the client issued — and in skipper mode the MJoin request count (the
-// quantity Figure 11 plots) equals that same total, so no request is
-// double-counted or lost between the state manager, the cache and the
-// device.
-func checkCacheAccounting(res *skipper.RunResult) error {
-	for _, cs := range res.Clients {
-		device := res.CSD.GetsByTenant[cs.Tenant]
-		if device+cs.CacheHits != cs.GetsIssued {
-			return fmt.Errorf("tenant %d: device GETs %d + cache hits %d != issued %d",
-				cs.Tenant, device, cs.CacheHits, cs.GetsIssued)
-		}
-		if cs.Mode == skipper.ModeSkipper && cs.MJoin.Requests != cs.GetsIssued {
-			return fmt.Errorf("tenant %d: mjoin requests %d != issued %d",
-				cs.Tenant, cs.MJoin.Requests, cs.GetsIssued)
-		}
-	}
-	return nil
-}
-
-// VerifyCacheIdentical is the divergence gate: for every combination of
-// engine mode, DOP {1,4} and pruning on/off over the given dataset, the
-// repeated-query workload must produce byte-identical results with the
-// shared cache on (budget = the dataset's full footprint) and off, and
-// the cache-on run must satisfy the GET accounting invariant.
-func (p Params) VerifyCacheIdentical(ds *workload.Dataset) error {
-	budget := len(ds.Catalog.AllObjects())
-	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-		for _, dop := range []int{1, 4} {
-			for _, prune := range []bool{true, false} {
-				tag := fmt.Sprintf("%s dop=%d prune=%v", mode, dop, prune)
-				on, err := p.runCacheCluster(ds, mode, dop, prune, budget, true)
-				if err != nil {
-					return fmt.Errorf("%s cache on: %w", tag, err)
-				}
-				off, err := p.runCacheCluster(ds, mode, dop, prune, 0, true)
-				if err != nil {
-					return fmt.Errorf("%s cache off: %w", tag, err)
-				}
-				if err := compareRunResults(on, off); err != nil {
-					return fmt.Errorf("%s: cache on/off results diverge: %w", tag, err)
-				}
-				if err := checkCacheAccounting(on); err != nil {
-					return fmt.Errorf("%s: %w", tag, err)
-				}
-				if on.Cache == nil || on.Cache.Hits == 0 {
-					return fmt.Errorf("%s: repeated-query workload produced no cache hits", tag)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// CacheSweepData verifies the divergence gate across every segment
-// format, then sweeps the shared-cache budget on the Params' format and
-// returns one point per budget (0 = off). It fails — rather than report
-// — on any cache-on/off divergence, which is what lets CI use
-// `skipperbench -cache` as a correctness gate.
+// CacheSweepData sweeps the shared-cache budget on the Params' format,
+// skipper engine, and returns one point per budget (0 = off).
 func (p Params) CacheSweepData() ([]CachePoint, error) {
-	base := p.clusteredDataset()
-	for _, f := range []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2} {
-		ds, err := objstore.ReencodeDataset(base, f)
-		if err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-		if err := p.VerifyCacheIdentical(ds); err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-	}
-	ds, err := p.encoded(base)
+	ds, err := p.encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +91,9 @@ func (p Params) CacheSweepData() ([]CachePoint, error) {
 	}
 	var out []CachePoint
 	for _, b := range budgets {
-		res, err := p.runCacheCluster(ds, skipper.ModeSkipper, p.Parallelism, true, b, false)
+		cell := p.cell(skipper.ModeSkipper)
+		cell.SharedCache = b
+		res, err := cell.Run(sweepWorkload(ds))
 		if err != nil {
 			return nil, fmt.Errorf("budget %d: %w", b, err)
 		}
@@ -229,8 +128,7 @@ func (p Params) CacheReport() (*Figure, error) {
 			"cache hits", "hit ratio", "makespan (s)", "avg client (s)",
 		},
 		Notes: []string{
-			"results verified byte-identical cache on/off across engines, formats (mem/v1/v2), DOP {1,4} and pruning on/off",
-			"per client, device GETs + cache hits == GETs issued (== MJoin requests in skipper mode)",
+			"results are held byte-identical cache on/off across engines, formats (mem/v1/v2), DOP {1,4} and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 		},
 	}
 	for _, pt := range pts {

@@ -2,10 +2,9 @@ package experiments
 
 import "testing"
 
-// TestCacheSweepQuick runs the full `skipperbench -cache` pipeline at
-// quick scale: the divergence gate across formats × engines × DOP ×
-// pruning, then the budget sweep — and asserts the cache actually
-// removes device traffic on the repeated-query multi-tenant workload.
+// TestCacheSweepQuick runs the `skipperbench -report cache` budget sweep
+// at quick scale and asserts the cache actually removes device traffic on
+// the repeated-query multi-tenant workload.
 func TestCacheSweepQuick(t *testing.T) {
 	p := Quick()
 	pts, err := p.CacheSweepData()

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/csd"
+	"repro/internal/lattice"
 	"repro/internal/layout"
 	"repro/internal/objstore"
 	"repro/internal/segment"
@@ -51,7 +52,7 @@ type Params struct {
 	// serve lazily decoded segments, so scans perform (and account) real
 	// per-access decode work; v2 additionally honours projection
 	// pushdown. Query results are identical across formats — the
-	// differential suites and `skipperbench -proj` enforce it.
+	// lattice harness's format axis enforces it.
 	Format segment.Format
 }
 
@@ -175,23 +176,38 @@ type runSpec struct {
 	dataset func(tenant int) *workload.Dataset
 	// queries builds the per-tenant query list.
 	queries func(cat *catalog.Catalog) []skipper.QuerySpec
-	// policyOverride optionally replaces the MJoin eviction policy.
+	// repeat runs the query list this many times (0 or 1 = once).
 	repeat int
+}
+
+// device is the CSD configuration of these params: the paper's defaults
+// with the Params' switch latency and bandwidth.
+func (p Params) device() csd.Config {
+	cfg := csd.DefaultConfig()
+	cfg.GroupSwitch = p.GroupSwitch
+	cfg.Bandwidth = p.Bandwidth
+	return cfg
+}
+
+// cell is the lattice cell these params run by default: the given engine
+// at the Params' DOP and MJoin cache against one clean device, data
+// skipping on. Every experiment starts from it and sets what it studies.
+func (p Params) cell(mode skipper.Mode) lattice.Cell {
+	return lattice.Cell{
+		Mode: mode, DOP: p.Parallelism, MJoinCache: p.CacheObjects,
+		Fleet: skipper.FleetSpec{Device: p.device()},
+	}
 }
 
 // run executes a cluster per the spec and returns the result.
 func (p Params) run(spec runSpec) (*skipper.RunResult, error) {
-	if spec.layoutPol == nil {
-		spec.layoutPol = layout.OnePerGroup()
-	}
-	store := make(map[segment.ObjectID]*segment.Segment)
-	clients := make([]*skipper.Client, spec.clients)
+	w := lattice.Workload{Store: make(mapStore), Layout: spec.layoutPol}
 	for t := 0; t < spec.clients; t++ {
 		ds, err := p.encoded(spec.dataset(t))
 		if err != nil {
 			return nil, err
 		}
-		ds.MergeInto(store)
+		ds.MergeInto(w.Store)
 		qs := spec.queries(ds.Catalog)
 		if spec.repeat > 1 {
 			var rep []skipper.QuerySpec
@@ -200,33 +216,18 @@ func (p Params) run(spec runSpec) (*skipper.RunResult, error) {
 			}
 			qs = rep
 		}
-		clients[t] = &skipper.Client{
-			Tenant:       t,
-			Mode:         spec.mode,
-			Catalog:      ds.Catalog,
-			Queries:      qs,
-			CacheObjects: spec.cache,
-			Parallelism:  p.Parallelism,
-		}
+		w.Tenants = append(w.Tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: qs})
 	}
-	cfg := csd.DefaultConfig()
+	cell := p.cell(spec.mode)
+	cell.MJoinCache = spec.cache
 	if spec.switchLat >= 0 {
-		cfg.GroupSwitch = spec.switchLat
-	} else {
-		cfg.GroupSwitch = p.GroupSwitch
+		cell.Fleet.Device.GroupSwitch = spec.switchLat
 	}
-	cfg.Bandwidth = p.Bandwidth
 	if spec.scheduler != nil {
-		cfg.Scheduler = spec.scheduler
+		cell.Fleet.Device.Scheduler = spec.scheduler
 	}
-	cfg.Order = spec.order
-	cl := &skipper.Cluster{
-		Clients: clients,
-		Layout:  spec.layoutPol,
-		CSD:     cfg,
-		Store:   store,
-	}
-	return cl.Run()
+	cell.Fleet.Device.Order = spec.order
+	return cell.Run(w)
 }
 
 // avgElapsed returns the mean client workload time.

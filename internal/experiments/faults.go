@@ -4,24 +4,17 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/csd"
 	"repro/internal/faults"
-	"repro/internal/layout"
-	"repro/internal/objstore"
-	"repro/internal/segcache"
-	"repro/internal/segment"
+	"repro/internal/lattice"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
 
 // This file is the evaluation of the fault-injection and recovery layer
-// behind `skipperbench -faults`, which doubles as the CI chaos gate:
-// a retryable-only fault plan (transient GET failures, latency stalls,
-// bit-flipped payloads, all capped per object) must leave every query
-// result byte-identical to the clean run — across both engines, DOP
-// {1,4} and the pipeline off/on — while the GET-conservation invariant
-// extends to the re-requests. The measurement half sweeps the fault
-// rate and reports the cost of surviving: extra device transfers,
+// behind `skipperbench -report faults`. (That surviving a fault never
+// changes a result, and that GET conservation extends to the re-requests,
+// is the lattice harness's fault axis, not this report's.) It sweeps the
+// fault rate and reports the cost of surviving: extra device transfers,
 // retry backoff, and the makespan degradation, plus a crash/restart
 // row (the device dies mid-run and comes back) at the end.
 
@@ -42,10 +35,10 @@ func faultPlan(rate float64) faults.Plan {
 	}
 }
 
-// crashPlan is the sweep's crash/restart scenario: a clean device that
-// dies at 60 s of simulated time and restarts 30 s later.
-func crashPlan() faults.Plan {
-	return faults.Plan{Seed: faultSweepSeed, CrashAt: 60 * time.Second, CrashDowntime: 30 * time.Second}
+// crashPlan is the sweeps' crash scenario: a clean device 0 that dies at
+// 60 s of simulated time and restarts after downtime (0 = never).
+func crashPlan(downtime time.Duration) *faults.Plan {
+	return &faults.Plan{Seed: faultSweepSeed, CrashAt: 60 * time.Second, CrashDowntime: downtime}
 }
 
 // faultRetryPolicy rides out the sweep's fault plans: attempts beyond
@@ -60,90 +53,16 @@ func faultRetryPolicy() *skipper.RetryPolicy {
 	}
 }
 
-// runFaultCluster executes the repeated-query multi-tenant workload
-// (the cache sweep's shape) under the given fault plan, with a shared
-// segment cache so corrupt-delivery quarantine and redelivery cross
-// tenant boundaries. A zero plan runs the same cluster fault-free.
-func (p Params) runFaultCluster(ds *workload.Dataset, mode skipper.Mode, dop int, pc *skipper.PipelineConfig, plan faults.Plan, keep bool) (*skipper.RunResult, *faults.Injector, error) {
-	store := make(mapStore)
-	ds.MergeInto(store)
-	prune := true
-	clients := make([]*skipper.Client, cacheSweepClients)
-	for t := range clients {
-		clients[t] = &skipper.Client{
-			Tenant:       t,
-			Mode:         mode,
-			Catalog:      ds.Catalog,
-			Queries:      workload.MultiPass(ds.Catalog, cacheSweepPasses),
-			CacheObjects: p.CacheObjects,
-			StatsPruning: &prune,
-			Parallelism:  dop,
-			KeepResults:  keep,
-			Pipeline:     pc,
-			Retry:        faultRetryPolicy(),
-		}
-	}
-	cfg := csd.DefaultConfig()
-	cfg.GroupSwitch = p.GroupSwitch
-	cfg.Bandwidth = p.Bandwidth
-	var inj *faults.Injector
-	if plan.Enabled() {
-		var err error
-		inj, err = faults.New(plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Faults = inj
-	}
-	cl := &skipper.Cluster{
-		Clients:     clients,
-		Layout:      layout.RoundRobinObjects{NumGroups: cacheSweepGroups},
-		CSD:         cfg,
-		Store:       store,
-		SharedCache: segcache.NewObjects(p.CacheObjects),
-	}
-	res, err := cl.Run()
-	return res, inj, err
-}
-
-// VerifyFaultsIdentical is the chaos gate: for every combination of
-// engine mode, DOP {1,4} and pipeline off/on over the given dataset,
-// the workload under a retryable-only fault plan must produce
-// byte-identical results to the fault-free run, satisfy the GET
-// accounting invariant extended to retries (every re-request is both a
-// client GET and a device GET, so the conservation equation is
-// unchanged), leave no cache pins behind, and must actually have been
-// faulted (so the gate can never pass vacuously).
-func (p Params) VerifyFaultsIdentical(ds *workload.Dataset) error {
-	plan := faultPlan(0.4)
-	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-		for _, dop := range []int{1, 4} {
-			for _, pc := range []*skipper.PipelineConfig{nil, p.pipelineConfig()} {
-				tag := fmt.Sprintf("%s dop=%d pipeline=%v", mode, dop, pc != nil)
-				clean, _, err := p.runFaultCluster(ds, mode, dop, pc, faults.Plan{}, true)
-				if err != nil {
-					return fmt.Errorf("%s clean: %w", tag, err)
-				}
-				chaotic, inj, err := p.runFaultCluster(ds, mode, dop, pc, plan, true)
-				if err != nil {
-					return fmt.Errorf("%s faulted: %w", tag, err)
-				}
-				if err := compareRunResults(chaotic, clean); err != nil {
-					return fmt.Errorf("%s: faulted results diverge from clean: %w", tag, err)
-				}
-				if err := checkPipelineAccounting(chaotic); err != nil {
-					return fmt.Errorf("%s: %w", tag, err)
-				}
-				if inj.Stats().Injected() == 0 {
-					return fmt.Errorf("%s: plan injected nothing; gate is vacuous", tag)
-				}
-				if chaotic.Cache != nil && chaotic.Cache.PinnedBytes != 0 {
-					return fmt.Errorf("%s: %d bytes still pinned after the faulted run", tag, chaotic.Cache.PinnedBytes)
-				}
-			}
-		}
-	}
-	return nil
+// faultCell is the fault and scale sweeps' cell: the skipper engine under
+// the given fleet, riding faults out with faultRetryPolicy, over a shared
+// segment cache as small as the MJoin buffer — so corrupt-delivery
+// quarantine and redelivery cross tenant boundaries under eviction
+// pressure.
+func (p Params) faultCell(fleet skipper.FleetSpec) lattice.Cell {
+	cell := p.cell(skipper.ModeSkipper)
+	fleet.Device = cell.Fleet.Device
+	cell.Fleet, cell.SharedCache, cell.Retry = fleet, p.CacheObjects, faultRetryPolicy()
+	return cell
 }
 
 // FaultPoint is one measured configuration of the fault-rate sweep.
@@ -167,27 +86,24 @@ type FaultPoint struct {
 }
 
 // measureFaults runs one scenario and digests it into a point.
-func (p Params) measureFaults(ds *workload.Dataset, mode skipper.Mode, label string, plan faults.Plan) (FaultPoint, error) {
-	dop := p.Parallelism
-	if dop < 1 {
-		dop = 1
-	}
-	res, inj, err := p.runFaultCluster(ds, mode, dop, p.pipelineConfig(), plan, false)
+func (p Params) measureFaults(ds *workload.Dataset, label string, plan faults.Plan) (FaultPoint, error) {
+	cell := p.faultCell(skipper.FleetSpec{Faults: &plan})
+	cell.Pipeline = p.pipelineConfig()
+	res, err := cell.Run(sweepWorkload(ds))
 	if err != nil {
 		return FaultPoint{}, err
 	}
 	pt := FaultPoint{
 		Label:      label,
-		Mode:       mode,
+		Mode:       cell.Mode,
 		Makespan:   res.Makespan,
 		AvgClient:  avgElapsed(res),
 		DeviceGets: res.CSD.GetsReceived,
 		Crashes:    res.CSD.Crashes,
 		Restarts:   res.CSD.Restarts,
 	}
-	if inj != nil {
-		st := inj.Stats()
-		pt.Transient, pt.Stalls, pt.Corrupt = st.Transient, st.Stalls, st.Corrupt
+	for _, st := range res.Faults {
+		pt.Transient, pt.Stalls, pt.Corrupt = pt.Transient+st.Transient, pt.Stalls+st.Stalls, pt.Corrupt+st.Corrupt
 	}
 	for _, cs := range res.Clients {
 		pt.Retries += cs.Retries
@@ -196,25 +112,10 @@ func (p Params) measureFaults(ds *workload.Dataset, mode skipper.Mode, label str
 	return pt, nil
 }
 
-// FaultSweepData verifies the chaos gate on the v1 and v2 wire formats,
-// then measures the skipper engine (pipeline on) under increasing fault
-// rates plus the crash/restart scenario.
+// FaultSweepData measures the skipper engine (pipeline on) under
+// increasing fault rates plus the crash/restart scenario.
 func (p Params) FaultSweepData() ([]FaultPoint, error) {
-	base := p.clusteredDataset()
-	for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
-		ds, err := objstore.ReencodeDataset(base, f)
-		if err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-		if err := p.VerifyFaultsIdentical(ds); err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-	}
-	mf := p.Format
-	if mf == segment.FormatMem {
-		mf = segment.FormatV2
-	}
-	ds, err := objstore.ReencodeDataset(base, mf)
+	ds, err := p.measured()
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +127,11 @@ func (p Params) FaultSweepData() ([]FaultPoint, error) {
 		{"rate 0.2", faultPlan(0.2)},
 		{"rate 0.4", faultPlan(0.4)},
 		{"rate 0.6", faultPlan(0.6)},
-		{"crash+restart", crashPlan()},
+		{"crash+restart", *crashPlan(30 * time.Second)},
 	}
 	var out []FaultPoint
 	for _, sc := range scenarios {
-		pt, err := p.measureFaults(ds, skipper.ModeSkipper, sc.label, sc.plan)
+		pt, err := p.measureFaults(ds, sc.label, sc.plan)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.label, err)
 		}
@@ -239,7 +140,7 @@ func (p Params) FaultSweepData() ([]FaultPoint, error) {
 	return out, nil
 }
 
-// FaultReport renders FaultSweepData (`skipperbench -faults`).
+// FaultReport renders FaultSweepData (`skipperbench -report faults`).
 func (p Params) FaultReport() (*Figure, error) {
 	pts, err := p.FaultSweepData()
 	if err != nil {
@@ -277,8 +178,7 @@ func (p Params) FaultReport() (*Figure, error) {
 		})
 	}
 	f.Notes = append(f.Notes,
-		"results verified byte-identical clean vs faulted across engines, formats (v1/v2), DOP {1,4} and pipeline off/on",
-		"per client, device GETs == GETs issued - cache hits - prefetch served + prefetch issued (retries are both a client GET and a device GET)",
+		"results are held byte-identical clean vs faulted across engines, formats (v1/v2), DOP {1,4} and pipeline off/on, and GET conservation (retries are both a client GET and a device GET) is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 	)
 	return f, nil
 }

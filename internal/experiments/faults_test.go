@@ -5,10 +5,8 @@ import (
 	"time"
 )
 
-// TestFaultSweepQuick runs the full `skipperbench -faults` path at
-// quick scale: the chaos gate (clean vs faulted × engines × v1/v2 ×
-// DOP × pipeline) followed by the measurement scenarios — and asserts
-// the faulted rows actually injected, retried and degraded, and the
+// TestFaultSweepQuick runs the `skipperbench -report faults` scenarios at
+// quick scale and asserts the faulted rows actually injected, retried and degraded, and the
 // crash row crashed and recovered.
 func TestFaultSweepQuick(t *testing.T) {
 	p := Quick()

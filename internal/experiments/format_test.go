@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/engine"
+	"repro/internal/lattice"
 	"repro/internal/mjoin"
 	"repro/internal/objstore"
 	"repro/internal/segment"
@@ -57,7 +59,7 @@ func evalFormat(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode,
 	cfg := mjoin.DefaultConfig(len(spec.Join.Objects()))
 	cfg.StatsPruning = prune
 	cfg.Parallelism = dop
-	res, err := mjoin.Run(spec.Join, cfg, &immediateSource{store: ds.Store})
+	res, err := mjoin.Run(spec.Join, cfg, &scrambledSource{store: ds.Store})
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +84,7 @@ func TestFormatDifferential(t *testing.T) {
 	for _, q := range formatDiffQueries {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
-			want := map[skipper.Mode][]string{}
+			want := map[skipper.Mode][]tuple.Row{}
 			for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 				for _, f := range formats {
 					ds := datasets[f]
@@ -94,16 +96,15 @@ func TestFormatDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", label, err)
 							}
-							got := render(rows)
 							key := mode
 							if q.crossEngine {
 								key = skipper.ModeVanilla // one bucket for all runs
 							}
 							if want[key] == nil {
-								want[key] = got
+								want[key] = rows
 								continue
 							}
-							if err := equalStrings(want[key], got); err != nil {
+							if err := lattice.EqualRows(rows, want[key]); err != nil {
 								t.Fatalf("%s diverges: %v", label, err)
 							}
 						}
@@ -121,7 +122,7 @@ func TestFormatDifferential(t *testing.T) {
 func TestFormatDifferentialScrambledArrivals(t *testing.T) {
 	p := Quick()
 	base := p.clusteredDataset()
-	var want []string
+	var want []tuple.Row
 	for _, f := range []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2} {
 		ds, err := objstore.ReencodeDataset(base, f)
 		if err != nil {
@@ -138,12 +139,11 @@ func TestFormatDifferentialScrambledArrivals(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", f, seed, err)
 			}
-			got := render(rows)
 			if want == nil {
-				want = got
+				want = rows
 				continue
 			}
-			if err := equalStrings(want, got); err != nil {
+			if err := lattice.EqualRows(rows, want); err != nil {
 				t.Fatalf("%v seed %d diverges: %v", f, seed, err)
 			}
 		}
@@ -151,7 +151,7 @@ func TestFormatDifferentialScrambledArrivals(t *testing.T) {
 }
 
 // scrambledSource delivers requested objects in a deterministic shuffled
-// order.
+// order (in request order without an rng).
 type scrambledSource struct {
 	store map[segment.ObjectID]*segment.Segment
 	rng   *rand.Rand
@@ -161,7 +161,9 @@ type scrambledSource struct {
 func (s *scrambledSource) Request(objs []segment.ObjectID) {
 	order := make([]segment.ObjectID, len(objs))
 	copy(order, objs)
-	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	if s.rng != nil {
+		s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	}
 	for _, id := range order {
 		s.queue = append(s.queue, s.store[id])
 	}
@@ -209,9 +211,37 @@ func TestFormatPreservesCatalogStats(t *testing.T) {
 	}
 }
 
-// TestProjectionReportQuick exercises the `skipperbench -proj` path at
-// quick scale, including its divergence gate and the headline claims:
-// v2 must decode strictly fewer bytes than v1 on the projective probes.
+// TestReportQueriesVerify holds the queries of the pruning, selectivity
+// and projection reports to the lattice harness across every format, both
+// engines and data skipping on/off — the assertion those reports used to
+// make on the side while measuring.
+func TestReportQueriesVerify(t *testing.T) {
+	p := Quick()
+	var cells []lattice.Cell
+	for _, f := range []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2} {
+		for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
+			for _, noPrune := range []bool{false, true} {
+				cell := p.cell(mode)
+				cell.Format, cell.NoPrune = f, noPrune
+				cells = append(cells, cell)
+			}
+		}
+	}
+	queries := func(cat *catalog.Catalog) []skipper.QuerySpec {
+		specs := []skipper.QuerySpec{workload.Q5Selective(cat), workload.QProjectiveScan(cat), workload.QCountLineitem(cat)}
+		for _, w := range selectivityWindows {
+			specs = append(specs, workload.QShipdateWindow(cat, w.lo, w.hi))
+		}
+		return specs
+	}
+	if err := lattice.Verify(p.clusteredDataset(), queries, cells); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProjectionReportQuick exercises the `skipperbench -report proj` path
+// at quick scale and its headline claim: v2 must decode strictly fewer
+// bytes than v1 on the projective probes.
 func TestProjectionReportQuick(t *testing.T) {
 	p := Quick()
 	pts, err := p.ProjectionReportData()

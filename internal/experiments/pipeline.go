@@ -5,23 +5,17 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/csd"
 	"repro/internal/engine"
-	"repro/internal/layout"
 	"repro/internal/metrics"
-	"repro/internal/objstore"
-	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
 
 // This file is the evaluation of the asynchronous execution pipeline
 // (scheduler-aware prefetch + concurrent decode workers) behind
-// `skipperbench -pipeline`, which doubles as the CI divergence gate:
-// every configuration runs with the pipeline off and on, across both
-// engines, the v1/v2 wire formats, DOP and pruning, and the result
-// sets must match byte for byte. The measurement half reports two
-// different clocks — the simulated makespan (which prefetch may
+// `skipperbench -report pipeline`. (That the pipeline never changes a
+// result is the lattice harness's pipeline axis, not this report's.) It
+// reports two different clocks — the simulated makespan (which prefetch may
 // improve, by disclosing future demand to the device scheduler) and
 // real wall-clock time (which the decode workers improve, by
 // overlapping decode with compute and I/O waits).
@@ -41,100 +35,6 @@ func (p Params) pipelineConfig() *skipper.PipelineConfig {
 		DecodeWorkers: workers,
 		DecodeAhead:   2,
 	}
-}
-
-// runPipelineCluster executes the repeated-query multi-tenant workload
-// (the cache sweep's shape: cacheSweepClients tenants × cacheSweepPasses
-// passes over one shared dataset, round-robin layout) with the given
-// pipeline configuration on every client (nil = pipeline off). No
-// shared segment cache, so prefetched deliveries travel the staged
-// hand-off path.
-func (p Params) runPipelineCluster(ds *workload.Dataset, mode skipper.Mode, dop int, prune bool, pc *skipper.PipelineConfig, keep bool) (*skipper.RunResult, error) {
-	store := make(mapStore)
-	ds.MergeInto(store)
-	pr := prune
-	clients := make([]*skipper.Client, cacheSweepClients)
-	for t := range clients {
-		clients[t] = &skipper.Client{
-			Tenant:       t,
-			Mode:         mode,
-			Catalog:      ds.Catalog,
-			Queries:      workload.MultiPass(ds.Catalog, cacheSweepPasses),
-			CacheObjects: p.CacheObjects,
-			StatsPruning: &pr,
-			Parallelism:  dop,
-			KeepResults:  keep,
-			Pipeline:     pc,
-		}
-	}
-	cfg := csd.DefaultConfig()
-	cfg.GroupSwitch = p.GroupSwitch
-	cfg.Bandwidth = p.Bandwidth
-	cl := &skipper.Cluster{
-		Clients: clients,
-		Layout:  layout.RoundRobinObjects{NumGroups: cacheSweepGroups},
-		CSD:     cfg,
-		Store:   store,
-	}
-	return cl.Run()
-}
-
-// checkPipelineAccounting enforces the prefetch traffic invariant: per
-// client, the GETs the device saw equal the demand GETs not absorbed
-// locally (cache hits and staged prefetches) plus the prefetch GETs.
-func checkPipelineAccounting(res *skipper.RunResult) error {
-	for _, cs := range res.Clients {
-		device := res.CSD.GetsByTenant[cs.Tenant]
-		want := cs.GetsIssued - cs.CacheHits - cs.PrefetchServed + cs.PrefetchIssued
-		if device != want {
-			return fmt.Errorf("tenant %d: device GETs %d != issued %d - hits %d - served %d + prefetched %d",
-				cs.Tenant, device, cs.GetsIssued, cs.CacheHits, cs.PrefetchServed, cs.PrefetchIssued)
-		}
-		if cs.PrefetchUseful > cs.PrefetchIssued {
-			return fmt.Errorf("tenant %d: prefetch useful %d > issued %d",
-				cs.Tenant, cs.PrefetchUseful, cs.PrefetchIssued)
-		}
-	}
-	return nil
-}
-
-// VerifyPipelineIdentical is the divergence gate: for every combination
-// of engine mode, DOP {1,4} and pruning on/off over the given dataset,
-// the repeated-query workload must produce byte-identical results with
-// the pipeline on and off, the pipeline-on run must satisfy the GET
-// accounting invariant, and it must actually have prefetched something
-// (so the gate can never pass vacuously).
-func (p Params) VerifyPipelineIdentical(ds *workload.Dataset) error {
-	pc := p.pipelineConfig()
-	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-		for _, dop := range []int{1, 4} {
-			for _, prune := range []bool{true, false} {
-				tag := fmt.Sprintf("%s dop=%d prune=%v", mode, dop, prune)
-				on, err := p.runPipelineCluster(ds, mode, dop, prune, pc, true)
-				if err != nil {
-					return fmt.Errorf("%s pipeline on: %w", tag, err)
-				}
-				off, err := p.runPipelineCluster(ds, mode, dop, prune, nil, true)
-				if err != nil {
-					return fmt.Errorf("%s pipeline off: %w", tag, err)
-				}
-				if err := compareRunResults(on, off); err != nil {
-					return fmt.Errorf("%s: pipeline on/off results diverge: %w", tag, err)
-				}
-				if err := checkPipelineAccounting(on); err != nil {
-					return fmt.Errorf("%s: %w", tag, err)
-				}
-				issued := 0
-				for _, cs := range on.Clients {
-					issued += cs.PrefetchIssued
-				}
-				if issued == 0 {
-					return fmt.Errorf("%s: pipeline-on run issued no prefetches; gate is vacuous", tag)
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // PipelinePoint is one measured configuration of the pipeline sweep.
@@ -160,11 +60,9 @@ type PipelinePoint struct {
 
 // measurePipeline runs one configuration and digests it into a point.
 func (p Params) measurePipeline(ds *workload.Dataset, mode skipper.Mode, pc *skipper.PipelineConfig) (PipelinePoint, error) {
-	dop := p.Parallelism
-	if dop < 1 {
-		dop = 1
-	}
-	res, err := p.runPipelineCluster(ds, mode, dop, true, pc, false)
+	cell := p.cell(mode)
+	cell.Pipeline = pc
+	res, err := cell.Run(sweepWorkload(ds))
 	if err != nil {
 		return PipelinePoint{}, err
 	}
@@ -188,27 +86,11 @@ func (p Params) measurePipeline(ds *workload.Dataset, mode skipper.Mode, pc *ski
 	return pt, nil
 }
 
-// PipelineSweepData verifies the divergence gate on the v1 and v2 wire
-// formats, then measures both engines with the pipeline off and on and
-// returns the four points. Measurement uses the Params' format, except
-// that FormatMem is promoted to FormatV2 — in-memory segments have no
-// decode work, so there would be nothing for the pipeline to overlap.
+// PipelineSweepData measures both engines with the pipeline off and on
+// (no shared segment cache, so prefetched deliveries travel the staged
+// hand-off path) and returns the four points.
 func (p Params) PipelineSweepData() ([]PipelinePoint, error) {
-	base := p.clusteredDataset()
-	for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
-		ds, err := objstore.ReencodeDataset(base, f)
-		if err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-		if err := p.VerifyPipelineIdentical(ds); err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-	}
-	mf := p.Format
-	if mf == segment.FormatMem {
-		mf = segment.FormatV2
-	}
-	ds, err := objstore.ReencodeDataset(base, mf)
+	ds, err := p.measured()
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +107,7 @@ func (p Params) PipelineSweepData() ([]PipelinePoint, error) {
 	return out, nil
 }
 
-// PipelineReport renders PipelineSweepData (`skipperbench -pipeline`).
+// PipelineReport renders PipelineSweepData (`skipperbench -report pipeline`).
 func (p Params) PipelineReport() (*Figure, error) {
 	pts, err := p.PipelineSweepData()
 	if err != nil {
@@ -242,8 +124,7 @@ func (p Params) PipelineReport() (*Figure, error) {
 			"decode busy (ms)", "decode stall (ms)", "hidden (ms)", "overlap",
 		},
 		Notes: []string{
-			"results verified byte-identical pipeline on/off across engines, formats (v1/v2), DOP {1,4} and pruning on/off",
-			"per client, device GETs == GETs issued - cache hits - prefetches served + prefetches issued",
+			"results are held byte-identical pipeline on/off across engines, formats (v1/v2), DOP {1,4} and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 			"makespan/avg client are simulated time (prefetch discloses demand to the scheduler); wall/decode columns are host time (decode workers overlap decode with compute)",
 			fmt.Sprintf("host has %d CPU(s); decode overlap requires spare cores — on a single-core host decodes only run while the consumer blocks, so the overlap column reads 0%%", runtime.NumCPU()),
 		},

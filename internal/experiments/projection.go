@@ -8,18 +8,17 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/segment"
 	"repro/internal/skipper"
-	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
 // This file is the evaluation of the columnar segment format (v2) and its
-// projection pushdown: the report behind `skipperbench -proj`. Every
-// probe query runs over the same dataset encoded in FormatV1 (row-major)
-// and FormatV2 (columnar), on both engines; the report compares the
-// scan-side byte accounting (fetched / decoded / skipped-by-projection /
-// materialized) and the wall-clock decode time, and — like the pruning
-// report — it fails rather than reports if any pair of runs diverges in
-// its query results, which is what lets CI use it as a correctness gate.
+// projection pushdown: the report behind `skipperbench -report proj`.
+// Every probe query runs over the same dataset encoded in FormatV1
+// (row-major) and FormatV2 (columnar); the report compares the scan-side
+// byte accounting (fetched / decoded / skipped-by-projection /
+// materialized) and the wall-clock decode time. (That the format never
+// changes a result is the lattice harness's format axis;
+// TestReportQueriesVerify runs it over this report's queries.)
 
 // ProjectionPoint is one query × format row of the projection report.
 type ProjectionPoint struct {
@@ -80,8 +79,7 @@ func projectionSummary(spec skipper.QuerySpec) string {
 }
 
 // ProjectionReportData measures each probe query over FormatV1 and
-// FormatV2, verifying en route that both formats, both engines and
-// pruning on/off all produce byte-identical results.
+// FormatV2.
 func (p Params) ProjectionReportData() ([]ProjectionPoint, error) {
 	base := p.clusteredDataset()
 	encoded := map[segment.Format]*workload.Dataset{}
@@ -96,29 +94,8 @@ func (p Params) ProjectionReportData() ([]ProjectionPoint, error) {
 	}
 	var out []ProjectionPoint
 	for qi, q := range projQueries(encoded[segment.FormatV2]) {
-		// The specs are planned against the v2 catalog; both stores carry
-		// the same object ids and equivalent statistics, so one spec
-		// drives every run.
-		var want []string
 		for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
 			ds := encoded[f]
-			spec := projQueries(ds)[qi].spec
-			for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-				for _, prune := range []bool{true, false} {
-					rows, err := evalLocal(ds, spec, mode, prune)
-					if err != nil {
-						return nil, fmt.Errorf("%s %v %s prune=%v: %w", q.name, f, mode, prune, err)
-					}
-					got := render(rows)
-					if want == nil {
-						want = got
-						continue
-					}
-					if err := equalStrings(want, got); err != nil {
-						return nil, fmt.Errorf("%s: %v %s prune=%v diverges: %w", q.name, f, mode, prune, err)
-					}
-				}
-			}
 			pt, err := measureProjection(ds, projQueries(ds)[qi].spec, q.name, f)
 			if err != nil {
 				return nil, err
@@ -162,8 +139,8 @@ func measureProjection(ds *workload.Dataset, spec skipper.QuerySpec, name string
 	return pt, nil
 }
 
-// ProjectionReport renders ProjectionReportData (the `skipperbench -proj`
-// output).
+// ProjectionReport renders ProjectionReportData (the `skipperbench -report
+// proj` output).
 func (p Params) ProjectionReport() (*Figure, error) {
 	pts, err := p.ProjectionReportData()
 	if err != nil {
@@ -174,7 +151,7 @@ func (p Params) ProjectionReport() (*Figure, error) {
 		Title:   "Scan-side decode bytes and time, row-major (v1) vs columnar (v2) segments (date-clustered dataset, pull engine)",
 		Columns: []string{"query", "format", "projection", "fetched B", "decoded B", "skipped B", "skipped", "materialized B", fmt.Sprintf("decode ms (%d reps)", projReps)},
 		Notes: []string{
-			"results verified byte-identical across v1/v2 formats, both engines, pruning on/off",
+			"results are held byte-identical across v1/v2 formats, both engines, pruning on/off, by the lattice harness (go test ./internal/experiments -run TestReportQueriesVerify)",
 			"skipped B = encoded column-block bytes projection pushdown never decoded (v1 must always decode whole segments)",
 		},
 	}
@@ -198,26 +175,4 @@ func (p Params) ProjectionReport() (*Figure, error) {
 		}
 	}
 	return f, nil
-}
-
-// render stringifies rows for comparison.
-func render(rows []tuple.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = r.String()
-	}
-	return out
-}
-
-// equalStrings requires two rendered result sets to match positionally.
-func equalStrings(a, b []string) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("%d rows vs %d rows", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("row %d: %s vs %s", i, a[i], b[i])
-		}
-	}
-	return nil
 }

@@ -5,194 +5,22 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/csd"
-	"repro/internal/faults"
 	"repro/internal/layout"
-	"repro/internal/objstore"
-	"repro/internal/segcache"
-	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
 
 // This file is the evaluation of the multi-device fleet behind
-// `skipperbench -scale`, which doubles as the CI scale-out gate: the
-// repeated-query multi-tenant workload must produce byte-identical
-// results on 1, 2 and 4 devices, with and without replication, across
-// both engines, the v1/v2 wire formats and DOP {1,4}, and the
-// per-device GET-conservation invariant must hold on every clean run.
-// The measurement half reports the makespan at each fleet size, then
-// crashes device 0 of a two-device fleet and compares the degradation
-// with and without hot replication — the replicated fleet must fail
-// over (zero failed queries under a permanent crash) and degrade
-// strictly less than the unreplicated one.
-
-// scaleSpec is one fleet configuration of the scale-out gate or sweep.
-type scaleSpec struct {
-	// devices is the fleet size; 1 runs the classic single-CSD path.
-	devices int
-	// rep is the replication policy (meaningful with devices > 1).
-	rep layout.Replication
-	// plan is the fault plan for device 0; the crash is confined there
-	// so a replicated fleet always has a live side. A zero plan runs
-	// the fleet clean.
-	plan faults.Plan
-	// pipeline toggles the async pipeline. The gate runs it on (the
-	// prefetcher's device fan-out is under test); the sweep runs it off
-	// so a crash is recovered on the demand path — the prefetcher
-	// quietly re-routes around a dead device, which would hide the
-	// failovers the sweep measures.
-	pipeline bool
-}
-
-func (sp scaleSpec) String() string {
-	s := fmt.Sprintf("%dx %s", sp.devices, sp.rep)
-	if sp.plan.Enabled() {
-		s += " faulted"
-	}
-	return s
-}
-
-// runScaleCluster executes the repeated-query multi-tenant workload
-// (the cache sweep's shape) against the given fleet. Faults land on
-// device 0 only; the returned injectors are whatever the spec
-// installed.
-func (p Params) runScaleCluster(ds *workload.Dataset, mode skipper.Mode, dop int, sp scaleSpec, keep bool) (*skipper.RunResult, []*faults.Injector, error) {
-	store := make(mapStore)
-	ds.MergeInto(store)
-	prune := true
-	var pc *skipper.PipelineConfig
-	if sp.pipeline {
-		pc = p.pipelineConfig()
-	}
-	clients := make([]*skipper.Client, cacheSweepClients)
-	for t := range clients {
-		clients[t] = &skipper.Client{
-			Tenant:       t,
-			Mode:         mode,
-			Catalog:      ds.Catalog,
-			Queries:      workload.MultiPass(ds.Catalog, cacheSweepPasses),
-			CacheObjects: p.CacheObjects,
-			StatsPruning: &prune,
-			Parallelism:  dop,
-			KeepResults:  keep,
-			Pipeline:     pc,
-			Retry:        faultRetryPolicy(),
-		}
-	}
-	cfg := csd.DefaultConfig()
-	cfg.GroupSwitch = p.GroupSwitch
-	cfg.Bandwidth = p.Bandwidth
-	cl := &skipper.Cluster{
-		Clients:     clients,
-		Layout:      layout.RoundRobinObjects{NumGroups: cacheSweepGroups},
-		Store:       store,
-		SharedCache: segcache.NewObjects(p.CacheObjects),
-	}
-	var injs []*faults.Injector
-	if sp.devices <= 1 {
-		if sp.plan.Enabled() {
-			inj, err := faults.New(sp.plan)
-			if err != nil {
-				return nil, nil, err
-			}
-			cfg.Faults = inj
-			injs = append(injs, inj)
-		}
-		cl.CSD = cfg
-	} else {
-		cl.Devices = make([]csd.Config, sp.devices)
-		cl.Replication = sp.rep
-		for d := range cl.Devices {
-			dc := cfg
-			dc.Faults = nil
-			plan := sp.plan
-			if d > 0 {
-				plan.CrashAt, plan.CrashDowntime = 0, 0
-			}
-			if plan.Enabled() {
-				inj, err := faults.New(plan)
-				if err != nil {
-					return nil, nil, err
-				}
-				dc.Faults = inj
-				injs = append(injs, inj)
-			}
-			cl.Devices[d] = dc
-		}
-	}
-	res, err := cl.Run()
-	return res, injs, err
-}
-
-// checkFleetAccounting enforces the per-device GET-conservation
-// invariant of a clean run: for every device d and tenant t, the GETs
-// device d attributed to tenant t equal the demand GETs the tenant's
-// proxy routed to d plus the prefetcher's GETs on its behalf. It also
-// requires every device to have seen traffic, so a placement bug that
-// funnels the whole workload through one device cannot pass vacuously.
-func checkFleetAccounting(res *skipper.RunResult) error {
-	for d, st := range res.Devices {
-		for _, cs := range res.Clients {
-			want := cs.DeviceGets[d] + cs.PrefetchDeviceGets[d]
-			if st.GetsByTenant[cs.Tenant] != want {
-				return fmt.Errorf("device %d tenant %d: device saw %d GETs, client ledgers say %d (demand %d + prefetch %d)",
-					d, cs.Tenant, st.GetsByTenant[cs.Tenant], want, cs.DeviceGets[d], cs.PrefetchDeviceGets[d])
-			}
-		}
-		if st.GetsReceived == 0 {
-			return fmt.Errorf("device %d received no GETs; the fleet gate is vacuous", d)
-		}
-	}
-	return nil
-}
-
-// VerifyScaleIdentical is the scale-out gate: for both engine modes and
-// DOP {1,4} over the given dataset, the workload must produce
-// byte-identical results on a single device and on every fleet
-// configuration (2 devices, 2 devices + hot replication, 4 devices,
-// 4 devices + full replication), satisfy per-device GET conservation,
-// leave no cache pins behind, and route traffic to every device.
-func (p Params) VerifyScaleIdentical(ds *workload.Dataset) error {
-	fleets := []scaleSpec{
-		{devices: 2, pipeline: true},
-		{devices: 2, rep: layout.Replication{Kind: layout.ReplicateHot}, pipeline: true},
-		{devices: 4, pipeline: true},
-		{devices: 4, rep: layout.Replication{Kind: layout.ReplicateFull}, pipeline: true},
-	}
-	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-		for _, dop := range []int{1, 4} {
-			tag := fmt.Sprintf("%s dop=%d", mode, dop)
-			base, _, err := p.runScaleCluster(ds, mode, dop, scaleSpec{devices: 1, pipeline: true}, true)
-			if err != nil {
-				return fmt.Errorf("%s single device: %w", tag, err)
-			}
-			if err := checkFleetAccounting(base); err != nil {
-				return fmt.Errorf("%s single device: %w", tag, err)
-			}
-			for _, sp := range fleets {
-				ftag := fmt.Sprintf("%s %s", tag, sp)
-				res, _, err := p.runScaleCluster(ds, mode, dop, sp, true)
-				if err != nil {
-					return fmt.Errorf("%s: %w", ftag, err)
-				}
-				if len(res.Devices) != sp.devices {
-					return fmt.Errorf("%s: %d device stat blocks, want %d", ftag, len(res.Devices), sp.devices)
-				}
-				if err := compareRunResults(res, base); err != nil {
-					return fmt.Errorf("%s: fleet results diverge from single device: %w", ftag, err)
-				}
-				if err := checkFleetAccounting(res); err != nil {
-					return fmt.Errorf("%s: %w", ftag, err)
-				}
-				if res.Cache != nil && res.Cache.PinnedBytes != 0 {
-					return fmt.Errorf("%s: %d bytes still pinned after the run", ftag, res.Cache.PinnedBytes)
-				}
-			}
-		}
-	}
-	return nil
-}
+// `skipperbench -report scale`. (That a fleet never changes a result, and
+// that GET conservation holds per device, is the lattice harness's fleet
+// axis, not this report's.) It reports the makespan at each fleet size,
+// then crashes device 0 of a two-device fleet and compares the
+// degradation with and without hot replication — the replicated fleet
+// must fail over (zero failed queries under a permanent crash) and
+// degrade strictly less than the unreplicated one. The sweep runs with
+// the pipeline off so a crash is recovered on the demand path — the
+// prefetcher quietly re-routes around a dead device, which would hide the
+// failovers the sweep measures.
 
 // ScalePoint is one measured configuration of the scale-out sweep.
 type ScalePoint struct {
@@ -216,19 +44,15 @@ type ScalePoint struct {
 }
 
 // measureScale runs one scenario and digests it into a point.
-func (p Params) measureScale(ds *workload.Dataset, label string, sp scaleSpec) (ScalePoint, error) {
-	dop := p.Parallelism
-	if dop < 1 {
-		dop = 1
-	}
-	res, _, err := p.runScaleCluster(ds, skipper.ModeSkipper, dop, sp, false)
+func (p Params) measureScale(ds *workload.Dataset, label string, fleet skipper.FleetSpec) (ScalePoint, error) {
+	res, err := p.faultCell(fleet).Run(sweepWorkload(ds))
 	if err != nil {
 		return ScalePoint{}, err
 	}
 	pt := ScalePoint{
 		Label:     label,
-		Devices:   sp.devices,
-		Rep:       sp.rep,
+		Devices:   len(res.Devices),
+		Rep:       fleet.Replication,
 		Makespan:  res.Makespan,
 		AvgClient: avgElapsed(res),
 	}
@@ -244,35 +68,14 @@ func (p Params) measureScale(ds *workload.Dataset, label string, sp scaleSpec) (
 	return pt, nil
 }
 
-// scaleCrashPlan is the sweep's device-0 crash: the device dies at 60 s
-// of simulated time and restarts after downtime (0 = never).
-func scaleCrashPlan(downtime time.Duration) faults.Plan {
-	return faults.Plan{Seed: faultSweepSeed, CrashAt: 60 * time.Second, CrashDowntime: downtime}
-}
-
-// ScaleSweepData verifies the scale-out gate on the v1 and v2 wire
-// formats, then measures the skipper engine on growing fleets and under
-// a device-0 crash with and without hot replication. Beyond the gate it
-// enforces the failover criteria: the replicated crash runs must
-// actually fail over, the permanently-crashed replicated fleet must
-// finish every query, and hot replication must degrade strictly less
-// than the unreplicated crash+restart fleet.
+// ScaleSweepData measures the skipper engine on growing fleets and under
+// a device-0 crash with and without hot replication, and enforces the
+// failover criteria: the replicated crash runs must actually fail over,
+// the permanently-crashed replicated fleet must finish every query, and
+// hot replication must degrade strictly less than the unreplicated
+// crash+restart fleet.
 func (p Params) ScaleSweepData() ([]ScalePoint, error) {
-	base := p.clusteredDataset()
-	for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
-		ds, err := objstore.ReencodeDataset(base, f)
-		if err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-		if err := p.VerifyScaleIdentical(ds); err != nil {
-			return nil, fmt.Errorf("format %v: %w", f, err)
-		}
-	}
-	mf := p.Format
-	if mf == segment.FormatMem {
-		mf = segment.FormatV2
-	}
-	ds, err := objstore.ReencodeDataset(base, mf)
+	ds, err := p.measured()
 	if err != nil {
 		return nil, err
 	}
@@ -283,19 +86,19 @@ func (p Params) ScaleSweepData() ([]ScalePoint, error) {
 	const outage = 120 * time.Second
 	scenarios := []struct {
 		label string
-		spec  scaleSpec
+		fleet skipper.FleetSpec
 	}{
-		{"1 device", scaleSpec{devices: 1}},
-		{"2 devices", scaleSpec{devices: 2}},
-		{"4 devices", scaleSpec{devices: 4}},
-		{"2 devices hot repl", scaleSpec{devices: 2, rep: hot}},
-		{"2 devices, d0 down 120s", scaleSpec{devices: 2, plan: scaleCrashPlan(outage)}},
-		{"2 devices hot repl, d0 down 120s", scaleSpec{devices: 2, rep: hot, plan: scaleCrashPlan(outage)}},
-		{"2 devices hot repl, d0 dead", scaleSpec{devices: 2, rep: hot, plan: scaleCrashPlan(0)}},
+		{"1 device", skipper.FleetSpec{N: 1}},
+		{"2 devices", skipper.FleetSpec{N: 2}},
+		{"4 devices", skipper.FleetSpec{N: 4}},
+		{"2 devices hot repl", skipper.FleetSpec{N: 2, Replication: hot}},
+		{"2 devices, d0 down 120s", skipper.FleetSpec{N: 2, Faults: crashPlan(outage)}},
+		{"2 devices hot repl, d0 down 120s", skipper.FleetSpec{N: 2, Replication: hot, Faults: crashPlan(outage)}},
+		{"2 devices hot repl, d0 dead", skipper.FleetSpec{N: 2, Replication: hot, Faults: crashPlan(0)}},
 	}
 	pts := make([]ScalePoint, 0, len(scenarios))
 	for _, sc := range scenarios {
-		pt, err := p.measureScale(ds, sc.label, sc.spec)
+		pt, err := p.measureScale(ds, sc.label, sc.fleet)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", sc.label, err)
 		}
@@ -320,7 +123,7 @@ func (p Params) ScaleSweepData() ([]ScalePoint, error) {
 	return pts, nil
 }
 
-// ScaleReport renders ScaleSweepData (`skipperbench -scale`).
+// ScaleReport renders ScaleSweepData (`skipperbench -report scale`).
 func (p Params) ScaleReport() (*Figure, error) {
 	pts, err := p.ScaleSweepData()
 	if err != nil {
@@ -376,8 +179,7 @@ func (p Params) ScaleReport() (*Figure, error) {
 		})
 	}
 	f.Notes = append(f.Notes,
-		"results verified byte-identical 1 vs 2 vs 4 devices × replication (none/hot/full) across engines, formats (v1/v2) and DOP {1,4}",
-		"per device and tenant, GETs the device attributes to the tenant == the tenant's demand GETs routed there + prefetch GETs on its behalf",
+		"results are held byte-identical 1 vs 2 vs 4 devices × replication (none/hot/full) across engines, formats (v1/v2) and DOP {1,4}, and per-device GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 		"crash rows: device 0 dies at 60s; 'd0 dead' never restarts — hot replication finished every query by failing over, and its outage degradation (vs its own clean fleet) is gated strictly below the unreplicated fleet's",
 	)
 	return f, nil

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/lattice"
 	"repro/internal/layout"
 	"repro/internal/skipper"
 	"repro/internal/workload"
@@ -241,9 +242,8 @@ func (p Params) Figure8() (*Figure, error) {
 func (p Params) Figure8Data() (map[string]Figure8Point, error) {
 	out := make(map[string]Figure8Point)
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-		store := make(mapStore)
+		w := lattice.Workload{Store: make(mapStore)}
 		names := []string{"TPC-H", "MR-Bench", "NREF", "SSB"}
-		var clients []*skipper.Client
 		for t := 0; t < 4; t++ {
 			var ds *workload.Dataset
 			var qs []skipper.QuerySpec
@@ -261,19 +261,14 @@ func (p Params) Figure8Data() (map[string]Figure8Point, error) {
 				ds = workload.SSB(t, workload.SSBConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
 				qs = []skipper.QuerySpec{workload.SSBQ1(ds.Catalog)}
 			}
-			ds.MergeInto(store)
+			ds.MergeInto(w.Store)
 			var rep []skipper.QuerySpec
 			for r := 0; r < 5; r++ {
 				rep = append(rep, qs...)
 			}
-			clients = append(clients, &skipper.Client{
-				Tenant: t, Mode: mode, Catalog: ds.Catalog,
-				Queries: rep, CacheObjects: p.CacheObjects,
-				Parallelism: p.Parallelism,
-			})
+			w.Tenants = append(w.Tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: rep})
 		}
-		cl := &skipper.Cluster{Clients: clients, Store: store}
-		res, err := cl.Run()
+		res, err := p.cell(mode).Run(w)
 		if err != nil {
 			return nil, err
 		}

@@ -8,8 +8,7 @@ import (
 
 // TestSelectivitySweep: narrowing the predicate window must
 // monotonically-ish increase skipping; the widest window skips nothing
-// beyond empties; every point's results are verified identical inside
-// the sweep itself.
+// beyond empties.
 func TestSelectivitySweep(t *testing.T) {
 	p := Quick()
 	pts, err := p.SelectivitySweepData()
@@ -34,7 +33,7 @@ func TestSelectivitySweep(t *testing.T) {
 	}
 }
 
-// TestPruneReport: the -prune gate must cover both engines and both
+// TestPruneReport: the pruning report must cover both engines and both
 // workloads, and show a strict request reduction on each.
 func TestPruneReport(t *testing.T) {
 	p := Quick()

@@ -97,7 +97,7 @@ func TestChaosSoakServesCleanResults(t *testing.T) {
 	cfg := servingConfig(t)
 	cfg.Admission = AdmissionConfig{Slots: 2, TenantSlots: 1, QueueDepth: 16}
 	cfg.Tracing = true
-	cfg.Faults = chaosServerPlan()
+	cfg.Fleet.Faults = chaosServerPlan()
 	cfg.Retry = chaosServerRetry()
 	s, err := New(cfg)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestChaosRetriesSurfaceInFrames(t *testing.T) {
 	// Demand-path-only (no prefetcher) so every injected transient is a
 	// proxy retry rather than a silently dropped prefetch candidate.
 	cfg.Pipeline = nil
-	cfg.Faults = chaosServerPlan()
+	cfg.Fleet.Faults = chaosServerPlan()
 	cfg.Retry = chaosServerRetry()
 	s, addr := startServer(t, cfg)
 	c := dialServer(t, addr)
@@ -225,7 +225,7 @@ func TestChaosRetriesSurfaceInFrames(t *testing.T) {
 // completes entirely from memory. Other tenants are untouched.
 func TestPermanentCrashDegradesGracefully(t *testing.T) {
 	cfg := servingConfig(t)
-	cfg.Faults = &faults.Plan{Seed: 7, CrashAt: 15 * time.Second}
+	cfg.Fleet.Faults = &faults.Plan{Seed: 7, CrashAt: 15 * time.Second}
 	s, addr := startServer(t, cfg)
 	want := strings.Join(directRows(t, s, servingQuery), "\n")
 

@@ -15,10 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/csd"
 	"repro/internal/engine"
-	"repro/internal/faults"
-	"repro/internal/layout"
 	"repro/internal/metrics"
 	"repro/internal/segcache"
 	"repro/internal/segment"
@@ -52,23 +49,15 @@ type Config struct {
 	// Pipeline, when non-nil, enables the PR 6 async pipeline (prefetch
 	// + decode workers) for every query run.
 	Pipeline *skipper.PipelineConfig
-	// Devices is the CSD fleet size every query runs against (default 1,
-	// the classic single-device testbed). With more than one device, disk
-	// groups spread across the fleet and GETs fan out per placement.
-	Devices int
-	// Replication selects which objects live on more than one device of
-	// a fleet (see layout.ParseReplication): "none", the hottest N, or
-	// all. Replicas absorb load and take over when a device crashes.
-	// Ignored with Devices <= 1.
-	Replication layout.Replication
-	// Faults, when non-nil, runs every query against a device injecting
-	// this fault plan. Each query run builds a fresh injector from the
-	// plan — fault decisions are a pure function of (seed, object,
-	// attempt), so every query sees the same deterministic schedule on
-	// its own virtual clock regardless of serving concurrency, and a
-	// crash window hits each affected query at the same point of its own
-	// run while other queries and tenants keep serving.
-	Faults *faults.Plan
+	// Fleet is the device fleet every query runs against: its size,
+	// replication and fault plan (the zero value is one clean default
+	// device). Every query run expands it afresh — fault decisions are a
+	// pure function of (seed, object, attempt), so every query sees the
+	// same deterministic schedule on its own virtual clock regardless of
+	// serving concurrency, and a crash window hits each affected query at
+	// the same point of its own run while other queries and tenants keep
+	// serving.
+	Fleet skipper.FleetSpec
 	// Retry overrides the per-query fault-recovery policy (nil uses
 	// skipper.DefaultRetryPolicy).
 	Retry *skipper.RetryPolicy
@@ -172,10 +161,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dataset == nil {
 		return nil, fmt.Errorf("server: config has no dataset")
 	}
-	if cfg.Faults != nil {
-		if err := cfg.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
+	if err := cfg.Fleet.Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 8
@@ -473,12 +460,7 @@ func (s *Server) registerTenantMetrics(tenant int, ts *tenantState) {
 }
 
 // numDevices resolves the configured fleet size (at least one).
-func (s *Server) numDevices() int {
-	if s.cfg.Devices > 1 {
-		return s.cfg.Devices
-	}
-	return 1
-}
+func (s *Server) numDevices() int { return max(s.cfg.Fleet.N, 1) }
 
 // runQuery is the serving path: plan, admit, execute, account. Traced
 // queries (request trace:true or Config.Tracing) record a span per
@@ -645,61 +627,27 @@ func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec 
 		Ctx:          ctx,
 		QTrace:       qt,
 	}
-	cl := &skipper.Cluster{Clients: []*skipper.Client{client}, Store: s.store}
-	var injs []*faults.Injector
-	mkInjector := func(device int) *faults.Injector {
-		// Fresh per query and per device: fault decisions are a pure
-		// function of (seed, object, attempt), so every query sees the
-		// same deterministic schedule on its own virtual clock.
-		plan := *s.cfg.Faults
-		if device > 0 {
-			// Crashes are confined to device 0: a replicated fleet then
-			// always has a live side to fail over to, which is the failure
-			// mode the scale-out experiments measure. Transient and
-			// corruption rates apply on every device.
-			plan.CrashAt, plan.CrashDowntime = 0, 0
-		}
-		inj := faults.MustNew(plan)
-		injs = append(injs, inj)
-		return inj
+	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Fleet: s.cfg.Fleet, Store: s.store}).Run()
+	if res == nil {
+		return nil, nil, err
 	}
-	if n := s.numDevices(); n > 1 {
-		cl.Devices = make([]csd.Config, n)
-		cl.Replication = s.cfg.Replication
-		if s.cfg.Faults != nil {
-			for d := range cl.Devices {
-				cl.Devices[d].Faults = mkInjector(d)
-			}
-		}
-	} else if s.cfg.Faults != nil {
-		cl.CSD = csd.Config{Faults: mkInjector(0)}
-	}
-	res, err := cl.Run()
 	// Fault accounting covers failed runs too — a query that exhausted
 	// its retries still observed every one of them.
-	cs := client.Stats()
+	cs := res.Clients[0]
 	ts.retries.Add(int64(cs.Retries))
 	ts.corruptSegments.Add(int64(cs.CorruptDeliveries))
 	ts.failovers.Add(int64(cs.Failovers))
 	for d, n := range cs.DeviceGets {
-		if d < len(ts.deviceGets) {
-			ts.deviceGets[d].Add(int64(n))
-		}
+		ts.deviceGets[d].Add(int64(n))
 	}
 	for d, n := range cs.PrefetchDeviceGets {
-		if d < len(ts.devicePrefetchGets) {
-			ts.devicePrefetchGets[d].Add(int64(n))
-		}
+		ts.devicePrefetchGets[d].Add(int64(n))
 	}
-	for _, inj := range injs {
-		ts.faultsInjected.Add(inj.Stats().Injected())
+	for _, st := range res.Faults {
+		ts.faultsInjected.Add(st.Injected())
 	}
-	if res != nil {
-		for d, st := range res.Devices {
-			if d < len(ts.deviceCrashes) {
-				ts.deviceCrashes[d].Add(int64(st.Crashes))
-			}
-		}
+	for d, st := range res.Devices {
+		ts.deviceCrashes[d].Add(int64(st.Crashes))
 	}
 	if err != nil {
 		return nil, nil, err

@@ -123,7 +123,7 @@ func TestErrorTaxonomyOverWire(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := servingConfig(t)
-			cfg.Faults = tc.faults
+			cfg.Fleet.Faults = tc.faults
 			cfg.Retry = tc.retry
 			_, addr := startServer(t, cfg)
 			c := dialServer(t, addr)

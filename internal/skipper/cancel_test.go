@@ -14,34 +14,22 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/layout"
-	"repro/internal/segcache"
-	"repro/internal/segment"
+	"repro/internal/lattice"
 	"repro/internal/skipper"
-	"repro/internal/workload"
 )
 
-// runCanceled executes the 2-pass probe workload on one client bound to
-// ctx, with the full pipeline (prefetch + decode workers) and a shared
-// cache so every drain path is armed.
-func runCanceled(t *testing.T, ctx context.Context, mode skipper.Mode) (*skipper.RunResult, *segcache.Cache, error) {
+// runCanceled executes the probe workload on one client bound to ctx,
+// with the full pipeline (prefetch + decode workers) and a shared cache
+// so every drain path is armed.
+func runCanceled(t *testing.T, ctx context.Context, mode skipper.Mode) (*skipper.RunResult, *skipper.Cluster, error) {
 	t.Helper()
-	ds := sharedDataset(t, segment.FormatV2)
-	store := make(map[segment.ObjectID]*segment.Segment)
-	ds.MergeInto(store)
-	shared := segcache.NewObjects(len(ds.Catalog.AllObjects()))
-	cl := &skipper.Cluster{
-		Clients: []*skipper.Client{{
-			Tenant: 0, Mode: mode, Catalog: ds.Catalog,
-			Queries: workload.MultiPass(ds.Catalog, 2), CacheObjects: 6,
-			Pipeline: pipelineOn(), Ctx: ctx, KeepResults: true,
-		}},
-		Layout:      layout.RoundRobinObjects{NumGroups: 3},
-		Store:       store,
-		SharedCache: shared,
-	}
+	p := newProbe(t)
+	cell := p.cell
+	cell.Mode, cell.Pipeline = mode, lattice.PipelineOn()
+	cl := p.cluster(cell, 1)
+	cl.Clients[0].Ctx = ctx
 	res, err := cl.Run()
-	return res, shared, err
+	return res, cl, err
 }
 
 // TestClientContextExpiredDrains: a context that is already expired
@@ -54,17 +42,11 @@ func TestClientContextExpiredDrains(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 			defer cancel()
-			_, shared, err := runCanceled(t, ctx, mode)
-			if err == nil {
-				t.Fatal("expired context did not abort the run")
-			}
+			_, cl, err := runCanceled(t, ctx, mode)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("error %v does not wrap context.DeadlineExceeded", err)
 			}
-			if st := shared.Stats(); st.PinnedBytes != 0 {
-				t.Fatalf("aborted run left %d bytes pinned in the cache", st.PinnedBytes)
-			}
-			requireGoroutinesSettle(t, baseline)
+			requireDrained(t, cl, baseline)
 		})
 	}
 }
@@ -82,14 +64,11 @@ func TestClientContextCancelMidRunDrains(t *testing.T) {
 			timer := time.AfterFunc(delay, cancel)
 			defer timer.Stop()
 			defer cancel()
-			_, shared, err := runCanceled(t, ctx, skipper.ModeSkipper)
+			_, cl, err := runCanceled(t, ctx, skipper.ModeSkipper)
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("error %v does not wrap context.Canceled", err)
 			}
-			if st := shared.Stats(); st.PinnedBytes != 0 {
-				t.Fatalf("canceled run left %d bytes pinned in the cache", st.PinnedBytes)
-			}
-			requireGoroutinesSettle(t, baseline)
+			requireDrained(t, cl, baseline)
 		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/csd"
 	"repro/internal/engine"
+	"repro/internal/faults"
 	"repro/internal/layout"
 	"repro/internal/mjoin"
 	"repro/internal/segcache"
@@ -22,23 +23,10 @@ import (
 type Cluster struct {
 	Clients []*Client
 	Layout  layout.Policy
-	// CSD configures the device of a single-device cluster (the classic
-	// testbed). Ignored when Devices is non-empty.
-	CSD csd.Config
-	// Devices, when non-empty, runs a fleet: one CSD per config, with
-	// disk groups spread across devices (primary device = group mod fleet
-	// size) and objects optionally replicated per Replication. Each
-	// config's ID is overwritten with its index; a config with a nil
-	// Scheduler is completed from csd.DefaultConfig, keeping its Events
-	// and Faults, exactly like the single-device path.
-	Devices []csd.Config
-	// Replication selects which objects of a fleet live on more than one
-	// device: none (the default), the hottest N by demanded-segment count
-	// (layout.ReplicateHot), or all (layout.ReplicateFull). A replica
-	// serves GETs when the chooser prefers it and takes over when the
-	// primary's device crashes. No effect on a single device.
-	Replication layout.Replication
-	Costs       Costs
+	// Fleet describes the devices the clients share. The zero value is
+	// the classic testbed: one default device, no faults.
+	Fleet FleetSpec
+	Costs Costs
 	// Store backs every tenant's objects.
 	Store map[segment.ObjectID]*segment.Segment
 	// SharedCache, when non-nil, is one segment cache shared by every
@@ -48,8 +36,6 @@ type Cluster struct {
 	// with its own SegCache opts out of the shared instance. Segments are
 	// immutable, so cross-tenant sharing never changes query results.
 	SharedCache *segcache.Cache
-	// Trace, if non-nil, receives simulator trace lines.
-	Trace func(at time.Duration, format string, args ...any)
 	// Events, if non-nil, receives structured trace events (query spans
 	// from the clients; GETs, deliveries and switches from the CSD).
 	Events *trace.Log
@@ -63,7 +49,10 @@ type RunResult struct {
 	CSD csd.Stats
 	// Devices holds each device's own statistics, indexed by device id.
 	// One entry for a single-device cluster (then identical to CSD).
-	Devices  []csd.Stats
+	Devices []csd.Stats
+	// Faults holds what each device's injector actually injected, indexed
+	// by device id; nil when the fleet ran without a fault plan.
+	Faults   []faults.Stats
 	Makespan time.Duration
 	// Wall is the real (hardware) time the simulation took end to end —
 	// the wall-clock measurement mode's headline number. Virtual quantities
@@ -74,10 +63,18 @@ type RunResult struct {
 	// cluster ran without a SharedCache. Clients with private SegCache
 	// instances report through their own caches instead.
 	Cache *segcache.Stats
+	// sharedHits is what Cache.Hits must have grown by during the run:
+	// the cache hits of the clients that used the shared cache.
+	// cacheHitsBefore is the cache's hit count when the run began.
+	sharedHits, cacheHitsBefore int64
 }
 
 // Run executes every client's workload to completion and returns the
-// gathered statistics.
+// gathered statistics. When a client's workload fails, the run's error
+// comes with the result gathered up to the failure — device, fault and
+// client counters of a query that, say, exhausted its retries are as
+// real as a successful one's. A nil result means the run never started
+// or the simulation itself broke.
 func (cl *Cluster) Run() (*RunResult, error) {
 	if len(cl.Clients) == 0 {
 		return nil, fmt.Errorf("skipper: cluster has no clients")
@@ -88,20 +85,9 @@ func (cl *Cluster) Run() (*RunResult, error) {
 	if cl.Costs == (Costs{}) {
 		cl.Costs = DefaultCosts()
 	}
-	devCfgs := append([]csd.Config(nil), cl.Devices...)
-	if len(devCfgs) == 0 {
-		devCfgs = []csd.Config{cl.CSD}
-	}
-	for i := range devCfgs {
-		if devCfgs[i].Scheduler == nil {
-			def := csd.DefaultConfig()
-			def.Events, def.Faults = devCfgs[i].Events, devCfgs[i].Faults
-			devCfgs[i] = def
-		}
-		devCfgs[i].ID = i
-		if cl.Events != nil && devCfgs[i].Events == nil {
-			devCfgs[i].Events = cl.Events
-		}
+	devCfg, n, plan, err := cl.Fleet.resolve(cl.Events)
+	if err != nil {
+		return nil, err
 	}
 	tenants := make([]layout.TenantObjects, len(cl.Clients))
 	for i, c := range cl.Clients {
@@ -112,25 +98,28 @@ func (cl *Cluster) Run() (*RunResult, error) {
 		return nil, fmt.Errorf("skipper: layout: %w", err)
 	}
 	var heat map[segment.ObjectID]int
-	if cl.Replication.Kind == layout.ReplicateHot {
+	if cl.Fleet.Replication.Kind == layout.ReplicateHot {
 		heat = demandHeat(cl.Clients)
 	}
-	place, err := layout.BuildPlacement(assign, len(devCfgs), cl.Replication, heat)
+	place, err := layout.BuildPlacement(assign, n, cl.Fleet.Replication, heat)
 	if err != nil {
 		return nil, fmt.Errorf("skipper: placement: %w", err)
 	}
 
 	sim := vtime.NewSim()
-	if cl.Trace != nil {
-		sim.SetTracer(cl.Trace)
-	}
-	devs := make([]*csd.CSD, len(devCfgs))
-	for i, cfg := range devCfgs {
+	devs := make([]*csd.CSD, n)
+	var injs []*faults.Injector
+	for i := range devs {
 		da, err := place.DeviceAssignment(i)
 		if err != nil {
 			return nil, fmt.Errorf("skipper: device %d: %w", i, err)
 		}
-		devs[i] = csd.New(sim, cfg, cl.Store, da)
+		devCfg.ID = i
+		if plan != nil {
+			injs = append(injs, deviceInjector(*plan, i))
+			devCfg.Faults = injs[i]
+		}
+		devs[i] = csd.New(sim, devCfg, cl.Store, da)
 		devs[i].Start()
 	}
 	fl := newDeviceChooser(devs, place)
@@ -154,17 +143,20 @@ func (cl *Cluster) Run() (*RunResult, error) {
 			dev.Shutdown(p)
 		}
 	})
+	res := &RunResult{}
+	if cl.SharedCache != nil {
+		res.cacheHitsBefore = cl.SharedCache.Stats().Hits
+	}
 	wall := vtime.NewWall()
 	if err := sim.Run(); err != nil {
 		return nil, fmt.Errorf("skipper: simulation: %w", err)
 	}
-	elapsed := wall.Now()
-	if runErr != nil {
-		return nil, runErr
-	}
-	res := &RunResult{Makespan: sim.Now(), Wall: elapsed}
+	res.Makespan, res.Wall = sim.Now(), wall.Now()
 	for _, dev := range devs {
 		res.Devices = append(res.Devices, dev.Stats())
+	}
+	for _, inj := range injs {
+		res.Faults = append(res.Faults, inj.Stats())
 	}
 	if len(devs) == 1 {
 		res.CSD = res.Devices[0]
@@ -183,8 +175,11 @@ func (cl *Cluster) Run() (*RunResult, error) {
 		// issued; fold the clients' accounting into the device stats so
 		// served and avoided traffic read side by side.
 		res.CSD.GetsAvoided += c.stats.SegmentsSkipped
+		if c.SegCache == nil {
+			res.sharedHits += int64(c.stats.CacheHits)
+		}
 	}
-	return res, nil
+	return res, runErr
 }
 
 // runClient executes one client's query sequence. With c.Pipeline set

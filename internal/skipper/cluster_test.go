@@ -112,9 +112,32 @@ func TestConservationLaws(t *testing.T) {
 	}
 }
 
+// TestModeString: names round-trip through ParseMode, unknown names are
+// refused (a typo must not select an engine) and unknown values do not
+// render as a real engine.
 func TestModeString(t *testing.T) {
-	if ModeVanilla.String() != "vanilla" || ModeSkipper.String() != "skipper" {
-		t.Fatal("mode names")
+	for _, tc := range []struct {
+		name string
+		mode Mode
+		ok   bool
+	}{
+		{"vanilla", ModeVanilla, true},
+		{"skipper", ModeSkipper, true},
+		{"vanila", 0, false},
+		{"Skipper", 0, false},
+		{"local", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseMode(tc.name)
+		if (err == nil) != tc.ok || got != tc.mode {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.mode, tc.ok)
+		}
+		if tc.ok && got.String() != tc.name {
+			t.Errorf("%v.String() = %q, want %q", tc.mode, got.String(), tc.name)
+		}
+	}
+	if got := Mode(99).String(); got != "Mode(99)" {
+		t.Errorf("Mode(99).String() = %q", got)
 	}
 }
 

@@ -1,10 +1,93 @@
 package skipper
 
 import (
+	"fmt"
+
 	"repro/internal/csd"
+	"repro/internal/faults"
 	"repro/internal/layout"
 	"repro/internal/segment"
+	"repro/internal/trace"
 )
+
+// FleetSpec describes the devices a cluster's clients share: how many,
+// how each is configured, which objects live on more than one, and what
+// goes wrong. It is a description, not a set of live parts — Cluster.Run
+// alone expands it, so the same value can be run any number of times
+// (and by any number of goroutines) with identical, replayable results.
+type FleetSpec struct {
+	// Device configures every device of the fleet. A nil Scheduler means
+	// csd.DefaultConfig (keeping Events). ID and Faults are stamped per
+	// device by Run; Faults must be left nil here.
+	Device csd.Config
+	// N is the fleet size; 0 means 1, the classic single-device testbed.
+	// With more, disk groups spread across the devices (primary device =
+	// group mod N) and GETs fan out per placement.
+	N int
+	// Replication selects which objects of a fleet live on more than one
+	// device: none (the default), the hottest N by demanded-segment count
+	// (layout.ReplicateHot), or all (layout.ReplicateFull). A replica
+	// serves GETs when the chooser prefers it and takes over when the
+	// primary's device crashes. No effect on a single device.
+	Replication layout.Replication
+	// Faults, when non-nil, is the fault plan every device runs. Each run
+	// builds one fresh injector per device from it: decisions are a pure
+	// function of (seed, object, attempt), so every run replays the same
+	// schedule on its own virtual clock. The crash window is confined to
+	// device 0 — a replicated fleet then always has a live side to fail
+	// over to — while the transfer-level rates apply on every device. A
+	// plan that enables nothing is the same as nil.
+	Faults *faults.Plan
+}
+
+// Validate rejects a spec Run could not expand: a negative fleet size, a
+// caller-built injector, an invalid fault plan.
+func (fs *FleetSpec) Validate() error {
+	if fs.Device.Faults != nil {
+		return fmt.Errorf("skipper: FleetSpec.Device.Faults is set; describe faults with FleetSpec.Faults")
+	}
+	if fs.N < 0 {
+		return fmt.Errorf("skipper: fleet of %d devices", fs.N)
+	}
+	if fs.Faults != nil {
+		if err := fs.Faults.Validate(); err != nil {
+			return fmt.Errorf("skipper: %w", err)
+		}
+	}
+	return nil
+}
+
+// resolve validates the spec and returns the per-device configuration
+// (ID and Faults still to be stamped), the fleet size and the effective
+// fault plan (nil = clean). events is the cluster-wide event log, used
+// when the device config names none of its own.
+func (fs *FleetSpec) resolve(events *trace.Log) (csd.Config, int, *faults.Plan, error) {
+	cfg := fs.Device
+	if err := fs.Validate(); err != nil {
+		return cfg, 0, nil, err
+	}
+	if cfg.Scheduler == nil {
+		def := csd.DefaultConfig()
+		def.Events = cfg.Events
+		cfg = def
+	}
+	if cfg.Events == nil {
+		cfg.Events = events
+	}
+	plan := fs.Faults
+	if plan != nil && !plan.Enabled() {
+		plan = nil
+	}
+	return cfg, max(fs.N, 1), plan, nil
+}
+
+// deviceInjector builds device d's fresh injector from a validated plan.
+func deviceInjector(plan faults.Plan, d int) *faults.Injector {
+	if d > 0 {
+		plan.CrashAt, plan.CrashDowntime = 0, 0
+	}
+	return faults.MustNew(plan)
+}
 
 // This file is the fleet layer of the scale-out refactor: a cluster may
 // run N devices instead of one, with the layout's Placement saying

@@ -1,0 +1,97 @@
+package skipper
+
+import "fmt"
+
+// InvariantError names the identity a run violated, so harness self-tests
+// can require that a doctored result fails for the reason they planted.
+type InvariantError struct {
+	// Name is the identity's short name: "device-conservation",
+	// "demand-ledger", "prefetch-ledger", "mjoin-requests",
+	// "prefetch-useful", "cache-hits" or "pinned-bytes".
+	Name string
+	// Detail says which tenant/device disagreed and by how much.
+	Detail string
+}
+
+func (e *InvariantError) Error() string {
+	return fmt.Sprintf("skipper: invariant %s violated: %s", e.Name, e.Detail)
+}
+
+func violated(name, format string, args ...any) error {
+	return &InvariantError{Name: name, Detail: fmt.Sprintf(format, args...)}
+}
+
+// CheckInvariants is the accounting prose of ClientStats as code: every
+// GET a client issued is absorbed exactly once — by the segment cache, by
+// a staged prefetch, or by a device — and nothing stays pinned. It holds
+// for every completed run, whatever the engine, format, DOP, cache,
+// pipeline, fleet or fault plan; the harness applies it to every cell.
+//
+//   - device-conservation: per device d and tenant t, the GETs d
+//     attributes to t equal t's demand GETs routed to d plus the
+//     prefetcher's on its behalf. A device that entered a crash window
+//     refuses submissions without counting them, so for such a device
+//     the identity is suspended in its exact form: the client ledgers
+//     may exceed the device's count, by at most its DownErrors in total.
+//   - demand-ledger: per client, Σ_d DeviceGets[d] == GetsIssued −
+//     CacheHits − PrefetchServed (retries are GETs on both sides).
+//   - prefetch-ledger: per client, Σ_d PrefetchDeviceGets[d] ==
+//     PrefetchIssued.
+//   - mjoin-requests: in skipper mode the state manager's request count
+//     (GETs + reissues, the Figure 11 metric) plus the proxy's retries
+//     equals GetsIssued.
+//   - prefetch-useful: PrefetchUseful ≤ PrefetchIssued.
+//   - cache-hits: the shared cache's hit count grew by exactly the cache
+//     hits of the clients that used it.
+//   - pinned-bytes: the shared cache holds no pins once the run is over.
+func (r *RunResult) CheckInvariants() error {
+	for d, st := range r.Devices {
+		refused := 0
+		for _, cs := range r.Clients {
+			ledger := cs.DeviceGets[d] + cs.PrefetchDeviceGets[d]
+			seen := st.GetsByTenant[cs.Tenant]
+			if seen != ledger && (st.Crashes == 0 || seen > ledger) {
+				return violated("device-conservation", "device %d tenant %d: device saw %d GETs, client ledgers say %d (demand %d + prefetch %d)",
+					d, cs.Tenant, seen, ledger, cs.DeviceGets[d], cs.PrefetchDeviceGets[d])
+			}
+			refused += ledger - seen
+		}
+		if refused > st.DownErrors {
+			return violated("device-conservation", "device %d: %d submissions unaccounted for, but only %d refused while down", d, refused, st.DownErrors)
+		}
+	}
+	for _, cs := range r.Clients {
+		demand, prefetch := 0, 0
+		for _, n := range cs.DeviceGets {
+			demand += n
+		}
+		for _, n := range cs.PrefetchDeviceGets {
+			prefetch += n
+		}
+		if want := cs.GetsIssued - cs.CacheHits - cs.PrefetchServed; demand != want {
+			return violated("demand-ledger", "tenant %d: %d demand GETs routed to devices != issued %d - cache hits %d - prefetch served %d",
+				cs.Tenant, demand, cs.GetsIssued, cs.CacheHits, cs.PrefetchServed)
+		}
+		if prefetch != cs.PrefetchIssued {
+			return violated("prefetch-ledger", "tenant %d: %d prefetch GETs routed to devices != prefetch issued %d",
+				cs.Tenant, prefetch, cs.PrefetchIssued)
+		}
+		if cs.Mode == ModeSkipper && cs.MJoin.Requests+cs.Retries != cs.GetsIssued {
+			return violated("mjoin-requests", "tenant %d: mjoin requests %d + retries %d != issued %d",
+				cs.Tenant, cs.MJoin.Requests, cs.Retries, cs.GetsIssued)
+		}
+		if cs.PrefetchUseful > cs.PrefetchIssued {
+			return violated("prefetch-useful", "tenant %d: prefetch useful %d > issued %d",
+				cs.Tenant, cs.PrefetchUseful, cs.PrefetchIssued)
+		}
+	}
+	if r.Cache != nil {
+		if got := r.Cache.Hits - r.cacheHitsBefore; got != r.sharedHits {
+			return violated("cache-hits", "shared cache counted %d hits, its clients %d", got, r.sharedHits)
+		}
+		if r.Cache.PinnedBytes != 0 {
+			return violated("pinned-bytes", "%d bytes still pinned after the run", r.Cache.PinnedBytes)
+		}
+	}
+	return nil
+}

@@ -35,10 +35,25 @@ const (
 )
 
 func (m Mode) String() string {
-	if m == ModeVanilla {
+	switch m {
+	case ModeVanilla:
 		return "vanilla"
+	case ModeSkipper:
+		return "skipper"
 	}
-	return "skipper"
+	return fmt.Sprintf("Mode(%d)", uint8(m))
+}
+
+// ParseMode resolves an engine name as the CLIs spell it. Unknown names
+// are an error — a typo must not silently select an engine.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "vanilla":
+		return ModeVanilla, nil
+	case "skipper":
+		return ModeSkipper, nil
+	}
+	return 0, fmt.Errorf("skipper: unknown engine %q (want vanilla or skipper)", name)
 }
 
 // Costs bundles the virtual processing-cost calibration (Table 3).
@@ -130,12 +145,12 @@ type ClientStats struct {
 	// DeviceGets and PrefetchDeviceGets are the per-device ledgers of a
 	// device fleet: DeviceGets[d] counts the demand GETs (first requests
 	// and retries) this client submitted to device d, and
-	// PrefetchDeviceGets[d] the prefetcher's GETs on its behalf. In a
-	// clean run (no fault plan) GET conservation holds per device: device
-	// d's GetsByTenant[tenant] equals DeviceGets[d] +
-	// PrefetchDeviceGets[d]. Under faults a submission refused by a down
-	// device counts here but not at the device, exactly as the cluster
-	// invariant above only holds fault-free. Nil when no GET was routed.
+	// PrefetchDeviceGets[d] the prefetcher's GETs on its behalf. GET
+	// conservation holds per device: device d's GetsByTenant[tenant]
+	// equals DeviceGets[d] + PrefetchDeviceGets[d], except that a
+	// submission refused by a device inside a crash window counts here
+	// but not at the device (RunResult.CheckInvariants states the exact
+	// form). Nil when no GET was routed.
 	DeviceGets         map[int]int
 	PrefetchDeviceGets map[int]int
 	// Failovers counts recoveries that re-requested an object from a live

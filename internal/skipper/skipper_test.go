@@ -287,7 +287,7 @@ func TestSkipperLatencyInsensitivity(t *testing.T) {
 		cl := &Cluster{Clients: clients, Store: store}
 		cfg := csd.DefaultConfig()
 		cfg.GroupSwitch = s
-		cl.CSD = cfg
+		cl.Fleet.Device = cfg
 		res, err := cl.Run()
 		if err != nil {
 			t.Fatal(err)

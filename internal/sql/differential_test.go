@@ -14,12 +14,11 @@ import (
 	"repro/internal/workload"
 )
 
-// The differential suite proves the batched execution core end-to-end:
-// for representative scan, filter, join, aggregation and sort queries,
-// the row-at-a-time Iterator protocol and the batch-at-a-time
-// BatchIterator protocol must produce identical results on both engines —
-// the vanilla pull plan (ModeVanilla's executor) and the out-of-order
-// MJoin (ModeSkipper's executor, fed a scrambled arrival order).
+// The differential suite proves the execution core end-to-end: for
+// representative scan, filter, join, aggregation and sort queries, both
+// engines must produce identical results — the vanilla pull plan
+// (ModeVanilla's executor) and the out-of-order MJoin (ModeSkipper's
+// executor, fed a scrambled arrival order).
 
 // diffQueries are the representative shapes. orderSensitive marks queries
 // whose ORDER BY fully determines the output order (unique sort keys), so
@@ -60,27 +59,6 @@ func (s *scrambledSource) NextArrival() (*segment.Segment, error) {
 	return sg, nil
 }
 
-// drainRowwise pulls a shaped plan one row at a time through the classic
-// Iterator protocol.
-func drainRowwise(t *testing.T, it engine.Iterator) []tuple.Row {
-	t.Helper()
-	if err := it.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var out []tuple.Row
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, row)
-	}
-}
-
 func canonical(rows []tuple.Row, orderSensitive bool) []string {
 	out := render(rows)
 	if !orderSensitive {
@@ -101,61 +79,40 @@ func TestDifferentialRowVsBatchBothEngines(t *testing.T) {
 
 			// Vanilla executor: plan-order pull over the in-memory store.
 			ctx := engine.NewTestCtx(ds.Store)
-			mkVanilla := func() engine.Iterator {
-				it, err := skipper.BuildPullPlan(ctx, spec.Join)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if spec.Shape != nil {
-					it = spec.Shape(it)
-				}
-				return it
-			}
-			vanillaBatch, err := engine.CollectBatches(engine.AsBatch(mkVanilla()))
+			it, err := skipper.BuildPullPlan(ctx, spec.Join)
 			if err != nil {
 				t.Fatal(err)
 			}
-			vanillaRow := drainRowwise(t, mkVanilla())
+			if spec.Shape != nil {
+				it = spec.Shape(it)
+			}
+			vanillaRows, err := engine.Collect(it)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			// Skipper executor: MJoin over scrambled arrivals, then the
 			// same shaping stage over the result bridge.
-			mkSkipper := func() []tuple.Row {
-				src := &scrambledSource{store: ds.Store, rng: rand.New(rand.NewSource(7))}
-				res, err := mjoin.Run(spec.Join, mjoin.DefaultConfig(len(spec.Join.Objects())), src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res.Rows
-			}
-			mkShaped := func(rows []tuple.Row) engine.Iterator {
-				it := engine.Iterator(engine.NewValues(spec.Join.OutputSchema(), rows))
-				if spec.Shape != nil {
-					it = spec.Shape(it)
-				}
-				return it
-			}
-			skipRows := mkSkipper()
-			skipperBatch, err := engine.CollectBatches(engine.AsBatch(mkShaped(skipRows)))
+			src := &scrambledSource{store: ds.Store, rng: rand.New(rand.NewSource(7))}
+			res, err := mjoin.Run(spec.Join, mjoin.DefaultConfig(len(spec.Join.Objects())), src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			skipperRow := drainRowwise(t, mkShaped(skipRows))
+			it = engine.NewValues(spec.Join.OutputSchema(), res.Rows)
+			if spec.Shape != nil {
+				it = spec.Shape(it)
+			}
+			skipperRows, err := engine.Collect(it)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-			want := canonical(vanillaBatch, tc.orderSensitive)
+			want := canonical(vanillaRows, tc.orderSensitive)
 			if len(want) == 0 {
 				t.Fatalf("query produced no rows; differential check is vacuous")
 			}
-			for _, got := range []struct {
-				label string
-				rows  []tuple.Row
-			}{
-				{"vanilla/row", vanillaRow},
-				{"skipper/batch", skipperBatch},
-				{"skipper/row", skipperRow},
-			} {
-				if g := canonical(got.rows, tc.orderSensitive); !reflect.DeepEqual(g, want) {
-					t.Fatalf("%s differs from vanilla/batch:\n got %v\nwant %v", got.label, g, want)
-				}
+			if got := canonical(skipperRows, tc.orderSensitive); !reflect.DeepEqual(got, want) {
+				t.Fatalf("skipper differs from vanilla:\n got %v\nwant %v", got, want)
 			}
 		})
 	}

@@ -3,9 +3,7 @@ package sql_test
 import (
 	"testing"
 
-	"repro/internal/engine"
-	"repro/internal/skipper"
-	"repro/internal/tuple"
+	"repro/internal/lattice"
 	"repro/internal/workload"
 )
 
@@ -76,7 +74,7 @@ func TestPlannerPrunerSound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan %q: %v", q, err)
 		}
-		pruned, err := evaluatePruned(ds, spec)
+		pruned, err := workload.EvaluatePruned(ds, spec, true)
 		if err != nil {
 			t.Fatalf("pruned %q: %v", q, err)
 		}
@@ -85,25 +83,8 @@ func TestPlannerPrunerSound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("unpruned %q: %v", q, err)
 		}
-		if len(pruned) != len(plain) {
-			t.Fatalf("%q: %d pruned rows vs %d unpruned", q, len(pruned), len(plain))
-		}
-		for i := range pruned {
-			if pruned[i].String() != plain[i].String() {
-				t.Fatalf("%q row %d: %s vs %s", q, i, pruned[i], plain[i])
-			}
+		if err := lattice.EqualRows(pruned, plain); err != nil {
+			t.Fatalf("%q: pruned vs unpruned: %v", q, err)
 		}
 	}
-}
-
-// evaluatePruned runs the spec locally with data skipping enabled.
-func evaluatePruned(ds *workload.Dataset, spec skipper.QuerySpec) ([]tuple.Row, error) {
-	it, err := skipper.BuildPullPlanPruned(engine.NewTestCtx(ds.Store), spec.Join, true)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Shape != nil {
-		it = spec.Shape(it)
-	}
-	return engine.Collect(it)
 }

@@ -34,18 +34,11 @@ type Sim struct {
 	seq     int // tie-break counter for timers
 	running bool
 	halted  bool
-	tracer  func(at time.Duration, format string, args ...any)
 }
 
 // NewSim returns an empty simulator with the clock at zero.
 func NewSim() *Sim {
 	return &Sim{}
-}
-
-// SetTracer installs a trace callback invoked by Tracef. A nil tracer
-// disables tracing.
-func (s *Sim) SetTracer(fn func(at time.Duration, format string, args ...any)) {
-	s.tracer = fn
 }
 
 // Now returns the current virtual time.
@@ -213,12 +206,5 @@ func (s *Sim) Run() error {
 		}
 		sort.Strings(stuck)
 		return &DeadlockError{At: s.now, Blocked: stuck}
-	}
-}
-
-// Tracef emits a trace line through the installed tracer, if any.
-func (s *Sim) Tracef(format string, args ...any) {
-	if s.tracer != nil {
-		s.tracer(s.now, format, args...)
 	}
 }

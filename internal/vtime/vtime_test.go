@@ -355,21 +355,3 @@ func TestRunTwicePanics(t *testing.T) {
 	}()
 	_ = s.Run()
 }
-
-func TestTracer(t *testing.T) {
-	s := NewSim()
-	var lines []string
-	s.SetTracer(func(at time.Duration, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%v: %s", at, fmt.Sprintf(format, args...)))
-	})
-	s.Spawn("p", func(p *Proc) {
-		p.Sleep(2 * time.Second)
-		s.Tracef("hello %d", 7)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 1 || lines[0] != "2s: hello 7" {
-		t.Fatalf("trace %v", lines)
-	}
-}

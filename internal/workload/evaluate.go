@@ -13,8 +13,14 @@ import (
 // differential tests that compare a pruned execution against Evaluate
 // exercise the pruning on/off boundary for free.
 func Evaluate(ds *Dataset, spec skipper.QuerySpec) ([]tuple.Row, error) {
+	return EvaluatePruned(ds, spec, false)
+}
+
+// EvaluatePruned is Evaluate with the data-skipping toggle exposed —
+// skipperql's "-engine local", which honours -prune like any engine.
+func EvaluatePruned(ds *Dataset, spec skipper.QuerySpec, prune bool) ([]tuple.Row, error) {
 	ctx := engine.NewTestCtx(ds.Store)
-	it, err := skipper.BuildPullPlanPruned(ctx, spec.Join, false)
+	it, err := skipper.BuildPullPlanPruned(ctx, spec.Join, prune)
 	if err != nil {
 		return nil, err
 	}

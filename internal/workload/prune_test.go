@@ -12,19 +12,18 @@ import (
 
 // captureIter tees the rows a cluster client's shaping stage emits, so
 // cluster-level differential tests can compare full results instead of
-// row counts. It deliberately implements only the row protocol: Collect
-// then drains it row-at-a-time through the batch-native plan below.
+// row counts.
 type captureIter struct {
 	engine.Iterator
 	sink *[]tuple.Row
 }
 
-func (c *captureIter) Next() (tuple.Row, bool, error) {
-	row, ok, err := c.Iterator.Next()
+func (c *captureIter) NextBatch() (*tuple.Batch, bool, error) {
+	b, ok, err := c.Iterator.NextBatch()
 	if ok && err == nil {
-		*c.sink = append(*c.sink, row.Clone())
+		*c.sink = b.AppendRows(*c.sink)
 	}
-	return row, ok, err
+	return b, ok, err
 }
 
 // runPrunedCluster executes the spec on one client, capturing the result

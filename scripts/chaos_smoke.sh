@@ -6,82 +6,35 @@
 # result against skipperql's single-shot output on a fault-free device.
 # Surviving faults must never change what a query returns; the fault
 # metric families must show the storm actually happened.
-set -euo pipefail
+source "$(dirname "$0")/smoke_lib.sh"
 
-cd "$(dirname "$0")/.."
-
-ADDR=127.0.0.1:7888
-METRICS=127.0.0.1:7889
-DATASET=(-workload tpch -sf 4 -rows 4 -clustered -format v2)
 # The seeded plan mirrors the chaos soak test's: rates high enough to
 # fault the small smoke dataset, the per-object cap keeping bounded
 # retries convergent, and a crash window long queries cross (down 20 s,
 # then back). The retry policy sleeps across the downtime.
-FAULTS=(-fault-seed 42 -fault-transient 0.4 -fault-stall 0.2 -fault-corrupt 0.45
-        -fault-cap 3 -crash-at 15s -crash-downtime 20s
-        -retry-attempts 40 -retry-backoff 500ms)
-QUERIES=(
-  "SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey ORDER BY n_name LIMIT 8"
-  "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice > 1000.0 ORDER BY o_orderkey"
-  "SELECT l_shipmode, COUNT(*) AS n, SUM(l_quantity) AS q FROM lineitem, orders WHERE l_orderkey = o_orderkey GROUP BY l_shipmode ORDER BY l_shipmode"
-  "SELECT COUNT(*) AS n, MIN(l_quantity) AS lo, MAX(l_quantity) AS hi FROM lineitem"
-)
-
-workdir=$(mktemp -d)
-go build -o "$workdir/skipperd" ./cmd/skipperd
-go build -o "$workdir/skipperql" ./cmd/skipperql
-
-"$workdir/skipperd" "${DATASET[@]}" "${FAULTS[@]}" -addr "$ADDR" -pipeline \
+boot_daemon 127.0.0.1:7888 127.0.0.1:7889 -pipeline \
   -inflight 2 -tenant-slots 1 -queue-depth 16 \
-  -metrics-addr "$METRICS" \
-  > "$workdir/skipperd.log" 2>&1 &
-daemon=$!
-cleanup() {
-  kill "$daemon" 2>/dev/null || true
-  wait "$daemon" 2>/dev/null || true
-  cat "$workdir/skipperd.log"
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
+  -fault-seed 42 -fault-transient 0.4 -fault-stall 0.2 -fault-corrupt 0.45 \
+  -fault-cap 3 -crash-at 15s -crash-downtime 20s \
+  -retry-attempts 40 -retry-backoff 500ms
 
-# Multi-tenant scripted session against the faulted daemon.
-for tenant in 0 1 2; do
-  for q in "${QUERIES[@]}"; do
-    echo "== tenant $tenant: $q"
-    "$workdir/skipperd" -client -addr "$ADDR" -tenant "$tenant" -c "$q" | grep -v '^--'
-  done
-done > "$workdir/wire.txt"
-
-# Clean oracle: skipperql over the identical dataset with NO fault
-# flags — the chaos-vs-clean comparison, not chaos-vs-chaos.
-for tenant in 0 1 2; do
-  for q in "${QUERIES[@]}"; do
-    echo "== tenant $tenant: $q"
-    "$workdir/skipperql" "${DATASET[@]}" -c "$q" | grep -v '^--'
-  done
-done > "$workdir/direct.txt"
-
+# Clean oracle: skipperql with NO fault flags — the chaos-vs-clean
+# comparison, not chaos-vs-chaos.
+served > "$workdir/wire.txt"
+oracle > "$workdir/direct.txt"
 diff -u "$workdir/direct.txt" "$workdir/wire.txt"
-echo "chaos smoke: $((3 * ${#QUERIES[@]})) results served through the fault storm, byte-identical to the clean oracle"
+echo "chaos smoke: $((${#TENANTS[@]} * ${#QUERIES[@]})) results served through the fault storm, byte-identical to the clean oracle"
 
 # The storm must have been real, and its metric families live: faults
 # injected, transfers retried, corrupt deliveries caught — all visible
-# on /metrics with non-zero samples.
-curl -sf "http://$METRICS/metrics" > "$workdir/metrics.txt"
-check_metric() {
-  pattern=$1
-  grep -Eq "$pattern" "$workdir/metrics.txt" \
-    || { echo "metrics scrape missing: $pattern" >&2; exit 1; }
-}
+# on /metrics with non-zero samples — and every query completed despite it.
+scrape metrics.txt
 check_metric '^# TYPE skipper_faults_injected counter$'
 check_metric '^skipper_faults_injected\{tenant="0"\} [1-9]'
 check_metric '^# TYPE skipper_retries counter$'
 check_metric '^skipper_retries\{tenant="0"\} [1-9]'
 check_metric '^# TYPE skipper_corrupt_segments counter$'
 check_metric '^skipper_corrupt_segments\{tenant="0"\} [1-9]'
-# Every query completed despite the chaos — none failed or expired.
-check_metric '^skipper_queries_total\{outcome="completed",tenant="0"\} [1-9]'
-! grep -Eq '^skipper_queries_total\{outcome="(failed|expired|rejected)",tenant="[0-9]+"\} [1-9]' "$workdir/metrics.txt" \
-  || { echo "queries were lost during the storm" >&2; exit 1; }
+no_query_lost
 echo "chaos smoke: fault families exposed with non-zero counts; no query lost"
 echo "chaos smoke: OK"

@@ -1,50 +1,31 @@
 #!/usr/bin/env bash
-# Scale-out smoke: the same statements served from a single device and
-# from device fleets (2 devices with hot replication, 4 devices fully
-# replicated) must return byte-identical rows — the placement layer may
-# only change I/O patterns, never results. Then a skipperd boot runs a
+# Scale-out smoke: the same statements run by skipperql on a single
+# device and on device fleets (2 devices with hot replication, 4 devices
+# fully replicated) must return byte-identical rows — the placement layer
+# may only change I/O patterns, never results. Then a skipperd boot runs a
 # two-device fully-replicated fleet whose device 0 permanently crashes
 # mid-query: every query must still complete from the replica, served
 # rows diffed against the clean single-device oracle, with the
 # per-device metric families live on /metrics and no query lost.
-set -euo pipefail
+source "$(dirname "$0")/smoke_lib.sh"
 
-cd "$(dirname "$0")/.."
-
-ADDR=127.0.0.1:7890
-METRICS=127.0.0.1:7891
-DATASET=(-workload tpch -sf 4 -rows 4 -clustered -format v2)
-QUERIES=(
-  "SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey ORDER BY n_name LIMIT 8"
-  "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice > 1000.0 ORDER BY o_orderkey"
-  "SELECT l_shipmode, COUNT(*) AS n, SUM(l_quantity) AS q FROM lineitem, orders WHERE l_orderkey = o_orderkey GROUP BY l_shipmode ORDER BY l_shipmode"
-  "SELECT COUNT(*) AS n, MIN(l_quantity) AS lo, MAX(l_quantity) AS hi FROM lineitem"
-)
-
-workdir=$(mktemp -d)
-go build -o "$workdir/skipperd" ./cmd/skipperd
-go build -o "$workdir/skipperql" ./cmd/skipperql
-
-cleanup() {
-  [ -n "${daemon:-}" ] && kill "$daemon" 2>/dev/null || true
-  [ -n "${daemon:-}" ] && wait "$daemon" 2>/dev/null || true
-  [ -f "$workdir/skipperd.log" ] && cat "$workdir/skipperd.log"
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
+# The rows skipperql prints are the rows its cluster run returned — not
+# a second, local evaluation that no fleet or engine flag could reach.
+# Proof by construction: on a join with no ORDER BY the two engines
+# legitimately emit the same rows in different orders.
+unordered="SELECT l_orderkey, o_orderkey, l_quantity FROM lineitem, orders WHERE l_orderkey = o_orderkey"
+for engine in vanilla skipper; do
+  "$workdir/skipperql" "${DATASET[@]}" -engine "$engine" -c "$unordered" | grep -v '^--' > "$workdir/$engine.txt"
+done
+! cmp -s "$workdir/vanilla.txt" "$workdir/skipper.txt" \
+  || { echo "both engines printed an unordered join in one order: the rows are not the engines'" >&2; exit 1; }
+diff -u <(sort "$workdir/vanilla.txt") <(sort "$workdir/skipper.txt")
 
 # Single-device oracle, then the fleets: identical statements, results
 # must not change with the device count or the replication policy.
-run_ql() { # run_ql outfile [extra flags...]
-  local out=$1; shift
-  for q in "${QUERIES[@]}"; do
-    echo "== $q"
-    "$workdir/skipperql" "${DATASET[@]}" "$@" -c "$q" | grep -v '^--'
-  done > "$out"
-}
-run_ql "$workdir/one.txt"
-run_ql "$workdir/two-hot.txt" -devices 2 -replication hot
-run_ql "$workdir/four-full.txt" -devices 4 -replication full
+oracle > "$workdir/one.txt"
+oracle -devices 2 -replication hot > "$workdir/two-hot.txt"
+oracle -devices 4 -replication full > "$workdir/four-full.txt"
 diff -u "$workdir/one.txt" "$workdir/two-hot.txt"
 diff -u "$workdir/one.txt" "$workdir/four-full.txt"
 echo "scale smoke: ${#QUERIES[@]} results identical on 1, 2 (hot) and 4 (full) devices"
@@ -52,36 +33,19 @@ echo "scale smoke: ${#QUERIES[@]} results identical on 1, 2 (hot) and 4 (full) d
 # Failover over the wire: a two-device fully-replicated fleet whose
 # device 0 dies 15 s into each query's simulated run and never
 # restarts. Every query must complete from the replica.
-"$workdir/skipperd" "${DATASET[@]}" -addr "$ADDR" \
-  -devices 2 -replication full -crash-at 15s \
-  -metrics-addr "$METRICS" \
-  > "$workdir/skipperd.log" 2>&1 &
-daemon=$!
-
-for tenant in 0 1 2; do
-  for q in "${QUERIES[@]}"; do
-    echo "== $q"
-    "$workdir/skipperd" -client -addr "$ADDR" -tenant "$tenant" -c "$q" | grep -v '^--'
-  done > "$workdir/wire-t$tenant.txt"
-  diff -u "$workdir/one.txt" "$workdir/wire-t$tenant.txt"
-done
-echo "scale smoke: $((3 * ${#QUERIES[@]})) results served across the device-0 crash, byte-identical to the single-device oracle"
+boot_daemon 127.0.0.1:7890 127.0.0.1:7891 -devices 2 -replication full -crash-at 15s
+served > "$workdir/wire.txt"
+diff -u "$workdir/one.txt" "$workdir/wire.txt"
+echo "scale smoke: $((${#TENANTS[@]} * ${#QUERIES[@]})) results served across the device-0 crash, byte-identical to the single-device oracle"
 
 # The fleet must be real and its metric families live: both devices
 # took GETs, the crash actually happened, and no query failed.
-curl -sf "http://$METRICS/metrics" > "$workdir/metrics.txt"
-check_metric() {
-  pattern=$1
-  grep -Eq "$pattern" "$workdir/metrics.txt" \
-    || { echo "metrics scrape missing: $pattern" >&2; exit 1; }
-}
+scrape metrics.txt
 check_metric '^# TYPE skipper_device_gets_total counter$'
 check_metric '^skipper_device_gets_total\{[^}]*device="0"[^}]*\} [1-9]'
 check_metric '^skipper_device_gets_total\{[^}]*device="1"[^}]*\} [1-9]'
 check_metric '^skipper_device_crashes_total\{[^}]*device="0"[^}]*\} [1-9]'
 check_metric '^skipper_failovers\{[^}]*tenant="[0-9]+"[^}]*\} [1-9]'
-check_metric '^skipper_queries_total\{[^}]*outcome="completed"[^}]*\} [1-9]'
-! grep -Eq '^skipper_queries_total\{[^}]*outcome="(failed|expired|rejected)"[^}]*\} [1-9]' "$workdir/metrics.txt" \
-  || { echo "queries were lost during the device crash" >&2; exit 1; }
+no_query_lost
 echo "scale smoke: per-device families exposed on both devices; no query lost"
 echo "scale smoke: OK"

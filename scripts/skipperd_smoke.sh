@@ -4,57 +4,16 @@
 # single-shot output for the same statements on the same dataset. The
 # serving layer must add admission, sessions and transport — never
 # change what a query returns.
-set -euo pipefail
+source "$(dirname "$0")/smoke_lib.sh"
 
-cd "$(dirname "$0")/.."
-
-ADDR=127.0.0.1:7878
-METRICS=127.0.0.1:7879
-DATASET=(-workload tpch -sf 4 -rows 4 -clustered -format v2)
-QUERIES=(
-  "SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey ORDER BY n_name LIMIT 8"
-  "SELECT o_orderkey, o_totalprice FROM orders WHERE o_totalprice > 1000.0 ORDER BY o_orderkey"
-  "SELECT l_shipmode, COUNT(*) AS n, SUM(l_quantity) AS q FROM lineitem, orders WHERE l_orderkey = o_orderkey GROUP BY l_shipmode ORDER BY l_shipmode"
-  "SELECT COUNT(*) AS n, MIN(l_quantity) AS lo, MAX(l_quantity) AS hi FROM lineitem"
-)
-
-workdir=$(mktemp -d)
-go build -o "$workdir/skipperd" ./cmd/skipperd
-go build -o "$workdir/skipperql" ./cmd/skipperql
-
-"$workdir/skipperd" "${DATASET[@]}" -addr "$ADDR" -pipeline \
+boot_daemon 127.0.0.1:7878 127.0.0.1:7879 -pipeline \
   -inflight 2 -tenant-slots 1 -queue-depth 16 \
-  -metrics-addr "$METRICS" -trace -trace-dir "$workdir/traces" \
-  > "$workdir/skipperd.log" 2>&1 &
-daemon=$!
-cleanup() {
-  kill "$daemon" 2>/dev/null || true
-  wait "$daemon" 2>/dev/null || true
-  cat "$workdir/skipperd.log"
-  rm -rf "$workdir"
-}
-trap cleanup EXIT
+  -trace -trace-dir "$workdir/traces"
 
-# Multi-tenant scripted session: every tenant runs the whole statement
-# mix through its own session (the client retries the connect, so no
-# sleep is needed for daemon startup).
-for tenant in 0 1 2; do
-  for q in "${QUERIES[@]}"; do
-    echo "== tenant $tenant: $q"
-    "$workdir/skipperd" -client -addr "$ADDR" -tenant "$tenant" -c "$q" | grep -v '^--'
-  done
-done > "$workdir/wire.txt"
-
-# Single-shot oracle: skipperql over the identical dataset flags.
-for tenant in 0 1 2; do
-  for q in "${QUERIES[@]}"; do
-    echo "== tenant $tenant: $q"
-    "$workdir/skipperql" "${DATASET[@]}" -c "$q" | grep -v '^--'
-  done
-done > "$workdir/direct.txt"
-
+served > "$workdir/wire.txt"
+oracle > "$workdir/direct.txt"
 diff -u "$workdir/direct.txt" "$workdir/wire.txt"
-echo "skipperd smoke: $((3 * ${#QUERIES[@]})) served results byte-identical to skipperql"
+echo "skipperd smoke: $((${#TENANTS[@]} * ${#QUERIES[@]})) served results byte-identical to skipperql"
 
 # The admission path must reject, not stall, when saturated: run brief
 # closed-loop load and require a clean exit (failures are fatal inside
@@ -65,9 +24,7 @@ echo "skipperd smoke: $((3 * ${#QUERIES[@]})) served results byte-identical to s
   > "$workdir/loadgen.txt" 2>&1 &
 loadgen=$!
 sleep 2
-curl -sf "http://$METRICS/metrics" > "$workdir/metrics-midsoak.txt"
-# Scrape to a file, then grep: `curl | grep -q` under pipefail races —
-# grep exits at the first match and curl dies on the closed pipe.
+scrape metrics-midsoak.txt
 curl -sf "http://$METRICS/debug/pprof/goroutine?debug=1" > "$workdir/pprof-goroutine.txt"
 grep -q goroutine "$workdir/pprof-goroutine.txt"
 wait "$loadgen"
@@ -78,11 +35,6 @@ grep -q 'p99.9=' "$workdir/loadgen.txt" \
 # The mid-soak scrape must expose every required metric family, with
 # the serving counters live (non-zero: the scripted session above
 # already completed queries before the soak began).
-check_metric() {
-  pattern=$1
-  grep -Eq "$pattern" "$workdir/metrics-midsoak.txt" \
-    || { echo "metrics scrape missing: $pattern" >&2; exit 1; }
-}
 check_metric '^# TYPE skipper_queries_total counter$'
 check_metric '^skipper_queries_total\{outcome="completed",tenant="0"\} [1-9]'
 check_metric '^# TYPE skipper_query_latency_seconds summary$'
@@ -106,8 +58,7 @@ newest=
 for f in "$workdir/traces"/*.json; do
   if [ -z "$newest" ] || [ "$f" -nt "$newest" ]; then newest=$f; fi
 done
-latest=$(basename "$newest" .json)
-"$workdir/skipperd" -client -addr "$ADDR" -c "TRACE $latest" \
+"$workdir/skipperd" -client -addr "$ADDR" -c "TRACE $(basename "$newest" .json)" \
   | grep 'query' > /dev/null
 
 # STATS must report the traffic the smoke produced.
