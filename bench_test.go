@@ -304,12 +304,11 @@ func benchPruning(b *testing.B, pruning, clustered bool) {
 		})
 		store := make(map[segment.ObjectID]*segment.Segment)
 		ds.MergeInto(store)
-		pr := pruning
 		client := &skipper.Client{
 			Tenant: 0, Mode: skipper.ModeSkipper, Catalog: ds.Catalog,
-			Queries:      []skipper.QuerySpec{workload.Q12(ds.Catalog)},
-			CacheObjects: 3, // tight: reissues unless pruned
-			Pruning:      &pr,
+			Queries:          []skipper.QuerySpec{workload.Q12(ds.Catalog)},
+			CacheObjects:     3, // tight: reissues unless pruned
+			NoSubplanPruning: !pruning,
 		}
 		res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: store}).Run()
 		if err != nil {

@@ -10,6 +10,7 @@
 //	skipperbench -report cache -quick  # one feature report
 //	skipperbench -report all -quick    # every feature report
 //	skipperbench -format v2 -fig 9     # serve columnar (v2) encoded objects
+//	skipperbench -trace                # a 3-client run's device lane as a span tree
 //
 // Figures: table1, 2, 3, 4, 5, 7, 8, 9, table3, 10, 11a, 11b, 11c, 12,
 // selectivity (the data-skipping sweep — ours, not the paper's).
@@ -37,7 +38,7 @@
 // (go test ./internal/lattice ./internal/skipper).
 //
 // -format selects the wire format the CSD store serves for figure runs:
-// mem (in-memory segments, no decode work — the default), v1, or v2.
+// mem (in-memory segments, no decode work — the default) or v2.
 // Simulated timings are format-independent; real runtime and the byte
 // accounting are not.
 package main
@@ -49,6 +50,7 @@ import (
 	"runtime"
 	"strings"
 
+	"repro/internal/csd"
 	"repro/internal/experiments"
 	"repro/internal/segment"
 	"repro/internal/skipper"
@@ -62,10 +64,10 @@ func main() {
 	sf := flag.Int("sf", 0, "override TPC-H scale factor")
 	dop := flag.Int("dop", 0, "per-client query-execution parallelism (0 = number of CPUs, 1 = serial)")
 	outFmt := flag.String("out", "table", "output format: table or csv")
-	showTrace := flag.Bool("trace", false, "run a small 3-client scenario and print its event trace instead of figures")
+	showTrace := flag.Bool("trace", false, "run a small 3-client scenario and print its device span tree instead of figures")
 	reportArg := flag.String("report", "", "comma-separated feature reports (prune,proj,cache,pipeline,faults,scale) or 'all'; runs instead of -fig")
 	rows := flag.Int("rows", 0, "override rows per 1 GB object (more rows = more decode work per object)")
-	segFormat := flag.String("format", "mem", "segment wire format served by the CSD store: mem, v1 or v2")
+	segFormat := flag.String("format", "mem", "segment wire format served by the CSD store: mem or v2")
 	flag.Parse()
 
 	if *showTrace {
@@ -159,11 +161,12 @@ func main() {
 	}
 }
 
-// runTraceDemo executes a 3-client Skipper run and prints the structured
-// event log: who requested what, when the device switched groups, and
-// when each query span completed.
+// runTraceDemo executes a 3-client Skipper run with a device recorder
+// attached and prints what the device did as a span tree — every transfer
+// from its GET to its delivery, every group switch — then each tenant's
+// query span and the totals the spans must add up to.
 func runTraceDemo() {
-	log := &trace.Log{}
+	rec := trace.NewQueryTrace("device", -1, "")
 	store := make(map[segment.ObjectID]*segment.Segment)
 	var clients []*skipper.Client
 	for t := 0; t < 3; t++ {
@@ -175,13 +178,18 @@ func runTraceDemo() {
 			CacheObjects: 8,
 		})
 	}
-	res, err := (&skipper.Cluster{Clients: clients, Store: store, Events: log}).Run()
+	fleet := skipper.FleetSpec{Device: csd.Config{Trace: rec}}
+	res, err := (&skipper.Cluster{Clients: clients, Store: store, Fleet: fleet}).Run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skipperbench: trace demo: %v\n", err)
 		os.Exit(1)
 	}
-	log.Render(os.Stdout)
+	rec.ExportTrace().Render(os.Stdout)
 	fmt.Println()
-	fmt.Print(log.Summary())
+	for _, cs := range res.Clients {
+		for _, q := range cs.PerQuery {
+			fmt.Printf("t%d %-24s %.1fs .. %.1fs (%.1fs)\n", cs.Tenant, q.QueryID, q.Start.Seconds(), q.Finish.Seconds(), (q.Finish - q.Start).Seconds())
+		}
+	}
 	fmt.Printf("\nmakespan %.1fs, %d switches\n", res.Makespan.Seconds(), res.CSD.GroupSwitches)
 }

@@ -8,14 +8,17 @@
 // Modes:
 //
 //	skipperd [dataset flags] [serving flags]      start the daemon
-//	skipperd -client [-tenant N] [-c STMT]        run statements against a daemon
+//	skipperd -client [-tenant N] [-c "STMT; STMT"] run statements against a daemon
 //	skipperd -loadgen -workers N -duration D      closed-loop load, latency percentiles
 //
 // The dataset, engine and fleet/fault flags are skipperql's (both bind
-// internal/cliflags), and -client prints result rows in
-// skipperql's exact format (40-row truncation, "(N rows)" footer,
-// diagnostics prefixed "-- "), so a scripted session can be diffed
-// against a skipperql run of the same statements.
+// internal/cliflags and serve from the server.Config it resolves to), and
+// -client is skipperql's statement loop and renderer (server.Shell,
+// server.Render) over a socket instead of an in-process session: the same
+// ';'-terminated statements from -c or stdin, the same rows, row count
+// and "-- " footer lines on stdout, errors on stderr and a non-zero exit
+// if any statement failed — so a scripted session can be diffed against
+// a skipperql run of the same statements.
 //
 // Observability: -metrics-addr starts an HTTP sidecar serving the
 // Prometheus exposition (/metrics) and runtime profiles (/debug/pprof);
@@ -30,10 +33,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -44,7 +47,7 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/metrics"
 	"repro/internal/server"
-	"repro/internal/trace"
+	"repro/internal/sql"
 )
 
 func main() {
@@ -73,7 +76,7 @@ func main() {
 
 	// Client / loadgen flags.
 	tenant := flag.Int("tenant", -1, "tenant to bind the session to (client/loadgen; -1 = server default)")
-	command := flag.String("c", "", "statements to run, ';'-separated (client/loadgen); client mode reads stdin when empty")
+	command := flag.String("c", "", "';'-separated statements to run (client/loadgen); client mode reads them from stdin when empty")
 	workers := flag.Int("workers", 4, "concurrent loadgen clients")
 	duration := flag.Duration("duration", 5*time.Second, "loadgen run length")
 
@@ -93,31 +96,18 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	cfg := server.Config{
-		Dataset:         run.Dataset,
-		Mode:            run.Mode,
-		CacheObjects:    run.MJoinCache,
-		SegCacheObjects: run.SegCache,
-		Prune:           run.Prune,
-		Pipeline:        run.Pipeline,
-		Fleet:           run.Fleet,
-		Retry:           run.Retry,
-		MaxTenants:      *maxTenants,
-		Admission: server.AdmissionConfig{
-			Slots:       *inflight,
-			TenantSlots: *tenantSlots,
-			QueueDepth:  *queueDepth,
-		},
-		DefaultDeadline: *deadline,
-		MaxLineBytes:    *maxLine,
-		Tracing:         *traceAll,
-		SlowQuery:       *slowQuery,
-	}
+	cfg := run.ServerConfig()
+	cfg.MaxTenants = *maxTenants
+	cfg.Admission = server.AdmissionConfig{Slots: *inflight, TenantSlots: *tenantSlots, QueueDepth: *queueDepth}
+	cfg.DefaultDeadline = *deadline
+	cfg.MaxLineBytes = *maxLine
+	cfg.Tracing = *traceAll
+	cfg.SlowQuery = *slowQuery
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fatalf("trace-dir: %v", err)
 		}
-		cfg.TraceSink = chromeTraceSink(*traceDir)
+		cfg.TraceSink = server.ChromeTraceDir(*traceDir)
 	}
 	s, err := server.New(cfg)
 	if err != nil {
@@ -172,33 +162,21 @@ func fatalf(format string, args ...any) {
 	os.Exit(2)
 }
 
-// chromeTraceSink writes each completed trace as <dir>/<trace-id>.json
-// in Chrome trace-event format. Trace ids contain no path separators
-// (t<tenant>-<seq>), and failures are reported, not fatal — tracing
-// must never take the server down.
-func chromeTraceSink(dir string) func(*trace.Export) {
-	return func(e *trace.Export) {
-		path := filepath.Join(dir, e.ID+".json")
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperd: trace-dir: %v\n", err)
-			return
-		}
-		defer f.Close()
-		if err := trace.WriteChrome(f, trace.ClockWall, e); err != nil {
-			fmt.Fprintf(os.Stderr, "skipperd: trace-dir: %s: %v\n", path, err)
-		}
-	}
+// wire is one client session over the daemon's protocol.
+type wire struct {
+	conn net.Conn
+	enc  *json.Encoder
+	dec  *json.Decoder
 }
 
-// dial connects with retries so scripts can start the daemon and the
+// dialWire connects with retries so scripts can start the daemon and the
 // client back to back without sleeping.
-func dial(addr string) (net.Conn, error) {
+func dialWire(addr string) (*wire, error) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		conn, err := net.Dial("tcp", addr)
 		if err == nil {
-			return conn, nil
+			return &wire{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}, nil
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("connect %s: %w", addr, err)
@@ -207,23 +185,8 @@ func dial(addr string) (net.Conn, error) {
 	}
 }
 
-// wire is one client session over the daemon's protocol.
-type wire struct {
-	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-}
-
-func dialWire(addr string) (*wire, error) {
-	conn, err := dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &wire{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(bufio.NewReader(conn))}, nil
-}
-
-func (w *wire) roundTrip(req server.Request) (*server.Response, error) {
-	if err := w.enc.Encode(&req); err != nil {
+func (w *wire) roundTrip(req *server.Request) (*server.Response, error) {
+	if err := w.enc.Encode(req); err != nil {
 		return nil, fmt.Errorf("send: %w", err)
 	}
 	var resp server.Response
@@ -233,9 +196,9 @@ func (w *wire) roundTrip(req server.Request) (*server.Response, error) {
 	return &resp, nil
 }
 
-// runClient executes statements (from -c, ';'-separated, or stdin one
-// statement per line) and prints responses in skipperql's format. Exit
-// status 0 only if every statement succeeded.
+// runClient runs the statements of -c, or of stdin, through the shared
+// statement loop, every request naming the session's tenant. Exit status
+// 0 only if every statement succeeded.
 func runClient(addr string, tenant int, command string) int {
 	w, err := dialWire(addr)
 	if err != nil {
@@ -243,118 +206,21 @@ func runClient(addr string, tenant int, command string) int {
 		return 1
 	}
 	defer w.conn.Close()
+	sh := &server.Shell{RoundTrip: w.roundTrip, Out: os.Stdout, Err: os.Stderr, Name: "skipperd"}
 	if tenant >= 0 {
-		if resp, err := w.roundTrip(server.Request{Op: server.OpHello, Tenant: &tenant}); err != nil {
-			fmt.Fprintf(os.Stderr, "skipperd: hello: %v\n", err)
-			return 1
-		} else if resp.Type == "error" {
-			fmt.Fprintf(os.Stderr, "skipperd: hello: %s: %s\n", resp.Code, resp.Error)
-			return 1
+		sh.RoundTrip = func(req *server.Request) (*server.Response, error) {
+			req.Tenant = &tenant
+			return w.roundTrip(req)
 		}
 	}
-	status := 0
-	run := func(stmt string) {
-		stmt = strings.TrimSpace(stmt)
-		if stmt == "" {
-			return
-		}
-		resp, err := w.roundTrip(server.Request{SQL: stmt})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperd: %v\n", err)
-			status = 1
-			return
-		}
-		if !printResponse(resp) {
-			status = 1
-		}
-	}
+	var input io.Reader = os.Stdin
 	if command != "" {
-		for _, stmt := range strings.Split(command, ";") {
-			run(stmt)
-		}
-		return status
+		input = strings.NewReader(command)
 	}
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	for scanner.Scan() {
-		run(scanner.Text())
+	if !sh.Run(input) {
+		return 1
 	}
-	return status
-}
-
-// printResponse renders one frame; result rows match skipperql's
-// printRows byte for byte. Returns false for error frames.
-func printResponse(resp *server.Response) bool {
-	switch resp.Type {
-	case "result":
-		for i, r := range resp.Rows {
-			if i >= 40 {
-				fmt.Printf("... (%d rows total)\n", resp.RowCount)
-				break
-			}
-			fmt.Println(r)
-		}
-		if resp.RowCount <= 40 {
-			fmt.Printf("(%d rows)\n", resp.RowCount)
-		}
-		fmt.Printf("-- %s virtual, %s queued, %d GETs (%d from cache, %d pruned)\n",
-			time.Duration(resp.VirtualUS)*time.Microsecond,
-			time.Duration(resp.QueueUS)*time.Microsecond,
-			resp.Gets, resp.CacheHits, resp.Pruned)
-		return true
-	case "explain":
-		fmt.Print(resp.Plan)
-		return true
-	case "stats":
-		out, err := json.MarshalIndent(resp.Stats, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperd: render stats: %v\n", err)
-			return false
-		}
-		fmt.Println(string(out))
-		return true
-	case "trace":
-		if resp.Trace == nil {
-			fmt.Fprintln(os.Stderr, "skipperd: empty trace frame")
-			return false
-		}
-		fmt.Print(resp.Trace.Summary())
-		printSpanTree(resp.Trace)
-		return true
-	case "hello":
-		fmt.Printf("-- bound to tenant %d\n", resp.Tenant)
-		return true
-	case "error":
-		fmt.Fprintf(os.Stderr, "skipperd: %s error: %s\n", resp.Code, resp.Error)
-		return false
-	default:
-		fmt.Fprintf(os.Stderr, "skipperd: unexpected frame type %q\n", resp.Type)
-		return false
-	}
-}
-
-// printSpanTree renders a trace's spans as an indented tree in
-// recording order: wall bounds always, virtual bounds when the span
-// was stamped by the simulation.
-func printSpanTree(e *trace.Export) {
-	children := map[int][]trace.Span{}
-	for _, sp := range e.Spans {
-		children[sp.Parent] = append(children[sp.Parent], sp)
-	}
-	var walk func(parent, depth int)
-	walk = func(parent, depth int) {
-		for _, sp := range children[parent] {
-			line := fmt.Sprintf("%*s%s %s  wall %s..%s", 2*depth, "", sp.Cat, sp.Name,
-				sp.WallStart.Round(time.Microsecond), sp.WallEnd.Round(time.Microsecond))
-			if sp.HasVirt {
-				line += fmt.Sprintf("  virt %s..%s",
-					sp.VirtStart.Round(time.Millisecond), sp.VirtEnd.Round(time.Millisecond))
-			}
-			fmt.Println(line)
-			walk(sp.ID, depth+1)
-		}
-	}
-	walk(0, 0)
+	return 0
 }
 
 // runLoadgen drives closed-loop load: `workers` connections (spread
@@ -366,10 +232,9 @@ func runLoadgen(addr string, tenant int, command string, workers int, duration t
 	stmts := []string{"SELECT n_name, r_name FROM nation, region WHERE n_regionkey = r_regionkey ORDER BY n_name"}
 	if command != "" {
 		stmts = stmts[:0]
-		for _, stmt := range strings.Split(command, ";") {
-			if stmt = strings.TrimSpace(stmt); stmt != "" {
-				stmts = append(stmts, stmt)
-			}
+		var last string
+		if stmts, last = sql.SplitStatements(command); last != "" {
+			stmts = append(stmts, strings.TrimSpace(last))
 		}
 	}
 	if workers < 1 {
@@ -401,13 +266,13 @@ func runLoadgen(addr string, tenant int, command string, workers int, duration t
 				return
 			}
 			defer w.conn.Close()
-			if _, err := w.roundTrip(server.Request{Op: server.OpHello, Tenant: &tn}); err != nil {
+			if _, err := w.roundTrip(&server.Request{Op: server.OpHello, Tenant: &tn}); err != nil {
 				fmt.Fprintf(os.Stderr, "skipperd: worker %d: hello: %v\n", i, err)
 				return
 			}
 			for q := 0; time.Now().Before(stop); q++ {
 				start := time.Now()
-				resp, err := w.roundTrip(server.Request{SQL: stmts[q%len(stmts)]})
+				resp, err := w.roundTrip(&server.Request{SQL: stmts[q%len(stmts)]})
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "skipperd: worker %d: %v\n", i, err)
 					mu.Lock()
@@ -444,7 +309,7 @@ func runLoadgen(addr string, tenant int, command string, workers int, duration t
 	// One final STATS frame: the server-side view of the same run.
 	if w, err := dialWire(addr); err == nil {
 		defer w.conn.Close()
-		if resp, err := w.roundTrip(server.Request{Op: server.OpStats}); err == nil && resp.Stats != nil {
+		if resp, err := w.roundTrip(&server.Request{Op: server.OpStats}); err == nil && resp.Stats != nil {
 			fmt.Printf("server: %d in flight, %d queued; totals admitted=%d completed=%d rejected=%d expired=%d\n",
 				resp.Stats.Inflight, resp.Stats.Queued,
 				resp.Stats.Total.Admitted, resp.Stats.Total.Completed,

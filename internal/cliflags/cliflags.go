@@ -2,7 +2,8 @@
 // the dataset, execution and fleet/fault/retry flag groups skipperd and
 // skipperql share, registered once and resolved once into the values the
 // library takes — a dataset, a skipper.FleetSpec, a pipeline config, a
-// retry policy, an engine mode. Unknown names and out-of-range values are
+// retry policy, an engine mode — and from there into the server.Config
+// both front ends serve from. Unknown names and out-of-range values are
 // errors here, so a typo never silently selects a default.
 package cliflags
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/objstore"
 	"repro/internal/segment"
+	"repro/internal/server"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
@@ -62,7 +64,7 @@ func Bind(fs *flag.FlagSet, segCache int) *Flags {
 		sf:        fs.Int("sf", 10, "scale factor / footprint in GB"),
 		rows:      fs.Int("rows", 20, "tuples per 1 GB object"),
 		clustered: fs.Bool("clustered", false, "sort the TPC-H date columns before segmenting (makes date predicates prunable)"),
-		format:    fs.String("format", "v2", "segment wire format the store serves: mem, v1 or v2"),
+		format:    fs.String("format", "v2", "segment wire format the store serves: mem or v2"),
 		// Execution.
 		engine:        fs.String("engine", "skipper", "execution engine: skipper or vanilla"),
 		cache:         fs.Int("cache", 10, "MJoin cache size in objects (skipper engine)"),
@@ -110,6 +112,22 @@ type Run struct {
 	Fleet skipper.FleetSpec
 	// Retry is nil (library default) unless a -retry-* flag is set.
 	Retry *skipper.RetryPolicy
+}
+
+// ServerConfig is the run as a server configuration: what skipperd serves
+// over its socket and skipperql through an in-process session. The
+// serving-only settings (admission, deadlines, tracing) are left at their
+// defaults for the caller to set.
+func (r *Run) ServerConfig() server.Config {
+	cfg := server.NewConfig(r.Dataset)
+	cfg.Mode = r.Mode
+	cfg.CacheObjects = r.MJoinCache
+	cfg.SegCacheObjects = r.SegCache
+	cfg.Prune = r.Prune
+	cfg.Pipeline = r.Pipeline
+	cfg.Fleet = r.Fleet
+	cfg.Retry = r.Retry
+	return cfg
 }
 
 // Resolve validates the parsed flags and builds the run. Every error is a

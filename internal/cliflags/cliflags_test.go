@@ -33,7 +33,7 @@ const small = "-sf 1 -rows 2 "
 // TestFullFlagLine: one line setting every group resolves to exactly the
 // values the library takes.
 func TestFullFlagLine(t *testing.T) {
-	r, err := resolve(t, false, small+"-workload tpch -clustered -format v1 "+
+	r, err := resolve(t, false, small+"-workload tpch -clustered -format mem "+
 		"-engine vanilla -cache 7 -segcache 5 -prune=false -pipeline -prefetch 3 -decode-workers 6 "+
 		"-devices 2 -replication hot:4 "+
 		"-fault-transient 0.4 -fault-corrupt 0.25 -fault-stall 0.2 -fault-stall-dur 5s -fault-cap 2 -fault-seed 42 "+
@@ -41,7 +41,7 @@ func TestFullFlagLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Workload != "tpch" || r.Engine != "vanilla" || r.Format != segment.FormatV1 || r.Dataset == nil {
+	if r.Workload != "tpch" || r.Engine != "vanilla" || r.Format != segment.FormatMem || r.Dataset == nil {
 		t.Errorf("dataset group: %q %q %v %v", r.Workload, r.Engine, r.Format, r.Dataset)
 	}
 	if r.Mode != skipper.ModeVanilla || r.Local || r.MJoinCache != 7 || r.SegCache != 5 || r.Prune {
@@ -65,6 +65,12 @@ func TestFullFlagLine(t *testing.T) {
 	wantRetry.MaxAttempts, wantRetry.BaseBackoff = 40, 500*time.Millisecond
 	if !reflect.DeepEqual(r.Retry, wantRetry) {
 		t.Errorf("retry %+v, want %+v", r.Retry, wantRetry)
+	}
+	// Both front ends serve from this one mapping.
+	cfg := r.ServerConfig()
+	if cfg.Dataset != r.Dataset || cfg.Mode != r.Mode || cfg.CacheObjects != 7 || cfg.SegCacheObjects != 5 || cfg.Prune ||
+		cfg.Pipeline != r.Pipeline || !reflect.DeepEqual(cfg.Fleet, r.Fleet) || cfg.Retry != r.Retry {
+		t.Errorf("server config %+v does not carry the run %+v", cfg, r)
 	}
 }
 
@@ -95,6 +101,7 @@ func TestOutsideInputIsRejected(t *testing.T) {
 		{"unknown engine with local allowed", "-engine vanila", true},
 		{"local engine where there is none", "-engine local", false},
 		{"unknown format", "-format v3", false},
+		{"a format no front end serves", "-format v1", false},
 		{"unknown replication", "-replication warm", false},
 		{"malformed hot count", "-replication hot:x", false},
 		{"no devices", "-devices 0", false},

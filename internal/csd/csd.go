@@ -69,8 +69,10 @@ type Request struct {
 	Tenant  int
 	Reply   *vtime.Chan[Delivery]
 
-	seq       int           // arrival order, assigned by the CSD
-	arrivedAt time.Duration // virtual arrival time
+	seq         int           // arrival order, assigned by the CSD
+	arrivedAt   time.Duration // virtual arrival time
+	arrivedWall time.Time     // wall arrival time; only taken when spans are recorded
+	coalesced   bool          // riding another request's transfer
 	// followers are later pending requests for the same object coalesced
 	// onto this one: the transfer runs once and the delivery fans out to
 	// every follower's reply channel at the same completion time.
@@ -177,8 +179,8 @@ func mergeCounts[K comparable](a, b map[K]int) map[K]int {
 // Config parametrizes the device.
 type Config struct {
 	// ID names the device within a fleet. Single-device clusters leave it
-	// 0; the cluster harness stamps ids [0, N) so deliveries, trace
-	// events and process names say which device they came from.
+	// 0; the cluster harness stamps ids [0, N) so deliveries, spans and
+	// process names say which device they came from.
 	ID int
 	// GroupSwitch is the spin-down/spin-up latency of a group switch
 	// (Pelican: 8 s; the paper's experiments default to 10 s).
@@ -196,9 +198,11 @@ type Config struct {
 	// requests within a group, we can reduce transfer time
 	// substantially" — at the cost of strict per-tenant delivery order.
 	StreamsPerTenant int
-	// Events, when non-nil, receives structured trace events (GETs,
-	// deliveries, switches).
-	Events *trace.Log
+	// Trace, when non-nil, is the device recorder: a switch span per group
+	// switch, a transfer span per request from arrival to delivery and a
+	// down span per crash window, each labeled with this device's ID (a
+	// fleet shares one recorder). Nil records nothing and formats nothing.
+	Trace *trace.QueryTrace
 	// Faults, when non-nil, injects the configured fault plan into every
 	// transfer: transient failures, stalls, corrupt payloads and the
 	// crash window. Nil means a perfect device. Note that a plan with a
@@ -278,7 +282,10 @@ type CSD struct {
 	// down marks a crash window: pending and in-flight work fails with a
 	// DeviceDownError and new requests are refused until restart (if the
 	// plan has one — otherwise the window lasts the rest of the run).
-	down bool
+	// downAt/downWall are when it began.
+	down     bool
+	downAt   time.Duration
+	downWall time.Time
 
 	stats Stats
 }
@@ -436,18 +443,57 @@ func (c *CSD) crash(p *vtime.Proc) {
 	if c.down || c.fatal != nil {
 		return
 	}
-	c.down = true
+	c.down, c.downAt = true, p.Now()
+	if c.cfg.Trace.Enabled() {
+		c.downWall = time.Now()
+	}
 	c.stats.Crashes++
 	restarting := c.willRestart()
-	c.cfg.Events.Add(trace.Event{
-		At: p.Now(), Kind: trace.KindSwitch, Tenant: -1, Group: -1, Device: c.cfg.ID,
-		Note: fmt.Sprintf("crash restarting=%v", restarting),
-	})
 	for _, r := range c.pending {
 		c.stats.DownErrors++
-		r.Reply.Send(p, Delivery{Object: r.Object, Device: c.cfg.ID, Err: &DeviceDownError{Object: r.Object, Restarting: restarting}})
+		c.deliver(p, r, Delivery{Err: &DeviceDownError{Object: r.Object, Restarting: restarting}}, "down")
 	}
 	c.pending = nil
+}
+
+// recordDown records the crash window's span, from the crash to now.
+func (c *CSD) recordDown(p *vtime.Proc, how string) {
+	c.cfg.Trace.EmitVirtDev(trace.CatDown, how, c.downWall, c.downAt, p.Now(), c.cfg.ID)
+}
+
+// deliver answers one received request and records its transfer span:
+// arrival to now, named by object, tenant and query, then "coalesced" for
+// a rider and the outcome for anything but a clean delivery.
+func (c *CSD) deliver(p *vtime.Proc, r *Request, d Delivery, outcome string) {
+	d.Object, d.Device = r.Object, c.cfg.ID
+	r.Reply.Send(p, d)
+	if !c.cfg.Trace.Enabled() {
+		return
+	}
+	name := fmt.Sprintf("%v t%d %s", r.Object, r.Tenant, r.QueryID)
+	if r.coalesced {
+		name += " coalesced"
+	}
+	if outcome != "" {
+		name += " " + outcome
+	}
+	c.cfg.Trace.EmitVirtDev(trace.CatTransfer, name, r.arrivedWall, r.arrivedAt, p.Now(), c.cfg.ID)
+}
+
+// fanOut delivers one transfer's result to its carrier and every
+// coalesced follower at the same instant.
+func (c *CSD) fanOut(p *vtime.Proc, r *Request, d Delivery, outcome string) {
+	c.deliver(p, r, d, outcome)
+	for _, f := range r.followers {
+		c.deliver(p, f, d, outcome)
+	}
+}
+
+// failTransient fails a transfer whose time was spent but whose data
+// never arrived: nothing is charged, every requester may retry.
+func (c *CSD) failTransient(p *vtime.Proc, r *Request) {
+	c.stats.TransientFaults++
+	c.fanOut(p, r, Delivery{Err: &TransientError{Object: r.Object, Attempt: c.cfg.Faults.Attempts(r.Object.String())}}, "transient-fault")
 }
 
 func (c *CSD) controller(p *vtime.Proc) {
@@ -503,10 +549,7 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 		if c.down {
 			c.down = false
 			c.stats.Restarts++
-			c.cfg.Events.Add(trace.Event{
-				At: p.Now(), Kind: trace.KindSwitch, Tenant: -1, Group: c.loaded, Device: c.cfg.ID,
-				Note: "restart",
-			})
+			c.recordDown(p, "crash, restarted")
 		}
 	case ev.req != nil:
 		r := ev.req
@@ -525,6 +568,9 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 		r.seq = c.arrivalSeq
 		c.arrivalSeq++
 		r.arrivedAt = p.Now()
+		if c.cfg.Trace.Enabled() {
+			r.arrivedWall = time.Now()
+		}
 		if _, seen := c.lastService[r.QueryID]; !seen {
 			// A query starts waiting from its arrival (§4.4).
 			c.lastService[r.QueryID] = c.stats.GroupSwitches
@@ -532,10 +578,6 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 		c.pending = append(c.pending, r)
 		c.stats.GetsReceived++
 		c.stats.GetsByTenant[r.Tenant]++
-		c.cfg.Events.Add(trace.Event{
-			At: p.Now(), Kind: trace.KindGet, Tenant: r.Tenant, Device: c.cfg.ID,
-			Query: r.QueryID, Object: r.Object.String(), Group: c.mustGroupOf(r.Object),
-		})
 	case ev.done:
 		c.inFlight--
 	}
@@ -576,6 +618,7 @@ func (c *CSD) dispatch(p *vtime.Proc) bool {
 		c.stats.ServedByQuery[r.QueryID]++
 		if carrier, dup := c.inflight[r.Object]; dup {
 			carrier.followers = append(carrier.followers, r)
+			r.coalesced = true
 			c.stats.GetsCoalesced++
 			continue
 		}
@@ -619,16 +662,18 @@ func (c *CSD) switchGroup(p *vtime.Proc) error {
 			Reason: "picked a group with no pending requests",
 		}
 	}
-	from := p.Now()
-	prev := c.loaded
+	from, prev := p.Now(), c.loaded
+	var wallFrom time.Time
+	if c.cfg.Trace.Enabled() {
+		wallFrom = time.Now()
+	}
 	p.Sleep(c.cfg.GroupSwitch)
 	c.loaded = next
 	c.stats.GroupSwitches++
 	c.stats.SwitchIntervals = append(c.stats.SwitchIntervals, Interval{From: from, To: p.Now()})
-	c.cfg.Events.Add(trace.Event{
-		At: p.Now(), Kind: trace.KindSwitch, Tenant: -1, Group: next, Device: c.cfg.ID,
-		Note: fmt.Sprintf("g%d->g%d", prev, next),
-	})
+	if c.cfg.Trace.Enabled() {
+		c.cfg.Trace.EmitVirtDev(trace.CatSwitch, fmt.Sprintf("g%d->g%d", prev, next), wallFrom, from, p.Now(), c.cfg.ID)
+	}
 	return nil
 }
 
@@ -639,7 +684,7 @@ func (c *CSD) switchGroup(p *vtime.Proc) error {
 func (c *CSD) fail(p *vtime.Proc, err error) {
 	c.fatal = err
 	for _, r := range c.pending {
-		r.Reply.Send(p, Delivery{Object: r.Object, Device: c.cfg.ID, Err: err})
+		c.deliver(p, r, Delivery{Err: err}, "fail-stop")
 	}
 	c.pending = nil
 }
@@ -681,65 +726,35 @@ func (c *CSD) tenantStream(tenant int) *stream {
 				// This sequence runs without yielding (see the inflight
 				// field), so no follower can be attached after delivery.
 				delete(c.inflight, r.Object)
+				riders := 1 + len(r.followers)
 				switch {
 				case c.down:
 					// The device crashed while this transfer was in flight:
-					// the carrier and every coalesced follower get the same
-					// error delivery — no partial fan-out, no byte charge.
-					restarting := c.willRestart()
-					for _, rr := range append([]*Request{r}, r.followers...) {
-						c.stats.DownErrors++
-						rr.Reply.Send(p, Delivery{Object: rr.Object, Device: c.cfg.ID, Err: &DeviceDownError{Object: rr.Object, Restarting: restarting}})
-					}
+					// every rider gets the same error, no byte charge.
+					c.stats.DownErrors += riders
+					c.fanOut(p, r, Delivery{Err: &DeviceDownError{Object: r.Object, Restarting: c.willRestart()}}, "down")
 				case out.Fail:
-					// Transient failure: the transfer time was spent but no
-					// data arrived, so nothing is charged. Every requester
-					// sees the error and may retry.
-					c.stats.TransientFaults++
-					err := &TransientError{Object: r.Object, Attempt: c.cfg.Faults.Attempts(r.Object.String())}
-					for _, rr := range append([]*Request{r}, r.followers...) {
-						rr.Reply.Send(p, Delivery{Object: rr.Object, Device: c.cfg.ID, Err: err})
-						c.cfg.Events.Add(trace.Event{
-							At: p.Now(), Kind: trace.KindDelivery, Tenant: rr.Tenant, Device: c.cfg.ID,
-							Query: rr.QueryID, Object: rr.Object.String(), Group: -1,
-							Note: "transient-fault",
-						})
-					}
+					c.failTransient(p, r)
 				default:
-					served := seg
-					note := ""
+					served, outcome := seg, ""
 					if out.Corrupt {
-						if bad := seg.CorruptedCopy(); bad != nil {
-							served, note = bad, "corrupt"
-							c.stats.CorruptDeliveries++
-						} else {
+						if served = seg.CorruptedCopy(); served == nil {
 							// In-memory segments carry no wire bytes to flip;
 							// degrade the fault to a transient failure so the
 							// plan still exercises the retry path.
-							c.stats.TransientFaults++
-							err := &TransientError{Object: r.Object, Attempt: c.cfg.Faults.Attempts(r.Object.String())}
-							for _, rr := range append([]*Request{r}, r.followers...) {
-								rr.Reply.Send(p, Delivery{Object: rr.Object, Device: c.cfg.ID, Err: err})
-							}
-							c.evCh.Send(p, event{done: true, doneID: s.tenant})
-							continue
+							c.failTransient(p, r)
+							break
 						}
+						outcome = "corrupt"
+						c.stats.CorruptDeliveries++
 					}
-					// One transfer, one byte charge; the delivery fans out to
-					// the carrier and every coalesced follower at the same
-					// completion instant. Corrupt bytes traveled, so they are
-					// charged like clean ones.
+					// One transfer, one byte charge, however many riders.
+					// Corrupt bytes traveled, so they are charged like clean
+					// ones.
 					c.stats.BytesServed += seg.NominalBytes
 					c.stats.PayloadBytesServed += seg.EncodedSize()
-					for _, rr := range append([]*Request{r}, r.followers...) {
-						rr.Reply.Send(p, Delivery{Object: rr.Object, Seg: served, Device: c.cfg.ID})
-						c.stats.ObjectsServed++
-						c.cfg.Events.Add(trace.Event{
-							At: p.Now(), Kind: trace.KindDelivery, Tenant: rr.Tenant, Device: c.cfg.ID,
-							Query: rr.QueryID, Object: rr.Object.String(), Group: -1,
-							Note: note,
-						})
-					}
+					c.stats.ObjectsServed += riders
+					c.fanOut(p, r, Delivery{Seg: served}, outcome)
 				}
 				c.evCh.Send(p, event{done: true, doneID: s.tenant})
 			}
@@ -748,7 +763,12 @@ func (c *CSD) tenantStream(tenant int) *stream {
 	return s
 }
 
+// stopStreams ends the run: the transfer workers exit, and the span of a
+// crash window the device never came back from closes here.
 func (c *CSD) stopStreams(p *vtime.Proc) {
+	if c.down {
+		c.recordDown(p, "crash, never restarted")
+	}
 	for _, s := range c.streams {
 		for w := 0; w < s.workers; w++ {
 			s.queue.Send(p, nil)

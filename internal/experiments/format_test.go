@@ -69,24 +69,25 @@ func evalFormat(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode,
 	return engine.Collect(engine.Parallelize(spec.Shape(engine.NewValues(res.Schema, res.Rows)), dop))
 }
 
+// servedFormats are the formats a store serves. v1 is decode-only: its
+// codec is tested in internal/segment, and it runs here only as the
+// projection report's row-major baseline (TestProjectionReportQuick).
+var servedFormats = []segment.Format{segment.FormatMem, segment.FormatV2}
+
 func TestFormatDifferential(t *testing.T) {
 	p := Quick()
 	base := p.clusteredDataset()
-	datasets := map[segment.Format]*workload.Dataset{segment.FormatMem: base}
-	for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
-		ds, err := objstore.ReencodeDataset(base, f)
-		if err != nil {
-			t.Fatalf("encode %v: %v", f, err)
-		}
-		datasets[f] = ds
+	v2, err := objstore.ReencodeDataset(base, segment.FormatV2)
+	if err != nil {
+		t.Fatalf("encode v2: %v", err)
 	}
-	formats := []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2}
+	datasets := map[segment.Format]*workload.Dataset{segment.FormatMem: base, segment.FormatV2: v2}
 	for _, q := range formatDiffQueries {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
 			want := map[skipper.Mode][]tuple.Row{}
 			for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-				for _, f := range formats {
+				for _, f := range servedFormats {
 					ds := datasets[f]
 					spec := q.spec(ds)
 					for _, dop := range []int{1, 4} {
@@ -123,7 +124,7 @@ func TestFormatDifferentialScrambledArrivals(t *testing.T) {
 	p := Quick()
 	base := p.clusteredDataset()
 	var want []tuple.Row
-	for _, f := range []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2} {
+	for _, f := range servedFormats {
 		ds, err := objstore.ReencodeDataset(base, f)
 		if err != nil {
 			t.Fatalf("encode %v: %v", f, err)
@@ -218,7 +219,7 @@ func TestFormatPreservesCatalogStats(t *testing.T) {
 func TestReportQueriesVerify(t *testing.T) {
 	p := Quick()
 	var cells []lattice.Cell
-	for _, f := range []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2} {
+	for _, f := range servedFormats {
 		for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 			for _, noPrune := range []bool{false, true} {
 				cell := p.cell(mode)

@@ -50,7 +50,8 @@ type Cell struct {
 	Fleet skipper.FleetSpec
 	// Retry overrides the clients' fault-recovery policy (nil = default).
 	Retry *skipper.RetryPolicy
-	// Traced gives every client a span recorder (Client.QTrace).
+	// Traced gives every client a span recorder (Client.QTrace) and the
+	// fleet's devices one of their own (Fleet.Device.Trace).
 	Traced bool
 	// KeepResults retains every query's result rows in the run's records.
 	KeepResults bool
@@ -161,23 +162,24 @@ func (c Cell) Cluster(w Workload) *skipper.Cluster {
 	}
 	for t, tn := range w.Tenants {
 		client := &skipper.Client{
-			Tenant:       t,
-			Mode:         c.Mode,
-			Catalog:      tn.Catalog,
-			Queries:      tn.Queries,
-			CacheObjects: c.MJoinCache,
-			Parallelism:  c.DOP,
-			Pipeline:     c.Pipeline,
-			Retry:        c.Retry,
-			KeepResults:  c.KeepResults,
-		}
-		if c.NoPrune {
-			client.StatsPruning = new(bool)
+			Tenant:         t,
+			Mode:           c.Mode,
+			Catalog:        tn.Catalog,
+			Queries:        tn.Queries,
+			CacheObjects:   c.MJoinCache,
+			NoStatsPruning: c.NoPrune,
+			Parallelism:    c.DOP,
+			Pipeline:       c.Pipeline,
+			Retry:          c.Retry,
+			KeepResults:    c.KeepResults,
 		}
 		if c.Traced {
 			client.QTrace = trace.NewQueryTrace(fmt.Sprintf("t%d", t), t, "")
 		}
 		cl.Clients[t] = client
+	}
+	if c.Traced {
+		cl.Fleet.Device.Trace = trace.NewQueryTrace("devices", -1, "")
 	}
 	if c.SharedCache > 0 {
 		cl.SharedCache = segcache.NewObjects(c.SharedCache)

@@ -264,6 +264,8 @@ func TestEveryCheckCanFail(t *testing.T) {
 		{"traced", "makespan moved", cell, func(r run) { r.res.Makespan++ }, traced},
 		{"traced", "device GETs moved", cell, func(r run) { r.res.CSD.GetsReceived++ }, traced},
 		{"traced", "an empty trace", cell, func(r run) { r.cl.Clients[0].QTrace = trace.NewQueryTrace("empty", 0, "") }, traced},
+		{"traced", "an empty device lane", cell, func(r run) { r.cl.Fleet.Device.Trace = trace.NewQueryTrace("empty", -1, "") }, traced},
+		{"traced", "a group switch unrecorded", cell, func(r run) { r.res.Devices[0].GroupSwitches++ }, traced},
 		{"goroutines", "four left running", cell, func(r run) {}, func(Cell, run) error {
 			stop := make(chan struct{})
 			defer close(stop)

@@ -2,10 +2,12 @@ package lattice
 
 import (
 	"fmt"
+	"regexp"
 	"runtime"
 	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/csd"
 	"repro/internal/objstore"
 	"repro/internal/segment"
 	"repro/internal/skipper"
@@ -35,6 +37,10 @@ type AxisError struct {
 
 func (e *AxisError) Error() string { return fmt.Sprintf("lattice: %s: %s", e.Axis, e.Detail) }
 
+// failedTransfer matches the name of a transfer span that delivered an
+// error instead of data.
+var failedTransfer = regexp.MustCompile(` (down|transient-fault|fail-stop)$`)
+
 func axisErr(axis, format string, args ...any) error {
 	return &AxisError{Axis: axis, Detail: fmt.Sprintf(format, args...)}
 }
@@ -49,7 +55,8 @@ func axisErr(axis, format string, args ...any) error {
 //   - leave no goroutine behind;
 //   - be indifferent to tracing: the cell's twin with Traced flipped must
 //     pass the same checks with the same makespan and device GETs, and the
-//     traced one of the two must record a sound span tree;
+//     traced one of the two must record a sound span tree per client and a
+//     device lane that agrees with the devices' own counters;
 //   - pass the non-vacuity predicate of every axis it turns on (and the
 //     nothing-happened predicate of the ones it leaves off): see checkCache,
 //     checkPipeline, checkFaults and checkFleet.
@@ -99,10 +106,11 @@ func verifyCell(c Cell, workload func() Workload, want [][]tuple.Row) error {
 	if err != nil {
 		return fmt.Errorf("twin %v: %w", twin, err)
 	}
+	tracedRes, untracedRes := res, twinRes
 	if !c.Traced {
-		traced = twinCl
+		traced, tracedRes, untracedRes = twinCl, twinRes, res
 	}
-	if err := checkTraced(traced, res, twinRes); err != nil || c.SharedCache == 0 {
+	if err := checkTraced(traced, tracedRes, untracedRes); err != nil || c.SharedCache == 0 {
 		return err
 	}
 	off := c
@@ -321,8 +329,9 @@ func checkFleet(c Cell, res *skipper.RunResult) error {
 
 // checkTraced is the tracing axis: the span layer is an observer, never a
 // participant. The traced and untraced runs of one cell agree on every
-// virtual-clock quantity (wall time may differ), and each client's trace
-// is a sound span tree. traced is the cluster of whichever run recorded.
+// virtual-clock quantity (wall time may differ), each client's trace is a
+// sound span tree, and the device lane agrees with the devices' counters.
+// traced is the cluster of whichever run recorded, a its result.
 func checkTraced(traced *skipper.Cluster, a, b *skipper.RunResult) error {
 	if a.Makespan != b.Makespan {
 		return axisErr("traced", "tracing changed the makespan: %v vs %v", a.Makespan, b.Makespan)
@@ -333,6 +342,54 @@ func checkTraced(traced *skipper.Cluster, a, b *skipper.RunResult) error {
 	for i, client := range traced.Clients {
 		if err := checkSpanTree(client.QTrace, len(a.Clients[i].PerQuery)); err != nil {
 			return axisErr("traced", "tenant %d: %v", client.Tenant, err)
+		}
+	}
+	if err := CheckDeviceLane(traced.Fleet.Device.Trace.Spans(), a.Devices); err != nil {
+		return axisErr("traced", "device lane: %v", err)
+	}
+	return nil
+}
+
+// CheckDeviceLane holds what the devices recorded (csd.Config.Trace) to
+// what they counted: per device, one switch span per group switch, one
+// transfer span per GET received (every request is answered exactly once),
+// of which those that carried data number ObjectsServed, and one down
+// span per crash. Every span is closed, and since each is recorded as it
+// ends on the one virtual clock the devices share, ends never run
+// backwards.
+func CheckDeviceLane(spans []trace.Span, devices []csd.Stats) error {
+	type tally struct{ switches, transfers, served, downs int }
+	got := make([]tally, len(devices))
+	var last time.Duration
+	for _, sp := range spans {
+		switch {
+		case sp.Device < 0 || sp.Device >= len(devices):
+			return fmt.Errorf("span %d (%s %s) names device %d of %d", sp.ID, sp.Cat, sp.Name, sp.Device, len(devices))
+		case !sp.HasVirt || sp.VirtEnd < sp.VirtStart || sp.WallEnd < sp.WallStart:
+			return fmt.Errorf("span %d (%s %s) is not closed on both clocks", sp.ID, sp.Cat, sp.Name)
+		case sp.VirtEnd < last:
+			return fmt.Errorf("span %d (%s %s) ends at %v, before its predecessor's %v", sp.ID, sp.Cat, sp.Name, sp.VirtEnd, last)
+		}
+		last = sp.VirtEnd
+		t := &got[sp.Device]
+		switch sp.Cat {
+		case trace.CatSwitch:
+			t.switches++
+		case trace.CatTransfer:
+			t.transfers++
+			if !failedTransfer.MatchString(sp.Name) {
+				t.served++
+			}
+		case trace.CatDown:
+			t.downs++
+		default:
+			return fmt.Errorf("span %d has category %q, not a device's", sp.ID, sp.Cat)
+		}
+	}
+	for d, st := range devices {
+		want := tally{st.GroupSwitches, st.GetsReceived, st.ObjectsServed, st.Crashes}
+		if got[d] != want {
+			return fmt.Errorf("device %d recorded %+v, counted %+v", d, got[d], want)
 		}
 	}
 	return nil

@@ -9,6 +9,8 @@
 package mjoin
 
 import (
+	"iter"
+
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/segment"
@@ -98,6 +100,26 @@ func (q *Query) Objects() []segment.ObjectID {
 		out = append(out, r.Table.Objects...)
 	}
 	return out
+}
+
+// Requested iterates over the segments a run of the query will actually
+// request, relation by relation in plan order: every object of every
+// relation minus — with data skipping on — the segments the relation's
+// Pruner proves result-free, which neither engine ever asks a device for.
+func (q *Query) Requested(prune bool) iter.Seq2[*Relation, segment.ObjectID] {
+	return func(yield func(*Relation, segment.ObjectID) bool) {
+		for ri := range q.Relations {
+			rel := &q.Relations[ri]
+			for si, id := range rel.Table.Objects {
+				if prune && rel.Pruner != nil && rel.Pruner.CanSkip(si) {
+					continue
+				}
+				if !yield(rel, id) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // NumSubplans returns the size of the subplan lattice: the product of the

@@ -143,17 +143,12 @@ func (s *Store) TotalBytes() int64 {
 	return n
 }
 
-// LoadDataset encodes every segment of a tenant's dataset through the
-// binary codec (FormatV1, the historical wire format) and PUTs it — the
-// "data waterfall" into the cold storage tier.
-func LoadDataset(s *Store, ds *workload.Dataset) error {
-	return LoadDatasetFormat(s, ds, segment.FormatV1)
-}
-
-// LoadDatasetFormat is LoadDataset with the wire format made explicit:
-// FormatV1 writes the row-major layout, FormatV2 the columnar layout with
-// a column directory. Either format decodes back to identical rows; only
-// access granularity and size differ.
+// LoadDatasetFormat encodes every segment of a tenant's dataset through
+// the binary codec in the given wire format and PUTs it — the "data
+// waterfall" into the cold storage tier. FormatV1 writes the row-major
+// layout, FormatV2 the columnar layout with a column directory. Either
+// format decodes back to identical rows; only access granularity and size
+// differ.
 func LoadDatasetFormat(s *Store, ds *workload.Dataset, f segment.Format) error {
 	for _, name := range ds.Catalog.TableNames() {
 		tm := ds.Catalog.MustTable(name)

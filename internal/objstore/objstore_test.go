@@ -91,7 +91,7 @@ func TestOverwriteReplaces(t *testing.T) {
 func TestDatasetRoundTrip(t *testing.T) {
 	ds := workload.TPCH(3, workload.TPCHConfig{SF: 4, RowsPerObject: 12, Seed: 9})
 	s := New()
-	if err := LoadDataset(s, ds); err != nil {
+	if err := LoadDatasetFormat(s, ds, segment.FormatV1); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.Containers()) != len(ds.Catalog.TableNames()) {
@@ -125,7 +125,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 func TestClusterOverObjstore(t *testing.T) {
 	ds := workload.TPCH(0, workload.TPCHConfig{SF: 4, RowsPerObject: 12, Seed: 2})
 	s := New()
-	if err := LoadDataset(s, ds); err != nil {
+	if err := LoadDatasetFormat(s, ds, segment.FormatV1); err != nil {
 		t.Fatal(err)
 	}
 	store, err := BuildSegmentStore(s, ds.Catalog)

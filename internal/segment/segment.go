@@ -67,17 +67,18 @@ func (f Format) String() string {
 	}
 }
 
-// ParseFormat parses "mem", "v1" or "v2".
+// ParseFormat parses the name of a format a store may serve: "mem" or
+// "v2". FormatV1 is not among them — it stays decodable (stored objects
+// stay readable) and encodable as the row-major baseline of the
+// projection report, but no front end serves it.
 func ParseFormat(s string) (Format, error) {
 	switch s {
 	case "mem":
 		return FormatMem, nil
-	case "v1":
-		return FormatV1, nil
 	case "v2":
 		return FormatV2, nil
 	default:
-		return 0, fmt.Errorf("segment: unknown format %q (want mem, v1 or v2)", s)
+		return 0, fmt.Errorf("segment: unknown format %q (want mem or v2)", s)
 	}
 }
 
@@ -267,12 +268,6 @@ func (g *Segment) CorruptedCopy() *Segment {
 	c := *g
 	c.payload = &np
 	return &c
-}
-
-// Encode serializes the segment in FormatV1 — the historical default,
-// kept so existing callers and stored objects stay readable.
-func (g *Segment) Encode(schema *tuple.Schema) ([]byte, error) {
-	return g.EncodeFormat(schema, FormatV1)
 }
 
 // EncodeFormat serializes the segment in the given wire format. The

@@ -72,7 +72,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Rows:         rows(25),
 		NominalBytes: 1 << 30,
 	}
-	data, err := orig.Encode(sch)
+	data, err := orig.EncodeFormat(sch, FormatV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(3), NominalBytes: 9}
-	data, err := orig.Encode(sch)
+	data, err := orig.EncodeFormat(sch, FormatV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Rows:         rs,
 			NominalBytes: rng.Int63n(1 << 40),
 		}
-		data, err := orig.Encode(sch)
+		data, err := orig.EncodeFormat(sch, FormatV1)
 		if err != nil {
 			return false
 		}
@@ -147,7 +147,7 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestDecodeCorruptTyped(t *testing.T) {
 	orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(3), NominalBytes: 9}
-	data, err := orig.Encode(sch)
+	data, err := orig.EncodeFormat(sch, FormatV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestDecodeRejectsAbsurdTableName(t *testing.T) {
 
 func TestEncodeRejectsLongTableName(t *testing.T) {
 	g := &Segment{ID: ObjectID{Table: strings.Repeat("x", MaxTableName+1)}}
-	if _, err := g.Encode(sch); err == nil {
+	if _, err := g.EncodeFormat(sch, FormatV1); err == nil {
 		t.Fatal("overlong table name encoded")
 	}
 	g.ID.Table = strings.Repeat("x", MaxTableName)
-	data, err := g.Encode(sch)
+	data, err := g.EncodeFormat(sch, FormatV1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,13 @@
-// Package server is the long-lived SQL serving front end: a TCP server
-// speaking a newline-delimited JSON protocol over the execution core the
-// earlier layers built. One connection is one session (tenant binding,
-// a persistent segment cache, pipeline knobs); every query passes
-// through an admission controller — bounded in-flight slots, per-tenant
-// quotas with fair queueing, queue-depth backpressure and per-query
-// deadlines — before it reaches a skipper.Cluster run. go-mysql-server's
+// Package server is the SQL front end: the one statement path between a
+// client and the execution core the earlier layers built. A Session (a
+// tenant binding over the server's per-tenant segment caches) takes a
+// Request and returns a Response; every query passes through an
+// admission controller — bounded in-flight slots, per-tenant quotas with
+// fair queueing, queue-depth backpressure and per-query deadlines —
+// before it reaches a skipper.Cluster run. Two transports lead there: a
+// TCP listener speaking newline-delimited JSON (skipperd) and
+// Server.NewSession in the same process (skipperql); Shell and Render are
+// the statement loop and renderer both front ends share. go-mysql-server's
 // separation of wire protocol / session / execution is the reference
 // shape; the protocol here is deliberately minimal so the serving
 // mechanics, not SQL framing, carry the weight.
@@ -21,6 +24,8 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/segcache"
+	"repro/internal/skipper"
 	"repro/internal/sql"
 	"repro/internal/trace"
 )
@@ -104,6 +109,36 @@ type Response struct {
 	// faults (transient failures, crash windows, corrupt deliveries);
 	// zero — and absent from the frame — on a clean device.
 	Retries int `json:"retries,omitempty"`
+	// The rest of the run's account (see account), which Render prints
+	// as footer lines. ProcessingUS and StalledUS split VirtualUS into
+	// compute charges and waits on the device; DeviceGets[d] is the GETs
+	// device d of a fleet received (absent on one device); the SegCache
+	// fields are the tenant's cache after the run, hits and misses its
+	// lifetime's; DecodeBusyUS and DecodeStallUS are host time spent
+	// decoding and blocked on a decode.
+	ProcessingUS      int64 `json:"processing_us,omitempty"`
+	StalledUS         int64 `json:"stalled_us,omitempty"`
+	Switches          int   `json:"switches,omitempty"`
+	DeviceGets        []int `json:"device_gets,omitempty"`
+	TransientFaults   int   `json:"transient_faults,omitempty"`
+	CorruptDeliveries int   `json:"corrupt_deliveries,omitempty"`
+	Crashes           int   `json:"crashes,omitempty"`
+	BackoffUS         int64 `json:"backoff_us,omitempty"`
+	Failovers         int   `json:"failovers,omitempty"`
+	SegCacheEntries   int   `json:"segcache_entries,omitempty"`
+	SegCacheBytes     int64 `json:"segcache_bytes,omitempty"`
+	SegCacheBudget    int64 `json:"segcache_budget,omitempty"`
+	SegCacheHits      int64 `json:"segcache_hits,omitempty"`
+	SegCacheMisses    int64 `json:"segcache_misses,omitempty"`
+	BytesFetched      int64 `json:"bytes_fetched,omitempty"`
+	BytesDecoded      int64 `json:"bytes_decoded,omitempty"`
+	BytesSkipped      int64 `json:"bytes_skipped,omitempty"`
+	BytesMaterialized int64 `json:"bytes_materialized,omitempty"`
+	PrefetchIssued    int   `json:"prefetch_issued,omitempty"`
+	PrefetchServed    int   `json:"prefetch_served,omitempty"`
+	PrefetchUseful    int   `json:"prefetch_useful,omitempty"`
+	DecodeBusyUS      int64 `json:"decode_busy_us,omitempty"`
+	DecodeStallUS     int64 `json:"decode_stall_us,omitempty"`
 	// TraceID names the span capture of this query (traced queries only;
 	// retrieve with TRACE <id>). Error frames of traced queries carry it
 	// too — a trace of a failed query is exactly what one wants to read.
@@ -151,11 +186,37 @@ type TenantSnapshot struct {
 	Latency   metrics.LatencySnapshot   `json:"latency"`
 }
 
+// account fills a result frame with the run's numbers, from the same
+// ClientStats and RunResult the /metrics bridge reads and the tenant's
+// cache: flat scalars, so a clean single-device run adds no allocation.
+func (r *Response) account(res *skipper.RunResult, cache *segcache.Cache) {
+	cs := res.Clients[0]
+	r.VirtualUS = durUS(cs.Elapsed())
+	r.ProcessingUS = durUS(cs.Processing)
+	r.StalledUS = durUS(cs.Stalled())
+	r.Gets, r.CacheHits, r.Pruned = cs.GetsIssued, cs.CacheHits, cs.SegmentsSkipped
+	r.Switches = res.CSD.GroupSwitches
+	if len(res.Devices) > 1 {
+		r.DeviceGets = make([]int, len(res.Devices))
+		for d, st := range res.Devices {
+			r.DeviceGets[d] = st.GetsReceived
+		}
+	}
+	r.TransientFaults, r.CorruptDeliveries, r.Crashes = cs.TransientFaults, cs.CorruptDeliveries, res.CSD.Crashes
+	r.Retries, r.BackoffUS, r.Failovers = cs.Retries, durUS(cs.RetryBackoff), cs.Failovers
+	if cache != nil {
+		st := cache.Stats()
+		r.SegCacheEntries, r.SegCacheBytes, r.SegCacheBudget = st.Entries, st.BytesCached, st.Budget
+		r.SegCacheHits, r.SegCacheMisses = st.Hits, st.Misses
+	}
+	r.BytesFetched, r.BytesDecoded = cs.BytesFetched, cs.BytesDecoded
+	r.BytesSkipped, r.BytesMaterialized = cs.BytesSkippedByProjection, cs.BytesMaterialized
+	r.PrefetchIssued, r.PrefetchServed, r.PrefetchUseful = cs.PrefetchIssued, cs.PrefetchServed, cs.PrefetchUseful
+	r.DecodeBusyUS, r.DecodeStallUS = durUS(cs.Pipe.DecodeBusy), durUS(cs.Pipe.DecodeStall)
+}
+
 // ParseRequest parses and normalizes one frame. Every failure wraps
-// ErrProtocol. On success the request is normalized: Op is one of the
-// exported verbs, query/explain frames carry non-empty SQL (with any
-// EXPLAIN prefix stripped), Tenant (if present) is non-negative and
-// DeadlineMS non-negative.
+// ErrProtocol; see Normalize for what success guarantees.
 func ParseRequest(line []byte) (*Request, error) {
 	var req Request
 	dec := json.NewDecoder(bytes.NewReader(line))
@@ -168,11 +229,24 @@ func ParseRequest(line []byte) (*Request, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("%w: trailing data after frame", ErrProtocol)
 	}
+	if err := req.Normalize(); err != nil {
+		return nil, err
+	}
+	return &req, nil
+}
+
+// Normalize checks a request and puts it in the form Session.Do takes:
+// Op is one of the exported verbs (derived from the SQL text when empty),
+// query/explain requests carry non-empty SQL (with any EXPLAIN prefix
+// stripped), a trace request its TraceID, Tenant (if present) is
+// non-negative and DeadlineMS non-negative. Every failure wraps
+// ErrProtocol.
+func (req *Request) Normalize() error {
 	if req.Tenant != nil && *req.Tenant < 0 {
-		return nil, fmt.Errorf("%w: negative tenant %d", ErrProtocol, *req.Tenant)
+		return fmt.Errorf("%w: negative tenant %d", ErrProtocol, *req.Tenant)
 	}
 	if req.DeadlineMS < 0 {
-		return nil, fmt.Errorf("%w: negative deadline_ms %d", ErrProtocol, req.DeadlineMS)
+		return fmt.Errorf("%w: negative deadline_ms %d", ErrProtocol, req.DeadlineMS)
 	}
 	if req.Op == "" {
 		req.Op = deriveOp(req.SQL)
@@ -189,7 +263,7 @@ func ParseRequest(line []byte) (*Request, error) {
 		}
 		req.SQL = strings.TrimSpace(req.SQL)
 		if req.SQL == "" {
-			return nil, fmt.Errorf("%w: %s frame without sql", ErrProtocol, req.Op)
+			return fmt.Errorf("%w: %s frame without sql", ErrProtocol, req.Op)
 		}
 	case OpTrace:
 		// Accept both {"op":"trace","trace_id":"..."} and the bare form
@@ -200,14 +274,14 @@ func ParseRequest(line []byte) (*Request, error) {
 			}
 		}
 		if req.TraceID == "" {
-			return nil, fmt.Errorf("%w: trace frame without trace_id", ErrProtocol)
+			return fmt.Errorf("%w: trace frame without trace_id", ErrProtocol)
 		}
 	case OpStats, OpHello:
 		// No SQL required.
 	default:
-		return nil, fmt.Errorf("%w: unknown op %q", ErrProtocol, req.Op)
+		return fmt.Errorf("%w: unknown op %q", ErrProtocol, req.Op)
 	}
-	return &req, nil
+	return nil
 }
 
 // deriveOp classifies a frame without an explicit op by its SQL text.
@@ -230,17 +304,8 @@ func deriveOp(sqlText string) string {
 // not a trace frame (it falls through to the query path and fails
 // planning with a clear error).
 func stripTrace(stmtText string) (string, bool) {
-	trimmed := strings.TrimSpace(stmtText)
-	if len(trimmed) < 6 || !strings.EqualFold(trimmed[:5], "TRACE") {
-		return "", false
-	}
-	switch trimmed[5] {
-	case ' ', '\t', '\n', '\r':
-	default:
-		return "", false
-	}
-	id := strings.TrimSpace(trimmed[6:])
-	if id == "" || strings.ContainsAny(id, " \t\n\r") {
+	id, ok := sql.StripWord(stmtText, "TRACE")
+	if !ok || id == "" || strings.ContainsAny(id, " \t\n\r") {
 		return "", false
 	}
 	return id, true

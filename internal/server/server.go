@@ -9,8 +9,10 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,9 +23,7 @@ import (
 	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/sql"
-	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
@@ -298,14 +298,30 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return dirty
 }
 
-// session is one connection's state, touched only by its handler
-// goroutine. The tenant binds on the first frame that names one (or to
-// tenant 0 on the first query without).
-type session struct {
+// Session is one client's state: its tenant binding, made by the first
+// request that names a tenant (or to tenant 0 by the first statement
+// without). A connection handler owns one; an in-process front end gets
+// its own from NewSession and never needs the server Started. Not safe
+// for concurrent use: one per goroutine, as one connection per client.
+type Session struct {
+	s      *Server
 	tenant int // -1 until bound
 }
 
-// handleConn runs one session: read frame, dispatch, write response.
+// NewSession opens an in-process session.
+func (s *Server) NewSession() *Session { return &Session{s: s, tenant: -1} }
+
+// RoundTrip is what a socket does for a remote client, in process: check
+// and normalize the request as ParseRequest would its frame, then Do it.
+// The error is always nil; the signature is the wire client's.
+func (ss *Session) RoundTrip(req *Request) (*Response, error) {
+	if err := req.Normalize(); err != nil {
+		return errorResponse(req.ID, ss.tenant, CodeProtocol, err), nil
+	}
+	return ss.Do(req), nil
+}
+
+// handleConn runs one session: read frame, parse, Do, write response.
 func (s *Server) handleConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -314,7 +330,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	sess := &session{tenant: -1}
+	sess := s.NewSession()
 	br := bufio.NewReader(conn)
 	enc := json.NewEncoder(conn)
 	for {
@@ -326,21 +342,26 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 			return // EOF, peer reset, or force-close
 		}
-		resp := s.dispatch(sess, line)
+		// A malformed frame answers with a typed error but keeps the
+		// session alive: the peer's framing is intact (the line
+		// terminated), only its content was bad.
+		var resp *Response
+		if req, err := ParseRequest(line); err != nil {
+			resp = errorResponse("", sess.tenant, CodeProtocol, err)
+		} else {
+			resp = sess.Do(req)
+		}
 		if err := enc.Encode(resp); err != nil {
 			return
 		}
 	}
 }
 
-// dispatch routes one parsed frame. Protocol errors answer with a typed
-// frame but keep the session alive: the peer's framing is intact (the
-// line terminated), only its content was bad.
-func (s *Server) dispatch(sess *session, line []byte) *Response {
-	req, err := ParseRequest(line)
-	if err != nil {
-		return errorResponse("", sess.tenant, CodeProtocol, err)
-	}
+// Do executes one normalized request (ParseRequest's or Normalize's
+// output) and returns its response frame. It is the one statement path:
+// every front end, over a socket or in process, ends here.
+func (sess *Session) Do(req *Request) *Response {
+	s := sess.s
 	if req.Tenant != nil {
 		t := *req.Tenant
 		if t >= s.cfg.MaxTenants {
@@ -468,25 +489,19 @@ func (s *Server) numDevices() int { return max(s.cfg.Fleet.N, 1) }
 // spans under it), response drain — retrievable afterwards with
 // TRACE <id>; untraced queries take the identical code path with a nil
 // trace, which every recording call treats as a two-instruction no-op.
-func (s *Server) runQuery(req *Request, tenant int) *Response {
+func (s *Server) runQuery(req *Request, tenant int) (resp *Response) {
 	ts := s.tenantState(tenant)
 	var qt *trace.QueryTrace
 	if s.cfg.Tracing || req.Trace {
 		id := "t" + strconv.Itoa(tenant) + "-" + strconv.FormatInt(s.traceSeq.Add(1), 10)
 		qt = trace.NewQueryTrace(id, tenant, req.SQL)
+		// Every exit path, error frames included, carries the trace id and
+		// archives the trace.
+		defer func() {
+			resp.TraceID = qt.ID
+			s.storeTrace(qt.ExportTrace())
+		}()
 	}
-	resp := s.runQueryTraced(req, tenant, ts, qt)
-	if qt != nil {
-		resp.TraceID = qt.ID
-		s.storeTrace(qt.ExportTrace())
-	}
-	return resp
-}
-
-// runQueryTraced is runQuery's body; splitting it out lets the caller
-// attach the trace id and archive the trace on every exit path,
-// error frames included.
-func (s *Server) runQueryTraced(req *Request, tenant int, ts *tenantState, qt *trace.QueryTrace) *Response {
 	planStart := qt.Origin() // zero when untraced; Emit is nil-safe
 	spec, err := s.planner.Plan(req.SQL)
 	qt.Emit(trace.CatPlan, "plan", planStart)
@@ -504,25 +519,13 @@ func (s *Server) runQueryTraced(req *Request, tenant int, ts *tenantState, qt *t
 		defer cancel()
 	}
 	start := time.Now()
-	release, wait, err := s.adm.Acquire(ctx, tenant)
+	release, wait, refused := s.admit(ctx, req, tenant, ts)
 	qt.Emit(trace.CatAdmission, "slot wait", start)
-	if wait > 0 {
-		ts.counters.Queued.Add(1)
-		ts.counters.AddQueueWait(wait)
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, ErrOverloaded):
-			ts.counters.Rejected.Add(1)
-			return errorResponse(req.ID, tenant, CodeOverloaded, err)
-		default:
-			ts.counters.Expired.Add(1)
-			return errorResponse(req.ID, tenant, ctxCode(err), err)
-		}
+	if refused != nil {
+		return refused
 	}
 	defer release()
-	ts.counters.Admitted.Add(1)
-	res, rows, err := s.execute(ctx, tenant, ts, spec, qt)
+	res, err := s.execute(ctx, tenant, ts, spec, qt)
 	elapsed := time.Since(start)
 	ts.latency.Record(elapsed)
 	s.logSlowQuery(req, tenant, qt, elapsed, wait, err)
@@ -535,23 +538,42 @@ func (s *Server) runQueryTraced(req *Request, tenant int, ts *tenantState, qt *t
 		return errorResponse(req.ID, tenant, CodeExec, err)
 	}
 	ts.counters.Completed.Add(1)
-	cs := res.Clients[0]
+	rows := res.Clients[0].PerQuery[0].Results
 	drainStart := time.Now()
 	rendered := make([]string, len(rows))
 	for i, r := range rows {
 		rendered[i] = r.String()
 	}
 	qt.Emit(trace.CatDrain, "render rows", drainStart)
-	return &Response{
+	resp = &Response{
 		ID: req.ID, Type: "result", Tenant: tenant,
 		Rows: rendered, RowCount: len(rows),
-		VirtualUS: durUS(cs.Elapsed()),
-		WallUS:    durUS(elapsed),
-		QueueUS:   durUS(wait),
-		Gets:      cs.GetsIssued,
-		CacheHits: cs.CacheHits,
-		Pruned:    cs.SegmentsSkipped,
-		Retries:   cs.Retries,
+		WallUS:  durUS(elapsed),
+		QueueUS: durUS(wait),
+	}
+	resp.account(res, ts.cache)
+	return resp
+}
+
+// admit takes an execution slot for the tenant, accounting the wait and
+// the outcome. A refusal — overload, deadline, shutdown — comes back as
+// the error frame to answer with; otherwise the caller owns release.
+func (s *Server) admit(ctx context.Context, req *Request, tenant int, ts *tenantState) (release func(), wait time.Duration, refused *Response) {
+	release, wait, err := s.adm.Acquire(ctx, tenant)
+	if wait > 0 {
+		ts.counters.Queued.Add(1)
+		ts.counters.AddQueueWait(wait)
+	}
+	switch {
+	case err == nil:
+		ts.counters.Admitted.Add(1)
+		return release, wait, nil
+	case errors.Is(err, ErrOverloaded):
+		ts.counters.Rejected.Add(1)
+		return nil, wait, errorResponse(req.ID, tenant, CodeOverloaded, err)
+	default:
+		ts.counters.Expired.Add(1)
+		return nil, wait, errorResponse(req.ID, tenant, ctxCode(err), err)
 	}
 }
 
@@ -610,26 +632,29 @@ func (s *Server) traceResponse(req *Request, tenant int) *Response {
 
 // execute runs one admitted query as a single-client cluster over the
 // server's shared store, wired to the tenant's persistent segment cache
-// and the configured pipeline. ctx bounds the run in real time.
-func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec skipper.QuerySpec, qt *trace.QueryTrace) (*skipper.RunResult, []tuple.Row, error) {
-	prune := s.cfg.Prune
+// and the configured pipeline; a traced query's devices record into its
+// trace's device lane. ctx bounds the run in real time. The result comes
+// back with a failed run too, whenever the run got far enough to count.
+func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec skipper.QuerySpec, qt *trace.QueryTrace) (*skipper.RunResult, error) {
 	client := &skipper.Client{
-		Tenant:       tenant,
-		Mode:         s.cfg.Mode,
-		Catalog:      s.cfg.Dataset.Catalog,
-		Queries:      []skipper.QuerySpec{spec},
-		CacheObjects: s.cfg.CacheObjects,
-		StatsPruning: &prune,
-		SegCache:     ts.cache,
-		Pipeline:     s.cfg.Pipeline,
-		Retry:        s.cfg.Retry,
-		KeepResults:  true,
-		Ctx:          ctx,
-		QTrace:       qt,
+		Tenant:         tenant,
+		Mode:           s.cfg.Mode,
+		Catalog:        s.cfg.Dataset.Catalog,
+		Queries:        []skipper.QuerySpec{spec},
+		CacheObjects:   s.cfg.CacheObjects,
+		NoStatsPruning: !s.cfg.Prune,
+		SegCache:       ts.cache,
+		Pipeline:       s.cfg.Pipeline,
+		Retry:          s.cfg.Retry,
+		KeepResults:    true,
+		Ctx:            ctx,
+		QTrace:         qt,
 	}
-	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Fleet: s.cfg.Fleet, Store: s.store}).Run()
+	fleet := s.cfg.Fleet
+	fleet.Device.Trace = qt.DeviceLane()
+	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Fleet: fleet, Store: s.store}).Run()
 	if res == nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Fault accounting covers failed runs too — a query that exhausted
 	// its retries still observed every one of them.
@@ -649,23 +674,19 @@ func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec 
 	for d, st := range res.Devices {
 		ts.deviceCrashes[d].Add(int64(st.Crashes))
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.Clients[0].PerQuery[0].Results, nil
+	return res, err
 }
 
-// explain plans the statement and renders the pull-engine operator tree
-// with the data-skipping and cache-residency summary — the skipperql
-// EXPLAIN view over the wire.
+// explain plans the statement and renders the pull-engine operator tree,
+// then what a run would request: segment fetches pruned; with a segment
+// cache, how many of the rest are resident right now; over an encoded
+// store, the column-block bytes the projection decodes and skips; with
+// the pipeline on, what it discloses to the scheduler.
 func (s *Server) explain(req *Request, tenant int) *Response {
 	spec, err := s.planner.Plan(req.SQL)
 	if err != nil {
 		return errorResponse(req.ID, tenant, CodePlan, err)
 	}
-	if req.Analyze {
-		return s.explainAnalyze(req, tenant, spec)
-	}
 	it, err := skipper.BuildPullPlanPruned(engine.NewTestCtx(s.store), spec.Join, s.cfg.Prune)
 	if err != nil {
 		return errorResponse(req.ID, tenant, CodePlan, err)
@@ -673,63 +694,57 @@ func (s *Server) explain(req *Request, tenant int) *Response {
 	if spec.Shape != nil {
 		it = spec.Shape(it)
 	}
-	plan := engine.Explain(it)
-	total, skipped, resident, fetches := 0, 0, 0, 0
+	if req.Analyze {
+		return s.explainAnalyze(req, tenant, it)
+	}
+	var plan strings.Builder
+	plan.WriteString(engine.Explain(it))
 	cache := s.tenantState(tenant).cache
-	for _, rel := range spec.Join.Relations {
-		total += len(rel.Table.Objects)
-		if s.cfg.Prune {
-			skipped += stats.CountSkipped(rel.Pruner, len(rel.Table.Objects))
+	fetches, resident := 0, 0
+	var decodeB, skipB int64
+	for rel, id := range spec.Join.Requested(s.cfg.Prune) {
+		fetches++
+		if cache != nil && cache.Contains(id) {
+			resident++
 		}
-		for si, id := range rel.Table.Objects {
-			if s.cfg.Prune && rel.Pruner != nil && rel.Pruner.CanSkip(si) {
-				continue
-			}
-			fetches++
-			if cache != nil && cache.Contains(id) {
-				resident++
+		for ci, m := range s.store[id].Directory() {
+			if rel.Cols == nil || slices.Contains(rel.Cols, ci) {
+				decodeB += int64(m.BlockLen)
+			} else {
+				skipB += int64(m.BlockLen)
 			}
 		}
 	}
-	plan += fmt.Sprintf("-- data skipping: %d of %d segment fetches pruned\n", skipped, total)
+	total := len(spec.Join.Objects())
+	fmt.Fprintf(&plan, "-- data skipping: %d of %d segment fetches pruned\n", total-fetches, total)
 	if cache != nil {
-		plan += fmt.Sprintf("-- segcache: %d of %d unpruned segment fetches cache-resident\n", resident, fetches)
+		fmt.Fprintf(&plan, "-- segcache: %d of %d unpruned segment fetches cache-resident (served without a device GET)\n", resident, fetches)
 	}
-	return &Response{ID: req.ID, Type: "explain", Tenant: tenant, Plan: plan}
+	if decodeB+skipB > 0 {
+		fmt.Fprintf(&plan, "-- projection: decode %d of %d column-block bytes (%d skipped, %.0f%%)\n",
+			decodeB, decodeB+skipB, skipB, 100*metrics.ProjectionRatio(decodeB, skipB))
+	}
+	if pc := s.cfg.Pipeline; pc != nil {
+		fmt.Fprintf(&plan, "-- pipeline: prefetch up to %s ahead (%d candidate segment fetches disclosed to the scheduler), %d decode workers\n",
+			gb(pc.PrefetchBytes), fetches, pc.DecodeWorkers)
+	}
+	return &Response{ID: req.ID, Type: "explain", Tenant: tenant, Plan: plan.String()}
 }
 
 // explainAnalyze executes the pull plan with per-operator
 // instrumentation armed and renders the tree annotated with measured
-// rows/batches/bytes/time. It runs real work, so it passes through
-// admission and is accounted like a query. The drain is serial (armed
-// operator stats are unlocked), matching how EXPLAIN ANALYZE plans are
-// built.
-func (s *Server) explainAnalyze(req *Request, tenant int, spec skipper.QuerySpec) *Response {
+// rows/batches/bytes/time — EXPLAIN shows what the planner intends,
+// EXPLAIN ANALYZE what actually flowed. It runs real work, so it passes
+// through admission and is accounted like a query. The drain is serial
+// (armed operator stats are unlocked).
+func (s *Server) explainAnalyze(req *Request, tenant int, it engine.Iterator) *Response {
 	ts := s.tenantState(tenant)
-	release, wait, err := s.adm.Acquire(s.base, tenant)
-	if wait > 0 {
-		ts.counters.Queued.Add(1)
-		ts.counters.AddQueueWait(wait)
-	}
-	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			ts.counters.Rejected.Add(1)
-			return errorResponse(req.ID, tenant, CodeOverloaded, err)
-		}
-		ts.counters.Expired.Add(1)
-		return errorResponse(req.ID, tenant, ctxCode(err), err)
+	release, _, refused := s.admit(s.base, req, tenant, ts)
+	if refused != nil {
+		return refused
 	}
 	defer release()
-	ts.counters.Admitted.Add(1)
 	start := time.Now()
-	it, err := skipper.BuildPullPlanPruned(engine.NewTestCtx(s.store), spec.Join, s.cfg.Prune)
-	if err != nil {
-		ts.counters.Failed.Add(1)
-		return errorResponse(req.ID, tenant, CodePlan, err)
-	}
-	if spec.Shape != nil {
-		it = spec.Shape(it)
-	}
 	engine.EnableAnalyze(it)
 	rows, err := engine.Collect(it)
 	elapsed := time.Since(start)

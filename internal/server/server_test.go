@@ -149,11 +149,10 @@ func directRows(t *testing.T, s *Server, sqlText string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prune := s.cfg.Prune
 	client := &skipper.Client{
 		Tenant: 0, Mode: s.cfg.Mode, Catalog: s.cfg.Dataset.Catalog,
 		Queries: []skipper.QuerySpec{spec}, CacheObjects: s.cfg.CacheObjects,
-		StatsPruning: &prune, Pipeline: s.cfg.Pipeline, KeepResults: true,
+		NoStatsPruning: !s.cfg.Prune, Pipeline: s.cfg.Pipeline, KeepResults: true,
 	}
 	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: s.store}).Run()
 	if err != nil {

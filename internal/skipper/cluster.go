@@ -36,9 +36,6 @@ type Cluster struct {
 	// with its own SegCache opts out of the shared instance. Segments are
 	// immutable, so cross-tenant sharing never changes query results.
 	SharedCache *segcache.Cache
-	// Events, if non-nil, receives structured trace events (query spans
-	// from the clients; GETs, deliveries and switches from the CSD).
-	Events *trace.Log
 }
 
 // RunResult aggregates a cluster run.
@@ -85,7 +82,7 @@ func (cl *Cluster) Run() (*RunResult, error) {
 	if cl.Costs == (Costs{}) {
 		cl.Costs = DefaultCosts()
 	}
-	devCfg, n, plan, err := cl.Fleet.resolve(cl.Events)
+	devCfg, n, plan, err := cl.Fleet.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +234,6 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 			}
 		}
 		qStart := p.Now()
-		cl.Events.Add(trace.Event{At: qStart, Kind: trace.KindQueryStart, Tenant: c.Tenant, Query: queryID, Group: -1})
 		espan := c.QTrace.BeginPhaseVirt(trace.CatExecute, c.Mode.String(), qStart)
 		var rows []tuple.Row
 		var err error
@@ -262,7 +258,6 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 			qr.Results = rows
 		}
 		c.stats.PerQuery = append(c.stats.PerQuery, qr)
-		cl.Events.Add(trace.Event{At: p.Now(), Kind: trace.KindQueryEnd, Tenant: c.Tenant, Query: queryID, Group: -1})
 		c.QTrace.EndPhaseVirt(qspan, p.Now())
 		c.stats.Rows += int64(len(rows))
 		if c.Think > 0 && qi < len(c.Queries)-1 {
@@ -288,7 +283,7 @@ func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec Que
 		Pipe:  pipe,
 		Trace: c.QTrace,
 	}
-	it, err := BuildPullPlanPruned(ctx, spec.Join, c.statsPruningOn())
+	it, err := BuildPullPlanPruned(ctx, spec.Join, !c.NoStatsPruning)
 	if err != nil {
 		return nil, err
 	}
@@ -326,8 +321,8 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 	cfg := mjoin.Config{
 		CacheSize:    cacheSize,
 		Policy:       c.Policy,
-		Pruning:      true,
-		StatsPruning: c.statsPruningOn(),
+		Pruning:      !c.NoSubplanPruning,
+		StatsPruning: !c.NoStatsPruning,
 		Clock:        clock,
 		Costs:        mjoin.Costs{ProcessPerObject: cl.Costs.MJoinPerObject},
 		Parallelism:  c.Parallelism,
@@ -337,9 +332,6 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 		cfg.DecodeAhead = pipe.Depth
 	}
 	cfg.Trace = c.QTrace
-	if c.Pruning != nil {
-		cfg.Pruning = *c.Pruning
-	}
 	res, err := mjoin.RunBatches(spec.Join, cfg, px)
 	if err != nil {
 		return nil, err
@@ -371,15 +363,9 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 func demandHeat(clients []*Client) map[segment.ObjectID]int {
 	heat := make(map[segment.ObjectID]int)
 	for _, c := range clients {
-		prune := c.statsPruningOn()
 		for _, spec := range c.Queries {
-			for _, rel := range spec.Join.Relations {
-				for si, id := range rel.Table.Objects {
-					if prune && rel.Pruner != nil && rel.Pruner.CanSkip(si) {
-						continue
-					}
-					heat[id]++
-				}
+			for _, id := range spec.Join.Requested(!c.NoStatsPruning) {
+				heat[id]++
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/layout"
-	"repro/internal/trace"
 )
 
 // relocatedLayout wraps a base policy and moves one group's objects to a
@@ -84,35 +83,6 @@ func TestAdversarialPlacement(t *testing.T) {
 			if scatRes.CSD.GroupSwitches == 0 {
 				t.Fatalf("groups=%d %v: no switches under scattering", groups, mode)
 			}
-		}
-	}
-}
-
-func TestEventLogEndToEnd(t *testing.T) {
-	cl := buildCluster(2, ModeSkipper, 6)
-	log := &trace.Log{}
-	cl.Events = log
-	res, err := cl.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := log.CountByKind()
-	if counts[trace.KindQueryStart] != 2 || counts[trace.KindQueryEnd] != 2 {
-		t.Fatalf("query spans: %v", counts)
-	}
-	if counts[trace.KindSwitch] != res.CSD.GroupSwitches {
-		t.Fatalf("trace switches %d != stats %d", counts[trace.KindSwitch], res.CSD.GroupSwitches)
-	}
-	if counts[trace.KindGet] != res.CSD.GetsReceived {
-		t.Fatalf("trace gets %d != stats %d", counts[trace.KindGet], res.CSD.GetsReceived)
-	}
-	if counts[trace.KindDelivery] != res.CSD.ObjectsServed {
-		t.Fatalf("trace deliveries %d != stats %d", counts[trace.KindDelivery], res.CSD.ObjectsServed)
-	}
-	// Events are in non-decreasing time order.
-	for i := 1; i < len(log.Events); i++ {
-		if log.Events[i].At < log.Events[i-1].At {
-			t.Fatalf("trace out of order at %d", i)
 		}
 	}
 }

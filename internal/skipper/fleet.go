@@ -7,7 +7,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/layout"
 	"repro/internal/segment"
-	"repro/internal/trace"
 )
 
 // FleetSpec describes the devices a cluster's clients share: how many,
@@ -17,8 +16,9 @@ import (
 // (and by any number of goroutines) with identical, replayable results.
 type FleetSpec struct {
 	// Device configures every device of the fleet. A nil Scheduler means
-	// csd.DefaultConfig (keeping Events). ID and Faults are stamped per
-	// device by Run; Faults must be left nil here.
+	// csd.DefaultConfig (keeping Trace, the one recorder all the fleet's
+	// devices share). ID and Faults are stamped per device by Run; Faults
+	// must be left nil here.
 	Device csd.Config
 	// N is the fleet size; 0 means 1, the classic single-device testbed.
 	// With more, disk groups spread across the devices (primary device =
@@ -59,20 +59,16 @@ func (fs *FleetSpec) Validate() error {
 
 // resolve validates the spec and returns the per-device configuration
 // (ID and Faults still to be stamped), the fleet size and the effective
-// fault plan (nil = clean). events is the cluster-wide event log, used
-// when the device config names none of its own.
-func (fs *FleetSpec) resolve(events *trace.Log) (csd.Config, int, *faults.Plan, error) {
+// fault plan (nil = clean).
+func (fs *FleetSpec) resolve() (csd.Config, int, *faults.Plan, error) {
 	cfg := fs.Device
 	if err := fs.Validate(); err != nil {
 		return cfg, 0, nil, err
 	}
 	if cfg.Scheduler == nil {
 		def := csd.DefaultConfig()
-		def.Events = cfg.Events
+		def.Trace = cfg.Trace
 		cfg = def
-	}
-	if cfg.Events == nil {
-		cfg.Events = events
 	}
 	plan := fs.Faults
 	if plan != nil && !plan.Enabled() {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 	"repro/internal/segcache"
 	"repro/internal/segment"
 	"repro/internal/skipper"
+	"repro/internal/trace"
 	"repro/internal/tuple"
 	"repro/internal/workload"
 )
@@ -274,6 +276,58 @@ func requireDrained(t *testing.T, cl *skipper.Cluster, baseline int) {
 	}
 	if err := lattice.Settle(baseline, 5*time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeviceSpansMatchStats: the device lane is a view over the devices'
+// own counters and cannot disagree with them. On one device, on two, under
+// the chaos plan and across a crash window (restarted, and never), every
+// device's switch spans number its GroupSwitches, its transfer spans its
+// GetsReceived — those that carried data its ObjectsServed — and its down
+// spans its Crashes; every span is closed and none ends before its
+// predecessor (lattice.CheckDeviceLane, which Verify also holds every
+// traced cell to). The lane is not vacuous, and losing a span fails it.
+func TestDeviceSpansMatchStats(t *testing.T) {
+	p := newProbe(t)
+	crash := faults.Plan{Seed: 7, CrashAt: 15 * time.Second, CrashDowntime: 20 * time.Second}
+	dead := crash
+	dead.CrashDowntime = 0
+	for _, tc := range []struct {
+		name  string
+		fleet skipper.FleetSpec
+	}{
+		{"one device", skipper.FleetSpec{}},
+		{"two devices", skipper.FleetSpec{N: 2}},
+		{"chaos", skipper.FleetSpec{Faults: lattice.Chaos(42)}},
+		{"restart", skipper.FleetSpec{Faults: &crash}},
+		{"no restart", skipper.FleetSpec{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}, Faults: &dead}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cell := p.cell
+			cell.Fleet, cell.Retry, cell.Traced = tc.fleet, crashRetry(), true
+			cl := p.cluster(cell, lattice.Tenants)
+			res, err := cl.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans := cl.Fleet.Device.Trace.Spans()
+			if err := lattice.CheckDeviceLane(spans, res.Devices); err != nil {
+				t.Fatal(err)
+			}
+			coalesced := 0
+			for _, sp := range spans {
+				if sp.Cat == trace.CatTransfer && strings.Contains(sp.Name, " coalesced") {
+					coalesced++
+				}
+			}
+			if res.CSD.GroupSwitches == 0 || res.CSD.GetsReceived == 0 || coalesced != res.CSD.GetsCoalesced {
+				t.Fatalf("vacuous or miscounted lane: %d switches, %d GETs, %d spans marked coalesced of %d coalesced GETs",
+					res.CSD.GroupSwitches, res.CSD.GetsReceived, coalesced, res.CSD.GetsCoalesced)
+			}
+			if err := lattice.CheckDeviceLane(spans[1:], res.Devices); err == nil {
+				t.Fatal("a lane that lost its first span still matches the counters")
+			}
+		})
 	}
 }
 

@@ -316,17 +316,9 @@ func (pf *prefetcher) markUsed(id segment.ObjectID) bool {
 func candidatesFor(c *Client, qi int, store map[segment.ObjectID]*segment.Segment) []pfCandidate {
 	spec := c.Queries[qi]
 	queryID := fmt.Sprintf("t%d.%s#%d", c.Tenant, spec.Name, qi)
-	prune := c.statsPruningOn()
 	var out []pfCandidate
-	for _, rel := range spec.Join.Relations {
-		for si, id := range rel.Table.Objects {
-			if prune && rel.Pruner != nil && rel.Pruner.CanSkip(si) {
-				continue
-			}
-			seg, ok := store[id]
-			if !ok {
-				continue
-			}
+	for _, id := range spec.Join.Requested(!c.NoStatsPruning) {
+		if seg, ok := store[id]; ok {
 			out = append(out, pfCandidate{id: id, queryID: queryID, bytes: seg.NominalBytes})
 		}
 	}

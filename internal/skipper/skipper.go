@@ -230,13 +230,13 @@ type Client struct {
 	CacheObjects int
 	// Policy overrides the eviction policy (default MaxProgress).
 	Policy mjoin.EvictionPolicy
-	// Pruning toggles subplan pruning (default true).
-	Pruning *bool
-	// StatsPruning toggles zone-map/Bloom data skipping (default true):
-	// scan specs carrying a stats.Pruner skip proven result-free
+	// NoSubplanPruning turns MJoin's subplan pruning off (§5.2.4).
+	NoSubplanPruning bool
+	// NoStatsPruning turns zone-map/Bloom data skipping off. On (the zero
+	// value), scan specs carrying a stats.Pruner skip proven result-free
 	// segments before any GET is issued, in both modes. Query results
 	// are identical either way; only storage traffic changes.
-	StatsPruning *bool
+	NoStatsPruning bool
 	// Parallelism is the worker count for query execution: hash-join
 	// build/probe and aggregation in ModeVanilla, the MJoin probe chains
 	// and the shaping stage in ModeSkipper. 0 or 1 runs serially; query
@@ -300,9 +300,6 @@ func (c *Client) ctxErr() error {
 	}
 	return c.Ctx.Err()
 }
-
-// statsPruningOn resolves the StatsPruning default.
-func (c *Client) statsPruningOn() bool { return c.StatsPruning == nil || *c.StatsPruning }
 
 // proxy is the client proxy daemon (§4.3): it owns the reply channel,
 // tags requests with the query id, counts GETs, and records stalls. GETs

@@ -10,19 +10,20 @@ import "strings"
 // analyze whether the ANALYZE modifier followed it (execute the plan
 // and annotate each operator with measured rows/batches/bytes/time).
 func StripExplain(stmtText string) (rest string, analyze, ok bool) {
-	rest, ok = stripWord(stmtText, "EXPLAIN")
+	rest, ok = StripWord(stmtText, "EXPLAIN")
 	if !ok {
 		return "", false, false
 	}
-	if after, isAnalyze := stripWord(rest, "ANALYZE"); isAnalyze {
+	if after, isAnalyze := StripWord(rest, "ANALYZE"); isAnalyze {
 		return after, true, true
 	}
 	return rest, false, true
 }
 
-// stripWord strips one leading keyword (case-insensitive, followed by
-// whitespace) and returns the trimmed remainder.
-func stripWord(s, word string) (string, bool) {
+// StripWord strips one leading keyword (case-insensitive, followed by
+// whitespace) and returns the trimmed remainder — the prefix grammar of
+// EXPLAIN here and of the server's admin verbs.
+func StripWord(s, word string) (string, bool) {
 	trimmed := strings.TrimSpace(s)
 	n := len(word)
 	if len(trimmed) < n+1 || !strings.EqualFold(trimmed[:n], word) {

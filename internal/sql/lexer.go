@@ -136,3 +136,39 @@ func lex(input string) ([]token, error) {
 	toks = append(toks, token{tokEOF, "", n})
 	return toks, nil
 }
+
+// SplitStatements cuts src at every ';' outside a string literal and a
+// line comment — the lexer's own quoting rules, so a ';' the parser would
+// read as data never ends a statement. It returns the complete statements
+// (trimmed, without their ';') and the unterminated tail, which the caller
+// may extend with more input and split again. Text holding nothing but
+// blanks and comments is no statement: it is dropped, as a statement and
+// as a tail.
+func SplitStatements(src string) (stmts []string, tail string) {
+	start, blank := 0, true
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; {
+		case c == '\'':
+			// Skip to the closing quote; a doubled quote is an escaped one
+			// (it closes and reopens the literal, which skips it as well).
+			for i++; i < len(src) && src[i] != '\''; i++ {
+			}
+			blank = false
+		case c == '-' && i+1 < len(src) && src[i+1] == '-':
+			for i < len(src) && src[i] != '\n' {
+				i++
+			}
+		case c == ';':
+			if !blank {
+				stmts = append(stmts, strings.TrimSpace(src[start:i]))
+			}
+			start, blank = i+1, true
+		case c != ' ' && c != '\t' && c != '\n' && c != '\r':
+			blank = false
+		}
+	}
+	if blank {
+		return stmts, ""
+	}
+	return stmts, src[start:]
+}

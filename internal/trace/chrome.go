@@ -12,18 +12,8 @@ import (
 // load directly. One traced query becomes one process (pid = a
 // per-trace index, labeled with tenant and trace id); categories map to
 // threads (tid), so fetches, decodes, stalls and operator work each get
-// their own lane under the query's root span.
-
-// ChromeClock selects which clock the exported timestamps use.
-type ChromeClock int
-
-const (
-	// ClockWall exports wall-time offsets — what the hardware did.
-	ClockWall ChromeClock = iota
-	// ClockVirtual exports simulation-time offsets; spans without
-	// virtual stamps (recorded outside a simulated run) are skipped.
-	ClockVirtual
-)
+// their own lane under the query's root span, and the device lane's
+// switches, transfers and crash windows follow them.
 
 // chromeEvent is one trace-event JSON object.
 type chromeEvent struct {
@@ -48,7 +38,7 @@ type chromeMeta struct {
 
 // laneOrder fixes the tid per category so every trace renders with the
 // same lane layout.
-var laneOrder = []string{CatQuery, CatAdmission, CatPlan, CatExecute, CatCycle, CatPrefetch, CatFetch, CatDecode, CatStall, CatOp, CatDrain}
+var laneOrder = []string{CatQuery, CatAdmission, CatPlan, CatExecute, CatCycle, CatPrefetch, CatFetch, CatDecode, CatStall, CatOp, CatDrain, CatRetry, CatSwitch, CatTransfer, CatDown}
 
 func laneOf(cat string) int {
 	for i, c := range laneOrder {
@@ -61,9 +51,11 @@ func laneOf(cat string) int {
 
 func us(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
 
-// WriteChrome renders the traces as one Chrome trace-event JSON array.
-// Load the output in chrome://tracing or https://ui.perfetto.dev.
-func WriteChrome(w io.Writer, clock ChromeClock, traces ...*Export) error {
+// WriteChrome renders the traces as one Chrome trace-event JSON array on
+// the wall clock — what the hardware did; a span the simulation stamped
+// carries its virtual bounds as args. Load the output in chrome://tracing
+// or https://ui.perfetto.dev.
+func WriteChrome(w io.Writer, traces ...*Export) error {
 	var events []any
 	for pid, e := range traces {
 		if e == nil {
@@ -74,43 +66,38 @@ func WriteChrome(w io.Writer, clock ChromeClock, traces ...*Export) error {
 			Args: map[string]any{"name": fmt.Sprintf("t%d %s", e.Tenant, e.ID)},
 		})
 		seen := map[int]bool{}
-		for _, sp := range e.Spans {
-			if clock == ClockVirtual && !sp.HasVirt {
-				continue
+		for _, lane := range [][]Span{e.Spans, e.Device} {
+			for _, sp := range lane {
+				// Device-labeled spans (multi-device fleets) get their own lane
+				// set past the shared ones: tid strides by device so "retry d2"
+				// never collides with an unlabeled lane, and unlabeled spans
+				// keep the exact tids single-device traces always had.
+				tid := laneOf(sp.Cat)
+				laneName := sp.Cat
+				if sp.Device > 0 {
+					tid += sp.Device * (len(laneOrder) + 1)
+					laneName = fmt.Sprintf("%s d%d", sp.Cat, sp.Device)
+				}
+				if !seen[tid] {
+					seen[tid] = true
+					events = append(events, chromeMeta{
+						Name: "thread_name", Ph: "M", PID: pid, TID: tid,
+						Args: map[string]any{"name": laneName},
+					})
+					events = append(events, chromeMeta{
+						Name: "thread_sort_index", Ph: "M", PID: pid, TID: tid,
+						Args: map[string]any{"sort_index": tid},
+					})
+				}
+				ev := chromeEvent{
+					Name: sp.Name, Cat: sp.Cat, Ph: "X",
+					TS: us(sp.WallStart), Dur: us(sp.WallEnd - sp.WallStart), PID: pid, TID: tid,
+				}
+				if sp.HasVirt {
+					ev.Args = map[string]any{"virt_start_s": sp.VirtStart.Seconds(), "virt_end_s": sp.VirtEnd.Seconds()}
+				}
+				events = append(events, ev)
 			}
-			// Device-labeled spans (multi-device fleets) get their own lane
-			// set past the shared ones: tid strides by device so "retry d2"
-			// never collides with an unlabeled lane, and unlabeled spans
-			// keep the exact tids single-device traces always had.
-			tid := laneOf(sp.Cat)
-			laneName := sp.Cat
-			if sp.Device > 0 {
-				tid += sp.Device * (len(laneOrder) + 1)
-				laneName = fmt.Sprintf("%s d%d", sp.Cat, sp.Device)
-			}
-			if !seen[tid] {
-				seen[tid] = true
-				events = append(events, chromeMeta{
-					Name: "thread_name", Ph: "M", PID: pid, TID: tid,
-					Args: map[string]any{"name": laneName},
-				})
-				events = append(events, chromeMeta{
-					Name: "thread_sort_index", Ph: "M", PID: pid, TID: tid,
-					Args: map[string]any{"sort_index": tid},
-				})
-			}
-			ts, end := sp.WallStart, sp.WallEnd
-			if clock == ClockVirtual {
-				ts, end = sp.VirtStart, sp.VirtEnd
-			}
-			ev := chromeEvent{
-				Name: sp.Name, Cat: sp.Cat, Ph: "X",
-				TS: us(ts), Dur: us(end - ts), PID: pid, TID: tid,
-			}
-			if sp.HasVirt && clock == ClockWall {
-				ev.Args = map[string]any{"virt_start_s": sp.VirtStart.Seconds(), "virt_end_s": sp.VirtEnd.Seconds()}
-			}
-			events = append(events, ev)
 		}
 	}
 	enc := json.NewEncoder(w)

@@ -1,19 +1,12 @@
-package trace
-
-import (
-	"fmt"
-	"sync"
-	"time"
-)
-
-// This file is the production tracing layer: hierarchical spans over one
-// query's life in the serving stack, with both clocks the system runs on
-// — wall time (what the hardware did) and virtual time (what the
-// simulated storage did). The event Log above is the simulation's flat
-// chronicle; QueryTrace is the per-request view a person debugging one
-// slow query needs: admission queue wait, planning, prefetch, every
-// segment fetch and decode, operator execution and the response drain,
-// nested under one root.
+// Package trace is the one trace model of the repository: hierarchical
+// spans stamped with both clocks the system runs on — wall time (what the
+// hardware did) and virtual time (what the simulated storage did). A
+// QueryTrace is the per-request view a person debugging one slow query
+// needs: admission queue wait, planning, prefetch, every segment fetch
+// and decode, operator execution and the response drain, nested under one
+// root. The devices record into a recorder of the same type
+// (csd.Config.Trace). Experiments assert on aggregated Stats; humans read
+// the span tree (Export.Render) or load the Chrome export (WriteChrome).
 //
 // Tracing is pay-for-use. Every recording method is safe — and a
 // near-free two-instruction exit — on a nil *QueryTrace, so the hot
@@ -21,6 +14,14 @@ import (
 // off; call sites that would build a label string guard on Enabled
 // first. Recording is mutex-guarded, so decode workers and the prefetch
 // proc may record concurrently with the query's own goroutine.
+package trace
+
+import (
+	"fmt"
+	"io"
+	"sync"
+	"time"
+)
 
 // Span categories, used as Chrome trace-event categories and for lane
 // assignment in the viewer.
@@ -37,6 +38,11 @@ const (
 	CatCycle     = "cycle"     // one MJoin request/arrival cycle
 	CatOp        = "op"        // operator execution (shaping, drain)
 	CatDrain     = "drain"     // response rendering and write-back
+
+	// Device-side categories, recorded by a csd.CSD into its recorder.
+	CatSwitch   = "switch"   // one group switch (spin-down + spin-up)
+	CatTransfer = "transfer" // one GET, from its arrival at the device to its delivery
+	CatDown     = "down"     // one crash window
 )
 
 // Span is one timed piece of a traced query. Wall offsets are measured
@@ -57,11 +63,11 @@ type Span struct {
 	VirtStart time.Duration `json:"virt_start_ns,omitempty"`
 	VirtEnd   time.Duration `json:"virt_end_ns,omitempty"`
 	HasVirt   bool          `json:"has_virt,omitempty"`
-	// Device labels work tied to one device of a multi-device fleet (a
-	// retry or failover re-request). 0 means unlabeled — single-device
-	// traces, the primary device, and device-agnostic spans render
-	// exactly as before; the Chrome export gives each labeled device its
-	// own lane set ("cat dN").
+	// Device labels work tied to one device of a multi-device fleet: a
+	// retry or failover re-request in a query's trace, every span a device
+	// records. 0 means unlabeled — single-device traces, the primary
+	// device, and device-agnostic spans; the Chrome export gives each
+	// labeled device its own lane set ("cat dN").
 	Device int `json:"device,omitempty"`
 }
 
@@ -89,6 +95,7 @@ type QueryTrace struct {
 	phase   int // current parent for new spans
 	limit   int
 	dropped int
+	device  *QueryTrace // see DeviceLane
 }
 
 // NewQueryTrace starts a trace; the origin (wall zero) is now.
@@ -114,171 +121,133 @@ func (t *QueryTrace) Origin() time.Time {
 	return t.origin
 }
 
-// alloc appends a span under the current phase and returns its ID.
-// Caller holds mu.
-func (t *QueryTrace) alloc(cat, name string) int {
+// alloc appends a span under the current phase and returns its slot, nil
+// past the limit. Caller holds mu; the slot is valid until the next alloc.
+func (t *QueryTrace) alloc(cat, name string) *Span {
 	if len(t.spans) >= t.limit {
 		t.dropped++
-		return 0
+		return nil
 	}
 	t.nextID++
 	t.spans = append(t.spans, Span{ID: t.nextID, Parent: t.phase, Cat: cat, Name: name})
-	return t.nextID
+	return &t.spans[len(t.spans)-1]
 }
 
-// span returns the slot of an open span id (nil when dropped/unknown).
-// Caller holds mu.
-func (t *QueryTrace) span(id int) *Span {
-	for i := len(t.spans) - 1; i >= 0; i-- {
-		if t.spans[i].ID == id {
-			return &t.spans[i]
-		}
-	}
-	return nil
-}
-
-// Begin opens a span under the current phase and returns its handle.
-// Safe on nil (returns 0; End(0) is a no-op).
-func (t *QueryTrace) Begin(cat, name string) int {
+// begin opens a span under the current phase — stamped with virt when
+// hasVirt, made the current phase itself when phase — and returns its
+// handle (0 on a nil trace or past the limit; ending 0 is a no-op).
+func (t *QueryTrace) begin(cat, name string, virt time.Duration, hasVirt, phase bool) int {
 	if t == nil {
 		return 0
 	}
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := t.alloc(cat, name)
-	if id != 0 {
-		t.span(id).WallStart = now.Sub(t.origin)
-	}
-	return id
-}
-
-// BeginVirt is Begin with a virtual-clock start stamp.
-func (t *QueryTrace) BeginVirt(cat, name string, virt time.Duration) int {
-	if t == nil {
+	sp := t.alloc(cat, name)
+	if sp == nil {
 		return 0
 	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	id := t.alloc(cat, name)
-	if id != 0 {
-		sp := t.span(id)
-		sp.WallStart = now.Sub(t.origin)
-		sp.VirtStart, sp.HasVirt = virt, true
+	sp.WallStart = now.Sub(t.origin)
+	sp.VirtStart, sp.HasVirt = virt, hasVirt
+	if phase {
+		t.phase = sp.ID
 	}
-	return id
+	return sp.ID
 }
 
-// End closes a span opened by Begin/BeginVirt. Safe on nil and on id 0.
-func (t *QueryTrace) End(id int) { t.EndVirt(id, -1) }
-
-// EndVirt is End with a virtual-clock end stamp (virt < 0 leaves the
-// virtual end at its start value).
-func (t *QueryTrace) EndVirt(id int, virt time.Duration) {
+// end closes an open span; virt < 0 leaves a stamped span's virtual end
+// at its start. Closing the current phase restores its parent as current.
+func (t *QueryTrace) end(id int, virt time.Duration) {
 	if t == nil || id == 0 {
 		return
 	}
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if sp := t.span(id); sp != nil {
-		sp.WallEnd = now.Sub(t.origin)
-		if sp.HasVirt {
-			if virt >= 0 {
+	for i := len(t.spans) - 1; i >= 0; i-- {
+		if sp := &t.spans[i]; sp.ID == id {
+			sp.WallEnd = now.Sub(t.origin)
+			if sp.VirtEnd = sp.VirtStart; sp.HasVirt && virt >= 0 {
 				sp.VirtEnd = virt
-			} else {
-				sp.VirtEnd = sp.VirtStart
 			}
+			if t.phase == id {
+				t.phase = sp.Parent
+			}
+			return
 		}
 	}
 }
+
+// Begin opens a span under the current phase and returns its handle for
+// End. Every recording method is safe on a nil trace.
+func (t *QueryTrace) Begin(cat, name string) int { return t.begin(cat, name, 0, false, false) }
+
+// End closes a span opened by Begin.
+func (t *QueryTrace) End(id int) { t.end(id, -1) }
 
 // BeginPhase opens a span and makes it the parent of subsequently
 // recorded spans until EndPhase. Phases nest: EndPhase restores the
 // phase that was current when BeginPhase ran.
-func (t *QueryTrace) BeginPhase(cat, name string) int {
-	if t == nil {
-		return 0
-	}
-	id := t.Begin(cat, name)
-	t.mu.Lock()
-	if id != 0 {
-		t.phase = id
-	}
-	t.mu.Unlock()
-	return id
-}
+func (t *QueryTrace) BeginPhase(cat, name string) int { return t.begin(cat, name, 0, false, true) }
 
 // BeginPhaseVirt is BeginPhase with a virtual-clock start stamp.
 func (t *QueryTrace) BeginPhaseVirt(cat, name string, virt time.Duration) int {
-	if t == nil {
-		return 0
-	}
-	id := t.BeginVirt(cat, name, virt)
-	t.mu.Lock()
-	if id != 0 {
-		t.phase = id
-	}
-	t.mu.Unlock()
-	return id
+	return t.begin(cat, name, virt, true, true)
 }
 
 // EndPhase closes a phase span and restores its parent as the current
 // phase.
-func (t *QueryTrace) EndPhase(id int) { t.EndPhaseVirt(id, -1) }
+func (t *QueryTrace) EndPhase(id int) { t.end(id, -1) }
 
 // EndPhaseVirt is EndPhase with a virtual-clock end stamp.
-func (t *QueryTrace) EndPhaseVirt(id int, virt time.Duration) {
-	if t == nil || id == 0 {
-		return
-	}
-	t.mu.Lock()
-	if sp := t.span(id); sp != nil && t.phase == id {
-		t.phase = sp.Parent
-	}
-	t.mu.Unlock()
-	t.EndVirt(id, virt)
-}
+func (t *QueryTrace) EndPhaseVirt(id int, virt time.Duration) { t.end(id, virt) }
 
 // Emit records a completed wall-only span that started at wallStart —
 // the one-call form for work that was timed anyway. Safe on nil, but
 // call sites that build name strings should guard on Enabled first.
 func (t *QueryTrace) Emit(cat, name string, wallStart time.Time) {
-	if t == nil {
-		return
-	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if id := t.alloc(cat, name); id != 0 {
-		sp := t.span(id)
-		sp.WallStart = wallStart.Sub(t.origin)
-		sp.WallEnd = now.Sub(t.origin)
-	}
+	t.emit(cat, name, wallStart, 0, 0, false, 0)
 }
 
 // EmitVirt records a completed span with explicit virtual bounds.
 func (t *QueryTrace) EmitVirt(cat, name string, wallStart time.Time, virtFrom, virtTo time.Duration) {
-	t.EmitVirtDev(cat, name, wallStart, virtFrom, virtTo, 0)
+	t.emit(cat, name, wallStart, virtFrom, virtTo, true, 0)
 }
 
 // EmitVirtDev is EmitVirt with a device label, for spans tied to one
 // device of a multi-device fleet.
 func (t *QueryTrace) EmitVirtDev(cat, name string, wallStart time.Time, virtFrom, virtTo time.Duration, device int) {
+	t.emit(cat, name, wallStart, virtFrom, virtTo, true, device)
+}
+
+func (t *QueryTrace) emit(cat, name string, wallStart time.Time, virtFrom, virtTo time.Duration, hasVirt bool, device int) {
 	if t == nil {
 		return
 	}
 	now := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id := t.alloc(cat, name); id != 0 {
-		sp := t.span(id)
-		sp.WallStart = wallStart.Sub(t.origin)
-		sp.WallEnd = now.Sub(t.origin)
-		sp.VirtStart, sp.VirtEnd, sp.HasVirt = virtFrom, virtTo, true
+	if sp := t.alloc(cat, name); sp != nil {
+		sp.WallStart, sp.WallEnd = wallStart.Sub(t.origin), now.Sub(t.origin)
+		sp.VirtStart, sp.VirtEnd, sp.HasVirt = virtFrom, virtTo, hasVirt
 		sp.Device = device
 	}
+}
+
+// DeviceLane returns the recorder for the devices that serve this query: a
+// child trace with the query's identity and wall origin, whose spans
+// ExportTrace carries as Export.Device — beside the query's own spans,
+// never among them. An untraced (nil) query has no device lane.
+func (t *QueryTrace) DeviceLane() *QueryTrace {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.device == nil {
+		t.device = &QueryTrace{ID: t.ID, Tenant: t.Tenant, origin: t.origin, limit: t.limit}
+	}
+	return t.device
 }
 
 // Spans returns a copy of the recorded spans, in recording order.
@@ -316,10 +285,13 @@ func (t *QueryTrace) SetLimit(n int) {
 // Export is the wire shape of one completed trace: the TRACE verb's
 // payload and the unit of Chrome export.
 type Export struct {
-	ID      string `json:"id"`
-	Tenant  int    `json:"tenant"`
-	SQL     string `json:"sql,omitempty"`
-	Spans   []Span `json:"spans"`
+	ID     string `json:"id"`
+	Tenant int    `json:"tenant"`
+	SQL    string `json:"sql,omitempty"`
+	Spans  []Span `json:"spans"`
+	// Device is the query's device lane (QueryTrace.DeviceLane): what the
+	// devices did while serving it.
+	Device  []Span `json:"device,omitempty"`
 	Dropped int    `json:"dropped,omitempty"`
 }
 
@@ -328,37 +300,92 @@ func (t *QueryTrace) ExportTrace() *Export {
 	if t == nil {
 		return nil
 	}
-	return &Export{ID: t.ID, Tenant: t.Tenant, SQL: t.SQL, Spans: t.Spans(), Dropped: t.Dropped()}
+	t.mu.Lock()
+	dev := t.device
+	t.mu.Unlock()
+	return &Export{
+		ID: t.ID, Tenant: t.Tenant, SQL: t.SQL,
+		Spans: t.Spans(), Device: dev.Spans(), Dropped: t.Dropped() + dev.Dropped(),
+	}
 }
 
 // Summary renders a one-level accounting of the trace: per category,
-// span count and total wall time — the quick look before opening the
-// Chrome view.
+// span count, total wall time and — for spans the simulation stamped —
+// total virtual time. The quick look before reading the tree or opening
+// the Chrome view.
 func (e *Export) Summary() string {
 	type agg struct {
-		n    int
-		wall time.Duration
+		n          int
+		wall, virt time.Duration
+		hasVirt    bool
 	}
 	byCat := map[string]*agg{}
 	var cats []string
-	for _, sp := range e.Spans {
-		a := byCat[sp.Cat]
-		if a == nil {
-			a = &agg{}
-			byCat[sp.Cat] = a
-			cats = append(cats, sp.Cat)
+	for _, lane := range [][]Span{e.Spans, e.Device} {
+		for _, sp := range lane {
+			a := byCat[sp.Cat]
+			if a == nil {
+				a = &agg{}
+				byCat[sp.Cat] = a
+				cats = append(cats, sp.Cat)
+			}
+			a.n++
+			a.wall += sp.WallEnd - sp.WallStart
+			if sp.HasVirt {
+				a.virt += sp.VirtEnd - sp.VirtStart
+				a.hasVirt = true
+			}
 		}
-		a.n++
-		a.wall += sp.WallEnd - sp.WallStart
 	}
-	out := fmt.Sprintf("trace %s (tenant %d, %d spans", e.ID, e.Tenant, len(e.Spans))
+	out := fmt.Sprintf("trace %s (tenant %d, %d spans", e.ID, e.Tenant, len(e.Spans)+len(e.Device))
 	if e.Dropped > 0 {
 		out += fmt.Sprintf(", %d dropped", e.Dropped)
 	}
 	out += ")\n"
 	for _, c := range cats {
 		a := byCat[c]
-		out += fmt.Sprintf("  %-10s %4d spans  %12s wall\n", c, a.n, a.wall.Round(time.Microsecond))
+		out += fmt.Sprintf("  %-10s %4d spans  %12s wall", c, a.n, a.wall.Round(time.Microsecond))
+		if a.hasVirt {
+			out += fmt.Sprintf("  %10s virtual", a.virt.Round(time.Millisecond))
+		}
+		out += "\n"
 	}
 	return out
+}
+
+// Render writes the trace for a person — every front end prints traces
+// through here: the summary, every span as an indented tree in recording
+// order (wall bounds always, virtual bounds when stamped, the device when
+// labeled), then the device lane.
+func (e *Export) Render(w io.Writer) {
+	io.WriteString(w, e.Summary())
+	writeTree(w, e.Spans)
+	if len(e.Device) > 0 {
+		fmt.Fprintf(w, "device lane (%d spans)\n", len(e.Device))
+		writeTree(w, e.Device)
+	}
+}
+
+func writeTree(w io.Writer, spans []Span) {
+	children := map[int][]Span{}
+	for _, sp := range spans {
+		children[sp.Parent] = append(children[sp.Parent], sp)
+	}
+	var walk func(parent, depth int)
+	walk = func(parent, depth int) {
+		for _, sp := range children[parent] {
+			fmt.Fprintf(w, "%*s%s %s  wall %s..%s", 2*depth, "", sp.Cat, sp.Name,
+				sp.WallStart.Round(time.Microsecond), sp.WallEnd.Round(time.Microsecond))
+			if sp.HasVirt {
+				fmt.Fprintf(w, "  virt %s..%s",
+					sp.VirtStart.Round(time.Millisecond), sp.VirtEnd.Round(time.Millisecond))
+			}
+			if sp.Device > 0 {
+				fmt.Fprintf(w, "  d%d", sp.Device)
+			}
+			fmt.Fprintln(w)
+			walk(sp.ID, depth+1)
+		}
+	}
+	walk(0, 0)
 }

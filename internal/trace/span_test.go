@@ -120,7 +120,7 @@ func TestWriteChromeProducesValidJSON(t *testing.T) {
 	qt.EndPhase(root)
 
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, ClockWall, qt.ExportTrace()); err != nil {
+	if err := WriteChrome(&buf, qt.ExportTrace()); err != nil {
 		t.Fatal(err)
 	}
 	var events []map[string]any
@@ -143,22 +143,9 @@ func TestWriteChromeProducesValidJSON(t *testing.T) {
 		t.Error("no metadata (process/thread naming) events")
 	}
 
-	// The virtual-clock view drops the wall-only decode span.
-	buf.Reset()
-	if err := WriteChrome(&buf, ClockVirtual, qt.ExportTrace()); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatal(err)
-	}
-	complete = 0
-	for _, ev := range events {
-		if ev["ph"] == "X" {
-			complete++
-		}
-	}
-	if complete != 1 {
-		t.Errorf("virtual export has %d complete events, want 1 (only the fetch carries virtual stamps)", complete)
+	// A span the simulation stamped carries its virtual bounds as args.
+	if !strings.Contains(buf.String(), `"virt_start_s":1`) || !strings.Contains(buf.String(), `"virt_end_s":3`) {
+		t.Errorf("the fetch span's virtual bounds are not in the export: %s", buf.String())
 	}
 }
 
@@ -173,5 +160,80 @@ func TestExportSummary(t *testing.T) {
 	}
 	if !strings.Contains(s, "fetch") || !strings.Contains(s, "decode") {
 		t.Fatalf("summary missing categories: %q", s)
+	}
+}
+
+// TestRenderFormat pins the one span-tree rendering every front end
+// prints: the summary (virtual totals only where the simulation stamped
+// spans), children indented under their parents in recording order,
+// virtual bounds and device labels only where present, the device lane
+// last.
+func TestRenderFormat(t *testing.T) {
+	e := &Export{
+		ID: "t2-9", Tenant: 2, Dropped: 3,
+		Spans: []Span{
+			{ID: 1, Cat: CatQuery, Name: "t2.q#0", WallEnd: 2 * time.Millisecond, HasVirt: true, VirtEnd: 30 * time.Second},
+			{ID: 2, Parent: 1, Cat: CatExecute, Name: "skipper", WallStart: 100 * time.Microsecond, WallEnd: 1900 * time.Microsecond},
+			{ID: 3, Parent: 2, Cat: CatRetry, Name: "t2/orders/0001 attempt 2", WallStart: 400 * time.Microsecond, WallEnd: 500 * time.Microsecond, HasVirt: true, VirtStart: 10 * time.Second, VirtEnd: 10500 * time.Millisecond, Device: 1},
+			{ID: 4, Parent: 1, Cat: CatDrain, Name: "render rows", WallStart: 1900 * time.Microsecond, WallEnd: 2 * time.Millisecond},
+		},
+		Device: []Span{
+			{ID: 1, Cat: CatSwitch, Name: "g0->g1", WallStart: 300 * time.Microsecond, WallEnd: 350 * time.Microsecond, HasVirt: true, VirtEnd: 10 * time.Second},
+		},
+	}
+	var buf bytes.Buffer
+	e.Render(&buf)
+	want := `trace t2-9 (tenant 2, 5 spans, 3 dropped)
+  query         1 spans           2ms wall         30s virtual
+  execute       1 spans         1.8ms wall
+  retry         1 spans         100µs wall       500ms virtual
+  drain         1 spans         100µs wall
+  switch        1 spans          50µs wall         10s virtual
+query t2.q#0  wall 0s..2ms  virt 0s..30s
+  execute skipper  wall 100µs..1.9ms
+    retry t2/orders/0001 attempt 2  wall 400µs..500µs  virt 10s..10.5s  d1
+  drain render rows  wall 1.9ms..2ms
+device lane (1 spans)
+switch g0->g1  wall 300µs..350µs  virt 0s..10s
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("rendered\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestDeviceLane: a query's device lane is a recorder of its own — same
+// identity and wall origin, spans exported beside the query's, never among
+// them (the benchmark attributes self time by Spans) — and an untraced
+// query has none.
+func TestDeviceLane(t *testing.T) {
+	var off *QueryTrace
+	if off.DeviceLane() != nil {
+		t.Fatal("an untraced query grew a device lane")
+	}
+	qt := NewQueryTrace("t0-1", 0, "SELECT 1")
+	if e := qt.ExportTrace(); e.Device != nil {
+		t.Fatalf("a trace nobody asked a lane of exports one: %+v", e.Device)
+	}
+	lane := qt.DeviceLane()
+	if lane != qt.DeviceLane() || lane.Origin() != qt.Origin() || lane.ID != qt.ID {
+		t.Fatal("the device lane is not one child recorder sharing the query's identity and origin")
+	}
+	qt.Emit(CatPlan, "plan", qt.Origin())
+	lane.EmitVirtDev(CatTransfer, "obj t0 q", qt.Origin(), 0, 10*time.Second, 1)
+	lane.SetLimit(1)
+	lane.EmitVirtDev(CatSwitch, "g0->g1", qt.Origin(), 0, 10*time.Second, 1) // dropped
+	e := qt.ExportTrace()
+	if len(e.Spans) != 1 || e.Spans[0].Cat != CatPlan || len(e.Device) != 1 || e.Device[0].Cat != CatTransfer || e.Dropped != 1 {
+		t.Fatalf("export mixes the lanes or loses the drop count: %+v", e)
+	}
+
+	// The Chrome export draws the lane: the device's spans on lanes of
+	// their own, labeled by device.
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, e); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"name":"transfer d1"`) || !strings.Contains(buf.String(), `"name":"obj t0 q"`) {
+		t.Fatalf("chrome export lacks the device lane: %s", buf.String())
 	}
 }

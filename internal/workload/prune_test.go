@@ -40,13 +40,12 @@ func runPrunedCluster(t *testing.T, ds *Dataset, spec skipper.QuerySpec, mode sk
 	sp.Shape = func(in engine.Iterator) engine.Iterator {
 		return &captureIter{Iterator: engine.Parallelize(shape(in), dop), sink: &got}
 	}
-	pr := prune
 	client := &skipper.Client{
 		Tenant: 0, Mode: mode, Catalog: ds.Catalog,
-		Queries:      []skipper.QuerySpec{sp},
-		CacheObjects: 8,
-		StatsPruning: &pr,
-		Parallelism:  dop,
+		Queries:        []skipper.QuerySpec{sp},
+		CacheObjects:   8,
+		NoStatsPruning: !prune,
+		Parallelism:    dop,
 	}
 	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: store}).Run()
 	if err != nil {

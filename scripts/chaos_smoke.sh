@@ -3,7 +3,7 @@
 # transient GET failures, latency stalls, corrupt payloads and a
 # crash/restart window on every query's simulated device — run a
 # scripted multi-tenant session over the wire, and diff every served
-# result against skipperql's single-shot output on a fault-free device.
+# result against the reference evaluation (skipperql -engine local).
 # Surviving faults must never change what a query returns; the fault
 # metric families must show the storm actually happened.
 source "$(dirname "$0")/smoke_lib.sh"
@@ -18,12 +18,12 @@ boot_daemon 127.0.0.1:7888 127.0.0.1:7889 -pipeline \
   -fault-cap 3 -crash-at 15s -crash-downtime 20s \
   -retry-attempts 40 -retry-backoff 500ms
 
-# Clean oracle: skipperql with NO fault flags — the chaos-vs-clean
-# comparison, not chaos-vs-chaos.
+# The oracle takes no flags: no faults, no device — chaos against the
+# reference, not chaos against chaos.
 served > "$workdir/wire.txt"
 oracle > "$workdir/direct.txt"
 diff -u "$workdir/direct.txt" "$workdir/wire.txt"
-echo "chaos smoke: $((${#TENANTS[@]} * ${#QUERIES[@]})) results served through the fault storm, byte-identical to the clean oracle"
+echo "chaos smoke: $((${#TENANTS[@]} * ${#QUERIES[@]})) results served through the fault storm, byte-identical to the reference evaluation"
 
 # The storm must have been real, and its metric families live: faults
 # injected, transfers retried, corrupt deliveries caught — all visible

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # skipperd serving smoke: start the daemon, run a scripted multi-tenant
-# session over the wire, and diff every result against skipperql's
-# single-shot output for the same statements on the same dataset. The
-# serving layer must add admission, sessions and transport — never
-# change what a query returns.
+# session over the wire, and diff every result against the reference
+# evaluation of the same statements on the same dataset (skipperql
+# -engine local: workload.Evaluate, which shares no code with the daemon
+# below the planner). Planning, admission, sessions, engines, devices and
+# transport may decide when a query answers — never what it returns.
 source "$(dirname "$0")/smoke_lib.sh"
 
 boot_daemon 127.0.0.1:7878 127.0.0.1:7879 -pipeline \
@@ -13,7 +14,29 @@ boot_daemon 127.0.0.1:7878 127.0.0.1:7879 -pipeline \
 served > "$workdir/wire.txt"
 oracle > "$workdir/direct.txt"
 diff -u "$workdir/direct.txt" "$workdir/wire.txt"
-echo "skipperd smoke: $((${#TENANTS[@]} * ${#QUERIES[@]})) served results byte-identical to skipperql"
+echo "skipperd smoke: $((${#TENANTS[@]} * ${#QUERIES[@]})) served results byte-identical to the reference evaluation"
+
+# One statement path, one renderer: for the same statements skipperql
+# (an in-process session) and skipperd -client (a socket) print the same
+# bytes, "-- " footer lines included, once host time is masked. Tenant 3
+# has touched nothing yet, as a fresh skipperql session has not.
+mix=$(printf '%s; ' "${QUERIES[@]}")"EXPLAIN ${QUERIES[2]}"
+mask() { sed -E 's/[0-9.]+(ns|µs|ms|s) (queued|wall|busy|stalled|hidden)/T \2/g; s/[0-9]+% overlap/P% overlap/'; }
+"$workdir/skipperd" -client -addr "$ADDR" -tenant 3 -c "$mix" | mask > "$workdir/shell-wire.txt"
+"$workdir/skipperql" "${DATASET[@]}" -pipeline -segcache 8 -c "$mix" | mask > "$workdir/shell-direct.txt"
+diff -u "$workdir/shell-direct.txt" "$workdir/shell-wire.txt"
+grep -q '^-- prefetch: ' "$workdir/shell-wire.txt"
+echo "skipperd smoke: skipperql and skipperd -client print the same bytes for the statement mix"
+
+# Both shells send error frames to stderr and exit non-zero.
+for shell in "$workdir/skipperql ${DATASET[*]}" "$workdir/skipperd -client -addr $ADDR"; do
+  if $shell -c "SELECT nope FROM nowhere; SELECT COUNT(*) AS n FROM region" > "$workdir/out.txt" 2> "$workdir/err.txt"; then
+    echo "$shell: a failed statement exited 0" >&2; exit 1
+  fi
+  grep -q 'plan error' "$workdir/err.txt" && ! grep -q 'error' "$workdir/out.txt" && grep -q '(1 rows)' "$workdir/out.txt" \
+    || { echo "$shell: the error is not on stderr alone, or the next statement did not run" >&2; exit 1; }
+done
+echo "skipperd smoke: both shells fail loudly and keep going"
 
 # The admission path must reject, not stall, when saturated: run brief
 # closed-loop load and require a clean exit (failures are fatal inside

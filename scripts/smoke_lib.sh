@@ -3,7 +3,11 @@
 # skipperql into a scratch directory, cleans up on exit, and provides
 # the steps the three scripts have in common: boot a daemon, run the
 # statement mix through tenant sessions over the wire, run it through
-# skipperql as the oracle, and grep a /metrics scrape.
+# skipperql as the oracle, and grep a /metrics scrape. skipperql's engine
+# runs travel the daemon's own statement path (an in-process session of
+# internal/server), so the oracle that must be independent code — the one
+# with no flags — is `skipperql -engine local`, the workload.Evaluate
+# reference; with flags, oracle compares configurations of that path.
 set -euo pipefail
 
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
@@ -54,9 +58,12 @@ served() {
 }
 
 # oracle [skipperql flags...]: the same transcript from single-shot
-# skipperql runs over the identical dataset, on whatever engine, fleet
-# and fault flags are given (none = one clean device).
+# skipperql runs over the identical dataset. With no flags it is the
+# reference evaluation (-engine local: no engine, no device, none of the
+# daemon's code below the planner); with engine, fleet or fault flags it
+# is that configuration's run.
 oracle() {
+  [ $# -gt 0 ] || set -- -engine local
   for tenant in "${TENANTS[@]}"; do
     for q in "${QUERIES[@]}"; do
       echo "== tenant $tenant: $q"
