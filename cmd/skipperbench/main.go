@@ -24,9 +24,8 @@
 //	cache     shared segment cache budget sweep over a repeated-query
 //	          multi-tenant workload: device GETs, switches, coalesced
 //	          transfers, hits and timings per budget
-//	pipeline  async pipeline off/on per engine on both clocks: simulated
-//	          makespan, and host wall time with the decode busy/stall/hidden
-//	          breakdown (-rows raises per-object decode work)
+//	pipeline  scheduler-aware prefetch off/on per engine: simulated makespan,
+//	          device GETs, switches and prefetch counters, plus host wall time
 //	faults    fault-rate sweep plus a crash/restart scenario: makespan
 //	          degradation, extra device GETs, retries, backoff
 //	scale     makespan per fleet size, then a device-0 crash with and

@@ -1,7 +1,7 @@
 // Package cliflags is the one binding from command-line flags to a run:
 // the dataset, execution and fleet/fault/retry flag groups skipperd and
 // skipperql share, registered once and resolved once into the values the
-// library takes — a dataset, a skipper.FleetSpec, a pipeline config, a
+// library takes — a dataset, a skipper.FleetSpec, a prefetch budget, a
 // retry policy, an engine mode — and from there into the server.Config
 // both front ends serve from. Unknown names and out-of-range values are
 // errors here, so a typo never silently selects a default.
@@ -35,9 +35,7 @@ type Flags struct {
 	cache         *int
 	segCache      *int
 	prune         *bool
-	pipeline      *bool
 	prefetchGB    *int
-	decodeWorkers *int
 	devices       *int
 	replication   *string
 	transient     *float64
@@ -66,13 +64,11 @@ func Bind(fs *flag.FlagSet, segCache int) *Flags {
 		clustered: fs.Bool("clustered", false, "sort the TPC-H date columns before segmenting (makes date predicates prunable)"),
 		format:    fs.String("format", "v2", "segment wire format the store serves: mem or v2"),
 		// Execution.
-		engine:        fs.String("engine", "skipper", "execution engine: skipper or vanilla"),
-		cache:         fs.Int("cache", 10, "MJoin cache size in objects (skipper engine)"),
-		segCache:      fs.Int("segcache", segCache, "segment cache budget in objects (0 = off); persists across a tenant's connections / a session's statements"),
-		prune:         fs.Bool("prune", true, "enable zone-map/Bloom data skipping of segment requests"),
-		pipeline:      fs.Bool("pipeline", false, "enable the async execution pipeline: scheduler-aware prefetch plus concurrent decode workers"),
-		prefetchGB:    fs.Int("prefetch", 4, "prefetch budget in 1 GB objects ahead of demand (with -pipeline)"),
-		decodeWorkers: fs.Int("decode-workers", 2, "background decode workers (with -pipeline)"),
+		engine:     fs.String("engine", "skipper", "execution engine: skipper or vanilla"),
+		cache:      fs.Int("cache", 10, "MJoin cache size in objects (skipper engine)"),
+		segCache:   fs.Int("segcache", segCache, "segment cache budget in objects (0 = off); persists across a tenant's connections / a session's statements"),
+		prune:      fs.Bool("prune", true, "enable zone-map/Bloom data skipping of segment requests"),
+		prefetchGB: fs.Int("prefetch", 0, "scheduler-aware prefetch budget in 1 GB objects ahead of demand (0 = off)"),
 		// Fleet, faults, retry: a deterministic chaos schedule applied
 		// afresh to every query's device run. Rates of zero (the defaults)
 		// disable injection entirely.
@@ -105,8 +101,8 @@ type Run struct {
 	// objects; Prune is the data-skipping toggle.
 	MJoinCache, SegCache int
 	Prune                bool
-	// Pipeline is nil without -pipeline.
-	Pipeline *skipper.PipelineConfig
+	// PrefetchBytes is the -prefetch budget in bytes (0 = off).
+	PrefetchBytes int64
 	// Fleet carries -devices, -replication and the fault plan (nil when
 	// no fault flag enables anything).
 	Fleet skipper.FleetSpec
@@ -124,7 +120,7 @@ func (r *Run) ServerConfig() server.Config {
 	cfg.CacheObjects = r.MJoinCache
 	cfg.SegCacheObjects = r.SegCache
 	cfg.Prune = r.Prune
-	cfg.Pipeline = r.Pipeline
+	cfg.PrefetchBytes = r.PrefetchBytes
 	cfg.Fleet = r.Fleet
 	cfg.Retry = r.Retry
 	return cfg
@@ -132,7 +128,8 @@ func (r *Run) ServerConfig() server.Config {
 
 // Resolve validates the parsed flags and builds the run. Every error is a
 // usage error: an unknown workload, format, engine or replication policy,
-// a fleet of fewer than one device, a rate outside [0,1].
+// a negative prefetch budget, a fleet of fewer than one device, a rate
+// outside [0,1].
 func (f *Flags) Resolve() (*Run, error) {
 	r := &Run{
 		Workload:   *f.workload,
@@ -150,9 +147,10 @@ func (f *Flags) Resolve() (*Run, error) {
 	} else if r.Mode, err = skipper.ParseMode(*f.engine); err != nil {
 		return nil, err
 	}
-	if *f.pipeline {
-		r.Pipeline = &skipper.PipelineConfig{PrefetchBytes: int64(*f.prefetchGB) * 1e9, DecodeWorkers: *f.decodeWorkers}
+	if *f.prefetchGB < 0 {
+		return nil, fmt.Errorf("-prefetch %d < 0", *f.prefetchGB)
 	}
+	r.PrefetchBytes = int64(*f.prefetchGB) * 1e9
 	if *f.devices < 1 {
 		return nil, fmt.Errorf("-devices %d < 1", *f.devices)
 	}

@@ -34,7 +34,7 @@ const small = "-sf 1 -rows 2 "
 // values the library takes.
 func TestFullFlagLine(t *testing.T) {
 	r, err := resolve(t, false, small+"-workload tpch -clustered -format mem "+
-		"-engine vanilla -cache 7 -segcache 5 -prune=false -pipeline -prefetch 3 -decode-workers 6 "+
+		"-engine vanilla -cache 7 -segcache 5 -prune=false -prefetch 3 "+
 		"-devices 2 -replication hot:4 "+
 		"-fault-transient 0.4 -fault-corrupt 0.25 -fault-stall 0.2 -fault-stall-dur 5s -fault-cap 2 -fault-seed 42 "+
 		"-crash-at 15s -crash-downtime 20s -retry-attempts 40 -retry-backoff 500ms")
@@ -47,8 +47,8 @@ func TestFullFlagLine(t *testing.T) {
 	if r.Mode != skipper.ModeVanilla || r.Local || r.MJoinCache != 7 || r.SegCache != 5 || r.Prune {
 		t.Errorf("execution group: %+v", r)
 	}
-	if want := (&skipper.PipelineConfig{PrefetchBytes: 3e9, DecodeWorkers: 6}); !reflect.DeepEqual(r.Pipeline, want) {
-		t.Errorf("pipeline %+v, want %+v", r.Pipeline, want)
+	if r.PrefetchBytes != 3e9 {
+		t.Errorf("prefetch budget %d, want 3e9", r.PrefetchBytes)
 	}
 	wantFleet := skipper.FleetSpec{
 		N:           2,
@@ -69,13 +69,13 @@ func TestFullFlagLine(t *testing.T) {
 	// Both front ends serve from this one mapping.
 	cfg := r.ServerConfig()
 	if cfg.Dataset != r.Dataset || cfg.Mode != r.Mode || cfg.CacheObjects != 7 || cfg.SegCacheObjects != 5 || cfg.Prune ||
-		cfg.Pipeline != r.Pipeline || !reflect.DeepEqual(cfg.Fleet, r.Fleet) || cfg.Retry != r.Retry {
+		cfg.PrefetchBytes != 3e9 || !reflect.DeepEqual(cfg.Fleet, r.Fleet) || cfg.Retry != r.Retry {
 		t.Errorf("server config %+v does not carry the run %+v", cfg, r)
 	}
 }
 
 // TestDefaultsResolveToTheZeroFleet: no flags means today's plain run —
-// skipper engine, v2, pruning on, and the fleet every library caller gets
+// skipper engine, v2, pruning on, no prefetch, and the fleet every library caller gets
 // by saying nothing (one device, clean), with library-default retries.
 func TestDefaultsResolveToTheZeroFleet(t *testing.T) {
 	r, err := resolve(t, false, small)
@@ -85,8 +85,8 @@ func TestDefaultsResolveToTheZeroFleet(t *testing.T) {
 	if r.Mode != skipper.ModeSkipper || r.Format != segment.FormatV2 || !r.Prune || r.MJoinCache != 10 {
 		t.Errorf("defaults: %+v", r)
 	}
-	if r.Pipeline != nil || r.Retry != nil || !reflect.DeepEqual(r.Fleet, skipper.FleetSpec{N: 1}) {
-		t.Errorf("defaults: pipeline %v retry %v fleet %+v", r.Pipeline, r.Retry, r.Fleet)
+	if r.PrefetchBytes != 0 || r.Retry != nil || !reflect.DeepEqual(r.Fleet, skipper.FleetSpec{N: 1}) {
+		t.Errorf("defaults: prefetch %d retry %v fleet %+v", r.PrefetchBytes, r.Retry, r.Fleet)
 	}
 }
 
@@ -105,6 +105,7 @@ func TestOutsideInputIsRejected(t *testing.T) {
 		{"unknown replication", "-replication warm", false},
 		{"malformed hot count", "-replication hot:x", false},
 		{"no devices", "-devices 0", false},
+		{"negative prefetch budget", "-prefetch -1", false},
 		{"unknown workload", "-workload tpcc", false},
 		{"rate out of range", "-fault-transient 1.5", false},
 		{"stall rate without a duration", "-fault-stall 0.5 -fault-stall-dur 0s", false},
@@ -132,8 +133,13 @@ func TestSharedDefaultsDifferOnlyInSegcache(t *testing.T) {
 		return out
 	}
 	d, ql := defaults(8), defaults(0)
-	if len(d) != 24 || len(ql) != len(d) {
-		t.Fatalf("bound %d and %d flags, want 24 each", len(d), len(ql))
+	if len(d) != 22 || len(ql) != len(d) {
+		t.Fatalf("bound %d and %d flags, want 22 each", len(d), len(ql))
+	}
+	for _, gone := range []string{"pipeline", "decode-workers"} {
+		if _, ok := d[gone]; ok {
+			t.Errorf("-%s is still a flag; -prefetch N is the one prefetch setting", gone)
+		}
 	}
 	for name, def := range d {
 		if name == "segcache" {

@@ -39,20 +39,6 @@ type Fetcher interface {
 	Fetch(id segment.ObjectID) (*segment.Segment, error)
 }
 
-// TryFetcher is an optional Fetcher extension for pipelined scans:
-// TryFetch returns a segment only when it is immediately available — in
-// memory, cache-resident, or already prefetched — without ever blocking
-// on storage. Pipelined scans use it to read ahead: a segment that would
-// block is simply not read ahead (ok=false), so read-ahead never changes
-// when the consumer waits, only what it finds decoded when it stops
-// waiting.
-type TryFetcher interface {
-	// TryFetch returns (seg, true, nil) when the object is immediately
-	// available, (nil, false, nil) when fetching it would block, and a
-	// non-nil error only on a real fetch failure.
-	TryFetch(id segment.ObjectID) (*segment.Segment, bool, error)
-}
-
 // MapFetcher serves segments from memory with no cost.
 type MapFetcher map[segment.ObjectID]*segment.Segment
 
@@ -63,16 +49,6 @@ func (m MapFetcher) Fetch(id segment.ObjectID) (*segment.Segment, error) {
 		return nil, fmt.Errorf("engine: object %v not found", id)
 	}
 	return sg, nil
-}
-
-// TryFetch implements TryFetcher: an in-memory store never blocks, so
-// every object is read-ahead eligible.
-func (m MapFetcher) TryFetch(id segment.ObjectID) (*segment.Segment, bool, error) {
-	sg, err := m.Fetch(id)
-	if err != nil {
-		return nil, false, err
-	}
-	return sg, true, nil
 }
 
 // Costs charges virtual processing time. ProcessPerObject is the per-1-GB-
@@ -96,18 +72,10 @@ type Ctx struct {
 	Fetch Fetcher
 	// Costs calibrates the charges.
 	Costs Costs
-	// Pipe, when non-nil with a Pool, turns the scans asynchronous: each
-	// scan reads ahead up to Pipe.Depth immediately-available segments
-	// (Fetch must implement TryFetcher for read-ahead to engage) and
-	// decodes them on the pool's workers, so decode overlaps compute in
-	// real time. Row streams are byte-identical with and without it; the
-	// virtual-time interleaving of fetch charges may shift (reads happen
-	// earlier) while per-segment totals are unchanged.
-	Pipe *Pipeline
 	// Trace, when non-nil, receives per-segment fetch and decode spans
-	// from the scans. Spans carry wall time only: the engine may be
-	// drained from decode workers that do not own a virtual-time proc.
-	// nil (the default) records nothing and costs one branch.
+	// from the scans. Spans carry wall time only: the engine has no
+	// virtual-clock handle of its own (charges go through Clock). nil (the
+	// default) records nothing and costs one branch.
 	Trace *trace.QueryTrace
 }
 
@@ -193,28 +161,13 @@ type SeqScan struct {
 	rowIdx  int
 	skipped int
 	bytes   ScanBytes
+	pstats  PipeStats
 	out     *tuple.Batch
-
-	// Pipelined-mode state (ctx.Pipe set): the FIFO of read-ahead
-	// segments in flight on the decode pool, the recycled decode buffers
-	// (depth+1 in steady state), and the real-time stall accounting.
-	ahead  []*scanAhead
-	freeCD []*segment.ColumnData
-	pstats PipeStats
 
 	ostats *OpStats
 	// tr, when non-nil, receives per-segment fetch/decode spans. Set via
 	// Ctx.Trace at construction; nil keeps the hot path span-free.
 	tr *trace.QueryTrace
-}
-
-// scanAhead is one read-ahead segment: fetched, with its decode (lazy
-// segments only) in flight on the pool.
-type scanAhead struct {
-	seg *segment.Segment
-	t   *DecodeTicket // nil for non-lazy segments (nothing to decode)
-	cd  *segment.ColumnData
-	err error
 }
 
 // ScanBytes is the scan-side byte accounting of one SeqScan drain. All
@@ -230,9 +183,23 @@ type ScanBytes struct {
 	SkippedByProjection int64
 	// Materialized counts the logical bytes of decoded values.
 	Materialized int64
-	// DecodeTime is the wall-clock time spent decoding segments — the
-	// scan-side decode cost the v2 format attacks.
-	DecodeTime time.Duration
+}
+
+// PipeStats is the host-side (wall-clock) decode accounting of one scan or
+// MJoin run: virtual time stands still while a segment decodes — the
+// per-object processing charge models the whole scan step — so this is
+// where the decode cost a format or projection change attacks shows up.
+type PipeStats struct {
+	// DecodeBusy is the total real time spent decoding segments.
+	DecodeBusy time.Duration
+	// Decodes counts decoded segments.
+	Decodes int
+}
+
+// Add accumulates another consumer's counters.
+func (s *PipeStats) Add(o PipeStats) {
+	s.DecodeBusy += o.DecodeBusy
+	s.Decodes += o.Decodes
 }
 
 // add accumulates another scan's counters.
@@ -241,7 +208,6 @@ func (b *ScanBytes) add(o ScanBytes) {
 	b.Decoded += o.Decoded
 	b.SkippedByProjection += o.SkippedByProjection
 	b.Materialized += o.Materialized
-	b.DecodeTime += o.DecodeTime
 }
 
 // NewSeqScan builds a sequential scan over the table.
@@ -260,225 +226,70 @@ func (s *SeqScan) Schema() *tuple.Schema {
 // Open implements Iterator.
 func (s *SeqScan) Open() error {
 	s.Schema() // builds the leg
-	s.drainAhead()
 	s.segIdx, s.rowIdx, s.nrows, s.rows, s.skipped = 0, 0, 0, nil, 0
 	s.bytes = ScanBytes{}
 	s.pstats = PipeStats{}
 	return nil
 }
 
-// drainAhead waits out any in-flight decode jobs and recycles their
-// buffers, so a re-Open or Close never leaves a worker writing into
-// state the scan is about to reuse.
-func (s *SeqScan) drainAhead() {
-	for _, job := range s.ahead {
-		if job.t != nil {
-			job.t.Wait()
-			if job.cd != nil {
-				s.freeCD = append(s.freeCD, job.cd)
-			}
-		}
-	}
-	s.ahead = nil
-}
-
 // SegmentsSkipped reports how many segment fetches the Pruner avoided so
 // far in this iteration.
 func (s *SeqScan) SegmentsSkipped() int { return s.skipped }
 
-// Bytes reports the scan-side byte and decode-time accounting so far in
-// this iteration.
+// Bytes reports the scan-side byte accounting so far in this iteration.
 func (s *SeqScan) Bytes() ScanBytes { return s.bytes }
 
-// PipeStats reports the scan's real-time pipeline accounting: fetch and
-// decode stalls, and decode work overlapped with compute. With ctx.Pipe
-// unset the scan still fills DecodeBusy/DecodeStall (decode runs inline,
-// so the two are equal) — the pipeline-off baseline of the wall-clock
-// comparison.
+// PipeStats reports the scan's decode-time accounting so far in this
+// iteration.
 func (s *SeqScan) PipeStats() PipeStats { return s.pstats }
 
-// nextUnpruned passes over the segments the Pruner proves result-free and
-// reports whether any segment is left.
-func (s *SeqScan) nextUnpruned() bool {
-	for s.Pruner != nil && s.segIdx < len(s.table.Objects) && s.Pruner.CanSkip(s.segIdx) {
-		s.segIdx++
-		s.skipped++
-	}
-	return s.segIdx < len(s.table.Objects)
-}
-
-// fetchNext fetches segment segIdx, blocking, and advances past it.
-func (s *SeqScan) fetchNext() (*segment.Segment, error) {
-	id := s.table.Objects[s.segIdx]
-	start := time.Now()
-	sg, err := s.ctx.Fetch.Fetch(id)
-	s.pstats.FetchStall += time.Since(start)
-	if s.tr.Enabled() {
-		s.tr.Emit(trace.CatFetch, id.String(), start)
-	}
-	if err == nil {
-		s.segIdx++
-	}
-	return sg, err
-}
-
-// consume makes a fetched segment — decoded into cd when it is lazy — the
-// one being served, and charges the per-segment processing cost.
-func (s *SeqScan) consume(sg *segment.Segment, cd *segment.ColumnData) {
-	s.cd, s.rows, s.nrows, s.rowIdx = cd, sg.Rows, len(sg.Rows), 0
-	if cd != nil {
-		s.bytes.add(segmentBytes(sg, cd))
-		s.nrows = cd.NumRows
-	}
-	s.ctx.Clock.Sleep(s.ctx.Costs.ProcessPerObject)
-}
-
-// loadSegment advances to the next segment holding unread rows, charging
-// the per-segment processing cost per fetch; prunable segments are
-// passed over without a fetch. Lazy segments are decoded here — only the
-// projected column blocks for v2 — into reused buffers. ok=false signals
-// exhaustion.
+// loadSegment advances to the next segment holding unread rows: segments
+// the Pruner proves result-free are passed over without a fetch, the next
+// one is fetched (blocking) and — when lazy — decoded into the scan's reused
+// buffer, only the projected column blocks for v2, and the per-segment
+// processing cost is charged. ok=false signals exhaustion.
 func (s *SeqScan) loadSegment() (ok bool, err error) {
-	if s.ctx.Pipe != nil && s.ctx.Pipe.Pool != nil {
-		return s.loadSegmentPipelined()
-	}
 	for s.rowIdx >= s.nrows {
-		if !s.nextUnpruned() {
+		for s.Pruner != nil && s.segIdx < len(s.table.Objects) && s.Pruner.CanSkip(s.segIdx) {
+			s.segIdx++
+			s.skipped++
+		}
+		if s.segIdx >= len(s.table.Objects) {
 			return false, nil
 		}
-		sg, err := s.fetchNext()
+		id := s.table.Objects[s.segIdx]
+		var start time.Time
+		if s.tr.Enabled() {
+			start = time.Now()
+		}
+		sg, err := s.ctx.Fetch.Fetch(id)
+		if s.tr.Enabled() {
+			s.tr.Emit(trace.CatFetch, id.String(), start)
+		}
 		if err != nil {
 			return false, err
-		}
-		var cd *segment.ColumnData
-		if sg.Lazy() {
-			start := time.Now()
-			cd, err = sg.DecodeColumns(s.table.Schema, s.Project, s.cd)
-			if s.tr.Enabled() {
-				s.tr.Emit(trace.CatDecode, sg.ID.String(), start)
-			}
-			if err != nil {
-				return false, err
-			}
-			d := time.Since(start)
-			// Inline decode sits entirely on the critical path: busy and
-			// stall coincide — the pipeline-off baseline.
-			s.bytes.DecodeTime += d
-			s.pstats.DecodeBusy += d
-			s.pstats.DecodeStall += d
-			s.pstats.Decodes++
-		}
-		s.consume(sg, cd)
-	}
-	return true, nil
-}
-
-// loadSegmentPipelined is loadSegment with the asynchronous pipeline on:
-// segments are read ahead (TryFetcher permitting) and decoded on the
-// pool, and consumption pops the oldest read-ahead slot — strictly in
-// fetch order, so the row stream is byte-identical to the serial path.
-// The per-segment cost charge still lands at consumption; fetch-side
-// charges (FUSE, GET accounting) happen at read-ahead time instead of
-// consumption time, shifting their virtual interleaving but never their
-// totals. A scan abandoned early (LIMIT) may have read ahead past its
-// last consumed segment — those segments count as fetched, exactly like
-// a real speculative read.
-func (s *SeqScan) loadSegmentPipelined() (bool, error) {
-	for s.rowIdx >= s.nrows {
-		if err := s.fillAhead(); err != nil {
-			return false, err
-		}
-		if len(s.ahead) == 0 {
-			// Nothing immediately available: demand-fetch the next
-			// unpruned segment, blocking, then decode it on the pool.
-			if !s.nextUnpruned() {
-				return false, nil
-			}
-			sg, err := s.fetchNext()
-			if err != nil {
-				return false, err
-			}
-			s.submitAhead(sg)
-			// The demand fetch may have made successors available (e.g.
-			// the prefetcher delivered meanwhile): top the window up so
-			// their decodes start now.
-			if err := s.fillAhead(); err != nil {
-				return false, err
-			}
-		}
-		job := s.ahead[0]
-		copy(s.ahead, s.ahead[1:])
-		s.ahead = s.ahead[:len(s.ahead)-1]
-		if job.t != nil {
-			if job.t.Ready() {
-				s.pstats.DecodesOverlapped++
-			}
-			s.pstats.DecodeStall += job.t.Wait()
-			s.pstats.DecodeBusy += job.t.Busy
-			s.pstats.Decodes++
-			s.bytes.DecodeTime += job.t.Busy
-		}
-		if job.err != nil {
-			return false, job.err
-		}
-		if s.cd != nil {
-			// The previous segment is fully consumed; its buffer feeds the
-			// next decode submission.
-			s.freeCD = append(s.freeCD, s.cd)
-		}
-		s.consume(job.seg, job.cd)
-	}
-	return true, nil
-}
-
-// fillAhead tops the read-ahead window up to the configured depth with
-// immediately-available segments. It never blocks: the window simply
-// stays short when the next segment would.
-func (s *SeqScan) fillAhead() error {
-	tf, ok := s.ctx.Fetch.(TryFetcher)
-	if !ok {
-		return nil
-	}
-	depth := s.ctx.Pipe.depth()
-	for len(s.ahead) < depth && s.nextUnpruned() {
-		sg, avail, err := tf.TryFetch(s.table.Objects[s.segIdx])
-		if err != nil {
-			return err
-		}
-		if !avail {
-			return nil
 		}
 		s.segIdx++
-		s.submitAhead(sg)
-	}
-	return nil
-}
-
-// submitAhead appends a fetched segment to the read-ahead FIFO, starting
-// its decode on the pool. Each in-flight decode owns its buffer (from
-// the recycle list or fresh), so concurrent jobs never share state.
-func (s *SeqScan) submitAhead(sg *segment.Segment) {
-	job := &scanAhead{seg: sg}
-	if sg.Lazy() {
-		var reuse *segment.ColumnData
-		if n := len(s.freeCD); n > 0 {
-			reuse, s.freeCD = s.freeCD[n-1], s.freeCD[:n-1]
-		}
-		var name string
-		if s.tr.Enabled() {
-			name = sg.ID.String()
-		}
-		job.t = s.ctx.Pipe.Pool.Submit(func() {
+		var cd *segment.ColumnData
+		nrows := len(sg.Rows)
+		if sg.Lazy() {
 			t0 := time.Now()
-			job.cd, job.err = sg.DecodeColumns(s.table.Schema, s.Project, reuse)
-			// Recording from the pool worker is safe: QueryTrace is
-			// mutex-guarded, and the span carries wall time only.
+			cd, err = sg.DecodeColumns(s.table.Schema, s.Project, s.cd)
 			if s.tr.Enabled() {
-				s.tr.Emit(trace.CatDecode, name, t0)
+				s.tr.Emit(trace.CatDecode, sg.ID.String(), t0)
 			}
-		})
+			if err != nil {
+				return false, err
+			}
+			s.pstats.DecodeBusy += time.Since(t0)
+			s.pstats.Decodes++
+			s.bytes.add(segmentBytes(sg, cd))
+			nrows = cd.NumRows
+		}
+		s.cd, s.rows, s.nrows, s.rowIdx = cd, sg.Rows, nrows, 0
+		s.ctx.Clock.Sleep(s.ctx.Costs.ProcessPerObject)
 	}
-	s.ahead = append(s.ahead, job)
+	return true, nil
 }
 
 // NextBatch implements Iterator. Batches never span a segment boundary,
@@ -514,7 +325,6 @@ func (s *SeqScan) nextBatch() (*tuple.Batch, bool, error) {
 
 // Close implements Iterator.
 func (s *SeqScan) Close() error {
-	s.drainAhead()
 	s.rows, s.cd = nil, nil
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 // those columns are copied out, so nothing downstream is wider than the
 // leg's schema. SeqScan runs the kernel a batch-sized range at a time into
 // its reused output batch, MJoin a whole arrival at a time into the batch
-// it caches. A Leg is immutable: concurrent decode workers share one.
+// it caches. A Leg is immutable.
 type Leg struct {
 	// schema is table restricted to cols, the table column behind each leg
 	// column (every column, spelled out, for a nil projection).

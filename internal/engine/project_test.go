@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -109,15 +110,12 @@ func TestSeqScanEmptyProjectionCountsRows(t *testing.T) {
 
 // TestSeqScanLegKernel: a scan with Project and Filter emits exactly the
 // filter's survivors of exactly the projected columns — over materialized
-// and lazily decoded segments, serial and pipelined, through both protocols
-// — and the filter, bound against the table schema, still reads its column
+// and lazily decoded segments, at full and one-row batches — and the filter, bound against the table schema, still reads its column
 // by its table position when the projection moves it.
 func TestSeqScanLegKernel(t *testing.T) {
 	all := lazyRows(2500) // segments of 1100 rows span two batches
 	lazyTM, lazyStore := lazyTable(t, all, 1100)
 	memTM, memStore := buildMemTable(t, lazyTM.Schema, all, 1100)
-	pool := NewDecodePool(2)
-	defer pool.Close()
 
 	pred := expr.NewAnd(
 		expr.ColGE(lazyTM.Schema, "f", tuple.Float(100)), // table column 2, leg column 1
@@ -156,40 +154,86 @@ func TestSeqScanLegKernel(t *testing.T) {
 				tm    *catalog.TableMeta
 				store map[segment.ObjectID]*segment.Segment
 			}{{"mem", memTM, memStore}, {"v2", lazyTM, lazyStore}} {
-				for _, pipe := range []*Pipeline{nil, {Pool: pool, Depth: 2}} {
-					for _, rowwise := range []bool{false, true} {
-						ctx := NewTestCtx(src.store)
-						ctx.Pipe = pipe
-						scan := NewSeqScan(ctx, src.tm)
-						scan.Project = proj
-						if filtered {
-							scan.Filter = pred
-						}
-						var got []tuple.Row
-						var err error
-						if rowwise {
-							got, err = Collect(oneRow(scan))
-						} else {
-							got, err = Collect(scan)
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("%s filtered=%v project=%v pipelined=%v rowwise=%v", src.name, filtered, proj, pipe != nil, rowwise)
-						w := want[fi][pi]
-						if len(w) == 0 || len(got) != len(w) {
-							t.Fatalf("%s: %d rows, want %d (non-zero)", label, len(got), len(w))
-						}
-						if !reflect.DeepEqual(renderRows(got), renderRows(w)) {
-							t.Fatalf("%s: rows differ from the filtered, projected input", label)
-						}
-						if len(got[0]) != len(w[0]) {
-							t.Fatalf("%s: rows are %d wide, want %d", label, len(got[0]), len(w[0]))
-						}
+				for _, rowwise := range []bool{false, true} {
+					scan := NewSeqScan(NewTestCtx(src.store), src.tm)
+					scan.Project = proj
+					if filtered {
+						scan.Filter = pred
+					}
+					var got []tuple.Row
+					var err error
+					if rowwise {
+						got, err = Collect(oneRow(scan))
+					} else {
+						got, err = Collect(scan)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s filtered=%v project=%v rowwise=%v", src.name, filtered, proj, rowwise)
+					w := want[fi][pi]
+					if len(w) == 0 || len(got) != len(w) {
+						t.Fatalf("%s: %d rows, want %d (non-zero)", label, len(got), len(w))
+					}
+					if !reflect.DeepEqual(renderRows(got), renderRows(w)) {
+						t.Fatalf("%s: rows differ from the filtered, projected input", label)
+					}
+					if len(got[0]) != len(w[0]) {
+						t.Fatalf("%s: rows are %d wide, want %d", label, len(got[0]), len(w[0]))
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestSeqScanReopen: re-opening a scan over a lazy table (as a re-run or an
+// inner-loop rescan would) starts over — same rows, same accounting, the
+// decode buffer of the first drain reused by the second.
+func TestSeqScanReopen(t *testing.T) {
+	tm, store := lazyTable(t, lazyRows(24), 4)
+	scan := NewSeqScan(NewTestCtx(store), tm)
+	first, err := Collect(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstBytes, firstDecodes := scan.Bytes(), scan.PipeStats().Decodes
+	second, err := Collect(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first) != 24 || !reflect.DeepEqual(first, second) {
+		t.Fatalf("re-opened scan diverged: %d rows, then %d", len(first), len(second))
+	}
+	if scan.Bytes() != firstBytes || scan.PipeStats().Decodes != firstDecodes || firstDecodes != 6 {
+		t.Fatalf("re-opened scan accounts %+v / %d decodes, first drain %+v / %d (want 6)",
+			scan.Bytes(), scan.PipeStats().Decodes, firstBytes, firstDecodes)
+	}
+}
+
+// TestSeqScanEarlyClose: a scan over a lazy table abandoned after one batch
+// (the LIMIT shape) has fetched, decoded and charged for exactly the one
+// segment it consumed, and can be drained in full afterwards.
+func TestSeqScanEarlyClose(t *testing.T) {
+	tm, store := lazyTable(t, lazyRows(40), 4)
+	fetch := &countingFetcher{store: MapFetcher(store)}
+	clock := &countingClock{}
+	scan := NewSeqScan(&Ctx{Clock: clock, Fetch: fetch, Costs: Costs{ProcessPerObject: time.Second}}, tm)
+	if err := scan.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if b, ok, err := scan.NextBatch(); err != nil || !ok || b.Len() != 4 {
+		t.Fatalf("first batch: ok=%v err=%v", ok, err)
+	}
+	if err := scan.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fetch.n != 1 || scan.PipeStats().Decodes != 1 || clock.total != time.Second {
+		t.Fatalf("after one batch: %d fetches, %d decodes, %v charged; want 1, 1, 1s",
+			fetch.n, scan.PipeStats().Decodes, clock.total)
+	}
+	if rows, err := Collect(scan); err != nil || len(rows) != 40 {
+		t.Fatalf("drain after early close: %d rows, err %v", len(rows), err)
 	}
 }
 

@@ -65,8 +65,7 @@ func sweepWorkload(ds *workload.Dataset) lattice.Workload {
 
 // measured is the encoded dataset the pipeline, fault and scale sweeps
 // measure on: the Params' format, except that FormatMem is promoted to
-// FormatV2 — in-memory segments have no decode work, so there would be
-// nothing for the pipeline to overlap.
+// FormatV2, the format the front ends serve.
 func (p Params) measured() (*workload.Dataset, error) {
 	f := p.Format
 	if f == segment.FormatMem {

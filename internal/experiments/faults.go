@@ -88,7 +88,7 @@ type FaultPoint struct {
 // measureFaults runs one scenario and digests it into a point.
 func (p Params) measureFaults(ds *workload.Dataset, label string, plan faults.Plan) (FaultPoint, error) {
 	cell := p.faultCell(skipper.FleetSpec{Faults: &plan})
-	cell.Pipeline = p.pipelineConfig()
+	cell.PrefetchBytes = pipelinePrefetchBytes
 	res, err := cell.Run(sweepWorkload(ds))
 	if err != nil {
 		return FaultPoint{}, err
@@ -112,7 +112,7 @@ func (p Params) measureFaults(ds *workload.Dataset, label string, plan faults.Pl
 	return pt, nil
 }
 
-// FaultSweepData measures the skipper engine (pipeline on) under
+// FaultSweepData measures the skipper engine (prefetch on) under
 // increasing fault rates plus the crash/restart scenario.
 func (p Params) FaultSweepData() ([]FaultPoint, error) {
 	ds, err := p.measured()
@@ -148,7 +148,7 @@ func (p Params) FaultReport() (*Figure, error) {
 	}
 	f := &Figure{
 		ID: "Fault sweep",
-		Title: fmt.Sprintf("Fault injection and recovery (%d tenants × %d passes, round-robin layout, skipper engine, pipeline on; per-object fault cap 3, retry backoff 500ms..8s)",
+		Title: fmt.Sprintf("Fault injection and recovery (%d tenants × %d passes, round-robin layout, skipper engine, prefetch on; per-object fault cap 3, retry backoff 500ms..8s)",
 			cacheSweepClients, cacheSweepPasses),
 		Columns: []string{
 			"scenario", "makespan (s)", "avg client (s)", "device GETs",

@@ -2,45 +2,26 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
-	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
 
-// This file is the evaluation of the asynchronous execution pipeline
-// (scheduler-aware prefetch + concurrent decode workers) behind
-// `skipperbench -report pipeline`. (That the pipeline never changes a
-// result is the lattice harness's pipeline axis, not this report's.) It
-// reports two different clocks — the simulated makespan (which prefetch may
-// improve, by disclosing future demand to the device scheduler) and
-// real wall-clock time (which the decode workers improve, by
-// overlapping decode with compute and I/O waits).
+// This file is the evaluation of scheduler-aware prefetch behind
+// `skipperbench -report pipeline`. (That prefetch never changes a result is
+// the lattice harness's pipeline axis, not this report's.) It reports the
+// simulated makespan — which prefetch improves, by disclosing future demand
+// to the device scheduler — next to the host's wall-clock time for the run.
 
 // pipelinePrefetchBytes is the sweep's in-flight prefetch budget: room
 // for four of the paper's 1 GB objects ahead of demand.
 const pipelinePrefetchBytes = 4e9
 
-// pipelineConfig is the pipeline-on configuration for these params.
-func (p Params) pipelineConfig() *skipper.PipelineConfig {
-	workers := p.Parallelism
-	if workers < 2 {
-		workers = 2
-	}
-	return &skipper.PipelineConfig{
-		PrefetchBytes: pipelinePrefetchBytes,
-		DecodeWorkers: workers,
-		DecodeAhead:   2,
-	}
-}
-
 // PipelinePoint is one measured configuration of the pipeline sweep.
 type PipelinePoint struct {
 	Mode skipper.Mode
-	// On reports whether the pipeline was enabled.
+	// On reports whether prefetch was enabled.
 	On bool
 	// Makespan / AvgClient are simulated (virtual) times; Wall is the
 	// real time the cluster run took on the host.
@@ -54,39 +35,34 @@ type PipelinePoint struct {
 	// PrefetchIssued / PrefetchServed / PrefetchUseful aggregate the
 	// clients' prefetch counters.
 	PrefetchIssued, PrefetchServed, PrefetchUseful int
-	// Pipe is the wall-clock decode/stall breakdown.
-	Pipe metrics.PipelineBreakdown
 }
 
 // measurePipeline runs one configuration and digests it into a point.
-func (p Params) measurePipeline(ds *workload.Dataset, mode skipper.Mode, pc *skipper.PipelineConfig) (PipelinePoint, error) {
+func (p Params) measurePipeline(ds *workload.Dataset, mode skipper.Mode, prefetchBytes int64) (PipelinePoint, error) {
 	cell := p.cell(mode)
-	cell.Pipeline = pc
+	cell.PrefetchBytes = prefetchBytes
 	res, err := cell.Run(sweepWorkload(ds))
 	if err != nil {
 		return PipelinePoint{}, err
 	}
 	pt := PipelinePoint{
 		Mode:       mode,
-		On:         pc != nil,
+		On:         prefetchBytes > 0,
 		Makespan:   res.Makespan,
 		AvgClient:  avgElapsed(res),
 		Wall:       res.Wall,
 		DeviceGets: res.CSD.GetsReceived,
 		Switches:   res.CSD.GroupSwitches,
 	}
-	var agg engine.PipeStats
 	for _, cs := range res.Clients {
 		pt.PrefetchIssued += cs.PrefetchIssued
 		pt.PrefetchServed += cs.PrefetchServed
 		pt.PrefetchUseful += cs.PrefetchUseful
-		agg.Add(cs.Pipe)
 	}
-	pt.Pipe = metrics.PipelineFrom(agg)
 	return pt, nil
 }
 
-// PipelineSweepData measures both engines with the pipeline off and on
+// PipelineSweepData measures both engines with prefetch off and on
 // (no shared segment cache, so prefetched deliveries travel the staged
 // hand-off path) and returns the four points.
 func (p Params) PipelineSweepData() ([]PipelinePoint, error) {
@@ -96,10 +72,10 @@ func (p Params) PipelineSweepData() ([]PipelinePoint, error) {
 	}
 	var out []PipelinePoint
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-		for _, pc := range []*skipper.PipelineConfig{nil, p.pipelineConfig()} {
-			pt, err := p.measurePipeline(ds, mode, pc)
+		for _, budget := range []int64{0, pipelinePrefetchBytes} {
+			pt, err := p.measurePipeline(ds, mode, budget)
 			if err != nil {
-				return nil, fmt.Errorf("%s pipeline=%v: %w", mode, pc != nil, err)
+				return nil, fmt.Errorf("%s pipeline=%v: %w", mode, budget > 0, err)
 			}
 			out = append(out, pt)
 		}
@@ -113,34 +89,29 @@ func (p Params) PipelineReport() (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := p.pipelineConfig()
 	f := &Figure{
 		ID: "Pipeline sweep",
-		Title: fmt.Sprintf("Asynchronous execution pipeline (%d tenants × %d passes, round-robin layout; prefetch %.0f GB ahead, %d decode workers)",
-			cacheSweepClients, cacheSweepPasses, pipelinePrefetchBytes/1e9, pc.DecodeWorkers),
+		Title: fmt.Sprintf("Scheduler-aware prefetch (%d tenants × %d passes, round-robin layout; prefetch %.0f GB ahead)",
+			cacheSweepClients, cacheSweepPasses, pipelinePrefetchBytes/1e9),
 		Columns: []string{
 			"engine", "pipeline", "makespan (s)", "avg client (s)", "wall (ms)",
 			"device GETs", "switches", "prefetched", "pf served", "pf useful",
-			"decode busy (ms)", "decode stall (ms)", "hidden (ms)", "overlap",
 		},
 		Notes: []string{
 			"results are held byte-identical pipeline on/off across engines, formats (v1/v2), DOP {1,4} and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
-			"makespan/avg client are simulated time (prefetch discloses demand to the scheduler); wall/decode columns are host time (decode workers overlap decode with compute)",
-			fmt.Sprintf("host has %d CPU(s); decode overlap requires spare cores — on a single-core host decodes only run while the consumer blocks, so the overlap column reads 0%%", runtime.NumCPU()),
+			"makespan/avg client are simulated time (prefetch discloses demand to the scheduler); wall is host time for the whole run",
 		},
 	}
-	ms := func(d time.Duration) string { return fmt.Sprintf("%.1f", float64(d.Microseconds())/1000) }
 	for _, pt := range pts {
 		state := "off"
 		if pt.On {
 			state = "on"
 		}
 		f.Rows = append(f.Rows, []string{
-			fmt.Sprint(pt.Mode), state, secs(pt.Makespan), secs(pt.AvgClient), ms(pt.Wall),
+			fmt.Sprint(pt.Mode), state, secs(pt.Makespan), secs(pt.AvgClient),
+			fmt.Sprintf("%.1f", float64(pt.Wall.Microseconds())/1000),
 			fmt.Sprint(pt.DeviceGets), fmt.Sprint(pt.Switches),
 			fmt.Sprint(pt.PrefetchIssued), fmt.Sprint(pt.PrefetchServed), fmt.Sprint(pt.PrefetchUseful),
-			ms(pt.Pipe.DecodeBusy), ms(pt.Pipe.DecodeStall), ms(pt.Pipe.Hidden),
-			fmt.Sprintf("%.0f%%", 100*pt.Pipe.OverlapRatio()),
 		})
 	}
 	return f, nil

@@ -4,8 +4,8 @@ import "testing"
 
 // TestPipelineSweepQuick runs the `skipperbench -report pipeline` path at
 // quick scale — the four measurement points — and asserts the
-// pipeline-on runs actually prefetched, decoded concurrently, and
-// improved (or at least did not regress) the simulated makespan.
+// pipeline-on runs actually prefetched, consumed what they prefetched, and
+// strictly improved the simulated makespan on both engines.
 func TestPipelineSweepQuick(t *testing.T) {
 	p := Quick()
 	pts, err := p.PipelineSweepData()
@@ -23,13 +23,8 @@ func TestPipelineSweepQuick(t *testing.T) {
 		if off.Mode != on.Mode {
 			t.Fatalf("mode mismatch: %v vs %v", off.Mode, on.Mode)
 		}
-		// The serial baseline decodes inline: every decode stalls for its
-		// full duration, nothing is hidden, nothing is prefetched.
-		if off.PrefetchIssued != 0 || off.Pipe.Hidden != 0 || off.Pipe.Overlapped != 0 {
-			t.Fatalf("%v pipeline-off point recorded pipeline work: %+v", off.Mode, off)
-		}
-		if off.Pipe.DecodeBusy != off.Pipe.DecodeStall {
-			t.Fatalf("%v: serial baseline stall != busy: %+v", off.Mode, off.Pipe)
+		if off.PrefetchIssued+off.PrefetchServed+off.PrefetchUseful != 0 {
+			t.Fatalf("%v pipeline-off point recorded prefetch work: %+v", off.Mode, off)
 		}
 		if on.PrefetchIssued == 0 {
 			t.Fatalf("%v pipeline-on point issued no prefetches: %+v", on.Mode, on)
@@ -37,29 +32,13 @@ func TestPipelineSweepQuick(t *testing.T) {
 		if on.PrefetchServed+on.PrefetchUseful == 0 {
 			t.Fatalf("%v: no prefetch was ever consumed: %+v", on.Mode, on)
 		}
-		if on.Pipe.Decodes == 0 || on.Pipe.DecodeBusy <= 0 {
-			t.Fatalf("%v pipeline-on point recorded no decode work: %+v", on.Mode, on)
-		}
-		// Prefetch discloses demand early; it must never make the
-		// simulated schedule worse.
-		if on.Makespan > off.Makespan {
-			t.Fatalf("%v: pipeline worsened makespan: %v > %v", on.Mode, on.Makespan, off.Makespan)
+		// Prefetch discloses demand early: the rank scheduler batches group
+		// switches across present and future queries.
+		if on.Makespan >= off.Makespan {
+			t.Fatalf("%v: prefetch did not improve makespan: %v >= %v", on.Mode, on.Makespan, off.Makespan)
 		}
 		if on.Wall <= 0 || off.Wall <= 0 {
 			t.Fatalf("%v: missing wall-clock measurement", on.Mode)
 		}
-	}
-}
-
-// TestPipelineConfigDefaults pins the derived pipeline-on configuration.
-func TestPipelineConfigDefaults(t *testing.T) {
-	p := Quick()
-	pc := p.pipelineConfig()
-	if pc.PrefetchBytes != pipelinePrefetchBytes || pc.DecodeWorkers < 2 || pc.DecodeAhead != 2 {
-		t.Fatalf("unexpected config %+v", pc)
-	}
-	p.Parallelism = 8
-	if got := p.pipelineConfig().DecodeWorkers; got != 8 {
-		t.Fatalf("workers %d, want parallelism 8", got)
 	}
 }

@@ -127,7 +127,7 @@ func measureProjection(ds *workload.Dataset, spec skipper.QuerySpec, name string
 		pt.Rows = len(rows)
 		for _, s := range scans {
 			b := s.Bytes()
-			pt.DecodeTime += b.DecodeTime
+			pt.DecodeTime += s.PipeStats().DecodeBusy
 			if rep == 0 {
 				pt.BytesFetched += b.Fetched
 				pt.BytesDecoded += b.Decoded

@@ -18,7 +18,7 @@ import (
 // degradation with and without hot replication — the replicated fleet
 // must fail over (zero failed queries under a permanent crash) and
 // degrade strictly less than the unreplicated one. The sweep runs with
-// the pipeline off so a crash is recovered on the demand path — the
+// prefetch off so a crash is recovered on the demand path — the
 // prefetcher quietly re-routes around a dead device, which would hide the
 // failovers the sweep measures.
 

@@ -1,7 +1,7 @@
 // Package lattice is the one differential harness of the repository.
 // Every experiment of the paper is the same run with different settings —
 // an engine, a segment format, a degree of parallelism, data skipping, a
-// shared cache, the async pipeline, a fault plan, a device fleet, tracing —
+// shared cache, a prefetch budget, a fault plan, a device fleet, tracing —
 // and every claim is an invariant across those settings: a setting may
 // change when a query finishes, never what it returns, and no GET is lost
 // between client, cache, prefetcher and device. A Cell is one point of
@@ -27,7 +27,7 @@ import (
 // Cell is one point of the option lattice: every setting of a run that
 // may change when its queries finish but never what they return. The zero
 // value is the baseline corner: the vanilla engine, in-memory segments,
-// serial, data skipping on, no shared cache, no pipeline, one clean
+// serial, data skipping on, no shared cache, no prefetch, one clean
 // default device, untraced.
 type Cell struct {
 	Mode skipper.Mode
@@ -44,8 +44,9 @@ type Cell struct {
 	// SharedCache is the budget, in objects, of one segment cache shared
 	// by every client of the cluster (0 = none).
 	SharedCache int
-	// Pipeline, when non-nil, is every client's async-pipeline setting.
-	Pipeline *skipper.PipelineConfig
+	// PrefetchBytes is every client's prefetch budget (0 = off); the name
+	// of the axis is still "pipe".
+	PrefetchBytes int64
 	// Fleet is the device fleet and its fault plan.
 	Fleet skipper.FleetSpec
 	// Retry overrides the clients' fault-recovery policy (nil = default).
@@ -65,7 +66,7 @@ func (c Cell) String() string {
 	if c.SharedCache > 0 {
 		fmt.Fprintf(&sb, "/cache=%d", c.SharedCache)
 	}
-	if c.Pipeline != nil {
+	if c.PrefetchBytes > 0 {
 		sb.WriteString("/pipe")
 	}
 	if c.Fleet.Faults != nil && c.Fleet.Faults.Enabled() {
@@ -127,11 +128,9 @@ func ProbeDataset() *workload.Dataset {
 	return workload.TPCH(0, workload.TPCHConfig{SF: 4, RowsPerObject: 256, Seed: 1, ClusteredDates: true})
 }
 
-// PipelineOn is the harness tables' pipeline setting: room for two 1 GB objects in
-// flight, two decode workers.
-func PipelineOn() *skipper.PipelineConfig {
-	return &skipper.PipelineConfig{PrefetchBytes: 2e9, DecodeWorkers: 2, DecodeAhead: 2}
-}
+// PrefetchOn is the harness tables' prefetch budget: room for two 1 GB
+// objects in flight.
+const PrefetchOn = 2e9
 
 // Chaos is the harness tables' fault plan: retryable faults only — no crash window
 // — each recoverable by the default retry policy (the per-object cap
@@ -169,7 +168,7 @@ func (c Cell) Cluster(w Workload) *skipper.Cluster {
 			CacheObjects:   c.MJoinCache,
 			NoStatsPruning: c.NoPrune,
 			Parallelism:    c.DOP,
-			Pipeline:       c.Pipeline,
+			PrefetchBytes:  c.PrefetchBytes,
 			Retry:          c.Retry,
 			KeepResults:    c.KeepResults,
 		}

@@ -38,7 +38,7 @@ const probeMJoinCache = 6
 func AllOn(mode skipper.Mode, footprint int) Cell {
 	return Cell{
 		Mode: mode, Format: segment.FormatV2, DOP: 4, MJoinCache: probeMJoinCache,
-		SharedCache: footprint, Pipeline: PipelineOn(), Traced: true,
+		SharedCache: footprint, PrefetchBytes: PrefetchOn, Traced: true,
 		Fleet: skipper.FleetSpec{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}, Faults: Chaos(42)},
 	}
 }
@@ -64,7 +64,7 @@ func Pairwise(footprint int) []Cell {
 			c.SharedCache = footprint
 		}
 		if row[5] == 1 {
-			c.Pipeline = PipelineOn()
+			c.PrefetchBytes = PrefetchOn
 		}
 		if row[6] == 1 {
 			c.Fleet.Faults = Chaos(42)
@@ -209,7 +209,7 @@ func TestEveryCheckCanFail(t *testing.T) {
 	clean := cell
 	clean.Fleet.Faults = nil
 	pipeOff := cell
-	pipeOff.Pipeline = nil
+	pipeOff.PrefetchBytes = 0
 	noCache := cell
 	noCache.SharedCache = 0
 

@@ -144,7 +144,7 @@ func Oracle(ds *workload.Dataset, queries func(*catalog.Catalog) []skipper.Query
 }
 
 // runSettled runs the cell and requires the goroutine count to return to
-// where it was: decode workers, prefetchers and every simulated process
+// where it was: prefetchers and every simulated process
 // must be gone when Run returns.
 func runSettled(c Cell, w Workload) (*skipper.Cluster, *skipper.RunResult, error) {
 	baseline := runtime.NumGoroutine()
@@ -249,12 +249,12 @@ func checkPipeline(c Cell, res *skipper.RunResult) error {
 		issued += cs.PrefetchIssued
 		served += cs.PrefetchServed
 		useful += cs.PrefetchUseful
-		if c.Pipeline != nil && (cs.WallElapsed <= 0 || res.Wall <= 0) {
+		if c.PrefetchBytes > 0 && (cs.WallElapsed <= 0 || res.Wall <= 0) {
 			return axisErr("pipeline", "tenant %d: no wall-clock measurement", cs.Tenant)
 		}
 	}
 	switch {
-	case c.Pipeline == nil || c.Pipeline.PrefetchBytes == 0:
+	case c.PrefetchBytes == 0:
 		if issued+served+useful != 0 {
 			return axisErr("pipeline", "pipeline-off run recorded prefetch work: issued %d, served %d, useful %d", issued, served, useful)
 		}
@@ -271,7 +271,7 @@ func checkPipeline(c Cell, res *skipper.RunResult) error {
 // checkFaults is the fault axis. Under a plan: the injectors must have
 // fired, the clients must have seen what was injected, and — without a
 // prefetcher, where every fault lands on the demand path — must have
-// recovered by retrying. (With the pipeline on, a fault on a prefetch
+// recovered by retrying. (With prefetch on, a fault on a prefetch
 // transfer is recovered by dropping the candidate; the demand refetch only
 // retries if it faults again.) A plan with a crash window must have
 // opened it. Clean: nothing injected, seen or retried.
@@ -306,7 +306,7 @@ func checkFaults(c Cell, res *skipper.RunResult) error {
 	if seen == 0 {
 		return axisErr("faults", "injectors report %d faults but the clients observed none", injected)
 	}
-	if c.Pipeline == nil && retries == 0 {
+	if c.PrefetchBytes == 0 && retries == 0 {
 		return axisErr("faults", "%d demand-path faults recovered without a retry", seen)
 	}
 	return nil

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/csd"
-	"repro/internal/engine"
 )
 
 // Stretch is observed/ideal execution time: the slowdown a job suffers
@@ -152,51 +151,6 @@ func ProjectionRatio(decoded, skipped int64) float64 {
 		return 0
 	}
 	return float64(skipped) / float64(decoded+skipped)
-}
-
-// PipelineBreakdown digests a client's asynchronous-pipeline counters
-// into report-ready figures: how much decode work ran, how much of it
-// the pipeline kept off the critical path, and what the consumer
-// actually stalled on in wall-clock time.
-type PipelineBreakdown struct {
-	DecodeBusy  time.Duration // total decode time, any worker
-	DecodeStall time.Duration // consumer blocked waiting for a decode
-	FetchStall  time.Duration // consumer blocked waiting for data
-	Hidden      time.Duration // decode time overlapped with other work
-	Decodes     int           // segments decoded
-	Overlapped  int           // decodes complete before the consumer asked
-}
-
-// PipelineFrom derives the breakdown from raw engine counters.
-func PipelineFrom(p engine.PipeStats) PipelineBreakdown {
-	return PipelineBreakdown{
-		DecodeBusy:  p.DecodeBusy,
-		DecodeStall: p.DecodeStall,
-		FetchStall:  p.FetchStall,
-		Hidden:      p.Hidden(),
-		Decodes:     p.Decodes,
-		Overlapped:  p.DecodesOverlapped,
-	}
-}
-
-// OverlapRatio returns the fraction of decode time the pipeline hid
-// behind other work: Hidden / DecodeBusy, or 0 when nothing was
-// decoded. 0 is the serial baseline (inline decode stalls for its full
-// duration); 1 means decode was entirely off the critical path.
-func (b PipelineBreakdown) OverlapRatio() float64 {
-	if b.DecodeBusy <= 0 {
-		return 0
-	}
-	return float64(b.Hidden) / float64(b.DecodeBusy)
-}
-
-// OverlappedFraction returns the fraction of decoded segments that were
-// already done when the consumer asked for them.
-func (b PipelineBreakdown) OverlappedFraction() float64 {
-	if b.Decodes <= 0 {
-		return 0
-	}
-	return float64(b.Overlapped) / float64(b.Decodes)
 }
 
 // Percent returns 100·part/total, or 0 when total is zero.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/csd"
-	"repro/internal/engine"
 )
 
 func iv(from, to int) csd.Interval {
@@ -161,35 +160,5 @@ func TestPruneRatio(t *testing.T) {
 	}
 	if got := PruneRatio(0, 5); got != 1 {
 		t.Fatalf("all skipped: %v", got)
-	}
-}
-
-func TestPipelineBreakdown(t *testing.T) {
-	ps := engine.PipeStats{
-		FetchStall:        2 * time.Second,
-		DecodeStall:       time.Second,
-		DecodeBusy:        4 * time.Second,
-		Decodes:           10,
-		DecodesOverlapped: 6,
-	}
-	b := PipelineFrom(ps)
-	if b.Hidden != 3*time.Second {
-		t.Fatalf("hidden %v", b.Hidden)
-	}
-	if r := b.OverlapRatio(); r != 0.75 {
-		t.Fatalf("overlap ratio %v", r)
-	}
-	if f := b.OverlappedFraction(); f != 0.6 {
-		t.Fatalf("overlapped fraction %v", f)
-	}
-	// Serial baseline: inline decode stalls for its full duration.
-	serial := PipelineFrom(engine.PipeStats{DecodeStall: time.Second, DecodeBusy: time.Second, Decodes: 3})
-	if serial.OverlapRatio() != 0 || serial.Hidden != 0 {
-		t.Fatalf("serial breakdown not zero-overlap: %+v", serial)
-	}
-	// Degenerate inputs must not divide by zero.
-	var zero PipelineBreakdown
-	if zero.OverlapRatio() != 0 || zero.OverlappedFraction() != 0 {
-		t.Fatal("zero breakdown produced non-zero ratios")
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/segment"
+	"repro/internal/trace"
 	"repro/internal/tuple"
 )
 
@@ -68,37 +70,70 @@ type cacheEntry struct {
 	keyIdx int
 }
 
-// addArrivalBytes folds one consumed arrival's byte accounting into Stats.
-// It is kept out of Stats until the arrival is actually consumed: the
-// pipelined path decodes speculatively and discards the accounting of
-// arrivals no pending subplan needs (the serial path never decodes those at
-// all).
-func (m *manager) addArrivalBytes(by engine.ScanBytes) {
+// receiveArrivals consumes exactly n arrivals from the source, in delivery
+// order, folding each into the cache and running every subplan it makes
+// runnable. A storage failure aborts the run with the wrapped cause.
+func (m *manager) receiveArrivals(n int) error {
+	for i := 0; i < n; i++ {
+		seg, err := m.src.NextArrival()
+		if err != nil {
+			return fmt.Errorf("mjoin: arrival: %w", err)
+		}
+		if err := m.processArrival(seg); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// processArrival handles one delivered object: an arrival no pending
+// subplan needs any more (raced with pruning/completion) is dropped
+// undecoded and uncharged; any other pays the per-object processing charge,
+// is decoded, counted and admitted to the cache. It fails on a corrupt
+// arrival (lazy-store block decode), mirroring the vanilla scan path.
+func (m *manager) processArrival(seg *segment.Segment) error {
+	m.stats.Arrivals++
+	ref, known := m.objIndex[seg.ID]
+	if !known {
+		panic(fmt.Sprintf("mjoin: arrival of object %v not in query %s", seg.ID, m.q.ID))
+	}
+	if m.pendingCount[seg.ID] == 0 {
+		return nil
+	}
+	m.cfg.Clock.Sleep(m.cfg.Costs.ProcessPerObject)
+	start := time.Now()
+	batch, by, err := m.decodeArrival(ref.rel, seg)
+	m.stats.Pipe.DecodeBusy += time.Since(start)
+	m.stats.Pipe.Decodes++
+	if m.cfg.Trace.Enabled() {
+		m.cfg.Trace.Emit(trace.CatDecode, seg.ID.String(), start)
+	}
+	if err != nil {
+		return err
+	}
 	m.stats.BytesFetched += by.Fetched
 	m.stats.BytesDecoded += by.Decoded
 	m.stats.BytesSkippedByProjection += by.SkippedByProjection
 	m.stats.BytesMaterialized += by.Materialized
+	m.admitArrival(seg.ID, ref.rel, batch)
+	return nil
 }
 
 // decodeArrival turns one delivered segment into the batch a cache entry
 // holds — the relation's filtered rows, Cols wide — by running the
 // relation's leg kernel over it (engine.Leg.ReadSegment): a filtered
-// arrival is copied out of the reuse buffer at the survivor count, an
-// unfiltered lazy one owns its freshly decoded columns. It returns the
-// decode buffer to hand to the next call. Decode errors (lazy stores
-// validate headers at build time, block contents on first decode) and
-// filter errors surface as errors, like the vanilla scan path.
-//
-// decodeArrival is a pure computation over immutable manager state (the
-// query plan) plus the reuse buffer the caller hands over and gets back:
-// it is safe to run on a decode-pool worker as long as each concurrent
-// call owns a distinct reuse buffer.
-func (m *manager) decodeArrival(rel int, seg *segment.Segment, reuse *segment.ColumnData) (*tuple.Batch, *segment.ColumnData, engine.ScanBytes, error) {
-	batch, reuse, by, err := m.probe.legs[rel].ReadSegment(seg, reuse)
+// arrival is copied out of the manager's reused decode buffer at the
+// survivor count, an unfiltered lazy one owns its freshly decoded columns.
+// Decode errors (lazy stores validate headers at build time, block contents
+// on first decode) and filter errors surface as errors, like the vanilla
+// scan path.
+func (m *manager) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, engine.ScanBytes, error) {
+	batch, cd, by, err := m.probe.legs[rel].ReadSegment(seg, m.cd)
+	m.cd = cd
 	if err != nil {
 		err = fmt.Errorf("mjoin: arrival %v: %w", seg.ID, err)
 	}
-	return batch, reuse, by, err
+	return batch, by, err
 }
 
 // buildEntry constructs the cache entry for an arrival of relation rel,

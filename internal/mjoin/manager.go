@@ -80,17 +80,6 @@ type Config struct {
 	// entries. 0 or 1 selects the serial path; results are identical (and
 	// identically ordered) at every setting.
 	Parallelism int
-	// DecodePool, when non-nil and the source also implements
-	// TryArrivalSource, decodes arrivals on background workers so decode
-	// overlaps probing in wall-clock time. Results are byte-identical to
-	// the serial path (arrivals are still processed strictly in delivery
-	// order) and virtual time is unchanged (only already-delivered
-	// arrivals are picked up early, at zero virtual cost).
-	DecodePool *engine.DecodePool
-	// DecodeAhead bounds how many arrivals may sit decoded-or-decoding
-	// ahead of the one being processed (default 2). Each slot holds one
-	// reusable decode buffer.
-	DecodeAhead int
 	// Trace, when non-nil, receives per-cycle and per-arrival-decode
 	// spans. Spans carry wall time only: the manager has no virtual-clock
 	// handle of its own (charges go through Clock). nil records nothing.
@@ -133,10 +122,8 @@ type Stats struct {
 	// pinned — i.e. how often the livelock escape hatch was needed.
 	// Zero on the paper's workloads and delivery orders.
 	PinnedCycles int
-	// Pipe is the wall-clock pipeline accounting: real time spent blocked
-	// on arrivals and decode versus decode time hidden behind probing.
-	// The serial path fills it too (DecodeStall == DecodeBusy), so runs
-	// with the pipeline on and off are directly comparable.
+	// Pipe is the host-side decode accounting: real time spent decoding
+	// arrivals, and how many were decoded.
 	Pipe engine.PipeStats
 }
 
@@ -172,12 +159,9 @@ type manager struct {
 
 	// dop is the normalized Config.Parallelism (>= 1).
 	dop int
-	// freeCD is the free list of projected-decode buffers for filtered lazy
-	// arrivals; cache entries copy the survivors out of them. Each decode
-	// owns exactly one buffer (popped before it starts, recycled once its
-	// arrival is processed), so concurrent decodes never share storage:
-	// the serial path cycles one buffer, the pipelined path DecodeAhead+1.
-	freeCD []*segment.ColumnData
+	// cd is the reused projected-decode buffer of filtered lazy arrivals;
+	// cache entries copy the survivors out of it.
+	cd *segment.ColumnData
 	// scratches holds one probe-chain scratch per worker, reused across
 	// arrivals and subplans; scratches[0] is the serial path's.
 	scratches []probeScratch
@@ -421,7 +405,7 @@ func (m *manager) neededObjects() []segment.ObjectID {
 
 // admitArrival folds one decoded arrival into the cache — pruning empty
 // objects, evicting under pressure — and runs the subplans it makes
-// runnable. Shared tail of the serial and pipelined receive paths.
+// runnable.
 func (m *manager) admitArrival(id segment.ObjectID, rel int, batch *tuple.Batch) {
 	if _, cached := m.cache[id]; cached {
 		// Redelivery of a resident object — a fault-recovery re-request

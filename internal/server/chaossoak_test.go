@@ -200,7 +200,7 @@ func TestChaosRetriesSurfaceInFrames(t *testing.T) {
 	cfg := servingConfig(t)
 	// Demand-path-only (no prefetcher) so every injected transient is a
 	// proxy retry rather than a silently dropped prefetch candidate.
-	cfg.Pipeline = nil
+	cfg.PrefetchBytes = 0
 	cfg.Fleet.Faults = chaosServerPlan()
 	cfg.Retry = chaosServerRetry()
 	s, addr := startServer(t, cfg)

@@ -114,8 +114,7 @@ type Response struct {
 	// compute charges and waits on the device; DeviceGets[d] is the GETs
 	// device d of a fleet received (absent on one device); the SegCache
 	// fields are the tenant's cache after the run, hits and misses its
-	// lifetime's; DecodeBusyUS and DecodeStallUS are host time spent
-	// decoding and blocked on a decode.
+	// lifetime's; DecodeBusyUS is host time spent decoding.
 	ProcessingUS      int64 `json:"processing_us,omitempty"`
 	StalledUS         int64 `json:"stalled_us,omitempty"`
 	Switches          int   `json:"switches,omitempty"`
@@ -138,7 +137,6 @@ type Response struct {
 	PrefetchServed    int   `json:"prefetch_served,omitempty"`
 	PrefetchUseful    int   `json:"prefetch_useful,omitempty"`
 	DecodeBusyUS      int64 `json:"decode_busy_us,omitempty"`
-	DecodeStallUS     int64 `json:"decode_stall_us,omitempty"`
 	// TraceID names the span capture of this query (traced queries only;
 	// retrieve with TRACE <id>). Error frames of traced queries carry it
 	// too — a trace of a failed query is exactly what one wants to read.
@@ -212,7 +210,7 @@ func (r *Response) account(res *skipper.RunResult, cache *segcache.Cache) {
 	r.BytesFetched, r.BytesDecoded = cs.BytesFetched, cs.BytesDecoded
 	r.BytesSkipped, r.BytesMaterialized = cs.BytesSkippedByProjection, cs.BytesMaterialized
 	r.PrefetchIssued, r.PrefetchServed, r.PrefetchUseful = cs.PrefetchIssued, cs.PrefetchServed, cs.PrefetchUseful
-	r.DecodeBusyUS, r.DecodeStallUS = durUS(cs.Pipe.DecodeBusy), durUS(cs.Pipe.DecodeStall)
+	r.DecodeBusyUS = durUS(cs.Pipe.DecodeBusy)
 }
 
 // ParseRequest parses and normalizes one frame. Every failure wraps

@@ -46,9 +46,10 @@ type Config struct {
 	// Prune toggles zone-map/Bloom data skipping (default true via
 	// NewConfig; the zero value of this struct disables it).
 	Prune bool
-	// Pipeline, when non-nil, enables the PR 6 async pipeline (prefetch
-	// + decode workers) for every query run.
-	Pipeline *skipper.PipelineConfig
+	// PrefetchBytes, when positive, runs every query with the
+	// scheduler-aware prefetcher under this in-flight byte budget
+	// (skipper.Client.PrefetchBytes).
+	PrefetchBytes int64
 	// Fleet is the device fleet every query runs against: its size,
 	// replication and fault plan (the zero value is one clean default
 	// device). Every query run expands it afresh — fault decisions are a
@@ -632,8 +633,8 @@ func (s *Server) traceResponse(req *Request, tenant int) *Response {
 
 // execute runs one admitted query as a single-client cluster over the
 // server's shared store, wired to the tenant's persistent segment cache
-// and the configured pipeline; a traced query's devices record into its
-// trace's device lane. ctx bounds the run in real time. The result comes
+// and the configured prefetch budget; a traced query's devices record into
+// its trace's device lane. ctx bounds the run in real time. The result comes
 // back with a failed run too, whenever the run got far enough to count.
 func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec skipper.QuerySpec, qt *trace.QueryTrace) (*skipper.RunResult, error) {
 	client := &skipper.Client{
@@ -644,7 +645,7 @@ func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec 
 		CacheObjects:   s.cfg.CacheObjects,
 		NoStatsPruning: !s.cfg.Prune,
 		SegCache:       ts.cache,
-		Pipeline:       s.cfg.Pipeline,
+		PrefetchBytes:  s.cfg.PrefetchBytes,
 		Retry:          s.cfg.Retry,
 		KeepResults:    true,
 		Ctx:            ctx,
@@ -681,7 +682,7 @@ func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec 
 // then what a run would request: segment fetches pruned; with a segment
 // cache, how many of the rest are resident right now; over an encoded
 // store, the column-block bytes the projection decodes and skips; with
-// the pipeline on, what it discloses to the scheduler.
+// prefetch on, what it discloses to the scheduler.
 func (s *Server) explain(req *Request, tenant int) *Response {
 	spec, err := s.planner.Plan(req.SQL)
 	if err != nil {
@@ -724,9 +725,9 @@ func (s *Server) explain(req *Request, tenant int) *Response {
 		fmt.Fprintf(&plan, "-- projection: decode %d of %d column-block bytes (%d skipped, %.0f%%)\n",
 			decodeB, decodeB+skipB, skipB, 100*metrics.ProjectionRatio(decodeB, skipB))
 	}
-	if pc := s.cfg.Pipeline; pc != nil {
-		fmt.Fprintf(&plan, "-- pipeline: prefetch up to %s ahead (%d candidate segment fetches disclosed to the scheduler), %d decode workers\n",
-			gb(pc.PrefetchBytes), fetches, pc.DecodeWorkers)
+	if s.cfg.PrefetchBytes > 0 {
+		fmt.Fprintf(&plan, "-- prefetch: up to %s ahead (%d candidate segment fetches disclosed to the scheduler)\n",
+			gb(s.cfg.PrefetchBytes), fetches)
 	}
 	return &Response{ID: req.ID, Type: "explain", Tenant: tenant, Plan: plan.String()}
 }

@@ -44,11 +44,11 @@ func servingDataset(t *testing.T) *workload.Dataset {
 }
 
 // servingConfig is the standard test server: skipper engine, pruning,
-// per-tenant segment caches, the async pipeline on.
+// per-tenant segment caches, prefetch on.
 func servingConfig(t *testing.T) Config {
 	cfg := NewConfig(servingDataset(t))
 	cfg.SegCacheObjects = 8
-	cfg.Pipeline = &skipper.PipelineConfig{PrefetchBytes: 2e9, DecodeWorkers: 2, DecodeAhead: 2}
+	cfg.PrefetchBytes = 2e9
 	return cfg
 }
 
@@ -152,7 +152,7 @@ func directRows(t *testing.T, s *Server, sqlText string) []string {
 	client := &skipper.Client{
 		Tenant: 0, Mode: s.cfg.Mode, Catalog: s.cfg.Dataset.Catalog,
 		Queries: []skipper.QuerySpec{spec}, CacheObjects: s.cfg.CacheObjects,
-		NoStatsPruning: !s.cfg.Prune, Pipeline: s.cfg.Pipeline, KeepResults: true,
+		NoStatsPruning: !s.cfg.Prune, PrefetchBytes: s.cfg.PrefetchBytes, KeepResults: true,
 	}
 	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: s.store}).Run()
 	if err != nil {
@@ -365,7 +365,7 @@ func TestServerStats(t *testing.T) {
 }
 
 // TestServerShutdownDrains: Shutdown waits for in-flight sessions, then
-// the whole serving stack — accept loop, handlers, pipeline workers —
+// the whole serving stack — accept loop, handlers, prefetchers —
 // is gone (goroutine compare) with no cache pins left.
 func TestServerShutdownDrains(t *testing.T) {
 	baseline := runtime.NumGoroutine()

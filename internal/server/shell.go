@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/sql"
 	"repro/internal/trace"
@@ -92,11 +91,9 @@ func renderFooter(w io.Writer, r *Response) {
 			100*metrics.HitRatio(r.SegCacheHits, r.SegCacheMisses))
 	}
 	if r.BytesFetched > 0 {
-		pb := metrics.PipelineFrom(engine.PipeStats{DecodeBusy: us(r.DecodeBusyUS), DecodeStall: us(r.DecodeStallUS)})
-		fmt.Fprintf(w, "-- decode: %d bytes fetched, %d decoded, %d skipped by projection (%.0f%%), %d materialized; %s busy / %s stalled / %s hidden (%.0f%% overlap)\n",
+		fmt.Fprintf(w, "-- decode: %d bytes fetched, %d decoded, %d skipped by projection (%.0f%%), %d materialized; %s busy\n",
 			r.BytesFetched, r.BytesDecoded, r.BytesSkipped,
-			100*metrics.ProjectionRatio(r.BytesDecoded, r.BytesSkipped), r.BytesMaterialized,
-			pb.DecodeBusy, pb.DecodeStall, pb.Hidden, 100*pb.OverlapRatio())
+			100*metrics.ProjectionRatio(r.BytesDecoded, r.BytesSkipped), r.BytesMaterialized, us(r.DecodeBusyUS))
 	}
 	if r.PrefetchIssued+r.PrefetchServed+r.PrefetchUseful > 0 {
 		fmt.Fprintf(w, "-- prefetch: %d issued, %d served staged, %d useful\n", r.PrefetchIssued, r.PrefetchServed, r.PrefetchUseful)

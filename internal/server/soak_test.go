@@ -5,7 +5,7 @@
 // under saturation), shutdown must drain every goroutine, and the
 // tenant caches must end unpinned. Runs under CI's -race job — the
 // whole serving stack (sessions, admission, shared store, per-tenant
-// caches, pipeline workers) is exercised concurrently.
+// caches, prefetchers) is exercised concurrently.
 package server
 
 import (

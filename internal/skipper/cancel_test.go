@@ -19,13 +19,13 @@ import (
 )
 
 // runCanceled executes the probe workload on one client bound to ctx,
-// with the full pipeline (prefetch + decode workers) and a shared cache
-// so every drain path is armed.
+// with the prefetcher running and a shared cache so every drain path is
+// armed.
 func runCanceled(t *testing.T, ctx context.Context, mode skipper.Mode) (*skipper.RunResult, *skipper.Cluster, error) {
 	t.Helper()
 	p := newProbe(t)
 	cell := p.cell
-	cell.Mode, cell.Pipeline = mode, lattice.PipelineOn()
+	cell.Mode, cell.PrefetchBytes = mode, lattice.PrefetchOn
 	cl := p.cluster(cell, 1)
 	cl.Clients[0].Ctx = ctx
 	res, err := cl.Run()
@@ -35,7 +35,7 @@ func runCanceled(t *testing.T, ctx context.Context, mode skipper.Mode) (*skipper
 // TestClientContextExpiredDrains: a context that is already expired
 // when the run starts must abort before any query executes, with an
 // error wrapping context.DeadlineExceeded, and leave no goroutines or
-// cache pins behind despite the armed prefetcher and decode pool.
+// cache pins behind despite the armed prefetcher.
 func TestClientContextExpiredDrains(t *testing.T) {
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {

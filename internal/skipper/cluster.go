@@ -51,10 +51,9 @@ type RunResult struct {
 	// by device id; nil when the fleet ran without a fault plan.
 	Faults   []faults.Stats
 	Makespan time.Duration
-	// Wall is the real (hardware) time the simulation took end to end —
-	// the wall-clock measurement mode's headline number. Virtual quantities
-	// (Makespan, stalls) model the storage hardware; Wall measures the
-	// host's actual compute, which is what the decode pipeline improves.
+	// Wall is the real (hardware) time the simulation took end to end.
+	// Virtual quantities (Makespan, stalls) model the storage hardware;
+	// Wall measures the host's actual compute.
 	Wall time.Duration
 	// Cache is the shared segment cache's final statistics; nil when the
 	// cluster ran without a SharedCache. Clients with private SegCache
@@ -179,11 +178,10 @@ func (cl *Cluster) Run() (*RunResult, error) {
 	return res, runErr
 }
 
-// runClient executes one client's query sequence. With c.Pipeline set
-// it also owns the client's pipeline machinery: the decode-worker pool
-// (closed when the workload ends, even on error) and the prefetch
-// daemon (told to stop likewise; it exits once its in-flight transfers
-// drain, so the simulation always terminates).
+// runClient executes one client's query sequence. With c.PrefetchBytes
+// set it also owns the client's prefetch daemon, told to stop when the
+// workload ends, even on error; it exits once its in-flight transfers
+// drain, so the simulation always terminates.
 func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c *Client) error {
 	c.stats = ClientStats{Tenant: c.Tenant, Mode: c.Mode, Start: p.Now()}
 	wallStart := time.Now()
@@ -198,13 +196,7 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 	if px.cache = c.SegCache; px.cache == nil {
 		px.cache = cl.SharedCache
 	}
-	var pipe *engine.Pipeline
-	if pc := c.Pipeline; pc != nil && pc.DecodeWorkers > 0 {
-		pool := engine.NewDecodePool(pc.DecodeWorkers)
-		defer pool.Close()
-		pipe = &engine.Pipeline{Pool: pool, Depth: pc.DecodeAhead}
-	}
-	if pc := c.Pipeline; pc != nil && pc.PrefetchBytes > 0 {
+	if c.PrefetchBytes > 0 {
 		px.pf = newPrefetcher(sim, fl, px.cache, c)
 		sim.Spawn(fmt.Sprintf("prefetch.t%d", c.Tenant), px.pf.run)
 		defer px.pf.stop(p)
@@ -215,7 +207,7 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 		if err := c.ctxErr(); err != nil {
 			return fmt.Errorf("skipper: tenant %d: workload canceled before query %s: %w", c.Tenant, spec.Name, err)
 		}
-		queryID := fmt.Sprintf("t%d.%s#%d", c.Tenant, spec.Name, qi)
+		queryID := c.queryID(qi)
 		px.beginQuery(queryID)
 		qspan := c.QTrace.BeginPhaseVirt(trace.CatQuery, queryID, p.Now())
 		if px.pf != nil {
@@ -239,9 +231,9 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 		var err error
 		switch c.Mode {
 		case ModeVanilla:
-			rows, err = cl.runVanilla(clock, px, c, spec, pipe)
+			rows, err = cl.runVanilla(clock, px, c, spec)
 		case ModeSkipper:
-			rows, err = cl.runSkipper(clock, px, c, spec, pipe)
+			rows, err = cl.runSkipper(clock, px, c, spec)
 		default:
 			err = fmt.Errorf("skipper: unknown mode %d", c.Mode)
 		}
@@ -275,12 +267,11 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 // c.Parallelism > 1 the joins and aggregations run on the morsel worker
 // pool; scans (and thus GETs and virtual-time charges) stay on the client
 // goroutine, as the vtime simulation requires.
-func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec QuerySpec, pipe *engine.Pipeline) ([]tuple.Row, error) {
+func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	ctx := &engine.Ctx{
 		Clock: clock,
 		Fetch: &vanillaFetcher{px: px, fuse: cl.Costs.FusePerObject},
 		Costs: engine.Costs{ProcessPerObject: cl.Costs.VanillaPerObject},
-		Pipe:  pipe,
 		Trace: c.QTrace,
 	}
 	it, err := BuildPullPlanPruned(ctx, spec.Join, !c.NoStatsPruning)
@@ -313,7 +304,7 @@ func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec Que
 
 // runSkipper executes the query with the cache-aware MJoin over the
 // push-based proxy.
-func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec QuerySpec, pipe *engine.Pipeline) ([]tuple.Row, error) {
+func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	cacheSize := c.CacheObjects
 	if cacheSize <= 0 {
 		cacheSize = len(spec.Join.Objects())
@@ -326,12 +317,8 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 		Clock:        clock,
 		Costs:        mjoin.Costs{ProcessPerObject: cl.Costs.MJoinPerObject},
 		Parallelism:  c.Parallelism,
+		Trace:        c.QTrace,
 	}
-	if pipe != nil {
-		cfg.DecodePool = pipe.Pool
-		cfg.DecodeAhead = pipe.Depth
-	}
-	cfg.Trace = c.QTrace
 	res, err := mjoin.RunBatches(spec.Join, cfg, px)
 	if err != nil {
 		return nil, err
@@ -373,6 +360,7 @@ func demandHeat(clients []*Client) map[segment.ObjectID]int {
 }
 
 func addStats(a, b mjoin.Stats) mjoin.Stats {
+	a.Pipe.Add(b.Pipe)
 	return mjoin.Stats{
 		Requests:                 a.Requests + b.Requests,
 		Cycles:                   a.Cycles + b.Cycles,
@@ -389,7 +377,7 @@ func addStats(a, b mjoin.Stats) mjoin.Stats {
 		BytesSkippedByProjection: a.BytesSkippedByProjection + b.BytesSkippedByProjection,
 		BytesMaterialized:        a.BytesMaterialized + b.BytesMaterialized,
 		PinnedCycles:             a.PinnedCycles + b.PinnedCycles,
-		Pipe:                     a.Pipe.Plus(b.Pipe),
+		Pipe:                     a.Pipe,
 	}
 }
 

@@ -111,7 +111,7 @@ func cacheMatrix(footprint int) []lattice.Cell {
 	return out
 }
 
-// pipelineMatrix is the async-pipeline matrix: pipeline off and on across
+// pipelineMatrix is the prefetch matrix: prefetch off and on across
 // the wire formats, engines, DOP and pruning on/off. No segment cache, so
 // prefetched deliveries travel the staged hand-off path.
 func pipelineMatrix() []lattice.Cell {
@@ -120,7 +120,7 @@ func pipelineMatrix() []lattice.Cell {
 		for _, noPrune := range onOff {
 			c.NoPrune = noPrune
 			on := c
-			on.Pipeline = lattice.PipelineOn()
+			on.PrefetchBytes = lattice.PrefetchOn
 			out = append(out, c, on)
 		}
 	}
@@ -135,7 +135,7 @@ func faultMatrix(footprint int) []lattice.Cell {
 	for _, c := range grid(wire) {
 		c.SharedCache, c.Fleet.Faults = footprint, lattice.Chaos(42)
 		on := c
-		on.Pipeline = lattice.PipelineOn()
+		on.PrefetchBytes = lattice.PrefetchOn
 		out = append(out, c, on)
 	}
 	return out
@@ -147,7 +147,7 @@ func faultMatrix(footprint int) []lattice.Cell {
 func fleetMatrix(footprint int) []lattice.Cell {
 	var out []lattice.Cell
 	for _, c := range grid(wire) {
-		c.SharedCache, c.Pipeline = footprint, lattice.PipelineOn()
+		c.SharedCache, c.PrefetchBytes = footprint, lattice.PrefetchOn
 		for _, fl := range fleets {
 			c.Fleet = fl
 			out = append(out, c)
@@ -158,14 +158,14 @@ func fleetMatrix(footprint int) []lattice.Cell {
 
 // traceMatrix is the tracing matrix: traced cells (Verify runs the
 // untraced twin itself) across the wire formats, engines, DOP and the
-// pipeline off/on — decode workers record spans concurrently, so the race
-// detector exercises that path.
+// pipeline off/on — the prefetcher's disclosure spans and the device lane's
+// prefetch transfers are recorded only with it on.
 func traceMatrix() []lattice.Cell {
 	var out []lattice.Cell
 	for _, c := range grid(wire) {
 		c.Traced = true
 		on := c
-		on.Pipeline = lattice.PipelineOn()
+		on.PrefetchBytes = lattice.PrefetchOn
 		out = append(out, c, on)
 	}
 	return out
@@ -176,7 +176,7 @@ func byPrune(c lattice.Cell) string {
 }
 
 func byPipe(c lattice.Cell) string {
-	return fmt.Sprintf("%v/%v/dop%d/pipe=%v", c.Format, c.Mode, c.DOP, c.Pipeline != nil)
+	return fmt.Sprintf("%v/%v/dop%d/pipe=%v", c.Format, c.Mode, c.DOP, c.PrefetchBytes > 0)
 }
 
 func byEngine(c lattice.Cell) string { return fmt.Sprintf("%v/%v/dop%d", c.Format, c.Mode, c.DOP) }
@@ -198,7 +198,7 @@ func TestPipelineWithSharedCache(t *testing.T) {
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 		cells = append(cells, lattice.Cell{
 			Mode: mode, Format: segment.FormatV2, DOP: 2, MJoinCache: probeMJoinCache,
-			SharedCache: footprint(), Pipeline: lattice.PipelineOn(),
+			SharedCache: footprint(), PrefetchBytes: lattice.PrefetchOn,
 		})
 	}
 	verifyMatrix(t, cells, func(c lattice.Cell) string { return c.Mode.String() })
@@ -206,12 +206,12 @@ func TestPipelineWithSharedCache(t *testing.T) {
 
 // TestPipelineCompletionDrains: a run that finishes normally with a
 // generous prefetch budget (so prefetches for the final query may still
-// be in flight when the client finishes) must drain its prefetcher and
-// decode pools without leaking goroutines.
+// be in flight when the client finishes) must drain its prefetcher
+// without leaking goroutines.
 func TestPipelineCompletionDrains(t *testing.T) {
 	cell := lattice.Cell{
 		Mode: skipper.ModeSkipper, Format: segment.FormatV2, DOP: 2, MJoinCache: probeMJoinCache,
-		Pipeline: &skipper.PipelineConfig{PrefetchBytes: 64e9, DecodeWorkers: 4, DecodeAhead: 4},
+		PrefetchBytes: 64e9,
 	}
 	if err := lattice.Verify(lattice.ProbeDataset(), lattice.Probe, []lattice.Cell{cell}); err != nil {
 		t.Fatal(err)
@@ -396,7 +396,7 @@ func TestPipelineFailStopDrains(t *testing.T) {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cell := p.cell
-			cell.Mode, cell.Pipeline = mode, lattice.PipelineOn()
+			cell.Mode, cell.PrefetchBytes = mode, lattice.PrefetchOn
 			cell.Fleet.Device = csd.DefaultConfig()
 			cell.Fleet.Device.Scheduler = contractBreaker{}
 			cl := p.cluster(cell, 1)
@@ -431,7 +431,7 @@ func TestCrashRestartSurvived(t *testing.T) {
 				cell.Mode, cell.Retry = mode, crashRetry()
 				cell.Fleet.Faults = &faults.Plan{Seed: 7, CrashAt: 15 * time.Second, CrashDowntime: 20 * time.Second}
 				if pipe {
-					cell.Pipeline = lattice.PipelineOn()
+					cell.PrefetchBytes = lattice.PrefetchOn
 				}
 				res, err := p.cluster(cell, lattice.Tenants).Run()
 				p.requireSurvived(t, res, err, baseline)
@@ -511,7 +511,7 @@ func TestFleetFailoverUnderCrash(t *testing.T) {
 				Faults: &faults.Plan{Seed: 7, CrashAt: 15 * time.Second}, // no restart: dead for good
 			}
 			if pipe {
-				cell.Pipeline = lattice.PipelineOn()
+				cell.PrefetchBytes = lattice.PrefetchOn
 			}
 			res, err := p.cluster(cell, lattice.Tenants).Run()
 			p.requireSurvived(t, res, err, baseline)
@@ -554,7 +554,7 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
 			cell := p.stormCell(&skipper.RetryPolicy{MaxAttempts: 1 << 20, BaseBackoff: 250 * time.Millisecond, MaxBackoff: 8 * time.Second, Budget: -1})
-			cell.Mode, cell.Pipeline = mode, lattice.PipelineOn()
+			cell.Mode, cell.PrefetchBytes = mode, lattice.PrefetchOn
 			cl := p.cluster(cell, 1)
 			cl.Clients[0].Ctx = ctx
 			_, err := cl.Run()

@@ -10,11 +10,10 @@ import (
 	"repro/internal/vtime"
 )
 
-// This file implements the scheduler-aware prefetcher of the execution
-// pipeline: a per-client simulated process that issues GETs for the
-// upcoming queries' unpruned, cache-missing segments while the current
-// query executes, under a bounded in-flight byte budget. Prefetching
-// helps twice over:
+// This file implements the scheduler-aware prefetcher (Client.PrefetchBytes):
+// a per-client simulated process that issues GETs for the upcoming queries'
+// unpruned, cache-missing segments while the current query executes, under
+// a bounded in-flight byte budget. Prefetching helps twice over:
 //
 //   - It discloses future demand to the device scheduler. Prefetch GETs
 //     carry the real upcoming query id, so the rank-based policy sees the
@@ -29,23 +28,6 @@ import (
 // coalesces a prefetch racing its own demand GET onto one transfer (one
 // BytesServed charge). Stats pruning is honoured at enqueue time — a
 // segment the relation's Pruner proves result-free is never prefetched.
-
-// PipelineConfig enables the asynchronous execution pipeline for one
-// client. The zero value (or a nil pointer) disables everything.
-type PipelineConfig struct {
-	// PrefetchBytes bounds the prefetcher's outstanding data — transfers
-	// in flight plus staged-but-unconsumed deliveries — in nominal object
-	// bytes. 0 disables prefetching. With the paper's 1 GB objects,
-	// 2e9 keeps two objects ahead.
-	PrefetchBytes int64
-	// DecodeWorkers is the size of the client's decode pool: background
-	// workers that turn delivered payloads into columnar batches off the
-	// critical path. 0 disables concurrent decode.
-	DecodeWorkers int
-	// DecodeAhead bounds how many segments each consumer keeps decoded or
-	// decoding ahead of consumption (default 2).
-	DecodeAhead int
-}
 
 // pfCandidate is one object the prefetcher may fetch ahead of demand.
 type pfCandidate struct {
@@ -102,7 +84,7 @@ type prefetcher struct {
 func newPrefetcher(sim *vtime.Sim, fl *DeviceChooser, cache *segcache.Cache, c *Client) *prefetcher {
 	return &prefetcher{
 		tenant:   c.Tenant,
-		budget:   c.Pipeline.PrefetchBytes,
+		budget:   c.PrefetchBytes,
 		fl:       fl,
 		cache:    cache,
 		stats:    &c.stats,
@@ -314,10 +296,9 @@ func (pf *prefetcher) markUsed(id segment.ObjectID) bool {
 // segments stats pruning proves result-free (those are never requested
 // by the demand path either).
 func candidatesFor(c *Client, qi int, store map[segment.ObjectID]*segment.Segment) []pfCandidate {
-	spec := c.Queries[qi]
-	queryID := fmt.Sprintf("t%d.%s#%d", c.Tenant, spec.Name, qi)
+	queryID := c.queryID(qi)
 	var out []pfCandidate
-	for _, id := range spec.Join.Requested(!c.NoStatsPruning) {
+	for _, id := range c.Queries[qi].Join.Requested(!c.NoStatsPruning) {
 		if seg, ok := store[id]; ok {
 			out = append(out, pfCandidate{id: id, queryID: queryID, bytes: seg.NominalBytes})
 		}

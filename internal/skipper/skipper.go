@@ -167,10 +167,8 @@ type ClientStats struct {
 	CorruptDeliveries int
 	Retries           int
 	RetryBackoff      time.Duration
-	// Pipe is the wall-clock pipeline accounting: real time the client's
-	// consumers spent blocked on fetch and decode versus the decode time
-	// the pipeline hid behind compute. Populated (as the inline baseline,
-	// DecodeStall == DecodeBusy) even with the pipeline off.
+	// Pipe is the host-side decode accounting: real time the client's
+	// scans (vanilla) or arrivals (skipper) spent decoding segments.
 	Pipe engine.PipeStats
 	// WallElapsed is the real (hardware) time between this client's
 	// workload start and finish. Under the cooperative simulation it
@@ -254,13 +252,13 @@ type Client struct {
 	// SharedCache for this client. Query results are byte-identical with
 	// and without a cache; only storage traffic and timing change.
 	SegCache *segcache.Cache
-	// Pipeline, when non-nil, enables the asynchronous execution pipeline
-	// for this client: scheduler-aware prefetch (PrefetchBytes) and
-	// concurrent decode workers (DecodeWorkers). Query results are
-	// byte-identical with the pipeline on or off; prefetch changes
-	// storage timing (virtual), decode workers change wall-clock time
-	// (real) only.
-	Pipeline *PipelineConfig
+	// PrefetchBytes, when positive, runs a scheduler-aware prefetcher for
+	// this client (prefetch.go) and bounds its outstanding data —
+	// transfers in flight plus staged-but-unconsumed deliveries — in
+	// nominal object bytes; with the paper's 1 GB objects, 2e9 keeps two
+	// objects ahead of demand. Query results are byte-identical with
+	// prefetch on or off; only storage timing changes.
+	PrefetchBytes int64
 	// Retry overrides the proxy's fault-recovery policy; nil uses
 	// DefaultRetryPolicy. The policy only engages when a delivery carries
 	// a retryable fault or a checksum failure — against a clean device it
@@ -270,9 +268,9 @@ type Client struct {
 	// the context is canceled or its deadline passes, the workload aborts
 	// with an error wrapping ctx.Err() at the next query boundary or
 	// segment arrival. The serving layer threads per-query deadlines
-	// through here. Cancellation observes the usual cleanup: prefetchers
-	// are stopped, decode pools closed, and the device drained, exactly
-	// as on any other client error.
+	// through here. Cancellation observes the usual cleanup: the
+	// prefetcher is stopped and the device drained, exactly as on any
+	// other client error.
 	Ctx context.Context
 	// QTrace, when non-nil, receives hierarchical spans for this client's
 	// queries: a root span per query with execute, prefetch-disclosure,
@@ -292,6 +290,12 @@ type Client struct {
 
 // Stats returns the client's record after the run.
 func (c *Client) Stats() *ClientStats { return &c.stats }
+
+// queryID names the client's qi-th query: the tag its GETs, demand and
+// prefetch alike, carry to the device's rank scheduler.
+func (c *Client) queryID(qi int) string {
+	return fmt.Sprintf("t%d.%s#%d", c.Tenant, c.Queries[qi].Name, qi)
+}
 
 // ctxErr reports the client's cancellation state (nil without a Ctx).
 func (c *Client) ctxErr() error {
@@ -335,10 +339,6 @@ type proxy struct {
 	// retry is the fault-recovery bookkeeping: the active policy plus the
 	// per-query attempt counts and budget (reset by beginQuery).
 	retry *retryState
-	// deferred holds retryable-fault deliveries TryNextArrival set aside:
-	// recovery blocks (backoff sleeps on the virtual clock), which the
-	// non-blocking path must not do, so NextArrival drains these first.
-	deferred []csd.Delivery
 }
 
 func newProxy(sim *vtime.Sim, fl *DeviceChooser, tenant int, stats *ClientStats) *proxy {
@@ -408,8 +408,7 @@ func (px *proxy) Request(objs []segment.ObjectID) {
 // a checksum-failed payload triggers backoff and a re-request (see
 // retry.go), and the loop keeps receiving — the replacement arrives on
 // the same reply channel, possibly after other objects, so callers still
-// see exactly one clean arrival per requested object. Deliveries the
-// non-blocking path set aside are drained first.
+// see exactly one clean arrival per requested object.
 func (px *proxy) NextArrival() (*segment.Segment, error) {
 	for {
 		if px.ctx != nil {
@@ -417,22 +416,16 @@ func (px *proxy) NextArrival() (*segment.Segment, error) {
 				return nil, fmt.Errorf("tenant %d: query canceled awaiting arrival: %w", px.tenant, err)
 			}
 		}
-		var d csd.Delivery
-		if len(px.deferred) > 0 {
-			d = px.deferred[0]
-			px.deferred = px.deferred[1:]
-		} else {
-			from := px.proc.Now()
-			var wallFrom time.Time
+		from := px.proc.Now()
+		var wallFrom time.Time
+		if px.tr.Enabled() {
+			wallFrom = time.Now()
+		}
+		d := px.reply.Recv(px.proc)
+		if to := px.proc.Now(); to > from {
+			px.stats.StallIntervals = append(px.stats.StallIntervals, csd.Interval{From: from, To: to})
 			if px.tr.Enabled() {
-				wallFrom = time.Now()
-			}
-			d = px.reply.Recv(px.proc)
-			if to := px.proc.Now(); to > from {
-				px.stats.StallIntervals = append(px.stats.StallIntervals, csd.Interval{From: from, To: to})
-				if px.tr.Enabled() {
-					px.tr.EmitVirt(trace.CatStall, px.query, wallFrom, from, to)
-				}
+				px.tr.EmitVirt(trace.CatStall, px.query, wallFrom, from, to)
 			}
 		}
 		class, cause := classify(d)
@@ -456,42 +449,6 @@ func (px *proxy) NextArrival() (*segment.Segment, error) {
 			}
 			// Retry in flight; keep receiving.
 		}
-	}
-}
-
-// TryNextArrival implements mjoin.TryArrivalSource: a non-blocking
-// NextArrival. An already-enqueued delivery is returned at zero virtual
-// cost (and admitted to the cache like any other); otherwise the caller
-// keeps working and blocks on NextArrival only when truly out of input —
-// which is what keeps the pipelined engine's virtual timing identical to
-// the serial path's. A retryable-fault delivery is set aside rather than
-// recovered here: recovery backs off on the virtual clock, and this path
-// must not block, so the delivery waits in px.deferred for the next
-// blocking NextArrival (the engine always falls back to one when out of
-// work, so a deferred fault cannot strand the query).
-func (px *proxy) TryNextArrival() (*segment.Segment, bool, error) {
-	d, ok := px.reply.TryRecv(px.proc)
-	if !ok {
-		return nil, false, nil
-	}
-	class, cause := classify(d)
-	switch class {
-	case deliveryOK:
-		if px.cache != nil {
-			px.cache.Put(d.Object, d.Seg)
-		}
-		return d.Seg, true, nil
-	case deliveryFatal:
-		if px.canFailover(d) {
-			// Recoverable via a live replica; like any other recovery it
-			// may block, so defer it to the next blocking NextArrival.
-			px.deferred = append(px.deferred, d)
-			return nil, false, nil
-		}
-		return nil, false, cause
-	default:
-		px.deferred = append(px.deferred, d)
-		return nil, false, nil
 	}
 }
 
@@ -529,42 +486,4 @@ type vanillaFetcher struct {
 
 func (f *vanillaFetcher) Fetch(id segment.ObjectID) (*segment.Segment, error) {
 	return f.px.fetchSync(id, f.fuse)
-}
-
-// TryFetch implements engine.TryFetcher for the pipelined scan: only
-// segments already resident — in the segment cache or staged by the
-// prefetcher — are served, with the same accounting and FUSE charge as
-// the synchronous path; anything that would touch the device reports
-// not-available so the scan falls back to a demand Fetch at exactly the
-// point the serial plan would have issued it. Reordering the (virtually
-// charged) FUSE sleeps ahead of processing charges leaves the client's
-// total virtual time and its device GET instants unchanged.
-func (f *vanillaFetcher) TryFetch(id segment.ObjectID) (*segment.Segment, bool, error) {
-	px := f.px
-	var seg *segment.Segment
-	if px.cache != nil {
-		if s, ok := px.cache.Get(id); ok {
-			px.stats.CacheHits++
-			if px.pf != nil && px.pf.markUsed(id) {
-				px.stats.PrefetchUseful++
-			}
-			seg = s
-		}
-	}
-	if seg == nil && px.pf != nil {
-		if s, ok := px.pf.takeStaged(id); ok {
-			px.stats.PrefetchServed++
-			px.stats.PrefetchUseful++
-			seg = s
-		}
-	}
-	if seg == nil {
-		return nil, false, nil
-	}
-	px.stats.GetsIssued++
-	if f.fuse > 0 {
-		px.proc.Sleep(f.fuse)
-		px.stats.Fuse += f.fuse
-	}
-	return seg, true, nil
 }

@@ -12,8 +12,8 @@
 // near-free two-instruction exit — on a nil *QueryTrace, so the hot
 // path carries no allocations and no time.Now calls when tracing is
 // off; call sites that would build a label string guard on Enabled
-// first. Recording is mutex-guarded, so decode workers and the prefetch
-// proc may record concurrently with the query's own goroutine.
+// first. Recording is mutex-guarded, so other goroutines (the prefetch
+// proc, a fleet's devices) may record alongside the query's own.
 package trace
 
 import (

@@ -86,8 +86,8 @@ func TestSpanLimitDropsAndCounts(t *testing.T) {
 	qt.End(0)
 }
 
-// Decode workers and the prefetch proc record concurrently with the
-// query goroutine; the trace must stay consistent under -race.
+// Several goroutines may record into one trace at once; it must stay
+// consistent under -race.
 func TestConcurrentRecording(t *testing.T) {
 	qt := NewQueryTrace("q", 0, "")
 	var wg sync.WaitGroup

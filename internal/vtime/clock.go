@@ -9,10 +9,9 @@ import "time"
 //     discrete-event scheduler jumps the clock — the timing arithmetic of
 //     every experiment.
 //   - *Wall: real (hardware) time. Now reads the host monotonic clock; it
-//     is the measurement substrate of the wall-clock pipeline mode, where
-//     the quantity of interest — how much decode and fetch latency the
-//     asynchronous pipeline hides behind compute — is invisible to
-//     virtual time because virtual charges never overlap by construction.
+//     measures what a run cost the host (RunResult.Wall), which is
+//     invisible to virtual time: decode, probing and the simulator itself
+//     carry no virtual charge of their own.
 //
 // Code written against Clock runs unchanged on either substrate.
 type Clock interface {

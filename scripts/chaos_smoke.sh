@@ -12,7 +12,7 @@ source "$(dirname "$0")/smoke_lib.sh"
 # fault the small smoke dataset, the per-object cap keeping bounded
 # retries convergent, and a crash window long queries cross (down 20 s,
 # then back). The retry policy sleeps across the downtime.
-boot_daemon 127.0.0.1:7888 127.0.0.1:7889 -pipeline \
+boot_daemon 127.0.0.1:7888 127.0.0.1:7889 -prefetch 4 \
   -inflight 2 -tenant-slots 1 -queue-depth 16 \
   -fault-seed 42 -fault-transient 0.4 -fault-stall 0.2 -fault-corrupt 0.45 \
   -fault-cap 3 -crash-at 15s -crash-downtime 20s \

@@ -7,7 +7,7 @@
 # transport may decide when a query answers — never what it returns.
 source "$(dirname "$0")/smoke_lib.sh"
 
-boot_daemon 127.0.0.1:7878 127.0.0.1:7879 -pipeline \
+boot_daemon 127.0.0.1:7878 127.0.0.1:7879 -prefetch 4 \
   -inflight 2 -tenant-slots 1 -queue-depth 16 \
   -trace -trace-dir "$workdir/traces"
 
@@ -21,11 +21,11 @@ echo "skipperd smoke: $((${#TENANTS[@]} * ${#QUERIES[@]})) served results byte-i
 # bytes, "-- " footer lines included, once host time is masked. Tenant 3
 # has touched nothing yet, as a fresh skipperql session has not.
 mix=$(printf '%s; ' "${QUERIES[@]}")"EXPLAIN ${QUERIES[2]}"
-mask() { sed -E 's/[0-9.]+(ns|µs|ms|s) (queued|wall|busy|stalled|hidden)/T \2/g; s/[0-9]+% overlap/P% overlap/'; }
+mask() { sed -E 's/[0-9.]+(ns|µs|ms|s) (queued|wall|busy)/T \2/g'; }
 "$workdir/skipperd" -client -addr "$ADDR" -tenant 3 -c "$mix" | mask > "$workdir/shell-wire.txt"
-"$workdir/skipperql" "${DATASET[@]}" -pipeline -segcache 8 -c "$mix" | mask > "$workdir/shell-direct.txt"
+"$workdir/skipperql" "${DATASET[@]}" -prefetch 4 -segcache 8 -c "$mix" | mask > "$workdir/shell-direct.txt"
 diff -u "$workdir/shell-direct.txt" "$workdir/shell-wire.txt"
-grep -q '^-- prefetch: ' "$workdir/shell-wire.txt"
+grep -Eq '^-- prefetch: [0-9]+ issued' "$workdir/shell-wire.txt"
 echo "skipperd smoke: skipperql and skipperd -client print the same bytes for the statement mix"
 
 # Both shells send error frames to stderr and exit non-zero.
