@@ -171,7 +171,7 @@ func (pf *prefetcher) applyCmd(cmd pfCmd) {
 // preferring candidates the device can serve without a group switch.
 func (pf *prefetcher) issue(p *vtime.Proc) {
 	for len(pf.queue) > 0 {
-		i := pf.pick()
+		i := pickCandidate(pf.queue, pf.fl.affinity)
 		cand := pf.queue[i]
 		// Residency first: a segment already in cache (or staged) needs no
 		// transfer regardless of budget.
@@ -200,22 +200,23 @@ func (pf *prefetcher) issue(p *vtime.Proc) {
 	}
 }
 
-// pick returns the queue index to issue next: a candidate some live
-// replica can serve without a group switch if any, else one on a
-// scheduler's predicted next group, else the FIFO head.
-func (pf *prefetcher) pick() int {
-	best := 0
-	for i, cand := range pf.queue {
-		switch pf.fl.affinity(cand.id) {
+// pickCandidate returns the queue index to issue next: the first candidate
+// some live replica can serve without a group switch (affinity 2) if any,
+// else the first one on a scheduler's predicted next group (affinity 1),
+// else the FIFO head.
+func pickCandidate(queue []pfCandidate, affinity func(segment.ObjectID) int) int {
+	next := -1
+	for i, cand := range queue {
+		switch affinity(cand.id) {
 		case 2:
 			return i
 		case 1:
-			if best == 0 && i > 0 {
-				best = i
+			if next < 0 {
+				next = i
 			}
 		}
 	}
-	return best
+	return max(next, 0)
 }
 
 // dropQueued removes queue[i], preserving order.
