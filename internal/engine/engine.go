@@ -185,6 +185,14 @@ type ScanBytes struct {
 	Materialized int64
 }
 
+// add accumulates another scan's counters.
+func (b *ScanBytes) add(o ScanBytes) {
+	b.Fetched += o.Fetched
+	b.Decoded += o.Decoded
+	b.SkippedByProjection += o.SkippedByProjection
+	b.Materialized += o.Materialized
+}
+
 // PipeStats is the host-side (wall-clock) decode accounting of one scan or
 // MJoin run: virtual time stands still while a segment decodes — the
 // per-object processing charge models the whole scan step — so this is
@@ -200,14 +208,6 @@ type PipeStats struct {
 func (s *PipeStats) Add(o PipeStats) {
 	s.DecodeBusy += o.DecodeBusy
 	s.Decodes += o.Decodes
-}
-
-// add accumulates another scan's counters.
-func (b *ScanBytes) add(o ScanBytes) {
-	b.Fetched += o.Fetched
-	b.Decoded += o.Decoded
-	b.SkippedByProjection += o.SkippedByProjection
-	b.Materialized += o.Materialized
 }
 
 // NewSeqScan builds a sequential scan over the table.

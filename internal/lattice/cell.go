@@ -44,8 +44,8 @@ type Cell struct {
 	// SharedCache is the budget, in objects, of one segment cache shared
 	// by every client of the cluster (0 = none).
 	SharedCache int
-	// PrefetchBytes is every client's prefetch budget (0 = off); the name
-	// of the axis is still "pipe".
+	// PrefetchBytes is every client's prefetch budget (0 = off): the axis
+	// cell and subtest names call "pipe".
 	PrefetchBytes int64
 	// Fleet is the device fleet and its fault plan.
 	Fleet skipper.FleetSpec

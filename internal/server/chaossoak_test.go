@@ -18,7 +18,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -116,23 +115,8 @@ func TestChaosSoakServesCleanResults(t *testing.T) {
 		oracle[q] = strings.Join(directRows(t, s, q), "\n")
 	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, tenants*connsPerTenant)
-	for tn := 0; tn < tenants; tn++ {
-		for cn := 0; cn < connsPerTenant; cn++ {
-			wg.Add(1)
-			go func(tn, cn int) {
-				defer wg.Done()
-				errs <- soakClient(addr.String(), tn, cn, passes, oracle)
-			}(tn, cn)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Error(err)
-		}
+	for _, err := range soakClients(addr.String(), tenants, connsPerTenant, passes, oracle) {
+		t.Error(err)
 	}
 	if t.Failed() {
 		t.FailNow()

@@ -34,7 +34,10 @@ func TestServerSoakConcurrentClients(t *testing.T) {
 	const (
 		tenants        = 3
 		connsPerTenant = 2
-		passes         = 3
+		// Enough rounds that the soak outlasts a scheduling hiccup: a
+		// statement is served in ~100 µs, and a tenant whose sessions ran
+		// only after the others finished could alternate without queueing.
+		passes = 8
 	)
 	baseline := runtime.NumGoroutine()
 
@@ -60,23 +63,8 @@ func TestServerSoakConcurrentClients(t *testing.T) {
 		oracle[q] = strings.Join(directRows(t, s, q), "\n")
 	}
 
-	var wg sync.WaitGroup
-	errs := make(chan error, tenants*connsPerTenant)
-	for tn := 0; tn < tenants; tn++ {
-		for cn := 0; cn < connsPerTenant; cn++ {
-			wg.Add(1)
-			go func(tn, cn int) {
-				defer wg.Done()
-				errs <- soakClient(addr.String(), tn, cn, passes, oracle)
-			}(tn, cn)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Error(err)
-		}
+	for _, err := range soakClients(addr.String(), tenants, connsPerTenant, passes, oracle) {
+		t.Error(err)
 	}
 	if t.Failed() {
 		t.FailNow()
@@ -131,23 +119,46 @@ func TestServerSoakConcurrentClients(t *testing.T) {
 	requireSettle(t, baseline)
 }
 
-// soakClient is one closed-loop session: bind the tenant, run the
-// statement mix for `passes` rounds, verify every frame against the
-// oracle. Plain error returns — it runs on a goroutine where t.Fatalf
-// is off-limits.
-func soakClient(addr string, tn, cn, passes int, oracle map[string]string) error {
-	conn, err := dialRaw(addr)
+// soakClients runs connsPerTenant closed-loop sessions for each tenant
+// and returns what went wrong. No session sends a statement before every
+// session has bound its tenant, so a tenant's sessions contend for its
+// slot however fast a statement is served.
+func soakClients(addr string, tenants, connsPerTenant, passes int, oracle map[string]string) []error {
+	var wg, bound sync.WaitGroup
+	bound.Add(tenants * connsPerTenant)
+	errs := make(chan error, tenants*connsPerTenant)
+	for tn := 0; tn < tenants; tn++ {
+		for cn := 0; cn < connsPerTenant; cn++ {
+			wg.Add(1)
+			go func(tn, cn int) {
+				defer wg.Done()
+				errs <- soakClient(addr, tn, cn, passes, oracle, &bound)
+			}(tn, cn)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	var out []error
+	for err := range errs {
+		if err != nil {
+			out = append(out, err)
+		}
+	}
+	return out
+}
+
+// soakClient is one closed-loop session: bind the tenant, wait for the
+// other sessions to be bound, run the statement mix for `passes` rounds,
+// verify every frame against the oracle. Plain error returns — it runs on
+// a goroutine where t.Fatalf is off-limits.
+func soakClient(addr string, tn, cn, passes int, oracle map[string]string, bound *sync.WaitGroup) error {
+	conn, err := soakBind(addr, tn, cn)
+	bound.Done()
 	if err != nil {
-		return fmt.Errorf("client t%d/c%d: %w", tn, cn, err)
+		return err
 	}
 	defer conn.conn.Close()
-	resp, err := conn.roundTripErr(Request{Op: OpHello, Tenant: &tn})
-	if err != nil {
-		return fmt.Errorf("client t%d/c%d hello: %w", tn, cn, err)
-	}
-	if resp.Type != "hello" || resp.Tenant != tn {
-		return fmt.Errorf("client t%d/c%d hello answered %+v", tn, cn, resp)
-	}
+	bound.Wait()
 	for pass := 0; pass < passes; pass++ {
 		// Offset the statement order per client so different statements
 		// contend at the same instant.
@@ -170,6 +181,23 @@ func soakClient(addr string, tn, cn, passes int, oracle map[string]string) error
 		}
 	}
 	return nil
+}
+
+// soakBind dials the server and binds the session to its tenant.
+func soakBind(addr string, tn, cn int) (*wireClient, error) {
+	conn, err := dialRaw(addr)
+	if err != nil {
+		return nil, fmt.Errorf("client t%d/c%d: %w", tn, cn, err)
+	}
+	resp, err := conn.roundTripErr(Request{Op: OpHello, Tenant: &tn})
+	if err == nil && (resp.Type != "hello" || resp.Tenant != tn) {
+		err = fmt.Errorf("answered %+v", resp)
+	}
+	if err != nil {
+		conn.conn.Close()
+		return nil, fmt.Errorf("client t%d/c%d hello: %w", tn, cn, err)
+	}
+	return conn, nil
 }
 
 // dialRaw is the non-fataling counterpart of dialServer for soak

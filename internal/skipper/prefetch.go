@@ -170,8 +170,9 @@ func (pf *prefetcher) applyCmd(cmd pfCmd) {
 // issue starts as many prefetch transfers as the byte budget allows,
 // preferring candidates the device can serve without a group switch.
 func (pf *prefetcher) issue(p *vtime.Proc) {
+	affinity := pf.fl.affinity
 	for len(pf.queue) > 0 {
-		i := pickCandidate(pf.queue, pf.fl.affinity)
+		i := pickCandidate(pf.queue, affinity)
 		cand := pf.queue[i]
 		// Residency first: a segment already in cache (or staged) needs no
 		// transfer regardless of budget.
