@@ -1,9 +1,9 @@
 // Package repro_test hosts the benchmark harness: one testing.B benchmark
 // per table and figure of the paper's evaluation, plus ablation benches
-// for the design choices called out in DESIGN.md. Benchmarks run at the
-// Quick (reduced) scale by default so `go test -bench=.` stays fast; set
-// SKIPPER_BENCH_FULL=1 to run the paper-scale configuration used to
-// produce EXPERIMENTS.md.
+// for the design choices called out in docs/architecture.md. Benchmarks
+// run at the Quick (reduced) scale by default so `go test -bench=.` stays
+// fast; set SKIPPER_BENCH_FULL=1 to run the paper-scale configuration the
+// sweeps under docs/reports/ use.
 package repro_test
 
 import (
@@ -211,7 +211,7 @@ func BenchmarkFigure12Scheduling(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §6) ---
+// --- Ablation benches (docs/architecture.md, "MJoin execution") ---
 
 // ablationCache picks a cache size that forces eviction pressure on Q5
 // (six relations) while staying valid at reduced scale.

@@ -241,8 +241,7 @@ const (
 // kernel has no select).
 type event struct {
 	req      *Request // a new GET
-	doneID   int      // tenant whose stream finished a transfer (when req == nil and !shutdown)
-	done     bool
+	done     bool     // a stream finished a transfer
 	shutdown bool
 	crash    bool // fault plan: the device crash-stops now
 	restart  bool // fault plan: the downtime window ended
@@ -260,21 +259,25 @@ type CSD struct {
 	streams map[int]*stream
 
 	// controller state
-	loaded      int // -1 before first load
-	pending     []*Request
+	loaded int // -1 before first load
+	// pending holds the requests waiting for their group to be loaded, as
+	// the per-group queues Scheduler.NextGroup takes: a request joins its
+	// group's queue on arrival (arrival order within a queue), dispatch
+	// takes the loaded group's queue whole, and no empty queue is kept —
+	// so len(pending) == 0 means nothing is waiting.
+	pending     map[int][]*Request
 	inFlight    int
 	arrivalSeq  int
 	lastService map[string]int // queryID -> switch count at last service/arrival
-	rrPos       map[string]int // queryID -> round-robin cursor over tables
 	// inflight indexes the carrier request of every transfer currently
 	// queued or running, so a later same-object request can ride along
 	// instead of paying a second transfer. The stream worker deletes the
 	// entry at transfer completion, before fanning out deliveries; the
 	// worker's completion sequence never yields (all its channel sends
 	// are buffered), so a follower is either attached while the entry
-	// exists — and delivered — or misses it entirely and becomes a fresh
-	// pending request. No follower can be attached to a carrier that has
-	// already delivered.
+	// exists — and delivered — or misses it entirely and carries a
+	// transfer of its own. No follower can be attached to a carrier that
+	// has already delivered.
 	inflight map[segment.ObjectID]*Request
 	// fatal, once set, fail-stops the device: every pending and future
 	// request is answered with an error delivery instead of data.
@@ -292,7 +295,6 @@ type CSD struct {
 
 // stream carries transfers to one tenant over one or more workers.
 type stream struct {
-	tenant  int
 	queue   *vtime.Chan[*Request]
 	workers int
 }
@@ -316,8 +318,8 @@ func New(sim *vtime.Sim, cfg Config, store map[segment.ObjectID]*segment.Segment
 		evCh:        vtime.NewChan[event](sim, deviceName(cfg.ID)+".events", 1<<20),
 		streams:     make(map[int]*stream),
 		loaded:      -1,
+		pending:     make(map[int][]*Request),
 		lastService: make(map[string]int),
-		rrPos:       make(map[string]int),
 		inflight:    make(map[segment.ObjectID]*Request),
 	}
 }
@@ -372,21 +374,29 @@ func (c *CSD) PredictNextGroup() (int, bool) {
 	if c.fatal != nil || len(c.pending) == 0 {
 		return -1, false
 	}
-	byGroup := make(map[int][]*Request)
-	for _, r := range c.pending {
-		byGroup[c.mustGroupOf(r.Object)] = append(byGroup[c.mustGroupOf(r.Object)], r)
-	}
+	next, err := c.nextGroup()
+	return next, err == nil
+}
+
+// nextGroup asks the scheduler which group to load next. An answer that
+// violates the NextGroup contract yields -1 and a *SchedulerContractError.
+func (c *CSD) nextGroup() (int, error) {
 	waiting := func(queryID string) int {
 		return c.stats.GroupSwitches - c.lastService[queryID]
 	}
-	next := c.cfg.Scheduler.NextGroup(c.loaded, byGroup, waiting)
-	if next == c.loaded {
-		return -1, false
+	next := c.cfg.Scheduler.NextGroup(c.loaded, c.pending, waiting)
+	var reason string
+	switch {
+	case next == c.loaded:
+		reason = "picked the already-loaded group"
+	case len(c.pending[next]) == 0:
+		reason = "picked a group with no pending requests"
+	default:
+		return next, nil
 	}
-	if _, ok := byGroup[next]; !ok {
-		return -1, false
+	return -1, &SchedulerContractError{
+		Scheduler: c.cfg.Scheduler.Name(), Returned: next, Loaded: c.loaded, Reason: reason,
 	}
-	return next, true
 }
 
 // Submit enqueues a GET request. Must be called from a simulated process.
@@ -449,11 +459,23 @@ func (c *CSD) crash(p *vtime.Proc) {
 	}
 	c.stats.Crashes++
 	restarting := c.willRestart()
-	for _, r := range c.pending {
+	for _, r := range c.takePending() {
 		c.stats.DownErrors++
 		c.deliver(p, r, Delivery{Err: &DeviceDownError{Object: r.Object, Restarting: restarting}}, "down")
 	}
-	c.pending = nil
+}
+
+// takePending empties the queues and returns what they held in arrival
+// order: a crash or a fail-stop answers every waiting request, oldest
+// first.
+func (c *CSD) takePending() []*Request {
+	var all []*Request
+	for _, q := range c.pending {
+		all = append(all, q...)
+	}
+	clear(c.pending)
+	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	return all
 }
 
 // recordDown records the crash window's span, from the crash to now.
@@ -575,7 +597,8 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 			// A query starts waiting from its arrival (§4.4).
 			c.lastService[r.QueryID] = c.stats.GroupSwitches
 		}
-		c.pending = append(c.pending, r)
+		g := c.mustGroupOf(r.Object)
+		c.pending[g] = append(c.pending[g], r)
 		c.stats.GetsReceived++
 		c.stats.GetsByTenant[r.Tenant]++
 	case ev.done:
@@ -596,23 +619,22 @@ func (c *CSD) dispatch(p *vtime.Proc) bool {
 		// First load is free: the device is assumed to have the first
 		// requested group spun up (the paper's single-client runs see
 		// zero switches).
-		if len(c.pending) == 0 {
+		oldest := -1
+		for g, q := range c.pending {
+			if oldest < 0 || q[0].seq < c.pending[oldest][0].seq {
+				oldest = g
+			}
+		}
+		if oldest < 0 {
 			return false
 		}
-		c.loaded = c.mustGroupOf(c.pending[0].Object)
+		c.loaded = oldest
 	}
-	var onLoaded, rest []*Request
-	for _, r := range c.pending {
-		if c.mustGroupOf(r.Object) == c.loaded {
-			onLoaded = append(onLoaded, r)
-		} else {
-			rest = append(rest, r)
-		}
-	}
-	if len(onLoaded) == 0 {
+	onLoaded, ok := c.pending[c.loaded]
+	if !ok {
 		return false
 	}
-	c.pending = rest
+	delete(c.pending, c.loaded)
 	for _, r := range c.orderRequests(onLoaded) {
 		c.lastService[r.QueryID] = c.stats.GroupSwitches
 		c.stats.ServedByQuery[r.QueryID]++
@@ -637,30 +659,12 @@ func (c *CSD) mustGroupOf(id segment.ObjectID) int {
 	return g
 }
 
-// switchGroup asks the scheduler for the next group and pays the latency.
-// A scheduler return that violates the NextGroup contract yields a
-// *SchedulerContractError instead of a switch.
+// switchGroup loads the scheduler's next group and pays the latency; a
+// *SchedulerContractError comes back instead of a switch.
 func (c *CSD) switchGroup(p *vtime.Proc) error {
-	byGroup := make(map[int][]*Request)
-	for _, r := range c.pending {
-		g := c.mustGroupOf(r.Object)
-		byGroup[g] = append(byGroup[g], r)
-	}
-	waiting := func(queryID string) int {
-		return c.stats.GroupSwitches - c.lastService[queryID]
-	}
-	next := c.cfg.Scheduler.NextGroup(c.loaded, byGroup, waiting)
-	if next == c.loaded {
-		return &SchedulerContractError{
-			Scheduler: c.cfg.Scheduler.Name(), Returned: next, Loaded: c.loaded,
-			Reason: "picked the already-loaded group",
-		}
-	}
-	if _, ok := byGroup[next]; !ok {
-		return &SchedulerContractError{
-			Scheduler: c.cfg.Scheduler.Name(), Returned: next, Loaded: c.loaded,
-			Reason: "picked a group with no pending requests",
-		}
+	next, err := c.nextGroup()
+	if err != nil {
+		return err
 	}
 	from, prev := p.Now(), c.loaded
 	var wallFrom time.Time
@@ -683,10 +687,9 @@ func (c *CSD) switchGroup(p *vtime.Proc) error {
 // In-flight transfers complete normally.
 func (c *CSD) fail(p *vtime.Proc, err error) {
 	c.fatal = err
-	for _, r := range c.pending {
+	for _, r := range c.takePending() {
 		c.deliver(p, r, Delivery{Err: err}, "fail-stop")
 	}
-	c.pending = nil
 }
 
 // tenantStream lazily spawns the per-tenant transfer worker(s).
@@ -695,8 +698,7 @@ func (c *CSD) tenantStream(tenant int) *stream {
 		return s
 	}
 	s := &stream{
-		tenant: tenant,
-		queue:  vtime.NewChan[*Request](c.sim, fmt.Sprintf("%s.stream.t%d", deviceName(c.cfg.ID), tenant), 1<<20),
+		queue: vtime.NewChan[*Request](c.sim, fmt.Sprintf("%s.stream.t%d", deviceName(c.cfg.ID), tenant), 1<<20),
 	}
 	c.streams[tenant] = s
 	workers := c.cfg.StreamsPerTenant
@@ -756,7 +758,7 @@ func (c *CSD) tenantStream(tenant int) *stream {
 					c.stats.ObjectsServed += riders
 					c.fanOut(p, r, Delivery{Seg: served}, outcome)
 				}
-				c.evCh.Send(p, event{done: true, doneID: s.tenant})
+				c.evCh.Send(p, event{done: true})
 			}
 		})
 	}

@@ -11,7 +11,8 @@ import (
 // empty, and never containing only the loaded group), and a waiting
 // function that returns, for a query id, the number of group switches
 // since that query was last serviced (§4.4). Implementations must return a
-// group with pending requests that differs from loaded.
+// group with pending requests that differs from loaded, and must not
+// modify pending: it is the device's own queues, not a copy.
 type Scheduler interface {
 	Name() string
 	NextGroup(loaded int, pending map[int][]*Request, waiting func(queryID string) int) int

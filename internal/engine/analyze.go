@@ -68,12 +68,6 @@ func timedBatch(st *OpStats, fn func() (*tuple.Batch, bool, error)) (*tuple.Batc
 	return b, ok, err
 }
 
-// analyzable is implemented by every operator that can be armed for
-// EXPLAIN ANALYZE; it exposes the operator's stats slot.
-type analyzable interface {
-	opStats() **OpStats
-}
-
 func (s *SeqScan) opStats() **OpStats     { return &s.ostats }
 func (f *Filter) opStats() **OpStats      { return &f.ostats }
 func (pr *Project) opStats() **OpStats    { return &pr.ostats }
@@ -89,8 +83,8 @@ func (s *Sort) opStats() **OpStats        { return &s.ostats }
 // armed plan must be drained serially (dop=1): OpStats is not locked.
 func EnableAnalyze(it Iterator) {
 	walkPlan(it, func(n Iterator) {
-		if a, ok := n.(analyzable); ok {
-			if slot := a.opStats(); *slot == nil {
+		if p, ok := n.(planNode); ok {
+			if slot := p.opStats(); *slot == nil {
 				*slot = &OpStats{}
 			}
 		}

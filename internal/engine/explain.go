@@ -8,9 +8,39 @@ import (
 	"repro/internal/stats"
 )
 
-// explainable lets operators describe themselves for plan display.
-type explainable interface {
-	explain() (label string, children []Iterator)
+// planNode is what every operator of this package tells the plan
+// utilities about itself. An Iterator from elsewhere (a test double) is a
+// leaf they cannot see into.
+type planNode interface {
+	// label renders the operator's EXPLAIN line. It formats column lists
+	// and predicates and counts pruned segments, so only renderPlan calls
+	// it; walking a plan reads children alone.
+	label() string
+	// children returns the operator's inputs, left to right.
+	children() []Iterator
+	// opStats exposes the operator's EXPLAIN ANALYZE slot.
+	opStats() **OpStats
+}
+
+func (s *SeqScan) children() []Iterator     { return nil }
+func (f *Filter) children() []Iterator      { return []Iterator{f.child} }
+func (pr *Project) children() []Iterator    { return []Iterator{pr.child} }
+func (l *Limit) children() []Iterator       { return []Iterator{l.child} }
+func (d *Distinct) children() []Iterator    { return []Iterator{d.child} }
+func (v *Values) children() []Iterator      { return nil }
+func (v *BatchValues) children() []Iterator { return nil }
+func (j *HashJoin) children() []Iterator    { return []Iterator{j.left, j.right} }
+func (a *HashAgg) children() []Iterator     { return []Iterator{a.child} }
+func (s *Sort) children() []Iterator        { return []Iterator{s.child} }
+
+// walkPlan calls visit on every operator of the plan rooted at n.
+func walkPlan(n Iterator, visit func(n Iterator)) {
+	visit(n)
+	if p, ok := n.(planNode); ok {
+		for _, c := range p.children() {
+			walkPlan(c, visit)
+		}
+	}
 }
 
 // Explain renders the operator tree as an indented plan, similar to
@@ -23,20 +53,18 @@ func renderPlan(it Iterator, analyzed bool) string {
 	var sb strings.Builder
 	var walk func(it Iterator, depth int)
 	walk = func(it Iterator, depth int) {
-		label := fmt.Sprintf("%T", it)
-		var children []Iterator
-		if e, ok := it.(explainable); ok {
-			label, children = e.explain()
+		n, ok := it.(planNode)
+		if !ok {
+			fmt.Fprintf(&sb, "%s-> %T\n", strings.Repeat("  ", depth), it)
+			return
 		}
-		fmt.Fprintf(&sb, "%s-> %s", strings.Repeat("  ", depth), label)
-		if a, ok := it.(analyzable); ok && analyzed {
-			if st := *a.opStats(); st != nil {
-				fmt.Fprintf(&sb, "  (rows=%d batches=%d bytes=%d time=%s)",
-					st.Rows, st.Batches, st.Bytes, st.Time.Round(time.Microsecond))
-			}
+		fmt.Fprintf(&sb, "%s-> %s", strings.Repeat("  ", depth), n.label())
+		if st := *n.opStats(); analyzed && st != nil {
+			fmt.Fprintf(&sb, "  (rows=%d batches=%d bytes=%d time=%s)",
+				st.Rows, st.Batches, st.Bytes, st.Time.Round(time.Microsecond))
 		}
 		sb.WriteByte('\n')
-		for _, c := range children {
+		for _, c := range n.children() {
 			walk(c, depth+1)
 		}
 	}
@@ -44,7 +72,7 @@ func renderPlan(it Iterator, analyzed bool) string {
 	return sb.String()
 }
 
-func (s *SeqScan) explain() (string, []Iterator) {
+func (s *SeqScan) label() string {
 	label := fmt.Sprintf("SeqScan %s (%d segments, %d rows)", s.table.Name, len(s.table.Objects), s.table.RowCount)
 	if s.Pruner != nil {
 		total := len(s.table.Objects)
@@ -62,35 +90,31 @@ func (s *SeqScan) explain() (string, []Iterator) {
 	if s.Filter != nil {
 		label += fmt.Sprintf(" [filter %s]", s.Filter)
 	}
-	return label, nil
+	return label
 }
 
-func (f *Filter) explain() (string, []Iterator) {
-	return fmt.Sprintf("Filter %s", f.pred), []Iterator{f.child}
-}
+func (f *Filter) label() string { return fmt.Sprintf("Filter %s", f.pred) }
 
-func (pr *Project) explain() (string, []Iterator) {
+func (pr *Project) label() string {
 	parts := make([]string, len(pr.cols))
 	for i, c := range pr.cols {
 		parts[i] = fmt.Sprintf("%s=%s", c.Name, c.E)
 	}
-	return "Project " + strings.Join(parts, ", "), []Iterator{pr.child}
+	return "Project " + strings.Join(parts, ", ")
 }
 
-func (l *Limit) explain() (string, []Iterator) {
-	return fmt.Sprintf("Limit %d", l.n), []Iterator{l.child}
-}
+func (l *Limit) label() string { return fmt.Sprintf("Limit %d", l.n) }
 
-func (v *Values) explain() (string, []Iterator) {
-	return fmt.Sprintf("Values (%d rows)", len(v.rows)), nil
-}
+func (d *Distinct) label() string { return "Distinct" }
 
-func (v *BatchValues) explain() (string, []Iterator) {
+func (v *Values) label() string { return fmt.Sprintf("Values (%d rows)", len(v.rows)) }
+
+func (v *BatchValues) label() string {
 	rows := 0
 	for _, b := range v.batches {
 		rows += b.Len()
 	}
-	return fmt.Sprintf("Values (%d rows in %d batches)", rows, len(v.batches)), nil
+	return fmt.Sprintf("Values (%d rows in %d batches)", rows, len(v.batches))
 }
 
 // dopSuffix annotates parallel operators in plan displays; serial
@@ -102,17 +126,17 @@ func dopSuffix(dop int) string {
 	return ""
 }
 
-func (j *HashJoin) explain() (string, []Iterator) {
+func (j *HashJoin) label() string {
 	pairs := make([]string, len(j.leftKeys))
 	for i := range j.leftKeys {
 		pairs[i] = fmt.Sprintf("%s=%s",
 			j.left.Schema().Cols[j.leftKeys[i]].Name,
 			j.right.Schema().Cols[j.rightKeys[i]].Name)
 	}
-	return "HashJoin on " + strings.Join(pairs, ", ") + dopSuffix(j.dop), []Iterator{j.left, j.right}
+	return "HashJoin on " + strings.Join(pairs, ", ") + dopSuffix(j.dop)
 }
 
-func (a *HashAgg) explain() (string, []Iterator) {
+func (a *HashAgg) label() string {
 	var parts []string
 	for _, g := range a.groups {
 		parts = append(parts, "group:"+g.Name)
@@ -124,10 +148,10 @@ func (a *HashAgg) explain() (string, []Iterator) {
 			parts = append(parts, fmt.Sprintf("%s(*)", spec.Kind))
 		}
 	}
-	return "HashAgg " + strings.Join(parts, ", ") + dopSuffix(a.dop), []Iterator{a.child}
+	return "HashAgg " + strings.Join(parts, ", ") + dopSuffix(a.dop)
 }
 
-func (s *Sort) explain() (string, []Iterator) {
+func (s *Sort) label() string {
 	parts := make([]string, len(s.keys))
 	for i, k := range s.keys {
 		dir := "asc"
@@ -136,5 +160,5 @@ func (s *Sort) explain() (string, []Iterator) {
 		}
 		parts[i] = fmt.Sprintf("%s %s", k.E, dir)
 	}
-	return "Sort " + strings.Join(parts, ", "), []Iterator{s.child}
+	return "Sort " + strings.Join(parts, ", ")
 }

@@ -1,6 +1,10 @@
 package engine
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -49,6 +53,73 @@ func TestExplainJoinAndAgg(t *testing.T) {
 	for _, w := range []string{"HashAgg count(*)", "HashJoin on k=k2", "Values (0 rows)"} {
 		if !strings.Contains(out, w) {
 			t.Fatalf("explain missing %q:\n%s", w, out)
+		}
+	}
+}
+
+// TestEveryOperatorIsAPlanNode: each operator type of the package (every
+// non-test type with a NextBatch method, found by parsing the sources)
+// must appear here and implement planNode, or plan walks stop at it the
+// way they used to stop at Distinct.
+func TestEveryOperatorIsAPlanNode(t *testing.T) {
+	tm, store := buildTable(t, "t", kvRows(4), 2)
+	scan := func() Iterator { return NewSeqScan(NewTestCtx(store), tm) }
+	k := expr.Bind(tm.Schema, "k")
+	operators := map[string]Iterator{
+		"SeqScan":     scan(),
+		"Filter":      NewFilter(scan(), expr.ColGE(tm.Schema, "k", tuple.Int(2))),
+		"Project":     NewProject(scan(), []ProjectCol{{Name: "k", Kind: tuple.KindInt64, E: k}}),
+		"Limit":       NewLimit(scan(), 1),
+		"Distinct":    NewDistinct(scan()),
+		"Values":      NewValues(tm.Schema, nil),
+		"BatchValues": NewBatchValues(tm.Schema, nil),
+		"HashJoin":    JoinOn(scan(), scan(), [][2]string{{"k", "k"}}),
+		"HashAgg":     NewHashAgg(scan(), nil, []AggSpec{{Kind: AggCount, Name: "n"}}),
+		"Sort":        NewSort(scan(), []SortKey{{E: k}}),
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, f := range pkgs["engine"].Files {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Name.Name != "NextBatch" || fn.Recv == nil {
+				continue
+			}
+			name := fn.Recv.List[0].Type.(*ast.StarExpr).X.(*ast.Ident).Name
+			found++
+			op, ok := operators[name]
+			if !ok {
+				t.Errorf("operator %s is missing from this table", name)
+			} else if _, ok := op.(planNode); !ok {
+				t.Errorf("operator %s does not implement planNode", name)
+			}
+		}
+	}
+	if found != len(operators) {
+		t.Errorf("found %d operator types in the sources, the table lists %d", found, len(operators))
+	}
+	// The nine labels EXPLAIN has always printed, and Distinct's.
+	want := map[string]string{
+		"SeqScan":     "SeqScan t (2 segments, 4 rows)",
+		"Filter":      "Filter (k >= 2)",
+		"Project":     "Project k=k",
+		"Limit":       "Limit 1",
+		"Distinct":    "Distinct",
+		"Values":      "Values (0 rows)",
+		"BatchValues": "Values (0 rows in 0 batches)",
+		"HashJoin":    "HashJoin on k=k",
+		"HashAgg":     "HashAgg count(*)",
+		"Sort":        "Sort k asc",
+	}
+	for name, op := range operators {
+		first, _, _ := strings.Cut(Explain(op), "\n")
+		if first != "-> "+want[name] {
+			t.Errorf("%s prints %q, want %q", name, first, "-> "+want[name])
 		}
 	}
 }

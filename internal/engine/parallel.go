@@ -13,26 +13,16 @@ import (
 // a batch (DefaultBatchSize rows) is the morsel, the producing goroutine
 // drains the child iterator serially — keeping Fetcher and Clock calls on
 // the caller's goroutine, which the vtime simulation requires — and a
-// pool of workers consumes private copies of the batches. DOP=1 keeps the
-// fully serial PR 1 code paths; any DOP produces the same result multiset
-// (order may differ across DOPs only where no Sort fixes it).
+// pool of workers consumes private copies of the batches. DOP=1 runs
+// every operator on the caller's goroutine; any DOP produces the same
+// result multiset (order may differ across DOPs only where no Sort fixes
+// it).
 
 // parallelizable is implemented by operators that can spread their work
 // across a worker pool. Parallelize uses it to thread the DOP through a
 // plan without every constructor growing an argument.
 type parallelizable interface {
 	setParallelism(dop int)
-}
-
-// walkPlan calls visit on every operator of the plan rooted at n.
-func walkPlan(n Iterator, visit func(n Iterator)) {
-	visit(n)
-	if e, ok := n.(explainable); ok {
-		_, children := e.explain()
-		for _, c := range children {
-			walkPlan(c, visit)
-		}
-	}
 }
 
 // Parallelize sets the degree of parallelism on every operator of the

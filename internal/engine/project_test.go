@@ -13,7 +13,7 @@ import (
 )
 
 // lazyTable builds a relation whose store serves lazily decoded v2
-// segments, as objstore.BuildSegmentStoreLazy would.
+// segments, as objstore.ReencodeDataset does.
 func lazyTable(t *testing.T, rows []tuple.Row, perSeg int) (*catalog.TableMeta, map[segment.ObjectID]*segment.Segment) {
 	t.Helper()
 	sch := tuple.NewSchema(

@@ -239,7 +239,6 @@ func TestEveryCheckCanFail(t *testing.T) {
 		{"mjoin-requests", "one MJoin request lost", cell, func(r run) { r.res.Clients[0].MJoin.Requests-- }, invariants},
 		{"prefetch-useful", "more useful than issued", cell, func(r run) { r.res.Clients[0].PrefetchUseful = r.res.Clients[0].PrefetchIssued + 1 }, invariants},
 		{"cache-hits", "one more hit at the cache", cell, func(r run) { r.res.Cache.Hits++ }, invariants},
-		{"pinned-bytes", "a byte left pinned", cell, func(r run) { r.res.Cache.PinnedBytes = 1 }, invariants},
 		{"rows", "a row dropped", cell, func(r run) { r.res.Clients[1].PerQuery[0].Results = r.res.Clients[1].PerQuery[0].Results[1:] }, rows},
 		{"rows", "a query dropped", cell, func(r run) { r.res.Clients[0].PerQuery = r.res.Clients[0].PerQuery[1:] }, rows},
 		{"pipeline", "nothing prefetched", cell, eachClient(func(cs *skipper.ClientStats) { cs.PrefetchIssued = 0 }), pipeline},

@@ -2,8 +2,8 @@ package segcache
 
 import "testing"
 
-// Invalidating an unpinned entry removes it immediately and reclaims its
-// budget share.
+// Invalidating an entry removes it immediately and reclaims its budget
+// share.
 func TestInvalidateUnpinned(t *testing.T) {
 	c := New(3)
 	c.Put(oid(1), seg(1, 1))
@@ -38,71 +38,6 @@ func TestInvalidateMissing(t *testing.T) {
 	}
 	if st := c.Stats(); st.Invalidated != 0 {
 		t.Fatalf("Invalidated = %d, want 0", st.Invalidated)
-	}
-}
-
-// A pinned entry is doomed, not removed: Gets miss at once, the budget
-// share stays charged until the last Unpin, then the removal completes.
-func TestInvalidatePinnedDefersRemoval(t *testing.T) {
-	c := New(2)
-	c.Put(oid(1), seg(1, 1))
-	if !c.Pin(oid(1)) {
-		t.Fatalf("pin failed")
-	}
-	if !c.Pin(oid(1)) { // pins nest
-		t.Fatalf("second pin failed")
-	}
-	if !c.Invalidate(oid(1)) {
-		t.Fatalf("pinned entry not acknowledged")
-	}
-	if _, ok := c.Get(oid(1)); ok {
-		t.Fatalf("doomed entry still served")
-	}
-	if c.Contains(oid(1)) {
-		t.Fatalf("doomed entry reported resident")
-	}
-	// New pins must not attach to doomed data.
-	if c.Pin(oid(1)) {
-		t.Fatalf("pinned a doomed entry")
-	}
-	// The budget share is still charged while pinned.
-	if st := c.Stats(); st.BytesCached != 1 || st.PinnedBytes != 1 || st.Invalidated != 0 {
-		t.Fatalf("doomed accounting wrong: %+v", st)
-	}
-	// Re-putting while doomed is a rejection, not a refresh.
-	if c.Put(oid(1), seg(1, 1)) {
-		t.Fatalf("Put refreshed a doomed entry")
-	}
-	c.Unpin(oid(1))
-	if st := c.Stats(); st.Invalidated != 0 {
-		t.Fatalf("removal completed with a pin still held: %+v", st)
-	}
-	c.Unpin(oid(1))
-	st := c.Stats()
-	if st.Invalidated != 1 || st.BytesCached != 0 || st.PinnedBytes != 0 || st.Entries != 0 {
-		t.Fatalf("deferred removal did not complete: %+v", st)
-	}
-	// The slot is free again.
-	if !c.Put(oid(1), seg(1, 1)) {
-		t.Fatalf("slot not reusable after deferred removal")
-	}
-	if _, ok := c.Get(oid(1)); !ok {
-		t.Fatalf("fresh entry not served after re-put")
-	}
-}
-
-// Invalidate twice: the second call on a doomed entry stays acknowledged
-// without double-counting once removal completes.
-func TestInvalidateIdempotentOnDoomed(t *testing.T) {
-	c := New(2)
-	c.Put(oid(1), seg(1, 1))
-	c.Pin(oid(1))
-	if !c.Invalidate(oid(1)) || !c.Invalidate(oid(1)) {
-		t.Fatalf("doomed entry not acknowledged")
-	}
-	c.Unpin(oid(1))
-	if st := c.Stats(); st.Invalidated != 1 {
-		t.Fatalf("Invalidated = %d, want 1", st.Invalidated)
 	}
 }
 

@@ -7,15 +7,10 @@
 // a tenant or shared by every client of a skipper.Cluster — segments are
 // immutable once written, so sharing is safe by construction.
 //
-// Eviction is LRU over unpinned entries. Pinned entries are never
-// evicted and admission is pin-aware: a new segment is admitted only if
-// the budget can be met by evicting unpinned entries alone; otherwise
-// the insert is rejected (and counted) rather than corrupting the
-// budget. The in-tree proxies never pin — Pin/Unpin is the embedder
-// hook for keeping hot segments resident against LRU pressure. Entries
-// are sized by their nominal (paper-scale, 1 GB) object size, so
-// budgets are expressible in objects/GB exactly like the MJoin cache
-// capacity.
+// Eviction is LRU. A segment larger than the whole budget is rejected
+// (and counted) rather than flushing the cache on its way out. Entries
+// are sized by their nominal (paper-scale, 1 GB) object size, so budgets
+// are expressible in objects/GB exactly like the MJoin cache capacity.
 package segcache
 
 import (
@@ -35,21 +30,17 @@ type Stats struct {
 	// not travel from the device.
 	BytesHit int64
 	// Inserted / Evicted / Rejected count Put outcomes: admissions, LRU
-	// victims dropped for space, and inserts refused because the budget
-	// could not be met by evicting unpinned entries.
+	// victims dropped for space, and inserts refused because the segment
+	// alone exceeds the budget.
 	Inserted, Evicted, Rejected int64
 	// Invalidated counts entries dropped through Invalidate — the corrupt
-	// quarantine path. A pinned entry counts when its deferred removal
-	// completes at the last Unpin.
+	// quarantine path.
 	Invalidated int64
 	// BytesEvicted sums the nominal sizes of evicted entries.
 	BytesEvicted int64
 	// Entries / BytesCached describe the current contents.
 	Entries     int
 	BytesCached int64
-	// PinnedBytes is the portion of BytesCached held by pinned entries;
-	// a quiesced cache (no readers) must report 0.
-	PinnedBytes int64
 	// Budget echoes the configured capacity in bytes.
 	Budget int64
 }
@@ -60,10 +51,6 @@ type entry struct {
 	seg  *segment.Segment
 	size int64
 	elem *list.Element
-	pins int
-	// doomed marks an invalidated entry that pins kept alive: it serves
-	// no further Gets and is removed when the last pin drops.
-	doomed bool
 }
 
 // Cache is the shared segment cache. Create with New; the zero value is
@@ -72,7 +59,6 @@ type Cache struct {
 	mu      sync.Mutex
 	budget  int64
 	used    int64
-	pinned  int64 // bytes held by entries with pins > 0
 	entries map[segment.ObjectID]*entry
 	lru     *list.List // front = most recently used
 	stats   Stats
@@ -110,7 +96,7 @@ func (c *Cache) Get(id segment.ObjectID) (*segment.Segment, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[id]
-	if !ok || e.doomed {
+	if !ok {
 		c.stats.Misses++
 		return nil, false
 	}
@@ -125,24 +111,18 @@ func (c *Cache) Get(id segment.ObjectID) (*segment.Segment, bool) {
 func (c *Cache) Contains(id segment.ObjectID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	return ok && !e.doomed
+	_, ok := c.entries[id]
+	return ok
 }
 
-// Put admits the segment, evicting least-recently-used unpinned entries
-// until it fits. Re-putting a resident object only refreshes recency.
-// Returns false when admission was rejected (the segment alone exceeds
-// the budget, or pinned entries hold too much of it).
+// Put admits the segment, evicting least-recently-used entries until it
+// fits. Re-putting a resident object only refreshes recency. Returns
+// false when admission was rejected: the segment alone exceeds the
+// budget.
 func (c *Cache) Put(id segment.ObjectID, seg *segment.Segment) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[id]; ok {
-		if e.doomed {
-			// A doomed entry occupies the slot until its pins drop; the
-			// fresh payload is simply not cached this round.
-			c.stats.Rejected++
-			return false
-		}
 		c.lru.MoveToFront(e.elem)
 		return true
 	}
@@ -159,28 +139,15 @@ func (c *Cache) Put(id segment.ObjectID, seg *segment.Segment) bool {
 	return true
 }
 
-// makeRoom evicts unpinned LRU entries until sz fits in the budget,
-// reporting whether it succeeded. On failure nothing is evicted: the
-// admission is all-or-nothing, so a hopeless insert does not flush the
-// cache on its way out.
+// makeRoom evicts LRU entries until sz fits in the budget, reporting
+// whether it can. A segment larger than the whole budget evicts nothing:
+// a hopeless insert does not flush the cache on its way out.
 func (c *Cache) makeRoom(sz int64) bool {
 	if sz > c.budget {
 		return false
 	}
-	// Evicting every unpinned entry frees used-pinned bytes; if pinned
-	// residents plus the newcomer still exceed the budget, reject.
-	if c.pinned+sz > c.budget {
-		return false
-	}
 	for c.used+sz > c.budget {
-		el := c.lru.Back()
-		for el != nil && el.Value.(*entry).pins > 0 {
-			el = el.Prev()
-		}
-		if el == nil {
-			return false // unreachable given the precheck
-		}
-		victim := el.Value.(*entry)
+		victim := c.lru.Back().Value.(*entry)
 		c.removeLocked(victim)
 		c.stats.Evicted++
 		c.stats.BytesEvicted += victim.size
@@ -196,60 +163,15 @@ func (c *Cache) removeLocked(e *entry) {
 	c.used -= e.size
 }
 
-// Pin marks a resident object unevictable until a matching Unpin. Pins
-// nest. Pinning a non-resident object is a no-op returning false, so
-// callers need not re-check residency first.
-func (c *Cache) Pin(id segment.ObjectID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok || e.doomed {
-		return false
-	}
-	if e.pins == 0 {
-		c.pinned += e.size
-	}
-	e.pins++
-	return true
-}
-
-// Unpin releases one pin. Unpinning a non-resident or unpinned object
-// panics: it indicates broken bracketing at the caller.
-func (c *Cache) Unpin(id segment.ObjectID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok || e.pins == 0 {
-		panic(fmt.Sprintf("segcache: Unpin of unpinned object %v", id))
-	}
-	e.pins--
-	if e.pins == 0 {
-		c.pinned -= e.size
-		if e.doomed {
-			// Complete the invalidation the pins deferred.
-			c.removeLocked(e)
-			c.stats.Invalidated++
-		}
-	}
-}
-
 // Invalidate drops the cached entry for id — the quarantine hook for
-// segments that failed their checksum. An unpinned entry is removed
-// immediately; a pinned entry is doomed instead: it stops serving Gets
-// and Contains at once (readers holding the segment pointer are
-// unaffected — segments are immutable from the cache's point of view)
-// and its budget share is reclaimed when the last pin drops. Returns
-// whether an entry was resident.
+// segments that failed their checksum. Readers already holding the
+// segment pointer are unaffected. Returns whether an entry was resident.
 func (c *Cache) Invalidate(id segment.ObjectID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[id]
 	if !ok {
 		return false
-	}
-	if e.pins > 0 {
-		e.doomed = true
-		return true
 	}
 	c.removeLocked(e)
 	c.stats.Invalidated++
@@ -263,7 +185,6 @@ func (c *Cache) Stats() Stats {
 	st := c.stats
 	st.Entries = len(c.entries)
 	st.BytesCached = c.used
-	st.PinnedBytes = c.pinned
 	st.Budget = c.budget
 	return st
 }

@@ -66,46 +66,6 @@ func TestRejectionDoesNotFlush(t *testing.T) {
 	}
 }
 
-func TestPinBlocksEvictionAndAdmission(t *testing.T) {
-	c := New(2e9)
-	c.Put(oid(0), seg(0, 1e9))
-	c.Put(oid(1), seg(1, 1e9))
-	if !c.Pin(oid(0)) || !c.Pin(oid(1)) {
-		t.Fatal("pin of resident entries failed")
-	}
-	// Fully pinned cache: admission must be rejected, nothing evicted.
-	if c.Put(oid(2), seg(2, 1e9)) {
-		t.Fatal("admission into fully pinned cache")
-	}
-	if st := c.Stats(); st.Entries != 2 || st.Evicted != 0 || st.Rejected != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	c.Unpin(oid(0))
-	// With one pin released the LRU unpinned entry (0) is evictable.
-	if !c.Put(oid(2), seg(2, 1e9)) {
-		t.Fatal("admission after unpin failed")
-	}
-	if _, ok := c.Get(oid(0)); ok {
-		t.Fatal("unpinned LRU entry should have been evicted")
-	}
-	if _, ok := c.Get(oid(1)); !ok {
-		t.Fatal("pinned entry evicted")
-	}
-}
-
-func TestPinNonResident(t *testing.T) {
-	c := New(1e9)
-	if c.Pin(oid(9)) {
-		t.Fatal("pin of non-resident object reported success")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unpin of unpinned object did not panic")
-		}
-	}()
-	c.Unpin(oid(9))
-}
-
 func TestRePutRefreshesRecency(t *testing.T) {
 	c := New(2e9)
 	c.Put(oid(0), seg(0, 1e9))
@@ -142,9 +102,6 @@ func TestConcurrentAccess(t *testing.T) {
 				id := oid((w*31 + i) % 16)
 				if _, ok := c.Get(id); !ok {
 					c.Put(id, &segment.Segment{ID: id, NominalBytes: 1e9})
-				}
-				if c.Pin(id) {
-					c.Unpin(id)
 				}
 			}
 		}()

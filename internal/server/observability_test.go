@@ -226,3 +226,44 @@ func TestTraceSink(t *testing.T) {
 		t.Fatal("trace sink was not called")
 	}
 }
+
+// TestExplainDistinctShowsTheWholePlan: plan walks used to stop at
+// Distinct, so EXPLAIN printed nothing below it and EXPLAIN ANALYZE armed
+// nothing below it. Both must reach the scans of a two-table join.
+func TestExplainDistinctShowsTheWholePlan(t *testing.T) {
+	s, err := New(servingConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := s.NewSession()
+	const q = "SELECT DISTINCT n_regionkey FROM nation, region WHERE n_regionkey = r_regionkey ORDER BY n_regionkey"
+	for _, verb := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+		resp, err := sess.RoundTrip(&Request{SQL: verb + q})
+		if err != nil || resp.Type != "explain" {
+			t.Fatalf("%sanswered %+v, %v", verb, resp, err)
+		}
+		lines := strings.Split(resp.Plan, "\n")
+		below := -1
+		for i, l := range lines {
+			if strings.Contains(l, "-> Distinct") {
+				below = i + 1
+			}
+		}
+		if below < 0 {
+			t.Fatalf("%sprinted no Distinct line:\n%s", verb, resp.Plan)
+		}
+		for _, table := range []string{"SeqScan nation", "SeqScan region"} {
+			if !strings.Contains(strings.Join(lines[below:], "\n"), table) {
+				t.Errorf("%sprinted no %q below Distinct:\n%s", verb, table, resp.Plan)
+			}
+		}
+		if verb == "EXPLAIN " {
+			continue
+		}
+		for _, l := range lines[below:] {
+			if strings.Contains(l, "-> ") && (!strings.Contains(l, "rows=") || strings.Contains(l, "rows=0 ")) {
+				t.Errorf("EXPLAIN ANALYZE measured nothing at %q:\n%s", strings.TrimSpace(l), resp.Plan)
+			}
+		}
+	}
+}

@@ -1,9 +1,8 @@
 // Context-cancellation suite: the serving layer threads per-query
 // deadlines into client runs via skipper.Client.Ctx, so a canceled or
 // deadline-expired workload must abort with an error wrapping the
-// context's error and drain exactly like the PR 6 fail-stop paths — no
-// deadlock, no leaked goroutines, no orphaned cache pins. Runs under
-// CI's -race job.
+// context's error and drain exactly like the fail-stop paths — no
+// deadlock, no leaked goroutines. Runs under CI's -race job.
 package skipper_test
 
 import (
@@ -21,32 +20,31 @@ import (
 // runCanceled executes the probe workload on one client bound to ctx,
 // with the prefetcher running and a shared cache so every drain path is
 // armed.
-func runCanceled(t *testing.T, ctx context.Context, mode skipper.Mode) (*skipper.RunResult, *skipper.Cluster, error) {
+func runCanceled(t *testing.T, ctx context.Context, mode skipper.Mode) (*skipper.RunResult, error) {
 	t.Helper()
 	p := newProbe(t)
 	cell := p.cell
 	cell.Mode, cell.PrefetchBytes = mode, lattice.PrefetchOn
 	cl := p.cluster(cell, 1)
 	cl.Clients[0].Ctx = ctx
-	res, err := cl.Run()
-	return res, cl, err
+	return cl.Run()
 }
 
 // TestClientContextExpiredDrains: a context that is already expired
 // when the run starts must abort before any query executes, with an
-// error wrapping context.DeadlineExceeded, and leave no goroutines or
-// cache pins behind despite the armed prefetcher.
+// error wrapping context.DeadlineExceeded, and leave no goroutines
+// behind despite the armed prefetcher.
 func TestClientContextExpiredDrains(t *testing.T) {
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 			defer cancel()
-			_, cl, err := runCanceled(t, ctx, mode)
+			_, err := runCanceled(t, ctx, mode)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("error %v does not wrap context.DeadlineExceeded", err)
 			}
-			requireDrained(t, cl, baseline)
+			requireDrained(t, baseline)
 		})
 	}
 }
@@ -55,7 +53,7 @@ func TestClientContextExpiredDrains(t *testing.T) {
 // racing the workload. Whether the cancel lands before, during or after
 // the run, the invariants hold: an error, if any, wraps
 // context.Canceled; results, if any, are complete per query; and the
-// drain leaves no goroutines or cache pins.
+// drain leaves no goroutines.
 func TestClientContextCancelMidRunDrains(t *testing.T) {
 	for _, delay := range []time.Duration{0, 500 * time.Microsecond, 5 * time.Millisecond} {
 		t.Run(fmt.Sprint(delay), func(t *testing.T) {
@@ -64,11 +62,11 @@ func TestClientContextCancelMidRunDrains(t *testing.T) {
 			timer := time.AfterFunc(delay, cancel)
 			defer timer.Stop()
 			defer cancel()
-			_, cl, err := runCanceled(t, ctx, skipper.ModeSkipper)
+			_, err := runCanceled(t, ctx, skipper.ModeSkipper)
 			if err != nil && !errors.Is(err, context.Canceled) {
 				t.Fatalf("error %v does not wrap context.Canceled", err)
 			}
-			requireDrained(t, cl, baseline)
+			requireDrained(t, baseline)
 		})
 	}
 }
@@ -76,7 +74,7 @@ func TestClientContextCancelMidRunDrains(t *testing.T) {
 // TestClientNilContextUnchanged pins the default: a client without a
 // Ctx runs to completion exactly as before the field existed.
 func TestClientNilContextUnchanged(t *testing.T) {
-	res, _, err := runCanceled(t, nil, skipper.ModeSkipper)
+	res, err := runCanceled(t, nil, skipper.ModeSkipper)
 	if err != nil {
 		t.Fatalf("nil-context run failed: %v", err)
 	}

@@ -41,10 +41,6 @@ type RetryPolicy struct {
 	// attempts. 0 means the budget equals MaxAttempts (minimal but
 	// functional); negative means unlimited.
 	Budget int
-	// JitterSeed keys the deterministic jitter. Two runs with the same
-	// policy, workload and fault plan back off identically — required
-	// for the replayable chaos differential.
-	JitterSeed int64
 }
 
 // DefaultRetryPolicy is the stock recovery setting: a dozen attempts
@@ -72,10 +68,11 @@ func (rp *RetryPolicy) validate() {
 
 // backoff returns the delay before retry number `retry` (1-based) of
 // the object: exponential growth capped at MaxBackoff, scaled by a
-// deterministic jitter in [0.5, 1.0) keyed on (seed, object, retry).
-// Jitter decorrelates the retry instants of different objects — without
-// it, every object failed by one crash retries in lockstep — while
-// keeping replays exact.
+// deterministic jitter in [0.5, 1.0) keyed on (object, retry). Jitter
+// decorrelates the retry instants of different objects — without it,
+// every object failed by one crash retries in lockstep — while two runs
+// with the same policy, workload and fault plan back off identically,
+// which the replayable chaos differential requires.
 func (rp *RetryPolicy) backoff(obj segment.ObjectID, retry int) time.Duration {
 	if rp.BaseBackoff == 0 {
 		return 0
@@ -84,14 +81,14 @@ func (rp *RetryPolicy) backoff(obj segment.ObjectID, retry int) time.Duration {
 	if shift := retry - 1; shift > 30 || d > rp.MaxBackoff || d < 0 {
 		d = rp.MaxBackoff
 	}
-	frac := jitter(rp.JitterSeed, obj.String(), retry) // [0, 1)
+	frac := jitter(obj.String(), retry) // [0, 1)
 	return d/2 + time.Duration(float64(d/2)*frac)
 }
 
-// jitter maps (seed, object, retry) to [0, 1) with an FNV-1a/splitmix64
-// hash — the same construction the fault injector uses, independently
-// salted by its inputs.
-func jitter(seed int64, object string, retry int) float64 {
+// jitter maps (object, retry) to [0, 1) with an FNV-1a/splitmix64 hash —
+// the same construction the fault injector uses, independently salted by
+// its inputs.
+func jitter(object string, retry int) float64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -104,7 +101,7 @@ func jitter(seed int64, object string, retry int) float64 {
 			v >>= 8
 		}
 	}
-	mix(uint64(seed))
+	mix(0) // a zero word leads the key, so recorded backoffs replay
 	for i := 0; i < len(object); i++ {
 		h ^= uint64(object[i])
 		h *= prime64
@@ -318,8 +315,9 @@ func (px *proxy) ctxDone() error {
 
 // IsFaultError reports whether an error came from the fault/recovery
 // machinery — an exhausted retry, a device crash, a transient failure
-// or a corrupt payload — as opposed to a planning or execution bug. The
-// serving layer maps these to the exec error class with fault context.
+// or a corrupt payload — as opposed to a planning or execution bug.
+// Only tests call it, to hold the fault paths to their typed errors; the
+// serving layer answers every failed run with the exec error class.
 func IsFaultError(err error) bool {
 	var re *RetryExhaustedError
 	if errors.As(err, &re) {

@@ -1,7 +1,5 @@
 package vtime
 
-import "fmt"
-
 // Chan is a typed, optionally buffered channel whose blocking semantics are
 // integrated with the simulation scheduler. It mirrors Go channels: a Send
 // on a full (or unbuffered) channel blocks until a receiver is ready; a
@@ -53,9 +51,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 	}
 	// Block until a receiver takes our value.
 	c.sendq = append(c.sendq, waiter[T]{proc: p, val: v})
-	p.blockedOn = fmt.Sprintf("send on %s", c.name)
-	p.pause()
-	p.blockedOn = ""
+	p.pauseOn("send", c.name)
 }
 
 // TrySend delivers v without blocking. It reports whether the value was
@@ -83,9 +79,7 @@ func (c *Chan[T]) Recv(p *Proc) T {
 	}
 	var slot T
 	c.recvq = append(c.recvq, waiter[T]{proc: p, slot: &slot})
-	p.blockedOn = fmt.Sprintf("recv on %s", c.name)
-	p.pause()
-	p.blockedOn = ""
+	p.pauseOn("recv", c.name)
 	return slot
 }
 

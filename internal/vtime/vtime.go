@@ -53,9 +53,11 @@ type Proc struct {
 	resume chan struct{} // scheduler -> proc: run
 	yield  chan struct{} // proc -> scheduler: paused or done
 	done   bool
-	// blockedOn describes what the process is waiting for, for deadlock
-	// diagnostics. Empty when runnable or done.
-	blockedOn string
+	// waitOp ("send" or "recv") and waitChan name the channel operation
+	// the process last paused in. Only a deadlock report reads them, and
+	// every process alive at a deadlock is paused in one: a sleeper holds
+	// a timer, and Run reports a deadlock only when none is pending.
+	waitOp, waitChan string
 }
 
 // Name returns the process name given at Spawn.
@@ -129,9 +131,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	s := p.sim
 	s.pushTimer(p, s.now+d)
-	p.blockedOn = fmt.Sprintf("sleep until %v", s.now+d)
 	p.pause()
-	p.blockedOn = ""
 }
 
 // Yield gives other runnable processes a chance to run at the current
@@ -142,6 +142,12 @@ func (p *Proc) Yield() { p.Sleep(0) }
 func (p *Proc) pause() {
 	p.yield <- struct{}{}
 	<-p.resume
+}
+
+// pauseOn is pause for a process that blocks in op on the named channel.
+func (p *Proc) pauseOn(op, channel string) {
+	p.waitOp, p.waitChan = op, channel
+	p.pause()
 }
 
 // makeReady appends p to the runnable queue.
@@ -198,7 +204,7 @@ func (s *Sim) Run() error {
 		var stuck []string
 		for _, p := range s.procs {
 			if !p.done {
-				stuck = append(stuck, fmt.Sprintf("%s: %s", p.name, p.blockedOn))
+				stuck = append(stuck, fmt.Sprintf("%s: %s on %s", p.name, p.waitOp, p.waitChan))
 			}
 		}
 		if len(stuck) == 0 {

@@ -3,6 +3,7 @@ package vtime
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -198,16 +199,60 @@ func TestBlockedSenderPromotedToBuffer(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	s := NewSim()
 	ch := NewChan[int](s, "stuck-ch", 0)
+	out := NewChan[int](s, "full-ch", 1)
 	s.Spawn("stuck", func(p *Proc) {
 		ch.Recv(p)
+	})
+	s.Spawn("sender", func(p *Proc) {
+		p.Sleep(3 * time.Second)
+		out.Send(p, 1)
+		out.Send(p, 2)
 	})
 	err := s.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
 		t.Fatalf("expected DeadlockError, got %v", err)
 	}
-	if len(de.Blocked) != 1 {
-		t.Fatalf("blocked list %v", de.Blocked)
+	want := []string{"sender: send on full-ch", "stuck: recv on stuck-ch"}
+	if !reflect.DeepEqual(de.Blocked, want) {
+		t.Fatalf("blocked list %q, want %q", de.Blocked, want)
+	}
+	if got, want := err.Error(), "vtime: deadlock at 3s; blocked: [sender: send on full-ch stuck: recv on stuck-ch]"; got != want {
+		t.Fatalf("message %q, want %q", got, want)
+	}
+}
+
+// TestBlockingCallsDoNotFormat: a blocking Sleep, Send or Recv builds no
+// diagnostic. What is left per round of this ping-pong is the timer boxed
+// into container/heap's `any` (one per Sleep) and the slot a parked
+// receiver is handed its value through (one per blocking Recv).
+func TestBlockingCallsDoNotFormat(t *testing.T) {
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s := NewSim()
+			ping := NewChan[int](s, "ping", 0)
+			pong := NewChan[int](s, "pong", 0)
+			s.Spawn("a", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					ping.Send(p, i) // blocks: b is asleep
+					pong.Recv(p)    // blocks: b has not answered yet
+				}
+			})
+			s.Spawn("b", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					p.Sleep(time.Second)
+					ping.Recv(p)
+					pong.Send(p, i)
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	const extra = 1000
+	if perRound := (allocs(100+extra) - allocs(100)) / extra; perRound > 2.01 {
+		t.Fatalf("%.2f allocations per round of one Sleep, one blocking Send and one blocking Recv, want 2", perRound)
 	}
 }
 

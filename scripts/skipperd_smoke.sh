@@ -26,6 +26,8 @@ mask() { sed -E 's/[0-9.]+(ns|µs|ms|s) (queued|wall|busy)/T \2/g'; }
 "$workdir/skipperql" "${DATASET[@]}" -prefetch 4 -segcache 8 -c "$mix" | mask > "$workdir/shell-direct.txt"
 diff -u "$workdir/shell-direct.txt" "$workdir/shell-wire.txt"
 grep -Eq '^-- prefetch: [0-9]+ issued' "$workdir/shell-wire.txt"
+# EXPLAIN prints the whole plan: the walk does not stop at Distinct.
+"$workdir/skipperd" -client -addr "$ADDR" -c "EXPLAIN SELECT DISTINCT n_regionkey FROM nation ORDER BY n_regionkey" | grep 'SeqScan nation' > /dev/null
 echo "skipperd smoke: skipperql and skipperd -client print the same bytes for the statement mix"
 
 # Both shells send error frames to stderr and exit non-zero.
