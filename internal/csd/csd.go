@@ -13,7 +13,9 @@
 package csd
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -265,10 +267,17 @@ type CSD struct {
 	// group's queue on arrival (arrival order within a queue), dispatch
 	// takes the loaded group's queue whole, and no empty queue is kept —
 	// so len(pending) == 0 means nothing is waiting.
-	pending     map[int][]*Request
+	pending map[int][]*Request
+	// spare holds the emptied queues dispatch took, for apply to reuse when
+	// a group next gets its first request.
+	spare       [][]*Request
 	inFlight    int
 	arrivalSeq  int
 	lastService map[string]int // queryID -> switch count at last service/arrival
+	// waiting is the function Scheduler.NextGroup is given: switches since
+	// the query was last serviced (or arrived).
+	waiting func(queryID string) int
+	order   orderScratch
 	// inflight indexes the carrier request of every transfer currently
 	// queued or running, so a later same-object request can ride along
 	// instead of paying a second transfer. The stream worker deletes the
@@ -310,7 +319,7 @@ func New(sim *vtime.Sim, cfg Config, store map[segment.ObjectID]*segment.Segment
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = NewRankBased(1)
 	}
-	return &CSD{
+	c := &CSD{
 		sim:         sim,
 		cfg:         cfg,
 		store:       store,
@@ -322,6 +331,10 @@ func New(sim *vtime.Sim, cfg Config, store map[segment.ObjectID]*segment.Segment
 		lastService: make(map[string]int),
 		inflight:    make(map[segment.ObjectID]*Request),
 	}
+	c.waiting = func(queryID string) int {
+		return c.stats.GroupSwitches - c.lastService[queryID]
+	}
+	return c
 }
 
 // deviceName renders a device's process-name prefix: "csd" for the
@@ -381,10 +394,7 @@ func (c *CSD) PredictNextGroup() (int, bool) {
 // nextGroup asks the scheduler which group to load next. An answer that
 // violates the NextGroup contract yields -1 and a *SchedulerContractError.
 func (c *CSD) nextGroup() (int, error) {
-	waiting := func(queryID string) int {
-		return c.stats.GroupSwitches - c.lastService[queryID]
-	}
-	next := c.cfg.Scheduler.NextGroup(c.loaded, c.pending, waiting)
+	next := c.cfg.Scheduler.NextGroup(c.loaded, c.pending, c.waiting)
 	var reason string
 	switch {
 	case next == c.loaded:
@@ -598,7 +608,12 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 			c.lastService[r.QueryID] = c.stats.GroupSwitches
 		}
 		g := c.mustGroupOf(r.Object)
-		c.pending[g] = append(c.pending[g], r)
+		q, queued := c.pending[g]
+		if !queued && len(c.spare) > 0 {
+			q = c.spare[len(c.spare)-1]
+			c.spare = c.spare[:len(c.spare)-1]
+		}
+		c.pending[g] = append(q, r)
 		c.stats.GetsReceived++
 		c.stats.GetsByTenant[r.Tenant]++
 	case ev.done:
@@ -635,7 +650,8 @@ func (c *CSD) dispatch(p *vtime.Proc) bool {
 		return false
 	}
 	delete(c.pending, c.loaded)
-	for _, r := range c.orderRequests(onLoaded) {
+	c.orderRequests(onLoaded)
+	for _, r := range onLoaded {
 		c.lastService[r.QueryID] = c.stats.GroupSwitches
 		c.stats.ServedByQuery[r.QueryID]++
 		if carrier, dup := c.inflight[r.Object]; dup {
@@ -648,6 +664,8 @@ func (c *CSD) dispatch(p *vtime.Proc) bool {
 		c.tenantStream(r.Tenant).queue.Send(p, r)
 		c.inFlight++
 	}
+	clear(onLoaded)
+	c.spare = append(c.spare, onLoaded[:0])
 	return true
 }
 
@@ -778,57 +796,60 @@ func (c *CSD) stopStreams(p *vtime.Proc) {
 	}
 }
 
-// orderRequests arranges same-group requests before dispatch. Requests of
-// different tenants land on independent streams, so ordering only matters
-// within a tenant; SemanticRoundRobin interleaves each query's relations
-// evenly (§4.4), SequentialOrder preserves arrival order.
-func (c *CSD) orderRequests(reqs []*Request) []*Request {
-	if c.cfg.Order == SequentialOrder {
-		return reqs
+// orderRequests arranges same-group requests, in place, before dispatch.
+// Requests of different tenants land on independent streams, so ordering
+// only matters within a tenant; SequentialOrder preserves arrival order,
+// SemanticRoundRobin serves the queries in order of first appearance and
+// interleaves each query's relations evenly (§4.4): A.1, B.1, C.1, A.2, ...
+// with the relations too in order of first appearance. That is the order
+// of (query, rank of the request within its relation, relation), which is
+// what gets sorted; one request is already in it.
+func (c *CSD) orderRequests(reqs []*Request) {
+	if c.cfg.Order == SequentialOrder || len(reqs) <= 1 {
+		return
 	}
-	// Bucket by query, then by table, preserving arrival order within
-	// each bucket.
-	type tableQueue struct {
-		table string
-		reqs  []*Request
-	}
-	type queryBucket struct {
-		id     string
-		tables []*tableQueue
-		byName map[string]*tableQueue
-		total  int
-	}
-	var queries []*queryBucket
-	index := make(map[string]*queryBucket)
+	o := &c.order
 	for _, r := range reqs {
-		qb, ok := index[r.QueryID]
-		if !ok {
-			qb = &queryBucket{id: r.QueryID, byName: make(map[string]*tableQueue)}
-			index[r.QueryID] = qb
-			queries = append(queries, qb)
+		query := slices.Index(o.queries, r.QueryID)
+		if query < 0 {
+			query = len(o.queries)
+			o.queries = append(o.queries, r.QueryID)
 		}
-		tq, ok := qb.byName[r.Object.Table]
-		if !ok {
-			tq = &tableQueue{table: r.Object.Table}
-			qb.byName[r.Object.Table] = tq
-			qb.tables = append(qb.tables, tq)
+		rel := slices.Index(o.relations, relation{query, r.Object.Table})
+		if rel < 0 {
+			rel = len(o.relations)
+			o.relations = append(o.relations, relation{query, r.Object.Table})
+			o.seen = append(o.seen, 0)
 		}
-		tq.reqs = append(tq.reqs, r)
-		qb.total++
+		o.keyed = append(o.keyed, keyedRequest{query: query, rank: o.seen[rel], relation: rel, req: r})
+		o.seen[rel]++
 	}
-	out := make([]*Request, 0, len(reqs))
-	for _, qb := range queries {
-		// Round-robin across the query's tables: A.1, B.1, C.1, A.2, ...
-		cursors := make([]int, len(qb.tables))
-		for emitted := 0; emitted < qb.total; {
-			for ti, tq := range qb.tables {
-				if cursors[ti] < len(tq.reqs) {
-					out = append(out, tq.reqs[cursors[ti]])
-					cursors[ti]++
-					emitted++
-				}
-			}
-		}
+	slices.SortStableFunc(o.keyed, func(a, b keyedRequest) int {
+		return cmp.Or(cmp.Compare(a.query, b.query), cmp.Compare(a.rank, b.rank), cmp.Compare(a.relation, b.relation))
+	})
+	for i, k := range o.keyed {
+		reqs[i] = k.req
 	}
-	return out
+	clear(o.keyed) // the scratch must not keep requests alive
+	o.queries, o.relations, o.seen, o.keyed = o.queries[:0], o.relations[:0], o.seen[:0], o.keyed[:0]
+}
+
+// orderScratch is orderRequests' working storage, kept by the device so a
+// dispatch round allocates nothing once the slices have grown.
+type orderScratch struct {
+	queries   []string   // distinct query ids, in order of first appearance
+	relations []relation // distinct (query, table) pairs, likewise
+	seen      []int      // requests seen so far per relation
+	keyed     []keyedRequest
+}
+
+// relation is one table of one query (an index into orderScratch.queries).
+type relation struct {
+	query int
+	table string
+}
+
+type keyedRequest struct {
+	query, rank, relation int
+	req                   *Request
 }

@@ -1,10 +1,6 @@
 package csd
 
-import (
-	"sort"
-
-	"repro/internal/segment"
-)
+import "repro/internal/segment"
 
 // Scheduler decides which disk group to load next. NextGroup receives the
 // currently loaded group, the pending requests bucketed by group (never
@@ -12,23 +8,12 @@ import (
 // function that returns, for a query id, the number of group switches
 // since that query was last serviced (§4.4). Implementations must return a
 // group with pending requests that differs from loaded, and must not
-// modify pending: it is the device's own queues, not a copy.
+// modify pending: it is the device's own queues, not a copy. Equally good
+// candidates resolve to the lowest group id, so the answer does not depend
+// on the order the map is walked in.
 type Scheduler interface {
 	Name() string
 	NextGroup(loaded int, pending map[int][]*Request, waiting func(queryID string) int) int
-}
-
-// sortedGroups returns the candidate groups (excluding loaded) in
-// ascending order for deterministic tie-breaking.
-func sortedGroups(loaded int, pending map[int][]*Request) []int {
-	groups := make([]int, 0, len(pending))
-	for g := range pending {
-		if g != loaded {
-			groups = append(groups, g)
-		}
-	}
-	sort.Ints(groups)
-	return groups
 }
 
 // distinctQueries counts distinct query ids among requests.
@@ -65,10 +50,19 @@ func NewFCFSObject() FCFSObject { return FCFSObject{} }
 func (FCFSObject) Name() string { return "fcfs-object" }
 
 func (FCFSObject) NextGroup(loaded int, pending map[int][]*Request, _ func(string) int) int {
+	return oldestGroup(loaded, pending, func(*Request) bool { return true })
+}
+
+// oldestGroup returns the group other than loaded that holds the oldest
+// pending request among those match accepts, or -1 when none does.
+func oldestGroup(loaded int, pending map[int][]*Request, match func(*Request) bool) int {
 	best, bestSeq := -1, int(^uint(0)>>1)
-	for _, g := range sortedGroups(loaded, pending) {
-		for _, r := range pending[g] {
-			if r.seq < bestSeq {
+	for g, reqs := range pending {
+		if g == loaded {
+			continue
+		}
+		for _, r := range reqs {
+			if match(r) && (r.seq < bestSeq || (r.seq == bestSeq && g < best)) {
 				best, bestSeq = g, r.seq
 			}
 		}
@@ -107,15 +101,7 @@ func (FCFSQuery) NextGroup(loaded int, pending map[int][]*Request, _ func(string
 		}
 	}
 	// Load the group holding that query's oldest pending request.
-	best, bestReqSeq := -1, int(^uint(0)>>1)
-	for _, g := range sortedGroups(loaded, pending) {
-		for _, r := range pending[g] {
-			if r.QueryID == bestQuery && r.seq < bestReqSeq {
-				best, bestReqSeq = g, r.seq
-			}
-		}
-	}
-	return best
+	return oldestGroup(loaded, pending, func(r *Request) bool { return r.QueryID == bestQuery })
 }
 
 // MaxQueries loads the group with the most distinct pending queries — the
@@ -130,8 +116,11 @@ func (MaxQueries) Name() string { return "max-queries" }
 
 func (MaxQueries) NextGroup(loaded int, pending map[int][]*Request, _ func(string) int) int {
 	best, bestN := -1, -1
-	for _, g := range sortedGroups(loaded, pending) {
-		if n := distinctQueries(pending[g]); n > bestN {
+	for g, reqs := range pending {
+		if g == loaded {
+			continue
+		}
+		if n := distinctQueries(reqs); n > bestN || (n == bestN && g < best) {
 			best, bestN = g, n
 		}
 	}
@@ -157,26 +146,51 @@ func NewRankBased(k float64) *RankBased { return &RankBased{K: k} }
 func (s *RankBased) Name() string { return "rank-based" }
 
 func (s *RankBased) NextGroup(loaded int, pending map[int][]*Request, waiting func(string) int) int {
-	best, bestRank, bestN, bestCoal := -1, -1.0, -1, -1
-	for _, g := range sortedGroups(loaded, pending) {
+	best := ranked{group: -1, rank: -1, queries: -1, coalesced: -1}
+	for g, reqs := range pending {
+		if g == loaded {
+			continue
+		}
 		queries := make(map[string]struct{})
-		for _, r := range pending[g] {
+		for _, r := range reqs {
 			queries[r.QueryID] = struct{}{}
 		}
 		sumWait := 0
 		for q := range queries {
 			sumWait += waiting(q)
 		}
-		rank := float64(len(queries)) + s.K*float64(sumWait)
-		coal := coalescedRequests(pending[g])
-		// Tie-break on Ng (efficiency), then on coalesced requests (a
-		// duplicate-heavy group serves the same demand with fewer
-		// transfers), then on group id (determinism).
-		if rank > bestRank ||
-			(rank == bestRank && len(queries) > bestN) ||
-			(rank == bestRank && len(queries) == bestN && coal > bestCoal) {
-			best, bestRank, bestN, bestCoal = g, rank, len(queries), coal
+		cand := ranked{
+			group:     g,
+			rank:      float64(len(queries)) + s.K*float64(sumWait),
+			queries:   len(queries),
+			coalesced: coalescedRequests(reqs),
+		}
+		if cand.beats(best) {
+			best = cand
 		}
 	}
-	return best
+	return best.group
+}
+
+// ranked is one candidate group as RankBased scores it.
+type ranked struct {
+	group     int
+	rank      float64
+	queries   int // Ng
+	coalesced int
+}
+
+// beats orders candidates by rank, then Ng (efficiency), then coalesced
+// requests (a duplicate-heavy group serves the same demand with fewer
+// transfers), then lowest group id (determinism).
+func (c ranked) beats(o ranked) bool {
+	switch {
+	case c.rank != o.rank:
+		return c.rank > o.rank
+	case c.queries != o.queries:
+		return c.queries > o.queries
+	case c.coalesced != o.coalesced:
+		return c.coalesced > o.coalesced
+	}
+	return c.group < o.group
 }

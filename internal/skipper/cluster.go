@@ -143,11 +143,11 @@ func (cl *Cluster) Run() (*RunResult, error) {
 	if cl.SharedCache != nil {
 		res.cacheHitsBefore = cl.SharedCache.Stats().Hits
 	}
-	wall := vtime.NewWall()
+	wallStart := time.Now()
 	if err := sim.Run(); err != nil {
 		return nil, fmt.Errorf("skipper: simulation: %w", err)
 	}
-	res.Makespan, res.Wall = sim.Now(), wall.Now()
+	res.Makespan, res.Wall = sim.Now(), time.Since(wallStart)
 	for _, dev := range devs {
 		res.Devices = append(res.Devices, dev.Stats())
 	}

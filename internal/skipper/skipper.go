@@ -339,16 +339,22 @@ type proxy struct {
 	// retry is the fault-recovery bookkeeping: the active policy plus the
 	// per-query attempt counts and budget (reset by beginQuery).
 	retry *retryState
+	// batches and batchOrder are Request's working storage: the GETs of one
+	// call per device id, and the devices in order of first appearance.
+	// Both are empty between calls.
+	batches    [][]*csd.Request
+	batchOrder []int
 }
 
 func newProxy(sim *vtime.Sim, fl *DeviceChooser, tenant int, stats *ClientStats) *proxy {
 	return &proxy{
-		sim:    sim,
-		fl:     fl,
-		tenant: tenant,
-		stats:  stats,
-		reply:  vtime.NewChan[csd.Delivery](sim, fmt.Sprintf("proxy.t%d.reply", tenant), 1<<20),
-		retry:  newRetryState(nil),
+		sim:     sim,
+		fl:      fl,
+		tenant:  tenant,
+		stats:   stats,
+		reply:   vtime.NewChan[csd.Delivery](sim, fmt.Sprintf("proxy.t%d.reply", tenant), 1<<20),
+		retry:   newRetryState(nil),
+		batches: make([][]*csd.Request, fl.numDevices()),
 	}
 }
 
@@ -368,8 +374,6 @@ func (px *proxy) beginQuery(queryID string) {
 // batched per device in first-appearance order so per-device arrival
 // order matches the request order.
 func (px *proxy) Request(objs []segment.ObjectID) {
-	perDev := make(map[int][]*csd.Request)
-	var devOrder []int
 	for _, id := range objs {
 		if px.cache != nil {
 			if seg, ok := px.cache.Get(id); ok {
@@ -391,14 +395,17 @@ func (px *proxy) Request(objs []segment.ObjectID) {
 		}
 		d := px.fl.Choose(id)
 		px.stats.addDeviceGet(d)
-		if perDev[d] == nil {
-			devOrder = append(devOrder, d)
+		if len(px.batches[d]) == 0 {
+			px.batchOrder = append(px.batchOrder, d)
 		}
-		perDev[d] = append(perDev[d], &csd.Request{Object: id, QueryID: px.query, Tenant: px.tenant, Reply: px.reply})
+		px.batches[d] = append(px.batches[d], &csd.Request{Object: id, QueryID: px.query, Tenant: px.tenant, Reply: px.reply})
 	}
-	for _, d := range devOrder {
-		px.fl.device(d).Submit(px.proc, perDev[d]...)
+	for _, d := range px.batchOrder {
+		px.fl.device(d).Submit(px.proc, px.batches[d]...)
+		clear(px.batches[d]) // the device owns the requests now
+		px.batches[d] = px.batches[d][:0]
 	}
+	px.batchOrder = px.batchOrder[:0]
 	px.stats.GetsIssued += len(objs)
 }
 

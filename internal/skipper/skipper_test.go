@@ -13,6 +13,7 @@ import (
 	"repro/internal/mjoin"
 	"repro/internal/segment"
 	"repro/internal/tuple"
+	"repro/internal/vtime"
 )
 
 // makeTenantDB builds, for one tenant, two relations a(ak, pay) and
@@ -307,5 +308,93 @@ func TestSkipperLatencyInsensitivity(t *testing.T) {
 	}
 	if skpGrowth > 1.2 {
 		t.Fatalf("skipper growth %.2f, expected insensitivity to S", skpGrowth)
+	}
+}
+
+// getRoundTripAllocs runs one client issuing `gets` synchronous GETs through
+// its proxy against one device — no cache, no decode, no FUSE charge — and
+// returns the allocations of the whole run, set-up included. A second
+// tenant keeps `parked` requests pending on another group throughout: the
+// client always has its next GET in before the device could switch.
+func getRoundTripAllocs(t *testing.T, gets, parked int) float64 {
+	mine := segment.ObjectID{Tenant: 0, Table: "a"}
+	store := map[segment.ObjectID]*segment.Segment{mine: {ID: mine, NominalBytes: 1e9}}
+	assign := layout.MustAssignment(2)
+	if err := assign.Place(mine, 0); err != nil {
+		t.Fatal(err)
+	}
+	var theirs []segment.ObjectID
+	for i := 0; i < parked; i++ {
+		id := segment.ObjectID{Tenant: 1, Table: "b", Index: i}
+		store[id] = &segment.Segment{ID: id, NominalBytes: 1e9}
+		if err := assign.Place(id, 1); err != nil {
+			t.Fatal(err)
+		}
+		theirs = append(theirs, id)
+	}
+	place, err := layout.BuildPlacement(assign, 1, layout.Replication{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(3, func() {
+		sim := vtime.NewSim()
+		dev := csd.New(sim, csd.DefaultConfig(), store, assign)
+		dev.Start()
+		done := vtime.NewChan[int](sim, "done", 2)
+		var stats ClientStats
+		px := newProxy(sim, newDeviceChooser([]*csd.CSD{dev}, place), 0, &stats)
+		sim.Spawn("client", func(p *vtime.Proc) {
+			px.proc = p
+			px.beginQuery("q")
+			for i := 0; i < gets; i++ {
+				if _, err := px.fetchSync(mine, 0); err != nil {
+					t.Error(err)
+				}
+			}
+			if switches := dev.Stats().GroupSwitches; switches != 0 {
+				t.Errorf("device switched %d times under the client: the parked requests did not stay pending", switches)
+			}
+			done.Send(p, 0)
+		})
+		sim.Spawn("parker", func(p *vtime.Proc) {
+			reply := vtime.NewChan[csd.Delivery](sim, "parker.reply", parked)
+			for _, id := range theirs {
+				dev.Submit(p, &csd.Request{Object: id, QueryID: "parked", Tenant: 1, Reply: reply})
+			}
+			for range theirs {
+				reply.Recv(p)
+			}
+			done.Send(p, 1)
+		})
+		sim.Spawn("coordinator", func(p *vtime.Proc) {
+			done.Recv(p)
+			done.Recv(p)
+			dev.Shutdown(p)
+		})
+		if err := sim.Run(); err != nil {
+			t.Error(err)
+		}
+		if stats.GetsIssued != gets || len(stats.StallIntervals) != gets {
+			t.Errorf("%d GETs issued, %d stalls, want %d of each", stats.GetsIssued, len(stats.StallIntervals), gets)
+		}
+	})
+}
+
+// TestGetRoundTripAllocs: a GET through proxy.Request, the device's
+// controller and stream worker and back through NextArrival allocates its
+// csd.Request and, amortized, the growth of the stall-interval record —
+// nothing per hop, and nothing that scales with what else is pending.
+func TestGetRoundTripAllocs(t *testing.T) {
+	const warm, extra = 200, 2000
+	perGet := func(parked int) float64 {
+		return (getRoundTripAllocs(t, warm+extra, parked) - getRoundTripAllocs(t, warm, parked)) / extra
+	}
+	alone, crowded := perGet(0), perGet(64)
+	t.Logf("allocations per GET: %.3f alone, %.3f with 64 requests pending on another group", alone, crowded)
+	if alone < 1 || alone > 2 {
+		t.Errorf("%.3f allocations per GET, want the csd.Request plus amortized record growth (under 2)", alone)
+	}
+	if crowded > alone+0.5 {
+		t.Errorf("%.3f allocations per GET with 64 requests pending, %.3f with none", crowded, alone)
 	}
 }

@@ -49,3 +49,30 @@ func BenchmarkTimerHeap(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkChanDeepQueue measures one Recv from a channel holding 65 536
+// queued values next to one from a channel holding a single value (each
+// Recv is matched by a Send, so the depth holds): the per-receive cost
+// must not depend on how much is queued behind the head.
+func BenchmarkChanDeepQueue(b *testing.B) {
+	for _, depth := range []int{1, 1 << 16} {
+		b.Run(fmt.Sprint("depth=", depth), func(b *testing.B) {
+			sim := NewSim()
+			ch := NewChan[int](sim, "deep", depth)
+			n := b.N
+			sim.Spawn("p", func(p *Proc) {
+				for i := 0; i < depth; i++ {
+					ch.Send(p, i)
+				}
+				b.ResetTimer()
+				for i := 0; i < n; i++ {
+					ch.Recv(p)
+					ch.Send(p, i)
+				}
+			})
+			if err := sim.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -10,15 +10,25 @@ type Chan[T any] struct {
 	sim   *Sim
 	name  string
 	cap   int
-	buf   []T
-	sendq []waiter[T] // blocked senders (value attached)
-	recvq []waiter[T] // blocked receivers (slot to fill)
+	buf   ring[T]
+	sendq ring[sender[T]] // blocked senders
+	recvq ring[*Proc]     // blocked receivers
+	// handed carries values to receivers that were parked when the value
+	// was sent. A Send that finds a parked receiver pops it, pushes the
+	// value here and makes the receiver runnable; the receiver pops its
+	// value when it resumes. One FIFO serves every receiver of the channel
+	// because the ready queue is FIFO too: receivers resume in the order
+	// they were woken, which is the order their values were pushed, and
+	// nothing else reads this queue (TryRecv and unparked Recvs see only
+	// buf and sendq, so a handed value is as invisible to them as the
+	// parked receiver's private slot it replaces).
+	handed ring[T]
 }
 
-type waiter[T any] struct {
+// sender is a process blocked in Send and the value it is sending.
+type sender[T any] struct {
 	proc *Proc
-	val  T  // for senders: the value being sent
-	slot *T // for receivers: where to deposit the value
+	val  T
 }
 
 // NewChan creates a channel with the given buffer capacity (0 = unbuffered)
@@ -31,42 +41,29 @@ func NewChan[T any](s *Sim, name string, capacity int) *Chan[T] {
 }
 
 // Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
+func (c *Chan[T]) Len() int { return c.buf.len() }
 
 // Send delivers v, blocking the calling process if no buffer space or
 // receiver is available.
 func (c *Chan[T]) Send(p *Proc, v T) {
-	// Fast path: a receiver is already waiting.
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		copy(c.recvq, c.recvq[1:])
-		c.recvq = c.recvq[:len(c.recvq)-1]
-		*w.slot = v
-		c.sim.makeReady(w.proc)
-		return
-	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.TrySend(p, v) {
 		return
 	}
 	// Block until a receiver takes our value.
-	c.sendq = append(c.sendq, waiter[T]{proc: p, val: v})
+	c.sendq.push(sender[T]{proc: p, val: v})
 	p.pauseOn("send", c.name)
 }
 
 // TrySend delivers v without blocking. It reports whether the value was
 // accepted (by a waiting receiver or buffer space).
 func (c *Chan[T]) TrySend(p *Proc, v T) bool {
-	if len(c.recvq) > 0 {
-		w := c.recvq[0]
-		copy(c.recvq, c.recvq[1:])
-		c.recvq = c.recvq[:len(c.recvq)-1]
-		*w.slot = v
-		c.sim.makeReady(w.proc)
+	if c.recvq.len() > 0 {
+		c.handed.push(v)
+		c.sim.makeReady(c.recvq.pop())
 		return true
 	}
-	if len(c.buf) < c.cap {
-		c.buf = append(c.buf, v)
+	if c.buf.len() < c.cap {
+		c.buf.push(v)
 		return true
 	}
 	return false
@@ -77,33 +74,26 @@ func (c *Chan[T]) Recv(p *Proc) T {
 	if v, ok := c.TryRecv(p); ok {
 		return v
 	}
-	var slot T
-	c.recvq = append(c.recvq, waiter[T]{proc: p, slot: &slot})
+	c.recvq.push(p)
 	p.pauseOn("recv", c.name)
-	return slot
+	return c.handed.pop()
 }
 
 // TryRecv receives a value without blocking. The second result reports
 // whether a value was available.
 func (c *Chan[T]) TryRecv(p *Proc) (T, bool) {
-	if len(c.buf) > 0 {
-		v := c.buf[0]
-		copy(c.buf, c.buf[1:])
-		c.buf = c.buf[:len(c.buf)-1]
+	if c.buf.len() > 0 {
+		v := c.buf.pop()
 		// A blocked sender can now occupy the freed buffer slot.
-		if len(c.sendq) > 0 {
-			w := c.sendq[0]
-			copy(c.sendq, c.sendq[1:])
-			c.sendq = c.sendq[:len(c.sendq)-1]
-			c.buf = append(c.buf, w.val)
+		if c.sendq.len() > 0 {
+			w := c.sendq.pop()
+			c.buf.push(w.val)
 			c.sim.makeReady(w.proc)
 		}
 		return v, true
 	}
-	if len(c.sendq) > 0 { // unbuffered rendezvous
-		w := c.sendq[0]
-		copy(c.sendq, c.sendq[1:])
-		c.sendq = c.sendq[:len(c.sendq)-1]
+	if c.sendq.len() > 0 { // unbuffered rendezvous
+		w := c.sendq.pop()
 		c.sim.makeReady(w.proc)
 		return w.val, true
 	}

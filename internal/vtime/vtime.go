@@ -3,12 +3,38 @@
 //
 // A Sim hosts a set of processes (Proc), each backed by a goroutine, but
 // only one process ever executes at a time: a process runs until it blocks
-// on a timer (Sleep) or a channel operation (Chan.Send/Chan.Recv), at which
-// point control returns to the scheduler. When no process is runnable the
-// clock jumps to the earliest pending timer. This yields fully
-// deterministic, repeatable executions: identical inputs produce identical
-// event orders and identical virtual timestamps, regardless of the host
-// machine or GOMAXPROCS.
+// on a timer (Sleep) or a channel operation (Chan.Send/Chan.Recv). This
+// yields fully deterministic, repeatable executions: identical inputs
+// produce identical event orders and identical virtual timestamps,
+// regardless of the host machine or GOMAXPROCS.
+//
+// # The baton
+//
+// There is no scheduler goroutine. The right to run is a baton, and only
+// its holder may touch Sim, Chan or any state the simulated processes
+// share (a csd.CSD's queues, a client's proxy): none of it is locked.
+//
+// The process that blocks or finishes picks its successor itself
+// (Sim.next): the head of the FIFO ready queue or, when that is empty, the
+// clock jumps to the earliest pending timer and every process due at that
+// instant becomes ready in the order the timers were set — so whoever finds
+// the ready queue empty is the one that advances the clock. If it picked
+// itself (a sleeper that is the only runnable process) it simply goes on;
+// otherwise it passes the baton with one send on the successor's
+// 1-buffered resume channel and parks on its own. That send, and the
+// receive that completes it, is the happens-before edge between everything
+// the old holder wrote and everything the new holder reads; Run's start
+// and the idle signal are the same edge to and from the caller of Run.
+//
+// A value sent to a parked receiver travels through the channel's own
+// hand-off queue, not a per-receive slot: receivers may share one FIFO
+// because they resume in the order they were woken (see Chan.handed).
+//
+// Exactly one site decides that nothing can run: Sim.pass, when the ready
+// queue and the timer heap are both empty. It signals Run, which returns
+// nil if no process is left and a *DeadlockError otherwise. A kernel that
+// outlives one batch of work — one that external goroutines hand work to —
+// will park at that site instead of returning.
 //
 // The kernel is the substrate for the CSD emulator and the database
 // clients: group-switch latencies, transfer times and query processing
@@ -18,7 +44,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"time"
@@ -28,17 +53,21 @@ import (
 // with Spawn, then call Run. A Sim must not be reused after Run returns.
 type Sim struct {
 	now     time.Duration
-	ready   []*Proc // FIFO queue of runnable processes
+	ready   ring[*Proc] // runnable processes, FIFO
 	timers  timerHeap
-	procs   []*Proc
-	seq     int // tie-break counter for timers
+	live    []*Proc // spawned and not finished, in no particular order
+	spawned int     // processes ever spawned: the next Proc.ID
+	seq     int     // tie-break counter for timers
 	running bool
 	halted  bool
+	// idle tells Run that nothing can run any more. Buffered so the last
+	// process can signal and exit without waiting for Run to be scheduled.
+	idle chan struct{}
 }
 
 // NewSim returns an empty simulator with the clock at zero.
 func NewSim() *Sim {
-	return &Sim{}
+	return &Sim{idle: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time.
@@ -47,16 +76,17 @@ func (s *Sim) Now() time.Duration { return s.now }
 // Proc is a simulated process. All blocking methods must be called from
 // the process's own function, never from another goroutine.
 type Proc struct {
-	id     int
-	name   string
-	sim    *Sim
-	resume chan struct{} // scheduler -> proc: run
-	yield  chan struct{} // proc -> scheduler: paused or done
-	done   bool
+	id   int
+	name string
+	sim  *Sim
+	// resume receives the baton. Buffered so the holder hands off without
+	// waiting for this process's goroutine to reach its receive.
+	resume chan struct{}
+	slot   int // index in sim.live
 	// waitOp ("send" or "recv") and waitChan name the channel operation
 	// the process last paused in. Only a deadlock report reads them, and
 	// every process alive at a deadlock is paused in one: a sleeper holds
-	// a timer, and Run reports a deadlock only when none is pending.
+	// a timer, and a deadlock is reported only when none is pending.
 	waitOp, waitChan string
 }
 
@@ -80,21 +110,33 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		panic("vtime: Spawn after Run returned")
 	}
 	p := &Proc{
-		id:     len(s.procs),
+		id:     s.spawned,
 		name:   name,
 		sim:    s,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
+		resume: make(chan struct{}, 1),
+		slot:   len(s.live),
 	}
-	s.procs = append(s.procs, p)
+	s.spawned++
+	s.live = append(s.live, p)
 	go func() {
 		<-p.resume
 		fn(p)
-		p.done = true
-		p.yield <- struct{}{}
+		s.finish(p)
 	}()
-	s.ready = append(s.ready, p)
+	s.makeReady(p)
 	return p
+}
+
+// finish retires p, the baton holder, and passes the baton on. The live
+// set forgets p (the last entry takes its slot), so a finished process is
+// reachable from nothing the kernel holds.
+func (s *Sim) finish(p *Proc) {
+	last := len(s.live) - 1
+	s.live[p.slot] = s.live[last]
+	s.live[p.slot].slot = p.slot
+	s.live[last] = nil
+	s.live = s.live[:last]
+	s.pass(nil)
 }
 
 // timer is a pending wake-up for a sleeping process.
@@ -104,22 +146,61 @@ type timer struct {
 	proc *Proc
 }
 
+func (t timer) before(u timer) bool {
+	if t.at != u.at {
+		return t.at < u.at
+	}
+	return t.seq < u.seq
+}
+
+// timerHeap is a binary min-heap of timers ordered by (at, seq). seq is
+// unique, so the pop order is a total order no heap layout can change.
 type timerHeap []timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *timerHeap) push(t timer) {
+	a := append(*h, t)
+	i := len(a) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(a[parent]) {
+			break
+		}
+		a[i] = a[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	a[i] = t
+	*h = a
 }
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(timer)) }
-func (h *timerHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-func (h timerHeap) peek() timer   { return h[0] }
-func (s *Sim) pushTimer(p *Proc, at time.Duration) {
-	s.seq++
-	heap.Push(&s.timers, timer{at: at, seq: s.seq, proc: p})
+
+// pop removes and returns the earliest timer. The heap must not be empty.
+func (h *timerHeap) pop() timer {
+	a := *h
+	top := a[0]
+	last := len(a) - 1
+	t := a[last]
+	a[last] = timer{}
+	a = a[:last]
+	*h = a
+	if last == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= last {
+			break
+		}
+		if child+1 < last && a[child+1].before(a[child]) {
+			child++
+		}
+		if !a[child].before(t) {
+			break
+		}
+		a[i] = a[child]
+		i = child
+	}
+	a[i] = t
+	return top
 }
 
 // Sleep suspends the process for d of virtual time. Negative durations are
@@ -130,7 +211,8 @@ func (p *Proc) Sleep(d time.Duration) {
 		d = 0
 	}
 	s := p.sim
-	s.pushTimer(p, s.now+d)
+	s.seq++
+	s.timers.push(timer{at: s.now + d, seq: s.seq, proc: p})
 	p.pause()
 }
 
@@ -138,10 +220,13 @@ func (p *Proc) Sleep(d time.Duration) {
 // virtual time. Equivalent to Sleep(0).
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// pause hands control back to the scheduler and waits to be resumed.
+// pause gives the baton up and returns once p holds it again. The caller
+// has already queued p somewhere that will make it ready: a timer or a
+// channel's wait queue.
 func (p *Proc) pause() {
-	p.yield <- struct{}{}
-	<-p.resume
+	if !p.sim.pass(p) {
+		<-p.resume
+	}
 }
 
 // pauseOn is pause for a process that blocks in op on the named channel.
@@ -152,17 +237,47 @@ func (p *Proc) pauseOn(op, channel string) {
 
 // makeReady appends p to the runnable queue.
 func (s *Sim) makeReady(p *Proc) {
-	s.ready = append(s.ready, p)
+	s.ready.push(p)
 }
 
-// step runs one runnable process until it yields. Caller guarantees
-// len(s.ready) > 0.
-func (s *Sim) step() {
-	p := s.ready[0]
-	copy(s.ready, s.ready[1:])
-	s.ready = s.ready[:len(s.ready)-1]
-	p.resume <- struct{}{}
-	<-p.yield
+// next picks the process that runs next: the head of the ready queue, or
+// — when that is empty — the first of the processes whose timers are due
+// at the earliest pending instant, to which the clock jumps. It returns
+// nil when there is neither.
+func (s *Sim) next() *Proc {
+	if s.ready.len() == 0 {
+		if len(s.timers) == 0 {
+			return nil
+		}
+		at := s.timers[0].at
+		if at < s.now {
+			panic("vtime: time went backwards")
+		}
+		s.now = at
+		// Wake every timer due at this instant, in registration order.
+		for len(s.timers) > 0 && s.timers[0].at == at {
+			s.makeReady(s.timers.pop().proc)
+		}
+	}
+	return s.ready.pop()
+}
+
+// pass moves the baton from its holder to the next process. from is the
+// holder when it stays alive (it has blocked) and nil when it does not
+// (a finished process, or Run before the first process starts). pass
+// reports whether from itself is next, in which case the baton never
+// moved; otherwise the caller must not touch kernel state again until it
+// is resumed. With nothing left to run, pass signals Run instead.
+func (s *Sim) pass(from *Proc) bool {
+	switch to := s.next(); {
+	case to == nil:
+		s.idle <- struct{}{}
+	case to == from:
+		return true
+	default:
+		to.resume <- struct{}{}
+	}
+	return false
 }
 
 // DeadlockError reports that Run stopped with processes blocked forever.
@@ -183,34 +298,16 @@ func (s *Sim) Run() error {
 	}
 	s.running = true
 	defer func() { s.running = false; s.halted = true }()
-	for {
-		for len(s.ready) > 0 {
-			s.step()
-		}
-		if s.timers.Len() > 0 {
-			at := s.timers.peek().at
-			if at < s.now {
-				panic("vtime: time went backwards")
-			}
-			s.now = at
-			// Wake every timer due at this instant, in registration order.
-			for s.timers.Len() > 0 && s.timers.peek().at == at {
-				t := heap.Pop(&s.timers).(timer)
-				s.makeReady(t.proc)
-			}
-			continue
-		}
-		// No runnable processes and no timers: either done or deadlocked.
-		var stuck []string
-		for _, p := range s.procs {
-			if !p.done {
-				stuck = append(stuck, fmt.Sprintf("%s: %s on %s", p.name, p.waitOp, p.waitChan))
-			}
-		}
-		if len(stuck) == 0 {
-			return nil
-		}
-		sort.Strings(stuck)
-		return &DeadlockError{At: s.now, Blocked: stuck}
+	s.pass(nil)
+	<-s.idle
+	// Nothing is runnable and no timer is pending: done or deadlocked.
+	if len(s.live) == 0 {
+		return nil
 	}
+	stuck := make([]string, len(s.live))
+	for i, p := range s.live {
+		stuck[i] = fmt.Sprintf("%s: %s on %s", p.name, p.waitOp, p.waitChan)
+	}
+	sort.Strings(stuck)
+	return &DeadlockError{At: s.now, Blocked: stuck}
 }

@@ -3,21 +3,27 @@
 #
 #   scripts/bench_pairs.sh <parent-ref> [pairs] [bench args...]
 #
-# Checks <parent-ref> out into a temporary git worktree and runs `pairs`
-# (default 10) pairs of `bash bench/run.sh --trace 0 [bench args...]`, one
-# run from the worktree (parent) and one from this working tree (change),
+# Extracts <parent-ref> (git archive) into a temporary directory and runs
+# `pairs` (default 10) pairs of `bash bench/run.sh [bench args...]`, one run
+# from that copy (parent) and one from this working tree (change),
 # alternating which side goes first. Each side builds its own benchmark
-# binary from its own source. Prints, per workload x end-to-end metric, each
-# side's median [q1-q3] (quartiles by linear interpolation), change/parent
-# and the pairs the change won (a lower value wins, ties count for neither),
-# as the markdown table docs/reports/ uses. Fails if any run does.
+# binary from its own source. The bench args choose the pass: `--trace 0`
+# (the default when they name none) pairs the end-to-end metrics, `--trace
+# 1` every per-layer metric on the result line — the wall-clock ones
+# (ops_per_s, op_wall_p50_ms, *.self_ms_per_op, the vtime and csd probes)
+# included. Prints, per workload x metric, each side's median [q1-q3]
+# (quartiles by linear interpolation), change/parent and the pairs the
+# change won, as the markdown table docs/reports/ uses. A lower value wins
+# unless BENCHMARK.json marks the metric `better: higher` (the table says
+# so); ties count for neither. Fails if any run does.
 #
 #   scripts/bench_pairs.sh HEAD~1 10 --seed 1
+#   scripts/bench_pairs.sh HEAD~1 10 --seed 1 --trace 1 --workload serve-micro
 #   scripts/bench_pairs.sh HEAD 1 -scale tiny -seconds 0.1     # CI smoke
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,17p' "$0" >&2
+	sed -n '2,23p' "$0" >&2
 	exit 2
 fi
 ref=$1
@@ -28,15 +34,20 @@ if [[ ${1:-} =~ ^[0-9]+$ ]]; then
 	shift
 fi
 
+traced=0
+for arg in "$@"; do
+	case $arg in -trace | --trace | -trace=* | --trace=*) traced=1 ;; esac
+done
+if ((!traced)); then
+	set -- --trace 0 "$@"
+fi
+
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 parent="$tmp/parent"
-cleanup() {
-	git -C "$root" worktree remove --force "$parent" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach "$parent" "$ref" >/dev/null
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$parent"
+git -C "$root" archive "$ref" | tar -x -C "$parent"
 
 # run <side> <dir> <pair> [bench args...]: one benchmark run; appends
 # "workload metric side pair value" lines to the sample file.
@@ -46,7 +57,7 @@ run() {
 	echo "pair $pair/$pairs: $side" >&2
 	# The benchmark names the workload on stderr, then prints its result
 	# line on stdout: read both in order, pass everything else through.
-	(cd "$dir" && bash bench/run.sh --trace 0 "$@" 2>&1) | awk -v side="$side" -v pair="$pair" '
+	(cd "$dir" && bash bench/run.sh "$@" 2>&1) | awk -v side="$side" -v pair="$pair" '
 		/^== / { workload = $2 }
 		!/^\{"correct"/ { print > "/dev/stderr" }
 		/^\{"correct"/ {
@@ -71,6 +82,8 @@ for ((pair = 1; pair <= pairs; pair++)); do
 	fi
 done
 
+# The metrics BENCHMARK.json marks `better: higher` come first, as
+# "higher <name>" lines, then the samples.
 awk -v pairs="$pairs" '
 	function quantile(a, n, p,    pos, lo) {
 		pos = (n - 1) * p
@@ -84,10 +97,12 @@ awk -v pairs="$pairs" '
 		for (i = 1; i <= pairs; i++) if ((key, side, i) in v) a[n++] = v[key, side, i]
 		for (i = 1; i < n; i++) for (j = i; j > 0 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
 		med[side] = quantile(a, n, 0.5)
-		return sprintf("%.4g [%.4g–%.4g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
+		return sprintf("%.6g [%.6g–%.6g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
 	}
+	$1 == "higher" { higher[$2] = 1; next }
 	{
 		key = $1 " | " $2
+		if ($2 in higher) key = key " (higher wins)"
 		if (!(key in seen)) { seen[key] = 1; order[nkeys++] = key }
 		v[key, $3, $4] = $5
 	}
@@ -97,10 +112,14 @@ awk -v pairs="$pairs" '
 		for (k = 0; k < nkeys; k++) {
 			key = order[k]
 			won = 0
-			for (i = 1; i <= pairs; i++) if (v[key, "change", i] + 0 < v[key, "parent", i] + 0) won++
+			up = key ~ /higher wins/
+			for (i = 1; i <= pairs; i++) {
+				d = v[key, "change", i] - v[key, "parent", i]
+				if (up ? d > 0 : d < 0) won++
+			}
 			p = summary(key, "parent")
 			c = summary(key, "change")
 			ratio = med["parent"] == 0 ? "n/a" : sprintf("%.3f", med["change"] / med["parent"])
 			printf "| %s | %s | %s | %s | %d/%d |\n", key, p, c, ratio, won, pairs
 		}
-	}' "$tmp/samples"
+	}' <(awk '/"name":/ { name = $2; gsub(/[",]/, "", name) } /"better": *"higher"/ { print "higher", name }' "$root/BENCHMARK.json") "$tmp/samples"
