@@ -91,40 +91,9 @@ func main() {
 	}
 	p.Format = wireFmt
 
-	type gen func() (*experiments.Figure, error)
-	static := func(f *experiments.Figure) gen {
-		return func() (*experiments.Figure, error) { return f, nil }
-	}
-	type entry struct {
-		id string
-		fn gen
-	}
-	all, arg := []entry{
-		{"table1", static(experiments.Table1())},
-		{"2", static(experiments.Figure2())},
-		{"3", static(experiments.Figure3())},
-		{"4", p.Figure4},
-		{"5", p.Figure5},
-		{"7", p.Figure7},
-		{"8", p.Figure8},
-		{"9", p.Figure9},
-		{"table3", p.Table3},
-		{"10", p.Figure10},
-		{"11a", p.Figure11a},
-		{"11b", p.Figure11b},
-		{"11c", p.Figure11c},
-		{"12", p.Figure12},
-		{"selectivity", p.FigureSelectivity},
-	}, *figArg
+	all, arg := p.Figures(), *figArg
 	if *reportArg != "" {
-		all, arg = []entry{
-			{"prune", p.PruneReport},
-			{"proj", p.ProjectionReport},
-			{"cache", p.CacheReport},
-			{"pipeline", p.PipelineReport},
-			{"faults", p.FaultReport},
-			{"scale", p.ScaleReport},
-		}, *reportArg
+		all, arg = p.Reports(), *reportArg
 	}
 
 	want := map[string]bool{}
@@ -135,13 +104,13 @@ func main() {
 
 	matched := false
 	for _, e := range all {
-		if !runAll && !want[e.id] {
+		if !runAll && !want[e.ID] {
 			continue
 		}
 		matched = true
-		f, err := e.fn()
+		f, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: %s: %v\n", e.id, err)
+			fmt.Fprintf(os.Stderr, "skipperbench: %s: %v\n", e.ID, err)
 			os.Exit(1)
 		}
 		if *outFmt == "csv" {

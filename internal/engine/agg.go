@@ -65,7 +65,7 @@ type HashAgg struct {
 	groups []GroupCol
 	aggs   []AggSpec
 	// groupKeys is 0..len(groups)-1: the key columns of a row of group
-	// values, for tuple.HashRowKey and keysEqual.
+	// values, for tuple.HashRowKey.
 	groupKeys []int
 	schema    *tuple.Schema
 	dop       int
@@ -149,14 +149,17 @@ type aggTable struct {
 
 func newAggTable() *aggTable { return &aggTable{byHash: make(map[uint64]*accum)} }
 
-// find returns the group with the given values (keys lists their
-// positions), nil if there is none. Values of different kinds never share
-// a group, equal payloads or not.
-func (t *aggTable) find(hash uint64, groupV tuple.Row, keys []int) *accum {
+// find returns the group with the given values, nil if there is none.
+// Values of different kinds never share a group, equal payloads or not.
+func (t *aggTable) find(hash uint64, groupV tuple.Row) *accum {
+next:
 	for acc := t.byHash[hash]; acc != nil; acc = acc.next {
-		if keysEqual(acc.groupV, keys, groupV, keys) {
-			return acc
+		for i, v := range acc.groupV {
+			if v.K != groupV[i].K || !tuple.Equal(v, groupV[i]) {
+				continue next
+			}
 		}
+		return acc
 	}
 	return nil
 }
@@ -180,7 +183,7 @@ func (a *HashAgg) foldRow(t *aggTable, row tuple.Row) error {
 		t.gv = append(t.gv, v)
 	}
 	hash := tuple.HashRowKey(t.gv, a.groupKeys)
-	acc := t.find(hash, t.gv, a.groupKeys)
+	acc := t.find(hash, t.gv)
 	if acc == nil {
 		acc = a.newAccum(hash, t.gv.Clone())
 		t.insert(acc)
@@ -279,7 +282,7 @@ func (a *HashAgg) drainParallel() (*aggTable, error) {
 	t := tables[0]
 	for _, part := range tables[1:] {
 		for _, acc := range part.order {
-			if dst := t.find(acc.hash, acc.groupV, a.groupKeys); dst != nil {
+			if dst := t.find(acc.hash, acc.groupV); dst != nil {
 				a.mergeAccum(dst, acc)
 			} else {
 				t.insert(acc)

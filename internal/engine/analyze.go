@@ -44,16 +44,8 @@ func (o *OpStats) observe(d time.Duration, b *tuple.Batch, ok bool) {
 // batchLogicalBytes estimates the logical payload size of a batch.
 func batchLogicalBytes(b *tuple.Batch) int64 {
 	var total int64
-	sc := b.Schema()
-	for c := 0; c < sc.Len(); c++ {
-		col := b.Col(c)
-		if sc.Cols[c].Kind == tuple.KindString {
-			for _, v := range col {
-				total += int64(len(v.S))
-			}
-		} else {
-			total += 8 * int64(len(col))
-		}
+	for c, col := range b.Schema().Cols {
+		total += b.Col(c).Size(col.Kind, b.Len())
 	}
 	return total
 }

@@ -38,7 +38,7 @@ func (r *oneRowIter) NextBatch() (*tuple.Batch, bool, error) {
 		r.in, r.idx = b, 0
 	}
 	out := sizedOutput(&r.out, r.Schema(), 1)
-	out.AppendBatchRow(r.in, r.idx)
+	out.AppendRange(r.in, r.idx, r.idx+1)
 	r.idx++
 	return out, true, nil
 }

@@ -215,6 +215,16 @@ func NewSeqScan(ctx *Ctx, table *catalog.TableMeta) *SeqScan {
 	return &SeqScan{ctx: ctx, table: table, tr: ctx.Trace}
 }
 
+// NewLegScan is NewSeqScan running a leg the caller already built over the
+// table's schema; Project and Filter are the leg's.
+func NewLegScan(ctx *Ctx, table *catalog.TableMeta, leg *Leg) *SeqScan {
+	s := &SeqScan{ctx: ctx, table: table, tr: ctx.Trace, Filter: leg.filter, leg: leg}
+	if leg.schema != leg.table { // a nil projection stays nil
+		s.Project = leg.cols
+	}
+	return s
+}
+
 // Schema implements Iterator: the table schema restricted to Project.
 func (s *SeqScan) Schema() *tuple.Schema {
 	if s.leg == nil {

@@ -445,9 +445,9 @@ func TestHashAggSeparatorsInGroupValues(t *testing.T) {
 
 // TestHashAggOutputOrder pins the order HashAgg has always emitted groups
 // in: by the text "kind|display" of the group values, so int 10 sorts
-// before int 9, every int before every float, floats before strings,
-// strings before dates — and same payload under another kind is another
-// group. A Sort on top orders by value as usual.
+// before int 9 and a date sorts by its rendering, whatever the kind. A Sort
+// on top orders by value as usual. (A batch column holds cells of one kind,
+// so one group column cannot mix kinds any more.)
 func TestHashAggOutputOrder(t *testing.T) {
 	sch := tuple.NewSchema(tuple.Column{Name: "g", Kind: tuple.KindInt64})
 	group := []GroupCol{{Name: "g", Kind: tuple.KindInt64, E: expr.Bind(sch, "g")}}
@@ -465,21 +465,28 @@ func TestHashAggOutputOrder(t *testing.T) {
 		return out
 	}
 
-	mixed := []tuple.Row{
-		{tuple.Int(9)}, {tuple.Str("9")}, {tuple.Int(10)}, {tuple.DateFromDays(3)},
-		{tuple.Float(2.5)}, {tuple.Int(3)}, {tuple.Int(9)}, {tuple.Str("10")},
-	}
-	got := render(NewHashAgg(NewValues(sch, mixed), group, count))
-	want := []string{
-		"int64:10 x1", "int64:3 x1", "int64:9 x2", "float64:2.5 x1",
-		"string:10 x1", "string:9 x1", "date:1970-01-04 x1",
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mixed kinds:\n got %v\nwant %v", got, want)
+	for _, tc := range []struct {
+		kind tuple.Kind
+		in   []tuple.Value
+		want []string
+	}{
+		{tuple.KindString, []tuple.Value{tuple.Str("9"), tuple.Str("10"), tuple.Str("9")}, []string{"string:10 x1", "string:9 x2"}},
+		{tuple.KindFloat64, []tuple.Value{tuple.Float(2.5), tuple.Float(10), tuple.Float(-1)}, []string{"float64:-1 x1", "float64:10 x1", "float64:2.5 x1"}},
+		{tuple.KindDate, []tuple.Value{tuple.DateFromDays(400), tuple.DateFromDays(3), tuple.DateFromDays(3)}, []string{"date:1970-01-04 x2", "date:1971-02-05 x1"}},
+	} {
+		ksch := tuple.NewSchema(tuple.Column{Name: "g", Kind: tc.kind})
+		var in []tuple.Row
+		for _, v := range tc.in {
+			in = append(in, tuple.Row{v})
+		}
+		got := render(NewHashAgg(NewValues(ksch, in), []GroupCol{{Name: "g", Kind: tc.kind, E: expr.Bind(ksch, "g")}}, count))
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Fatalf("%v groups:\n got %v\nwant %v", tc.kind, got, tc.want)
+		}
 	}
 
 	ints := []tuple.Row{{tuple.Int(9)}, {tuple.Int(10)}, {tuple.Int(3)}, {tuple.Int(10)}}
-	got = render(NewHashAgg(NewValues(sch, ints), group, count))
+	got := render(NewHashAgg(NewValues(sch, ints), group, count))
 	if want := []string{"int64:10 x2", "int64:3 x1", "int64:9 x1"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ints, no Sort:\n got %v\nwant %v", got, want)
 	}

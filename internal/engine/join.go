@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/tuple"
@@ -13,52 +14,52 @@ import (
 // MJoin: the build side is pulled in its entirety before the first probe
 // tuple is requested, pinning the storage access order to the plan shape.
 //
-// Both sides move batch-at-a-time: the build side is hashed with one
-// vectorized pass per batch, and probe batches are hashed up front so the
-// inner match loop does no hashing at all.
+// The build side is kept the way it arrives, as typed column vectors: one
+// batch of every build row, hashed in one pass and chained by a HashIndex.
+// A probe batch is hashed up front; probing walks the chains collecting
+// (build row, probe row) id pairs, verifies the pairs' keys column against
+// column, and gathers the survivors into the output batch column by column
+// — in probe row order, then build order. Neither side materializes a row.
 //
-// With Parallelize(dop > 1) both phases use the morsel pool: build
-// batches are scattered by key hash into per-worker partitions that are
-// then merged into per-partition tables concurrently, and each probe
-// batch is split into row ranges joined by dop workers at once. The
-// output multiset is identical to the serial join's; only row order may
-// differ.
+// With Parallelize(dop > 1) dop workers join row ranges of each probe batch
+// at once against that same read-only build side: the serial join's output,
+// batched differently.
 type HashJoin struct {
 	left, right         Iterator
 	leftKeys, rightKeys []int
 	schema              *tuple.Schema
 	dop                 int
 
-	// index chains the indices into buildRows by key hash (serial build).
-	index     tuple.HashIndex
-	buildRows []tuple.Row
+	// build holds every build row and index chains them by key hash; both
+	// are only read once Open returns.
+	build *tuple.Batch
+	index tuple.HashIndex
 
-	// Parallel build state: partition p holds the build rows whose key
-	// hash satisfies h % len(partRows) == p, with partTables[p] mapping
-	// hash -> indices into partRows[p].
-	partRows   [][]tuple.Row
-	partTables []map[uint64][]int32
-
-	// probe-side cursor state (serial probe)
+	// The probe batch being joined, its key hashes and the serial probe's
+	// place in it.
 	probeBatch  *tuple.Batch
 	probeHashes []uint64
-	probeIdx    int
-	probeRow    tuple.Row
-	// match is the next build row of the probe row's bucket to look at,
-	// -1 once the chain is exhausted.
-	match int32
+	cur         probeCursor
 
-	// Parallel probe output: per-worker reused columnar buffers plus the
-	// queue of non-empty ones awaiting service for the current probe
-	// batch. A queued buffer is only reset after the whole queue drains
-	// and the next probe batch arrives, honoring the batch-validity
-	// contract.
+	// Parallel probe: per-worker cursors and reused output batches, and the
+	// non-empty ones still to serve for the current probe batch. A queued
+	// batch is reset only once the queue has drained and the next probe
+	// batch arrives, honoring the batch-validity contract.
+	parCur   []probeCursor
 	parOut   []*tuple.Batch
 	parQueue []*tuple.Batch
 
 	out    *tuple.Batch
-	outBuf tuple.Row
 	ostats *OpStats
+}
+
+// probeCursor is one prober's place in a probe batch — the next build row
+// of probe row's chain to look at, -1 once the chain is exhausted — and its
+// scratch: the (build row, probe row) pairs of the gather in progress.
+type probeCursor struct {
+	row   int
+	match int32
+	ids   [2][]int32
 }
 
 // NewHashJoin joins left and right on equality of the given key columns
@@ -91,149 +92,74 @@ func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
 // setParallelism implements parallelizable.
 func (j *HashJoin) setParallelism(dop int) { j.dop = normDOP(dop) }
 
-func keysEqual(a tuple.Row, ak []int, b tuple.Row, bk []int) bool {
-	for i := range ak {
-		av, bv := a[ak[i]], b[bk[i]]
-		if av.K != bv.K || !tuple.Equal(av, bv) {
-			return false
-		}
-	}
-	return true
-}
-
-// Open implements Iterator: drains the build side batch-at-a-time, hashing
-// each batch's key columns in one vectorized pass.
+// Open implements Iterator: drains the build side and indexes it.
 func (j *HashJoin) Open() error {
 	if err := j.left.Open(); err != nil {
 		return err
 	}
-	var buildErr error
-	if j.dop > 1 {
-		buildErr = j.buildParallel()
-	} else {
-		buildErr = j.buildSerial()
-	}
-	if buildErr != nil {
+	if err := j.buildSide(); err != nil {
 		j.left.Close()
-		return buildErr
+		return err
 	}
 	if err := j.left.Close(); err != nil {
 		return err
 	}
-	j.probeBatch, j.probeIdx, j.match = nil, 0, -1
-	j.parQueue = nil
+	j.probeBatch, j.parQueue = nil, nil
 	return j.right.Open()
 }
 
-// buildSerial is the DOP=1 build: one goroutine hashes every build batch
-// and indexes the collected rows once the side is drained.
-func (j *HashJoin) buildSerial() error {
-	j.buildRows = j.buildRows[:0]
-	var hashes, all []uint64 // of the current batch, of every build row
+// buildSide drains the build input into j.build — a copy of each batch's
+// typed vectors, appended to one batch that doubles when it runs out — then
+// hashes and indexes it in one pass.
+func (j *HashJoin) buildSide() error {
+	j.build = nil
 	for {
 		b, ok, err := j.left.NextBatch()
 		if err != nil {
 			return err
 		}
 		if !ok {
-			j.index.Build(all)
-			return nil
+			break
 		}
-		hashes = b.HashColumns(j.leftKeys, hashes)
-		all = append(all, hashes...)
-		j.buildRows = b.AppendRows(j.buildRows)
-	}
-}
-
-// buildPart is one worker's slice of one hash partition: rows and their
-// precomputed key hashes, appended contention-free during the scatter
-// phase.
-type buildPart struct {
-	hashes []uint64
-	rows   []tuple.Row
-}
-
-// buildParallel is the DOP>1 build. Phase 1 scatters: the morsel pool
-// hashes each build batch and spreads its rows over P = 4*dop hash
-// partitions, each worker writing only its own partition slices. Phase 2
-// merges: workers claim whole partitions and fuse the per-worker slices
-// into that partition's table, so no two goroutines ever touch the same
-// map.
-func (j *HashJoin) buildParallel() error {
-	numParts := 4 * j.dop
-	parts := make([][]buildPart, j.dop)
-	for w := range parts {
-		parts[w] = make([]buildPart, numParts)
-	}
-	hashBufs := make([][]uint64, j.dop)
-	err := runMorsels(j.left, j.dop, func(w int, b *tuple.Batch) error {
-		hashBufs[w] = b.HashColumns(j.leftKeys, hashBufs[w])
-		rows := b.Rows()
-		mine := parts[w]
-		for i, row := range rows {
-			h := hashBufs[w][i]
-			p := &mine[int(h%uint64(numParts))]
-			p.hashes = append(p.hashes, h)
-			p.rows = append(p.rows, row)
+		if j.build == nil {
+			j.build = tuple.NewBatch(b.Schema(), b.Len())
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		j.build.Reserve(b.Len())
+		j.build.AppendBatch(b)
 	}
-	j.partRows = make([][]tuple.Row, numParts)
-	j.partTables = make([]map[uint64][]int32, numParts)
-	total := 0
-	for w := range parts {
-		for p := range parts[w] {
-			total += len(parts[w][p].rows)
-		}
+	if j.build == nil {
+		j.build = tuple.NewBatch(j.left.Schema(), 0)
 	}
-	mergeStripe := func(w, stride int) {
-		for p := w; p < numParts; p += stride {
-			n := 0
-			for ww := range parts {
-				n += len(parts[ww][p].rows)
-			}
-			if n == 0 {
-				continue
-			}
-			rows := make([]tuple.Row, 0, n)
-			table := make(map[uint64][]int32, n)
-			for ww := range parts {
-				bp := &parts[ww][p]
-				for i, row := range bp.rows {
-					table[bp.hashes[i]] = append(table[bp.hashes[i]], int32(len(rows)))
-					rows = append(rows, row)
-				}
-			}
-			j.partRows[p], j.partTables[p] = rows, table
-		}
-	}
-	// A small build side is merged inline: spinning up goroutines to
-	// build a few dozen map entries costs more than the maps.
-	if total < DefaultBatchSize {
-		mergeStripe(0, 1)
-		return nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < j.dop; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			mergeStripe(w, j.dop)
-		}(w)
-	}
-	wg.Wait()
+	j.index.Build(j.build.HashColumns(j.leftKeys, nil))
 	return nil
 }
 
-// loadProbeRow positions the match cursor on probe row i of the current
-// batch.
-func (j *HashJoin) loadProbeRow(i int) {
-	j.probeIdx = i
-	j.probeRow = j.probeBatch.AppendRowTo(j.probeRow[:0], i)
-	j.match = j.index.First(j.probeHashes[i])
+// probe joins probe rows [c.row, end) of b, resuming where c stands, and
+// gathers the matches into out, a batch of id pairs at a time. With stopFull
+// it returns once out is full, to resume on the next call; without, out grows.
+func (j *HashJoin) probe(c *probeCursor, b *tuple.Batch, end int, out *tuple.Batch, stopFull bool) {
+	srcs := []*tuple.Batch{j.build, b}
+	for c.row < end && !(stopFull && out.Full()) {
+		room := DefaultBatchSize
+		if stopFull {
+			room = out.Cap() - out.Len()
+		}
+		bids, pids := slices.Grow(c.ids[0][:0], room), slices.Grow(c.ids[1][:0], room)
+		for c.row < end && len(bids) < room {
+			for ; c.match >= 0 && len(bids) < room; c.match = j.index.Next(c.match) {
+				bids, pids = append(bids, c.match), append(pids, int32(c.row))
+			}
+			if c.match < 0 {
+				if c.row++; c.row < end {
+					c.match = j.index.First(j.probeHashes[c.row])
+				}
+			}
+		}
+		// A bucket chains rows of other keys too: keep the equal ones.
+		n := tuple.MatchKeys(j.build, j.leftKeys, bids, b, j.rightKeys, pids)
+		c.ids[0], c.ids[1] = bids, pids
+		out.AppendJoined(srcs, c.ids[:], 0, n)
+	}
 }
 
 // NextBatch implements Iterator: emits up to a batch of joined rows.
@@ -245,31 +171,19 @@ func (j *HashJoin) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
-	if j.dop > 1 {
-		return j.nextBatchParallel()
-	}
 	if j.out != nil {
 		j.out.Reset()
 	}
 	for {
-		for j.probeBatch != nil && j.probeIdx < j.probeBatch.Len() {
-			for j.match >= 0 {
-				build := j.buildRows[j.match]
-				j.match = j.index.Next(j.match)
-				if !keysEqual(build, j.leftKeys, j.probeRow, j.rightKeys) {
-					continue // another key of the same bucket
-				}
-				j.outBuf = append(j.outBuf[:0], build...)
-				j.outBuf = append(j.outBuf, j.probeRow...)
-				j.out.AppendRow(j.outBuf)
-				if j.out.Full() {
-					return j.out, true, nil
-				}
-			}
-			if j.probeIdx+1 < j.probeBatch.Len() {
-				j.loadProbeRow(j.probeIdx + 1)
-			} else {
-				j.probeIdx = j.probeBatch.Len()
+		if j.dop > 1 && len(j.parQueue) > 0 {
+			b := j.parQueue[0]
+			j.parQueue = j.parQueue[1:]
+			return b, true, nil
+		}
+		if j.dop <= 1 && j.probeBatch != nil {
+			j.probe(&j.cur, j.probeBatch, j.probeBatch.Len(), j.out, true)
+			if j.out.Full() {
+				return j.out, true, nil
 			}
 		}
 		b, ok, err := j.right.NextBatch()
@@ -277,58 +191,40 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 			return nil, false, err
 		}
 		if !ok {
+			j.probeBatch = nil
 			if j.out != nil && j.out.Len() > 0 {
 				return j.out, true, nil
 			}
 			return nil, false, nil
+		}
+		j.probeBatch = b
+		j.probeHashes = b.HashColumns(j.rightKeys, j.probeHashes)
+		if j.dop > 1 {
+			j.probeParallel(b)
+			continue
 		}
 		// An output batch that holds rows keeps its size until it is handed
 		// out; an empty one follows the probe side's batch size.
 		if j.out == nil || j.out.Len() == 0 {
 			sizedOutput(&j.out, j.schema, b.Len())
 		}
-		j.probeBatch = b
-		j.probeHashes = b.HashColumns(j.rightKeys, j.probeHashes)
-		j.loadProbeRow(0)
-	}
-}
-
-// nextBatchParallel serves the DOP>1 probe: each probe batch is hashed
-// once, split into contiguous row ranges joined by dop workers at once,
-// and the non-empty per-worker output batches are served one per call,
-// in range order.
-func (j *HashJoin) nextBatchParallel() (*tuple.Batch, bool, error) {
-	for {
-		if len(j.parQueue) > 0 {
-			b := j.parQueue[0]
-			j.parQueue = j.parQueue[1:]
-			return b, true, nil
-		}
-		b, ok, err := j.right.NextBatch()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			return nil, false, nil
-		}
-		j.probeHashes = b.HashColumns(j.rightKeys, j.probeHashes)
-		j.probeParallel(b)
+		j.cur.row, j.cur.match = 0, j.index.First(j.probeHashes[0])
 	}
 }
 
 // minParallelProbeRows is the probe-batch size below which forking
 // workers costs more than it saves; smaller batches probe inline on the
-// calling goroutine (against the same partitioned tables, so results are
-// unchanged).
+// calling goroutine.
 const minParallelProbeRows = 256
 
-// probeParallel joins one probe batch against the partitioned build
-// tables with dop workers over contiguous row ranges. Workers only read
-// the shared batch and tables; each appends matches to its own reused
-// columnar buffer, so steady-state probing allocates nothing.
+// probeParallel joins one probe batch against the build side with dop
+// workers over contiguous row ranges, queueing the non-empty per-worker
+// outputs in range order. Workers only read the shared batches, hashes and
+// index; each gathers into its own reused output batch, so steady-state
+// probing allocates nothing.
 func (j *HashJoin) probeParallel(b *tuple.Batch) {
 	if j.parOut == nil {
-		j.parOut = make([]*tuple.Batch, j.dop)
+		j.parCur, j.parOut = make([]probeCursor, j.dop), make([]*tuple.Batch, j.dop)
 		for w := range j.parOut {
 			j.parOut[w] = tuple.NewBatch(j.schema, min(b.Len(), DefaultBatchSize))
 		}
@@ -341,16 +237,17 @@ func (j *HashJoin) probeParallel(b *tuple.Batch) {
 	used := 0
 	splitRange(b.Len(), workers, func(part, start, end int) {
 		used++
-		out := j.parOut[part]
+		c, out := &j.parCur[part], j.parOut[part]
 		out.Reset()
+		c.row, c.match = start, j.index.First(j.probeHashes[start])
 		if workers == 1 {
-			j.probeRange(b, start, end, out)
+			j.probe(c, b, end, out, false)
 			return
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j.probeRange(b, start, end, out)
+			j.probe(c, b, end, out, false)
 		}()
 	})
 	wg.Wait()
@@ -362,37 +259,11 @@ func (j *HashJoin) probeParallel(b *tuple.Batch) {
 	}
 }
 
-// probeRange joins probe rows [start, end) of b into out, reading only
-// the shared batch, hash array and partitioned tables.
-func (j *HashJoin) probeRange(b *tuple.Batch, start, end int, out *tuple.Batch) {
-	numParts := uint64(len(j.partRows))
-	var probeRow, outBuf tuple.Row
-	for i := start; i < end; i++ {
-		h := j.probeHashes[i]
-		p := int(h % numParts)
-		matches := j.partTables[p][h]
-		if len(matches) == 0 {
-			continue
-		}
-		probeRow = b.AppendRowTo(probeRow[:0], i)
-		for _, mi := range matches {
-			build := j.partRows[p][mi]
-			if !keysEqual(build, j.leftKeys, probeRow, j.rightKeys) {
-				continue // hash collision
-			}
-			outBuf = append(outBuf[:0], build...)
-			outBuf = append(outBuf, probeRow...)
-			out.AppendRow(outBuf)
-		}
-	}
-}
-
 // Close implements Iterator.
 func (j *HashJoin) Close() error {
-	j.index, j.buildRows = tuple.HashIndex{}, nil
-	j.partRows, j.partTables = nil, nil
+	j.build, j.index = nil, tuple.HashIndex{}
 	j.probeBatch = nil
-	j.parOut, j.parQueue = nil, nil
+	j.parCur, j.parOut, j.parQueue = nil, nil, nil
 	return j.right.Close()
 }
 

@@ -1,0 +1,185 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/expr"
+	"repro/internal/tuple"
+)
+
+// referenceHashJoin is the row-at-a-time hash join this engine ran before
+// its build side became columnar, kept as the order oracle: the build side
+// as materialized rows under a HashIndex, each probe row walking its
+// bucket in build order and keeping the rows whose keys are equal. Output
+// rows are build row ++ probe row, in probe row order, then chain order.
+func referenceHashJoin(build, probe []*tuple.Batch, leftKeys, rightKeys []int) []tuple.Row {
+	var buildRows []tuple.Row
+	var hashes []uint64
+	for _, b := range build {
+		hashes = append(hashes, b.HashColumns(leftKeys, nil)...)
+		buildRows = b.AppendRows(buildRows)
+	}
+	var index tuple.HashIndex
+	index.Build(hashes)
+	var out []tuple.Row
+	for _, b := range probe {
+		for i, row := range b.Rows() {
+			for m := index.First(tuple.HashRowKey(row, rightKeys)); m >= 0; m = index.Next(m) {
+				if rowKeysEqual(buildRows[m], leftKeys, row, rightKeys) {
+					out = append(out, buildRows[m].Concat(b.Row(i)))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// rowKeysEqual is that join's key check: same kind, Equal values.
+func rowKeysEqual(a tuple.Row, ak []int, b tuple.Row, bk []int) bool {
+	for i := range ak {
+		if av, bv := a[ak[i]], b[bk[i]]; av.K != bv.K || !tuple.Equal(av, bv) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameRowsInOrder compares two results row by row, floats by Equal (NaN is
+// NaN, and -0 prints differently from 0 so String tells them apart).
+func sameRowsInOrder(t *testing.T, what string, got, want []tuple.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, reference has %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].String() != want[i].String() {
+			t.Fatalf("%s: row %d = %v, reference %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// chopped cuts rows into batches of the given sizes, cycling through them.
+func chopped(sch *tuple.Schema, rows []tuple.Row, sizes ...int) []*tuple.Batch {
+	var out []*tuple.Batch
+	for k := 0; len(rows) > 0; k++ {
+		n := min(sizes[k%len(sizes)], len(rows))
+		out = append(out, tuple.FromRows(sch, rows[:n]))
+		rows = rows[n:]
+	}
+	return out
+}
+
+// TestHashJoinMatchesRowReference: the columnar join returns the rows of
+// the row-at-a-time reference in the reference's order — over duplicate
+// keys on both sides, few buckets shared by many keys, an empty build or
+// probe side, int, string, float and two-column keys, probe batches small
+// enough that the output batch fills in the middle of a chain and large
+// enough to fork the parallel probe, at dop 1 and 4, and again on re-Open.
+func TestHashJoinMatchesRowReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	ls := tuple.NewSchema(
+		tuple.Column{Name: "li", Kind: tuple.KindInt64}, tuple.Column{Name: "ls", Kind: tuple.KindString},
+		tuple.Column{Name: "lf", Kind: tuple.KindFloat64}, tuple.Column{Name: "ld", Kind: tuple.KindDate},
+	)
+	rs := tuple.NewSchema(
+		tuple.Column{Name: "rf", Kind: tuple.KindFloat64}, tuple.Column{Name: "ri", Kind: tuple.KindInt64},
+		tuple.Column{Name: "rs", Kind: tuple.KindString},
+	)
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, 2.5}
+	gen := func(n, distinct int) (l, r []tuple.Row) {
+		for i := 0; i < n; i++ {
+			k := rng.Intn(distinct)
+			l = append(l, tuple.Row{tuple.Int(int64(k)), tuple.Str(fmt.Sprint("s", k%7)), tuple.Float(floats[k%len(floats)]), tuple.DateFromDays(int64(i))})
+			k = rng.Intn(distinct + 2) // some probe keys have no match
+			r = append(r, tuple.Row{tuple.Float(floats[k%len(floats)]), tuple.Int(int64(k)), tuple.Str(fmt.Sprint("s", k%9))})
+		}
+		return l, r
+	}
+	for _, tc := range []struct {
+		name               string
+		nBuild, nProbe     int
+		distinct           int
+		buildCut, probeCut []int
+	}{
+		{"duplicates, output fills mid-chain", 120, 90, 5, []int{50, 7}, []int{3, 1, 4}},
+		{"one batch each", 40, 40, 30, []int{1024}, []int{1024}},
+		{"wide probe batches fork the workers", 100, 1200, 80, []int{64}, []int{1024, 176}},
+		{"empty build side", 0, 50, 4, []int{8}, []int{16}},
+		{"empty probe side", 50, 0, 4, []int{8}, []int{16}},
+		{"single row", 1, 1, 1, []int{1}, []int{1}},
+	} {
+		lrows, rrows := gen(max(tc.nBuild, tc.nProbe), tc.distinct)
+		lrows, rrows = lrows[:tc.nBuild], rrows[:tc.nProbe]
+		build, probe := chopped(ls, lrows, tc.buildCut...), chopped(rs, rrows, tc.probeCut...)
+		for _, keys := range [][2][]int{
+			{{0}, {1}},       // int
+			{{1}, {2}},       // string
+			{{2}, {0}},       // float: 0 and -0 join, NaN joins NaN
+			{{0, 1}, {1, 2}}, // two columns
+			{{3}, {1}},       // date against int: kinds differ, nothing matches
+		} {
+			want := referenceHashJoin(build, probe, keys[0], keys[1])
+			for _, dop := range []int{1, 4} {
+				what := fmt.Sprintf("%s, keys %v, dop %d", tc.name, keys, dop)
+				join := Parallelize(NewHashJoin(NewBatchValues(ls, build), NewBatchValues(rs, probe), keys[0], keys[1]), dop)
+				for pass := 0; pass < 2; pass++ {
+					got, err := Collect(join)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					sameRowsInOrder(t, fmt.Sprintf("%s, pass %d", what, pass), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFloatKeysJoinAndGroupByValue: 0.0 and -0.0 are one key and NaN is a
+// key equal to itself — in a HashJoin and in a HashAgg, which used to split
+// ±0 by bit pattern and match NaN with every float.
+func TestFloatKeysJoinAndGroupByValue(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ls := tuple.NewSchema(tuple.Column{Name: "lf", Kind: tuple.KindFloat64}, tuple.Column{Name: "l", Kind: tuple.KindInt64})
+	rs := tuple.NewSchema(tuple.Column{Name: "rf", Kind: tuple.KindFloat64}, tuple.Column{Name: "r", Kind: tuple.KindInt64})
+	var lrows, rrows []tuple.Row
+	for i, f := range []float64{0, negZero, math.NaN(), 1} {
+		lrows = append(lrows, tuple.Row{tuple.Float(f), tuple.Int(int64(i))})
+	}
+	for i, f := range []float64{negZero, math.NaN(), 2} {
+		rrows = append(rrows, tuple.Row{tuple.Float(f), tuple.Int(int64(10 + i))})
+	}
+	for _, dop := range []int{1, 4} {
+		got, err := Collect(Parallelize(JoinOn(NewValues(ls, lrows), NewValues(rs, rrows), [][2]string{{"lf", "rf"}}), dop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// -0 finds 0 and -0 (build order), NaN finds NaN only, 2 nothing.
+		want := []string{"(0, 0, -0, 10)", "(-0, 1, -0, 10)", "(NaN, 2, NaN, 11)"}
+		if len(got) != len(want) {
+			t.Fatalf("dop %d: join returned %v, want %v", dop, got, want)
+		}
+		for i := range want {
+			if got[i].String() != want[i] {
+				t.Fatalf("dop %d: join row %d = %v, want %v", dop, i, got[i], want[i])
+			}
+		}
+
+		agg := Parallelize(NewHashAgg(NewValues(ls, lrows),
+			[]GroupCol{{Name: "g", Kind: tuple.KindFloat64, E: expr.Bind(ls, "lf")}},
+			[]AggSpec{{Kind: AggCount, Name: "n"}}), dop)
+		groups, err := Collect(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := map[string]int64{}
+		for _, g := range groups {
+			counts[fmt.Sprint(math.Abs(g[0].F))] += g[1].AsInt()
+		}
+		if len(groups) != 3 || counts["0"] != 2 || counts["NaN"] != 1 || counts["1"] != 1 {
+			t.Fatalf("dop %d: groups %v, want ±0 x2, NaN x1, 1 x1", dop, groups)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"repro/internal/expr"
 	"repro/internal/segment"
 	"repro/internal/tuple"
@@ -19,23 +21,36 @@ type Leg struct {
 	// column (every column, spelled out, for a nil projection).
 	table, schema *tuple.Schema
 	cols          []int
-	// filter is bound against table, not schema, and may only read cols.
-	// nil keeps every row.
-	filter expr.Expr
+	// filter is bound against table, not schema, and may only read cols;
+	// nil keeps every row. Only filterCols, the columns it names, become Values.
+	filter     expr.Expr
+	filterCols []int
 }
 
 // NewLeg builds the leg of a table with the given schema. cols lists, in
 // ascending order, the table columns the leg carries (nil = all, empty =
 // row counts only); filter is bound against table.
 func NewLeg(table *tuple.Schema, cols []int, filter expr.Expr) *Leg {
+	l := &Leg{table: table, schema: table, cols: cols, filter: filter}
 	if cols != nil {
-		return &Leg{table: table, schema: table.Project(cols), cols: cols, filter: filter}
+		l.schema = table.Project(cols)
+	} else {
+		l.cols = make([]int, table.Len())
+		for i := range l.cols {
+			l.cols[i] = i
+		}
 	}
-	cols = make([]int, table.Len())
-	for i := range cols {
-		cols[i] = i
+	if filter != nil {
+		seen := expr.Columns(filter, func(c expr.Col) {
+			if slices.Contains(l.cols, c.Idx) && !slices.Contains(l.filterCols, c.Idx) {
+				l.filterCols = append(l.filterCols, c.Idx)
+			}
+		})
+		if !seen { // a node expr cannot look into: assume it reads everything
+			l.filterCols = l.cols
+		}
 	}
-	return &Leg{table: table, schema: table, cols: cols, filter: filter}
+	return l
 }
 
 // Schema describes every batch the leg produces.
@@ -53,7 +68,7 @@ func segmentBytes(seg *segment.Segment, cd *segment.ColumnData) ScanBytes {
 
 // legScratch is a kernel caller's reusable filter state: the table-width
 // row a decoded position is presented to the filter through (only the
-// projected columns are ever set) and the selection vector.
+// columns the filter names are ever set) and the selection vector.
 type legScratch struct {
 	row tuple.Row
 	sel []int32
@@ -72,8 +87,8 @@ func (l *Leg) selectRows(cd *segment.ColumnData, rows []tuple.Row, lo, hi int, s
 		if cd == nil {
 			row = rows[i]
 		} else {
-			for _, c := range l.cols {
-				row[c] = cd.Cols[c][i]
+			for _, c := range l.filterCols {
+				row[c] = cd.Cols[c].Value(l.table.Cols[c].Kind, i)
 			}
 		}
 		keep, err := expr.EvalBool(l.filter, row)
@@ -110,33 +125,25 @@ func (l *Leg) appendRows(dst *tuple.Batch, cd *segment.ColumnData, rows []tuple.
 // the leg's rows as a batch the caller owns, allocated at the survivor
 // count. reuse is a decode buffer of a previous call, or nil; the buffer to
 // pass next time comes back. An unfiltered lazy segment is not copied at
-// all: it is decoded into fresh columns that the batch takes over, and
-// reuse comes back untouched. Decode errors wrap segment.ErrCorrupt.
+// all: the batch takes the decoded vectors over and the buffer comes back
+// without them. Decode errors wrap segment.ErrCorrupt.
 func (l *Leg) ReadSegment(seg *segment.Segment, reuse *segment.ColumnData) (*tuple.Batch, *segment.ColumnData, ScanBytes, error) {
 	var by ScanBytes
 	var cd *segment.ColumnData
 	n := len(seg.Rows)
 	if seg.Lazy() {
-		into := reuse
-		if l.filter == nil {
-			into = nil
-		}
 		var err error
-		if cd, err = seg.DecodeColumns(l.table, l.cols, into); err != nil {
+		if cd, err = seg.DecodeColumns(l.table, l.cols, reuse); err != nil {
 			return nil, reuse, by, err
 		}
-		by, n = segmentBytes(seg, cd), cd.NumRows
+		by, n, reuse = segmentBytes(seg, cd), cd.NumRows, cd
 		if l.filter == nil {
-			cols := cd.Cols
-			if l.schema != l.table {
-				cols = make([][]tuple.Value, len(l.cols))
-				for c, src := range l.cols {
-					cols[c] = cd.Cols[src]
-				}
+			cols := make([]tuple.Vector, len(l.cols))
+			for c, src := range l.cols {
+				cols[c], cd.Cols[src] = cd.Cols[src], tuple.Vector{}
 			}
-			return tuple.BatchOf(l.schema, cols, n), reuse, by, nil
+			return tuple.BatchOf(l.schema, cols, n), cd, by, nil
 		}
-		reuse = cd
 	}
 	var sc legScratch
 	survivors := n

@@ -55,7 +55,7 @@ func (f *Filter) nextBatch() (*tuple.Batch, bool, error) {
 				return nil, false, err
 			}
 			if keep {
-				out.AppendBatchRow(in, i)
+				out.AppendRange(in, i, i+1)
 			}
 		}
 		if out.Len() > 0 {
@@ -193,9 +193,7 @@ func (l *Limit) nextBatch() (*tuple.Batch, bool, error) {
 		return in, true, nil
 	}
 	out := sizedOutput(&l.out, in.Schema(), take)
-	for i := 0; i < take; i++ {
-		out.AppendBatchRow(in, i)
-	}
+	out.AppendRange(in, 0, take)
 	l.seen += take
 	return out, true, nil
 }
@@ -252,7 +250,7 @@ func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
 				continue
 			}
 			d.seen[key] = struct{}{}
-			out.AppendBatchRow(in, i)
+			out.AppendRange(in, i, i+1)
 		}
 		if out.Len() > 0 {
 			return out, true, nil

@@ -7,8 +7,9 @@ import (
 )
 
 // This file is the morsel-driven parallel execution layer: a plan-walking
-// Parallelize entry point plus the worker-pool primitive the blocking
-// operators (HashJoin, HashAgg) build on. The design follows HyPer-style
+// Parallelize entry point plus the worker-pool primitive HashAgg's drain
+// builds on (HashJoin splits each probe batch by row range instead, against
+// a build side it drains serially). The design follows HyPer-style
 // morsel-driven parallelism scaled down to this engine's batch protocol:
 // a batch (DefaultBatchSize rows) is the morsel, the producing goroutine
 // drains the child iterator serially — keeping Fetcher and Clock calls on

@@ -278,7 +278,7 @@ func TestStreamingOutputSizedByInput(t *testing.T) {
 		if first.Len() != 25 || first.Cap() != 25 {
 			t.Fatalf("%s: first batch len %d cap %d, want 25 25", name, first.Len(), first.Cap())
 		}
-		if got := first.Col(0); got[0].AsInt() != 0 || got[24].AsInt() != 24 {
+		if got := first.Col(0).I; got[0] != 0 || got[24] != 24 {
 			t.Fatalf("%s: first batch holds keys %v..%v, want 0..24", name, got[0], got[24])
 		}
 		second, ok, err := it.NextBatch()
@@ -288,7 +288,7 @@ func TestStreamingOutputSizedByInput(t *testing.T) {
 		if second.Len() != 700 || second.Cap() != 700 {
 			t.Fatalf("%s: second batch len %d cap %d, want 700 700", name, second.Len(), second.Cap())
 		}
-		if got := second.Col(0); got[0].AsInt() != 100 || got[699].AsInt() != 799 {
+		if got := second.Col(0).I; got[0] != 100 || got[699] != 799 {
 			t.Fatalf("%s: second batch holds keys %v..%v, want 100..799", name, got[0], got[699])
 		}
 		it.Close()

@@ -122,14 +122,14 @@ func (m *manager) processArrival(seg *segment.Segment) error {
 // decodeArrival turns one delivered segment into the batch a cache entry
 // holds — the relation's filtered rows, Cols wide — by running the
 // relation's leg kernel over it (engine.Leg.ReadSegment): a filtered
-// arrival is copied out of the manager's reused decode buffer at the
-// survivor count, an unfiltered lazy one owns its freshly decoded columns.
+// arrival is copied out of the relation's reused decode buffer at the
+// survivor count, an unfiltered lazy one owns its freshly decoded vectors.
 // Decode errors (lazy stores validate headers at build time, block contents
 // on first decode) and filter errors surface as errors, like the vanilla
 // scan path.
 func (m *manager) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, engine.ScanBytes, error) {
-	batch, cd, by, err := m.probe.legs[rel].ReadSegment(seg, m.cd)
-	m.cd = cd
+	batch, cd, by, err := m.probe.legs[rel].ReadSegment(seg, m.cds[rel])
+	m.cds[rel] = cd
 	if err != nil {
 		err = fmt.Errorf("mjoin: arrival %v: %w", seg.ID, err)
 	}
@@ -324,33 +324,47 @@ func (m *manager) probeLevels(entries []*cacheEntry, start, end int, sc *probeSc
 	}
 	for depth := 1; depth < len(entries) && len(cur[0]) > 0; depth++ {
 		e := entries[depth]
-		leftRel := m.probe.leftRel[depth-1]
-		leftIDs := cur[leftRel]
-		leftCol := entries[leftRel].batch.Col(m.probe.leftCol[depth-1])
-		keyCol := e.batch.Col(e.keyIdx)
+		leftRel, leftCol := m.probe.leftRel[depth-1], m.probe.leftCol[depth-1]
+		left, keys := entries[leftRel].batch.Col(leftCol), e.batch.Col(e.keyIdx)
 		// Most joins here are key/foreign-key, so about one match per
 		// partial is the size to start from.
 		for r := 0; r <= depth; r++ {
-			next[r] = slices.Grow(next[r][:0], len(leftIDs))
+			next[r] = slices.Grow(next[r][:0], len(cur[leftRel]))
 		}
-		for k, id := range leftIDs {
-			key := leftCol[id]
-			for mi := e.index.First(tuple.HashKey(key)); mi >= 0; mi = e.index.Next(mi) {
-				mv := keyCol[mi]
-				if mv.K != key.K || !tuple.Equal(key, mv) {
-					continue // another key of the same bucket
-				}
-				for r := 0; r < depth; r++ {
-					next[r] = append(next[r], cur[r][k])
-				}
-				next[depth] = append(next[depth], mi)
-			}
+		// One key kind per level; keys of different kinds never match.
+		switch k := e.batch.Schema().Cols[e.keyIdx].Kind; {
+		case k != entries[leftRel].batch.Schema().Cols[leftCol].Kind:
+		case k == tuple.KindString:
+			probeLevel(&e.index, left.S, keys.S, func(s string) uint64 { return tuple.HashKey(tuple.Str(s)) }, cur, next, leftRel, depth)
+		case k == tuple.KindFloat64:
+			probeLevel(&e.index, left.F, keys.F, func(f float64) uint64 { return tuple.HashKey(tuple.Float(f)) }, cur, next, leftRel, depth)
+		default:
+			probeLevel(&e.index, left.I, keys.I, func(i int64) uint64 { return tuple.HashKey(tuple.Int(i)) }, cur, next, leftRel, depth)
 		}
 		cur, next = next, cur
 	}
 	// Hand the (possibly grown) arrays back for reuse, survivors in cur.
 	sc.cur, sc.next = cur, next
 	return len(cur[0])
+}
+
+// probeLevel runs one chain level over key cells of type T: for every
+// partial in cur, whose left key is its row of left in relation leftRel, it
+// walks the matching bucket of ix in ascending row order and appends to
+// next the partial extended by each row of keys holding an equal key.
+func probeLevel[T tuple.Key](ix *tuple.HashIndex, left, keys []T, hash func(T) uint64, cur, next [][]int32, leftRel, depth int) {
+	for k, id := range cur[leftRel] {
+		key := left[id]
+		for mi := ix.First(hash(key)); mi >= 0; mi = ix.Next(mi) {
+			if !tuple.SameKey(key, keys[mi]) {
+				continue // another key of the same bucket
+			}
+			for r := 0; r < depth; r++ {
+				next[r] = append(next[r], cur[r][k])
+			}
+			next[depth] = append(next[depth], mi)
+		}
+	}
 }
 
 // emit gathers n surviving partial tuples into the output chunks, filling

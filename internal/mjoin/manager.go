@@ -159,9 +159,10 @@ type manager struct {
 
 	// dop is the normalized Config.Parallelism (>= 1).
 	dop int
-	// cd is the reused projected-decode buffer of filtered lazy arrivals;
-	// cache entries copy the survivors out of it.
-	cd *segment.ColumnData
+	// cds[r] is relation r's reused decode buffer: a filtered arrival's
+	// cache entry copies the survivors out of it, an unfiltered one takes
+	// its vectors.
+	cds []*segment.ColumnData
 	// scratches holds one probe-chain scratch per worker, reused across
 	// arrivals and subplans; scratches[0] is the serial path's.
 	scratches []probeScratch
@@ -263,6 +264,7 @@ func newManager(q *Query, cfg Config, src Source) (*manager, error) {
 	}
 	m.dop = max(cfg.Parallelism, 1)
 	m.scratches = make([]probeScratch, m.dop)
+	m.cds = make([]*segment.ColumnData, len(q.Relations))
 	for ri, rel := range q.Relations {
 		for si, id := range rel.Table.Objects {
 			ref := objRef{rel: ri, seg: si}

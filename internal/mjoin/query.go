@@ -12,6 +12,7 @@ import (
 	"iter"
 
 	"repro/internal/catalog"
+	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/segment"
 	"repro/internal/stats"
@@ -80,6 +81,16 @@ func (q *Query) Validate() (*tuple.Schema, error) {
 		return nil, err
 	}
 	return pp.out, nil
+}
+
+// Legs validates the query like Validate and returns the relations' legs,
+// so a pull plan scans through the kernels validation built.
+func (q *Query) Legs() ([]*engine.Leg, error) {
+	pp, err := buildProbePlan(q)
+	if err != nil {
+		return nil, err
+	}
+	return pp.legs, nil
 }
 
 // OutputSchema returns the join output schema, panicking on an invalid

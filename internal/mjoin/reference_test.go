@@ -38,12 +38,12 @@ func referenceProbe(q *Query, entries []*cacheEntry) []tuple.Row {
 		for i, h := range e.batch.HashColumns([]int{e.keyIdx}, nil) {
 			table[h] = append(table[h], int32(i))
 		}
-		keyCol := e.batch.Col(e.keyIdx)
+		keyCol, keyKind := e.batch.Col(e.keyIdx), e.batch.Schema().Cols[e.keyIdx].Kind
 		var next []tuple.Row
 		for _, p := range cur {
 			key := p[leftIdx[0]]
 			for _, mi := range table[tuple.HashRowKey(p, leftIdx)] {
-				if mv := keyCol[mi]; mv.K != key.K || !tuple.Equal(key, mv) {
+				if mv := keyCol.Value(keyKind, int(mi)); mv.K != key.K || !tuple.Equal(key, mv) {
 					continue
 				}
 				next = append(next, e.batch.AppendRowTo(p.Clone(), int(mi)))

@@ -126,12 +126,11 @@ func BenchmarkBlockEncodings(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.Run("enc="+meta.Encoding.String(), func(b *testing.B) {
-				var dst []tuple.Value
+				var dst tuple.Vector
 				b.SetBytes(int64(len(block)))
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dst, err = decodeColumn(tc.kind, meta.Encoding, block, benchRows, dst)
-					if err != nil {
+					if err = decodeColumn(tc.kind, meta.Encoding, block, benchRows, &dst); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -37,9 +37,6 @@ import (
 	"repro/internal/tuple"
 )
 
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
-
 // Encoding identifies how one column block is coded.
 type Encoding uint8
 
@@ -131,7 +128,7 @@ func encodeColumn(kind tuple.Kind, vals []tuple.Value) (ColumnMeta, []byte, erro
 func encodeFloatRaw(vals []tuple.Value) []byte {
 	out := make([]byte, 0, 8*len(vals))
 	for _, v := range vals {
-		out = binary.LittleEndian.AppendUint64(out, floatBits(v.F))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.F))
 	}
 	return out
 }
@@ -202,132 +199,118 @@ func encodeStringBlock(vals []tuple.Value) (Encoding, []byte) {
 	return EncStrRaw, raw
 }
 
-// decodeColumn decodes one block into dst (reused when large enough),
-// producing exactly n values of the given kind. Any structural problem —
-// wrong encoding for the kind, truncation, counts that do not add up,
-// trailing bytes — returns an error (wrapped into ErrCorrupt by the
-// caller).
-func decodeColumn(kind tuple.Kind, enc Encoding, block []byte, n int, dst []tuple.Value) ([]tuple.Value, error) {
-	if cap(dst) < n {
-		// A corrupt header cannot force a huge allocation here: n is
-		// validated against MaxSegmentRows before any block is decoded.
-		dst = make([]tuple.Value, 0, n)
+// sized returns s resized to n cells, reallocated when too small. A
+// corrupt header cannot force a huge allocation here: n is validated
+// against MaxSegmentRows before any block is decoded.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	dst = dst[:0]
+	return s[:n]
+}
+
+// decodeColumn decodes one block straight into dst's typed slice for the
+// kind (reused when large enough; the other two are dropped), producing
+// exactly n cells. Any structural problem — wrong encoding for the kind,
+// truncation, counts that do not add up, trailing bytes — returns an error
+// (wrapped into ErrCorrupt by the caller).
+func decodeColumn(kind tuple.Kind, enc Encoding, block []byte, n int, dst *tuple.Vector) error {
+	if isString := kind == tuple.KindString; isString != (enc == EncDict || enc == EncStrRaw) ||
+		kind == tuple.KindFloat64 && enc != EncRaw {
+		return fmt.Errorf("%v block for %v column", enc, kind)
+	}
 	switch enc {
 	case EncRaw:
 		if len(block) != 8*n {
-			return nil, fmt.Errorf("raw block is %d bytes, want %d", len(block), 8*n)
+			return fmt.Errorf("raw block is %d bytes, want %d", len(block), 8*n)
 		}
 		if kind == tuple.KindFloat64 {
-			for i := 0; i < n; i++ {
-				dst = append(dst, tuple.Value{K: kind, F: floatFromBits(binary.LittleEndian.Uint64(block[8*i:]))})
+			*dst = tuple.Vector{F: sized(dst.F, n)}
+			for i := range dst.F {
+				dst.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[8*i:]))
 			}
 		} else {
-			for i := 0; i < n; i++ {
-				dst = append(dst, tuple.Value{K: kind, I: int64(binary.LittleEndian.Uint64(block[8*i:]))})
+			*dst = tuple.Vector{I: sized(dst.I, n)}
+			for i := range dst.I {
+				dst.I[i] = int64(binary.LittleEndian.Uint64(block[8*i:]))
 			}
 		}
-		return dst, nil
+		block = nil
 	case EncDelta:
-		if kind == tuple.KindFloat64 || kind == tuple.KindString {
-			return nil, fmt.Errorf("delta block for %v column", kind)
-		}
+		*dst = tuple.Vector{I: sized(dst.I, n)}
 		cur := int64(0)
-		for i := 0; i < n; i++ {
+		for i := range dst.I {
 			d, sz := binary.Varint(block)
 			if sz <= 0 {
-				return nil, fmt.Errorf("truncated delta at value %d", i)
+				return fmt.Errorf("truncated delta at value %d", i)
 			}
 			block = block[sz:]
 			cur += d
-			dst = append(dst, tuple.Value{K: kind, I: cur})
+			dst.I[i] = cur
 		}
-		if len(block) != 0 {
-			return nil, fmt.Errorf("%d trailing bytes after delta block", len(block))
-		}
-		return dst, nil
 	case EncRLE:
-		if kind == tuple.KindFloat64 || kind == tuple.KindString {
-			return nil, fmt.Errorf("rle block for %v column", kind)
-		}
-		for len(dst) < n {
+		*dst = tuple.Vector{I: sized(dst.I, n)}
+		for at := 0; at < n; {
 			v, sz := binary.Varint(block)
 			if sz <= 0 {
-				return nil, fmt.Errorf("truncated rle value at row %d", len(dst))
+				return fmt.Errorf("truncated rle value at row %d", at)
 			}
 			block = block[sz:]
 			run, sz := binary.Uvarint(block)
 			if sz <= 0 {
-				return nil, fmt.Errorf("truncated rle run at row %d", len(dst))
+				return fmt.Errorf("truncated rle run at row %d", at)
 			}
 			block = block[sz:]
-			if run == 0 || run > uint64(n-len(dst)) {
-				return nil, fmt.Errorf("rle run of %d at row %d overflows %d rows", run, len(dst), n)
+			if run == 0 || run > uint64(n-at) {
+				return fmt.Errorf("rle run of %d at row %d overflows %d rows", run, at, n)
 			}
-			for j := uint64(0); j < run; j++ {
-				dst = append(dst, tuple.Value{K: kind, I: v})
+			for _, end := at, at+int(run); at < end; at++ {
+				dst.I[at] = v
 			}
 		}
-		if len(block) != 0 {
-			return nil, fmt.Errorf("%d trailing bytes after rle block", len(block))
-		}
-		return dst, nil
 	case EncDict:
-		if kind != tuple.KindString {
-			return nil, fmt.Errorf("dict block for %v column", kind)
-		}
 		card, sz := binary.Uvarint(block)
 		if sz <= 0 {
-			return nil, fmt.Errorf("truncated dict cardinality")
+			return fmt.Errorf("truncated dict cardinality")
 		}
 		block = block[sz:]
 		if card > uint64(n) {
-			return nil, fmt.Errorf("dict cardinality %d exceeds %d rows", card, n)
+			return fmt.Errorf("dict cardinality %d exceeds %d rows", card, n)
 		}
-		dict := make([]string, 0, card)
-		for i := uint64(0); i < card; i++ {
-			s, rest, err := decodeString(block)
-			if err != nil {
-				return nil, fmt.Errorf("dict entry %d: %w", i, err)
+		dict := make([]string, card)
+		for i := range dict {
+			var err error
+			if dict[i], block, err = decodeString(block); err != nil {
+				return fmt.Errorf("dict entry %d: %w", i, err)
 			}
-			dict = append(dict, s)
-			block = rest
 		}
-		for i := 0; i < n; i++ {
+		*dst = tuple.Vector{S: sized(dst.S, n)}
+		for i := range dst.S {
 			id, sz := binary.Uvarint(block)
 			if sz <= 0 {
-				return nil, fmt.Errorf("truncated dict index at row %d", i)
+				return fmt.Errorf("truncated dict index at row %d", i)
 			}
 			if id >= card {
-				return nil, fmt.Errorf("dict index %d out of %d at row %d", id, card, i)
+				return fmt.Errorf("dict index %d out of %d at row %d", id, card, i)
 			}
 			block = block[sz:]
-			dst = append(dst, tuple.Value{K: kind, S: dict[id]})
+			dst.S[i] = dict[id]
 		}
-		if len(block) != 0 {
-			return nil, fmt.Errorf("%d trailing bytes after dict block", len(block))
-		}
-		return dst, nil
 	case EncStrRaw:
-		if kind != tuple.KindString {
-			return nil, fmt.Errorf("string block for %v column", kind)
-		}
-		for i := 0; i < n; i++ {
-			s, rest, err := decodeString(block)
-			if err != nil {
-				return nil, fmt.Errorf("string at row %d: %w", i, err)
+		*dst = tuple.Vector{S: sized(dst.S, n)}
+		for i := range dst.S {
+			var err error
+			if dst.S[i], block, err = decodeString(block); err != nil {
+				return fmt.Errorf("string at row %d: %w", i, err)
 			}
-			block = rest
-			dst = append(dst, tuple.Value{K: kind, S: s})
 		}
-		if len(block) != 0 {
-			return nil, fmt.Errorf("%d trailing bytes after string block", len(block))
-		}
-		return dst, nil
 	default:
-		return nil, fmt.Errorf("unknown encoding %d", enc)
+		return fmt.Errorf("unknown encoding %d", enc)
 	}
+	if len(block) != 0 {
+		return fmt.Errorf("%d trailing bytes after %v block", len(block), enc)
+	}
+	return nil
 }
 
 // decodeString reads one uvarint-length-prefixed string, bounds-checked
@@ -349,7 +332,7 @@ func decodeString(data []byte) (string, []byte, error) {
 func appendDirValue(dst []byte, kind tuple.Kind, v tuple.Value) []byte {
 	switch kind {
 	case tuple.KindFloat64:
-		return binary.LittleEndian.AppendUint64(dst, floatBits(v.F))
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 	case tuple.KindString:
 		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
 		return append(dst, v.S...)
@@ -365,7 +348,7 @@ func decodeDirValue(data []byte, kind tuple.Kind) (tuple.Value, []byte, error) {
 		if len(data) < 8 {
 			return tuple.Value{}, data, fmt.Errorf("truncated float bound")
 		}
-		return tuple.Value{K: kind, F: floatFromBits(binary.LittleEndian.Uint64(data))}, data[8:], nil
+		return tuple.Value{K: kind, F: math.Float64frombits(binary.LittleEndian.Uint64(data))}, data[8:], nil
 	case tuple.KindString:
 		s, rest, err := decodeString(data)
 		if err != nil {
@@ -379,14 +362,4 @@ func decodeDirValue(data []byte, kind tuple.Kind) (tuple.Value, []byte, error) {
 		}
 		return tuple.Value{K: kind, I: v}, data[sz:], nil
 	}
-}
-
-// valueBytes is the materialized (in-memory) size a decoded value
-// contributes to the bytes-materialized accounting: 8 bytes for the
-// numeric kinds, the payload length for strings.
-func valueBytes(kind tuple.Kind, v tuple.Value) int64 {
-	if kind == tuple.KindString {
-		return int64(len(v.S))
-	}
-	return 8
 }

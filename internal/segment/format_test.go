@@ -92,6 +92,39 @@ func TestV2SmallerThanV1OnTypical(t *testing.T) {
 	}
 }
 
+// TestDecodeColumnsReuseAllocatesNothing: decoding an all-numeric projection
+// into a ColumnData warm from the same projection allocates nothing — no
+// bitmap, no vector, no per-value bookkeeping — and still accounts for every
+// byte.
+func TestDecodeColumnsReuseAllocatesNothing(t *testing.T) {
+	data, err := wideSegment(500).EncodeFormat(wideSchema, FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := DecodeLazy(wideSchema, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proj := []int{0, 1, 2, 3, 6, 7} // every encoding of the numeric kinds
+	cd, err := g.DecodeColumns(wideSchema, proj, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := g.DecodeColumns(wideSchema, proj, cd); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("warm numeric decode allocates %v times per call, want 0", allocs)
+	}
+	if want := int64(8 * 500 * len(proj)); cd.BytesMaterialized != want {
+		t.Fatalf("BytesMaterialized %d, want %d", cd.BytesMaterialized, want)
+	}
+}
+
+// decoded reports whether a vector of a non-empty segment holds a column.
+func decoded(v tuple.Vector) bool { return v.I != nil || v.F != nil || v.S != nil }
+
 func TestV2ProjectedDecode(t *testing.T) {
 	orig := wideSegment(64)
 	data, err := orig.EncodeFormat(wideSchema, FormatV2)
@@ -118,12 +151,12 @@ func TestV2ProjectedDecode(t *testing.T) {
 	}
 	for ci := range wideSchema.Cols {
 		want := ci == 0 || ci == 4
-		if (cd.Cols[ci] != nil) != want {
-			t.Fatalf("column %d decoded=%v, want %v", ci, cd.Cols[ci] != nil, want)
+		if decoded(cd.Cols[ci]) != want {
+			t.Fatalf("column %d decoded=%v, want %v", ci, decoded(cd.Cols[ci]), want)
 		}
 	}
 	for i, r := range orig.Rows {
-		if !tuple.Equal(cd.Cols[0][i], r[0]) || !tuple.Equal(cd.Cols[4][i], r[4]) {
+		if !tuple.Equal(cd.Cols[0].Value(wideSchema.Cols[0].Kind, i), r[0]) || !tuple.Equal(cd.Cols[4].Value(wideSchema.Cols[4].Kind, i), r[4]) {
 			t.Fatalf("row %d: projected values diverge", i)
 		}
 	}
@@ -207,7 +240,7 @@ func TestV1LazyDecodesEverything(t *testing.T) {
 		t.Fatalf("v1: decoded=%d skipped=%d", cd.BytesDecoded, cd.BytesSkipped)
 	}
 	for ci := range wideSchema.Cols {
-		if cd.Cols[ci] == nil {
+		if !decoded(cd.Cols[ci]) {
 			t.Fatalf("v1 projected decode left column %d nil", ci)
 		}
 	}

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/tuple"
@@ -73,21 +74,32 @@ func checkDecode(t *testing.T, data []byte) {
 			t.Fatalf("row %d: %v", i, err)
 		}
 	}
-	// A lazy decode of the same bytes must agree on the projected column.
+	// A lazy decode of the same bytes must agree with the eager rows cell
+	// for cell — kind and payload, floats by bit pattern — on every typed
+	// vector of a full decode and on the matching vectors of projected ones,
+	// into a fresh buffer and into one warm from another projection.
 	lz, err := DecodeLazy(fuzzSchema, data)
 	if err != nil {
 		t.Fatalf("Decode succeeded but DecodeLazy failed: %v", err)
 	}
-	cd, err := lz.DecodeColumns(fuzzSchema, []int{2}, nil)
-	if err != nil {
-		t.Fatalf("Decode succeeded but projected decode failed: %v", err)
-	}
-	if cd.NumRows != len(sg.Rows) {
-		t.Fatalf("projected decode saw %d rows, eager saw %d", cd.NumRows, len(sg.Rows))
-	}
-	for i, r := range sg.Rows {
-		if !tuple.Equal(cd.Cols[2][i], r[2]) {
-			t.Fatalf("row %d column 2: projected %v, eager %v", i, cd.Cols[2][i], r[2])
+	var cd *ColumnData
+	for _, proj := range [][]int{nil, {2}, {4, 1}, {}, {0, 2, 3}} {
+		if cd, err = lz.DecodeColumns(fuzzSchema, proj, cd); err != nil {
+			t.Fatalf("Decode succeeded but decode of columns %v failed: %v", proj, err)
+		}
+		if cd.NumRows != len(sg.Rows) {
+			t.Fatalf("decode of columns %v saw %d rows, eager saw %d", proj, cd.NumRows, len(sg.Rows))
+		}
+		if proj == nil || lz.Format() == FormatV1 {
+			proj = []int{0, 1, 2, 3, 4}
+		}
+		for _, ci := range proj {
+			for i, r := range sg.Rows {
+				got, want := cd.Cols[ci].Value(fuzzSchema.Cols[ci].Kind, i), r[ci]
+				if got.K != want.K || got.I != want.I || got.S != want.S || math.Float64bits(got.F) != math.Float64bits(want.F) {
+					t.Fatalf("row %d column %d: typed decode %#v, eager %#v", i, ci, got, want)
+				}
+			}
 		}
 	}
 }

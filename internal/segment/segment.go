@@ -530,14 +530,14 @@ func decodeLazyV2(schema *tuple.Schema, data []byte, size int64) (*Segment, erro
 	return g, nil
 }
 
-// ColumnData is the result of a projected decode: per-schema-column value
-// slices (nil for columns the projection skipped) plus the byte
+// ColumnData is the result of a projected decode: one typed vector per
+// schema column (zero for columns the projection skipped) plus the byte
 // accounting behind the bytes-fetched / decoded / materialized metrics.
 type ColumnData struct {
 	// Cols has one entry per schema column; entries outside the
-	// projection are nil. The slices are reused across DecodeColumns
+	// projection are zero. The vectors are reused across DecodeColumns
 	// calls that pass the same ColumnData back in.
-	Cols [][]tuple.Value
+	Cols []tuple.Vector
 	// NumRows is the segment's row count (also for empty projections).
 	NumRows int
 	// BytesDecoded counts encoded block bytes actually decoded.
@@ -547,6 +547,8 @@ type ColumnData struct {
 	// BytesMaterialized counts the logical size of the decoded values
 	// (8 bytes per numeric, payload length per string).
 	BytesMaterialized int64
+	// want marks the projected columns of the decode in progress.
+	want []bool
 }
 
 // DecodeColumns decodes the projected columns of a lazy segment. proj
@@ -566,73 +568,52 @@ func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnD
 		cd = &ColumnData{}
 	}
 	if len(cd.Cols) != schema.Len() {
-		cd.Cols = make([][]tuple.Value, schema.Len())
+		cd.Cols, cd.want = make([]tuple.Vector, schema.Len()), make([]bool, schema.Len())
 	}
 	cd.NumRows = p.rows
 	cd.BytesDecoded, cd.BytesSkipped, cd.BytesMaterialized = 0, 0, 0
-	want := make([]bool, schema.Len())
-	if proj == nil {
-		for i := range want {
-			want[i] = true
+	for i := range cd.want {
+		cd.want[i] = proj == nil
+	}
+	for _, ci := range proj {
+		if ci < 0 || ci >= schema.Len() {
+			return nil, fmt.Errorf("segment %v: projected column %d out of range (%d columns)", g.ID, ci, schema.Len())
 		}
-	} else {
-		for _, ci := range proj {
-			if ci < 0 || ci >= schema.Len() {
-				return nil, fmt.Errorf("segment %v: projected column %d out of range (%d columns)", g.ID, ci, schema.Len())
-			}
-			want[ci] = true
-		}
+		cd.want[ci] = true
 	}
 	if p.format == FormatV1 {
-		return g.decodeColumnsV1(schema, cd)
+		rows, err := tuple.DecodeRows(schema, p.body)
+		if err != nil {
+			return nil, fmt.Errorf("segment %v: %v: %w", g.ID, err, ErrCorrupt)
+		}
+		// Row-major: no block decodes on its own, so every projected read
+		// pays for the whole segment, transposed.
+		b := tuple.FromRows(schema, rows)
+		cd.NumRows, cd.BytesDecoded = len(rows), int64(len(p.body))
+		for ci, col := range schema.Cols {
+			cd.Cols[ci] = b.Col(ci)
+			cd.BytesMaterialized += cd.Cols[ci].Size(col.Kind, len(rows))
+		}
+		return cd, nil
 	}
 	block := p.body
 	for ci, m := range p.dir {
 		if m.BlockLen > len(block) {
 			return nil, fmt.Errorf("segment %v: column %d block overruns payload: %w", g.ID, ci, ErrCorrupt)
 		}
-		if !want[ci] {
-			cd.Cols[ci] = nil
+		if !cd.want[ci] {
+			cd.Cols[ci] = tuple.Vector{}
 			cd.BytesSkipped += int64(m.BlockLen)
 			block = block[m.BlockLen:]
 			continue
 		}
-		vals, err := decodeColumn(schema.Cols[ci].Kind, m.Encoding, block[:m.BlockLen], p.rows, cd.Cols[ci])
-		if err != nil {
-			return nil, fmt.Errorf("segment %v: column %q: %v: %w", g.ID, schema.Cols[ci].Name, err, ErrCorrupt)
+		col := schema.Cols[ci]
+		if err := decodeColumn(col.Kind, m.Encoding, block[:m.BlockLen], p.rows, &cd.Cols[ci]); err != nil {
+			return nil, fmt.Errorf("segment %v: column %q: %v: %w", g.ID, col.Name, err, ErrCorrupt)
 		}
-		cd.Cols[ci] = vals
 		cd.BytesDecoded += int64(m.BlockLen)
-		kind := schema.Cols[ci].Kind
-		for _, v := range vals {
-			cd.BytesMaterialized += valueBytes(kind, v)
-		}
+		cd.BytesMaterialized += cd.Cols[ci].Size(col.Kind, p.rows)
 		block = block[m.BlockLen:]
-	}
-	return cd, nil
-}
-
-// decodeColumnsV1 decodes a row-major payload in full and transposes it
-// into ColumnData: v1 has no independently decodable blocks, so every
-// projected read pays for the whole segment.
-func (g *Segment) decodeColumnsV1(schema *tuple.Schema, cd *ColumnData) (*ColumnData, error) {
-	rows, err := tuple.DecodeRows(schema, g.payload.body)
-	if err != nil {
-		return nil, fmt.Errorf("segment %v: %v: %w", g.ID, err, ErrCorrupt)
-	}
-	cd.NumRows = len(rows)
-	cd.BytesDecoded = int64(len(g.payload.body))
-	for ci, col := range schema.Cols {
-		vals := cd.Cols[ci]
-		if cap(vals) < len(rows) {
-			vals = make([]tuple.Value, 0, len(rows))
-		}
-		vals = vals[:0]
-		for _, r := range rows {
-			vals = append(vals, r[ci])
-			cd.BytesMaterialized += valueBytes(col.Kind, r[ci])
-		}
-		cd.Cols[ci] = vals
 	}
 	return cd, nil
 }
@@ -656,19 +637,7 @@ func (g *Segment) Materialize(schema *tuple.Schema) ([]tuple.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cd.NumRows == 0 {
-		return nil, nil
-	}
-	arena := make([]tuple.Value, cd.NumRows*schema.Len())
-	rows := make([]tuple.Row, cd.NumRows)
-	for i := range rows {
-		row := arena[i*schema.Len() : (i+1)*schema.Len() : (i+1)*schema.Len()]
-		for ci := range cd.Cols {
-			row[ci] = cd.Cols[ci][i]
-		}
-		rows[i] = row
-	}
-	return rows, nil
+	return tuple.BatchOf(schema, cd.Cols, cd.NumRows).Rows(), nil
 }
 
 // Split partitions rows into segments of at most rowsPerSegment rows each,

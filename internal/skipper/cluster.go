@@ -394,13 +394,13 @@ func BuildPullPlan(ctx *engine.Ctx, q *mjoin.Query) (engine.Iterator, error) {
 // prune=false leaves the relation Pruners off the scans, so every
 // segment is fetched — the pre-statistics behaviour.
 func BuildPullPlanPruned(ctx *engine.Ctx, q *mjoin.Query, prune bool) (engine.Iterator, error) {
-	if _, err := q.Validate(); err != nil {
+	legs, err := q.Legs()
+	if err != nil {
 		return nil, err
 	}
 	its := make([]engine.Iterator, len(q.Relations))
 	for i, rel := range q.Relations {
-		scan := engine.NewSeqScan(ctx, rel.Table)
-		scan.Project, scan.Filter = rel.Cols, rel.Filter
+		scan := engine.NewLegScan(ctx, rel.Table, legs[i])
 		if prune {
 			scan.Pruner = rel.Pruner
 		}

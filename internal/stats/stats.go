@@ -145,6 +145,7 @@ func CollectChecked(name string, schema *tuple.Schema, segs []*segment.Segment, 
 func segmentStatsFromDirectory(schema *tuple.Schema, sg *segment.Segment, dir []segment.ColumnMeta, opt Options) (SegmentStats, error) {
 	ss := SegmentStats{Rows: int64(sg.NumRows()), Cols: make([]ColumnStats, schema.Len())}
 	var cd *segment.ColumnData
+	proj := make([]int, 1)
 	for ci, col := range schema.Cols {
 		cs := &ss.Cols[ci]
 		cs.Min, cs.Max, cs.HasRange, cs.Nulls = dir[ci].Min, dir[ci].Max, dir[ci].HasRange, dir[ci].Nulls
@@ -152,13 +153,14 @@ func segmentStatsFromDirectory(schema *tuple.Schema, sg *segment.Segment, dir []
 			continue
 		}
 		var err error
-		cd, err = sg.DecodeColumns(schema, []int{ci}, cd)
+		proj[0] = ci
+		cd, err = sg.DecodeColumns(schema, proj, cd)
 		if err != nil {
 			return SegmentStats{}, err
 		}
 		cs.Bloom = NewBloom(cd.NumRows, opt.BloomBitsPerRow)
-		for _, v := range cd.Cols[ci] {
-			cs.Bloom.Add(v.Hash())
+		for i := 0; i < cd.NumRows; i++ {
+			cs.Bloom.Add(cd.Cols[ci].Value(col.Kind, i).Hash())
 		}
 	}
 	return ss, nil

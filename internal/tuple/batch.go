@@ -1,15 +1,110 @@
 package tuple
 
-// Batch is a column-oriented buffer of rows with a fixed nominal capacity.
-// It is the unit of data flow in the batched execution core: operators fill
-// a batch column by column (or row by row), hand it downstream, and reuse
-// the buffers on the next cycle. A batch handed to a consumer is valid only
-// until the producer's next NextBatch call, so blocking consumers must copy
-// what they keep (Rows and Row return copies).
+import (
+	"slices"
+	"unsafe"
+)
+
+// Vector is one column's cells in typed form. The column's Kind picks the
+// slice that holds them — I for int64, date (days) and bool (0/1), F for
+// float64, S for string — and the other two stay nil, so a cell costs its
+// payload (8 bytes, 16 for a string header) and nothing for the kinds it is
+// not. A Value is built from a vector only where a scalar is wanted.
+type Vector struct {
+	I []int64
+	F []float64
+	S []string
+}
+
+// Value returns cell i of a column of kind k as a scalar.
+func (v Vector) Value(k Kind, i int) Value {
+	switch k {
+	case KindFloat64:
+		return Value{K: k, F: v.F[i]}
+	case KindString:
+		return Value{K: k, S: v.S[i]}
+	default:
+		return Value{K: k, I: v.I[i]}
+	}
+}
+
+// Size returns the logical size of the first n cells of a column of kind k:
+// 8 bytes per numeric, the payload length per string.
+func (v Vector) Size(k Kind, n int) int64 {
+	if k != KindString {
+		return 8 * int64(n)
+	}
+	var size int64
+	for _, s := range v.S[:n] {
+		size += int64(len(s))
+	}
+	return size
+}
+
+func (v *Vector) appendValue(k Kind, x Value) {
+	switch k {
+	case KindFloat64:
+		v.F = append(v.F, x.F)
+	case KindString:
+		v.S = append(v.S, x.S)
+	default:
+		v.I = append(v.I, x.I)
+	}
+}
+
+// appendRange appends cells [lo, hi) of src, a column of the same kind.
+func (v *Vector) appendRange(k Kind, src Vector, lo, hi int) {
+	switch k {
+	case KindFloat64:
+		v.F = append(v.F, src.F[lo:hi]...)
+	case KindString:
+		v.S = append(v.S, src.S[lo:hi]...)
+	default:
+		v.I = append(v.I, src.I[lo:hi]...)
+	}
+}
+
+// appendGather appends the cells of src, a column of the same kind, that
+// ids names.
+func (v *Vector) appendGather(k Kind, src Vector, ids []int32) {
+	switch k {
+	case KindFloat64:
+		v.F = gather(v.F, src.F, ids)
+	case KindString:
+		v.S = gather(v.S, src.S, ids)
+	default:
+		v.I = gather(v.I, src.I, ids)
+	}
+}
+
+func gather[T any](dst, src []T, ids []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(ids))[:n+len(ids)]
+	for k, id := range ids {
+		dst[n+k] = src[id]
+	}
+	return dst
+}
+
+// carve cuts the next n-cell column buffer, empty, off an arena.
+func carve[T any](arena *[]T, n int) []T {
+	col := (*arena)[:0:n]
+	*arena = (*arena)[n:]
+	return col
+}
+
+// Batch is a column-oriented buffer of rows with a fixed nominal capacity:
+// one typed Vector per schema column. It is the unit of data flow in the
+// batched execution core: operators fill a batch column by column (or row by
+// row), hand it downstream, and reuse the buffers on the next cycle. A batch
+// handed to a consumer is valid only until the producer's next NextBatch
+// call, so blocking consumers must copy what they keep (Rows and Row return
+// copies).
 type Batch struct {
 	schema *Schema
-	cols   [][]Value
-	n      int
+	// cols[c] holds n cells in the slice schema.Cols[c].Kind picks.
+	cols []Vector
+	n    int
 	// capacity is the row count the batch was made for. It is kept apart
 	// from the column buffers so that a batch of a zero-column schema — a
 	// COUNT(*) leg — still has room for rows.
@@ -17,15 +112,33 @@ type Batch struct {
 }
 
 // NewBatch returns an empty batch over schema with room for capacity rows
-// per column; the columns share one allocation.
+// per column. The columns of one storage class share one allocation — the
+// 8-byte numerics (int64 and float64 cells alike) one arena, the strings
+// another — and a class the schema does not use costs none.
 func NewBatch(schema *Schema, capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	cols := make([][]Value, schema.Len())
-	arena := make([]Value, len(cols)*capacity)
-	for i := range cols {
-		cols[i] = arena[i*capacity : i*capacity : (i+1)*capacity]
+	ns := 0
+	for _, c := range schema.Cols {
+		if c.Kind == KindString {
+			ns++
+		}
+	}
+	nums := make([]int64, (schema.Len()-ns)*capacity)
+	strs := make([]string, ns*capacity)
+	cols := make([]Vector, schema.Len())
+	for i, c := range schema.Cols {
+		switch c.Kind {
+		case KindFloat64:
+			// A float column is its slot of the numeric arena seen as float64s.
+			slot := carve(&nums, capacity)
+			cols[i].F = unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(slot))), capacity)[:0]
+		case KindString:
+			cols[i].S = carve(&strs, capacity)
+		default:
+			cols[i].I = carve(&nums, capacity)
+		}
 	}
 	return &Batch{schema: schema, cols: cols, capacity: capacity}
 }
@@ -40,11 +153,19 @@ func FromRows(schema *Schema, rows []Row) *Batch {
 }
 
 // BatchOf wraps caller-provided columns, one per schema column and each at
-// least n values long, as a full batch of n rows without copying; the
+// least n cells long, as a full batch of n rows without copying; the
 // caller gives the columns up.
-func BatchOf(schema *Schema, cols [][]Value, n int) *Batch {
+func BatchOf(schema *Schema, cols []Vector, n int) *Batch {
 	for c := range cols {
-		cols[c] = cols[c][:n:n]
+		v := &cols[c]
+		switch schema.Cols[c].Kind {
+		case KindFloat64:
+			v.F = v.F[:n:n]
+		case KindString:
+			v.S = v.S[:n:n]
+		default:
+			v.I = v.I[:n:n]
+		}
 	}
 	return &Batch{schema: schema, cols: cols, n: n, capacity: n}
 }
@@ -65,61 +186,64 @@ func (b *Batch) Full() bool { return b.n >= b.capacity }
 // Reset empties the batch, keeping the column buffers for reuse.
 func (b *Batch) Reset() {
 	for i := range b.cols {
-		b.cols[i] = b.cols[i][:0]
+		v := &b.cols[i]
+		v.I, v.F, v.S = v.I[:0], v.F[:0], v.S[:0]
 	}
 	b.n = 0
 }
 
-// Col returns column i's values; the slice aliases the batch buffer.
-func (b *Batch) Col(i int) []Value { return b.cols[i][:b.n] }
+// Reserve makes room for rows more rows: a batch that would outgrow its
+// capacity moves to arenas of twice the size (or what is needed, if more),
+// so growing batch by batch copies a row O(1) times, never column by column.
+func (b *Batch) Reserve(rows int) {
+	if need := b.n + rows; need > b.capacity {
+		grown := NewBatch(b.schema, max(need, 2*b.capacity))
+		grown.AppendBatch(b)
+		*b = *grown
+	}
+}
+
+// Col returns column i's cells; the vector aliases the batch buffer.
+func (b *Batch) Col(i int) Vector { return b.cols[i] }
 
 // AppendRow copies one row into the batch, growing the buffers if needed.
 func (b *Batch) AppendRow(r Row) {
 	for i := range b.cols {
-		b.cols[i] = append(b.cols[i], r[i])
+		b.cols[i].appendValue(b.schema.Cols[i].Kind, r[i])
 	}
 	b.n++
 }
 
-// AppendBatchRow copies row i of src (which must share the schema arity)
-// into the batch.
-func (b *Batch) AppendBatchRow(src *Batch, i int) {
-	for c := range b.cols {
-		b.cols[c] = append(b.cols[c], src.cols[c][i])
-	}
-	b.n++
-}
+// AppendBatch copies every row of src (which must share the schema's kinds)
+// into the batch. It is how morsels are cloned out of a producer's reused
+// buffer before being handed to a parallel worker, and how a hash join
+// keeps its build side.
+func (b *Batch) AppendBatch(src *Batch) { b.AppendRange(src, 0, src.n) }
 
-// AppendBatch copies every row of src (which must share the schema arity)
-// into the batch, column by column — one bulk copy per column instead of a
-// per-row loop. It is how morsels are cloned out of a producer's reused
-// buffer before being handed to a parallel worker.
-func (b *Batch) AppendBatch(src *Batch) {
+// AppendRange copies rows [lo, hi) of src (which must share the schema's
+// kinds) into the batch: one bulk copy per column, not a per-row loop.
+func (b *Batch) AppendRange(src *Batch, lo, hi int) {
 	for c := range b.cols {
-		b.cols[c] = append(b.cols[c], src.cols[c][:src.n]...)
+		b.cols[c].appendRange(b.schema.Cols[c].Kind, src.cols[c], lo, hi)
 	}
-	b.n += src.n
+	b.n += hi - lo
 }
 
 // AppendColumns appends rows [start, end) of a decoded segment to the
 // batch, one bulk copy per column: batch column c is read from cols[pick[c]],
 // so a batch narrower than the segment's table copies only its own columns.
-func (b *Batch) AppendColumns(cols [][]Value, pick []int, start, end int) {
+func (b *Batch) AppendColumns(cols []Vector, pick []int, start, end int) {
 	for c, src := range pick {
-		b.cols[c] = append(b.cols[c], cols[src][start:end]...)
+		b.cols[c].appendRange(b.schema.Cols[c].Kind, cols[src], start, end)
 	}
 	b.n += end - start
 }
 
 // AppendSelected is AppendColumns for the rows a selection vector names,
 // gathered column by column.
-func (b *Batch) AppendSelected(cols [][]Value, pick []int, sel []int32) {
+func (b *Batch) AppendSelected(cols []Vector, pick []int, sel []int32) {
 	for c, src := range pick {
-		dst, col := b.cols[c], cols[src]
-		for _, i := range sel {
-			dst = append(dst, col[i])
-		}
-		b.cols[c] = dst
+		b.cols[c].appendGather(b.schema.Cols[c].Kind, cols[src], sel)
 	}
 	b.n += len(sel)
 }
@@ -128,7 +252,7 @@ func (b *Batch) AppendSelected(cols [][]Value, pick []int, sel []int32) {
 // r[pick[c]].
 func (b *Batch) AppendProjected(r Row, pick []int) {
 	for c, src := range pick {
-		b.cols[c] = append(b.cols[c], r[src])
+		b.cols[c].appendValue(b.schema.Cols[c].Kind, r[src])
 	}
 	b.n++
 }
@@ -137,17 +261,12 @@ func (b *Batch) AppendProjected(r Row, pick []int) {
 // concatenation of the srcs' schemas: output row k is row ids[0][lo+k] of
 // srcs[0] followed by row ids[1][lo+k] of srcs[1], and so on — the late
 // materialization step of a join that carried its partial tuples as one
-// row id per input. Values are gathered column by column.
+// row id per input. Cells are gathered column by column.
 func (b *Batch) AppendJoined(srcs []*Batch, ids [][]int32, lo, hi int) {
 	c := 0
 	for r, src := range srcs {
-		sel := ids[r][lo:hi]
 		for _, col := range src.cols {
-			dst := b.cols[c]
-			for _, id := range sel {
-				dst = append(dst, col[id])
-			}
-			b.cols[c] = dst
+			b.cols[c].appendGather(b.schema.Cols[c].Kind, col, ids[r][lo:hi])
 			c++
 		}
 	}
@@ -155,19 +274,13 @@ func (b *Batch) AppendJoined(srcs []*Batch, ids [][]int32, lo, hi int) {
 }
 
 // Row materializes row i as a freshly allocated Row.
-func (b *Batch) Row(i int) Row {
-	out := make(Row, len(b.cols))
-	for c := range b.cols {
-		out[c] = b.cols[c][i]
-	}
-	return out
-}
+func (b *Batch) Row(i int) Row { return b.AppendRowTo(make(Row, 0, len(b.cols)), i) }
 
 // AppendRowTo appends row i's values to dst and returns it; pass a reused
 // scratch slice (dst[:0]) to read rows without allocating.
 func (b *Batch) AppendRowTo(dst Row, i int) Row {
 	for c := range b.cols {
-		dst = append(dst, b.cols[c][i])
+		dst = append(dst, b.cols[c].Value(b.schema.Cols[c].Kind, i))
 	}
 	return dst
 }
@@ -183,16 +296,28 @@ func (b *Batch) Rows() []Row {
 }
 
 // AppendRows appends the materialized rows of the batch to dst, as Rows
-// does: one arena per call, however many rows.
+// does: one arena per call, however many rows, filled column by column.
 func (b *Batch) AppendRows(dst []Row) []Row {
 	w := len(b.cols)
 	arena := make([]Value, b.n*w)
-	for i := 0; i < b.n; i++ {
-		row := arena[i*w : (i+1)*w : (i+1)*w]
-		for c := range b.cols {
-			row[c] = b.cols[c][i]
+	for c, col := range b.cols {
+		switch k := b.schema.Cols[c].Kind; k {
+		case KindFloat64:
+			for i, x := range col.F {
+				arena[i*w+c] = Value{K: k, F: x}
+			}
+		case KindString:
+			for i, x := range col.S {
+				arena[i*w+c] = Value{K: k, S: x}
+			}
+		default:
+			for i, x := range col.I {
+				arena[i*w+c] = Value{K: k, I: x}
+			}
 		}
-		dst = append(dst, row)
+	}
+	for i := 0; i < b.n; i++ {
+		dst = append(dst, arena[i*w:(i+1)*w:(i+1)*w])
 	}
 	return dst
 }
@@ -209,28 +334,24 @@ const (
 // probe sides hash identically. The per-kind dispatch is hoisted out of
 // the row loop: each key column is hashed in one tight pass.
 func (b *Batch) HashColumns(keys []int, dst []uint64) []uint64 {
-	if cap(dst) < b.n {
-		dst = make([]uint64, b.n)
-	} else {
-		dst = dst[:b.n]
-	}
+	dst = slices.Grow(dst[:0], b.n)[:b.n]
 	for i := range dst {
 		dst[i] = hashBasis
 	}
 	for _, k := range keys {
-		col := b.cols[k][:b.n]
+		col := b.cols[k]
 		switch b.schema.Cols[k].Kind {
 		case KindString:
-			for i := range col {
-				dst[i] = dst[i]*hashPrime ^ hashString(col[i].S)
+			for i, s := range col.S {
+				dst[i] = dst[i]*hashPrime ^ hashString(s)
 			}
 		case KindFloat64:
-			for i := range col {
-				dst[i] = dst[i]*hashPrime ^ hashFloat(col[i].F)
+			for i, f := range col.F {
+				dst[i] = dst[i]*hashPrime ^ hashFloat(f)
 			}
 		default:
-			for i := range col {
-				dst[i] = dst[i]*hashPrime ^ hashInt(col[i].I)
+			for i, v := range col.I {
+				dst[i] = dst[i]*hashPrime ^ hashInt(v)
 			}
 		}
 	}
@@ -252,4 +373,44 @@ func HashRowKey(r Row, keys []int) uint64 {
 func HashKey(v Value) uint64 {
 	h := hashBasis // a variable, so the product wraps as HashColumns' does
 	return h*hashPrime ^ v.Hash()
+}
+
+// Key is the cell type of a join-key column.
+type Key interface{ int64 | float64 | string }
+
+// SameKey reports whether two key cells are equal under Compare's rule:
+// ==, with NaN equal to NaN.
+func SameKey[T Key](a, b T) bool { return a == b || a != a && b != b }
+
+// MatchKeys keeps, of the row pairs (ai[k] of a, bi[k] of b), those whose key
+// columns ak and bk are equal, compacting both id lists in place, and
+// returns how many are left: the verification step of a hash probe, one
+// typed pass per key column. Keys of different kinds never match.
+func MatchKeys(a *Batch, ak []int, ai []int32, b *Batch, bk []int, bi []int32) int {
+	n := len(ai)
+	for x := range ak {
+		k, va, vb := a.schema.Cols[ak[x]].Kind, a.cols[ak[x]], b.cols[bk[x]]
+		switch {
+		case k != b.schema.Cols[bk[x]].Kind:
+			return 0
+		case k == KindFloat64:
+			n = matchKey(va.F, ai[:n], vb.F, bi)
+		case k == KindString:
+			n = matchKey(va.S, ai[:n], vb.S, bi)
+		default:
+			n = matchKey(va.I, ai[:n], vb.I, bi)
+		}
+	}
+	return n
+}
+
+func matchKey[T Key](a []T, ai []int32, b []T, bi []int32) int {
+	n := 0
+	for k, i := range ai {
+		if SameKey(a[i], b[bi[k]]) {
+			ai[n], bi[n] = i, bi[k]
+			n++
+		}
+	}
+	return n
 }

@@ -53,7 +53,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	for c := 0; c < sch.Len(); c++ {
 		col := b.Col(c)
 		for i := range rows {
-			if !Equal(col[i], rows[i][c]) {
+			if !Equal(col.Value(sch.Cols[c].Kind, i), rows[i][c]) {
 				t.Fatalf("col %d row %d differs", c, i)
 			}
 		}
@@ -87,7 +87,7 @@ func TestBatchAppendBatchRow(t *testing.T) {
 	src := FromRows(sch, rows)
 	dst := NewBatch(sch, 10)
 	for i := len(rows) - 1; i >= 0; i-- {
-		dst.AppendBatchRow(src, i)
+		dst.AppendRange(src, i, i+1)
 	}
 	for i := range rows {
 		if !reflect.DeepEqual(dst.Row(i), rows[len(rows)-1-i]) {
@@ -165,7 +165,7 @@ func TestBatchOfAdoptsColumns(t *testing.T) {
 	}
 	full := FromRows(sch, rows)
 	narrow := sch.Project([]int{0, 2})
-	b := BatchOf(narrow, [][]Value{full.Col(0), full.Col(2)}, 5)
+	b := BatchOf(narrow, []Vector{full.Col(0), full.Col(2)}, 5)
 	if b.Len() != 5 || b.Cap() != 5 || !b.Full() {
 		t.Fatalf("len %d cap %d full %v, want 5 5 true", b.Len(), b.Cap(), b.Full())
 	}
@@ -174,7 +174,7 @@ func TestBatchOfAdoptsColumns(t *testing.T) {
 			t.Fatalf("row %d = %v, want %v", i, b.Row(i), want)
 		}
 	}
-	if &b.Col(0)[0] != &full.Col(0)[0] {
+	if &b.Col(0).I[0] != &full.Col(0).I[0] || &b.Col(1).S[0] != &full.Col(2).S[0] {
 		t.Fatal("BatchOf copied a provided column")
 	}
 }
@@ -190,12 +190,12 @@ func TestZeroColumnBatchCountsRows(t *testing.T) {
 	}
 	b.AppendRow(Row{})
 	b.AppendProjected(Row{Int(1), Str("x")}, []int{})
-	b.AppendColumns([][]Value{{Int(1), Int(2), Int(3)}}, []int{}, 1, 3)
+	b.AppendColumns([]Vector{{I: []int64{1, 2, 3}}}, []int{}, 1, 3)
 	if b.Len() != 4 || !b.Full() {
 		t.Fatalf("after 4 rows: len %d full %v", b.Len(), b.Full())
 	}
 	b.Reset()
-	b.AppendSelected([][]Value{{Int(1), Int(2), Int(3)}}, []int{}, []int32{0, 2})
+	b.AppendSelected([]Vector{{I: []int64{1, 2, 3}}}, []int{}, []int32{0, 2})
 	if b.Len() != 2 || b.Full() {
 		t.Fatalf("after reset + 2 rows: len %d full %v", b.Len(), b.Full())
 	}
@@ -222,7 +222,7 @@ func TestAppendPicksColumns(t *testing.T) {
 		rows[i] = randRow(rng)
 	}
 	full := FromRows(sch, rows)
-	cols := make([][]Value, sch.Len())
+	cols := make([]Vector, sch.Len())
 	for c := range cols {
 		cols[c] = full.Col(c)
 	}

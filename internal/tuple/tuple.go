@@ -4,6 +4,7 @@
 package tuple
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strings"
@@ -28,20 +29,10 @@ const (
 
 // String returns the lowercase type name.
 func (k Kind) String() string {
-	switch k {
-	case KindInt64:
-		return "int64"
-	case KindFloat64:
-		return "float64"
-	case KindString:
-		return "string"
-	case KindDate:
-		return "date"
-	case KindBool:
-		return "bool"
-	default:
-		return fmt.Sprintf("Kind(%d)", uint8(k))
+	if names := [...]string{"int64", "float64", "string", "date", "bool"}; int(k) < len(names) {
+		return names[k]
 	}
+	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
 // Value is a dynamically typed datum. The zero Value is the int64 0.
@@ -143,27 +134,11 @@ func Compare(a, b Value) int {
 	panic(fmt.Sprintf("tuple: cannot compare %v and %v", a.K, b.K))
 }
 
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
+func cmpInt(a, b int64) int { return cmp.Compare(a, b) }
 
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
+// cmpFloat is a total order: NaN equals NaN and sorts below every number,
+// and -0 equals +0.
+func cmpFloat(a, b float64) int { return cmp.Compare(a, b) }
 
 // Equal reports whether two values are equal under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
@@ -202,7 +177,15 @@ func hashString(s string) uint64 {
 	return h
 }
 
+// hashFloat hashes the bit pattern of f after folding the cells Compare
+// calls equal onto one: -0 onto +0, every NaN onto one NaN.
 func hashFloat(f float64) uint64 {
+	switch {
+	case f == 0:
+		f = 0
+	case f != f:
+		f = math.NaN()
+	}
 	return hashUint64(hashTagF, math.Float64bits(f))
 }
 

@@ -335,3 +335,78 @@ func (s *orderedSource) NextArrival() (*segment.Segment, error) {
 	s.queue = s.queue[1:]
 	return sg, nil
 }
+
+// cellBudgets is what the join stage of Q5 may allocate per cell it reads
+// — per (row × leg column) of the segments it scans — on each engine: the
+// pull plan decodes a cell, copies it into scan batches, keeps it in build
+// sides and gathers it into join outputs; MJoin decodes it into the vectors
+// its cache entry owns and gathers the survivors once. Typed vectors spend
+// 8 bytes on a numeric cell and 16 on a string header at each of those
+// steps; the 40-byte dynamically typed cell they replaced came to 110 and
+// 53 bytes per cell here and cannot come in under either budget.
+var cellBudgets = map[string]float64{"pull plan": 56, "mjoin.RunBatches": 24}
+
+// TestCellBytesFollowKinds: the bytes Q5's join stage allocates per cell
+// stay under cellBudgets on the pull plan and through mjoin.RunBatches, over
+// a fixed v2-encoded dataset.
+func TestCellBytesFollowKinds(t *testing.T) {
+	gen := workload.TPCH(0, workload.TPCHConfig{SF: 8, RowsPerObject: 1000, Seed: 3})
+	ds, err := objstore.ReencodeDataset(gen, segment.FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := workload.Q5(ds.Catalog).Join
+	cells := 0
+	for _, rel := range join.Relations {
+		for _, id := range rel.Table.Objects {
+			cells += ds.Store[id].NumRows() * len(rel.Cols)
+		}
+	}
+	engines := map[string]func() int{
+		"pull plan": func() (rows int) {
+			it, err := skipper.BuildPullPlan(engine.NewTestCtx(ds.Store), join)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := it.Open(); err != nil {
+				t.Fatal(err)
+			}
+			defer it.Close()
+			for {
+				b, ok, err := it.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return rows
+				}
+				rows += b.Len()
+			}
+		},
+		"mjoin.RunBatches": func() int {
+			res, err := mjoin.RunBatches(join, mjoin.DefaultConfig(len(join.Objects())), &orderedSource{store: ds.Store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats.ResultRows
+		},
+	}
+	for name, run := range engines {
+		const runs = 3
+		if run() == 0 { // also warms up lazily built state
+			t.Fatalf("%s: Q5's join is empty on this dataset; the budget would be vacuous", name)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		perCell := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(cells)
+		t.Logf("%s: %.1f bytes per cell over %d cells", name, perCell, cells)
+		if perCell > cellBudgets[name] {
+			t.Errorf("%s: %.1f bytes allocated per cell read, budget %.0f", name, perCell, cellBudgets[name])
+		}
+	}
+}
