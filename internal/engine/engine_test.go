@@ -206,6 +206,9 @@ func TestHashJoinHashCollisionSafety(t *testing.T) {
 	}
 }
 
+// TestBuildJoinTreeThreeWay: a left-deep tree of two joins, where the inner
+// join's output batches — reused between NextBatch calls, cut wherever its
+// output fills — become the outer join's chunked build side.
 func TestBuildJoinTreeThreeWay(t *testing.T) {
 	a := tuple.NewSchema(tuple.Column{Name: "x", Kind: tuple.KindInt64})
 	b := tuple.NewSchema(tuple.Column{Name: "y", Kind: tuple.KindInt64})
@@ -217,28 +220,39 @@ func TestBuildJoinTreeThreeWay(t *testing.T) {
 		}
 		return NewValues(s, rows)
 	}
-	tree, err := BuildJoinTree(
-		[]Iterator{mk(a, 1, 2, 3), mk(b, 2, 3, 4), mk(c, 3, 4, 5)},
-		[]JoinSpec{{LeftCol: "x", RightCol: "y"}, {LeftCol: "y", RightCol: "z"}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tree := JoinOn(JoinOn(mk(a, 1, 2, 3), mk(b, 2, 3, 4), [][2]string{{"x", "y"}}), mk(c, 3, 4, 5), [][2]string{{"y", "z"}})
 	rows, err := Collect(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// x=y: (2,2),(3,3); then y=z: (3,3,3) only... plus (2,2) joins z? z
-	// has 3,4,5 so y=2 no match; y=3 matches z=3.
-	if len(rows) != 1 || rows[0][0].AsInt() != 3 {
+	// x=y: (2,2),(3,3); then y=z: z has 3,4,5, so only (3,3,3).
+	if len(rows) != 1 || rows[0].String() != "(3, 3, 3)" {
 		t.Fatalf("rows %v", rows)
 	}
-}
 
-func TestBuildJoinTreeErrors(t *testing.T) {
-	s := tuple.NewSchema(tuple.Column{Name: "x", Kind: tuple.KindInt64})
-	if _, err := BuildJoinTree([]Iterator{NewValues(s, nil)}, nil); err == nil {
-		t.Fatal("single input accepted")
+	// Wide enough that the inner join emits many output batches: x, y in
+	// 0..2999, each y twice; z every third value. Row i of the result is
+	// (x, y, z) = (3⌊i/2⌋, 3⌊i/2⌋, 3⌊i/2⌋), probe order then build order.
+	var xs, ys, zs []int64
+	for v := int64(0); v < 3000; v++ {
+		xs, ys = append(xs, v), append(ys, v, v)
+		if v%3 == 0 {
+			zs = append(zs, v)
+		}
+	}
+	tree = JoinOn(JoinOn(mk(a, xs...), mk(b, ys...), [][2]string{{"x", "y"}}), mk(c, zs...), [][2]string{{"y", "z"}})
+	rows, err = Collect(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2*len(zs) {
+		t.Fatalf("%d rows, want %d", len(rows), 2*len(zs))
+	}
+	for i, r := range rows {
+		v := 3 * int64(i/2)
+		if r[0].AsInt() != v || r[1].AsInt() != v || r[2].AsInt() != v {
+			t.Fatalf("row %d = %v, want (%d, %d, %d)", i, r, v, v, v)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 	"sync"
 
@@ -15,11 +14,12 @@ import (
 // tuple is requested, pinning the storage access order to the plan shape.
 //
 // The build side is kept the way it arrives, as typed column vectors: one
-// batch of every build row, hashed in one pass and chained by a HashIndex.
-// A probe batch is hashed up front; probing walks the chains collecting
-// (build row, probe row) id pairs, verifies the pairs' keys column against
-// column, and gathers the survivors into the output batch column by column
-// — in probe row order, then build order. Neither side materializes a row.
+// copy of every build row in a tuple.ChunkedBatch, chained by a HashIndex
+// that is filled one hashed range at a time. A probe batch is hashed up
+// front; probing walks the chains collecting (build row, probe row) pairs,
+// verifies the pairs' keys column against column, and gathers the
+// survivors into the output batch column by column — in probe row order,
+// then build order. Neither side materializes a row.
 //
 // With Parallelize(dop > 1) dop workers join row ranges of each probe batch
 // at once against that same read-only build side: the serial join's output,
@@ -32,14 +32,15 @@ type HashJoin struct {
 
 	// build holds every build row and index chains them by key hash; both
 	// are only read once Open returns.
-	build *tuple.Batch
+	build tuple.ChunkedBatch
 	index tuple.HashIndex
 
-	// The probe batch being joined, its key hashes and the serial probe's
-	// place in it.
-	probeBatch  *tuple.Batch
-	probeHashes []uint64
-	cur         probeCursor
+	// hashes is the key-hash scratch: of one build range while Open indexes
+	// it, then of the probe batch being joined. cur is the serial probe's
+	// place in that batch.
+	probeBatch *tuple.Batch
+	hashes     []uint64
+	cur        probeCursor
 
 	// Parallel probe: per-worker cursors and reused output batches, and the
 	// non-empty ones still to serve for the current probe batch. A queued
@@ -55,11 +56,13 @@ type HashJoin struct {
 
 // probeCursor is one prober's place in a probe batch — the next build row
 // of probe row's chain to look at, -1 once the chain is exhausted — and its
-// scratch: the (build row, probe row) pairs of the gather in progress.
+// scratch: the (build row, probe row) pairs of the gather in progress, the
+// build rows located in their chunks.
 type probeCursor struct {
 	row   int
 	match int32
-	ids   [2][]int32
+	at    []tuple.Loc
+	pids  []int32
 }
 
 // NewHashJoin joins left and right on equality of the given key columns
@@ -108,11 +111,11 @@ func (j *HashJoin) Open() error {
 	return j.right.Open()
 }
 
-// buildSide drains the build input into j.build — a copy of each batch's
-// typed vectors, appended to one batch that doubles when it runs out — then
-// hashes and indexes it in one pass.
+// buildSide drains the build input into j.build — one copy of each batch's
+// typed vectors, never moved again — then indexes it a range of at most
+// DefaultBatchSize rows at a time, last range first, hashed into j.hashes.
 func (j *HashJoin) buildSide() error {
-	j.build = nil
+	j.build.Reset(j.left.Schema())
 	for {
 		b, ok, err := j.left.NextBatch()
 		if err != nil {
@@ -121,44 +124,42 @@ func (j *HashJoin) buildSide() error {
 		if !ok {
 			break
 		}
-		if j.build == nil {
-			j.build = tuple.NewBatch(b.Schema(), b.Len())
-		}
-		j.build.Reserve(b.Len())
-		j.build.AppendBatch(b)
+		j.build.Append(b)
 	}
-	if j.build == nil {
-		j.build = tuple.NewBatch(j.left.Schema(), 0)
+	j.index.Reset(j.build.Len())
+	for hi := j.build.Len(); hi > 0; {
+		lo := max(hi-DefaultBatchSize, 0)
+		j.hashes = j.build.HashRange(j.leftKeys, lo, hi, j.hashes)
+		j.index.Insert(lo, j.hashes)
+		hi = lo
 	}
-	j.index.Build(j.build.HashColumns(j.leftKeys, nil))
 	return nil
 }
 
 // probe joins probe rows [c.row, end) of b, resuming where c stands, and
-// gathers the matches into out, a batch of id pairs at a time. With stopFull
+// gathers the matches into out, a batch of row pairs at a time. With stopFull
 // it returns once out is full, to resume on the next call; without, out grows.
 func (j *HashJoin) probe(c *probeCursor, b *tuple.Batch, end int, out *tuple.Batch, stopFull bool) {
-	srcs := []*tuple.Batch{j.build, b}
 	for c.row < end && !(stopFull && out.Full()) {
 		room := DefaultBatchSize
 		if stopFull {
 			room = out.Cap() - out.Len()
 		}
-		bids, pids := slices.Grow(c.ids[0][:0], room), slices.Grow(c.ids[1][:0], room)
-		for c.row < end && len(bids) < room {
-			for ; c.match >= 0 && len(bids) < room; c.match = j.index.Next(c.match) {
-				bids, pids = append(bids, c.match), append(pids, int32(c.row))
+		at, pids := slices.Grow(c.at[:0], room), slices.Grow(c.pids[:0], room)
+		for c.row < end && len(at) < room {
+			for ; c.match >= 0 && len(at) < room; c.match = j.index.Next(c.match) {
+				at, pids = append(at, j.build.Loc(c.match)), append(pids, int32(c.row))
 			}
 			if c.match < 0 {
 				if c.row++; c.row < end {
-					c.match = j.index.First(j.probeHashes[c.row])
+					c.match = j.index.First(j.hashes[c.row])
 				}
 			}
 		}
 		// A bucket chains rows of other keys too: keep the equal ones.
-		n := tuple.MatchKeys(j.build, j.leftKeys, bids, b, j.rightKeys, pids)
-		c.ids[0], c.ids[1] = bids, pids
-		out.AppendJoined(srcs, c.ids[:], 0, n)
+		n := tuple.MatchKeys(&j.build, j.leftKeys, at, b, j.rightKeys, pids)
+		c.at, c.pids = at, pids
+		out.AppendJoinedChunked(&j.build, at[:n], b, pids[:n])
 	}
 }
 
@@ -198,7 +199,7 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 			return nil, false, nil
 		}
 		j.probeBatch = b
-		j.probeHashes = b.HashColumns(j.rightKeys, j.probeHashes)
+		j.hashes = b.HashColumns(j.rightKeys, j.hashes)
 		if j.dop > 1 {
 			j.probeParallel(b)
 			continue
@@ -208,7 +209,7 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 		if j.out == nil || j.out.Len() == 0 {
 			sizedOutput(&j.out, j.schema, b.Len())
 		}
-		j.cur.row, j.cur.match = 0, j.index.First(j.probeHashes[0])
+		j.cur.row, j.cur.match = 0, j.index.First(j.hashes[0])
 	}
 }
 
@@ -239,7 +240,7 @@ func (j *HashJoin) probeParallel(b *tuple.Batch) {
 		used++
 		c, out := &j.parCur[part], j.parOut[part]
 		out.Reset()
-		c.row, c.match = start, j.index.First(j.probeHashes[start])
+		c.row, c.match = start, j.index.First(j.hashes[start])
 		if workers == 1 {
 			j.probe(c, b, end, out, false)
 			return
@@ -261,31 +262,8 @@ func (j *HashJoin) probeParallel(b *tuple.Batch) {
 
 // Close implements Iterator.
 func (j *HashJoin) Close() error {
-	j.build, j.index = nil, tuple.HashIndex{}
+	j.build, j.index = tuple.ChunkedBatch{}, tuple.HashIndex{}
 	j.probeBatch = nil
 	j.parCur, j.parOut, j.parQueue = nil, nil, nil
 	return j.right.Close()
-}
-
-// BuildJoinTree chains binary hash joins left-deep over the inputs:
-// ((in[0] ⋈ in[1]) ⋈ in[2]) ⋈ ... with each join's keys named by the
-// caller. Used by the workload query plans.
-type JoinSpec struct {
-	// LeftCol is resolved against the accumulated left schema, RightCol
-	// against inputs[i+1].
-	LeftCol, RightCol string
-}
-
-// BuildJoinTree constructs the left-deep tree; len(specs) must be
-// len(inputs)-1.
-func BuildJoinTree(inputs []Iterator, specs []JoinSpec) (Iterator, error) {
-	if len(inputs) < 2 || len(specs) != len(inputs)-1 {
-		return nil, fmt.Errorf("engine: join tree needs n inputs and n-1 specs, got %d/%d", len(inputs), len(specs))
-	}
-	cur := inputs[0]
-	for i, spec := range specs {
-		right := inputs[i+1]
-		cur = JoinOn(cur, right, [][2]string{{spec.LeftCol, spec.RightCol}})
-	}
-	return cur, nil
 }

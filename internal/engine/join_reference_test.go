@@ -3,7 +3,9 @@ package engine
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/expr"
@@ -77,7 +79,9 @@ func chopped(sch *tuple.Schema, rows []tuple.Row, sizes ...int) []*tuple.Batch {
 // keys on both sides, few buckets shared by many keys, an empty build or
 // probe side, int, string, float and two-column keys, probe batches small
 // enough that the output batch fills in the middle of a chain and large
-// enough to fork the parallel probe, at dop 1 and 4, and again on re-Open.
+// enough to fork the parallel probe, build sides that end one row short
+// of, at and one row past a chunk boundary of the chunked build store with
+// batches that straddle boundaries, at dop 1 and 4, and again on re-Open.
 func TestHashJoinMatchesRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ls := tuple.NewSchema(
@@ -89,14 +93,46 @@ func TestHashJoinMatchesRowReference(t *testing.T) {
 		tuple.Column{Name: "rs", Kind: tuple.KindString},
 	)
 	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 1.5, 2.5}
-	gen := func(n, distinct int) (l, r []tuple.Row) {
+	// gen draws n build and probe rows over distinct keys; string keys take
+	// k%strMod of them, float keys cycle through floats and, with wide set,
+	// are k/2 past them.
+	gen := func(n, distinct, strMod int, wide bool) (l, r []tuple.Row) {
+		float := func(k int) float64 {
+			if wide && k >= len(floats) {
+				return float64(k) / 2
+			}
+			return floats[k%len(floats)]
+		}
 		for i := 0; i < n; i++ {
 			k := rng.Intn(distinct)
-			l = append(l, tuple.Row{tuple.Int(int64(k)), tuple.Str(fmt.Sprint("s", k%7)), tuple.Float(floats[k%len(floats)]), tuple.DateFromDays(int64(i))})
+			l = append(l, tuple.Row{tuple.Int(int64(k)), tuple.Str(fmt.Sprint("s", k%strMod)), tuple.Float(float(k)), tuple.DateFromDays(int64(i))})
 			k = rng.Intn(distinct + 2) // some probe keys have no match
-			r = append(r, tuple.Row{tuple.Float(floats[k%len(floats)]), tuple.Int(int64(k)), tuple.Str(fmt.Sprint("s", k%9))})
+			r = append(r, tuple.Row{tuple.Float(float(k)), tuple.Int(int64(k)), tuple.Str(fmt.Sprint("s", k%(strMod+2)))})
 		}
 		return l, r
+	}
+	check := func(name string, lrows, rrows []tuple.Row, buildCut, probeCut []int) {
+		build, probe := chopped(ls, lrows, buildCut...), chopped(rs, rrows, probeCut...)
+		for _, keys := range [][2][]int{
+			{{0}, {1}},       // int
+			{{1}, {2}},       // string
+			{{2}, {0}},       // float: 0 and -0 join, NaN joins NaN
+			{{0, 1}, {1, 2}}, // two columns
+			{{3}, {1}},       // date against int: kinds differ, nothing matches
+		} {
+			want := referenceHashJoin(build, probe, keys[0], keys[1])
+			for _, dop := range []int{1, 4} {
+				what := fmt.Sprintf("%s, keys %v, dop %d", name, keys, dop)
+				join := Parallelize(NewHashJoin(NewBatchValues(ls, build), NewBatchValues(rs, probe), keys[0], keys[1]), dop)
+				for pass := 0; pass < 2; pass++ {
+					got, err := Collect(join)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					sameRowsInOrder(t, fmt.Sprintf("%s, pass %d", what, pass), got, want)
+				}
+			}
+		}
 	}
 	for _, tc := range []struct {
 		name               string
@@ -111,29 +147,70 @@ func TestHashJoinMatchesRowReference(t *testing.T) {
 		{"empty probe side", 50, 0, 4, []int{8}, []int{16}},
 		{"single row", 1, 1, 1, []int{1}, []int{1}},
 	} {
-		lrows, rrows := gen(max(tc.nBuild, tc.nProbe), tc.distinct)
-		lrows, rrows = lrows[:tc.nBuild], rrows[:tc.nProbe]
-		build, probe := chopped(ls, lrows, tc.buildCut...), chopped(rs, rrows, tc.probeCut...)
-		for _, keys := range [][2][]int{
-			{{0}, {1}},       // int
-			{{1}, {2}},       // string
-			{{2}, {0}},       // float: 0 and -0 join, NaN joins NaN
-			{{0, 1}, {1, 2}}, // two columns
-			{{3}, {1}},       // date against int: kinds differ, nothing matches
-		} {
-			want := referenceHashJoin(build, probe, keys[0], keys[1])
-			for _, dop := range []int{1, 4} {
-				what := fmt.Sprintf("%s, keys %v, dop %d", tc.name, keys, dop)
-				join := Parallelize(NewHashJoin(NewBatchValues(ls, build), NewBatchValues(rs, probe), keys[0], keys[1]), dop)
-				for pass := 0; pass < 2; pass++ {
-					got, err := Collect(join)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					sameRowsInOrder(t, fmt.Sprintf("%s, pass %d", what, pass), got, want)
+		lrows, rrows := gen(max(tc.nBuild, tc.nProbe), tc.distinct, 7, false)
+		check(tc.name, lrows[:tc.nBuild], rrows[:tc.nProbe], tc.buildCut, tc.probeCut)
+	}
+
+	// Chunk boundaries: a first build batch of 1, 3 or 189 rows makes the
+	// store's first chunk c0 = 1, 4 or 256 rows and chunk k end at row
+	// c0·(2^(k+1)−1); build sides end one short of, at and one past the end
+	// of chunk k-1. The later cuts straddle boundaries. One 300-row probe
+	// batch forks the workers at dop 4.
+	for _, cuts := range [][]int{{1, 2, 5}, {3, 1000, 1025}, {189, 7, 300}} {
+		c0 := 1
+		for c0 < cuts[0] {
+			c0 *= 2
+		}
+		for k := 1; k <= 4; k++ {
+			for _, d := range []int{-1, 0, 1} {
+				n := c0*(1<<k-1) + d
+				if n < 1 {
+					continue
 				}
+				lrows, rrows := gen(max(n, 300), n/2+1, n/2+1, true)
+				check(fmt.Sprintf("c0 %d, %d build rows cut %v", c0, n, cuts), lrows[:n], rrows[:300], cuts, []int{300})
 			}
 		}
+	}
+}
+
+// TestHashJoinBuildAllocatesOneCopy: opening a join over a 100 000-row
+// build side that arrives in 189-row batches — the shape batch-vanilla
+// sends it — allocates at most 1.5× one copy of the build cells plus the
+// index's two int32 arrays: no build side that doubles and re-copies, no
+// n×8-byte array of build-row hashes.
+func TestHashJoinBuildAllocatesOneCopy(t *testing.T) {
+	const n, cut = 100_000, 189
+	ls := tuple.NewSchema(
+		tuple.Column{Name: "k", Kind: tuple.KindInt64}, tuple.Column{Name: "s", Kind: tuple.KindString},
+		tuple.Column{Name: "f", Kind: tuple.KindFloat64},
+	)
+	rows := make([]tuple.Row, n)
+	for i := range rows {
+		rows[i] = tuple.Row{tuple.Int(int64(i)), tuple.Str("s"), tuple.Float(float64(i))}
+	}
+	build := chopped(ls, rows, cut)
+	probe := tuple.NewSchema(tuple.Column{Name: "r", Kind: tuple.KindInt64})
+	cells := float64(n * (8 + 16 + 8))
+	buckets := 1 << bits.Len(2*n-1)
+	index := float64(4 * (buckets + n))
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		join := NewHashJoin(NewBatchValues(ls, build), NewBatchValues(probe, nil), []int{0}, []int{0})
+		if err := join.Open(); err != nil {
+			t.Fatal(err)
+		}
+		join.Close()
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	budget := 1.5*cells + index
+	t.Logf("Open allocated %.0f bytes: %.2f× the build cells (%.0f) plus the index (%.0f); budget %.0f", got, (got-index)/cells, cells, index, budget)
+	if got > budget {
+		t.Errorf("Open allocated %.0f bytes over a %.0f-byte build side; budget %.0f (1.5× the cells plus the index)", got, cells, budget)
 	}
 }
 

@@ -192,17 +192,6 @@ func (b *Batch) Reset() {
 	b.n = 0
 }
 
-// Reserve makes room for rows more rows: a batch that would outgrow its
-// capacity moves to arenas of twice the size (or what is needed, if more),
-// so growing batch by batch copies a row O(1) times, never column by column.
-func (b *Batch) Reserve(rows int) {
-	if need := b.n + rows; need > b.capacity {
-		grown := NewBatch(b.schema, max(need, 2*b.capacity))
-		grown.AppendBatch(b)
-		*b = *grown
-	}
-}
-
 // Col returns column i's cells; the vector aliases the batch buffer.
 func (b *Batch) Col(i int) Vector { return b.cols[i] }
 
@@ -216,8 +205,7 @@ func (b *Batch) AppendRow(r Row) {
 
 // AppendBatch copies every row of src (which must share the schema's kinds)
 // into the batch. It is how morsels are cloned out of a producer's reused
-// buffer before being handed to a parallel worker, and how a hash join
-// keeps its build side.
+// buffer before being handed to a parallel worker.
 func (b *Batch) AppendBatch(src *Batch) { b.AppendRange(src, 0, src.n) }
 
 // AppendRange copies rows [lo, hi) of src (which must share the schema's
@@ -335,27 +323,33 @@ const (
 // the row loop: each key column is hashed in one tight pass.
 func (b *Batch) HashColumns(keys []int, dst []uint64) []uint64 {
 	dst = slices.Grow(dst[:0], b.n)[:b.n]
+	b.hashInto(keys, 0, dst)
+	return dst
+}
+
+// hashInto writes the key hashes of rows [lo, lo+len(dst)) into dst.
+func (b *Batch) hashInto(keys []int, lo int, dst []uint64) {
 	for i := range dst {
 		dst[i] = hashBasis
 	}
+	hi := lo + len(dst)
 	for _, k := range keys {
 		col := b.cols[k]
 		switch b.schema.Cols[k].Kind {
 		case KindString:
-			for i, s := range col.S {
+			for i, s := range col.S[lo:hi] {
 				dst[i] = dst[i]*hashPrime ^ hashString(s)
 			}
 		case KindFloat64:
-			for i, f := range col.F {
+			for i, f := range col.F[lo:hi] {
 				dst[i] = dst[i]*hashPrime ^ hashFloat(f)
 			}
 		default:
-			for i, v := range col.I {
+			for i, v := range col.I[lo:hi] {
 				dst[i] = dst[i]*hashPrime ^ hashInt(v)
 			}
 		}
 	}
-	return dst
 }
 
 // HashRowKey combines the hashes of a row's key columns — the scalar
@@ -381,36 +375,3 @@ type Key interface{ int64 | float64 | string }
 // SameKey reports whether two key cells are equal under Compare's rule:
 // ==, with NaN equal to NaN.
 func SameKey[T Key](a, b T) bool { return a == b || a != a && b != b }
-
-// MatchKeys keeps, of the row pairs (ai[k] of a, bi[k] of b), those whose key
-// columns ak and bk are equal, compacting both id lists in place, and
-// returns how many are left: the verification step of a hash probe, one
-// typed pass per key column. Keys of different kinds never match.
-func MatchKeys(a *Batch, ak []int, ai []int32, b *Batch, bk []int, bi []int32) int {
-	n := len(ai)
-	for x := range ak {
-		k, va, vb := a.schema.Cols[ak[x]].Kind, a.cols[ak[x]], b.cols[bk[x]]
-		switch {
-		case k != b.schema.Cols[bk[x]].Kind:
-			return 0
-		case k == KindFloat64:
-			n = matchKey(va.F, ai[:n], vb.F, bi)
-		case k == KindString:
-			n = matchKey(va.S, ai[:n], vb.S, bi)
-		default:
-			n = matchKey(va.I, ai[:n], vb.I, bi)
-		}
-	}
-	return n
-}
-
-func matchKey[T Key](a []T, ai []int32, b []T, bi []int32) int {
-	n := 0
-	for k, i := range ai {
-		if SameKey(a[i], b[bi[k]]) {
-			ai[n], bi[n] = i, bi[k]
-			n++
-		}
-	}
-	return n
-}

@@ -3,12 +3,13 @@ package tuple
 import "math/bits"
 
 // HashIndex is a chained hash index over rows 0..n-1 of a build side, built
-// in one pass from the rows' key hashes (Batch.HashColumns): two flat int32
-// arrays instead of a map of per-key slices, so building allocates twice
-// however many rows or distinct keys there are. A bucket chains every row
-// whose hash falls into it — rows of different keys included — in ascending
-// row order, so a prober walks First/Next, verifies the key of each row it
-// visits, and sees equal-key rows in the order they were built.
+// from the rows' key hashes (Batch.HashColumns, ChunkedBatch.HashRange):
+// two flat int32 arrays instead of a map of per-key slices, so building
+// allocates twice however many rows or distinct keys there are. A bucket
+// chains every row whose hash falls into it — rows of different keys
+// included — in ascending row order, so a prober walks First/Next, verifies
+// the key of each row it visits, and sees equal-key rows in the order they
+// were built.
 type HashIndex struct {
 	// heads[b] is the first row of bucket b, next[i] the row after i in its
 	// bucket; -1 ends a chain.
@@ -23,11 +24,15 @@ type HashIndex struct {
 // bytes absorbed.
 const hashMix = 0x9E3779B97F4A7C15
 
-// Build indexes rows 0..len(hashes)-1, replacing what the index held and
-// reusing its arrays when they are large enough. Buckets number at least
-// twice the rows.
+// Build indexes rows 0..len(hashes)-1, replacing what the index held.
 func (ix *HashIndex) Build(hashes []uint64) {
-	n := len(hashes)
+	ix.Reset(len(hashes))
+	ix.Insert(0, hashes)
+}
+
+// Reset empties the index and sizes it for rows 0..n-1, reusing its arrays
+// when they are large enough. Buckets number at least twice the rows.
+func (ix *HashIndex) Reset(n int) {
 	logSize := bits.Len(uint(2*n - 1))
 	if n == 0 {
 		logSize = 0
@@ -45,12 +50,18 @@ func (ix *HashIndex) Build(hashes []uint64) {
 	}
 	ix.next = ix.next[:n]
 	ix.shift = uint(64 - logSize)
-	// Inserting at the head in descending row order leaves every chain
-	// ascending.
-	for i := n - 1; i >= 0; i-- {
+}
+
+// Insert chains rows first..first+len(hashes)-1, whose key hashes those
+// are, at the head of their buckets in descending row order. Inserting
+// every range of a Reset index, the last range first, leaves every chain
+// ascending.
+func (ix *HashIndex) Insert(first int, hashes []uint64) {
+	next := ix.next[first : first+len(hashes)]
+	for i := len(hashes) - 1; i >= 0; i-- {
 		b := (hashes[i] * hashMix) >> ix.shift
-		ix.next[i] = ix.heads[b]
-		ix.heads[b] = int32(i)
+		next[i] = ix.heads[b]
+		ix.heads[b] = int32(first + i)
 	}
 }
 

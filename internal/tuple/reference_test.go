@@ -136,9 +136,9 @@ func checkBatch(t *testing.T, what string, b *Batch, ref *refBatch) {
 // TestTypedBatchMatchesRowReference: over random schemas of all five kinds
 // (zero columns included) and random rows, every way of filling a typed
 // batch — row by row, by range, by selection, by projection, by join ids,
-// by adopting columns, by reserving — and every way of reading it back
-// agrees cell for cell with a row-major reference, also when a batch grows
-// past the capacity it was made with.
+// by adopting columns — and every way of reading it back agrees cell for
+// cell with a row-major reference, also when a batch grows past the
+// capacity it was made with.
 func TestTypedBatchMatchesRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for round := 0; round < 200; round++ {
@@ -165,15 +165,9 @@ func TestTypedBatchMatchesRowReference(t *testing.T) {
 		checkBatch(t, what+" Reset", b, &refBatch{schema: sch})
 		checkBatch(t, what+" FromRows", FromRows(sch, rows), ref)
 
-		// Whole batches and ranges, reserving first or growing on the way.
+		// Whole batches and ranges, growing on the way.
 		dst, dref := NewBatch(sch, 2), &refBatch{schema: sch}
 		for k := 0; k < 3; k++ {
-			if rng.Intn(2) == 0 {
-				dst.Reserve(n)
-				if dst.Cap() < dst.Len()+n {
-					t.Fatalf("%s: Reserve(%d) left Cap %d with %d rows", what, n, dst.Cap(), dst.Len())
-				}
-			}
 			dst.AppendBatch(b)
 			dst.AppendBatch(FromRows(sch, rows))
 			dref.rows = append(dref.rows, rows...)
@@ -182,7 +176,7 @@ func TestTypedBatchMatchesRowReference(t *testing.T) {
 			dst.AppendRange(FromRows(sch, rows), lo, hi)
 			dref.rows = append(dref.rows, rows[lo:hi]...)
 		}
-		checkBatch(t, what+" AppendBatch/Range/Reserve", dst, dref)
+		checkBatch(t, what+" AppendBatch/Range", dst, dref)
 
 		// The segment-to-batch copies: a pick of the columns, by range, by
 		// selection and row by row; then the same columns adopted.
@@ -259,23 +253,25 @@ func TestTypedBatchMatchesRowReference(t *testing.T) {
 	}
 }
 
-// TestMatchKeysFollowsEqual: MatchKeys keeps exactly the id pairs whose key
+// TestMatchKeysFollowsEqual: MatchKeys keeps exactly the row pairs whose key
 // cells are Equal and of one kind, in order — NaN with NaN, -0 with +0,
-// several key columns at once.
+// several key columns at once, build rows in any chunk of the store.
 func TestMatchKeysFollowsEqual(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for round := 0; round < 100; round++ {
 		as, bs := randSchema(rng, "a", 1+rng.Intn(4)), randSchema(rng, "b", 1+rng.Intn(4))
 		arows, brows := randRows(rng, as, 1+rng.Intn(20)), randRows(rng, bs, 1+rng.Intn(20))
+		a := chunkedFrom(as, arows, 1+rng.Intn(3), 1+rng.Intn(5))
 		var ak, bk []int
 		for k := 1 + rng.Intn(2); k > 0; k-- {
 			ak, bk = append(ak, rng.Intn(as.Len())), append(bk, rng.Intn(bs.Len()))
 		}
-		var ai, bi []int32
+		var at []Loc
+		var bi []int32
 		var want [][2]int32
 		for k := rng.Intn(80); k > 0; k-- {
 			x, y := int32(rng.Intn(len(arows))), int32(rng.Intn(len(brows)))
-			ai, bi = append(ai, x), append(bi, y)
+			at, bi = append(at, a.Loc(x)), append(bi, y)
 			equal := true
 			for c := range ak {
 				av, bv := arows[x][ak[c]], brows[y][bk[c]]
@@ -285,13 +281,13 @@ func TestMatchKeysFollowsEqual(t *testing.T) {
 				want = append(want, [2]int32{x, y})
 			}
 		}
-		n := MatchKeys(FromRows(as, arows), ak, ai, FromRows(bs, brows), bk, bi)
+		n := MatchKeys(a, ak, at, FromRows(bs, brows), bk, bi)
 		if n != len(want) {
 			t.Fatalf("round %d: %d pairs kept, want %d", round, n, len(want))
 		}
 		for k, w := range want {
-			if ai[k] != w[0] || bi[k] != w[1] {
-				t.Fatalf("round %d: pair %d = (%d, %d), want %v", round, k, ai[k], bi[k], w)
+			if at[k] != a.Loc(w[0]) || bi[k] != w[1] {
+				t.Fatalf("round %d: pair %d = (%v, %d), want %v at %v", round, k, at[k], bi[k], w, a.Loc(w[0]))
 			}
 		}
 	}

@@ -12,10 +12,17 @@
 # 1` every per-layer metric on the result line — the wall-clock ones
 # (ops_per_s, op_wall_p50_ms, *.self_ms_per_op, the vtime and csd probes)
 # included. Prints, per workload x metric, each side's median [q1-q3]
-# (quartiles by linear interpolation), change/parent and the pairs the
-# change won, as the markdown table docs/reports/ uses. A lower value wins
-# unless BENCHMARK.json marks the metric `better: higher` (the table says
-# so); ties count for neither. Fails if any run does.
+# (quartiles by linear interpolation), change/parent, the pairs the change
+# won and a verdict, as the markdown table docs/reports/ uses. A lower value
+# wins unless BENCHMARK.json marks the metric `better: higher` (the table
+# says so); ties count for neither. The verdict is the acceptance rule's:
+# `better` when the change won at least nine pairs in ten and its median is
+# past the parent's by more than the parent's q3-q1; `WORSE` when an
+# end-to-end metric's change median is past the parent's by more than its
+# BENCHMARK.json `bound` (a fraction of the parent median, in the metric's
+# losing direction); `within bound` for any other end-to-end row and `–`
+# for any other per-layer row. The verdict is printed, never acted on. Fails
+# if any run does.
 #
 #   scripts/bench_pairs.sh HEAD~1 10 --seed 1
 #   scripts/bench_pairs.sh HEAD~1 10 --seed 1 --trace 1 --workload serve-micro
@@ -23,7 +30,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,23p' "$0" >&2
+	sed -n '2,29p' "$0" >&2
 	exit 2
 fi
 ref=$1
@@ -56,10 +63,11 @@ run() {
 	shift 3
 	echo "pair $pair/$pairs: $side" >&2
 	# The benchmark names the workload on stderr, then prints its result
-	# line on stdout: read both in order, pass everything else through.
+	# line on stdout: read both in order and pass every line through to
+	# stderr, so a saved log keeps each run's result line.
 	(cd "$dir" && bash bench/run.sh "$@" 2>&1) | awk -v side="$side" -v pair="$pair" '
 		/^== / { workload = $2 }
-		!/^\{"correct"/ { print > "/dev/stderr" }
+		{ print > "/dev/stderr" }
 		/^\{"correct"/ {
 			s = $0
 			while (match(s, /"[A-Za-z0-9_.]+":\{"value":[-+0-9.eE]+/)) {
@@ -82,8 +90,9 @@ for ((pair = 1; pair <= pairs; pair++)); do
 	fi
 done
 
-# The metrics BENCHMARK.json marks `better: higher` come first, as
-# "higher <name>" lines, then the samples.
+# What BENCHMARK.json says of its metrics comes first — "higher <name>"
+# for a metric marked `better: higher`, "bound <name> <fraction>" for an
+# end-to-end one — then the samples.
 awk -v pairs="$pairs" '
 	function quantile(a, n, p,    pos, lo) {
 		pos = (n - 1) * p
@@ -97,18 +106,21 @@ awk -v pairs="$pairs" '
 		for (i = 1; i <= pairs; i++) if ((key, side, i) in v) a[n++] = v[key, side, i]
 		for (i = 1; i < n; i++) for (j = i; j > 0 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
 		med[side] = quantile(a, n, 0.5)
-		return sprintf("%.6g [%.6g–%.6g]", med[side], quantile(a, n, 0.25), quantile(a, n, 0.75))
+		q1[side] = quantile(a, n, 0.25)
+		q3[side] = quantile(a, n, 0.75)
+		return sprintf("%.6g [%.6g–%.6g]", med[side], q1[side], q3[side])
 	}
 	$1 == "higher" { higher[$2] = 1; next }
+	$1 == "bound" { bound[$2] = $3; next }
 	{
 		key = $1 " | " $2
 		if ($2 in higher) key = key " (higher wins)"
-		if (!(key in seen)) { seen[key] = 1; order[nkeys++] = key }
+		if (!(key in seen)) { seen[key] = 1; order[nkeys++] = key; metric[key] = $2 }
 		v[key, $3, $4] = $5
 	}
 	END {
-		print "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | pairs won |"
-		print "|---|---|---|---|---|---|"
+		print "| workload | metric | parent median [q1–q3] | change median [q1–q3] | change/parent | pairs won | verdict |"
+		print "|---|---|---|---|---|---|---|"
 		for (k = 0; k < nkeys; k++) {
 			key = order[k]
 			won = 0
@@ -120,6 +132,16 @@ awk -v pairs="$pairs" '
 			p = summary(key, "parent")
 			c = summary(key, "change")
 			ratio = med["parent"] == 0 ? "n/a" : sprintf("%.3f", med["change"] / med["parent"])
-			printf "| %s | %s | %s | %s | %d/%d |\n", key, p, c, ratio, won, pairs
+			gain = up ? med["change"] - med["parent"] : med["parent"] - med["change"]
+			verdict = "–"
+			if (metric[key] in bound) {
+				verdict = "within bound"
+				if (-gain > bound[metric[key]] * med["parent"]) verdict = "WORSE"
+			}
+			if (10 * won >= 9 * pairs && gain > q3["parent"] - q1["parent"]) verdict = "better"
+			printf "| %s | %s | %s | %s | %d/%d | %s |\n", key, p, c, ratio, won, pairs, verdict
 		}
-	}' <(awk '/"name":/ { name = $2; gsub(/[",]/, "", name) } /"better": *"higher"/ { print "higher", name }' "$root/BENCHMARK.json") "$tmp/samples"
+	}' <(awk '
+		/"name":/ { name = $2; gsub(/[",]/, "", name) }
+		/"better": *"higher"/ { print "higher", name }
+		/"bound":/ { b = $2; gsub(/[",]/, "", b); print "bound", name, b }' "$root/BENCHMARK.json") "$tmp/samples"
