@@ -60,16 +60,15 @@ func timedBatch(st *OpStats, fn func() (*tuple.Batch, bool, error)) (*tuple.Batc
 	return b, ok, err
 }
 
-func (s *SeqScan) opStats() **OpStats     { return &s.ostats }
-func (f *Filter) opStats() **OpStats      { return &f.ostats }
-func (pr *Project) opStats() **OpStats    { return &pr.ostats }
-func (l *Limit) opStats() **OpStats       { return &l.ostats }
-func (d *Distinct) opStats() **OpStats    { return &d.ostats }
-func (v *Values) opStats() **OpStats      { return &v.ostats }
-func (v *BatchValues) opStats() **OpStats { return &v.ostats }
-func (j *HashJoin) opStats() **OpStats    { return &j.ostats }
-func (a *HashAgg) opStats() **OpStats     { return &a.ostats }
-func (s *Sort) opStats() **OpStats        { return &s.ostats }
+func (s *SeqScan) opStats() **OpStats  { return &s.ostats }
+func (f *Filter) opStats() **OpStats   { return &f.ostats }
+func (pr *Project) opStats() **OpStats { return &pr.ostats }
+func (l *Limit) opStats() **OpStats    { return &l.ostats }
+func (d *Distinct) opStats() **OpStats { return &d.ostats }
+func (v *Values) opStats() **OpStats   { return &v.ostats }
+func (j *HashJoin) opStats() **OpStats { return &j.ostats }
+func (a *HashAgg) opStats() **OpStats  { return &a.ostats }
+func (s *Sort) opStats() **OpStats     { return &s.ostats }
 
 // EnableAnalyze arms every operator in the plan for measurement. The
 // armed plan must be drained serially (dop=1): OpStats is not locked.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -44,6 +45,90 @@ func (r *oneRowIter) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func oneRow(it Iterator) Iterator { return &oneRowIter{Iterator: it} }
+
+// BatchValues is a leaf iterator over batches a test already holds, served
+// as they are, without a copy. The batches must stay untouched while the
+// plan runs.
+type BatchValues struct {
+	schema  *tuple.Schema
+	batches []*tuple.Batch
+	idx     int
+	ostats  *OpStats
+}
+
+// NewBatchValues builds a constant relation over batches of the given
+// schema.
+func NewBatchValues(schema *tuple.Schema, batches []*tuple.Batch) *BatchValues {
+	return &BatchValues{schema: schema, batches: batches}
+}
+
+func (v *BatchValues) Schema() *tuple.Schema { return v.schema }
+
+func (v *BatchValues) Open() error {
+	v.idx = 0
+	return nil
+}
+
+func (v *BatchValues) NextBatch() (*tuple.Batch, bool, error) {
+	if v.ostats != nil {
+		return timedBatch(v.ostats, v.nextBatch)
+	}
+	return v.nextBatch()
+}
+
+func (v *BatchValues) nextBatch() (*tuple.Batch, bool, error) {
+	for v.idx < len(v.batches) {
+		b := v.batches[v.idx]
+		v.idx++
+		if b.Len() > 0 {
+			return b, true, nil
+		}
+	}
+	return nil, false, nil
+}
+
+func (v *BatchValues) Close() error { return nil }
+
+func (v *BatchValues) children() []Iterator { return nil }
+func (v *BatchValues) opStats() **OpStats   { return &v.ostats }
+
+func (v *BatchValues) label() string {
+	rows := 0
+	for _, b := range v.batches {
+		rows += b.Len()
+	}
+	return fmt.Sprintf("Values (%d rows in %d batches)", rows, len(v.batches))
+}
+
+// closeErrIter fails its Close and nothing else.
+type closeErrIter struct {
+	Iterator
+	err error
+}
+
+func (c closeErrIter) Close() error { return c.err }
+
+// TestCollectReturnsCloseError: Close can do real work — an MJoin stream
+// closed early finishes its join there — so a fault in it must not vanish.
+// Collect returns Close's error when the drain succeeded, and the drain's
+// own error when it did not.
+func TestCollectReturnsCloseError(t *testing.T) {
+	rows, sch := benchRowsN(10)
+	boom := errors.New("close failed")
+	good := closeErrIter{NewBatchValues(sch, []*tuple.Batch{tuple.FromRows(sch, rows)}), boom}
+	if got, err := Collect(good); !errors.Is(err, boom) || got != nil {
+		t.Fatalf("Collect = %d rows, %v; want no rows and the Close error", len(got), err)
+	}
+	tm, store := buildTable(t, "t", kvRows(10), 3)
+	delete(store, tm.Objects[1])
+	bad := closeErrIter{NewSeqScan(NewTestCtx(store), tm), boom}
+	if _, err := Collect(bad); err == nil || errors.Is(err, boom) {
+		t.Fatalf("Collect = %v; want the drain's fetch error, not the Close error", err)
+	}
+	if got, err := Collect(NewBatchValues(sch, []*tuple.Batch{tuple.FromRows(sch, rows)})); err != nil || len(got) != 10 {
+		t.Fatalf("Collect = %d rows, %v; want 10 rows", len(got), err)
+	}
+}
 
 // TestBatchValuesServesBatchesAsTheyAre: the batch-backed leaf hands out
 // the caller's batches themselves, skips empty ones and starts over on

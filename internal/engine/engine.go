@@ -96,18 +96,24 @@ type Iterator interface {
 	// until the next NextBatch call, so blocking consumers copy what
 	// they keep.
 	NextBatch() (*tuple.Batch, bool, error)
-	// Close releases resources. Close after a failed Open is allowed.
+	// Close releases resources; it may finish work first (an MJoin stream
+	// runs its join to the end). Close after a failed Open is allowed.
 	Close() error
 	// Schema describes the output rows.
 	Schema() *tuple.Schema
 }
 
-// Collect fully drains an iterator and materializes all rows.
-func Collect(it Iterator) ([]tuple.Row, error) {
+// Collect fully drains an iterator and materializes all rows. An opened
+// iterator is always closed; Close's error counts if the drain succeeded.
+func Collect(it Iterator) (rows []tuple.Row, err error) {
 	if err := it.Open(); err != nil {
 		return nil, err
 	}
-	defer it.Close()
+	defer func() {
+		if cerr := it.Close(); err == nil && cerr != nil {
+			rows, err = nil, cerr
+		}
+	}()
 	var out []tuple.Row
 	for {
 		b, ok, err := it.NextBatch()

@@ -22,16 +22,15 @@ type planNode interface {
 	opStats() **OpStats
 }
 
-func (s *SeqScan) children() []Iterator     { return nil }
-func (f *Filter) children() []Iterator      { return []Iterator{f.child} }
-func (pr *Project) children() []Iterator    { return []Iterator{pr.child} }
-func (l *Limit) children() []Iterator       { return []Iterator{l.child} }
-func (d *Distinct) children() []Iterator    { return []Iterator{d.child} }
-func (v *Values) children() []Iterator      { return nil }
-func (v *BatchValues) children() []Iterator { return nil }
-func (j *HashJoin) children() []Iterator    { return []Iterator{j.left, j.right} }
-func (a *HashAgg) children() []Iterator     { return []Iterator{a.child} }
-func (s *Sort) children() []Iterator        { return []Iterator{s.child} }
+func (s *SeqScan) children() []Iterator  { return nil }
+func (f *Filter) children() []Iterator   { return []Iterator{f.child} }
+func (pr *Project) children() []Iterator { return []Iterator{pr.child} }
+func (l *Limit) children() []Iterator    { return []Iterator{l.child} }
+func (d *Distinct) children() []Iterator { return []Iterator{d.child} }
+func (v *Values) children() []Iterator   { return nil }
+func (j *HashJoin) children() []Iterator { return []Iterator{j.left, j.right} }
+func (a *HashAgg) children() []Iterator  { return []Iterator{a.child} }
+func (s *Sort) children() []Iterator     { return []Iterator{s.child} }
 
 // walkPlan calls visit on every operator of the plan rooted at n.
 func walkPlan(n Iterator, visit func(n Iterator)) {
@@ -108,14 +107,6 @@ func (l *Limit) label() string { return fmt.Sprintf("Limit %d", l.n) }
 func (d *Distinct) label() string { return "Distinct" }
 
 func (v *Values) label() string { return fmt.Sprintf("Values (%d rows)", len(v.rows)) }
-
-func (v *BatchValues) label() string {
-	rows := 0
-	for _, b := range v.batches {
-		rows += b.Len()
-	}
-	return fmt.Sprintf("Values (%d rows in %d batches)", rows, len(v.batches))
-}
 
 // dopSuffix annotates parallel operators in plan displays; serial
 // operators stay unmarked so DOP=1 plans render exactly as before.

@@ -66,16 +66,15 @@ func TestEveryOperatorIsAPlanNode(t *testing.T) {
 	scan := func() Iterator { return NewSeqScan(NewTestCtx(store), tm) }
 	k := expr.Bind(tm.Schema, "k")
 	operators := map[string]Iterator{
-		"SeqScan":     scan(),
-		"Filter":      NewFilter(scan(), expr.ColGE(tm.Schema, "k", tuple.Int(2))),
-		"Project":     NewProject(scan(), []ProjectCol{{Name: "k", Kind: tuple.KindInt64, E: k}}),
-		"Limit":       NewLimit(scan(), 1),
-		"Distinct":    NewDistinct(scan()),
-		"Values":      NewValues(tm.Schema, nil),
-		"BatchValues": NewBatchValues(tm.Schema, nil),
-		"HashJoin":    JoinOn(scan(), scan(), [][2]string{{"k", "k"}}),
-		"HashAgg":     NewHashAgg(scan(), nil, []AggSpec{{Kind: AggCount, Name: "n"}}),
-		"Sort":        NewSort(scan(), []SortKey{{E: k}}),
+		"SeqScan":  scan(),
+		"Filter":   NewFilter(scan(), expr.ColGE(tm.Schema, "k", tuple.Int(2))),
+		"Project":  NewProject(scan(), []ProjectCol{{Name: "k", Kind: tuple.KindInt64, E: k}}),
+		"Limit":    NewLimit(scan(), 1),
+		"Distinct": NewDistinct(scan()),
+		"Values":   NewValues(tm.Schema, nil),
+		"HashJoin": JoinOn(scan(), scan(), [][2]string{{"k", "k"}}),
+		"HashAgg":  NewHashAgg(scan(), nil, []AggSpec{{Kind: AggCount, Name: "n"}}),
+		"Sort":     NewSort(scan(), []SortKey{{E: k}}),
 	}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -103,18 +102,17 @@ func TestEveryOperatorIsAPlanNode(t *testing.T) {
 	if found != len(operators) {
 		t.Errorf("found %d operator types in the sources, the table lists %d", found, len(operators))
 	}
-	// The nine labels EXPLAIN has always printed, and Distinct's.
+	// The label EXPLAIN prints for each operator.
 	want := map[string]string{
-		"SeqScan":     "SeqScan t (2 segments, 4 rows)",
-		"Filter":      "Filter (k >= 2)",
-		"Project":     "Project k=k",
-		"Limit":       "Limit 1",
-		"Distinct":    "Distinct",
-		"Values":      "Values (0 rows)",
-		"BatchValues": "Values (0 rows in 0 batches)",
-		"HashJoin":    "HashJoin on k=k",
-		"HashAgg":     "HashAgg count(*)",
-		"Sort":        "Sort k asc",
+		"SeqScan":  "SeqScan t (2 segments, 4 rows)",
+		"Filter":   "Filter (k >= 2)",
+		"Project":  "Project k=k",
+		"Limit":    "Limit 1",
+		"Distinct": "Distinct",
+		"Values":   "Values (0 rows)",
+		"HashJoin": "HashJoin on k=k",
+		"HashAgg":  "HashAgg count(*)",
+		"Sort":     "Sort k asc",
 	}
 	for name, op := range operators {
 		first, _, _ := strings.Cut(Explain(op), "\n")

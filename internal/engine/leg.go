@@ -56,6 +56,9 @@ func NewLeg(table *tuple.Schema, cols []int, filter expr.Expr) *Leg {
 // Schema describes every batch the leg produces.
 func (l *Leg) Schema() *tuple.Schema { return l.schema }
 
+// Cols lists the table columns behind the leg's, in ascending order.
+func (l *Leg) Cols() []int { return l.cols }
+
 // segmentBytes is the byte accounting of one decoded segment.
 func segmentBytes(seg *segment.Segment, cd *segment.ColumnData) ScanBytes {
 	return ScanBytes{
@@ -123,26 +126,28 @@ func (l *Leg) appendRows(dst *tuple.Batch, cd *segment.ColumnData, rows []tuple.
 
 // ReadSegment runs the kernel over one whole delivered segment and returns
 // the leg's rows as a batch the caller owns, allocated at the survivor
-// count. reuse is a decode buffer of a previous call, or nil; the buffer to
-// pass next time comes back. An unfiltered lazy segment is not copied at
-// all: the batch takes the decoded vectors over and the buffer comes back
-// without them. Decode errors wrap segment.ErrCorrupt.
-func (l *Leg) ReadSegment(seg *segment.Segment, reuse *segment.ColumnData) (*tuple.Batch, *segment.ColumnData, ScanBytes, error) {
+// count. buf is the caller's decode buffer, needed for a lazy segment only:
+// its Cols, as wide as the table, are kept across calls, and a projected
+// column decodes into its vector whenever that is long enough. An
+// unfiltered lazy segment is not copied at all: the batch takes the decoded
+// vectors over and buf is left without them, for the caller to restock.
+// Decode errors wrap segment.ErrCorrupt.
+func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData) (*tuple.Batch, ScanBytes, error) {
 	var by ScanBytes
 	var cd *segment.ColumnData
 	n := len(seg.Rows)
 	if seg.Lazy() {
 		var err error
-		if cd, err = seg.DecodeColumns(l.table, l.cols, reuse); err != nil {
-			return nil, reuse, by, err
+		if cd, err = seg.DecodeColumns(l.table, l.cols, buf); err != nil {
+			return nil, by, err
 		}
-		by, n, reuse = segmentBytes(seg, cd), cd.NumRows, cd
+		by, n = segmentBytes(seg, cd), cd.NumRows
 		if l.filter == nil {
 			cols := make([]tuple.Vector, len(l.cols))
 			for c, src := range l.cols {
 				cols[c], cd.Cols[src] = cd.Cols[src], tuple.Vector{}
 			}
-			return tuple.BatchOf(l.schema, cols, n), cd, by, nil
+			return tuple.BatchOf(l.schema, cols, n), by, nil
 		}
 	}
 	var sc legScratch
@@ -150,11 +155,11 @@ func (l *Leg) ReadSegment(seg *segment.Segment, reuse *segment.ColumnData) (*tup
 	if l.filter != nil {
 		sc.sel = make([]int32, 0, n)
 		if err := l.selectRows(cd, seg.Rows, 0, n, &sc); err != nil {
-			return nil, reuse, by, err
+			return nil, by, err
 		}
 		survivors = len(sc.sel)
 	}
 	out := tuple.NewBatch(l.schema, survivors)
 	l.appendRows(out, cd, seg.Rows, 0, n, sc.sel)
-	return out, reuse, by, nil
+	return out, by, nil
 }

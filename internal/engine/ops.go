@@ -309,51 +309,3 @@ func (v *Values) nextBatch() (*tuple.Batch, bool, error) {
 
 // Close implements Iterator.
 func (v *Values) Close() error { return nil }
-
-// BatchValues is a leaf iterator over batches the caller already holds,
-// served as they are, without a copy — the MJoin result bridge: the join's
-// output chunks flow into the shaping stage without ever becoming rows.
-// The batches must stay untouched while the plan runs.
-type BatchValues struct {
-	schema  *tuple.Schema
-	batches []*tuple.Batch
-	idx     int
-	ostats  *OpStats
-}
-
-// NewBatchValues builds a constant relation over batches of the given
-// schema.
-func NewBatchValues(schema *tuple.Schema, batches []*tuple.Batch) *BatchValues {
-	return &BatchValues{schema: schema, batches: batches}
-}
-
-// Schema implements Iterator.
-func (v *BatchValues) Schema() *tuple.Schema { return v.schema }
-
-// Open implements Iterator.
-func (v *BatchValues) Open() error {
-	v.idx = 0
-	return nil
-}
-
-// NextBatch implements Iterator.
-func (v *BatchValues) NextBatch() (*tuple.Batch, bool, error) {
-	if v.ostats != nil {
-		return timedBatch(v.ostats, v.nextBatch)
-	}
-	return v.nextBatch()
-}
-
-func (v *BatchValues) nextBatch() (*tuple.Batch, bool, error) {
-	for v.idx < len(v.batches) {
-		b := v.batches[v.idx]
-		v.idx++
-		if b.Len() > 0 {
-			return b, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
-// Close implements Iterator.
-func (v *BatchValues) Close() error { return nil }

@@ -37,7 +37,7 @@ func TestColsNarrowTheOutput(t *testing.T) {
 		if got, want := narrowQ.OutputSchema().ColumnNames(), []string{"ak", "bk", "bk_tag"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: output schema %v, want %v", name, got, want)
 		}
-		m, err := newManager(narrowQ, DefaultConfig(3), &scriptSource{store: store})
+		m, err := NewStream(narrowQ, DefaultConfig(3), &scriptSource{store: store})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,11 +46,15 @@ func TestColsNarrowTheOutput(t *testing.T) {
 				t.Fatalf("%s: cache entry of relation a is %d columns wide, want 1", name, w)
 			}
 		}
-		if err := m.loop(); err != nil {
-			t.Fatal(err)
-		}
 		var narrow []tuple.Row
-		for _, b := range m.out {
+		for {
+			b, ok, err := m.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
 			if b.Schema().Len() != 3 {
 				t.Fatalf("%s: output chunk is %d columns wide, want 3", name, b.Schema().Len())
 			}

@@ -27,7 +27,7 @@ import (
 //     Relation.Cols are decoded, the filter becomes a selection vector, and
 //     the cache entry holds the survivors of those columns, allocated at
 //     the survivor count; an unfiltered arrival's entry simply owns the
-//     freshly decoded columns (decodeArrival).
+//     columns it was decoded into (decodeArrival).
 //   - A partial tuple is one int32 row id per relation joined so far, held
 //     in per-worker struct-of-arrays scratch. Each chain level reads its
 //     left key straight from the cached column of the relation that owns
@@ -36,11 +36,11 @@ import (
 //     (probeLevels).
 //   - Only the partials that survive the last level are gathered, column
 //     by column, into output chunks as wide as the legs together (emit).
-//     Run turns chunks into rows for callers that want rows; RunBatches
-//     hands the chunks on as they are.
+//     The Stream hands each chunk on as it completes and refills it after.
 //
-// So steady-state probing and table building allocate per object and per
-// output chunk, never per row.
+// So a run allocates nothing per row, and in proportion to its cache rather
+// than to its arrivals or its result: the next arrival, of any relation,
+// decodes and indexes into what evicted entries leave in the pool.
 //
 // With Config.Parallelism > 1 the probeChunk-sized root partitions of a
 // subplan are claimed by a pool of workers, each expanding its chunks
@@ -70,28 +70,12 @@ type cacheEntry struct {
 	keyIdx int
 }
 
-// receiveArrivals consumes exactly n arrivals from the source, in delivery
-// order, folding each into the cache and running every subplan it makes
-// runnable. A storage failure aborts the run with the wrapped cause.
-func (m *manager) receiveArrivals(n int) error {
-	for i := 0; i < n; i++ {
-		seg, err := m.src.NextArrival()
-		if err != nil {
-			return fmt.Errorf("mjoin: arrival: %w", err)
-		}
-		if err := m.processArrival(seg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // processArrival handles one delivered object: an arrival no pending
 // subplan needs any more (raced with pruning/completion) is dropped
 // undecoded and uncharged; any other pays the per-object processing charge,
 // is decoded, counted and admitted to the cache. It fails on a corrupt
 // arrival (lazy-store block decode), mirroring the vanilla scan path.
-func (m *manager) processArrival(seg *segment.Segment) error {
+func (m *Stream) processArrival(seg *segment.Segment) error {
 	m.stats.Arrivals++
 	ref, known := m.objIndex[seg.ID]
 	if !known {
@@ -123,13 +107,15 @@ func (m *manager) processArrival(seg *segment.Segment) error {
 // holds — the relation's filtered rows, Cols wide — by running the
 // relation's leg kernel over it (engine.Leg.ReadSegment): a filtered
 // arrival is copied out of the relation's reused decode buffer at the
-// survivor count, an unfiltered lazy one owns its freshly decoded vectors.
-// Decode errors (lazy stores validate headers at build time, block contents
-// on first decode) and filter errors surface as errors, like the vanilla
-// scan path.
-func (m *manager) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, engine.ScanBytes, error) {
-	batch, cd, by, err := m.probe.legs[rel].ReadSegment(seg, m.cds[rel])
-	m.cds[rel] = cd
+// survivor count, an unfiltered lazy one owns its decoded vectors, which
+// refill has restocked from the pool where it could. Decode errors (lazy
+// stores validate headers at build time, block contents on first decode)
+// and filter errors surface as errors, like the vanilla scan path.
+func (m *Stream) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, engine.ScanBytes, error) {
+	if seg.Lazy() {
+		m.refill(rel, seg.NumRows())
+	}
+	batch, by, err := m.probe.legs[rel].ReadSegment(seg, m.cds[rel])
 	if err != nil {
 		err = fmt.Errorf("mjoin: arrival %v: %w", seg.ID, err)
 	}
@@ -137,15 +123,74 @@ func (m *manager) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, en
 }
 
 // buildEntry constructs the cache entry for an arrival of relation rel,
-// hashing the whole segment's key column in one vectorized pass.
-func (m *manager) buildEntry(rel int, batch *tuple.Batch) *cacheEntry {
+// hashing the whole segment's key column in one vectorized pass into an
+// index whose arrays come off the pool when an evicted entry's fit.
+func (m *Stream) buildEntry(rel int, batch *tuple.Batch) *cacheEntry {
 	e := &cacheEntry{batch: batch, keyIdx: m.probe.keyCol[rel]}
 	if rel == 0 {
 		return e
 	}
+	e.index, _ = takeBest(&m.pool.indexes, batch.Len(), func(ix tuple.HashIndex) int { return ix.Cap() })
 	m.hashBuf = batch.HashColumns([]int{e.keyIdx}, m.hashBuf)
 	e.index.Build(m.hashBuf)
 	return e
+}
+
+// pool is what evicted cache entries leave to the arrivals after them:
+// their decoded vectors and their index arrays. It only ever holds what the
+// run has retired, and goes when the run does.
+type pool struct {
+	vecs    []tuple.Vector
+	indexes []tuple.HashIndex
+}
+
+// retire pools an evicted entry's index arrays and, when its relation
+// decodes arrivals (a mem-format one has nothing to refill), its vectors.
+func (m *Stream) retire(e *cacheEntry, vectors bool) {
+	if e.keyIdx >= 0 {
+		m.pool.indexes = append(m.pool.indexes, e.index)
+	}
+	if vectors {
+		for c := range e.batch.Schema().Cols {
+			m.pool.vecs = append(m.pool.vecs, e.batch.Col(c))
+		}
+	}
+}
+
+// refill readies relation rel's decode buffer for an arrival of n rows:
+// each column the leg reads whose vector holds fewer than n cells gets the
+// best-fitting one off the pool — of the same storage class, the slice its
+// kind picks — so the decode writes into it.
+func (m *Stream) refill(rel, n int) {
+	leg := m.probe.legs[rel]
+	if m.cds[rel] == nil {
+		m.cds[rel] = &segment.ColumnData{Cols: make([]tuple.Vector, m.q.Relations[rel].Table.Schema.Len())}
+	}
+	for c, src := range leg.Cols() {
+		k := leg.Schema().Cols[c].Kind
+		if v := &m.cds[rel].Cols[src]; v.Cap(k) < n {
+			*v, _ = takeBest(&m.pool.vecs, n, func(v tuple.Vector) int { return v.Cap(k) })
+		}
+	}
+}
+
+// takeBest removes from items, and returns, the one of least size that
+// still holds n, if there is one.
+func takeBest[T any](items *[]T, n int, size func(T) int) (T, bool) {
+	best, bestSize := -1, 0
+	for i, x := range *items {
+		if sz := size(x); sz >= n && (best < 0 || sz < bestSize) {
+			best, bestSize = i, sz
+		}
+	}
+	var x T
+	if best < 0 {
+		return x, false
+	}
+	last := len(*items) - 1
+	x, (*items)[best] = (*items)[best], (*items)[last]
+	*items = (*items)[:last]
+	return x, true
 }
 
 // probePlan is everything execution derives from a valid query, once: the
@@ -243,7 +288,7 @@ type probeScratch struct {
 // per-object hash indexes left to right, a chunk of root rows at a time,
 // and emits the surviving tuples. With DOP > 1 and more than one chunk of
 // root rows, the chunks run on a worker pool.
-func (m *manager) executeSubplan(sp subplan) {
+func (m *Stream) executeSubplan(sp subplan) {
 	entries, srcs := m.entries[:0], m.srcs[:0]
 	empty := false
 	for ri, si := range sp {
@@ -313,7 +358,7 @@ func (m *manager) executeSubplan(sp subplan) {
 // left in sc.cur. All mutable state lives in sc, so concurrent calls over
 // disjoint chunks with distinct scratches are race-free; entries and the
 // probe plan are only read.
-func (m *manager) probeLevels(entries []*cacheEntry, start, end int, sc *probeScratch) int {
+func (m *Stream) probeLevels(entries []*cacheEntry, start, end int, sc *probeScratch) int {
 	if sc.cur == nil {
 		sc.cur, sc.next = make([][]int32, len(entries)), make([][]int32, len(entries))
 	}
@@ -372,7 +417,7 @@ func probeLevel[T tuple.Key](ix *tuple.HashIndex, left, keys []T, hash func(T) u
 // left to emit or twice the previous chunk, whichever is more, up to
 // outChunkRows: chunks are never regrown, and a result of a few rows is
 // not charged a full-sized chunk.
-func (m *manager) emit(srcs []*tuple.Batch, ids [][]int32, n int) {
+func (m *Stream) emit(srcs []*tuple.Batch, ids [][]int32, n int) {
 	m.stats.ResultRows += n
 	for lo := 0; lo < n; {
 		var tail *tuple.Batch
@@ -380,15 +425,28 @@ func (m *manager) emit(srcs []*tuple.Batch, ids [][]int32, n int) {
 			tail = m.out[k-1]
 		}
 		if tail == nil || tail.Full() {
-			room := n - lo
-			if tail != nil {
-				room = max(room, 2*tail.Cap())
-			}
-			tail = tuple.NewBatch(m.probe.out, min(room, outChunkRows))
+			tail = m.newChunk(min(max(n-lo, 2*m.chunkCap), outChunkRows))
 			m.out = append(m.out, tail)
 		}
 		hi := min(n, lo+tail.Cap()-tail.Len())
 		tail.AppendJoined(srcs, ids, lo, hi)
 		lo = hi
 	}
+}
+
+// newChunk returns an empty output chunk with room for at least rows rows:
+// the last chunk handed out if it is that large (the smaller ones go), a
+// new one otherwise.
+func (m *Stream) newChunk(rows int) *tuple.Batch {
+	for len(m.free) > 0 {
+		b := m.free[len(m.free)-1]
+		m.free = m.free[:len(m.free)-1]
+		if b.Cap() >= rows {
+			b.Reset()
+			m.chunkCap = b.Cap()
+			return b
+		}
+	}
+	m.chunkCap = rows
+	return tuple.NewBatch(m.probe.out, rows)
 }

@@ -132,11 +132,8 @@ type Result struct {
 	// Schema describes the output rows: the relations' leg schemas
 	// (Table.Schema restricted to Cols), concatenated.
 	Schema *tuple.Schema
-	// Batches is the join output in columnar chunks, none of them empty:
-	// deterministic, row order included, given the arrival order.
-	Batches []*tuple.Batch
-	// Rows is the same output as rows, in the same order. Only Run fills
-	// it.
+	// Rows is the join output: deterministic, row order included, given the
+	// arrival order.
 	Rows []tuple.Row
 	// Stats reports what the execution did.
 	Stats Stats
@@ -147,8 +144,11 @@ type objRef struct {
 	rel, seg int
 }
 
-// manager is the per-execution state (Algorithm 1).
-type manager struct {
+// Stream is one MJoin execution (Algorithm 1), the state manager itself, as
+// an engine.Iterator that runs once. Closed early, it still runs the whole
+// join, so a run's GETs and virtual charges never depend on how much of its
+// output was read.
+type Stream struct {
 	q   *Query
 	cfg Config
 	src Source
@@ -159,10 +159,11 @@ type manager struct {
 
 	// dop is the normalized Config.Parallelism (>= 1).
 	dop int
-	// cds[r] is relation r's reused decode buffer: a filtered arrival's
-	// cache entry copies the survivors out of it, an unfiltered one takes
-	// its vectors.
-	cds []*segment.ColumnData
+	// cds[r] is relation r's decode buffer, nil until it decodes an arrival:
+	// a filtered arrival's cache entry copies the survivors out of it, an
+	// unfiltered one takes its vectors, and refill restocks them from pool.
+	cds  []*segment.ColumnData
+	pool pool
 	// scratches holds one probe-chain scratch per worker, reused across
 	// arrivals and subplans; scratches[0] is the serial path's.
 	scratches []probeScratch
@@ -186,8 +187,19 @@ type manager struct {
 	seq        int
 
 	stats Stats
-	// out is the join output so far; emit fills the last chunk.
-	out []*tuple.Batch
+	// out queues the output chunks not handed out yet, oldest first; emit
+	// fills the last one. free holds the chunks handed out, for emit to
+	// refill once the consumer has asked for the next, and chunkCap is the
+	// capacity of the last chunk emit started.
+	out, free []*tuple.Batch
+	chunkCap  int
+
+	// arrivals counts the arrivals the open cycle still expects, progress
+	// the subplans executed or pruned when it opened, cycleSpan is its trace
+	// span. done is set when the run has ended, err when it failed.
+	arrivals, progress, cycleSpan int
+	done                          bool
+	err                           error
 
 	arriving segment.ObjectID // current arrival, for ExecutableCount
 
@@ -202,38 +214,25 @@ type manager struct {
 }
 
 // Run executes the query to completion against the source and
-// materializes the output as rows — the row boundary for callers that
-// count or compare rows. A caller that goes on to process the output
-// batch-at-a-time uses RunBatches and never pays for the rows.
+// materializes the output as rows — the row boundary for callers that count
+// or compare rows. It drains the Stream NewStream returns; a caller that
+// goes on to process the output batch-at-a-time pulls the Stream itself.
 func Run(q *Query, cfg Config, src Source) (*Result, error) {
-	res, err := RunBatches(q, cfg, src)
+	m, err := NewStream(q, cfg, src)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = make([]tuple.Row, 0, res.Stats.ResultRows)
-	for _, b := range res.Batches {
-		res.Rows = b.AppendRows(res.Rows)
-	}
-	return res, nil
-}
-
-// RunBatches executes the query to completion against the source, leaving
-// the output in the columnar chunks it was gathered into (Result.Batches;
-// Result.Rows stays nil).
-func RunBatches(q *Query, cfg Config, src Source) (*Result, error) {
-	m, err := newManager(q, cfg, src)
+	rows, err := engine.Collect(m)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.loop(); err != nil {
-		return nil, err
-	}
-	return &Result{Schema: m.probe.out, Batches: m.out, Stats: m.stats}, nil
+	return &Result{Schema: m.probe.out, Rows: rows, Stats: m.stats}, nil
 }
 
-// newManager validates the query and configuration and builds the
-// execution state up to, not including, the first request cycle.
-func newManager(q *Query, cfg Config, src Source) (*manager, error) {
+// NewStream validates the query and configuration and builds the execution
+// state up to, not including, the first request cycle: nothing is asked of
+// the source before the first NextBatch or Close.
+func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 	probe, err := buildProbePlan(q)
 	if err != nil {
 		return nil, err
@@ -250,7 +249,7 @@ func newManager(q *Query, cfg Config, src Source) (*manager, error) {
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 1 << 20
 	}
-	m := &manager{
+	m := &Stream{
 		q:            q,
 		cfg:          cfg,
 		src:          src,
@@ -285,13 +284,116 @@ func newManager(q *Query, cfg Config, src Source) (*manager, error) {
 	return m, nil
 }
 
+// Schema implements engine.Iterator: the leg schemas, concatenated.
+func (m *Stream) Schema() *tuple.Schema { return m.probe.out }
+
+// Open implements engine.Iterator. The run starts on the first NextBatch.
+func (m *Stream) Open() error { return nil }
+
+// Stats reports what the run has done so far.
+func (m *Stream) Stats() Stats { return m.stats }
+
+// NextBatch implements engine.Iterator: it steps the run until the oldest
+// queued chunk is full, or the run has ended, and hands that chunk out. A
+// failure ends the run and is returned from then on.
+func (m *Stream) NextBatch() (*tuple.Batch, bool, error) {
+	for m.err == nil {
+		if k := len(m.out); k > 1 || k == 1 && (m.done || m.out[0].Full()) {
+			b := m.out[0]
+			m.out, m.free = append(m.out[:0], m.out[1:]...), append(m.free, b)
+			return b, true, nil
+		}
+		if m.done {
+			return nil, false, nil
+		}
+		m.step()
+	}
+	return nil, false, m.err
+}
+
+// Close implements engine.Iterator. A stream closed before its end runs the
+// remaining cycles, making every GET, charge and arrival a full drain would
+// have, discards their output and returns the error that stopped them, if
+// any. After a failure it asks nothing more of the source.
+func (m *Stream) Close() error {
+	for !m.done {
+		m.step()
+		m.free, m.out = append(m.free, m.out...), m.out[:0]
+	}
+	return m.err
+}
+
+// step advances the run by one arrival, or by opening a request cycle (and
+// closing it again when everything left to run is cached), and records the
+// end of the run in done and err.
+func (m *Stream) step() {
+	if m.arrivals > 0 {
+		seg, err := m.src.NextArrival()
+		if err == nil {
+			err = m.processArrival(seg)
+		} else {
+			err = fmt.Errorf("mjoin: arrival: %w", err)
+		}
+		if err != nil {
+			m.cfg.Trace.End(m.cycleSpan)
+			m.finish(err)
+			return
+		}
+		if m.arrivals--; m.arrivals == 0 {
+			if m.stats.SubplansExecuted+m.stats.SubplansPruned == m.progress {
+				m.pinDesignatedSubplan()
+			} else {
+				m.pinned = nil
+			}
+			m.cfg.Trace.End(m.cycleSpan)
+		}
+		return
+	}
+	if len(m.pending) == 0 {
+		m.finish(nil)
+		return
+	}
+	if m.stats.Cycles >= m.cfg.MaxCycles {
+		m.finish(fmt.Errorf("mjoin: no progress after %d cycles (%d subplans stuck)", m.stats.Cycles, len(m.pending)))
+		return
+	}
+	m.stats.Cycles++
+	if m.cfg.Trace.Enabled() {
+		m.cycleSpan = m.cfg.Trace.Begin(trace.CatCycle, fmt.Sprintf("cycle %d", m.stats.Cycles))
+	}
+	toFetch := m.neededObjects()
+	if len(toFetch) == 0 {
+		// Everything needed is cached; finish the runnable work.
+		m.executeAllRunnable()
+		m.cfg.Trace.End(m.cycleSpan)
+		if m.finish(nil); len(m.pending) > 0 {
+			m.err = fmt.Errorf("mjoin: %d subplans pending with all objects cached", len(m.pending))
+		}
+		return
+	}
+	m.src.Request(toFetch)
+	m.stats.Requests += len(toFetch)
+	if len(m.pinned) > 0 {
+		m.stats.PinnedCycles++
+	}
+	m.arrivals = len(toFetch)
+	m.progress = m.stats.SubplansExecuted + m.stats.SubplansPruned
+}
+
+// finish ends the run, failed when err is non-nil, and lets go of the
+// cache, its pool and the decode buffers.
+func (m *Stream) finish(err error) {
+	m.done, m.err = true, err
+	m.cache, m.cacheOrder, m.cds, m.pool = nil, nil, nil, pool{}
+}
+
 // skipByStats retires, before the first request cycle, every subplan
 // containing a segment its relation's Pruner proves result-free — the
 // data-skipping counterpart of runtime subplan pruning (§5.2.4), with
 // zone maps and Bloom filters standing in for fetching the object. The
 // skipped objects never enter neededObjects, so no GET for them is ever
 // enqueued at the CSD.
-func (m *manager) skipByStats() {
+func (m *Stream) skipByStats() {
 	// Materialize per-relation skip sets once, then retire subplans in a
 	// single pass over the pending map (the lattice can be large).
 	skip := make([][]bool, len(m.q.Relations))
@@ -324,51 +426,10 @@ func (m *manager) skipByStats() {
 	}
 }
 
-// loop is the outer request/receive cycle.
-func (m *manager) loop() error {
-	for len(m.pending) > 0 {
-		if m.stats.Cycles >= m.cfg.MaxCycles {
-			return fmt.Errorf("mjoin: no progress after %d cycles (%d subplans stuck)", m.stats.Cycles, len(m.pending))
-		}
-		m.stats.Cycles++
-		var cycleSpan int
-		if m.cfg.Trace.Enabled() {
-			cycleSpan = m.cfg.Trace.Begin(trace.CatCycle, fmt.Sprintf("cycle %d", m.stats.Cycles))
-		}
-		toFetch := m.neededObjects()
-		if len(toFetch) == 0 {
-			// Everything needed is cached; finish the runnable work.
-			m.executeAllRunnable()
-			m.cfg.Trace.End(cycleSpan)
-			if len(m.pending) > 0 {
-				return fmt.Errorf("mjoin: %d subplans pending with all objects cached", len(m.pending))
-			}
-			return nil
-		}
-		m.src.Request(toFetch)
-		m.stats.Requests += len(toFetch)
-		if len(m.pinned) > 0 {
-			m.stats.PinnedCycles++
-		}
-		execBefore := m.stats.SubplansExecuted + m.stats.SubplansPruned
-		if err := m.receiveArrivals(len(toFetch)); err != nil {
-			m.cfg.Trace.End(cycleSpan)
-			return err
-		}
-		if m.stats.SubplansExecuted+m.stats.SubplansPruned == execBefore {
-			m.pinDesignatedSubplan()
-		} else {
-			m.pinned = nil
-		}
-		m.cfg.Trace.End(cycleSpan)
-	}
-	return nil
-}
-
 // pinDesignatedSubplan selects the lexicographically smallest pending
 // subplan and pins its objects so the next cycle is guaranteed to execute
 // it (progress guarantee; see the pinned field).
-func (m *manager) pinDesignatedSubplan() {
+func (m *Stream) pinDesignatedSubplan() {
 	var bestKey string
 	for key := range m.pending {
 		if bestKey == "" || key < bestKey {
@@ -384,7 +445,7 @@ func (m *manager) pinDesignatedSubplan() {
 
 // neededObjects returns, deduplicated and in relation-then-segment order,
 // every uncached object that some pending subplan requires.
-func (m *manager) neededObjects() []segment.ObjectID {
+func (m *Stream) neededObjects() []segment.ObjectID {
 	need := make(map[segment.ObjectID]bool)
 	for _, sp := range m.pending {
 		for ri, si := range sp {
@@ -408,7 +469,7 @@ func (m *manager) neededObjects() []segment.ObjectID {
 // admitArrival folds one decoded arrival into the cache — pruning empty
 // objects, evicting under pressure — and runs the subplans it makes
 // runnable.
-func (m *manager) admitArrival(id segment.ObjectID, rel int, batch *tuple.Batch) {
+func (m *Stream) admitArrival(id segment.ObjectID, rel int, batch *tuple.Batch) {
 	if _, cached := m.cache[id]; cached {
 		// Redelivery of a resident object — a fault-recovery re-request
 		// racing a coalesced transfer can hand the proxy the same object
@@ -455,7 +516,7 @@ func (m *manager) admitArrival(id segment.ObjectID, rel int, batch *tuple.Batch)
 // pruneObject marks every pending subplan containing the object as pruned:
 // the object contributes no tuples, so those subplans cannot produce
 // results (§5.2.4).
-func (m *manager) pruneObject(id segment.ObjectID) {
+func (m *Stream) pruneObject(id segment.ObjectID) {
 	ref := m.objIndex[id]
 	for key, sp := range m.pending {
 		if sp[ref.rel] == ref.seg {
@@ -465,12 +526,14 @@ func (m *manager) pruneObject(id segment.ObjectID) {
 	}
 }
 
-// evict drops a cached object; subplans still needing it will trigger a
-// reissue in a later cycle.
-func (m *manager) evict(victim segment.ObjectID) {
-	if _, ok := m.cache[victim]; !ok {
+// evict drops a cached object, retiring its storage to the pool; subplans
+// still needing it will trigger a reissue in a later cycle.
+func (m *Stream) evict(victim segment.ObjectID) {
+	e, ok := m.cache[victim]
+	if !ok {
 		panic(fmt.Sprintf("mjoin: policy picked non-cached victim %v", victim))
 	}
+	m.retire(e, m.cds[m.objIndex[victim].rel] != nil)
 	delete(m.cache, victim)
 	for i, id := range m.cacheOrder {
 		if id == victim {
@@ -484,7 +547,7 @@ func (m *manager) evict(victim segment.ObjectID) {
 // executeRunnableWith runs every pending subplan that contains id and
 // whose objects are all cached. Only subplans containing the newest
 // arrival can have become runnable.
-func (m *manager) executeRunnableWith(id segment.ObjectID) {
+func (m *Stream) executeRunnableWith(id segment.ObjectID) {
 	ref := m.objIndex[id]
 	var runnable []string
 	for key, sp := range m.pending {
@@ -499,7 +562,7 @@ func (m *manager) executeRunnableWith(id segment.ObjectID) {
 }
 
 // executeAllRunnable runs every pending subplan whose objects are cached.
-func (m *manager) executeAllRunnable() {
+func (m *Stream) executeAllRunnable() {
 	var runnable []string
 	for key, sp := range m.pending {
 		if m.allCached(sp) {
@@ -514,7 +577,7 @@ func (m *manager) executeAllRunnable() {
 // order is randomized per run; sorting here pins the execution order so
 // a whole MJoin run — rows and row order included — is a deterministic
 // function of the query and the arrival order, at any Parallelism.
-func (m *manager) executeKeys(keys []string) {
+func (m *Stream) executeKeys(keys []string) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		sp, ok := m.pending[key]
@@ -527,7 +590,7 @@ func (m *manager) executeKeys(keys []string) {
 	}
 }
 
-func (m *manager) allCached(sp subplan) bool {
+func (m *Stream) allCached(sp subplan) bool {
 	for ri, si := range sp {
 		if _, ok := m.cache[m.objByRef[objRef{ri, si}]]; !ok {
 			return false
@@ -537,7 +600,7 @@ func (m *manager) allCached(sp subplan) bool {
 }
 
 // removePending drops a subplan from the pending set and bookkeeping.
-func (m *manager) removePending(key string, sp subplan) {
+func (m *Stream) removePending(key string, sp subplan) {
 	delete(m.pending, key)
 	for ri, si := range sp {
 		m.pendingCount[m.objByRef[objRef{ri, si}]]--
@@ -547,11 +610,11 @@ func (m *manager) removePending(key string, sp subplan) {
 // PolicyInfo implementation.
 
 // PendingCount implements PolicyInfo.
-func (m *manager) PendingCount(id segment.ObjectID) int { return m.pendingCount[id] }
+func (m *Stream) PendingCount(id segment.ObjectID) int { return m.pendingCount[id] }
 
 // ExecutableCounts implements PolicyInfo: one pass over the pending set
 // tallying, per object, the subplans executable given cache ∪ {arriving}.
-func (m *manager) ExecutableCounts() map[segment.ObjectID]int {
+func (m *Stream) ExecutableCounts() map[segment.ObjectID]int {
 	counts := make(map[segment.ObjectID]int, len(m.cache)+1)
 	ids := make([]segment.ObjectID, len(m.q.Relations))
 	for _, sp := range m.pending {
@@ -578,4 +641,4 @@ func (m *manager) ExecutableCounts() map[segment.ObjectID]int {
 }
 
 // ArrivalSeq implements PolicyInfo.
-func (m *manager) ArrivalSeq(id segment.ObjectID) int { return m.arrivalSeq[id] }
+func (m *Stream) ArrivalSeq(id segment.ObjectID) int { return m.arrivalSeq[id] }

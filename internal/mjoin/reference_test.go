@@ -54,46 +54,59 @@ func referenceProbe(q *Query, entries []*cacheEntry) []tuple.Row {
 	return cur
 }
 
-// runWithReference executes q like RunBatches and, beside it, feeds every
-// subplan's cache entries to referenceProbe: it returns what the probe
-// chain emitted and what the reference says it should have, both in
-// execution order.
+// runWithReference streams q and, beside it, feeds every subplan's cache
+// entries to referenceProbe: it returns what the probe chain emitted and
+// what the reference says it should have, both in execution order.
 func runWithReference(t *testing.T, q *Query, cfg Config, src Source) (got, want []tuple.Row, stats Stats) {
 	t.Helper()
-	m, err := newManager(q, cfg, src)
+	m, err := NewStream(q, cfg, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.onSubplan = func(entries []*cacheEntry) {
 		want = append(want, referenceProbe(q, entries)...)
 	}
-	if err := m.loop(); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range m.out {
+	got = drain(t, m)
+	return got, want, m.Stats()
+}
+
+// drain pulls a stream to its end, copying every chunk as it comes, and
+// checks that no chunk is empty and that Stats.ResultRows counts them all.
+func drain(t *testing.T, m *Stream) []tuple.Row {
+	t.Helper()
+	var rows []tuple.Row
+	for {
+		b, ok, err := m.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
 		if b.Len() == 0 {
 			t.Fatal("empty output chunk")
 		}
-		got = b.AppendRows(got)
+		rows = b.AppendRows(rows)
 	}
-	if m.stats.ResultRows != len(got) {
-		t.Fatalf("Stats.ResultRows = %d, chunks hold %d rows", m.stats.ResultRows, len(got))
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
-	return got, want, m.stats
+	if n := m.Stats().ResultRows; n != len(rows) {
+		t.Fatalf("Stats.ResultRows = %d, chunks hold %d rows", n, len(rows))
+	}
+	return rows
 }
 
-// TestProbeChainMatchesRowReference is the differential test of the
-// row-free probe path: over random three-way chains whose keys are few
-// enough that index buckets hold several keys and several rows per key,
-// the output must equal the row-at-a-time reference's row for row, in the
-// same order — for shuffled arrival orders, a cache of exactly R, R+1 and
-// every object, serial and parallel probing (the root spans several probe
-// chunks), runtime pruning on and off (off leaves empty legs in the cache),
-// and in-memory as well as lazily decoded v2 sources. The v2 runs also
-// project relation c down to its key, so its cache entries and the output
-// are a column narrower, and must agree with the in-memory run up to that
-// column.
-func TestProbeChainMatchesRowReference(t *testing.T) {
+// probeMatrix runs cell over the matrix of TestProbeChainMatchesRowReference:
+// random three-way chains whose keys are few enough that index buckets hold
+// several keys and several rows per key, for shuffled arrival orders, a
+// cache of exactly R, R+1 and every object, serial and parallel probing (the
+// root spans several probe chunks) and runtime pruning on and off (off
+// leaves empty legs in the cache). Each cell comes with an in-memory query
+// and a lazily decoded v2 one that also projects relation c down to its
+// key, and with constructors of fresh sources that deliver the cell's
+// arrival order.
+func probeMatrix(t *testing.T, cell func(label string, cfg Config, memQ, v2Q *Query, mem, v2 func() Source)) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		specs := []relSpec{
@@ -131,45 +144,58 @@ func TestProbeChainMatchesRowReference(t *testing.T) {
 					cfg := DefaultConfig(cache)
 					cfg.Parallelism = dop
 					cfg.Pruning = prune
-					label := fmt.Sprintf("seed %d cache %d dop %d prune %v", seed, cache, dop, prune)
-					shuffled := func(store map[segment.ObjectID]*segment.Segment) Source {
-						srng := rand.New(rand.NewSource(seed*7 + int64(cache)))
-						return &scriptSource{store: store, order: func(objs []segment.ObjectID) []segment.ObjectID {
-							srng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
-							return objs
-						}}
+					shuffled := func(store map[segment.ObjectID]*segment.Segment) func() Source {
+						return func() Source {
+							srng := rand.New(rand.NewSource(seed*7 + int64(cache)))
+							return &scriptSource{store: store, order: func(objs []segment.ObjectID) []segment.ObjectID {
+								srng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+								return objs
+							}}
+						}
 					}
-					mem, memWant, memStats := runWithReference(t, mkQuery(memCat, false), cfg, shuffled(memStore))
-					if len(mem) == 0 {
-						t.Fatalf("%s: no output rows; test is vacuous", label)
-					}
-					if !reflect.DeepEqual(renderInOrder(mem), renderInOrder(memWant)) {
-						t.Fatalf("%s mem: probe chain diverges from the row reference (%d vs %d rows)", label, len(mem), len(memWant))
-					}
-					lazy, lazyWant, lazyStats := runWithReference(t, mkQuery(lazyCat, true), cfg, shuffled(lazyStore))
-					if !reflect.DeepEqual(renderInOrder(lazy), renderInOrder(lazyWant)) {
-						t.Fatalf("%s v2: probe chain diverges from the row reference (%d vs %d rows)", label, len(lazy), len(lazyWant))
-					}
-					// Same arrival order, same data: the v2 run returns the
-					// in-memory run's rows without c's tag column.
-					for i, r := range mem {
-						mem[i] = r[:len(r)-1]
-					}
-					if !reflect.DeepEqual(mem, lazy) {
-						t.Fatalf("%s: v2 rows differ from in-memory rows", label)
-					}
-					lazyStats.BytesFetched, lazyStats.BytesDecoded = 0, 0
-					lazyStats.BytesSkippedByProjection, lazyStats.BytesMaterialized = 0, 0
-					if !statsEqualIgnoringPipe(memStats, lazyStats) {
-						t.Fatalf("%s: stats diverge\nmem: %+v\nv2:  %+v", label, memStats, lazyStats)
-					}
-					if !prune && memStats.SubplansPruned != 0 {
-						t.Fatalf("%s: pruning off, yet %d subplans pruned", label, memStats.SubplansPruned)
-					}
+					cell(fmt.Sprintf("seed %d cache %d dop %d prune %v", seed, cache, dop, prune), cfg,
+						mkQuery(memCat, false), mkQuery(lazyCat, true), shuffled(memStore), shuffled(lazyStore))
 				}
 			}
 		}
 	}
+}
+
+// TestProbeChainMatchesRowReference is the differential test of the
+// row-free probe path: over probeMatrix, the output must equal the
+// row-at-a-time reference's row for row, in the same order, and the v2
+// runs, whose cache entries and output are a column narrower, must agree
+// with the in-memory run up to that column.
+func TestProbeChainMatchesRowReference(t *testing.T) {
+	probeMatrix(t, func(label string, cfg Config, memQ, v2Q *Query, memSrc, v2Src func() Source) {
+		mem, memWant, memStats := runWithReference(t, memQ, cfg, memSrc())
+		if len(mem) == 0 {
+			t.Fatalf("%s: no output rows; test is vacuous", label)
+		}
+		if !reflect.DeepEqual(renderInOrder(mem), renderInOrder(memWant)) {
+			t.Fatalf("%s mem: probe chain diverges from the row reference (%d vs %d rows)", label, len(mem), len(memWant))
+		}
+		lazy, lazyWant, lazyStats := runWithReference(t, v2Q, cfg, v2Src())
+		if !reflect.DeepEqual(renderInOrder(lazy), renderInOrder(lazyWant)) {
+			t.Fatalf("%s v2: probe chain diverges from the row reference (%d vs %d rows)", label, len(lazy), len(lazyWant))
+		}
+		// Same arrival order, same data: the v2 run returns the
+		// in-memory run's rows without c's tag column.
+		for i, r := range mem {
+			mem[i] = r[:len(r)-1]
+		}
+		if !reflect.DeepEqual(mem, lazy) {
+			t.Fatalf("%s: v2 rows differ from in-memory rows", label)
+		}
+		lazyStats.BytesFetched, lazyStats.BytesDecoded = 0, 0
+		lazyStats.BytesSkippedByProjection, lazyStats.BytesMaterialized = 0, 0
+		if !statsEqualIgnoringPipe(memStats, lazyStats) {
+			t.Fatalf("%s: stats diverge\nmem: %+v\nv2:  %+v", label, memStats, lazyStats)
+		}
+		if !cfg.Pruning && memStats.SubplansPruned != 0 {
+			t.Fatalf("%s: pruning off, yet %d subplans pruned", label, memStats.SubplansPruned)
+		}
+	})
 }
 
 // TestBuildProbePlanOwners: a join's left key is located by the relation

@@ -558,6 +558,10 @@ type ColumnData struct {
 // reuse its buffers. V1 payloads are row-major, so they decode every
 // column regardless of proj — the format difference projection pushdown
 // measures. Errors wrap ErrCorrupt.
+//
+// A caller may also stock a fresh ColumnData's Cols (one entry per schema
+// column) with vectors of its own: a projected column decodes into its
+// vector whenever that is long enough.
 func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnData) (*ColumnData, error) {
 	p := g.payload
 	if p == nil {
@@ -568,7 +572,10 @@ func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnD
 		cd = &ColumnData{}
 	}
 	if len(cd.Cols) != schema.Len() {
-		cd.Cols, cd.want = make([]tuple.Vector, schema.Len()), make([]bool, schema.Len())
+		cd.Cols = make([]tuple.Vector, schema.Len())
+	}
+	if len(cd.want) != schema.Len() {
+		cd.want = make([]bool, schema.Len())
 	}
 	cd.NumRows = p.rows
 	cd.BytesDecoded, cd.BytesSkipped, cd.BytesMaterialized = 0, 0, 0

@@ -319,26 +319,31 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 		Parallelism:  c.Parallelism,
 		Trace:        c.QTrace,
 	}
-	res, err := mjoin.RunBatches(spec.Join, cfg, px)
+	join, err := mjoin.NewStream(spec.Join, cfg, px)
 	if err != nil {
 		return nil, err
 	}
-	c.stats.MJoin = addStats(c.stats.MJoin, res.Stats)
-	c.stats.Pipe.Add(res.Stats.Pipe)
-	c.stats.SegmentsSkipped += res.Stats.ObjectsSkipped
-	c.stats.BytesFetched += res.Stats.BytesFetched
-	c.stats.BytesDecoded += res.Stats.BytesDecoded
-	c.stats.BytesSkippedByProjection += res.Stats.BytesSkippedByProjection
-	c.stats.BytesMaterialized += res.Stats.BytesMaterialized
-	// The MJoin output chunks feed the shaping stage as they are, so
-	// post-join filters, aggregation and ORDER BY run batch-at-a-time in
-	// skipper mode too, on the morsel pool when the client sets
-	// Parallelism; rows exist only for what the query returns.
-	var it engine.Iterator = engine.NewBatchValues(res.Schema, res.Batches)
+	// The MJoin output chunks stream into the shaping stage as they are
+	// completed, so post-join filters, aggregation and ORDER BY run
+	// batch-at-a-time in skipper mode too, on the morsel pool when the
+	// client sets Parallelism; rows exist only for what the query returns.
+	var it engine.Iterator = join
 	if spec.Shape != nil {
 		it = spec.Shape(it)
 	}
-	return engine.Collect(engine.Parallelize(it, c.Parallelism))
+	rows, err := engine.Collect(engine.Parallelize(it, c.Parallelism))
+	if err != nil {
+		return nil, err
+	}
+	st := join.Stats()
+	c.stats.MJoin = addStats(c.stats.MJoin, st)
+	c.stats.Pipe.Add(st.Pipe)
+	c.stats.SegmentsSkipped += st.ObjectsSkipped
+	c.stats.BytesFetched += st.BytesFetched
+	c.stats.BytesDecoded += st.BytesDecoded
+	c.stats.BytesSkippedByProjection += st.BytesSkippedByProjection
+	c.stats.BytesMaterialized += st.BytesMaterialized
+	return rows, nil
 }
 
 // demandHeat counts, per object, the demand references the workload

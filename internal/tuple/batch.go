@@ -41,6 +41,17 @@ func (v Vector) Size(k Kind, n int) int64 {
 	return size
 }
 
+// Cap returns how many cells of a column of kind k the vector has room for.
+func (v Vector) Cap(k Kind) int {
+	switch k {
+	case KindFloat64:
+		return cap(v.F)
+	case KindString:
+		return cap(v.S)
+	}
+	return cap(v.I)
+}
+
 func (v *Vector) appendValue(k Kind, x Value) {
 	switch k {
 	case KindFloat64:

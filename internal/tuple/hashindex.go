@@ -52,6 +52,10 @@ func (ix *HashIndex) Reset(n int) {
 	ix.shift = uint(64 - logSize)
 }
 
+// Cap returns how many rows Reset can size the index for without
+// allocating.
+func (ix *HashIndex) Cap() int { return min(cap(ix.next), cap(ix.heads)/2) }
+
 // Insert chains rows first..first+len(hashes)-1, whose key hashes those
 // are, at the head of their buckets in descending row order. Inserting
 // every range of a Reset index, the last range first, leaves every chain

@@ -283,11 +283,11 @@ func TestBytesFollowReferencedColumns(t *testing.T) {
 			return it
 		},
 		"mjoin.RunBatches": func(ds *workload.Dataset, spec skipper.QuerySpec) engine.Iterator {
-			res, err := mjoin.RunBatches(spec.Join, mjoin.DefaultConfig(len(spec.Join.Objects())), &orderedSource{store: ds.Store})
+			join, err := mjoin.NewStream(spec.Join, mjoin.DefaultConfig(len(spec.Join.Objects())), &orderedSource{store: ds.Store})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return engine.NewBatchValues(res.Schema, res.Batches)
+			return join
 		},
 	}
 	for name, join := range engines {
@@ -386,11 +386,19 @@ func TestCellBytesFollowKinds(t *testing.T) {
 			}
 		},
 		"mjoin.RunBatches": func() int {
-			res, err := mjoin.RunBatches(join, mjoin.DefaultConfig(len(join.Objects())), &orderedSource{store: ds.Store})
+			st, err := mjoin.NewStream(join, mjoin.DefaultConfig(len(join.Objects())), &orderedSource{store: ds.Store})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return res.Stats.ResultRows
+			for {
+				_, ok, err := st.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					return st.Stats().ResultRows
+				}
+			}
 		},
 	}
 	for name, run := range engines {

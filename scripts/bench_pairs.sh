@@ -20,9 +20,11 @@
 # past the parent's by more than the parent's q3-q1; `WORSE` when an
 # end-to-end metric's change median is past the parent's by more than its
 # BENCHMARK.json `bound` (a fraction of the parent median, in the metric's
-# losing direction); `within bound` for any other end-to-end row and `–`
-# for any other per-layer row. The verdict is printed, never acted on. Fails
-# if any run does.
+# losing direction). Otherwise, when every run of each side read one value
+# — an exact count, such as GETs, switches or virtual seconds — it is `same`
+# if the two values are equal and `CHANGED` if not; else `within bound` for
+# an end-to-end row and `–` for a per-layer one. The verdict is printed,
+# never acted on. Fails if any run does.
 #
 #   scripts/bench_pairs.sh HEAD~1 10 --seed 1
 #   scripts/bench_pairs.sh HEAD~1 10 --seed 1 --trace 1 --workload serve-micro
@@ -30,7 +32,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,29p' "$0" >&2
+	sed -n '2,31p' "$0" >&2
 	exit 2
 fi
 ref=$1
@@ -100,11 +102,13 @@ awk -v pairs="$pairs" '
 		if (lo + 1 >= n) return a[n - 1]
 		return a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
 	}
-	# summary sorts the samples of one side and renders "median [q1–q3]".
+	# summary sorts the samples of one side and renders "median [q1–q3]";
+	# one[side] says whether they are all one value.
 	function summary(key, side,    n, i, j, t, a) {
 		n = 0
 		for (i = 1; i <= pairs; i++) if ((key, side, i) in v) a[n++] = v[key, side, i]
 		for (i = 1; i < n; i++) for (j = i; j > 0 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+		one[side] = n > 0 && a[0] == a[n - 1]
 		med[side] = quantile(a, n, 0.5)
 		q1[side] = quantile(a, n, 0.25)
 		q3[side] = quantile(a, n, 0.75)
@@ -134,10 +138,9 @@ awk -v pairs="$pairs" '
 			ratio = med["parent"] == 0 ? "n/a" : sprintf("%.3f", med["change"] / med["parent"])
 			gain = up ? med["change"] - med["parent"] : med["parent"] - med["change"]
 			verdict = "–"
-			if (metric[key] in bound) {
-				verdict = "within bound"
-				if (-gain > bound[metric[key]] * med["parent"]) verdict = "WORSE"
-			}
+			if (metric[key] in bound) verdict = "within bound"
+			if (one["parent"] && one["change"]) verdict = med["change"] == med["parent"] ? "same" : "CHANGED"
+			if (metric[key] in bound && -gain > bound[metric[key]] * med["parent"]) verdict = "WORSE"
 			if (10 * won >= 9 * pairs && gain > q3["parent"] - q1["parent"]) verdict = "better"
 			printf "| %s | %s | %s | %s | %d/%d | %s |\n", key, p, c, ratio, won, pairs, verdict
 		}
