@@ -9,7 +9,6 @@ package repro_test
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -422,14 +421,12 @@ func BenchmarkMJoinEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkPullPlanParallel drives the classical engine's full Q5 join
-// chain (multi-segment scans feeding a five-way hash-join chain) over an
-// in-memory store at DOP=1 versus DOP=NumCPU: the morsel-driven parallel
-// mode versus the serial batch core on identical data, with the result
-// cardinality cross-checked between the two. The local predicates are
-// dropped so the join carries real row traffic at the reduced Quick scale
-// (the filtered plans select zero rows there).
-func BenchmarkPullPlanParallel(b *testing.B) {
+// BenchmarkPullPlanQ5 drives the classical engine's full Q5 join chain
+// (multi-segment scans feeding a five-way hash-join chain) over an
+// in-memory store: the pull engine's counterpart of BenchmarkMJoinEngine.
+// The local predicates are dropped so the join carries real row traffic at
+// the reduced Quick scale (the filtered plans select zero rows there).
+func BenchmarkPullPlanQ5(b *testing.B) {
 	p := params()
 	ds := workload.TPCH(0, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
 	q5 := workload.Q5(ds.Catalog)
@@ -438,49 +435,19 @@ func BenchmarkPullPlanParallel(b *testing.B) {
 		spec.Join.Relations = append(spec.Join.Relations, mjoin.Relation{Table: r.Table})
 	}
 	ctx := engine.NewTestCtx(ds.Store)
-	drainAt := func(b *testing.B, dop int) int {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
 		it, err := skipper.BuildPullPlan(ctx, spec.Join)
 		if err != nil {
 			b.Fatal(err)
 		}
-		it = engine.Parallelize(it, dop)
-		if err := it.Open(); err != nil {
+		rows, err := engine.Collect(it)
+		if err != nil {
 			b.Fatal(err)
 		}
-		defer it.Close()
-		n := 0
-		for {
-			batch, ok, err := it.NextBatch()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !ok {
-				return n
-			}
-			n += batch.Len()
+		if len(rows) == 0 {
+			b.Fatal("no rows")
 		}
-	}
-	dops := []int{1, runtime.NumCPU()}
-	if dops[1] == 1 {
-		dops[1] = 4 // single-core machine: still report the overhead case
-	}
-	want := 0
-	for _, dop := range dops {
-		dop := dop
-		b.Run(fmt.Sprintf("dop-%d", dop), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				n := drainAt(b, dop)
-				if n == 0 {
-					b.Fatal("no rows")
-				}
-				if want == 0 {
-					want = n
-				} else if n != want {
-					b.Fatalf("dop %d produced %d rows, serial produced %d", dop, n, want)
-				}
-			}
-		})
 	}
 }
 

@@ -60,7 +60,6 @@ func main() {
 	figArg := flag.String("fig", "all", "comma-separated figure ids (table1,2,3,4,5,7,8,9,table3,10,11a,11b,11c,12) or 'all'")
 	quick := flag.Bool("quick", false, "use the reduced-scale configuration")
 	sf := flag.Int("sf", 0, "override TPC-H scale factor")
-	dop := flag.Int("dop", 1, "per-client query-execution workers (0 or 1 = serial; see docs/tuning.md before raising it)")
 	outFmt := flag.String("out", "table", "output format: table or csv")
 	showTrace := flag.Bool("trace", false, "run a small 3-client scenario and print its device span tree instead of figures")
 	reportArg := flag.String("report", "", "comma-separated feature reports (prune,proj,cache,pipeline,faults,scale) or 'all'; runs instead of -fig")
@@ -83,7 +82,6 @@ func main() {
 	if *rows > 0 {
 		p.RowsPerObject = *rows
 	}
-	p.Parallelism = *dop
 	wireFmt, err := segment.ParseFormat(*segFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skipperbench: %v\n", err)

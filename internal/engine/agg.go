@@ -56,10 +56,7 @@ type GroupCol struct {
 // HashAgg is a blocking hash aggregation with deterministic (sorted by
 // group key) output order. The child is drained batch-at-a-time, and a row
 // finds its group by the hash of its group values plus an equality check,
-// so folding allocates when a new group appears, not per row. With
-// Parallelize(dop > 1) the drain runs on the morsel pool: every worker
-// folds its morsels into a private group table and the partial states are
-// merged at drain time, so the sorted output is identical at any DOP.
+// so folding allocates when a new group appears, not per row.
 type HashAgg struct {
 	child  Iterator
 	groups []GroupCol
@@ -68,7 +65,6 @@ type HashAgg struct {
 	// values, for tuple.HashRowKey.
 	groupKeys []int
 	schema    *tuple.Schema
-	dop       int
 
 	out    []tuple.Row
 	idx    int
@@ -86,11 +82,16 @@ func NewHashAgg(child Iterator, groups []GroupCol, aggs []AggSpec) *HashAgg {
 	for _, a := range aggs {
 		cols = append(cols, tuple.Column{Name: a.Name, Kind: aggOutputKind(a)})
 	}
-	groupKeys := make([]int, len(groups))
-	for i := range groupKeys {
-		groupKeys[i] = i
+	return &HashAgg{child: child, groups: groups, aggs: aggs, groupKeys: allKeys(len(groups)), schema: tuple.NewSchema(cols...)}
+}
+
+// allKeys returns 0..n-1: every column of an n-column row as a key.
+func allKeys(n int) []int {
+	keys := make([]int, n)
+	for i := range keys {
+		keys[i] = i
 	}
-	return &HashAgg{child: child, groups: groups, aggs: aggs, groupKeys: groupKeys, schema: tuple.NewSchema(cols...)}
+	return keys
 }
 
 // aggOutputKind: COUNT yields int64, SUM/AVG yield float64, MIN/MAX yield
@@ -108,9 +109,6 @@ func aggOutputKind(a AggSpec) tuple.Kind {
 
 // Schema implements Iterator.
 func (a *HashAgg) Schema() *tuple.Schema { return a.schema }
-
-// setParallelism implements parallelizable.
-func (a *HashAgg) setParallelism(dop int) { a.dop = normDOP(dop) }
 
 // accum is one group's accumulator state.
 type accum struct {
@@ -137,9 +135,10 @@ func (a *HashAgg) newAccum(hash uint64, groupV tuple.Row) *accum {
 	}
 }
 
-// aggTable is the set of groups of one drain, or of one worker of a
-// parallel drain: a hash table chained through accum.next, plus the groups
-// in the order they were first seen.
+// aggTable is a set of rows of values — HashAgg's groups, Distinct's rows —
+// that finds a row by the hash of its values plus a check of kind and
+// Equal: a hash table chained through accum.next, plus the entries in the
+// order they were first seen.
 type aggTable struct {
 	byHash map[uint64]*accum
 	order  []*accum
@@ -170,9 +169,7 @@ func (t *aggTable) insert(acc *accum) {
 	t.order = append(t.order, acc)
 }
 
-// foldRow folds one input row into the group table. It touches only the
-// table and the row, so each parallel worker can fold into a private
-// table without locking.
+// foldRow folds one input row into the group table.
 func (a *HashAgg) foldRow(t *aggTable, row tuple.Row) error {
 	t.gv = t.gv[:0]
 	for _, g := range a.groups {
@@ -215,83 +212,6 @@ func (a *HashAgg) foldRow(t *aggTable, row tuple.Row) error {
 	return nil
 }
 
-// mergeAccum folds src into dst: counts and sums add, MIN/MAX compare,
-// and the seen flags union — the partial-state merge of the parallel
-// drain. COUNT and AVG need no special casing because both are derived
-// from counts/sums at emit time.
-func (a *HashAgg) mergeAccum(dst, src *accum) {
-	for i, spec := range a.aggs {
-		dst.counts[i] += src.counts[i]
-		dst.sums[i] += src.sums[i]
-		switch spec.Kind {
-		case AggMin:
-			if src.seen[i] && (!dst.seen[i] || tuple.Compare(src.minmax[i], dst.minmax[i]) < 0) {
-				dst.minmax[i] = src.minmax[i]
-			}
-		case AggMax:
-			if src.seen[i] && (!dst.seen[i] || tuple.Compare(src.minmax[i], dst.minmax[i]) > 0) {
-				dst.minmax[i] = src.minmax[i]
-			}
-		}
-		dst.seen[i] = dst.seen[i] || src.seen[i]
-	}
-}
-
-// drainSerial aggregates the child on the calling goroutine (DOP=1).
-func (a *HashAgg) drainSerial() (*aggTable, error) {
-	t := newAggTable()
-	err := drainBatches(a.child, func(row tuple.Row) error {
-		return a.foldRow(t, row)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// drainParallel aggregates the child on the morsel pool: the child is
-// still pulled by the calling goroutine (so Fetcher/Clock stay on it),
-// workers fold private tables, and the partials are merged serially at the
-// end.
-func (a *HashAgg) drainParallel() (*aggTable, error) {
-	tables := make([]*aggTable, a.dop)
-	scratch := make([]tuple.Row, a.dop)
-	for w := range tables {
-		tables[w] = newAggTable()
-	}
-	if err := a.child.Open(); err != nil {
-		a.child.Close()
-		return nil, err
-	}
-	err := runMorsels(a.child, a.dop, func(w int, b *tuple.Batch) error {
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			scratch[w] = b.AppendRowTo(scratch[w][:0], i)
-			if err := a.foldRow(tables[w], scratch[w]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if cerr := a.child.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	t := tables[0]
-	for _, part := range tables[1:] {
-		for _, acc := range part.order {
-			if dst := t.find(acc.hash, acc.groupV); dst != nil {
-				a.mergeAccum(dst, acc)
-			} else {
-				t.insert(acc)
-			}
-		}
-	}
-	return t, nil
-}
-
 // sortKey renders the key groups are ordered by: per group value, its
 // kind number, '|', its display form and a NUL. The order is the one
 // callers have always seen (so 10 sorts before 9), not the values' own.
@@ -308,13 +228,10 @@ func sortKey(buf []byte, groupV tuple.Row) []byte {
 // Open implements Iterator: drains the child batch-at-a-time and
 // aggregates, then renders the sorted output rows.
 func (a *HashAgg) Open() error {
-	var t *aggTable
-	var err error
-	if a.dop > 1 {
-		t, err = a.drainParallel()
-	} else {
-		t, err = a.drainSerial()
-	}
+	t := newAggTable()
+	err := drainBatches(a.child, func(row tuple.Row) error {
+		return a.foldRow(t, row)
+	})
 	if err != nil {
 		return err
 	}

@@ -15,8 +15,7 @@ import (
 //
 // Per-operator time is inclusive of children (each NextBatch call spans
 // the child pulls it makes), matching what PostgreSQL's EXPLAIN ANALYZE
-// reports as total time. Analyzed plans must run serially: OpStats has
-// no lock, so a morsel-parallel drain of an armed plan would race.
+// reports as total time.
 
 // OpStats accumulates one operator's EXPLAIN ANALYZE measurements.
 type OpStats struct {
@@ -70,8 +69,7 @@ func (j *HashJoin) opStats() **OpStats { return &j.ostats }
 func (a *HashAgg) opStats() **OpStats  { return &a.ostats }
 func (s *Sort) opStats() **OpStats     { return &s.ostats }
 
-// EnableAnalyze arms every operator in the plan for measurement. The
-// armed plan must be drained serially (dop=1): OpStats is not locked.
+// EnableAnalyze arms every operator in the plan for measurement.
 func EnableAnalyze(it Iterator) {
 	walkPlan(it, func(n Iterator) {
 		if p, ok := n.(planNode); ok {

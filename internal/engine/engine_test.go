@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
@@ -396,6 +397,39 @@ func TestDistinct(t *testing.T) {
 	}
 }
 
+// TestDistinctKeysByValue: Distinct finds duplicates the way HashAgg finds
+// groups, by value. Two rows whose strings would render to one key once
+// the kind bytes and NUL separators are spelled into the values stay two
+// rows, and 0.0 and -0.0, which print differently, are one.
+func TestDistinctKeysByValue(t *testing.T) {
+	k := string(rune(tuple.KindString))
+	strs := tuple.NewSchema(
+		tuple.Column{Name: "a", Kind: tuple.KindString},
+		tuple.Column{Name: "b", Kind: tuple.KindString},
+	)
+	rows, err := Collect(NewDistinct(NewValues(strs, []tuple.Row{
+		{tuple.Str("x\x00" + k + "y"), tuple.Str("z")},
+		{tuple.Str("x"), tuple.Str("y\x00" + k + "z")},
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("rows with separators in their strings: got %v, want both", rows)
+	}
+
+	floats := tuple.NewSchema(tuple.Column{Name: "f", Kind: tuple.KindFloat64})
+	rows, err = Collect(NewDistinct(NewValues(floats, []tuple.Row{
+		{tuple.Float(0)}, {tuple.Float(math.Copysign(0, -1))}, {tuple.Float(1)},
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || rows[0].String() != "(0)" || rows[1].String() != "(1)" {
+		t.Fatalf("0, -0, 1: got %v, want (0) (1)", rows)
+	}
+}
+
 func TestDistinctKeyCollisionSafety(t *testing.T) {
 	// Rows that render similarly must still be distinguished by kind.
 	sch := tuple.NewSchema(tuple.Column{Name: "v", Kind: tuple.KindInt64})
@@ -546,5 +580,75 @@ func TestHashAggAllocationsDoNotScaleWithRows(t *testing.T) {
 	t.Logf("%.0f allocations over 2000 rows, %.0f over 8000", small, large)
 	if large > 1.25*small {
 		t.Errorf("allocations grew from %.0f to %.0f (x%.2f) with 4x the rows; want within x1.25", small, large, large/small)
+	}
+}
+
+// The three tests below are named for the degree-of-parallelism matrix
+// they once ran in; what they check is serial behaviour nothing else
+// covers as directly.
+
+// TestParallelErrorPropagation: a fetch error surfaces from a join's build
+// side at Open, from its probe side mid-stream, and from an aggregation's
+// drain.
+func TestParallelErrorPropagation(t *testing.T) {
+	lt, lstore := buildTable(t, "l", kvRows(2000), 100)
+	delete(lstore, lt.Objects[3])
+	rt, rstore := buildTable(t, "r2", kvRows(100), 50)
+	for id, sg := range rstore {
+		lstore[id] = sg
+	}
+	ctx := NewTestCtx(lstore)
+	join := JoinOn(NewSeqScan(ctx, lt), NewSeqScan(ctx, rt), [][2]string{{"k", "k"}})
+	if err := join.Open(); err == nil {
+		join.Close()
+		t.Fatal("build-side fetch error not surfaced at Open")
+	}
+
+	lt2, store2 := buildTable(t, "l2", kvRows(100), 50)
+	rt2, rstore2 := buildTable(t, "r3", kvRows(2000), 100)
+	for id, sg := range rstore2 {
+		store2[id] = sg
+	}
+	delete(store2, rt2.Objects[5])
+	ctx2 := NewTestCtx(store2)
+	if _, err := Collect(JoinOn(NewSeqScan(ctx2, lt2), NewSeqScan(ctx2, rt2), [][2]string{{"k", "k"}})); err == nil {
+		t.Fatal("probe-side fetch error swallowed")
+	}
+
+	at, astore := buildTable(t, "a", kvRows(2000), 100)
+	delete(astore, at.Objects[7])
+	agg := NewHashAgg(NewSeqScan(NewTestCtx(astore), at), nil, []AggSpec{{Kind: AggCount, Name: "n"}})
+	if _, err := Collect(agg); err == nil {
+		t.Fatal("agg drain fetch error swallowed")
+	}
+}
+
+// TestParallelEmptyInputs: a join with an empty build or probe side ends
+// cleanly with no rows.
+func TestParallelEmptyInputs(t *testing.T) {
+	rows, sch := benchRowsN(100)
+	if got, err := Collect(JoinOn(NewValues(sch, nil), NewValues(sch, rows), [][2]string{{"k", "k"}})); err != nil || len(got) != 0 {
+		t.Fatalf("empty build side: %d rows, err %v", len(got), err)
+	}
+	if got, err := Collect(JoinOn(NewValues(sch, rows), NewValues(sch, nil), [][2]string{{"k", "k"}})); err != nil || len(got) != 0 {
+		t.Fatalf("empty probe side: %d rows, err %v", len(got), err)
+	}
+}
+
+// TestParallelJoinHashCollisionSafety: an int and a date with the same
+// payload hash alike but are different values, so the probe's key check,
+// not the hash, decides a match: an int key joins the equal int only, and
+// a date key joins no int.
+func TestParallelJoinHashCollisionSafety(t *testing.T) {
+	ints := tuple.NewSchema(tuple.Column{Name: "k", Kind: tuple.KindInt64})
+	dates := tuple.NewSchema(tuple.Column{Name: "d", Kind: tuple.KindDate})
+	build := []tuple.Row{{tuple.Int(1)}, {tuple.Int(2)}}
+	got, err := Collect(JoinOn(NewValues(ints, build), NewValues(ints, []tuple.Row{{tuple.Int(1)}, {tuple.Int(3)}}), [][2]string{{"k", "k"}}))
+	if err != nil || len(got) != 1 || got[0][0].I != 1 {
+		t.Fatalf("int keys: got %v (err %v), want the single k=1 match", got, err)
+	}
+	got, err = Collect(JoinOn(NewValues(ints, build), NewValues(dates, []tuple.Row{{tuple.DateFromDays(1)}, {tuple.DateFromDays(2)}}), [][2]string{{"k", "d"}}))
+	if err != nil || len(got) != 0 {
+		t.Fatalf("int against date keys: got %v (err %v), want no match", got, err)
 	}
 }

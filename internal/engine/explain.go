@@ -42,6 +42,24 @@ func walkPlan(n Iterator, visit func(n Iterator)) {
 	}
 }
 
+// SeqScans returns every SeqScan leaf of the plan rooted at it. Callers use
+// it to read per-scan counters — e.g. SegmentsSkipped — after a plan has
+// been drained.
+func SeqScans(it Iterator) []*SeqScan {
+	var out []*SeqScan
+	walkPlan(it, func(n Iterator) {
+		if s, ok := n.(*SeqScan); ok {
+			out = append(out, s)
+		}
+	})
+	return out
+}
+
+// Parallelize returns it unchanged: every plan runs serially on the
+// caller's goroutine. It remains only because the benchmark module calls
+// it, and goes when that module stops doing so.
+func Parallelize(it Iterator, _ int) Iterator { return it }
+
 // Explain renders the operator tree as an indented plan, similar to
 // EXPLAIN output in classical engines.
 func Explain(it Iterator) string { return renderPlan(it, false) }
@@ -108,15 +126,6 @@ func (d *Distinct) label() string { return "Distinct" }
 
 func (v *Values) label() string { return fmt.Sprintf("Values (%d rows)", len(v.rows)) }
 
-// dopSuffix annotates parallel operators in plan displays; serial
-// operators stay unmarked so DOP=1 plans render exactly as before.
-func dopSuffix(dop int) string {
-	if dop > 1 {
-		return fmt.Sprintf(" [dop=%d]", dop)
-	}
-	return ""
-}
-
 func (j *HashJoin) label() string {
 	pairs := make([]string, len(j.leftKeys))
 	for i := range j.leftKeys {
@@ -124,7 +133,7 @@ func (j *HashJoin) label() string {
 			j.left.Schema().Cols[j.leftKeys[i]].Name,
 			j.right.Schema().Cols[j.rightKeys[i]].Name)
 	}
-	return "HashJoin on " + strings.Join(pairs, ", ") + dopSuffix(j.dop)
+	return "HashJoin on " + strings.Join(pairs, ", ")
 }
 
 func (a *HashAgg) label() string {
@@ -139,7 +148,7 @@ func (a *HashAgg) label() string {
 			parts = append(parts, fmt.Sprintf("%s(*)", spec.Kind))
 		}
 	}
-	return "HashAgg " + strings.Join(parts, ", ") + dopSuffix(a.dop)
+	return "HashAgg " + strings.Join(parts, ", ")
 }
 
 func (s *Sort) label() string {

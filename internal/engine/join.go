@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"sync"
 
 	"repro/internal/tuple"
 )
@@ -20,15 +19,10 @@ import (
 // verifies the pairs' keys column against column, and gathers the
 // survivors into the output batch column by column — in probe row order,
 // then build order. Neither side materializes a row.
-//
-// With Parallelize(dop > 1) dop workers join row ranges of each probe batch
-// at once against that same read-only build side: the serial join's output,
-// batched differently.
 type HashJoin struct {
 	left, right         Iterator
 	leftKeys, rightKeys []int
 	schema              *tuple.Schema
-	dop                 int
 
 	// build holds every build row and index chains them by key hash; both
 	// are only read once Open returns.
@@ -36,33 +30,20 @@ type HashJoin struct {
 	index tuple.HashIndex
 
 	// hashes is the key-hash scratch: of one build range while Open indexes
-	// it, then of the probe batch being joined. cur is the serial probe's
-	// place in that batch.
+	// it, then of probeBatch, the probe batch being joined.
 	probeBatch *tuple.Batch
 	hashes     []uint64
-	cur        probeCursor
-
-	// Parallel probe: per-worker cursors and reused output batches, and the
-	// non-empty ones still to serve for the current probe batch. A queued
-	// batch is reset only once the queue has drained and the next probe
-	// batch arrives, honoring the batch-validity contract.
-	parCur   []probeCursor
-	parOut   []*tuple.Batch
-	parQueue []*tuple.Batch
-
-	out    *tuple.Batch
-	ostats *OpStats
-}
-
-// probeCursor is one prober's place in a probe batch — the next build row
-// of probe row's chain to look at, -1 once the chain is exhausted — and its
-// scratch: the (build row, probe row) pairs of the gather in progress, the
-// build rows located in their chunks.
-type probeCursor struct {
+	// row and match are the probe's place in probeBatch: the next build row
+	// of probe row's chain to look at, -1 once the chain is exhausted. at and
+	// pids are the (build row, probe row) pairs of the gather in progress,
+	// the build rows located in their chunks.
 	row   int
 	match int32
 	at    []tuple.Loc
 	pids  []int32
+
+	out    *tuple.Batch
+	ostats *OpStats
 }
 
 // NewHashJoin joins left and right on equality of the given key columns
@@ -92,9 +73,6 @@ func JoinOn(left, right Iterator, on [][2]string) *HashJoin {
 // Schema implements Iterator.
 func (j *HashJoin) Schema() *tuple.Schema { return j.schema }
 
-// setParallelism implements parallelizable.
-func (j *HashJoin) setParallelism(dop int) { j.dop = normDOP(dop) }
-
 // Open implements Iterator: drains the build side and indexes it.
 func (j *HashJoin) Open() error {
 	if err := j.left.Open(); err != nil {
@@ -107,7 +85,7 @@ func (j *HashJoin) Open() error {
 	if err := j.left.Close(); err != nil {
 		return err
 	}
-	j.probeBatch, j.parQueue = nil, nil
+	j.probeBatch = nil
 	return j.right.Open()
 }
 
@@ -136,29 +114,27 @@ func (j *HashJoin) buildSide() error {
 	return nil
 }
 
-// probe joins probe rows [c.row, end) of b, resuming where c stands, and
-// gathers the matches into out, a batch of row pairs at a time. With stopFull
-// it returns once out is full, to resume on the next call; without, out grows.
-func (j *HashJoin) probe(c *probeCursor, b *tuple.Batch, end int, out *tuple.Batch, stopFull bool) {
-	for c.row < end && !(stopFull && out.Full()) {
-		room := DefaultBatchSize
-		if stopFull {
-			room = out.Cap() - out.Len()
-		}
-		at, pids := slices.Grow(c.at[:0], room), slices.Grow(c.pids[:0], room)
-		for c.row < end && len(at) < room {
-			for ; c.match >= 0 && len(at) < room; c.match = j.index.Next(c.match) {
-				at, pids = append(at, j.build.Loc(c.match)), append(pids, int32(c.row))
+// probe joins probeBatch into j.out from where the last call stopped, a
+// batch of row pairs at a time, and returns once the probe batch is done or
+// j.out is full, to resume on the next call.
+func (j *HashJoin) probe() {
+	b, out := j.probeBatch, j.out
+	for j.row < b.Len() && !out.Full() {
+		room := out.Cap() - out.Len()
+		at, pids := slices.Grow(j.at[:0], room), slices.Grow(j.pids[:0], room)
+		for j.row < b.Len() && len(at) < room {
+			for ; j.match >= 0 && len(at) < room; j.match = j.index.Next(j.match) {
+				at, pids = append(at, j.build.Loc(j.match)), append(pids, int32(j.row))
 			}
-			if c.match < 0 {
-				if c.row++; c.row < end {
-					c.match = j.index.First(j.hashes[c.row])
+			if j.match < 0 {
+				if j.row++; j.row < b.Len() {
+					j.match = j.index.First(j.hashes[j.row])
 				}
 			}
 		}
 		// A bucket chains rows of other keys too: keep the equal ones.
 		n := tuple.MatchKeys(&j.build, j.leftKeys, at, b, j.rightKeys, pids)
-		c.at, c.pids = at, pids
+		j.at, j.pids = at, pids
 		out.AppendJoinedChunked(&j.build, at[:n], b, pids[:n])
 	}
 }
@@ -176,13 +152,8 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 		j.out.Reset()
 	}
 	for {
-		if j.dop > 1 && len(j.parQueue) > 0 {
-			b := j.parQueue[0]
-			j.parQueue = j.parQueue[1:]
-			return b, true, nil
-		}
-		if j.dop <= 1 && j.probeBatch != nil {
-			j.probe(&j.cur, j.probeBatch, j.probeBatch.Len(), j.out, true)
+		if j.probeBatch != nil {
+			j.probe()
 			if j.out.Full() {
 				return j.out, true, nil
 			}
@@ -200,63 +171,12 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 		}
 		j.probeBatch = b
 		j.hashes = b.HashColumns(j.rightKeys, j.hashes)
-		if j.dop > 1 {
-			j.probeParallel(b)
-			continue
-		}
 		// An output batch that holds rows keeps its size until it is handed
 		// out; an empty one follows the probe side's batch size.
 		if j.out == nil || j.out.Len() == 0 {
 			sizedOutput(&j.out, j.schema, b.Len())
 		}
-		j.cur.row, j.cur.match = 0, j.index.First(j.hashes[0])
-	}
-}
-
-// minParallelProbeRows is the probe-batch size below which forking
-// workers costs more than it saves; smaller batches probe inline on the
-// calling goroutine.
-const minParallelProbeRows = 256
-
-// probeParallel joins one probe batch against the build side with dop
-// workers over contiguous row ranges, queueing the non-empty per-worker
-// outputs in range order. Workers only read the shared batches, hashes and
-// index; each gathers into its own reused output batch, so steady-state
-// probing allocates nothing.
-func (j *HashJoin) probeParallel(b *tuple.Batch) {
-	if j.parOut == nil {
-		j.parCur, j.parOut = make([]probeCursor, j.dop), make([]*tuple.Batch, j.dop)
-		for w := range j.parOut {
-			j.parOut[w] = tuple.NewBatch(j.schema, min(b.Len(), DefaultBatchSize))
-		}
-	}
-	workers := j.dop
-	if b.Len() < minParallelProbeRows {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	used := 0
-	splitRange(b.Len(), workers, func(part, start, end int) {
-		used++
-		c, out := &j.parCur[part], j.parOut[part]
-		out.Reset()
-		c.row, c.match = start, j.index.First(j.hashes[start])
-		if workers == 1 {
-			j.probe(c, b, end, out, false)
-			return
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			j.probe(c, b, end, out, false)
-		}()
-	})
-	wg.Wait()
-	j.parQueue = j.parQueue[:0]
-	for _, out := range j.parOut[:used] {
-		if out.Len() > 0 {
-			j.parQueue = append(j.parQueue, out)
-		}
+		j.row, j.match = 0, j.index.First(j.hashes[0])
 	}
 }
 
@@ -264,6 +184,5 @@ func (j *HashJoin) probeParallel(b *tuple.Batch) {
 func (j *HashJoin) Close() error {
 	j.build, j.index = tuple.ChunkedBatch{}, tuple.HashIndex{}
 	j.probeBatch = nil
-	j.parCur, j.parOut, j.parQueue = nil, nil, nil
 	return j.right.Close()
 }

@@ -78,10 +78,10 @@ func chopped(sch *tuple.Schema, rows []tuple.Row, sizes ...int) []*tuple.Batch {
 // the row-at-a-time reference in the reference's order — over duplicate
 // keys on both sides, few buckets shared by many keys, an empty build or
 // probe side, int, string, float and two-column keys, probe batches small
-// enough that the output batch fills in the middle of a chain and large
-// enough to fork the parallel probe, build sides that end one row short
-// of, at and one row past a chunk boundary of the chunked build store with
-// batches that straddle boundaries, at dop 1 and 4, and again on re-Open.
+// enough that the output batch fills in the middle of a chain and wider
+// than one output batch, build sides that end one row short of, at and one
+// row past a chunk boundary of the chunked build store with batches that
+// straddle boundaries, and again on re-Open.
 func TestHashJoinMatchesRowReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	ls := tuple.NewSchema(
@@ -121,16 +121,14 @@ func TestHashJoinMatchesRowReference(t *testing.T) {
 			{{3}, {1}},       // date against int: kinds differ, nothing matches
 		} {
 			want := referenceHashJoin(build, probe, keys[0], keys[1])
-			for _, dop := range []int{1, 4} {
-				what := fmt.Sprintf("%s, keys %v, dop %d", name, keys, dop)
-				join := Parallelize(NewHashJoin(NewBatchValues(ls, build), NewBatchValues(rs, probe), keys[0], keys[1]), dop)
-				for pass := 0; pass < 2; pass++ {
-					got, err := Collect(join)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					sameRowsInOrder(t, fmt.Sprintf("%s, pass %d", what, pass), got, want)
+			what := fmt.Sprintf("%s, keys %v", name, keys)
+			join := NewHashJoin(NewBatchValues(ls, build), NewBatchValues(rs, probe), keys[0], keys[1])
+			for pass := 0; pass < 2; pass++ {
+				got, err := Collect(join)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
 				}
+				sameRowsInOrder(t, fmt.Sprintf("%s, pass %d", what, pass), got, want)
 			}
 		}
 	}
@@ -142,7 +140,7 @@ func TestHashJoinMatchesRowReference(t *testing.T) {
 	}{
 		{"duplicates, output fills mid-chain", 120, 90, 5, []int{50, 7}, []int{3, 1, 4}},
 		{"one batch each", 40, 40, 30, []int{1024}, []int{1024}},
-		{"wide probe batches fork the workers", 100, 1200, 80, []int{64}, []int{1024, 176}},
+		{"wide probe batches", 100, 1200, 80, []int{64}, []int{1024, 176}},
 		{"empty build side", 0, 50, 4, []int{8}, []int{16}},
 		{"empty probe side", 50, 0, 4, []int{8}, []int{16}},
 		{"single row", 1, 1, 1, []int{1}, []int{1}},
@@ -154,8 +152,7 @@ func TestHashJoinMatchesRowReference(t *testing.T) {
 	// Chunk boundaries: a first build batch of 1, 3 or 189 rows makes the
 	// store's first chunk c0 = 1, 4 or 256 rows and chunk k end at row
 	// c0·(2^(k+1)−1); build sides end one short of, at and one past the end
-	// of chunk k-1. The later cuts straddle boundaries. One 300-row probe
-	// batch forks the workers at dop 4.
+	// of chunk k-1. The later cuts straddle boundaries.
 	for _, cuts := range [][]int{{1, 2, 5}, {3, 1000, 1025}, {189, 7, 300}} {
 		c0 := 1
 		for c0 < cuts[0] {
@@ -228,35 +225,33 @@ func TestFloatKeysJoinAndGroupByValue(t *testing.T) {
 	for i, f := range []float64{negZero, math.NaN(), 2} {
 		rrows = append(rrows, tuple.Row{tuple.Float(f), tuple.Int(int64(10 + i))})
 	}
-	for _, dop := range []int{1, 4} {
-		got, err := Collect(Parallelize(JoinOn(NewValues(ls, lrows), NewValues(rs, rrows), [][2]string{{"lf", "rf"}}), dop))
-		if err != nil {
-			t.Fatal(err)
+	got, err := Collect(JoinOn(NewValues(ls, lrows), NewValues(rs, rrows), [][2]string{{"lf", "rf"}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// -0 finds 0 and -0 (build order), NaN finds NaN only, 2 nothing.
+	want := []string{"(0, 0, -0, 10)", "(-0, 1, -0, 10)", "(NaN, 2, NaN, 11)"}
+	if len(got) != len(want) {
+		t.Fatalf("join returned %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i].String() != want[i] {
+			t.Fatalf("join row %d = %v, want %v", i, got[i], want[i])
 		}
-		// -0 finds 0 and -0 (build order), NaN finds NaN only, 2 nothing.
-		want := []string{"(0, 0, -0, 10)", "(-0, 1, -0, 10)", "(NaN, 2, NaN, 11)"}
-		if len(got) != len(want) {
-			t.Fatalf("dop %d: join returned %v, want %v", dop, got, want)
-		}
-		for i := range want {
-			if got[i].String() != want[i] {
-				t.Fatalf("dop %d: join row %d = %v, want %v", dop, i, got[i], want[i])
-			}
-		}
+	}
 
-		agg := Parallelize(NewHashAgg(NewValues(ls, lrows),
-			[]GroupCol{{Name: "g", Kind: tuple.KindFloat64, E: expr.Bind(ls, "lf")}},
-			[]AggSpec{{Kind: AggCount, Name: "n"}}), dop)
-		groups, err := Collect(agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counts := map[string]int64{}
-		for _, g := range groups {
-			counts[fmt.Sprint(math.Abs(g[0].F))] += g[1].AsInt()
-		}
-		if len(groups) != 3 || counts["0"] != 2 || counts["NaN"] != 1 || counts["1"] != 1 {
-			t.Fatalf("dop %d: groups %v, want ±0 x2, NaN x1, 1 x1", dop, groups)
-		}
+	agg := NewHashAgg(NewValues(ls, lrows),
+		[]GroupCol{{Name: "g", Kind: tuple.KindFloat64, E: expr.Bind(ls, "lf")}},
+		[]AggSpec{{Kind: AggCount, Name: "n"}})
+	groups, err := Collect(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := map[string]int64{}
+	for _, g := range groups {
+		counts[fmt.Sprint(math.Abs(g[0].F))] += g[1].AsInt()
+	}
+	if len(groups) != 3 || counts["0"] != 2 || counts["NaN"] != 1 || counts["1"] != 1 {
+		t.Fatalf("groups %v, want ±0 x2, NaN x1, 1 x1", groups)
 	}
 }

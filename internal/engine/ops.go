@@ -202,11 +202,13 @@ func (l *Limit) nextBatch() (*tuple.Batch, bool, error) {
 func (l *Limit) Close() error { return l.child.Close() }
 
 // Distinct suppresses duplicate rows (SELECT DISTINCT). It is streaming:
-// each row is remembered by its rendered key, so memory grows with the
-// number of distinct rows seen.
+// each row is remembered in a table that finds duplicates the way HashAgg
+// finds groups — by hash, kind and Equal — so memory grows with the number
+// of distinct rows seen.
 type Distinct struct {
 	child Iterator
-	seen  map[string]struct{}
+	keys  []int
+	seen  *aggTable
 
 	out    *tuple.Batch
 	rowBuf tuple.Row
@@ -215,7 +217,7 @@ type Distinct struct {
 
 // NewDistinct wraps child with duplicate elimination.
 func NewDistinct(child Iterator) *Distinct {
-	return &Distinct{child: child}
+	return &Distinct{child: child, keys: allKeys(child.Schema().Len())}
 }
 
 // Schema implements Iterator.
@@ -223,7 +225,7 @@ func (d *Distinct) Schema() *tuple.Schema { return d.child.Schema() }
 
 // Open implements Iterator.
 func (d *Distinct) Open() error {
-	d.seen = make(map[string]struct{})
+	d.seen = newAggTable()
 	return d.child.Open()
 }
 
@@ -245,11 +247,11 @@ func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
 		out := sizedOutput(&d.out, in.Schema(), n)
 		for i := 0; i < n; i++ {
 			d.rowBuf = in.AppendRowTo(d.rowBuf[:0], i)
-			key := rowKey(d.rowBuf)
-			if _, dup := d.seen[key]; dup {
+			hash := tuple.HashRowKey(d.rowBuf, d.keys)
+			if d.seen.find(hash, d.rowBuf) != nil {
 				continue
 			}
-			d.seen[key] = struct{}{}
+			d.seen.insert(&accum{hash: hash, groupV: d.rowBuf.Clone()})
 			out.AppendRange(in, i, i+1)
 		}
 		if out.Len() > 0 {
@@ -262,17 +264,6 @@ func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
 func (d *Distinct) Close() error {
 	d.seen = nil
 	return d.child.Close()
-}
-
-// rowKey renders a canonical duplicate-detection key.
-func rowKey(row tuple.Row) string {
-	var sb []byte
-	for _, v := range row {
-		sb = append(sb, byte(v.K))
-		sb = append(sb, v.String()...)
-		sb = append(sb, 0)
-	}
-	return string(sb)
 }
 
 // Values is a leaf iterator over in-memory rows.

@@ -9,9 +9,9 @@ import (
 	"repro/internal/workload"
 )
 
-// TestPlanWalksRenderNoLabel: finding the scans, threading the DOP and
-// draining a Q5 pull plan never renders an EXPLAIN label — a label is
-// built only when somebody prints the plan.
+// TestPlanWalksRenderNoLabel: finding the scans and draining a Q5 pull plan
+// never renders an EXPLAIN label — a label is built only when somebody
+// prints the plan.
 func TestPlanWalksRenderNoLabel(t *testing.T) {
 	ds := workload.TPCH(0, workload.TPCHConfig{SF: 4, RowsPerObject: 12, Seed: 2})
 	spec := workload.Q5(ds.Catalog)
@@ -23,7 +23,7 @@ func TestPlanWalksRenderNoLabel(t *testing.T) {
 	if got := len(engine.SeqScans(spy)); got != len(spec.Join.Relations) {
 		t.Fatalf("SeqScans found %d scans under the spy, want %d", got, len(spec.Join.Relations))
 	}
-	if _, err := engine.Collect(engine.Parallelize(spy, 2)); err != nil {
+	if _, err := engine.Collect(spy); err != nil {
 		t.Fatal(err)
 	}
 	if spy.Calls != 0 {

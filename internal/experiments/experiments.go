@@ -41,10 +41,6 @@ type Params struct {
 	CacheObjects int
 	// Seed drives the deterministic data generators.
 	Seed int64
-	// Parallelism is the per-client query-execution worker count (see
-	// skipper.Client.Parallelism). 0 or 1 runs serially. It changes only
-	// real runtime, never the simulated timings the figures report.
-	Parallelism int
 	// Format selects the segment wire format the CSD store serves.
 	// FormatMem (the zero value) keeps the generator's in-memory
 	// segments — no encode/decode work, the historical behaviour.
@@ -190,11 +186,11 @@ func (p Params) device() csd.Config {
 }
 
 // cell is the lattice cell these params run by default: the given engine
-// at the Params' DOP and MJoin cache against one clean device, data
+// with the Params' MJoin cache against one clean device, data
 // skipping on. Every experiment starts from it and sets what it studies.
 func (p Params) cell(mode skipper.Mode) lattice.Cell {
 	return lattice.Cell{
-		Mode: mode, DOP: p.Parallelism, MJoinCache: p.CacheObjects,
+		Mode: mode, MJoinCache: p.CacheObjects,
 		Fleet: skipper.FleetSpec{Device: p.device()},
 	}
 }

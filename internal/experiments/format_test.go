@@ -20,12 +20,11 @@ import (
 // end: for every probe query, serving the same dataset as in-memory
 // segments (mem), row-major objects (v1) and columnar objects with
 // projection pushdown (v2) must produce byte-identical, identically
-// ordered results — across both engines, DOP ∈ {1, 4} and data skipping
-// on/off. Queries whose aggregates are integer-only compare across
-// engines too; float-aggregating queries compare within each engine
-// (parallel/ out-of-order float addition may differ in the last ulps, as
-// documented in docs/tuning.md — that is an engine property, not a
-// format one).
+// ordered results — across both engines and data skipping on/off. Queries
+// whose aggregates are integer-only compare across engines too;
+// float-aggregating queries compare within each engine (the engines add
+// floats in different orders, which may differ in the last ulps — an
+// engine property, not a format one).
 
 var formatDiffQueries = []struct {
 	name        string
@@ -43,9 +42,9 @@ var formatDiffQueries = []struct {
 	{"q14-float", func(ds *workload.Dataset) skipper.QuerySpec { return workload.Q14(ds.Catalog) }, false},
 }
 
-// evalFormat runs one (mode, dop, prune) combination locally over the
-// given (possibly lazily decoded) store.
-func evalFormat(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode, dop int, prune bool) ([]tuple.Row, error) {
+// evalFormat runs one (mode, prune) combination locally over the given
+// (possibly lazily decoded) store.
+func evalFormat(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode, prune bool) ([]tuple.Row, error) {
 	if mode == skipper.ModeVanilla {
 		it, err := skipper.BuildPullPlanPruned(engine.NewTestCtx(ds.Store), spec.Join, prune)
 		if err != nil {
@@ -54,11 +53,10 @@ func evalFormat(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode,
 		if spec.Shape != nil {
 			it = spec.Shape(it)
 		}
-		return engine.Collect(engine.Parallelize(it, dop))
+		return engine.Collect(it)
 	}
 	cfg := mjoin.DefaultConfig(len(spec.Join.Objects()))
 	cfg.StatsPruning = prune
-	cfg.Parallelism = dop
 	res, err := mjoin.Run(spec.Join, cfg, &scrambledSource{store: ds.Store})
 	if err != nil {
 		return nil, err
@@ -66,7 +64,7 @@ func evalFormat(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode,
 	if spec.Shape == nil {
 		return res.Rows, nil
 	}
-	return engine.Collect(engine.Parallelize(spec.Shape(engine.NewValues(res.Schema, res.Rows)), dop))
+	return engine.Collect(spec.Shape(engine.NewValues(res.Schema, res.Rows)))
 }
 
 // servedFormats are the formats a store serves. v1 is decode-only: its
@@ -90,24 +88,22 @@ func TestFormatDifferential(t *testing.T) {
 				for _, f := range servedFormats {
 					ds := datasets[f]
 					spec := q.spec(ds)
-					for _, dop := range []int{1, 4} {
-						for _, prune := range []bool{true, false} {
-							label := fmt.Sprintf("%v/%s/dop%d/prune=%v", f, mode, dop, prune)
-							rows, err := evalFormat(ds, spec, mode, dop, prune)
-							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							key := mode
-							if q.crossEngine {
-								key = skipper.ModeVanilla // one bucket for all runs
-							}
-							if want[key] == nil {
-								want[key] = rows
-								continue
-							}
-							if err := lattice.EqualRows(rows, want[key]); err != nil {
-								t.Fatalf("%s diverges: %v", label, err)
-							}
+					for _, prune := range []bool{true, false} {
+						label := fmt.Sprintf("%v/%s/prune=%v", f, mode, prune)
+						rows, err := evalFormat(ds, spec, mode, prune)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						key := mode
+						if q.crossEngine {
+							key = skipper.ModeVanilla // one bucket for all runs
+						}
+						if want[key] == nil {
+							want[key] = rows
+							continue
+						}
+						if err := lattice.EqualRows(rows, want[key]); err != nil {
+							t.Fatalf("%s diverges: %v", label, err)
 						}
 					}
 				}

@@ -36,7 +36,7 @@ func maskWallClock(f *Figure) *Figure {
 	return &m
 }
 
-// checkGolden renders what `skipperbench -quick -dop 1` prints for the
+// checkGolden renders what `skipperbench -quick` prints for the
 // entries, wall-clock cells masked, and compares it with the committed
 // file: no change to the code underneath may move a figure byte.
 func checkGolden(t *testing.T, name string, entries []Entry) {
@@ -77,12 +77,6 @@ func checkGolden(t *testing.T, name string, entries []Entry) {
 	t.Fatalf("%s: %d lines, golden has %d", path, len(gl), len(wl))
 }
 
-func goldenParams() Params {
-	p := Quick()
-	p.Parallelism = 1
-	return p
-}
+func TestFiguresMatchGolden(t *testing.T) { checkGolden(t, "figures.golden", Quick().Figures()) }
 
-func TestFiguresMatchGolden(t *testing.T) { checkGolden(t, "figures.golden", goldenParams().Figures()) }
-
-func TestReportsMatchGolden(t *testing.T) { checkGolden(t, "reports.golden", goldenParams().Reports()) }
+func TestReportsMatchGolden(t *testing.T) { checkGolden(t, "reports.golden", Quick().Reports()) }

@@ -98,7 +98,7 @@ func (p Params) PipelineReport() (*Figure, error) {
 			"device GETs", "switches", "prefetched", "pf served", "pf useful",
 		},
 		Notes: []string{
-			"results are held byte-identical pipeline on/off across engines, formats (v1/v2), DOP {1,4} and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
+			"results are held byte-identical pipeline on/off across engines, formats (v1/v2) and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 			"makespan/avg client are simulated time (prefetch discloses demand to the scheduler); wall is host time for the whole run",
 		},
 	}

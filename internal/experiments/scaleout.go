@@ -179,7 +179,7 @@ func (p Params) ScaleReport() (*Figure, error) {
 		})
 	}
 	f.Notes = append(f.Notes,
-		"results are held byte-identical 1 vs 2 vs 4 devices × replication (none/hot/full) across engines, formats (v1/v2) and DOP {1,4}, and per-device GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
+		"results are held byte-identical 1 vs 2 vs 4 devices × replication (none/hot/full) across engines and formats (v1/v2), and per-device GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 		"crash rows: device 0 dies at 60s; 'd0 dead' never restarts — hot replication finished every query by failing over, and its outage degradation (vs its own clean fleet) is gated strictly below the unreplicated fleet's",
 	)
 	return f, nil

@@ -1,8 +1,8 @@
 // Package lattice is the one differential harness of the repository.
 // Every experiment of the paper is the same run with different settings —
-// an engine, a segment format, a degree of parallelism, data skipping, a
-// shared cache, a prefetch budget, a fault plan, a device fleet, tracing —
-// and every claim is an invariant across those settings: a setting may
+// an engine, a segment format, data skipping, a shared cache, a prefetch
+// budget, a fault plan, a device fleet, tracing — and every claim is an
+// invariant across those settings: a setting may
 // change when a query finishes, never what it returns, and no GET is lost
 // between client, cache, prefetcher and device. A Cell is one point of
 // that option lattice; Cell.Cluster is the one function that turns a cell
@@ -27,15 +27,13 @@ import (
 // Cell is one point of the option lattice: every setting of a run that
 // may change when its queries finish but never what they return. The zero
 // value is the baseline corner: the vanilla engine, in-memory segments,
-// serial, data skipping on, no shared cache, no prefetch, one clean
-// default device, untraced.
+// data skipping on, no shared cache, no prefetch, one clean default
+// device, untraced.
 type Cell struct {
 	Mode skipper.Mode
 	// Format is the wire format the store serves. Verify re-encodes its
 	// dataset per cell; Cluster takes the store as it finds it.
 	Format segment.Format
-	// DOP is the per-client query-execution parallelism (0 or 1 = serial).
-	DOP int
 	// NoPrune turns zone-map/Bloom data skipping off.
 	NoPrune bool
 	// MJoinCache is the MJoin buffer capacity in objects (skipper mode;
@@ -59,10 +57,12 @@ type Cell struct {
 }
 
 // String names the cell by its path through the lattice, e.g.
-// "v2/skipper/dop4/prune=true/cache=9/pipe/faults/2xhot/traced".
+// "v2/skipper/dop1/prune=true/cache=9/pipe/faults/2xhot/traced". The fixed
+// "dop1" says every cell runs serially; it stays so that cell names, and
+// the test names built from them, are the ones they have always been.
 func (c Cell) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%v/%v/dop%d/prune=%v", c.Format, c.Mode, max(c.DOP, 1), !c.NoPrune)
+	fmt.Fprintf(&sb, "%v/%v/dop1/prune=%v", c.Format, c.Mode, !c.NoPrune)
 	if c.SharedCache > 0 {
 		fmt.Fprintf(&sb, "/cache=%d", c.SharedCache)
 	}
@@ -117,7 +117,7 @@ func Shared(ds *workload.Dataset, queries func(*catalog.Catalog) []skipper.Query
 // pair (workload.MultiPass). Every pass re-reads the same segments, so a
 // cache has something to hit and a prefetcher something to run ahead of;
 // both probes end in ORDER BY over integer aggregates, so results are
-// bit-identical at any arrival order and DOP.
+// bit-identical at any arrival order.
 func Probe(cat *catalog.Catalog) []skipper.QuerySpec { return workload.MultiPass(cat, 2) }
 
 // ProbeDataset is the dataset the harness's own tables are run over: one
@@ -167,7 +167,6 @@ func (c Cell) Cluster(w Workload) *skipper.Cluster {
 			Queries:        tn.Queries,
 			CacheObjects:   c.MJoinCache,
 			NoStatsPruning: c.NoPrune,
-			Parallelism:    c.DOP,
 			PrefetchBytes:  c.PrefetchBytes,
 			Retry:          c.Retry,
 			KeepResults:    c.KeepResults,

@@ -18,7 +18,6 @@ import (
 var (
 	modes   = []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper}
 	formats = []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2}
-	dops    = []int{1, 4}
 	fleets  = []skipper.FleetSpec{
 		{},
 		{N: 2},
@@ -37,16 +36,16 @@ const probeMJoinCache = 6
 // pipeline × traced.
 func AllOn(mode skipper.Mode, footprint int) Cell {
 	return Cell{
-		Mode: mode, Format: segment.FormatV2, DOP: 4, MJoinCache: probeMJoinCache,
+		Mode: mode, Format: segment.FormatV2, MJoinCache: probeMJoinCache,
 		SharedCache: footprint, PrefetchBytes: PrefetchOn, Traced: true,
 		Fleet: skipper.FleetSpec{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}, Faults: Chaos(42)},
 	}
 }
 
 // pairwiseAxes are the sizes of the sampled axes, in the order Pairwise
-// decodes them: mode, format, DOP, pruning, cache, pipeline, faults,
-// fleet, traced.
-var pairwiseAxes = []int{len(modes), len(formats), len(dops), 2, 2, 2, 2, len(fleets), 2}
+// decodes them: mode, format, pruning, cache, pipeline, faults, fleet,
+// traced.
+var pairwiseAxes = []int{len(modes), len(formats), 2, 2, 2, 2, len(fleets), 2}
 
 // Pairwise is a deterministic sample of the full lattice in which every
 // pair of values of every two axes occurs together in at least one cell —
@@ -56,17 +55,17 @@ func Pairwise(footprint int) []Cell {
 	var out []Cell
 	for _, row := range coveringRows(pairwiseAxes) {
 		c := Cell{
-			Mode: modes[row[0]], Format: formats[row[1]], DOP: dops[row[2]],
-			NoPrune: row[3] == 1, MJoinCache: probeMJoinCache,
-			Fleet: fleets[row[7]], Traced: row[8] == 1,
+			Mode: modes[row[0]], Format: formats[row[1]],
+			NoPrune: row[2] == 1, MJoinCache: probeMJoinCache,
+			Fleet: fleets[row[6]], Traced: row[7] == 1,
 		}
-		if row[4] == 1 {
+		if row[3] == 1 {
 			c.SharedCache = footprint
 		}
-		if row[5] == 1 {
+		if row[4] == 1 {
 			c.PrefetchBytes = PrefetchOn
 		}
-		if row[6] == 1 {
+		if row[5] == 1 {
 			c.Fleet.Faults = Chaos(42)
 		}
 		out = append(out, c)

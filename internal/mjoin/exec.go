@@ -3,8 +3,6 @@ package mjoin
 import (
 	"fmt"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
@@ -29,11 +27,10 @@ import (
 //     the survivor count; an unfiltered arrival's entry simply owns the
 //     columns it was decoded into (decodeArrival).
 //   - A partial tuple is one int32 row id per relation joined so far, held
-//     in per-worker struct-of-arrays scratch. Each chain level reads its
-//     left key straight from the cached column of the relation that owns
-//     it, walks the matching bucket of the next relation's index in
-//     ascending row order, and appends the ids of the matches
-//     (probeLevels).
+//     in struct-of-arrays scratch. Each chain level reads its left key
+//     straight from the cached column of the relation that owns it, walks
+//     the matching bucket of the next relation's index in ascending row
+//     order, and appends the ids of the matches (probeLevels).
 //   - Only the partials that survive the last level are gathered, column
 //     by column, into output chunks as wide as the legs together (emit).
 //     The Stream hands each chunk on as it completes and refills it after.
@@ -41,13 +38,6 @@ import (
 // So a run allocates nothing per row, and in proportion to its cache rather
 // than to its arrivals or its result: the next arrival, of any relation,
 // decodes and indexes into what evicted entries leave in the pool.
-//
-// With Config.Parallelism > 1 the probeChunk-sized root partitions of a
-// subplan are claimed by a pool of workers, each expanding its chunks
-// through the full probe chain with private scratch against the shared
-// (read-only) cache entries and gathering them into a chunk of its own.
-// The chunks are stitched back in root order, so the result rows are
-// byte-identical to the serial execution's, in the same order, at any DOP.
 
 // probeChunk bounds how many root rows are expanded through the probe
 // chain at once, keeping the id arrays cache-sized.
@@ -275,19 +265,17 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 	return pp, nil
 }
 
-// probeScratch is one worker's reusable probe-chain state: the partial
-// tuples of the level being read and of the level being written, as one
-// row-id array per relation (cur[r][k] is partial k's row in relation r's
-// cached batch). The arrays are allocated on first use and ping-ponged
-// across chain levels.
+// probeScratch is the reusable probe-chain state: the partial tuples of the
+// level being read and of the level being written, as one row-id array per
+// relation (cur[r][k] is partial k's row in relation r's cached batch). The
+// arrays are allocated on first use and ping-ponged across chain levels.
 type probeScratch struct {
 	cur, next [][]int32
 }
 
 // executeSubplan joins the subplan's cached segments by probing the
 // per-object hash indexes left to right, a chunk of root rows at a time,
-// and emits the surviving tuples. With DOP > 1 and more than one chunk of
-// root rows, the chunks run on a worker pool.
+// and emits the surviving tuples.
 func (m *Stream) executeSubplan(sp subplan) {
 	entries, srcs := m.entries[:0], m.srcs[:0]
 	empty := false
@@ -308,57 +296,18 @@ func (m *Stream) executeSubplan(sp subplan) {
 		return // an empty leg cannot produce output
 	}
 	rootLen := srcs[0].Len()
-	nChunks := (rootLen + probeChunk - 1) / probeChunk
-	if m.dop <= 1 || nChunks <= 1 {
-		sc := &m.scratches[0]
-		for start := 0; start < rootLen; start += probeChunk {
-			if n := m.probeLevels(entries, start, min(start+probeChunk, rootLen), sc); n > 0 {
-				m.emit(srcs, sc.cur, n)
-			}
-		}
-		return
-	}
-	// Parallel path: workers claim chunk indices off a shared counter,
-	// expand them with private scratch and gather the survivors into a
-	// chunk of their own; the chunks are adopted in root order, matching
-	// the serial output exactly.
-	results := make([]*tuple.Batch, nChunks)
-	var nextChunk atomic.Int32
-	var wg sync.WaitGroup
-	workers := min(m.dop, nChunks)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc := &m.scratches[w]
-			for {
-				c := int(nextChunk.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				start := c * probeChunk
-				if n := m.probeLevels(entries, start, min(start+probeChunk, rootLen), sc); n > 0 {
-					results[c] = tuple.NewBatch(m.probe.out, n)
-					results[c].AppendJoined(srcs, sc.cur, 0, n)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, b := range results {
-		if b != nil {
-			m.out = append(m.out, b)
-			m.stats.ResultRows += b.Len()
+	for start := 0; start < rootLen; start += probeChunk {
+		if n := m.probeLevels(entries, start, min(start+probeChunk, rootLen)); n > 0 {
+			m.emit(srcs, m.scratch.cur, n)
 		}
 	}
 }
 
 // probeLevels expands root rows [start, end) through every probe level and
 // returns how many partial tuples survive the last one; their row ids are
-// left in sc.cur. All mutable state lives in sc, so concurrent calls over
-// disjoint chunks with distinct scratches are race-free; entries and the
-// probe plan are only read.
-func (m *Stream) probeLevels(entries []*cacheEntry, start, end int, sc *probeScratch) int {
+// left in m.scratch.cur.
+func (m *Stream) probeLevels(entries []*cacheEntry, start, end int) int {
+	sc := &m.scratch
 	if sc.cur == nil {
 		sc.cur, sc.next = make([][]int32, len(entries)), make([][]int32, len(entries))
 	}

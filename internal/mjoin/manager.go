@@ -75,11 +75,6 @@ type Config struct {
 	Costs Costs
 	// MaxCycles bounds request-reissue cycles as a livelock guard.
 	MaxCycles int
-	// Parallelism is the worker count for subplan probe chains: chunks of
-	// probe-root rows are expanded concurrently against the shared cache
-	// entries. 0 or 1 selects the serial path; results are identical (and
-	// identically ordered) at every setting.
-	Parallelism int
 	// Trace, when non-nil, receives per-cycle and per-arrival-decode
 	// spans. Spans carry wall time only: the manager has no virtual-clock
 	// handle of its own (charges go through Clock). nil records nothing.
@@ -157,16 +152,13 @@ type Stream struct {
 	objIndex map[segment.ObjectID]objRef
 	objByRef map[objRef]segment.ObjectID
 
-	// dop is the normalized Config.Parallelism (>= 1).
-	dop int
 	// cds[r] is relation r's decode buffer, nil until it decodes an arrival:
 	// a filtered arrival's cache entry copies the survivors out of it, an
 	// unfiltered one takes its vectors, and refill restocks them from pool.
 	cds  []*segment.ColumnData
 	pool pool
-	// scratches holds one probe-chain scratch per worker, reused across
-	// arrivals and subplans; scratches[0] is the serial path's.
-	scratches []probeScratch
+	// scratch is the probe chain's, reused across arrivals and subplans.
+	scratch probeScratch
 	// hashBuf is the reused key-hash buffer of the cache-entry build.
 	hashBuf []uint64
 	// entries and srcs are executeSubplan's reused views of the subplan
@@ -261,8 +253,6 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 		cache:        make(map[segment.ObjectID]*cacheEntry),
 		arrivalSeq:   make(map[segment.ObjectID]int),
 	}
-	m.dop = max(cfg.Parallelism, 1)
-	m.scratches = make([]probeScratch, m.dop)
 	m.cds = make([]*segment.ColumnData, len(q.Relations))
 	for ri, rel := range q.Relations {
 		for si, id := range rel.Table.Objects {
@@ -576,7 +566,7 @@ func (m *Stream) executeAllRunnable() {
 // callers collect runnable keys by iterating the pending map, whose
 // order is randomized per run; sorting here pins the execution order so
 // a whole MJoin run — rows and row order included — is a deterministic
-// function of the query and the arrival order, at any Parallelism.
+// function of the query and the arrival order.
 func (m *Stream) executeKeys(keys []string) {
 	sort.Strings(keys)
 	for _, key := range keys {

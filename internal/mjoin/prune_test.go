@@ -40,9 +40,9 @@ func attachPruner(t *testing.T, rel *Relation) {
 
 // TestStatsPruningScrambledArrivals: with data skipping on, the state
 // manager must never request a prunable object — under in-order and
-// scrambled delivery, serial and parallel, with and without cache
-// pressure — and the join result must stay a permutation-free match of
-// the unpruned run's multiset (and exactly the baseline's content).
+// scrambled delivery, with and without cache pressure — and the join
+// result must stay a permutation-free match of the unpruned run's multiset
+// (and exactly the baseline's content).
 func TestStatsPruningScrambledArrivals(t *testing.T) {
 	cat, store := buildDB(t, []relSpec{
 		{name: "a", col: "ak", keys: seqKeys(24), perSeg: 4}, // 6 segments, keys clustered
@@ -64,63 +64,60 @@ func TestStatsPruningScrambledArrivals(t *testing.T) {
 
 	for _, scramble := range []bool{false, true} {
 		for _, cache := range []int{2, 10} { // tight (reissues) and ample
-			for _, dop := range []int{1, 4} {
-				seed := int64(42)
-				run := func(prune bool) (*Result, map[segment.ObjectID]int) {
-					q := mkQuery()
-					if prune {
-						attachPruner(t, &q.Relations[0])
-						attachPruner(t, &q.Relations[1])
-					}
-					src := &recordingSource{
-						inner:     &scriptSource{store: store},
-						requested: make(map[segment.ObjectID]int),
-					}
-					if scramble {
-						rng := rand.New(rand.NewSource(seed))
-						src.inner.order = func(objs []segment.ObjectID) []segment.ObjectID {
-							rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
-							return objs
-						}
-					}
-					cfg := DefaultConfig(cache)
-					cfg.StatsPruning = prune
-					cfg.Parallelism = dop
-					res, err := Run(q, cfg, src)
-					if err != nil {
-						t.Fatalf("scramble=%v cache=%d dop=%d prune=%v: %v", scramble, cache, dop, prune, err)
-					}
-					return res, src.requested
+			seed := int64(42)
+			run := func(prune bool) (*Result, map[segment.ObjectID]int) {
+				q := mkQuery()
+				if prune {
+					attachPruner(t, &q.Relations[0])
+					attachPruner(t, &q.Relations[1])
 				}
-				on, reqOn := run(true)
-				off, reqOff := run(false)
+				src := &recordingSource{
+					inner:     &scriptSource{store: store},
+					requested: make(map[segment.ObjectID]int),
+				}
+				if scramble {
+					rng := rand.New(rand.NewSource(seed))
+					src.inner.order = func(objs []segment.ObjectID) []segment.ObjectID {
+						rng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+						return objs
+					}
+				}
+				cfg := DefaultConfig(cache)
+				cfg.StatsPruning = prune
+				res, err := Run(q, cfg, src)
+				if err != nil {
+					t.Fatalf("scramble=%v cache=%d prune=%v: %v", scramble, cache, prune, err)
+				}
+				return res, src.requested
+			}
+			on, reqOn := run(true)
+			off, reqOff := run(false)
 
-				if !equalMultisets(on.Rows, off.Rows) || !equalMultisets(on.Rows, baseline) {
-					t.Fatalf("scramble=%v cache=%d dop=%d: results diverge (on %d, off %d, baseline %d rows)",
-						scramble, cache, dop, len(on.Rows), len(off.Rows), len(baseline))
-				}
-				if on.Stats.ObjectsSkipped == 0 || on.Stats.SubplansSkipped == 0 {
-					t.Fatalf("scramble=%v cache=%d dop=%d: nothing skipped: %+v", scramble, cache, dop, on.Stats)
-				}
-				if off.Stats.ObjectsSkipped != 0 {
-					t.Fatalf("unpruned run skipped objects: %+v", off.Stats)
-				}
-				if on.Stats.Requests >= off.Stats.Requests {
-					t.Fatalf("scramble=%v cache=%d dop=%d: pruning did not reduce requests (%d vs %d)",
-						scramble, cache, dop, on.Stats.Requests, off.Stats.Requests)
-				}
-				// Keys 5..10 live in a-segments 1 and 2; keys <13 in
-				// b-segments 0..2. Everything else must never be GET.
-				for ri, rel := range mkQuery().Relations {
-					p, _ := stats.ForPredicate(rel.Filter, rel.Table.Schema, rel.Table.Stats)
-					for si, id := range rel.Table.Objects {
-						if p.CanSkip(si) && reqOn[id] > 0 {
-							t.Fatalf("scramble=%v cache=%d dop=%d: prunable object %v (rel %d) was requested",
-								scramble, cache, dop, id, ri)
-						}
-						if reqOff[id] == 0 {
-							t.Fatalf("unpruned run never requested %v", id)
-						}
+			if !equalMultisets(on.Rows, off.Rows) || !equalMultisets(on.Rows, baseline) {
+				t.Fatalf("scramble=%v cache=%d: results diverge (on %d, off %d, baseline %d rows)",
+					scramble, cache, len(on.Rows), len(off.Rows), len(baseline))
+			}
+			if on.Stats.ObjectsSkipped == 0 || on.Stats.SubplansSkipped == 0 {
+				t.Fatalf("scramble=%v cache=%d: nothing skipped: %+v", scramble, cache, on.Stats)
+			}
+			if off.Stats.ObjectsSkipped != 0 {
+				t.Fatalf("unpruned run skipped objects: %+v", off.Stats)
+			}
+			if on.Stats.Requests >= off.Stats.Requests {
+				t.Fatalf("scramble=%v cache=%d: pruning did not reduce requests (%d vs %d)",
+					scramble, cache, on.Stats.Requests, off.Stats.Requests)
+			}
+			// Keys 5..10 live in a-segments 1 and 2; keys <13 in
+			// b-segments 0..2. Everything else must never be GET.
+			for ri, rel := range mkQuery().Relations {
+				p, _ := stats.ForPredicate(rel.Filter, rel.Table.Schema, rel.Table.Stats)
+				for si, id := range rel.Table.Objects {
+					if p.CanSkip(si) && reqOn[id] > 0 {
+						t.Fatalf("scramble=%v cache=%d: prunable object %v (rel %d) was requested",
+							scramble, cache, id, ri)
+					}
+					if reqOff[id] == 0 {
+						t.Fatalf("unpruned run never requested %v", id)
 					}
 				}
 			}

@@ -100,12 +100,11 @@ func drain(t *testing.T, m *Stream) []tuple.Row {
 // probeMatrix runs cell over the matrix of TestProbeChainMatchesRowReference:
 // random three-way chains whose keys are few enough that index buckets hold
 // several keys and several rows per key, for shuffled arrival orders, a
-// cache of exactly R, R+1 and every object, serial and parallel probing (the
-// root spans several probe chunks) and runtime pruning on and off (off
-// leaves empty legs in the cache). Each cell comes with an in-memory query
-// and a lazily decoded v2 one that also projects relation c down to its
-// key, and with constructors of fresh sources that deliver the cell's
-// arrival order.
+// cache of exactly R, R+1 and every object, a root that spans several probe
+// chunks and runtime pruning on and off (off leaves empty legs in the
+// cache). Each cell comes with an in-memory query and a lazily decoded v2
+// one that also projects relation c down to its key, and with constructors
+// of fresh sources that deliver the cell's arrival order.
 func probeMatrix(t *testing.T, cell func(label string, cfg Config, memQ, v2Q *Query, mem, v2 func() Source)) {
 	for seed := int64(0); seed < 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -139,23 +138,20 @@ func probeMatrix(t *testing.T, cell func(label string, cfg Config, memQ, v2Q *Qu
 		}
 		objects := len(mkQuery(memCat, false).Objects())
 		for _, cache := range []int{3, 4, objects} {
-			for _, dop := range []int{1, 4} {
-				for _, prune := range []bool{true, false} {
-					cfg := DefaultConfig(cache)
-					cfg.Parallelism = dop
-					cfg.Pruning = prune
-					shuffled := func(store map[segment.ObjectID]*segment.Segment) func() Source {
-						return func() Source {
-							srng := rand.New(rand.NewSource(seed*7 + int64(cache)))
-							return &scriptSource{store: store, order: func(objs []segment.ObjectID) []segment.ObjectID {
-								srng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
-								return objs
-							}}
-						}
+			for _, prune := range []bool{true, false} {
+				cfg := DefaultConfig(cache)
+				cfg.Pruning = prune
+				shuffled := func(store map[segment.ObjectID]*segment.Segment) func() Source {
+					return func() Source {
+						srng := rand.New(rand.NewSource(seed*7 + int64(cache)))
+						return &scriptSource{store: store, order: func(objs []segment.ObjectID) []segment.ObjectID {
+							srng.Shuffle(len(objs), func(i, j int) { objs[i], objs[j] = objs[j], objs[i] })
+							return objs
+						}}
 					}
-					cell(fmt.Sprintf("seed %d cache %d dop %d prune %v", seed, cache, dop, prune), cfg,
-						mkQuery(memCat, false), mkQuery(lazyCat, true), shuffled(memStore), shuffled(lazyStore))
 				}
+				cell(fmt.Sprintf("seed %d cache %d prune %v", seed, cache, prune), cfg,
+					mkQuery(memCat, false), mkQuery(lazyCat, true), shuffled(memStore), shuffled(lazyStore))
 			}
 		}
 	}
@@ -196,6 +192,25 @@ func TestProbeChainMatchesRowReference(t *testing.T) {
 			t.Fatalf("%s: pruning off, yet %d subplans pruned", label, memStats.SubplansPruned)
 		}
 	})
+}
+
+// denseKeys draws n keys from a small domain so chains multiply matches.
+func denseKeys(rng *rand.Rand, n, domain int) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = int64(rng.Intn(domain))
+	}
+	return out
+}
+
+// renderInOrder renders rows positionally (no sorting), so a comparison
+// holds row order as well as the multiset.
+func renderInOrder(rows []tuple.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = r.String()
+	}
+	return out
 }
 
 // TestBuildProbePlanOwners: a join's left key is located by the relation

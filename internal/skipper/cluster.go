@@ -263,10 +263,9 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 // runVanilla executes the query on the pull-based engine over synchronous
 // per-segment GETs. The plan (scans, joins and the shaping stage) is
 // drained batch-at-a-time through the engine's batched core; the storage
-// access pattern — one GET per segment in plan order — is unchanged. With
-// c.Parallelism > 1 the joins and aggregations run on the morsel worker
-// pool; scans (and thus GETs and virtual-time charges) stay on the client
-// goroutine, as the vtime simulation requires.
+// access pattern — one GET per segment in plan order — is unchanged. The
+// whole plan runs on the client's goroutine, as the vtime simulation
+// requires of the scans (and thus of GETs and virtual-time charges).
 func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	ctx := &engine.Ctx{
 		Clock: clock,
@@ -282,7 +281,7 @@ func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec Que
 	if spec.Shape != nil {
 		it = spec.Shape(it)
 	}
-	rows, err := engine.Collect(engine.Parallelize(it, c.Parallelism))
+	rows, err := engine.Collect(it)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +315,6 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 		StatsPruning: !c.NoStatsPruning,
 		Clock:        clock,
 		Costs:        mjoin.Costs{ProcessPerObject: cl.Costs.MJoinPerObject},
-		Parallelism:  c.Parallelism,
 		Trace:        c.QTrace,
 	}
 	join, err := mjoin.NewStream(spec.Join, cfg, px)
@@ -325,13 +323,13 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 	}
 	// The MJoin output chunks stream into the shaping stage as they are
 	// completed, so post-join filters, aggregation and ORDER BY run
-	// batch-at-a-time in skipper mode too, on the morsel pool when the
-	// client sets Parallelism; rows exist only for what the query returns.
+	// batch-at-a-time in skipper mode too; rows exist only for what the
+	// query returns.
 	var it engine.Iterator = join
 	if spec.Shape != nil {
 		it = spec.Shape(it)
 	}
-	rows, err := engine.Collect(engine.Parallelize(it, c.Parallelism))
+	rows, err := engine.Collect(it)
 	if err != nil {
 		return nil, err
 	}

@@ -24,7 +24,7 @@ func violated(name, format string, args ...any) error {
 // CheckInvariants is the accounting prose of ClientStats as code: every
 // GET a client issued is absorbed exactly once — by the segment cache, by
 // a staged prefetch, or by a device. It holds for every completed run,
-// whatever the engine, format, DOP, cache, pipeline, fleet or fault plan;
+// whatever the engine, format, cache, pipeline, fleet or fault plan;
 // the harness applies it to every cell.
 //
 //   - device-conservation: per device d and tenant t, the GETs d

@@ -70,7 +70,6 @@ var (
 	modes   = []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper}
 	wire    = []segment.Format{segment.FormatV1, segment.FormatV2}
 	formats = []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2}
-	dops    = []int{1, 4}
 	onOff   = []bool{false, true}
 	// fleets are the fleet axis: the classic single device, then growing
 	// fleets with and without replication.
@@ -83,23 +82,19 @@ var (
 	}
 )
 
-// grid enumerates formats × engines × DOP {1,4}, the part every feature
-// matrix shares.
+// grid enumerates formats × engines, the part every feature matrix shares.
 func grid(formats []segment.Format) []lattice.Cell {
 	var out []lattice.Cell
 	for _, f := range formats {
 		for _, m := range modes {
-			for _, dop := range dops {
-				out = append(out, lattice.Cell{Mode: m, Format: f, DOP: dop, MJoinCache: probeMJoinCache})
-			}
+			out = append(out, lattice.Cell{Mode: m, Format: f, MJoinCache: probeMJoinCache})
 		}
 	}
 	return out
 }
 
 // cacheMatrix is the shared-segment-cache matrix: cache on (Verify runs
-// the cache-off twin itself) across every format, engine, DOP and pruning
-// on/off.
+// the cache-off twin itself) across every format, engine and pruning on/off.
 func cacheMatrix(footprint int) []lattice.Cell {
 	var out []lattice.Cell
 	for _, c := range grid(formats) {
@@ -112,7 +107,7 @@ func cacheMatrix(footprint int) []lattice.Cell {
 }
 
 // pipelineMatrix is the prefetch matrix: prefetch off and on across
-// the wire formats, engines, DOP and pruning on/off. No segment cache, so
+// the wire formats, engines and pruning on/off. No segment cache, so
 // prefetched deliveries travel the staged hand-off path.
 func pipelineMatrix() []lattice.Cell {
 	var out []lattice.Cell
@@ -128,7 +123,7 @@ func pipelineMatrix() []lattice.Cell {
 }
 
 // faultMatrix is the chaos matrix: the retryable-only plan across the wire
-// formats, engines, DOP and the pipeline off/on, over a shared cache so
+// formats, engines and the pipeline off/on, over a shared cache so
 // corrupt-delivery quarantine and redelivery cross tenant boundaries.
 func faultMatrix(footprint int) []lattice.Cell {
 	var out []lattice.Cell
@@ -142,7 +137,7 @@ func faultMatrix(footprint int) []lattice.Cell {
 }
 
 // fleetMatrix is the scale-out matrix: every fleet of the fleet axis
-// across the wire formats, engines and DOP, with the pipeline on (the
+// across the wire formats and engines, with the pipeline on (the
 // prefetcher's device fan-out is under test) and a shared cache.
 func fleetMatrix(footprint int) []lattice.Cell {
 	var out []lattice.Cell
@@ -157,7 +152,7 @@ func fleetMatrix(footprint int) []lattice.Cell {
 }
 
 // traceMatrix is the tracing matrix: traced cells (Verify runs the
-// untraced twin itself) across the wire formats, engines, DOP and the
+// untraced twin itself) across the wire formats, engines and the
 // pipeline off/on — the prefetcher's disclosure spans and the device lane's
 // prefetch transfers are recorded only with it on.
 func traceMatrix() []lattice.Cell {
@@ -171,15 +166,18 @@ func traceMatrix() []lattice.Cell {
 	return out
 }
 
+// The subtest names keep the "dop1" of lattice.Cell.String: every cell
+// runs serially, and the names stay the ones they have always been.
+
 func byPrune(c lattice.Cell) string {
-	return fmt.Sprintf("%v/%v/dop%d/prune=%v", c.Format, c.Mode, c.DOP, !c.NoPrune)
+	return fmt.Sprintf("%v/%v/dop1/prune=%v", c.Format, c.Mode, !c.NoPrune)
 }
 
 func byPipe(c lattice.Cell) string {
-	return fmt.Sprintf("%v/%v/dop%d/pipe=%v", c.Format, c.Mode, c.DOP, c.PrefetchBytes > 0)
+	return fmt.Sprintf("%v/%v/dop1/pipe=%v", c.Format, c.Mode, c.PrefetchBytes > 0)
 }
 
-func byEngine(c lattice.Cell) string { return fmt.Sprintf("%v/%v/dop%d", c.Format, c.Mode, c.DOP) }
+func byEngine(c lattice.Cell) string { return fmt.Sprintf("%v/%v/dop1", c.Format, c.Mode) }
 
 func TestSharedCacheDifferential(t *testing.T) {
 	verifyMatrix(t, cacheMatrix(footprint()), byPrune)
@@ -197,7 +195,7 @@ func TestPipelineWithSharedCache(t *testing.T) {
 	var cells []lattice.Cell
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 		cells = append(cells, lattice.Cell{
-			Mode: mode, Format: segment.FormatV2, DOP: 2, MJoinCache: probeMJoinCache,
+			Mode: mode, Format: segment.FormatV2, MJoinCache: probeMJoinCache,
 			SharedCache: footprint(), PrefetchBytes: lattice.PrefetchOn,
 		})
 	}
@@ -210,7 +208,7 @@ func TestPipelineWithSharedCache(t *testing.T) {
 // without leaking goroutines.
 func TestPipelineCompletionDrains(t *testing.T) {
 	cell := lattice.Cell{
-		Mode: skipper.ModeSkipper, Format: segment.FormatV2, DOP: 2, MJoinCache: probeMJoinCache,
+		Mode: skipper.ModeSkipper, Format: segment.FormatV2, MJoinCache: probeMJoinCache,
 		PrefetchBytes: 64e9,
 	}
 	if err := lattice.Verify(lattice.ProbeDataset(), lattice.Probe, []lattice.Cell{cell}); err != nil {
@@ -238,7 +236,7 @@ func newProbe(t *testing.T) probe {
 		t.Fatal(err)
 	}
 	return probe{ds: ds, want: want, cell: lattice.Cell{
-		Mode: skipper.ModeSkipper, Format: segment.FormatV2, DOP: 1, MJoinCache: probeMJoinCache,
+		Mode: skipper.ModeSkipper, Format: segment.FormatV2, MJoinCache: probeMJoinCache,
 		SharedCache: len(ds.Catalog.AllObjects()), KeepResults: true,
 	}}
 }

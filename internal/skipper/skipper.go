@@ -235,17 +235,6 @@ type Client struct {
 	// segments before any GET is issued, in both modes. Query results
 	// are identical either way; only storage traffic changes.
 	NoStatsPruning bool
-	// Parallelism is the worker count for query execution: hash-join
-	// build/probe and aggregation in ModeVanilla, the MJoin probe chains
-	// and the shaping stage in ModeSkipper. 0 or 1 runs serially; query
-	// results are identical at every setting, except that operators
-	// without a Sort above them may emit rows in a different order, and
-	// SUM/AVG over floats with non-representable values may differ in
-	// the last ulps (parallel float addition reassociates; see
-	// docs/tuning.md). Storage traffic and virtual time are unaffected —
-	// the knob spends real CPU cores to cut the real (wall-clock)
-	// compute between I/O stalls.
-	Parallelism int
 	// SegCache, when non-nil, is this client's private segment cache: the
 	// proxy serves cache-resident objects without a device GET and admits
 	// device deliveries on the way back. It overrides the cluster's

@@ -119,9 +119,8 @@ func TestDifferentialRowVsBatchBothEngines(t *testing.T) {
 }
 
 // TestDifferentialClusterModes runs the same queries through the full
-// cluster harness in both modes, at serial and parallel execution
-// settings, and checks the reported row counts against the locally
-// evaluated ground truth.
+// cluster harness in both modes and checks the reported row counts against
+// the locally evaluated ground truth.
 func TestDifferentialClusterModes(t *testing.T) {
 	pl, ds := tpchPlanner(t)
 	for _, tc := range diffQueries {
@@ -134,19 +133,16 @@ func TestDifferentialClusterModes(t *testing.T) {
 			t.Fatalf("%s: evaluate: %v", tc.name, err)
 		}
 		for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-			for _, dop := range []int{1, 2, 8} {
-				st := make(map[segment.ObjectID]*segment.Segment)
-				ds.MergeInto(st)
-				c := &skipper.Client{Tenant: 0, Mode: mode, Catalog: ds.Catalog,
-					Queries: []skipper.QuerySpec{spec}, CacheObjects: len(spec.Join.Objects()),
-					Parallelism: dop}
-				res, err := (&skipper.Cluster{Clients: []*skipper.Client{c}, Store: st}).Run()
-				if err != nil {
-					t.Fatalf("%s/%v/dop=%d: %v", tc.name, mode, dop, err)
-				}
-				if res.Clients[0].Rows != int64(len(truth)) {
-					t.Fatalf("%s/%v/dop=%d: %d rows, ground truth %d", tc.name, mode, dop, res.Clients[0].Rows, len(truth))
-				}
+			st := make(map[segment.ObjectID]*segment.Segment)
+			ds.MergeInto(st)
+			c := &skipper.Client{Tenant: 0, Mode: mode, Catalog: ds.Catalog,
+				Queries: []skipper.QuerySpec{spec}, CacheObjects: len(spec.Join.Objects())}
+			res, err := (&skipper.Cluster{Clients: []*skipper.Client{c}, Store: st}).Run()
+			if err != nil {
+				t.Fatalf("%s/%v: %v", tc.name, mode, err)
+			}
+			if res.Clients[0].Rows != int64(len(truth)) {
+				t.Fatalf("%s/%v: %d rows, ground truth %d", tc.name, mode, res.Clients[0].Rows, len(truth))
 			}
 		}
 	}

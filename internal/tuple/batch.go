@@ -214,11 +214,6 @@ func (b *Batch) AppendRow(r Row) {
 	b.n++
 }
 
-// AppendBatch copies every row of src (which must share the schema's kinds)
-// into the batch. It is how morsels are cloned out of a producer's reused
-// buffer before being handed to a parallel worker.
-func (b *Batch) AppendBatch(src *Batch) { b.AppendRange(src, 0, src.n) }
-
 // AppendRange copies rows [lo, hi) of src (which must share the schema's
 // kinds) into the batch: one bulk copy per column, not a per-row loop.
 func (b *Batch) AppendRange(src *Batch, lo, hi int) {

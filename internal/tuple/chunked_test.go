@@ -31,7 +31,7 @@ func chunkedFrom(sch *Schema, rows []Row, sizes ...int) *ChunkedBatch {
 // TestChunkedBuildMatchesBatch: a ChunkedBatch filled by batches that
 // straddle its chunk boundaries holds, for every row id, the cells, range
 // hashes, key matches and gathered rows of one flat batch built by
-// AppendBatch from the same input — over random schemas of all five kinds
+// AppendRange from the same input — over random schemas of all five kinds
 // (zero columns included) and first batches of 1, 3 and 189 rows.
 func TestChunkedBuildMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -48,7 +48,7 @@ func TestChunkedBuildMatchesBatch(t *testing.T) {
 		store := chunkedFrom(sch, rows, cuts...)
 		flat := NewBatch(sch, 1)
 		for _, b := range pieces(sch, rows, cuts...) {
-			flat.AppendBatch(b)
+			flat.AppendRange(b, 0, b.Len())
 		}
 		if store.Len() != n || flat.Len() != n {
 			t.Fatalf("%s: Len %d, flat %d", what, store.Len(), flat.Len())

@@ -168,15 +168,15 @@ func TestTypedBatchMatchesRowReference(t *testing.T) {
 		// Whole batches and ranges, growing on the way.
 		dst, dref := NewBatch(sch, 2), &refBatch{schema: sch}
 		for k := 0; k < 3; k++ {
-			dst.AppendBatch(b)
-			dst.AppendBatch(FromRows(sch, rows))
+			dst.AppendRange(b, 0, b.Len())
+			dst.AppendRange(FromRows(sch, rows), 0, n)
 			dref.rows = append(dref.rows, rows...)
 			lo := rng.Intn(n + 1)
 			hi := lo + rng.Intn(n-lo+1)
 			dst.AppendRange(FromRows(sch, rows), lo, hi)
 			dref.rows = append(dref.rows, rows[lo:hi]...)
 		}
-		checkBatch(t, what+" AppendBatch/Range", dst, dref)
+		checkBatch(t, what+" AppendRange", dst, dref)
 
 		// The segment-to-batch copies: a pick of the columns, by range, by
 		// selection and row by row; then the same columns adopted.

@@ -2,7 +2,6 @@ package workload_test
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 
@@ -48,38 +47,27 @@ func widen(spec skipper.QuerySpec) skipper.QuerySpec {
 
 // runSpec executes spec as the only query of one client of a cluster and
 // returns its rows.
-func runSpec(t *testing.T, ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode, dop, cache int) []tuple.Row {
+func runSpec(t *testing.T, ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode, cache int) []tuple.Row {
 	t.Helper()
 	client := &skipper.Client{
 		Mode: mode, Catalog: ds.Catalog, Queries: []skipper.QuerySpec{spec},
-		CacheObjects: cache, Parallelism: dop, KeepResults: true,
+		CacheObjects: cache, KeepResults: true,
 	}
 	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: ds.Store}).Run()
 	if err != nil {
-		t.Fatalf("%s %v dop=%d cache=%d: %v", spec.Name, mode, dop, cache, err)
+		t.Fatalf("%s %v cache=%d: %v", spec.Name, mode, cache, err)
 	}
 	return res.Clients[0].PerQuery[0].Results
 }
 
-// sameRows compares two results row for row. Float sums are compared to
-// nine digits: a parallel aggregation adds them in morsel-arrival order.
+// sameRows compares two results row for row, cell for cell.
 func sameRows(a, b []tuple.Row) error {
 	if len(a) != len(b) {
 		return fmt.Errorf("%d rows vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if len(a[i]) != len(b[i]) {
+		if a[i].String() != b[i].String() {
 			return fmt.Errorf("row %d: %v vs %v", i, a[i], b[i])
-		}
-		for c, x := range a[i] {
-			y := b[i][c]
-			if x.K == tuple.KindFloat64 && y.K == tuple.KindFloat64 {
-				if math.Abs(x.F-y.F) > 1e-9*math.Max(math.Abs(x.F), math.Abs(y.F)) {
-					return fmt.Errorf("row %d: %v vs %v", i, a[i], b[i])
-				}
-			} else if x != y {
-				return fmt.Errorf("row %d: %v vs %v", i, a[i], b[i])
-			}
 		}
 	}
 	return nil
@@ -88,8 +76,7 @@ func sameRows(a, b []tuple.Row) error {
 // TestColsChangeWidthNotResults: for every hand-built spec and the SQL probe
 // queries, the rows returned with the declared Cols equal the rows returned
 // with Cols = nil on every relation — on both engines, over materialized, v1
-// and v2 stores, serial and parallel, with MJoin's cache at its minimum and
-// holding everything.
+// and v2 stores, with MJoin's cache at its minimum and holding everything.
 func TestColsChangeWidthNotResults(t *testing.T) {
 	type suite struct {
 		gen   *workload.Dataset
@@ -126,19 +113,17 @@ func TestColsChangeWidthNotResults(t *testing.T) {
 					narrowed++
 				}
 				minCache, all := len(spec.Join.Relations), len(spec.Join.Objects())
-				for _, dop := range []int{1, 4} {
-					for _, run := range []struct {
-						mode  skipper.Mode
-						cache int
-					}{{skipper.ModeVanilla, 0}, {skipper.ModeSkipper, minCache}, {skipper.ModeSkipper, all}} {
-						got := runSpec(t, ds, spec, run.mode, dop, run.cache)
-						want := runSpec(t, ds, wide, run.mode, dop, run.cache)
-						if err := sameRows(got, want); err != nil {
-							t.Fatalf("%s %v %v dop=%d cache=%d: declared Cols vs Cols=nil: %v", spec.Name, f, run.mode, dop, run.cache, err)
-						}
-						if len(got) > 0 {
-							nonEmpty++
-						}
+				for _, run := range []struct {
+					mode  skipper.Mode
+					cache int
+				}{{skipper.ModeVanilla, 0}, {skipper.ModeSkipper, minCache}, {skipper.ModeSkipper, all}} {
+					got := runSpec(t, ds, spec, run.mode, run.cache)
+					want := runSpec(t, ds, wide, run.mode, run.cache)
+					if err := sameRows(got, want); err != nil {
+						t.Fatalf("%s %v %v cache=%d: declared Cols vs Cols=nil: %v", spec.Name, f, run.mode, run.cache, err)
+					}
+					if len(got) > 0 {
+						nonEmpty++
 					}
 				}
 			}
@@ -183,11 +168,9 @@ func TestCountOnlyLegs(t *testing.T) {
 				t.Fatalf("%s: join output is %d columns wide, want %d", query, w, total)
 			}
 			for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-				for _, dop := range []int{1, 4} {
-					rows := runSpec(t, ds, spec, mode, dop, len(spec.Join.Relations))
-					if len(rows) != 1 || rows[0][0] != tuple.Int(lines) {
-						t.Fatalf("%s %v %v dop=%d: %v, want one row counting %d", query, f, mode, dop, rows, lines)
-					}
+				rows := runSpec(t, ds, spec, mode, len(spec.Join.Relations))
+				if len(rows) != 1 || rows[0][0] != tuple.Int(lines) {
+					t.Fatalf("%s %v %v: %v, want one row counting %d", query, f, mode, rows, lines)
 				}
 			}
 		}

@@ -28,28 +28,25 @@ func (c *captureIter) NextBatch() (*tuple.Batch, bool, error) {
 
 // runPrunedCluster executes the spec on one client, capturing the result
 // rows the cluster actually produced.
-func runPrunedCluster(t *testing.T, ds *Dataset, spec skipper.QuerySpec, mode skipper.Mode, dop int, prune bool) ([]tuple.Row, *skipper.ClientStats) {
+func runPrunedCluster(t *testing.T, ds *Dataset, spec skipper.QuerySpec, mode skipper.Mode, prune bool) ([]tuple.Row, *skipper.ClientStats) {
 	t.Helper()
 	store := make(map[segment.ObjectID]*segment.Segment)
 	ds.MergeInto(store)
 	var got []tuple.Row
 	shape := spec.Shape
 	sp := spec
-	// Arm the shape's operators with the DOP before wrapping: the
-	// capture wrapper is opaque to engine.Parallelize's plan walk.
 	sp.Shape = func(in engine.Iterator) engine.Iterator {
-		return &captureIter{Iterator: engine.Parallelize(shape(in), dop), sink: &got}
+		return &captureIter{Iterator: shape(in), sink: &got}
 	}
 	client := &skipper.Client{
 		Tenant: 0, Mode: mode, Catalog: ds.Catalog,
 		Queries:        []skipper.QuerySpec{sp},
 		CacheObjects:   8,
 		NoStatsPruning: !prune,
-		Parallelism:    dop,
 	}
 	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: store}).Run()
 	if err != nil {
-		t.Fatalf("%v dop=%d prune=%v: %v", mode, dop, prune, err)
+		t.Fatalf("%v prune=%v: %v", mode, prune, err)
 	}
 	return got, res.Clients[0]
 }
@@ -64,7 +61,7 @@ func rowStrings(rows []tuple.Row) []string {
 }
 
 // TestClusterPruningDifferential is the end-to-end guarantee of the
-// statistics subsystem: across both engines, DOP ∈ {1, 4}, and predicate
+// statistics subsystem: across both engines and predicate
 // windows that sit exactly on segment min/max boundaries, a client with
 // data skipping on produces byte-identical results to one with it off —
 // while issuing measurably fewer CSD requests on the tight windows.
@@ -94,32 +91,30 @@ func TestClusterPruningDifferential(t *testing.T) {
 	for _, w := range windows {
 		spec := QShipdateWindow(ds.Catalog, w.lo, w.hi)
 		for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-			for _, dop := range []int{1, 4} {
-				tag := fmt.Sprintf("%s %v dop=%d", w.name, mode, dop)
-				on, statsOn := runPrunedCluster(t, ds, spec, mode, dop, true)
-				off, statsOff := runPrunedCluster(t, ds, spec, mode, dop, false)
-				gotOn, gotOff := rowStrings(on), rowStrings(off)
-				if len(gotOn) != len(gotOff) {
-					t.Fatalf("%s: %d rows pruned vs %d unpruned", tag, len(gotOn), len(gotOff))
+			tag := fmt.Sprintf("%s %v", w.name, mode)
+			on, statsOn := runPrunedCluster(t, ds, spec, mode, true)
+			off, statsOff := runPrunedCluster(t, ds, spec, mode, false)
+			gotOn, gotOff := rowStrings(on), rowStrings(off)
+			if len(gotOn) != len(gotOff) {
+				t.Fatalf("%s: %d rows pruned vs %d unpruned", tag, len(gotOn), len(gotOff))
+			}
+			for i := range gotOn {
+				if gotOn[i] != gotOff[i] {
+					t.Fatalf("%s: row %d diverges: %s vs %s", tag, i, gotOn[i], gotOff[i])
 				}
-				for i := range gotOn {
-					if gotOn[i] != gotOff[i] {
-						t.Fatalf("%s: row %d diverges: %s vs %s", tag, i, gotOn[i], gotOff[i])
-					}
-				}
-				if statsOff.SegmentsSkipped != 0 {
-					t.Fatalf("%s: unpruned client skipped %d segments", tag, statsOff.SegmentsSkipped)
-				}
-				if statsOn.GetsIssued+statsOn.SegmentsSkipped < statsOff.GetsIssued && statsOn.SegmentsSkipped == 0 {
-					t.Fatalf("%s: GETs dropped (%d vs %d) without skip accounting", tag, statsOn.GetsIssued, statsOff.GetsIssued)
-				}
-				if statsOn.GetsIssued > statsOff.GetsIssued {
-					t.Fatalf("%s: pruning increased GETs (%d vs %d)", tag, statsOn.GetsIssued, statsOff.GetsIssued)
-				}
-				totalSkipped += statsOn.SegmentsSkipped
-				if w.name != "all" && w.name != "segment-exact" && statsOn.SegmentsSkipped == 0 {
-					t.Fatalf("%s: tight window skipped nothing", tag)
-				}
+			}
+			if statsOff.SegmentsSkipped != 0 {
+				t.Fatalf("%s: unpruned client skipped %d segments", tag, statsOff.SegmentsSkipped)
+			}
+			if statsOn.GetsIssued+statsOn.SegmentsSkipped < statsOff.GetsIssued && statsOn.SegmentsSkipped == 0 {
+				t.Fatalf("%s: GETs dropped (%d vs %d) without skip accounting", tag, statsOn.GetsIssued, statsOff.GetsIssued)
+			}
+			if statsOn.GetsIssued > statsOff.GetsIssued {
+				t.Fatalf("%s: pruning increased GETs (%d vs %d)", tag, statsOn.GetsIssued, statsOff.GetsIssued)
+			}
+			totalSkipped += statsOn.SegmentsSkipped
+			if w.name != "all" && w.name != "segment-exact" && statsOn.SegmentsSkipped == 0 {
+				t.Fatalf("%s: tight window skipped nothing", tag)
 			}
 		}
 	}

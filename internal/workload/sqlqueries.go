@@ -81,7 +81,7 @@ func SSBQ13(cat *catalog.Catalog) skipper.QuerySpec {
 // a stats.Pruner for the window automatically. The aggregates are
 // integer-only (COUNT plus SUM of an int column), so results are
 // bit-identical under any execution order — pruning on/off and every
-// DOP and arrival order can be compared byte for byte.
+// arrival order can be compared byte for byte.
 func QShipdateWindow(cat *catalog.Catalog, lo, hi string) skipper.QuerySpec {
 	return mustPlan(cat, fmt.Sprintf("shipwin[%s..%s]", lo, hi), fmt.Sprintf(`
 		SELECT l_shipmode, COUNT(*) AS lines, SUM(l_quantity) AS qty
