@@ -53,6 +53,24 @@ func TestDatasetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReencodeEncodedDatasetRefused: a dataset that was already encoded
+// holds lazily decoded segments, which cannot be encoded again; the
+// re-encoding fails instead of returning tables of zero rows.
+func TestReencodeEncodedDatasetRefused(t *testing.T) {
+	ds := workload.TPCH(0, workload.TPCHConfig{SF: 4, RowsPerObject: 12, Seed: 3})
+	for _, f := range wireFormats {
+		enc, err := ReencodeDataset(ds, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, to := range wireFormats {
+			if _, err := ReencodeDataset(enc, to); err == nil || !strings.Contains(err.Error(), "lazily decoded") {
+				t.Fatalf("%v dataset re-encoded to %v: error %v, want a refusal", f, to, err)
+			}
+		}
+	}
+}
+
 // TestClusterOverObjstore runs a full query through data that was encoded
 // into objects and decoded back — the complete storage path.
 func TestClusterOverObjstore(t *testing.T) {

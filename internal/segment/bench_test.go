@@ -102,7 +102,8 @@ func BenchmarkDecodeProjected(b *testing.B) {
 }
 
 // BenchmarkBlockEncodings measures each encoding's decode path in
-// isolation on a column shaped to select it.
+// isolation on a column shaped to select it: the block is the one column
+// of a v2 segment encoded from that column alone.
 func BenchmarkBlockEncodings(b *testing.B) {
 	cases := []struct {
 		name string
@@ -117,14 +118,20 @@ func BenchmarkBlockEncodings(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
-			vals := make([]tuple.Value, benchRows)
-			for i := range vals {
-				vals[i] = tc.gen(i)
+			schema := tuple.NewSchema(tuple.Column{Name: "c", Kind: tc.kind})
+			g := &Segment{Rows: make([]tuple.Row, benchRows)}
+			for i := range g.Rows {
+				g.Rows[i] = tuple.Row{tc.gen(i)}
 			}
-			meta, block, err := encodeColumn(tc.kind, vals)
+			data, err := g.EncodeFormat(schema, FormatV2)
 			if err != nil {
 				b.Fatal(err)
 			}
+			lz, err := DecodeLazy(schema, data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			meta, block := lz.Directory()[0], lz.payload.body
 			b.Run("enc="+meta.Encoding.String(), func(b *testing.B) {
 				var dst tuple.Vector
 				b.SetBytes(int64(len(block)))

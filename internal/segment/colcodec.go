@@ -23,16 +23,18 @@ package segment
 //	EncStrRaw uvarint length + bytes per value — the high-cardinality
 //	          string fallback.
 //
-// The encoder computes every applicable candidate and keeps the smallest;
-// with segment rows in the tens-to-thousands range the extra encode work
-// is noise next to the transfer costs the format models. Every decoder
-// validates counts and bounds against the remaining input so corrupt
-// blocks yield ErrCorrupt, never a panic or an unbounded allocation.
+// The encoder builds no candidate block: sizeColumn computes the exact
+// length of every applicable encoding, appendColumn writes only the winner
+// into the one buffer sized for the whole object. Every decoder validates
+// counts and bounds against the remaining input so corrupt blocks yield
+// ErrCorrupt, never a panic or an unbounded allocation.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 
 	"repro/internal/tuple"
 )
@@ -92,111 +94,142 @@ type ColumnMeta struct {
 	Min, Max tuple.Value
 }
 
-// encodeColumn codes one column's values and returns its directory entry
-// (block length filled in) plus the block bytes. Values must all match
-// kind; min/max are computed in the same pass.
-func encodeColumn(kind tuple.Kind, vals []tuple.Value) (ColumnMeta, []byte, error) {
-	meta := ColumnMeta{}
-	for i, v := range vals {
-		if v.K != kind {
-			return meta, nil, fmt.Errorf("segment: column value %d is %v, schema says %v", i, v.K, kind)
+// uvarintLen, varintLen and stringLen are the lengths that
+// binary.AppendUvarint, binary.AppendVarint and appendString write.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+func varintLen(x int64) int   { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+func stringLen(s string) int  { return uvarintLen(uint64(len(s))) + len(s) }
+
+// appendString appends s as a uvarint length plus its bytes.
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// dictionary numbers the distinct strings of a column by first appearance.
+// It is an open-addressing table over the strings in place: slots holds
+// id+1 (0 when empty), first each id's first row — 12 to 24 bytes a row
+// however many strings are distinct.
+type dictionary struct{ slots, first []int32 }
+
+var dictSeed = maphash.MakeSeed()
+
+// reset empties d for a column of n rows, with at least 2n slots.
+func (d *dictionary) reset(n int) {
+	if size := 2 << bits.Len(uint(max(n, 1)-1)); len(d.slots) < size {
+		d.slots, d.first = make([]int32, size), make([]int32, 0, size/2)
+	}
+	clear(d.slots)
+	d.first = d.first[:0]
+}
+
+// id returns the id of column ci's string in row r, numbering it if new.
+func (d *dictionary) id(rows []tuple.Row, ci, r int) int {
+	s, mask := rows[r][ci].S, len(d.slots)-1
+	for i := int(maphash.String(dictSeed, s)) & mask; ; i = (i + 1) & mask {
+		if d.slots[i] == 0 {
+			d.first = append(d.first, int32(r))
+			d.slots[i] = int32(len(d.first))
 		}
-		if !meta.HasRange {
+		if id := int(d.slots[i] - 1); rows[d.first[id]][ci].S == s {
+			return id
+		}
+	}
+}
+
+// sizeColumn is the encoder's first pass over column ci: it checks every
+// cell's kind, computes the zone map and the exact length of each
+// applicable encoding, and returns the directory entry of the smallest.
+// A tie keeps the earlier candidate: raw, delta, RLE for the integer kinds;
+// str-raw, dict for strings. Floats are always raw.
+func sizeColumn(rows []tuple.Row, ci int, kind tuple.Kind, dict *dictionary) (ColumnMeta, error) {
+	meta := ColumnMeta{Encoding: EncRaw, BlockLen: 8 * len(rows)}
+	for i, r := range rows {
+		switch v := r[ci]; {
+		case v.K != kind:
+			return meta, fmt.Errorf("segment: column value %d is %v, schema says %v", i, v.K, kind)
+		case !meta.HasRange:
 			meta.Min, meta.Max, meta.HasRange = v, v, true
-			continue
-		}
-		if tuple.Compare(v, meta.Min) < 0 {
+		case tuple.Compare(v, meta.Min) < 0:
 			meta.Min = v
-		}
-		if tuple.Compare(v, meta.Max) > 0 {
+		case tuple.Compare(v, meta.Max) > 0:
 			meta.Max = v
 		}
 	}
-	var block []byte
-	switch kind {
-	case tuple.KindFloat64:
-		meta.Encoding, block = EncRaw, encodeFloatRaw(vals)
-	case tuple.KindString:
-		meta.Encoding, block = encodeStringBlock(vals)
-	default: // int64, date, bool
-		meta.Encoding, block = encodeIntBlock(vals)
+	pick := func(enc Encoding, n int) {
+		if n < meta.BlockLen {
+			meta.Encoding, meta.BlockLen = enc, n
+		}
 	}
-	meta.BlockLen = len(block)
-	return meta, block, nil
+	switch {
+	case kind == tuple.KindString:
+		raw, dictLen := 0, 0
+		dict.reset(len(rows))
+		for r := range rows {
+			raw += stringLen(rows[r][ci].S)
+			dictLen += uvarintLen(uint64(dict.id(rows, ci, r)))
+		}
+		dictLen += uvarintLen(uint64(len(dict.first)))
+		for _, r := range dict.first {
+			dictLen += stringLen(rows[r][ci].S)
+		}
+		meta.Encoding, meta.BlockLen = EncStrRaw, raw
+		pick(EncDict, dictLen)
+	case kind != tuple.KindFloat64: // int64, date, bool
+		delta, rle, prev, start := 0, 0, int64(0), 0
+		for i, r := range rows {
+			delta, prev = delta+varintLen(r[ci].I-prev), r[ci].I
+			if i+1 == len(rows) || rows[i+1][ci].I != prev { // a run ends
+				rle, start = rle+varintLen(prev)+uvarintLen(uint64(i+1-start)), i+1
+			}
+		}
+		pick(EncDelta, delta)
+		pick(EncRLE, rle)
+	}
+	return meta, nil
 }
 
-func encodeFloatRaw(vals []tuple.Value) []byte {
-	out := make([]byte, 0, 8*len(vals))
-	for _, v := range vals {
-		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.F))
+// appendColumn is the encoder's second pass: it appends column ci's block
+// in enc, the encoding sizeColumn chose.
+func appendColumn(out []byte, rows []tuple.Row, ci int, kind tuple.Kind, enc Encoding, dict *dictionary) []byte {
+	switch enc {
+	case EncRaw:
+		for _, r := range rows {
+			u := uint64(r[ci].I)
+			if kind == tuple.KindFloat64 {
+				u = math.Float64bits(r[ci].F)
+			}
+			out = binary.LittleEndian.AppendUint64(out, u)
+		}
+	case EncDelta:
+		prev := int64(0)
+		for _, r := range rows {
+			out, prev = binary.AppendVarint(out, r[ci].I-prev), r[ci].I
+		}
+	case EncRLE:
+		start := 0
+		for i, r := range rows {
+			if i+1 == len(rows) || rows[i+1][ci].I != r[ci].I {
+				out, start = binary.AppendUvarint(binary.AppendVarint(out, r[ci].I), uint64(i+1-start)), i+1
+			}
+		}
+	case EncStrRaw:
+		for _, r := range rows {
+			out = appendString(out, r[ci].S)
+		}
+	case EncDict:
+		dict.reset(len(rows))
+		for r := range rows {
+			dict.id(rows, ci, r)
+		}
+		out = binary.AppendUvarint(out, uint64(len(dict.first)))
+		for _, r := range dict.first {
+			out = appendString(out, rows[r][ci].S)
+		}
+		for r := range rows {
+			out = binary.AppendUvarint(out, uint64(dict.id(rows, ci, r)))
+		}
 	}
 	return out
-}
-
-// encodeIntBlock picks the smallest of raw / delta / RLE for an integer
-// kind (int64, date, bool — all carried in Value.I).
-func encodeIntBlock(vals []tuple.Value) (Encoding, []byte) {
-	raw := make([]byte, 0, 8*len(vals))
-	var delta []byte
-	var rle []byte
-	prev := int64(0)
-	runVal, runLen := int64(0), 0
-	flush := func() {
-		if runLen > 0 {
-			rle = binary.AppendVarint(rle, runVal)
-			rle = binary.AppendUvarint(rle, uint64(runLen))
-		}
-	}
-	for i, v := range vals {
-		raw = binary.LittleEndian.AppendUint64(raw, uint64(v.I))
-		delta = binary.AppendVarint(delta, v.I-prev)
-		prev = v.I
-		if i == 0 || v.I != runVal {
-			flush()
-			runVal, runLen = v.I, 1
-		} else {
-			runLen++
-		}
-	}
-	flush()
-	best, block := EncRaw, raw
-	if len(delta) < len(block) {
-		best, block = EncDelta, delta
-	}
-	if len(rle) < len(block) {
-		best, block = EncRLE, rle
-	}
-	return best, block
-}
-
-// encodeStringBlock picks dictionary coding when it beats plain
-// length-prefixed strings.
-func encodeStringBlock(vals []tuple.Value) (Encoding, []byte) {
-	var raw []byte
-	index := make(map[string]int)
-	var entries []string
-	var idxBytes []byte
-	for _, v := range vals {
-		raw = binary.AppendUvarint(raw, uint64(len(v.S)))
-		raw = append(raw, v.S...)
-		id, ok := index[v.S]
-		if !ok {
-			id = len(entries)
-			index[v.S] = id
-			entries = append(entries, v.S)
-		}
-		idxBytes = binary.AppendUvarint(idxBytes, uint64(id))
-	}
-	dict := binary.AppendUvarint(nil, uint64(len(entries)))
-	for _, s := range entries {
-		dict = binary.AppendUvarint(dict, uint64(len(s)))
-		dict = append(dict, s...)
-	}
-	dict = append(dict, idxBytes...)
-	if len(dict) < len(raw) {
-		return EncDict, dict
-	}
-	return EncStrRaw, raw
 }
 
 // sized returns s resized to n cells, reallocated when too small. A
@@ -334,8 +367,7 @@ func appendDirValue(dst []byte, kind tuple.Kind, v tuple.Value) []byte {
 	case tuple.KindFloat64:
 		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
 	case tuple.KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-		return append(dst, v.S...)
+		return appendString(dst, v.S)
 	default:
 		return binary.AppendVarint(dst, v.I)
 	}

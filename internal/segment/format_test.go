@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/tuple"
@@ -119,6 +121,53 @@ func TestDecodeColumnsReuseAllocatesNothing(t *testing.T) {
 	}
 	if want := int64(8 * 500 * len(proj)); cd.BytesMaterialized != want {
 		t.Fatalf("BytesMaterialized %d, want %d", cd.BytesMaterialized, want)
+	}
+}
+
+// TestEncodeV2AllocatesOnce: a v2 encode allocates its payload once, at
+// its final size, plus scratch — no candidate blocks, no transposed
+// columns, no growth copies. The budget is 1.5× the encoded size.
+func TestEncodeV2AllocatesOnce(t *testing.T) {
+	g := wideSegment(2000)
+	data, err := g.EncodeFormat(wideSchema, FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := g.EncodeFormat(wideSchema, FormatV2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perEncode := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("encoding %d bytes allocates %d bytes", len(data), perEncode)
+	if limit := uint64(len(data)) * 3 / 2; perEncode > limit {
+		t.Fatalf("encoding %d bytes allocates %d bytes, budget %d", len(data), perEncode, limit)
+	}
+}
+
+// TestEncodeLazySegmentRefused: a lazily decoded segment holds a payload,
+// not Rows, so encoding it again is refused rather than writing an empty
+// segment.
+func TestEncodeLazySegmentRefused(t *testing.T) {
+	for _, f := range []Format{FormatV1, FormatV2} {
+		data, err := wideSegment(20).EncodeFormat(wideSchema, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lz, err := DecodeLazy(wideSchema, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, to := range []Format{FormatV1, FormatV2} {
+			out, err := lz.EncodeFormat(wideSchema, to)
+			if err == nil || !strings.Contains(err.Error(), "lazily decoded") {
+				t.Fatalf("%v segment re-encoded to %v: %d bytes, error %v", f, to, len(out), err)
+			}
+		}
 	}
 }
 

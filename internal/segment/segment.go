@@ -272,8 +272,12 @@ func (g *Segment) CorruptedCopy() *Segment {
 
 // EncodeFormat serializes the segment in the given wire format. The
 // schema is not stored; it is catalog metadata, as in the paper's setup
-// where only catalog files live in the VM image.
+// where only catalog files live in the VM image. A lazily decoded segment
+// holds a payload, not Rows, and is refused.
 func (g *Segment) EncodeFormat(schema *tuple.Schema, f Format) ([]byte, error) {
+	if g.payload != nil {
+		return nil, fmt.Errorf("segment %v: EncodeFormat on a lazily decoded segment", g.ID)
+	}
 	if len(g.ID.Table) > MaxTableName {
 		return nil, fmt.Errorf("segment %v: table name %d bytes long, limit %d", g.ID, len(g.ID.Table), MaxTableName)
 	}
@@ -309,7 +313,8 @@ func (g *Segment) appendHeader(out []byte) []byte {
 	return append(out, g.ID.Table...)
 }
 
-// encodeV2 lays out the columnar format:
+// encodeV2 lays out the columnar format, sizing every column first
+// (sizeColumn) so the payload is allocated once, at its final length:
 //
 //	magic "0xC5 S G 2"
 //	tenant, index, nominalBytes (varint), table name (uvarint len + bytes)
@@ -317,6 +322,8 @@ func (g *Segment) appendHeader(out []byte) []byte {
 //	per column: encoding (byte), block length (uvarint), null count
 //	            (uvarint), has-range (byte), [min, max]
 //	column blocks, back to back in schema order
+//
+// The header and directory wait for that allocation in a stack buffer.
 func (g *Segment) encodeV2(schema *tuple.Schema) ([]byte, error) {
 	if len(g.Rows) > MaxSegmentRows {
 		return nil, fmt.Errorf("segment %v: %d rows exceed MaxSegmentRows %d", g.ID, len(g.Rows), MaxSegmentRows)
@@ -326,17 +333,14 @@ func (g *Segment) encodeV2(schema *tuple.Schema) ([]byte, error) {
 			return nil, fmt.Errorf("segment %v: row arity %d != schema arity %d", g.ID, len(r), schema.Len())
 		}
 	}
-	out := append([]byte(nil), magicV2[:]...)
+	out := append(make([]byte, 0, 256), magicV2[:]...)
 	out = g.appendHeader(out)
 	out = binary.AppendUvarint(out, uint64(len(g.Rows)))
 	out = binary.AppendUvarint(out, uint64(schema.Len()))
-	colVals := make([]tuple.Value, len(g.Rows))
-	var blocks []byte
+	encs, blocks := make([]Encoding, schema.Len()), 0
+	var dict dictionary
 	for ci, col := range schema.Cols {
-		for ri, r := range g.Rows {
-			colVals[ri] = r[ci]
-		}
-		meta, block, err := encodeColumn(col.Kind, colVals)
+		meta, err := sizeColumn(g.Rows, ci, col.Kind, &dict)
 		if err != nil {
 			return nil, fmt.Errorf("segment %v: column %q: %w", g.ID, col.Name, err)
 		}
@@ -350,9 +354,13 @@ func (g *Segment) encodeV2(schema *tuple.Schema) ([]byte, error) {
 		} else {
 			out = append(out, 0)
 		}
-		blocks = append(blocks, block...)
+		encs[ci], blocks = meta.Encoding, blocks+meta.BlockLen
 	}
-	return append(out, blocks...), nil
+	data := append(make([]byte, 0, len(out)+blocks+8), out...) // 8: the checksum trailer
+	for ci, col := range schema.Cols {
+		data = appendColumn(data, g.Rows, ci, col.Kind, encs[ci], &dict)
+	}
+	return data, nil
 }
 
 // Decode parses a segment previously produced by Encode/EncodeFormat,

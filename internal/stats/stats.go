@@ -93,9 +93,10 @@ func Collect(name string, schema *tuple.Schema, segs []*segment.Segment, opt Opt
 // Bloom-filtered columns are decoded, one block at a time, never as rows.
 func CollectChecked(name string, schema *tuple.Schema, segs []*segment.Segment, opt Options) (*Table, error) {
 	t := &Table{Name: name, Schema: schema, Segments: make([]SegmentStats, len(segs))}
+	sc := &decodeScratch{cd: segment.ColumnData{Cols: make([]tuple.Vector, schema.Len())}}
 	for si, sg := range segs {
 		if dir := sg.Directory(); dir != nil {
-			ss, err := segmentStatsFromDirectory(schema, sg, dir, opt)
+			ss, err := segmentStatsFromDirectory(schema, sg, dir, opt, sc)
 			if err != nil {
 				return nil, fmt.Errorf("stats: %s segment %d: %w", name, si, err)
 			}
@@ -138,29 +139,38 @@ func CollectChecked(name string, schema *tuple.Schema, segs []*segment.Segment, 
 	return t, nil
 }
 
+// decodeScratch is what one collection's Bloom-column decodes reuse; as
+// DecodeColumns zeroes the slots it skips, each class's vector waits here.
+type decodeScratch struct {
+	cd         segment.ColumnData
+	ints, strs tuple.Vector
+}
+
 // segmentStatsFromDirectory builds one segment's statistics from a v2
 // column directory: zone maps are copied verbatim (the encoder computed
-// them in the same pass that wrote the blocks), and Bloom filters decode
-// just their own column's block via the projected decoder.
-func segmentStatsFromDirectory(schema *tuple.Schema, sg *segment.Segment, dir []segment.ColumnMeta, opt Options) (SegmentStats, error) {
+// them in the same pass that sized the blocks), and Bloom filters decode
+// just their own column's block via the projected decoder, into sc.
+func segmentStatsFromDirectory(schema *tuple.Schema, sg *segment.Segment, dir []segment.ColumnMeta, opt Options, sc *decodeScratch) (SegmentStats, error) {
 	ss := SegmentStats{Rows: int64(sg.NumRows()), Cols: make([]ColumnStats, schema.Len())}
-	var cd *segment.ColumnData
-	proj := make([]int, 1)
 	for ci, col := range schema.Cols {
 		cs := &ss.Cols[ci]
 		cs.Min, cs.Max, cs.HasRange, cs.Nulls = dir[ci].Min, dir[ci].Max, dir[ci].HasRange, dir[ci].Nulls
 		if !opt.Blooms || !bloomKind(col.Kind) {
 			continue
 		}
-		var err error
-		proj[0] = ci
-		cd, err = sg.DecodeColumns(schema, proj, cd)
+		kept := &sc.ints
+		if col.Kind == tuple.KindString {
+			kept = &sc.strs
+		}
+		sc.cd.Cols[ci] = *kept
+		cd, err := sg.DecodeColumns(schema, []int{ci}, &sc.cd)
 		if err != nil {
 			return SegmentStats{}, err
 		}
+		*kept = cd.Cols[ci]
 		cs.Bloom = NewBloom(cd.NumRows, opt.BloomBitsPerRow)
 		for i := 0; i < cd.NumRows; i++ {
-			cs.Bloom.Add(cd.Cols[ci].Value(col.Kind, i).Hash())
+			cs.Bloom.Add(kept.Value(col.Kind, i).Hash())
 		}
 	}
 	return ss, nil

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/segment"
@@ -79,6 +81,65 @@ func TestCollectEmptySegment(t *testing.T) {
 	tab := Collect("t", testSchema, segs, DefaultOptions())
 	if tab.Segments[0].Rows != 0 || tab.Segments[0].Cols[0].HasRange {
 		t.Fatalf("empty segment stats: %+v", tab.Segments[0])
+	}
+}
+
+// encodedV2 returns the segments encoded to v2 and lazily decoded back.
+func encodedV2(t *testing.T, segs []*segment.Segment) []*segment.Segment {
+	t.Helper()
+	out := make([]*segment.Segment, len(segs))
+	for i, sg := range segs {
+		data, err := sg.EncodeFormat(testSchema, segment.FormatV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[i], err = segment.DecodeLazy(testSchema, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// collectScratch collects segs and returns the table plus the bytes the
+// collection allocated beyond the table itself: its segment entries,
+// []ColumnStats and Blooms.
+func collectScratch(t *testing.T, segs []*segment.Segment) (*Table, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tab, err := CollectChecked("t", testSchema, segs, DefaultOptions())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result := reflect.TypeOf(*tab).Size() + uintptr(cap(tab.Segments))*reflect.TypeOf(SegmentStats{}).Size()
+	for _, ss := range tab.Segments {
+		result += uintptr(cap(ss.Cols)) * reflect.TypeOf(ColumnStats{}).Size()
+		for _, cs := range ss.Cols {
+			if cs.Bloom != nil {
+				result += reflect.TypeOf(*cs.Bloom).Size() + 8*uintptr(len(cs.Bloom.bits))
+			}
+		}
+	}
+	return tab, after.TotalAlloc - before.TotalAlloc - uint64(result)
+}
+
+// TestCollectDecodeDoesNotScaleWithSegments: collecting v2 segments
+// decodes every Bloom column into storage reused across columns and
+// segments, so what a collection allocates beyond its result barely
+// moves between N and 4N segments — and the statistics equal the ones
+// the row path computes from the same rows.
+func TestCollectDecodeDoesNotScaleWithSegments(t *testing.T) {
+	const n = 4
+	rows := testSegments(rand.New(rand.NewSource(5)), 4*n, 1000)
+	_, few := collectScratch(t, encodedV2(t, rows[:n]))
+	tab, many := collectScratch(t, encodedV2(t, rows))
+	t.Logf("collection scratch: %d bytes over %d segments, %d over %d", few, n, many, 4*n)
+	if few == 0 || float64(many) > 1.25*float64(few) {
+		t.Fatalf("collection scratch: %d bytes over %d segments, %d over %d; want within ×1.25", few, n, many, 4*n)
+	}
+	if want := Collect("t", testSchema, rows, DefaultOptions()); !reflect.DeepEqual(tab, want) {
+		t.Fatal("statistics collected from v2 directories and decodes differ from the row path's")
 	}
 }
 
