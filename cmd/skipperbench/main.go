@@ -20,7 +20,7 @@
 //	prune     segments fetched vs skipped with data skipping on and off,
 //	          join+agg and Q5-style selective workloads, both engines
 //	proj      bytes fetched vs decoded vs skipped-by-projection and scan-side
-//	          decode time, row-major (v1) vs columnar (v2) segments
+//	          decode time over v2 segments, every column vs projected
 //	cache     shared segment cache budget sweep over a repeated-query
 //	          multi-tenant workload: device GETs, switches, coalesced
 //	          transfers, hits and timings per budget

@@ -127,7 +127,7 @@ func (p Params) CacheReport() (*Figure, error) {
 			"cache hits", "hit ratio", "makespan (s)", "avg client (s)",
 		},
 		Notes: []string{
-			"results are held byte-identical cache on/off across engines, formats (mem/v1/v2) and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
+			"results are held byte-identical cache on/off across engines, formats (mem/v2) and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 		},
 	}
 	for _, pt := range pts {

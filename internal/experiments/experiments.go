@@ -44,11 +44,11 @@ type Params struct {
 	// Format selects the segment wire format the CSD store serves.
 	// FormatMem (the zero value) keeps the generator's in-memory
 	// segments — no encode/decode work, the historical behaviour.
-	// FormatV1/FormatV2 push every dataset through the object store and
-	// serve lazily decoded segments, so scans perform (and account) real
-	// per-access decode work; v2 additionally honours projection
-	// pushdown. Query results are identical across formats — the
-	// lattice harness's format axis enforces it.
+	// FormatV2 pushes every dataset through the object store and serves
+	// lazily decoded segments, so scans perform (and account) real
+	// per-access decode work and honour projection pushdown. Query
+	// results are identical across formats — the lattice harness's
+	// format axis enforces it.
 	Format segment.Format
 }
 

@@ -178,7 +178,7 @@ func (p Params) FaultReport() (*Figure, error) {
 		})
 	}
 	f.Notes = append(f.Notes,
-		"results are held byte-identical clean vs faulted across engines, formats (v1/v2) and pipeline off/on, and GET conservation (retries are both a client GET and a device GET) is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
+		"results are held byte-identical clean vs faulted across engines, the v2 format and pipeline off/on, and GET conservation (retries are both a client GET and a device GET) is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 	)
 	return f, nil
 }

@@ -18,10 +18,10 @@ import (
 
 // The format differential suite proves the columnar segment format end to
 // end: for every probe query, serving the same dataset as in-memory
-// segments (mem), row-major objects (v1) and columnar objects with
-// projection pushdown (v2) must produce byte-identical, identically
-// ordered results — across both engines and data skipping on/off. Queries
-// whose aggregates are integer-only compare across engines too;
+// segments (mem) and columnar objects with projection pushdown (v2) must
+// produce byte-identical, identically ordered results — across both
+// engines and data skipping on/off. Queries whose aggregates are
+// integer-only compare across engines too;
 // float-aggregating queries compare within each engine (the engines add
 // floats in different orders, which may differ in the last ulps — an
 // engine property, not a format one).
@@ -67,9 +67,7 @@ func evalFormat(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode,
 	return engine.Collect(spec.Shape(engine.NewValues(res.Schema, res.Rows)))
 }
 
-// servedFormats are the formats a store serves. v1 is decode-only: its
-// codec is tested in internal/segment, and it runs here only as the
-// projection report's row-major baseline (TestProjectionReportQuick).
+// servedFormats are the formats a store serves.
 var servedFormats = []segment.Format{segment.FormatMem, segment.FormatV2}
 
 func TestFormatDifferential(t *testing.T) {
@@ -237,8 +235,9 @@ func TestReportQueriesVerify(t *testing.T) {
 }
 
 // TestProjectionReportQuick exercises the `skipperbench -report proj` path
-// at quick scale and its headline claim: v2 must decode strictly fewer
-// bytes than v1 on the projective probes.
+// at quick scale and its headline claim, per query: the all-columns point
+// skips nothing, the projected point decodes strictly fewer bytes on the
+// projective probes and none on count(*), and both join the same rows.
 func TestProjectionReportQuick(t *testing.T) {
 	p := Quick()
 	pts, err := p.ProjectionReportData()
@@ -249,18 +248,21 @@ func TestProjectionReportQuick(t *testing.T) {
 		t.Fatalf("got %d points", len(pts))
 	}
 	for i := 0; i+1 < len(pts); i += 2 {
-		v1, v2 := pts[i], pts[i+1]
-		if v1.Format != segment.FormatV1 || v2.Format != segment.FormatV2 || v1.Query != v2.Query {
-			t.Fatalf("unexpected pairing: %+v / %+v", v1, v2)
+		all, proj := pts[i], pts[i+1]
+		if all.Query != proj.Query {
+			t.Fatalf("unexpected pairing: %+v / %+v", all, proj)
 		}
-		if v1.BytesSkipped != 0 {
-			t.Errorf("%s: v1 reported %d projection-skipped bytes", v1.Query, v1.BytesSkipped)
+		if all.BytesSkipped != 0 {
+			t.Errorf("%s: all-columns point skipped %d bytes", all.Query, all.BytesSkipped)
 		}
-		if v2.BytesDecoded >= v1.BytesDecoded {
-			t.Errorf("%s: v2 decoded %d bytes, v1 %d — no reduction", v2.Query, v2.BytesDecoded, v1.BytesDecoded)
+		if proj.BytesDecoded >= all.BytesDecoded {
+			t.Errorf("%s: projected decoded %d bytes, all columns %d — no reduction", proj.Query, proj.BytesDecoded, all.BytesDecoded)
 		}
-		if v1.Rows != v2.Rows {
-			t.Errorf("%s: result cardinality %d vs %d", v1.Query, v1.Rows, v2.Rows)
+		if proj.Query == "count(*) lineitem" && proj.BytesDecoded != 0 {
+			t.Errorf("%s: projected point decoded %d bytes, want 0", proj.Query, proj.BytesDecoded)
+		}
+		if all.Rows != proj.Rows {
+			t.Errorf("%s: join cardinality %d vs %d", all.Query, all.Rows, proj.Rows)
 		}
 	}
 }

@@ -6,24 +6,25 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/metrics"
+	"repro/internal/mjoin"
+	"repro/internal/objstore"
 	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
 
-// This file is the evaluation of the columnar segment format (v2) and its
-// projection pushdown: the report behind `skipperbench -report proj`.
-// Every probe query runs over the same dataset encoded in FormatV1
-// (row-major) and FormatV2 (columnar); the report compares the scan-side
-// byte accounting (fetched / decoded / skipped-by-projection /
+// This file is the evaluation of projection pushdown: the report behind
+// `skipperbench -report proj`. Every probe query runs twice over one v2
+// store, with Cols dropped from every relation (every block decoded, what
+// a row-major store pays) and with the planner's projection; the report
+// compares the scan-side byte accounting (fetched / decoded / skipped /
 // materialized) and the wall-clock decode time. (That the format never
 // changes a result is the lattice harness's format axis;
 // TestReportQueriesVerify runs it over this report's queries.)
 
-// ProjectionPoint is one query × format row of the projection report.
+// ProjectionPoint is one query × projection row of the projection report.
 type ProjectionPoint struct {
-	Query  string
-	Format segment.Format
+	Query string
 	// Columns summarizes the per-relation projection, e.g. "5/25 cols".
 	Columns string
 	// BytesFetched is the total encoded size of the fetched segments;
@@ -34,7 +35,7 @@ type ProjectionPoint struct {
 	// DecodeTime is the wall-clock time the pull engine's scans spent
 	// decoding segments, summed over repetitions (see projReps).
 	DecodeTime time.Duration
-	// Rows is the query's result cardinality (identical across formats).
+	// Rows is the join's cardinality (identical across the two points).
 	Rows int
 }
 
@@ -61,10 +62,10 @@ func projQueries(ds *workload.Dataset) []struct {
 }
 
 // projectionSummary renders the per-relation projected column counts of a
-// spec, e.g. "4/16+1/9 cols".
-func projectionSummary(spec skipper.QuerySpec) string {
+// join, e.g. "4/16+1/9 cols".
+func projectionSummary(join *mjoin.Query) string {
 	out := ""
-	for i, rel := range spec.Join.Relations {
+	for i, rel := range join.Relations {
 		if i > 0 {
 			out += "+"
 		}
@@ -78,25 +79,28 @@ func projectionSummary(spec skipper.QuerySpec) string {
 	return out + " cols"
 }
 
-// ProjectionReportData measures each probe query over FormatV1 and
-// FormatV2.
+// allColumns returns join with Cols dropped from every relation, so every
+// leg decodes every column block.
+func allColumns(join *mjoin.Query) *mjoin.Query {
+	q := *join
+	q.Relations = append([]mjoin.Relation(nil), join.Relations...)
+	for i := range q.Relations {
+		q.Relations[i].Cols = nil
+	}
+	return &q
+}
+
+// ProjectionReportData measures each probe query over the v2 store, every
+// column decoded and then projected: two points per query, in that order.
 func (p Params) ProjectionReportData() ([]ProjectionPoint, error) {
-	base := p.clusteredDataset()
-	encoded := map[segment.Format]*workload.Dataset{}
-	for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
-		pf := p
-		pf.Format = f
-		ds, err := pf.encoded(base)
-		if err != nil {
-			return nil, fmt.Errorf("encode %v: %w", f, err)
-		}
-		encoded[f] = ds
+	ds, err := objstore.ReencodeDataset(p.clusteredDataset(), segment.FormatV2)
+	if err != nil {
+		return nil, fmt.Errorf("encode v2: %w", err)
 	}
 	var out []ProjectionPoint
-	for qi, q := range projQueries(encoded[segment.FormatV2]) {
-		for _, f := range []segment.Format{segment.FormatV1, segment.FormatV2} {
-			ds := encoded[f]
-			pt, err := measureProjection(ds, projQueries(ds)[qi].spec, q.name, f)
+	for _, q := range projQueries(ds) {
+		for _, join := range []*mjoin.Query{allColumns(q.spec.Join), q.spec.Join} {
+			pt, err := measureProjection(ds, join, q.name)
 			if err != nil {
 				return nil, err
 			}
@@ -106,20 +110,16 @@ func (p Params) ProjectionReportData() ([]ProjectionPoint, error) {
 	return out, nil
 }
 
-// measureProjection drains the pull plan projReps times over the encoded
-// store and gathers the scans' byte and decode-time accounting.
-func measureProjection(ds *workload.Dataset, spec skipper.QuerySpec, name string, f segment.Format) (ProjectionPoint, error) {
-	pt := ProjectionPoint{Query: name, Format: f, Columns: projectionSummary(spec)}
+// measureProjection drains the join's pull plan projReps times over the
+// encoded store and gathers the scans' byte and decode-time accounting.
+func measureProjection(ds *workload.Dataset, join *mjoin.Query, name string) (ProjectionPoint, error) {
+	pt := ProjectionPoint{Query: name, Columns: projectionSummary(join)}
 	for rep := 0; rep < projReps; rep++ {
-		ctx := engine.NewTestCtx(ds.Store)
-		it, err := skipper.BuildPullPlan(ctx, spec.Join)
+		it, err := skipper.BuildPullPlan(engine.NewTestCtx(ds.Store), join)
 		if err != nil {
 			return pt, err
 		}
 		scans := engine.SeqScans(it)
-		if spec.Shape != nil {
-			it = spec.Shape(it)
-		}
 		rows, err := engine.Collect(it)
 		if err != nil {
 			return pt, err
@@ -148,30 +148,30 @@ func (p Params) ProjectionReport() (*Figure, error) {
 	}
 	f := &Figure{
 		ID:      "Projection report",
-		Title:   "Scan-side decode bytes and time, row-major (v1) vs columnar (v2) segments (date-clustered dataset, pull engine)",
+		Title:   "Scan-side decode bytes and time, columnar (v2) segments with every column decoded vs projection pushdown (date-clustered dataset, pull engine)",
 		Columns: []string{"query", "format", "projection", "fetched B", "decoded B", "skipped B", "skipped", "materialized B", fmt.Sprintf("decode ms (%d reps)", projReps)},
 		Notes: []string{
-			"results are held byte-identical across v1/v2 formats, both engines, pruning on/off, by the lattice harness (go test ./internal/experiments -run TestReportQueriesVerify)",
-			"skipped B = encoded column-block bytes projection pushdown never decoded (v1 must always decode whole segments)",
+			"results are held byte-identical across mem/v2 formats, both engines, pruning on/off, by the lattice harness (go test ./internal/experiments -run TestReportQueriesVerify)",
+			"skipped B = encoded column-block bytes projection pushdown never decoded (all cols decodes every block, as a row-major store must)",
 		},
 	}
-	for _, pt := range pts {
+	for i, pt := range pts {
 		f.Rows = append(f.Rows, []string{
-			pt.Query, pt.Format.String(), pt.Columns,
+			pt.Query, [2]string{"v2 all cols", "v2 projected"}[i%2], pt.Columns,
 			fmt.Sprint(pt.BytesFetched), fmt.Sprint(pt.BytesDecoded), fmt.Sprint(pt.BytesSkipped),
 			fmt.Sprintf("%.0f%%", 100*metrics.ProjectionRatio(pt.BytesDecoded, pt.BytesSkipped)),
 			fmt.Sprint(pt.BytesMaterialized),
 			fmt.Sprintf("%.2f", float64(pt.DecodeTime.Microseconds())/1000),
 		})
 	}
-	// Surface the v1→v2 decode-side ratios per query, the headline the
-	// format change is after.
+	// Surface the all-columns → projected decode-side ratios per query,
+	// the headline projection pushdown is after.
 	for i := 0; i+1 < len(pts); i += 2 {
-		v1, v2 := pts[i], pts[i+1]
-		if v2.BytesDecoded > 0 && v2.DecodeTime > 0 {
-			f.Notes = append(f.Notes, fmt.Sprintf("%s: v2 decodes %.1f%% of v1's bytes, %.2fx decode speedup",
-				v1.Query, 100*float64(v2.BytesDecoded)/float64(v1.BytesDecoded),
-				float64(v1.DecodeTime)/float64(v2.DecodeTime)))
+		all, proj := pts[i], pts[i+1]
+		if proj.BytesDecoded > 0 && proj.DecodeTime > 0 {
+			f.Notes = append(f.Notes, fmt.Sprintf("%s: projected decodes %.1f%% of all-columns bytes, %.2fx decode speedup",
+				all.Query, 100*float64(proj.BytesDecoded)/float64(all.BytesDecoded),
+				float64(all.DecodeTime)/float64(proj.DecodeTime)))
 		}
 	}
 	return f, nil

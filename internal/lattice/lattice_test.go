@@ -17,7 +17,7 @@ import (
 // then growing fleets with and without replication.
 var (
 	modes   = []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper}
-	formats = []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2}
+	formats = []segment.Format{segment.FormatMem, segment.FormatV2}
 	fleets  = []skipper.FleetSpec{
 		{},
 		{N: 2},

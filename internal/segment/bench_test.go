@@ -7,9 +7,8 @@ import (
 	"repro/internal/tuple"
 )
 
-// Codec microbenchmarks: row-major (v1) vs columnar (v2) encode/decode,
-// the projected decode the scan path uses, and the individual block
-// encodings. Run with:
+// Codec microbenchmarks: encode, full decode, the projected decode the
+// scan path uses, and the individual block encodings. Run with:
 //
 //	go test -bench 'Encode|Decode' -benchmem ./internal/segment
 //
@@ -24,16 +23,6 @@ func benchSegment(b *testing.B) *Segment {
 	return sg
 }
 
-func BenchmarkEncodeV1(b *testing.B) {
-	sg := benchSegment(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := sg.EncodeFormat(wideSchema, FormatV1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEncodeV2(b *testing.B) {
 	sg := benchSegment(b)
 	b.ReportAllocs()
@@ -44,28 +33,17 @@ func BenchmarkEncodeV2(b *testing.B) {
 	}
 }
 
-func benchEncoded(b *testing.B, f Format) []byte {
+func benchEncoded(b *testing.B) []byte {
 	b.Helper()
-	data, err := benchSegment(b).EncodeFormat(wideSchema, f)
+	data, err := benchSegment(b).EncodeFormat(wideSchema, FormatV2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return data
 }
 
-func BenchmarkDecodeV1Full(b *testing.B) {
-	data := benchEncoded(b, FormatV1)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Decode(wideSchema, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDecodeV2Full(b *testing.B) {
-	data := benchEncoded(b, FormatV2)
+	data := benchEncoded(b)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -75,29 +53,25 @@ func BenchmarkDecodeV2Full(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeProjected compares the scan path: decode 2 of the 8
-// columns from each format through the lazy interface with buffer reuse.
-// This is the per-segment work a projective query performs.
+// BenchmarkDecodeProjected measures the scan path: decode 2 of the 8
+// columns through the lazy interface with buffer reuse. This is the
+// per-segment work a projective query performs.
 func BenchmarkDecodeProjected(b *testing.B) {
-	for _, f := range []Format{FormatV1, FormatV2} {
-		b.Run(f.String(), func(b *testing.B) {
-			data := benchEncoded(b, f)
-			g, err := DecodeLazy(wideSchema, data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			proj := []int{0, 4}
-			var cd *ColumnData
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cd, err = g.DecodeColumns(wideSchema, proj, cd)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	data := benchEncoded(b)
+	g, err := DecodeLazy(wideSchema, data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	proj := []int{0, 4}
+	var cd *ColumnData
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cd, err = g.DecodeColumns(wideSchema, proj, cd)
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

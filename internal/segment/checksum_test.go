@@ -2,106 +2,87 @@ package segment
 
 import (
 	"errors"
-	"reflect"
+	"strings"
 	"testing"
 )
 
-// Every format's encode output must end in a verifying checksum trailer,
-// and DecodeLazy must verify it.
+// seal returns a copy of b with a valid checksum trailer appended, so a
+// crafted buffer reaches the check it was built for instead of stopping
+// at the trailer.
+func seal(b []byte) []byte { return appendChecksum(append([]byte(nil), b...)) }
+
+// Encode output must end in a verifying checksum trailer, and DecodeLazy
+// must verify it.
 func TestChecksumRoundTrip(t *testing.T) {
-	for _, f := range []Format{FormatV1, FormatV2} {
-		orig := &Segment{ID: ObjectID{Tenant: 1, Table: "t", Index: 2}, Rows: rows(5), NominalBytes: 64}
-		data, err := orig.EncodeFormat(sch, f)
-		if err != nil {
-			t.Fatalf("%v encode: %v", f, err)
-		}
-		g, err := DecodeLazy(sch, data)
-		if err != nil {
-			t.Fatalf("%v decode: %v", f, err)
-		}
-		if !g.Checksummed() {
-			t.Fatalf("%v: freshly encoded segment not checksummed", f)
-		}
-		if err := g.VerifyChecksum(); err != nil {
-			t.Fatalf("%v: clean segment failed verification: %v", f, err)
-		}
+	orig := &Segment{ID: ObjectID{Tenant: 1, Table: "t", Index: 2}, Rows: rows(5), NominalBytes: 64}
+	data, err := orig.EncodeFormat(sch, FormatV2)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	g, err := DecodeLazy(sch, data)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if err := g.VerifyChecksum(); err != nil {
+		t.Fatalf("clean segment failed verification: %v", err)
 	}
 }
 
 // A flipped wire byte must be caught at decode time with ErrCorrupt.
 func TestChecksumCatchesWireFlip(t *testing.T) {
-	for _, f := range []Format{FormatV1, FormatV2} {
-		orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(8), NominalBytes: 64}
-		data, err := orig.EncodeFormat(sch, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, at := range []int{0, len(data) / 2, len(data) - 9} {
-			mut := append([]byte(nil), data...)
-			mut[at] ^= 0x01
-			if _, err := DecodeLazy(sch, mut); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("%v: flip at %d: got %v, want ErrCorrupt", f, at, err)
-			}
+	orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(8), NominalBytes: 64}
+	data, err := orig.EncodeFormat(sch, FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []int{0, len(data) / 2, len(data) - 9} {
+		mut := append([]byte(nil), data...)
+		mut[at] ^= 0x01
+		if _, err := DecodeLazy(sch, mut); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("flip at %d: got %v, want ErrCorrupt", at, err)
 		}
 	}
 }
 
-// Blobs encoded before checksums existed (no trailer) must still decode,
-// report Checksummed false, and verify trivially.
-func TestLegacyBlobStillReadable(t *testing.T) {
-	orig := &Segment{ID: ObjectID{Tenant: 3, Table: "legacy", Index: 1}, Rows: rows(4), NominalBytes: 32}
-	for _, f := range []Format{FormatV1, FormatV2} {
-		data, err := orig.EncodeFormat(sch, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy := data[:len(data)-8] // exactly what pre-checksum encoders wrote
-		g, err := Decode(sch, legacy)
-		if err != nil {
-			t.Fatalf("%v legacy decode: %v", f, err)
-		}
-		if !reflect.DeepEqual(g.Rows, orig.Rows) {
-			t.Fatalf("%v legacy rows diverge", f)
-		}
-		lz, err := DecodeLazy(sch, legacy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lz.Checksummed() {
-			t.Fatalf("%v: legacy blob claims a checksum", f)
-		}
-		if err := lz.VerifyChecksum(); err != nil {
-			t.Fatalf("%v: legacy blob failed trivial verification: %v", f, err)
-		}
+// TestDecodeRequiresChecksum: an object with its 8-byte trailer stripped
+// is corrupt, not an older kind of object — nothing is ever stored
+// without one.
+func TestDecodeRequiresChecksum(t *testing.T) {
+	orig := &Segment{ID: ObjectID{Tenant: 3, Table: "t", Index: 1}, Rows: rows(4), NominalBytes: 32}
+	data, err := orig.EncodeFormat(sch, FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeLazy(sch, data[:len(data)-8])
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "missing checksum trailer") {
+		t.Fatalf("trailer stripped: got %v, want ErrCorrupt naming the missing trailer", err)
 	}
 }
 
 // CorruptedCopy must fail verification while leaving the original
 // segment intact — the fault injector's bit-rot model.
 func TestCorruptedCopy(t *testing.T) {
-	for _, f := range []Format{FormatV1, FormatV2} {
-		orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(6), NominalBytes: 64}
-		data, err := orig.EncodeFormat(sch, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := DecodeLazy(sch, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bad := g.CorruptedCopy()
-		if bad == nil {
-			t.Fatalf("%v: CorruptedCopy returned nil for a checksummed segment", f)
-		}
-		if err := bad.VerifyChecksum(); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%v: corrupted copy verified: %v", f, err)
-		}
-		if err := g.VerifyChecksum(); err != nil {
-			t.Fatalf("%v: original damaged by CorruptedCopy: %v", f, err)
-		}
-		if bad.ID != g.ID || bad.NumRows() != g.NumRows() {
-			t.Fatalf("%v: corrupted copy changed identity", f)
-		}
+	orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(6), NominalBytes: 64}
+	data, err := orig.EncodeFormat(sch, FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := DecodeLazy(sch, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := g.CorruptedCopy()
+	if bad == nil {
+		t.Fatal("CorruptedCopy returned nil for an encoded segment")
+	}
+	if err := bad.VerifyChecksum(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupted copy verified: %v", err)
+	}
+	if err := g.VerifyChecksum(); err != nil {
+		t.Fatalf("original damaged by CorruptedCopy: %v", err)
+	}
+	if bad.ID != g.ID || bad.NumRows() != g.NumRows() {
+		t.Fatal("corrupted copy changed identity")
 	}
 }
 
@@ -119,22 +100,20 @@ func TestCorruptedCopyMemSegment(t *testing.T) {
 // A zero-row segment still round-trips with a checksum and still yields
 // a detectable corrupted copy (the flip lands in the header).
 func TestChecksumEmptySegment(t *testing.T) {
-	for _, f := range []Format{FormatV1, FormatV2} {
-		orig := &Segment{ID: ObjectID{Table: "t"}, NominalBytes: 8}
-		data, err := orig.EncodeFormat(sch, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := DecodeLazy(sch, data)
-		if err != nil {
-			t.Fatalf("%v: %v", f, err)
-		}
-		bad := g.CorruptedCopy()
-		if bad == nil {
-			t.Fatalf("%v: no corrupted copy for empty segment", f)
-		}
-		if err := bad.VerifyChecksum(); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%v: empty corrupted copy verified: %v", f, err)
-		}
+	orig := &Segment{ID: ObjectID{Table: "t"}, NominalBytes: 8}
+	data, err := orig.EncodeFormat(sch, FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := DecodeLazy(sch, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := g.CorruptedCopy()
+	if bad == nil {
+		t.Fatal("no corrupted copy for empty segment")
+	}
+	if err := bad.VerifyChecksum(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("empty corrupted copy verified: %v", err)
 	}
 }

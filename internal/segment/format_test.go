@@ -79,21 +79,6 @@ func TestV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestV2SmallerThanV1OnTypical(t *testing.T) {
-	orig := wideSegment(200)
-	v1, err := orig.EncodeFormat(wideSchema, FormatV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := orig.EncodeFormat(wideSchema, FormatV2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v2) >= len(v1) {
-		t.Fatalf("v2 (%d bytes) not smaller than v1 (%d bytes) on a typical mixed segment", len(v2), len(v1))
-	}
-}
-
 // TestDecodeColumnsReuseAllocatesNothing: decoding an all-numeric projection
 // into a ColumnData warm from the same projection allocates nothing — no
 // bitmap, no vector, no per-value bookkeeping — and still accounts for every
@@ -153,21 +138,17 @@ func TestEncodeV2AllocatesOnce(t *testing.T) {
 // not Rows, so encoding it again is refused rather than writing an empty
 // segment.
 func TestEncodeLazySegmentRefused(t *testing.T) {
-	for _, f := range []Format{FormatV1, FormatV2} {
-		data, err := wideSegment(20).EncodeFormat(wideSchema, f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lz, err := DecodeLazy(wideSchema, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, to := range []Format{FormatV1, FormatV2} {
-			out, err := lz.EncodeFormat(wideSchema, to)
-			if err == nil || !strings.Contains(err.Error(), "lazily decoded") {
-				t.Fatalf("%v segment re-encoded to %v: %d bytes, error %v", f, to, len(out), err)
-			}
-		}
+	data, err := wideSegment(20).EncodeFormat(wideSchema, FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lz, err := DecodeLazy(wideSchema, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := lz.EncodeFormat(wideSchema, FormatV2)
+	if err == nil || !strings.Contains(err.Error(), "lazily decoded") {
+		t.Fatalf("lazy segment re-encoded: %d bytes, error %v", len(out), err)
 	}
 }
 
@@ -184,8 +165,8 @@ func TestV2ProjectedDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.Lazy() || g.Format() != FormatV2 || g.NumRows() != 64 {
-		t.Fatalf("lazy=%v format=%v rows=%d", g.Lazy(), g.Format(), g.NumRows())
+	if !g.Lazy() || g.NumRows() != 64 {
+		t.Fatalf("lazy=%v rows=%d", g.Lazy(), g.NumRows())
 	}
 	if g.EncodedSize() != int64(len(data)) {
 		t.Fatalf("EncodedSize %d, want %d", g.EncodedSize(), len(data))
@@ -267,77 +248,33 @@ func TestV2DirectoryZoneMaps(t *testing.T) {
 	}
 }
 
-func TestV1LazyDecodesEverything(t *testing.T) {
-	orig := wideSegment(32)
-	data, err := orig.EncodeFormat(wideSchema, FormatV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := DecodeLazy(wideSchema, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Format() != FormatV1 || g.NumRows() != 32 || g.Directory() != nil {
-		t.Fatalf("format=%v rows=%d dir=%v", g.Format(), g.NumRows(), g.Directory())
-	}
-	cd, err := g.DecodeColumns(wideSchema, []int{0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Row-major: the projection cannot skip anything.
-	if cd.BytesSkipped != 0 || cd.BytesDecoded == 0 {
-		t.Fatalf("v1: decoded=%d skipped=%d", cd.BytesDecoded, cd.BytesSkipped)
-	}
-	for ci := range wideSchema.Cols {
-		if !decoded(cd.Cols[ci]) {
-			t.Fatalf("v1 projected decode left column %d nil", ci)
-		}
-	}
-	rows, err := g.Materialize(wideSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, orig.Rows) {
-		t.Fatal("v1 materialize mismatch")
-	}
-}
-
 func TestDecodeRejectsNegativeNominalBytes(t *testing.T) {
 	// Regression: a crafted header with a negative nominal size used to
 	// decode successfully and corrupt the virtual-time transfer model
-	// (negative sleep). Both formats must reject it with ErrCorrupt.
-	data := binary.AppendVarint(nil, 0)  // tenant
-	data = binary.AppendVarint(data, 0)  // index
-	data = binary.AppendVarint(data, -5) // nominal bytes: corrupt
-	data = binary.AppendUvarint(data, 1)
-	data = append(data, 't')
-	data = binary.AppendUvarint(data, 0) // zero rows
-	if _, err := Decode(sch, data); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v1 negative NominalBytes: got %v, want ErrCorrupt", err)
-	}
-
+	// (negative sleep). Encode refuses one, and decode rejects one with
+	// ErrCorrupt.
 	orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(2), NominalBytes: -1}
-	if _, err := orig.EncodeFormat(sch, FormatV1); err == nil {
+	if _, err := orig.EncodeFormat(sch, FormatV2); err == nil {
 		t.Fatal("encode accepted negative NominalBytes")
 	}
-	// And a crafted v2 header.
 	orig.NominalBytes = 7
-	v2, err := orig.EncodeFormat(sch, FormatV2)
+	data, err := orig.EncodeFormat(sch, FormatV2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Patch the nominal-size varint (after magic + two zero-ish varints).
-	good, err := Decode(sch, v2)
+	good, err := Decode(sch, data)
 	if err != nil || good.NominalBytes != 7 {
-		t.Fatalf("baseline v2 decode: %v", err)
+		t.Fatalf("baseline decode: %v", err)
 	}
-	patched := append([]byte(nil), v2[:4]...)
+	// Patch the nominal-size varint (after magic + two zero-ish varints)
+	// and re-seal the body.
+	patched := append([]byte(nil), data[:4]...)
 	patched = binary.AppendVarint(patched, 0)
 	patched = binary.AppendVarint(patched, 0)
 	patched = binary.AppendVarint(patched, -9)
-	patched = append(patched, v2[4+3:]...) // original had three 1-byte varints (0, 0, 7)
-	if _, err := Decode(sch, patched); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v2 negative NominalBytes: got %v, want ErrCorrupt", err)
+	patched = append(patched, data[4+3:len(data)-8]...) // original had three 1-byte varints (0, 0, 7)
+	if _, err := Decode(sch, seal(patched)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "negative nominal size") {
+		t.Fatalf("negative NominalBytes: got %v, want ErrCorrupt naming the negative nominal size", err)
 	}
 }
 
@@ -348,25 +285,24 @@ func TestV2DecodeCorruptTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every prefix truncation must fail with ErrCorrupt (at DecodeLazy or
-	// at materialization) and never panic. Stripping exactly the 8-byte
-	// checksum trailer leaves a valid legacy blob by design.
+	// at materialization) and never panic.
 	for cut := 0; cut < len(data); cut++ {
-		if cut == len(data)-8 {
-			continue
-		}
 		if _, err := Decode(wideSchema, data[:cut]); err == nil {
 			t.Fatalf("truncated at %d accepted", cut)
 		} else if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("truncated at %d: %v does not wrap ErrCorrupt", cut, err)
 		}
 	}
-	// Flipping directory or block bytes must never panic; if it decodes,
-	// it must still be schema-shaped.
+	// Flipping header, directory or block bytes must never panic; if it
+	// decodes, it must still be schema-shaped. Each flipped body is
+	// re-sealed, so it reaches the directory and block decoders instead of
+	// stopping at the checksum.
+	body := data[:len(data)-8]
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 3000; i++ {
-		mut := append([]byte(nil), data...)
+		mut := append([]byte(nil), body...)
 		mut[rng.Intn(len(mut))] ^= byte(1 + rng.Intn(255))
-		sg, err := Decode(wideSchema, mut)
+		sg, err := Decode(wideSchema, seal(mut))
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("mutation %d: %v does not wrap ErrCorrupt", i, err)
@@ -397,8 +333,8 @@ func TestV2RejectsAbsurdRowCount(t *testing.T) {
 	patched = append(patched, 't')
 	patched = binary.AppendUvarint(patched, MaxSegmentRows+1)
 	patched = binary.AppendUvarint(patched, uint64(sch.Len()))
-	if _, err := DecodeLazy(sch, patched); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("absurd row count: got %v, want ErrCorrupt", err)
+	if _, err := DecodeLazy(sch, seal(patched)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "exceeds MaxSegmentRows") {
+		t.Fatalf("absurd row count: got %v, want ErrCorrupt naming MaxSegmentRows", err)
 	}
 }
 
@@ -425,9 +361,9 @@ func TestV2RejectsOverflowingBlockLengths(t *testing.T) {
 	entry(huge)
 	entry(huge + 8)
 	data = append(data, make([]byte, 8)...) // "blocks"
-	g, err := DecodeLazy(sch, data)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("overflowing block lengths: got %v (segment %v), want ErrCorrupt", err, g)
+	g, err := DecodeLazy(sch, seal(data))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "block length") {
+		t.Fatalf("overflowing block lengths: got %v (segment %v), want ErrCorrupt naming the block length", err, g)
 	}
 }
 

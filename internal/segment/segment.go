@@ -3,13 +3,13 @@
 // each stored as one CSD object (the paper uses 1 GB PostgreSQL segments
 // stored as Swift objects, one container per relation).
 //
-// Two wire formats coexist. FormatV1 is the original row-major layout: a
-// header followed by the tuple row codec, decodable only as a whole.
-// FormatV2 is columnar: the header carries a column directory (per-column
-// encoding, block length, min/max and null count) followed by
-// independently decodable column blocks (see colcodec.go), so a reader
-// can decode exactly the columns a query references — projection pushdown
-// at the storage layer — and read zone maps without touching a block.
+// An object has one wire format, FormatV2, which is columnar: the header
+// carries a column directory (per-column encoding, block length, min/max
+// and null count) followed by independently decodable column blocks (see
+// colcodec.go), so a reader can decode exactly the columns a query
+// references — projection pushdown at the storage layer — and read zone
+// maps without touching a block. Every object ends in a CRC32C trailer,
+// and every decode verifies it.
 package segment
 
 import (
@@ -46,20 +46,16 @@ const (
 	// FormatMem marks a segment that was never encoded: it exists only as
 	// in-memory rows (generator output, test fixtures).
 	FormatMem Format = 0
-	// FormatV1 is the row-major format: header + tuple row codec.
-	FormatV1 Format = 1
-	// FormatV2 is the columnar format: header + column directory +
-	// independently decodable column blocks.
+	// FormatV2 is the columnar wire format: header + column directory +
+	// independently decodable column blocks + checksum trailer.
 	FormatV2 Format = 2
 )
 
-// String returns the format's short name ("mem", "v1", "v2").
+// String returns the format's short name ("mem", "v2").
 func (f Format) String() string {
 	switch f {
 	case FormatMem:
 		return "mem"
-	case FormatV1:
-		return "v1"
 	case FormatV2:
 		return "v2"
 	default:
@@ -68,9 +64,7 @@ func (f Format) String() string {
 }
 
 // ParseFormat parses the name of a format a store may serve: "mem" or
-// "v2". FormatV1 is not among them — it stays decodable (stored objects
-// stay readable) and encodable as the row-major baseline of the
-// projection report, but no front end serves it.
+// "v2".
 func ParseFormat(s string) (Format, error) {
 	switch s {
 	case "mem":
@@ -82,17 +76,14 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// magicV2 opens every v2 buffer. The first byte has the varint
-// continuation bit set and is followed by printable tag bytes, a prefix
-// no v1 header produced by Encode starts with.
+// magicV2 opens every encoded object; a buffer that does not start with it
+// is not a segment.
 var magicV2 = [4]byte{0xC5, 'S', 'G', '2'}
 
-// magicCRC opens the 8-byte checksum trailer both formats append:
-// 4 magic bytes followed by the little-endian CRC32C (Castagnoli) of
-// every preceding byte. Decoders detect the trailer by its magic, so
-// blobs written before checksums existed still read — the cost is a
-// ~2^-32 chance an old blob's last 8 bytes mimic a trailer, in which
-// case it is rejected as corrupt rather than misread.
+// magicCRC opens the 8-byte checksum trailer every encoded object ends
+// in: 4 magic bytes followed by the little-endian CRC32C (Castagnoli) of
+// every preceding byte. A buffer whose trailer lacks the magic was cut
+// short or is not a segment, and is rejected as corrupt.
 var magicCRC = [4]byte{0xC7, 'C', 'R', 'C'}
 
 // castagnoli is the CRC32C polynomial table — the storage-industry
@@ -107,18 +98,17 @@ func appendChecksum(out []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, sum)
 }
 
-// splitChecksum detects and strips the checksum trailer, verifying it.
-// Buffers without a trailer pass through untouched with hasCRC false.
-func splitChecksum(data []byte) (body []byte, sum uint32, hasCRC bool, err error) {
+// splitChecksum strips the checksum trailer and verifies it.
+func splitChecksum(data []byte) (body []byte, sum uint32, err error) {
 	n := len(data)
 	if n < 8 || [4]byte(data[n-8:n-4]) != magicCRC {
-		return data, 0, false, nil
+		return nil, 0, fmt.Errorf("segment: missing checksum trailer: %w", ErrCorrupt)
 	}
 	body, sum = data[:n-8], binary.LittleEndian.Uint32(data[n-4:])
 	if got := crc32.Checksum(body, castagnoli); got != sum {
-		return nil, 0, false, fmt.Errorf("segment: checksum mismatch (stored %08x, computed %08x): %w", sum, got, ErrCorrupt)
+		return nil, 0, fmt.Errorf("segment: checksum mismatch (stored %08x, computed %08x): %w", sum, got, ErrCorrupt)
 	}
-	return body, sum, true, nil
+	return body, sum, nil
 }
 
 // ObjectID names one stored object: a tenant (database client), a relation
@@ -138,19 +128,15 @@ func (id ObjectID) String() string {
 // payload is the retained wire form of a lazily decoded segment: enough
 // directory state to decode individual column blocks on demand.
 type payload struct {
-	format Format
-	rows   int
-	size   int64  // total encoded size, header and checksum trailer included
-	body   []byte // v1: the row-codec body; v2: the concatenated blocks
-	dir    []ColumnMeta
+	rows int
+	size int64  // total encoded size, header and checksum trailer included
+	body []byte // the concatenated column blocks
+	dir  []ColumnMeta
 
 	// raw is the full encoded buffer minus the checksum trailer (body
-	// aliases its tail); crc is the trailer's stored checksum. hasCRC is
-	// false for blobs written before checksums existed — VerifyChecksum
-	// then has nothing to check.
-	raw    []byte
-	crc    uint32
-	hasCRC bool
+	// aliases its tail); crc is the trailer's stored checksum.
+	raw []byte
+	crc uint32
 	// verified (atomic) caches a successful VerifyChecksum: the payload
 	// bytes are immutable after decode, so one clean recompute covers
 	// every later delivery of the same segment. Atomic because the server
@@ -176,15 +162,6 @@ type Segment struct {
 // at access time (DecodeLazy output) rather than materialized Rows.
 func (g *Segment) Lazy() bool { return g.payload != nil }
 
-// Format returns the wire format the segment was decoded from, or
-// FormatMem for purely in-memory segments.
-func (g *Segment) Format() Format {
-	if g.payload == nil {
-		return FormatMem
-	}
-	return g.payload.format
-}
-
 // NumRows returns the segment's row count without materializing anything.
 func (g *Segment) NumRows() int {
 	if g.payload != nil {
@@ -202,34 +179,28 @@ func (g *Segment) EncodedSize() int64 {
 	return g.payload.size
 }
 
-// Directory returns the column directory of a lazy v2 segment (aligned
-// with the schema's columns), or nil for any other segment. The entries
-// carry the per-column zone maps, so statistics collection reads min/max
-// and null counts without decoding a block.
+// Directory returns the column directory of a lazy segment (aligned with
+// the schema's columns), or nil for an in-memory one. The entries carry
+// the per-column zone maps, so statistics collection reads min/max and
+// null counts without decoding a block.
 func (g *Segment) Directory() []ColumnMeta {
-	if g.payload == nil || g.payload.format != FormatV2 {
+	if g.payload == nil {
 		return nil
 	}
 	return g.payload.dir
 }
 
-// Checksummed reports whether the segment carries a CRC32C trailer to
-// verify against. In-memory segments and pre-checksum blobs do not.
-func (g *Segment) Checksummed() bool {
-	return g.payload != nil && g.payload.hasCRC
-}
-
 // VerifyChecksum recomputes the CRC32C of a lazy segment's encoded bytes
 // and compares it against the stored trailer, returning an ErrCorrupt
-// error on mismatch. Segments without a checksum (in-memory, or decoded
-// from a pre-checksum blob) verify trivially. This is the end-to-end
-// integrity check the client proxy runs on every delivery: the decode
-// path verifies the wire buffer once, and VerifyChecksum catches any
-// corruption of the retained payload after that — which is exactly how
-// the fault injector models a device flipping bits in flight.
+// error on mismatch. In-memory segments carry no checksum and verify
+// trivially. This is the end-to-end integrity check the client proxy runs
+// on every delivery: the decode path verifies the wire buffer once, and
+// VerifyChecksum catches any corruption of the retained payload after
+// that — which is exactly how the fault injector models a device flipping
+// bits in flight.
 func (g *Segment) VerifyChecksum() error {
 	p := g.payload
-	if p == nil || !p.hasCRC {
+	if p == nil {
 		return nil
 	}
 	if atomic.LoadUint32(&p.verified) == 1 {
@@ -245,17 +216,17 @@ func (g *Segment) VerifyChecksum() error {
 // CorruptedCopy returns a copy of a lazy segment with one payload bit
 // flipped and the original checksum retained, so VerifyChecksum on the
 // copy fails while the original stays intact. The fault injector serves
-// these to model bit rot in flight. Returns nil when the segment cannot
-// carry detectable corruption (in-memory, or no checksum trailer) — the
-// injector then degrades the fault to a transient failure instead.
+// these to model bit rot in flight. Returns nil for an in-memory segment,
+// which carries no checksum — the injector then degrades the fault to a
+// transient failure instead.
 func (g *Segment) CorruptedCopy() *Segment {
 	p := g.payload
-	if p == nil || !p.hasCRC || len(p.raw) == 0 {
+	if p == nil {
 		return nil
 	}
 	raw := append([]byte(nil), p.raw...)
 	// Flip mid-body where possible so headers still parse; an empty body
-	// (zero-row v2) falls back to the last header byte.
+	// (zero rows) falls back to the last header byte.
 	at := len(raw) - 1
 	if len(p.body) > 0 {
 		at = len(raw) - len(p.body) + len(p.body)/2
@@ -263,8 +234,8 @@ func (g *Segment) CorruptedCopy() *Segment {
 	raw[at] ^= 0x40
 	// Field-by-field copy: the verified flag must not be read (other
 	// goroutines store it atomically) and must start unset on the copy.
-	np := payload{format: p.format, rows: p.rows, size: p.size, dir: p.dir,
-		raw: raw, body: raw[len(raw)-len(p.body):], crc: p.crc, hasCRC: p.hasCRC}
+	np := payload{rows: p.rows, size: p.size, dir: p.dir,
+		raw: raw, body: raw[len(raw)-len(p.body):], crc: p.crc}
 	c := *g
 	c.payload = &np
 	return &c
@@ -284,27 +255,18 @@ func (g *Segment) EncodeFormat(schema *tuple.Schema, f Format) ([]byte, error) {
 	if g.NominalBytes < 0 {
 		return nil, fmt.Errorf("segment %v: negative nominal size %d", g.ID, g.NominalBytes)
 	}
-	switch f {
-	case FormatV1:
-		out := g.appendHeader(nil)
-		body, err := tuple.EncodeRows(schema, g.Rows)
-		if err != nil {
-			return nil, fmt.Errorf("segment %v: %w", g.ID, err)
-		}
-		return appendChecksum(append(out, body...)), nil
-	case FormatV2:
-		out, err := g.encodeV2(schema)
-		if err != nil {
-			return nil, err
-		}
-		return appendChecksum(out), nil
-	default:
+	if f != FormatV2 {
 		return nil, fmt.Errorf("segment %v: cannot encode format %v", g.ID, f)
 	}
+	out, err := g.encodeV2(schema)
+	if err != nil {
+		return nil, err
+	}
+	return appendChecksum(out), nil
 }
 
-// appendHeader writes the fields both formats share: tenant, index,
-// nominal size and table name.
+// appendHeader writes the header fields that follow the magic: tenant,
+// index, nominal size and table name.
 func (g *Segment) appendHeader(out []byte) []byte {
 	out = binary.AppendVarint(out, int64(g.ID.Tenant))
 	out = binary.AppendVarint(out, int64(g.ID.Index))
@@ -363,17 +325,13 @@ func (g *Segment) encodeV2(schema *tuple.Schema) ([]byte, error) {
 	return data, nil
 }
 
-// Decode parses a segment previously produced by Encode/EncodeFormat,
-// materializing every row — v1 behaviour, preserved for both formats.
-// Malformed input yields an error wrapping ErrCorrupt; Decode never
-// panics on short buffers.
+// Decode parses a segment previously produced by EncodeFormat,
+// materializing every row. Malformed input yields an error wrapping
+// ErrCorrupt; Decode never panics on short buffers.
 func Decode(schema *tuple.Schema, data []byte) (*Segment, error) {
 	g, err := DecodeLazy(schema, data)
 	if err != nil {
 		return nil, err
-	}
-	if g.payload == nil {
-		return g, nil
 	}
 	rows, err := g.Materialize(schema)
 	if err != nil {
@@ -383,44 +341,8 @@ func Decode(schema *tuple.Schema, data []byte) (*Segment, error) {
 	return g, nil
 }
 
-// DecodeLazy parses a segment's header (and, for v2, its column
-// directory) and keeps the payload for on-demand column decoding. Block
-// contents are validated when they are first decoded; header or directory
-// corruption is rejected here, wrapping ErrCorrupt.
-func DecodeLazy(schema *tuple.Schema, data []byte) (*Segment, error) {
-	size := int64(len(data))
-	data, sum, hasCRC, err := splitChecksum(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) >= len(magicV2) && [4]byte(data[:4]) == magicV2 {
-		g, err := decodeLazyV2(schema, data[4:], size)
-		if err != nil {
-			return nil, err
-		}
-		g.payload.raw, g.payload.crc, g.payload.hasCRC = data, sum, hasCRC
-		return g, nil
-	}
-	g, rest, err := decodeHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	n, sz := binary.Uvarint(rest)
-	if sz <= 0 {
-		return nil, fmt.Errorf("segment: truncated row-count header: %w", ErrCorrupt)
-	}
-	g.payload = &payload{format: FormatV1, size: size, body: rest, raw: data, crc: sum, hasCRC: hasCRC}
-	// The count is untrusted until the rows decode, but bounding it now
-	// (every non-empty row costs at least one byte) keeps NumRows sane.
-	if n > uint64(len(rest)-sz)+1 {
-		return nil, fmt.Errorf("segment: row count %d exceeds %d body bytes: %w", n, len(rest)-sz, ErrCorrupt)
-	}
-	g.payload.rows = int(n)
-	return g, nil
-}
-
-// decodeHeader parses the shared header fields, returning the segment
-// shell and the remaining bytes.
+// decodeHeader parses the header fields that follow the magic, returning
+// the segment shell and the remaining bytes.
 func decodeHeader(data []byte) (*Segment, []byte, error) {
 	g := &Segment{}
 	v, n := binary.Varint(data)
@@ -459,10 +381,21 @@ func decodeHeader(data []byte) (*Segment, []byte, error) {
 	return g, data[n+int(ln):], nil
 }
 
-// decodeLazyV2 parses the v2 header and column directory (magic already
-// consumed) and wires up the lazy payload.
-func decodeLazyV2(schema *tuple.Schema, data []byte, size int64) (*Segment, error) {
-	g, rest, err := decodeHeader(data)
+// DecodeLazy verifies a segment's checksum trailer, parses its header and
+// column directory, and keeps the payload for on-demand column decoding.
+// Block contents are validated when they are first decoded; a missing or
+// mismatching trailer and header or directory corruption are rejected
+// here, wrapping ErrCorrupt.
+func DecodeLazy(schema *tuple.Schema, data []byte) (*Segment, error) {
+	size := int64(len(data))
+	raw, sum, err := splitChecksum(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) < len(magicV2) || [4]byte(raw[:4]) != magicV2 {
+		return nil, fmt.Errorf("segment: missing v2 magic: %w", ErrCorrupt)
+	}
+	g, rest, err := decodeHeader(raw[4:])
 	if err != nil {
 		return nil, err
 	}
@@ -534,7 +467,7 @@ func decodeLazyV2(schema *tuple.Schema, data []byte, size int64) (*Segment, erro
 	if int64(len(rest)) != total {
 		return nil, fmt.Errorf("segment: directory claims %d block bytes, %d remain: %w", total, len(rest), ErrCorrupt)
 	}
-	g.payload = &payload{format: FormatV2, rows: int(nrows), size: size, body: rest, dir: dir}
+	g.payload = &payload{rows: int(nrows), size: size, body: rest, dir: dir, raw: raw, crc: sum}
 	return g, nil
 }
 
@@ -563,9 +496,7 @@ type ColumnData struct {
 // lists schema column indexes to decode, in any order; nil means every
 // column, and an empty non-nil slice decodes nothing (row counts only —
 // what a COUNT(*) scan needs). Pass a previous ColumnData back in to
-// reuse its buffers. V1 payloads are row-major, so they decode every
-// column regardless of proj — the format difference projection pushdown
-// measures. Errors wrap ErrCorrupt.
+// reuse its buffers. Errors wrap ErrCorrupt.
 //
 // A caller may also stock a fresh ColumnData's Cols (one entry per schema
 // column) with vectors of its own: a projected column decodes into its
@@ -596,21 +527,6 @@ func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnD
 		}
 		cd.want[ci] = true
 	}
-	if p.format == FormatV1 {
-		rows, err := tuple.DecodeRows(schema, p.body)
-		if err != nil {
-			return nil, fmt.Errorf("segment %v: %v: %w", g.ID, err, ErrCorrupt)
-		}
-		// Row-major: no block decodes on its own, so every projected read
-		// pays for the whole segment, transposed.
-		b := tuple.FromRows(schema, rows)
-		cd.NumRows, cd.BytesDecoded = len(rows), int64(len(p.body))
-		for ci, col := range schema.Cols {
-			cd.Cols[ci] = b.Col(ci)
-			cd.BytesMaterialized += cd.Cols[ci].Size(col.Kind, len(rows))
-		}
-		return cd, nil
-	}
 	block := p.body
 	for ci, m := range p.dir {
 		if m.BlockLen > len(block) {
@@ -640,13 +556,6 @@ func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnD
 func (g *Segment) Materialize(schema *tuple.Schema) ([]tuple.Row, error) {
 	if g.payload == nil {
 		return g.Rows, nil
-	}
-	if g.payload.format == FormatV1 {
-		rows, err := tuple.DecodeRows(schema, g.payload.body)
-		if err != nil {
-			return nil, fmt.Errorf("segment %v: %v: %w", g.ID, err, ErrCorrupt)
-		}
-		return rows, nil
 	}
 	cd, err := g.DecodeColumns(schema, nil, nil)
 	if err != nil {

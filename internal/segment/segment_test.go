@@ -72,7 +72,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		Rows:         rows(25),
 		NominalBytes: 1 << 30,
 	}
-	data, err := orig.EncodeFormat(sch, FormatV1)
+	data, err := orig.EncodeFormat(sch, FormatV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,20 +87,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeTruncated(t *testing.T) {
 	orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(3), NominalBytes: 9}
-	data, err := orig.EncodeFormat(sch, FormatV1)
+	data, err := orig.EncodeFormat(sch, FormatV2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		if cut == len(data)-8 {
-			// Cutting exactly the checksum trailer leaves a valid legacy
-			// blob — the backward-compatibility contract for pre-checksum
-			// objects.
-			if _, err := Decode(sch, data[:cut]); err != nil {
-				t.Fatalf("trailer-less blob rejected: %v", err)
-			}
-			continue
-		}
 		if _, err := Decode(sch, data[:cut]); err == nil {
 			t.Fatalf("truncated at %d accepted", cut)
 		}
@@ -126,7 +117,7 @@ func TestRoundTripProperty(t *testing.T) {
 			Rows:         rs,
 			NominalBytes: rng.Int63n(1 << 40),
 		}
-		data, err := orig.EncodeFormat(sch, FormatV1)
+		data, err := orig.EncodeFormat(sch, FormatV2)
 		if err != nil {
 			return false
 		}
@@ -147,17 +138,12 @@ func TestRoundTripProperty(t *testing.T) {
 
 func TestDecodeCorruptTyped(t *testing.T) {
 	orig := &Segment{ID: ObjectID{Table: "t"}, Rows: rows(3), NominalBytes: 9}
-	data, err := orig.EncodeFormat(sch, FormatV1)
+	data, err := orig.EncodeFormat(sch, FormatV2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Every prefix truncation must fail with ErrCorrupt — and never panic.
-	// The one exception is stripping exactly the 8-byte checksum trailer,
-	// which leaves a valid legacy blob by design.
 	for cut := 0; cut < len(data); cut++ {
-		if cut == len(data)-8 {
-			continue
-		}
 		_, err := Decode(sch, data[:cut])
 		if err == nil {
 			t.Fatalf("truncated at %d accepted", cut)
@@ -173,26 +159,27 @@ func TestDecodeCorruptTyped(t *testing.T) {
 }
 
 func TestDecodeRejectsAbsurdTableName(t *testing.T) {
-	// Headers: tenant 0, index 0, size 0, then a table-name length far
-	// beyond MaxTableName followed by too few bytes.
-	data := binary.AppendVarint(nil, 0)
+	// Headers: tenant 0, index 0, size 0, then a table-name length just
+	// beyond MaxTableName, followed by that many bytes.
+	data := append([]byte(nil), magicV2[:]...)
+	data = binary.AppendVarint(data, 0)
 	data = binary.AppendVarint(data, 0)
 	data = binary.AppendVarint(data, 0)
 	data = binary.AppendUvarint(data, uint64(MaxTableName+1))
 	data = append(data, make([]byte, MaxTableName+1)...)
-	_, err := Decode(sch, data)
-	if err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("oversized table name accepted: %v", err)
+	_, err := Decode(sch, seal(data))
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "table-name length") {
+		t.Fatalf("oversized table name: got %v, want ErrCorrupt naming the table-name length", err)
 	}
 }
 
 func TestEncodeRejectsLongTableName(t *testing.T) {
 	g := &Segment{ID: ObjectID{Table: strings.Repeat("x", MaxTableName+1)}}
-	if _, err := g.EncodeFormat(sch, FormatV1); err == nil {
+	if _, err := g.EncodeFormat(sch, FormatV2); err == nil {
 		t.Fatal("overlong table name encoded")
 	}
 	g.ID.Table = strings.Repeat("x", MaxTableName)
-	data, err := g.EncodeFormat(sch, FormatV1)
+	data, err := g.EncodeFormat(sch, FormatV2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,18 +193,17 @@ func TestEncodeRejectsLongTableName(t *testing.T) {
 }
 
 func TestDecodeFuzzNoPanic(t *testing.T) {
-	// Random byte soup must yield errors, not panics.
+	// Random byte soup must yield errors, not panics — also once sealed
+	// with a valid trailer, and behind the magic on every other input, so
+	// the header and directory parsers see it too.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 2000; i++ {
 		buf := make([]byte, rng.Intn(64))
 		rng.Read(buf)
-		if sg, err := Decode(sch, buf); err == nil {
-			// A decode that succeeds must at least be self-consistent.
-			if sg == nil {
-				t.Fatal("nil segment without error")
-			}
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("input %x: error %v does not wrap ErrCorrupt", buf, err)
+		if i%2 == 1 {
+			buf = append(append([]byte(nil), magicV2[:]...), buf...)
 		}
+		checkDecode(t, buf)
+		checkDecode(t, seal(buf))
 	}
 }

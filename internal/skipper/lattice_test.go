@@ -68,8 +68,8 @@ const probeMJoinCache = 6
 
 var (
 	modes   = []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper}
-	wire    = []segment.Format{segment.FormatV1, segment.FormatV2}
-	formats = []segment.Format{segment.FormatMem, segment.FormatV1, segment.FormatV2}
+	wire    = []segment.Format{segment.FormatV2}
+	formats = []segment.Format{segment.FormatMem, segment.FormatV2}
 	onOff   = []bool{false, true}
 	// fleets are the fleet axis: the classic single device, then growing
 	// fleets with and without replication.

@@ -86,11 +86,11 @@ func Collect(name string, schema *tuple.Schema, segs []*segment.Segment, opt Opt
 	return t
 }
 
-// CollectChecked is Collect with decode errors surfaced. Materialized
-// segments are scanned row by row as before. Lazy v2 segments take the
-// fast path: min/max, row and null counts come straight from the column
-// directory — no block is touched for the zone maps — and only the
-// Bloom-filtered columns are decoded, one block at a time, never as rows.
+// CollectChecked is Collect with decode errors surfaced. In-memory
+// segments are scanned row by row. Lazy segments take the fast path:
+// min/max, row and null counts come straight from the column directory —
+// no block is touched for the zone maps — and only the Bloom-filtered
+// columns are decoded, one block at a time, never as rows.
 func CollectChecked(name string, schema *tuple.Schema, segs []*segment.Segment, opt Options) (*Table, error) {
 	t := &Table{Name: name, Schema: schema, Segments: make([]SegmentStats, len(segs))}
 	sc := &decodeScratch{cd: segment.ColumnData{Cols: make([]tuple.Vector, schema.Len())}}
@@ -104,13 +104,6 @@ func CollectChecked(name string, schema *tuple.Schema, segs []*segment.Segment, 
 			continue
 		}
 		rows := sg.Rows
-		if sg.Lazy() {
-			// A lazy v1 segment has no directory; materialize and scan.
-			var err error
-			if rows, err = sg.Materialize(schema); err != nil {
-				return nil, fmt.Errorf("stats: %s segment %d: %w", name, si, err)
-			}
-		}
 		ss := SegmentStats{Rows: int64(len(rows)), Cols: make([]ColumnStats, schema.Len())}
 		for ci, col := range schema.Cols {
 			cs := &ss.Cols[ci]
@@ -146,7 +139,7 @@ type decodeScratch struct {
 	ints, strs tuple.Vector
 }
 
-// segmentStatsFromDirectory builds one segment's statistics from a v2
+// segmentStatsFromDirectory builds one segment's statistics from its
 // column directory: zone maps are copied verbatim (the encoder computed
 // them in the same pass that sized the blocks), and Bloom filters decode
 // just their own column's block via the projected decoder, into sc.

@@ -1,53 +1,6 @@
 package tuple
 
-import (
-	"fmt"
-	"testing"
-)
-
-func benchBatch(n int) (*Schema, []Row) {
-	s := NewSchema(
-		Column{"id", KindInt64},
-		Column{"price", KindFloat64},
-		Column{"name", KindString},
-		Column{"ship", KindDate},
-	)
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = Row{
-			Int(int64(i)),
-			Float(float64(i) * 1.5),
-			Str(fmt.Sprintf("name-%d", i)),
-			DateFromDays(int64(9000 + i)),
-		}
-	}
-	return s, rows
-}
-
-func BenchmarkEncodeRows(b *testing.B) {
-	s, rows := benchBatch(1000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeRows(s, rows); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeRows(b *testing.B) {
-	s, rows := benchBatch(1000)
-	data, err := EncodeRows(s, rows)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRows(s, data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+import "testing"
 
 func BenchmarkValueHash(b *testing.B) {
 	v := Str("some-moderately-long-join-key")

@@ -1,6 +1,5 @@
 // Package tuple defines the value, row and schema types shared by the
-// storage layer and both query engines, plus a compact binary row codec
-// used by the segment (object) format.
+// storage layer and both query engines.
 package tuple
 
 import (

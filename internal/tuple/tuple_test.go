@@ -1,10 +1,8 @@
 package tuple
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -208,100 +206,5 @@ func TestRowCloneAndConcat(t *testing.T) {
 	j := r.Concat(Row{Bool(true)})
 	if len(j) != 3 || !j[2].IsTrue() {
 		t.Fatalf("concat %v", j)
-	}
-}
-
-func testSchema() *Schema {
-	return NewSchema(
-		Column{"i", KindInt64},
-		Column{"f", KindFloat64},
-		Column{"s", KindString},
-		Column{"d", KindDate},
-		Column{"b", KindBool},
-	)
-}
-
-func randomRow(rng *rand.Rand) Row {
-	strs := []string{"", "a", "hello world", "ünïcødé", "x\x00y", "longer-string-with-more-bytes"}
-	return Row{
-		Int(rng.Int63() - rng.Int63()),
-		Float(rng.NormFloat64() * 1e6),
-		Str(strs[rng.Intn(len(strs))]),
-		DateFromDays(int64(rng.Intn(40000))),
-		Bool(rng.Intn(2) == 0),
-	}
-}
-
-func TestCodecRoundTripProperty(t *testing.T) {
-	s := testSchema()
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows := make([]Row, int(n)%64)
-		for i := range rows {
-			rows[i] = randomRow(rng)
-		}
-		data, err := EncodeRows(s, rows)
-		if err != nil {
-			return false
-		}
-		back, err := DecodeRows(s, data)
-		if err != nil {
-			return false
-		}
-		if len(back) != len(rows) {
-			return false
-		}
-		for i := range rows {
-			if !reflect.DeepEqual(rows[i], back[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCodecRejectsWrongRow(t *testing.T) {
-	s := testSchema()
-	if _, err := AppendRow(nil, s, Row{Int(1)}); err == nil {
-		t.Fatal("arity mismatch accepted")
-	}
-}
-
-func TestCodecTruncatedData(t *testing.T) {
-	s := NewSchema(Column{"i", KindInt64}, Column{"s", KindString})
-	data, err := EncodeRows(s, []Row{{Int(5), Str("hello")}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 1; cut < len(data); cut++ {
-		if _, err := DecodeRows(s, data[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-func TestCodecTrailingGarbage(t *testing.T) {
-	s := NewSchema(Column{"i", KindInt64})
-	data, err := EncodeRows(s, []Row{{Int(1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeRows(s, append(data, 0xFF)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-}
-
-func TestEmptyBatch(t *testing.T) {
-	s := testSchema()
-	data, err := EncodeRows(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := DecodeRows(s, data)
-	if err != nil || len(rows) != 0 {
-		t.Fatalf("empty batch: %v %v", rows, err)
 	}
 }

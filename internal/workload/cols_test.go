@@ -21,7 +21,7 @@ import (
 // wide everything between a segment's decode and the shaping stage is, and
 // through that how many bytes a query allocates — never what it returns.
 
-// The formats a store serves (v1 is decode-only; internal/segment tests it).
+// The formats a store serves.
 var colsFormats = []segment.Format{segment.FormatMem, segment.FormatV2}
 
 // widen returns spec with Cols dropped from every relation, so that every
@@ -75,7 +75,7 @@ func sameRows(a, b []tuple.Row) error {
 
 // TestColsChangeWidthNotResults: for every hand-built spec and the SQL probe
 // queries, the rows returned with the declared Cols equal the rows returned
-// with Cols = nil on every relation — on both engines, over materialized, v1
+// with Cols = nil on every relation — on both engines, over materialized
 // and v2 stores, with MJoin's cache at its minimum and holding everything.
 func TestColsChangeWidthNotResults(t *testing.T) {
 	type suite struct {

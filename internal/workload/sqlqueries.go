@@ -117,8 +117,8 @@ func Q5Selective(cat *catalog.Catalog) skipper.QuerySpec {
 
 // QProjectiveScan is the single-table projection-pushdown probe: it
 // touches three of lineitem's columns (filter, group key, aggregate), so
-// a columnar (v2) store decodes three blocks per segment where the
-// row-major (v1) store decodes everything. Integer aggregates keep the
+// a columnar (v2) store decodes three blocks per segment where a scan of
+// every column decodes them all. Integer aggregates keep the
 // result bit-identical at any execution order (see QShipdateWindow).
 func QProjectiveScan(cat *catalog.Catalog) skipper.QuerySpec {
 	return mustPlan(cat, "projective-scan", `
