@@ -159,7 +159,7 @@ type SeqScan struct {
 	Filter expr.Expr
 
 	leg     *Leg
-	scratch legScratch
+	scratch LegScratch
 	segIdx  int
 	rows    []tuple.Row
 	cd      *segment.ColumnData
@@ -222,19 +222,21 @@ func NewSeqScan(ctx *Ctx, table *catalog.TableMeta) *SeqScan {
 }
 
 // NewLegScan is NewSeqScan running a leg the caller already built over the
-// table's schema; Project and Filter are the leg's.
+// table's schema: Project and Filter are the leg's, and its batches hold
+// the columns the leg hands on.
 func NewLegScan(ctx *Ctx, table *catalog.TableMeta, leg *Leg) *SeqScan {
 	s := &SeqScan{ctx: ctx, table: table, tr: ctx.Trace, Filter: leg.filter, leg: leg}
-	if leg.schema != leg.table { // a nil projection stays nil
+	if len(leg.cols) < table.Schema.Len() { // a full projection stays nil
 		s.Project = leg.cols
 	}
 	return s
 }
 
-// Schema implements Iterator: the table schema restricted to Project.
+// Schema implements Iterator: the table schema restricted to Project, or to
+// the columns the scan's leg hands on.
 func (s *SeqScan) Schema() *tuple.Schema {
 	if s.leg == nil {
-		s.leg = NewLeg(s.table.Schema, s.Project, s.Filter)
+		s.leg = NewLeg(s.table.Schema, s.Project, nil, s.Filter)
 	}
 	return s.leg.schema
 }

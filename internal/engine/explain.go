@@ -133,7 +133,11 @@ func (j *HashJoin) label() string {
 			j.left.Schema().Cols[j.leftKeys[i]].Name,
 			j.right.Schema().Cols[j.rightKeys[i]].Name)
 	}
-	return "HashJoin on " + strings.Join(pairs, ", ")
+	label := "HashJoin on " + strings.Join(pairs, ", ")
+	if k, n := j.schema.Len(), j.left.Schema().Len()+j.right.Schema().Len(); k < n {
+		label += fmt.Sprintf(" [carry %d/%d cols: %s]", k, n, strings.Join(j.schema.ColumnNames(), ","))
+	}
+	return label
 }
 
 func (a *HashAgg) label() string {

@@ -19,10 +19,23 @@ import (
 // verifies the pairs' keys column against column, and gathers the
 // survivors into the output batch column by column — in probe row order,
 // then build order. Neither side materializes a row.
+//
+// Like a PostgreSQL join node's target list, a join carries only the
+// columns read above it (NewHashJoinCarry): the build store keeps just the
+// carried left columns and the left keys, and the gather reads just the
+// carried columns. A join that carries everything runs the same code over
+// the identity selection.
 type HashJoin struct {
 	left, right         Iterator
 	leftKeys, rightKeys []int
 	schema              *tuple.Schema
+
+	// store is the build store's schema: the left columns keep lists — the
+	// carried ones and the keys, ascending — of which storeKeys are the
+	// keys. bpick and ppick are the carried columns' places in the store
+	// and in a probe batch: an output row is the one, then the other.
+	store                         *tuple.Schema
+	keep, storeKeys, bpick, ppick []int
 
 	// build holds every build row and index chains them by key hash; both
 	// are only read once Open returns.
@@ -47,16 +60,65 @@ type HashJoin struct {
 }
 
 // NewHashJoin joins left and right on equality of the given key columns
-// (by position in each side's schema).
+// (by position in each side's schema), carrying every column of both.
 func NewHashJoin(left, right Iterator, leftKeys, rightKeys []int) *HashJoin {
+	return NewHashJoinCarry(left, right, leftKeys, rightKeys, nil)
+}
+
+// NewHashJoinCarry is NewHashJoin carrying only the columns carry lists, by
+// position in the left schema followed by the right one, ascending (nil:
+// all of them); the carried columns' names must differ.
+func NewHashJoinCarry(left, right Iterator, leftKeys, rightKeys, carry []int) *HashJoin {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		panic("engine: hash join needs equal, non-empty key lists")
 	}
-	return &HashJoin{
-		left: left, right: right,
-		leftKeys: leftKeys, rightKeys: rightKeys,
-		schema: left.Schema().Concat(right.Schema()),
+	ls, rs := left.Schema(), right.Schema()
+	wl, w := ls.Len(), ls.Len()+rs.Len()
+	j := &HashJoin{left: left, right: right, leftKeys: leftKeys, rightKeys: rightKeys, store: ls}
+	var cols []tuple.Column
+	if carry == nil {
+		j.schema = ls.Concat(rs)
+	} else {
+		cols = make([]tuple.Column, 0, len(carry))
 	}
+	// One slab backs keep, storeKeys and the picks.
+	ints := make([]int, wl+len(leftKeys)+w)
+	j.keep, j.storeKeys = ints[:0:wl], ints[wl:wl+len(leftKeys)]
+	picks, nb := ints[wl+len(leftKeys):wl+len(leftKeys)], 0
+	for p, next := 0, 0; p < w; p++ {
+		carried := carry == nil || next < len(carry) && carry[next] == p
+		if carried && carry != nil {
+			next++
+			if p < wl {
+				cols = append(cols, ls.Cols[p])
+			} else {
+				cols = append(cols, rs.Cols[p-wl])
+			}
+		}
+		if p >= wl {
+			if carried {
+				picks = append(picks, p-wl)
+			}
+			continue
+		}
+		if carried {
+			picks, nb = append(picks, len(j.keep)), nb+1
+		}
+		if carried || slices.Contains(leftKeys, p) {
+			j.keep = append(j.keep, p)
+		}
+	}
+	j.bpick, j.ppick = picks[:nb], picks[nb:]
+	for k, lk := range leftKeys {
+		j.storeKeys[k] = slices.Index(j.keep, lk)
+	}
+	if cols != nil {
+		j.schema = tuple.NewSchema(cols...)
+	}
+	if len(j.keep) < wl {
+		j.store = ls.Project(j.keep)
+	}
+	return j
 }
 
 // JoinOn resolves key column names on both sides and builds the join.
@@ -90,10 +152,10 @@ func (j *HashJoin) Open() error {
 }
 
 // buildSide drains the build input into j.build — one copy of each batch's
-// typed vectors, never moved again — then indexes it a range of at most
+// kept columns, never moved again — then indexes it a range of at most
 // DefaultBatchSize rows at a time, last range first, hashed into j.hashes.
 func (j *HashJoin) buildSide() error {
-	j.build.Reset(j.left.Schema())
+	j.build.Reset(j.store)
 	for {
 		b, ok, err := j.left.NextBatch()
 		if err != nil {
@@ -102,12 +164,12 @@ func (j *HashJoin) buildSide() error {
 		if !ok {
 			break
 		}
-		j.build.Append(b)
+		j.build.Append(b, j.keep)
 	}
 	j.index.Reset(j.build.Len())
 	for hi := j.build.Len(); hi > 0; {
 		lo := max(hi-DefaultBatchSize, 0)
-		j.hashes = j.build.HashRange(j.leftKeys, lo, hi, j.hashes)
+		j.hashes = j.build.HashRange(j.storeKeys, lo, hi, j.hashes)
 		j.index.Insert(lo, j.hashes)
 		hi = lo
 	}
@@ -133,9 +195,9 @@ func (j *HashJoin) probe() {
 			}
 		}
 		// A bucket chains rows of other keys too: keep the equal ones.
-		n := tuple.MatchKeys(&j.build, j.leftKeys, at, b, j.rightKeys, pids)
+		n := tuple.MatchKeys(&j.build, j.storeKeys, at, b, j.rightKeys, pids)
 		j.at, j.pids = at, pids
-		out.AppendJoinedChunked(&j.build, at[:n], b, pids[:n])
+		out.AppendJoinedChunked(&j.build, j.bpick, at[:n], b, j.ppick, pids[:n])
 	}
 }
 

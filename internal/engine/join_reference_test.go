@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -253,5 +254,53 @@ func TestFloatKeysJoinAndGroupByValue(t *testing.T) {
 	}
 	if len(groups) != 3 || counts["0"] != 2 || counts["NaN"] != 1 || counts["1"] != 1 {
 		t.Fatalf("groups %v, want ±0 x2, NaN x1, 1 x1", groups)
+	}
+}
+
+// TestHashJoinCarriesItsSelection: a join that carries a selection of its
+// inputs' columns returns the full join's rows restricted to those columns,
+// in the same order, over a build side that spans chunks, and keeps in its
+// build store only the carried left columns and the key.
+func TestHashJoinCarriesItsSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	ls := tuple.NewSchema(
+		tuple.Column{Name: "li", Kind: tuple.KindInt64}, tuple.Column{Name: "ls", Kind: tuple.KindString},
+		tuple.Column{Name: "lf", Kind: tuple.KindFloat64}, tuple.Column{Name: "ld", Kind: tuple.KindDate},
+	)
+	rs := tuple.NewSchema(tuple.Column{Name: "rs", Kind: tuple.KindString}, tuple.Column{Name: "ri", Kind: tuple.KindInt64})
+	var lrows, rrows []tuple.Row
+	for i := 0; i < 300; i++ {
+		k := rng.Intn(40)
+		lrows = append(lrows, tuple.Row{tuple.Int(int64(i)), tuple.Str(fmt.Sprint("s", k)), tuple.Float(float64(k) / 2), tuple.DateFromDays(int64(k))})
+		rrows = append(rrows, tuple.Row{tuple.Str(fmt.Sprint("s", rng.Intn(45))), tuple.Int(int64(i))})
+	}
+	build, probe := chopped(ls, lrows, 189, 7), chopped(rs, rrows, 50, 3)
+	full := referenceHashJoin(build, probe, []int{1}, []int{0})
+	for _, tc := range []struct {
+		carry []int
+		store []string
+	}{
+		{[]int{0, 3, 5}, []string{"li", "ls", "ld"}},
+		{[]int{1, 4}, []string{"ls"}},
+		{[]int{5}, []string{"ls"}},
+		{[]int{}, []string{"ls"}},
+		{[]int{0, 1, 2, 3, 4, 5}, []string{"li", "ls", "lf", "ld"}},
+	} {
+		join := NewHashJoinCarry(NewBatchValues(ls, build), NewBatchValues(rs, probe), []int{1}, []int{0}, tc.carry)
+		if got := join.store.ColumnNames(); !reflect.DeepEqual(got, tc.store) {
+			t.Errorf("carry %v: build store holds %v, want %v", tc.carry, got, tc.store)
+		}
+		want := make([]tuple.Row, len(full))
+		for i, r := range full {
+			want[i] = tuple.Row{}
+			for _, c := range tc.carry {
+				want[i] = append(want[i], r[c])
+			}
+		}
+		got, err := Collect(join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRowsInOrder(t, fmt.Sprintf("carry %v", tc.carry), got, want)
 	}
 }

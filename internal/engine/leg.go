@@ -8,19 +8,21 @@ import (
 	"repro/internal/tuple"
 )
 
-// Leg is how a plan reads one relation: a physical projection and a local
-// predicate, applied by the one decode → filter → select kernel both
-// engines run over every segment. Only the projected columns are decoded,
-// the predicate becomes a selection vector, and only the survivors of only
-// those columns are copied out, so nothing downstream is wider than the
-// leg's schema. SeqScan runs the kernel a batch-sized range at a time into
-// its reused output batch, MJoin a whole arrival at a time into the batch
-// it caches. A Leg is immutable.
+// Leg is how a plan reads one relation: a physical projection, a local
+// predicate and the columns it hands on, applied by the one decode →
+// filter → select kernel both engines run over every segment. Only the
+// projected columns are decoded, the predicate becomes a selection vector,
+// and only the survivors of only the columns handed on are copied out — a
+// column only the predicate reads goes no further — so nothing downstream
+// is wider than the leg's schema. SeqScan runs the kernel a batch-sized
+// range at a time into its reused output batch, MJoin a whole arrival at a
+// time into the batch it caches. A Leg is immutable.
 type Leg struct {
-	// schema is table restricted to cols, the table column behind each leg
-	// column (every column, spelled out, for a nil projection).
+	// schema is table restricted to out, the columns the leg hands on, of
+	// cols, the ones it decodes; both are table columns in ascending order,
+	// every column spelled out for a nil projection.
 	table, schema *tuple.Schema
-	cols          []int
+	cols, out     []int
 	// filter is bound against table, not schema, and may only read cols;
 	// nil keeps every row. Only filterCols, the columns it names, become Values.
 	filter     expr.Expr
@@ -28,17 +30,22 @@ type Leg struct {
 }
 
 // NewLeg builds the leg of a table with the given schema. cols lists, in
-// ascending order, the table columns the leg carries (nil = all, empty =
-// row counts only); filter is bound against table.
-func NewLeg(table *tuple.Schema, cols []int, filter expr.Expr) *Leg {
-	l := &Leg{table: table, schema: table, cols: cols, filter: filter}
-	if cols != nil {
-		l.schema = table.Project(cols)
-	} else {
+// ascending order, the table columns the leg decodes (nil = all, empty =
+// row counts only), out those of them it hands on (nil = all of cols);
+// filter is bound against table.
+func NewLeg(table *tuple.Schema, cols, out []int, filter expr.Expr) *Leg {
+	l := &Leg{table: table, schema: table, cols: cols, out: out, filter: filter}
+	if cols == nil {
 		l.cols = make([]int, table.Len())
 		for i := range l.cols {
 			l.cols[i] = i
 		}
+	}
+	if out == nil {
+		l.out = l.cols
+	}
+	if cols != nil || out != nil {
+		l.schema = table.Project(l.out)
 	}
 	if filter != nil {
 		seen := expr.Columns(filter, func(c expr.Col) {
@@ -53,10 +60,11 @@ func NewLeg(table *tuple.Schema, cols []int, filter expr.Expr) *Leg {
 	return l
 }
 
-// Schema describes every batch the leg produces.
+// Schema describes every batch the leg produces: the table restricted to
+// the columns the leg hands on.
 func (l *Leg) Schema() *tuple.Schema { return l.schema }
 
-// Cols lists the table columns behind the leg's, in ascending order.
+// Cols lists the table columns the leg decodes, in ascending order.
 func (l *Leg) Cols() []int { return l.cols }
 
 // segmentBytes is the byte accounting of one decoded segment.
@@ -69,10 +77,11 @@ func segmentBytes(seg *segment.Segment, cd *segment.ColumnData) ScanBytes {
 	}
 }
 
-// legScratch is a kernel caller's reusable filter state: the table-width
+// LegScratch is a kernel caller's reusable filter state: the table-width
 // row a decoded position is presented to the filter through (only the
-// columns the filter names are ever set) and the selection vector.
-type legScratch struct {
+// columns the filter names are ever set) and the selection vector. A
+// caller keeps one per leg it runs, beside that leg's decode buffer.
+type LegScratch struct {
 	row tuple.Row
 	sel []int32
 }
@@ -80,7 +89,7 @@ type legScratch struct {
 // selectRows leaves in sc.sel the positions in [lo, hi) of a segment —
 // decoded columns cd, or materialized rows when cd is nil — that pass the
 // filter.
-func (l *Leg) selectRows(cd *segment.ColumnData, rows []tuple.Row, lo, hi int, sc *legScratch) error {
+func (l *Leg) selectRows(cd *segment.ColumnData, rows []tuple.Row, lo, hi int, sc *LegScratch) error {
 	if cd != nil && len(sc.row) != l.table.Len() {
 		sc.row = make(tuple.Row, l.table.Len())
 	}
@@ -105,21 +114,21 @@ func (l *Leg) selectRows(cd *segment.ColumnData, rows []tuple.Row, lo, hi int, s
 	return nil
 }
 
-// appendRows copies the leg's columns of segment rows [lo, hi) to dst —
-// of the positions in sel only, when the leg filters.
+// appendRows copies the columns the leg hands on of segment rows [lo, hi)
+// to dst — of the positions in sel only, when the leg filters.
 func (l *Leg) appendRows(dst *tuple.Batch, cd *segment.ColumnData, rows []tuple.Row, lo, hi int, sel []int32) {
 	switch {
 	case cd != nil && l.filter == nil:
-		dst.AppendColumns(cd.Cols, l.cols, lo, hi)
+		dst.AppendColumns(cd.Cols, l.out, lo, hi)
 	case cd != nil:
-		dst.AppendSelected(cd.Cols, l.cols, sel)
+		dst.AppendSelected(cd.Cols, l.out, sel)
 	case l.filter == nil:
 		for _, r := range rows[lo:hi] {
-			dst.AppendProjected(r, l.cols)
+			dst.AppendProjected(r, l.out)
 		}
 	default:
 		for _, i := range sel {
-			dst.AppendProjected(rows[i], l.cols)
+			dst.AppendProjected(rows[i], l.out)
 		}
 	}
 }
@@ -129,10 +138,11 @@ func (l *Leg) appendRows(dst *tuple.Batch, cd *segment.ColumnData, rows []tuple.
 // count. buf is the caller's decode buffer, needed for a lazy segment only:
 // its Cols, as wide as the table, are kept across calls, and a projected
 // column decodes into its vector whenever that is long enough. An
-// unfiltered lazy segment is not copied at all: the batch takes the decoded
-// vectors over and buf is left without them, for the caller to restock.
-// Decode errors wrap segment.ErrCorrupt.
-func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData) (*tuple.Batch, ScanBytes, error) {
+// unfiltered lazy segment is not copied at all: the batch takes over the
+// decoded vectors of the columns the leg hands on, and buf is left without
+// them, for the caller to restock. sc is the caller's filter scratch, kept
+// across calls the same way. Decode errors wrap segment.ErrCorrupt.
+func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData, sc *LegScratch) (*tuple.Batch, ScanBytes, error) {
 	var by ScanBytes
 	var cd *segment.ColumnData
 	n := len(seg.Rows)
@@ -143,18 +153,17 @@ func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData) (*tuple
 		}
 		by, n = segmentBytes(seg, cd), cd.NumRows
 		if l.filter == nil {
-			cols := make([]tuple.Vector, len(l.cols))
-			for c, src := range l.cols {
+			cols := make([]tuple.Vector, len(l.out))
+			for c, src := range l.out {
 				cols[c], cd.Cols[src] = cd.Cols[src], tuple.Vector{}
 			}
 			return tuple.BatchOf(l.schema, cols, n), by, nil
 		}
 	}
-	var sc legScratch
 	survivors := n
 	if l.filter != nil {
-		sc.sel = make([]int32, 0, n)
-		if err := l.selectRows(cd, seg.Rows, 0, n, &sc); err != nil {
+		sc.sel = slices.Grow(sc.sel[:0], n)
+		if err := l.selectRows(cd, seg.Rows, 0, n, sc); err != nil {
 			return nil, by, err
 		}
 		survivors = len(sc.sel)

@@ -7,6 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
+	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/layout"
 	"repro/internal/segment"
 	"repro/internal/skipper"
@@ -294,5 +297,61 @@ func TestEveryCheckCanFail(t *testing.T) {
 				t.Fatalf("doctored %s passed (err = %v)", tc.name, err)
 			}
 		})
+	}
+}
+
+// fullWidth returns spec with its Out dropped, so that every join stage is
+// as wide as the legs together, and a projection down to spec's own output
+// schema put in front of the unchanged shaping stage.
+func fullWidth(spec skipper.QuerySpec) skipper.QuerySpec {
+	narrow := spec.Join.OutputSchema()
+	q := *spec.Join
+	q.Out = nil
+	wide := q.OutputSchema()
+	cols := make([]engine.ProjectCol, narrow.Len())
+	for i, c := range narrow.Cols {
+		cols[i] = engine.ProjectCol{Name: c.Name, Kind: c.Kind, E: expr.Bind(wide, c.Name)}
+	}
+	return skipper.QuerySpec{Name: spec.Name, Join: &q, Bound: wide, Shape: func(in engine.Iterator) engine.Iterator {
+		return spec.Shape(engine.NewProject(in, cols))
+	}}
+}
+
+// TestOutChangesWidthNotRows: what the join stages carry changes no
+// result. The probe queries with their Out dropped shape byte-identical
+// rows to the oracle's with Out declared, and so on each engine with every
+// feature on; TestCrossFeatureCells runs the declared Out over its cells.
+func TestOutChangesWidthNotRows(t *testing.T) {
+	ds := ProbeDataset()
+	for _, spec := range Probe(ds.Catalog) {
+		if spec.Join.Out == nil {
+			t.Fatalf("%s declares no Out; the differential would be vacuous", spec.Name)
+		}
+	}
+	wide := func(cat *catalog.Catalog) []skipper.QuerySpec {
+		specs := Probe(cat)
+		for i, spec := range specs {
+			specs[i] = fullWidth(spec)
+		}
+		return specs
+	}
+	narrowRows, err := Oracle(ds, Probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wideRows, err := Oracle(ds, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range narrowRows {
+		if err := EqualRows(wideRows[j], narrowRows[j]); err != nil {
+			t.Fatalf("query %d, Out = nil vs declared: %v", j, err)
+		}
+	}
+	footprint := len(ds.Catalog.AllObjects())
+	for _, mode := range modes {
+		if err := Verify(ds, wide, []Cell{AllOn(mode, footprint)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

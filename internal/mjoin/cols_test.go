@@ -99,6 +99,10 @@ func TestColsValidated(t *testing.T) {
 			q.Relations[0].Cols = []int{0}
 			q.Relations[0].Filter = expr.ColEq(aSch, "ak_tag", tuple.Str("a1"))
 		}, "filter reads [ak_tag]"},
+		{"output column left out", func(q *Query) {
+			q.Relations[0].Cols = []int{0}
+			q.Out = []string{"ak_tag"}
+		}, `output column "ak_tag"`},
 	}
 	for _, tc := range cases {
 		q := twoWayQuery(cat)
@@ -110,4 +114,49 @@ func TestColsValidated(t *testing.T) {
 			t.Errorf("%s: Run accepted the query", tc.name)
 		}
 	}
+}
+
+// TestOutNarrowsEveryStage: over probeMatrix, a query whose Out names two
+// columns returns the Out = nil run's rows restricted to those two, in the
+// same order, and its cache entries keep only what a later join or the
+// output reads: a's key and tag, b's key, c's key.
+func TestOutNarrowsEveryStage(t *testing.T) {
+	probeMatrix(t, func(label string, cfg Config, memQ, v2Q *Query, memSrc, v2Src func() Source) {
+		for _, run := range []struct {
+			name string
+			q    *Query
+			src  func() Source
+		}{{"mem", memQ, memSrc}, {"v2", v2Q, v2Src}} {
+			wide, err := Run(run.q, cfg, run.src())
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := *run.q
+			q.Out = []string{"k2", "k0_tag"}
+			m, err := NewStream(&q, cfg, run.src())
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.onSubplan = func(entries []*cacheEntry) {
+				for r, want := range []int{2, 1, 1} {
+					if w := entries[r].batch.Schema().Len(); w != want {
+						t.Fatalf("%s %s: relation %d's cache entry is %d columns wide, want %d", label, run.name, r, w, want)
+					}
+				}
+			}
+			narrow := drain(t, m)
+			if got := m.Schema().ColumnNames(); !reflect.DeepEqual(got, []string{"k0_tag", "k2"}) {
+				t.Fatalf("%s %s: output schema %v, want [k0_tag k2]", label, run.name, got)
+			}
+			if len(narrow) != len(wide.Rows) || len(narrow) == 0 {
+				t.Fatalf("%s %s: %d rows with Out, %d without", label, run.name, len(narrow), len(wide.Rows))
+			}
+			tag, k2 := wide.Schema.MustColIndex("k0_tag"), wide.Schema.MustColIndex("k2")
+			for i, r := range wide.Rows {
+				if want := (tuple.Row{r[tag], r[k2]}); !reflect.DeepEqual(narrow[i], want) {
+					t.Fatalf("%s %s: row %d = %v, want %v", label, run.name, i, narrow[i], want)
+				}
+			}
+		}
+	})
 }

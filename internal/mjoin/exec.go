@@ -18,22 +18,25 @@ import (
 // execution probes those indexes directly — no per-subplan rebuild.
 // Relation 0 (the probe root) needs no index.
 //
-// Nothing on this path materializes a row, or carries a column the query
-// does not read:
+// Nothing on this path materializes a row, or carries a column nothing
+// above it reads:
 //
 //   - An arrival goes through its relation's leg kernel (engine.Leg): only
 //     Relation.Cols are decoded, the filter becomes a selection vector, and
-//     the cache entry holds the survivors of those columns, allocated at
-//     the survivor count; an unfiltered arrival's entry simply owns the
-//     columns it was decoded into (decodeArrival).
+//     the cache entry holds the survivors of the columns live above the
+//     leg — those Query.Out names, the left keys of later joins and the
+//     relation's own key — allocated at the survivor count; an unfiltered
+//     arrival's entry simply owns those columns' decoded vectors
+//     (decodeArrival). A column only the filter reads goes no further.
 //   - A partial tuple is one int32 row id per relation joined so far, held
 //     in struct-of-arrays scratch. Each chain level reads its left key
 //     straight from the cached column of the relation that owns it, walks
 //     the matching bucket of the next relation's index in ascending row
 //     order, and appends the ids of the matches (probeLevels).
 //   - Only the partials that survive the last level are gathered, column
-//     by column, into output chunks as wide as the legs together (emit).
-//     The Stream hands each chunk on as it completes and refills it after.
+//     by column and only the columns Query.Out names, into output chunks
+//     (emit). The Stream hands each chunk on as it completes and refills
+//     it after.
 //
 // So a run allocates nothing per row, and in proportion to its cache rather
 // than to its arrivals or its result: the next arrival, of any relation,
@@ -94,10 +97,11 @@ func (m *Stream) processArrival(seg *segment.Segment) error {
 }
 
 // decodeArrival turns one delivered segment into the batch a cache entry
-// holds — the relation's filtered rows, Cols wide — by running the
-// relation's leg kernel over it (engine.Leg.ReadSegment): a filtered
-// arrival is copied out of the relation's reused decode buffer at the
-// survivor count, an unfiltered lazy one owns its decoded vectors, which
+// holds — the relation's filtered rows, only the columns read above the
+// leg — by running the relation's leg kernel over it
+// (engine.Leg.ReadSegment) with the relation's decode buffer and filter
+// scratch: a filtered arrival is copied out of the buffer at the survivor
+// count, an unfiltered lazy one owns its decoded vectors, which
 // refill has restocked from the pool where it could. Decode errors (lazy
 // stores validate headers at build time, block contents on first decode)
 // and filter errors surface as errors, like the vanilla scan path.
@@ -105,7 +109,7 @@ func (m *Stream) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, eng
 	if seg.Lazy() {
 		m.refill(rel, seg.NumRows())
 	}
-	batch, by, err := m.probe.legs[rel].ReadSegment(seg, m.cds[rel])
+	batch, by, err := m.probe.legs[rel].ReadSegment(seg, m.cds[rel], &m.legScratch[rel])
 	if err != nil {
 		err = fmt.Errorf("mjoin: arrival %v: %w", seg.ID, err)
 	}
@@ -148,16 +152,16 @@ func (m *Stream) retire(e *cacheEntry, vectors bool) {
 }
 
 // refill readies relation rel's decode buffer for an arrival of n rows:
-// each column the leg reads whose vector holds fewer than n cells gets the
-// best-fitting one off the pool — of the same storage class, the slice its
-// kind picks — so the decode writes into it.
+// each column the leg decodes whose vector holds fewer than n cells gets
+// the best-fitting one off the pool — of the same storage class, the slice
+// its kind picks — so the decode writes into it.
 func (m *Stream) refill(rel, n int) {
-	leg := m.probe.legs[rel]
+	table := m.q.Relations[rel].Table.Schema
 	if m.cds[rel] == nil {
-		m.cds[rel] = &segment.ColumnData{Cols: make([]tuple.Vector, m.q.Relations[rel].Table.Schema.Len())}
+		m.cds[rel] = &segment.ColumnData{Cols: make([]tuple.Vector, table.Len())}
 	}
-	for c, src := range leg.Cols() {
-		k := leg.Schema().Cols[c].Kind
+	for _, src := range m.probe.legs[rel].Cols() {
+		k := table.Cols[src].Kind
 		if v := &m.cds[rel].Cols[src]; v.Cap(k) < n {
 			*v, _ = takeBest(&m.pool.vecs, n, func(v tuple.Vector) int { return v.Cap(k) })
 		}
@@ -184,20 +188,32 @@ func takeBest[T any](items *[]T, n int, size func(T) int) (T, bool) {
 }
 
 // probePlan is everything execution derives from a valid query, once: the
-// relations' legs and, resolved against the legs' narrow schemas, where each
-// join reads its keys.
+// relations' legs, how far up the plan each of their columns is read, and —
+// resolved against the legs' narrow schemas — where each join reads its
+// keys and what the output gathers.
 type probePlan struct {
-	// legs[r] is relation r's leg: Table.Schema restricted to Cols, with
-	// the relation's Filter.
+	// legs[r] is relation r's leg: Cols decoded, Filter applied, and the
+	// columns read above it handed on.
 	legs []*engine.Leg
-	// out is the output schema: the leg schemas, concatenated.
+	// out is the output schema: the leg schemas, concatenated, restricted
+	// to Query.Out.
 	out *tuple.Schema
+	// need holds one entry per column a relation decodes, relation r's from
+	// off[r] on: the last stage that reads the column — n, the relation
+	// count, when the output does, else the last join j whose key it is
+	// (join j attaches relation j), -1 when nothing above its leg does. So
+	// leg r hands on the columns with need ≥ r, and join i carries those
+	// with need > i: Out and the left keys of the joins after it.
+	off, need []int
 	// leftRel[i-1] and leftCol[i-1] are the relation (< i) and the column
-	// within its leg that Joins[i-1].LeftCol names.
-	leftRel, leftCol []int
+	// within its leg that Joins[i-1].LeftCol names; leftG[i-1] is that
+	// column's entry in need.
+	leftRel, leftCol, leftG []int
 	// keyCol[r] is the column of leg r that the relation's cache-entry
 	// index is keyed on (RightCol of its JoinCond); -1 for relation 0.
 	keyCol []int
+	// picks[r] lists the columns of leg r the output gathers.
+	picks [][]int
 }
 
 // buildProbePlan validates the query's structure and resolves it.
@@ -208,14 +224,7 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 	if len(q.Joins) != len(q.Relations)-1 {
 		return nil, fmt.Errorf("mjoin: query %s has %d relations but %d join conditions", q.ID, len(q.Relations), len(q.Joins))
 	}
-	// A plan is built per validation and per run: one slab backs its int
-	// lists.
-	n := len(q.Relations)
-	ints := make([]int, 4*n)
-	pp := &probePlan{
-		legs:    make([]*engine.Leg, 0, n),
-		leftRel: ints[:0:n], leftCol: ints[n : n : 2*n], keyCol: append(ints[2*n:2*n:3*n], -1),
-	}
+	n, w := len(q.Relations), 0
 	for ri, rel := range q.Relations {
 		for i, ci := range rel.Cols {
 			if ci < 0 || ci >= rel.Table.Schema.Len() || (i > 0 && ci <= rel.Cols[i-1]) {
@@ -233,36 +242,122 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 				return nil, fmt.Errorf("mjoin: query %s relation %d: filter reads %v, which Cols leaves out", q.ID, ri, outside)
 			}
 		}
-		pp.legs = append(pp.legs, engine.NewLeg(rel.Table.Schema, rel.Cols, rel.Filter))
+		w += rel.width()
 	}
-	pp.out = pp.legs[0].Schema()
-	// starts[r] is the offset of relation r's columns in the accumulated
-	// schema, which is what LeftCol resolves against.
-	starts := ints[3*n : 3*n+1 : 4*n]
+	// A plan is built per validation and per run: one slab backs its int
+	// lists, the legs' output columns and the output's picks among them.
+	ints := make([]int, 5*n+3*w)
+	pp := &probePlan{legs: make([]*engine.Leg, 0, n), picks: make([][]int, n)}
+	pp.off, ints = ints[:n+1], ints[n+1:]
+	pp.need, ints = ints[:w], ints[w:]
+	pp.keyCol, ints = ints[:n], ints[n:]
+	pp.leftRel, pp.leftCol, pp.leftG, ints = ints[:n-1], ints[n-1:2*n-2], ints[2*n-2:3*n-3], ints[3*n-3:]
+	outs, picks := ints[:0:w], ints[w:w]
+	for r := range q.Relations {
+		pp.off[r+1] = pp.off[r] + q.Relations[r].width()
+	}
+	for g := range pp.need {
+		pp.need[g] = -1
+		if q.Out == nil {
+			pp.need[g] = n
+		}
+	}
+	for _, name := range q.Out {
+		g := pp.column(q, name, 0, n)
+		if g < 0 {
+			return nil, fmt.Errorf("mjoin: query %s: output column %q is not among the columns its relations read", q.ID, name)
+		}
+		pp.need[g] = n
+	}
 	for i, jc := range q.Joins {
 		if jc.Rel != i+1 {
 			return nil, fmt.Errorf("mjoin: join %d must attach relation %d, got %d", i, i+1, jc.Rel)
 		}
-		idx, ok := pp.out.ColIndex(jc.LeftCol)
-		if !ok {
-			return nil, fmt.Errorf("mjoin: join %d: column %q not in accumulated schema %v", i, jc.LeftCol, pp.out.ColumnNames())
+		g, k := pp.column(q, jc.LeftCol, 0, i+1), pp.column(q, jc.RightCol, i+1, i+2)
+		if g < 0 {
+			return nil, fmt.Errorf("mjoin: join %d: column %q not in accumulated schema of relations 0..%d", i, jc.LeftCol, i)
 		}
-		rs := pp.legs[jc.Rel].Schema()
-		key, ok := rs.ColIndex(jc.RightCol)
-		if !ok {
-			return nil, fmt.Errorf("mjoin: join %d: column %q not among the columns %v read from relation %q", i, jc.RightCol, rs.ColumnNames(), q.Relations[jc.Rel].Table.Name)
+		if k < 0 {
+			return nil, fmt.Errorf("mjoin: join %d: column %q not among the columns read from relation %q", i, jc.RightCol, q.Relations[i+1].Table.Name)
 		}
-		rel := len(starts) - 1
-		for starts[rel] > idx {
-			rel--
+		pp.leftG[i], pp.keyCol[i+1] = g, k
+		pp.need[g], pp.need[k] = max(pp.need[g], i+1), max(pp.need[k], i+1)
+	}
+	// Each leg hands on what is read at or above it; the output gathers
+	// what the output reads.
+	cols := make([]tuple.Column, 0, w)
+	for r := range q.Relations {
+		rel := &q.Relations[r]
+		start, pstart := len(outs), len(picks)
+		for p := range rel.width() {
+			switch need := pp.need[pp.off[r]+p]; {
+			case need < r:
+				continue
+			case need == n:
+				picks = append(picks, len(outs)-start)
+				cols = append(cols, rel.Table.Schema.Cols[rel.col(p)])
+			}
+			outs = append(outs, rel.col(p))
 		}
-		pp.leftRel = append(pp.leftRel, rel)
-		pp.leftCol = append(pp.leftCol, idx-starts[rel])
-		pp.keyCol = append(pp.keyCol, key)
-		starts = append(starts, pp.out.Len())
-		pp.out = pp.out.Concat(rs)
+		var out []int
+		if len(outs)-start < rel.width() {
+			out = outs[start:len(outs):len(outs)]
+		}
+		pp.legs = append(pp.legs, engine.NewLeg(rel.Table.Schema, rel.Cols, out, rel.Filter))
+		pp.picks[r] = picks[pstart:len(picks):len(picks)]
+	}
+	pp.out = pp.legs[0].Schema()
+	if n > 1 {
+		for i, c := range cols {
+			for _, d := range cols[:i] {
+				if d.Name == c.Name {
+					return nil, fmt.Errorf("mjoin: query %s outputs two columns named %q", q.ID, c.Name)
+				}
+			}
+		}
+		pp.out = tuple.NewSchema(cols...)
+	}
+	pp.keyCol[0] = -1
+	for i := range q.Joins {
+		g, r := pp.leftG[i], 0
+		for pp.off[r+1] <= g {
+			r++
+		}
+		pp.leftRel[i], pp.leftCol[i] = r, pp.place(r, g)
+		pp.keyCol[i+1] = pp.place(i+1, pp.keyCol[i+1])
 	}
 	return pp, nil
+}
+
+// column returns, as an index into need, the column called name among those
+// relations [from, to) decode, or -1 when none of them does.
+func (pp *probePlan) column(q *Query, name string, from, to int) int {
+	for r := from; r < to; r++ {
+		rel := &q.Relations[r]
+		ci, ok := rel.Table.Schema.ColIndex(name)
+		if !ok {
+			continue
+		}
+		if rel.Cols != nil {
+			ci = slices.Index(rel.Cols, ci)
+		}
+		if ci >= 0 {
+			return pp.off[r] + ci
+		}
+	}
+	return -1
+}
+
+// place returns where column g of relation r sits among the columns r's leg
+// hands on.
+func (pp *probePlan) place(r, g int) int {
+	at := 0
+	for _, need := range pp.need[pp.off[r]:g] {
+		if need >= r {
+			at++
+		}
+	}
+	return at
 }
 
 // probeScratch is the reusable probe-chain state: the partial tuples of the
@@ -378,7 +473,7 @@ func (m *Stream) emit(srcs []*tuple.Batch, ids [][]int32, n int) {
 			m.out = append(m.out, tail)
 		}
 		hi := min(n, lo+tail.Cap()-tail.Len())
-		tail.AppendJoined(srcs, ids, lo, hi)
+		tail.AppendJoined(srcs, m.probe.picks, ids, lo, hi)
 		lo = hi
 	}
 }

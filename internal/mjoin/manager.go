@@ -124,8 +124,8 @@ type Stats struct {
 
 // Result bundles the join output with execution statistics.
 type Result struct {
-	// Schema describes the output rows: the relations' leg schemas
-	// (Table.Schema restricted to Cols), concatenated.
+	// Schema describes the output rows: the relations' leg schemas,
+	// concatenated and restricted to Query.Out.
 	Schema *tuple.Schema
 	// Rows is the join output: deterministic, row order included, given the
 	// arrival order.
@@ -155,8 +155,10 @@ type Stream struct {
 	// cds[r] is relation r's decode buffer, nil until it decodes an arrival:
 	// a filtered arrival's cache entry copies the survivors out of it, an
 	// unfiltered one takes its vectors, and refill restocks them from pool.
-	cds  []*segment.ColumnData
-	pool pool
+	// legScratch[r] is the relation's filter scratch, reused the same way.
+	cds        []*segment.ColumnData
+	legScratch []engine.LegScratch
+	pool       pool
 	// scratch is the probe chain's, reused across arrivals and subplans.
 	scratch probeScratch
 	// hashBuf is the reused key-hash buffer of the cache-entry build.
@@ -253,7 +255,7 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 		cache:        make(map[segment.ObjectID]*cacheEntry),
 		arrivalSeq:   make(map[segment.ObjectID]int),
 	}
-	m.cds = make([]*segment.ColumnData, len(q.Relations))
+	m.cds, m.legScratch = make([]*segment.ColumnData, len(q.Relations)), make([]engine.LegScratch, len(q.Relations))
 	for ri, rel := range q.Relations {
 		for si, id := range rel.Table.Objects {
 			ref := objRef{rel: ri, seg: si}
@@ -274,7 +276,7 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 	return m, nil
 }
 
-// Schema implements engine.Iterator: the leg schemas, concatenated.
+// Schema implements engine.Iterator: the output schema Query.Validate returns.
 func (m *Stream) Schema() *tuple.Schema { return m.probe.out }
 
 // Open implements engine.Iterator. The run starts on the first NextBatch.
@@ -371,10 +373,10 @@ func (m *Stream) step() {
 }
 
 // finish ends the run, failed when err is non-nil, and lets go of the
-// cache, its pool and the decode buffers.
+// cache, its pool and the decode buffers with their scratch.
 func (m *Stream) finish(err error) {
 	m.done, m.err = true, err
-	m.cache, m.cacheOrder, m.cds, m.pool = nil, nil, nil, pool{}
+	m.cache, m.cacheOrder, m.cds, m.legScratch, m.pool = nil, nil, nil, nil, pool{}
 }
 
 // skipByStats retires, before the first request cycle, every subplan

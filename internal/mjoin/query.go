@@ -34,19 +34,38 @@ type Relation struct {
 	Pruner stats.Pruner
 	// Cols is the relation's physical projection: the table columns, in
 	// ascending order, that the query reads from this relation (empty
-	// non-nil = none, the leg contributes bare row counts). The leg's schema
-	// is Table.Schema restricted to Cols, the query's output schema is the
-	// concatenation of the leg schemas, and nothing in between — arrival
-	// decode, cache entries, hash indexes, output chunks, the pull engine's
-	// scan batches and join rows — is wider. nil carries every column.
+	// non-nil = none, the leg contributes bare row counts; nil = every
+	// column). Against lazily decoded v2 segments only these column blocks
+	// are decoded, and Filter is evaluated over them. The relation's leg
+	// hands on fewer still: only the columns of Cols read above it — named
+	// by Query.Out, by a later join's LeftCol or by the relation's own
+	// RightCol. So a column only Filter reads is decoded, filtered on and
+	// dropped, and nothing after the filter — MJoin's cache entries, hash
+	// indexes and output chunks, the pull engine's scan batches, build
+	// sides and join rows — holds a column nothing above it reads.
 	//
 	// Filter stays bound against Table.Schema and may only read columns of
-	// Cols; JoinCond columns and whatever the caller's shaping stage binds
-	// are resolved by name against the narrow schemas, so a reference to a
-	// column outside Cols fails when the query is validated or the shape is
-	// bound, never at run time. Against lazily decoded v2 segments only
-	// these column blocks are decoded.
+	// Cols; JoinCond columns, Query.Out and whatever the caller's shaping
+	// stage binds are resolved by name, so a reference to a column outside
+	// Cols fails when the query is validated or the shape is bound, never
+	// at run time.
 	Cols []int
+}
+
+// width is how many columns the relation decodes: Cols, or the table's.
+func (r *Relation) width() int {
+	if r.Cols == nil {
+		return r.Table.Schema.Len()
+	}
+	return len(r.Cols)
+}
+
+// col returns the table column behind the relation's p-th decoded one.
+func (r *Relation) col(p int) int {
+	if r.Cols == nil {
+		return p
+	}
+	return r.Cols[p]
 }
 
 // JoinCond joins relation Rel (by index into Query.Relations) to the
@@ -71,10 +90,16 @@ type Query struct {
 	Relations []Relation
 	// Joins holds the R-1 conditions, one per relation after the first.
 	Joins []JoinCond
+	// Out names the columns the caller's shaping stage reads, each one of
+	// some relation's Cols; nil reads every leg column. The output schema
+	// is the leg schemas concatenated and restricted to Out, and every join
+	// stage of both engines carries only Out and the left keys of the joins
+	// after it.
+	Out []string
 }
 
 // Validate checks structural soundness and returns the output schema: the
-// relations' leg schemas (Table.Schema restricted to Cols), concatenated.
+// relations' leg schemas, concatenated and restricted to Out.
 func (q *Query) Validate() (*tuple.Schema, error) {
 	pp, err := buildProbePlan(q)
 	if err != nil {
@@ -83,14 +108,51 @@ func (q *Query) Validate() (*tuple.Schema, error) {
 	return pp.out, nil
 }
 
-// Legs validates the query like Validate and returns the relations' legs,
-// so a pull plan scans through the kernels validation built.
-func (q *Query) Legs() ([]*engine.Leg, error) {
+// Stage is the pull plan's hash join attaching relation i to the rows
+// joined before it (the (i-1)-th of Plan's stages): its key's place in that
+// build (left) input and in relation i's leg, and the columns of the two,
+// by place in the left schema followed by the right one, that a later join
+// or the output reads — nil when that is every column.
+type Stage struct {
+	LeftKey, RightKey int
+	Carry             []int
+}
+
+// Plan validates the query like Validate and returns what a pull plan is
+// built from: the relations' legs, so its scans run the kernels validation
+// built, and one Stage per join.
+func (q *Query) Plan() ([]*engine.Leg, []Stage, error) {
 	pp, err := buildProbePlan(q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return pp.legs, nil
+	n := len(pp.legs)
+	stages := make([]Stage, n-1)
+	carry := make([]int, 0, (n-1)*len(pp.need))
+	for i := 1; i < n; i++ {
+		st, start, p := &stages[i-1], len(carry), 0
+		// The join's inputs are the columns of relations up to i read at
+		// or above it; it carries those read above it.
+		for g, need := range pp.need[:pp.off[i+1]] {
+			if need < i {
+				continue
+			}
+			if g == pp.leftG[i-1] {
+				st.LeftKey = p
+			}
+			if need > i {
+				carry = append(carry, p)
+			}
+			p++
+		}
+		st.RightKey = pp.keyCol[i]
+		if len(carry)-start < p {
+			st.Carry = carry[start:len(carry):len(carry)]
+		} else {
+			carry = carry[:start]
+		}
+	}
+	return pp.legs, stages, nil
 }
 
 // OutputSchema returns the join output schema, panicking on an invalid

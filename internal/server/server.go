@@ -692,8 +692,8 @@ func (s *Server) explain(req *Request, tenant int) *Response {
 	if err != nil {
 		return errorResponse(req.ID, tenant, CodePlan, err)
 	}
-	if spec.Shape != nil {
-		it = spec.Shape(it)
+	if it, err = spec.Shaped(it); err != nil {
+		return errorResponse(req.ID, tenant, CodePlan, err)
 	}
 	if req.Analyze {
 		return s.explainAnalyze(req, tenant, it)

@@ -278,8 +278,8 @@ func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec Que
 		return nil, err
 	}
 	scans := engine.SeqScans(it)
-	if spec.Shape != nil {
-		it = spec.Shape(it)
+	if it, err = spec.Shaped(it); err != nil {
+		return nil, err
 	}
 	rows, err := engine.Collect(it)
 	if err != nil {
@@ -325,9 +325,9 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 	// completed, so post-join filters, aggregation and ORDER BY run
 	// batch-at-a-time in skipper mode too; rows exist only for what the
 	// query returns.
-	var it engine.Iterator = join
-	if spec.Shape != nil {
-		it = spec.Shape(it)
+	it, err := spec.Shaped(join)
+	if err != nil {
+		return nil, err
 	}
 	rows, err := engine.Collect(it)
 	if err != nil {
@@ -386,9 +386,10 @@ func addStats(a, b mjoin.Stats) mjoin.Stats {
 
 // BuildPullPlan translates an mjoin.Query into the classical engine's
 // left-deep plan: sequential scans — each carrying its relation's Cols and
-// Filter, so it emits the same narrow, filtered leg MJoin caches — joined by
-// blocking binary hash joins, pulled in plan order. Relation Pruners are
-// attached to the scans (data skipping on).
+// Filter and handing on the same narrow, filtered leg MJoin caches — joined
+// by blocking binary hash joins, each carrying only the columns read above
+// it (mjoin.Stage), pulled in plan order. Relation Pruners are attached to
+// the scans (data skipping on).
 func BuildPullPlan(ctx *engine.Ctx, q *mjoin.Query) (engine.Iterator, error) {
 	return BuildPullPlanPruned(ctx, q, true)
 }
@@ -397,21 +398,22 @@ func BuildPullPlan(ctx *engine.Ctx, q *mjoin.Query) (engine.Iterator, error) {
 // prune=false leaves the relation Pruners off the scans, so every
 // segment is fetched — the pre-statistics behaviour.
 func BuildPullPlanPruned(ctx *engine.Ctx, q *mjoin.Query, prune bool) (engine.Iterator, error) {
-	legs, err := q.Legs()
+	legs, stages, err := q.Plan()
 	if err != nil {
 		return nil, err
 	}
-	its := make([]engine.Iterator, len(q.Relations))
+	var it engine.Iterator
 	for i, rel := range q.Relations {
 		scan := engine.NewLegScan(ctx, rel.Table, legs[i])
 		if prune {
 			scan.Pruner = rel.Pruner
 		}
-		its[i] = scan
-	}
-	it := its[0]
-	for i, jc := range q.Joins {
-		it = engine.JoinOn(it, its[i+1], [][2]string{{jc.LeftCol, jc.RightCol}})
+		if i == 0 {
+			it = scan
+			continue
+		}
+		st := stages[i-1]
+		it = engine.NewHashJoinCarry(it, scan, []int{st.LeftKey}, []int{st.RightKey}, st.Carry)
 	}
 	return it, nil
 }

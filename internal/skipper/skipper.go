@@ -9,6 +9,7 @@ package skipper
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/catalog"
@@ -88,6 +89,40 @@ type QuerySpec struct {
 	// Shape, if non-nil, wraps the join output (vanilla) or the MJoin
 	// result rows (skipper) with the final operators.
 	Shape func(input engine.Iterator) engine.Iterator
+	// Bound is the join output schema Shape was bound against, which a run
+	// checks the join's output against before it applies Shape; nil stands
+	// for Join.OutputSchema(), then computed on every run.
+	Bound *tuple.Schema
+}
+
+// SchemaError reports a join whose output is not the schema its query's
+// shaping stage was bound against: applied, the shape would read whatever
+// columns sit at the places it bound.
+type SchemaError struct {
+	Query string
+	// Bound and Got render the two schemas, names and kinds.
+	Bound, Got string
+}
+
+func (e *SchemaError) Error() string {
+	return fmt.Sprintf("skipper: query %s: the join outputs %s, but its shape was bound against %s", e.Query, e.Got, e.Bound)
+}
+
+// Shaped applies the spec's shaping stage to it, the spec's join, once it
+// has checked that the join outputs the names and kinds Shape was bound
+// against; a spec without a Shape returns it unchanged.
+func (spec QuerySpec) Shaped(it engine.Iterator) (engine.Iterator, error) {
+	if spec.Shape == nil {
+		return it, nil
+	}
+	bound := spec.Bound
+	if bound == nil {
+		bound = spec.Join.OutputSchema()
+	}
+	if got := it.Schema(); !slices.Equal(got.Cols, bound.Cols) {
+		return nil, &SchemaError{Query: spec.Name, Bound: bound.String(), Got: got.String()}
+	}
+	return spec.Shape(it), nil
 }
 
 // ClientStats is the per-client timing record used by the experiments.

@@ -113,13 +113,13 @@ func (pl *Planner) PlanStmt(stmt *SelectStmt) (skipper.QuerySpec, error) {
 	}
 
 	// Compute, per table, the set of base columns the whole statement
-	// references — each relation's physical projection: its leg carries
-	// these columns and no others from decode to join output.
-	proj := referencedColumns(stmt, b)
+	// references — each relation's physical projection, what its leg
+	// decodes — and the names of those the shaping stage reads, the query's
+	// Out: beside them the join stages carry only the keys of later joins.
+	proj, out := referencedColumns(stmt, b, postJoin)
 
 	// Assemble the MJoin query in chain order.
-	var q mjoin.Query
-	q.ID = "sql"
+	q := mjoin.Query{ID: "sql", Out: out}
 	for pos, ti := range order {
 		rel := mjoin.Relation{Table: tables[ti].meta, Cols: proj[ti]}
 		if fs := localFilters[ti]; len(fs) > 0 {
@@ -154,7 +154,7 @@ func (pl *Planner) PlanStmt(stmt *SelectStmt) (skipper.QuerySpec, error) {
 	if err != nil {
 		return skipper.QuerySpec{}, err
 	}
-	return skipper.QuerySpec{Name: "sql", Join: &q, Shape: shape}, nil
+	return skipper.QuerySpec{Name: "sql", Join: &q, Shape: shape, Bound: joined}, nil
 }
 
 // conjuncts flattens a WHERE tree over AND.
@@ -818,18 +818,24 @@ func stripQualifiers(n Node) Node {
 // DISTINCT queries bind against the output schema, whose inputs are
 // already covered by the select items and GROUP BY. The result becomes
 // mjoin.Relation.Cols, the physical projection of each relation's leg on
-// both engines.
+// both engines. Beside it come the names of the columns the shaping stage
+// reads — all of those but what only a local filter or a chain join key
+// reads; postJoin holds the conjuncts the stage evaluates, surplus join
+// edges included — which become mjoin.Query.Out.
 //
 // A SELECT *, or any reference the analysis cannot resolve (binding will
 // fail later with a proper error anyway), widens the projection to every
-// column (nil). A table none of whose columns are referenced — SELECT
-// COUNT(*) with no predicate — yields an empty non-nil set: a leg of bare
-// row counts.
-func referencedColumns(stmt *SelectStmt, b *binder) [][]int {
+// column (nil) and Out to every leg column (nil). A table none of whose
+// columns are referenced — SELECT COUNT(*) with no predicate — yields an
+// empty non-nil set: a leg of bare row counts.
+func referencedColumns(stmt *SelectStmt, b *binder, postJoin []Node) ([][]int, []string) {
 	refs := make([]map[string]bool, len(b.tables))
 	for i := range refs {
 		refs[i] = make(map[string]bool)
 	}
+	// live collects what the shaping stage reads: every column the walk
+	// meets before the WHERE clause, which it walks last, shaped off.
+	live, shaped := make(map[string]bool), true
 	all := false
 	var walk func(n Node)
 	walk = func(n Node) {
@@ -844,6 +850,9 @@ func referencedColumns(stmt *SelectStmt, b *binder) [][]int {
 				return
 			}
 			refs[ti][v.Ref.Column] = true
+			if shaped {
+				live[v.Ref.Column] = true
+			}
 		case BinNode:
 			walk(v.L)
 			walk(v.R)
@@ -868,7 +877,6 @@ func referencedColumns(stmt *SelectStmt, b *binder) [][]int {
 			all = true
 		}
 	}
-	walk(stmt.Where)
 	hasAgg := len(stmt.GroupBy) > 0
 	for _, it := range stmt.Items {
 		if it.Agg != "" {
@@ -892,12 +900,23 @@ func referencedColumns(stmt *SelectStmt, b *binder) [][]int {
 			walk(oi.Expr)
 		}
 	}
+	for _, n := range postJoin {
+		walk(n)
+	}
+	shaped = false
+	walk(stmt.Where)
 	out := make([][]int, len(b.tables))
 	if all {
-		return out // nil per table: decode everything
+		return out, nil // nil per table: decode and carry everything
 	}
+	names := make([]string, 0, len(live))
 	for ti, t := range b.tables {
 		schema := t.meta.Schema
+		for _, c := range schema.Cols {
+			if live[c.Name] {
+				names = append(names, c.Name)
+			}
+		}
 		if len(refs[ti]) == schema.Len() {
 			continue // every column referenced: nil, skip the fill work
 		}
@@ -909,7 +928,7 @@ func referencedColumns(stmt *SelectStmt, b *binder) [][]int {
 		}
 		out[ti] = cols
 	}
-	return out
+	return out, names
 }
 
 // outName picks the output column name for a select item.

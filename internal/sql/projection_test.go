@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sql"
@@ -131,4 +132,33 @@ func TestProjectionNeverDropsLiveColumns(t *testing.T) {
 		}
 	}
 	_ = ds
+}
+
+// TestPlannerOutNamesWhatTheShapeReads: Query.Out lists exactly the base
+// columns the shaping stage reads — select items, GROUP BY, a base-bound
+// ORDER BY and the post-join conjuncts, surplus join edges included — and
+// none that only a local filter or a chain join key reads; SELECT * leaves
+// it nil, and COUNT(*) empty.
+func TestPlannerOutNamesWhatTheShapeReads(t *testing.T) {
+	pl, _ := tpchPlanner(t)
+	for query, want := range map[string][]string{
+		`SELECT l_shipmode, COUNT(*) AS n FROM lineitem, orders
+		 WHERE l_orderkey = o_orderkey AND o_totalprice > 100.0
+		 GROUP BY l_shipmode ORDER BY l_shipmode`: {"l_shipmode"},
+		`SELECT COUNT(*) AS n FROM lineitem`:                           {},
+		`SELECT * FROM nation, region WHERE n_regionkey = r_regionkey`: nil,
+		`SELECT n_name FROM nation ORDER BY n_nationkey`:               {"n_nationkey", "n_name"},
+		`SELECT n_name FROM customer, nation, supplier
+		 WHERE c_nationkey = n_nationkey AND s_nationkey = n_nationkey AND c_custkey = s_suppkey`: {"c_custkey", "n_name", "s_suppkey"},
+		`SELECT l_orderkey FROM lineitem, orders
+		 WHERE l_orderkey = o_orderkey AND l_quantity < o_custkey`: {"l_orderkey", "l_quantity", "o_custkey"},
+	} {
+		spec, err := pl.Plan(query)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		if got := spec.Join.Out; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Out = %#v, want %#v", query, got, want)
+		}
+	}
 }

@@ -251,16 +251,16 @@ func (b *Batch) AppendProjected(r Row, pick []int) {
 	b.n++
 }
 
-// AppendJoined appends hi-lo rows to a batch whose schema is the
-// concatenation of the srcs' schemas: output row k is row ids[0][lo+k] of
-// srcs[0] followed by row ids[1][lo+k] of srcs[1], and so on — the late
+// AppendJoined appends hi-lo rows to the batch: output row k is the
+// columns picks[0] of row ids[0][lo+k] of srcs[0], followed by the columns
+// picks[1] of row ids[1][lo+k] of srcs[1], and so on — the late
 // materialization step of a join that carried its partial tuples as one
 // row id per input. Cells are gathered column by column.
-func (b *Batch) AppendJoined(srcs []*Batch, ids [][]int32, lo, hi int) {
+func (b *Batch) AppendJoined(srcs []*Batch, picks [][]int, ids [][]int32, lo, hi int) {
 	c := 0
 	for r, src := range srcs {
-		for _, col := range src.cols {
-			b.cols[c].appendGather(b.schema.Cols[c].Kind, col, ids[r][lo:hi])
+		for _, col := range picks[r] {
+			b.cols[c].appendGather(b.schema.Cols[c].Kind, src.cols[col], ids[r][lo:hi])
 			c++
 		}
 	}

@@ -206,7 +206,7 @@ func TestZeroColumnBatchCountsRows(t *testing.T) {
 		t.Fatalf("BatchOf: len %d cap %d, want 9 9", adopted.Len(), adopted.Cap())
 	}
 	joined := NewBatch(none, 3)
-	joined.AppendJoined([]*Batch{b}, [][]int32{{0, 1, 0}}, 0, 3)
+	joined.AppendJoined([]*Batch{b}, [][]int{{}}, [][]int32{{0, 1, 0}}, 0, 3)
 	if joined.Len() != 3 {
 		t.Fatalf("AppendJoined: len %d, want 3", joined.Len())
 	}
@@ -255,7 +255,8 @@ func TestAppendPicksColumns(t *testing.T) {
 }
 
 // TestAppendJoinedGathersByRowID: AppendJoined lays the selected rows of
-// each source side by side, in id order, for any [lo, hi) window.
+// each source side by side, in id order, for any [lo, hi) window, and only
+// the columns it is asked for.
 func TestAppendJoinedGathersByRowID(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	ls := NewSchema(Column{Name: "a", Kind: KindInt64}, Column{Name: "b", Kind: KindString})
@@ -273,12 +274,19 @@ func TestAppendJoinedGathersByRowID(t *testing.T) {
 		ids[0], ids[1] = append(ids[0], int32(l)), append(ids[1], int32(r))
 		want = append(want, lrows[l].Concat(rrows[r]))
 	}
-	out := NewBatch(ls.Concat(rs), 4)
-	out.AppendJoined(srcs, ids, 0, 13)
-	out.AppendJoined(srcs, ids, 13, 13)
-	out.AppendJoined(srcs, ids, 13, 50)
+	out, all := NewBatch(ls.Concat(rs), 4), [][]int{{0, 1}, {0}}
+	out.AppendJoined(srcs, all, ids, 0, 13)
+	out.AppendJoined(srcs, all, ids, 13, 13)
+	out.AppendJoined(srcs, all, ids, 13, 50)
 	if !reflect.DeepEqual(out.Rows(), want) {
 		t.Fatalf("joined rows differ:\n got %v\nwant %v", out.Rows(), want)
+	}
+	picked := NewBatch(NewSchema(ls.Cols[1], rs.Cols[0]), 4)
+	picked.AppendJoined(srcs, [][]int{{1}, {0}}, ids, 0, 50)
+	for k, r := range picked.Rows() {
+		if w := (Row{want[k][1], want[k][2]}); !reflect.DeepEqual(r, w) {
+			t.Fatalf("picked row %d = %v, want %v", k, r, w)
+		}
 	}
 	if got := out.AppendRows(out.Rows()[:2]); !reflect.DeepEqual(got[2:], want) || len(got) != 52 {
 		t.Fatal("AppendRows did not append the batch's rows after dst's")

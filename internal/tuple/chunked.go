@@ -35,9 +35,10 @@ func (c *ChunkedBatch) Reset(schema *Schema) { *c = ChunkedBatch{schema: schema}
 // Len returns the number of rows in the store.
 func (c *ChunkedBatch) Len() int { return c.n }
 
-// Append copies every row of src (which must share the schema's kinds)
-// into the store, one bulk copy per column and chunk it lands in.
-func (c *ChunkedBatch) Append(src *Batch) {
+// Append copies every row of src into the store, one bulk copy per column
+// and chunk it lands in: store column k is src column pick[k], of the same
+// kind, so a store narrower than its input keeps only its own columns.
+func (c *ChunkedBatch) Append(src *Batch, pick []int) {
 	if src.n == 0 {
 		return
 	}
@@ -51,7 +52,7 @@ func (c *ChunkedBatch) Append(src *Batch) {
 		}
 		last := c.chunks[c.used-1]
 		hi := min(src.n, lo+last.capacity-last.n)
-		last.AppendRange(src, lo, hi)
+		last.AppendColumns(src.cols, pick, lo, hi)
 		lo = hi
 	}
 	c.n += src.n
@@ -127,27 +128,28 @@ func matchKey[T Key](a [][]T, at []Loc, b []T, bi []int32) int {
 	return n
 }
 
-// AppendJoinedChunked appends len(at) rows to a batch whose schema is the
-// build store's followed by the probe batch's: output row k is build row
-// at[k] followed by probe row pi[k]. Cells are gathered column by column.
-func (b *Batch) AppendJoinedChunked(build *ChunkedBatch, at []Loc, probe *Batch, pi []int32) {
-	w := len(build.schema.Cols)
-	for c := range w {
+// AppendJoinedChunked appends len(at) rows to the batch: output row k is
+// the columns bpick of build row at[k] followed by the columns ppick of
+// probe row pi[k], gathered column by column. A join that carries every
+// column passes every column of both.
+func (b *Batch) AppendJoinedChunked(build *ChunkedBatch, bpick []int, at []Loc, probe *Batch, ppick []int, pi []int32) {
+	for c, src := range bpick {
 		v := &b.cols[c]
 		switch b.schema.Cols[c].Kind {
 		case KindFloat64:
 			var t [maxChunks][]float64
-			v.F = gatherAt(v.F, column(build, c, &t, floats), at)
+			v.F = gatherAt(v.F, column(build, src, &t, floats), at)
 		case KindString:
 			var t [maxChunks][]string
-			v.S = gatherAt(v.S, column(build, c, &t, strs), at)
+			v.S = gatherAt(v.S, column(build, src, &t, strs), at)
 		default:
 			var t [maxChunks][]int64
-			v.I = gatherAt(v.I, column(build, c, &t, ints), at)
+			v.I = gatherAt(v.I, column(build, src, &t, ints), at)
 		}
 	}
-	for c, col := range probe.cols {
-		b.cols[w+c].appendGather(b.schema.Cols[w+c].Kind, col, pi)
+	w := len(bpick)
+	for c, src := range ppick {
+		b.cols[w+c].appendGather(b.schema.Cols[w+c].Kind, probe.cols[src], pi)
 	}
 	b.n += len(at)
 }

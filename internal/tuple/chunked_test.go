@@ -18,12 +18,21 @@ func pieces(sch *Schema, rows []Row, sizes ...int) []*Batch {
 	return out
 }
 
+// every lists a schema's columns in order: the identity selection.
+func every(s *Schema) []int {
+	cols := make([]int, s.Len())
+	for i := range cols {
+		cols[i] = i
+	}
+	return cols
+}
+
 // chunkedFrom appends the pieces of rows to a fresh ChunkedBatch.
 func chunkedFrom(sch *Schema, rows []Row, sizes ...int) *ChunkedBatch {
 	var c ChunkedBatch
 	c.Reset(sch)
 	for _, b := range pieces(sch, rows, sizes...) {
-		c.Append(b)
+		c.Append(b, every(sch))
 	}
 	return &c
 }
@@ -107,13 +116,43 @@ func TestChunkedBuildMatchesBatch(t *testing.T) {
 			at[k] = store.Loc(id)
 		}
 		joined, want := NewBatch(sch.Concat(other), 4), NewBatch(sch.Concat(other), 4)
-		joined.AppendJoinedChunked(store, at, probe, pids)
-		want.AppendJoined([]*Batch{flat, probe}, [][]int32{ids, pids}, 0, len(ids))
+		joined.AppendJoinedChunked(store, every(sch), at, probe, every(other), pids)
+		want.AppendJoined([]*Batch{flat, probe}, [][]int{every(sch), every(other)}, [][]int32{ids, pids}, 0, len(ids))
 		checkSame(t, what+" AppendJoinedChunked", joined.Rows(), want.Rows())
 
 		if sch.Len() == 0 {
 			continue
 		}
+		// A selection of each side's columns, in any order, is all a store
+		// keeps and all a gather reads.
+		bp, pp := rng.Perm(sch.Len())[:1+rng.Intn(sch.Len())], rng.Perm(other.Len())[:rng.Intn(other.Len()+1)]
+		var picked ChunkedBatch
+		picked.Reset(sch.Project(bp))
+		for _, b := range pieces(sch, rows, cuts...) {
+			picked.Append(b, bp)
+		}
+		narrow := NewBatch(sch.Project(bp).Concat(other.Project(pp)), 4)
+		narrow.AppendJoinedChunked(store, bp, at, probe, pp, pids)
+		var pref, nref []Row
+		for id := 0; id < n; id++ {
+			var r Row
+			for _, c := range bp {
+				r = append(r, flat.Row(id)[c])
+			}
+			pref = append(pref, r)
+		}
+		for k, id := range ids {
+			r := pref[id].Clone()
+			for _, c := range pp {
+				r = append(r, probe.Row(int(pids[k]))[c])
+			}
+			nref = append(nref, r)
+		}
+		for id := range pref {
+			at := picked.Loc(int32(id))
+			checkSame(t, fmt.Sprintf("%s: picked row %d", what, id), []Row{picked.chunks[at.Chunk].Row(int(at.Off))}, pref[id:id+1])
+		}
+		checkSame(t, what+" AppendJoinedChunked selection", narrow.Rows(), nref)
 		ak, bk := []int{rng.Intn(sch.Len())}, []int{rng.Intn(other.Len())}
 		var keep []int
 		for k, id := range ids {

@@ -246,8 +246,9 @@ func TestTypedBatchMatchesRowReference(t *testing.T) {
 		joined, jref := NewBatch(jsch, 2), &refBatch{schema: jsch}
 		cut := rng.Intn(len(ids[0]) + 1)
 		srcs, rsrcs := []*Batch{full, FromRows(other, orows)}, []*refBatch{{rows: rows}, {rows: orows}}
-		joined.AppendJoined(srcs, ids, 0, cut)
-		joined.AppendJoined(srcs, ids, cut, len(ids[0]))
+		picks := [][]int{every(sch), every(other)}
+		joined.AppendJoined(srcs, picks, ids, 0, cut)
+		joined.AppendJoined(srcs, picks, ids, cut, len(ids[0]))
 		jref.appendJoined(rsrcs, ids, 0, len(ids[0]))
 		checkBatch(t, what+" AppendJoined", joined, jref)
 	}

@@ -24,8 +24,8 @@ func EvaluatePruned(ds *Dataset, spec skipper.QuerySpec, prune bool) ([]tuple.Ro
 	if err != nil {
 		return nil, err
 	}
-	if spec.Shape != nil {
-		it = spec.Shape(it)
+	if it, err = spec.Shaped(it); err != nil {
+		return nil, err
 	}
 	return engine.Collect(it)
 }

@@ -107,5 +107,5 @@ func MRJoinTask(cat *catalog.Catalog) skipper.QuerySpec {
 			})
 		return engine.NewSort(agg, []engine.SortKey{{E: expr.NewCol(2, "totalRevenue"), Desc: true}})
 	}
-	return skipper.QuerySpec{Name: "mr-join", Join: join, Shape: shape}
+	return skipper.QuerySpec{Name: "mr-join", Join: join, Shape: shape, Bound: outSchema}
 }

@@ -111,5 +111,5 @@ func SSBQ1(cat *catalog.Catalog) skipper.QuerySpec {
 		return engine.NewHashAgg(in, nil,
 			[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}})
 	}
-	return skipper.QuerySpec{Name: "ssb-q1", Join: join, Shape: shape}
+	return skipper.QuerySpec{Name: "ssb-q1", Join: join, Shape: shape, Bound: outSchema}
 }

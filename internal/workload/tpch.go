@@ -263,6 +263,9 @@ func Q12(cat *catalog.Catalog) skipper.QuerySpec {
 			{Table: orders, Cols: colsOf(orders.Schema, "o_orderkey", "o_orderpriority")},
 		},
 		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "l_orderkey", RightCol: "o_orderkey"}},
+		// The shaping stage reads the ship mode and the priority; the dates
+		// are only filtered on.
+		Out: []string{"l_shipmode", "o_orderpriority"},
 	}
 	outSchema := join.OutputSchema()
 	highPri := expr.In{
@@ -284,7 +287,7 @@ func Q12(cat *catalog.Catalog) skipper.QuerySpec {
 			})
 		return engine.NewSort(agg, []engine.SortKey{{E: expr.NewCol(0, "l_shipmode")}})
 	}
-	return skipper.QuerySpec{Name: "tpch-q12", Join: join, Shape: shape}
+	return skipper.QuerySpec{Name: "tpch-q12", Join: join, Shape: shape, Bound: outSchema}
 }
 
 // Q5 builds TPC-H Q5 ("local supplier volume"): a six-relation join whose
@@ -319,6 +322,9 @@ func Q5(cat *catalog.Catalog) skipper.QuerySpec {
 			{Rel: 4, LeftCol: "s_nationkey", RightCol: "n_nationkey"},
 			{Rel: 5, LeftCol: "n_regionkey", RightCol: "r_regionkey"},
 		},
+		// The shaping stage reads the cycle edge, the revenue terms and the
+		// group key; every other column is a key some join consumes.
+		Out: []string{"c_nationkey", "s_nationkey", "l_extendedprice", "l_discount", "n_name"},
 	}
 	outSchema := join.OutputSchema()
 	shape := func(in engine.Iterator) engine.Iterator {
@@ -341,5 +347,5 @@ func Q5(cat *catalog.Catalog) skipper.QuerySpec {
 			[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}})
 		return engine.NewSort(agg, []engine.SortKey{{E: expr.NewCol(1, "revenue"), Desc: true}})
 	}
-	return skipper.QuerySpec{Name: "tpch-q5", Join: join, Shape: shape}
+	return skipper.QuerySpec{Name: "tpch-q5", Join: join, Shape: shape, Bound: outSchema}
 }
