@@ -140,8 +140,11 @@ func (l *Leg) appendRows(dst *tuple.Batch, cd *segment.ColumnData, rows []tuple.
 // column decodes into its vector whenever that is long enough. An
 // unfiltered lazy segment is not copied at all: the batch takes over the
 // decoded vectors of the columns the leg hands on, and buf is left without
-// them, for the caller to restock. sc is the caller's filter scratch, kept
-// across calls the same way. Decode errors wrap segment.ErrCorrupt.
+// them, for the caller to restock; a memoized segment's decoded vectors are
+// read-only views (segment.ColumnData.Views), and the batch is then a view
+// too (tuple.Batch.View), which the caller must not reuse as buffers. sc is
+// the caller's filter scratch, kept across calls the same way. Decode
+// errors wrap segment.ErrCorrupt.
 func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData, sc *LegScratch) (*tuple.Batch, ScanBytes, error) {
 	var by ScanBytes
 	var cd *segment.ColumnData
@@ -156,6 +159,9 @@ func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData, sc *Leg
 			cols := make([]tuple.Vector, len(l.out))
 			for c, src := range l.out {
 				cols[c], cd.Cols[src] = cd.Cols[src], tuple.Vector{}
+			}
+			if cd.Views() {
+				return tuple.ViewOf(l.schema, cols, n), by, nil
 			}
 			return tuple.BatchOf(l.schema, cols, n), by, nil
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/expr"
 	"repro/internal/layout"
+	"repro/internal/objstore"
 	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/trace"
@@ -193,6 +194,10 @@ func TestEveryCheckCanFail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The store is encoded in the cell's format, as Verify encodes it.
+	if ds, err = objstore.ReencodeDataset(ds, cell.Format); err != nil {
+		t.Fatal(err)
+	}
 	type run struct {
 		cl  *skipper.Cluster
 		res *skipper.RunResult
@@ -261,6 +266,7 @@ func TestEveryCheckCanFail(t *testing.T) {
 		{"fleet", "a device missing", cell, func(r run) { r.res.Devices = r.res.Devices[:1] }, fleet},
 		{"cache", "no hits", cell, func(r run) { r.res.Cache.Hits = 0 }, cache},
 		{"cache", "no GETs saved", cell, func(r run) { r.res.CSD.GetsReceived = 1 << 30 }, cache},
+		{"cache", "no decode saved", cell, func(r run) { r.res.Clients[0].BytesDecoded = 1 << 40 }, cache},
 		{"cache", "statistics without a cache", cell, func(r run) {}, func(c Cell, r run) error { return checkCache(r.res, r.res) }},
 		{"traced", "makespan moved", cell, func(r run) { r.res.Makespan++ }, traced},
 		{"traced", "device GETs moved", cell, func(r run) { r.res.CSD.GetsReceived++ }, traced},

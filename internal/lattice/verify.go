@@ -223,14 +223,24 @@ func CheckRows(res *skipper.RunResult, want [][]tuple.Row) error {
 
 // checkCache is the cache axis: against the same cell without the cache,
 // the cache must have hit and must have removed device traffic (a second
-// pass over the same segments cannot cost the device what the first did);
-// a cache-less run reports no cache statistics.
+// pass over the same segments cannot cost the device what the first did),
+// and over an encoded store its entries' decoded columns must have removed
+// decode work too; a cache-less run reports no cache statistics.
 func checkCache(on, off *skipper.RunResult) error {
 	if on.Cache == nil || on.Cache.Hits == 0 {
 		return axisErr("cache", "repeated-query workload produced no cache hits")
 	}
 	if on.CSD.GetsReceived >= off.CSD.GetsReceived {
 		return axisErr("cache", "device GETs did not drop: %d with cache vs %d without", on.CSD.GetsReceived, off.CSD.GetsReceived)
+	}
+	decoded := func(res *skipper.RunResult) (n int64) {
+		for _, cs := range res.Clients {
+			n += cs.BytesDecoded
+		}
+		return n
+	}
+	if d := decoded(off); d > 0 && decoded(on) >= d {
+		return axisErr("cache", "decoded bytes did not drop: %d with cache vs %d without", decoded(on), d)
 	}
 	if off.Cache != nil {
 		return axisErr("cache", "cache statistics reported for a cache-off run: %+v", *off.Cache)

@@ -26,8 +26,9 @@ import (
 //     the cache entry holds the survivors of the columns live above the
 //     leg — those Query.Out names, the left keys of later joins and the
 //     relation's own key — allocated at the survivor count; an unfiltered
-//     arrival's entry simply owns those columns' decoded vectors
-//     (decodeArrival). A column only the filter reads goes no further.
+//     arrival's entry simply owns those columns' decoded vectors, or views
+//     them when a segment cache memoized them (decodeArrival). A column
+//     only the filter reads goes no further.
 //   - A partial tuple is one int32 row id per relation joined so far, held
 //     in struct-of-arrays scratch. Each chain level reads its left key
 //     straight from the cached column of the relation that owns it, walks
@@ -102,12 +103,13 @@ func (m *Stream) processArrival(seg *segment.Segment) error {
 // (engine.Leg.ReadSegment) with the relation's decode buffer and filter
 // scratch: a filtered arrival is copied out of the buffer at the survivor
 // count, an unfiltered lazy one owns its decoded vectors, which
-// refill has restocked from the pool where it could. Decode errors (lazy
+// refill has restocked from the pool where it could, or shares a memoized
+// segment's as a read-only view that is never pooled. Decode errors (lazy
 // stores validate headers at build time, block contents on first decode)
 // and filter errors surface as errors, like the vanilla scan path.
 func (m *Stream) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, engine.ScanBytes, error) {
 	if seg.Lazy() {
-		m.refill(rel, seg.NumRows())
+		m.refill(rel, seg)
 	}
 	batch, by, err := m.probe.legs[rel].ReadSegment(seg, m.cds[rel], &m.legScratch[rel])
 	if err != nil {
@@ -139,27 +141,35 @@ type pool struct {
 }
 
 // retire pools an evicted entry's index arrays and, when its relation
-// decodes arrivals (a mem-format one has nothing to refill), its vectors.
+// decodes arrivals (a mem-format one has nothing to refill) into vectors the
+// entry owns, its vectors: a view of a memoized segment's columns
+// (tuple.Batch.View) is shared with every other reader of that segment and
+// never reaches the pool.
 func (m *Stream) retire(e *cacheEntry, vectors bool) {
 	if e.keyIdx >= 0 {
 		m.pool.indexes = append(m.pool.indexes, e.index)
 	}
-	if vectors {
+	if vectors && !e.batch.View() {
 		for c := range e.batch.Schema().Cols {
 			m.pool.vecs = append(m.pool.vecs, e.batch.Col(c))
 		}
 	}
 }
 
-// refill readies relation rel's decode buffer for an arrival of n rows:
-// each column the leg decodes whose vector holds fewer than n cells gets
-// the best-fitting one off the pool — of the same storage class, the slice
-// its kind picks — so the decode writes into it.
-func (m *Stream) refill(rel, n int) {
+// refill readies relation rel's decode buffer for an arrival: each column
+// the leg decodes whose vector holds fewer cells than the segment has rows
+// gets the best-fitting one off the pool — of the same storage class, the
+// slice its kind picks — so the decode writes into it. A memoized segment
+// decodes into its memo, not the buffer, and takes nothing off the pool.
+func (m *Stream) refill(rel int, seg *segment.Segment) {
 	table := m.q.Relations[rel].Table.Schema
 	if m.cds[rel] == nil {
 		m.cds[rel] = &segment.ColumnData{Cols: make([]tuple.Vector, table.Len())}
 	}
+	if seg.Memoized() {
+		return
+	}
+	n := seg.NumRows()
 	for _, src := range m.probe.legs[rel].Cols() {
 		k := table.Cols[src].Kind
 		if v := &m.cds[rel].Cols[src]; v.Cap(k) < n {

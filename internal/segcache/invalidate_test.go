@@ -25,7 +25,7 @@ func TestInvalidateUnpinned(t *testing.T) {
 		t.Fatalf("budget not reclaimed: %+v", st)
 	}
 	// The freed space is usable again.
-	if !c.Put(oid(3), seg(3, 2)) {
+	if c.Put(oid(3), seg(3, 2)) == nil {
 		t.Fatalf("freed space not admitting")
 	}
 }

@@ -11,6 +11,13 @@
 // (and counted) rather than flushing the cache on its way out. Entries
 // are sized by their nominal (paper-scale, 1 GB) object size, so budgets
 // are expressible in objects/GB exactly like the MJoin cache capacity.
+//
+// An entry keeps the columns decoded from it (segment.Memoize): each is
+// decoded by the first reader that projects it, and every later reader, of
+// any query or tenant, is handed the same vectors as read-only views. The
+// decoded bytes stay with the entry and go with it, so they are bounded by
+// the budget in objects times a decoded object's size; they are reported
+// (Stats.BytesDecoded), not charged against the nominal budget.
 package segcache
 
 import (
@@ -22,7 +29,8 @@ import (
 )
 
 // Stats counts what the cache did since creation. Snapshot via
-// Cache.Stats; all counters are monotone except Entries/BytesCached.
+// Cache.Stats; all counters are monotone except Entries, BytesCached and
+// BytesDecoded.
 type Stats struct {
 	// Hits / Misses count Get outcomes.
 	Hits, Misses int64
@@ -41,13 +49,18 @@ type Stats struct {
 	// Entries / BytesCached describe the current contents.
 	Entries     int
 	BytesCached int64
+	// BytesDecoded is the logical size of the columns the resident entries
+	// keep decoded (segment.Segment.MemoBytes).
+	BytesDecoded int64
 	// Budget echoes the configured capacity in bytes.
 	Budget int64
 }
 
 // entry is one cached segment.
 type entry struct {
-	id   segment.ObjectID
+	id segment.ObjectID
+	// seg is the memoized copy of the admitted segment that every hit
+	// hands out.
 	seg  *segment.Segment
 	size int64
 	elem *list.Element
@@ -116,27 +129,29 @@ func (c *Cache) Contains(id segment.ObjectID) bool {
 }
 
 // Put admits the segment, evicting least-recently-used entries until it
-// fits. Re-putting a resident object only refreshes recency. Returns
-// false when admission was rejected: the segment alone exceeds the
-// budget.
-func (c *Cache) Put(id segment.ObjectID, seg *segment.Segment) bool {
+// fits, and returns the resident copy, which keeps the columns decoded
+// from it: the caller reads that copy in place of seg, so its own decode
+// fills the entry. Re-putting a resident object only refreshes recency and
+// returns the resident copy. Returns nil when admission was rejected: the
+// segment alone exceeds the budget.
+func (c *Cache) Put(id segment.ObjectID, seg *segment.Segment) *segment.Segment {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[id]; ok {
 		c.lru.MoveToFront(e.elem)
-		return true
+		return e.seg
 	}
 	sz := size(seg)
 	if !c.makeRoom(sz) {
 		c.stats.Rejected++
-		return false
+		return nil
 	}
-	e := &entry{id: id, seg: seg, size: sz}
+	e := &entry{id: id, seg: seg.Memoize(), size: sz}
 	e.elem = c.lru.PushFront(e)
 	c.entries[id] = e
 	c.used += sz
 	c.stats.Inserted++
-	return true
+	return e.seg
 }
 
 // makeRoom evicts LRU entries until sz fits in the budget, reporting
@@ -186,5 +201,8 @@ func (c *Cache) Stats() Stats {
 	st.Entries = len(c.entries)
 	st.BytesCached = c.used
 	st.Budget = c.budget
+	for _, e := range c.entries {
+		st.BytesDecoded += e.seg.MemoBytes()
+	}
 	return st
 }

@@ -19,7 +19,7 @@ func seg(i int, bytes int64) *segment.Segment {
 func TestHitMissAndLRUOrder(t *testing.T) {
 	c := New(3e9)
 	for i := 0; i < 3; i++ {
-		if !c.Put(oid(i), seg(i, 1e9)) {
+		if c.Put(oid(i), seg(i, 1e9)) == nil {
 			t.Fatalf("put %d rejected", i)
 		}
 	}
@@ -45,7 +45,7 @@ func TestHitMissAndLRUOrder(t *testing.T) {
 
 func TestPutOversizedRejected(t *testing.T) {
 	c := New(1e9)
-	if c.Put(oid(0), seg(0, 2e9)) {
+	if c.Put(oid(0), seg(0, 2e9)) != nil {
 		t.Fatal("oversized put admitted")
 	}
 	if st := c.Stats(); st.Rejected != 1 || st.Entries != 0 {
@@ -57,7 +57,7 @@ func TestRejectionDoesNotFlush(t *testing.T) {
 	c := New(3e9)
 	c.Put(oid(0), seg(0, 1e9))
 	c.Put(oid(1), seg(1, 1e9))
-	if c.Put(oid(2), seg(2, 4e9)) {
+	if c.Put(oid(2), seg(2, 4e9)) != nil {
 		t.Fatal("over-budget put admitted")
 	}
 	// The hopeless insert must not have evicted anything on its way out.

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/tuple"
@@ -156,6 +157,55 @@ type Segment struct {
 	NominalBytes int64
 
 	payload *payload
+	// memo, when non-nil, keeps the columns decoded from the payload
+	// (Memoize).
+	memo *memo
+}
+
+// memo keeps the columns decoded from one lazy segment: each is decoded
+// the first time a reader projects it, into a vector of the memo's own, and
+// handed to every reader after that as a read-only view. mu serializes the
+// fills, so concurrent readers of one segment decode each column once.
+type memo struct {
+	mu    sync.Mutex
+	cols  []tuple.Vector // one per schema column
+	done  []bool         // done[ci]: cols[ci] is filled
+	bytes int64          // logical size of the filled columns
+}
+
+// Memoize returns a copy of a lazy segment that keeps the columns decoded
+// from it. The first DecodeColumns through the copy that projects a column
+// decodes it into the memo; every later one, by any reader, is handed the
+// memo's vector as a read-only view (ColumnData.Views) and counts no bytes
+// decoded. The segment cache memoizes what it admits, so decoded columns
+// stay with the entry and go when it is evicted. An in-memory segment has
+// nothing to decode and is returned as it is.
+func (g *Segment) Memoize() *Segment {
+	if g.payload == nil {
+		return g
+	}
+	m := &struct {
+		seg  Segment
+		memo memo
+	}{seg: *g}
+	m.seg.memo = &m.memo
+	return &m.seg
+}
+
+// Memoized reports whether the segment keeps its decoded columns
+// (Memoize): its decodes hand out read-only views.
+func (g *Segment) Memoized() bool { return g.memo != nil }
+
+// MemoBytes returns the logical size (8 bytes per numeric, the payload
+// length per string) of the columns a memoized segment has decoded so far;
+// 0 for any other segment.
+func (g *Segment) MemoBytes() int64 {
+	if g.memo == nil {
+		return 0
+	}
+	g.memo.mu.Lock()
+	defer g.memo.mu.Unlock()
+	return g.memo.bytes
 }
 
 // Lazy reports whether the segment holds an encoded payload to be decoded
@@ -218,7 +268,8 @@ func (g *Segment) VerifyChecksum() error {
 // copy fails while the original stays intact. The fault injector serves
 // these to model bit rot in flight. Returns nil for an in-memory segment,
 // which carries no checksum — the injector then degrades the fault to a
-// transient failure instead.
+// transient failure instead. The copy keeps no memo: its columns decode, and
+// fail, from its own bytes.
 func (g *Segment) CorruptedCopy() *Segment {
 	p := g.payload
 	if p == nil {
@@ -237,7 +288,7 @@ func (g *Segment) CorruptedCopy() *Segment {
 	np := payload{rows: p.rows, size: p.size, dir: p.dir,
 		raw: raw, body: raw[len(raw)-len(p.body):], crc: p.crc}
 	c := *g
-	c.payload = &np
+	c.payload, c.memo = &np, nil
 	return &c
 }
 
@@ -490,7 +541,16 @@ type ColumnData struct {
 	BytesMaterialized int64
 	// want marks the projected columns of the decode in progress.
 	want []bool
+	// views is set while Cols holds a memoized segment's vectors.
+	views bool
 }
+
+// Views reports whether the last decode handed out a memoized segment's
+// vectors (Segment.Memoize): Cols are then read-only views, shared with
+// every other reader of the segment, which must not be written into,
+// pooled or given away as a buffer. The next decode into the same
+// ColumnData drops them rather than decoding into them.
+func (cd *ColumnData) Views() bool { return cd.views }
 
 // DecodeColumns decodes the projected columns of a lazy segment. proj
 // lists schema column indexes to decode, in any order; nil means every
@@ -501,6 +561,10 @@ type ColumnData struct {
 // A caller may also stock a fresh ColumnData's Cols (one entry per schema
 // column) with vectors of its own: a projected column decodes into its
 // vector whenever that is long enough.
+//
+// A memoized segment decodes each column once, into its memo, and hands
+// Cols out as views of the memo's vectors (ColumnData.Views); a column
+// already in the memo counts no bytes decoded or materialized.
 func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnData) (*ColumnData, error) {
 	p := g.payload
 	if p == nil {
@@ -515,6 +579,17 @@ func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnD
 	}
 	if len(cd.want) != schema.Len() {
 		cd.want = make([]bool, schema.Len())
+	}
+	if cd.views && g.memo == nil {
+		clear(cd.Cols) // never decode into another segment's memo
+	}
+	mo := g.memo
+	if cd.views = mo != nil; mo != nil {
+		mo.mu.Lock()
+		defer mo.mu.Unlock()
+		if mo.cols == nil {
+			mo.cols, mo.done = make([]tuple.Vector, schema.Len()), make([]bool, schema.Len())
+		}
 	}
 	cd.NumRows = p.rows
 	cd.BytesDecoded, cd.BytesSkipped, cd.BytesMaterialized = 0, 0, 0
@@ -538,21 +613,31 @@ func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnD
 			block = block[m.BlockLen:]
 			continue
 		}
-		col := schema.Cols[ci]
-		if err := decodeColumn(col.Kind, m.Encoding, block[:m.BlockLen], p.rows, &cd.Cols[ci]); err != nil {
+		col, dst := schema.Cols[ci], &cd.Cols[ci]
+		if mo != nil {
+			if dst = &mo.cols[ci]; mo.done[ci] {
+				cd.Cols[ci] = *dst
+				block = block[m.BlockLen:]
+				continue
+			}
+		}
+		if err := decodeColumn(col.Kind, m.Encoding, block[:m.BlockLen], p.rows, dst); err != nil {
 			return nil, fmt.Errorf("segment %v: column %q: %v: %w", g.ID, col.Name, err, ErrCorrupt)
 		}
+		size := dst.Size(col.Kind, p.rows)
+		if mo != nil {
+			mo.done[ci], mo.bytes, cd.Cols[ci] = true, mo.bytes+size, *dst
+		}
 		cd.BytesDecoded += int64(m.BlockLen)
-		cd.BytesMaterialized += cd.Cols[ci].Size(col.Kind, p.rows)
+		cd.BytesMaterialized += size
 		block = block[m.BlockLen:]
 	}
 	return cd, nil
 }
 
 // Materialize returns the segment's rows, decoding every column of a lazy
-// payload. The result is freshly allocated per call (it is not cached on
-// the segment), so repeated materializations model repeated decode work —
-// exactly what MJoin's rescan accounting expects.
+// payload. The rows are freshly allocated per call; only a memoized
+// segment's column decode is done once.
 func (g *Segment) Materialize(schema *tuple.Schema) ([]tuple.Row, error) {
 	if g.payload == nil {
 		return g.Rows, nil

@@ -113,8 +113,9 @@ type Response struct {
 	// as footer lines. ProcessingUS and StalledUS split VirtualUS into
 	// compute charges and waits on the device; DeviceGets[d] is the GETs
 	// device d of a fleet received (absent on one device); the SegCache
-	// fields are the tenant's cache after the run, hits and misses its
-	// lifetime's; DecodeBusyUS is host time spent decoding.
+	// fields are the tenant's cache after the run (SegCacheDecoded the
+	// bytes its entries keep decoded), hits and misses its lifetime's;
+	// DecodeBusyUS is host time spent decoding.
 	ProcessingUS      int64 `json:"processing_us,omitempty"`
 	StalledUS         int64 `json:"stalled_us,omitempty"`
 	Switches          int   `json:"switches,omitempty"`
@@ -127,6 +128,7 @@ type Response struct {
 	SegCacheEntries   int   `json:"segcache_entries,omitempty"`
 	SegCacheBytes     int64 `json:"segcache_bytes,omitempty"`
 	SegCacheBudget    int64 `json:"segcache_budget,omitempty"`
+	SegCacheDecoded   int64 `json:"segcache_decoded,omitempty"`
 	SegCacheHits      int64 `json:"segcache_hits,omitempty"`
 	SegCacheMisses    int64 `json:"segcache_misses,omitempty"`
 	BytesFetched      int64 `json:"bytes_fetched,omitempty"`
@@ -205,6 +207,7 @@ func (r *Response) account(res *skipper.RunResult, cache *segcache.Cache) {
 	if cache != nil {
 		st := cache.Stats()
 		r.SegCacheEntries, r.SegCacheBytes, r.SegCacheBudget = st.Entries, st.BytesCached, st.Budget
+		r.SegCacheDecoded = st.BytesDecoded
 		r.SegCacheHits, r.SegCacheMisses = st.Hits, st.Misses
 	}
 	r.BytesFetched, r.BytesDecoded = cs.BytesFetched, cs.BytesDecoded

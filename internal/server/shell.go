@@ -86,8 +86,8 @@ func renderFooter(w io.Writer, r *Response) {
 			r.TransientFaults, r.CorruptDeliveries, r.Crashes, r.Retries, us(r.BackoffUS).Seconds(), r.Failovers)
 	}
 	if r.SegCacheBudget > 0 {
-		fmt.Fprintf(w, "-- segcache: %d objects resident (%s of %s budget), %.0f%% lifetime hit ratio\n",
-			r.SegCacheEntries, gb(r.SegCacheBytes), gb(r.SegCacheBudget),
+		fmt.Fprintf(w, "-- segcache: %d objects resident (%s of %s budget, %d bytes kept decoded), %.0f%% lifetime hit ratio\n",
+			r.SegCacheEntries, gb(r.SegCacheBytes), gb(r.SegCacheBudget), r.SegCacheDecoded,
 			100*metrics.HitRatio(r.SegCacheHits, r.SegCacheMisses))
 	}
 	if r.BytesFetched > 0 {

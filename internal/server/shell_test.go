@@ -152,14 +152,14 @@ func TestRenderGolden(t *testing.T) {
 			Type: "result", RowCount: 0, VirtualUS: us(time.Minute), WallUS: 1500, Gets: 9,
 			DeviceGets:      []int{5, 3},
 			TransientFaults: 2, CorruptDeliveries: 1, Crashes: 1, Retries: 4, BackoffUS: us(1500 * time.Millisecond), Failovers: 1,
-			SegCacheEntries: 3, SegCacheBytes: 3e9, SegCacheBudget: 8e9, SegCacheHits: 1, SegCacheMisses: 3,
+			SegCacheEntries: 3, SegCacheBytes: 3e9, SegCacheBudget: 8e9, SegCacheDecoded: 4800, SegCacheHits: 1, SegCacheMisses: 3,
 			BytesFetched: 1000, BytesDecoded: 250, BytesSkipped: 750, BytesMaterialized: 90,
 			PrefetchIssued: 3, PrefetchServed: 1, PrefetchUseful: 2, DecodeBusyUS: 40,
 		}, out: `(0 rows)
 -- 60.0s virtual (processing 0.0s, stalled 0.0s), 0s queued, 1.5ms wall, 9 GETs (0 from cache, 0 pruned), 0 switches
 -- fleet: 2 devices, GETs d0:5 d1:3
 -- faults: 2 transient, 1 corrupt, 1 crashes; recovered with 4 retries (1.5s backoff), 1 failovers
--- segcache: 3 objects resident (3 GB of 8 GB budget), 25% lifetime hit ratio
+-- segcache: 3 objects resident (3 GB of 8 GB budget, 4800 bytes kept decoded), 25% lifetime hit ratio
 -- decode: 1000 bytes fetched, 250 decoded, 750 skipped by projection (75%), 90 materialized; 40µs busy
 -- prefetch: 3 issued, 1 served staged, 2 useful
 `},

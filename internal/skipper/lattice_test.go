@@ -351,6 +351,40 @@ func TestPerClientCacheOverridesShared(t *testing.T) {
 	}
 }
 
+// TestWarmCacheDecodesNothing: on both engines, a run over a segment cache
+// that already holds every object, and the columns the run's queries read,
+// decodes no byte and returns the oracle's rows; the cache reports the
+// decoded columns it keeps.
+func TestWarmCacheDecodesNothing(t *testing.T) {
+	p := newProbe(t)
+	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := p.cell
+			c.Mode = mode
+			warm := segcache.NewObjects(c.SharedCache)
+			var decoded [2]int64
+			for pass := range decoded {
+				cl := p.cluster(c, 1)
+				cl.SharedCache = warm
+				res, err := cl.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := lattice.CheckRows(res, p.want); err != nil {
+					t.Fatal(err)
+				}
+				decoded[pass] = res.Clients[0].BytesDecoded
+			}
+			if decoded[0] == 0 || decoded[1] != 0 {
+				t.Fatalf("decoded %d bytes cold, %d warm; want some, then none", decoded[0], decoded[1])
+			}
+			if st := warm.Stats(); st.BytesDecoded == 0 {
+				t.Fatalf("the cache reports no decoded columns: %+v", st)
+			}
+		})
+	}
+}
+
 // contractBreaker is a Scheduler that violates NextGroup's contract on
 // its first consultation.
 type contractBreaker struct{}

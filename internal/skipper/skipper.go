@@ -469,7 +469,9 @@ func (px *proxy) NextArrival() (*segment.Segment, error) {
 		switch class {
 		case deliveryOK:
 			if px.cache != nil {
-				px.cache.Put(d.Object, d.Seg)
+				if seg := px.cache.Put(d.Object, d.Seg); seg != nil {
+					return seg, nil // the cache's copy: this decode fills it
+				}
 			}
 			return d.Seg, nil
 		case deliveryFatal:

@@ -120,6 +120,8 @@ type Batch struct {
 	// from the column buffers so that a batch of a zero-column schema — a
 	// COUNT(*) leg — still has room for rows.
 	capacity int
+	// view marks a batch over columns it does not own (ViewOf).
+	view bool
 }
 
 // NewBatch returns an empty batch over schema with room for capacity rows
@@ -181,6 +183,19 @@ func BatchOf(schema *Schema, cols []Vector, n int) *Batch {
 	return &Batch{schema: schema, cols: cols, n: n, capacity: n}
 }
 
+// ViewOf is BatchOf over read-only columns the caller does not own, such
+// as a memoized segment's: the batch shares them without copying, and
+// neither it nor anyone holding it may write into them or reuse them as
+// buffers (View). Appending grows into new buffers; Reset panics.
+func ViewOf(schema *Schema, cols []Vector, n int) *Batch {
+	b := BatchOf(schema, cols, n)
+	b.view = true
+	return b
+}
+
+// View reports whether the batch wraps read-only columns (ViewOf).
+func (b *Batch) View() bool { return b.view }
+
 // Schema describes the batch's columns.
 func (b *Batch) Schema() *Schema { return b.schema }
 
@@ -194,8 +209,12 @@ func (b *Batch) Cap() int { return b.capacity }
 // Full reports whether the batch has reached its capacity.
 func (b *Batch) Full() bool { return b.n >= b.capacity }
 
-// Reset empties the batch, keeping the column buffers for reuse.
+// Reset empties the batch, keeping the column buffers for reuse. A view
+// (ViewOf) has no buffers of its own to reuse, and panics.
 func (b *Batch) Reset() {
+	if b.view {
+		panic("tuple: Reset of a read-only view")
+	}
 	for i := range b.cols {
 		v := &b.cols[i]
 		v.I, v.F, v.S = v.I[:0], v.F[:0], v.S[:0]

@@ -179,6 +179,34 @@ func TestBatchOfAdoptsColumns(t *testing.T) {
 	}
 }
 
+// TestViewLeavesItsColumnsAlone: a view shares the columns it wraps, grows
+// into buffers of its own when appended to, and refuses Reset, which would
+// hand the owner's cells out for overwriting.
+func TestViewLeavesItsColumnsAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	sch := batchTestSchema()
+	rows := []Row{randRow(rng), randRow(rng), randRow(rng)}
+	owner := FromRows(sch, rows)
+	cols := make([]Vector, sch.Len())
+	for c := range cols {
+		cols[c] = owner.Col(c)
+	}
+	v := ViewOf(sch, cols, 2)
+	if !v.View() || owner.View() || &v.Col(0).I[0] != &owner.Col(0).I[0] {
+		t.Fatal("ViewOf did not share its columns as a view")
+	}
+	v.AppendRow(randRow(rng))
+	if !reflect.DeepEqual(owner.Rows(), rows) {
+		t.Fatal("appending to a view wrote into its owner's columns")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of a view did not panic")
+		}
+	}()
+	v.Reset()
+}
+
 // TestZeroColumnBatchCountsRows: a batch over a schema without columns — a
 // COUNT(*) leg — has the capacity it was made with and counts the rows
 // appended to it, through every append path.
