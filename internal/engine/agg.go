@@ -288,5 +288,5 @@ func (a *HashAgg) nextBatch() (*tuple.Batch, bool, error) {
 // Close implements Iterator.
 func (a *HashAgg) Close() error {
 	a.out = nil
-	return nil
+	return closeOutput(&a.ob, nil)
 }

@@ -14,12 +14,24 @@ const DefaultBatchSize = 1024
 // allocated on first use at the size of that first input and replaced only
 // when a larger input follows, so a plan moving 25 rows never pays for 1024;
 // the batch handed out by the previous call stays valid until this one.
+// A replaced batch goes back to the working-memory pool.
 func sizedOutput(out **tuple.Batch, schema *tuple.Schema, rows int) *tuple.Batch {
 	if want := min(rows, DefaultBatchSize); *out == nil || (*out).Cap() < want {
+		(*out).Release()
 		*out = tuple.NewBatch(schema, want)
 	}
 	(*out).Reset()
 	return *out
+}
+
+// closeOutput is an operator's Close: it releases the output batch and
+// closes child, if there is one.
+func closeOutput(out **tuple.Batch, child Iterator) error {
+	(*out).Release()
+	if *out = nil; child == nil {
+		return nil
+	}
+	return child.Close()
 }
 
 // serveRowSlice serves rows[*idx:] through a reused batch no larger than

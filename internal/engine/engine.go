@@ -93,11 +93,12 @@ type Iterator interface {
 	Open() error
 	// NextBatch returns the next batch of rows; ok=false signals
 	// exhaustion. A returned batch is never empty, and is valid only
-	// until the next NextBatch call, so blocking consumers copy what
-	// they keep.
+	// until the next NextBatch or Close call, which may hand its storage
+	// to another query, so blocking consumers copy what they keep.
 	NextBatch() (*tuple.Batch, bool, error)
-	// Close releases resources; it may finish work first (an MJoin stream
-	// runs its join to the end). Close after a failed Open is allowed.
+	// Close hands the operator's batches and scratch back to the
+	// working-memory pool; it may finish work first (an MJoin stream runs
+	// its join to the end). Close after a failed Open is allowed.
 	Close() error
 	// Schema describes the output rows.
 	Schema() *tuple.Schema
@@ -341,8 +342,13 @@ func (s *SeqScan) nextBatch() (*tuple.Batch, bool, error) {
 	}
 }
 
-// Close implements Iterator.
+// Close implements Iterator, releasing the output batch, decode buffer
+// (unless it holds views) and selection vector.
 func (s *SeqScan) Close() error {
+	if s.cd != nil {
+		s.cd.Release()
+	}
+	s.scratch.Release()
 	s.rows, s.cd = nil, nil
-	return nil
+	return closeOutput(&s.out, nil)
 }

@@ -183,7 +183,7 @@ func (j *HashJoin) probe() {
 	b, out := j.probeBatch, j.out
 	for j.row < b.Len() && !out.Full() {
 		room := out.Cap() - out.Len()
-		at, pids := slices.Grow(j.at[:0], room), slices.Grow(j.pids[:0], room)
+		at, pids := tuple.Resize(j.at, room)[:0], tuple.Resize(j.pids, room)[:0]
 		for j.row < b.Len() && len(at) < room {
 			for ; j.match >= 0 && len(at) < room; j.match = j.index.Next(j.match) {
 				at, pids = append(at, j.build.Loc(j.match)), append(pids, int32(j.row))
@@ -242,9 +242,14 @@ func (j *HashJoin) nextBatch() (*tuple.Batch, bool, error) {
 	}
 }
 
-// Close implements Iterator.
+// Close implements Iterator, releasing the build store, index, output
+// batch and scratch.
 func (j *HashJoin) Close() error {
-	j.build, j.index = tuple.ChunkedBatch{}, tuple.HashIndex{}
-	j.probeBatch = nil
-	return j.right.Close()
+	j.build.Reset(j.store)
+	j.index.Release()
+	tuple.Release(j.hashes)
+	tuple.Release(j.at)
+	tuple.Release(j.pids)
+	j.probeBatch, j.hashes, j.at, j.pids = nil, nil, nil, nil
+	return closeOutput(&j.out, j.right)
 }

@@ -64,9 +64,6 @@ func NewLeg(table *tuple.Schema, cols, out []int, filter expr.Expr) *Leg {
 // the columns the leg hands on.
 func (l *Leg) Schema() *tuple.Schema { return l.schema }
 
-// Cols lists the table columns the leg decodes, in ascending order.
-func (l *Leg) Cols() []int { return l.cols }
-
 // segmentBytes is the byte accounting of one decoded segment.
 func segmentBytes(seg *segment.Segment, cd *segment.ColumnData) ScanBytes {
 	return ScanBytes{
@@ -86,6 +83,12 @@ type LegScratch struct {
 	sel []int32
 }
 
+// Release hands the selection vector back to the working-memory pool.
+func (sc *LegScratch) Release() {
+	tuple.Release(sc.sel)
+	sc.sel = nil
+}
+
 // selectRows leaves in sc.sel the positions in [lo, hi) of a segment —
 // decoded columns cd, or materialized rows when cd is nil — that pass the
 // filter.
@@ -93,7 +96,7 @@ func (l *Leg) selectRows(cd *segment.ColumnData, rows []tuple.Row, lo, hi int, s
 	if cd != nil && len(sc.row) != l.table.Len() {
 		sc.row = make(tuple.Row, l.table.Len())
 	}
-	sc.sel = sc.sel[:0]
+	sc.sel = tuple.Resize(sc.sel, hi-lo)[:0]
 	for i := lo; i < hi; i++ {
 		row := sc.row
 		if cd == nil {
@@ -140,9 +143,10 @@ func (l *Leg) appendRows(dst *tuple.Batch, cd *segment.ColumnData, rows []tuple.
 // column decodes into its vector whenever that is long enough. An
 // unfiltered lazy segment is not copied at all: the batch takes over the
 // decoded vectors of the columns the leg hands on, and buf is left without
-// them, for the caller to restock; a memoized segment's decoded vectors are
-// read-only views (segment.ColumnData.Views), and the batch is then a view
-// too (tuple.Batch.View), which the caller must not reuse as buffers. sc is
+// them: the next decode into buf draws those from the working-memory pool.
+// A memoized segment's decoded vectors are read-only views
+// (segment.ColumnData.Views), and the batch is then a view too
+// (tuple.Batch.View), which the caller must not reuse as buffers. sc is
 // the caller's filter scratch, kept across calls the same way. Decode
 // errors wrap segment.ErrCorrupt.
 func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData, sc *LegScratch) (*tuple.Batch, ScanBytes, error) {
@@ -168,7 +172,6 @@ func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData, sc *Leg
 	}
 	survivors := n
 	if l.filter != nil {
-		sc.sel = slices.Grow(sc.sel[:0], n)
 		if err := l.selectRows(cd, seg.Rows, 0, n, sc); err != nil {
 			return nil, by, err
 		}

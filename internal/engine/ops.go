@@ -65,7 +65,7 @@ func (f *Filter) nextBatch() (*tuple.Batch, bool, error) {
 }
 
 // Close implements Iterator.
-func (f *Filter) Close() error { return f.child.Close() }
+func (f *Filter) Close() error { return closeOutput(&f.out, f.child) }
 
 // ProjectCol is one output column of a projection.
 type ProjectCol struct {
@@ -143,7 +143,7 @@ func (pr *Project) nextBatch() (*tuple.Batch, bool, error) {
 }
 
 // Close implements Iterator.
-func (pr *Project) Close() error { return pr.child.Close() }
+func (pr *Project) Close() error { return closeOutput(&pr.out, pr.child) }
 
 // Limit passes through at most N rows. Full child batches within the
 // budget pass through unchanged (zero copy); the batch straddling the
@@ -199,7 +199,7 @@ func (l *Limit) nextBatch() (*tuple.Batch, bool, error) {
 }
 
 // Close implements Iterator.
-func (l *Limit) Close() error { return l.child.Close() }
+func (l *Limit) Close() error { return closeOutput(&l.out, l.child) }
 
 // Distinct suppresses duplicate rows (SELECT DISTINCT). It is streaming:
 // each row is remembered in a table that finds duplicates the way HashAgg
@@ -263,7 +263,7 @@ func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
 // Close implements Iterator.
 func (d *Distinct) Close() error {
 	d.seen = nil
-	return d.child.Close()
+	return closeOutput(&d.out, d.child)
 }
 
 // Values is a leaf iterator over in-memory rows.
@@ -299,4 +299,4 @@ func (v *Values) nextBatch() (*tuple.Batch, bool, error) {
 }
 
 // Close implements Iterator.
-func (v *Values) Close() error { return nil }
+func (v *Values) Close() error { return closeOutput(&v.out, nil) }

@@ -106,5 +106,5 @@ func (s *Sort) nextBatch() (*tuple.Batch, bool, error) {
 // Close implements Iterator.
 func (s *Sort) Close() error {
 	s.out = nil
-	return nil
+	return closeOutput(&s.ob, nil)
 }

@@ -86,13 +86,20 @@ func Verify(ds *workload.Dataset, queries func(*catalog.Catalog) []skipper.Query
 }
 
 // verifyCell runs the cell, its tracing twin and — for a cell with a
-// shared cache — its cache-less twin, each over a fresh workload and each
-// held to checkRun, then the two comparisons a single run cannot make.
+// shared cache — its cache-less twin, each twice back to back over fresh
+// workloads and each held to checkRun, then the two comparisons a single
+// run cannot make. The second run draws the working memory the first one
+// released to the pool (tuple.Release), so whatever reads memory after
+// releasing it reads another run's, or the poison a test binary writes.
 func verifyCell(c Cell, workload func() Workload, want [][]tuple.Row) error {
-	run := func(c Cell) (*skipper.Cluster, *skipper.RunResult, error) {
-		cl, res, err := runSettled(c, workload())
-		if err == nil {
-			err = checkRun(c, res, want)
+	run := func(c Cell) (cl *skipper.Cluster, res *skipper.RunResult, err error) {
+		for range 2 {
+			if cl, res, err = runSettled(c, workload()); err == nil {
+				err = checkRun(c, res, want)
+			}
+			if err != nil {
+				break
+			}
 		}
 		return cl, res, err
 	}

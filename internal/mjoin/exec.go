@@ -36,12 +36,13 @@ import (
 //     order, and appends the ids of the matches (probeLevels).
 //   - Only the partials that survive the last level are gathered, column
 //     by column and only the columns Query.Out names, into output chunks
-//     (emit). The Stream hands each chunk on as it completes and refills
-//     it after.
+//     (emit). The Stream hands each chunk on as it completes and releases
+//     it to the pool after, where the next chunk is drawn from.
 //
 // So a run allocates nothing per row, and in proportion to its cache rather
-// than to its arrivals or its result: the next arrival, of any relation,
-// decodes and indexes into what evicted entries leave in the pool.
+// than to its arrivals or its result: an evicted entry hands its vectors
+// and index arrays back to the working-memory pool (tuple.Release), and the
+// next arrival, of any relation, decodes and indexes into them.
 
 // probeChunk bounds how many root rows are expanded through the probe
 // chain at once, keeping the id arrays cache-sized.
@@ -102,16 +103,13 @@ func (m *Stream) processArrival(seg *segment.Segment) error {
 // leg — by running the relation's leg kernel over it
 // (engine.Leg.ReadSegment) with the relation's decode buffer and filter
 // scratch: a filtered arrival is copied out of the buffer at the survivor
-// count, an unfiltered lazy one owns its decoded vectors, which
-// refill has restocked from the pool where it could, or shares a memoized
-// segment's as a read-only view that is never pooled. Decode errors (lazy
-// stores validate headers at build time, block contents on first decode)
-// and filter errors surface as errors, like the vanilla scan path.
+// count, an unfiltered lazy one owns its decoded vectors, drawn from the
+// working-memory pool, or shares a memoized segment's as a read-only view
+// that is never released. Decode errors (lazy stores validate headers at
+// build time, block contents on first decode) and filter errors surface as
+// errors, like the vanilla scan path.
 func (m *Stream) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, engine.ScanBytes, error) {
-	if seg.Lazy() {
-		m.refill(rel, seg)
-	}
-	batch, by, err := m.probe.legs[rel].ReadSegment(seg, m.cds[rel], &m.legScratch[rel])
+	batch, by, err := m.probe.legs[rel].ReadSegment(seg, &m.cds[rel], &m.legScratch[rel])
 	if err != nil {
 		err = fmt.Errorf("mjoin: arrival %v: %w", seg.ID, err)
 	}
@@ -120,81 +118,21 @@ func (m *Stream) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, eng
 
 // buildEntry constructs the cache entry for an arrival of relation rel,
 // hashing the whole segment's key column in one vectorized pass into an
-// index whose arrays come off the pool when an evicted entry's fit.
+// index whose arrays come off the working-memory pool.
 func (m *Stream) buildEntry(rel int, batch *tuple.Batch) *cacheEntry {
 	e := &cacheEntry{batch: batch, keyIdx: m.probe.keyCol[rel]}
 	if rel == 0 {
 		return e
 	}
-	e.index, _ = takeBest(&m.pool.indexes, batch.Len(), func(ix tuple.HashIndex) int { return ix.Cap() })
 	m.hashBuf = batch.HashColumns([]int{e.keyIdx}, m.hashBuf)
 	e.index.Build(m.hashBuf)
 	return e
 }
 
-// pool is what evicted cache entries leave to the arrivals after them:
-// their decoded vectors and their index arrays. It only ever holds what the
-// run has retired, and goes when the run does.
-type pool struct {
-	vecs    []tuple.Vector
-	indexes []tuple.HashIndex
-}
-
-// retire pools an evicted entry's index arrays and, when its relation
-// decodes arrivals (a mem-format one has nothing to refill) into vectors the
-// entry owns, its vectors: a view of a memoized segment's columns
-// (tuple.Batch.View) is shared with every other reader of that segment and
-// never reaches the pool.
-func (m *Stream) retire(e *cacheEntry, vectors bool) {
-	if e.keyIdx >= 0 {
-		m.pool.indexes = append(m.pool.indexes, e.index)
-	}
-	if vectors && !e.batch.View() {
-		for c := range e.batch.Schema().Cols {
-			m.pool.vecs = append(m.pool.vecs, e.batch.Col(c))
-		}
-	}
-}
-
-// refill readies relation rel's decode buffer for an arrival: each column
-// the leg decodes whose vector holds fewer cells than the segment has rows
-// gets the best-fitting one off the pool — of the same storage class, the
-// slice its kind picks — so the decode writes into it. A memoized segment
-// decodes into its memo, not the buffer, and takes nothing off the pool.
-func (m *Stream) refill(rel int, seg *segment.Segment) {
-	table := m.q.Relations[rel].Table.Schema
-	if m.cds[rel] == nil {
-		m.cds[rel] = &segment.ColumnData{Cols: make([]tuple.Vector, table.Len())}
-	}
-	if seg.Memoized() {
-		return
-	}
-	n := seg.NumRows()
-	for _, src := range m.probe.legs[rel].Cols() {
-		k := table.Cols[src].Kind
-		if v := &m.cds[rel].Cols[src]; v.Cap(k) < n {
-			*v, _ = takeBest(&m.pool.vecs, n, func(v tuple.Vector) int { return v.Cap(k) })
-		}
-	}
-}
-
-// takeBest removes from items, and returns, the one of least size that
-// still holds n, if there is one.
-func takeBest[T any](items *[]T, n int, size func(T) int) (T, bool) {
-	best, bestSize := -1, 0
-	for i, x := range *items {
-		if sz := size(x); sz >= n && (best < 0 || sz < bestSize) {
-			best, bestSize = i, sz
-		}
-	}
-	var x T
-	if best < 0 {
-		return x, false
-	}
-	last := len(*items) - 1
-	x, (*items)[best] = (*items)[best], (*items)[last]
-	*items = (*items)[:last]
-	return x, true
+// release hands the entry's index arrays and vectors (not a view's) back.
+func (e *cacheEntry) release() {
+	e.batch.Release()
+	e.index.Release()
 }
 
 // probePlan is everything execution derives from a valid query, once: the
@@ -479,28 +417,12 @@ func (m *Stream) emit(srcs []*tuple.Batch, ids [][]int32, n int) {
 			tail = m.out[k-1]
 		}
 		if tail == nil || tail.Full() {
-			tail = m.newChunk(min(max(n-lo, 2*m.chunkCap), outChunkRows))
+			m.chunkCap = min(max(n-lo, 2*m.chunkCap), outChunkRows)
+			tail = tuple.NewBatch(m.probe.out, m.chunkCap)
 			m.out = append(m.out, tail)
 		}
 		hi := min(n, lo+tail.Cap()-tail.Len())
 		tail.AppendJoined(srcs, m.probe.picks, ids, lo, hi)
 		lo = hi
 	}
-}
-
-// newChunk returns an empty output chunk with room for at least rows rows:
-// the last chunk handed out if it is that large (the smaller ones go), a
-// new one otherwise.
-func (m *Stream) newChunk(rows int) *tuple.Batch {
-	for len(m.free) > 0 {
-		b := m.free[len(m.free)-1]
-		m.free = m.free[:len(m.free)-1]
-		if b.Cap() >= rows {
-			b.Reset()
-			m.chunkCap = b.Cap()
-			return b
-		}
-	}
-	m.chunkCap = rows
-	return tuple.NewBatch(m.probe.out, rows)
 }

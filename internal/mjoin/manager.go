@@ -152,13 +152,12 @@ type Stream struct {
 	objIndex map[segment.ObjectID]objRef
 	objByRef map[objRef]segment.ObjectID
 
-	// cds[r] is relation r's decode buffer, nil until it decodes an arrival:
-	// a filtered arrival's cache entry copies the survivors out of it, an
-	// unfiltered one takes its vectors, and refill restocks them from pool.
+	// cds[r] is relation r's decode buffer: a filtered arrival's cache entry
+	// copies the survivors out of it, an unfiltered one takes its vectors,
+	// and the next decode draws new ones from the working-memory pool.
 	// legScratch[r] is the relation's filter scratch, reused the same way.
-	cds        []*segment.ColumnData
+	cds        []segment.ColumnData
 	legScratch []engine.LegScratch
-	pool       pool
 	// scratch is the probe chain's, reused across arrivals and subplans.
 	scratch probeScratch
 	// hashBuf is the reused key-hash buffer of the cache-entry build.
@@ -182,11 +181,11 @@ type Stream struct {
 
 	stats Stats
 	// out queues the output chunks not handed out yet, oldest first; emit
-	// fills the last one. free holds the chunks handed out, for emit to
-	// refill once the consumer has asked for the next, and chunkCap is the
-	// capacity of the last chunk emit started.
-	out, free []*tuple.Batch
-	chunkCap  int
+	// fills the last one. handed is the chunk handed out last, released on
+	// the next NextBatch or Close; chunkCap is the last chunk's capacity.
+	out      []*tuple.Batch
+	handed   *tuple.Batch
+	chunkCap int
 
 	// arrivals counts the arrivals the open cycle still expects, progress
 	// the subplans executed or pruned when it opened, cycleSpan is its trace
@@ -255,7 +254,7 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 		cache:        make(map[segment.ObjectID]*cacheEntry),
 		arrivalSeq:   make(map[segment.ObjectID]int),
 	}
-	m.cds, m.legScratch = make([]*segment.ColumnData, len(q.Relations)), make([]engine.LegScratch, len(q.Relations))
+	m.cds, m.legScratch = make([]segment.ColumnData, len(q.Relations)), make([]engine.LegScratch, len(q.Relations))
 	for ri, rel := range q.Relations {
 		for si, id := range rel.Table.Objects {
 			ref := objRef{rel: ri, seg: si}
@@ -289,11 +288,13 @@ func (m *Stream) Stats() Stats { return m.stats }
 // queued chunk is full, or the run has ended, and hands that chunk out. A
 // failure ends the run and is returned from then on.
 func (m *Stream) NextBatch() (*tuple.Batch, bool, error) {
+	m.handed.Release()
+	m.handed = nil
 	for m.err == nil {
 		if k := len(m.out); k > 1 || k == 1 && (m.done || m.out[0].Full()) {
-			b := m.out[0]
-			m.out, m.free = append(m.out[:0], m.out[1:]...), append(m.free, b)
-			return b, true, nil
+			m.handed = m.out[0]
+			m.out = append(m.out[:0], m.out[1:]...)
+			return m.handed, true, nil
 		}
 		if m.done {
 			return nil, false, nil
@@ -306,13 +307,18 @@ func (m *Stream) NextBatch() (*tuple.Batch, bool, error) {
 // Close implements engine.Iterator. A stream closed before its end runs the
 // remaining cycles, making every GET, charge and arrival a full drain would
 // have, discards their output and returns the error that stopped them, if
-// any. After a failure it asks nothing more of the source.
+// any, releasing every output chunk. After a failure it asks nothing more
+// of the source.
 func (m *Stream) Close() error {
-	for !m.done {
+	for {
+		for _, b := range append(m.out, m.handed) {
+			b.Release()
+		}
+		if m.out, m.handed = m.out[:0], nil; m.done {
+			return m.err
+		}
 		m.step()
-		m.free, m.out = append(m.free, m.out...), m.out[:0]
 	}
-	return m.err
 }
 
 // step advances the run by one arrival, or by opening a request cycle (and
@@ -372,11 +378,19 @@ func (m *Stream) step() {
 	m.progress = m.stats.SubplansExecuted + m.stats.SubplansPruned
 }
 
-// finish ends the run, failed when err is non-nil, and lets go of the
-// cache, its pool and the decode buffers with their scratch.
+// finish ends the run, failed when err is non-nil, and hands the cache,
+// the decode buffers and their scratch back to the working-memory pool.
 func (m *Stream) finish(err error) {
 	m.done, m.err = true, err
-	m.cache, m.cacheOrder, m.cds, m.legScratch, m.pool = nil, nil, nil, nil, pool{}
+	for _, e := range m.cache {
+		e.release()
+	}
+	for r := range m.cds {
+		m.cds[r].Release()
+		m.legScratch[r].Release()
+	}
+	tuple.Release(m.hashBuf)
+	m.cache, m.cacheOrder, m.cds, m.legScratch, m.hashBuf = nil, nil, nil, nil, nil
 }
 
 // skipByStats retires, before the first request cycle, every subplan
@@ -518,14 +532,14 @@ func (m *Stream) pruneObject(id segment.ObjectID) {
 	}
 }
 
-// evict drops a cached object, retiring its storage to the pool; subplans
-// still needing it will trigger a reissue in a later cycle.
+// evict drops a cached object, releasing its storage to the working-memory
+// pool; subplans still needing it will trigger a reissue in a later cycle.
 func (m *Stream) evict(victim segment.ObjectID) {
 	e, ok := m.cache[victim]
 	if !ok {
 		panic(fmt.Sprintf("mjoin: policy picked non-cached victim %v", victim))
 	}
-	m.retire(e, m.cds[m.objIndex[victim].rel] != nil)
+	e.release()
 	delete(m.cache, victim)
 	for i, id := range m.cacheOrder {
 		if id == victim {

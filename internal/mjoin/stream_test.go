@@ -159,35 +159,42 @@ func TestDecodeAfterEvictionReusesVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := func(e *cacheEntry) *int64 { return &e.batch.Col(0).I[0] }
-	var retired *cacheEntry // the entry the last step evicted
+	// held is what an entry's storage is, read while the entry is cached:
+	// eviction hands it back to the pool and empties the entry.
+	type storage struct {
+		cells *int64
+		index int
+	}
+	held := func(e *cacheEntry) storage { return storage{&e.batch.Col(0).I[0], e.index.Cap()} }
+	var retired *storage // what the entry the last step evicted held
 	reused := 0
 	for !m.done {
-		before := make(map[segment.ObjectID]*cacheEntry, len(m.cache))
+		before := make(map[segment.ObjectID]storage, len(m.cache))
 		for id, e := range m.cache {
-			before[id] = e
+			before[id] = held(e)
 		}
 		m.step()
 		var admitted *cacheEntry
 		for id, e := range m.cache {
-			if before[id] == nil {
+			if _, ok := before[id]; !ok {
 				admitted = e
 			}
 		}
 		if admitted != nil && retired != nil {
-			if cells(admitted) != cells(retired) {
+			got := held(admitted)
+			if got.cells != retired.cells {
 				t.Fatalf("arrival after an eviction decoded into fresh vectors")
 			}
-			if admitted.index.Cap() != retired.index.Cap() {
+			if got.index != retired.index {
 				t.Fatalf("arrival after an eviction indexed into arrays of capacity %d, the evicted entry's hold %d",
-					admitted.index.Cap(), retired.index.Cap())
+					got.index, retired.index)
 			}
 			reused++
 			retired = nil
 		}
-		for id, e := range before {
+		for id, st := range before {
 			if _, ok := m.cache[id]; !ok && !m.done {
-				retired = e
+				retired = &st
 			}
 		}
 	}
@@ -197,18 +204,23 @@ func TestDecodeAfterEvictionReusesVectors(t *testing.T) {
 }
 
 // allocated returns the bytes one call of fn allocates, averaged over a few
-// calls after a warm-up.
+// calls after a warm-up. Each measured call starts from an empty
+// working-memory pool — a collection empties it — so what it measures is
+// the reuse within one call, not of what earlier calls released.
 func allocated(fn func()) float64 {
 	const runs = 5
 	fn()
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	var total uint64
 	for i := 0; i < runs; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
 		fn()
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	return float64(total) / runs
 }
 
 // sameSizeChain builds a one-object relation a and a relation b of
@@ -259,9 +271,10 @@ func TestRunAllocationsBoundedByCache(t *testing.T) {
 }
 
 // TestStreamOutputDoesNotScaleWithResult: draining a result of N versus 4N
-// rows allocates about the same for output chunks, because the stream
-// refills the chunks it has handed out. The output bytes are what a join
-// whose keys match allocates beyond the same join over keys that miss.
+// rows allocates about the same for output chunks, because the chunks the
+// stream has handed out are released and drawn again. The output bytes are
+// what a join whose keys match allocates beyond the same join over keys
+// that miss.
 func TestStreamOutputDoesNotScaleWithResult(t *testing.T) {
 	bytes := func(objects int, match bool) float64 {
 		q, store := sameSizeChain(t, objects, match)

@@ -232,18 +232,9 @@ func appendColumn(out []byte, rows []tuple.Row, ci int, kind tuple.Kind, enc Enc
 	return out
 }
 
-// sized returns s resized to n cells, reallocated when too small. A
-// corrupt header cannot force a huge allocation here: n is validated
-// against MaxSegmentRows before any block is decoded.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
 // decodeColumn decodes one block straight into dst's typed slice for the
-// kind (reused when large enough; the other two are dropped), producing
+// kind (tuple.Resize; the other two are dropped; n is validated against
+// MaxSegmentRows before any block is decoded), producing
 // exactly n cells. Any structural problem — wrong encoding for the kind,
 // truncation, counts that do not add up, trailing bytes — returns an error
 // (wrapped into ErrCorrupt by the caller).
@@ -258,19 +249,19 @@ func decodeColumn(kind tuple.Kind, enc Encoding, block []byte, n int, dst *tuple
 			return fmt.Errorf("raw block is %d bytes, want %d", len(block), 8*n)
 		}
 		if kind == tuple.KindFloat64 {
-			*dst = tuple.Vector{F: sized(dst.F, n)}
+			*dst = tuple.Vector{F: tuple.Resize(dst.F, n)}
 			for i := range dst.F {
 				dst.F[i] = math.Float64frombits(binary.LittleEndian.Uint64(block[8*i:]))
 			}
 		} else {
-			*dst = tuple.Vector{I: sized(dst.I, n)}
+			*dst = tuple.Vector{I: tuple.Resize(dst.I, n)}
 			for i := range dst.I {
 				dst.I[i] = int64(binary.LittleEndian.Uint64(block[8*i:]))
 			}
 		}
 		block = nil
 	case EncDelta:
-		*dst = tuple.Vector{I: sized(dst.I, n)}
+		*dst = tuple.Vector{I: tuple.Resize(dst.I, n)}
 		cur := int64(0)
 		for i := range dst.I {
 			d, sz := binary.Varint(block)
@@ -282,7 +273,7 @@ func decodeColumn(kind tuple.Kind, enc Encoding, block []byte, n int, dst *tuple
 			dst.I[i] = cur
 		}
 	case EncRLE:
-		*dst = tuple.Vector{I: sized(dst.I, n)}
+		*dst = tuple.Vector{I: tuple.Resize(dst.I, n)}
 		for at := 0; at < n; {
 			v, sz := binary.Varint(block)
 			if sz <= 0 {
@@ -317,7 +308,7 @@ func decodeColumn(kind tuple.Kind, enc Encoding, block []byte, n int, dst *tuple
 				return fmt.Errorf("dict entry %d: %w", i, err)
 			}
 		}
-		*dst = tuple.Vector{S: sized(dst.S, n)}
+		*dst = tuple.Vector{S: tuple.Resize(dst.S, n)}
 		for i := range dst.S {
 			id, sz := binary.Uvarint(block)
 			if sz <= 0 {
@@ -330,7 +321,7 @@ func decodeColumn(kind tuple.Kind, enc Encoding, block []byte, n int, dst *tuple
 			dst.S[i] = dict[id]
 		}
 	case EncStrRaw:
-		*dst = tuple.Vector{S: sized(dst.S, n)}
+		*dst = tuple.Vector{S: tuple.Resize(dst.S, n)}
 		for i := range dst.S {
 			var err error
 			if dst.S[i], block, err = decodeString(block); err != nil {

@@ -552,15 +552,24 @@ type ColumnData struct {
 // ColumnData drops them rather than decoding into them.
 func (cd *ColumnData) Views() bool { return cd.views }
 
+// Release hands the decoded vectors back to the working-memory pool,
+// unless they are views (Views), and empties Cols.
+func (cd *ColumnData) Release() {
+	for _, v := range cd.Cols {
+		if !cd.views {
+			tuple.Release(v.I)
+			tuple.Release(v.F)
+			tuple.Release(v.S)
+		}
+	}
+	clear(cd.Cols)
+}
+
 // DecodeColumns decodes the projected columns of a lazy segment. proj
 // lists schema column indexes to decode, in any order; nil means every
 // column, and an empty non-nil slice decodes nothing (row counts only —
 // what a COUNT(*) scan needs). Pass a previous ColumnData back in to
 // reuse its buffers. Errors wrap ErrCorrupt.
-//
-// A caller may also stock a fresh ColumnData's Cols (one entry per schema
-// column) with vectors of its own: a projected column decodes into its
-// vector whenever that is long enough.
 //
 // A memoized segment decodes each column once, into its memo, and hands
 // Cols out as views of the memo's vectors (ColumnData.Views); a column

@@ -31,8 +31,14 @@ var hostTimed = map[string]bool{
 
 var durationText = regexp.MustCompile(`[0-9.]+(ns|µs|ms|s)\b`)
 
+// omittedWhenZero are the host-timed frame fields marked omitempty: one
+// under a microsecond leaves the frame, so whether they are there at all is
+// host time.
+var omittedWhenZero = []string{"wall_us", "queue_us", "decode_busy_us"}
+
 // masked renders a frame as generic JSON with every host-timed field
-// zeroed and every duration printed into a plan replaced.
+// zeroed — those the frame omits when zero put back as zero — and every
+// duration printed into a plan replaced.
 func masked(t *testing.T, resp *Response) any {
 	t.Helper()
 	raw, err := json.Marshal(resp)
@@ -64,6 +70,9 @@ func masked(t *testing.T, resp *Response) any {
 		}
 	}
 	walk(v)
+	for _, k := range omittedWhenZero {
+		v.(map[string]any)[k] = 0.0
+	}
 	return v
 }
 

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -380,6 +381,57 @@ func TestWarmCacheDecodesNothing(t *testing.T) {
 			}
 			if st := warm.Stats(); st.BytesDecoded == 0 {
 				t.Fatalf("the cache reports no decoded columns: %+v", st)
+			}
+		})
+	}
+}
+
+// TestViewsNeverReachThePool: on both engines, the columns a query reads
+// from a memoized segment are views — a scan's decode buffer, an MJoin
+// arrival's cache entry — which Close must let go of without handing them
+// to the working-memory pool, where the next query would write over them.
+// After each of two runs, every segment the cache memoized still decodes to
+// what its plain copy does, and the second run, reading them, is right.
+func TestViewsNeverReachThePool(t *testing.T) {
+	p := newProbe(t)
+	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
+		t.Run(mode.String(), func(t *testing.T) {
+			c := p.cell
+			c.Mode = mode
+			warm := segcache.NewObjects(c.SharedCache)
+			for pass := range 2 {
+				cl := p.cluster(c, 1)
+				cl.SharedCache = warm
+				res, err := cl.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := lattice.CheckRows(res, p.want); err != nil {
+					t.Fatalf("pass %d: %v", pass, err)
+				}
+				memoized := 0
+				for id, plain := range p.ds.Store {
+					memo, ok := warm.Get(id)
+					if !ok || !memo.Memoized() {
+						continue
+					}
+					schema := p.ds.Catalog.MustTable(id.Table).Schema
+					got, err := memo.DecodeColumns(schema, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := plain.DecodeColumns(schema, nil, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Cols, want.Cols) {
+						t.Fatalf("pass %d: the memoized columns of %v changed under the cache", pass, id)
+					}
+					memoized++
+				}
+				if memoized == 0 {
+					t.Fatalf("pass %d: the cache memoized no segment", pass)
+				}
 			}
 		})
 	}

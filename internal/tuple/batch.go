@@ -41,17 +41,6 @@ func (v Vector) Size(k Kind, n int) int64 {
 	return size
 }
 
-// Cap returns how many cells of a column of kind k the vector has room for.
-func (v Vector) Cap(k Kind) int {
-	switch k {
-	case KindFloat64:
-		return cap(v.F)
-	case KindString:
-		return cap(v.S)
-	}
-	return cap(v.I)
-}
-
 func (v *Vector) appendValue(k Kind, x Value) {
 	switch k {
 	case KindFloat64:
@@ -108,9 +97,9 @@ func carve[T any](arena *[]T, n int) []T {
 // one typed Vector per schema column. It is the unit of data flow in the
 // batched execution core: operators fill a batch column by column (or row by
 // row), hand it downstream, and reuse the buffers on the next cycle. A batch
-// handed to a consumer is valid only until the producer's next NextBatch
-// call, so blocking consumers must copy what they keep (Rows and Row return
-// copies).
+// handed to a consumer is valid only until the producer's next NextBatch or
+// Close call, which may Release it to the working-memory pool, so blocking
+// consumers must copy what they keep (Rows and Row return copies).
 type Batch struct {
 	schema *Schema
 	// cols[c] holds n cells in the slice schema.Cols[c].Kind picks.
@@ -120,14 +109,18 @@ type Batch struct {
 	// from the column buffers so that a batch of a zero-column schema — a
 	// COUNT(*) leg — still has room for rows.
 	capacity int
+	// nums and strs are the arenas NewBatch carved the columns from, which
+	// Release hands back; a batch of BatchOf owns each column whole instead.
+	nums []int64
+	strs []string
 	// view marks a batch over columns it does not own (ViewOf).
 	view bool
 }
 
 // NewBatch returns an empty batch over schema with room for capacity rows
-// per column. The columns of one storage class share one allocation — the
-// 8-byte numerics (int64 and float64 cells alike) one arena, the strings
-// another — and a class the schema does not use costs none.
+// per column. The columns of one storage class share one arena from the
+// pool — the 8-byte numerics (int64 and float64 cells alike) one, the
+// strings another — and a class the schema does not use costs none.
 func NewBatch(schema *Schema, capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = 1
@@ -138,9 +131,9 @@ func NewBatch(schema *Schema, capacity int) *Batch {
 			ns++
 		}
 	}
-	nums := make([]int64, (schema.Len()-ns)*capacity)
-	strs := make([]string, ns*capacity)
-	cols := make([]Vector, schema.Len())
+	b := &Batch{schema: schema, cols: make([]Vector, schema.Len()), capacity: capacity,
+		nums: Take[int64]((schema.Len() - ns) * capacity), strs: Take[string](ns * capacity)}
+	nums, strs, cols := b.nums, b.strs, b.cols
 	for i, c := range schema.Cols {
 		switch c.Kind {
 		case KindFloat64:
@@ -153,7 +146,7 @@ func NewBatch(schema *Schema, capacity int) *Batch {
 			cols[i].I = carve(&nums, capacity)
 		}
 	}
-	return &Batch{schema: schema, cols: cols, capacity: capacity}
+	return b
 }
 
 // FromRows builds a batch holding a copy of rows.
@@ -167,17 +160,17 @@ func FromRows(schema *Schema, rows []Row) *Batch {
 
 // BatchOf wraps caller-provided columns, one per schema column and each at
 // least n cells long, as a full batch of n rows without copying; the
-// caller gives the columns up.
+// caller gives the columns up, each whole (Release returns them).
 func BatchOf(schema *Schema, cols []Vector, n int) *Batch {
 	for c := range cols {
 		v := &cols[c]
 		switch schema.Cols[c].Kind {
 		case KindFloat64:
-			v.F = v.F[:n:n]
+			v.F = v.F[:n]
 		case KindString:
-			v.S = v.S[:n:n]
+			v.S = v.S[:n]
 		default:
-			v.I = v.I[:n:n]
+			v.I = v.I[:n]
 		}
 	}
 	return &Batch{schema: schema, cols: cols, n: n, capacity: n}
@@ -189,8 +182,31 @@ func BatchOf(schema *Schema, cols []Vector, n int) *Batch {
 // buffers (View). Appending grows into new buffers; Reset panics.
 func ViewOf(schema *Schema, cols []Vector, n int) *Batch {
 	b := BatchOf(schema, cols, n)
+	for c := range cols {
+		v := &cols[c]
+		v.I, v.F, v.S = slices.Clip(v.I), slices.Clip(v.F), slices.Clip(v.S)
+	}
 	b.view = true
 	return b
+}
+
+// Release hands the batch's arenas, or BatchOf's columns, but never a view's,
+// back to the pool; neither it nor a vector read from it may be used again.
+func (b *Batch) Release() {
+	switch {
+	case b == nil:
+		return
+	case b.nums != nil || b.strs != nil:
+		Release(b.nums)
+		Release(b.strs)
+	case !b.view:
+		for _, v := range b.cols {
+			Release(v.I)
+			Release(v.F)
+			Release(v.S)
+		}
+	}
+	b.cols, b.nums, b.strs, b.n, b.capacity = nil, nil, nil, 0, 0
 }
 
 // View reports whether the batch wraps read-only columns (ViewOf).
@@ -342,12 +358,13 @@ const (
 )
 
 // HashColumns writes, for each row, the combined hash of the key columns
-// into dst (reusing its backing array when large enough) and returns it.
+// into dst and returns it. It takes dst over: too short, dst goes back to
+// the working-memory pool (Resize), so it must be the pool's or unowned.
 // The combination matches HashRowKey, so columnar build sides and row
 // probe sides hash identically. The per-kind dispatch is hoisted out of
 // the row loop: each key column is hashed in one tight pass.
 func (b *Batch) HashColumns(keys []int, dst []uint64) []uint64 {
-	dst = slices.Grow(dst[:0], b.n)[:b.n]
+	dst = Resize(dst, b.n)
 	b.hashInto(keys, 0, dst)
 	return dst
 }

@@ -29,8 +29,14 @@ type ChunkedBatch struct {
 // Loc is a row's place in a ChunkedBatch: its chunk and its offset there.
 type Loc struct{ Chunk, Off int32 }
 
-// Reset empties the store for rows of schema; the next Append picks c0.
-func (c *ChunkedBatch) Reset(schema *Schema) { *c = ChunkedBatch{schema: schema} }
+// Reset hands the store's chunks back to the working-memory pool and
+// empties it for rows of schema; the next Append picks c0.
+func (c *ChunkedBatch) Reset(schema *Schema) {
+	for _, ch := range c.chunks[:c.used] {
+		ch.Release()
+	}
+	*c = ChunkedBatch{schema: schema}
+}
 
 // Len returns the number of rows in the store.
 func (c *ChunkedBatch) Len() int { return c.n }
@@ -64,11 +70,11 @@ func (c *ChunkedBatch) Loc(id int32) Loc {
 	return Loc{Chunk: int32(k), Off: id - int32(1<<k-1)<<c.shift}
 }
 
-// HashRange writes the key hashes of rows [lo, hi) into dst (reusing its
-// backing array when large enough) and returns it: Batch.HashColumns over
-// a range of the store, one chunk's part at a time.
+// HashRange writes the key hashes of rows [lo, hi) into dst and returns
+// it: HashColumns over a range of the store, a chunk at a time. Like
+// HashColumns it takes dst over.
 func (c *ChunkedBatch) HashRange(keys []int, lo, hi int, dst []uint64) []uint64 {
-	dst = slices.Grow(dst[:0], hi-lo)[:hi-lo]
+	dst = Resize(dst, hi-lo)
 	for out := dst; len(out) > 0; {
 		at := c.Loc(int32(lo))
 		ch := c.chunks[at.Chunk]

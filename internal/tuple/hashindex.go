@@ -31,30 +31,30 @@ func (ix *HashIndex) Build(hashes []uint64) {
 }
 
 // Reset empties the index and sizes it for rows 0..n-1, reusing its arrays
-// when they are large enough. Buckets number at least twice the rows.
+// (Resize). Buckets number at least twice the rows.
 func (ix *HashIndex) Reset(n int) {
 	logSize := bits.Len(uint(2*n - 1))
 	if n == 0 {
 		logSize = 0
 	}
-	size := 1 << logSize
-	if cap(ix.heads) < size {
-		ix.heads = make([]int32, size)
-	}
-	ix.heads = ix.heads[:size]
+	ix.heads = Resize(ix.heads, 1<<logSize)
 	for b := range ix.heads {
 		ix.heads[b] = -1
 	}
-	if cap(ix.next) < n {
-		ix.next = make([]int32, n)
-	}
-	ix.next = ix.next[:n]
+	ix.next = Resize(ix.next, n)
 	ix.shift = uint(64 - logSize)
 }
 
 // Cap returns how many rows Reset can size the index for without
 // allocating.
 func (ix *HashIndex) Cap() int { return min(cap(ix.next), cap(ix.heads)/2) }
+
+// Release hands the arrays back to the pool; Reset or Build before reuse.
+func (ix *HashIndex) Release() {
+	Release(ix.heads)
+	Release(ix.next)
+	*ix = HashIndex{}
+}
 
 // Insert chains rows first..first+len(hashes)-1, whose key hashes those
 // are, at the head of their buckets in descending row order. Inserting
