@@ -19,8 +19,11 @@ func main() {
 	base := workload.TPCH(0, workload.TPCHConfig{SF: 20, RowsPerObject: 10, Seed: 3})
 	spec := workload.Q5(base.Catalog)
 	footprint := len(spec.Join.Objects())
-	fmt.Printf("TPC-H Q5: 6-relation join, %d input objects, %d subplans\n\n",
-		footprint, spec.Join.NumSubplans())
+	subplans, err := spec.Join.NumSubplans()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("TPC-H Q5: 6-relation join, %d input objects, %d subplans\n\n", footprint, subplans)
 	fmt.Printf("%-16s  %12s  %6s  %8s  %10s  %9s\n",
 		"cache (objects)", "time (s)", "GETs", "cycles", "evictions", "reissued")
 

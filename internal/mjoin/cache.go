@@ -13,11 +13,12 @@ type PolicyInfo interface {
 	// PendingCount returns the number of pending (unexecuted, unpruned)
 	// subplans that include the object.
 	PendingCount(id segment.ObjectID) int
-	// ExecutableCounts returns, for every object, the number of pending
-	// subplans that include it and whose every object is present in
-	// cache ∪ {arriving}. Objects absent from the map have count zero.
-	// Computed in one pass over the pending set per eviction decision.
-	ExecutableCounts() map[segment.ObjectID]int
+	// ExecutableCount returns the number of pending subplans that include
+	// the object and whose every object is present in cache ∪ {arriving}.
+	// The state manager tallies every object's count once per eviction
+	// decision, in one walk over the product of the relations' cached
+	// segments, into an array it reuses.
+	ExecutableCount(id segment.ObjectID) int
 	// ArrivalSeq returns a monotone sequence number of the object's most
 	// recent arrival (for FIFO/LRU tie-breaking).
 	ArrivalSeq(id segment.ObjectID) int
@@ -46,11 +47,10 @@ func (MaxProgress) Name() string { return "max-progress" }
 // PickVictim implements EvictionPolicy: fewest executable subplans,
 // then fewest pending, then FIFO.
 func (MaxProgress) PickVictim(cached []segment.ObjectID, _ segment.ObjectID, info PolicyInfo) segment.ObjectID {
-	exec := info.ExecutableCounts()
 	victim := cached[0]
-	bestExec, bestPend := exec[victim], info.PendingCount(victim)
+	bestExec, bestPend := info.ExecutableCount(victim), info.PendingCount(victim)
 	for _, id := range cached[1:] {
-		e, p := exec[id], info.PendingCount(id)
+		e, p := info.ExecutableCount(id), info.PendingCount(id)
 		if e < bestExec || (e == bestExec && p < bestPend) {
 			victim, bestExec, bestPend = id, e, p
 		}

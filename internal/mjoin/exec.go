@@ -42,7 +42,10 @@ import (
 // So a run allocates nothing per row, and in proportion to its cache rather
 // than to its arrivals or its result: an evicted entry hands its vectors
 // and index arrays back to the working-memory pool (tuple.Release), and the
-// next arrival, of any relation, decodes and indexes into them.
+// next arrival, of any relation, decodes and indexes into them; the probe
+// chain's id arrays come from and grow through the same pool. The state
+// manager's bookkeeping is dense arrays sized when the Stream is built: once
+// warm, its per-arrival, per-eviction and per-cycle steps allocate nothing.
 
 // probeChunk bounds how many root rows are expanded through the probe
 // chain at once, keeping the id arrays cache-sized.
@@ -72,16 +75,16 @@ type cacheEntry struct {
 // arrival (lazy-store block decode), mirroring the vanilla scan path.
 func (m *Stream) processArrival(seg *segment.Segment) error {
 	m.stats.Arrivals++
-	ref, known := m.objIndex[seg.ID]
-	if !known {
+	rel, o := m.number(seg.ID)
+	if o < 0 {
 		panic(fmt.Sprintf("mjoin: arrival of object %v not in query %s", seg.ID, m.q.ID))
 	}
-	if m.pendingCount[seg.ID] == 0 {
+	if m.pendingCount[o] == 0 {
 		return nil
 	}
 	m.cfg.Clock.Sleep(m.cfg.Costs.ProcessPerObject)
 	start := time.Now()
-	batch, by, err := m.decodeArrival(ref.rel, seg)
+	batch, by, err := m.decodeArrival(rel, seg)
 	m.stats.Pipe.DecodeBusy += time.Since(start)
 	m.stats.Pipe.Decodes++
 	if m.cfg.Trace.Enabled() {
@@ -94,7 +97,7 @@ func (m *Stream) processArrival(seg *segment.Segment) error {
 	m.stats.BytesDecoded += by.Decoded
 	m.stats.BytesSkippedByProjection += by.SkippedByProjection
 	m.stats.BytesMaterialized += by.Materialized
-	m.admitArrival(seg.ID, ref.rel, batch)
+	m.admitArrival(o, rel, batch)
 	return nil
 }
 
@@ -116,23 +119,24 @@ func (m *Stream) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, eng
 	return batch, by, err
 }
 
-// buildEntry constructs the cache entry for an arrival of relation rel,
-// hashing the whole segment's key column in one vectorized pass into an
-// index whose arrays come off the working-memory pool.
-func (m *Stream) buildEntry(rel int, batch *tuple.Batch) *cacheEntry {
-	e := &cacheEntry{batch: batch, keyIdx: m.probe.keyCol[rel]}
+// buildEntry fills e, an empty cache slot, with an arrival of relation
+// rel, hashing the whole segment's key column in one vectorized pass into
+// an index whose arrays come off the working-memory pool.
+func (m *Stream) buildEntry(e *cacheEntry, rel int, batch *tuple.Batch) {
+	e.batch, e.keyIdx = batch, m.probe.keyCol[rel]
 	if rel == 0 {
-		return e
+		return
 	}
-	m.hashBuf = batch.HashColumns([]int{e.keyIdx}, m.hashBuf)
+	m.hashBuf = batch.HashColumns(m.probe.keyCol[rel:rel+1], m.hashBuf)
 	e.index.Build(m.hashBuf)
-	return e
 }
 
-// release hands the entry's index arrays and vectors (not a view's) back.
+// release hands the entry's index arrays and vectors (not a view's) back
+// and empties the slot.
 func (e *cacheEntry) release() {
 	e.batch.Release()
 	e.index.Release()
+	e.batch = nil
 }
 
 // probePlan is everything execution derives from a valid query, once: the
@@ -311,23 +315,20 @@ func (pp *probePlan) place(r, g int) int {
 // probeScratch is the reusable probe-chain state: the partial tuples of the
 // level being read and of the level being written, as one row-id array per
 // relation (cur[r][k] is partial k's row in relation r's cached batch). The
-// arrays are allocated on first use and ping-ponged across chain levels.
+// arrays come from the working-memory pool, grow through it, are
+// ping-ponged across chain levels and go back when the run ends.
 type probeScratch struct {
 	cur, next [][]int32
 }
 
-// executeSubplan joins the subplan's cached segments by probing the
+// executeSubplan joins subplan i's cached segments by probing the
 // per-object hash indexes left to right, a chunk of root rows at a time,
 // and emits the surviving tuples.
-func (m *Stream) executeSubplan(sp subplan) {
+func (m *Stream) executeSubplan(i int) {
 	entries, srcs := m.entries[:0], m.srcs[:0]
 	empty := false
-	for ri, si := range sp {
-		id := m.objByRef[objRef{ri, si}]
-		e, ok := m.cache[id]
-		if !ok {
-			panic(fmt.Sprintf("mjoin: executing subplan with uncached object %v", id))
-		}
+	for r := range m.dims {
+		e := &m.slots[m.object(i, r)] // cached: its batch is not nil
 		empty = empty || e.batch.Len() == 0
 		entries, srcs = append(entries, e), append(srcs, e.batch)
 	}
@@ -355,7 +356,7 @@ func (m *Stream) probeLevels(entries []*cacheEntry, start, end int) int {
 		sc.cur, sc.next = make([][]int32, len(entries)), make([][]int32, len(entries))
 	}
 	cur, next := sc.cur, sc.next
-	cur[0] = slices.Grow(cur[0][:0], end-start)
+	cur[0] = tuple.Resize(cur[0], end-start)[:0]
 	for i := start; i < end; i++ {
 		cur[0] = append(cur[0], int32(i))
 	}
@@ -366,7 +367,7 @@ func (m *Stream) probeLevels(entries []*cacheEntry, start, end int) int {
 		// Most joins here are key/foreign-key, so about one match per
 		// partial is the size to start from.
 		for r := 0; r <= depth; r++ {
-			next[r] = slices.Grow(next[r][:0], len(cur[leftRel]))
+			next[r] = tuple.Resize(next[r], len(cur[leftRel]))[:0]
 		}
 		// One key kind per level; keys of different kinds never match.
 		switch k := e.batch.Schema().Cols[e.keyIdx].Kind; {
@@ -397,11 +398,29 @@ func probeLevel[T tuple.Key](ix *tuple.HashIndex, left, keys []T, hash func(T) u
 				continue // another key of the same bucket
 			}
 			for r := 0; r < depth; r++ {
-				next[r] = append(next[r], cur[r][k])
+				next[r] = push(next[r], cur[r][k])
 			}
-			next[depth] = append(next[depth], mi)
+			next[depth] = push(next[depth], mi)
 		}
 	}
+}
+
+// push appends id to ids, moving them first to an array from the
+// working-memory pool when theirs is full: an array append grew is one the
+// pool never handed out.
+func push(ids []int32, id int32) []int32 {
+	if len(ids) == cap(ids) {
+		ids = regrow(ids)
+	}
+	return append(ids, id)
+}
+
+// regrow moves ids to a pool array twice the size and releases theirs.
+func regrow(ids []int32) []int32 {
+	grown := tuple.Take[int32](max(2*len(ids), 16))[:len(ids)]
+	copy(grown, ids)
+	tuple.Release(ids)
+	return grown
 }
 
 // emit gathers n surviving partial tuples into the output chunks, filling

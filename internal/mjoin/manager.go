@@ -2,7 +2,8 @@ package mjoin
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -15,7 +16,8 @@ import (
 // the client proxy over the CSD; tests script arbitrary arrival orders.
 type Source interface {
 	// Request issues GETs for the given objects. The state manager calls
-	// it once per cycle with every object still needed.
+	// it once per cycle with every object still needed; objs is valid only
+	// during the call (the state manager reuses it).
 	Request(objs []segment.ObjectID)
 	// NextArrival blocks until one requested object arrives (the source
 	// delivers exactly one arrival per requested object per cycle) or the
@@ -134,23 +136,48 @@ type Result struct {
 	Stats Stats
 }
 
-// objRef locates an object inside the query: relation and segment index.
-type objRef struct {
-	rel, seg int
-}
-
 // Stream is one MJoin execution (Algorithm 1), the state manager itself, as
 // an engine.Iterator that runs once. Closed early, it still runs the whole
 // join, so a run's GETs and virtual charges never depend on how much of its
 // output was read.
+//
+// Its bookkeeping is dense arrays, sized once. Subplan i picks segment
+// i/stride[r]%dims[r] of relation r: a mixed-radix number with relation 0
+// as its most significant digit, so ascending i is the lexicographic order
+// of the segment combinations. Object number off[r]+s is segment s of
+// relation r, and the per-object state is indexed by that number.
 type Stream struct {
-	q   *Query
-	cfg Config
-	src Source
+	q     *Query
+	cfg   Config
+	src   Source
+	probe *probePlan
 
-	probe    *probePlan
-	objIndex map[segment.ObjectID]objRef
-	objByRef map[objRef]segment.ObjectID
+	// dims[r] is relation r's segment count, stride[r] the weight of its
+	// digit in a subplan number, off[r] the number of its first object.
+	// pending holds bit i while subplan i is neither executed nor pruned;
+	// left counts the bits.
+	dims, stride, off []int
+	pending           []uint64
+	left              int
+	// Per object: its ID, the pending subplans that include it, its latest
+	// arrival's sequence number, the executable subplans that include it
+	// (tallied by the first ExecutableCount of an eviction decision, which
+	// admits object arriving), whether it is pinned, and its cache entry —
+	// batch nil when it is not cached. cacheOrder lists the cached objects,
+	// oldest arrival first; seq counts the arrivals admitted.
+	ids                            []segment.ObjectID
+	pendingCount, arrivalSeq, exec []int
+	pinned                         []bool
+	slots                          []cacheEntry
+	cacheOrder                     []int
+	seq, arriving                  int
+	tallied                        bool
+	// A walk's per-relation segment lists (relation r's are
+	// pick[at[r]:at[r+1]]), its odometer over them and the subplans it
+	// found; cands and need are an eviction decision's candidates and the
+	// objects a cycle requests. All are reused.
+	pick, at, digit, found []int
+	cands, need            []segment.ObjectID
 
 	// cds[r] is relation r's decode buffer: a filtered arrival's cache entry
 	// copies the survivors out of it, an unfiltered one takes its vectors,
@@ -171,14 +198,6 @@ type Stream struct {
 	// the probe chain against a row-at-a-time reference through it.
 	onSubplan func(entries []*cacheEntry)
 
-	pending      map[string]subplan
-	pendingCount map[segment.ObjectID]int
-
-	cache      map[segment.ObjectID]*cacheEntry
-	cacheOrder []segment.ObjectID // arrival order, oldest first
-	arrivalSeq map[segment.ObjectID]int
-	seq        int
-
 	stats Stats
 	// out queues the output chunks not handed out yet, oldest first; emit
 	// fills the last one. handed is the chunk handed out last, released on
@@ -193,17 +212,6 @@ type Stream struct {
 	arrivals, progress, cycleSpan int
 	done                          bool
 	err                           error
-
-	arriving segment.ObjectID // current arrival, for ExecutableCount
-
-	// pinned marks the objects of one designated subplan after a cycle
-	// that executed nothing. Pinned objects cannot be evicted and must
-	// be cached on arrival, guaranteeing the designated subplan runs in
-	// the next cycle. This closes a livelock the paper's greedy
-	// heuristics leave open under adversarial arrival orders: with a
-	// cache of exactly R objects, an unlucky delivery order can evict
-	// every partially-assembled combination forever.
-	pinned map[segment.ObjectID]bool
 }
 
 // Run executes the query to completion against the source and
@@ -230,6 +238,15 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
+	size, err := q.NumSubplans()
+	if err != nil {
+		return nil, err
+	}
+	for r, rel := range q.Relations {
+		if slices.ContainsFunc(q.Relations[:r], func(p Relation) bool { return p.Table.Name == rel.Table.Name }) {
+			return nil, fmt.Errorf("mjoin: query %s reads table %q in two relations", q.ID, rel.Table.Name)
+		}
+	}
 	if cfg.CacheSize < len(q.Relations) {
 		return nil, &CacheTooSmallError{CacheSize: cfg.CacheSize, Widest: len(q.Relations)}
 	}
@@ -242,33 +259,37 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 1 << 20
 	}
-	m := &Stream{
-		q:            q,
-		cfg:          cfg,
-		src:          src,
-		probe:        probe,
-		objIndex:     make(map[segment.ObjectID]objRef),
-		objByRef:     make(map[objRef]segment.ObjectID),
-		pending:      make(map[string]subplan),
-		pendingCount: make(map[segment.ObjectID]int),
-		cache:        make(map[segment.ObjectID]*cacheEntry),
-		arrivalSeq:   make(map[segment.ObjectID]int),
+	n, objects := len(q.Relations), 0
+	for _, rel := range q.Relations {
+		objects += len(rel.Table.Objects)
 	}
-	m.cds, m.legScratch = make([]segment.ColumnData, len(q.Relations)), make([]engine.LegScratch, len(q.Relations))
-	for ri, rel := range q.Relations {
-		for si, id := range rel.Table.Objects {
-			ref := objRef{rel: ri, seg: si}
-			m.objIndex[id] = ref
-			m.objByRef[ref] = id
+	m := &Stream{q: q, cfg: cfg, src: src, probe: probe, arriving: -1}
+	// One slab backs the per-relation and per-object int arrays.
+	ints := make([]int, 5*n+2+5*objects)
+	m.dims, m.stride, m.digit, ints = ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:]
+	m.off, m.at, ints = ints[:n+1], ints[n+1:2*n+2], ints[2*n+2:]
+	m.pendingCount, m.arrivalSeq, m.exec = ints[:objects], ints[objects:2*objects], ints[2*objects:3*objects]
+	m.pick, m.cacheOrder = ints[3*objects:3*objects:4*objects], ints[4*objects:4*objects]
+	m.pinned, m.slots = make([]bool, objects), make([]cacheEntry, objects)
+	ids := make([]segment.ObjectID, 0, 2*objects+min(cfg.CacheSize, objects))
+	for _, rel := range q.Relations {
+		ids = append(ids, rel.Table.Objects...)
+	}
+	m.ids, m.need, m.cands = ids[:objects:objects], ids[objects:objects:2*objects], ids[2*objects:2*objects]
+	m.cds, m.legScratch = make([]segment.ColumnData, n), make([]engine.LegScratch, n)
+	m.off[n] = objects
+	for r, stride := n-1, 1; r >= 0; r-- {
+		d := len(q.Relations[r].Table.Objects)
+		m.dims[r], m.stride[r], m.off[r] = d, stride, m.off[r+1]-d
+		for o := m.off[r]; o < m.off[r+1]; o++ {
+			m.pendingCount[o] = size / d
 		}
+		stride *= d
 	}
-	for _, sp := range enumerateSubplans(q) {
-		m.pending[sp.key()] = sp
-		for ri, si := range sp {
-			m.pendingCount[m.objByRef[objRef{ri, si}]]++
-		}
+	m.pending, m.left, m.stats.SubplansTotal = make([]uint64, (size+63)/64), size, size
+	for w := range m.pending {
+		m.pending[w] = ^uint64(0) >> max(0, 64*(w+1)-size)
 	}
-	m.stats.SubplansTotal = len(m.pending)
 	if cfg.StatsPruning {
 		m.skipByStats()
 	}
@@ -311,9 +332,10 @@ func (m *Stream) NextBatch() (*tuple.Batch, bool, error) {
 // of the source.
 func (m *Stream) Close() error {
 	for {
-		for _, b := range append(m.out, m.handed) {
+		for _, b := range m.out {
 			b.Release()
 		}
+		m.handed.Release()
 		if m.out, m.handed = m.out[:0], nil; m.done {
 			return m.err
 		}
@@ -341,18 +363,18 @@ func (m *Stream) step() {
 			if m.stats.SubplansExecuted+m.stats.SubplansPruned == m.progress {
 				m.pinDesignatedSubplan()
 			} else {
-				m.pinned = nil
+				clear(m.pinned)
 			}
 			m.cfg.Trace.End(m.cycleSpan)
 		}
 		return
 	}
-	if len(m.pending) == 0 {
+	if m.left == 0 {
 		m.finish(nil)
 		return
 	}
 	if m.stats.Cycles >= m.cfg.MaxCycles {
-		m.finish(fmt.Errorf("mjoin: no progress after %d cycles (%d subplans stuck)", m.stats.Cycles, len(m.pending)))
+		m.finish(fmt.Errorf("mjoin: no progress after %d cycles (%d subplans stuck)", m.stats.Cycles, m.left))
 		return
 	}
 	m.stats.Cycles++
@@ -362,16 +384,16 @@ func (m *Stream) step() {
 	toFetch := m.neededObjects()
 	if len(toFetch) == 0 {
 		// Everything needed is cached; finish the runnable work.
-		m.executeAllRunnable()
+		m.executeRunnable(-1)
 		m.cfg.Trace.End(m.cycleSpan)
-		if m.finish(nil); len(m.pending) > 0 {
-			m.err = fmt.Errorf("mjoin: %d subplans pending with all objects cached", len(m.pending))
+		if m.finish(nil); m.left > 0 {
+			m.err = fmt.Errorf("mjoin: %d subplans pending with all objects cached", m.left)
 		}
 		return
 	}
 	m.src.Request(toFetch)
 	m.stats.Requests += len(toFetch)
-	if len(m.pinned) > 0 {
+	if slices.Contains(m.pinned, true) {
 		m.stats.PinnedCycles++
 	}
 	m.arrivals = len(toFetch)
@@ -379,18 +401,23 @@ func (m *Stream) step() {
 }
 
 // finish ends the run, failed when err is non-nil, and hands the cache,
-// the decode buffers and their scratch back to the working-memory pool.
+// the decode buffers, the probe chain's and their scratch back to the
+// working-memory pool.
 func (m *Stream) finish(err error) {
 	m.done, m.err = true, err
-	for _, e := range m.cache {
-		e.release()
+	for _, o := range m.cacheOrder {
+		m.slots[o].release()
 	}
 	for r := range m.cds {
 		m.cds[r].Release()
 		m.legScratch[r].Release()
 	}
+	for r := range m.scratch.cur {
+		tuple.Release(m.scratch.cur[r])
+		tuple.Release(m.scratch.next[r])
+	}
 	tuple.Release(m.hashBuf)
-	m.cache, m.cacheOrder, m.cds, m.legScratch, m.hashBuf = nil, nil, nil, nil, nil
+	m.cacheOrder, m.cds, m.legScratch, m.hashBuf, m.scratch = m.cacheOrder[:0], nil, nil, nil, probeScratch{}
 }
 
 // skipByStats retires, before the first request cycle, every subplan
@@ -400,251 +427,229 @@ func (m *Stream) finish(err error) {
 // skipped objects never enter neededObjects, so no GET for them is ever
 // enqueued at the CSD.
 func (m *Stream) skipByStats() {
-	// Materialize per-relation skip sets once, then retire subplans in a
-	// single pass over the pending map (the lattice can be large).
-	skip := make([][]bool, len(m.q.Relations))
-	any := false
-	for ri, rel := range m.q.Relations {
-		if rel.Pruner == nil {
-			continue
-		}
-		set := make([]bool, len(rel.Table.Objects))
-		for si := range set {
-			if rel.Pruner.CanSkip(si) {
-				set[si] = true
+	for r, rel := range m.q.Relations {
+		for s := range m.dims[r] {
+			if rel.Pruner != nil && rel.Pruner.CanSkip(s) {
 				m.stats.ObjectsSkipped++
-				any = true
-			}
-		}
-		skip[ri] = set
-	}
-	if !any {
-		return
-	}
-	for key, sp := range m.pending {
-		for ri, si := range sp {
-			if skip[ri] != nil && skip[ri][si] {
-				m.removePending(key, sp)
-				m.stats.SubplansSkipped++
-				break
+				m.stats.SubplansSkipped += m.retire(m.off[r] + s)
 			}
 		}
 	}
 }
 
-// pinDesignatedSubplan selects the lexicographically smallest pending
-// subplan and pins its objects so the next cycle is guaranteed to execute
-// it (progress guarantee; see the pinned field).
+// pinDesignatedSubplan selects the lowest pending subplan — a cycle that
+// executed nothing left some — and pins its objects so the next cycle is
+// guaranteed to execute it (progress guarantee; see admitArrival).
 func (m *Stream) pinDesignatedSubplan() {
-	var bestKey string
-	for key := range m.pending {
-		if bestKey == "" || key < bestKey {
-			bestKey = key
-		}
-	}
-	sp := m.pending[bestKey]
-	m.pinned = make(map[segment.ObjectID]bool, len(sp))
-	for ri, si := range sp {
-		m.pinned[m.objByRef[objRef{ri, si}]] = true
+	w := slices.IndexFunc(m.pending, func(word uint64) bool { return word != 0 })
+	i := 64*w + bits.TrailingZeros64(m.pending[w])
+	for r := range m.dims {
+		m.pinned[m.object(i, r)] = true
 	}
 }
 
-// neededObjects returns, deduplicated and in relation-then-segment order,
-// every uncached object that some pending subplan requires.
+// neededObjects returns, in relation-then-segment order, every uncached
+// object that some pending subplan requires. The list is reused by the
+// next cycle.
 func (m *Stream) neededObjects() []segment.ObjectID {
-	need := make(map[segment.ObjectID]bool)
-	for _, sp := range m.pending {
-		for ri, si := range sp {
-			id := m.objByRef[objRef{ri, si}]
-			if _, cached := m.cache[id]; !cached {
-				need[id] = true
-			}
+	need := m.need[:0]
+	for o, id := range m.ids {
+		if m.pendingCount[o] > 0 && m.slots[o].batch == nil {
+			need = append(need, id)
 		}
 	}
-	var out []segment.ObjectID
-	for _, rel := range m.q.Relations {
-		for _, id := range rel.Table.Objects {
-			if need[id] {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
+	m.need = need
+	return need
 }
 
-// admitArrival folds one decoded arrival into the cache — pruning empty
-// objects, evicting under pressure — and runs the subplans it makes
-// runnable.
-func (m *Stream) admitArrival(id segment.ObjectID, rel int, batch *tuple.Batch) {
-	if _, cached := m.cache[id]; cached {
+// admitArrival folds one decoded arrival, object o of relation rel, into
+// the cache — pruning empty objects, evicting under pressure — and runs the
+// subplans it makes runnable.
+//
+// After a cycle that executed nothing, the objects of one designated
+// subplan are pinned: they cannot be evicted and are cached on arrival,
+// guaranteeing the designated subplan runs in the next cycle. This closes a
+// livelock the paper's greedy heuristics leave open under adversarial
+// arrival orders: with a cache of exactly R objects, an unlucky delivery
+// order can evict every partially-assembled combination forever.
+func (m *Stream) admitArrival(o, rel int, batch *tuple.Batch) {
+	if m.slots[o].batch != nil {
 		// Redelivery of a resident object — a fault-recovery re-request
 		// racing a coalesced transfer can hand the proxy the same object
 		// twice. Admitting it again would append a duplicate cacheOrder
 		// slot and corrupt eviction; just (re)run whatever it unblocks.
-		m.executeRunnableWith(id)
+		batch.Release()
+		m.executeRunnable(o)
 		return
 	}
 	if m.cfg.Pruning && batch.Len() == 0 {
-		m.pruneObject(id)
+		// The object contributes no tuples, so the subplans that include
+		// it cannot produce results (§5.2.4).
+		batch.Release()
+		m.stats.SubplansPruned += m.retire(o)
 		return
 	}
-	if len(m.cache) >= m.cfg.CacheSize {
-		candidates := m.cacheOrder
-		if len(m.pinned) > 0 {
-			candidates = nil
-			for _, cid := range m.cacheOrder {
-				if !m.pinned[cid] {
-					candidates = append(candidates, cid)
-				}
-			}
-			if len(candidates) == 0 {
-				// Cache is entirely pinned. A pinned arrival always has
-				// room (a subplan has at most CacheSize objects), so the
-				// arrival must be unpinned: drop it and let a later
-				// cycle refetch it.
-				if m.pinned[id] {
-					panic(fmt.Sprintf("mjoin: pinned arrival %v with fully pinned cache", id))
-				}
-				return
+	if len(m.cacheOrder) >= m.cfg.CacheSize {
+		cands := m.cands[:0]
+		for _, c := range m.cacheOrder {
+			if !m.pinned[c] {
+				cands = append(cands, m.ids[c])
 			}
 		}
-		m.arriving = id
-		victim := m.cfg.Policy.PickVictim(candidates, id, m)
+		if m.cands = cands; len(cands) == 0 {
+			// Cache is entirely pinned. A pinned arrival always has
+			// room (a subplan has at most CacheSize objects), so the
+			// arrival must be unpinned: drop it and let a later
+			// cycle refetch it.
+			if m.pinned[o] {
+				panic(fmt.Sprintf("mjoin: pinned arrival %v with fully pinned cache", m.ids[o]))
+			}
+			batch.Release()
+			return
+		}
+		m.arriving, m.tallied = o, false
+		_, victim := m.number(m.cfg.Policy.PickVictim(cands, m.ids[o], m))
 		m.evict(victim)
 	}
-	m.cache[id] = m.buildEntry(rel, batch)
-	m.cacheOrder = append(m.cacheOrder, id)
+	m.buildEntry(&m.slots[o], rel, batch)
+	m.cacheOrder = append(m.cacheOrder, o)
 	m.seq++
-	m.arrivalSeq[id] = m.seq
-	m.executeRunnableWith(id)
+	m.arrivalSeq[o] = m.seq
+	m.executeRunnable(o)
 }
 
-// pruneObject marks every pending subplan containing the object as pruned:
-// the object contributes no tuples, so those subplans cannot produce
-// results (§5.2.4).
-func (m *Stream) pruneObject(id segment.ObjectID) {
-	ref := m.objIndex[id]
-	for key, sp := range m.pending {
-		if sp[ref.rel] == ref.seg {
-			m.removePending(key, sp)
-			m.stats.SubplansPruned++
-		}
+// retire drops every pending subplan that includes object o and returns
+// how many it dropped.
+func (m *Stream) retire(o int) int {
+	found := m.walk(o, -1, true)
+	for _, i := range found {
+		m.removePending(i)
 	}
+	return len(found)
 }
 
-// evict drops a cached object, releasing its storage to the working-memory
+// evict drops cached object o, releasing its storage to the working-memory
 // pool; subplans still needing it will trigger a reissue in a later cycle.
-func (m *Stream) evict(victim segment.ObjectID) {
-	e, ok := m.cache[victim]
-	if !ok {
-		panic(fmt.Sprintf("mjoin: policy picked non-cached victim %v", victim))
-	}
-	e.release()
-	delete(m.cache, victim)
-	for i, id := range m.cacheOrder {
-		if id == victim {
-			m.cacheOrder = append(m.cacheOrder[:i], m.cacheOrder[i+1:]...)
-			break
-		}
-	}
+func (m *Stream) evict(o int) {
+	k := slices.Index(m.cacheOrder, o)
+	m.cacheOrder = slices.Delete(m.cacheOrder, k, k+1) // panics unless o is cached
+	m.slots[o].release()
 	m.stats.Evictions++
 }
 
-// executeRunnableWith runs every pending subplan that contains id and
-// whose objects are all cached. Only subplans containing the newest
-// arrival can have become runnable.
-func (m *Stream) executeRunnableWith(id segment.ObjectID) {
-	ref := m.objIndex[id]
-	var runnable []string
-	for key, sp := range m.pending {
-		if sp[ref.rel] != ref.seg {
-			continue
-		}
-		if m.allCached(sp) {
-			runnable = append(runnable, key)
-		}
-	}
-	m.executeKeys(runnable)
-}
-
-// executeAllRunnable runs every pending subplan whose objects are cached.
-func (m *Stream) executeAllRunnable() {
-	var runnable []string
-	for key, sp := range m.pending {
-		if m.allCached(sp) {
-			runnable = append(runnable, key)
-		}
-	}
-	m.executeKeys(runnable)
-}
-
-// executeKeys runs the named subplans in lexicographic key order. The
-// callers collect runnable keys by iterating the pending map, whose
-// order is randomized per run; sorting here pins the execution order so
-// a whole MJoin run — rows and row order included — is a deterministic
-// function of the query and the arrival order.
-func (m *Stream) executeKeys(keys []string) {
-	sort.Strings(keys)
-	for _, key := range keys {
-		sp, ok := m.pending[key]
-		if !ok {
-			continue
-		}
-		m.executeSubplan(sp)
-		m.removePending(key, sp)
+// executeRunnable runs the pending subplans whose objects are all cached
+// and, when o ≥ 0, that include object o, the newest arrival: only those
+// can have become runnable. It runs them in ascending order, the
+// lexicographic order of their segment combinations, so a whole MJoin run,
+// rows and row order included, is a deterministic function of the query
+// and the arrival order.
+func (m *Stream) executeRunnable(o int) {
+	for _, i := range m.walk(o, -1, false) {
+		m.executeSubplan(i)
+		m.removePending(i)
 		m.stats.SubplansExecuted++
 	}
 }
 
-func (m *Stream) allCached(sp subplan) bool {
-	for ri, si := range sp {
-		if _, ok := m.cache[m.objByRef[objRef{ri, si}]]; !ok {
-			return false
+// walk returns, ascending, the pending subplans whose segment of each
+// relation is object fix's for fix's relation (when fix ≥ 0), and for every
+// other one a segment whose object is cached or is extra, or any segment
+// when all is set. It runs an odometer over the product of those
+// per-relation lists, not over the lattice, and its result is reused by the
+// next walk.
+func (m *Stream) walk(fix, extra int, all bool) []int {
+	pick, at, digit, found := m.pick[:0], m.at, m.digit, m.found[:0]
+	for r := range m.dims {
+		at[r], digit[r] = len(pick), len(pick)
+		fixed := m.off[r] <= fix && fix < m.off[r+1]
+		for o := m.off[r]; o < m.off[r+1]; o++ {
+			if o == fix || !fixed && (all || o == extra || m.slots[o].batch != nil) {
+				pick = append(pick, o-m.off[r])
+			}
+		}
+		if len(pick) == at[r] {
+			m.found = found
+			return found
 		}
 	}
-	return true
-}
-
-// removePending drops a subplan from the pending set and bookkeeping.
-func (m *Stream) removePending(key string, sp subplan) {
-	delete(m.pending, key)
-	for ri, si := range sp {
-		m.pendingCount[m.objByRef[objRef{ri, si}]]--
-	}
-}
-
-// PolicyInfo implementation.
-
-// PendingCount implements PolicyInfo.
-func (m *Stream) PendingCount(id segment.ObjectID) int { return m.pendingCount[id] }
-
-// ExecutableCounts implements PolicyInfo: one pass over the pending set
-// tallying, per object, the subplans executable given cache ∪ {arriving}.
-func (m *Stream) ExecutableCounts() map[segment.ObjectID]int {
-	counts := make(map[segment.ObjectID]int, len(m.cache)+1)
-	ids := make([]segment.ObjectID, len(m.q.Relations))
-	for _, sp := range m.pending {
-		ok := true
-		for ri, si := range sp {
-			oid := m.objByRef[objRef{ri, si}]
-			ids[ri] = oid
-			if oid == m.arriving {
-				continue
-			}
-			if _, cached := m.cache[oid]; !cached {
-				ok = false
+	m.pick, at[len(m.dims)] = pick, len(pick)
+	for r := 0; r >= 0; {
+		i := 0
+		for j, d := range digit {
+			i += pick[d] * m.stride[j]
+		}
+		if m.pending[i/64]&(1<<(i%64)) != 0 {
+			found = append(found, i)
+		}
+		for r = len(digit) - 1; r >= 0; r-- {
+			if digit[r]++; digit[r] < at[r+1] {
 				break
 			}
-		}
-		if !ok {
-			continue
-		}
-		for _, oid := range ids {
-			counts[oid]++
+			digit[r] = at[r]
 		}
 	}
-	return counts
+	m.found = found
+	return found
+}
+
+// object returns the number of subplan i's object of relation r.
+func (m *Stream) object(i, r int) int { return m.off[r] + i/m.stride[r]%m.dims[r] }
+
+// number returns the relation and the number of the object with the given
+// ID, or -1 for both when the query does not read it. A table is read by
+// one relation at most (NewStream), and its objects are usually listed by
+// index.
+func (m *Stream) number(id segment.ObjectID) (int, int) {
+	for r, rel := range m.q.Relations {
+		if objs := rel.Table.Objects; rel.Table.Name == id.Table {
+			s := id.Index
+			if s < 0 || s >= len(objs) || objs[s] != id {
+				s = slices.Index(objs, id)
+			}
+			if s >= 0 {
+				return r, m.off[r] + s
+			}
+		}
+	}
+	return -1, -1
+}
+
+// removePending drops subplan i from the pending set and bookkeeping.
+func (m *Stream) removePending(i int) {
+	m.pending[i/64] &^= 1 << (i % 64)
+	m.left--
+	for r := range m.dims {
+		m.pendingCount[m.object(i, r)]--
+	}
+}
+
+// byID returns object id's entry of the per-object array a; 0 when the query
+// does not read the object.
+func (m *Stream) byID(a []int, id segment.ObjectID) int {
+	if _, o := m.number(id); o >= 0 {
+		return a[o]
+	}
+	return 0
+}
+
+// PendingCount implements PolicyInfo.
+func (m *Stream) PendingCount(id segment.ObjectID) int { return m.byID(m.pendingCount, id) }
+
+// ExecutableCount implements PolicyInfo. The first call of an eviction
+// decision tallies every object's count in one walk over the product of
+// the relations' cached segments, the arriving object counted as cached.
+func (m *Stream) ExecutableCount(id segment.ObjectID) int {
+	if !m.tallied {
+		clear(m.exec)
+		for _, i := range m.walk(-1, m.arriving, false) {
+			for r := range m.dims {
+				m.exec[m.object(i, r)]++
+			}
+		}
+		m.tallied = true
+	}
+	return m.byID(m.exec, id)
 }
 
 // ArrivalSeq implements PolicyInfo.
-func (m *Stream) ArrivalSeq(id segment.ObjectID) int { return m.arrivalSeq[id] }
+func (m *Stream) ArrivalSeq(id segment.ObjectID) int { return m.byID(m.arrivalSeq, id) }

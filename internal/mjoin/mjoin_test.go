@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -330,6 +331,15 @@ func TestInvalidQueryRejected(t *testing.T) {
 	if _, err := Run(q2, DefaultConfig(10), &scriptSource{}); err == nil {
 		t.Fatal("join-count mismatch accepted")
 	}
+	self := &Query{
+		ID:        "self",
+		Relations: []Relation{{Table: cat.MustTable("a")}, {Table: cat.MustTable("a")}},
+		Joins:     []JoinCond{{Rel: 1, LeftCol: "ak", RightCol: "ak"}},
+		Out:       []string{"ak"},
+	}
+	if _, err := Run(self, DefaultConfig(10), &scriptSource{}); err == nil || !strings.Contains(err.Error(), "two relations") {
+		t.Fatalf("self-join: err = %v, want one reading a table in two relations", err)
+	}
 }
 
 func TestGetCountMonotoneInCacheSize(t *testing.T) {
@@ -417,9 +427,9 @@ type fakeInfo struct {
 	seq        map[segment.ObjectID]int
 }
 
-func (f fakeInfo) PendingCount(id segment.ObjectID) int       { return f.pending[id] }
-func (f fakeInfo) ExecutableCounts() map[segment.ObjectID]int { return f.executable }
-func (f fakeInfo) ArrivalSeq(id segment.ObjectID) int         { return f.seq[id] }
+func (f fakeInfo) PendingCount(id segment.ObjectID) int    { return f.pending[id] }
+func (f fakeInfo) ExecutableCount(id segment.ObjectID) int { return f.executable[id] }
+func (f fakeInfo) ArrivalSeq(id segment.ObjectID) int      { return f.seq[id] }
 
 func obj(table string, idx int) segment.ObjectID {
 	return segment.ObjectID{Table: table, Index: idx}
@@ -454,8 +464,8 @@ func TestNumSubplans(t *testing.T) {
 		{name: "b", col: "bk", keys: seqKeys(9), perSeg: 3},  // 3 segs
 	})
 	q := twoWayQuery(cat)
-	if n := q.NumSubplans(); n != 6 {
-		t.Fatalf("subplans = %d, want 6", n)
+	if n, err := q.NumSubplans(); n != 6 || err != nil {
+		t.Fatalf("subplans = %d (%v), want 6", n, err)
 	}
 }
 
@@ -484,5 +494,42 @@ func TestReissueModelShape(t *testing.T) {
 	}
 	if cycles[2] < 2 {
 		t.Fatalf("tiny cache should need multiple cycles, got %d", cycles[2])
+	}
+}
+
+// TestLatticeOverflowRejected: five relations of 2^13 segments make a
+// lattice of 2^65 subplans. NumSubplans and NewStream report that as an
+// error instead of wrapping around; four of them, 2^52 subplans, still
+// count, and a relation without segments makes any lattice empty.
+func TestLatticeOverflowRejected(t *testing.T) {
+	rels, joins := make([]Relation, 6), make([]JoinCond, 5)
+	for i := range rels {
+		name, col := string(rune('a'+i)), fmt.Sprintf("k%d", i)
+		tm := &catalog.TableMeta{Name: name, Schema: tuple.NewSchema(tuple.Column{Name: col, Kind: tuple.KindInt64})}
+		if i < 5 {
+			tm.Objects = make([]segment.ObjectID, 1<<13)
+		}
+		for s := range tm.Objects {
+			tm.Objects[s] = segment.ObjectID{Table: name, Index: s}
+		}
+		rels[i] = Relation{Table: tm}
+		if i > 0 {
+			joins[i-1] = JoinCond{Rel: i, LeftCol: fmt.Sprintf("k%d", i-1), RightCol: col}
+		}
+	}
+	q := &Query{ID: "huge", Relations: rels[:5], Joins: joins[:4]}
+	if n, err := q.NumSubplans(); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("NumSubplans of a 2^65 lattice = %d, %v; want an overflow error", n, err)
+	}
+	if _, err := NewStream(q, DefaultConfig(5), &scriptSource{}); err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("NewStream over a 2^65 lattice: err = %v, want an overflow error", err)
+	}
+	q.Relations, q.Joins = rels[:4], joins[:3]
+	if n, err := q.NumSubplans(); n != 1<<52 || err != nil {
+		t.Fatalf("NumSubplans of four relations = %d, %v; want 2^52", n, err)
+	}
+	q.Relations, q.Joins = rels, joins
+	if n, err := q.NumSubplans(); n != 0 || err != nil {
+		t.Fatalf("NumSubplans with an empty relation = %d, %v; want 0", n, err)
 	}
 }

@@ -9,7 +9,11 @@
 package mjoin
 
 import (
+	"fmt"
 	"iter"
+	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -195,51 +199,19 @@ func (q *Query) Requested(prune bool) iter.Seq2[*Relation, segment.ObjectID] {
 	}
 }
 
-// NumSubplans returns the size of the subplan lattice: the product of the
-// relations' segment counts.
-func (q *Query) NumSubplans() int {
+// NumSubplans returns the size of the subplan lattice — the product of the
+// relations' segment counts — or an error when that overflows an int.
+func (q *Query) NumSubplans() (int, error) {
+	if slices.ContainsFunc(q.Relations, func(r Relation) bool { return len(r.Table.Objects) == 0 }) {
+		return 0, nil
+	}
 	n := 1
 	for _, r := range q.Relations {
-		n *= len(r.Table.Objects)
-	}
-	return n
-}
-
-// subplan identifies one combination of segment indices, one per relation.
-type subplan []int
-
-// key renders a canonical map key for the combination.
-func (sp subplan) key() string {
-	b := make([]byte, 0, len(sp)*3)
-	for _, i := range sp {
-		b = append(b, byte(i>>16), byte(i>>8), byte(i))
-	}
-	return string(b)
-}
-
-// enumerateSubplans materializes the full lattice in lexicographic order.
-func enumerateSubplans(q *Query) []subplan {
-	dims := make([]int, len(q.Relations))
-	total := 1
-	for i, r := range q.Relations {
-		dims[i] = len(r.Table.Objects)
-		total *= dims[i]
-	}
-	out := make([]subplan, 0, total)
-	cur := make(subplan, len(dims))
-	var rec func(d int)
-	rec = func(d int) {
-		if d == len(dims) {
-			cp := make(subplan, len(cur))
-			copy(cp, cur)
-			out = append(out, cp)
-			return
+		hi, lo := bits.Mul64(uint64(n), uint64(len(r.Table.Objects)))
+		if hi != 0 || lo > math.MaxInt {
+			return 0, fmt.Errorf("mjoin: query %s: its subplan lattice, the product of %d relations' segment counts, overflows an int", q.ID, len(q.Relations))
 		}
-		for i := 0; i < dims[d]; i++ {
-			cur[d] = i
-			rec(d + 1)
-		}
+		n = int(lo)
 	}
-	rec(0)
-	return out
+	return n, nil
 }

@@ -1,6 +1,8 @@
 package mjoin
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/segment"
@@ -51,5 +53,33 @@ func TestRedeliveredArrivalNotDoubleAdmitted(t *testing.T) {
 		if !equalMultisets(res.Rows, want) {
 			t.Fatalf("cache %d: result mismatch with duplicate deliveries (%d vs %d rows)", cache, len(res.Rows), len(want))
 		}
+	}
+}
+
+// foreignSource takes requests like scriptSource but delivers seg instead.
+type foreignSource struct {
+	scriptSource
+	seg *segment.Segment
+}
+
+func (s *foreignSource) NextArrival() (*segment.Segment, error) { return s.seg, nil }
+
+// TestUnknownArrivalPanics: an arrival of an object the query does not read
+// — another table's, or an index its table does not list — comes from a
+// broken source, and the state manager panics rather than admit it.
+func TestUnknownArrivalPanics(t *testing.T) {
+	cat, store := buildDB(t, []relSpec{
+		{name: "a", col: "ak", keys: seqKeys(4), perSeg: 2},
+		{name: "b", col: "bk", keys: seqKeys(4), perSeg: 2},
+	})
+	for _, id := range []segment.ObjectID{{Table: "c"}, {Table: "a", Index: 7}} {
+		func() {
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), "not in query") {
+					t.Fatalf("arrival of %v: recovered %v, want a not-in-query panic", id, r)
+				}
+			}()
+			Run(twoWayQuery(cat), DefaultConfig(4), &foreignSource{scriptSource{store: store}, &segment.Segment{ID: id}})
+		}()
 	}
 }

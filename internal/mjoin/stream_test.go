@@ -169,15 +169,15 @@ func TestDecodeAfterEvictionReusesVectors(t *testing.T) {
 	var retired *storage // what the entry the last step evicted held
 	reused := 0
 	for !m.done {
-		before := make(map[segment.ObjectID]storage, len(m.cache))
-		for id, e := range m.cache {
-			before[id] = held(e)
+		before := make(map[int]storage, len(m.cacheOrder))
+		for _, o := range m.cacheOrder {
+			before[o] = held(&m.slots[o])
 		}
 		m.step()
 		var admitted *cacheEntry
-		for id, e := range m.cache {
-			if _, ok := before[id]; !ok {
-				admitted = e
+		for _, o := range m.cacheOrder {
+			if _, ok := before[o]; !ok {
+				admitted = &m.slots[o]
 			}
 		}
 		if admitted != nil && retired != nil {
@@ -192,8 +192,8 @@ func TestDecodeAfterEvictionReusesVectors(t *testing.T) {
 			reused++
 			retired = nil
 		}
-		for id, st := range before {
-			if _, ok := m.cache[id]; !ok && !m.done {
+		for o, st := range before {
+			if m.slots[o].batch == nil && !m.done {
 				retired = &st
 			}
 		}
@@ -308,5 +308,65 @@ func TestStreamOutputDoesNotScaleWithResult(t *testing.T) {
 	t.Logf("%.0f output bytes for %d rows, %.0f for %d (x%.2f)", small, 6*4096, large, 24*4096, large/small)
 	if large > 1.25*small {
 		t.Errorf("output bytes grew from %.0f to %.0f (x%.2f) with 4x the rows; want within x1.25", small, large, large/small)
+	}
+}
+
+// TestStateManagerStepsDoNotAllocate: on a stream in the middle of a run,
+// cache full and subplans pending, the state manager's own steps reuse
+// what the run has already allocated — an eviction decision of the
+// max-progress policy (its tally of executable subplans included), the
+// search for the subplans an admitted arrival makes runnable, and a cycle's
+// list of the objects to request.
+func TestStateManagerStepsDoNotAllocate(t *testing.T) {
+	cat, store := buildDB(t, []relSpec{
+		{name: "a", col: "k0", keys: seqKeys(24), perSeg: 4},
+		{name: "b", col: "k1", keys: seqKeys(24), perSeg: 6},
+		{name: "c", col: "k2", keys: seqKeys(24), perSeg: 4},
+	})
+	q := &Query{
+		ID:        "steps",
+		Relations: []Relation{{Table: cat.MustTable("a")}, {Table: cat.MustTable("b")}, {Table: cat.MustTable("c")}},
+		Joins:     []JoinCond{{Rel: 1, LeftCol: "k0", RightCol: "k1"}, {Rel: 2, LeftCol: "k1", RightCol: "k2"}},
+	}
+	m, err := NewStream(q, DefaultConfig(5), &scriptSource{store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	for !m.done && (m.stats.SubplansExecuted == 0 || m.stats.Evictions < 3 || m.arrivals == 0) {
+		m.step()
+	}
+	if m.done || len(m.cacheOrder) != m.cfg.CacheSize || m.left == 0 {
+		t.Fatalf("no mid-run state: done %v, %d cached, %d pending", m.done, len(m.cacheOrder), m.left)
+	}
+	cached := make([]segment.ObjectID, 0, len(m.cacheOrder))
+	for _, o := range m.cacheOrder {
+		cached = append(cached, m.ids[o])
+	}
+	arriving := -1
+	for o := range m.slots {
+		if m.slots[o].batch == nil && m.pendingCount[o] > 0 {
+			arriving = o
+		}
+	}
+	for _, step := range []struct {
+		name string
+		fn   func()
+	}{
+		{"eviction decision", func() {
+			m.arriving, m.tallied = arriving, false
+			MaxProgress{}.PickVictim(cached, m.ids[arriving], m)
+		}},
+		// What executeRunnable(arriving) searches once arriving is admitted.
+		{"runnable search", func() { m.walk(arriving, -1, false) }},
+		{"needed objects", func() { m.neededObjects() }},
+	} {
+		if n := testing.AllocsPerRun(20, step.fn); n != 0 {
+			t.Errorf("%s: %v allocations, want 0", step.name, n)
+		}
+	}
+	if !m.tallied || m.exec[arriving] == 0 || len(m.found) != m.exec[arriving] {
+		t.Fatalf("the arriving object makes %d subplans runnable, the decision tallied %d (tallied %v); want as many, and some",
+			len(m.found), m.exec[arriving], m.tallied)
 	}
 }
