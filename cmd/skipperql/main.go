@@ -23,110 +23,17 @@
 //
 // skipperql's own: -engine local, which evaluates a query with
 // workload.Evaluate — the reference implementation, no simulated device,
-// the oracle the serving smoke diffs the daemon against; \d, which
-// describes the dataset; and the prompt.
+// the oracle the serving tests of internal/cliflags diff the daemon
+// against; \d, which describes the dataset; and the prompt.
 package main
 
 import (
-	"flag"
-	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"repro/internal/cliflags"
-	"repro/internal/server"
-	"repro/internal/sql"
-	"repro/internal/workload"
 )
 
+// No signal handler: an interrupt ends skipperql at once (nothing to drain).
 func main() {
-	shared := cliflags.Bind(flag.CommandLine, 0)
-	shared.AllowLocal = true
-	command := flag.String("c", "", "run these ';'-separated statements and exit")
-	traceFlag := flag.Bool("trace", false, "print every statement's span tree after its result")
-	traceOut := flag.String("trace-out", "", "write the session's span trees as one Chrome trace-event JSON file")
-	flag.Parse()
-
-	run, err := shared.Resolve()
-	if err != nil {
-		fatal(err)
-	}
-	cfg := run.ServerConfig()
-	cfg.Tracing = *traceFlag || *traceOut != ""
-	if *traceOut != "" {
-		cfg.TraceSink = server.ChromeTraceFile(*traceOut)
-	}
-	srv, err := server.New(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	ds := run.Dataset
-	sh := &server.Shell{
-		RoundTrip: srv.NewSession().RoundTrip,
-		Out:       os.Stdout, Err: os.Stderr, Name: "skipperql",
-		ShowTrace: *traceFlag,
-		Meta:      func(cmd string) { describe(ds, strings.TrimSpace(strings.TrimPrefix(cmd, `\d`))) },
-	}
-	if run.Local {
-		sh.RoundTrip = localEngine(ds, run.Prune, sh.RoundTrip)
-	}
-	var input io.Reader = strings.NewReader(*command)
-	if *command == "" {
-		input, sh.Interactive = os.Stdin, true
-		fmt.Printf("skipperql — %s dataset, %d objects, engine=%s, format=%s\n", run.Workload, len(ds.Catalog.AllObjects()), run.Engine, run.Format)
-		fmt.Printf("tables: %s\n", strings.Join(ds.Catalog.TableNames(), ", "))
-		fmt.Println(`end statements with ';', '\q' quits, '\d table' describes a table, EXPLAIN SELECT ... shows the plan`)
-	}
-	if !sh.Run(input) {
-		os.Exit(1)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "skipperql: %v\n", err)
-	os.Exit(2)
-}
-
-// localEngine answers queries with workload.EvaluatePruned — the
-// reference evaluation, independent of the engines and the simulated
-// device — and hands every other verb to the server's round trip.
-func localEngine(ds *workload.Dataset, prune bool, next func(*server.Request) (*server.Response, error)) func(*server.Request) (*server.Response, error) {
-	planner := &sql.Planner{Catalog: ds.Catalog}
-	return func(req *server.Request) (*server.Response, error) {
-		if err := req.Normalize(); err != nil || req.Op != server.OpQuery {
-			return next(req)
-		}
-		spec, err := planner.Plan(req.SQL)
-		if err != nil {
-			return next(req) // the server reports the plan error
-		}
-		rows, err := workload.EvaluatePruned(ds, spec, prune)
-		if err != nil {
-			return &server.Response{Type: "error", Code: server.CodeExec, Error: err.Error()}, nil
-		}
-		resp := &server.Response{Type: "result", RowCount: len(rows), Rows: make([]string, len(rows))}
-		for i, r := range rows {
-			resp.Rows[i] = r.String()
-		}
-		return resp, nil
-	}
-}
-
-func describe(ds *workload.Dataset, table string) {
-	if table == "" {
-		for _, name := range ds.Catalog.TableNames() {
-			tm := ds.Catalog.MustTable(name)
-			fmt.Printf("  %-12s %3d objects, %6d rows\n", name, len(tm.Objects), tm.RowCount)
-		}
-		return
-	}
-	tm, err := ds.Catalog.Table(table)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	for _, c := range tm.Schema.Cols {
-		fmt.Printf("  %-24s %s\n", c.Name, c.Kind)
-	}
+	os.Exit(cliflags.Skipperql(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
 }

@@ -120,9 +120,10 @@ func (a *Admission) Acquire(ctx context.Context, tenant int) (release func(), wa
 	// arrival was never queued.
 	if a.queued > a.cfg.QueueDepth {
 		a.removeWaiterLocked(w)
-		a.mu.Unlock()
-		return nil, 0, fmt.Errorf("admission: tenant %d: %w (%d in flight, %d queued)",
+		err := fmt.Errorf("admission: tenant %d: %w (%d in flight, %d queued)",
 			tenant, ErrOverloaded, a.inflight, a.cfg.QueueDepth)
+		a.mu.Unlock()
+		return nil, 0, err
 	}
 	a.mu.Unlock()
 
