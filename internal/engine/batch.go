@@ -35,8 +35,8 @@ func closeOutput(out **tuple.Batch, child Iterator) error {
 }
 
 // serveRowSlice serves rows[*idx:] through a reused batch no larger than
-// the rows need, advancing *idx — the shared NextBatch body of every
-// operator that holds its output as a materialized row slice.
+// the rows need, advancing *idx — the NextBatch body of Values, which holds
+// its output as a materialized row slice.
 func serveRowSlice(out **tuple.Batch, schema *tuple.Schema, rows []tuple.Row, idx *int) (*tuple.Batch, bool, error) {
 	if *idx >= len(rows) {
 		return nil, false, nil
@@ -53,28 +53,16 @@ func serveRowSlice(out **tuple.Batch, schema *tuple.Schema, rows []tuple.Row, id
 	return b, true, nil
 }
 
-// drainBatches opens bi, feeds every row to fn via a reused scratch row,
-// and closes it. The scratch row is only valid within one fn call.
-func drainBatches(bi Iterator, fn func(row tuple.Row) error) error {
-	if err := bi.Open(); err != nil {
-		bi.Close()
-		return err
+// serveGather serves rows perm[*idx:] of cols through a reused batch no
+// larger than they need, advancing *idx: output column c gathers
+// cols[pick[c]] — the NextBatch body of the blocking operators.
+func serveGather(out **tuple.Batch, schema *tuple.Schema, cols []tuple.Vector, pick []int, perm []int32, idx *int) (*tuple.Batch, bool, error) {
+	if *idx >= len(perm) {
+		return nil, false, nil
 	}
-	defer bi.Close()
-	var scratch tuple.Row
-	for {
-		b, ok, err := bi.NextBatch()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		for i := 0; i < b.Len(); i++ {
-			scratch = b.AppendRowTo(scratch[:0], i)
-			if err := fn(scratch); err != nil {
-				return err
-			}
-		}
-	}
+	b := sizedOutput(out, schema, len(perm)-*idx)
+	n := min(len(perm)-*idx, b.Cap())
+	b.AppendSelected(cols, pick, perm[*idx:*idx+n])
+	*idx += n
+	return b, true, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"testing"
 	"time"
@@ -430,15 +431,37 @@ func TestDistinctKeysByValue(t *testing.T) {
 	}
 }
 
+// TestDistinctKeyCollisionSafety: rows that hold the same values in other
+// columns are other rows. (1, 2) and (2, 1) stay two rows, and so do
+// (int 1, date 0) and (int 0, date 1), whose int and date cells hash
+// alike; an exact repeat of either collapses.
 func TestDistinctKeyCollisionSafety(t *testing.T) {
-	// Rows that render similarly must still be distinguished by kind.
-	sch := tuple.NewSchema(tuple.Column{Name: "v", Kind: tuple.KindInt64})
-	sch2 := tuple.NewSchema(tuple.Column{Name: "v", Kind: tuple.KindString})
-	_ = sch2
-	in := NewValues(sch, []tuple.Row{{tuple.Int(1)}, {tuple.Int(1)}})
-	rows, err := Collect(NewDistinct(in))
-	if err != nil || len(rows) != 1 {
-		t.Fatalf("rows %v err %v", rows, err)
+	for _, tc := range []struct {
+		name string
+		sch  *tuple.Schema
+		in   []tuple.Row
+		want []string
+	}{
+		{"values swap columns",
+			tuple.NewSchema(tuple.Column{Name: "a", Kind: tuple.KindInt64}, tuple.Column{Name: "b", Kind: tuple.KindInt64}),
+			[]tuple.Row{{tuple.Int(1), tuple.Int(2)}, {tuple.Int(2), tuple.Int(1)}, {tuple.Int(1), tuple.Int(2)}},
+			[]string{"(1, 2)", "(2, 1)"}},
+		{"int and date swap columns",
+			tuple.NewSchema(tuple.Column{Name: "i", Kind: tuple.KindInt64}, tuple.Column{Name: "d", Kind: tuple.KindDate}),
+			[]tuple.Row{{tuple.Int(1), tuple.DateFromDays(0)}, {tuple.Int(0), tuple.DateFromDays(1)}, {tuple.Int(0), tuple.DateFromDays(1)}},
+			[]string{"(1, 1970-01-01)", "(0, 1970-01-02)"}},
+	} {
+		rows, err := Collect(NewDistinct(NewValues(tc.sch, tc.in)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var got []string
+		for _, r := range rows {
+			got = append(got, r.String())
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -573,6 +596,98 @@ func TestHashAggAllocationsDoNotScaleWithRows(t *testing.T) {
 			}
 			if len(out) != 35 {
 				t.Fatalf("%d groups, want 35", len(out))
+			}
+		})
+	}
+	small, large := allocs(2000), allocs(8000)
+	t.Logf("%.0f allocations over 2000 rows, %.0f over 8000", small, large)
+	if large > 1.25*small {
+		t.Errorf("allocations grew from %.0f to %.0f (x%.2f) with 4x the rows; want within x1.25", small, large, large/small)
+	}
+}
+
+// TestHashAggAllocationsDoNotScaleWithGroups: group state is typed columns
+// that grow by doubling from the working-memory pool, not an object per
+// group — ten times the groups over the same rows must cost about the same
+// number of allocations.
+func TestHashAggAllocationsDoNotScaleWithGroups(t *testing.T) {
+	sch := tuple.NewSchema(
+		tuple.Column{Name: "g", Kind: tuple.KindString},
+		tuple.Column{Name: "k", Kind: tuple.KindInt64},
+		tuple.Column{Name: "x", Kind: tuple.KindFloat64},
+	)
+	allocs := func(groups int) float64 {
+		rows := make([]tuple.Row, 7000)
+		for i := range rows {
+			rows[i] = tuple.Row{tuple.Str(fmt.Sprintf("g%d", i%7)), tuple.Int(int64(i % (groups / 7))), tuple.Float(float64(i))}
+		}
+		in := NewValues(sch, rows)
+		return testing.AllocsPerRun(5, func() {
+			agg := NewHashAgg(in,
+				[]GroupCol{
+					{Name: "g", Kind: tuple.KindString, E: expr.Bind(sch, "g")},
+					{Name: "k", Kind: tuple.KindInt64, E: expr.Bind(sch, "k")},
+				},
+				[]AggSpec{{Kind: AggCount, Name: "n"}, {Kind: AggSum, Arg: expr.Bind(sch, "x"), Name: "s"},
+					{Kind: AggMax, Arg: expr.Bind(sch, "g"), ArgKind: tuple.KindString, Name: "m"}})
+			out, err := Collect(agg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != groups {
+				t.Fatalf("%d groups, want %d", len(out), groups)
+			}
+		})
+	}
+	small, large := allocs(35), allocs(350)
+	t.Logf("%.0f allocations over 35 groups, %.0f over 350", small, large)
+	if large > 1.25*small {
+		t.Errorf("allocations grew from %.0f to %.0f (x%.2f) with 10x the groups; want within x1.25", small, large, large/small)
+	}
+}
+
+// TestSortAllocationsDoNotScaleWithRows: Sort keeps its input in typed
+// columns from the working-memory pool and sorts a permutation, not a row
+// per input row — four times the rows must cost about the same number of
+// allocations, over a bare-column key and an evaluated one. The collector
+// is off while it counts: a collection empties the pool, and the larger
+// input, which triggers more of them (many more under -race), would count
+// the pool refilling.
+func TestSortAllocationsDoNotScaleWithRows(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sch := tuple.NewSchema(
+		tuple.Column{Name: "s", Kind: tuple.KindString},
+		tuple.Column{Name: "k", Kind: tuple.KindInt64},
+		tuple.Column{Name: "x", Kind: tuple.KindFloat64},
+	)
+	keys := []SortKey{
+		{E: expr.Bind(sch, "s")},
+		{E: expr.Arith{Op: expr.Mul, L: expr.Bind(sch, "x"), R: expr.Lit(tuple.Float(-1))}, Desc: true},
+	}
+	allocs := func(n int) float64 {
+		rows := make([]tuple.Row, n)
+		for i := range rows {
+			rows[i] = tuple.Row{tuple.Str(fmt.Sprintf("s%d", i%11)), tuple.Int(int64(i)), tuple.Float(float64(i % 13))}
+		}
+		in := NewValues(sch, rows)
+		return testing.AllocsPerRun(5, func() {
+			srt := NewSort(in, keys)
+			if err := srt.Open(); err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for {
+				b, ok, err := srt.NextBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				got += b.Len()
+			}
+			if err := srt.Close(); err != nil || got != n {
+				t.Fatalf("%d rows (err %v), want %d", got, err, n)
 			}
 		})
 	}

@@ -202,22 +202,29 @@ func (l *Limit) nextBatch() (*tuple.Batch, bool, error) {
 func (l *Limit) Close() error { return closeOutput(&l.out, l.child) }
 
 // Distinct suppresses duplicate rows (SELECT DISTINCT). It is streaming:
-// each row is remembered in a table that finds duplicates the way HashAgg
-// finds groups — by hash, kind and Equal — so memory grows with the number
-// of distinct rows seen.
+// every row is looked up in a group table keyed on all its columns — found
+// the way HashAgg finds groups, by hash and a typed match — and the rows
+// that add a key are gathered into the output, so memory grows with the
+// number of distinct rows seen.
 type Distinct struct {
-	child Iterator
-	keys  []int
-	seen  *aggTable
+	child  Iterator
+	kinds  []tuple.Kind
+	keys   []int
+	seen   groupTable
+	hashes []uint64
 
 	out    *tuple.Batch
-	rowBuf tuple.Row
 	ostats *OpStats
 }
 
 // NewDistinct wraps child with duplicate elimination.
 func NewDistinct(child Iterator) *Distinct {
-	return &Distinct{child: child, keys: allKeys(child.Schema().Len())}
+	sch := child.Schema()
+	d := &Distinct{child: child, kinds: make([]tuple.Kind, sch.Len()), keys: allKeys(sch.Len())}
+	for c, col := range sch.Cols {
+		d.kinds[c] = col.Kind
+	}
+	return d
 }
 
 // Schema implements Iterator.
@@ -225,7 +232,7 @@ func (d *Distinct) Schema() *tuple.Schema { return d.child.Schema() }
 
 // Open implements Iterator.
 func (d *Distinct) Open() error {
-	d.seen = newAggTable()
+	d.seen.reset(d.kinds, len(d.kinds))
 	return d.child.Open()
 }
 
@@ -243,26 +250,21 @@ func (d *Distinct) nextBatch() (*tuple.Batch, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		n := in.Len()
-		out := sizedOutput(&d.out, in.Schema(), n)
-		for i := 0; i < n; i++ {
-			d.rowBuf = in.AppendRowTo(d.rowBuf[:0], i)
-			hash := tuple.HashRowKey(d.rowBuf, d.keys)
-			if d.seen.find(hash, d.rowBuf) != nil {
-				continue
-			}
-			d.seen.insert(&accum{hash: hash, groupV: d.rowBuf.Clone()})
-			out.AppendRange(in, i, i+1)
-		}
-		if out.Len() > 0 {
+		out := sizedOutput(&d.out, in.Schema(), in.Len())
+		d.hashes = in.HashColumns(d.keys, d.hashes)
+		if _, fresh := d.seen.lookup(in, d.keys, d.hashes); len(fresh) > 0 {
+			out.AppendSelected(d.seen.src, d.keys, fresh)
 			return out, true, nil
 		}
 	}
 }
 
-// Close implements Iterator.
+// Close implements Iterator, handing the table, scratch and output batch
+// back to the pool.
 func (d *Distinct) Close() error {
-	d.seen = nil
+	d.seen.release()
+	tuple.Release(d.hashes)
+	d.hashes = nil
 	return closeOutput(&d.out, d.child)
 }
 

@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/tuple"
@@ -15,13 +16,26 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort is a blocking in-memory sort with a stable order. The child is
-// drained batch-at-a-time and the sorted rows are served in batches.
+// Sort is a blocking in-memory sort with a stable order. The child's
+// batches are appended to typed columns from the working-memory pool; a key
+// that is a bare column is read from them in place, any other key is
+// evaluated once per row into a value slice of its own, and an int32
+// permutation of the rows is sorted under tuple.Compare and served by
+// gather.
 type Sort struct {
 	child Iterator
 	keys  []SortKey
 
-	out    []tuple.Row
+	// rows holds every input row; key j is column col[j] of it, or vals[j]
+	// when col[j] < 0 (vals is nil when no key is).
+	rows  columns
+	kinds []tuple.Kind
+	pick  []int
+	col   []int
+	vals  [][]tuple.Value
+	row   tuple.Row
+
+	perm   []int32
 	idx    int
 	ob     *tuple.Batch
 	ostats *OpStats
@@ -29,7 +43,19 @@ type Sort struct {
 
 // NewSort wraps child with an ORDER BY.
 func NewSort(child Iterator, keys []SortKey) *Sort {
-	return &Sort{child: child, keys: keys}
+	sch := child.Schema()
+	ints := make([]int, sch.Len()+len(keys))
+	s := &Sort{child: child, keys: keys, kinds: make([]tuple.Kind, sch.Len()), pick: ints[:sch.Len()], col: ints[sch.Len():]}
+	for c, col := range sch.Cols {
+		s.kinds[c], s.pick[c] = col.Kind, c
+	}
+	for j, k := range keys {
+		c, ok := k.E.(expr.Col)
+		if s.col[j] = c.Idx; !ok || c.Idx < 0 || c.Idx >= sch.Len() {
+			s.col[j], s.vals = -1, make([][]tuple.Value, len(keys))
+		}
+	}
+	return s
 }
 
 // Schema implements Iterator.
@@ -37,11 +63,12 @@ func (s *Sort) Schema() *tuple.Schema { return s.child.Schema() }
 
 // Open implements Iterator: drains and sorts the child.
 func (s *Sort) Open() error {
+	s.rows.reset(s.kinds)
+	s.idx = 0
 	if err := s.child.Open(); err != nil {
 		return err
 	}
 	defer s.child.Close()
-	s.out = s.out[:0]
 	for {
 		b, ok, err := s.child.NextBatch()
 		if err != nil {
@@ -50,45 +77,47 @@ func (s *Sort) Open() error {
 		if !ok {
 			break
 		}
-		s.out = append(s.out, b.Rows()...)
+		s.rows.appendBatch(b)
 	}
-	// Precompute key values to avoid re-evaluating during comparisons.
-	keyVals := make([][]tuple.Value, len(s.out))
-	for i, row := range s.out {
-		kv := make([]tuple.Value, len(s.keys))
+	n := s.rows.n
+	for j := range s.vals {
+		s.vals[j] = slices.Grow(s.vals[j][:0], n)[:n]
+	}
+	for i := 0; i < n && s.vals != nil; i++ {
+		s.row = s.rows.appendRow(s.row[:0], i)
 		for j, k := range s.keys {
-			v, err := k.E.Eval(row)
-			if err != nil {
-				return err
+			if s.col[j] < 0 {
+				v, err := k.E.Eval(s.row)
+				if err != nil {
+					return err
+				}
+				s.vals[j][i] = v
 			}
-			kv[j] = v
 		}
-		keyVals[i] = kv
 	}
-	idx := make([]int, len(s.out))
-	for i := range idx {
-		idx[i] = i
+	s.perm = tuple.Resize(s.perm, n)
+	for i := range s.perm {
+		s.perm[i] = int32(i)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
+	slices.SortFunc(s.perm, func(a, b int32) int {
 		for j, k := range s.keys {
-			c := tuple.Compare(keyVals[idx[a]][j], keyVals[idx[b]][j])
-			if c == 0 {
-				continue
+			if c := tuple.Compare(s.key(j, a), s.key(j, b)); c != 0 && k.Desc {
+				return -c
+			} else if c != 0 {
+				return c
 			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return cmp.Compare(a, b)
 	})
-	sorted := make([]tuple.Row, len(s.out))
-	for i, j := range idx {
-		sorted[i] = s.out[j]
-	}
-	s.out = sorted
-	s.idx = 0
 	return nil
+}
+
+// key returns row r's value of sort key j.
+func (s *Sort) key(j int, r int32) tuple.Value {
+	if c := s.col[j]; c >= 0 {
+		return s.rows.cols[c].Value(s.kinds[c], int(r))
+	}
+	return s.vals[j][r]
 }
 
 // NextBatch implements Iterator.
@@ -100,11 +129,15 @@ func (s *Sort) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 func (s *Sort) nextBatch() (*tuple.Batch, bool, error) {
-	return serveRowSlice(&s.ob, s.child.Schema(), s.out, &s.idx)
+	return serveGather(&s.ob, s.child.Schema(), s.rows.cols, s.pick, s.perm, &s.idx)
 }
 
-// Close implements Iterator.
+// Close implements Iterator, handing the rows, permutation and output
+// batch back to the pool.
 func (s *Sort) Close() error {
-	s.out = nil
+	s.rows.release()
+	tuple.Release(s.perm)
+	s.perm, s.idx = nil, 0
+	clear(s.vals)
 	return closeOutput(&s.ob, nil)
 }

@@ -24,6 +24,7 @@ import (
 	"repro/internal/skipper"
 	"repro/internal/sql"
 	"repro/internal/trace"
+	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
@@ -541,10 +542,7 @@ func (s *Server) runQuery(req *Request, tenant int) (resp *Response) {
 	ts.counters.Completed.Add(1)
 	rows := res.Clients[0].PerQuery[0].Results
 	drainStart := time.Now()
-	rendered := make([]string, len(rows))
-	for i, r := range rows {
-		rendered[i] = r.String()
-	}
+	rendered := renderRows(rows)
 	qt.Emit(trace.CatDrain, "render rows", drainStart)
 	resp = &Response{
 		ID: req.ID, Type: "result", Tenant: tenant,
@@ -554,6 +552,23 @@ func (s *Server) runQuery(req *Request, tenant int) (resp *Response) {
 	}
 	resp.account(res, ts.cache)
 	return resp
+}
+
+// renderRows renders each row as Row.String does, into one buffer that
+// the returned strings slice.
+func renderRows(rows []tuple.Row) []string {
+	rendered := make([]string, len(rows))
+	ends := make([]int, len(rows))
+	buf := make([]byte, 0, 32*len(rows))
+	for i, r := range rows {
+		buf = r.AppendText(buf)
+		ends[i] = len(buf)
+	}
+	text, start := string(buf), 0
+	for i, end := range ends {
+		rendered[i], start = text[start:end], end
+	}
+	return rendered
 }
 
 // admit takes an execution slot for the tenant, accounting the wait and

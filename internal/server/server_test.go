@@ -17,6 +17,7 @@ import (
 	"repro/internal/objstore"
 	"repro/internal/segment"
 	"repro/internal/skipper"
+	"repro/internal/tuple"
 	"repro/internal/workload"
 )
 
@@ -411,5 +412,25 @@ func requireSettle(t *testing.T, baseline int) {
 			t.Fatalf("goroutines did not settle: %d > baseline %d\n%s", n, baseline, buf)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRenderRowsMatchesRowString: a response's rows, rendered into one
+// buffer, read as Row.String renders each — over rows that outgrow the
+// buffer's first guess, strings holding ", " and parentheses, and no rows.
+func TestRenderRowsMatchesRowString(t *testing.T) {
+	rows := []tuple.Row{
+		{tuple.Str(strings.Repeat("(a, b)", 40)), tuple.Float(-0.5)},
+		{},
+		{tuple.Int(-1), tuple.DateFromDays(-3), tuple.Bool(true)},
+	}
+	got := renderRows(rows)
+	for i, r := range rows {
+		if got[i] != r.String() {
+			t.Errorf("row %d renders %q, Row.String %q", i, got[i], r.String())
+		}
+	}
+	if got := renderRows(nil); len(got) != 0 {
+		t.Errorf("no rows render %q", got)
 	}
 }

@@ -308,6 +308,7 @@ func (b *Batch) Row(i int) Row { return b.AppendRowTo(make(Row, 0, len(b.cols)),
 // AppendRowTo appends row i's values to dst and returns it; pass a reused
 // scratch slice (dst[:0]) to read rows without allocating.
 func (b *Batch) AppendRowTo(dst Row, i int) Row {
+	dst = slices.Grow(dst, len(b.cols))
 	for c := range b.cols {
 		dst = append(dst, b.cols[c].Value(b.schema.Cols[c].Kind, i))
 	}

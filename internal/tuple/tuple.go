@@ -6,6 +6,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -90,25 +91,30 @@ func (v Value) AsBool() bool { return v.I != 0 }
 func (v Value) IsTrue() bool { return v.K == KindBool && v.I != 0 }
 
 // String renders the value for display and hashing-independent keys
-// (dates as YYYY-MM-DD, floats with %g).
+// (dates as YYYY-MM-DD, floats as %g).
 func (v Value) String() string {
+	if v.K == KindString {
+		return v.S
+	}
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the value's String form to dst and returns it.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.K {
 	case KindInt64:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat64:
-		return fmt.Sprintf("%g", v.F)
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case KindString:
-		return v.S
+		return append(dst, v.S...)
 	case KindDate:
-		t := time.Unix(v.I*86400, 0).UTC()
-		return t.Format("2006-01-02")
+		return time.Unix(v.I*86400, 0).UTC().AppendFormat(dst, "2006-01-02")
 	case KindBool:
-		if v.I != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.I != 0)
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
@@ -220,11 +226,20 @@ func (r Row) Concat(s Row) Row {
 
 // String renders the row as "(v1, v2, ...)".
 func (r Row) String() string {
-	parts := make([]string, len(r))
+	var buf [64]byte
+	return string(r.AppendText(buf[:0]))
+}
+
+// AppendText appends the row's String form to dst and returns it.
+func (r Row) AppendText(dst []byte) []byte {
+	dst = append(dst, '(')
 	for i, v := range r {
-		parts[i] = v.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = v.AppendText(dst)
 	}
-	return "(" + strings.Join(parts, ", ") + ")"
+	return append(dst, ')')
 }
 
 // Column describes one schema column.

@@ -1,7 +1,10 @@
 package tuple
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -70,6 +73,56 @@ func TestRowString(t *testing.T) {
 	r := Row{Int(1), Str("x")}
 	if r.String() != "(1, x)" {
 		t.Fatalf("row renders %q", r.String())
+	}
+}
+
+// TestRowAppendTextMatchesFmt pins the text of a row rendered through
+// strconv and time.AppendFormat to the fmt-based rendering it replaced —
+// %d, %g, YYYY-MM-DD, joined by ", " in parentheses — byte for byte, and
+// Row.String and AppendText to each other, appending after what dst held.
+func TestRowAppendTextMatchesFmt(t *testing.T) {
+	fmtValue := func(v Value) string {
+		switch v.K {
+		case KindInt64:
+			return fmt.Sprintf("%d", v.I)
+		case KindFloat64:
+			return fmt.Sprintf("%g", v.F)
+		case KindDate:
+			return time.Unix(v.I*86400, 0).UTC().Format("2006-01-02")
+		case KindBool:
+			return fmt.Sprint(v.I != 0)
+		default:
+			return v.S
+		}
+	}
+	row := Row{
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)), Float(math.Copysign(0, -1)),
+		Float(1e21), Float(5e-324), Float(0.1), Float(-123456789.25), Float(1e20),
+		Int(math.MinInt64), Int(0), Int(-7), DateFromDays(-1), DateFromDays(-719162), DateFromDays(0),
+		Date(2026, time.October, 17), Bool(true), Bool(false),
+		Str(""), Str("a, b"), Str("(x)"), Str(")(, "), Str("é\x00"),
+	}
+	parts := make([]string, len(row))
+	for i, v := range row {
+		parts[i] = fmtValue(v)
+		if got := v.String(); got != parts[i] {
+			t.Errorf("%v value renders %q, fmt %q", v.K, got, parts[i])
+		}
+	}
+	want := "(" + strings.Join(parts, ", ") + ")"
+	if got := row.String(); got != want {
+		t.Fatalf("row renders\n %q\nfmt\n %q", got, want)
+	}
+	if got := string(row.AppendText([]byte("prefix"))); got != "prefix"+want {
+		t.Fatalf("AppendText after a prefix: %q", got)
+	}
+	if got := (Row{}).String(); got != "()" {
+		t.Fatalf("empty row renders %q", got)
+	}
+	const pinned = "(NaN, +Inf, -Inf, -0, 1e+21, 5e-324, 0.1, -1.2345678925e+08, 1e+20, -9223372036854775808, 0, -7, " +
+		"1969-12-31, 0001-01-01, 1970-01-01, 2026-10-17, true, false, , a, b, (x), )(, , é\x00)"
+	if want != pinned {
+		t.Fatalf("fmt reference renders\n %q\nwant\n %q", want, pinned)
 	}
 }
 
