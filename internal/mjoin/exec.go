@@ -142,8 +142,11 @@ func (e *cacheEntry) release() {
 // probePlan is everything execution derives from a valid query, once: the
 // relations' legs, how far up the plan each of their columns is read, and —
 // resolved against the legs' narrow schemas — where each join reads its
-// keys and what the output gathers.
+// keys, what the output gathers and the pull plan's stages. Once built it
+// is read-only: every run of the query shares it.
 type probePlan struct {
+	// q is the query the plan was compiled for.
+	q *Query
 	// legs[r] is relation r's leg: Cols decoded, Filter applied, and the
 	// columns read above it handed on.
 	legs []*engine.Leg
@@ -166,6 +169,12 @@ type probePlan struct {
 	keyCol []int
 	// picks[r] lists the columns of leg r the output gathers.
 	picks [][]int
+	// stages are the pull plan's joins, subplans the size of the subplan
+	// lattice; unrunnable, when non-nil, is why MJoin cannot run the query
+	// though the pull engine can.
+	stages     []Stage
+	subplans   int
+	unrunnable error
 }
 
 // buildProbePlan validates the query's structure and resolves it.
@@ -196,10 +205,10 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 		}
 		w += rel.width()
 	}
-	// A plan is built per validation and per run: one slab backs its int
-	// lists, the legs' output columns and the output's picks among them.
+	// One slab backs the plan's int lists, the legs' output columns and the
+	// output's picks among them.
 	ints := make([]int, 5*n+3*w)
-	pp := &probePlan{legs: make([]*engine.Leg, 0, n), picks: make([][]int, n)}
+	pp := &probePlan{q: q, legs: make([]*engine.Leg, 0, n), picks: make([][]int, n)}
 	pp.off, ints = ints[:n+1], ints[n+1:]
 	pp.need, ints = ints[:w], ints[w:]
 	pp.keyCol, ints = ints[:n], ints[n:]
@@ -270,6 +279,8 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 		pp.out = tuple.NewSchema(cols...)
 	}
 	pp.keyCol[0] = -1
+	pp.stages = make([]Stage, n-1)
+	carry := make([]int, 0, (n-1)*w)
 	for i := range q.Joins {
 		g, r := pp.leftG[i], 0
 		for pp.off[r+1] <= g {
@@ -277,6 +288,34 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 		}
 		pp.leftRel[i], pp.leftCol[i] = r, pp.place(r, g)
 		pp.keyCol[i+1] = pp.place(i+1, pp.keyCol[i+1])
+		// Join i's inputs are the columns of relations up to i+1 read at or
+		// above it; it carries those read above it.
+		st, start, p := &pp.stages[i], len(carry), 0
+		for h, need := range pp.need[:pp.off[i+2]] {
+			if need <= i {
+				continue
+			}
+			if h == g {
+				st.LeftKey = p
+			}
+			if need > i+1 {
+				carry = append(carry, p)
+			}
+			p++
+		}
+		st.RightKey = pp.keyCol[i+1]
+		if len(carry)-start < p {
+			st.Carry = carry[start:len(carry):len(carry)]
+		} else {
+			carry = carry[:start]
+		}
+	}
+	pp.subplans, pp.unrunnable = q.NumSubplans()
+	for r := 1; r < n && pp.unrunnable == nil; r++ {
+		name := q.Relations[r].Table.Name
+		if slices.ContainsFunc(q.Relations[:r], func(p Relation) bool { return p.Table.Name == name }) {
+			pp.unrunnable = fmt.Errorf("mjoin: query %s reads table %q in two relations", q.ID, name)
+		}
 	}
 	return pp, nil
 }

@@ -234,19 +234,14 @@ func Run(q *Query, cfg Config, src Source) (*Result, error) {
 // state up to, not including, the first request cycle: nothing is asked of
 // the source before the first NextBatch or Close.
 func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
-	probe, err := buildProbePlan(q)
+	probe, err := q.compiled()
 	if err != nil {
 		return nil, err
 	}
-	size, err := q.NumSubplans()
-	if err != nil {
-		return nil, err
+	if probe.unrunnable != nil {
+		return nil, probe.unrunnable
 	}
-	for r, rel := range q.Relations {
-		if slices.ContainsFunc(q.Relations[:r], func(p Relation) bool { return p.Table.Name == rel.Table.Name }) {
-			return nil, fmt.Errorf("mjoin: query %s reads table %q in two relations", q.ID, rel.Table.Name)
-		}
-	}
+	size := probe.subplans
 	if cfg.CacheSize < len(q.Relations) {
 		return nil, &CacheTooSmallError{CacheSize: cfg.CacheSize, Widest: len(q.Relations)}
 	}

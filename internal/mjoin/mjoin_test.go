@@ -3,6 +3,7 @@ package mjoin
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -340,6 +341,42 @@ func TestInvalidQueryRejected(t *testing.T) {
 	if _, err := Run(self, DefaultConfig(10), &scriptSource{}); err == nil || !strings.Contains(err.Error(), "two relations") {
 		t.Fatalf("self-join: err = %v, want one reading a table in two relations", err)
 	}
+}
+
+// TestValidatedQueryChangedInPlacePanics: Validate keeps the compiled plan
+// in the query, and every run reuses it, so a query changed in place after
+// Validate would run a stale plan. A test binary recompiles on every reuse
+// and panics, naming the query, when the two plans differ. A copy of a
+// validated query — changed or not — compiles a plan of its own.
+func TestValidatedQueryChangedInPlacePanics(t *testing.T) {
+	cat, store := buildDB(t, []relSpec{
+		{name: "a", col: "ak", keys: seqKeys(6), perSeg: 2},
+		{name: "b", col: "bk", keys: seqKeys(4), perSeg: 2},
+	})
+	q := twoWayQuery(cat)
+	if _, err := q.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	narrow := *q
+	narrow.Out = []string{"ak"}
+	for _, c := range []*Query{q, &narrow} {
+		if _, err := Run(c, DefaultConfig(10), &scriptSource{store: store}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := narrow.OutputSchema().ColumnNames(); !reflect.DeepEqual(got, []string{"ak"}) {
+		t.Fatalf("the changed copy outputs %v, want [ak]", got)
+	}
+
+	q.Out = []string{"bk"}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "query q2 was changed after Validate") {
+			t.Fatalf("run of a query changed after Validate: recovered %q, want a panic naming the query", msg)
+		}
+	}()
+	Run(q, DefaultConfig(10), &scriptSource{store: store})
+	t.Fatal("a run of a query changed after Validate did not panic")
 }
 
 func TestGetCountMonotoneInCacheSize(t *testing.T) {

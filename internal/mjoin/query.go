@@ -13,7 +13,9 @@ import (
 	"iter"
 	"math"
 	"math/bits"
+	"reflect"
 	"slices"
+	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
@@ -100,16 +102,38 @@ type Query struct {
 	// stage of both engines carries only Out and the left keys of the joins
 	// after it.
 	Out []string
+	// plan is what Validate compiled for the query at this address.
+	plan *probePlan
 }
 
 // Validate checks structural soundness and returns the output schema: the
-// relations' leg schemas, concatenated and restricted to Out.
+// relations' leg schemas, concatenated and restricted to Out. Every run
+// reads the plan it keeps: validate before sharing, never change after.
 func (q *Query) Validate() (*tuple.Schema, error) {
-	pp, err := buildProbePlan(q)
+	pp, err := q.compiled()
 	if err != nil {
 		return nil, err
 	}
+	if q.plan != pp {
+		q.plan = pp
+	}
 	return pp.out, nil
+}
+
+// compiled returns the plan Validate kept for q, or else a new one. In test
+// binaries every reuse compiles the query again and panics unless the two
+// plans agree: a validated Query changed in place would run a stale plan.
+func (q *Query) compiled() (*probePlan, error) {
+	pp := q.plan
+	if pp == nil || pp.q != q {
+		return buildProbePlan(q)
+	}
+	if testing.Testing() {
+		if fresh, err := buildProbePlan(q); err != nil || !reflect.DeepEqual(fresh, pp) {
+			panic(fmt.Sprintf("mjoin: query %s was changed after Validate compiled its plan; a validated Query is immutable", q.ID))
+		}
+	}
+	return pp, nil
 }
 
 // Stage is the pull plan's hash join attaching relation i to the rows
@@ -124,39 +148,13 @@ type Stage struct {
 
 // Plan validates the query like Validate and returns what a pull plan is
 // built from: the relations' legs, so its scans run the kernels validation
-// built, and one Stage per join.
+// built, and one Stage per join: the kept plan's, which no run may change.
 func (q *Query) Plan() ([]*engine.Leg, []Stage, error) {
-	pp, err := buildProbePlan(q)
+	pp, err := q.compiled()
 	if err != nil {
 		return nil, nil, err
 	}
-	n := len(pp.legs)
-	stages := make([]Stage, n-1)
-	carry := make([]int, 0, (n-1)*len(pp.need))
-	for i := 1; i < n; i++ {
-		st, start, p := &stages[i-1], len(carry), 0
-		// The join's inputs are the columns of relations up to i read at
-		// or above it; it carries those read above it.
-		for g, need := range pp.need[:pp.off[i+1]] {
-			if need < i {
-				continue
-			}
-			if g == pp.leftG[i-1] {
-				st.LeftKey = p
-			}
-			if need > i {
-				carry = append(carry, p)
-			}
-			p++
-		}
-		st.RightKey = pp.keyCol[i]
-		if len(carry)-start < p {
-			st.Carry = carry[start:len(carry):len(carry)]
-		} else {
-			carry = carry[:start]
-		}
-	}
-	return pp.legs, stages, nil
+	return pp.legs, pp.stages, nil
 }
 
 // OutputSchema returns the join output schema, panicking on an invalid

@@ -121,6 +121,10 @@ func TestMetricsExpositionAndPprof(t *testing.T) {
 	if resp := c.roundTrip(t, Request{SQL: obsQuery}); resp.Type != "result" {
 		t.Fatalf("query answered %+v", resp)
 	}
+	// EXPLAIN reads the plan the query left in the statement cache.
+	if resp := c.roundTrip(t, Request{SQL: "EXPLAIN " + obsQuery}); resp.Type != "explain" {
+		t.Fatalf("EXPLAIN answered %+v", resp)
+	}
 
 	srv := httptest.NewServer(s.DebugHandler())
 	defer srv.Close()
@@ -156,6 +160,12 @@ func TestMetricsExpositionAndPprof(t *testing.T) {
 		`(?m)^# TYPE skipper_admission_queued_queries gauge$`,
 		`(?m)^# TYPE skipper_slow_queries_total counter$`,
 		`(?m)^# TYPE skipper_queue_wait_seconds_total counter$`,
+		`(?m)^# TYPE skipper_statement_cache_hits_total counter$`,
+		`(?m)^skipper_statement_cache_hits_total 1$`,
+		`(?m)^# TYPE skipper_statement_cache_misses_total counter$`,
+		`(?m)^skipper_statement_cache_misses_total 1$`,
+		`(?m)^# TYPE skipper_statement_cache_entries gauge$`,
+		`(?m)^skipper_statement_cache_entries 1$`,
 	} {
 		if !regexp.MustCompile(re).MatchString(body) {
 			t.Errorf("exposition missing %s\n%s", re, body)

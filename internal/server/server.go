@@ -154,6 +154,11 @@ type Server struct {
 
 	slowMu sync.Mutex // serializes slow-query log lines
 
+	// The statement cache: planned specs by exact statement text.
+	stmtMu               sync.Mutex
+	stmts                map[string]skipper.QuerySpec
+	stmtHits, stmtMisses metrics.Counter
+
 	wg sync.WaitGroup // accept loop + connection handlers
 }
 
@@ -193,6 +198,7 @@ func New(cfg Config) (*Server, error) {
 		conns:   make(map[net.Conn]struct{}),
 		tenants: make(map[int]*tenantState),
 		traces:  make(map[string]*trace.Export),
+		stmts:   make(map[string]skipper.QuerySpec),
 	}
 	s.registerServerMetrics()
 	return s, nil
@@ -218,6 +224,44 @@ func (s *Server) registerServerMetrics() {
 		})
 	s.slow = s.reg.Counter("skipper_slow_queries_total",
 		"Queries whose wall time met the slow-query threshold.", nil)
+	s.stmtHits = s.reg.Counter("skipper_statement_cache_hits_total",
+		"Statements served a plan from the statement cache.", nil)
+	s.stmtMisses = s.reg.Counter("skipper_statement_cache_misses_total",
+		"Statements the statement cache did not hold, planned afresh.", nil)
+	s.reg.GaugeFunc("skipper_statement_cache_entries",
+		"Planned statements the statement cache holds.", nil,
+		func() float64 {
+			s.stmtMu.Lock()
+			defer s.stmtMu.Unlock()
+			return float64(len(s.stmts))
+		})
+}
+
+// maxStatements bounds the statement cache. A full cache starts over, and
+// a statement it dropped is simply planned again.
+const maxStatements = 256
+
+// plan returns a statement's planned spec, from the statement cache when it
+// holds it: the catalog, Prune and Mode are fixed for the server's lifetime,
+// so a plan depends on the text alone. A miss plans under the lock, so a
+// statement is planned once however many sessions miss on it together;
+// plan errors are not cached.
+func (s *Server) plan(text string) (skipper.QuerySpec, error) {
+	s.stmtMu.Lock()
+	defer s.stmtMu.Unlock()
+	if spec, ok := s.stmts[text]; ok {
+		s.stmtHits.Inc()
+		return spec, nil
+	}
+	s.stmtMisses.Inc()
+	spec, err := s.planner.Plan(text)
+	if err == nil {
+		if len(s.stmts) == maxStatements {
+			clear(s.stmts)
+		}
+		s.stmts[text] = spec
+	}
+	return spec, err
 }
 
 // Metrics exposes the server's metric registry — the /metrics endpoint
@@ -505,7 +549,7 @@ func (s *Server) runQuery(req *Request, tenant int) (resp *Response) {
 		}()
 	}
 	planStart := qt.Origin() // zero when untraced; Emit is nil-safe
-	spec, err := s.planner.Plan(req.SQL)
+	spec, err := s.plan(req.SQL)
 	qt.Emit(trace.CatPlan, "plan", planStart)
 	if err != nil {
 		return errorResponse(req.ID, tenant, CodePlan, err)
@@ -699,7 +743,7 @@ func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec 
 // store, the column-block bytes the projection decodes and skips; with
 // prefetch on, what it discloses to the scheduler.
 func (s *Server) explain(req *Request, tenant int) *Response {
-	spec, err := s.planner.Plan(req.SQL)
+	spec, err := s.plan(req.SQL)
 	if err != nil {
 		return errorResponse(req.ID, tenant, CodePlan, err)
 	}

@@ -396,7 +396,8 @@ func BuildPullPlan(ctx *engine.Ctx, q *mjoin.Query) (engine.Iterator, error) {
 
 // BuildPullPlanPruned is BuildPullPlan with data skipping made explicit:
 // prune=false leaves the relation Pruners off the scans, so every
-// segment is fetched — the pre-statistics behaviour.
+// segment is fetched — the pre-statistics behaviour. Legs and stages are
+// the query's compiled plan (mjoin.Query.Validate), not re-derived.
 func BuildPullPlanPruned(ctx *engine.Ctx, q *mjoin.Query, prune bool) (engine.Iterator, error) {
 	legs, stages, err := q.Plan()
 	if err != nil {

@@ -91,7 +91,7 @@ type QuerySpec struct {
 	Shape func(input engine.Iterator) engine.Iterator
 	// Bound is the join output schema Shape was bound against, which a run
 	// checks the join's output against before it applies Shape; nil stands
-	// for Join.OutputSchema(), then computed on every run.
+	// for the output schema of the plan Join.Validate compiled.
 	Bound *tuple.Schema
 }
 
@@ -117,7 +117,10 @@ func (spec QuerySpec) Shaped(it engine.Iterator) (engine.Iterator, error) {
 	}
 	bound := spec.Bound
 	if bound == nil {
-		bound = spec.Join.OutputSchema()
+		var err error
+		if bound, err = spec.Join.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if got := it.Schema(); !slices.Equal(got.Cols, bound.Cols) {
 		return nil, &SchemaError{Query: spec.Name, Bound: bound.String(), Got: got.String()}

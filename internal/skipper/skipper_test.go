@@ -1,8 +1,10 @@
 package skipper
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,6 +51,30 @@ func joinQuery(cat *catalog.Catalog) *mjoin.Query {
 			{Table: cat.MustTable("b")},
 		},
 		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "ak", RightCol: "bk"}},
+	}
+}
+
+// TestShapedWithoutBound: a spec without a Bound checks the join's output
+// against the schema its join compiled, and an invalid join comes back as
+// Validate's error, not a panic.
+func TestShapedWithoutBound(t *testing.T) {
+	join := joinQuery(makeTenantDB(0, 2, 2, 2, make(map[segment.ObjectID]*segment.Segment)))
+	out, err := join.Validate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := func(in engine.Iterator) engine.Iterator { return engine.NewLimit(in, 1) }
+	spec := QuerySpec{Name: "j", Join: join, Shape: shape}
+	if _, err := spec.Shaped(engine.NewValues(out, nil)); err != nil {
+		t.Fatalf("the join's own output refused: %v", err)
+	}
+	var se *SchemaError
+	if _, err := spec.Shaped(engine.NewValues(tuple.NewSchema(out.Cols[1:]...), nil)); !errors.As(err, &se) {
+		t.Fatalf("a narrower input: %v, want a *SchemaError", err)
+	}
+	bad := QuerySpec{Name: "bad", Join: &mjoin.Query{ID: "bad"}, Shape: shape}
+	if _, err := bad.Shaped(engine.NewValues(out, nil)); err == nil || !strings.Contains(err.Error(), "query bad has no relations") {
+		t.Fatalf("an invalid join: %v, want its validation error", err)
 	}
 }
 
