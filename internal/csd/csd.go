@@ -274,10 +274,10 @@ type CSD struct {
 	inFlight    int
 	arrivalSeq  int
 	lastService map[string]int // queryID -> switch count at last service/arrival
-	// waiting is the function Scheduler.NextGroup is given: switches since
-	// the query was last serviced (or arrived).
-	waiting func(queryID string) int
-	order   orderScratch
+	// waitingFn is c.waiting, bound once: a method value made per switch
+	// would allocate per switch.
+	waitingFn func(queryID string) int
+	order     orderScratch
 	// inflight indexes the carrier request of every transfer currently
 	// queued or running, so a later same-object request can ride along
 	// instead of paying a second transfer. The stream worker deletes the
@@ -320,21 +320,20 @@ func New(sim *vtime.Sim, cfg Config, store map[segment.ObjectID]*segment.Segment
 		cfg.Scheduler = NewRankBased(1)
 	}
 	c := &CSD{
-		sim:         sim,
-		cfg:         cfg,
-		store:       store,
-		assign:      assign,
-		evCh:        vtime.NewChan[event](sim, deviceName(cfg.ID)+".events", 1<<20),
-		streams:     make(map[int]*stream),
-		loaded:      -1,
-		pending:     make(map[int][]*Request),
-		lastService: make(map[string]int),
-		inflight:    make(map[segment.ObjectID]*Request),
-	}
-	c.waiting = func(queryID string) int {
-		return c.stats.GroupSwitches - c.lastService[queryID]
+		sim:    sim,
+		cfg:    cfg,
+		store:  store,
+		assign: assign,
+		evCh:   vtime.NewChan[event](sim, deviceName(cfg.ID)+".events", 1<<20),
+		loaded: -1,
 	}
 	return c
+}
+
+// waiting is what Scheduler.NextGroup is given: the switches since the
+// query was last serviced (or arrived).
+func (c *CSD) waiting(queryID string) int {
+	return c.stats.GroupSwitches - c.lastService[queryID]
 }
 
 // deviceName renders a device's process-name prefix: "csd" for the
@@ -394,7 +393,7 @@ func (c *CSD) PredictNextGroup() (int, bool) {
 // nextGroup asks the scheduler which group to load next. An answer that
 // violates the NextGroup contract yields -1 and a *SchedulerContractError.
 func (c *CSD) nextGroup() (int, error) {
-	next := c.cfg.Scheduler.NextGroup(c.loaded, c.pending, c.waiting)
+	next := c.cfg.Scheduler.NextGroup(c.loaded, c.pending, c.waitingFn)
 	var reason string
 	switch {
 	case next == c.loaded:
@@ -596,6 +595,13 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 			c.stats.DownErrors++
 			r.Reply.Send(p, Delivery{Object: r.Object, Device: c.cfg.ID, Err: &DeviceDownError{Object: r.Object, Restarting: c.willRestart()}})
 			return false
+		}
+		if c.pending == nil { // a device that serves no GET makes no maps
+			c.streams = make(map[int]*stream)
+			c.pending = make(map[int][]*Request)
+			c.lastService = make(map[string]int)
+			c.inflight = make(map[segment.ObjectID]*Request)
+			c.waitingFn = c.waiting
 		}
 		r.seq = c.arrivalSeq
 		c.arrivalSeq++

@@ -167,16 +167,18 @@ func BuildPlacement(a *Assignment, devices int, rep Replication, heat map[segmen
 // the top n; n <= 0 returns every object with a positive count.
 func hotObjects(heat map[segment.ObjectID]int, n int) []segment.ObjectID {
 	ids := make([]segment.ObjectID, 0, len(heat))
+	keys := make(map[segment.ObjectID]string, len(heat)) // each id's text, rendered once
 	for id, c := range heat {
 		if c > 0 {
 			ids = append(ids, id)
+			keys[id] = id.String()
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool {
 		if heat[ids[i]] != heat[ids[j]] {
 			return heat[ids[i]] > heat[ids[j]]
 		}
-		return ids[i].String() < ids[j].String()
+		return keys[ids[i]] < keys[ids[j]]
 	})
 	if n > 0 && len(ids) > n {
 		ids = ids[:n]

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/segment"
@@ -161,5 +162,41 @@ func TestBuildPlacementValidation(t *testing.T) {
 	}
 	if _, err := p.PrimaryFor(segment.ObjectID{Table: "missing"}); err == nil {
 		t.Fatal("unplaced object primary lookup succeeded")
+	}
+}
+
+// TestHotObjectsOrder pins the ranking: count descending, then the id's
+// text ascending — so tenant 10 sorts before tenant 2, and index 10000
+// before index 9999.
+func TestHotObjectsOrder(t *testing.T) {
+	id := func(tenant int, table string, index int) segment.ObjectID {
+		return segment.ObjectID{Tenant: tenant, Table: table, Index: index}
+	}
+	heat := map[segment.ObjectID]int{
+		id(2, "orders", 0):       3,
+		id(10, "orders", 0):      3,
+		id(1, "orders", 0):       3,
+		id(1, "lineitem", 9999):  3,
+		id(1, "lineitem", 10000): 3,
+		id(3, "region", 0):       7,
+		id(0, "nation", 0):       1,
+		id(0, "part", 0):         0,
+	}
+	want := []segment.ObjectID{
+		id(3, "region", 0),
+		id(1, "lineitem", 10000),
+		id(1, "lineitem", 9999),
+		id(1, "orders", 0),
+		id(10, "orders", 0),
+		id(2, "orders", 0),
+		id(0, "nation", 0),
+	}
+	for i := 0; i < 50; i++ { // map order differs from run to run
+		if got := hotObjects(heat, 0); !slices.Equal(got, want) {
+			t.Fatalf("hot objects %v, want %v", got, want)
+		}
+	}
+	if got := hotObjects(heat, 3); !slices.Equal(got, want[:3]) {
+		t.Fatalf("top 3 %v, want %v", got, want[:3])
 	}
 }

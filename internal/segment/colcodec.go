@@ -113,10 +113,11 @@ type dictionary struct{ slots, first []int32 }
 
 var dictSeed = maphash.MakeSeed()
 
-// reset empties d for a column of n rows, with at least 2n slots.
+// reset empties d for a column of n rows, with at least 2n slots, drawn
+// from the working-memory pool.
 func (d *dictionary) reset(n int) {
 	if size := 2 << bits.Len(uint(max(n, 1)-1)); len(d.slots) < size {
-		d.slots, d.first = make([]int32, size), make([]int32, 0, size/2)
+		d.slots, d.first = tuple.Resize(d.slots, size), tuple.Resize(d.first, size/2)
 	}
 	clear(d.slots)
 	d.first = d.first[:0]

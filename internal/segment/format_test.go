@@ -111,7 +111,8 @@ func TestDecodeColumnsReuseAllocatesNothing(t *testing.T) {
 
 // TestEncodeV2AllocatesOnce: a v2 encode allocates its payload once, at
 // its final size, plus scratch — no candidate blocks, no transposed
-// columns, no growth copies. The budget is 1.5× the encoded size.
+// columns, no growth copies, and the string dictionary comes from the
+// working-memory pool. The budget is 1.25× the encoded size.
 func TestEncodeV2AllocatesOnce(t *testing.T) {
 	g := wideSegment(2000)
 	data, err := g.EncodeFormat(wideSchema, FormatV2)
@@ -129,7 +130,7 @@ func TestEncodeV2AllocatesOnce(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perEncode := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("encoding %d bytes allocates %d bytes", len(data), perEncode)
-	if limit := uint64(len(data)) * 3 / 2; perEncode > limit {
+	if limit := uint64(len(data)) * 5 / 4; perEncode > limit {
 		t.Fatalf("encoding %d bytes allocates %d bytes, budget %d", len(data), perEncode, limit)
 	}
 }

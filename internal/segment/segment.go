@@ -352,6 +352,7 @@ func (g *Segment) encodeV2(schema *tuple.Schema) ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(schema.Len()))
 	encs, blocks := make([]Encoding, schema.Len()), 0
 	var dict dictionary
+	defer func() { tuple.Release(dict.slots); tuple.Release(dict.first) }()
 	for ci, col := range schema.Cols {
 		meta, err := sizeColumn(g.Rows, ci, col.Kind, &dict)
 		if err != nil {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/layout"
 	"repro/internal/metrics"
 	"repro/internal/segcache"
 	"repro/internal/segment"
@@ -53,12 +54,13 @@ type Config struct {
 	PrefetchBytes int64
 	// Fleet is the device fleet every query runs against: its size,
 	// replication and fault plan (the zero value is one clean default
-	// device). Every query run expands it afresh — fault decisions are a
-	// pure function of (seed, object, attempt), so every query sees the
-	// same deterministic schedule on its own virtual clock regardless of
-	// serving concurrency, and a crash window hits each affected query at
-	// the same point of its own run while other queries and tenants keep
-	// serving.
+	// device). New places it once (hot replication: per query, by its
+	// demand); every query runs fresh devices with fresh injectors — fault
+	// decisions are a pure function of (seed, object, attempt), so every
+	// query sees the same deterministic schedule on its own virtual clock
+	// regardless of serving concurrency, and a crash window hits each
+	// affected query at the same point of its own run while other queries
+	// and tenants keep serving.
 	Fleet skipper.FleetSpec
 	// Retry overrides the per-query fault-recovery policy (nil uses
 	// skipper.DefaultRetryPolicy).
@@ -135,6 +137,9 @@ type Server struct {
 	adm     *Admission
 	reg     *metrics.Registry
 	slow    metrics.Counter // skipper_slow_queries_total
+	// fleet is cfg.Fleet placed over the dataset, read by every query at
+	// once; nil under hot replication (execute places each query).
+	fleet *skipper.Fleet
 
 	base   context.Context // canceled on Shutdown: aborts queued and running queries
 	cancel context.CancelFunc
@@ -168,8 +173,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dataset == nil {
 		return nil, fmt.Errorf("server: config has no dataset")
 	}
-	if err := cfg.Fleet.Validate(); err != nil {
+	fleet, err := skipper.NewFleet(cfg.Fleet, nil, cfg.Dataset.Store, []*skipper.Client{{Catalog: cfg.Dataset.Catalog}})
+	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
+	}
+	if cfg.Fleet.Replication.Kind == layout.ReplicateHot {
+		fleet = nil
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 8
@@ -191,6 +200,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		planner: &sql.Planner{Catalog: cfg.Dataset.Catalog},
 		store:   cfg.Dataset.Store,
+		fleet:   fleet,
 		adm:     NewAdmission(cfg.Admission),
 		reg:     metrics.NewRegistry(),
 		base:    base,
@@ -690,10 +700,10 @@ func (s *Server) traceResponse(req *Request, tenant int) *Response {
 	return &Response{ID: req.ID, Type: "trace", Tenant: tenant, Trace: e}
 }
 
-// execute runs one admitted query as a single-client cluster over the
-// server's shared store, wired to the tenant's persistent segment cache
-// and the configured prefetch budget; a traced query's devices record into
-// its trace's device lane. ctx bounds the run in real time. The result comes
+// execute runs one admitted query as a single-client run of the server's
+// fleet, wired to the tenant's persistent segment cache and the configured
+// prefetch budget; a traced query's devices record into its trace's
+// device lane. ctx bounds the run in real time. The result comes
 // back with a failed run too, whenever the run got far enough to count.
 func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec skipper.QuerySpec, qt *trace.QueryTrace) (*skipper.RunResult, error) {
 	client := &skipper.Client{
@@ -710,9 +720,14 @@ func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec 
 		Ctx:            ctx,
 		QTrace:         qt,
 	}
-	fleet := s.cfg.Fleet
-	fleet.Device.Trace = qt.DeviceLane()
-	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Fleet: fleet, Store: s.store}).Run()
+	clients, fleet := []*skipper.Client{client}, s.fleet
+	if fleet == nil { // hot replication: placed by this query's demand
+		var err error
+		if fleet, err = skipper.NewFleet(s.cfg.Fleet, nil, s.store, clients); err != nil {
+			return nil, err
+		}
+	}
+	res, err := fleet.Run(clients, qt.DeviceLane())
 	if res == nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ var (
 	servingErr  error
 )
 
-func servingDataset(t *testing.T) *workload.Dataset {
+func servingDataset(t testing.TB) *workload.Dataset {
 	t.Helper()
 	servingOnce.Do(func() {
 		ds := workload.TPCH(0, workload.TPCHConfig{SF: 4, RowsPerObject: 4, Seed: 1, ClusteredDates: true})

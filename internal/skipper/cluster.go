@@ -2,6 +2,7 @@ package skipper
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/csd"
@@ -65,74 +66,70 @@ type RunResult struct {
 	sharedHits, cacheHitsBefore int64
 }
 
-// Run executes every client's workload to completion and returns the
-// gathered statistics. When a client's workload fails, the run's error
-// comes with the result gathered up to the failure — device, fault and
-// client counters of a query that, say, exhausted its retries are as
-// real as a successful one's. A nil result means the run never started
-// or the simulation itself broke.
+// Run executes every client's workload to completion — NewFleet, then one
+// run on it — and returns the gathered statistics; it writes nothing into
+// the cluster. When a client's workload fails, the run's error comes with
+// the result gathered up to the failure — device, fault and client
+// counters of a query that, say, exhausted its retries are as real as a
+// successful one's. A nil result means the run never started or the
+// simulation itself broke.
 func (cl *Cluster) Run() (*RunResult, error) {
 	if len(cl.Clients) == 0 {
 		return nil, fmt.Errorf("skipper: cluster has no clients")
 	}
-	if cl.Layout == nil {
-		cl.Layout = layout.OnePerGroup()
-	}
-	if cl.Costs == (Costs{}) {
-		cl.Costs = DefaultCosts()
-	}
-	devCfg, n, plan, err := cl.Fleet.resolve()
+	f, err := NewFleet(cl.Fleet, cl.Layout, cl.Store, cl.Clients)
 	if err != nil {
 		return nil, err
 	}
-	tenants := make([]layout.TenantObjects, len(cl.Clients))
-	for i, c := range cl.Clients {
-		tenants[i] = layout.TenantObjects{Tenant: c.Tenant, Objects: c.Catalog.AllObjects()}
-	}
-	assign, err := cl.Layout.Assign(tenants)
-	if err != nil {
-		return nil, fmt.Errorf("skipper: layout: %w", err)
-	}
-	var heat map[segment.ObjectID]int
-	if cl.Fleet.Replication.Kind == layout.ReplicateHot {
-		heat = demandHeat(cl.Clients)
-	}
-	place, err := layout.BuildPlacement(assign, n, cl.Fleet.Replication, heat)
-	if err != nil {
-		return nil, fmt.Errorf("skipper: placement: %w", err)
-	}
+	return f.run(cl.Clients, cl.Costs, cl.SharedCache, cl.Fleet.Device.Trace)
+}
 
+// fleetRun is the per-run half of a cluster run: the kernel, the chooser
+// over this run's devices, and what every client process of the run reads.
+type fleetRun struct {
+	sim    *vtime.Sim
+	fl     *DeviceChooser
+	store  map[segment.ObjectID]*segment.Segment
+	costs  Costs
+	shared *segcache.Cache
+	err    error // the first client's failure
+}
+
+// run builds a kernel, the fleet's devices (each with a fresh injector and
+// the lane as its recorder), the chooser and one process per client, runs
+// the simulation and gathers the result. Zero costs are DefaultCosts.
+func (f *Fleet) run(clients []*Client, costs Costs, shared *segcache.Cache, lane *trace.QueryTrace) (*RunResult, error) {
+	if costs == (Costs{}) {
+		costs = DefaultCosts()
+	}
 	sim := vtime.NewSim()
-	devs := make([]*csd.CSD, n)
+	devCfg := f.dev
+	devCfg.Trace = lane
+	devs := make([]*csd.CSD, len(f.assigns))
 	var injs []*faults.Injector
-	for i := range devs {
-		da, err := place.DeviceAssignment(i)
-		if err != nil {
-			return nil, fmt.Errorf("skipper: device %d: %w", i, err)
-		}
+	for i, da := range f.assigns {
 		devCfg.ID = i
-		if plan != nil {
-			injs = append(injs, deviceInjector(*plan, i))
+		if f.plan != nil {
+			injs = append(injs, deviceInjector(*f.plan, i))
 			devCfg.Faults = injs[i]
 		}
-		devs[i] = csd.New(sim, devCfg, cl.Store, da)
+		devs[i] = csd.New(sim, devCfg, f.store, da)
 		devs[i].Start()
 	}
-	fl := newDeviceChooser(devs, place)
+	r := &fleetRun{sim: sim, fl: newDeviceChooser(devs, f.place), store: f.store, costs: costs, shared: shared}
 
-	done := vtime.NewChan[int](sim, "cluster.done", len(cl.Clients))
-	var runErr error
-	for _, c := range cl.Clients {
+	done := vtime.NewChan[int](sim, "cluster.done", len(clients))
+	for _, c := range clients {
 		c := c
-		sim.Spawn(fmt.Sprintf("client.t%d", c.Tenant), func(p *vtime.Proc) {
-			if err := cl.runClient(p, sim, fl, c); err != nil && runErr == nil {
-				runErr = err
+		sim.Spawn("client.t"+strconv.Itoa(c.Tenant), func(p *vtime.Proc) {
+			if err := r.runClient(p, c); err != nil && r.err == nil {
+				r.err = err
 			}
 			done.Send(p, c.Tenant)
 		})
 	}
 	sim.Spawn("cluster.coordinator", func(p *vtime.Proc) {
-		for range cl.Clients {
+		for range clients {
 			done.Recv(p)
 		}
 		for _, dev := range devs {
@@ -140,8 +137,8 @@ func (cl *Cluster) Run() (*RunResult, error) {
 		}
 	})
 	res := &RunResult{}
-	if cl.SharedCache != nil {
-		res.cacheHitsBefore = cl.SharedCache.Stats().Hits
+	if shared != nil {
+		res.cacheHitsBefore = shared.Stats().Hits
 	}
 	wallStart := time.Now()
 	if err := sim.Run(); err != nil {
@@ -161,11 +158,11 @@ func (cl *Cluster) Run() (*RunResult, error) {
 			res.CSD = res.CSD.Plus(st)
 		}
 	}
-	if cl.SharedCache != nil {
-		st := cl.SharedCache.Stats()
+	if shared != nil {
+		st := shared.Stats()
 		res.Cache = &st
 	}
-	for _, c := range cl.Clients {
+	for _, c := range clients {
 		res.Clients = append(res.Clients, &c.stats)
 		// The device cannot observe requests that data skipping never
 		// issued; fold the clients' accounting into the device stats so
@@ -175,18 +172,18 @@ func (cl *Cluster) Run() (*RunResult, error) {
 			res.sharedHits += int64(c.stats.CacheHits)
 		}
 	}
-	return res, runErr
+	return res, r.err
 }
 
 // runClient executes one client's query sequence. With c.PrefetchBytes
 // set it also owns the client's prefetch daemon, told to stop when the
 // workload ends, even on error; it exits once its in-flight transfers
 // drain, so the simulation always terminates.
-func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c *Client) error {
+func (r *fleetRun) runClient(p *vtime.Proc, c *Client) error {
 	c.stats = ClientStats{Tenant: c.Tenant, Mode: c.Mode, Start: p.Now()}
 	wallStart := time.Now()
 	defer func() { c.stats.WallElapsed = time.Since(wallStart) }()
-	px := newProxy(sim, fl, c.Tenant, &c.stats)
+	px := newProxy(r.sim, r.fl, c.Tenant, &c.stats)
 	px.proc = p
 	px.ctx = c.Ctx
 	px.tr = c.QTrace
@@ -194,11 +191,11 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 		px.retry = newRetryState(c.Retry)
 	}
 	if px.cache = c.SegCache; px.cache == nil {
-		px.cache = cl.SharedCache
+		px.cache = r.shared
 	}
 	if c.PrefetchBytes > 0 {
-		px.pf = newPrefetcher(sim, fl, px.cache, c)
-		sim.Spawn(fmt.Sprintf("prefetch.t%d", c.Tenant), px.pf.run)
+		px.pf = newPrefetcher(r.sim, r.fl, px.cache, c)
+		r.sim.Spawn("prefetch.t"+strconv.Itoa(c.Tenant), px.pf.run)
 		defer px.pf.stop(p)
 	}
 	clock := &chargingClock{proc: p, stats: &c.stats}
@@ -219,7 +216,7 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 				pfWall = time.Now()
 			}
 			for ; enqueued <= qi+1 && enqueued < len(c.Queries); enqueued++ {
-				px.pf.enqueue(p, candidatesFor(c, enqueued, cl.Store))
+				px.pf.enqueue(p, candidatesFor(c, enqueued, r.store))
 			}
 			if c.QTrace.Enabled() {
 				c.QTrace.EmitVirt(trace.CatPrefetch, "disclose", pfWall, pfVirt, p.Now())
@@ -231,9 +228,9 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 		var err error
 		switch c.Mode {
 		case ModeVanilla:
-			rows, err = cl.runVanilla(clock, px, c, spec)
+			rows, err = r.runVanilla(clock, px, c, spec)
 		case ModeSkipper:
-			rows, err = cl.runSkipper(clock, px, c, spec)
+			rows, err = r.runSkipper(clock, px, c, spec)
 		default:
 			err = fmt.Errorf("skipper: unknown mode %d", c.Mode)
 		}
@@ -266,11 +263,11 @@ func (cl *Cluster) runClient(p *vtime.Proc, sim *vtime.Sim, fl *DeviceChooser, c
 // access pattern — one GET per segment in plan order — is unchanged. The
 // whole plan runs on the client's goroutine, as the vtime simulation
 // requires of the scans (and thus of GETs and virtual-time charges).
-func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
+func (r *fleetRun) runVanilla(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	ctx := &engine.Ctx{
 		Clock: clock,
-		Fetch: &vanillaFetcher{px: px, fuse: cl.Costs.FusePerObject},
-		Costs: engine.Costs{ProcessPerObject: cl.Costs.VanillaPerObject},
+		Fetch: &vanillaFetcher{px: px, fuse: r.costs.FusePerObject},
+		Costs: engine.Costs{ProcessPerObject: r.costs.VanillaPerObject},
 		Trace: c.QTrace,
 	}
 	it, err := BuildPullPlanPruned(ctx, spec.Join, !c.NoStatsPruning)
@@ -303,7 +300,7 @@ func (cl *Cluster) runVanilla(clock engine.Clock, px *proxy, c *Client, spec Que
 
 // runSkipper executes the query with the cache-aware MJoin over the
 // push-based proxy.
-func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
+func (r *fleetRun) runSkipper(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	cacheSize := c.CacheObjects
 	if cacheSize <= 0 {
 		cacheSize = len(spec.Join.Objects())
@@ -314,7 +311,7 @@ func (cl *Cluster) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 		Pruning:      !c.NoSubplanPruning,
 		StatsPruning: !c.NoStatsPruning,
 		Clock:        clock,
-		Costs:        mjoin.Costs{ProcessPerObject: cl.Costs.MJoinPerObject},
+		Costs:        mjoin.Costs{ProcessPerObject: r.costs.MJoinPerObject},
 		Trace:        c.QTrace,
 	}
 	join, err := mjoin.NewStream(spec.Join, cfg, px)

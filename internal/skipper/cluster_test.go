@@ -2,6 +2,7 @@ package skipper
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/csd"
@@ -196,5 +197,61 @@ func TestThinkTimeZeroHasNoGap(t *testing.T) {
 	pq := res.Clients[0].PerQuery
 	if pq[1].Start != pq[0].Finish {
 		t.Fatalf("gap between queries: %v -> %v", pq[0].Finish, pq[1].Start)
+	}
+}
+
+// TestFleetRunsShareOnePlacement: a Fleet is placed once and read by every
+// run. Four concurrent runs of fresh clients on one fleet each reproduce
+// Cluster.Run's result, device by device, and Cluster.Run leaves the
+// caller's struct as it found it (no Layout or Costs defaults written in).
+func TestFleetRunsShareOnePlacement(t *testing.T) {
+	cl := buildCluster(3, ModeSkipper, 5)
+	cl.Fleet = FleetSpec{N: 2}
+	want, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.Layout != nil || cl.Costs != (Costs{}) {
+		t.Fatalf("Cluster.Run wrote into the cluster: layout %v, costs %+v", cl.Layout, cl.Costs)
+	}
+	f, err := NewFleet(cl.Fleet, nil, cl.Store, cl.Clients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*RunResult, 4)
+	errs := make([]error, len(results))
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			clients := make([]*Client, len(cl.Clients))
+			for j, c := range cl.Clients {
+				clients[j] = &Client{Tenant: c.Tenant, Mode: c.Mode, Catalog: c.Catalog, CacheObjects: c.CacheObjects, Queries: c.Queries}
+			}
+			results[i], errs[i] = f.Run(clients, nil)
+		}(i)
+	}
+	wg.Wait()
+	for i, got := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got.Makespan != want.Makespan || len(got.Devices) != 2 {
+			t.Fatalf("run %d: makespan %v on %d devices, want %v on 2", i, got.Makespan, len(got.Devices), want.Makespan)
+		}
+		for d, st := range got.Devices {
+			if w := want.Devices[d]; st.GetsReceived != w.GetsReceived || st.GroupSwitches != w.GroupSwitches || w.GetsReceived == 0 {
+				t.Fatalf("run %d device %d: %d GETs, %d switches; want %d, %d", i, d, st.GetsReceived, st.GroupSwitches, w.GetsReceived, w.GroupSwitches)
+			}
+		}
+		for j, cs := range got.Clients {
+			if w := want.Clients[j]; cs.Rows != w.Rows || cs.Elapsed() != w.Elapsed() {
+				t.Fatalf("run %d tenant %d: %d rows in %v, want %d in %v", i, cs.Tenant, cs.Rows, cs.Elapsed(), w.Rows, w.Elapsed())
+			}
+		}
+		if err := got.CheckInvariants(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
 	}
 }

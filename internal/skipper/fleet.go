@@ -7,18 +7,20 @@ import (
 	"repro/internal/faults"
 	"repro/internal/layout"
 	"repro/internal/segment"
+	"repro/internal/trace"
 )
 
 // FleetSpec describes the devices a cluster's clients share: how many,
 // how each is configured, which objects live on more than one, and what
-// goes wrong. It is a description, not a set of live parts — Cluster.Run
-// alone expands it, so the same value can be run any number of times
-// (and by any number of goroutines) with identical, replayable results.
+// goes wrong. It is a description, not a set of live parts — NewFleet
+// expands it into a Fleet, so the same value can be run any number of
+// times (and by any number of goroutines) with identical, replayable
+// results.
 type FleetSpec struct {
 	// Device configures every device of the fleet. A nil Scheduler means
-	// csd.DefaultConfig (keeping Trace, the one recorder all the fleet's
-	// devices share). ID and Faults are stamped per device by Run; Faults
-	// must be left nil here.
+	// csd.DefaultConfig. ID, Faults and Trace are stamped per device by
+	// each run — Trace from Cluster.Run's spec, or the lane Fleet.Run is
+	// given — so a Fleet never holds a recorder; Faults must be left nil.
 	Device csd.Config
 	// N is the fleet size; 0 means 1, the classic single-device testbed.
 	// With more, disk groups spread across the devices (primary device =
@@ -57,32 +59,77 @@ func (fs *FleetSpec) Validate() error {
 	return nil
 }
 
-// resolve validates the spec and returns the per-device configuration
-// (ID and Faults still to be stamped), the fleet size and the effective
-// fault plan (nil = clean).
-func (fs *FleetSpec) resolve() (csd.Config, int, *faults.Plan, error) {
-	cfg := fs.Device
-	if err := fs.Validate(); err != nil {
-		return cfg, 0, nil, err
-	}
-	if cfg.Scheduler == nil {
-		def := csd.DefaultConfig()
-		def.Trace = cfg.Trace
-		cfg = def
-	}
-	plan := fs.Faults
-	if plan != nil && !plan.Enabled() {
-		plan = nil
-	}
-	return cfg, max(fs.N, 1), plan, nil
-}
-
 // deviceInjector builds device d's fresh injector from a validated plan.
 func deviceInjector(plan faults.Plan, d int) *faults.Injector {
 	if d > 0 {
 		plan.CrashAt, plan.CrashDowntime = 0, 0
 	}
 	return faults.MustNew(plan)
+}
+
+// Fleet is the immutable half of a cluster run: the completed device
+// configuration, the fault plan (nil when it enables nothing), the layout
+// of the clients' objects on disk groups and devices, and the store the
+// devices serve. Nothing writes to a Fleet after NewFleet, so any number
+// of runs, concurrent ones included, share one; each Run builds the
+// mutable half for itself.
+type Fleet struct {
+	dev     csd.Config // ID, Faults and Trace stamped per run
+	plan    *faults.Plan
+	place   *layout.Placement
+	assigns []*layout.Assignment // per device
+	store   map[segment.ObjectID]*segment.Segment
+}
+
+// NewFleet expands the spec for the clients' catalogs: policy (nil means
+// layout.OnePerGroup) assigns their objects to disk groups, and the
+// placement spreads the groups over the devices. Only layout.ReplicateHot
+// reads the clients' queries (it replicates their demand), so only such a
+// fleet is tied to the queries it was built for.
+func NewFleet(spec FleetSpec, policy layout.Policy, store map[segment.ObjectID]*segment.Segment, clients []*Client) (*Fleet, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	f := &Fleet{dev: spec.Device, plan: spec.Faults, store: store}
+	if f.dev.Scheduler == nil {
+		f.dev = csd.DefaultConfig()
+	}
+	f.dev.Trace = nil
+	if f.plan != nil && !f.plan.Enabled() {
+		f.plan = nil
+	}
+	n := max(spec.N, 1)
+	if policy == nil {
+		policy = layout.OnePerGroup()
+	}
+	tenants := make([]layout.TenantObjects, len(clients))
+	for i, c := range clients {
+		tenants[i] = layout.TenantObjects{Tenant: c.Tenant, Objects: c.Catalog.AllObjects()}
+	}
+	assign, err := policy.Assign(tenants)
+	if err != nil {
+		return nil, fmt.Errorf("skipper: layout: %w", err)
+	}
+	var heat map[segment.ObjectID]int
+	if spec.Replication.Kind == layout.ReplicateHot {
+		heat = demandHeat(clients)
+	}
+	if f.place, err = layout.BuildPlacement(assign, n, spec.Replication, heat); err != nil {
+		return nil, fmt.Errorf("skipper: placement: %w", err)
+	}
+	f.assigns = make([]*layout.Assignment, n)
+	for i := range f.assigns {
+		if f.assigns[i], err = f.place.DeviceAssignment(i); err != nil {
+			return nil, fmt.Errorf("skipper: device %d: %w", i, err)
+		}
+	}
+	return f, nil
+}
+
+// Run runs the clients on the fleet with the default costs and no shared
+// cache; every device records into lane (nil records nothing).
+func (f *Fleet) Run(clients []*Client, lane *trace.QueryTrace) (*RunResult, error) {
+	return f.run(clients, Costs{}, nil, lane)
 }
 
 // This file is the fleet layer of the scale-out refactor: a cluster may

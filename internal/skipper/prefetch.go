@@ -2,7 +2,7 @@ package skipper
 
 import (
 	"errors"
-	"fmt"
+	"strconv"
 
 	"repro/internal/csd"
 	"repro/internal/segcache"
@@ -88,8 +88,8 @@ func newPrefetcher(sim *vtime.Sim, fl *DeviceChooser, cache *segcache.Cache, c *
 		fl:       fl,
 		cache:    cache,
 		stats:    &c.stats,
-		cmd:      vtime.NewChan[pfCmd](sim, fmt.Sprintf("prefetch.t%d.cmd", c.Tenant), len(c.Queries)+4),
-		reply:    vtime.NewChan[csd.Delivery](sim, fmt.Sprintf("prefetch.t%d.reply", c.Tenant), 1<<20),
+		cmd:      vtime.NewChan[pfCmd](sim, "prefetch.t"+strconv.Itoa(c.Tenant)+".cmd", len(c.Queries)+4),
+		reply:    vtime.NewChan[csd.Delivery](sim, "prefetch.t"+strconv.Itoa(c.Tenant)+".reply", 1<<20),
 		queued:   make(map[segment.ObjectID]bool),
 		inflight: make(map[segment.ObjectID]int64),
 		staged:   make(map[segment.ObjectID]*segment.Segment),

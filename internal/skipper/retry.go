@@ -154,17 +154,19 @@ type retryState struct {
 	spent int
 }
 
-func newRetryState(policy *RetryPolicy) *retryState {
+var defaultRetryPolicy = DefaultRetryPolicy() // shared read-only by clients without a Retry
+
+func newRetryState(policy *RetryPolicy) retryState {
 	if policy == nil {
-		policy = DefaultRetryPolicy()
+		policy = defaultRetryPolicy
 	}
 	policy.validate()
-	return &retryState{policy: policy, attempts: make(map[segment.ObjectID]int)}
+	return retryState{policy: policy}
 }
 
-// beginQuery resets the per-query caps.
+// beginQuery resets the per-query caps (the first retry makes the map).
 func (rs *retryState) beginQuery() {
-	rs.attempts = make(map[segment.ObjectID]int)
+	clear(rs.attempts)
 	rs.spent = 0
 }
 
@@ -231,7 +233,7 @@ func (px *proxy) canFailover(d csd.Delivery) bool {
 // delay a healthy one. Returns the error to surface when the policy is
 // spent or the context fired; nil means the retry is in flight.
 func (px *proxy) retryDelivery(d csd.Delivery, class deliveryClass, cause error) error {
-	rs := px.retry
+	rs := &px.retry
 	obj := d.Object
 	if class == deliveryCorrupt {
 		px.stats.CorruptDeliveries++
@@ -281,6 +283,9 @@ func (px *proxy) retryDelivery(d csd.Delivery, class deliveryClass, cause error)
 	// being torn down, do not re-request on its behalf.
 	if err := px.ctxDone(); err != nil {
 		return err
+	}
+	if rs.attempts == nil {
+		rs.attempts = make(map[segment.ObjectID]int)
 	}
 	rs.attempts[obj] = attempts + 1
 	rs.spent++

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strconv"
 	"time"
 
 	"repro/internal/catalog"
@@ -321,7 +322,7 @@ func (c *Client) Stats() *ClientStats { return &c.stats }
 // queryID names the client's qi-th query: the tag its GETs, demand and
 // prefetch alike, carry to the device's rank scheduler.
 func (c *Client) queryID(qi int) string {
-	return fmt.Sprintf("t%d.%s#%d", c.Tenant, c.Queries[qi].Name, qi)
+	return "t" + strconv.Itoa(c.Tenant) + "." + c.Queries[qi].Name + "#" + strconv.Itoa(qi)
 }
 
 // ctxErr reports the client's cancellation state (nil without a Ctx).
@@ -365,7 +366,7 @@ type proxy struct {
 	tr *trace.QueryTrace
 	// retry is the fault-recovery bookkeeping: the active policy plus the
 	// per-query attempt counts and budget (reset by beginQuery).
-	retry *retryState
+	retry retryState
 	// batches and batchOrder are Request's working storage: the GETs of one
 	// call per device id, and the devices in order of first appearance.
 	// Both are empty between calls.
@@ -379,7 +380,7 @@ func newProxy(sim *vtime.Sim, fl *DeviceChooser, tenant int, stats *ClientStats)
 		fl:      fl,
 		tenant:  tenant,
 		stats:   stats,
-		reply:   vtime.NewChan[csd.Delivery](sim, fmt.Sprintf("proxy.t%d.reply", tenant), 1<<20),
+		reply:   vtime.NewChan[csd.Delivery](sim, "proxy.t"+strconv.Itoa(tenant)+".reply", 1<<20),
 		retry:   newRetryState(nil),
 		batches: make([][]*csd.Request, fl.numDevices()),
 	}

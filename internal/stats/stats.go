@@ -94,6 +94,7 @@ func Collect(name string, schema *tuple.Schema, segs []*segment.Segment, opt Opt
 func CollectChecked(name string, schema *tuple.Schema, segs []*segment.Segment, opt Options) (*Table, error) {
 	t := &Table{Name: name, Schema: schema, Segments: make([]SegmentStats, len(segs))}
 	sc := &decodeScratch{cd: segment.ColumnData{Cols: make([]tuple.Vector, schema.Len())}}
+	defer func() { tuple.Release(sc.ints.I); tuple.Release(sc.strs.S) }() // the pool's again
 	for si, sg := range segs {
 		if dir := sg.Directory(); dir != nil {
 			ss, err := segmentStatsFromDirectory(schema, sg, dir, opt, sc)
@@ -156,14 +157,17 @@ func segmentStatsFromDirectory(schema *tuple.Schema, sg *segment.Segment, dir []
 			kept = &sc.strs
 		}
 		sc.cd.Cols[ci] = *kept
-		cd, err := sg.DecodeColumns(schema, []int{ci}, &sc.cd)
+		_, err := sg.DecodeColumns(schema, []int{ci}, &sc.cd)
+		v := sc.cd.Cols[ci]
+		if !sc.cd.Views() { // a memoized segment's vector is its memo's
+			*kept = v
+		}
 		if err != nil {
 			return SegmentStats{}, err
 		}
-		*kept = cd.Cols[ci]
-		cs.Bloom = NewBloom(cd.NumRows, opt.BloomBitsPerRow)
-		for i := 0; i < cd.NumRows; i++ {
-			cs.Bloom.Add(kept.Value(col.Kind, i).Hash())
+		cs.Bloom = NewBloom(sc.cd.NumRows, opt.BloomBitsPerRow)
+		for i := 0; i < sc.cd.NumRows; i++ {
+			cs.Bloom.Add(v.Value(col.Kind, i).Hash())
 		}
 	}
 	return ss, nil
