@@ -19,21 +19,9 @@ import (
 	"repro/internal/tuple"
 )
 
-// Clock abstracts virtual time so operators can charge processing costs.
-// vtime.Proc satisfies it; tests use a fake.
-type Clock interface {
-	// Sleep advances the clock by d (blocking on a simulated clock).
-	Sleep(d time.Duration)
-}
-
-// NopClock ignores all charges; used by pure correctness tests.
-type NopClock struct{}
-
-// Sleep implements Clock.
-func (NopClock) Sleep(time.Duration) {}
-
 // Fetcher retrieves one segment by object id. The vanilla path issues a
-// synchronous GET to the CSD; tests fetch from a map.
+// synchronous GET to the CSD, whose proxy also charges the segment's
+// virtual processing time; tests fetch from a map.
 type Fetcher interface {
 	// Fetch retrieves one segment, blocking until it is available.
 	Fetch(id segment.ObjectID) (*segment.Segment, error)
@@ -51,37 +39,20 @@ func (m MapFetcher) Fetch(id segment.ObjectID) (*segment.Segment, error) {
 	return sg, nil
 }
 
-// Costs charges virtual processing time. ProcessPerObject is the per-1-GB-
-// segment query-processing cost; the paper's Table 3 implies ≈7.14 s
-// (407 s of query execution over 57 objects).
-type Costs struct {
-	// ProcessPerObject is charged once per fetched segment.
-	ProcessPerObject time.Duration
-}
-
-// DefaultCosts returns the Table 3 calibration.
-func DefaultCosts() Costs {
-	return Costs{ProcessPerObject: 7140 * time.Millisecond}
-}
-
 // Ctx carries the execution environment through the operator tree.
 type Ctx struct {
-	// Clock receives virtual processing-time charges.
-	Clock Clock
 	// Fetch supplies segments to the scans.
 	Fetch Fetcher
-	// Costs calibrates the charges.
-	Costs Costs
 	// Trace, when non-nil, receives per-segment fetch and decode spans
-	// from the scans. Spans carry wall time only: the engine has no
-	// virtual-clock handle of its own (charges go through Clock). nil (the
-	// default) records nothing and costs one branch.
+	// from the scans. Spans carry wall time only: the engine cannot see
+	// virtual time (the Fetcher charges it). nil (the default) records
+	// nothing and costs one branch.
 	Trace *trace.QueryTrace
 }
 
-// NewTestCtx returns a context over an in-memory store with no costs.
+// NewTestCtx returns a context over an in-memory store.
 func NewTestCtx(store map[segment.ObjectID]*segment.Segment) *Ctx {
-	return &Ctx{Clock: NopClock{}, Fetch: MapFetcher(store)}
+	return &Ctx{Fetch: MapFetcher(store)}
 }
 
 // Iterator is the operator interface, a batched Volcano protocol:
@@ -133,16 +104,16 @@ func Collect(it Iterator) (rows []tuple.Row, err error) {
 // engine's relation leg: every loaded segment goes through the Leg kernel
 // (decode → filter → select) a batch-sized range at a time, so the scan's
 // output is Filter's survivors of Project's columns and nothing wider ever
-// exists above it. Per-segment cost charges do not depend on either.
+// exists above it.
 type SeqScan struct {
 	ctx   *Ctx
 	table *catalog.TableMeta
 
 	// Pruner, when non-nil, is consulted before each segment fetch: a
 	// segment it proves result-free (from the catalog's zone maps and
-	// Bloom filters) is skipped without issuing a GET or charging any
-	// processing cost. Because pruning is conservative, the surviving
-	// row stream is identical to the unpruned one after Filter.
+	// Bloom filters) is skipped without a fetch. Because pruning is
+	// conservative, the surviving row stream is identical to the unpruned
+	// one after Filter.
 	Pruner stats.Pruner
 
 	// Project is the scan's physical projection: the table columns, in
@@ -202,8 +173,9 @@ func (b *ScanBytes) add(o ScanBytes) {
 
 // PipeStats is the host-side (wall-clock) decode accounting of one scan or
 // MJoin run: virtual time stands still while a segment decodes — the
-// per-object processing charge models the whole scan step — so this is
-// where the decode cost a format or projection change attacks shows up.
+// proxy's per-object processing charge models the whole scan step — so
+// this is where the decode cost a format or projection change attacks
+// shows up.
 type PipeStats struct {
 	// DecodeBusy is the total real time spent decoding segments.
 	DecodeBusy time.Duration
@@ -265,8 +237,8 @@ func (s *SeqScan) PipeStats() PipeStats { return s.pstats }
 // loadSegment advances to the next segment holding unread rows: segments
 // the Pruner proves result-free are passed over without a fetch, the next
 // one is fetched (blocking) and — when lazy — decoded into the scan's reused
-// buffer, only the projected column blocks for v2, and the per-segment
-// processing cost is charged. ok=false signals exhaustion.
+// buffer, only the projected column blocks for v2. ok=false signals
+// exhaustion.
 func (s *SeqScan) loadSegment() (ok bool, err error) {
 	for s.rowIdx >= s.nrows {
 		for s.Pruner != nil && s.segIdx < len(s.table.Objects) && s.Pruner.CanSkip(s.segIdx) {
@@ -306,7 +278,6 @@ func (s *SeqScan) loadSegment() (ok bool, err error) {
 			nrows = cd.NumRows
 		}
 		s.cd, s.rows, s.nrows, s.rowIdx = cd, sg.Rows, nrows, 0
-		s.ctx.Clock.Sleep(s.ctx.Costs.ProcessPerObject)
 	}
 	return true, nil
 }

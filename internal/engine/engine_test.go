@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/expr"
@@ -54,23 +53,6 @@ func TestSeqScanAllRows(t *testing.T) {
 		if r[0].AsInt() != int64(i) {
 			t.Fatalf("row %d = %v", i, r)
 		}
-	}
-}
-
-// countingClock tallies virtual charges.
-type countingClock struct{ total time.Duration }
-
-func (c *countingClock) Sleep(d time.Duration) { c.total += d }
-
-func TestSeqScanChargesPerSegment(t *testing.T) {
-	tm, store := buildTable(t, "t", kvRows(10), 3) // 4 segments
-	clk := &countingClock{}
-	ctx := &Ctx{Clock: clk, Fetch: MapFetcher(store), Costs: Costs{ProcessPerObject: time.Second}}
-	if _, err := Collect(NewSeqScan(ctx, tm)); err != nil {
-		t.Fatal(err)
-	}
-	if clk.total != 4*time.Second {
-		t.Fatalf("charged %v, want 4s", clk.total)
 	}
 }
 

@@ -70,9 +70,9 @@ type cacheEntry struct {
 
 // processArrival handles one delivered object: an arrival no pending
 // subplan needs any more (raced with pruning/completion) is dropped
-// undecoded and uncharged; any other pays the per-object processing charge,
-// is decoded, counted and admitted to the cache. It fails on a corrupt
-// arrival (lazy-store block decode), mirroring the vanilla scan path.
+// undecoded; any other is decoded, counted and admitted to the cache. It
+// fails on a corrupt arrival (lazy-store block decode), mirroring the
+// vanilla scan path.
 func (m *Stream) processArrival(seg *segment.Segment) error {
 	m.stats.Arrivals++
 	rel, o := m.number(seg.ID)
@@ -82,7 +82,6 @@ func (m *Stream) processArrival(seg *segment.Segment) error {
 	if m.pendingCount[o] == 0 {
 		return nil
 	}
-	m.cfg.Clock.Sleep(m.cfg.Costs.ProcessPerObject)
 	start := time.Now()
 	batch, by, err := m.decodeArrival(rel, seg)
 	m.stats.Pipe.DecodeBusy += time.Since(start)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/segment"
@@ -13,7 +12,9 @@ import (
 )
 
 // Source supplies objects out of order. The production implementation is
-// the client proxy over the CSD; tests script arbitrary arrival orders.
+// the client proxy over the CSD, which also charges the virtual processing
+// time of each arrival the stream will decode; tests script arbitrary
+// arrival orders.
 type Source interface {
 	// Request issues GETs for the given objects. The state manager calls
 	// it once per cycle with every object still needed; objs is valid only
@@ -43,18 +44,6 @@ func (e *CacheTooSmallError) Error() string {
 		e.CacheSize, e.Widest)
 }
 
-// Costs parametrizes virtual processing charges.
-type Costs struct {
-	// ProcessPerObject is charged on every arrival that is scanned into
-	// the cache (including rescans of reissued objects). The paper's
-	// Table 3 measures MJoin's per-object processing at ≈6% above the
-	// vanilla engine's.
-	ProcessPerObject time.Duration
-}
-
-// DefaultCosts mirrors Table 3: 433 s over 57 objects ≈ 7.6 s/object.
-func DefaultCosts() Costs { return Costs{ProcessPerObject: 7600 * time.Millisecond} }
-
 // Config controls one MJoin execution.
 type Config struct {
 	// CacheSize is the buffer capacity in objects; it must be at least
@@ -71,15 +60,11 @@ type Config struct {
 	// is never requested at all — the static counterpart of the runtime
 	// pruning above. Results are byte-identical either way.
 	StatsPruning bool
-	// Clock charges virtual processing time (default: no charging).
-	Clock engine.Clock
-	// Costs are the virtual charges.
-	Costs Costs
 	// MaxCycles bounds request-reissue cycles as a livelock guard.
 	MaxCycles int
 	// Trace, when non-nil, receives per-cycle and per-arrival-decode
-	// spans. Spans carry wall time only: the manager has no virtual-clock
-	// handle of its own (charges go through Clock). nil records nothing.
+	// spans. Spans carry wall time only: the manager cannot see virtual
+	// time (the Source charges it). nil records nothing.
 	Trace *trace.QueryTrace
 }
 
@@ -91,7 +76,6 @@ func DefaultConfig(cacheSize int) Config {
 		Policy:       MaxProgress{},
 		Pruning:      true,
 		StatsPruning: true,
-		Clock:        engine.NopClock{},
 		MaxCycles:    1 << 20,
 	}
 }
@@ -110,7 +94,7 @@ type Stats struct {
 	ResultRows       int // join output cardinality
 	// Byte accounting over lazily decoded arrivals (zero for in-memory
 	// sources). Re-arrivals of reissued objects decode again and count
-	// again — rescans are real work, exactly like the processing charge.
+	// again — rescans are real work.
 	BytesFetched             int64 // encoded size of scanned arrivals
 	BytesDecoded             int64 // encoded block bytes decoded
 	BytesSkippedByProjection int64 // block bytes skipped via Relation.Cols
@@ -138,8 +122,8 @@ type Result struct {
 
 // Stream is one MJoin execution (Algorithm 1), the state manager itself, as
 // an engine.Iterator that runs once. Closed early, it still runs the whole
-// join, so a run's GETs and virtual charges never depend on how much of its
-// output was read.
+// join, so a run's GETs and arrivals never depend on how much of its output
+// was read.
 //
 // Its bookkeeping is dense arrays, sized once. Subplan i picks segment
 // i/stride[r]%dims[r] of relation r: a mixed-radix number with relation 0
@@ -248,9 +232,6 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = MaxProgress{}
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = engine.NopClock{}
-	}
 	if cfg.MaxCycles <= 0 {
 		cfg.MaxCycles = 1 << 20
 	}
@@ -321,7 +302,7 @@ func (m *Stream) NextBatch() (*tuple.Batch, bool, error) {
 }
 
 // Close implements engine.Iterator. A stream closed before its end runs the
-// remaining cycles, making every GET, charge and arrival a full drain would
+// remaining cycles, making every GET and arrival a full drain would
 // have, discards their output and returns the error that stopped them, if
 // any, releasing every output chunk. After a failure it asks nothing more
 // of the source.

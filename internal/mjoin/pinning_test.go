@@ -167,9 +167,6 @@ func TestPolicyNamesAndDefaults(t *testing.T) {
 		}
 		names[n] = true
 	}
-	if DefaultCosts().ProcessPerObject <= 0 {
-		t.Fatal("default costs zero")
-	}
 }
 
 func TestQueryAccessors(t *testing.T) {

@@ -27,7 +27,6 @@ type Cluster struct {
 	// Fleet describes the devices the clients share. The zero value is
 	// the classic testbed: one default device, no faults.
 	Fleet FleetSpec
-	Costs Costs
 	// Store backs every tenant's objects.
 	Store map[segment.ObjectID]*segment.Segment
 	// SharedCache, when non-nil, is one segment cache shared by every
@@ -81,7 +80,7 @@ func (cl *Cluster) Run() (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.run(cl.Clients, cl.Costs, cl.SharedCache, cl.Fleet.Device.Trace)
+	return f.run(cl.Clients, cl.SharedCache, cl.Fleet.Device.Trace)
 }
 
 // fleetRun is the per-run half of a cluster run: the kernel, the chooser
@@ -90,18 +89,14 @@ type fleetRun struct {
 	sim    *vtime.Sim
 	fl     *DeviceChooser
 	store  map[segment.ObjectID]*segment.Segment
-	costs  Costs
 	shared *segcache.Cache
 	err    error // the first client's failure
 }
 
 // run builds a kernel, the fleet's devices (each with a fresh injector and
 // the lane as its recorder), the chooser and one process per client, runs
-// the simulation and gathers the result. Zero costs are DefaultCosts.
-func (f *Fleet) run(clients []*Client, costs Costs, shared *segcache.Cache, lane *trace.QueryTrace) (*RunResult, error) {
-	if costs == (Costs{}) {
-		costs = DefaultCosts()
-	}
+// the simulation and gathers the result.
+func (f *Fleet) run(clients []*Client, shared *segcache.Cache, lane *trace.QueryTrace) (*RunResult, error) {
 	sim := vtime.NewSim()
 	devCfg := f.dev
 	devCfg.Trace = lane
@@ -116,7 +111,7 @@ func (f *Fleet) run(clients []*Client, costs Costs, shared *segcache.Cache, lane
 		devs[i] = csd.New(sim, devCfg, f.store, da)
 		devs[i].Start()
 	}
-	r := &fleetRun{sim: sim, fl: newDeviceChooser(devs, f.place), store: f.store, costs: costs, shared: shared}
+	r := &fleetRun{sim: sim, fl: newDeviceChooser(devs, f.place), store: f.store, shared: shared}
 
 	done := vtime.NewChan[int](sim, "cluster.done", len(clients))
 	for _, c := range clients {
@@ -198,7 +193,6 @@ func (r *fleetRun) runClient(p *vtime.Proc, c *Client) error {
 		r.sim.Spawn("prefetch.t"+strconv.Itoa(c.Tenant), px.pf.run)
 		defer px.pf.stop(p)
 	}
-	clock := &chargingClock{proc: p, stats: &c.stats}
 	enqueued := 0
 	for qi, spec := range c.Queries {
 		if err := c.ctxErr(); err != nil {
@@ -228,9 +222,9 @@ func (r *fleetRun) runClient(p *vtime.Proc, c *Client) error {
 		var err error
 		switch c.Mode {
 		case ModeVanilla:
-			rows, err = r.runVanilla(clock, px, c, spec)
+			rows, err = runVanilla(px, c, spec)
 		case ModeSkipper:
-			rows, err = r.runSkipper(clock, px, c, spec)
+			rows, err = runSkipper(px, c, spec)
 		default:
 			err = fmt.Errorf("skipper: unknown mode %d", c.Mode)
 		}
@@ -249,9 +243,6 @@ func (r *fleetRun) runClient(p *vtime.Proc, c *Client) error {
 		c.stats.PerQuery = append(c.stats.PerQuery, qr)
 		c.QTrace.EndPhaseVirt(qspan, p.Now())
 		c.stats.Rows += int64(len(rows))
-		if c.Think > 0 && qi < len(c.Queries)-1 {
-			p.Sleep(c.Think)
-		}
 	}
 	c.stats.Finish = p.Now()
 	return nil
@@ -262,14 +253,9 @@ func (r *fleetRun) runClient(p *vtime.Proc, c *Client) error {
 // drained batch-at-a-time through the engine's batched core; the storage
 // access pattern — one GET per segment in plan order — is unchanged. The
 // whole plan runs on the client's goroutine, as the vtime simulation
-// requires of the scans (and thus of GETs and virtual-time charges).
-func (r *fleetRun) runVanilla(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
-	ctx := &engine.Ctx{
-		Clock: clock,
-		Fetch: &vanillaFetcher{px: px, fuse: r.costs.FusePerObject},
-		Costs: engine.Costs{ProcessPerObject: r.costs.VanillaPerObject},
-		Trace: c.QTrace,
-	}
+// requires of the scans (and thus of the proxy's GETs and charges).
+func runVanilla(px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
+	ctx := &engine.Ctx{Fetch: px, Trace: c.QTrace}
 	it, err := BuildPullPlanPruned(ctx, spec.Join, !c.NoStatsPruning)
 	if err != nil {
 		return nil, err
@@ -299,8 +285,8 @@ func (r *fleetRun) runVanilla(clock engine.Clock, px *proxy, c *Client, spec Que
 }
 
 // runSkipper executes the query with the cache-aware MJoin over the
-// push-based proxy.
-func (r *fleetRun) runSkipper(clock engine.Clock, px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
+// push-based proxy, which charges the stream's arrivals.
+func runSkipper(px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	cacheSize := c.CacheObjects
 	if cacheSize <= 0 {
 		cacheSize = len(spec.Join.Objects())
@@ -310,14 +296,13 @@ func (r *fleetRun) runSkipper(clock engine.Clock, px *proxy, c *Client, spec Que
 		Policy:       c.Policy,
 		Pruning:      !c.NoSubplanPruning,
 		StatsPruning: !c.NoStatsPruning,
-		Clock:        clock,
-		Costs:        mjoin.Costs{ProcessPerObject: r.costs.MJoinPerObject},
 		Trace:        c.QTrace,
 	}
 	join, err := mjoin.NewStream(spec.Join, cfg, px)
 	if err != nil {
 		return nil, err
 	}
+	px.join = join
 	// The MJoin output chunks stream into the shaping stage as they are
 	// completed, so post-join filters, aggregation and ORDER BY run
 	// batch-at-a-time in skipper mode too; rows exist only for what the

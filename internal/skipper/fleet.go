@@ -126,10 +126,10 @@ func NewFleet(spec FleetSpec, policy layout.Policy, store map[segment.ObjectID]*
 	return f, nil
 }
 
-// Run runs the clients on the fleet with the default costs and no shared
-// cache; every device records into lane (nil records nothing).
+// Run runs the clients on the fleet with no shared cache; every device
+// records into lane (nil records nothing).
 func (f *Fleet) Run(clients []*Client, lane *trace.QueryTrace) (*RunResult, error) {
-	return f.run(clients, Costs{}, nil, lane)
+	return f.run(clients, nil, lane)
 }
 
 // This file is the fleet layer of the scale-out refactor: a cluster may

@@ -1,13 +1,16 @@
 package skipper
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // InvariantError names the identity a run violated, so harness self-tests
 // can require that a doctored result fails for the reason they planted.
 type InvariantError struct {
 	// Name is the identity's short name: "device-conservation",
 	// "demand-ledger", "prefetch-ledger", "mjoin-requests",
-	// "prefetch-useful" or "cache-hits".
+	// "prefetch-useful", "processing" or "cache-hits".
 	Name string
 	// Detail says which tenant/device disagreed and by how much.
 	Detail string
@@ -41,6 +44,11 @@ func violated(name, format string, args ...any) error {
 //     (GETs + reissues, the Figure 11 metric) plus the proxy's retries
 //     equals GetsIssued.
 //   - prefetch-useful: PrefetchUseful ≤ PrefetchIssued.
+//   - processing: one processing charge per segment processed. In
+//     skipper mode Processing == MJoinPerObject × MJoin.Pipe.Decodes (a
+//     dropped arrival is free) and Fuse == 0; in vanilla mode
+//     Processing / VanillaPerObject == Fuse / FusePerObject, one
+//     processing charge per fetch that paid FUSE.
 //   - cache-hits: the shared cache's hit count grew by exactly the cache
 //     hits of the clients that used it.
 func (r *RunResult) CheckInvariants() error {
@@ -82,6 +90,14 @@ func (r *RunResult) CheckInvariants() error {
 		if cs.PrefetchUseful > cs.PrefetchIssued {
 			return violated("prefetch-useful", "tenant %d: prefetch useful %d > issued %d",
 				cs.Tenant, cs.PrefetchUseful, cs.PrefetchIssued)
+		}
+		segs, per, fuse := cs.MJoin.Pipe.Decodes, MJoinPerObject, time.Duration(0)
+		if cs.Mode == ModeVanilla {
+			segs, per, fuse = int(cs.Fuse/FusePerObject), VanillaPerObject, FusePerObject
+		}
+		if cs.Processing != per*time.Duration(segs) || cs.Fuse != fuse*time.Duration(segs) {
+			return violated("processing", "tenant %d: processing %v and fuse %v are not %d charges of %v and %v",
+				cs.Tenant, cs.Processing, cs.Fuse, segs, per, fuse)
 		}
 	}
 	if r.Cache != nil {

@@ -58,27 +58,21 @@ func ParseMode(name string) (Mode, error) {
 	return 0, fmt.Errorf("skipper: unknown engine %q (want vanilla or skipper)", name)
 }
 
-// Costs bundles the virtual processing-cost calibration (Table 3).
-type Costs struct {
+// The virtual processing-cost calibration of Table 3, per 1 GB object. The
+// proxy charges them to the client's process: FUSE and vanilla on every
+// segment the pull engine fetches, MJoin on every arrival the query's
+// stream will decode.
+const (
 	// VanillaPerObject is the pull engine's per-segment processing cost
 	// (407 s / 57 objects ≈ 7.14 s).
-	VanillaPerObject time.Duration
+	VanillaPerObject = 7140 * time.Millisecond
 	// MJoinPerObject is the MJoin per-arrival cost (433 s / 57 ≈ 7.6 s;
 	// ≈6% above vanilla).
-	MJoinPerObject time.Duration
+	MJoinPerObject = 7600 * time.Millisecond
 	// FusePerObject is the FUSE interposition overhead on the vanilla
 	// path only (15.75 s / 57 ≈ 276 ms).
-	FusePerObject time.Duration
-}
-
-// DefaultCosts returns the Table 3 calibration.
-func DefaultCosts() Costs {
-	return Costs{
-		VanillaPerObject: 7140 * time.Millisecond,
-		MJoinPerObject:   7600 * time.Millisecond,
-		FusePerObject:    276 * time.Millisecond,
-	}
-}
+	FusePerObject = 276 * time.Millisecond
+)
 
 // QuerySpec is one query a client runs: an MJoin query plus an optional
 // post-join shaping stage (aggregation etc.) applied to the join output.
@@ -310,8 +304,6 @@ type Client struct {
 	// records — the hook the differential harnesses use to compare runs
 	// byte for byte. Off by default: result sets can be large.
 	KeepResults bool
-	// Think, if set, inserts a pause between successive queries.
-	Think time.Duration
 
 	stats ClientStats
 }
@@ -357,6 +349,10 @@ type proxy struct {
 	// deadline-expired query releases the engine at its next arrival
 	// instead of running the workload to completion.
 	ctx context.Context
+	// join, when non-nil, is the running query's MJoin stream: an arrival
+	// it still needs costs MJoinPerObject (set by runSkipper, cleared by
+	// beginQuery).
+	join *mjoin.Stream
 	// pf, when non-nil, is the client's prefetch daemon: demand requests
 	// consult its staged deliveries before touching the device, and cache
 	// hits on prefetched entries are attributed to it.
@@ -387,9 +383,10 @@ func newProxy(sim *vtime.Sim, fl *DeviceChooser, tenant int, stats *ClientStats)
 }
 
 // beginQuery names the query for request tagging and resets the
-// per-query retry caps.
+// per-query retry caps and stream.
 func (px *proxy) beginQuery(queryID string) {
 	px.query = queryID
+	px.join = nil
 	px.retry.beginQuery()
 }
 
@@ -438,7 +435,10 @@ func (px *proxy) Request(objs []segment.ObjectID) {
 }
 
 // NextArrival implements mjoin.Source: block until one object arrives,
-// recording the stall and admitting device deliveries into the cache.
+// recording the stall and admitting device deliveries into the cache. An
+// arrival the query's MJoin stream will decode (one a pending subplan still
+// needs) is charged MJoinPerObject before it is returned; one the stream
+// drops is free.
 // This is also where fault recovery lives: a retryable error delivery or
 // a checksum-failed payload triggers backoff and a re-request (see
 // retry.go), and the loop keeps receiving — the replacement arrives on
@@ -472,12 +472,16 @@ func (px *proxy) NextArrival() (*segment.Segment, error) {
 		}
 		switch class {
 		case deliveryOK:
+			seg := d.Seg
 			if px.cache != nil {
-				if seg := px.cache.Put(d.Object, d.Seg); seg != nil {
-					return seg, nil // the cache's copy: this decode fills it
+				if cached := px.cache.Put(d.Object, d.Seg); cached != nil {
+					seg = cached // the cache's copy: this decode fills it
 				}
 			}
-			return d.Seg, nil
+			if px.join != nil && px.join.PendingCount(d.Object) > 0 {
+				px.charge(&px.stats.Processing, MJoinPerObject)
+			}
+			return seg, nil
 		case deliveryFatal:
 			return nil, cause
 		default:
@@ -489,38 +493,22 @@ func (px *proxy) NextArrival() (*segment.Segment, error) {
 	}
 }
 
-// fetchSync is the vanilla path: one GET, wait, charge FUSE overhead.
-func (px *proxy) fetchSync(id segment.ObjectID, fuse time.Duration) (*segment.Segment, error) {
+// Fetch implements engine.Fetcher, the vanilla path: one GET, wait for it,
+// then charge the FUSE interposition and the per-segment processing. A
+// failed fetch is free.
+func (px *proxy) Fetch(id segment.ObjectID) (*segment.Segment, error) {
 	px.Request([]segment.ObjectID{id})
 	seg, err := px.NextArrival()
 	if err != nil {
 		return nil, err
 	}
-	if fuse > 0 {
-		px.proc.Sleep(fuse)
-		px.stats.Fuse += fuse
-	}
+	px.charge(&px.stats.Fuse, FusePerObject)
+	px.charge(&px.stats.Processing, VanillaPerObject)
 	return seg, nil
 }
 
-// chargingClock charges processing time to both the simulation clock and
-// the client's accounting.
-type chargingClock struct {
-	proc  *vtime.Proc
-	stats *ClientStats
-}
-
-func (c *chargingClock) Sleep(d time.Duration) {
-	c.proc.Sleep(d)
-	c.stats.Processing += d
-}
-
-// vanillaFetcher adapts the proxy to engine.Fetcher.
-type vanillaFetcher struct {
-	px   *proxy
-	fuse time.Duration
-}
-
-func (f *vanillaFetcher) Fetch(id segment.ObjectID) (*segment.Segment, error) {
-	return f.px.fetchSync(id, f.fuse)
+// charge sleeps d on the client's process and adds it to the account.
+func (px *proxy) charge(account *time.Duration, d time.Duration) {
+	px.proc.Sleep(d)
+	*account += d
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/csd"
 	"repro/internal/engine"
+	"repro/internal/expr"
 	"repro/internal/layout"
 	"repro/internal/mjoin"
 	"repro/internal/segment"
@@ -175,12 +176,11 @@ func TestProcessingAndFuseAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := res.Clients[0]
-	costs := DefaultCosts()
 	// 6 objects scanned once each.
-	if want := 6 * costs.VanillaPerObject; cs.Processing != want {
+	if want := 6 * VanillaPerObject; cs.Processing != want {
 		t.Fatalf("processing %v, want %v", cs.Processing, want)
 	}
-	if want := 6 * costs.FusePerObject; cs.Fuse != want {
+	if want := 6 * FusePerObject; cs.Fuse != want {
 		t.Fatalf("fuse %v, want %v", cs.Fuse, want)
 	}
 	if cs.GetsIssued != 6 {
@@ -195,8 +195,7 @@ func TestSkipperProcessingAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cs := res.Clients[0]
-	costs := DefaultCosts()
-	if want := 6 * costs.MJoinPerObject; cs.Processing != want {
+	if want := 6 * MJoinPerObject; cs.Processing != want {
 		t.Fatalf("processing %v, want %v", cs.Processing, want)
 	}
 	if cs.Fuse != 0 {
@@ -204,6 +203,39 @@ func TestSkipperProcessingAccounting(t *testing.T) {
 	}
 	if cs.MJoin.Requests != 6 || cs.MJoin.Cycles != 1 {
 		t.Fatalf("mjoin stats %+v", cs.MJoin)
+	}
+}
+
+// TestDroppedArrivalIsFree: an arrival no pending subplan needs any more is
+// dropped undecoded and is not charged. b's one segment filters to nothing
+// and arrives first, so runtime pruning retires every subplan and a's three
+// segments arrive for nothing.
+func TestDroppedArrivalIsFree(t *testing.T) {
+	store := make(map[segment.ObjectID]*segment.Segment)
+	cat := makeTenantDB(0, 10, 3, 1, store)
+	b := cat.MustTable("b")
+	q := &mjoin.Query{
+		ID: "dropped",
+		Relations: []mjoin.Relation{
+			{Table: b, Filter: expr.ColLT(b.Schema, "bk", tuple.Int(0))},
+			{Table: cat.MustTable("a")},
+		},
+		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "bk", RightCol: "ak"}},
+	}
+	c := &Client{Tenant: 0, Mode: ModeSkipper, Catalog: cat, CacheObjects: 4, Queries: []QuerySpec{{Name: "q", Join: q}}}
+	res, err := (&Cluster{Clients: []*Client{c}, Store: store}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := res.Clients[0]
+	if cs.Rows != 0 || cs.MJoin.Arrivals != 4 || cs.MJoin.Pipe.Decodes != 1 {
+		t.Fatalf("%d rows, %d arrivals, %d decodes; want 0, 4, 1", cs.Rows, cs.MJoin.Arrivals, cs.MJoin.Pipe.Decodes)
+	}
+	if cs.Processing != MJoinPerObject {
+		t.Fatalf("processing %v, want one charge of %v", cs.Processing, MJoinPerObject)
+	}
+	if err := res.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -249,7 +281,6 @@ func TestMultipleQueriesSequential(t *testing.T) {
 	cat := makeTenantDB(0, 10, 2, 2, store)
 	c := &Client{
 		Tenant: 0, Mode: ModeSkipper, Catalog: cat, CacheObjects: 4,
-		Think: 5 * time.Second,
 		Queries: []QuerySpec{
 			{Name: "q1", Join: joinQuery(cat)},
 			{Name: "q2", Join: joinQuery(cat)},
@@ -263,9 +294,6 @@ func TestMultipleQueriesSequential(t *testing.T) {
 	cs := res.Clients[0]
 	if len(cs.PerQuery) != 2 {
 		t.Fatalf("per-query records %d", len(cs.PerQuery))
-	}
-	if cs.PerQuery[1].Start < cs.PerQuery[0].Finish+5*time.Second {
-		t.Fatalf("think time not applied: %+v", cs.PerQuery)
 	}
 	if cs.PerQuery[0].QueryID == cs.PerQuery[1].QueryID {
 		t.Fatal("query ids not unique")
@@ -338,7 +366,7 @@ func TestSkipperLatencyInsensitivity(t *testing.T) {
 }
 
 // getRoundTripAllocs runs one client issuing `gets` synchronous GETs through
-// its proxy against one device — no cache, no decode, no FUSE charge — and
+// its proxy against one device — no cache, no decode, no charge — and
 // returns the allocations of the whole run, set-up included. A second
 // tenant keeps `parked` requests pending on another group throughout: the
 // client always has its next GET in before the device could switch.
@@ -373,7 +401,8 @@ func getRoundTripAllocs(t *testing.T, gets, parked int) float64 {
 			px.proc = p
 			px.beginQuery("q")
 			for i := 0; i < gets; i++ {
-				if _, err := px.fetchSync(mine, 0); err != nil {
+				px.Request([]segment.ObjectID{mine})
+				if _, err := px.NextArrival(); err != nil {
 					t.Error(err)
 				}
 			}

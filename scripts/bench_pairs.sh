@@ -23,8 +23,10 @@
 # losing direction). Otherwise, when every run of each side read one value
 # — an exact count, such as GETs, switches or virtual seconds — it is `same`
 # if the two values are equal and `CHANGED` if not; else `within bound` for
-# an end-to-end row and `–` for a per-layer one. The verdict is printed,
-# never acted on. Fails if any run does.
+# an end-to-end row and `–` for a per-layer one. A `result digest` row per
+# workload follows, read from each run's `== ... digest <hex>` header: `same`
+# when every run of both sides printed one digest, `CHANGED` otherwise. The
+# verdict is printed, never acted on. Fails if any run does.
 #
 #   scripts/bench_pairs.sh HEAD~1 10 --seed 1
 #   scripts/bench_pairs.sh HEAD~1 10 --seed 1 --trace 1 --workload serve-micro
@@ -32,7 +34,7 @@
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,31p' "$0" >&2
+	sed -n '2,33p' "$0" >&2
 	exit 2
 fi
 ref=$1
@@ -68,7 +70,11 @@ run() {
 	# line on stdout: read both in order and pass every line through to
 	# stderr, so a saved log keeps each run's result line.
 	(cd "$dir" && bash bench/run.sh "$@" 2>&1) | awk -v side="$side" -v pair="$pair" '
-		/^== / { workload = $2 }
+		/^== / {
+			workload = $2
+			digest = match($0, /digest [0-9a-f]+$/) ? substr($0, RSTART + 7) : "-"
+			print workload, "result_digest", side, pair, digest
+		}
 		{ print > "/dev/stderr" }
 		/^\{"correct"/ {
 			s = $0
@@ -116,6 +122,17 @@ awk -v pairs="$pairs" '
 	}
 	$1 == "higher" { higher[$2] = 1; next }
 	$1 == "bound" { bound[$2] = $3; next }
+	# digest[w] is the first digest of workload w, or "" once two differ;
+	# shown[w, side] what one side printed; printed[w, side, pair] that
+	# the run printed a header.
+	$2 == "result_digest" {
+		if (!($1 in digest)) { digest[$1] = $5; dorder[ndig++] = $1 }
+		if ($5 == "-" || $5 != digest[$1]) digest[$1] = ""
+		if (!(($1, $3) in shown)) shown[$1, $3] = $5
+		if (shown[$1, $3] != $5) shown[$1, $3] = "several"
+		printed[$1, $3, $4] = 1
+		next
+	}
 	{
 		key = $1 " | " $2
 		if ($2 in higher) key = key " (higher wins)"
@@ -143,6 +160,13 @@ awk -v pairs="$pairs" '
 			if (metric[key] in bound && -gain > bound[metric[key]] * med["parent"]) verdict = "WORSE"
 			if (10 * won >= 9 * pairs && gain > q3["parent"] - q1["parent"]) verdict = "better"
 			printf "| %s | %s | %s | %s | %d/%d | %s |\n", key, p, c, ratio, won, pairs, verdict
+		}
+		for (k = 0; k < ndig; k++) {
+			w = dorder[k]
+			verdict = digest[w] == "" ? "CHANGED" : "same"
+			for (i = 1; i <= pairs; i++)
+				if (!((w, "parent", i) in printed) || !((w, "change", i) in printed)) verdict = "CHANGED"
+			printf "| %s | result digest | %s | %s | – | – | %s |\n", w, shown[w, "parent"], shown[w, "change"], verdict
 		}
 	}' <(awk '
 		/"name":/ { name = $2; gsub(/[",]/, "", name) }
