@@ -7,8 +7,10 @@ package objstore
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/catalog"
+	"repro/internal/par"
 	"repro/internal/segment"
 	"repro/internal/tuple"
 	"repro/internal/workload"
@@ -20,31 +22,43 @@ import (
 // statistics come from the v2 column directories when f is FormatV2, and
 // every scan against the returned store performs real, per-access decode
 // work. FormatMem returns the dataset unchanged (in-memory segments, zero
-// decode cost).
+// decode cost). One par.For encodes and reads back every object; tables
+// then enter the catalog in order, so a failure is the serial pass's: the
+// first failing object, or failing statistics of a table before it.
 func ReencodeDataset(ds *workload.Dataset, f segment.Format) (*workload.Dataset, error) {
 	if f == segment.FormatMem {
 		return ds, nil
 	}
+	names := ds.Catalog.TableNames()
+	var ids []segment.ObjectID
+	for _, name := range names {
+		ids = append(ids, ds.Catalog.MustTable(name).Objects...)
+	}
+	encs := make([]*segment.Segment, len(ids))
+	failed := par.For(len(ids), func(_, i int) error {
+		sg, ok := ds.Store[ids[i]]
+		if !ok {
+			return fmt.Errorf("objstore: dataset missing segment %v", ids[i])
+		}
+		schema := ds.Catalog.MustTable(ids[i].Table).Schema
+		data, err := sg.EncodeFormat(schema, f)
+		if err != nil {
+			return err
+		}
+		encs[i], err = readObject(schema, ids[i], data)
+		return err
+	})
 	cat := catalog.New(ds.Catalog.Tenant)
-	store := make(map[segment.ObjectID]*segment.Segment, len(ds.Store))
-	for _, name := range ds.Catalog.TableNames() {
+	store := make(map[segment.ObjectID]*segment.Segment, len(ids))
+	for _, name := range names {
 		tm := ds.Catalog.MustTable(name)
-		segs := make([]*segment.Segment, 0, len(tm.Objects))
-		for _, id := range tm.Objects {
-			sg, ok := ds.Store[id]
-			if !ok {
-				return nil, fmt.Errorf("objstore: dataset missing segment %v", id)
-			}
-			data, err := sg.EncodeFormat(tm.Schema, f)
-			if err != nil {
-				return nil, err
-			}
-			enc, err := readObject(tm.Schema, id, data)
-			if err != nil {
-				return nil, err
-			}
-			store[id] = enc
-			segs = append(segs, enc)
+		segs := encs[:len(tm.Objects):len(tm.Objects)]
+		encs = encs[len(tm.Objects):]
+		if slices.Contains(segs, nil) { // the lowest failing object is here
+			return nil, failed
+		}
+		for _, sg := range segs {
+			store[sg.ID] = sg
 		}
 		if _, err := cat.AddTable(name, tm.Schema, segs); err != nil {
 			return nil, err

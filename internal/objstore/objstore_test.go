@@ -3,11 +3,14 @@ package objstore
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/segment"
 	"repro/internal/skipper"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -126,6 +129,96 @@ func TestRefusesDamagedAndForeignObjects(t *testing.T) {
 		_, err = ReencodeDataset(misfiled, f)
 		if err == nil || !strings.Contains(err.Error(), id.String()) || !strings.Contains(err.Error(), other.String()) {
 			t.Fatalf("%v: foreign object: got %v, want an error naming %v and %v", f, err, id, other)
+		}
+	}
+}
+
+// TestReencodeFanOutMatchesSerial: at GOMAXPROCS 1 and 2 (and an odd 5),
+// a re-encoded TPC-H dataset holds, object for object, the encoded bytes a
+// serial encode-and-decode writes, and per segment the zone maps and
+// Bloom words a serial collection over those objects computes.
+func TestReencodeFanOutMatchesSerial(t *testing.T) {
+	ds := workload.TPCH(2, workload.TPCHConfig{SF: 12, RowsPerObject: 300, Seed: 40})
+	want := map[segment.ObjectID]*segment.Segment{}
+	wantStats := map[string][]stats.SegmentStats{}
+	for _, name := range ds.Catalog.TableNames() {
+		tm := ds.Catalog.MustTable(name)
+		for _, id := range tm.Objects {
+			data, err := ds.Store[id].EncodeFormat(tm.Schema, segment.FormatV2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[id], err = readObject(tm.Schema, id, data); err != nil {
+				t.Fatal(err)
+			}
+			st := stats.Collect(name, tm.Schema, []*segment.Segment{want[id]}, stats.DefaultOptions())
+			wantStats[name] = append(wantStats[name], st.Segments...)
+		}
+	}
+	for _, procs := range []int{1, 2, 5} {
+		prev := runtime.GOMAXPROCS(procs)
+		enc, err := ReencodeDataset(ds, segment.FormatV2)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(enc.Catalog.TableNames(), ds.Catalog.TableNames()) || len(enc.Store) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: tables %v, %d objects", procs, enc.Catalog.TableNames(), len(enc.Store))
+		}
+		for id, sg := range want {
+			if !reflect.DeepEqual(enc.Store[id], sg) {
+				t.Fatalf("GOMAXPROCS %d: object %v differs from its serial encoding", procs, id)
+			}
+		}
+		for name, ss := range wantStats {
+			tm := enc.Catalog.MustTable(name)
+			if !reflect.DeepEqual(tm.Stats.Segments, ss) || !reflect.DeepEqual(tm.Objects, ds.Catalog.MustTable(name).Objects) {
+				t.Fatalf("GOMAXPROCS %d: %s statistics or object order differ from the serial ones", procs, name)
+			}
+		}
+	}
+}
+
+// TestReencodeReportsLowestFailure: with one refused and one missing
+// object, the fan-out returns the error of whichever comes first in table
+// and object order — what a serial pass stops at — and leaves no worker
+// behind.
+func TestReencodeReportsLowestFailure(t *testing.T) {
+	ds := workload.TPCH(0, workload.TPCHConfig{SF: 12, RowsPerObject: 40, Seed: 6})
+	enc, err := ReencodeDataset(ds, segment.FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The generator registers orders before lineitem.
+	line, ord := ds.Catalog.MustTable("lineitem").Objects, ds.Catalog.MustTable("orders").Objects
+	for _, c := range []struct {
+		refused, missing segment.ObjectID
+		want             string
+	}{
+		{line[3], line[7], "lazily decoded"},
+		{line[7], line[3], "missing segment " + line[3].String()},
+		{line[0], ord[1], "missing segment " + ord[1].String()},
+	} {
+		broken := &workload.Dataset{Catalog: ds.Catalog, Store: map[segment.ObjectID]*segment.Segment{}}
+		for id, sg := range ds.Store {
+			broken.Store[id] = sg
+		}
+		broken.Store[c.refused] = enc.Store[c.refused] // already encoded: refused
+		delete(broken.Store, c.missing)
+		for _, procs := range []int{1, 2, 5} {
+			prev := runtime.GOMAXPROCS(procs)
+			baseline := runtime.NumGoroutine()
+			for round := 0; round < 10; round++ {
+				if _, err := ReencodeDataset(broken, segment.FormatV2); err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("GOMAXPROCS %d, %v refused and %v missing: error %v, want %q", procs, c.refused, c.missing, err, c.want)
+				}
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("GOMAXPROCS %d: %d goroutines after the failures, %d before", procs, runtime.NumGoroutine(), baseline)
+				}
+			}
+			runtime.GOMAXPROCS(prev)
 		}
 	}
 }

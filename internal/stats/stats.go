@@ -14,6 +14,7 @@ package stats
 import (
 	"fmt"
 
+	"repro/internal/par"
 	"repro/internal/segment"
 	"repro/internal/tuple"
 )
@@ -90,50 +91,76 @@ func Collect(name string, schema *tuple.Schema, segs []*segment.Segment, opt Opt
 // segments are scanned row by row. Lazy segments take the fast path:
 // min/max, row and null counts come straight from the column directory —
 // no block is touched for the zone maps — and only the Bloom-filtered
-// columns are decoded, one block at a time, never as rows.
+// columns are decoded, one block at a time, never as rows. A par.For runs
+// the segments, each into its slot; an error names the lowest failing one.
 func CollectChecked(name string, schema *tuple.Schema, segs []*segment.Segment, opt Options) (*Table, error) {
 	t := &Table{Name: name, Schema: schema, Segments: make([]SegmentStats, len(segs))}
-	sc := &decodeScratch{cd: segment.ColumnData{Cols: make([]tuple.Vector, schema.Len())}}
-	defer func() { tuple.Release(sc.ints.I); tuple.Release(sc.strs.S) }() // the pool's again
-	for si, sg := range segs {
-		if dir := sg.Directory(); dir != nil {
-			ss, err := segmentStatsFromDirectory(schema, sg, dir, opt, sc)
-			if err != nil {
-				return nil, fmt.Errorf("stats: %s segment %d: %w", name, si, err)
-			}
-			t.Segments[si] = ss
-			continue
+	scratch := make([]decodeScratch, par.Workers(len(segs)))
+	defer func() { // the pool's again
+		for _, sc := range scratch {
+			tuple.Release(sc.ints.I)
+			tuple.Release(sc.strs.S)
 		}
-		rows := sg.Rows
-		ss := SegmentStats{Rows: int64(len(rows)), Cols: make([]ColumnStats, schema.Len())}
-		for ci, col := range schema.Cols {
-			cs := &ss.Cols[ci]
-			if opt.Blooms && bloomKind(col.Kind) {
-				cs.Bloom = NewBloom(len(rows), opt.BloomBitsPerRow)
-			}
-			for _, row := range rows {
-				v := row[ci]
-				if !cs.HasRange {
-					cs.Min, cs.Max, cs.HasRange = v, v, true
-				} else {
-					if tuple.Compare(v, cs.Min) < 0 {
-						cs.Min = v
-					}
-					if tuple.Compare(v, cs.Max) > 0 {
-						cs.Max = v
-					}
-				}
-				if cs.Bloom != nil {
-					cs.Bloom.Add(v.Hash())
-				}
-			}
+	}()
+	if err := par.For(len(segs), func(w, si int) (err error) {
+		sg := segs[si]
+		if dir := sg.Directory(); dir == nil {
+			t.Segments[si] = segmentStatsFromRows(schema, sg.Rows, opt)
+		} else if t.Segments[si], err = segmentStatsFromDirectory(schema, sg, dir, opt, &scratch[w]); err != nil {
+			return fmt.Errorf("stats: %s segment %d: %w", name, si, err)
 		}
-		t.Segments[si] = ss
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
-// decodeScratch is what one collection's Bloom-column decodes reuse; as
+// segmentStatsFromRows builds an in-memory segment's statistics row by row.
+func segmentStatsFromRows(schema *tuple.Schema, rows []tuple.Row, opt Options) SegmentStats {
+	ss := newSegmentStats(schema, len(rows), opt)
+	for ci := range schema.Cols {
+		cs := &ss.Cols[ci]
+		for _, row := range rows {
+			v := row[ci]
+			if !cs.HasRange {
+				cs.Min, cs.Max, cs.HasRange = v, v, true
+			} else {
+				if tuple.Compare(v, cs.Min) < 0 {
+					cs.Min = v
+				}
+				if tuple.Compare(v, cs.Max) > 0 {
+					cs.Max = v
+				}
+			}
+			if cs.Bloom != nil {
+				cs.Bloom.Add(v.Hash())
+			}
+		}
+	}
+	return ss
+}
+
+// newSegmentStats makes a segment's statistics with an empty Bloom filter
+// on every column opt gives one, all filters in one newBlooms.
+func newSegmentStats(schema *tuple.Schema, rows int, opt Options) SegmentStats {
+	ss := SegmentStats{Rows: int64(rows), Cols: make([]ColumnStats, schema.Len())}
+	n := 0
+	for _, col := range schema.Cols {
+		if opt.Blooms && bloomKind(col.Kind) {
+			n++
+		}
+	}
+	bl := newBlooms(n, rows, opt.BloomBitsPerRow)
+	for ci, col := range schema.Cols {
+		if opt.Blooms && bloomKind(col.Kind) {
+			ss.Cols[ci].Bloom, bl = &bl[0], bl[1:]
+		}
+	}
+	return ss
+}
+
+// decodeScratch is what one worker's Bloom-column decodes reuse; as
 // DecodeColumns zeroes the slots it skips, each class's vector waits here.
 type decodeScratch struct {
 	cd         segment.ColumnData
@@ -145,11 +172,14 @@ type decodeScratch struct {
 // them in the same pass that sized the blocks), and Bloom filters decode
 // just their own column's block via the projected decoder, into sc.
 func segmentStatsFromDirectory(schema *tuple.Schema, sg *segment.Segment, dir []segment.ColumnMeta, opt Options, sc *decodeScratch) (SegmentStats, error) {
-	ss := SegmentStats{Rows: int64(sg.NumRows()), Cols: make([]ColumnStats, schema.Len())}
+	ss := newSegmentStats(schema, sg.NumRows(), opt)
+	if sc.cd.Cols == nil {
+		sc.cd.Cols = make([]tuple.Vector, schema.Len())
+	}
 	for ci, col := range schema.Cols {
 		cs := &ss.Cols[ci]
 		cs.Min, cs.Max, cs.HasRange, cs.Nulls = dir[ci].Min, dir[ci].Max, dir[ci].HasRange, dir[ci].Nulls
-		if !opt.Blooms || !bloomKind(col.Kind) {
+		if cs.Bloom == nil {
 			continue
 		}
 		kept := &sc.ints
@@ -165,7 +195,6 @@ func segmentStatsFromDirectory(schema *tuple.Schema, sg *segment.Segment, dir []
 		if err != nil {
 			return SegmentStats{}, err
 		}
-		cs.Bloom = NewBloom(sc.cd.NumRows, opt.BloomBitsPerRow)
 		for i := 0; i < sc.cd.NumRows; i++ {
 			cs.Bloom.Add(v.Value(col.Kind, i).Hash())
 		}

@@ -128,8 +128,10 @@ func collectScratch(t *testing.T, segs []*segment.Segment) (*Table, uint64) {
 // decodes every Bloom column into storage reused across columns and
 // segments, so what a collection allocates beyond its result barely
 // moves between N and 4N segments — and the statistics equal the ones
-// the row path computes from the same rows.
+// the row path computes from the same rows. Each worker of the fan-out
+// keeps scratch of its own, so the segment count is varied on one worker.
 func TestCollectDecodeDoesNotScaleWithSegments(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n = 4
 	rows := testSegments(rand.New(rand.NewSource(5)), 4*n, 1000)
 	_, few := collectScratch(t, encodedV2(t, rows[:n]))

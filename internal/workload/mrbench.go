@@ -56,27 +56,27 @@ func MRBench(tenant int, cfg MRBenchConfig) *Dataset {
 	}
 
 	nPages := rankSegs * cfg.RowsPerObject
-	rankRows := make([]tuple.Row, nPages)
+	rankRows := rowArena(nPages, SchemaRankings.Len())
 	urls := make([]string, nPages)
 	for i := range rankRows {
 		urls[i] = fmt.Sprintf("url%06d", i)
-		rankRows[i] = tuple.Row{
+		rankRows[i] = append(rankRows[i],
 			tuple.Str(urls[i]),
 			tuple.Int(int64(b.rng.Intn(10000))),
-			tuple.Int(int64(1 + b.rng.Intn(300))),
-		}
+			tuple.Int(int64(1+b.rng.Intn(300))),
+		)
 	}
 	b.addTable("rankings", SchemaRankings, rankRows, rankSegs)
 
 	nVisits := visitSegs * cfg.RowsPerObject
-	visitRows := make([]tuple.Row, nVisits)
+	visitRows := rowArena(nVisits, SchemaUservisits.Len())
 	for i := range visitRows {
-		visitRows[i] = tuple.Row{
+		visitRows[i] = append(visitRows[i],
 			tuple.Str(fmt.Sprintf("%d.%d.%d.%d", b.rng.Intn(256), b.rng.Intn(256), b.rng.Intn(256), b.rng.Intn(256))),
 			tuple.Str(urls[b.rng.Intn(nPages)]),
 			tuple.DateFromDays(b.dateBetween(tuple.Date(1999, 1, 1), tuple.Date(2000, 12, 31))),
-			tuple.Float(float64(b.rng.Intn(100000)) / 100),
-		}
+			tuple.Float(float64(b.rng.Intn(100000))/100),
+		)
 	}
 	b.addTable("uservisits", SchemaUservisits, visitRows, visitSegs)
 	return b.dataset()

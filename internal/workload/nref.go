@@ -69,38 +69,38 @@ func NREF(tenant int, cfg NREFConfig) *Dataset {
 		protSegs = 1
 	}
 
-	taxRows := make([]tuple.Row, 64)
+	taxRows := rowArena(64, SchemaTaxonomy.Len())
 	for i := range taxRows {
-		taxRows[i] = tuple.Row{tuple.Int(int64(i)), tuple.Str(kingdoms[i%len(kingdoms)])}
+		taxRows[i] = append(taxRows[i], tuple.Int(int64(i)), tuple.Str(kingdoms[i%len(kingdoms)]))
 	}
 	b.addTable("taxonomy", SchemaTaxonomy, taxRows, 1)
 
-	srcRows := make([]tuple.Row, len(sourceDBs))
+	srcRows := rowArena(len(sourceDBs), SchemaSourceDB.Len())
 	for i, name := range sourceDBs {
-		srcRows[i] = tuple.Row{tuple.Int(int64(i)), tuple.Str(name)}
+		srcRows[i] = append(srcRows[i], tuple.Int(int64(i)), tuple.Str(name))
 	}
 	b.addTable("sourcedb", SchemaSourceDB, srcRows, 1)
 
 	nProt := protSegs * cfg.RowsPerObject
-	protRows := make([]tuple.Row, nProt)
+	protRows := rowArena(nProt, SchemaProtein.Len())
 	for i := range protRows {
-		protRows[i] = tuple.Row{
+		protRows[i] = append(protRows[i],
 			tuple.Int(int64(i)),
 			tuple.Int(int64(b.rng.Intn(len(taxRows)))),
 			tuple.Int(int64(b.rng.Intn(len(sourceDBs)))),
-			tuple.Int(int64(50 + b.rng.Intn(3000))),
-		}
+			tuple.Int(int64(50+b.rng.Intn(3000))),
+		)
 	}
 	b.addTable("protein", SchemaProtein, protRows, protSegs)
 
 	nSeq := seqSegs * cfg.RowsPerObject
-	seqRows := make([]tuple.Row, nSeq)
+	seqRows := rowArena(nSeq, SchemaSequence.Len())
 	for i := range seqRows {
-		seqRows[i] = tuple.Row{
+		seqRows[i] = append(seqRows[i],
 			tuple.Int(int64(b.rng.Intn(nProt))),
-			tuple.Float(float64(5000 + b.rng.Intn(200000))),
+			tuple.Float(float64(5000+b.rng.Intn(200000))),
 			tuple.Str(fmt.Sprintf("%08X", b.rng.Uint32())),
-		}
+		)
 	}
 	b.addTable("sequence", SchemaSequence, seqRows, seqSegs)
 	return b.dataset()

@@ -67,15 +67,15 @@ func SSB(tenant int, cfg SSBConfig) *Dataset {
 		nSegs = 1
 	}
 	nRows := nSegs * cfg.RowsPerObject
-	loRows := make([]tuple.Row, nRows)
+	loRows := rowArena(nRows, SchemaLineorder.Len())
 	for i := range loRows {
-		loRows[i] = tuple.Row{
+		loRows[i] = append(loRows[i],
 			tuple.Int(int64(i)),
 			tuple.Int(dateKeys[b.rng.Intn(len(dateKeys))]),
-			tuple.Int(int64(1 + b.rng.Intn(50))),
-			tuple.Float(float64(100 + b.rng.Intn(1000000))),
+			tuple.Int(int64(1+b.rng.Intn(50))),
+			tuple.Float(float64(100+b.rng.Intn(1000000))),
 			tuple.Int(int64(b.rng.Intn(11))),
-		}
+		)
 	}
 	b.addTable("lineorder", SchemaLineorder, loRows, nSegs)
 	return b.dataset()

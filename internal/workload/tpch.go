@@ -142,67 +142,67 @@ func TPCH(tenant int, cfg TPCHConfig) *Dataset {
 	d92, d99 := tuple.Date(1992, 1, 1), tuple.Date(1998, 12, 31)
 
 	// region, nation
-	regionRows := make([]tuple.Row, len(regions))
+	regionRows := rowArena(len(regions), SchemaRegion.Len())
 	for i, name := range regions {
-		regionRows[i] = tuple.Row{tuple.Int(int64(i)), tuple.Str(name)}
+		regionRows[i] = append(regionRows[i], tuple.Int(int64(i)), tuple.Str(name))
 	}
 	b.addTable("region", SchemaRegion, regionRows, counts["region"])
-	nationRows := make([]tuple.Row, len(nations))
+	nationRows := rowArena(len(nations), SchemaNation.Len())
 	for i, name := range nations {
-		nationRows[i] = tuple.Row{tuple.Int(int64(i)), tuple.Int(nationRegion[i]), tuple.Str(name)}
+		nationRows[i] = append(nationRows[i], tuple.Int(int64(i)), tuple.Int(nationRegion[i]), tuple.Str(name))
 	}
 	b.addTable("nation", SchemaNation, nationRows, counts["nation"])
 
 	// customer
-	custRows := make([]tuple.Row, nCust)
+	custRows := rowArena(nCust, SchemaCustomer.Len())
 	for i := range custRows {
-		custRows[i] = tuple.Row{
+		custRows[i] = append(custRows[i],
 			tuple.Int(int64(i)),
 			tuple.Int(int64(b.rng.Intn(len(nations)))),
 			tuple.Str(pick(b.rng, segments)),
-		}
+		)
 	}
 	b.addTable("customer", SchemaCustomer, custRows, counts["customer"])
 
 	// supplier
-	suppRows := make([]tuple.Row, nSupp)
+	suppRows := rowArena(nSupp, SchemaSupplier.Len())
 	for i := range suppRows {
-		suppRows[i] = tuple.Row{
+		suppRows[i] = append(suppRows[i],
 			tuple.Int(int64(i)),
 			tuple.Int(int64(b.rng.Intn(len(nations)))),
-		}
+		)
 	}
 	b.addTable("supplier", SchemaSupplier, suppRows, counts["supplier"])
 
 	// part, partsupp
-	partRows := make([]tuple.Row, nPart)
+	partRows := rowArena(nPart, SchemaPart.Len())
 	for i := range partRows {
-		partRows[i] = tuple.Row{
+		partRows[i] = append(partRows[i],
 			tuple.Int(int64(i)),
 			tuple.Str(fmt.Sprintf("TYPE#%d", b.rng.Intn(25))),
-		}
+		)
 	}
 	b.addTable("part", SchemaPart, partRows, counts["part"])
-	psRows := make([]tuple.Row, nPS)
+	psRows := rowArena(nPS, SchemaPartsupp.Len())
 	for i := range psRows {
-		psRows[i] = tuple.Row{
+		psRows[i] = append(psRows[i],
 			tuple.Int(int64(b.rng.Intn(nPart))),
 			tuple.Int(int64(b.rng.Intn(nSupp))),
-			tuple.Float(float64(b.rng.Intn(100000)) / 100),
-		}
+			tuple.Float(float64(b.rng.Intn(100000))/100),
+		)
 	}
 	b.addTable("partsupp", SchemaPartsupp, psRows, counts["partsupp"])
 
 	// orders
-	ordRows := make([]tuple.Row, nOrd)
+	ordRows := rowArena(nOrd, SchemaOrders.Len())
 	for i := range ordRows {
-		ordRows[i] = tuple.Row{
+		ordRows[i] = append(ordRows[i],
 			tuple.Int(int64(i)),
 			tuple.Int(int64(b.rng.Intn(nCust))),
 			tuple.DateFromDays(b.dateBetween(d92, d99)),
 			tuple.Str(pick(b.rng, priorities)),
-			tuple.Float(float64(b.rng.Intn(5000000)) / 100),
-		}
+			tuple.Float(float64(b.rng.Intn(5000000))/100),
+		)
 	}
 	if cfg.ClusteredDates {
 		dateIdx := SchemaOrders.MustColIndex("o_orderdate")
@@ -214,23 +214,23 @@ func TPCH(tenant int, cfg TPCHConfig) *Dataset {
 
 	// lineitem: references orders and suppliers; dates arranged so Q12's
 	// predicates select a meaningful fraction.
-	lineRows := make([]tuple.Row, nLine)
+	lineRows := rowArena(nLine, SchemaLineitem.Len())
 	for i := range lineRows {
 		ship := b.dateBetween(d92, d99)
 		commit := ship + int64(b.rng.Intn(90)) - 29 // ship-29 .. ship+60
 		receipt := commit + int64(b.rng.Intn(90)) - 29
-		lineRows[i] = tuple.Row{
+		lineRows[i] = append(lineRows[i],
 			tuple.Int(int64(b.rng.Intn(nOrd))),
 			tuple.Int(int64(b.rng.Intn(nPart))),
 			tuple.Int(int64(b.rng.Intn(nSupp))),
-			tuple.Float(float64(900 + b.rng.Intn(104000))),
-			tuple.Float(float64(b.rng.Intn(11)) / 100),
-			tuple.Int(int64(1 + b.rng.Intn(50))),
+			tuple.Float(float64(900+b.rng.Intn(104000))),
+			tuple.Float(float64(b.rng.Intn(11))/100),
+			tuple.Int(int64(1+b.rng.Intn(50))),
 			tuple.DateFromDays(ship),
 			tuple.DateFromDays(commit),
 			tuple.DateFromDays(receipt),
 			tuple.Str(pick(b.rng, shipModes)),
-		}
+		)
 	}
 	if cfg.ClusteredDates {
 		shipIdx := SchemaLineitem.MustColIndex("l_shipdate")

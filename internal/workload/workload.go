@@ -86,6 +86,17 @@ func (b *builder) dateBetween(lo, hi tuple.Value) int64 {
 	return l + b.rng.Int63n(h-l+1)
 }
 
+// rowArena carves n empty rows of capacity w out of one cell array; append's
+// arguments run in order, so filling a row draws as a row literal did.
+func rowArena(n, w int) []tuple.Row {
+	cells := make([]tuple.Value, n*w)
+	rows := make([]tuple.Row, n)
+	for i := range rows {
+		rows[i] = cells[i*w : i*w : (i+1)*w]
+	}
+	return rows
+}
+
 func col(name string, k tuple.Kind) tuple.Column { return tuple.Column{Name: name, Kind: k} }
 
 // colsOf resolves the columns a hand-built query reads from one relation
