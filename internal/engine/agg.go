@@ -261,12 +261,15 @@ func (a *HashAgg) fold(in *tuple.Batch) error {
 			return err
 		}
 		if a.keysEv {
-			kb = tuple.ViewOf(a.keySchema, append([]tuple.Vector(nil), a.ev.cols[:len(a.groups)]...), in.Len())
+			kb = tuple.ViewOf(a.keySchema, a.ev.cols[:len(a.groups)], in.Len())
 		}
 	}
 	a.hashes = kb.HashColumns(a.keys, a.hashes)
 	first := int32(a.table.n)
 	gids, fresh := a.table.lookup(kb, a.keys, a.hashes)
+	if kb != in {
+		kb.Release() // the view's shell
+	}
 	cols := a.table.cols
 	counts := cols[len(a.groups)].I
 	for _, g := range gids {

@@ -130,7 +130,9 @@ type SeqScan struct {
 	// its schema or opened.
 	Filter expr.Expr
 
-	leg     *Leg
+	leg *Leg
+	// scratch holds the decode buffer; cd points at it while the loaded
+	// segment is lazy.
 	scratch LegScratch
 	segIdx  int
 	rows    []tuple.Row
@@ -194,11 +196,12 @@ func NewSeqScan(ctx *Ctx, table *catalog.TableMeta) *SeqScan {
 	return &SeqScan{ctx: ctx, table: table, tr: ctx.Trace}
 }
 
-// NewLegScan is NewSeqScan running a leg the caller already built over the
+// LegScan is NewSeqScan running a leg the caller already built over the
 // table's schema: Project and Filter are the leg's, and its batches hold
-// the columns the leg hands on.
-func NewLegScan(ctx *Ctx, table *catalog.TableMeta, leg *Leg) *SeqScan {
-	s := &SeqScan{ctx: ctx, table: table, tr: ctx.Trace, Filter: leg.filter, leg: leg}
+// the columns the leg hands on. It returns the scan by value, for a caller
+// that allocates a plan's scans together.
+func LegScan(ctx *Ctx, table *catalog.TableMeta, leg *Leg) SeqScan {
+	s := SeqScan{ctx: ctx, table: table, tr: ctx.Trace, Filter: leg.filter, leg: leg}
 	if len(leg.cols) < table.Schema.Len() { // a full projection stays nil
 		s.Project = leg.cols
 	}
@@ -265,7 +268,7 @@ func (s *SeqScan) loadSegment() (ok bool, err error) {
 		nrows := len(sg.Rows)
 		if sg.Lazy() {
 			t0 := time.Now()
-			cd, err = sg.DecodeColumns(s.table.Schema, s.Project, s.cd)
+			cd, err = sg.DecodeColumns(s.table.Schema, s.Project, &s.scratch.cd)
 			if s.tr.Enabled() {
 				s.tr.Emit(trace.CatDecode, sg.ID.String(), t0)
 			}
@@ -316,9 +319,6 @@ func (s *SeqScan) nextBatch() (*tuple.Batch, bool, error) {
 // Close implements Iterator, releasing the output batch, decode buffer
 // (unless it holds views) and selection vector.
 func (s *SeqScan) Close() error {
-	if s.cd != nil {
-		s.cd.Release()
-	}
 	s.scratch.Release()
 	s.rows, s.cd = nil, nil
 	return closeOutput(&s.out, nil)

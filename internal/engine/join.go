@@ -26,16 +26,10 @@ import (
 // carried columns. A join that carries everything runs the same code over
 // the identity selection.
 type HashJoin struct {
-	left, right         Iterator
-	leftKeys, rightKeys []int
-	schema              *tuple.Schema
-
-	// store is the build store's schema: the left columns keep lists — the
-	// carried ones and the keys, ascending — of which storeKeys are the
-	// keys. bpick and ppick are the carried columns' places in the store
-	// and in a probe batch: an output row is the one, then the other.
-	store                         *tuple.Schema
-	keep, storeKeys, bpick, ppick []int
+	left, right Iterator
+	// The shape's fields read as the join's own (joinShape aliases
+	// JoinShape so that the embedded field stays unexported).
+	*joinShape
 
 	// build holds every build row and index chains them by key hash; both
 	// are only read once Open returns.
@@ -59,6 +53,24 @@ type HashJoin struct {
 	ostats *OpStats
 }
 
+// JoinShape is what a hash join derives from its inputs' schemas, keys and
+// carried columns: its output schema, its build store and where the output
+// reads its columns. It is read-only once built, so a compiled plan keeps
+// it and every run's join shares it (ShapedJoin).
+type JoinShape struct {
+	leftKeys, rightKeys []int
+	schema              *tuple.Schema
+
+	// store is the build store's schema: the left columns keep lists — the
+	// carried ones and the keys, ascending — of which storeKeys are the
+	// keys. bpick and ppick are the carried columns' places in the store
+	// and in a probe batch: an output row is the one, then the other.
+	store                         *tuple.Schema
+	keep, storeKeys, bpick, ppick []int
+}
+
+type joinShape = JoinShape
+
 // NewHashJoin joins left and right on equality of the given key columns
 // (by position in each side's schema), carrying every column of both.
 func NewHashJoin(left, right Iterator, leftKeys, rightKeys []int) *HashJoin {
@@ -69,21 +81,34 @@ func NewHashJoin(left, right Iterator, leftKeys, rightKeys []int) *HashJoin {
 // position in the left schema followed by the right one, ascending (nil:
 // all of them); the carried columns' names must differ.
 func NewHashJoinCarry(left, right Iterator, leftKeys, rightKeys, carry []int) *HashJoin {
+	j := ShapedJoin(left, right, NewJoinShape(left.Schema(), right.Schema(), leftKeys, rightKeys, carry))
+	return &j
+}
+
+// ShapedJoin is a hash join of left and right, whose schemas are the ones
+// sh was built for, returned by value for a caller that allocates a plan's
+// joins together.
+func ShapedJoin(left, right Iterator, sh *JoinShape) HashJoin {
+	return HashJoin{left: left, right: right, joinShape: sh}
+}
+
+// NewJoinShape is the shape of NewHashJoinCarry's join of inputs with
+// schemas ls and rs.
+func NewJoinShape(ls, rs *tuple.Schema, leftKeys, rightKeys, carry []int) *JoinShape {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		panic("engine: hash join needs equal, non-empty key lists")
 	}
-	ls, rs := left.Schema(), right.Schema()
 	wl, w := ls.Len(), ls.Len()+rs.Len()
-	j := &HashJoin{left: left, right: right, leftKeys: leftKeys, rightKeys: rightKeys, store: ls}
+	sh := &JoinShape{leftKeys: leftKeys, rightKeys: rightKeys, store: ls}
 	var cols []tuple.Column
 	if carry == nil {
-		j.schema = ls.Concat(rs)
+		sh.schema = ls.Concat(rs)
 	} else {
 		cols = make([]tuple.Column, 0, len(carry))
 	}
 	// One slab backs keep, storeKeys and the picks.
 	ints := make([]int, wl+len(leftKeys)+w)
-	j.keep, j.storeKeys = ints[:0:wl], ints[wl:wl+len(leftKeys)]
+	sh.keep, sh.storeKeys = ints[:0:wl], ints[wl:wl+len(leftKeys)]
 	picks, nb := ints[wl+len(leftKeys):wl+len(leftKeys)], 0
 	for p, next := 0, 0; p < w; p++ {
 		carried := carry == nil || next < len(carry) && carry[next] == p
@@ -102,24 +127,27 @@ func NewHashJoinCarry(left, right Iterator, leftKeys, rightKeys, carry []int) *H
 			continue
 		}
 		if carried {
-			picks, nb = append(picks, len(j.keep)), nb+1
+			picks, nb = append(picks, len(sh.keep)), nb+1
 		}
 		if carried || slices.Contains(leftKeys, p) {
-			j.keep = append(j.keep, p)
+			sh.keep = append(sh.keep, p)
 		}
 	}
-	j.bpick, j.ppick = picks[:nb], picks[nb:]
+	sh.bpick, sh.ppick = picks[:nb], picks[nb:]
 	for k, lk := range leftKeys {
-		j.storeKeys[k] = slices.Index(j.keep, lk)
+		sh.storeKeys[k] = slices.Index(sh.keep, lk)
 	}
 	if cols != nil {
-		j.schema = tuple.NewSchema(cols...)
+		sh.schema = tuple.NewSchema(cols...)
 	}
-	if len(j.keep) < wl {
-		j.store = ls.Project(j.keep)
+	if len(sh.keep) < wl {
+		sh.store = ls.Project(sh.keep)
 	}
-	return j
+	return sh
 }
+
+// Schema returns the output schema of the joins of this shape.
+func (sh *JoinShape) Schema() *tuple.Schema { return sh.schema }
 
 // JoinOn resolves key column names on both sides and builds the join.
 func JoinOn(left, right Iterator, on [][2]string) *HashJoin {

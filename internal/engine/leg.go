@@ -74,17 +74,21 @@ func segmentBytes(seg *segment.Segment, cd *segment.ColumnData) ScanBytes {
 	}
 }
 
-// LegScratch is a kernel caller's reusable filter state: the table-width
-// row a decoded position is presented to the filter through (only the
-// columns the filter names are ever set) and the selection vector. A
-// caller keeps one per leg it runs, beside that leg's decode buffer.
+// LegScratch is a kernel caller's reusable state: the decode buffer, whose
+// Cols, as wide as the table, are kept across segments, the table-width row
+// a decoded position is presented to the filter through (only the columns
+// the filter names are ever set) and the selection vector. A caller keeps
+// one per leg it runs.
 type LegScratch struct {
+	cd  segment.ColumnData
 	row tuple.Row
 	sel []int32
 }
 
-// Release hands the selection vector back to the working-memory pool.
+// Release hands the decode buffer (unless it holds views) and the
+// selection vector back to the working-memory pool.
 func (sc *LegScratch) Release() {
+	sc.cd.Release()
 	tuple.Release(sc.sel)
 	sc.sel = nil
 }
@@ -138,31 +142,30 @@ func (l *Leg) appendRows(dst *tuple.Batch, cd *segment.ColumnData, rows []tuple.
 
 // ReadSegment runs the kernel over one whole delivered segment and returns
 // the leg's rows as a batch the caller owns, allocated at the survivor
-// count. buf is the caller's decode buffer, needed for a lazy segment only:
-// its Cols, as wide as the table, are kept across calls, and a projected
-// column decodes into its vector whenever that is long enough. An
-// unfiltered lazy segment is not copied at all: the batch takes over the
-// decoded vectors of the columns the leg hands on, and buf is left without
-// them: the next decode into buf draws those from the working-memory pool.
-// A memoized segment's decoded vectors are read-only views
-// (segment.ColumnData.Views), and the batch is then a view too
-// (tuple.Batch.View), which the caller must not reuse as buffers. sc is
-// the caller's filter scratch, kept across calls the same way. Decode
+// count. sc is the caller's scratch, kept across calls: a projected column
+// of a lazy segment decodes into its buffer's vector whenever that is long
+// enough. An unfiltered lazy segment is not copied at all: the batch takes
+// over the decoded vectors of the columns the leg hands on, and the buffer
+// is left without them: the next decode into it draws those from the
+// working-memory pool. A memoized segment's decoded vectors are read-only
+// views (segment.ColumnData.Views), and the batch is then a view too
+// (tuple.Batch.View), which the caller must not reuse as buffers. Decode
 // errors wrap segment.ErrCorrupt.
-func (l *Leg) ReadSegment(seg *segment.Segment, buf *segment.ColumnData, sc *LegScratch) (*tuple.Batch, ScanBytes, error) {
+func (l *Leg) ReadSegment(seg *segment.Segment, sc *LegScratch) (*tuple.Batch, ScanBytes, error) {
 	var by ScanBytes
 	var cd *segment.ColumnData
 	n := len(seg.Rows)
 	if seg.Lazy() {
 		var err error
-		if cd, err = seg.DecodeColumns(l.table, l.cols, buf); err != nil {
+		if cd, err = seg.DecodeColumns(l.table, l.cols, &sc.cd); err != nil {
 			return nil, by, err
 		}
 		by, n = segmentBytes(seg, cd), cd.NumRows
 		if l.filter == nil {
-			cols := make([]tuple.Vector, len(l.out))
-			for c, src := range l.out {
-				cols[c], cd.Cols[src] = cd.Cols[src], tuple.Vector{}
+			var small [16]tuple.Vector // the batch copies the headers
+			cols := small[:0]
+			for _, src := range l.out {
+				cols, cd.Cols[src] = append(cols, cd.Cols[src]), tuple.Vector{}
 			}
 			if cd.Views() {
 				return tuple.ViewOf(l.schema, cols, n), by, nil

@@ -111,7 +111,7 @@ func (m *Stream) processArrival(seg *segment.Segment) error {
 // build time, block contents on first decode) and filter errors surface as
 // errors, like the vanilla scan path.
 func (m *Stream) decodeArrival(rel int, seg *segment.Segment) (*tuple.Batch, engine.ScanBytes, error) {
-	batch, by, err := m.probe.legs[rel].ReadSegment(seg, &m.cds[rel], &m.legScratch[rel])
+	batch, by, err := m.probe.legs[rel].ReadSegment(seg, &m.legScratch[rel])
 	if err != nil {
 		err = fmt.Errorf("mjoin: arrival %v: %w", seg.ID, err)
 	}
@@ -168,10 +168,11 @@ type probePlan struct {
 	keyCol []int
 	// picks[r] lists the columns of leg r the output gathers.
 	picks [][]int
-	// stages are the pull plan's joins, subplans the size of the subplan
-	// lattice; unrunnable, when non-nil, is why MJoin cannot run the query
-	// though the pull engine can.
-	stages     []Stage
+	// stages are the pull plan's joins, compiled (stages[i-1] attaches
+	// relation i), subplans the size of the subplan lattice; unrunnable,
+	// when non-nil, is why MJoin cannot run the query though the pull
+	// engine can.
+	stages     []*engine.JoinShape
 	subplans   int
 	unrunnable error
 }
@@ -278,8 +279,8 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 		pp.out = tuple.NewSchema(cols...)
 	}
 	pp.keyCol[0] = -1
-	pp.stages = make([]Stage, n-1)
-	carry := make([]int, 0, (n-1)*w)
+	pp.stages = make([]*engine.JoinShape, n-1)
+	carry, left := make([]int, 0, (n-1)*w), pp.legs[0].Schema()
 	for i := range q.Joins {
 		g, r := pp.leftG[i], 0
 		for pp.off[r+1] <= g {
@@ -289,25 +290,27 @@ func buildProbePlan(q *Query) (*probePlan, error) {
 		pp.keyCol[i+1] = pp.place(i+1, pp.keyCol[i+1])
 		// Join i's inputs are the columns of relations up to i+1 read at or
 		// above it; it carries those read above it.
-		st, start, p := &pp.stages[i], len(carry), 0
+		start, p, leftKey := len(carry), 0, 0
 		for h, need := range pp.need[:pp.off[i+2]] {
 			if need <= i {
 				continue
 			}
 			if h == g {
-				st.LeftKey = p
+				leftKey = p
 			}
 			if need > i+1 {
 				carry = append(carry, p)
 			}
 			p++
 		}
-		st.RightKey = pp.keyCol[i+1]
+		var carried []int // nil: join i carries everything
 		if len(carry)-start < p {
-			st.Carry = carry[start:len(carry):len(carry)]
+			carried = carry[start:len(carry):len(carry)]
 		} else {
 			carry = carry[:start]
 		}
+		pp.stages[i] = engine.NewJoinShape(left, pp.legs[i+1].Schema(), []int{leftKey}, []int{pp.keyCol[i+1]}, carried)
+		left = pp.stages[i].Schema()
 	}
 	pp.subplans, pp.unrunnable = q.NumSubplans()
 	for r := 1; r < n && pp.unrunnable == nil; r++ {

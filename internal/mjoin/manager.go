@@ -163,11 +163,10 @@ type Stream struct {
 	pick, at, digit, found []int
 	cands, need            []segment.ObjectID
 
-	// cds[r] is relation r's decode buffer: a filtered arrival's cache entry
-	// copies the survivors out of it, an unfiltered one takes its vectors,
-	// and the next decode draws new ones from the working-memory pool.
-	// legScratch[r] is the relation's filter scratch, reused the same way.
-	cds        []segment.ColumnData
+	// legScratch[r] is relation r's decode buffer and filter scratch: a
+	// filtered arrival's cache entry copies the survivors out of the buffer,
+	// an unfiltered one takes its vectors, and the next decode draws new
+	// ones from the working-memory pool.
 	legScratch []engine.LegScratch
 	// scratch is the probe chain's, reused across arrivals and subplans.
 	scratch probeScratch
@@ -252,7 +251,7 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 		ids = append(ids, rel.Table.Objects...)
 	}
 	m.ids, m.need, m.cands = ids[:objects:objects], ids[objects:objects:2*objects], ids[2*objects:2*objects]
-	m.cds, m.legScratch = make([]segment.ColumnData, n), make([]engine.LegScratch, n)
+	m.legScratch = make([]engine.LegScratch, n)
 	m.off[n] = objects
 	for r, stride := n-1, 1; r >= 0; r-- {
 		d := len(q.Relations[r].Table.Objects)
@@ -384,8 +383,7 @@ func (m *Stream) finish(err error) {
 	for _, o := range m.cacheOrder {
 		m.slots[o].release()
 	}
-	for r := range m.cds {
-		m.cds[r].Release()
+	for r := range m.legScratch {
 		m.legScratch[r].Release()
 	}
 	for r := range m.scratch.cur {
@@ -393,7 +391,7 @@ func (m *Stream) finish(err error) {
 		tuple.Release(m.scratch.next[r])
 	}
 	tuple.Release(m.hashBuf)
-	m.cacheOrder, m.cds, m.legScratch, m.hashBuf, m.scratch = m.cacheOrder[:0], nil, nil, nil, probeScratch{}
+	m.cacheOrder, m.legScratch, m.hashBuf, m.scratch = m.cacheOrder[:0], nil, nil, probeScratch{}
 }
 
 // skipByStats retires, before the first request cycle, every subplan

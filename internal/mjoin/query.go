@@ -136,20 +136,13 @@ func (q *Query) compiled() (*probePlan, error) {
 	return pp, nil
 }
 
-// Stage is the pull plan's hash join attaching relation i to the rows
-// joined before it (the (i-1)-th of Plan's stages): its key's place in that
-// build (left) input and in relation i's leg, and the columns of the two,
-// by place in the left schema followed by the right one, that a later join
-// or the output reads — nil when that is every column.
-type Stage struct {
-	LeftKey, RightKey int
-	Carry             []int
-}
-
 // Plan validates the query like Validate and returns what a pull plan is
 // built from: the relations' legs, so its scans run the kernels validation
-// built, and one Stage per join: the kept plan's, which no run may change.
-func (q *Query) Plan() ([]*engine.Leg, []Stage, error) {
+// built, and one compiled hash join per join, the (i-1)-th attaching
+// relation i to the rows joined before it. Its key is the one Joins names
+// on either side, and it carries the columns a later join or the output
+// reads. Both are the kept plan's, which no run may change.
+func (q *Query) Plan() ([]*engine.Leg, []*engine.JoinShape, error) {
 	pp, err := q.compiled()
 	if err != nil {
 		return nil, nil, err

@@ -302,12 +302,25 @@ func decodeColumn(kind tuple.Kind, enc Encoding, block []byte, n int, dst *tuple
 		if card > uint64(n) {
 			return fmt.Errorf("dict cardinality %d exceeds %d rows", card, n)
 		}
-		dict := make([]string, card)
-		for i := range dict {
-			var err error
-			if dict[i], block, err = decodeString(block); err != nil {
-				return fmt.Errorf("dict entry %d: %w", i, err)
+		// The entries are validated, then the section they span becomes one
+		// string and each entry a substring of it: one allocation a block.
+		section := block
+		for i := range card {
+			ln, sz := binary.Uvarint(block)
+			if sz <= 0 {
+				return fmt.Errorf("dict entry %d: truncated length", i)
 			}
+			if uint64(len(block)-sz) < ln {
+				return fmt.Errorf("dict entry %d: length %d exceeds %d remaining bytes", i, ln, len(block)-sz)
+			}
+			block = block[sz+int(ln):]
+		}
+		all, dict := string(section[:len(section)-len(block)]), tuple.Take[string](int(card))
+		defer tuple.Release(dict)
+		for i, at := 0, 0; i < len(dict); i++ {
+			ln, sz := binary.Uvarint(section[at:])
+			at += sz
+			dict[i], at = all[at:at+int(ln)], at+int(ln)
 		}
 		*dst = tuple.Vector{S: tuple.Resize(dst.S, n)}
 		for i := range dst.S {

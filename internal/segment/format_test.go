@@ -82,7 +82,8 @@ func TestV2RoundTrip(t *testing.T) {
 // TestDecodeColumnsReuseAllocatesNothing: decoding an all-numeric projection
 // into a ColumnData warm from the same projection allocates nothing — no
 // bitmap, no vector, no per-value bookkeeping — and still accounts for every
-// byte.
+// byte. A dictionary column adds one allocation, its block's one string,
+// and decodes to the rows' strings.
 func TestDecodeColumnsReuseAllocatesNothing(t *testing.T) {
 	data, err := wideSegment(500).EncodeFormat(wideSchema, FormatV2)
 	if err != nil {
@@ -106,6 +107,24 @@ func TestDecodeColumnsReuseAllocatesNothing(t *testing.T) {
 	}
 	if want := int64(8 * 500 * len(proj)); cd.BytesMaterialized != want {
 		t.Fatalf("BytesMaterialized %d, want %d", cd.BytesMaterialized, want)
+	}
+
+	const tag = 4
+	if g.Directory()[tag].Encoding != EncDict {
+		t.Fatalf("column %d is %v, want a dictionary block", tag, g.Directory()[tag].Encoding)
+	}
+	proj = append(proj, tag)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := g.DecodeColumns(wideSchema, proj, cd); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 1 {
+		t.Fatalf("warm decode with a dictionary column allocates %v times per call, want at most 1", allocs)
+	}
+	for i, r := range wideRows(500, 42) {
+		if got := cd.Cols[tag].S[i]; got != r[tag].S {
+			t.Fatalf("row %d: dictionary decode %q, want %q", i, got, r[tag].S)
+		}
 	}
 }
 

@@ -106,6 +106,23 @@ func checkDecode(t *testing.T, data []byte) {
 			}
 		}
 	}
+	// Decoded strings, dictionary entries too, own their bytes: overwriting
+	// the object after a decode changes none of them.
+	own := bytes.Clone(data)
+	if lz, err = DecodeLazy(fuzzSchema, own); err != nil {
+		t.Fatalf("DecodeLazy of a copy failed: %v", err)
+	}
+	if cd, err = lz.DecodeColumns(fuzzSchema, []int{2}, nil); err != nil {
+		t.Fatalf("decode of a copy failed: %v", err)
+	}
+	for i := range own {
+		own[i] = ^own[i]
+	}
+	for i, r := range sg.Rows {
+		if got := cd.Cols[2].S[i]; got != r[2].S {
+			t.Fatalf("row %d: string %q reads %q once the object's bytes are overwritten", i, r[2].S, got)
+		}
+	}
 }
 
 // FuzzDecodeV2 fuzzes the decoder (trailer and header checks, directory

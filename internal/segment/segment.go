@@ -540,8 +540,6 @@ type ColumnData struct {
 	// BytesMaterialized counts the logical size of the decoded values
 	// (8 bytes per numeric, payload length per string).
 	BytesMaterialized int64
-	// want marks the projected columns of the decode in progress.
-	want []bool
 	// views is set while Cols holds a memoized segment's vectors.
 	views bool
 }
@@ -554,7 +552,7 @@ type ColumnData struct {
 func (cd *ColumnData) Views() bool { return cd.views }
 
 // Release hands the decoded vectors back to the working-memory pool,
-// unless they are views (Views), and empties Cols.
+// unless they are views (Views), and Cols with them.
 func (cd *ColumnData) Release() {
 	for _, v := range cd.Cols {
 		if !cd.views {
@@ -564,13 +562,16 @@ func (cd *ColumnData) Release() {
 		}
 	}
 	clear(cd.Cols)
+	tuple.Release(cd.Cols)
+	cd.Cols = nil
 }
 
 // DecodeColumns decodes the projected columns of a lazy segment. proj
 // lists schema column indexes to decode, in any order; nil means every
 // column, and an empty non-nil slice decodes nothing (row counts only —
 // what a COUNT(*) scan needs). Pass a previous ColumnData back in to
-// reuse its buffers. Errors wrap ErrCorrupt.
+// reuse its buffers; a ColumnData without Cols draws them from the
+// working-memory pool, and Release hands them back. Errors wrap ErrCorrupt.
 //
 // A memoized segment decodes each column once, into its memo, and hands
 // Cols out as views of the memo's vectors (ColumnData.Views); a column
@@ -585,10 +586,12 @@ func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnD
 		cd = &ColumnData{}
 	}
 	if len(cd.Cols) != schema.Len() {
-		cd.Cols = make([]tuple.Vector, schema.Len())
+		cd.Cols = tuple.Take[tuple.Vector](schema.Len())
+		clear(cd.Cols)
 	}
-	if len(cd.want) != schema.Len() {
-		cd.want = make([]bool, schema.Len())
+	want := make([]bool, 0, 64) // want[ci]: column ci is projected; on the stack up to 64 columns
+	for range schema.Cols {
+		want = append(want, proj == nil)
 	}
 	if cd.views && g.memo == nil {
 		clear(cd.Cols) // never decode into another segment's memo
@@ -603,21 +606,18 @@ func (g *Segment) DecodeColumns(schema *tuple.Schema, proj []int, reuse *ColumnD
 	}
 	cd.NumRows = p.rows
 	cd.BytesDecoded, cd.BytesSkipped, cd.BytesMaterialized = 0, 0, 0
-	for i := range cd.want {
-		cd.want[i] = proj == nil
-	}
 	for _, ci := range proj {
 		if ci < 0 || ci >= schema.Len() {
 			return nil, fmt.Errorf("segment %v: projected column %d out of range (%d columns)", g.ID, ci, schema.Len())
 		}
-		cd.want[ci] = true
+		want[ci] = true
 	}
 	block := p.body
 	for ci, m := range p.dir {
 		if m.BlockLen > len(block) {
 			return nil, fmt.Errorf("segment %v: column %d block overruns payload: %w", g.ID, ci, ErrCorrupt)
 		}
-		if !cd.want[ci] {
+		if !want[ci] {
 			cd.Cols[ci] = tuple.Vector{}
 			cd.BytesSkipped += int64(m.BlockLen)
 			block = block[m.BlockLen:]

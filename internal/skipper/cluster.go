@@ -256,11 +256,10 @@ func (r *fleetRun) runClient(p *vtime.Proc, c *Client) error {
 // requires of the scans (and thus of the proxy's GETs and charges).
 func runVanilla(px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	ctx := &engine.Ctx{Fetch: px, Trace: c.QTrace}
-	it, err := BuildPullPlanPruned(ctx, spec.Join, !c.NoStatsPruning)
+	it, scans, err := pullPlan(ctx, spec.Join, !c.NoStatsPruning)
 	if err != nil {
 		return nil, err
 	}
-	scans := engine.SeqScans(it)
 	if it, err = spec.Shaped(it); err != nil {
 		return nil, err
 	}
@@ -272,7 +271,8 @@ func runVanilla(px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	// the drain — exact even when a LIMIT stops the pipeline before a
 	// scan reaches its tail segments — and the decode bytes it spent or
 	// skipped against lazily decoded (encoded-format) stores.
-	for _, s := range scans {
+	for i := range scans {
+		s := &scans[i]
 		c.stats.SegmentsSkipped += s.SegmentsSkipped()
 		sb := s.Bytes()
 		c.stats.BytesFetched += sb.Fetched
@@ -378,25 +378,33 @@ func BuildPullPlan(ctx *engine.Ctx, q *mjoin.Query) (engine.Iterator, error) {
 
 // BuildPullPlanPruned is BuildPullPlan with data skipping made explicit:
 // prune=false leaves the relation Pruners off the scans, so every
-// segment is fetched — the pre-statistics behaviour. Legs and stages are
+// segment is fetched — the pre-statistics behaviour. Legs and joins are
 // the query's compiled plan (mjoin.Query.Validate), not re-derived.
 func BuildPullPlanPruned(ctx *engine.Ctx, q *mjoin.Query, prune bool) (engine.Iterator, error) {
-	legs, stages, err := q.Plan()
+	it, _, err := pullPlan(ctx, q, prune)
+	return it, err
+}
+
+// pullPlan is BuildPullPlanPruned, also returning the plan's scans in
+// relation order. The scans are one allocation, the joins another.
+func pullPlan(ctx *engine.Ctx, q *mjoin.Query, prune bool) (engine.Iterator, []engine.SeqScan, error) {
+	legs, joins, err := q.Plan()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	scans, ops := make([]engine.SeqScan, len(legs)), make([]engine.HashJoin, len(joins))
 	var it engine.Iterator
 	for i, rel := range q.Relations {
-		scan := engine.NewLegScan(ctx, rel.Table, legs[i])
+		scans[i] = engine.LegScan(ctx, rel.Table, legs[i])
 		if prune {
-			scan.Pruner = rel.Pruner
+			scans[i].Pruner = rel.Pruner
 		}
 		if i == 0 {
-			it = scan
+			it = &scans[0]
 			continue
 		}
-		st := stages[i-1]
-		it = engine.NewHashJoinCarry(it, scan, []int{st.LeftKey}, []int{st.RightKey}, st.Carry)
+		ops[i-1] = engine.ShapedJoin(it, &scans[i], joins[i-1])
+		it = &ops[i-1]
 	}
-	return it, nil
+	return it, scans, nil
 }

@@ -397,8 +397,9 @@ func (px *proxy) beginQuery(queryID string) {
 // delivery, and the vanilla path requests one object at a time. Misses
 // fan out per device: each GET goes to the replica the chooser picks,
 // batched per device in first-appearance order so per-device arrival
-// order matches the request order.
+// order matches the request order. The call's GETs share one slab.
 func (px *proxy) Request(objs []segment.ObjectID) {
+	var reqs []csd.Request
 	for _, id := range objs {
 		if px.cache != nil {
 			if seg, ok := px.cache.Get(id); ok {
@@ -423,7 +424,11 @@ func (px *proxy) Request(objs []segment.ObjectID) {
 		if len(px.batches[d]) == 0 {
 			px.batchOrder = append(px.batchOrder, d)
 		}
-		px.batches[d] = append(px.batches[d], &csd.Request{Object: id, QueryID: px.query, Tenant: px.tenant, Reply: px.reply})
+		if reqs == nil {
+			reqs = make([]csd.Request, 0, len(objs)) // never regrown: the pointers stay put
+		}
+		reqs = append(reqs, csd.Request{Object: id, QueryID: px.query, Tenant: px.tenant, Reply: px.reply})
+		px.batches[d] = append(px.batches[d], &reqs[len(reqs)-1])
 	}
 	for _, d := range px.batchOrder {
 		px.fl.device(d).Submit(px.proc, px.batches[d]...)

@@ -365,26 +365,28 @@ func TestSkipperLatencyInsensitivity(t *testing.T) {
 	}
 }
 
-// getRoundTripAllocs runs one client issuing `gets` synchronous GETs through
-// its proxy against one device — no cache, no decode, no charge — and
-// returns the allocations of the whole run, set-up included. A second
-// tenant keeps `parked` requests pending on another group throughout: the
-// client always has its next GET in before the device could switch.
-func getRoundTripAllocs(t *testing.T, gets, parked int) float64 {
-	mine := segment.ObjectID{Tenant: 0, Table: "a"}
-	store := map[segment.ObjectID]*segment.Segment{mine: {ID: mine, NominalBytes: 1e9}}
+// getRoundTripAllocs runs one client issuing `calls` synchronous calls of
+// perCall GETs each through its proxy against one device — no cache, no
+// decode, no charge — and returns the allocations of the whole run, set-up
+// included. A second tenant keeps `parked` requests pending on another
+// group throughout: the client always has its next GET in before the
+// device could switch.
+func getRoundTripAllocs(t *testing.T, calls, perCall, parked int) float64 {
+	store := map[segment.ObjectID]*segment.Segment{}
 	assign := layout.MustAssignment(2)
-	if err := assign.Place(mine, 0); err != nil {
-		t.Fatal(err)
-	}
-	var theirs []segment.ObjectID
-	for i := 0; i < parked; i++ {
-		id := segment.ObjectID{Tenant: 1, Table: "b", Index: i}
+	var mine, theirs []segment.ObjectID
+	for i := 0; i < perCall+parked; i++ {
+		id, group := segment.ObjectID{Tenant: 0, Table: "a", Index: i}, 0
+		if i >= perCall {
+			id, group = segment.ObjectID{Tenant: 1, Table: "b", Index: i}, 1
+			theirs = append(theirs, id)
+		} else {
+			mine = append(mine, id)
+		}
 		store[id] = &segment.Segment{ID: id, NominalBytes: 1e9}
-		if err := assign.Place(id, 1); err != nil {
+		if err := assign.Place(id, group); err != nil {
 			t.Fatal(err)
 		}
-		theirs = append(theirs, id)
 	}
 	place, err := layout.BuildPlacement(assign, 1, layout.Replication{}, nil)
 	if err != nil {
@@ -400,10 +402,12 @@ func getRoundTripAllocs(t *testing.T, gets, parked int) float64 {
 		sim.Spawn("client", func(p *vtime.Proc) {
 			px.proc = p
 			px.beginQuery("q")
-			for i := 0; i < gets; i++ {
-				px.Request([]segment.ObjectID{mine})
-				if _, err := px.NextArrival(); err != nil {
-					t.Error(err)
+			for i := 0; i < calls; i++ {
+				px.Request(mine)
+				for range mine {
+					if _, err := px.NextArrival(); err != nil {
+						t.Error(err)
+					}
 				}
 			}
 			if switches := dev.Stats().GroupSwitches; switches != 0 {
@@ -429,27 +433,32 @@ func getRoundTripAllocs(t *testing.T, gets, parked int) float64 {
 		if err := sim.Run(); err != nil {
 			t.Error(err)
 		}
-		if stats.GetsIssued != gets || len(stats.StallIntervals) != gets {
+		if gets := calls * perCall; stats.GetsIssued != gets || len(stats.StallIntervals) != gets {
 			t.Errorf("%d GETs issued, %d stalls, want %d of each", stats.GetsIssued, len(stats.StallIntervals), gets)
 		}
 	})
 }
 
-// TestGetRoundTripAllocs: a GET through proxy.Request, the device's
-// controller and stream worker and back through NextArrival allocates its
-// csd.Request and, amortized, the growth of the stall-interval record —
-// nothing per hop, and nothing that scales with what else is pending.
+// TestGetRoundTripAllocs: a call through proxy.Request, the device's
+// controller and stream worker and back through NextArrival allocates one
+// slab for the call's csd.Requests and, amortized, the growth of the
+// stall-interval record — nothing per hop, and nothing that scales with
+// what else is pending.
 func TestGetRoundTripAllocs(t *testing.T) {
-	const warm, extra = 200, 2000
-	perGet := func(parked int) float64 {
-		return (getRoundTripAllocs(t, warm+extra, parked) - getRoundTripAllocs(t, warm, parked)) / extra
+	const warm, extra = 200, 2000 // GETs
+	perGet := func(perCall, parked int) float64 {
+		calls := func(gets int) int { return gets / perCall }
+		return (getRoundTripAllocs(t, calls(warm+extra), perCall, parked) - getRoundTripAllocs(t, calls(warm), perCall, parked)) / extra
 	}
-	alone, crowded := perGet(0), perGet(64)
-	t.Logf("allocations per GET: %.3f alone, %.3f with 64 requests pending on another group", alone, crowded)
-	if alone < 1 || alone > 2 {
-		t.Errorf("%.3f allocations per GET, want the csd.Request plus amortized record growth (under 2)", alone)
+	alone, crowded, batched := perGet(1, 0), perGet(1, 64), perGet(8, 0)
+	t.Logf("allocations per GET: %.3f alone, %.3f with 64 requests pending on another group, %.3f in calls of 8", alone, crowded, batched)
+	if alone < 1 || alone > 1.05 {
+		t.Errorf("%.3f allocations per GET, want the call's slab plus amortized record growth (under 1.05)", alone)
 	}
-	if crowded > alone+0.5 {
+	if crowded > alone+0.05 {
 		t.Errorf("%.3f allocations per GET with 64 requests pending, %.3f with none", crowded, alone)
+	}
+	if batched > 1.0/8+0.05 {
+		t.Errorf("%.3f allocations per GET in calls of 8, want one slab a call plus amortized record growth (under %.3f)", batched, 1.0/8+0.05)
 	}
 }

@@ -118,9 +118,10 @@ type Batch struct {
 }
 
 // NewBatch returns an empty batch over schema with room for capacity rows
-// per column. The columns of one storage class share one arena from the
-// pool — the 8-byte numerics (int64 and float64 cells alike) one, the
-// strings another — and a class the schema does not use costs none.
+// per column. The batch's shell comes from the pool, and the columns of one
+// storage class share one arena from it — the 8-byte numerics (int64 and
+// float64 cells alike) one, the strings another — and a class the schema
+// does not use costs none.
 func NewBatch(schema *Schema, capacity int) *Batch {
 	if capacity <= 0 {
 		capacity = 1
@@ -131,8 +132,9 @@ func NewBatch(schema *Schema, capacity int) *Batch {
 			ns++
 		}
 	}
-	b := &Batch{schema: schema, cols: make([]Vector, schema.Len()), capacity: capacity,
-		nums: Take[int64]((schema.Len() - ns) * capacity), strs: Take[string](ns * capacity)}
+	b := shell(schema.Len())
+	b.schema, b.capacity = schema, capacity
+	b.nums, b.strs = Take[int64]((schema.Len()-ns)*capacity), Take[string](ns*capacity)
 	nums, strs, cols := b.nums, b.strs, b.cols
 	for i, c := range schema.Cols {
 		switch c.Kind {
@@ -159,11 +161,14 @@ func FromRows(schema *Schema, rows []Row) *Batch {
 }
 
 // BatchOf wraps caller-provided columns, one per schema column and each at
-// least n cells long, as a full batch of n rows without copying; the
-// caller gives the columns up, each whole (Release returns them).
+// least n cells long, as a full batch of n rows without copying a cell: the
+// batch's shell from the pool holds the columns' headers, and cols stays
+// the caller's. The caller gives the columns up, each whole (Release
+// returns them).
 func BatchOf(schema *Schema, cols []Vector, n int) *Batch {
-	for c := range cols {
-		v := &cols[c]
+	b := shell(len(cols))
+	b.schema, b.n, b.capacity = schema, n, n
+	for c, v := range cols {
 		switch schema.Cols[c].Kind {
 		case KindFloat64:
 			v.F = v.F[:n]
@@ -172,8 +177,9 @@ func BatchOf(schema *Schema, cols []Vector, n int) *Batch {
 		default:
 			v.I = v.I[:n]
 		}
+		b.cols[c] = v
 	}
-	return &Batch{schema: schema, cols: cols, n: n, capacity: n}
+	return b
 }
 
 // ViewOf is BatchOf over read-only columns the caller does not own, such
@@ -182,19 +188,26 @@ func BatchOf(schema *Schema, cols []Vector, n int) *Batch {
 // buffers (View). Appending grows into new buffers; Reset panics.
 func ViewOf(schema *Schema, cols []Vector, n int) *Batch {
 	b := BatchOf(schema, cols, n)
-	for c := range cols {
-		v := &cols[c]
+	for c := range b.cols {
+		v := &b.cols[c]
 		v.I, v.F, v.S = slices.Clip(v.I), slices.Clip(v.F), slices.Clip(v.S)
 	}
 	b.view = true
 	return b
 }
 
-// Release hands the batch's arenas, or BatchOf's columns, but never a view's,
-// back to the pool; neither it nor a vector read from it may be used again.
+// Release hands the batch's shell and its arenas, or BatchOf's columns, but
+// never a view's, back to the pool; neither it nor a vector read from it may
+// be used again. Releasing it again does nothing, and in a test binary
+// panics.
 func (b *Batch) Release() {
 	switch {
 	case b == nil:
+		return
+	case b.schema == nil || b.schema == releasedSchema:
+		if checked {
+			panic("tuple: released a Batch twice")
+		}
 		return
 	case b.nums != nil || b.strs != nil:
 		Release(b.nums)
@@ -206,7 +219,7 @@ func (b *Batch) Release() {
 			Release(v.S)
 		}
 	}
-	b.cols, b.nums, b.strs, b.n, b.capacity = nil, nil, nil, 0, 0
+	releaseShell(b)
 }
 
 // View reports whether the batch wraps read-only columns (ViewOf).

@@ -10,11 +10,12 @@ import (
 )
 
 // The process's one pool of query working memory; docs/architecture.md has
-// the rules. Test binaries poison released cells and check every release.
+// the rules. Test binaries poison released cells and batch shells and check
+// every release.
 
 // Cell is an element type the pool recycles; the 8-byte kinds share lists.
 type Cell interface {
-	int64 | float64 | uint64 | Loc | int32 | string
+	int64 | float64 | uint64 | Loc | int32 | string | Vector
 }
 
 // Class c holds arrays of 2^c cells; the pool serves requests up to
@@ -22,11 +23,13 @@ type Cell interface {
 const minClass, maxClass = 4, 31
 
 var (
-	// pool holds free arrays by element size (int32, 8-byte and string
-	// cells: size / 8) and class, as pointers to their first cells.
+	// pool holds free arrays by element size / 8 (int32 cells at 0, Vector
+	// cells at 9) and class, as pointers to their first cells, and released
+	// Batch shells.
 	pool struct {
 		sync.Mutex
-		free [3][maxClass + 1][]unsafe.Pointer
+		free   [10][maxClass + 1][]unsafe.Pointer
+		shells []*Batch
 	}
 	// epoch points at a marker held only weakly, which reads nil once a
 	// collection has run.
@@ -42,12 +45,16 @@ var (
 // of a string.
 const releasedByte = 0xDE
 
-var releasedString = "tuple: read after release"
+var (
+	releasedString = "tuple: read after release"
+	// releasedSchema is a released shell's schema: the column its batch
+	// would be read through names what went wrong.
+	releasedSchema = NewSchema(Column{Name: "tuple: batch used after Release", Kind: KindString})
+)
 
-// lock locks the pool and returns T's free lists. Its first use after a
-// garbage collection empties them all: what was free at that collection
-// goes to the next one.
-func lock[T Cell]() *[maxClass + 1][]unsafe.Pointer {
+// lockPool locks the pool. Its first use after a garbage collection empties
+// every list: what was free at that collection goes to the next one.
+func lockPool() {
 	e := epoch.Load()
 	stale := e == nil || e.Value() == nil // not under the lock: it may wait for the collector
 	pool.Lock()
@@ -58,9 +65,16 @@ func lock[T Cell]() *[maxClass + 1][]unsafe.Pointer {
 				pool.free[k][c] = free[:0]
 			}
 		}
+		clear(pool.shells)
+		pool.shells = pool.shells[:0]
 		w := weak.Make(new([4]uintptr))
 		epoch.Store(&w)
 	}
+}
+
+// lock locks the pool and returns T's free lists.
+func lock[T Cell]() *[maxClass + 1][]unsafe.Pointer {
+	lockPool()
 	var z T
 	return &pool.free[unsafe.Sizeof(z)/8]
 }
@@ -114,14 +128,53 @@ func Release[T Cell](s []T) {
 	}
 	if str, ok := any(&s[0]).(*string); ok && checked {
 		poison(unsafe.Slice(str, n), releasedString)
-	} else if ok {
-		clear(s) // let go of the strings' bytes
+	} else if _, isVec := any(&s[0]).(*Vector); ok || isVec {
+		clear(s) // let go of the strings' bytes, or the vectors' arrays
 	} else if checked {
 		poison(unsafe.Slice((*byte)(p), n*int(unsafe.Sizeof(s[0]))), releasedByte)
 	}
 	c := bits.Len(uint(n)) - 1
 	lists := lock[T]()
 	lists[c] = append(lists[c], p)
+	pool.Unlock()
+}
+
+// shell returns a Batch shell with width empty columns: a released one from
+// the pool, or a new one. In a test binary a pooled shell must still hold
+// the poison its release left, or it panics: something used its batch after
+// Release.
+func shell(width int) *Batch {
+	lockPool()
+	var b *Batch
+	if n := len(pool.shells); n > 0 {
+		b, pool.shells[n-1], pool.shells = pool.shells[n-1], nil, pool.shells[:n-1]
+	}
+	pool.Unlock()
+	if b == nil {
+		return &Batch{cols: make([]Vector, width)}
+	}
+	if checked && (b.schema != releasedSchema || b.n != 0) {
+		panic("tuple: a Batch was used after Release")
+	}
+	b.schema = nil
+	if cap(b.cols) < width {
+		b.cols = make([]Vector, width)
+	}
+	b.cols = b.cols[:width]
+	return b
+}
+
+// releaseShell empties b, keeping its columns' capacity, and hands it to
+// the pool. In a test binary its schema is the poison.
+func releaseShell(b *Batch) {
+	cols := b.cols[:cap(b.cols)]
+	clear(cols)
+	*b = Batch{cols: cols[:0]}
+	if checked {
+		b.schema = releasedSchema
+	}
+	lockPool()
+	pool.shells = append(pool.shells, b)
 	pool.Unlock()
 }
 

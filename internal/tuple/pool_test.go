@@ -2,6 +2,7 @@ package tuple
 
 import (
 	"math"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +37,24 @@ func TestReleasedMemoryIsPoisoned(t *testing.T) {
 		t.Fatal("Take did not hand the released array out again")
 	}
 	Release(again)
+}
+
+// TestReleasedBatchIsPoisoned: in a test binary a released batch reads
+// through a schema whose one column names the mistake, releasing it again
+// panics, and a write to it is caught when the pool hands its shell out
+// again.
+func TestReleasedBatchIsPoisoned(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	sch := NewSchema(Column{Name: "i", Kind: KindInt64})
+	b := NewBatch(sch, 8)
+	b.AppendRow(Row{Int(1)})
+	b.Release()
+	if got := b.Schema().ColumnNames(); len(got) != 1 || !strings.Contains(got[0], "used after Release") {
+		t.Fatalf("a released batch reads through columns %q", got)
+	}
+	mustPanic(t, "released a Batch twice", b.Release)
+	b.AppendRow(Row{})
+	mustPanic(t, "used after Release", func() { NewBatch(sch, 8) })
 }
 
 // TestDoubleReleasePanics: releasing an array that is already free would
