@@ -55,45 +55,36 @@ func BenchmarkFigure3CSTSavings(b *testing.B) {
 	b.ReportMetric(last, "savings-ratio")
 }
 
-func BenchmarkFigure4VanillaScaling(b *testing.B) {
+// measure measures the grid of the figure id b.N times and returns the
+// last matrix: the numbers the figure's shape test reads.
+func measure(b *testing.B, id string) *experiments.Matrix {
 	p := params()
-	var pts []experiments.Figure4Point
+	var m *experiments.Matrix
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure4Data()
-		if err != nil {
+		if m, err = p.Measure(id); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(pts[4].CSD)/float64(pts[4].HDD), "slowdown-at-5-clients")
+	return m
+}
+
+func BenchmarkFigure4VanillaScaling(b *testing.B) {
+	m := measure(b, "4")
+	b.ReportMetric(m.At(4, "PostgreSQL-on-CSD")/m.At(4, "PostgreSQL-on-HDD (ideal)"), "slowdown-at-5-clients")
 }
 
 func BenchmarkFigure5LatencySensitivity(b *testing.B) {
-	p := params()
-	var pts []experiments.Figure5Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure5Data()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(pts[len(pts)-1].Avg)/float64(pts[0].Avg), "S20-vs-S0-ratio")
+	avg := measure(b, "5").Col("avg exec time (s)")
+	b.ReportMetric(avg[len(avg)-1]/avg[0], "S20-vs-S0-ratio")
 }
 
 func BenchmarkFigure7OutOfOrder(b *testing.B) {
-	p := params()
-	var pts []experiments.Figure7Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure7Data()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := pts[len(pts)-1]
-	b.ReportMetric(float64(last.Vanilla)/float64(last.Skipper), "skipper-speedup-5c")
-	b.ReportMetric(float64(last.Skipper)/float64(last.Ideal), "skipper-vs-ideal-5c")
+	m := measure(b, "7")
+	last := m.Len() - 1
+	van, skp, ideal := m.At(last, "PostgreSQL"), m.At(last, "Skipper"), m.At(last, "Ideal")
+	b.ReportMetric(van/skp, "skipper-speedup-5c")
+	b.ReportMetric(skp/ideal, "skipper-vs-ideal-5c")
 }
 
 func BenchmarkFigure8MixedWorkload(b *testing.B) {
@@ -111,18 +102,9 @@ func BenchmarkFigure8MixedWorkload(b *testing.B) {
 }
 
 func BenchmarkFigure9Breakdown(b *testing.B) {
-	p := params()
-	var pts []experiments.BreakdownPoint
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure9Data()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	van, skp := pts[0], pts[1]
-	b.ReportMetric(100*float64(van.Switch)/float64(van.Total), "vanilla-switch-pct")
-	b.ReportMetric(100*float64(skp.Switch)/float64(skp.Total), "skipper-switch-pct")
+	m := measure(b, "9")
+	b.ReportMetric(100*m.At(0, "switch")/m.At(0, "total"), "vanilla-switch-pct")
+	b.ReportMetric(100*m.At(1, "switch")/m.At(1, "total"), "skipper-switch-pct")
 }
 
 func BenchmarkTable3ComponentBreakdown(b *testing.B) {
@@ -140,73 +122,35 @@ func BenchmarkTable3ComponentBreakdown(b *testing.B) {
 }
 
 func BenchmarkFigure10SwitchLatency(b *testing.B) {
-	p := params()
-	var pts []experiments.Figure10Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure10Data()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(pts[3].Skipper)/float64(pts[0].Skipper), "skipper-growth-10to40s")
-	b.ReportMetric(float64(pts[3].Vanilla)/float64(pts[0].Vanilla), "vanilla-growth-10to40s")
+	m := measure(b, "10")
+	van, skp := m.Col("PostgreSQL"), m.Col("Skipper")
+	b.ReportMetric(skp[3]/skp[0], "skipper-growth-10to40s")
+	b.ReportMetric(van[3]/van[0], "vanilla-growth-10to40s")
 }
 
 func BenchmarkFigure11aLayout(b *testing.B) {
-	p := params()
-	var pts []experiments.Figure11aPoint
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure11aData()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	perG := pts[2]
-	b.ReportMetric(float64(perG.Vanilla)/float64(perG.Skipper), "skipper-speedup-1perG")
+	m := measure(b, "11a")
+	const perG = 2
+	b.ReportMetric(m.At(perG, "PostgreSQL")/m.At(perG, "Skipper"), "skipper-speedup-1perG")
 }
 
 func BenchmarkFigure11bCacheSF50(b *testing.B) {
-	p := params()
-	var pts []experiments.CacheSweepPoint
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure11bData()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(pts[0].Gets), "gets-smallest-cache")
-	b.ReportMetric(float64(pts[len(pts)-1].Gets), "gets-largest-cache")
+	gets := measure(b, "11b").Col("GET requests/client")
+	b.ReportMetric(gets[0], "gets-smallest-cache")
+	b.ReportMetric(gets[len(gets)-1], "gets-largest-cache")
 }
 
 func BenchmarkFigure11cCacheSF100(b *testing.B) {
-	p := params()
-	var pts []experiments.CacheSweepPoint
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure11cData()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(pts[0].Gets), "gets-smallest-cache")
-	b.ReportMetric(float64(pts[0].Avg)/float64(pts[len(pts)-1].Avg), "slowdown-small-vs-large")
+	m := measure(b, "11c")
+	avg := m.Col("avg exec time (s)")
+	b.ReportMetric(m.At(0, "GET requests/client"), "gets-smallest-cache")
+	b.ReportMetric(avg[0]/avg[len(avg)-1], "slowdown-small-vs-large")
 }
 
 func BenchmarkFigure12Scheduling(b *testing.B) {
-	p := params()
-	var pts []experiments.Figure12Point
-	var err error
-	for i := 0; i < b.N; i++ {
-		pts, err = p.Figure12Data()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, pt := range pts {
-		b.ReportMetric(pt.MaxStretch, pt.Policy+"-max-stretch")
+	m := measure(b, "12")
+	for r := 0; r < m.Len(); r++ {
+		b.ReportMetric(m.At(r, "max stretch"), m.Keys(r)[0]+"-max-stretch")
 	}
 }
 
@@ -468,6 +412,3 @@ func (s *memSource) NextArrival() (*segment.Segment, error) {
 	s.queue = s.queue[1:]
 	return sg, nil
 }
-
-// fmt import keepalive for error paths in future edits.
-var _ = fmt.Sprintf

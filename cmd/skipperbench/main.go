@@ -13,7 +13,8 @@
 //	skipperbench -trace                # a 3-client run's device lane as a span tree
 //
 // Figures: table1, 2, 3, 4, 5, 7, 8, 9, table3, 10, 11a, 11b, 11c, 12,
-// selectivity (the data-skipping sweep — ours, not the paper's).
+// selectivity (the data-skipping sweep — ours, not the paper's); -h lists
+// them, and the reports, from experiments.Figures and Reports.
 //
 // Reports (-report takes a comma-separated list, or all):
 //
@@ -48,21 +49,30 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/csd"
 	"repro/internal/experiments"
+	"repro/internal/lattice"
 	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
+// ids lists the entries' ids for a flag's help.
+func ids(entries []experiments.Entry) string {
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = e.ID
+	}
+	return strings.Join(out, ",")
+}
+
 func main() {
-	figArg := flag.String("fig", "all", "comma-separated figure ids (table1,2,3,4,5,7,8,9,table3,10,11a,11b,11c,12) or 'all'")
+	figArg := flag.String("fig", "all", "comma-separated figure ids ("+ids(experiments.Default().Figures())+") or 'all'")
 	quick := flag.Bool("quick", false, "use the reduced-scale configuration")
 	sf := flag.Int("sf", 0, "override TPC-H scale factor")
 	outFmt := flag.String("out", "table", "output format: table or csv")
 	showTrace := flag.Bool("trace", false, "run a small 3-client scenario and print its device span tree instead of figures")
-	reportArg := flag.String("report", "", "comma-separated feature reports (prune,proj,cache,pipeline,faults,scale) or 'all'; runs instead of -fig")
+	reportArg := flag.String("report", "", "comma-separated feature reports ("+ids(experiments.Default().Reports())+") or 'all'; runs instead of -fig")
 	rows := flag.Int("rows", 0, "override rows per 1 GB object (more rows = more decode work per object)")
 	segFormat := flag.String("format", "mem", "segment wire format served by the CSD store: mem or v2")
 	flag.Parse()
@@ -128,20 +138,17 @@ func main() {
 // from its GET to its delivery, every group switch — then each tenant's
 // query span and the totals the spans must add up to.
 func runTraceDemo() {
-	rec := trace.NewQueryTrace("device", -1, "")
+	var tenants []lattice.Tenant
 	store := make(map[segment.ObjectID]*segment.Segment)
-	var clients []*skipper.Client
 	for t := 0; t < 3; t++ {
 		ds := workload.TPCH(t, workload.TPCHConfig{SF: 3, RowsPerObject: 6, Seed: 1})
 		ds.MergeInto(store)
-		clients = append(clients, &skipper.Client{
-			Tenant: t, Mode: skipper.ModeSkipper, Catalog: ds.Catalog,
-			Queries:      []skipper.QuerySpec{workload.Q12(ds.Catalog)},
-			CacheObjects: 8,
-		})
+		tenants = append(tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: []skipper.QuerySpec{workload.Q12(ds.Catalog)}})
 	}
-	fleet := skipper.FleetSpec{Device: csd.Config{Trace: rec}}
-	res, err := (&skipper.Cluster{Clients: clients, Store: store, Fleet: fleet}).Run()
+	cl := lattice.Cell{Mode: skipper.ModeSkipper, MJoinCache: 8}.Cluster(lattice.Workload{Store: store, Tenants: tenants})
+	rec := trace.NewQueryTrace("device", -1, "")
+	cl.Fleet.Device.Trace = rec
+	res, err := cl.Run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "skipperbench: trace demo: %v\n", err)
 		os.Exit(1)

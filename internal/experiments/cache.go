@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/lattice"
-	"repro/internal/metrics"
 	"repro/internal/objstore"
 	"repro/internal/segment"
 	"repro/internal/skipper"
@@ -30,28 +28,6 @@ const (
 	cacheSweepGroups  = 4
 )
 
-// CachePoint is one budget of the shared-cache sweep.
-type CachePoint struct {
-	// BudgetObjects is the shared cache capacity in nominal 1 GB objects
-	// (0 = cache disabled).
-	BudgetObjects int
-	// DeviceGets counts GETs that reached the CSD; Hits were served by
-	// the cache instead.
-	DeviceGets int
-	// Switches is the device group-switch count.
-	Switches int
-	// Coalesced counts device requests merged onto another request's
-	// transfer (csd.Stats.GetsCoalesced).
-	Coalesced int
-	// Hits / HitRatio summarize the cache's traffic.
-	Hits     int64
-	HitRatio float64
-	// Makespan is the cluster completion time; AvgClient the mean
-	// per-client workload time.
-	Makespan  time.Duration
-	AvgClient time.Duration
-}
-
 // sweepWorkload is the repeated-query multi-tenant workload of the
 // feature sweeps: cacheSweepClients clients sharing ds, each running
 // cacheSweepPasses rounds of the probe pair. The object layout is
@@ -74,12 +50,35 @@ func (p Params) measured() (*workload.Dataset, error) {
 	return objstore.ReencodeDataset(p.clusteredDataset(), f)
 }
 
-// CacheSweepData sweeps the shared-cache budget on the Params' format,
-// skipper engine, and returns one point per budget (0 = off).
-func (p Params) CacheSweepData() ([]CachePoint, error) {
+// sweepRow is a row of the feature sweeps: the change, on sweepWorkload(ds).
+func sweepRow(ds *workload.Dataset, change Change, keys ...string) Row {
+	return Row{Keys: keys, Change: change, Workload: fixedWorkload(sweepWorkload(ds))}
+}
+
+// cacheReport sweeps the shared-cache budget (0 = off) on the Params'
+// format, skipper engine.
+func (p Params) cacheReport() (*Grid, error) {
 	ds, err := p.encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
+	}
+	g := &Grid{
+		ID:    "Cache sweep",
+		Title: fmt.Sprintf("Shared segment cache budget sweep (%d tenants × %d passes of the probe pair, one shared dataset, round-robin layout, skipper engine)", cacheSweepClients, cacheSweepPasses),
+		Keys:  []string{"budget (objects)"},
+		Base:  p.cell(skipper.ModeSkipper),
+		Columns: []Column{
+			{"device GETs", 0, deviceGets, count},
+			{"switches", 0, switches, count},
+			{"coalesced", 0, coalesced, count},
+			{"cache hits", 0, cacheHits, count},
+			{"hit ratio", 0, hitRatio, percent},
+			{"makespan (s)", 0, makespan, seconds},
+			{"avg client (s)", 0, avgClient, seconds},
+		},
+		Notes: []string{
+			"results are held byte-identical cache on/off across engines, formats (mem/v2) and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
+		},
 	}
 	footprint := len(ds.Catalog.AllObjects())
 	budgets := []int{0}
@@ -88,58 +87,12 @@ func (p Params) CacheSweepData() ([]CachePoint, error) {
 			budgets = append(budgets, b)
 		}
 	}
-	var out []CachePoint
 	for _, b := range budgets {
-		cell := p.cell(skipper.ModeSkipper)
-		cell.SharedCache = b
-		res, err := cell.Run(sweepWorkload(ds))
-		if err != nil {
-			return nil, fmt.Errorf("budget %d: %w", b, err)
+		key := "off"
+		if b > 0 {
+			key = fmt.Sprint(b)
 		}
-		pt := CachePoint{
-			BudgetObjects: b,
-			DeviceGets:    res.CSD.GetsReceived,
-			Switches:      res.CSD.GroupSwitches,
-			Coalesced:     res.CSD.GetsCoalesced,
-			Makespan:      res.Makespan,
-			AvgClient:     avgElapsed(res),
-		}
-		if res.Cache != nil {
-			pt.Hits = res.Cache.Hits
-			pt.HitRatio = metrics.HitRatio(res.Cache.Hits, res.Cache.Misses)
-		}
-		out = append(out, pt)
+		g.Rows = append(g.Rows, sweepRow(ds, func(c *lattice.Cell, _ *lattice.Workload) { c.SharedCache = b }, key))
 	}
-	return out, nil
-}
-
-// CacheReport renders CacheSweepData (the `skipperbench -cache` output).
-func (p Params) CacheReport() (*Figure, error) {
-	pts, err := p.CacheSweepData()
-	if err != nil {
-		return nil, err
-	}
-	f := &Figure{
-		ID:    "Cache sweep",
-		Title: fmt.Sprintf("Shared segment cache budget sweep (%d tenants × %d passes of the probe pair, one shared dataset, round-robin layout, skipper engine)", cacheSweepClients, cacheSweepPasses),
-		Columns: []string{
-			"budget (objects)", "device GETs", "switches", "coalesced",
-			"cache hits", "hit ratio", "makespan (s)", "avg client (s)",
-		},
-		Notes: []string{
-			"results are held byte-identical cache on/off across engines, formats (mem/v2) and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
-		},
-	}
-	for _, pt := range pts {
-		budget := "off"
-		if pt.BudgetObjects > 0 {
-			budget = fmt.Sprint(pt.BudgetObjects)
-		}
-		f.Rows = append(f.Rows, []string{
-			budget, fmt.Sprint(pt.DeviceGets), fmt.Sprint(pt.Switches), fmt.Sprint(pt.Coalesced),
-			fmt.Sprint(pt.Hits), fmt.Sprintf("%.0f%%", 100*pt.HitRatio),
-			secs(pt.Makespan), secs(pt.AvgClient),
-		})
-	}
-	return f, nil
+	return g, nil
 }

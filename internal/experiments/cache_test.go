@@ -6,47 +6,39 @@ import "testing"
 // at quick scale and asserts the cache actually removes device traffic on
 // the repeated-query multi-tenant workload.
 func TestCacheSweepQuick(t *testing.T) {
-	p := Quick()
-	pts, err := p.CacheSweepData()
-	if err != nil {
-		t.Fatal(err)
+	m := quick(t, "cache")
+	if m.Len() < 3 {
+		t.Fatalf("sweep produced %d points", m.Len())
 	}
-	if len(pts) < 3 {
-		t.Fatalf("sweep produced %d points", len(pts))
+	off, best := 0, m.Len()-1
+	gets, hits, sw, span := m.Col("device GETs"), m.Col("cache hits"), m.Col("switches"), m.Col("makespan (s)")
+	if m.Keys(off)[0] != "off" || hits[off] != 0 {
+		t.Fatalf("baseline point not cache-off: %v hits at budget %s", hits[off], m.Keys(off)[0])
 	}
-	off, best := pts[0], pts[len(pts)-1]
-	if off.BudgetObjects != 0 || off.Hits != 0 {
-		t.Fatalf("baseline point not cache-off: %+v", off)
+	if hits[best] == 0 {
+		t.Fatalf("full-footprint budget %s produced no hits", m.Keys(best)[0])
 	}
-	if best.Hits == 0 {
-		t.Fatalf("full-footprint budget produced no hits: %+v", best)
+	if gets[best] >= gets[off] {
+		t.Fatalf("device GETs did not drop: %v at budget %s vs %v off", gets[best], m.Keys(best)[0], gets[off])
 	}
-	if best.DeviceGets >= off.DeviceGets {
-		t.Fatalf("device GETs did not drop: %d at budget %d vs %d off",
-			best.DeviceGets, best.BudgetObjects, off.DeviceGets)
+	if sw[best] > sw[off] {
+		t.Fatalf("switches rose with cache: %v vs %v", sw[best], sw[off])
 	}
-	if best.Switches > off.Switches {
-		t.Fatalf("switches rose with cache: %d vs %d", best.Switches, off.Switches)
-	}
-	if best.Makespan >= off.Makespan {
-		t.Fatalf("makespan did not improve: %v vs %v", best.Makespan, off.Makespan)
+	if span[best] >= span[off] {
+		t.Fatalf("makespan did not improve: %v vs %v", span[best], span[off])
 	}
 	// Budgets are swept ascending; device traffic must be monotone
 	// non-increasing as the cache grows.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].DeviceGets > pts[i-1].DeviceGets {
-			t.Fatalf("device GETs rose with budget: %+v -> %+v", pts[i-1], pts[i])
+	for i := 1; i < len(gets); i++ {
+		if gets[i] > gets[i-1] {
+			t.Fatalf("device GETs rose with budget: %v at %s -> %v at %s", gets[i-1], m.Keys(i - 1)[0], gets[i], m.Keys(i)[0])
 		}
 	}
 }
 
 // TestCacheReportRenders exercises the figure rendering.
 func TestCacheReportRenders(t *testing.T) {
-	p := Quick()
-	f, err := p.CacheReport()
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := quick(t, "cache").Figure()
 	if len(f.Rows) == 0 || len(f.Columns) != 8 {
 		t.Fatalf("unexpected figure shape: %d rows, %d cols", len(f.Rows), len(f.Columns))
 	}

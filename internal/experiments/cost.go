@@ -6,6 +6,9 @@ import (
 	"repro/internal/costmodel"
 )
 
+// Table 1 and Figures 2 and 3 are the tiering cost model of §2: they run
+// nothing, so they are tables, not grids.
+
 // Table1 reproduces Table 1: device pricing and tier fractions.
 func Table1() *Figure {
 	f := &Figure{
@@ -13,28 +16,15 @@ func Table1() *Figure {
 		Title:   "Acquisition cost ($/GB) and fraction of data per device",
 		Columns: []string{"config", "SSD (P)", "15k-HDD (P)", "7.2k-HDD (C)", "Tape (A)"},
 	}
-	f.Rows = append(f.Rows, []string{
-		"cost/GB",
-		fmt.Sprintf("$%.1f", costmodel.SSD.DollarsPerGB),
-		fmt.Sprintf("$%.1f", costmodel.SCSI15K.DollarsPerGB),
-		fmt.Sprintf("$%.1f", costmodel.SATA72K.DollarsPerGB),
-		fmt.Sprintf("$%.1f", costmodel.Tape.DollarsPerGB),
-	})
+	cost, col := []string{"cost/GB"}, map[string]int{}
+	for i, d := range []costmodel.Device{costmodel.SSD, costmodel.SCSI15K, costmodel.SATA72K, costmodel.Tape} {
+		cost, col[d.Name] = append(cost, fmt.Sprintf("$%.1f", d.DollarsPerGB)), i+1
+	}
+	f.Rows = append(f.Rows, cost)
 	for _, mix := range []costmodel.TierMix{costmodel.TwoTier(), costmodel.ThreeTier(), costmodel.FourTier()} {
 		row := []string{mix.Name, "-", "-", "-", "-"}
 		for _, s := range mix.Shares {
-			var idx int
-			switch s.Device.Name {
-			case costmodel.SSD.Name:
-				idx = 1
-			case costmodel.SCSI15K.Name:
-				idx = 2
-			case costmodel.SATA72K.Name:
-				idx = 3
-			case costmodel.Tape.Name:
-				idx = 4
-			}
-			row[idx] = fmt.Sprintf("%.1f%%", s.Fraction*100)
+			row[col[s.Device.Name]] = fmt.Sprintf("%.1f%%", s.Fraction*100)
 		}
 		f.Rows = append(f.Rows, row)
 	}

@@ -1,7 +1,20 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§2, §3, §5). Each experiment returns typed data points plus
-// a formatted text rendering; cmd/skipperbench and the benchmark suite are
-// thin wrappers over these functions.
+// evaluation (§2, §3, §5) and the feature reports that grew beside them.
+// cmd/skipperbench and the root benchmarks are thin wrappers over Figures,
+// Reports and Measure.
+//
+// An experiment is a declared Grid, not code: rows of (labels, a change to
+// the Params' base cell, a workload), series that run every row once each,
+// and columns that read one number off one series' run through the reader
+// table of grid.go. Grid.Measure runs it into one Matrix of numbers; the
+// Figure renderer, the shape tests and the benchmarks all read that matrix,
+// and a grid's Check gates it. Every run is lattice.Cell.Run. Adding a
+// report is one grid declaration: a func() (*Grid, error) that names its
+// rows, series and columns (add a reader if the table needs a number no
+// reader gives), listed in Reports. Code stays only where a table is not
+// one number per run: Table 1 and Figures 2-3 run nothing, Table 3's rows
+// are the components of two runs, Figure 8 reads one four-tenant run per
+// tenant, and the projection report drains pull plans.
 package experiments
 
 import (
@@ -9,10 +22,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/csd"
 	"repro/internal/lattice"
-	"repro/internal/layout"
 	"repro/internal/objstore"
 	"repro/internal/segment"
 	"repro/internal/skipper"
@@ -28,9 +39,8 @@ type Params struct {
 	SF int
 	// SF100 is the scale factor for the Figure 11c sweep (paper: 100).
 	SF100 int
-	// RowsPerObject controls tuple density. Timing is virtual, so this
-	// only affects real runtime of the simulation; 8 keeps benches fast
-	// while producing non-trivial join results.
+	// RowsPerObject controls tuple density; timing is virtual, so this
+	// only moves the host's runtime.
 	RowsPerObject int
 	// GroupSwitch is the CSD group switch latency (paper default 10 s).
 	GroupSwitch time.Duration
@@ -41,14 +51,11 @@ type Params struct {
 	CacheObjects int
 	// Seed drives the deterministic data generators.
 	Seed int64
-	// Format selects the segment wire format the CSD store serves.
-	// FormatMem (the zero value) keeps the generator's in-memory
-	// segments — no encode/decode work, the historical behaviour.
-	// FormatV2 pushes every dataset through the object store and serves
-	// lazily decoded segments, so scans perform (and account) real
-	// per-access decode work and honour projection pushdown. Query
-	// results are identical across formats — the lattice harness's
-	// format axis enforces it.
+	// Format selects the segment wire format the CSD store serves:
+	// FormatMem (the zero value) the generator's in-memory segments,
+	// FormatV2 lazily decoded objects, whose scans do (and account) real
+	// decode work. Results are identical across formats (the lattice
+	// harness's format axis).
 	Format segment.Format
 }
 
@@ -72,15 +79,9 @@ func Default() Params {
 
 // Quick returns a scaled-down configuration for fast smoke tests.
 func Quick() Params {
-	return Params{
-		SF:            8,
-		SF100:         16,
-		RowsPerObject: 6,
-		GroupSwitch:   10 * time.Second,
-		Bandwidth:     100e6,
-		CacheObjects:  6,
-		Seed:          1,
-	}
+	p := Default()
+	p.SF, p.SF100, p.RowsPerObject, p.CacheObjects = 8, 16, 6, 6
+	return p
 }
 
 // Figure is a rendered result table.
@@ -97,24 +98,16 @@ type Figure struct {
 // suitable for plotting tools.
 func (f *Figure) CSV() string {
 	var sb strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+	for _, row := range append([][]string{f.Columns}, f.Rows...) {
+		for i, cell := range row {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			if strings.ContainsAny(cell, ",\"\n") {
+				cell = `"` + strings.ReplaceAll(cell, `"`, `""`) + `"`
+			}
+			sb.WriteString(cell)
 		}
-		return s
-	}
-	cells := make([]string, len(f.Columns))
-	for i, c := range f.Columns {
-		cells[i] = esc(c)
-	}
-	sb.WriteString(strings.Join(cells, ","))
-	sb.WriteByte('\n')
-	for _, row := range f.Rows {
-		cells = cells[:0]
-		for _, c := range row {
-			cells = append(cells, esc(c))
-		}
-		sb.WriteString(strings.Join(cells, ","))
 		sb.WriteByte('\n')
 	}
 	return sb.String()
@@ -124,29 +117,21 @@ func (f *Figure) CSV() string {
 func (f *Figure) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s: %s ==\n", f.ID, f.Title)
+	table := append([][]string{f.Columns}, f.Rows...)
 	widths := make([]int, len(f.Columns))
-	for i, c := range f.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range f.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+	for _, row := range table {
+		for i, cell := range row[:min(len(row), len(widths))] {
+			widths[i] = max(widths[i], len(cell))
 		}
 	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
+	for _, row := range table {
+		for i, cell := range row {
 			if i > 0 {
 				sb.WriteString("  ")
 			}
 			fmt.Fprintf(&sb, "%-*s", widths[i], cell)
 		}
 		sb.WriteByte('\n')
-	}
-	writeRow(f.Columns)
-	for _, row := range f.Rows {
-		writeRow(row)
 	}
 	for _, n := range f.Notes {
 		fmt.Fprintf(&sb, "note: %s\n", n)
@@ -159,105 +144,12 @@ func secs(d time.Duration) string {
 	return fmt.Sprintf("%.1f", d.Seconds())
 }
 
-// runSpec describes one cluster execution.
-type runSpec struct {
-	clients   int
-	mode      skipper.Mode
-	layoutPol layout.Policy
-	scheduler csd.Scheduler
-	order     csd.OrderKind
-	switchLat time.Duration
-	cache     int
-	// dataset generates tenant i's database.
-	dataset func(tenant int) *workload.Dataset
-	// queries builds the per-tenant query list.
-	queries func(cat *catalog.Catalog) []skipper.QuerySpec
-	// repeat runs the query list this many times (0 or 1 = once).
-	repeat int
-}
-
-// device is the CSD configuration of these params: the paper's defaults
-// with the Params' switch latency and bandwidth.
-func (p Params) device() csd.Config {
-	cfg := csd.DefaultConfig()
-	cfg.GroupSwitch = p.GroupSwitch
-	cfg.Bandwidth = p.Bandwidth
-	return cfg
-}
-
 // cell is the lattice cell these params run by default: the given engine
-// with the Params' MJoin cache against one clean device, data
-// skipping on. Every experiment starts from it and sets what it studies.
+// with the Params' MJoin cache against one clean device of the paper's
+// defaults at the Params' switch latency and bandwidth, data skipping on.
+// Every experiment starts from it and sets what it studies.
 func (p Params) cell(mode skipper.Mode) lattice.Cell {
-	return lattice.Cell{
-		Mode: mode, MJoinCache: p.CacheObjects,
-		Fleet: skipper.FleetSpec{Device: p.device()},
-	}
-}
-
-// run executes a cluster per the spec and returns the result.
-func (p Params) run(spec runSpec) (*skipper.RunResult, error) {
-	w := lattice.Workload{Store: make(mapStore), Layout: spec.layoutPol}
-	for t := 0; t < spec.clients; t++ {
-		ds, err := p.encoded(spec.dataset(t))
-		if err != nil {
-			return nil, err
-		}
-		ds.MergeInto(w.Store)
-		qs := spec.queries(ds.Catalog)
-		if spec.repeat > 1 {
-			var rep []skipper.QuerySpec
-			for r := 0; r < spec.repeat; r++ {
-				rep = append(rep, qs...)
-			}
-			qs = rep
-		}
-		w.Tenants = append(w.Tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: qs})
-	}
-	cell := p.cell(spec.mode)
-	cell.MJoinCache = spec.cache
-	if spec.switchLat >= 0 {
-		cell.Fleet.Device.GroupSwitch = spec.switchLat
-	}
-	if spec.scheduler != nil {
-		cell.Fleet.Device.Scheduler = spec.scheduler
-	}
-	cell.Fleet.Device.Order = spec.order
-	return cell.Run(w)
-}
-
-// avgElapsed returns the mean client workload time.
-func avgElapsed(res *skipper.RunResult) time.Duration {
-	if len(res.Clients) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, c := range res.Clients {
-		sum += c.Elapsed()
-	}
-	return sum / time.Duration(len(res.Clients))
-}
-
-// cumElapsed returns the summed client workload time.
-func cumElapsed(res *skipper.RunResult) time.Duration {
-	var sum time.Duration
-	for _, c := range res.Clients {
-		sum += c.Elapsed()
-	}
-	return sum
-}
-
-// tpchDataset builds the per-tenant TPC-H generator for these params.
-func (p Params) tpchDataset(sf int) func(int) *workload.Dataset {
-	return func(tenant int) *workload.Dataset {
-		return workload.TPCH(tenant, workload.TPCHConfig{SF: sf, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
-	}
-}
-
-func q12Queries(cat *catalog.Catalog) []skipper.QuerySpec {
-	return []skipper.QuerySpec{workload.Q12(cat)}
-}
-
-func q5Queries(cat *catalog.Catalog) []skipper.QuerySpec {
-	return []skipper.QuerySpec{workload.Q5(cat)}
+	dev := csd.DefaultConfig()
+	dev.GroupSwitch, dev.Bandwidth = p.GroupSwitch, p.Bandwidth
+	return lattice.Cell{Mode: mode, MJoinCache: p.CacheObjects, Fleet: skipper.FleetSpec{Device: dev}}
 }

@@ -48,65 +48,64 @@ func TestFigure3Shape(t *testing.T) {
 	}
 }
 
-func TestFigure4Shape(t *testing.T) {
-	p := Quick()
-	pts, err := p.Figure4Data()
+// quick measures the grid of the figure or report id at Quick scale.
+func quick(t *testing.T, id string) *Matrix {
+	t.Helper()
+	m, err := Quick().Measure(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 5 {
-		t.Fatalf("%d points", len(pts))
+	return m
+}
+
+func TestFigure4Shape(t *testing.T) {
+	m := quick(t, "4")
+	if m.Len() != 5 {
+		t.Fatalf("%d points", m.Len())
 	}
+	csd, hdd := m.Col("PostgreSQL-on-CSD"), m.Col("PostgreSQL-on-HDD (ideal)")
 	// CSD time grows with clients; HDD stays flat; at 5 clients CSD is
 	// far slower than HDD.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].CSD <= pts[i-1].CSD {
-			t.Fatalf("CSD time not increasing: %v", pts)
+	for i := 1; i < len(csd); i++ {
+		if csd[i] <= csd[i-1] {
+			t.Fatalf("CSD time not increasing: %v", csd)
 		}
 	}
-	flatness := float64(pts[4].HDD) / float64(pts[0].HDD)
+	flatness := hdd[4] / hdd[0]
 	if flatness > 1.3 {
-		t.Fatalf("HDD ideal not flat: %v", pts)
+		t.Fatalf("HDD ideal not flat: %v", hdd)
 	}
-	if pts[4].CSD < 2*pts[4].HDD {
-		t.Fatalf("CSD at 5 clients (%v) should be >2x HDD (%v)", pts[4].CSD, pts[4].HDD)
+	if csd[4] < 2*hdd[4] {
+		t.Fatalf("CSD at 5 clients (%v) should be >2x HDD (%v)", time.Duration(csd[4]), time.Duration(hdd[4]))
 	}
 }
 
 func TestFigure5Shape(t *testing.T) {
-	p := Quick()
-	pts, err := p.Figure5Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Avg <= pts[i-1].Avg {
-			t.Fatalf("not monotone in S: %v", pts)
+	avg := quick(t, "5").Col("avg exec time (s)")
+	for i := 1; i < len(avg); i++ {
+		if avg[i] <= avg[i-1] {
+			t.Fatalf("not monotone in S: %v", avg)
 		}
 	}
 	// The paper reports ~6x from S=0 to S=20 at full scale; at reduced
 	// scale the blow-up is still substantial.
-	if ratio := float64(pts[4].Avg) / float64(pts[0].Avg); ratio < 2 {
+	if ratio := avg[4] / avg[0]; ratio < 2 {
 		t.Fatalf("S sensitivity ratio %.2f < 2", ratio)
 	}
 }
 
 func TestFigure7Shape(t *testing.T) {
-	p := Quick()
-	pts, err := p.Figure7Data()
-	if err != nil {
-		t.Fatal(err)
+	m := quick(t, "7")
+	van, skp, ideal := m.At(4, "PostgreSQL"), m.At(4, "Skipper"), m.At(4, "Ideal")
+	if skp >= van {
+		t.Fatalf("skipper (%v) not faster than vanilla (%v) at 5 clients", time.Duration(skp), time.Duration(van))
 	}
-	last := pts[4]
-	if last.Skipper >= last.Vanilla {
-		t.Fatalf("skipper (%v) not faster than vanilla (%v) at 5 clients", last.Skipper, last.Vanilla)
-	}
-	if float64(last.Vanilla)/float64(last.Skipper) < 2 {
-		t.Fatalf("speedup %.2f < 2x", float64(last.Vanilla)/float64(last.Skipper))
+	if van/skp < 2 {
+		t.Fatalf("speedup %.2f < 2x", van/skp)
 	}
 	// Skipper should stay within a small multiple of ideal.
-	if float64(last.Skipper) > 4*float64(last.Ideal) {
-		t.Fatalf("skipper %v vs ideal %v: too slow", last.Skipper, last.Ideal)
+	if skp > 4*ideal {
+		t.Fatalf("skipper %v vs ideal %v: too slow", time.Duration(skp), time.Duration(ideal))
 	}
 }
 
@@ -127,14 +126,9 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	p := Quick()
-	pts, err := p.Figure9Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	van, skp := pts[0], pts[1]
-	vanSwitchPct := float64(van.Switch) / float64(van.Total)
-	skpSwitchPct := float64(skp.Switch) / float64(skp.Total)
+	m := quick(t, "9")
+	vanSwitchPct := m.At(0, "switch") / m.At(0, "total")
+	skpSwitchPct := m.At(1, "switch") / m.At(1, "total")
 	// The paper: vanilla spends ~65% of its time in switches, Skipper ~2%.
 	if vanSwitchPct < 0.3 {
 		t.Fatalf("vanilla switch share %.2f too low", vanSwitchPct)
@@ -143,9 +137,10 @@ func TestFigure9Shape(t *testing.T) {
 		t.Fatalf("skipper switch share %.2f too high", skpSwitchPct)
 	}
 	// Component accounting must add up.
-	for _, pt := range pts {
-		if sum := pt.Processing + pt.Switch + pt.Transfer; sum > pt.Total {
-			t.Fatalf("%v: components %v exceed total %v", pt.Mode, sum, pt.Total)
+	for r := 0; r < m.Len(); r++ {
+		sum := time.Duration(m.At(r, "processing")) + time.Duration(m.At(r, "switch")) + time.Duration(m.At(r, "transfer"))
+		if total := time.Duration(m.At(r, "total")); sum > total {
+			t.Fatalf("%v: components %v exceed total %v", m.Keys(r)[0], sum, total)
 		}
 	}
 }
@@ -172,13 +167,10 @@ func TestTable3Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	p := Quick()
-	pts, err := p.Figure10Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vanGrowth := float64(pts[3].Vanilla) / float64(pts[0].Vanilla)
-	skpGrowth := float64(pts[3].Skipper) / float64(pts[0].Skipper)
+	m := quick(t, "10")
+	van, skp := m.Col("PostgreSQL"), m.Col("Skipper")
+	vanGrowth := van[3] / van[0]
+	skpGrowth := skp[3] / skp[0]
 	if vanGrowth < 1.5 {
 		t.Fatalf("vanilla growth %.2f under 4x switch latency", vanGrowth)
 	}
@@ -188,28 +180,24 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure11aShape(t *testing.T) {
-	p := Quick()
-	pts, err := p.Figure11aData()
-	if err != nil {
-		t.Fatal(err)
+	m := quick(t, "11a")
+	if m.Len() != 4 {
+		t.Fatalf("%d layouts", m.Len())
 	}
-	if len(pts) != 4 {
-		t.Fatalf("%d layouts", len(pts))
-	}
+	van, skp := m.Col("PostgreSQL"), m.Col("Skipper")
 	// All-in-one: no switches for either engine; vanilla degrades as
 	// data fans out across groups; Skipper wins 2x+ on every layout
 	// with switches and is far less layout-sensitive than vanilla.
-	allin1, perG := pts[0], pts[2]
-	if perG.Vanilla <= allin1.Vanilla {
-		t.Fatalf("vanilla not layout-sensitive: %v", pts)
+	if van[2] <= van[0] {
+		t.Fatalf("vanilla not layout-sensitive: %v", van)
 	}
-	for _, pt := range pts[1:] {
-		if r := float64(pt.Vanilla) / float64(pt.Skipper); r < 2 {
-			t.Fatalf("%s: skipper speedup %.2f < 2x", pt.Layout, r)
+	for r := 1; r < m.Len(); r++ {
+		if ratio := van[r] / skp[r]; ratio < 2 {
+			t.Fatalf("%s: skipper speedup %.2f < 2x", m.Keys(r)[0], ratio)
 		}
 	}
-	vanSpread := float64(pts[2].Vanilla) / float64(pts[0].Vanilla)
-	skpSpread := float64(pts[2].Skipper) / float64(pts[0].Skipper)
+	vanSpread := van[2] / van[0]
+	skpSpread := skp[2] / skp[0]
 	if skpSpread >= vanSpread {
 		t.Fatalf("skipper layout spread %.2f >= vanilla %.2f", skpSpread, vanSpread)
 	}
@@ -217,72 +205,63 @@ func TestFigure11aShape(t *testing.T) {
 
 func TestFigure11bShape(t *testing.T) {
 	p := Quick()
-	pts, err := p.cacheSweep(p.SF, []int{6, 8, 10, 14})
+	m, err := p.cacheGrid("Figure 11b", "", p.SF, []int{6, 8, 10, 14}).Measure()
 	if err != nil {
 		t.Fatal(err)
 	}
+	gets, avg := m.Col("GET requests/client"), m.Col("avg exec time (s)")
 	// GET count decreases (weakly) as cache grows; largest cache needs
 	// no reissues beyond the input footprint.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Gets > pts[i-1].Gets {
-			t.Fatalf("GETs grew with cache: %v", pts)
+	for i := 1; i < len(gets); i++ {
+		if gets[i] > gets[i-1] {
+			t.Fatalf("GETs grew with cache: %v", gets)
 		}
-		if pts[i].Avg > pts[i-1].Avg {
-			t.Fatalf("time grew with cache: %v", pts)
+		if avg[i] > avg[i-1] {
+			t.Fatalf("time grew with cache: %v", avg)
 		}
 	}
-	if pts[0].Gets <= pts[len(pts)-1].Gets/1 && pts[0].Gets == pts[len(pts)-1].Gets {
-		t.Fatalf("no reissue effect visible: %v", pts)
+	if last := len(gets) - 1; gets[0] == gets[last] {
+		t.Fatalf("no reissue effect visible: %v", gets)
 	}
 }
 
 func TestFigure12Shape(t *testing.T) {
-	p := Quick()
-	pts, err := p.Figure12Data()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]Figure12Point{}
-	for _, pt := range pts {
-		byName[pt.Policy] = pt
+	m := quick(t, "12")
+	byName := map[string]int{}
+	for r := 0; r < m.Len(); r++ {
+		byName[m.Keys(r)[0]] = r
 	}
 	fcfs, maxq, rank := byName["fairness"], byName["maxquery"], byName["ranking"]
+	cum := func(r int) time.Duration { return time.Duration(m.At(r, "cumulative time (s)")) }
+	stretch := func(r int) float64 { return m.At(r, "max stretch") }
 	// Max-Queries is most efficient (lowest cumulative) but starves the
 	// lone client (highest max stretch); FCFS trades efficiency for
 	// fairness; ranking sits between.
-	if maxq.Cumulative > fcfs.Cumulative {
-		t.Fatalf("maxquery (%v) slower than fcfs (%v)", maxq.Cumulative, fcfs.Cumulative)
+	if cum(maxq) > cum(fcfs) {
+		t.Fatalf("maxquery (%v) slower than fcfs (%v)", cum(maxq), cum(fcfs))
 	}
-	if maxq.MaxStretch < rank.MaxStretch {
-		t.Fatalf("maxquery max-stretch %.2f below ranking %.2f", maxq.MaxStretch, rank.MaxStretch)
+	if stretch(maxq) < stretch(rank) {
+		t.Fatalf("maxquery max-stretch %.2f below ranking %.2f", stretch(maxq), stretch(rank))
 	}
-	if rank.Cumulative > fcfs.Cumulative {
-		t.Fatalf("ranking (%v) slower than fcfs (%v)", rank.Cumulative, fcfs.Cumulative)
+	if cum(rank) > cum(fcfs) {
+		t.Fatalf("ranking (%v) slower than fcfs (%v)", cum(rank), cum(fcfs))
 	}
-	if fcfs.Switches < rank.Switches {
-		t.Fatalf("fcfs produced fewer switches (%d) than ranking (%d)", fcfs.Switches, rank.Switches)
+	if sw := m.Col("switches"); sw[fcfs] < sw[rank] {
+		t.Fatalf("fcfs produced fewer switches (%d) than ranking (%d)", int(sw[fcfs]), int(sw[rank]))
 	}
 }
 
 func TestQuickRunsFast(t *testing.T) {
 	// Guard: the Quick experiment suite used by tests must stay cheap.
 	start := time.Now()
-	p := Quick()
-	if _, err := p.Figure7Data(); err != nil {
-		t.Fatal(err)
-	}
+	quick(t, "7")
 	if el := time.Since(start); el > 30*time.Second {
 		t.Fatalf("quick figure7 took %v", el)
 	}
 }
 
 func TestFigureRendering(t *testing.T) {
-	p := Quick()
-	f, err := p.Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := f.String()
+	s := quick(t, "7").Figure().String()
 	if !strings.Contains(s, "Figure 7") || !strings.Contains(s, "Skipper") {
 		t.Fatalf("rendering:\n%s", s)
 	}

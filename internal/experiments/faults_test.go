@@ -9,34 +9,33 @@ import (
 // quick scale and asserts the faulted rows actually injected, retried and degraded, and the
 // crash row crashed and recovered.
 func TestFaultSweepQuick(t *testing.T) {
-	p := Quick()
-	pts, err := p.FaultSweepData()
-	if err != nil {
-		t.Fatal(err)
+	m := quick(t, "faults")
+	if m.Len() != 5 {
+		t.Fatalf("sweep produced %d points, want 5", m.Len())
 	}
-	if len(pts) != 5 {
-		t.Fatalf("sweep produced %d points, want 5", len(pts))
-	}
-	clean := pts[0]
-	if clean.Label != "clean" || clean.Transient+clean.Corrupt+clean.Stalls != 0 || clean.Retries != 0 {
-		t.Fatalf("clean row recorded fault work: %+v", clean)
+	injected := func(r int) float64 { return m.At(r, "transient") + m.At(r, "corrupt") + m.At(r, "stalls") }
+	retries, gets, span := m.Col("retries"), m.Col("device GETs"), m.Col("makespan (s)")
+	const clean = 0
+	if m.Keys(clean)[0] != "clean" || injected(clean) != 0 || retries[clean] != 0 {
+		t.Fatalf("clean row recorded fault work: %v injected, %v retries", injected(clean), retries[clean])
 	}
 	var sawInjection, sawRetry bool
-	for _, pt := range pts[1 : len(pts)-1] {
-		if pt.Transient+pt.Corrupt+pt.Stalls > 0 {
+	for r := 1; r < m.Len()-1; r++ {
+		label := m.Keys(r)[0]
+		if injected(r) > 0 {
 			sawInjection = true
 		}
-		if pt.Retries > 0 {
+		if retries[r] > 0 {
 			sawRetry = true
-			if pt.DeviceGets <= clean.DeviceGets {
-				t.Errorf("%s: retries %d yet device GETs %d did not exceed clean %d",
-					pt.Label, pt.Retries, pt.DeviceGets, clean.DeviceGets)
+			if gets[r] <= gets[clean] {
+				t.Errorf("%s: retries %v yet device GETs %v did not exceed clean %v",
+					label, retries[r], gets[r], gets[clean])
 			}
 		}
 		// Degradation is measured, never negative: surviving faults may
 		// cost time but the schedule cannot beat the clean run.
-		if pt.Makespan < clean.Makespan {
-			t.Errorf("%s: faulted makespan %v beat clean %v", pt.Label, pt.Makespan, clean.Makespan)
+		if span[r] < span[clean] {
+			t.Errorf("%s: faulted makespan %v beat clean %v", label, time.Duration(span[r]), time.Duration(span[clean]))
 		}
 	}
 	if !sawInjection {
@@ -45,14 +44,14 @@ func TestFaultSweepQuick(t *testing.T) {
 	if !sawRetry {
 		t.Error("no fault-rate row retried anything — recovery never ran")
 	}
-	crash := pts[len(pts)-1]
-	if crash.Label != "crash+restart" || crash.Crashes != 1 || crash.Restarts != 1 {
-		t.Fatalf("crash row did not crash and restart exactly once: %+v", crash)
+	crash := m.Len() - 1
+	if m.Keys(crash)[0] != "crash+restart" || m.At(crash, "crashes") != 1 || m.At(crash, "restarts") != 1 {
+		t.Fatalf("crash row did not crash and restart exactly once: %v, %v/%v", m.Keys(crash), m.At(crash, "crashes"), m.At(crash, "restarts"))
 	}
-	if crash.Retries == 0 || crash.Backoff == 0 {
-		t.Fatalf("crash row recovered without retries/backoff: %+v", crash)
+	if retries[crash] == 0 || m.At(crash, "backoff (s)") == 0 {
+		t.Fatalf("crash row recovered without retries/backoff: %v retries, %v backoff", retries[crash], time.Duration(m.At(crash, "backoff (s)")))
 	}
-	if crash.Makespan < clean.Makespan+30*time.Second {
-		t.Fatalf("crash row makespan %v does not absorb the 30s downtime (clean %v)", crash.Makespan, clean.Makespan)
+	if time.Duration(span[crash]) < time.Duration(span[clean])+30*time.Second {
+		t.Fatalf("crash row makespan %v does not absorb the 30s downtime (clean %v)", time.Duration(span[crash]), time.Duration(span[clean]))
 	}
 }

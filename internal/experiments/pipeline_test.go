@@ -7,38 +7,36 @@ import "testing"
 // pipeline-on runs actually prefetched, consumed what they prefetched, and
 // strictly improved the simulated makespan on both engines.
 func TestPipelineSweepQuick(t *testing.T) {
-	p := Quick()
-	pts, err := p.PipelineSweepData()
-	if err != nil {
-		t.Fatal(err)
+	m := quick(t, "pipeline")
+	if m.Len() != 4 {
+		t.Fatalf("sweep produced %d points, want 4", m.Len())
 	}
-	if len(pts) != 4 {
-		t.Fatalf("sweep produced %d points, want 4", len(pts))
-	}
-	for i := 0; i < len(pts); i += 2 {
-		off, on := pts[i], pts[i+1]
-		if off.On || !on.On {
-			t.Fatalf("point order wrong: %+v / %+v", off, on)
+	issued, served, useful := m.Col("prefetched"), m.Col("pf served"), m.Col("pf useful")
+	span, wall := m.Col("makespan (s)"), m.Col("wall (ms)")
+	for off := 0; off < m.Len(); off += 2 {
+		on, mode := off+1, m.Keys(off)[0]
+		if m.Keys(off)[1] != "off" || m.Keys(on)[1] != "on" {
+			t.Fatalf("point order wrong: %v / %v", m.Keys(off), m.Keys(on))
 		}
-		if off.Mode != on.Mode {
-			t.Fatalf("mode mismatch: %v vs %v", off.Mode, on.Mode)
+		if m.Keys(on)[0] != mode {
+			t.Fatalf("mode mismatch: %v vs %v", mode, m.Keys(on)[0])
 		}
-		if off.PrefetchIssued+off.PrefetchServed+off.PrefetchUseful != 0 {
-			t.Fatalf("%v pipeline-off point recorded prefetch work: %+v", off.Mode, off)
+		if issued[off]+served[off]+useful[off] != 0 {
+			t.Fatalf("%v pipeline-off point recorded prefetch work: %v/%v/%v", mode, issued[off], served[off], useful[off])
 		}
-		if on.PrefetchIssued == 0 {
-			t.Fatalf("%v pipeline-on point issued no prefetches: %+v", on.Mode, on)
+		if issued[on] == 0 {
+			t.Fatalf("%v pipeline-on point issued no prefetches", mode)
 		}
-		if on.PrefetchServed+on.PrefetchUseful == 0 {
-			t.Fatalf("%v: no prefetch was ever consumed: %+v", on.Mode, on)
+		if served[on]+useful[on] == 0 {
+			t.Fatalf("%v: no prefetch was ever consumed: %v issued", mode, issued[on])
 		}
 		// Prefetch discloses demand early: the rank scheduler batches group
 		// switches across present and future queries.
-		if on.Makespan >= off.Makespan {
-			t.Fatalf("%v: prefetch did not improve makespan: %v >= %v", on.Mode, on.Makespan, off.Makespan)
+		if span[on] >= span[off] {
+			t.Fatalf("%v: prefetch did not improve makespan: %v >= %v", mode, span[on], span[off])
 		}
-		if on.Wall <= 0 || off.Wall <= 0 {
-			t.Fatalf("%v: missing wall-clock measurement", on.Mode)
+		if wall[on] <= 0 || wall[off] <= 0 {
+			t.Fatalf("%v: missing wall-clock measurement", mode)
 		}
 	}
 }

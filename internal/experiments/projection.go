@@ -23,6 +23,7 @@ import (
 // TestReportQueriesVerify runs it over this report's queries.)
 
 // ProjectionPoint is one query × projection row of the projection report.
+// Not a grid: the report drains pull plans, it runs no cell.
 type ProjectionPoint struct {
 	Query string
 	// Columns summarizes the per-relation projection, e.g. "5/25 cols".
@@ -42,24 +43,6 @@ type ProjectionPoint struct {
 // projReps repeats each timed drain so decode times are measurable even
 // at quick scale.
 const projReps = 5
-
-// projQueries are the probe queries of the projection report: projective
-// SQL probes that touch a handful of the wide tables' columns. They are
-// the same shapes the pruning report uses, so the two reports read side
-// by side.
-func projQueries(ds *workload.Dataset) []struct {
-	name string
-	spec skipper.QuerySpec
-} {
-	return []struct {
-		name string
-		spec skipper.QuerySpec
-	}{
-		{"join+agg (shipdate 1994-01)", workload.QShipdateWindow(ds.Catalog, "1994-01-01", "1994-01-31")},
-		{"projective lineitem scan", workload.QProjectiveScan(ds.Catalog)},
-		{"count(*) lineitem", workload.QCountLineitem(ds.Catalog)},
-	}
-}
 
 // projectionSummary renders the per-relation projected column counts of a
 // join, e.g. "4/16+1/9 cols".
@@ -97,8 +80,14 @@ func (p Params) ProjectionReportData() ([]ProjectionPoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encode v2: %w", err)
 	}
+	// Projective probes that touch a handful of the wide tables' columns:
+	// the pruning report's shapes, so the two reports read side by side.
 	var out []ProjectionPoint
-	for _, q := range projQueries(ds) {
+	for _, q := range []namedQuery{
+		{"join+agg (shipdate 1994-01)", workload.QShipdateWindow(ds.Catalog, "1994-01-01", "1994-01-31")},
+		{"projective lineitem scan", workload.QProjectiveScan(ds.Catalog)},
+		{"count(*) lineitem", workload.QCountLineitem(ds.Catalog)},
+	} {
 		for _, join := range []*mjoin.Query{allColumns(q.spec.Join), q.spec.Join} {
 			pt, err := measureProjection(ds, join, q.name)
 			if err != nil {

@@ -5,48 +5,25 @@ import (
 	"testing"
 )
 
-// TestAllFiguresRender runs every experiment at Quick scale through its
+// TestAllFiguresRender runs every figure at Quick scale through its
 // rendering path — the same table-generation code cmd/skipperbench uses.
 func TestAllFiguresRender(t *testing.T) {
-	p := Quick()
-	static := []*Figure{Table1(), Figure2(), Figure3()}
-	for _, f := range static {
-		if len(f.Rows) == 0 || !strings.Contains(f.String(), f.ID) {
-			t.Fatalf("%s rendered badly:\n%s", f.ID, f)
-		}
-	}
-	dynamic := []struct {
-		name string
-		fn   func() (*Figure, error)
-	}{
-		{"fig4", p.Figure4},
-		{"fig5", p.Figure5},
-		{"fig7", p.Figure7},
-		{"fig8", p.Figure8},
-		{"fig9", p.Figure9},
-		{"table3", p.Table3},
-		{"fig10", p.Figure10},
-		{"fig11a", p.Figure11a},
-		{"fig11b", p.Figure11b},
-		{"fig11c", p.Figure11c},
-		{"fig12", p.Figure12},
-	}
-	for _, d := range dynamic {
-		f, err := d.fn()
+	for _, e := range Quick().Figures() {
+		f, err := e.Run()
 		if err != nil {
-			t.Fatalf("%s: %v", d.name, err)
+			t.Fatalf("%s: %v", e.ID, err)
 		}
 		out := f.String()
 		if len(f.Rows) == 0 {
-			t.Fatalf("%s has no rows", d.name)
+			t.Fatalf("%s has no rows", e.ID)
 		}
 		if len(f.Columns) == 0 || !strings.Contains(out, f.ID) {
-			t.Fatalf("%s rendered badly:\n%s", d.name, out)
+			t.Fatalf("%s rendered badly:\n%s", e.ID, out)
 		}
 		// Every row must have as many cells as columns.
 		for _, row := range f.Rows {
 			if len(row) != len(f.Columns) {
-				t.Fatalf("%s: row arity %d != %d columns", d.name, len(row), len(f.Columns))
+				t.Fatalf("%s: row arity %d != %d columns", e.ID, len(row), len(f.Columns))
 			}
 		}
 	}
@@ -66,23 +43,6 @@ func TestFigureCSV(t *testing.T) {
 	q := &Figure{Columns: []string{"a"}, Rows: [][]string{{`x,y "z"`}}}
 	if got := q.CSV(); !strings.Contains(got, `"x,y ""z"""`) {
 		t.Fatalf("quoting: %q", got)
-	}
-}
-
-func TestFigure8IsolatedRuns(t *testing.T) {
-	p := Quick()
-	pts, err := p.Figure8IsolatedData()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 4 {
-		t.Fatalf("%d workloads", len(pts))
-	}
-	for _, pt := range pts {
-		// Isolated single-client runs: Skipper's overlap always wins.
-		if pt.Skipper >= pt.Vanilla {
-			t.Fatalf("%s: skipper %v >= vanilla %v in isolation", pt.Workload, pt.Skipper, pt.Vanilla)
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/skipper"
 )
@@ -10,51 +11,44 @@ import (
 // monotonically-ish increase skipping; the widest window skips nothing
 // beyond empties.
 func TestSelectivitySweep(t *testing.T) {
-	p := Quick()
-	pts, err := p.SelectivitySweepData()
-	if err != nil {
-		t.Fatal(err)
+	m := quick(t, "selectivity")
+	if m.Len() != len(selectivityWindows) {
+		t.Fatalf("%d points", m.Len())
 	}
-	if len(pts) != len(selectivityWindows) {
-		t.Fatalf("%d points", len(pts))
+	widest, tightest := 0, m.Len()-1
+	if s := m.At(widest, "skipped"); s != 0 {
+		t.Fatalf("whole-range window skipped %v segments", s)
 	}
-	widest, tightest := pts[0], pts[len(pts)-1]
-	if widest.Skipped != 0 {
-		t.Fatalf("whole-range window skipped %d segments", widest.Skipped)
-	}
-	if tightest.Skipped == 0 {
+	if m.At(tightest, "skipped") == 0 {
 		t.Fatal("tightest window skipped nothing")
 	}
-	if tightest.GetsPruned >= tightest.GetsUnpruned {
-		t.Fatalf("tight window: %d GETs pruned vs %d unpruned", tightest.GetsPruned, tightest.GetsUnpruned)
+	if on, off := m.At(tightest, "GETs (skip on)"), m.At(tightest, "GETs (skip off)"); on >= off {
+		t.Fatalf("tight window: %v GETs pruned vs %v unpruned", on, off)
 	}
-	if tightest.TimePruned >= tightest.TimeUnpruned {
-		t.Fatalf("tight window: pruning did not cut virtual time (%v vs %v)", tightest.TimePruned, tightest.TimeUnpruned)
+	if on, off := m.At(tightest, "exec on (s)"), m.At(tightest, "exec off (s)"); on >= off {
+		t.Fatalf("tight window: pruning did not cut virtual time (%v vs %v)", time.Duration(on), time.Duration(off))
 	}
 }
 
 // TestPruneReport: the pruning report must cover both engines and both
 // workloads, and show a strict request reduction on each.
 func TestPruneReport(t *testing.T) {
-	p := Quick()
-	pts, err := p.PruneReportData()
-	if err != nil {
-		t.Fatal(err)
+	m := quick(t, "prune")
+	if m.Len() != 4 {
+		t.Fatalf("%d report rows", m.Len())
 	}
-	if len(pts) != 4 {
-		t.Fatalf("%d report rows", len(pts))
-	}
-	seen := map[skipper.Mode]int{}
-	for _, pt := range pts {
-		seen[pt.Mode]++
-		if pt.Skipped == 0 {
-			t.Fatalf("%s %v: nothing skipped", pt.Query, pt.Mode)
+	seen := map[string]int{}
+	for r := 0; r < m.Len(); r++ {
+		query, mode := m.Keys(r)[0], m.Keys(r)[1]
+		seen[mode]++
+		if m.At(r, "skipped") == 0 {
+			t.Fatalf("%s %v: nothing skipped", query, mode)
 		}
-		if pt.GetsPruned >= pt.GetsUnpruned {
-			t.Fatalf("%s %v: GETs %d pruned vs %d unpruned", pt.Query, pt.Mode, pt.GetsPruned, pt.GetsUnpruned)
+		if on, off := m.At(r, "GETs (skip on)"), m.At(r, "GETs (skip off)"); on >= off {
+			t.Fatalf("%s %v: GETs %v pruned vs %v unpruned", query, mode, on, off)
 		}
 	}
-	if seen[skipper.ModeVanilla] != 2 || seen[skipper.ModeSkipper] != 2 {
+	if seen[skipper.ModeVanilla.String()] != 2 || seen[skipper.ModeSkipper.String()] != 2 {
 		t.Fatalf("mode coverage %v", seen)
 	}
 }
