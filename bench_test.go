@@ -9,13 +9,13 @@ package repro_test
 import (
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/csd"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/layout"
 	"repro/internal/mjoin"
 	"repro/internal/segment"
 	"repro/internal/skipper"
@@ -267,44 +267,17 @@ func BenchmarkAblationPruningClusteredOff(b *testing.B) { benchPruning(b, false,
 func BenchmarkAblationPruningUniformOn(b *testing.B)    { benchPruning(b, true, false) }
 func BenchmarkAblationPruningUniformOff(b *testing.B)   { benchPruning(b, false, false) }
 
-// BenchmarkAblationSchedulers compares all four schedulers on the skewed
-// layout (cumulative time).
+// BenchmarkAblationSchedulers compares all four schedulers on Figure 12's
+// setup — five clients repeating Q12 ten times on the skewed layout, where
+// the policies have choices to make — by cumulative time.
 func BenchmarkAblationSchedulers(b *testing.B) {
-	p := params()
-	for _, sched := range []csd.Scheduler{
-		csd.NewFCFSObject(), csd.NewFCFSQuery(), csd.NewMaxQueries(), csd.NewRankBased(1),
-	} {
-		sched := sched
-		b.Run(sched.Name(), func(b *testing.B) {
-			var cum time.Duration
-			for i := 0; i < b.N; i++ {
-				store := make(map[segment.ObjectID]*segment.Segment)
-				var clients []*skipper.Client
-				for t := 0; t < 5; t++ {
-					ds := workload.TPCH(t, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
-					ds.MergeInto(store)
-					clients = append(clients, &skipper.Client{
-						Tenant: t, Mode: skipper.ModeSkipper, Catalog: ds.Catalog,
-						Queries:      []skipper.QuerySpec{workload.Q12(ds.Catalog)},
-						CacheObjects: p.CacheObjects,
-					})
-				}
-				cfg := csd.DefaultConfig()
-				cfg.Scheduler = sched
-				res, err := (&skipper.Cluster{
-					Clients: clients, Store: store, Fleet: skipper.FleetSpec{Device: cfg},
-					Layout: layout.ByTenant{Groups: []int{0, 0, 1, 1, 2}},
-				}).Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				cum = 0
-				for _, cs := range res.Clients {
-					cum += cs.Elapsed()
-				}
-			}
-			b.ReportMetric(cum.Seconds(), "cumulative-s")
-		})
+	m := measure(b, "schedulers")
+	cum := m.Col("cumulative time (s)")
+	for r := range cum {
+		b.ReportMetric(time.Duration(cum[r]).Seconds(), m.Keys(r)[0]+"-cumulative-s")
+	}
+	if slices.Min(cum) == slices.Max(cum) {
+		b.Fatalf("all four schedulers take %v cumulative: the ablation measures nothing", time.Duration(cum[0]))
 	}
 }
 

@@ -3,10 +3,12 @@ package csd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/segment"
+	"repro/internal/trace"
 	"repro/internal/vtime"
 )
 
@@ -391,5 +393,75 @@ func TestLoadedAndPredictedGroup(t *testing.T) {
 	}
 	if sw := rig.csd.Stats().GroupSwitches; sw != 1 {
 		t.Fatalf("switches = %d, want 1", sw)
+	}
+}
+
+// TestRecycledRequestsStartClean: the device copies what it is submitted
+// into requests of its own and recycles them once delivered. A request
+// that rode another's transfer, recycled, carries no followers and no
+// coalesced mark in its next life as a carrier; a carrier keeps its
+// followers' capacity; and a caller that rewrites its Request value right
+// after Submit does not change what the device delivers.
+func TestRecycledRequestsStartClean(t *testing.T) {
+	a, b, c := oid(0, "a", 0), oid(0, "b", 0), oid(0, "c", 0)
+	cfg := DefaultConfig()
+	rec := trace.NewQueryTrace("device", -1, "")
+	cfg.Trace = rec
+	rig := newRig(cfg, map[segment.ObjectID]int{a: 0, b: 0, c: 0})
+	rig.sim.Spawn("client", func(p *vtime.Proc) {
+		reply, stray := vtime.NewChan[Delivery](rig.sim, "reply", 8), vtime.NewChan[Delivery](rig.sim, "stray", 8)
+		// First life: q2's GET of a rides q1's transfer.
+		var req Request
+		for _, q := range []string{"q1", "q2"} {
+			req = Request{Object: a, QueryID: q, Reply: reply}
+			rig.csd.Submit(p, &req)
+			req = Request{Object: b, QueryID: "rewritten", Tenant: 1, Reply: stray}
+		}
+		for i := 0; i < 2; i++ {
+			if d := reply.Recv(p); d.Object != a || d.Err != nil {
+				t.Errorf("first life: delivery of %v (%v), want %v", d.Object, d.Err, a)
+			}
+		}
+		if len(rig.csd.free) < 2 {
+			t.Fatalf("%d requests on the free list after two deliveries, want both", len(rig.csd.free))
+		}
+		kept := 0
+		for _, r := range rig.csd.free {
+			kept += cap(r.followers)
+			if len(r.followers) != 0 || r.coalesced || r.seq != 0 || r.arrivedAt != 0 || !r.arrivedWall.IsZero() || r.Reply != nil {
+				t.Errorf("a recycled request is not clean: %+v", *r)
+			}
+		}
+		if kept == 0 {
+			t.Error("the carrier's followers lost their capacity")
+		}
+		// Second life: both requests carry transfers of their own.
+		rig.csd.Submit(p, &Request{Object: b, QueryID: "q3", Reply: reply}, &Request{Object: c, QueryID: "q4", Reply: reply})
+		got := map[segment.ObjectID]int{}
+		for i := 0; i < 2; i++ {
+			got[reply.Recv(p).Object]++
+		}
+		if got[b] != 1 || got[c] != 1 || reply.Len() != 0 || stray.Len() != 0 {
+			t.Errorf("second life: deliveries %v, %d more on the reply channel and %d on the rewritten one; want b and c once each", got, reply.Len(), stray.Len())
+		}
+		rig.csd.Shutdown(p)
+	})
+	if err := rig.sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	st := rig.csd.Stats()
+	if st.GetsReceived != 4 || st.GetsCoalesced != 1 || st.ObjectsServed != 4 || st.ServedByQuery["rewritten"] != 0 {
+		t.Fatalf("received %d, coalesced %d, served %d, %d for the rewritten value; want 4, 1, 4, 0",
+			st.GetsReceived, st.GetsCoalesced, st.ObjectsServed, st.ServedByQuery["rewritten"])
+	}
+	var names []string
+	for _, sp := range rec.Spans() {
+		if sp.Cat == trace.CatTransfer {
+			names = append(names, sp.Name)
+		}
+	}
+	want := []string{fmt.Sprintf("%v t0 q1", a), fmt.Sprintf("%v t0 q2 coalesced", a), fmt.Sprintf("%v t0 q3", b), fmt.Sprintf("%v t0 q4", c)}
+	if !slices.Equal(names, want) {
+		t.Fatalf("transfer spans %q, want %q", names, want)
 	}
 }

@@ -64,7 +64,8 @@ func (e *SchedulerContractError) Error() string {
 }
 
 // Request is a tagged GET: the client proxy attaches the query identifier
-// so the scheduler can be workload-aware (§4.3).
+// so the scheduler can be workload-aware (§4.3). The device copies what it
+// is submitted into requests of its own, which it recycles once delivered.
 type Request struct {
 	Object  segment.ObjectID
 	QueryID string
@@ -288,6 +289,10 @@ type CSD struct {
 	// transfer of its own. No follower can be attached to a carrier that
 	// has already delivered.
 	inflight map[segment.ObjectID]*Request
+	// free holds delivered requests for Submit to copy the next GETs into:
+	// a run allocates requests for its peak of outstanding GETs, not for
+	// every GET.
+	free []*Request
 	// fatal, once set, fail-stops the device: every pending and future
 	// request is answered with an error delivery instead of data.
 	fatal error
@@ -408,14 +413,34 @@ func (c *CSD) nextGroup() (int, error) {
 	}
 }
 
-// Submit enqueues a GET request. Must be called from a simulated process.
+// Submit enqueues GET requests. Must be called from a simulated process.
+// The device copies each request into one of its own, so the caller may
+// reuse its values as soon as Submit returns.
 func (c *CSD) Submit(p *vtime.Proc, reqs ...*Request) {
 	for _, r := range reqs {
 		if _, ok := c.store[r.Object]; !ok {
 			panic(fmt.Sprintf("csd: GET for unknown object %v", r.Object))
 		}
-		c.evCh.Send(p, event{req: r})
+		var own *Request
+		if n := len(c.free); n > 0 {
+			own, c.free[n-1], c.free = c.free[n-1], nil, c.free[:n-1]
+		} else {
+			own = new(Request)
+		}
+		own.Object, own.QueryID, own.Tenant, own.Reply = r.Object, r.QueryID, r.Tenant, r.Reply
+		c.evCh.Send(p, event{req: own})
 	}
+}
+
+// recycle puts a delivered request, and the followers that rode its
+// transfer, on the free list, cleared but for its followers' capacity.
+func (c *CSD) recycle(r *Request) {
+	for _, f := range r.followers {
+		c.recycle(f)
+	}
+	clear(r.followers)
+	*r = Request{followers: r.followers[:0]}
+	c.free = append(c.free, r)
 }
 
 // Shutdown stops the controller after all in-flight work drains. Clients
@@ -471,6 +496,7 @@ func (c *CSD) crash(p *vtime.Proc) {
 	for _, r := range c.takePending() {
 		c.stats.DownErrors++
 		c.deliver(p, r, Delivery{Err: &DeviceDownError{Object: r.Object, Restarting: restarting}}, "down")
+		c.recycle(r)
 	}
 }
 
@@ -587,6 +613,7 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 		if c.fatal != nil {
 			// Fail-stopped device: answer immediately with the error.
 			r.Reply.Send(p, Delivery{Object: r.Object, Device: c.cfg.ID, Err: c.fatal})
+			c.recycle(r)
 			return false
 		}
 		if c.down {
@@ -594,6 +621,7 @@ func (c *CSD) apply(p *vtime.Proc, ev event) bool {
 			// window and back off instead of waiting on a dead box.
 			c.stats.DownErrors++
 			r.Reply.Send(p, Delivery{Object: r.Object, Device: c.cfg.ID, Err: &DeviceDownError{Object: r.Object, Restarting: c.willRestart()}})
+			c.recycle(r)
 			return false
 		}
 		if c.pending == nil { // a device that serves no GET makes no maps
@@ -713,6 +741,7 @@ func (c *CSD) fail(p *vtime.Proc, err error) {
 	c.fatal = err
 	for _, r := range c.takePending() {
 		c.deliver(p, r, Delivery{Err: err}, "fail-stop")
+		c.recycle(r)
 	}
 }
 
@@ -782,6 +811,7 @@ func (c *CSD) tenantStream(tenant int) *stream {
 					c.stats.ObjectsServed += riders
 					c.fanOut(p, r, Delivery{Seg: served}, outcome)
 				}
+				c.recycle(r)
 				c.evCh.Send(p, event{done: true})
 			}
 		})

@@ -1,6 +1,10 @@
 package csd
 
-import "repro/internal/segment"
+import (
+	"slices"
+
+	"repro/internal/segment"
+)
 
 // Scheduler decides which disk group to load next. NextGroup receives the
 // currently loaded group, the pending requests bucketed by group (never
@@ -16,13 +20,27 @@ type Scheduler interface {
 	NextGroup(loaded int, pending map[int][]*Request, waiting func(queryID string) int) int
 }
 
+// distinct appends the distinct keys of reqs to seen, in order of first
+// appearance. The schedulers count in stack buffers, not maps: they run on
+// every switch, a group's queue is short (under 16 requests throughout the
+// batch benchmark), and a Scheduler value, shared by concurrent devices,
+// keeps no state.
+func distinct[K comparable](reqs []*Request, key func(*Request) K, seen []K) []K {
+	for _, r := range reqs {
+		if k := key(r); !slices.Contains(seen, k) {
+			seen = append(seen, k)
+		}
+	}
+	return seen
+}
+
+func queryOf(r *Request) string            { return r.QueryID }
+func objectOf(r *Request) segment.ObjectID { return r.Object }
+
 // distinctQueries counts distinct query ids among requests.
 func distinctQueries(reqs []*Request) int {
-	seen := make(map[string]struct{}, len(reqs))
-	for _, r := range reqs {
-		seen[r.QueryID] = struct{}{}
-	}
-	return len(seen)
+	var buf [16]string
+	return len(distinct(reqs, queryOf, buf[:0]))
 }
 
 // coalescedRequests counts requests that would ride along on another
@@ -31,11 +49,8 @@ func distinctQueries(reqs []*Request) int {
 // dispatch, so a group with a high count serves the same demand with
 // fewer transfers.
 func coalescedRequests(reqs []*Request) int {
-	seen := make(map[segment.ObjectID]struct{}, len(reqs))
-	for _, r := range reqs {
-		seen[r.Object] = struct{}{}
-	}
-	return len(reqs) - len(seen)
+	var buf [16]segment.ObjectID
+	return len(reqs) - len(distinct(reqs, objectOf, buf[:0]))
 }
 
 // FCFSObject loads the group holding the oldest pending object request —
@@ -82,22 +97,17 @@ func NewFCFSQuery() FCFSQuery { return FCFSQuery{} }
 func (FCFSQuery) Name() string { return "fcfs-query" }
 
 func (FCFSQuery) NextGroup(loaded int, pending map[int][]*Request, _ func(string) int) int {
-	// Oldest pending request per query, then oldest query overall.
-	oldestPerQuery := make(map[string]int)
+	// The oldest pending request per query, then the oldest query overall
+	// (by name among equals): the least (seq, query id) of any request.
+	bestQuery, bestSeq := "", int(^uint(0)>>1)
 	for g, reqs := range pending {
 		if g == loaded {
 			continue
 		}
 		for _, r := range reqs {
-			if cur, ok := oldestPerQuery[r.QueryID]; !ok || r.seq < cur {
-				oldestPerQuery[r.QueryID] = r.seq
+			if r.seq < bestSeq || (r.seq == bestSeq && r.QueryID < bestQuery) {
+				bestQuery, bestSeq = r.QueryID, r.seq
 			}
-		}
-	}
-	bestQuery, bestSeq := "", int(^uint(0)>>1)
-	for q, seq := range oldestPerQuery {
-		if seq < bestSeq || (seq == bestSeq && q < bestQuery) {
-			bestQuery, bestSeq = q, seq
 		}
 	}
 	// Load the group holding that query's oldest pending request.
@@ -151,12 +161,10 @@ func (s *RankBased) NextGroup(loaded int, pending map[int][]*Request, waiting fu
 		if g == loaded {
 			continue
 		}
-		queries := make(map[string]struct{})
-		for _, r := range reqs {
-			queries[r.QueryID] = struct{}{}
-		}
+		var buf [16]string
+		queries := distinct(reqs, queryOf, buf[:0])
 		sumWait := 0
-		for q := range queries {
+		for _, q := range queries {
 			sumWait += waiting(q)
 		}
 		cand := ranked{

@@ -139,3 +139,20 @@ func TestRankFormulaMatchesDefinition(t *testing.T) {
 		t.Fatalf("K=2 picked %d", g)
 	}
 }
+
+// TestSchedulersDoNotAllocate: a switch decision over short queues — three
+// groups of twelve requests from four queries, duplicate objects included
+// — allocates nothing under any of the four policies.
+func TestSchedulersDoNotAllocate(t *testing.T) {
+	pending := map[int][]*Request{}
+	for i := 0; i < 36; i++ {
+		g := i % 3
+		pending[g] = append(pending[g], &Request{Object: oid(0, "t", i%7), QueryID: fmt.Sprint("q", i%4), seq: i})
+	}
+	waiting := func(q string) int { return len(q) }
+	for _, s := range []Scheduler{NewFCFSObject(), NewFCFSQuery(), NewMaxQueries(), NewRankBased(1)} {
+		if allocs := testing.AllocsPerRun(100, func() { s.NextGroup(0, pending, waiting) }); allocs != 0 {
+			t.Errorf("%s: %.1f allocations per decision, want none", s.Name(), allocs)
+		}
+	}
+}

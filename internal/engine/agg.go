@@ -66,29 +66,16 @@ type GroupCol struct {
 // "kind|display" of their values (so int 10 sorts before int 9), ties in
 // the order the groups were first seen.
 type HashAgg struct {
-	child  Iterator
-	groups []GroupCol
-	aggs   []AggSpec
-	schema *tuple.Schema
+	child Iterator
+	// The compiled tables read as the operator's own fields; they are
+	// shared by every run of a compiled Shape.
+	*aggShape
 
-	// evs are the operands evaluated per row into ev, one column each: every
-	// group value when any of them is not a bare column (keysEv; hashed as a
-	// batch of keySchema), then every argument that is not. keys are the
-	// group columns of ev or of the input; ops say how each aggregate folds.
-	evs       []evalOperand
-	evKinds   []tuple.Kind
-	ev        columns
-	row       tuple.Row
-	keysEv    bool
-	keySchema *tuple.Schema
-	keys      []int
-	ops       []aggOp
+	// ev holds the evaluated operands of the batch being folded.
+	ev  columns
+	row tuple.Row
 
-	// table's columns are the groups, the count, then one per aggregate
-	// that keeps state; pick[c] is output column c's table column.
 	table  groupTable
-	kinds  []tuple.Kind
-	pick   []int
 	hashes []uint64
 
 	// perm is the emitted order of the groups; text holds their order keys,
@@ -99,6 +86,30 @@ type HashAgg struct {
 	idx    int
 	ob     *tuple.Batch
 	ostats *OpStats
+}
+
+// aggShape is what a HashAgg derives from its input schema, groups and
+// aggregates; it is read-only once built.
+type aggShape struct {
+	groups []GroupCol
+	aggs   []AggSpec
+	schema *tuple.Schema
+
+	// evs are the operands evaluated per row into ev, one column each: every
+	// group value when any of them is not a bare column (keysEv; hashed as a
+	// batch of keySchema), then every argument that is not. keys are the
+	// group columns of ev or of the input; ops say how each aggregate folds.
+	evs       []evalOperand
+	evKinds   []tuple.Kind
+	keysEv    bool
+	keySchema *tuple.Schema
+	keys      []int
+	ops       []aggOp
+
+	// The group table's columns are the groups, the count, then one per
+	// aggregate that keeps state; pick[c] is output column c's table column.
+	kinds []tuple.Kind
+	pick  []int
 }
 
 // evalOperand is an expression HashAgg evaluates per row: a group value or
@@ -122,9 +133,14 @@ type aggOp struct {
 // NewHashAgg builds a grouped aggregation. With no group columns it
 // produces exactly one row (global aggregates).
 func NewHashAgg(child Iterator, groups []GroupCol, aggs []AggSpec) *HashAgg {
-	in, nk := child.Schema(), len(groups)
+	return &HashAgg{child: child, aggShape: newAggShape(child.Schema(), groups, aggs)}
+}
+
+// newAggShape compiles the aggregation of groups and aggs over rows of in.
+func newAggShape(in *tuple.Schema, groups []GroupCol, aggs []AggSpec) *aggShape {
+	nk := len(groups)
 	ints := make([]int, 2*nk+len(aggs))
-	a := &HashAgg{child: child, groups: groups, aggs: aggs, keys: ints[:nk], pick: ints[nk:],
+	a := &aggShape{groups: groups, aggs: aggs, keys: ints[:nk], pick: ints[nk:],
 		ops: make([]aggOp, len(aggs)), kinds: make([]tuple.Kind, nk, nk+1+len(aggs))}
 	out := make([]tuple.Column, 0, nk+len(aggs))
 	evaluate := func(e expr.Expr, k tuple.Kind, asFloat bool) int {

@@ -23,18 +23,19 @@ type columns struct {
 func (t *columns) reset(kinds []tuple.Kind) {
 	t.release()
 	t.kinds = kinds
-	t.cols = append(t.cols[:0], make([]tuple.Vector, len(kinds))...)
+	t.cols = tuple.Take[tuple.Vector](len(kinds))
 }
 
-// release hands the table's arrays back to the pool.
+// release hands the table's arrays, and the array of its columns, back to
+// the pool.
 func (t *columns) release() {
 	for _, v := range t.cols {
 		tuple.Release(v.I)
 		tuple.Release(v.F)
 		tuple.Release(v.S)
 	}
-	clear(t.cols)
-	t.n, t.cap = 0, 0
+	tuple.Release(t.cols)
+	t.cols, t.n, t.cap = nil, 0, 0
 }
 
 // grow makes room for rows 0..need-1.
@@ -125,8 +126,8 @@ func (t *groupTable) release() {
 	tuple.Release(t.hashes)
 	tuple.Release(t.gids)
 	tuple.Release(t.fresh)
-	clear(t.src[:cap(t.src)])
-	t.hashes, t.gids, t.fresh = nil, nil, nil
+	tuple.Release(t.src)
+	t.hashes, t.gids, t.fresh, t.src = nil, nil, nil, nil
 }
 
 // lookup finds the group of each row of b, whose key columns are keys and
@@ -134,9 +135,9 @@ func (t *groupTable) release() {
 // is row i's group, and fresh lists the rows that added one, in the order
 // the groups were added. Both are valid until the next lookup.
 func (t *groupTable) lookup(b *tuple.Batch, keys []int, hashes []uint64) (gids, fresh []int32) {
-	t.src = t.src[:0]
-	for _, k := range keys {
-		t.src = append(t.src, b.Col(k))
+	t.src = tuple.Resize(t.src, len(keys))
+	for i, k := range keys {
+		t.src[i] = b.Col(k)
 	}
 	gids, fresh = tuple.Resize(t.gids, len(hashes)), tuple.Resize(t.fresh, len(hashes))[:0]
 rows:

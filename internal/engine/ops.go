@@ -218,8 +218,10 @@ type Distinct struct {
 }
 
 // NewDistinct wraps child with duplicate elimination.
-func NewDistinct(child Iterator) *Distinct {
-	sch := child.Schema()
+func NewDistinct(child Iterator) *Distinct { return newDistinct(child, child.Schema()) }
+
+// newDistinct is NewDistinct over rows of sch.
+func newDistinct(child Iterator, sch *tuple.Schema) *Distinct {
 	d := &Distinct{child: child, kinds: make([]tuple.Kind, sch.Len()), keys: allKeys(sch.Len())}
 	for c, col := range sch.Cols {
 		d.kinds[c] = col.Kind

@@ -24,16 +24,15 @@ type SortKey struct {
 // gather.
 type Sort struct {
 	child Iterator
-	keys  []SortKey
+	// The compiled key table reads as the operator's own fields; it is
+	// shared by every run of a compiled Shape.
+	*sortShape
 
 	// rows holds every input row; key j is column col[j] of it, or vals[j]
 	// when col[j] < 0 (vals is nil when no key is).
-	rows  columns
-	kinds []tuple.Kind
-	pick  []int
-	col   []int
-	vals  [][]tuple.Value
-	row   tuple.Row
+	rows columns
+	vals [][]tuple.Value
+	row  tuple.Row
 
 	perm   []int32
 	idx    int
@@ -41,18 +40,33 @@ type Sort struct {
 	ostats *OpStats
 }
 
+// sortShape is what a Sort derives from its input schema and keys; it is
+// read-only once built.
+type sortShape struct {
+	keys  []SortKey
+	kinds []tuple.Kind
+	pick  []int
+	col   []int
+	// evaluated is set when some key is not a bare column.
+	evaluated bool
+}
+
 // NewSort wraps child with an ORDER BY.
 func NewSort(child Iterator, keys []SortKey) *Sort {
-	sch := child.Schema()
+	return &Sort{child: child, sortShape: newSortShape(child.Schema(), keys)}
+}
+
+// newSortShape compiles an ORDER BY on keys over rows of sch.
+func newSortShape(sch *tuple.Schema, keys []SortKey) *sortShape {
 	ints := make([]int, sch.Len()+len(keys))
-	s := &Sort{child: child, keys: keys, kinds: make([]tuple.Kind, sch.Len()), pick: ints[:sch.Len()], col: ints[sch.Len():]}
+	s := &sortShape{keys: keys, kinds: make([]tuple.Kind, sch.Len()), pick: ints[:sch.Len()], col: ints[sch.Len():]}
 	for c, col := range sch.Cols {
 		s.kinds[c], s.pick[c] = col.Kind, c
 	}
 	for j, k := range keys {
 		c, ok := k.E.(expr.Col)
 		if s.col[j] = c.Idx; !ok || c.Idx < 0 || c.Idx >= sch.Len() {
-			s.col[j], s.vals = -1, make([][]tuple.Value, len(keys))
+			s.col[j], s.evaluated = -1, true
 		}
 	}
 	return s
@@ -65,6 +79,9 @@ func (s *Sort) Schema() *tuple.Schema { return s.child.Schema() }
 func (s *Sort) Open() error {
 	s.rows.reset(s.kinds)
 	s.idx = 0
+	if s.evaluated && s.vals == nil {
+		s.vals = make([][]tuple.Value, len(s.keys))
+	}
 	if err := s.child.Open(); err != nil {
 		return err
 	}

@@ -46,9 +46,15 @@ func (p Params) Reports() []Entry {
 	}
 }
 
-// Measure declares and measures the grid of the figure or report id.
+// ablations are grids the root benchmarks measure and no table prints.
+func (p Params) ablations() []Entry {
+	return []Entry{grid("schedulers", p.schedulerAblation)}
+}
+
+// Measure declares and measures the grid of the figure, report or ablation
+// id.
 func (p Params) Measure(id string) (*Matrix, error) {
-	for _, e := range append(p.Figures(), p.Reports()...) {
+	for _, e := range append(append(p.Figures(), p.Reports()...), p.ablations()...) {
 		if e.ID == id && e.Grid != nil {
 			return measure(e.Grid)
 		}

@@ -270,6 +270,31 @@ func (p Params) VanillaQ5() (time.Duration, error) {
 // normalizes each query's time by its time in a single-client run, where
 // every query is serviced without competition.
 func (p Params) figure12() (*Grid, error) {
+	return p.scheduling("Figure 12", []policy{
+		{"fairness", csd.NewFCFSQuery()},
+		{"maxquery", csd.NewMaxQueries()},
+		{"ranking", csd.NewRankBased(1)},
+	})
+}
+
+// schedulerAblation is Figure 12's grid over all four schedulers, each row
+// named by its Scheduler.Name: the root benchmarks' scheduler ablation.
+func (p Params) schedulerAblation() (*Grid, error) {
+	var pols []policy
+	for _, s := range []csd.Scheduler{csd.NewFCFSObject(), csd.NewFCFSQuery(), csd.NewMaxQueries(), csd.NewRankBased(1)} {
+		pols = append(pols, policy{s.Name(), s})
+	}
+	return p.scheduling("schedulers", pols)
+}
+
+// policy is one row of a scheduling grid.
+type policy struct {
+	name  string
+	sched csd.Scheduler
+}
+
+// scheduling is Figure 12's grid over the given policies.
+func (p Params) scheduling(id string, policies []policy) (*Grid, error) {
 	const repeats = 10
 	alone, err := once(p.cell(skipper.ModeSkipper), p.tpch(1, p.SF, repeat(repeats, q12)), cumClient)
 	if err != nil {
@@ -277,7 +302,7 @@ func (p Params) figure12() (*Grid, error) {
 	}
 	ideal := time.Duration(alone) / repeats
 	g := &Grid{
-		ID:    "Figure 12",
+		ID:    id,
 		Title: "Fairness vs efficiency: scheduling policies under a skewed layout (Q12 x10, 5 clients)",
 		Keys:  []string{"policy"},
 		Base:  p.cell(skipper.ModeSkipper),
@@ -288,14 +313,7 @@ func (p Params) figure12() (*Grid, error) {
 			{"switches", 0, switches, count},
 		},
 	}
-	for _, pol := range []struct {
-		name  string
-		sched csd.Scheduler
-	}{
-		{"fairness", csd.NewFCFSQuery()},
-		{"maxquery", csd.NewMaxQueries()},
-		{"ranking", csd.NewRankBased(1)},
-	} {
+	for _, pol := range policies {
 		g.Rows = append(g.Rows, Row{
 			Keys: []string{pol.name},
 			Change: func(c *lattice.Cell, w *lattice.Workload) {

@@ -107,8 +107,23 @@ func BuildPlacement(a *Assignment, devices int, rep Replication, heat map[segmen
 	for d := range p.perDevice {
 		p.perDevice[d] = MustAssignment(a.NumGroups())
 	}
+	// One slab backs every replica list: room for every device under full
+	// replication, and a spare tail where a hot object's list moves to take
+	// its second device.
+	per, hot := 1, []segment.ObjectID(nil)
+	if devices > 1 && rep.Kind == ReplicateFull {
+		per = devices
+	} else if devices > 1 && rep.Kind == ReplicateHot {
+		hot = hotObjects(heat, rep.Hot)
+	}
+	slab := make([]int, a.NumObjects()*per+2*len(hot))
 	place := func(id segment.ObjectID, group, dev int) error {
-		p.replicas[id] = append(p.replicas[id], dev)
+		devs := p.replicas[id]
+		if len(devs) == cap(devs) {
+			room := max(per, len(devs)+1)
+			devs, slab = append(slab[:0:room], devs...), slab[room:]
+		}
+		p.replicas[id] = append(devs, dev)
 		return p.perDevice[dev].Place(id, group)
 	}
 	var err error
@@ -144,7 +159,7 @@ func BuildPlacement(a *Assignment, devices int, rep Replication, heat map[segmen
 		}
 	case ReplicateHot:
 		if devices > 1 {
-			for _, id := range hotObjects(heat, rep.Hot) {
+			for _, id := range hot {
 				g, gerr := a.GroupOf(id)
 				if gerr != nil {
 					continue // hot object outside this assignment: nothing to replicate

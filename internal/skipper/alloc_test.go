@@ -11,15 +11,16 @@ import (
 
 // TestVanillaRunAllocations: one vanilla run of Q12 and Q5 over a v2 store
 // allocates for the rows it moves, not for the scaffolding around them: the
-// join shapes are compiled with the plan, a plan's scans and joins are one
-// allocation each, batch shells, decode buffers and dictionary arrays come
-// from the working-memory pool, a dictionary block is one string and a
-// call's GETs one slab. The bound is the measured count, 532 in a test
-// binary (whose plan check compiles each query's plan again on every run),
-// with 5 % of margin; an allocation per segment, batch or operator more
-// exceeds it.
+// join shapes and shaping stages are compiled with the plan, a plan's scans
+// and joins are one allocation each and its shaping operators one more,
+// batch shells, decode buffers and dictionary arrays come from the
+// working-memory pool, a dictionary block is one string, and the device
+// recycles its GET requests. The bound is the measured count, 438 in a
+// test binary (whose plan check compiles each query's plan again on every
+// run), with 5 % of margin; an allocation per segment, batch, GET or
+// operator more exceeds it.
 func TestVanillaRunAllocations(t *testing.T) {
-	const bound = 560
+	const bound = 460
 	gen := workload.TPCH(0, workload.TPCHConfig{SF: 8, RowsPerObject: 2000, Seed: 1})
 	enc, err := objstore.ReencodeDataset(gen, segment.FormatV2)
 	if err != nil {

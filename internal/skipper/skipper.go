@@ -363,9 +363,11 @@ type proxy struct {
 	// retry is the fault-recovery bookkeeping: the active policy plus the
 	// per-query attempt counts and budget (reset by beginQuery).
 	retry retryState
-	// batches and batchOrder are Request's working storage: the GETs of one
-	// call per device id, and the devices in order of first appearance.
-	// Both are empty between calls.
+	// reqs, batches and batchOrder are Request's working storage: the GETs
+	// of one call, the same per device id, and the devices in order of
+	// first appearance. A device copies what it is submitted, so the next
+	// call writes over them; all three are empty between calls.
+	reqs       []csd.Request
 	batches    [][]*csd.Request
 	batchOrder []int
 }
@@ -397,9 +399,11 @@ func (px *proxy) beginQuery(queryID string) {
 // delivery, and the vanilla path requests one object at a time. Misses
 // fan out per device: each GET goes to the replica the chooser picks,
 // batched per device in first-appearance order so per-device arrival
-// order matches the request order. The call's GETs share one slab.
+// order matches the request order.
 func (px *proxy) Request(objs []segment.ObjectID) {
-	var reqs []csd.Request
+	if cap(px.reqs) < len(objs) {
+		px.reqs = make([]csd.Request, 0, len(objs)) // never regrown in a call: the pointers stay put
+	}
 	for _, id := range objs {
 		if px.cache != nil {
 			if seg, ok := px.cache.Get(id); ok {
@@ -424,18 +428,14 @@ func (px *proxy) Request(objs []segment.ObjectID) {
 		if len(px.batches[d]) == 0 {
 			px.batchOrder = append(px.batchOrder, d)
 		}
-		if reqs == nil {
-			reqs = make([]csd.Request, 0, len(objs)) // never regrown: the pointers stay put
-		}
-		reqs = append(reqs, csd.Request{Object: id, QueryID: px.query, Tenant: px.tenant, Reply: px.reply})
-		px.batches[d] = append(px.batches[d], &reqs[len(reqs)-1])
+		px.reqs = append(px.reqs, csd.Request{Object: id, QueryID: px.query, Tenant: px.tenant, Reply: px.reply})
+		px.batches[d] = append(px.batches[d], &px.reqs[len(px.reqs)-1])
 	}
 	for _, d := range px.batchOrder {
 		px.fl.device(d).Submit(px.proc, px.batches[d]...)
-		clear(px.batches[d]) // the device owns the requests now
 		px.batches[d] = px.batches[d][:0]
 	}
-	px.batchOrder = px.batchOrder[:0]
+	px.reqs, px.batchOrder = px.reqs[:0], px.batchOrder[:0]
 	px.stats.GetsIssued += len(objs)
 }
 

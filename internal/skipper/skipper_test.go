@@ -440,10 +440,11 @@ func getRoundTripAllocs(t *testing.T, calls, perCall, parked int) float64 {
 }
 
 // TestGetRoundTripAllocs: a call through proxy.Request, the device's
-// controller and stream worker and back through NextArrival allocates one
-// slab for the call's csd.Requests and, amortized, the growth of the
-// stall-interval record — nothing per hop, and nothing that scales with
-// what else is pending.
+// controller and stream worker and back through NextArrival allocates
+// nothing once warm — the proxy writes its GETs into scratch, the device
+// copies them into requests it recycles — but, amortized, the growth of
+// the stall-interval record; and nothing that scales with what else is
+// pending.
 func TestGetRoundTripAllocs(t *testing.T) {
 	const warm, extra = 200, 2000 // GETs
 	perGet := func(perCall, parked int) float64 {
@@ -452,13 +453,12 @@ func TestGetRoundTripAllocs(t *testing.T) {
 	}
 	alone, crowded, batched := perGet(1, 0), perGet(1, 64), perGet(8, 0)
 	t.Logf("allocations per GET: %.3f alone, %.3f with 64 requests pending on another group, %.3f in calls of 8", alone, crowded, batched)
-	if alone < 1 || alone > 1.05 {
-		t.Errorf("%.3f allocations per GET, want the call's slab plus amortized record growth (under 1.05)", alone)
-	}
-	if crowded > alone+0.05 {
-		t.Errorf("%.3f allocations per GET with 64 requests pending, %.3f with none", crowded, alone)
-	}
-	if batched > 1.0/8+0.05 {
-		t.Errorf("%.3f allocations per GET in calls of 8, want one slab a call plus amortized record growth (under %.3f)", batched, 1.0/8+0.05)
+	for _, c := range []struct {
+		name string
+		got  float64
+	}{{"alone", alone}, {"with 64 requests pending on another group", crowded}, {"in calls of 8", batched}} {
+		if c.got > 0.05 {
+			t.Errorf("%.3f allocations per warm GET %s, want amortized record growth only (at most 0.05)", c.got, c.name)
+		}
 	}
 }

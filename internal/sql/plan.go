@@ -598,60 +598,39 @@ func (b *binder) buildPlainShape(stmt *SelectStmt, postPred expr.Expr, joined *t
 			projCols = append(projCols, engine.ProjectCol{Name: outName(it, i), Kind: k, E: e})
 		}
 	}
-	sortSchema := joined
+	sh := engine.NewShape(joined)
+	if postPred != nil {
+		sh.Filter(postPred)
+	}
+	bindKey := b.bind
 	if stmt.Distinct {
 		if star {
 			return nil, fmt.Errorf("sql: SELECT DISTINCT * is not supported; name the columns")
 		}
-		cols := make([]tuple.Column, len(projCols))
-		for i, pc := range projCols {
-			cols[i] = tuple.Column{Name: pc.Name, Kind: pc.Kind}
-		}
-		sortSchema = tuple.NewSchema(cols...)
+		sh.Project(projCols).Distinct()
+		bindKey = b.bindOutput
 	}
 	var sortKeys []engine.SortKey
 	for _, oi := range stmt.OrderBy {
-		var e expr.Expr
-		var err error
-		if stmt.Distinct {
-			e, _, err = b.bindOutput(oi.Expr, sortSchema)
-		} else {
-			e, _, err = b.bind(oi.Expr, sortSchema)
-		}
+		e, _, err := bindKey(oi.Expr, sh.Schema())
 		if err != nil {
 			return nil, err
 		}
 		sortKeys = append(sortKeys, engine.SortKey{E: e, Desc: oi.Desc})
 	}
-	limit := stmt.Limit
-	distinct := stmt.Distinct
-	return func(in engine.Iterator) engine.Iterator {
-		it := in
-		if postPred != nil {
-			it = engine.NewFilter(it, postPred)
-		}
-		if distinct {
-			it = engine.NewProject(it, projCols)
-			it = engine.NewDistinct(it)
-			if len(sortKeys) > 0 {
-				it = engine.NewSort(it, sortKeys)
-			}
-		} else {
-			if len(sortKeys) > 0 {
-				it = engine.NewSort(it, sortKeys)
-			}
-			if !star {
-				it = engine.NewProject(it, projCols)
-			}
-		}
-		if limit >= 0 {
-			it = engine.NewLimit(it, limit)
-		}
-		return it
-	}, nil
+	if len(sortKeys) > 0 {
+		sh.Sort(sortKeys)
+	}
+	if !stmt.Distinct && !star {
+		sh.Project(projCols)
+	}
+	if stmt.Limit >= 0 {
+		sh.Limit(stmt.Limit)
+	}
+	return sh.Apply, nil
 }
 
-// buildAggShape: filters → hash-agg → having → project → sort → limit.
+// buildAggShape: filters → hash-agg → project → having → sort → limit.
 func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tuple.Schema) (func(engine.Iterator) engine.Iterator, error) {
 	groupNames := make(map[string]bool)
 	var groups []engine.GroupCol
@@ -708,10 +687,13 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 		outs = append(outs, outCol{name: outName(it, i), src: spec.Name})
 	}
 
-	// The HashAgg output schema: groups then aggs; compute it to bind
-	// the projection, HAVING and ORDER BY.
-	probe := engine.NewHashAgg(engine.NewValues(joined, nil), groups, aggs)
-	aggSchema := probe.Schema()
+	// The HashAgg output schema, groups then aggs, binds the projection,
+	// HAVING and ORDER BY.
+	sh := engine.NewShape(joined)
+	if postPred != nil {
+		sh.Filter(postPred)
+	}
+	aggSchema := sh.Aggregate(groups, aggs).Schema()
 
 	var projCols []engine.ProjectCol
 	for _, oc := range outs {
@@ -720,13 +702,8 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 			Name: oc.name, Kind: aggSchema.Cols[idx].Kind, E: expr.NewCol(idx, oc.src),
 		})
 	}
-	outCols := make([]tuple.Column, len(projCols))
-	for i, pc := range projCols {
-		outCols[i] = tuple.Column{Name: pc.Name, Kind: pc.Kind}
-	}
-	outSchema := tuple.NewSchema(outCols...)
+	outSchema := sh.Project(projCols).Schema()
 
-	var havingPred expr.Expr
 	if stmt.Having != nil {
 		// HAVING references output aliases / group columns.
 		p, k, err := b.bindOutput(stmt.Having, outSchema)
@@ -736,7 +713,7 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 		if k != tuple.KindBool {
 			return nil, fmt.Errorf("sql: HAVING is not boolean")
 		}
-		havingPred = p
+		sh.Filter(p)
 	}
 	var sortKeys []engine.SortKey
 	for _, oi := range stmt.OrderBy {
@@ -746,26 +723,13 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 		}
 		sortKeys = append(sortKeys, engine.SortKey{E: e, Desc: oi.Desc})
 	}
-	limit := stmt.Limit
-
-	return func(in engine.Iterator) engine.Iterator {
-		it := in
-		if postPred != nil {
-			it = engine.NewFilter(it, postPred)
-		}
-		it = engine.NewHashAgg(it, groups, aggs)
-		it = engine.NewProject(it, projCols)
-		if havingPred != nil {
-			it = engine.NewFilter(it, havingPred)
-		}
-		if len(sortKeys) > 0 {
-			it = engine.NewSort(it, sortKeys)
-		}
-		if limit >= 0 {
-			it = engine.NewLimit(it, limit)
-		}
-		return it
-	}, nil
+	if len(sortKeys) > 0 {
+		sh.Sort(sortKeys)
+	}
+	if stmt.Limit >= 0 {
+		sh.Limit(stmt.Limit)
+	}
+	return sh.Apply, nil
 }
 
 // bindOutput binds a node against the final output schema (aliases and

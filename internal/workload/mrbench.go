@@ -98,14 +98,11 @@ func MRJoinTask(cat *catalog.Catalog) skipper.QuerySpec {
 		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "pageURL", RightCol: "destURL"}},
 	}
 	outSchema := join.OutputSchema()
-	shape := func(in engine.Iterator) engine.Iterator {
-		agg := engine.NewHashAgg(in,
-			[]engine.GroupCol{{Name: "sourceIP", Kind: tuple.KindString, E: expr.Bind(outSchema, "sourceIP")}},
-			[]engine.AggSpec{
-				{Kind: engine.AggAvg, Name: "avgPageRank", Arg: expr.Bind(outSchema, "pageRank")},
-				{Kind: engine.AggSum, Name: "totalRevenue", Arg: expr.Bind(outSchema, "adRevenue")},
-			})
-		return engine.NewSort(agg, []engine.SortKey{{E: expr.NewCol(2, "totalRevenue"), Desc: true}})
-	}
-	return skipper.QuerySpec{Name: "mr-join", Join: join, Shape: shape, Bound: outSchema}
+	shape := engine.NewShape(outSchema).Aggregate(
+		[]engine.GroupCol{{Name: "sourceIP", Kind: tuple.KindString, E: expr.Bind(outSchema, "sourceIP")}},
+		[]engine.AggSpec{
+			{Kind: engine.AggAvg, Name: "avgPageRank", Arg: expr.Bind(outSchema, "pageRank")},
+			{Kind: engine.AggSum, Name: "totalRevenue", Arg: expr.Bind(outSchema, "adRevenue")},
+		}).Sort([]engine.SortKey{{E: expr.NewCol(2, "totalRevenue"), Desc: true}})
+	return skipper.QuerySpec{Name: "mr-join", Join: join, Shape: shape.Apply, Bound: outSchema}
 }

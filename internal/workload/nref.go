@@ -132,9 +132,7 @@ func NREFJoin(cat *catalog.Catalog) skipper.QuerySpec {
 			{Rel: 3, LeftCol: "p_sourceid", RightCol: "src_id"},
 		},
 	}
-	shape := func(in engine.Iterator) engine.Iterator {
-		return engine.NewHashAgg(in, nil,
-			[]engine.AggSpec{{Kind: engine.AggCount, Name: "matching_sequences"}})
-	}
-	return skipper.QuerySpec{Name: "nref-4join", Join: join, Shape: shape}
+	shape := engine.NewShape(join.OutputSchema()).Aggregate(nil,
+		[]engine.AggSpec{{Kind: engine.AggCount, Name: "matching_sequences"}})
+	return skipper.QuerySpec{Name: "nref-4join", Join: join, Shape: shape.Apply}
 }

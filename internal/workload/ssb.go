@@ -102,14 +102,12 @@ func SSBQ1(cat *catalog.Catalog) skipper.QuerySpec {
 		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "lo_orderdate", RightCol: "d_datekey"}},
 	}
 	outSchema := join.OutputSchema()
-	shape := func(in engine.Iterator) engine.Iterator {
-		revenue := expr.Arith{
-			Op: expr.Mul,
-			L:  expr.Bind(outSchema, "lo_extendedprice"),
-			R:  expr.Bind(outSchema, "lo_discount"),
-		}
-		return engine.NewHashAgg(in, nil,
-			[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}})
+	revenue := expr.Arith{
+		Op: expr.Mul,
+		L:  expr.Bind(outSchema, "lo_extendedprice"),
+		R:  expr.Bind(outSchema, "lo_discount"),
 	}
-	return skipper.QuerySpec{Name: "ssb-q1", Join: join, Shape: shape, Bound: outSchema}
+	shape := engine.NewShape(outSchema).Aggregate(nil,
+		[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}})
+	return skipper.QuerySpec{Name: "ssb-q1", Join: join, Shape: shape.Apply, Bound: outSchema}
 }

@@ -272,22 +272,19 @@ func Q12(cat *catalog.Catalog) skipper.QuerySpec {
 		Needle: expr.Bind(outSchema, "o_orderpriority"),
 		Set:    []tuple.Value{tuple.Str("1-URGENT"), tuple.Str("2-HIGH")},
 	}
-	shape := func(in engine.Iterator) engine.Iterator {
-		agg := engine.NewHashAgg(in,
-			[]engine.GroupCol{{Name: "l_shipmode", Kind: tuple.KindString, E: expr.Bind(outSchema, "l_shipmode")}},
-			[]engine.AggSpec{
-				{Kind: engine.AggSum, Name: "high_line_count", Arg: expr.Case{
-					Branches: []expr.CaseBranch{{When: highPri, Then: expr.Lit(tuple.Int(1))}},
-					Else:     expr.Lit(tuple.Int(0)),
-				}},
-				{Kind: engine.AggSum, Name: "low_line_count", Arg: expr.Case{
-					Branches: []expr.CaseBranch{{When: highPri, Then: expr.Lit(tuple.Int(0))}},
-					Else:     expr.Lit(tuple.Int(1)),
-				}},
-			})
-		return engine.NewSort(agg, []engine.SortKey{{E: expr.NewCol(0, "l_shipmode")}})
-	}
-	return skipper.QuerySpec{Name: "tpch-q12", Join: join, Shape: shape, Bound: outSchema}
+	shape := engine.NewShape(outSchema).Aggregate(
+		[]engine.GroupCol{{Name: "l_shipmode", Kind: tuple.KindString, E: expr.Bind(outSchema, "l_shipmode")}},
+		[]engine.AggSpec{
+			{Kind: engine.AggSum, Name: "high_line_count", Arg: expr.Case{
+				Branches: []expr.CaseBranch{{When: highPri, Then: expr.Lit(tuple.Int(1))}},
+				Else:     expr.Lit(tuple.Int(0)),
+			}},
+			{Kind: engine.AggSum, Name: "low_line_count", Arg: expr.Case{
+				Branches: []expr.CaseBranch{{When: highPri, Then: expr.Lit(tuple.Int(0))}},
+				Else:     expr.Lit(tuple.Int(1)),
+			}},
+		}).Sort([]engine.SortKey{{E: expr.NewCol(0, "l_shipmode")}})
+	return skipper.QuerySpec{Name: "tpch-q12", Join: join, Shape: shape.Apply, Bound: outSchema}
 }
 
 // Q5 builds TPC-H Q5 ("local supplier volume"): a six-relation join whose
@@ -327,25 +324,21 @@ func Q5(cat *catalog.Catalog) skipper.QuerySpec {
 		Out: []string{"c_nationkey", "s_nationkey", "l_extendedprice", "l_discount", "n_name"},
 	}
 	outSchema := join.OutputSchema()
-	shape := func(in engine.Iterator) engine.Iterator {
-		// The join-graph cycle: customers must share the supplier's
-		// nation.
-		localOnly := engine.NewFilter(in, expr.Cmp{
-			Op: expr.EQ,
-			L:  expr.Bind(outSchema, "c_nationkey"),
-			R:  expr.Bind(outSchema, "s_nationkey"),
-		})
-		revenue := expr.Arith{
-			Op: expr.Mul,
-			L:  expr.Bind(outSchema, "l_extendedprice"),
-			R: expr.Arith{Op: expr.Sub,
-				L: expr.Lit(tuple.Float(1)),
-				R: expr.Bind(outSchema, "l_discount")},
-		}
-		agg := engine.NewHashAgg(localOnly,
-			[]engine.GroupCol{{Name: "n_name", Kind: tuple.KindString, E: expr.Bind(outSchema, "n_name")}},
-			[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}})
-		return engine.NewSort(agg, []engine.SortKey{{E: expr.NewCol(1, "revenue"), Desc: true}})
+	revenue := expr.Arith{
+		Op: expr.Mul,
+		L:  expr.Bind(outSchema, "l_extendedprice"),
+		R: expr.Arith{Op: expr.Sub,
+			L: expr.Lit(tuple.Float(1)),
+			R: expr.Bind(outSchema, "l_discount")},
 	}
-	return skipper.QuerySpec{Name: "tpch-q5", Join: join, Shape: shape, Bound: outSchema}
+	// The join-graph cycle: customers must share the supplier's nation.
+	shape := engine.NewShape(outSchema).Filter(expr.Cmp{
+		Op: expr.EQ,
+		L:  expr.Bind(outSchema, "c_nationkey"),
+		R:  expr.Bind(outSchema, "s_nationkey"),
+	}).Aggregate(
+		[]engine.GroupCol{{Name: "n_name", Kind: tuple.KindString, E: expr.Bind(outSchema, "n_name")}},
+		[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}},
+	).Sort([]engine.SortKey{{E: expr.NewCol(1, "revenue"), Desc: true}})
+	return skipper.QuerySpec{Name: "tpch-q5", Join: join, Shape: shape.Apply, Bound: outSchema}
 }
