@@ -13,9 +13,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/csd"
 	"repro/internal/engine"
 	"repro/internal/experiments"
+	"repro/internal/lattice"
 	"repro/internal/mjoin"
 	"repro/internal/segment"
 	"repro/internal/skipper"
@@ -166,27 +168,37 @@ func ablationCache(p experiments.Params) int {
 	return c
 }
 
-// benchCacheSweepPolicy measures GET traffic for one eviction policy.
-func benchCacheSweepPolicy(b *testing.B, pol mjoin.EvictionPolicy) {
+// tenants is a workload of n TPC-H tenants at the params' scale, each
+// with its own dataset and running its query once, over one store.
+func tenants(p experiments.Params, n int, clustered bool, query func(*catalog.Catalog) skipper.QuerySpec) lattice.Workload {
+	w := lattice.Workload{Store: make(map[segment.ObjectID]*segment.Segment)}
+	for t := 0; t < n; t++ {
+		ds := workload.TPCH(t, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed, ClusteredDates: clustered})
+		ds.MergeInto(w.Store)
+		w.Tenants = append(w.Tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: []skipper.QuerySpec{query(ds.Catalog)}})
+	}
+	return w
+}
+
+// benchGets runs one tenant's query as the cell b.N times and reports the
+// GETs its client issued.
+func benchGets(b *testing.B, cell lattice.Cell, clustered bool, query func(*catalog.Catalog) skipper.QuerySpec) {
 	p := params()
 	var gets int
 	for i := 0; i < b.N; i++ {
-		ds := workload.TPCH(0, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
-		store := make(map[segment.ObjectID]*segment.Segment)
-		ds.MergeInto(store)
-		client := &skipper.Client{
-			Tenant: 0, Mode: skipper.ModeSkipper, Catalog: ds.Catalog,
-			Queries:      []skipper.QuerySpec{workload.Q5(ds.Catalog)},
-			CacheObjects: ablationCache(p),
-			Policy:       pol,
-		}
-		res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: store}).Run()
+		res, err := cell.Run(tenants(p, 1, clustered, query))
 		if err != nil {
 			b.Fatal(err)
 		}
 		gets = res.Clients[0].GetsIssued
 	}
 	b.ReportMetric(float64(gets), "gets")
+}
+
+// benchCacheSweepPolicy measures GET traffic for one eviction policy.
+func benchCacheSweepPolicy(b *testing.B, pol mjoin.EvictionPolicy) {
+	opts := skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: ablationCache(params()), Policy: pol}
+	benchGets(b, lattice.Cell{Options: opts}, false, workload.Q5)
 }
 
 func BenchmarkAblationEvictionMaxProgress(b *testing.B) {
@@ -204,26 +216,10 @@ func BenchmarkAblationEvictionLRU(b *testing.B) {
 // benchOrdering measures the effect of the in-group delivery order on
 // MJoin reissues (§4.4 "What ordering within a group?").
 func benchOrdering(b *testing.B, order csd.OrderKind) {
-	p := params()
-	var gets int
-	for i := 0; i < b.N; i++ {
-		ds := workload.TPCH(0, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
-		store := make(map[segment.ObjectID]*segment.Segment)
-		ds.MergeInto(store)
-		client := &skipper.Client{
-			Tenant: 0, Mode: skipper.ModeSkipper, Catalog: ds.Catalog,
-			Queries:      []skipper.QuerySpec{workload.Q5(ds.Catalog)},
-			CacheObjects: ablationCache(p),
-		}
-		cfg := csd.DefaultConfig()
-		cfg.Order = order
-		res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: store, Fleet: skipper.FleetSpec{Device: cfg}}).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		gets = res.Clients[0].GetsIssued
-	}
-	b.ReportMetric(float64(gets), "gets")
+	dev := csd.DefaultConfig()
+	dev.Order = order
+	opts := skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: ablationCache(params())}
+	benchGets(b, lattice.Cell{Options: opts, Fleet: skipper.FleetSpec{Device: dev}}, false, workload.Q5)
 }
 
 func BenchmarkAblationOrderSemanticRR(b *testing.B) {
@@ -236,30 +232,11 @@ func BenchmarkAblationOrderSequential(b *testing.B) {
 
 // benchPruning measures subplan pruning under clustered selectivity:
 // lineitem sorted by ship date concentrates Q12's matches in a few
-// segments, so pruning skips refetching the rest (§5.2.4).
+// segments, so pruning skips refetching the rest (§5.2.4). The MJoin
+// buffer is tight, 3 objects: without pruning it reissues.
 func benchPruning(b *testing.B, pruning, clustered bool) {
-	p := params()
-	var gets int
-	for i := 0; i < b.N; i++ {
-		ds := workload.TPCH(0, workload.TPCHConfig{
-			SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed,
-			ClusteredDates: clustered,
-		})
-		store := make(map[segment.ObjectID]*segment.Segment)
-		ds.MergeInto(store)
-		client := &skipper.Client{
-			Tenant: 0, Mode: skipper.ModeSkipper, Catalog: ds.Catalog,
-			Queries:          []skipper.QuerySpec{workload.Q12(ds.Catalog)},
-			CacheObjects:     3, // tight: reissues unless pruned
-			NoSubplanPruning: !pruning,
-		}
-		res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: store}).Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		gets = res.Clients[0].GetsIssued
-	}
-	b.ReportMetric(float64(gets), "gets")
+	opts := skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: 3, NoSubplanPruning: !pruning}
+	benchGets(b, lattice.Cell{Options: opts}, clustered, workload.Q12)
 }
 
 func BenchmarkAblationPruningClusteredOn(b *testing.B)  { benchPruning(b, true, true) }
@@ -267,17 +244,17 @@ func BenchmarkAblationPruningClusteredOff(b *testing.B) { benchPruning(b, false,
 func BenchmarkAblationPruningUniformOn(b *testing.B)    { benchPruning(b, true, false) }
 func BenchmarkAblationPruningUniformOff(b *testing.B)   { benchPruning(b, false, false) }
 
-// BenchmarkAblationSchedulers compares all four schedulers on Figure 12's
-// setup — five clients repeating Q12 ten times on the skewed layout, where
-// the policies have choices to make — by cumulative time.
+// BenchmarkAblationSchedulers compares Figure 12's policies — five
+// clients repeating Q12 ten times on the skewed layout, where the policies
+// have choices to make — by cumulative time.
 func BenchmarkAblationSchedulers(b *testing.B) {
-	m := measure(b, "schedulers")
+	m := measure(b, "12")
 	cum := m.Col("cumulative time (s)")
 	for r := range cum {
 		b.ReportMetric(time.Duration(cum[r]).Seconds(), m.Keys(r)[0]+"-cumulative-s")
 	}
 	if slices.Min(cum) == slices.Max(cum) {
-		b.Fatalf("all four schedulers take %v cumulative: the ablation measures nothing", time.Duration(cum[0]))
+		b.Fatalf("all %d policies take %v cumulative: the ablation measures nothing", len(cum), time.Duration(cum[0]))
 	}
 }
 
@@ -287,24 +264,16 @@ func BenchmarkAblationSchedulers(b *testing.B) {
 func BenchmarkOutlookParallelStreams(b *testing.B) {
 	p := params()
 	for _, streams := range []int{1, 2, 4, 8} {
-		streams := streams
 		b.Run(fmt.Sprintf("streams-%d", streams), func(b *testing.B) {
+			dev := csd.DefaultConfig()
+			dev.StreamsPerTenant = streams
+			cell := lattice.Cell{
+				Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: p.CacheObjects},
+				Fleet:   skipper.FleetSpec{Device: dev},
+			}
 			var avg time.Duration
 			for i := 0; i < b.N; i++ {
-				store := make(map[segment.ObjectID]*segment.Segment)
-				var clients []*skipper.Client
-				for t := 0; t < 3; t++ {
-					ds := workload.TPCH(t, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed})
-					ds.MergeInto(store)
-					clients = append(clients, &skipper.Client{
-						Tenant: t, Mode: skipper.ModeSkipper, Catalog: ds.Catalog,
-						Queries:      []skipper.QuerySpec{workload.Q12(ds.Catalog)},
-						CacheObjects: p.CacheObjects,
-					})
-				}
-				cfg := csd.DefaultConfig()
-				cfg.StreamsPerTenant = streams
-				res, err := (&skipper.Cluster{Clients: clients, Store: store, Fleet: skipper.FleetSpec{Device: cfg}}).Run()
+				res, err := cell.Run(tenants(p, 3, false, workload.Q12))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -145,7 +145,7 @@ func runTraceDemo() {
 		ds.MergeInto(store)
 		tenants = append(tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: []skipper.QuerySpec{workload.Q12(ds.Catalog)}})
 	}
-	cl := lattice.Cell{Mode: skipper.ModeSkipper, MJoinCache: 8}.Cluster(lattice.Workload{Store: store, Tenants: tenants})
+	cl := lattice.Cell{Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: 8}}.Cluster(lattice.Workload{Store: store, Tenants: tenants})
 	rec := trace.NewQueryTrace("device", -1, "")
 	cl.Fleet.Device.Trace = rec
 	res, err := cl.Run()

@@ -1,10 +1,10 @@
 // Package cliflags is the command line: Skipperd and Skipperql are the
 // two commands, which cmd/ only hands their arguments and streams, and
 // Bind and Resolve are the one binding from the flag groups both share
-// to a run — the dataset, skipper.FleetSpec, prefetch budget, retry
-// policy and engine mode the library takes, and from there the
-// server.Config both serve from. Unknown names and out-of-range values
-// are errors here, so a typo never silently selects a default.
+// to a run — the dataset, skipper.Options and skipper.FleetSpec the
+// library takes, and from there the server.Config both serve from.
+// Unknown names and out-of-range values are errors here, so a typo never
+// silently selects a default.
 package cliflags
 
 import (
@@ -32,7 +32,7 @@ type Flags struct {
 	plan                                faults.Plan
 	format, replication                 string
 	sf, rows, prefetchGB, retryAttempts int
-	clustered                           bool
+	clustered, prune                    bool
 	retryBackoff                        time.Duration
 }
 
@@ -42,7 +42,7 @@ type Flags struct {
 // 8), while a one-shot shell statement has nothing to re-hit unless asked
 // (skipperql: 0).
 func Bind(fs *flag.FlagSet, segCache int) *Flags {
-	f := &Flags{}
+	f, serving := &Flags{}, server.NewConfig(nil)
 	// Dataset.
 	fs.StringVar(&f.run.Workload, "workload", "tpch", "dataset: tpch, ssb, mrbench, nref")
 	fs.IntVar(&f.sf, "sf", 10, "scale factor / footprint in GB")
@@ -50,10 +50,10 @@ func Bind(fs *flag.FlagSet, segCache int) *Flags {
 	fs.BoolVar(&f.clustered, "clustered", false, "sort the TPC-H date columns before segmenting (makes date predicates prunable)")
 	fs.StringVar(&f.format, "format", "v2", "segment wire format the store serves: mem or v2")
 	// Execution.
-	fs.StringVar(&f.run.Engine, "engine", "skipper", "execution engine: skipper or vanilla")
-	fs.IntVar(&f.run.MJoinCache, "cache", 10, "MJoin cache size in objects (skipper engine)")
+	fs.StringVar(&f.run.Engine, "engine", serving.Mode.String(), "execution engine: skipper or vanilla")
+	fs.IntVar(&f.run.CacheObjects, "cache", serving.CacheObjects, "MJoin cache size in objects (skipper engine)")
 	fs.IntVar(&f.run.SegCache, "segcache", segCache, "segment cache budget in objects (0 = off); persists across a tenant's connections / a session's statements")
-	fs.BoolVar(&f.run.Prune, "prune", true, "enable zone-map/Bloom data skipping of segment requests")
+	fs.BoolVar(&f.prune, "prune", true, "enable zone-map/Bloom data skipping of segment requests")
 	fs.IntVar(&f.prefetchGB, "prefetch", 0, "scheduler-aware prefetch budget in 1 GB objects ahead of demand (0 = off)")
 	// Fleet, faults, retry: a deterministic chaos schedule applied
 	// afresh to every query's device run. Rates of zero (the defaults)
@@ -80,20 +80,16 @@ type Run struct {
 	Workload, Engine string
 	Format           segment.Format
 	Dataset          *workload.Dataset
-	// Mode is the engine; Local is set instead for "-engine local".
-	Mode  skipper.Mode
+	// Local is set for "-engine local", where Mode stays unset.
 	Local bool
-	// MJoinCache and SegCache are the -cache and -segcache budgets in
-	// objects; Prune is the data-skipping toggle.
-	MJoinCache, SegCache int
-	Prune                bool
-	// PrefetchBytes is the -prefetch budget in bytes (0 = off).
-	PrefetchBytes int64
+	// Options are the execution flags: -engine, -cache, -prune, -prefetch
+	// (in bytes) and the -retry-* policy (nil unless one is set).
+	skipper.Options
+	// SegCache is the -segcache budget in objects.
+	SegCache int
 	// Fleet carries -devices, -replication and the fault plan (nil when
 	// no fault flag enables anything).
 	Fleet skipper.FleetSpec
-	// Retry is nil (library default) unless a -retry-* flag is set.
-	Retry *skipper.RetryPolicy
 }
 
 // ServerConfig is the run as a server configuration: what skipperd serves
@@ -102,15 +98,14 @@ type Run struct {
 // defaults for the caller to set.
 func (r *Run) ServerConfig() server.Config {
 	cfg := server.NewConfig(r.Dataset)
-	cfg.Mode, cfg.CacheObjects, cfg.SegCacheObjects, cfg.Prune = r.Mode, r.MJoinCache, r.SegCache, r.Prune
-	cfg.PrefetchBytes, cfg.Fleet, cfg.Retry = r.PrefetchBytes, r.Fleet, r.Retry
+	cfg.Options, cfg.SegCacheObjects, cfg.Fleet = r.Options, r.SegCache, r.Fleet
 	return cfg
 }
 
 // Resolve validates the parsed flags and builds the run. Every error is a
 // usage error: an unknown workload, format, engine or replication policy,
-// a negative prefetch budget, a fleet of fewer than one device, a rate
-// outside [0,1].
+// a negative prefetch budget or MJoin cache, a fleet of fewer than one
+// device, a rate outside [0,1].
 func (f *Flags) Resolve() (*Run, error) {
 	r := f.run
 	var err error
@@ -122,9 +117,7 @@ func (f *Flags) Resolve() (*Run, error) {
 	} else if r.Mode, err = skipper.ParseMode(r.Engine); err != nil {
 		return nil, err
 	}
-	if f.prefetchGB < 0 {
-		return nil, fmt.Errorf("-prefetch %d < 0", f.prefetchGB)
-	}
+	r.NoStatsPruning = !f.prune
 	r.PrefetchBytes = int64(f.prefetchGB) * 1e9
 	if r.Fleet.N < 1 {
 		return nil, fmt.Errorf("-devices %d < 1", r.Fleet.N)
@@ -147,6 +140,9 @@ func (f *Flags) Resolve() (*Run, error) {
 		if f.retryBackoff > 0 {
 			r.Retry.BaseBackoff = f.retryBackoff
 		}
+	}
+	if err := r.Options.Validate(); err != nil {
+		return nil, err
 	}
 	// The dataset last: everything above is cheap to reject.
 	var ds *workload.Dataset

@@ -44,7 +44,7 @@ func TestFullFlagLine(t *testing.T) {
 	if r.Workload != "tpch" || r.Engine != "vanilla" || r.Format != segment.FormatMem || r.Dataset == nil {
 		t.Errorf("dataset group: %q %q %v %v", r.Workload, r.Engine, r.Format, r.Dataset)
 	}
-	if r.Mode != skipper.ModeVanilla || r.Local || r.MJoinCache != 7 || r.SegCache != 5 || r.Prune {
+	if r.Mode != skipper.ModeVanilla || r.Local || r.CacheObjects != 7 || r.SegCache != 5 || !r.NoStatsPruning {
 		t.Errorf("execution group: %+v", r)
 	}
 	if r.PrefetchBytes != 3e9 {
@@ -68,7 +68,7 @@ func TestFullFlagLine(t *testing.T) {
 	}
 	// Both front ends serve from this one mapping.
 	cfg := r.ServerConfig()
-	if cfg.Dataset != r.Dataset || cfg.Mode != r.Mode || cfg.CacheObjects != 7 || cfg.SegCacheObjects != 5 || cfg.Prune ||
+	if cfg.Dataset != r.Dataset || cfg.Mode != r.Mode || cfg.CacheObjects != 7 || cfg.SegCacheObjects != 5 || !cfg.NoStatsPruning ||
 		cfg.PrefetchBytes != 3e9 || !reflect.DeepEqual(cfg.Fleet, r.Fleet) || cfg.Retry != r.Retry {
 		t.Errorf("server config %+v does not carry the run %+v", cfg, r)
 	}
@@ -82,7 +82,7 @@ func TestDefaultsResolveToTheZeroFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Mode != skipper.ModeSkipper || r.Format != segment.FormatV2 || !r.Prune || r.MJoinCache != 10 {
+	if r.Mode != skipper.ModeSkipper || r.Format != segment.FormatV2 || r.NoStatsPruning || r.CacheObjects != 10 {
 		t.Errorf("defaults: %+v", r)
 	}
 	if r.PrefetchBytes != 0 || r.Retry != nil || !reflect.DeepEqual(r.Fleet, skipper.FleetSpec{N: 1}) {
@@ -106,6 +106,7 @@ func TestOutsideInputIsRejected(t *testing.T) {
 		{"malformed hot count", "-replication hot:x", false},
 		{"no devices", "-devices 0", false},
 		{"negative prefetch budget", "-prefetch -1", false},
+		{"negative MJoin cache", "-cache -1", false},
 		{"unknown workload", "-workload tpcc", false},
 		{"rate out of range", "-fault-transient 1.5", false},
 		{"stall rate without a duration", "-fault-stall 0.5 -fault-stall-dur 0s", false},

@@ -49,7 +49,7 @@ func Skipperql(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		Meta:      func(cmd string) { describe(stdout, ds, strings.TrimSpace(strings.TrimPrefix(cmd, `\d`))) },
 	}
 	if run.Local {
-		sh.RoundTrip = localEngine(ds, run.Prune, sh.RoundTrip)
+		sh.RoundTrip = localEngine(ds, !run.NoStatsPruning, sh.RoundTrip)
 	}
 	var input io.Reader = strings.NewReader(*command)
 	if *command == "" {

@@ -289,18 +289,6 @@ func TestFCFSObjectPicksOldest(t *testing.T) {
 	}
 }
 
-func TestFCFSQueryFollowsOldestQuery(t *testing.T) {
-	// q1 arrived first (seq 1) and has data on groups 2 and 3; its oldest
-	// pending request (seq 1) is on group 3.
-	pending := map[int][]*Request{
-		2: {req(4, "q1", 0), req(2, "q2", 1)},
-		3: {req(1, "q1", 0)},
-	}
-	if g := NewFCFSQuery().NextGroup(0, pending, nil); g != 3 {
-		t.Fatalf("fcfs-query picked %d, want 3", g)
-	}
-}
-
 func TestMaxQueriesPicksBusiestGroup(t *testing.T) {
 	pending := map[int][]*Request{
 		1: {req(1, "q1", 0), req(2, "q1", 0)},                  // 1 query, 2 requests

@@ -135,40 +135,26 @@ func referenceSortedGroups(loaded int, pending map[int][]*Request) []int {
 	return groups
 }
 
+// referenceOldest is the group the sorted walk finds holding the oldest
+// pending request among those match accepts.
+func referenceOldest(loaded int, pending map[int][]*Request, match func(*Request) bool) int {
+	best, bestSeq := -1, int(^uint(0)>>1)
+	for _, g := range referenceSortedGroups(loaded, pending) {
+		for _, r := range pending[g] {
+			if match(r) && r.seq < bestSeq {
+				best, bestSeq = g, r.seq
+			}
+		}
+	}
+	return best
+}
+
 // referenceNextGroup is each policy as it was over that walk: the first
 // strictly better candidate in ascending group order wins.
 func referenceNextGroup(s Scheduler, loaded int, pending map[int][]*Request, waiting func(string) int) int {
-	const maxInt = int(^uint(0) >> 1)
-	oldest := func(match func(*Request) bool) int {
-		best, bestSeq := -1, maxInt
-		for _, g := range referenceSortedGroups(loaded, pending) {
-			for _, r := range pending[g] {
-				if match(r) && r.seq < bestSeq {
-					best, bestSeq = g, r.seq
-				}
-			}
-		}
-		return best
-	}
 	switch s := s.(type) {
 	case FCFSObject:
-		return oldest(func(*Request) bool { return true })
-	case FCFSQuery:
-		oldestPerQuery := make(map[string]int)
-		for _, g := range referenceSortedGroups(loaded, pending) {
-			for _, r := range pending[g] {
-				if cur, ok := oldestPerQuery[r.QueryID]; !ok || r.seq < cur {
-					oldestPerQuery[r.QueryID] = r.seq
-				}
-			}
-		}
-		bestQuery, bestSeq := "", maxInt
-		for q, seq := range oldestPerQuery {
-			if seq < bestSeq || (seq == bestSeq && q < bestQuery) {
-				bestQuery, bestSeq = q, seq
-			}
-		}
-		return oldest(func(r *Request) bool { return r.QueryID == bestQuery })
+		return referenceOldest(loaded, pending, func(*Request) bool { return true })
 	case MaxQueries:
 		best, bestN := -1, -1
 		for _, g := range referenceSortedGroups(loaded, pending) {
@@ -207,7 +193,7 @@ func referenceNextGroup(s Scheduler, loaded int, pending map[int][]*Request, wai
 // (Go varies the map's iteration order from one range to the next).
 func TestSchedulersMatchSortedWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	scheds := []Scheduler{NewFCFSObject(), NewFCFSQuery(), NewMaxQueries(), NewRankBased(1), NewRankBased(0), NewRankBased(0.5)}
+	scheds := []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased(1), NewRankBased(0), NewRankBased(0.5)}
 	for round := 0; round < 2000; round++ {
 		loaded := rng.Intn(8) - 1
 		pending := make(map[int][]*Request)
@@ -235,6 +221,60 @@ func TestSchedulersMatchSortedWalk(t *testing.T) {
 					t.Fatalf("round %d: %s (%+v) picked group %d, its sorted walk picks %d", round, s.Name(), s, got, want)
 				}
 			}
+		}
+	}
+}
+
+// referenceFCFSQuery is query-level FCFS: the query whose oldest pending
+// request is the oldest of all (by name among equals), then the group
+// holding that query's oldest pending request.
+func referenceFCFSQuery(loaded int, pending map[int][]*Request) int {
+	oldestPerQuery := make(map[string]int)
+	for _, g := range referenceSortedGroups(loaded, pending) {
+		for _, r := range pending[g] {
+			if cur, ok := oldestPerQuery[r.QueryID]; !ok || r.seq < cur {
+				oldestPerQuery[r.QueryID] = r.seq
+			}
+		}
+	}
+	bestQuery, bestSeq := "", int(^uint(0)>>1)
+	for q, seq := range oldestPerQuery {
+		if seq < bestSeq || (seq == bestSeq && q < bestQuery) {
+			bestQuery, bestSeq = q, seq
+		}
+	}
+	return referenceOldest(loaded, pending, func(r *Request) bool { return r.QueryID == bestQuery })
+}
+
+// TestQueryFCFSIsObjectFCFS: the device numbers every arrival uniquely
+// (seq), so the query that owns the oldest pending request is the oldest
+// query, and query-level FCFS loads the group FCFSObject loads. That is
+// why the device has no query-FCFS scheduler of its own; this holds the
+// reference to it over random pending sets with unique seqs.
+func TestQueryFCFSIsObjectFCFS(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for round := 0; round < 2000; round++ {
+		loaded := rng.Intn(8) - 1
+		seqs := rng.Perm(64)
+		pending := make(map[int][]*Request)
+		for g := 0; g < 8; g++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			for j := 1 + rng.Intn(4); j > 0; j-- {
+				pending[g] = append(pending[g], &Request{
+					Object:  segment.ObjectID{Table: "t", Index: rng.Intn(3)},
+					QueryID: fmt.Sprint("q", rng.Intn(4)),
+					seq:     seqs[0],
+				})
+				seqs = seqs[1:]
+			}
+		}
+		if len(pending) == 0 || len(pending) == 1 && len(pending[loaded]) > 0 {
+			continue // NextGroup is never asked without a candidate
+		}
+		if want, got := referenceFCFSQuery(loaded, pending), NewFCFSObject().NextGroup(loaded, pending, nil); got != want {
+			t.Fatalf("round %d: query-level FCFS picks group %d, fcfs-object picks %d", round, want, got)
 		}
 	}
 }

@@ -85,35 +85,6 @@ func oldestGroup(loaded int, pending map[int][]*Request, match func(*Request) bo
 	return best
 }
 
-// FCFSQuery services queries in arrival order: the next group is the one
-// holding data for the query whose oldest pending request is globally
-// oldest. Fair across tenants but inefficient: it cannot merge requests
-// across queries (§4.4).
-type FCFSQuery struct{}
-
-// NewFCFSQuery returns the query-level FCFS scheduler.
-func NewFCFSQuery() FCFSQuery { return FCFSQuery{} }
-
-func (FCFSQuery) Name() string { return "fcfs-query" }
-
-func (FCFSQuery) NextGroup(loaded int, pending map[int][]*Request, _ func(string) int) int {
-	// The oldest pending request per query, then the oldest query overall
-	// (by name among equals): the least (seq, query id) of any request.
-	bestQuery, bestSeq := "", int(^uint(0)>>1)
-	for g, reqs := range pending {
-		if g == loaded {
-			continue
-		}
-		for _, r := range reqs {
-			if r.seq < bestSeq || (r.seq == bestSeq && r.QueryID < bestQuery) {
-				bestQuery, bestSeq = r.QueryID, r.seq
-			}
-		}
-	}
-	// Load the group holding that query's oldest pending request.
-	return oldestGroup(loaded, pending, func(r *Request) bool { return r.QueryID == bestQuery })
-}
-
 // MaxQueries loads the group with the most distinct pending queries — the
 // throughput-optimal tertiary-storage policy (within 2% of optimal, [35])
 // — but can starve groups with few queries.

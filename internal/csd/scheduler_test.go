@@ -84,7 +84,7 @@ func TestRankBasedBoundedWaiting(t *testing.T) {
 // TestSchedulersAlwaysPickValidGroup: every scheduler must return a
 // non-loaded group that has pending requests, for random pending maps.
 func TestSchedulersAlwaysPickValidGroup(t *testing.T) {
-	scheds := []Scheduler{NewFCFSObject(), NewFCFSQuery(), NewMaxQueries(), NewRankBased(1), NewRankBased(0)}
+	scheds := []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased(1), NewRankBased(0)}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		loaded := rng.Intn(5)
@@ -142,7 +142,7 @@ func TestRankFormulaMatchesDefinition(t *testing.T) {
 
 // TestSchedulersDoNotAllocate: a switch decision over short queues — three
 // groups of twelve requests from four queries, duplicate objects included
-// — allocates nothing under any of the four policies.
+// — allocates nothing under any of the three policies.
 func TestSchedulersDoNotAllocate(t *testing.T) {
 	pending := map[int][]*Request{}
 	for i := 0; i < 36; i++ {
@@ -150,7 +150,7 @@ func TestSchedulersDoNotAllocate(t *testing.T) {
 		pending[g] = append(pending[g], &Request{Object: oid(0, "t", i%7), QueryID: fmt.Sprint("q", i%4), seq: i})
 	}
 	waiting := func(q string) int { return len(q) }
-	for _, s := range []Scheduler{NewFCFSObject(), NewFCFSQuery(), NewMaxQueries(), NewRankBased(1)} {
+	for _, s := range []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased(1)} {
 		if allocs := testing.AllocsPerRun(100, func() { s.NextGroup(0, pending, waiting) }); allocs != 0 {
 			t.Errorf("%s: %.1f allocations per decision, want none", s.Name(), allocs)
 		}

@@ -151,5 +151,5 @@ func secs(d time.Duration) string {
 func (p Params) cell(mode skipper.Mode) lattice.Cell {
 	dev := csd.DefaultConfig()
 	dev.GroupSwitch, dev.Bandwidth = p.GroupSwitch, p.Bandwidth
-	return lattice.Cell{Mode: mode, MJoinCache: p.CacheObjects, Fleet: skipper.FleetSpec{Device: dev}}
+	return lattice.Cell{Options: skipper.Options{Mode: mode, CacheObjects: p.CacheObjects}, Fleet: skipper.FleetSpec{Device: dev}}
 }

@@ -217,7 +217,7 @@ func TestReportQueriesVerify(t *testing.T) {
 		for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 			for _, noPrune := range []bool{false, true} {
 				cell := p.cell(mode)
-				cell.Format, cell.NoPrune = f, noPrune
+				cell.Format, cell.NoStatsPruning = f, noPrune
 				cells = append(cells, cell)
 			}
 		}

@@ -211,7 +211,7 @@ func (p Params) cacheGrid(id, title string, sf int, caches []int) *Grid {
 	for _, cache := range caches {
 		g.Rows = append(g.Rows, Row{
 			Keys:     []string{fmt.Sprint(cache)},
-			Change:   func(c *lattice.Cell, _ *lattice.Workload) { c.MJoinCache = cache },
+			Change:   func(c *lattice.Cell, _ *lattice.Workload) { c.CacheObjects = cache },
 			Workload: p.tpch(5, sf, q5),
 		})
 	}
@@ -268,33 +268,10 @@ func (p Params) VanillaQ5() (time.Duration, error) {
 // skewed layout of §5.2.5: five Skipper clients repeating Q12 ten times;
 // two groups hold two clients each and the last group one client. Stretch
 // normalizes each query's time by its time in a single-client run, where
-// every query is serviced without competition.
+// every query is serviced without competition. The fairness row is
+// csd.FCFSObject: the device numbers every arrival uniquely, so
+// query-level FCFS would load the same group at every switch.
 func (p Params) figure12() (*Grid, error) {
-	return p.scheduling("Figure 12", []policy{
-		{"fairness", csd.NewFCFSQuery()},
-		{"maxquery", csd.NewMaxQueries()},
-		{"ranking", csd.NewRankBased(1)},
-	})
-}
-
-// schedulerAblation is Figure 12's grid over all four schedulers, each row
-// named by its Scheduler.Name: the root benchmarks' scheduler ablation.
-func (p Params) schedulerAblation() (*Grid, error) {
-	var pols []policy
-	for _, s := range []csd.Scheduler{csd.NewFCFSObject(), csd.NewFCFSQuery(), csd.NewMaxQueries(), csd.NewRankBased(1)} {
-		pols = append(pols, policy{s.Name(), s})
-	}
-	return p.scheduling("schedulers", pols)
-}
-
-// policy is one row of a scheduling grid.
-type policy struct {
-	name  string
-	sched csd.Scheduler
-}
-
-// scheduling is Figure 12's grid over the given policies.
-func (p Params) scheduling(id string, policies []policy) (*Grid, error) {
 	const repeats = 10
 	alone, err := once(p.cell(skipper.ModeSkipper), p.tpch(1, p.SF, repeat(repeats, q12)), cumClient)
 	if err != nil {
@@ -302,7 +279,7 @@ func (p Params) scheduling(id string, policies []policy) (*Grid, error) {
 	}
 	ideal := time.Duration(alone) / repeats
 	g := &Grid{
-		ID:    id,
+		ID:    "Figure 12",
 		Title: "Fairness vs efficiency: scheduling policies under a skewed layout (Q12 x10, 5 clients)",
 		Keys:  []string{"policy"},
 		Base:  p.cell(skipper.ModeSkipper),
@@ -313,7 +290,14 @@ func (p Params) scheduling(id string, policies []policy) (*Grid, error) {
 			{"switches", 0, switches, count},
 		},
 	}
-	for _, pol := range policies {
+	for _, pol := range []struct {
+		name  string
+		sched csd.Scheduler
+	}{
+		{"fairness", csd.NewFCFSObject()},
+		{"maxquery", csd.NewMaxQueries()},
+		{"ranking", csd.NewRankBased(1)},
+	} {
 		g.Rows = append(g.Rows, Row{
 			Keys: []string{pol.name},
 			Change: func(c *lattice.Cell, w *lattice.Workload) {

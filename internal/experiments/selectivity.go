@@ -45,7 +45,7 @@ func (p Params) pruneGrid(id, title string, keys []string, label func(keys []str
 	return &Grid{
 		ID: id, Title: title, Keys: keys,
 		Base:   p.cell(skipper.ModeSkipper),
-		Series: []Change{nil, func(c *lattice.Cell, _ *lattice.Workload) { c.NoPrune = true }},
+		Series: []Change{nil, func(c *lattice.Cell, _ *lattice.Workload) { c.NoStatsPruning = true }},
 		Columns: []Column{
 			{"skipped", 0, skipped, count},
 			{"GETs (skip on)", 0, issued, count},

@@ -25,30 +25,21 @@ import (
 )
 
 // Cell is one point of the option lattice: every setting of a run that
-// may change when its queries finish but never what they return. The zero
-// value is the baseline corner: the vanilla engine, in-memory segments,
-// data skipping on, no shared cache, no prefetch, one clean default
-// device, untraced.
+// may change when its queries finish but never what they return — the
+// clients' execution Options, the devices they share, and what the
+// harness adds around them. The zero value is the baseline corner: the
+// library's default Options, in-memory segments, no shared cache, one
+// clean default device, untraced.
 type Cell struct {
-	Mode skipper.Mode
+	skipper.Options
 	// Format is the wire format the store serves. Verify re-encodes its
 	// dataset per cell; Cluster takes the store as it finds it.
 	Format segment.Format
-	// NoPrune turns zone-map/Bloom data skipping off.
-	NoPrune bool
-	// MJoinCache is the MJoin buffer capacity in objects (skipper mode;
-	// 0 = the query's whole footprint).
-	MJoinCache int
 	// SharedCache is the budget, in objects, of one segment cache shared
 	// by every client of the cluster (0 = none).
 	SharedCache int
-	// PrefetchBytes is every client's prefetch budget (0 = off): the axis
-	// cell and subtest names call "pipe".
-	PrefetchBytes int64
 	// Fleet is the device fleet and its fault plan.
 	Fleet skipper.FleetSpec
-	// Retry overrides the clients' fault-recovery policy (nil = default).
-	Retry *skipper.RetryPolicy
 	// Traced gives every client a span recorder (Client.QTrace) and the
 	// fleet's devices one of their own (Fleet.Device.Trace).
 	Traced bool
@@ -59,10 +50,11 @@ type Cell struct {
 // String names the cell by its path through the lattice, e.g.
 // "v2/skipper/dop1/prune=true/cache=9/pipe/faults/2xhot/traced". The fixed
 // "dop1" says every cell runs serially; it stays so that cell names, and
-// the test names built from them, are the ones they have always been.
+// the test names built from them, are the ones they have always been. A
+// prefetch budget shows as "pipe".
 func (c Cell) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%v/%v/dop1/prune=%v", c.Format, c.Mode, !c.NoPrune)
+	fmt.Fprintf(&sb, "%v/%v/dop1/prune=%v", c.Format, c.Mode, !c.NoStatsPruning)
 	if c.SharedCache > 0 {
 		fmt.Fprintf(&sb, "/cache=%d", c.SharedCache)
 	}
@@ -160,17 +152,8 @@ func (c Cell) Cluster(w Workload) *skipper.Cluster {
 		Store:   w.Store,
 	}
 	for t, tn := range w.Tenants {
-		client := &skipper.Client{
-			Tenant:         t,
-			Mode:           c.Mode,
-			Catalog:        tn.Catalog,
-			Queries:        tn.Queries,
-			CacheObjects:   c.MJoinCache,
-			NoStatsPruning: c.NoPrune,
-			PrefetchBytes:  c.PrefetchBytes,
-			Retry:          c.Retry,
-			KeepResults:    c.KeepResults,
-		}
+		client := c.Client(t, tn.Catalog, tn.Queries)
+		client.KeepResults = c.KeepResults
 		if c.Traced {
 			client.QTrace = trace.NewQueryTrace(fmt.Sprintf("t%d", t), t, "")
 		}

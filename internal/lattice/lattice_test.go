@@ -40,8 +40,9 @@ const probeMJoinCache = 6
 // pipeline × traced.
 func AllOn(mode skipper.Mode, footprint int) Cell {
 	return Cell{
-		Mode: mode, Format: segment.FormatV2, MJoinCache: probeMJoinCache,
-		SharedCache: footprint, PrefetchBytes: PrefetchOn, Traced: true,
+		Options:     skipper.Options{Mode: mode, CacheObjects: probeMJoinCache, PrefetchBytes: PrefetchOn},
+		Format:      segment.FormatV2,
+		SharedCache: footprint, Traced: true,
 		Fleet: skipper.FleetSpec{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}, Faults: Chaos(42)},
 	}
 }
@@ -59,9 +60,9 @@ func Pairwise(footprint int) []Cell {
 	var out []Cell
 	for _, row := range coveringRows(pairwiseAxes) {
 		c := Cell{
-			Mode: modes[row[0]], Format: formats[row[1]],
-			NoPrune: row[2] == 1, MJoinCache: probeMJoinCache,
-			Fleet: fleets[row[6]], Traced: row[7] == 1,
+			Options: skipper.Options{Mode: modes[row[0]], NoStatsPruning: row[2] == 1, CacheObjects: probeMJoinCache},
+			Format:  formats[row[1]],
+			Fleet:   fleets[row[6]], Traced: row[7] == 1,
 		}
 		if row[3] == 1 {
 			c.SharedCache = footprint

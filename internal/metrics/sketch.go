@@ -19,9 +19,6 @@ import (
 //   - Quantile(q) returns a value within γ (SketchAccuracy) relative
 //     error of the exact q-quantile of everything recorded — exactly
 //     verifiable against a sorted copy on small inputs.
-//   - Merge is bucket-wise addition: exact, associative and
-//     commutative, so per-connection or per-tenant sketches can be
-//     combined in any order without changing the answer.
 
 // SketchAccuracy is the relative-error bound γ of LatencySketch
 // quantiles: the estimate e for exact value v satisfies |e-v| ≤ γ·v.
@@ -157,37 +154,6 @@ func clampDuration(d, lo, hi time.Duration) time.Duration {
 		return hi
 	}
 	return d
-}
-
-// Merge folds other's observations into s. Bucket-wise addition makes
-// the operation exact (the merged sketch equals one that recorded both
-// streams), hence associative and commutative.
-func (s *LatencySketch) Merge(other *LatencySketch) {
-	if other == nil || other == s {
-		return
-	}
-	// Lock ordering: snapshot other first, then fold in; avoids holding
-	// both locks at once (and thus any lock-order inversion).
-	other.mu.Lock()
-	counts := other.counts
-	count, sum, omin, omax := other.count, other.sum, other.min, other.max
-	other.mu.Unlock()
-	if count == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range counts {
-		s.counts[i] += counts[i]
-	}
-	if s.count == 0 || omin < s.min {
-		s.min = omin
-	}
-	if s.count == 0 || omax > s.max {
-		s.max = omax
-	}
-	s.count += count
-	s.sum += sum
 }
 
 // LatencySnapshot is a point-in-time digest of a sketch, shaped for the

@@ -102,73 +102,6 @@ func TestSketchEmpty(t *testing.T) {
 	}
 }
 
-// TestSketchMergeAssociativity: (a⊕b)⊕c and a⊕(b⊕c) must agree exactly
-// — every bucket, every quantile, count, sum and extremes — and both
-// must equal a sketch that recorded all three streams directly.
-func TestSketchMergeAssociativity(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	streams := make([][]time.Duration, 3)
-	for i := range streams {
-		for j := 0; j < 50+rng.Intn(100); j++ {
-			streams[i] = append(streams[i], time.Duration(rng.Int63n(int64(10*time.Second))))
-		}
-	}
-	fill := func(idx ...int) *LatencySketch {
-		var s LatencySketch
-		for _, i := range idx {
-			for _, d := range streams[i] {
-				s.Record(d)
-			}
-		}
-		return &s
-	}
-	// left = (a⊕b)⊕c
-	left := fill(0)
-	ab := fill(1)
-	left.Merge(ab)
-	left.Merge(fill(2))
-	// right = a⊕(b⊕c)
-	bc := fill(1)
-	bc.Merge(fill(2))
-	right := fill(0)
-	right.Merge(bc)
-	direct := fill(0, 1, 2)
-
-	for _, pair := range []struct {
-		name string
-		a, b *LatencySketch
-	}{{"left-vs-right", left, right}, {"left-vs-direct", left, direct}} {
-		if pair.a.counts != pair.b.counts {
-			t.Errorf("%s: bucket arrays differ", pair.name)
-		}
-		sa, sb := pair.a.Snapshot(), pair.b.Snapshot()
-		if sa != sb {
-			t.Errorf("%s: snapshots differ: %+v vs %+v", pair.name, sa, sb)
-		}
-	}
-	var all []time.Duration
-	for _, st := range streams {
-		all = append(all, st...)
-	}
-	checkQuantiles(t, left, all)
-}
-
-// TestSketchMergeEdgeCases covers empty and self merges.
-func TestSketchMergeEdgeCases(t *testing.T) {
-	var a, empty LatencySketch
-	a.Record(3 * time.Millisecond)
-	a.Merge(&empty) // no-op
-	a.Merge(nil)    // no-op
-	a.Merge(&a)     // self-merge must not double-count
-	if a.Count() != 1 {
-		t.Fatalf("count after no-op merges = %d, want 1", a.Count())
-	}
-	empty.Merge(&a)
-	if empty.Count() != 1 || empty.Quantile(1) != 3*time.Millisecond {
-		t.Fatalf("merge into empty lost data: count=%d", empty.Count())
-	}
-}
-
 // TestSketchConcurrentRecorders hammers one sketch from many goroutines
 // — the shape the server uses it in — and checks the totals. Run under
 // -race in CI.

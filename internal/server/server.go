@@ -30,28 +30,19 @@ import (
 )
 
 // Config assembles a server: the dataset it serves, the execution
-// engine settings every session inherits, and the admission policy.
+// settings every query runs with, and the admission policy.
 type Config struct {
 	// Dataset is the generated (and possibly re-encoded) database every
 	// tenant queries. Required.
 	Dataset *workload.Dataset
-	// Mode selects the execution engine (default ModeSkipper).
-	Mode skipper.Mode
-	// CacheObjects is the MJoin buffer capacity in objects (skipper
-	// mode; default 10).
-	CacheObjects int
+	// Options are every query's execution settings. NewConfig sets the
+	// serving defaults: the skipper engine and a 10-object MJoin buffer.
+	skipper.Options
 	// SegCacheObjects is each tenant's persistent segment-cache budget
 	// in nominal 1 GB objects (0 = no cache). The cache outlives
 	// sessions: every connection of a tenant shares one instance, so a
 	// dashboard reconnecting re-hits the bytes its last session pulled.
 	SegCacheObjects int
-	// Prune toggles zone-map/Bloom data skipping (default true via
-	// NewConfig; the zero value of this struct disables it).
-	Prune bool
-	// PrefetchBytes, when positive, runs every query with the
-	// scheduler-aware prefetcher under this in-flight byte budget
-	// (skipper.Client.PrefetchBytes).
-	PrefetchBytes int64
 	// Fleet is the device fleet every query runs against: its size,
 	// replication and fault plan (the zero value is one clean default
 	// device). New places it once (hot replication: per query, by its
@@ -62,9 +53,6 @@ type Config struct {
 	// affected query at the same point of its own run while other queries
 	// and tenants keep serving.
 	Fleet skipper.FleetSpec
-	// Retry overrides the per-query fault-recovery policy (nil uses
-	// skipper.DefaultRetryPolicy).
-	Retry *skipper.RetryPolicy
 	// MaxTenants bounds acceptable tenant ids to [0, MaxTenants).
 	// Default 8.
 	MaxTenants int
@@ -97,11 +85,9 @@ type Config struct {
 // the given dataset.
 func NewConfig(ds *workload.Dataset) Config {
 	return Config{
-		Dataset:      ds,
-		Mode:         skipper.ModeSkipper,
-		CacheObjects: 10,
-		Prune:        true,
-		MaxTenants:   8,
+		Dataset:    ds,
+		Options:    skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: 10},
+		MaxTenants: 8,
 	}
 }
 
@@ -173,7 +159,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Dataset == nil {
 		return nil, fmt.Errorf("server: config has no dataset")
 	}
-	fleet, err := skipper.NewFleet(cfg.Fleet, nil, cfg.Dataset.Store, []*skipper.Client{{Catalog: cfg.Dataset.Catalog}})
+	if err := cfg.Options.Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	fleet, err := skipper.NewFleet(cfg.Fleet, nil, cfg.Dataset.Store, []*skipper.Client{cfg.Options.Client(0, cfg.Dataset.Catalog, nil)})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -182,9 +171,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 8
-	}
-	if cfg.CacheObjects <= 0 {
-		cfg.CacheObjects = 10
 	}
 	if cfg.MaxLineBytes <= 0 {
 		cfg.MaxLineBytes = DefaultMaxLineBytes
@@ -252,7 +238,7 @@ func (s *Server) registerServerMetrics() {
 const maxStatements = 256
 
 // plan returns a statement's planned spec, from the statement cache when it
-// holds it: the catalog, Prune and Mode are fixed for the server's lifetime,
+// holds it: the catalog and the Options are fixed for the server's lifetime,
 // so a plan depends on the text alone. A miss plans under the lock, so a
 // statement is planned once however many sessions miss on it together;
 // plan errors are not cached.
@@ -706,20 +692,8 @@ func (s *Server) traceResponse(req *Request, tenant int) *Response {
 // device lane. ctx bounds the run in real time. The result comes
 // back with a failed run too, whenever the run got far enough to count.
 func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec skipper.QuerySpec, qt *trace.QueryTrace) (*skipper.RunResult, error) {
-	client := &skipper.Client{
-		Tenant:         tenant,
-		Mode:           s.cfg.Mode,
-		Catalog:        s.cfg.Dataset.Catalog,
-		Queries:        []skipper.QuerySpec{spec},
-		CacheObjects:   s.cfg.CacheObjects,
-		NoStatsPruning: !s.cfg.Prune,
-		SegCache:       ts.cache,
-		PrefetchBytes:  s.cfg.PrefetchBytes,
-		Retry:          s.cfg.Retry,
-		KeepResults:    true,
-		Ctx:            ctx,
-		QTrace:         qt,
-	}
+	client := s.cfg.Options.Client(tenant, s.cfg.Dataset.Catalog, []skipper.QuerySpec{spec})
+	client.SegCache, client.KeepResults, client.Ctx, client.QTrace = ts.cache, true, ctx, qt
 	clients, fleet := []*skipper.Client{client}, s.fleet
 	if fleet == nil { // hot replication: placed by this query's demand
 		var err error
@@ -762,7 +736,7 @@ func (s *Server) explain(req *Request, tenant int) *Response {
 	if err != nil {
 		return errorResponse(req.ID, tenant, CodePlan, err)
 	}
-	it, err := skipper.BuildPullPlanPruned(engine.NewTestCtx(s.store), spec.Join, s.cfg.Prune)
+	it, err := skipper.BuildPullPlanPruned(engine.NewTestCtx(s.store), spec.Join, !s.cfg.NoStatsPruning)
 	if err != nil {
 		return errorResponse(req.ID, tenant, CodePlan, err)
 	}
@@ -777,7 +751,7 @@ func (s *Server) explain(req *Request, tenant int) *Response {
 	cache := s.tenantState(tenant).cache
 	fetches, resident := 0, 0
 	var decodeB, skipB int64
-	for rel, id := range spec.Join.Requested(s.cfg.Prune) {
+	for rel, id := range spec.Join.Requested(!s.cfg.NoStatsPruning) {
 		fetches++
 		if cache != nil && cache.Contains(id) {
 			resident++

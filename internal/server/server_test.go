@@ -141,6 +141,29 @@ func TestServerQueryResult(t *testing.T) {
 	}
 }
 
+// TestNewRejectsMalformedOptions: execution settings no query can run
+// with fail New, before anything is served. A zero retry policy used to
+// panic inside the first query's simulated client and take the process
+// down.
+func TestNewRejectsMalformedOptions(t *testing.T) {
+	for name, set := range map[string]func(*Config){
+		"zero retry policy":       func(c *Config) { c.Retry = &skipper.RetryPolicy{} },
+		"negative retry backoff":  func(c *Config) { c.Retry = &skipper.RetryPolicy{MaxAttempts: 1, BaseBackoff: -1} },
+		"unknown engine":          func(c *Config) { c.Mode = skipper.Mode(9) },
+		"negative MJoin cache":    func(c *Config) { c.CacheObjects = -1 },
+		"negative prefetch bytes": func(c *Config) { c.PrefetchBytes = -1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := servingConfig(t)
+			set(&cfg)
+			if s, err := New(cfg); err == nil {
+				s.Shutdown(context.Background())
+				t.Fatalf("New accepted %+v", cfg.Options)
+			}
+		})
+	}
+}
+
 // directRows runs the statement through the same engine configuration
 // without the serving layer — the oracle for wire comparisons.
 func directRows(t *testing.T, s *Server, sqlText string) []string {
@@ -149,11 +172,8 @@ func directRows(t *testing.T, s *Server, sqlText string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := &skipper.Client{
-		Tenant: 0, Mode: s.cfg.Mode, Catalog: s.cfg.Dataset.Catalog,
-		Queries: []skipper.QuerySpec{spec}, CacheObjects: s.cfg.CacheObjects,
-		NoStatsPruning: !s.cfg.Prune, PrefetchBytes: s.cfg.PrefetchBytes, KeepResults: true,
-	}
+	client := s.cfg.Options.Client(0, s.cfg.Dataset.Catalog, []skipper.QuerySpec{spec})
+	client.KeepResults = true
 	res, err := (&skipper.Cluster{Clients: []*skipper.Client{client}, Store: s.store}).Run()
 	if err != nil {
 		t.Fatal(err)

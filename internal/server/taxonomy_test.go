@@ -5,7 +5,7 @@
 // transient-exhaustion, corrupt-exhaustion and crash classes the fault
 // layer introduced — and asserts code + message shape; the
 // classification table pins how the typed errors answer IsRetryable /
-// IsFaultError / errors.Is(ErrCorrupt).
+// isFaultError / errors.Is(ErrCorrupt).
 package server
 
 import (
@@ -21,6 +21,16 @@ import (
 	"repro/internal/segment"
 	"repro/internal/skipper"
 )
+
+// isFaultError reports whether an error came from the fault/recovery
+// machinery — an exhausted retry, a device crash, a transient failure or a
+// corrupt payload — as opposed to a planning or execution bug.
+func isFaultError(err error) bool {
+	var re *skipper.RetryExhaustedError
+	var de *csd.DeviceDownError
+	var te *csd.TransientError
+	return errors.As(err, &re) || errors.As(err, &de) || errors.As(err, &te) || errors.Is(err, segment.ErrCorrupt)
+}
 
 // tinyRetry exhausts fast: three attempts, millisecond backoffs.
 func tinyRetry() *skipper.RetryPolicy {
@@ -184,8 +194,8 @@ func TestFaultErrorClassification(t *testing.T) {
 			if got := csd.IsRetryable(tc.err); got != tc.retryable {
 				t.Errorf("IsRetryable = %v, want %v", got, tc.retryable)
 			}
-			if got := skipper.IsFaultError(tc.err); got != tc.fault {
-				t.Errorf("IsFaultError = %v, want %v", got, tc.fault)
+			if got := isFaultError(tc.err); got != tc.fault {
+				t.Errorf("isFaultError = %v, want %v", got, tc.fault)
 			}
 		})
 	}

@@ -76,6 +76,14 @@ func (cl *Cluster) Run() (*RunResult, error) {
 	if len(cl.Clients) == 0 {
 		return nil, fmt.Errorf("skipper: cluster has no clients")
 	}
+	for _, c := range cl.Clients {
+		if c.Retry == nil {
+			continue
+		}
+		if err := c.Retry.Validate(); err != nil {
+			return nil, fmt.Errorf("skipper: tenant %d: %w", c.Tenant, err)
+		}
+	}
 	f, err := NewFleet(cl.Fleet, cl.Layout, cl.Store, cl.Clients)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package skipper
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +47,53 @@ func TestClusterUnknownModeFails(t *testing.T) {
 		Queries: []QuerySpec{{Name: "q", Join: joinQuery(cat)}}}
 	if _, err := (&Cluster{Clients: []*Client{c}, Store: store}).Run(); err == nil {
 		t.Fatal("unknown mode accepted")
+	}
+}
+
+// TestMalformedRetryPolicyFailsTheRun: a hand-built client whose retry
+// policy Validate rejects fails Cluster.Run before the simulation starts,
+// with an error, where it used to panic inside the client's process.
+func TestMalformedRetryPolicyFailsTheRun(t *testing.T) {
+	cl := buildCluster(1, ModeSkipper, 6)
+	cl.Clients[0].Retry = &RetryPolicy{}
+	if res, err := cl.Run(); err == nil || res != nil {
+		t.Fatalf("zero retry policy: result %+v, error %v", res, err)
+	}
+}
+
+// TestOptionsValidate: the zero Options and DefaultRetryPolicy are valid;
+// each malformed setting is rejected.
+func TestOptionsValidate(t *testing.T) {
+	if err := (Options{Retry: DefaultRetryPolicy()}).Validate(); err != nil {
+		t.Fatalf("default options rejected: %v", err)
+	}
+	for _, o := range []Options{
+		{Mode: Mode(2)},
+		{CacheObjects: -1},
+		{PrefetchBytes: -1},
+		{Retry: &RetryPolicy{}},
+		{Retry: &RetryPolicy{MaxAttempts: 1, MaxBackoff: -1}},
+	} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%+v (retry %+v) accepted", o, o.Retry)
+		}
+	}
+}
+
+// TestOptionsClientSetsEveryOption: each Options field is a Client field
+// of the same name, and Options.Client copies it.
+func TestOptionsClientSetsEveryOption(t *testing.T) {
+	o := Options{Mode: ModeSkipper, CacheObjects: 3, NoStatsPruning: true, PrefetchBytes: 2e9,
+		Retry: DefaultRetryPolicy(), Policy: mjoin.LRU{}, NoSubplanPruning: true}
+	ov, cv := reflect.ValueOf(o), reflect.ValueOf(o.Client(4, nil, nil)).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		name := ov.Type().Field(i).Name
+		if ov.Field(i).IsZero() {
+			t.Errorf("the test leaves %s at its zero value", name)
+		}
+		if f := cv.FieldByName(name); !f.IsValid() || f.Interface() != ov.Field(i).Interface() {
+			t.Errorf("Client.%s does not carry Options.%s", name, name)
+		}
 	}
 }
 

@@ -251,7 +251,7 @@ func ExampleCluster_Run_scheduling() {
 	fmt.Printf("%-12s  %14s  %11s  %16s  %8s\n",
 		"policy", "L2-norm", "max stretch", "cumulative (s)", "switches")
 	for _, pol := range []csd.Scheduler{
-		csd.NewFCFSQuery(),
+		csd.NewFCFSObject(),
 		csd.NewMaxQueries(),
 		csd.NewRankBased(1),
 	} {
@@ -280,17 +280,17 @@ func ExampleCluster_Run_scheduling() {
 			cum.Seconds(), res.CSD.GroupSwitches)
 	}
 	fmt.Println("\nmax-queries: fastest but starves the lone tenant on group 2;")
-	fmt.Println("fcfs-query:  fair but pays many extra group switches;")
+	fmt.Println("fcfs-object: fair but pays many extra group switches;")
 	fmt.Println("rank-based:  the paper's middle ground (K=1).")
 	// Output:
 	// single-client per-query time: 147.6s
 	//
 	// policy               L2-norm  max stretch    cumulative (s)  switches
-	// fcfs-query             15.87         3.05           12588.0        17
+	// fcfs-object            15.87         3.05           12588.0        17
 	// max-queries            16.49        13.20            9576.0        12
 	// rank-based             14.92         4.07           11383.2        15
 	//
 	// max-queries: fastest but starves the lone tenant on group 2;
-	// fcfs-query:  fair but pays many extra group switches;
+	// fcfs-object: fair but pays many extra group switches;
 	// rank-based:  the paper's middle ground (K=1).
 }

@@ -88,7 +88,7 @@ func grid(formats []segment.Format) []lattice.Cell {
 	var out []lattice.Cell
 	for _, f := range formats {
 		for _, m := range modes {
-			out = append(out, lattice.Cell{Mode: m, Format: f, MJoinCache: probeMJoinCache})
+			out = append(out, lattice.Cell{Options: skipper.Options{Mode: m, CacheObjects: probeMJoinCache}, Format: f})
 		}
 	}
 	return out
@@ -100,7 +100,7 @@ func cacheMatrix(footprint int) []lattice.Cell {
 	var out []lattice.Cell
 	for _, c := range grid(formats) {
 		for _, noPrune := range onOff {
-			c.NoPrune, c.SharedCache = noPrune, footprint
+			c.NoStatsPruning, c.SharedCache = noPrune, footprint
 			out = append(out, c)
 		}
 	}
@@ -114,7 +114,7 @@ func pipelineMatrix() []lattice.Cell {
 	var out []lattice.Cell
 	for _, c := range grid(wire) {
 		for _, noPrune := range onOff {
-			c.NoPrune = noPrune
+			c.NoStatsPruning = noPrune
 			on := c
 			on.PrefetchBytes = lattice.PrefetchOn
 			out = append(out, c, on)
@@ -171,7 +171,7 @@ func traceMatrix() []lattice.Cell {
 // runs serially, and the names stay the ones they have always been.
 
 func byPrune(c lattice.Cell) string {
-	return fmt.Sprintf("%v/%v/dop1/prune=%v", c.Format, c.Mode, !c.NoPrune)
+	return fmt.Sprintf("%v/%v/dop1/prune=%v", c.Format, c.Mode, !c.NoStatsPruning)
 }
 
 func byPipe(c lattice.Cell) string {
@@ -196,8 +196,8 @@ func TestPipelineWithSharedCache(t *testing.T) {
 	var cells []lattice.Cell
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 		cells = append(cells, lattice.Cell{
-			Mode: mode, Format: segment.FormatV2, MJoinCache: probeMJoinCache,
-			SharedCache: footprint(), PrefetchBytes: lattice.PrefetchOn,
+			Options: skipper.Options{Mode: mode, CacheObjects: probeMJoinCache, PrefetchBytes: lattice.PrefetchOn},
+			Format:  segment.FormatV2, SharedCache: footprint(),
 		})
 	}
 	verifyMatrix(t, cells, func(c lattice.Cell) string { return c.Mode.String() })
@@ -209,8 +209,8 @@ func TestPipelineWithSharedCache(t *testing.T) {
 // without leaking goroutines.
 func TestPipelineCompletionDrains(t *testing.T) {
 	cell := lattice.Cell{
-		Mode: skipper.ModeSkipper, Format: segment.FormatV2, MJoinCache: probeMJoinCache,
-		PrefetchBytes: 64e9,
+		Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: probeMJoinCache, PrefetchBytes: 64e9},
+		Format:  segment.FormatV2,
 	}
 	if err := lattice.Verify(lattice.ProbeDataset(), lattice.Probe, []lattice.Cell{cell}); err != nil {
 		t.Fatal(err)
@@ -237,8 +237,8 @@ func newProbe(t *testing.T) probe {
 		t.Fatal(err)
 	}
 	return probe{ds: ds, want: want, cell: lattice.Cell{
-		Mode: skipper.ModeSkipper, Format: segment.FormatV2, MJoinCache: probeMJoinCache,
-		SharedCache: len(ds.Catalog.AllObjects()), KeepResults: true,
+		Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: probeMJoinCache},
+		Format:  segment.FormatV2, SharedCache: len(ds.Catalog.AllObjects()), KeepResults: true,
 	}}
 }
 
@@ -532,8 +532,8 @@ func TestCrashRestartSurvived(t *testing.T) {
 }
 
 // requirePermanentCrash holds a failed run to the typed-failure contract:
-// the error carries the non-restarting DeviceDownError and classifies as a
-// fault, and the run still hands back the device counters that saw it.
+// the error carries the non-restarting DeviceDownError, and the run still
+// hands back the device counters that saw it.
 func requirePermanentCrash(t *testing.T, res *skipper.RunResult, err error) {
 	t.Helper()
 	var de *csd.DeviceDownError
@@ -542,9 +542,6 @@ func requirePermanentCrash(t *testing.T, res *skipper.RunResult, err error) {
 	}
 	if de.Restarting {
 		t.Fatal("permanent crash reported Restarting=true")
-	}
-	if !skipper.IsFaultError(err) {
-		t.Fatalf("IsFaultError(%v) = false, want true", err)
 	}
 	if res == nil || res.Devices[0].Crashes != 1 || res.Devices[0].DownErrors == 0 {
 		t.Fatalf("failed run did not hand back the crashed device's counters: %+v", res)
@@ -665,9 +662,6 @@ func TestRetryExhaustionTyped(t *testing.T) {
 	var te *csd.TransientError
 	if !errors.As(err, &te) {
 		t.Fatalf("exhaustion error %v does not wrap the last TransientError", err)
-	}
-	if !skipper.IsFaultError(err) {
-		t.Fatalf("IsFaultError(%v) = false, want true", err)
 	}
 	if res == nil || res.Faults[0].Transient == 0 || res.Clients[0].Retries == 0 {
 		t.Fatalf("failed run did not hand back its fault counters: %+v", res)

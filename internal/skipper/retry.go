@@ -21,8 +21,9 @@ import (
 // having a bad day" from "the query was wrong".
 
 // RetryPolicy bounds the proxy's recovery behaviour. The zero value is
-// not meaningful; use DefaultRetryPolicy as the base and override
-// fields. A nil policy on a Client resolves to DefaultRetryPolicy.
+// not meaningful (Validate rejects it); use DefaultRetryPolicy as the
+// base and override fields. A nil policy on a Client resolves to
+// DefaultRetryPolicy.
 type RetryPolicy struct {
 	// MaxAttempts caps transfers of one object within one query — the
 	// initial request plus retries. Must be >= 1.
@@ -55,15 +56,16 @@ func DefaultRetryPolicy() *RetryPolicy {
 	}
 }
 
-// validate panics on a malformed policy — a config error, not a runtime
-// condition.
-func (rp *RetryPolicy) validate() {
+// Validate rejects a malformed policy: fewer than one attempt per object,
+// or a negative backoff.
+func (rp *RetryPolicy) Validate() error {
 	if rp.MaxAttempts < 1 {
-		panic(fmt.Sprintf("skipper: retry policy MaxAttempts %d < 1", rp.MaxAttempts))
+		return fmt.Errorf("skipper: retry policy MaxAttempts %d < 1", rp.MaxAttempts)
 	}
 	if rp.BaseBackoff < 0 || rp.MaxBackoff < 0 {
-		panic("skipper: negative retry backoff")
+		return errors.New("skipper: negative retry backoff")
 	}
+	return nil
 }
 
 // backoff returns the delay before retry number `retry` (1-based) of
@@ -160,7 +162,6 @@ func newRetryState(policy *RetryPolicy) retryState {
 	if policy == nil {
 		policy = defaultRetryPolicy
 	}
-	policy.validate()
 	return retryState{policy: policy}
 }
 
@@ -316,25 +317,4 @@ func (px *proxy) ctxDone() error {
 		return fmt.Errorf("tenant %d: query canceled during fault recovery: %w", px.tenant, err)
 	}
 	return nil
-}
-
-// IsFaultError reports whether an error came from the fault/recovery
-// machinery — an exhausted retry, a device crash, a transient failure
-// or a corrupt payload — as opposed to a planning or execution bug.
-// Only tests call it, to hold the fault paths to their typed errors; the
-// serving layer answers every failed run with the exec error class.
-func IsFaultError(err error) bool {
-	var re *RetryExhaustedError
-	if errors.As(err, &re) {
-		return true
-	}
-	var de *csd.DeviceDownError
-	if errors.As(err, &de) {
-		return true
-	}
-	var te *csd.TransientError
-	if errors.As(err, &te) {
-		return true
-	}
-	return errors.Is(err, segment.ErrCorrupt)
 }

@@ -249,33 +249,27 @@ func (s *ClientStats) Stalled() time.Duration {
 	return d
 }
 
-// Client is one database instance (one VM) bound to a tenant's catalog.
-type Client struct {
-	Tenant  int
-	Mode    Mode
-	Catalog *catalog.Catalog
-	Queries []QuerySpec
-	// CacheObjects is the MJoin buffer capacity in objects (skipper
-	// mode). The paper expresses it in GB; with 1 GB objects the numbers
-	// coincide.
+// Options are a client's execution settings, the ones every experiment of
+// §5.1 varies: the engine, the MJoin buffer, data skipping, prefetch and
+// fault recovery. The zero value is the library default: the vanilla
+// engine, the query's footprint as the MJoin buffer, data skipping on, no
+// prefetch, DefaultRetryPolicy, MaxProgress eviction and subplan pruning
+// on. lattice.Cell, server.Config and cliflags.Run embed Options, and
+// Options.Client builds every client they run.
+type Options struct {
+	// Mode selects the execution engine.
+	Mode Mode
+	// CacheObjects is the MJoin buffer capacity in objects (skipper mode);
+	// 0 means the query's footprint, every object it may request. The
+	// paper expresses it in GB; with 1 GB objects the numbers coincide.
 	CacheObjects int
-	// Policy overrides the eviction policy (default MaxProgress).
-	Policy mjoin.EvictionPolicy
-	// NoSubplanPruning turns MJoin's subplan pruning off (§5.2.4).
-	NoSubplanPruning bool
 	// NoStatsPruning turns zone-map/Bloom data skipping off. On (the zero
 	// value), scan specs carrying a stats.Pruner skip proven result-free
 	// segments before any GET is issued, in both modes. Query results
 	// are identical either way; only storage traffic changes.
 	NoStatsPruning bool
-	// SegCache, when non-nil, is this client's private segment cache: the
-	// proxy serves cache-resident objects without a device GET and admits
-	// device deliveries on the way back. It overrides the cluster's
-	// SharedCache for this client. Query results are byte-identical with
-	// and without a cache; only storage traffic and timing change.
-	SegCache *segcache.Cache
 	// PrefetchBytes, when positive, runs a scheduler-aware prefetcher for
-	// this client (prefetch.go) and bounds its outstanding data —
+	// the client (prefetch.go) and bounds its outstanding data —
 	// transfers in flight plus staged-but-unconsumed deliveries — in
 	// nominal object bytes; with the paper's 1 GB objects, 2e9 keeps two
 	// objects ahead of demand. Query results are byte-identical with
@@ -285,6 +279,67 @@ type Client struct {
 	// DefaultRetryPolicy. The policy only engages when a delivery carries
 	// a retryable fault or a checksum failure — against a clean device it
 	// never runs, so the default is always safe.
+	Retry *RetryPolicy
+	// Policy overrides the MJoin eviction policy (nil = MaxProgress).
+	Policy mjoin.EvictionPolicy
+	// NoSubplanPruning turns MJoin's subplan pruning off (§5.2.4).
+	NoSubplanPruning bool
+}
+
+// Validate rejects settings no run can use: an unknown engine, a negative
+// MJoin buffer or prefetch budget, a malformed retry policy.
+func (o Options) Validate() error {
+	if o.Mode != ModeVanilla && o.Mode != ModeSkipper {
+		return fmt.Errorf("skipper: unknown mode %d", o.Mode)
+	}
+	if o.CacheObjects < 0 {
+		return fmt.Errorf("skipper: MJoin cache %d objects < 0", o.CacheObjects)
+	}
+	if o.PrefetchBytes < 0 {
+		return fmt.Errorf("skipper: prefetch budget %d bytes < 0", o.PrefetchBytes)
+	}
+	if o.Retry != nil {
+		return o.Retry.Validate()
+	}
+	return nil
+}
+
+// Client makes the tenant's client with these settings, running the
+// queries over the catalog. The caller sets what is its own: a private
+// segment cache, a context, a trace, KeepResults.
+func (o Options) Client(tenant int, cat *catalog.Catalog, queries []QuerySpec) *Client {
+	return &Client{
+		Tenant: tenant, Catalog: cat, Queries: queries,
+		Mode: o.Mode, CacheObjects: o.CacheObjects, NoStatsPruning: o.NoStatsPruning,
+		PrefetchBytes: o.PrefetchBytes, Retry: o.Retry, Policy: o.Policy, NoSubplanPruning: o.NoSubplanPruning,
+	}
+}
+
+// Client is one database instance (one VM) bound to a tenant's catalog.
+// The settings it shares with Options mean what they mean there.
+type Client struct {
+	Tenant int
+	// Mode: see Options.Mode.
+	Mode    Mode
+	Catalog *catalog.Catalog
+	Queries []QuerySpec
+	// CacheObjects: see Options.CacheObjects.
+	CacheObjects int
+	// Policy: see Options.Policy.
+	Policy mjoin.EvictionPolicy
+	// NoSubplanPruning: see Options.NoSubplanPruning.
+	NoSubplanPruning bool
+	// NoStatsPruning: see Options.NoStatsPruning.
+	NoStatsPruning bool
+	// SegCache, when non-nil, is this client's private segment cache: the
+	// proxy serves cache-resident objects without a device GET and admits
+	// device deliveries on the way back. It overrides the cluster's
+	// SharedCache for this client. Query results are byte-identical with
+	// and without a cache; only storage traffic and timing change.
+	SegCache *segcache.Cache
+	// PrefetchBytes: see Options.PrefetchBytes.
+	PrefetchBytes int64
+	// Retry: see Options.Retry.
 	Retry *RetryPolicy
 	// Ctx, when non-nil, bounds the client's execution in real time: once
 	// the context is canceled or its deadline passes, the workload aborts
