@@ -248,6 +248,7 @@ func TestEveryCheckCanFail(t *testing.T) {
 		{"prefetch-useful", "more useful than issued", cell, func(r run) { r.res.Clients[0].PrefetchUseful = r.res.Clients[0].PrefetchIssued + 1 }, invariants},
 		{"processing", "one processing charge too many", cell, func(r run) { r.res.Clients[0].Processing += skipper.MJoinPerObject }, invariants},
 		{"cache-hits", "one more hit at the cache", cell, func(r run) { r.res.Cache.Hits++ }, invariants},
+		{"cache-leases", "a lease left out", cell, func(r run) { r.res.Cache.Leases++ }, invariants},
 		{"rows", "a row dropped", cell, func(r run) { r.res.Clients[1].PerQuery[0].Results = r.res.Clients[1].PerQuery[0].Results[1:] }, rows},
 		{"rows", "a query dropped", cell, func(r run) { r.res.Clients[0].PerQuery = r.res.Clients[0].PerQuery[1:] }, rows},
 		{"pipeline", "nothing prefetched", cell, eachClient(func(cs *skipper.ClientStats) { cs.PrefetchIssued = 0 }), pipeline},

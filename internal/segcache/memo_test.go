@@ -78,3 +78,28 @@ func TestEntryKeepsDecodedColumns(t *testing.T) {
 		t.Fatal("an in-memory segment was copied on admission")
 	}
 }
+
+// TestDroppedEntryReturnsItsColumnsAfterItsLease: the cache retires what
+// it evicts or invalidates. An entry a reader still leases keeps its
+// decoded columns until the lease ends; one nobody leases empties at once.
+func TestDroppedEntryReturnsItsColumnsAfterItsLease(t *testing.T) {
+	c := New(2e9)
+	leased, free := c.Put(oid(0), lazySeg(t, 0, 100)), c.Put(oid(1), lazySeg(t, 1, 100))
+	leased.Lease()
+	for _, g := range []*segment.Segment{leased, free} {
+		if _, err := g.DecodeColumns(memoSchema, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Leases != 1 {
+		t.Fatalf("Leases = %d with one out, want 1", st.Leases)
+	}
+	c.Put(oid(2), lazySeg(t, 2, 10)) // evicts 0, the LRU entry
+	c.Invalidate(oid(1))
+	if leased.MemoBytes() == 0 || free.MemoBytes() != 0 {
+		t.Fatalf("dropped entries: the leased one keeps %d bytes, the free one %d", leased.MemoBytes(), free.MemoBytes())
+	}
+	if leased.Unlease(); leased.MemoBytes() != 0 || c.Stats().Leases != 0 {
+		t.Fatalf("the evicted entry kept %d bytes after its lease ended", leased.MemoBytes())
+	}
+}

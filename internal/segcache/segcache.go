@@ -15,9 +15,13 @@
 // An entry keeps the columns decoded from it (segment.Memoize): each is
 // decoded by the first reader that projects it, and every later reader, of
 // any query or tenant, is handed the same vectors as read-only views. The
-// decoded bytes stay with the entry and go with it, so they are bounded by
-// the budget in objects times a decoded object's size; they are reported
-// (Stats.BytesDecoded), not charged against the nominal budget.
+// decoded bytes stay with the entry, so they are bounded by the budget in
+// objects times a decoded object's size; they are reported
+// (Stats.BytesDecoded), not charged against the nominal budget. A reader
+// leases what Get and Put hand it for as long as it may hold views
+// (segment.Segment.Lease), and the cache retires what it drops
+// (segment.Segment.Retire): an evicted or invalidated entry's decoded
+// vectors go back to the working-memory pool when its last lease ends.
 package segcache
 
 import (
@@ -52,6 +56,9 @@ type Stats struct {
 	// BytesDecoded is the logical size of the columns the resident entries
 	// keep decoded (segment.Segment.MemoBytes).
 	BytesDecoded int64
+	// Leases counts the leases out on resident entries: readers that may
+	// still hold views of their columns. 0 whenever no reader runs.
+	Leases int
 	// Budget echoes the configured capacity in bytes.
 	Budget int64
 }
@@ -170,17 +177,19 @@ func (c *Cache) makeRoom(sz int64) bool {
 	return true
 }
 
-// removeLocked drops an entry. Caller holds c.mu and accounts the drop
-// (eviction vs invalidation) itself.
+// removeLocked drops an entry and retires its segment. Caller holds c.mu
+// and accounts the drop (eviction vs invalidation) itself.
 func (c *Cache) removeLocked(e *entry) {
 	c.lru.Remove(e.elem)
 	delete(c.entries, e.id)
 	c.used -= e.size
+	e.seg.Retire()
 }
 
 // Invalidate drops the cached entry for id — the quarantine hook for
 // segments that failed their checksum. Readers already holding the
-// segment pointer are unaffected. Returns whether an entry was resident.
+// segment pointer are unaffected while their leases last. Returns whether
+// an entry was resident.
 func (c *Cache) Invalidate(id segment.ObjectID) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -203,6 +212,7 @@ func (c *Cache) Stats() Stats {
 	st.Budget = c.budget
 	for _, e := range c.entries {
 		st.BytesDecoded += e.seg.MemoBytes()
+		st.Leases += e.seg.Leases()
 	}
 	return st
 }

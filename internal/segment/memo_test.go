@@ -185,3 +185,54 @@ func TestCorruptedCopyDropsMemo(t *testing.T) {
 		t.Fatal("the original lost its integrity")
 	}
 }
+
+// TestRetiredMemoWaitsForItsLeases: a retired memo keeps its vectors, and
+// their cells, while a lease is out; the last Unlease hands them to the
+// pool, and a later reader fills the memo again with what a plain decode
+// returns. A memo retired with no lease out empties at once, and a lease
+// that was never taken cannot be returned.
+func TestRetiredMemoWaitsForItsLeases(t *testing.T) {
+	plain := lazyWide(t, 300)
+	want, err := plain.DecodeColumns(wideSchema, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := plain.Memoize()
+	if plain.Lease() || !g.Lease() || !g.Lease() || g.Leases() != 2 {
+		t.Fatalf("leases: plain leased, or %d out on the memo after two", g.Leases())
+	}
+	held, err := g.DecodeColumns(wideSchema, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled := g.MemoBytes()
+	g.Retire()
+	g.Unlease()
+	if g.MemoBytes() != filled || !reflect.DeepEqual(held.Cols, want.Cols) {
+		t.Fatal("a retired memo gave its vectors back with a lease still out")
+	}
+	g.Unlease()
+	if g.MemoBytes() != 0 || g.Leases() != 0 {
+		t.Fatalf("the last lease out left %d bytes in a retired memo", g.MemoBytes())
+	}
+	again, err := g.DecodeColumns(wideSchema, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.BytesDecoded != blockBytes(g, 0, 1, 2, 3, 4, 5, 6, 7) || !reflect.DeepEqual(again.Cols, want.Cols) {
+		t.Fatalf("a reader after the recycle decoded %d bytes, or other cells", again.BytesDecoded)
+	}
+	now := lazyWide(t, 50).Memoize()
+	if _, err := now.DecodeColumns(wideSchema, []int{0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if now.Retire(); now.MemoBytes() != 0 {
+		t.Fatal("a memo retired with no lease out kept its vectors")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Unlease without a lease out did not panic")
+		}
+	}()
+	now.Unlease()
+}

@@ -167,10 +167,34 @@ type Segment struct {
 // handed to every reader after that as a read-only view. mu serializes the
 // fills, so concurrent readers of one segment decode each column once.
 type memo struct {
-	mu    sync.Mutex
-	cols  []tuple.Vector // one per schema column
-	done  []bool         // done[ci]: cols[ci] is filled
-	bytes int64          // logical size of the filled columns
+	mu      sync.Mutex
+	cols    []tuple.Vector // one per schema column
+	done    []bool         // done[ci]: cols[ci] is filled
+	bytes   int64          // logical size of the filled columns
+	leases  int            // readers that may hold views of cols
+	retired bool           // the owner dropped the segment
+}
+
+// lease adds delta to the memo's leases and, with retire, retires it. A
+// retired memo with no lease out returns its vectors to the working-memory
+// pool and starts empty.
+func (mo *memo) lease(delta int, retire bool) {
+	mo.mu.Lock()
+	defer mo.mu.Unlock()
+	if mo.leases += delta; mo.leases < 0 {
+		panic("segment: Unlease without a lease out")
+	}
+	if mo.retired = mo.retired || retire; !mo.retired || mo.leases > 0 {
+		return
+	}
+	for _, v := range mo.cols {
+		tuple.Release(v.I)
+		tuple.Release(v.F)
+		tuple.Release(v.S)
+	}
+	clear(mo.cols)
+	clear(mo.done)
+	mo.bytes = 0
 }
 
 // Memoize returns a copy of a lazy segment that keeps the columns decoded
@@ -178,8 +202,9 @@ type memo struct {
 // decodes it into the memo; every later one, by any reader, is handed the
 // memo's vector as a read-only view (ColumnData.Views) and counts no bytes
 // decoded. The segment cache memoizes what it admits, so decoded columns
-// stay with the entry and go when it is evicted. An in-memory segment has
-// nothing to decode and is returned as it is.
+// stay with the entry and, once it is evicted, go back to the pool when its
+// last lease ends (Lease, Retire). An in-memory segment has nothing to
+// decode and is returned as it is.
 func (g *Segment) Memoize() *Segment {
 	if g.payload == nil {
 		return g
@@ -206,6 +231,42 @@ func (g *Segment) MemoBytes() int64 {
 	g.memo.mu.Lock()
 	defer g.memo.mu.Unlock()
 	return g.memo.bytes
+}
+
+// Lease marks, until Unlease, a reader that may read views of a memoized
+// segment's columns while its owner can drop it (Retire); it leases before
+// its first decode. Lease reports whether the segment is memoized: no other
+// segment hands out views.
+func (g *Segment) Lease() bool {
+	if g.memo != nil {
+		g.memo.lease(1, false)
+	}
+	return g.memo != nil
+}
+
+// Unlease ends a lease; the last one out of a retired memo returns its
+// vectors to the working-memory pool. With no lease out it panics.
+func (g *Segment) Unlease() { g.memo.lease(-1, false) }
+
+// Leases returns how many leases are out on a memoized segment; 0 for any
+// other segment.
+func (g *Segment) Leases() int {
+	if g.memo == nil {
+		return 0
+	}
+	g.memo.mu.Lock()
+	defer g.memo.mu.Unlock()
+	return g.memo.leases
+}
+
+// Retire tells a memoized segment that its owner, the segment cache,
+// dropped it: once no lease is out its memo returns its vectors to the
+// working-memory pool and starts empty. A later reader fills it again, and
+// the last lease out returns those vectors too.
+func (g *Segment) Retire() {
+	if g.memo != nil {
+		g.memo.lease(0, true)
+	}
 }
 
 // Lazy reports whether the segment holds an encoded payload to be decoded

@@ -246,3 +246,30 @@ func TestPermanentCrashDegradesGracefully(t *testing.T) {
 		t.Fatalf("tenant 0 counters: %+v, want failed=%d completed=1", snap, failures)
 	}
 }
+
+// TestFailedServedQueriesReturnTheirLeases: a served query that fails
+// against a dead device returns the leases its run took on the tenant's
+// segment cache, as one that completes does, so the entries it read can
+// give their decoded columns back once evicted.
+func TestFailedServedQueriesReturnTheirLeases(t *testing.T) {
+	cfg := servingConfig(t)
+	cfg.Fleet.Faults = &faults.Plan{Seed: 7, CrashAt: 15 * time.Second}
+	s, addr := startServer(t, cfg)
+	c := dialServer(t, addr)
+	failed := 0
+	for attempt := 0; attempt < 30; attempt++ {
+		resp := c.roundTrip(t, Request{ID: fmt.Sprintf("a%d", attempt), SQL: servingQuery})
+		if resp.Type != "result" {
+			failed++
+		}
+		if st := s.tenantState(0).cache.Stats(); st.Leases != 0 {
+			t.Fatalf("attempt %d (%s): %d leases out on the tenant cache after the response", attempt, resp.Type, st.Leases)
+		}
+		if resp.Type == "result" {
+			break
+		}
+	}
+	if failed == 0 || s.tenantState(0).cache.Stats().Inserted == 0 {
+		t.Fatal("no served query failed after leasing an entry: the test is vacuous")
+	}
+}

@@ -187,6 +187,7 @@ func (r *fleetRun) runClient(p *vtime.Proc, c *Client) error {
 	wallStart := time.Now()
 	defer func() { c.stats.WallElapsed = time.Since(wallStart) }()
 	px := newProxy(r.sim, r.fl, c.Tenant, &c.stats)
+	defer px.returnLeases()
 	px.proc = p
 	px.ctx = c.Ctx
 	px.tr = c.QTrace

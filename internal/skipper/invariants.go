@@ -10,7 +10,7 @@ import (
 type InvariantError struct {
 	// Name is the identity's short name: "device-conservation",
 	// "demand-ledger", "prefetch-ledger", "mjoin-requests",
-	// "prefetch-useful", "processing" or "cache-hits".
+	// "prefetch-useful", "processing", "cache-hits" or "cache-leases".
 	Name string
 	// Detail says which tenant/device disagreed and by how much.
 	Detail string
@@ -51,6 +51,8 @@ func violated(name, format string, args ...any) error {
 //     processing charge per fetch that paid FUSE.
 //   - cache-hits: the shared cache's hit count grew by exactly the cache
 //     hits of the clients that used it.
+//   - cache-leases: no lease is out on the shared cache once the run is
+//     over: every client returned what it leased, on every exit.
 func (r *RunResult) CheckInvariants() error {
 	for d, st := range r.Devices {
 		refused := 0
@@ -103,6 +105,9 @@ func (r *RunResult) CheckInvariants() error {
 	if r.Cache != nil {
 		if got := r.Cache.Hits - r.cacheHitsBefore; got != r.sharedHits {
 			return violated("cache-hits", "shared cache counted %d hits, its clients %d", got, r.sharedHits)
+		}
+		if r.Cache.Leases != 0 {
+			return violated("cache-leases", "%d leases still out on the shared cache after the run", r.Cache.Leases)
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/catalog"
@@ -391,7 +392,6 @@ func (c *Client) ctxErr() error {
 // queries — of this tenant or, with a cluster-shared cache, of any
 // tenant — reuse the transferred bytes.
 type proxy struct {
-	sim    *vtime.Sim
 	fl     *DeviceChooser
 	tenant int
 	stats  *ClientStats
@@ -425,11 +425,42 @@ type proxy struct {
 	reqs       []csd.Request
 	batches    [][]*csd.Request
 	batchOrder []int
+	// leases are the memoized segments the cache handed this run, leased
+	// until returnLeases: the run may read their columns as views until it
+	// ends. From leaseLists, on the run's first lease.
+	leases *[]*segment.Segment
+}
+
+var leaseLists = sync.Pool{New: func() any { return new([]*segment.Segment) }}
+
+// lease leases a segment the cache handed out for the rest of the run.
+func (px *proxy) lease(seg *segment.Segment) *segment.Segment {
+	if seg.Lease() {
+		if px.leases == nil {
+			px.leases = leaseLists.Get().(*[]*segment.Segment)
+		}
+		*px.leases = append(*px.leases, seg)
+	}
+	return seg
+}
+
+// returnLeases ends the run's leases, on every exit of the run: what the
+// cache dropped meanwhile goes back to the working-memory pool.
+func (px *proxy) returnLeases() {
+	if px.leases == nil {
+		return
+	}
+	for _, seg := range *px.leases {
+		seg.Unlease()
+	}
+	clear(*px.leases)
+	*px.leases = (*px.leases)[:0]
+	leaseLists.Put(px.leases)
+	px.leases = nil
 }
 
 func newProxy(sim *vtime.Sim, fl *DeviceChooser, tenant int, stats *ClientStats) *proxy {
 	return &proxy{
-		sim:     sim,
 		fl:      fl,
 		tenant:  tenant,
 		stats:   stats,
@@ -466,7 +497,7 @@ func (px *proxy) Request(objs []segment.ObjectID) {
 				if px.pf != nil && px.pf.markUsed(id) {
 					px.stats.PrefetchUseful++
 				}
-				px.reply.Send(px.proc, csd.Delivery{Object: id, Seg: seg})
+				px.reply.Send(px.proc, csd.Delivery{Object: id, Seg: px.lease(seg)})
 				continue
 			}
 		}
@@ -535,7 +566,7 @@ func (px *proxy) NextArrival() (*segment.Segment, error) {
 			seg := d.Seg
 			if px.cache != nil {
 				if cached := px.cache.Put(d.Object, d.Seg); cached != nil {
-					seg = cached // the cache's copy: this decode fills it
+					seg = px.lease(cached) // the cache's copy: this decode fills it
 				}
 			}
 			if px.join != nil && px.join.PendingCount(d.Object) > 0 {

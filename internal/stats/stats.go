@@ -195,8 +195,14 @@ func segmentStatsFromDirectory(schema *tuple.Schema, sg *segment.Segment, dir []
 		if err != nil {
 			return SegmentStats{}, err
 		}
-		for i := 0; i < sc.cd.NumRows; i++ {
-			cs.Bloom.Add(v.Value(col.Kind, i).Hash())
+		if col.Kind == tuple.KindString {
+			for _, s := range v.S[:sc.cd.NumRows] {
+				cs.Bloom.Add(tuple.HashString(s))
+			}
+		} else {
+			for _, x := range v.I[:sc.cd.NumRows] {
+				cs.Bloom.Add(tuple.HashInt(x))
+			}
 		}
 	}
 	return ss, nil

@@ -394,7 +394,7 @@ func (b *Batch) hashInto(keys []int, lo int, dst []uint64) {
 		switch b.schema.Cols[k].Kind {
 		case KindString:
 			for i, s := range col.S[lo:hi] {
-				dst[i] = dst[i]*hashPrime ^ hashString(s)
+				dst[i] = dst[i]*hashPrime ^ HashString(s)
 			}
 		case KindFloat64:
 			for i, f := range col.F[lo:hi] {
@@ -402,7 +402,7 @@ func (b *Batch) hashInto(keys []int, lo int, dst []uint64) {
 			}
 		default:
 			for i, v := range col.I[lo:hi] {
-				dst[i] = dst[i]*hashPrime ^ hashInt(v)
+				dst[i] = dst[i]*hashPrime ^ HashInt(v)
 			}
 		}
 	}

@@ -157,11 +157,11 @@ func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 func (v Value) Hash() uint64 {
 	switch v.K {
 	case KindString:
-		return hashString(v.S)
+		return HashString(v.S)
 	case KindFloat64:
 		return hashFloat(v.F)
 	default:
-		return hashInt(v.I)
+		return HashInt(v.I)
 	}
 }
 
@@ -174,7 +174,9 @@ var (
 
 func hashByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * hashPrime }
 
-func hashString(s string) uint64 {
+// HashString is Value.Hash of a string cell: what a string column hashes
+// per cell without building a Value.
+func HashString(s string) uint64 {
 	h := hashTagS
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * hashPrime
@@ -194,7 +196,9 @@ func hashFloat(f float64) uint64 {
 	return hashUint64(hashTagF, math.Float64bits(f))
 }
 
-func hashInt(i int64) uint64 {
+// HashInt is Value.Hash of a cell of any kind an int64 holds (every kind
+// but string and float64).
+func HashInt(i int64) uint64 {
 	return hashUint64(hashTagI, uint64(i))
 }
 
