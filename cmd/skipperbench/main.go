@@ -133,10 +133,11 @@ func main() {
 	}
 }
 
-// runTraceDemo executes a 3-client Skipper run with a device recorder
-// attached and prints what the device did as a span tree — every transfer
-// from its GET to its delivery, every group switch — then each tenant's
-// query span and the totals the spans must add up to.
+// runTraceDemo executes a 3-client Skipper run, data skipping off as in the
+// paper's figures, with a device recorder attached and prints what the
+// device did as a span tree — every transfer from its GET to its delivery,
+// every group switch — then each tenant's query span and the totals the
+// spans must add up to.
 func runTraceDemo() {
 	var tenants []lattice.Tenant
 	store := make(map[segment.ObjectID]*segment.Segment)
@@ -145,7 +146,7 @@ func runTraceDemo() {
 		ds.MergeInto(store)
 		tenants = append(tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: []skipper.QuerySpec{workload.Q12(ds.Catalog)}})
 	}
-	cl := lattice.Cell{Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: 8}}.Cluster(lattice.Workload{Store: store, Tenants: tenants})
+	cl := lattice.Cell{Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: 8, NoStatsPruning: true}}.Cluster(lattice.Workload{Store: store, Tenants: tenants})
 	rec := trace.NewQueryTrace("device", -1, "")
 	cl.Fleet.Device.Trace = rec
 	res, err := cl.Run()

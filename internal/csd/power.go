@@ -42,34 +42,12 @@ func (pm PowerModel) JBODEnergy(groups int, makespan time.Duration) float64 {
 	return (pm.IdleWatts + pm.GroupActiveWatts*float64(groups)) * makespan.Seconds()
 }
 
-// Device presets. Figures follow the paper's descriptions (§2.2): all are
-// behaviourally identical MAID arrays differing in capacity, switch
-// latency and streaming rate.
-
-// Pelican returns a configuration modeled on Microsoft Pelican: 1,152 SMR
-// disks, 8 % spun up, 8 s group switch, saturates a 10 GbE link.
+// Pelican returns a device configuration modeled on the paper's description
+// of Microsoft Pelican (§2.2): 1,152 SMR disks, 8 % spun up, 8 s group
+// switch, saturates a 10 GbE link.
 func Pelican() Config {
 	cfg := DefaultConfig()
 	cfg.GroupSwitch = 8 * time.Second
-	cfg.Bandwidth = 1e9
-	return cfg
-}
-
-// OpenVaultKnox returns a configuration modeled on Facebook's OpenVault
-// Knox: 30 SMR disks per 2U chassis, one spun up at a time (vibration),
-// single-disk streaming rate.
-func OpenVaultKnox() Config {
-	cfg := DefaultConfig()
-	cfg.GroupSwitch = 15 * time.Second
-	cfg.Bandwidth = 180e6
-	return cfg
-}
-
-// ArcticBlue returns a configuration modeled on Spectra ArcticBlue
-// ($0.1/GB deep storage disk): 10 s switch, near-line streaming rate.
-func ArcticBlue() Config {
-	cfg := DefaultConfig()
-	cfg.GroupSwitch = 10 * time.Second
 	cfg.Bandwidth = 1e9
 	return cfg
 }

@@ -249,6 +249,36 @@ func TestFigure12Shape(t *testing.T) {
 	if sw := m.Col("switches"); sw[fcfs] < sw[rank] {
 		t.Fatalf("fcfs produced fewer switches (%d) than ranking (%d)", int(sw[fcfs]), int(sw[rank]))
 	}
+	// Ranking is the fairest overall: its L2-norm stretch is no higher
+	// than fairness's, with data skipping off as the figure runs.
+	if l2 := m.Col("L2-norm stretch"); l2[rank] > l2[fcfs] {
+		t.Fatalf("ranking L2-norm stretch %.2f above fairness %.2f", l2[rank], l2[fcfs])
+	}
+}
+
+// The paper's figures declare data skipping off, and the declaration is
+// what keeps them from pruning: on Figure 4's one-client Q12 cell, data
+// skipping on issues fewer GETs than off.
+func TestFigure4PrunesWhenAsked(t *testing.T) {
+	g, err := Quick().figure4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.Base.NoStatsPruning {
+		t.Fatal("Figure 4's base cell does not declare data skipping off")
+	}
+	gets := func(noPrune bool) float64 {
+		cell := g.Base
+		cell.NoStatsPruning = noPrune
+		v, err := once(cell, g.Rows[0].Workload, issued)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	if on, off := gets(false), gets(true); on >= off {
+		t.Fatalf("one-client Q12: %v GETs with data skipping on, %v off; want fewer on", on, off)
+	}
 }
 
 func TestQuickRunsFast(t *testing.T) {

@@ -207,7 +207,8 @@ func TestFormatPreservesCatalogStats(t *testing.T) {
 }
 
 // TestReportQueriesVerify holds the queries of the pruning, selectivity
-// and projection reports to the lattice harness across every format, both
+// and projection reports, the pruning report's Q12 and Q5 over the figures'
+// dataset included, to the lattice harness across every format, both
 // engines and data skipping on/off — the assertion those reports used to
 // make on the side while measuring.
 func TestReportQueriesVerify(t *testing.T) {
@@ -230,6 +231,16 @@ func TestReportQueriesVerify(t *testing.T) {
 		return specs
 	}
 	if err := lattice.Verify(p.clusteredDataset(), queries, cells); err != nil {
+		t.Fatal(err)
+	}
+	// Over the figures' dataset, denser: at Quick's six rows per object
+	// Q12 and Q5 return no row, and the differential would be vacuous.
+	paper := func(cat *catalog.Catalog) []skipper.QuerySpec {
+		return []skipper.QuerySpec{workload.Q12(cat), workload.Q5(cat)}
+	}
+	dense := p.tpchConfig(p.SF)
+	dense.RowsPerObject = 60
+	if err := lattice.Verify(workload.TPCH(0, dense), paper, cells); err != nil {
 		t.Fatal(err)
 	}
 }

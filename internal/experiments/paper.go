@@ -39,6 +39,15 @@ func (p Params) tpchConfig(sf int) workload.TPCHConfig {
 	return workload.TPCHConfig{SF: sf, RowsPerObject: p.RowsPerObject, Seed: p.Seed}
 }
 
+// paperCell is the base cell of every run in this file: the Params' cell
+// with data skipping off, because the engines the paper models read every
+// object of a relation.
+func (p Params) paperCell(mode skipper.Mode) lattice.Cell {
+	c := p.cell(mode)
+	c.NoStatsPruning = true
+	return c
+}
+
 func q12(cat *catalog.Catalog) []skipper.QuerySpec { return []skipper.QuerySpec{workload.Q12(cat)} }
 
 func q5(cat *catalog.Catalog) []skipper.QuerySpec { return []skipper.QuerySpec{workload.Q5(cat)} }
@@ -83,7 +92,7 @@ func (p Params) figure4() (*Grid, error) {
 		ID:     "Figure 4",
 		Title:  "Vanilla engine, avg exec time (s) vs number of clients (Q12, S=10s)",
 		Keys:   []string{"clients"},
-		Base:   p.cell(skipper.ModeVanilla),
+		Base:   p.paperCell(skipper.ModeVanilla),
 		Rows:   p.clientRows(),
 		Series: []Change{nil, ideal}, // the CSD as configured, then the one-group tier
 		Columns: []Column{
@@ -100,7 +109,7 @@ func (p Params) figure5() (*Grid, error) {
 		ID:      "Figure 5",
 		Title:   "Vanilla engine, avg exec time (s) vs group switch latency (Q12, 5 clients)",
 		Keys:    []string{"switch latency (s)"},
-		Base:    p.cell(skipper.ModeVanilla),
+		Base:    p.paperCell(skipper.ModeVanilla),
 		Rows:    p.latencyRows(0, 5*time.Second, 10*time.Second, 15*time.Second, 20*time.Second),
 		Columns: []Column{{"avg exec time (s)", 0, avgClient, seconds}},
 	}, nil
@@ -113,7 +122,7 @@ func (p Params) figure7() (*Grid, error) {
 		ID:     "Figure 7",
 		Title:  "Avg exec time (s) vs clients: vanilla vs Skipper vs ideal (Q12, S=10s)",
 		Keys:   []string{"clients"},
-		Base:   p.cell(skipper.ModeVanilla),
+		Base:   p.paperCell(skipper.ModeVanilla),
 		Rows:   p.clientRows(),
 		Series: []Change{useEngine(skipper.ModeVanilla), useEngine(skipper.ModeSkipper), ideal},
 		Columns: []Column{
@@ -131,7 +140,7 @@ func (p Params) figure9() (*Grid, error) {
 		ID:    "Figure 9",
 		Title: "Avg exec-time breakdown, 5 clients, Q12 (% of total)",
 		Keys:  []string{"engine"},
-		Base:  p.cell(skipper.ModeVanilla),
+		Base:  p.paperCell(skipper.ModeVanilla),
 		Columns: []Column{
 			{"total", 0, breakdown(func(b metrics.Breakdown) time.Duration { return b.Total }), nil},
 			{"processing", 0, breakdown(func(b metrics.Breakdown) time.Duration { return b.Processing + b.Fuse }), shareOf("total")},
@@ -152,7 +161,7 @@ func (p Params) figure10() (*Grid, error) {
 		ID:     "Figure 10",
 		Title:  "Avg exec time (s) vs group switch latency, 5 clients (Q12)",
 		Keys:   []string{"switch latency (s)"},
-		Base:   p.cell(skipper.ModeVanilla),
+		Base:   p.paperCell(skipper.ModeVanilla),
 		Rows:   p.latencyRows(10*time.Second, 20*time.Second, 30*time.Second, 40*time.Second),
 		Series: vanillaSkipper,
 		Columns: []Column{
@@ -170,7 +179,7 @@ func (p Params) figure11a() (*Grid, error) {
 		ID:     "Figure 11a",
 		Title:  "Avg exec time (s) vs data layout, 4 clients (Q12)",
 		Keys:   []string{"layout"},
-		Base:   p.cell(skipper.ModeVanilla),
+		Base:   p.paperCell(skipper.ModeVanilla),
 		Series: vanillaSkipper,
 		Columns: []Column{
 			{"PostgreSQL", 0, avgClient, seconds},
@@ -202,7 +211,7 @@ func (p Params) cacheGrid(id, title string, sf int, caches []int) *Grid {
 	g := &Grid{
 		ID: id, Title: title,
 		Keys: []string{"cache (objects)"},
-		Base: p.cell(skipper.ModeSkipper),
+		Base: p.paperCell(skipper.ModeSkipper),
 		Columns: []Column{
 			{"avg exec time (s)", 0, avgClient, seconds},
 			{"GET requests/client", 0, gets, count},
@@ -260,7 +269,7 @@ func (p Params) figure11c() (*Grid, error) {
 // VanillaQ5 measures the vanilla engine's Q5 time in the five-client setup
 // of Figure 11b, the reference line of §5.2.4.
 func (p Params) VanillaQ5() (time.Duration, error) {
-	avg, err := once(p.cell(skipper.ModeVanilla), p.tpch(5, p.SF, q5), avgClient)
+	avg, err := once(p.paperCell(skipper.ModeVanilla), p.tpch(5, p.SF, q5), avgClient)
 	return time.Duration(avg), err
 }
 
@@ -273,7 +282,7 @@ func (p Params) VanillaQ5() (time.Duration, error) {
 // query-level FCFS would load the same group at every switch.
 func (p Params) figure12() (*Grid, error) {
 	const repeats = 10
-	alone, err := once(p.cell(skipper.ModeSkipper), p.tpch(1, p.SF, repeat(repeats, q12)), cumClient)
+	alone, err := once(p.paperCell(skipper.ModeSkipper), p.tpch(1, p.SF, repeat(repeats, q12)), cumClient)
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +291,7 @@ func (p Params) figure12() (*Grid, error) {
 		ID:    "Figure 12",
 		Title: "Fairness vs efficiency: scheduling policies under a skewed layout (Q12 x10, 5 clients)",
 		Keys:  []string{"policy"},
-		Base:  p.cell(skipper.ModeSkipper),
+		Base:  p.paperCell(skipper.ModeSkipper),
 		Columns: []Column{
 			{"L2-norm stretch", 0, stretch(ideal, metrics.L2Norm), fixed(2)},
 			{"max stretch", 0, stretch(ideal, metrics.Max), fixed(2)},
@@ -359,7 +368,7 @@ func (p Params) Figure8Data() (map[string]Figure8Point, error) {
 			query := func(cat *catalog.Catalog) []skipper.QuerySpec { return []skipper.QuerySpec{queries[t](cat)} }
 			w.Tenants = append(w.Tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: repeat(5, query)(ds.Catalog)})
 		}
-		res, err := p.cell(mode).Run(w)
+		res, err := p.paperCell(mode).Run(w)
 		if err != nil {
 			return nil, err
 		}
@@ -395,7 +404,7 @@ func (p Params) Table3Data() ([]Table3Point, error) {
 			return nil, err
 		}
 		w.Layout = layout.AllInOne{}
-		res, err := p.cell(mode).Run(w)
+		res, err := p.paperCell(mode).Run(w)
 		if err != nil {
 			return nil, err
 		}

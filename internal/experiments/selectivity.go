@@ -101,9 +101,16 @@ func (p Params) selectivity() (*Grid, error) {
 }
 
 // pruneReport runs the join+agg and Q5-style selective workloads on both
-// engines with data skipping on and off.
+// engines with data skipping on and off, then the paper's Q12 and Q5 over
+// the figures' own dataset, whose dates are not clustered: the figures run
+// them with data skipping off, and these rows show what turning it on
+// would change.
 func (p Params) pruneReport() (*Grid, error) {
 	ds, err := p.encoded(p.clusteredDataset())
+	if err != nil {
+		return nil, err
+	}
+	figs, err := p.encoded(workload.TPCH(0, p.tpchConfig(p.SF)))
 	if err != nil {
 		return nil, err
 	}
@@ -111,13 +118,18 @@ func (p Params) pruneReport() (*Grid, error) {
 		[]string{"query", "engine", "input objects"},
 		func(keys []string) string { return keys[0] + " " + keys[1] })
 	g.Notes = []string{"results are held byte-identical with data skipping on and off, both engines, by the lattice harness (go test ./internal/experiments -run TestReportQueriesVerify)"}
-	for _, q := range []namedQuery{
-		{"join+agg (shipdate 1994-01)", workload.QShipdateWindow(ds.Catalog, "1994-01-01", "1994-01-31")},
-		{"Q5 selective", workload.Q5Selective(ds.Catalog)},
+	for _, q := range []struct {
+		namedQuery
+		ds *workload.Dataset
+	}{
+		{namedQuery{"join+agg (shipdate 1994-01)", workload.QShipdateWindow(ds.Catalog, "1994-01-01", "1994-01-31")}, ds},
+		{namedQuery{"Q5 selective", workload.Q5Selective(ds.Catalog)}, ds},
+		{namedQuery{"Q12 (unclustered)", workload.Q12(figs.Catalog)}, figs},
+		{namedQuery{"Q5 (unclustered)", workload.Q5(figs.Catalog)}, figs},
 	} {
 		for _, mode := range engines {
 			keys := []string{q.name, mode.String(), fmt.Sprint(len(q.spec.Join.Objects()))}
-			g.Rows = append(g.Rows, Row{Keys: keys, Change: useEngine(mode), Workload: oneQuery(ds, q.spec)})
+			g.Rows = append(g.Rows, Row{Keys: keys, Change: useEngine(mode), Workload: oneQuery(q.ds, q.spec)})
 		}
 	}
 	return g, nil

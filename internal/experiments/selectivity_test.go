@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -30,25 +31,34 @@ func TestSelectivitySweep(t *testing.T) {
 	}
 }
 
-// TestPruneReport: the pruning report must cover both engines and both
-// workloads, and show a strict request reduction on each.
+// TestPruneReport: the pruning report must cover both engines and every
+// query. On the date-clustered workloads each row shows a strict request
+// reduction; on the figures' unclustered dataset data skipping may find
+// nothing to skip, but never issues more requests.
 func TestPruneReport(t *testing.T) {
 	m := quick(t, "prune")
-	if m.Len() != 4 {
+	if m.Len() != 8 {
 		t.Fatalf("%d report rows", m.Len())
 	}
 	seen := map[string]int{}
 	for r := 0; r < m.Len(); r++ {
 		query, mode := m.Keys(r)[0], m.Keys(r)[1]
 		seen[mode]++
+		on, off := m.At(r, "GETs (skip on)"), m.At(r, "GETs (skip off)")
+		if strings.HasSuffix(query, "(unclustered)") {
+			if on > off {
+				t.Fatalf("%s %v: GETs %v pruned vs %v unpruned", query, mode, on, off)
+			}
+			continue
+		}
 		if m.At(r, "skipped") == 0 {
 			t.Fatalf("%s %v: nothing skipped", query, mode)
 		}
-		if on, off := m.At(r, "GETs (skip on)"), m.At(r, "GETs (skip off)"); on >= off {
+		if on >= off {
 			t.Fatalf("%s %v: GETs %v pruned vs %v unpruned", query, mode, on, off)
 		}
 	}
-	if seen[skipper.ModeVanilla.String()] != 2 || seen[skipper.ModeSkipper.String()] != 2 {
+	if seen[skipper.ModeVanilla.String()] != 4 || seen[skipper.ModeSkipper.String()] != 4 {
 		t.Fatalf("mode coverage %v", seen)
 	}
 }

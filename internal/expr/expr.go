@@ -413,7 +413,8 @@ func columnsOf(fn func(Col), es ...Expr) bool {
 // True is a predicate that always holds.
 var True Expr = Const{V: tuple.Bool(true)}
 
-// Convenience constructors used heavily by the workload query plans.
+// Convenience constructors for plans built by hand. Every workload query is
+// SQL, so only tests build plans this way.
 
 // ColEq builds schema-bound "col = lit".
 func ColEq(s *tuple.Schema, col string, v tuple.Value) Expr {

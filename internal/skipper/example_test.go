@@ -14,7 +14,9 @@ import (
 )
 
 // q12Tenants is n tenants on one store, each with its own TPC-H dataset
-// generated by cfg and repeating Q12 `repeats` times.
+// generated by cfg and repeating Q12 `repeats` times, with data skipping
+// off: the scenarios model the paper's engines, which read every object of
+// a relation.
 func q12Tenants(mode skipper.Mode, n, repeats, cache int, cfg workload.TPCHConfig) ([]*skipper.Client, map[segment.ObjectID]*segment.Segment) {
 	store := make(map[segment.ObjectID]*segment.Segment)
 	clients := make([]*skipper.Client, n)
@@ -25,7 +27,7 @@ func q12Tenants(mode skipper.Mode, n, repeats, cache int, cfg workload.TPCHConfi
 		for r := range queries {
 			queries[r] = workload.Q12(ds.Catalog)
 		}
-		clients[t] = &skipper.Client{Tenant: t, Mode: mode, Catalog: ds.Catalog, Queries: queries, CacheObjects: cache}
+		clients[t] = &skipper.Client{Tenant: t, Mode: mode, Catalog: ds.Catalog, Queries: queries, CacheObjects: cache, NoStatsPruning: true}
 	}
 	return clients, store
 }

@@ -631,23 +631,26 @@ func (b *binder) buildPlainShape(stmt *SelectStmt, postPred expr.Expr, joined *t
 }
 
 // buildAggShape: filters → hash-agg → project → having → sort → limit.
+// The Project is left out when the select list is the GROUP BY columns, in
+// order and not renamed, then the aggregates: HashAgg's output, whose
+// aggregates carry their output names, is then the result.
 func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tuple.Schema) (func(engine.Iterator) engine.Iterator, error) {
-	groupNames := make(map[string]bool)
+	groupAt := make(map[string]int)
 	var groups []engine.GroupCol
 	for _, g := range stmt.GroupBy {
 		idx, ok := joined.ColIndex(g.Column)
 		if !ok {
 			return nil, fmt.Errorf("sql: GROUP BY column %q not in scope", g.Column)
 		}
+		groupAt[g.Column] = len(groups)
 		groups = append(groups, engine.GroupCol{
 			Name: g.Column, Kind: joined.Cols[idx].Kind, E: expr.NewCol(idx, g.Column),
 		})
-		groupNames[g.Column] = true
 	}
 	var aggs []engine.AggSpec
 	type outCol struct {
 		name string
-		src  string // column in the HashAgg output
+		src  int // column of the HashAgg output
 	}
 	var outs []outCol
 	for i, it := range stmt.Items {
@@ -656,10 +659,11 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 		}
 		if it.Agg == "" {
 			col, ok := it.Expr.(ColNode)
-			if !ok || !groupNames[col.Ref.Column] {
+			g, isGroup := groupAt[col.Ref.Column]
+			if !ok || !isGroup {
 				return nil, fmt.Errorf("sql: non-aggregate select item %q must be a GROUP BY column", it.Expr.nodeString())
 			}
-			outs = append(outs, outCol{name: outName(it, i), src: col.Ref.Column})
+			outs = append(outs, outCol{name: outName(it, i), src: g})
 			continue
 		}
 		spec := engine.AggSpec{Name: fmt.Sprintf("agg%d", i)}
@@ -683,26 +687,35 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 			spec.Arg = e
 			spec.ArgKind = k
 		}
+		outs = append(outs, outCol{name: outName(it, i), src: len(groups) + len(aggs)})
 		aggs = append(aggs, spec)
-		outs = append(outs, outCol{name: outName(it, i), src: spec.Name})
+	}
+	identity := len(outs) == len(groups)+len(aggs)
+	for i, oc := range outs {
+		identity = identity && oc.src == i && (i >= len(groups) || oc.name == groups[i].Name)
+	}
+	if identity {
+		for k := range aggs {
+			aggs[k].Name = outs[len(groups)+k].name
+		}
 	}
 
-	// The HashAgg output schema, groups then aggs, binds the projection,
-	// HAVING and ORDER BY.
+	// The output schema, HashAgg's or the Project's, binds HAVING and
+	// ORDER BY.
 	sh := engine.NewShape(joined)
 	if postPred != nil {
 		sh.Filter(postPred)
 	}
 	aggSchema := sh.Aggregate(groups, aggs).Schema()
-
-	var projCols []engine.ProjectCol
-	for _, oc := range outs {
-		idx := aggSchema.MustColIndex(oc.src)
-		projCols = append(projCols, engine.ProjectCol{
-			Name: oc.name, Kind: aggSchema.Cols[idx].Kind, E: expr.NewCol(idx, oc.src),
-		})
+	outSchema := aggSchema
+	if !identity {
+		projCols := make([]engine.ProjectCol, len(outs))
+		for i, oc := range outs {
+			c := aggSchema.Cols[oc.src]
+			projCols[i] = engine.ProjectCol{Name: oc.name, Kind: c.Kind, E: expr.NewCol(oc.src, c.Name)}
+		}
+		outSchema = sh.Project(projCols).Schema()
 	}
-	outSchema := sh.Project(projCols).Schema()
 
 	if stmt.Having != nil {
 		// HAVING references output aliases / group columns.

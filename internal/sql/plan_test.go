@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
+	"repro/internal/engine"
+	"repro/internal/expr"
+	"repro/internal/mjoin"
 	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/sql"
@@ -80,50 +84,266 @@ func TestPlanJoinOnSyntax(t *testing.T) {
 	}
 }
 
-func TestPlanQ12Equivalent(t *testing.T) {
-	pl, ds := tpchPlanner(t)
-	sqlRows := runSQL(t, pl, ds, `
-		SELECT l_shipmode,
-		       SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 1 ELSE 0 END) AS high_line_count,
-		       SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 0 ELSE 1 END) AS low_line_count
-		FROM lineitem, orders
-		WHERE l_orderkey = o_orderkey
-		  AND l_shipmode IN ('MAIL', 'SHIP')
-		  AND l_commitdate < l_receiptdate
-		  AND l_shipdate < l_commitdate
-		  AND l_receiptdate BETWEEN '1994-01-01' AND '1994-12-31'
-		GROUP BY l_shipmode
-		ORDER BY l_shipmode`)
-	handRows, err := workload.Evaluate(ds, workload.Q12(ds.Catalog))
+// The paper's five queries (workload.Q12, Q5, SSBQ1, MRJoinTask and
+// NREFJoin) are SQL text planned by this package. Each is checked against
+// its reference plan below, the join and shaping stage built by hand. The
+// references read every column (Cols nil): the planner's projection
+// changes widths, never rows (workload's TestColsChangeWidthNotResults).
+
+// checkEquivalent plans workload query q over ds and compares its rows, on
+// the local evaluator, with those of the reference plan ref.
+func checkEquivalent(t *testing.T, ds *workload.Dataset, q, ref func(*catalog.Catalog) skipper.QuerySpec) {
+	t.Helper()
+	spec, want := q(ds.Catalog), ref(ds.Catalog)
+	if spec.Name != want.Name || spec.Join.ID != spec.Name {
+		t.Fatalf("spec %q with join %q, want both %q", spec.Name, spec.Join.ID, want.Name)
+	}
+	got, err := workload.Evaluate(ds, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(render(sqlRows), render(handRows)) {
-		t.Fatalf("SQL Q12 differs from hand-built plan:\n%v\n%v", render(sqlRows), render(handRows))
+	wantRows, err := workload.Evaluate(ds, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 {
+		t.Fatalf("%s returned no rows; the comparison is vacuous", spec.Name)
+	}
+	if !reflect.DeepEqual(render(got), render(wantRows)) {
+		t.Fatalf("SQL %s differs from its reference plan:\n%v\n%v", spec.Name, render(got), render(wantRows))
 	}
 }
 
+// refSpec completes a reference plan: the spec of join shaped by shape.
+func refSpec(name string, join *mjoin.Query, shape func(*tuple.Schema) *engine.Shape) skipper.QuerySpec {
+	out := join.OutputSchema()
+	return skipper.QuerySpec{Name: name, Join: join, Shape: shape(out).Apply, Bound: out}
+}
+
+func refQ12(cat *catalog.Catalog) skipper.QuerySpec {
+	lineitem, orders := cat.MustTable("lineitem"), cat.MustTable("orders")
+	ls := lineitem.Schema
+	join := &mjoin.Query{
+		ID: "q12",
+		Relations: []mjoin.Relation{
+			{Table: lineitem, Filter: expr.NewAnd(
+				expr.In{Needle: expr.Bind(ls, "l_shipmode"), Set: []tuple.Value{tuple.Str("MAIL"), tuple.Str("SHIP")}},
+				expr.Cmp{Op: expr.LT, L: expr.Bind(ls, "l_commitdate"), R: expr.Bind(ls, "l_receiptdate")},
+				expr.Cmp{Op: expr.LT, L: expr.Bind(ls, "l_shipdate"), R: expr.Bind(ls, "l_commitdate")},
+				expr.ColBetween(ls, "l_receiptdate", tuple.Date(1994, 1, 1), tuple.Date(1994, 12, 31)),
+			)},
+			{Table: orders},
+		},
+		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "l_orderkey", RightCol: "o_orderkey"}},
+	}
+	return refSpec("tpch-q12", join, func(out *tuple.Schema) *engine.Shape {
+		highPri := expr.In{Needle: expr.Bind(out, "o_orderpriority"), Set: []tuple.Value{tuple.Str("1-URGENT"), tuple.Str("2-HIGH")}}
+		count := func(high, low int64) expr.Expr {
+			return expr.Case{Branches: []expr.CaseBranch{{When: highPri, Then: expr.Lit(tuple.Int(high))}}, Else: expr.Lit(tuple.Int(low))}
+		}
+		return engine.NewShape(out).Aggregate(
+			[]engine.GroupCol{{Name: "l_shipmode", Kind: tuple.KindString, E: expr.Bind(out, "l_shipmode")}},
+			[]engine.AggSpec{
+				{Kind: engine.AggSum, Name: "high_line_count", Arg: count(1, 0)},
+				{Kind: engine.AggSum, Name: "low_line_count", Arg: count(0, 1)},
+			}).Sort([]engine.SortKey{{E: expr.NewCol(0, "l_shipmode")}})
+	})
+}
+
+func refQ5(cat *catalog.Catalog) skipper.QuerySpec {
+	t := cat.MustTable
+	join := &mjoin.Query{
+		ID: "q5",
+		Relations: []mjoin.Relation{
+			{Table: t("customer")},
+			{Table: t("orders"), Filter: expr.ColBetween(t("orders").Schema, "o_orderdate", tuple.Date(1994, 1, 1), tuple.Date(1994, 12, 31))},
+			{Table: t("lineitem")},
+			{Table: t("supplier")},
+			{Table: t("nation")},
+			{Table: t("region"), Filter: expr.ColEq(t("region").Schema, "r_name", tuple.Str("ASIA"))},
+		},
+		Joins: []mjoin.JoinCond{
+			{Rel: 1, LeftCol: "c_custkey", RightCol: "o_custkey"},
+			{Rel: 2, LeftCol: "o_orderkey", RightCol: "l_orderkey"},
+			{Rel: 3, LeftCol: "l_suppkey", RightCol: "s_suppkey"},
+			{Rel: 4, LeftCol: "s_nationkey", RightCol: "n_nationkey"},
+			{Rel: 5, LeftCol: "n_regionkey", RightCol: "r_regionkey"},
+		},
+	}
+	return refSpec("tpch-q5", join, func(out *tuple.Schema) *engine.Shape {
+		revenue := expr.Arith{Op: expr.Mul, L: expr.Bind(out, "l_extendedprice"),
+			R: expr.Arith{Op: expr.Sub, L: expr.Lit(tuple.Float(1)), R: expr.Bind(out, "l_discount")}}
+		// The join-graph cycle: customers must share the supplier's nation.
+		return engine.NewShape(out).Filter(expr.Cmp{Op: expr.EQ, L: expr.Bind(out, "c_nationkey"), R: expr.Bind(out, "s_nationkey")}).
+			Aggregate(
+				[]engine.GroupCol{{Name: "n_name", Kind: tuple.KindString, E: expr.Bind(out, "n_name")}},
+				[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}},
+			).Sort([]engine.SortKey{{E: expr.NewCol(1, "revenue"), Desc: true}})
+	})
+}
+
+func refSSBQ1(cat *catalog.Catalog) skipper.QuerySpec {
+	lineorder, date := cat.MustTable("lineorder"), cat.MustTable("date")
+	join := &mjoin.Query{
+		ID: "ssb-q1",
+		Relations: []mjoin.Relation{
+			{Table: lineorder, Filter: expr.NewAnd(
+				expr.ColBetween(lineorder.Schema, "lo_discount", tuple.Int(1), tuple.Int(3)),
+				expr.ColLT(lineorder.Schema, "lo_quantity", tuple.Int(25)),
+			)},
+			{Table: date, Filter: expr.ColEq(date.Schema, "d_year", tuple.Int(1993))},
+		},
+		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "lo_orderdate", RightCol: "d_datekey"}},
+	}
+	return refSpec("ssb-q1", join, func(out *tuple.Schema) *engine.Shape {
+		revenue := expr.Arith{Op: expr.Mul, L: expr.Bind(out, "lo_extendedprice"), R: expr.Bind(out, "lo_discount")}
+		return engine.NewShape(out).Aggregate(nil, []engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}})
+	})
+}
+
+func refMRJoinTask(cat *catalog.Catalog) skipper.QuerySpec {
+	rankings, uservisits := cat.MustTable("rankings"), cat.MustTable("uservisits")
+	join := &mjoin.Query{
+		ID: "mr-join",
+		Relations: []mjoin.Relation{
+			{Table: rankings},
+			{Table: uservisits, Filter: expr.ColBetween(uservisits.Schema, "visit_date", tuple.Date(2000, 1, 15), tuple.Date(2000, 3, 31))},
+		},
+		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "page_url", RightCol: "dest_url"}},
+	}
+	return refSpec("mr-join", join, func(out *tuple.Schema) *engine.Shape {
+		return engine.NewShape(out).Aggregate(
+			[]engine.GroupCol{{Name: "source_ip", Kind: tuple.KindString, E: expr.Bind(out, "source_ip")}},
+			[]engine.AggSpec{
+				{Kind: engine.AggAvg, Name: "avg_page_rank", Arg: expr.Bind(out, "page_rank")},
+				{Kind: engine.AggSum, Name: "total_revenue", Arg: expr.Bind(out, "ad_revenue")},
+			}).Sort([]engine.SortKey{{E: expr.NewCol(2, "total_revenue"), Desc: true}})
+	})
+}
+
+func refNREFJoin(cat *catalog.Catalog) skipper.QuerySpec {
+	t := cat.MustTable
+	join := &mjoin.Query{
+		ID: "nref-4join",
+		Relations: []mjoin.Relation{
+			{Table: t("sequence"), Filter: expr.ColGE(t("sequence").Schema, "seq_mw", tuple.Float(20000))},
+			{Table: t("protein")},
+			{Table: t("taxonomy"), Filter: expr.ColEq(t("taxonomy").Schema, "tax_kingdom", tuple.Str("Bacteria"))},
+			{Table: t("sourcedb"), Filter: expr.In{
+				Needle: expr.Bind(t("sourcedb").Schema, "src_name"),
+				Set:    []tuple.Value{tuple.Str("SwissProt"), tuple.Str("PIR")},
+			}},
+		},
+		Joins: []mjoin.JoinCond{
+			{Rel: 1, LeftCol: "seq_pid", RightCol: "p_id"},
+			{Rel: 2, LeftCol: "p_taxid", RightCol: "tax_id"},
+			{Rel: 3, LeftCol: "p_sourceid", RightCol: "src_id"},
+		},
+	}
+	return refSpec("nref-4join", join, func(out *tuple.Schema) *engine.Shape {
+		return engine.NewShape(out).Aggregate(nil, []engine.AggSpec{{Kind: engine.AggCount, Name: "matching_sequences"}})
+	})
+}
+
+func TestPlanQ12Equivalent(t *testing.T) {
+	_, ds := tpchPlanner(t)
+	checkEquivalent(t, ds, workload.Q12, refQ12)
+}
+
 func TestPlanQ5Equivalent(t *testing.T) {
-	pl, ds := tpchPlanner(t)
-	sqlRows := runSQL(t, pl, ds, `
-		SELECT n_name, SUM(l_extendedprice * (1.0 - l_discount)) AS revenue
-		FROM customer, orders, lineitem, supplier, nation, region
-		WHERE c_custkey = o_custkey
-		  AND o_orderkey = l_orderkey
-		  AND l_suppkey = s_suppkey
-		  AND s_nationkey = n_nationkey
-		  AND n_regionkey = r_regionkey
-		  AND c_nationkey = s_nationkey
-		  AND r_name = 'ASIA'
-		  AND o_orderdate BETWEEN '1994-01-01' AND '1994-12-31'
-		GROUP BY n_name
-		ORDER BY revenue DESC`)
-	handRows, err := workload.Evaluate(ds, workload.Q5(ds.Catalog))
+	// Denser than tpchPlanner's dataset, on which Q5 selects no row.
+	checkEquivalent(t, workload.TPCH(0, workload.TPCHConfig{SF: 8, RowsPerObject: 200, Seed: 42}), workload.Q5, refQ5)
+}
+
+func TestPlanSSBQ1Equivalent(t *testing.T) {
+	checkEquivalent(t, workload.SSB(0, workload.SSBConfig{SF: 4, RowsPerObject: 60, Seed: 3}), workload.SSBQ1, refSSBQ1)
+}
+
+func TestPlanMRJoinTaskEquivalent(t *testing.T) {
+	checkEquivalent(t, workload.MRBench(0, workload.MRBenchConfig{TotalGB: 6, RowsPerObject: 40, Seed: 5}), workload.MRJoinTask, refMRJoinTask)
+}
+
+func TestPlanNREFJoinEquivalent(t *testing.T) {
+	checkEquivalent(t, workload.NREF(0, workload.NREFConfig{TotalGB: 6, RowsPerObject: 40, Seed: 9}), workload.NREFJoin, refNREFJoin)
+}
+
+// explainShaped renders the pull plan of q over ds with its shaping stage
+// applied, as EXPLAIN does.
+func explainShaped(t *testing.T, pl *sql.Planner, ds *workload.Dataset, q string) (string, []string) {
+	t.Helper()
+	spec, err := pl.Plan(q)
+	if err != nil {
+		t.Fatalf("plan %q: %v", q, err)
+	}
+	it, err := skipper.BuildPullPlan(engine.NewTestCtx(ds.Store), spec.Join)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(render(sqlRows), render(handRows)) {
-		t.Fatalf("SQL Q5 differs from hand-built plan:\n%v\n%v", render(sqlRows), render(handRows))
+	if it, err = spec.Shaped(it); err != nil {
+		t.Fatal(err)
+	}
+	return engine.Explain(it), it.Schema().ColumnNames()
+}
+
+// A select list of the GROUP BY columns, in order and not renamed, then the
+// aggregates is HashAgg's own output: the aggregates take their names and
+// no Project follows. Any other list still gets one.
+func TestAggregateAddsNoRenamingProject(t *testing.T) {
+	pl, ds := tpchPlanner(t)
+	for _, c := range []struct {
+		query   string
+		project bool
+		names   []string
+	}{
+		{"SELECT l_shipmode, COUNT(*) AS n FROM lineitem GROUP BY l_shipmode", false, []string{"l_shipmode", "n"}},
+		{"SELECT COUNT(*) AS n FROM lineitem", false, []string{"n"}},
+		{"SELECT COUNT(*) AS n, l_shipmode FROM lineitem GROUP BY l_shipmode", true, []string{"n", "l_shipmode"}},
+		{"SELECT l_shipmode AS mode, COUNT(*) AS n FROM lineitem GROUP BY l_shipmode", true, []string{"mode", "n"}},
+		{"SELECT l_shipmode FROM lineitem GROUP BY l_shipmode, l_quantity", true, []string{"l_shipmode"}},
+	} {
+		plan, names := explainShaped(t, pl, ds, c.query)
+		if got := strings.Contains(plan, "Project"); got != c.project {
+			t.Errorf("%q: Project in plan = %v, want %v:\n%s", c.query, got, c.project, plan)
+		}
+		if !reflect.DeepEqual(names, c.names) {
+			t.Errorf("%q: output columns %v, want %v", c.query, names, c.names)
+		}
+	}
+}
+
+// MR-Bench's columns are named in snake case, which the lexer's lowercased
+// identifiers can reach: a query over them plans, and both engines return
+// what the local evaluator returns.
+func TestPlanMRBenchColumns(t *testing.T) {
+	ds := workload.MRBench(0, workload.MRBenchConfig{TotalGB: 6, RowsPerObject: 40, Seed: 5})
+	spec, err := (&sql.Planner{Catalog: ds.Catalog}).Plan(`
+		SELECT dest_url, COUNT(*) AS visits, SUM(ad_revenue) AS revenue
+		FROM uservisits
+		WHERE visit_date BETWEEN '2000-01-01' AND '2000-06-30'
+		GROUP BY dest_url
+		ORDER BY dest_url`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := workload.Evaluate(ds, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 {
+		t.Fatal("no visits in the window; the comparison is vacuous")
+	}
+	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
+		st := make(map[segment.ObjectID]*segment.Segment)
+		ds.MergeInto(st)
+		c := &skipper.Client{Tenant: 0, Mode: mode, Catalog: ds.Catalog,
+			Queries: []skipper.QuerySpec{spec}, CacheObjects: 3, KeepResults: true}
+		res, err := (&skipper.Cluster{Clients: []*skipper.Client{c}, Store: st}).Run()
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if got := res.Clients[0].PerQuery[0].Results; !reflect.DeepEqual(render(got), render(want)) {
+			t.Fatalf("%v differs from the local evaluator:\n%v\n%v", mode, render(got), render(want))
+		}
 	}
 }
 

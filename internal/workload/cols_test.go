@@ -74,7 +74,7 @@ func sameRows(a, b []tuple.Row) error {
 	return nil
 }
 
-// TestColsChangeWidthNotResults: for every hand-built spec and the SQL probe
+// TestColsChangeWidthNotResults: for the paper's queries and the SQL probe
 // queries, the rows returned with the declared Cols equal the rows returned
 // with Cols = nil on every relation — on both engines, over materialized
 // and v2 stores, with MJoin's cache at its minimum and holding everything.

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/engine"
-	"repro/internal/expr"
-	"repro/internal/mjoin"
 	"repro/internal/skipper"
 	"repro/internal/tuple"
 )
@@ -23,15 +20,15 @@ type MRBenchConfig struct {
 // MRBench schemas.
 var (
 	SchemaRankings = tuple.NewSchema(
-		col("pageURL", tuple.KindString),
-		col("pageRank", tuple.KindInt64),
-		col("avgDuration", tuple.KindInt64),
+		col("page_url", tuple.KindString),
+		col("page_rank", tuple.KindInt64),
+		col("avg_duration", tuple.KindInt64),
 	)
 	SchemaUservisits = tuple.NewSchema(
-		col("sourceIP", tuple.KindString),
-		col("destURL", tuple.KindString),
-		col("visitDate", tuple.KindDate),
-		col("adRevenue", tuple.KindFloat64),
+		col("source_ip", tuple.KindString),
+		col("dest_url", tuple.KindString),
+		col("visit_date", tuple.KindDate),
+		col("ad_revenue", tuple.KindFloat64),
 	)
 )
 
@@ -82,27 +79,14 @@ func MRBench(tenant int, cfg MRBenchConfig) *Dataset {
 	return b.dataset()
 }
 
-// MRJoinTask builds the benchmark's JoinTask: per-source ad revenue and
+// MRJoinTask is the benchmark's JoinTask: per-source ad revenue and
 // average page rank for visits in a date window.
 func MRJoinTask(cat *catalog.Catalog) skipper.QuerySpec {
-	rankings := cat.MustTable("rankings")
-	uservisits := cat.MustTable("uservisits")
-	uvFilter := expr.ColBetween(uservisits.Schema, "visitDate",
-		tuple.Date(2000, 1, 15), tuple.Date(2000, 3, 31))
-	join := &mjoin.Query{
-		ID: "mr-join",
-		Relations: []mjoin.Relation{
-			{Table: rankings, Cols: colsOf(rankings.Schema, "pageURL", "pageRank")},
-			{Table: uservisits, Filter: uvFilter},
-		},
-		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "pageURL", RightCol: "destURL"}},
-	}
-	outSchema := join.OutputSchema()
-	shape := engine.NewShape(outSchema).Aggregate(
-		[]engine.GroupCol{{Name: "sourceIP", Kind: tuple.KindString, E: expr.Bind(outSchema, "sourceIP")}},
-		[]engine.AggSpec{
-			{Kind: engine.AggAvg, Name: "avgPageRank", Arg: expr.Bind(outSchema, "pageRank")},
-			{Kind: engine.AggSum, Name: "totalRevenue", Arg: expr.Bind(outSchema, "adRevenue")},
-		}).Sort([]engine.SortKey{{E: expr.NewCol(2, "totalRevenue"), Desc: true}})
-	return skipper.QuerySpec{Name: "mr-join", Join: join, Shape: shape.Apply, Bound: outSchema}
+	return mustPlan(cat, "mr-join", `
+		SELECT source_ip, AVG(page_rank) AS avg_page_rank, SUM(ad_revenue) AS total_revenue
+		FROM rankings, uservisits
+		WHERE page_url = dest_url
+		  AND visit_date BETWEEN '2000-01-15' AND '2000-03-31'
+		GROUP BY source_ip
+		ORDER BY total_revenue DESC`)
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/engine"
-	"repro/internal/expr"
-	"repro/internal/mjoin"
 	"repro/internal/skipper"
 	"repro/internal/tuple"
 )
@@ -106,33 +103,17 @@ func NREF(tenant int, cfg NREFConfig) *Dataset {
 	return b.dataset()
 }
 
-// NREFJoin builds the paper's genome-sequencing query: a four-table join
+// NREFJoin is the paper's genome-sequencing query: a four-table join
 // counting protein sequences from bacterial organisms in a trusted source
 // database with a molecular-weight cutoff.
 func NREFJoin(cat *catalog.Catalog) skipper.QuerySpec {
-	sequence := cat.MustTable("sequence")
-	protein := cat.MustTable("protein")
-	taxonomy := cat.MustTable("taxonomy")
-	sourcedb := cat.MustTable("sourcedb")
-	join := &mjoin.Query{
-		ID: "nref-4join",
-		Relations: []mjoin.Relation{
-			{Table: sequence, Filter: expr.ColGE(sequence.Schema, "seq_mw", tuple.Float(20000)),
-				Cols: colsOf(sequence.Schema, "seq_pid", "seq_mw")},
-			{Table: protein, Cols: colsOf(protein.Schema, "p_id", "p_taxid", "p_sourceid")},
-			{Table: taxonomy, Filter: expr.ColEq(taxonomy.Schema, "tax_kingdom", tuple.Str("Bacteria"))},
-			{Table: sourcedb, Filter: expr.In{
-				Needle: expr.Bind(sourcedb.Schema, "src_name"),
-				Set:    []tuple.Value{tuple.Str("SwissProt"), tuple.Str("PIR")},
-			}},
-		},
-		Joins: []mjoin.JoinCond{
-			{Rel: 1, LeftCol: "seq_pid", RightCol: "p_id"},
-			{Rel: 2, LeftCol: "p_taxid", RightCol: "tax_id"},
-			{Rel: 3, LeftCol: "p_sourceid", RightCol: "src_id"},
-		},
-	}
-	shape := engine.NewShape(join.OutputSchema()).Aggregate(nil,
-		[]engine.AggSpec{{Kind: engine.AggCount, Name: "matching_sequences"}})
-	return skipper.QuerySpec{Name: "nref-4join", Join: join, Shape: shape.Apply}
+	return mustPlan(cat, "nref-4join", `
+		SELECT COUNT(*) AS matching_sequences
+		FROM sequence, protein, taxonomy, sourcedb
+		WHERE seq_pid = p_id
+		  AND p_taxid = tax_id
+		  AND p_sourceid = src_id
+		  AND seq_mw >= 20000.0
+		  AND tax_kingdom = 'Bacteria'
+		  AND src_name IN ('SwissProt', 'PIR')`)
 }

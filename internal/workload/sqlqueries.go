@@ -8,18 +8,19 @@ import (
 	"repro/internal/sql"
 )
 
-// This file defines additional benchmark queries through the SQL
-// front-end rather than hand-built plans — both to exercise the parser/
-// planner end-to-end and to document the queries in their natural form.
+// This file defines the benchmark queries beside the paper's five (which
+// sit with their datasets). Every query of the package is SQL text planned
+// by the sql front end, as a query reaching Skipper inside PostgreSQL is.
 
-// mustPlan compiles a SQL statement against the catalog.
+// mustPlan compiles a SQL statement against the catalog; the spec and its
+// join carry name, so an error names the query that failed.
 func mustPlan(cat *catalog.Catalog, name, query string) skipper.QuerySpec {
 	pl := &sql.Planner{Catalog: cat}
 	spec, err := pl.Plan(query)
 	if err != nil {
 		panic(fmt.Sprintf("workload: %s: %v", name, err))
 	}
-	spec.Name = name
+	spec.Name, spec.Join.ID = name, name
 	return spec
 }
 

@@ -2,9 +2,6 @@ package workload
 
 import (
 	"repro/internal/catalog"
-	"repro/internal/engine"
-	"repro/internal/expr"
-	"repro/internal/mjoin"
 	"repro/internal/skipper"
 	"repro/internal/tuple"
 )
@@ -81,33 +78,14 @@ func SSB(tenant int, cfg SSBConfig) *Dataset {
 	return b.dataset()
 }
 
-// SSBQ1 builds SSB Q1.1: revenue from discount-band sales in 1993 —
+// SSBQ1 is SSB Q1.1: revenue from discount-band sales in 1993 —
 // lineorder ⋈ date with tight filters and a global aggregate.
 func SSBQ1(cat *catalog.Catalog) skipper.QuerySpec {
-	lineorder := cat.MustTable("lineorder")
-	date := cat.MustTable("date")
-	los := lineorder.Schema
-	loFilter := expr.NewAnd(
-		expr.ColBetween(los, "lo_discount", tuple.Int(1), tuple.Int(3)),
-		expr.ColLT(los, "lo_quantity", tuple.Int(25)),
-	)
-	join := &mjoin.Query{
-		ID: "ssb-q1",
-		Relations: []mjoin.Relation{
-			{Table: lineorder, Filter: loFilter,
-				Cols: colsOf(los, "lo_orderdate", "lo_quantity", "lo_extendedprice", "lo_discount")},
-			{Table: date, Filter: expr.ColEq(date.Schema, "d_year", tuple.Int(1993)),
-				Cols: colsOf(date.Schema, "d_datekey", "d_year")},
-		},
-		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "lo_orderdate", RightCol: "d_datekey"}},
-	}
-	outSchema := join.OutputSchema()
-	revenue := expr.Arith{
-		Op: expr.Mul,
-		L:  expr.Bind(outSchema, "lo_extendedprice"),
-		R:  expr.Bind(outSchema, "lo_discount"),
-	}
-	shape := engine.NewShape(outSchema).Aggregate(nil,
-		[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}})
-	return skipper.QuerySpec{Name: "ssb-q1", Join: join, Shape: shape.Apply, Bound: outSchema}
+	return mustPlan(cat, "ssb-q1", `
+		SELECT SUM(lo_extendedprice * lo_discount) AS revenue
+		FROM lineorder, date
+		WHERE lo_orderdate = d_datekey
+		  AND d_year = 1993
+		  AND lo_discount BETWEEN 1 AND 3
+		  AND lo_quantity < 25`)
 }

@@ -5,9 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/catalog"
-	"repro/internal/engine"
-	"repro/internal/expr"
-	"repro/internal/mjoin"
 	"repro/internal/skipper"
 	"repro/internal/tuple"
 )
@@ -243,102 +240,39 @@ func TPCH(tenant int, cfg TPCHConfig) *Dataset {
 	return b.dataset()
 }
 
-// Q12 builds TPC-H Q12 ("shipping modes and order priority"): a join of
+// Q12 is TPC-H Q12 ("shipping modes and order priority"): a join of
 // lineitem and orders with shipmode/date predicates, grouped by shipmode.
 func Q12(cat *catalog.Catalog) skipper.QuerySpec {
-	lineitem := cat.MustTable("lineitem")
-	orders := cat.MustTable("orders")
-	ls := lineitem.Schema
-	lineFilter := expr.NewAnd(
-		expr.In{Needle: expr.Bind(ls, "l_shipmode"), Set: []tuple.Value{tuple.Str("MAIL"), tuple.Str("SHIP")}},
-		expr.Cmp{Op: expr.LT, L: expr.Bind(ls, "l_commitdate"), R: expr.Bind(ls, "l_receiptdate")},
-		expr.Cmp{Op: expr.LT, L: expr.Bind(ls, "l_shipdate"), R: expr.Bind(ls, "l_commitdate")},
-		expr.ColBetween(ls, "l_receiptdate", tuple.Date(1994, 1, 1), tuple.Date(1994, 12, 31)),
-	)
-	join := &mjoin.Query{
-		ID: "q12",
-		Relations: []mjoin.Relation{
-			{Table: lineitem, Filter: lineFilter,
-				Cols: colsOf(ls, "l_orderkey", "l_shipdate", "l_commitdate", "l_receiptdate", "l_shipmode")},
-			{Table: orders, Cols: colsOf(orders.Schema, "o_orderkey", "o_orderpriority")},
-		},
-		Joins: []mjoin.JoinCond{{Rel: 1, LeftCol: "l_orderkey", RightCol: "o_orderkey"}},
-		// The shaping stage reads the ship mode and the priority; the dates
-		// are only filtered on.
-		Out: []string{"l_shipmode", "o_orderpriority"},
-	}
-	outSchema := join.OutputSchema()
-	highPri := expr.In{
-		Needle: expr.Bind(outSchema, "o_orderpriority"),
-		Set:    []tuple.Value{tuple.Str("1-URGENT"), tuple.Str("2-HIGH")},
-	}
-	shape := engine.NewShape(outSchema).Aggregate(
-		[]engine.GroupCol{{Name: "l_shipmode", Kind: tuple.KindString, E: expr.Bind(outSchema, "l_shipmode")}},
-		[]engine.AggSpec{
-			{Kind: engine.AggSum, Name: "high_line_count", Arg: expr.Case{
-				Branches: []expr.CaseBranch{{When: highPri, Then: expr.Lit(tuple.Int(1))}},
-				Else:     expr.Lit(tuple.Int(0)),
-			}},
-			{Kind: engine.AggSum, Name: "low_line_count", Arg: expr.Case{
-				Branches: []expr.CaseBranch{{When: highPri, Then: expr.Lit(tuple.Int(0))}},
-				Else:     expr.Lit(tuple.Int(1)),
-			}},
-		}).Sort([]engine.SortKey{{E: expr.NewCol(0, "l_shipmode")}})
-	return skipper.QuerySpec{Name: "tpch-q12", Join: join, Shape: shape.Apply, Bound: outSchema}
+	return mustPlan(cat, "tpch-q12", `
+		SELECT l_shipmode,
+		       SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 1 ELSE 0 END) AS high_line_count,
+		       SUM(CASE WHEN o_orderpriority IN ('1-URGENT', '2-HIGH') THEN 0 ELSE 1 END) AS low_line_count
+		FROM lineitem, orders
+		WHERE l_orderkey = o_orderkey
+		  AND l_shipmode IN ('MAIL', 'SHIP')
+		  AND l_commitdate < l_receiptdate
+		  AND l_shipdate < l_commitdate
+		  AND l_receiptdate BETWEEN '1994-01-01' AND '1994-12-31'
+		GROUP BY l_shipmode
+		ORDER BY l_shipmode`)
 }
 
-// Q5 builds TPC-H Q5 ("local supplier volume"): a six-relation join whose
+// Q5 is TPC-H Q5 ("local supplier volume"): a six-relation join whose
 // input nearly covers the whole dataset. The c_nationkey = s_nationkey
-// cycle edge and the region/date predicates are applied in the shaping
-// stage, identically for both engines.
+// edge closes a cycle in the join graph, so the planner applies it in the
+// shaping stage, identically for both engines.
 func Q5(cat *catalog.Catalog) skipper.QuerySpec {
-	customer := cat.MustTable("customer")
-	orders := cat.MustTable("orders")
-	lineitem := cat.MustTable("lineitem")
-	supplier := cat.MustTable("supplier")
-	nation := cat.MustTable("nation")
-	region := cat.MustTable("region")
-
-	os := orders.Schema
-	orderFilter := expr.ColBetween(os, "o_orderdate", tuple.Date(1994, 1, 1), tuple.Date(1994, 12, 31))
-
-	join := &mjoin.Query{
-		ID: "q5",
-		Relations: []mjoin.Relation{
-			{Table: customer, Cols: colsOf(customer.Schema, "c_custkey", "c_nationkey")},
-			{Table: orders, Filter: orderFilter, Cols: colsOf(os, "o_orderkey", "o_custkey", "o_orderdate")},
-			{Table: lineitem, Cols: colsOf(lineitem.Schema, "l_orderkey", "l_suppkey", "l_extendedprice", "l_discount")},
-			{Table: supplier},
-			{Table: nation},
-			{Table: region, Filter: expr.ColEq(region.Schema, "r_name", tuple.Str("ASIA"))},
-		},
-		Joins: []mjoin.JoinCond{
-			{Rel: 1, LeftCol: "c_custkey", RightCol: "o_custkey"},
-			{Rel: 2, LeftCol: "o_orderkey", RightCol: "l_orderkey"},
-			{Rel: 3, LeftCol: "l_suppkey", RightCol: "s_suppkey"},
-			{Rel: 4, LeftCol: "s_nationkey", RightCol: "n_nationkey"},
-			{Rel: 5, LeftCol: "n_regionkey", RightCol: "r_regionkey"},
-		},
-		// The shaping stage reads the cycle edge, the revenue terms and the
-		// group key; every other column is a key some join consumes.
-		Out: []string{"c_nationkey", "s_nationkey", "l_extendedprice", "l_discount", "n_name"},
-	}
-	outSchema := join.OutputSchema()
-	revenue := expr.Arith{
-		Op: expr.Mul,
-		L:  expr.Bind(outSchema, "l_extendedprice"),
-		R: expr.Arith{Op: expr.Sub,
-			L: expr.Lit(tuple.Float(1)),
-			R: expr.Bind(outSchema, "l_discount")},
-	}
-	// The join-graph cycle: customers must share the supplier's nation.
-	shape := engine.NewShape(outSchema).Filter(expr.Cmp{
-		Op: expr.EQ,
-		L:  expr.Bind(outSchema, "c_nationkey"),
-		R:  expr.Bind(outSchema, "s_nationkey"),
-	}).Aggregate(
-		[]engine.GroupCol{{Name: "n_name", Kind: tuple.KindString, E: expr.Bind(outSchema, "n_name")}},
-		[]engine.AggSpec{{Kind: engine.AggSum, Name: "revenue", Arg: revenue}},
-	).Sort([]engine.SortKey{{E: expr.NewCol(1, "revenue"), Desc: true}})
-	return skipper.QuerySpec{Name: "tpch-q5", Join: join, Shape: shape.Apply, Bound: outSchema}
+	return mustPlan(cat, "tpch-q5", `
+		SELECT n_name, SUM(l_extendedprice * (1.0 - l_discount)) AS revenue
+		FROM customer, orders, lineitem, supplier, nation, region
+		WHERE c_custkey = o_custkey
+		  AND o_orderkey = l_orderkey
+		  AND l_suppkey = s_suppkey
+		  AND s_nationkey = n_nationkey
+		  AND n_regionkey = r_regionkey
+		  AND c_nationkey = s_nationkey
+		  AND r_name = 'ASIA'
+		  AND o_orderdate BETWEEN '1994-01-01' AND '1994-12-31'
+		GROUP BY n_name
+		ORDER BY revenue DESC`)
 }

@@ -14,7 +14,6 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/catalog"
 	"repro/internal/segment"
@@ -98,17 +97,5 @@ func rowArena(n, w int) []tuple.Row {
 }
 
 func col(name string, k tuple.Kind) tuple.Column { return tuple.Column{Name: name, Kind: k} }
-
-// colsOf resolves the columns a hand-built query reads from one relation
-// into mjoin.Relation.Cols: their positions in the table schema, ascending.
-// A relation whose every column is read leaves Cols nil instead.
-func colsOf(s *tuple.Schema, names ...string) []int {
-	out := make([]int, len(names))
-	for i, n := range names {
-		out[i] = s.MustColIndex(n)
-	}
-	sort.Ints(out)
-	return out
-}
 
 func pick[T any](rng *rand.Rand, xs []T) T { return xs[rng.Intn(len(xs))] }

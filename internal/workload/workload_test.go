@@ -168,7 +168,7 @@ func TestMRJoinTask(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("JoinTask produced no groups")
 	}
-	// Sorted by totalRevenue desc.
+	// Sorted by total_revenue desc.
 	for i := 1; i < len(rows); i++ {
 		if rows[i][2].AsFloat() > rows[i-1][2].AsFloat() {
 			t.Fatalf("not sorted by revenue: %v then %v", rows[i-1], rows[i])
