@@ -30,7 +30,7 @@
 //	faults    fault-rate sweep plus a crash/restart scenario: makespan
 //	          degradation, extra device GETs, retries, backoff
 //	scale     makespan per fleet size, then a device-0 crash with and
-//	          without hot replication; fails unless the replicated fleet
+//	          without full replication; fails unless the replicated fleet
 //	          fails over and degrades strictly less than the unreplicated one
 //
 // A report measures; it does not gate. That no setting changes what a

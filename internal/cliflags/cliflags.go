@@ -59,7 +59,7 @@ func Bind(fs *flag.FlagSet, segCache int) *Flags {
 	// afresh to every query's device run. Rates of zero (the defaults)
 	// disable injection entirely.
 	fs.IntVar(&f.run.Fleet.N, "devices", 1, "CSD fleet size every query runs against: disk groups spread across this many devices")
-	fs.StringVar(&f.replication, "replication", "none", "object replication across the fleet: none, full, hot or hot:N (with -devices > 1)")
+	fs.StringVar(&f.replication, "replication", "none", "object replication across the fleet: none or full (with -devices > 1)")
 	fs.Float64Var(&f.plan.TransientRate, "fault-transient", 0, "probability a device transfer fails transiently and is retried, in [0,1]")
 	fs.Float64Var(&f.plan.CorruptRate, "fault-corrupt", 0, "probability a transfer delivers a corrupt payload — caught by checksum, quarantined and re-requested — in [0,1]")
 	fs.Float64Var(&f.plan.StallRate, "fault-stall", 0, "probability a transfer stalls for -fault-stall-dur extra simulated time, in [0,1]")

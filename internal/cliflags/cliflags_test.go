@@ -35,7 +35,7 @@ const small = "-sf 1 -rows 2 "
 func TestFullFlagLine(t *testing.T) {
 	r, err := resolve(t, false, small+"-workload tpch -clustered -format mem "+
 		"-engine vanilla -cache 7 -segcache 5 -prune=false -prefetch 3 "+
-		"-devices 2 -replication hot:4 "+
+		"-devices 2 -replication full "+
 		"-fault-transient 0.4 -fault-corrupt 0.25 -fault-stall 0.2 -fault-stall-dur 5s -fault-cap 2 -fault-seed 42 "+
 		"-crash-at 15s -crash-downtime 20s -retry-attempts 40 -retry-backoff 500ms")
 	if err != nil {
@@ -52,7 +52,7 @@ func TestFullFlagLine(t *testing.T) {
 	}
 	wantFleet := skipper.FleetSpec{
 		N:           2,
-		Replication: layout.Replication{Kind: layout.ReplicateHot, Hot: 4},
+		Replication: layout.ReplicateFull,
 		Faults: &faults.Plan{
 			Seed: 42, TransientRate: 0.4, StallRate: 0.2, Stall: 5 * time.Second, CorruptRate: 0.25,
 			MaxFaultsPerObject: 2, CrashAt: 15 * time.Second, CrashDowntime: 20 * time.Second,
@@ -103,7 +103,6 @@ func TestOutsideInputIsRejected(t *testing.T) {
 		{"unknown format", "-format v3", false},
 		{"a format no front end serves", "-format v1", false},
 		{"unknown replication", "-replication warm", false},
-		{"malformed hot count", "-replication hot:x", false},
 		{"no devices", "-devices 0", false},
 		{"negative prefetch budget", "-prefetch -1", false},
 		{"negative MJoin cache", "-cache -1", false},
@@ -119,6 +118,22 @@ func TestOutsideInputIsRejected(t *testing.T) {
 	}
 	if r, err := resolve(t, true, small+"-engine local"); err != nil || !r.Local {
 		t.Fatalf("-engine local refused where allowed: %+v, %v", r, err)
+	}
+}
+
+// TestHotReplicationIsAUsageError: `hot` replication, bare or with a
+// count, was deleted (it placed exactly as `full` does); both front ends
+// refuse it with exit status 2 and name the policies that remain.
+func TestHotReplicationIsAUsageError(t *testing.T) {
+	for _, policy := range []string{"hot", "hot" + ":4"} {
+		for name, run := range map[string]func(...string) result{"skipperd": skipperd, "skipperql": skipperql} {
+			t.Run(name+"/"+policy, func(t *testing.T) {
+				r := run("-devices", "2", "-replication", policy)
+				if r.code != 2 || !strings.Contains(r.errs, "want none or full") {
+					t.Fatalf("-replication %s exited %d, want 2 naming none and full\nstderr:\n%s", policy, r.code, r.errs)
+				}
+			})
+		}
 	}
 }
 

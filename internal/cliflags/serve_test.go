@@ -444,7 +444,7 @@ func TestFleetServeMatchesReference(t *testing.T) {
 	d := startDaemon(t, "-devices", "2", "-replication", "full", "-crash-at", "15s")
 	t.Run("fleet and failover rows match the reference", func(t *testing.T) {
 		want := oracle(t)
-		for _, fleet := range [][]string{{"-devices", "2", "-replication", "hot"}, {"-devices", "4", "-replication", "full"}} {
+		for _, fleet := range [][]string{{"-devices", "2", "-replication", "full"}, {"-devices", "4", "-replication", "full"}} {
 			if got := oracle(t, fleet...); got != want {
 				t.Errorf("skipperql %v: rows differ from the reference\n--- reference\n%s\n--- fleet\n%s", fleet, want, got)
 			}

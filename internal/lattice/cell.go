@@ -48,7 +48,7 @@ type Cell struct {
 }
 
 // String names the cell by its path through the lattice, e.g.
-// "v2/skipper/dop1/prune=true/cache=9/pipe/faults/2xhot/traced". The fixed
+// "v2/skipper/dop1/prune=true/cache=9/pipe/faults/2xfull/traced". The fixed
 // "dop1" says every cell runs serially; it stays so that cell names, and
 // the test names built from them, are the ones they have always been. A
 // prefetch budget shows as "pipe".

@@ -25,9 +25,9 @@ var (
 	fleets  = []skipper.FleetSpec{
 		{},
 		{N: 2},
-		{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}},
+		{N: 2, Replication: layout.ReplicateFull},
 		{N: 4},
-		{N: 4, Replication: layout.Replication{Kind: layout.ReplicateFull}},
+		{N: 4, Replication: layout.ReplicateFull},
 	}
 )
 
@@ -36,14 +36,14 @@ var (
 const probeMJoinCache = 6
 
 // AllOn is the cell no matrix reaches: one engine with every feature at
-// once — faults × a two-device hot-replicated fleet × shared cache ×
+// once — faults × a two-device fully replicated fleet × shared cache ×
 // pipeline × traced.
 func AllOn(mode skipper.Mode, footprint int) Cell {
 	return Cell{
 		Options:     skipper.Options{Mode: mode, CacheObjects: probeMJoinCache, PrefetchBytes: PrefetchOn},
 		Format:      segment.FormatV2,
 		SharedCache: footprint, Traced: true,
-		Fleet: skipper.FleetSpec{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}, Faults: Chaos(42)},
+		Fleet: skipper.FleetSpec{N: 2, Replication: layout.ReplicateFull, Faults: Chaos(42)},
 	}
 }
 

@@ -14,14 +14,11 @@ func TestParseReplication(t *testing.T) {
 		want Replication
 		ok   bool
 	}{
-		{"", Replication{}, true},
-		{"none", Replication{}, true},
-		{"full", Replication{Kind: ReplicateFull}, true},
-		{"hot", Replication{Kind: ReplicateHot}, true},
-		{"hot:3", Replication{Kind: ReplicateHot, Hot: 3}, true},
-		{"hot:0", Replication{}, false},
-		{"hot:x", Replication{}, false},
-		{"mirrored", Replication{}, false},
+		{"", ReplicateNone, true},
+		{"none", ReplicateNone, true},
+		{"full", ReplicateFull, true},
+		{"hot", ReplicateNone, false},
+		{"mirrored", ReplicateNone, false},
 	}
 	for _, c := range cases {
 		got, err := ParseReplication(c.in)
@@ -40,7 +37,7 @@ func TestParseReplication(t *testing.T) {
 func TestPlacementPrimaries(t *testing.T) {
 	tens := []TenantObjects{tenant(0, 4), tenant(1, 4)}
 	a := mustAssign(t, RoundRobinObjects{NumGroups: 4}, tens)
-	p, err := BuildPlacement(a, 2, Replication{}, nil)
+	p, err := BuildPlacement(a, 2, ReplicateNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,56 +80,31 @@ func TestPlacementPrimaries(t *testing.T) {
 func TestPlacementFullReplication(t *testing.T) {
 	tens := []TenantObjects{tenant(0, 6)}
 	a := mustAssign(t, RoundRobinObjects{NumGroups: 3}, tens)
-	p, err := BuildPlacement(a, 3, Replication{Kind: ReplicateFull}, nil)
+	p, err := BuildPlacement(a, 3, ReplicateFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.ReplicatedObjects() != 6 {
 		t.Fatalf("replicated %d, want 6", p.ReplicatedObjects())
 	}
+	// Primary first, then the other devices in ascending order: the order
+	// the chooser and failover try replicas in.
 	a.Each(func(id segment.ObjectID, g int) {
-		devs := p.DevicesFor(id)
-		if len(devs) != 3 || devs[0] != g%3 {
-			t.Fatalf("object %v on devices %v (group %d)", id, devs, g)
+		want := append([]int{g % 3}, slices.DeleteFunc([]int{0, 1, 2}, func(d int) bool { return d == g%3 })...)
+		if devs := p.DevicesFor(id); !slices.Equal(devs, want) {
+			t.Fatalf("object %v on devices %v (group %d), want %v", id, devs, g, want)
 		}
 	})
-}
-
-func TestPlacementHotReplication(t *testing.T) {
-	tens := []TenantObjects{tenant(0, 6)}
-	a := mustAssign(t, RoundRobinObjects{NumGroups: 2}, tens)
-	heat := map[segment.ObjectID]int{
-		tens[0].Objects[0]: 5,
-		tens[0].Objects[1]: 3,
-		tens[0].Objects[2]: 0, // cold: never replicated, even by hot:N
-	}
-	p, err := BuildPlacement(a, 2, Replication{Kind: ReplicateHot, Hot: 1}, heat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ReplicatedObjects() != 1 {
-		t.Fatalf("replicated %d, want 1 (hot:1)", p.ReplicatedObjects())
-	}
-	devs := p.DevicesFor(tens[0].Objects[0])
-	if len(devs) != 2 {
-		t.Fatalf("hottest object on devices %v, want both", devs)
-	}
-	if pd, _ := p.PrimaryFor(tens[0].Objects[0]); pd != devs[0] {
-		t.Fatalf("primary %d != devs[0] %d", pd, devs[0])
-	}
-	// Hot <= 0 replicates the whole positive-heat working set.
-	p2, err := BuildPlacement(a, 2, Replication{Kind: ReplicateHot}, heat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.ReplicatedObjects() != 2 {
-		t.Fatalf("replicated %d, want 2 (all hot)", p2.ReplicatedObjects())
+	for d := 0; d < 3; d++ {
+		if da, err := p.DeviceAssignment(d); err != nil || da.NumObjects() != 6 {
+			t.Fatalf("device %d does not hold every object: %v", d, err)
+		}
 	}
 }
 
 func TestPlacementSingleDeviceReplicationIsNoop(t *testing.T) {
 	a := mustAssign(t, RoundRobinObjects{NumGroups: 4}, []TenantObjects{tenant(0, 4)})
-	p, err := BuildPlacement(a, 1, Replication{Kind: ReplicateFull}, nil)
+	p, err := BuildPlacement(a, 1, ReplicateFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +121,14 @@ func TestPlacementSingleDeviceReplicationIsNoop(t *testing.T) {
 func TestBuildPlacementValidation(t *testing.T) {
 	a := mustAssign(t, AllInOne{}, []TenantObjects{tenant(0, 1)})
 	var pe *PolicyError
-	if _, err := BuildPlacement(a, 0, Replication{}, nil); !errors.As(err, &pe) {
+	if _, err := BuildPlacement(a, 0, ReplicateNone); !errors.As(err, &pe) {
 		t.Fatalf("zero devices accepted: %v", err)
 	}
+	if _, err := BuildPlacement(a, 2, Replication(7)); !errors.As(err, &pe) {
+		t.Fatalf("unknown replication accepted: %v", err)
+	}
 	var re *GroupRangeError
-	p, err := BuildPlacement(a, 1, Replication{}, nil)
+	p, err := BuildPlacement(a, 1, ReplicateNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,41 +137,5 @@ func TestBuildPlacementValidation(t *testing.T) {
 	}
 	if _, err := p.PrimaryFor(segment.ObjectID{Table: "missing"}); err == nil {
 		t.Fatal("unplaced object primary lookup succeeded")
-	}
-}
-
-// TestHotObjectsOrder pins the ranking: count descending, then the id's
-// text ascending — so tenant 10 sorts before tenant 2, and index 10000
-// before index 9999.
-func TestHotObjectsOrder(t *testing.T) {
-	id := func(tenant int, table string, index int) segment.ObjectID {
-		return segment.ObjectID{Tenant: tenant, Table: table, Index: index}
-	}
-	heat := map[segment.ObjectID]int{
-		id(2, "orders", 0):       3,
-		id(10, "orders", 0):      3,
-		id(1, "orders", 0):       3,
-		id(1, "lineitem", 9999):  3,
-		id(1, "lineitem", 10000): 3,
-		id(3, "region", 0):       7,
-		id(0, "nation", 0):       1,
-		id(0, "part", 0):         0,
-	}
-	want := []segment.ObjectID{
-		id(3, "region", 0),
-		id(1, "lineitem", 10000),
-		id(1, "lineitem", 9999),
-		id(1, "orders", 0),
-		id(10, "orders", 0),
-		id(2, "orders", 0),
-		id(0, "nation", 0),
-	}
-	for i := 0; i < 50; i++ { // map order differs from run to run
-		if got := hotObjects(heat, 0); !slices.Equal(got, want) {
-			t.Fatalf("hot objects %v, want %v", got, want)
-		}
-	}
-	if got := hotObjects(heat, 3); !slices.Equal(got, want[:3]) {
-		t.Fatalf("top 3 %v, want %v", got, want[:3])
 	}
 }

@@ -85,7 +85,7 @@ func TestConcurrentTenantsShareOneFleet(t *testing.T) {
 	cfg := servingConfig(t)
 	cfg.Fleet = skipper.FleetSpec{
 		N:           2,
-		Replication: layout.Replication{Kind: layout.ReplicateFull},
+		Replication: layout.ReplicateFull,
 		Faults:      chaosServerPlan(),
 	}
 	cfg.Retry = chaosServerRetry()

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/layout"
 	"repro/internal/metrics"
 	"repro/internal/segcache"
 	"repro/internal/segment"
@@ -45,13 +44,12 @@ type Config struct {
 	SegCacheObjects int
 	// Fleet is the device fleet every query runs against: its size,
 	// replication and fault plan (the zero value is one clean default
-	// device). New places it once (hot replication: per query, by its
-	// demand); every query runs fresh devices with fresh injectors — fault
-	// decisions are a pure function of (seed, object, attempt), so every
-	// query sees the same deterministic schedule on its own virtual clock
-	// regardless of serving concurrency, and a crash window hits each
-	// affected query at the same point of its own run while other queries
-	// and tenants keep serving.
+	// device). New places it once; every query runs fresh devices with
+	// fresh injectors — fault decisions are a pure function of (seed,
+	// object, attempt), so every query sees the same deterministic
+	// schedule on its own virtual clock regardless of serving concurrency,
+	// and a crash window hits each affected query at the same point of its
+	// own run while other queries and tenants keep serving.
 	Fleet skipper.FleetSpec
 	// MaxTenants bounds acceptable tenant ids to [0, MaxTenants).
 	// Default 8.
@@ -123,8 +121,8 @@ type Server struct {
 	adm     *Admission
 	reg     *metrics.Registry
 	slow    metrics.Counter // skipper_slow_queries_total
-	// fleet is cfg.Fleet placed over the dataset, read by every query at
-	// once; nil under hot replication (execute places each query).
+	// fleet is cfg.Fleet placed over the dataset once, read by every
+	// query at once.
 	fleet *skipper.Fleet
 
 	base   context.Context // canceled on Shutdown: aborts queued and running queries
@@ -165,9 +163,6 @@ func New(cfg Config) (*Server, error) {
 	fleet, err := skipper.NewFleet(cfg.Fleet, nil, cfg.Dataset.Store, []*skipper.Client{cfg.Options.Client(0, cfg.Dataset.Catalog, nil)})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
-	}
-	if cfg.Fleet.Replication.Kind == layout.ReplicateHot {
-		fleet = nil
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 8
@@ -694,14 +689,7 @@ func (s *Server) traceResponse(req *Request, tenant int) *Response {
 func (s *Server) execute(ctx context.Context, tenant int, ts *tenantState, spec skipper.QuerySpec, qt *trace.QueryTrace) (*skipper.RunResult, error) {
 	client := s.cfg.Options.Client(tenant, s.cfg.Dataset.Catalog, []skipper.QuerySpec{spec})
 	client.SegCache, client.KeepResults, client.Ctx, client.QTrace = ts.cache, true, ctx, qt
-	clients, fleet := []*skipper.Client{client}, s.fleet
-	if fleet == nil { // hot replication: placed by this query's demand
-		var err error
-		if fleet, err = skipper.NewFleet(s.cfg.Fleet, nil, s.store, clients); err != nil {
-			return nil, err
-		}
-	}
-	res, err := fleet.Run(clients, qt.DeviceLane())
+	res, err := s.fleet.Run([]*skipper.Client{client}, qt.DeviceLane())
 	if res == nil {
 		return nil, err
 	}

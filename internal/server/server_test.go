@@ -271,6 +271,26 @@ func TestServerProtocolErrors(t *testing.T) {
 	}
 }
 
+// TestDuplicateOutputColumnIsAPlanError: a statement naming one output
+// column twice answers a plan error that names the column (it used to
+// panic while the statement was planned), and the session serves its next
+// statement.
+func TestDuplicateOutputColumnIsAPlanError(t *testing.T) {
+	_, addr := startServer(t, servingConfig(t))
+	c := dialServer(t, addr)
+	for q, col := range map[string]string{
+		"SELECT n_name, n_name FROM nation":                                           "n_name",
+		"SELECT l_shipmode, COUNT(*) AS l_shipmode FROM lineitem GROUP BY l_shipmode": "l_shipmode",
+	} {
+		if resp := c.roundTrip(t, Request{SQL: q}); resp.Code != CodePlan || !strings.Contains(resp.Error, `"`+col+`"`) {
+			t.Fatalf("%q answered %+v, want a plan error naming %q", q, resp, col)
+		}
+		if resp := c.roundTrip(t, Request{SQL: servingQuery}); resp.Type != "result" || len(resp.Rows) == 0 {
+			t.Fatalf("session did not serve its next statement: %+v", resp)
+		}
+	}
+}
+
 // TestServerExplain: EXPLAIN renders the operator tree plus the
 // data-skipping and cache-residency summaries without executing.
 func TestServerExplain(t *testing.T) {

@@ -335,24 +335,6 @@ func runSkipper(px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	return rows, nil
 }
 
-// demandHeat counts, per object, the demand references the workload
-// will make absent any caching: every unpruned segment reference of
-// every query of every client. BuildPlacement's hot replication uses it
-// to pick the working set worth replicating — with the default Hot<=0
-// the whole demanded set, which is what makes a fleet survive one
-// device's permanent crash with zero failed queries.
-func demandHeat(clients []*Client) map[segment.ObjectID]int {
-	heat := make(map[segment.ObjectID]int)
-	for _, c := range clients {
-		for _, spec := range c.Queries {
-			for _, id := range spec.Join.Requested(!c.NoStatsPruning) {
-				heat[id]++
-			}
-		}
-	}
-	return heat
-}
-
 func addStats(a, b mjoin.Stats) mjoin.Stats {
 	a.Pipe.Add(b.Pipe)
 	return mjoin.Stats{

@@ -26,11 +26,11 @@ type FleetSpec struct {
 	// With more, disk groups spread across the devices (primary device =
 	// group mod N) and GETs fan out per placement.
 	N int
-	// Replication selects which objects of a fleet live on more than one
-	// device: none (the default), the hottest N by demanded-segment count
-	// (layout.ReplicateHot), or all (layout.ReplicateFull). A replica
-	// serves GETs when the chooser prefers it and takes over when the
-	// primary's device crashes. No effect on a single device.
+	// Replication selects whether a fleet's objects live on one device
+	// (layout.ReplicateNone, the default) or on every device
+	// (layout.ReplicateFull). A replica serves GETs when the chooser
+	// prefers it and takes over when the primary's device crashes. No
+	// effect on a single device.
 	Replication layout.Replication
 	// Faults, when non-nil, is the fault plan every device runs. Each run
 	// builds one fresh injector per device from it: decisions are a pure
@@ -83,9 +83,9 @@ type Fleet struct {
 
 // NewFleet expands the spec for the clients' catalogs: policy (nil means
 // layout.OnePerGroup) assigns their objects to disk groups, and the
-// placement spreads the groups over the devices. Only layout.ReplicateHot
-// reads the clients' queries (it replicates their demand), so only such a
-// fleet is tied to the queries it was built for.
+// placement spreads the groups over the devices. Only the clients'
+// catalogs are read, never their queries, so a fleet serves any queries
+// over those catalogs.
 func NewFleet(spec FleetSpec, policy layout.Policy, store map[segment.ObjectID]*segment.Segment, clients []*Client) (*Fleet, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -110,11 +110,7 @@ func NewFleet(spec FleetSpec, policy layout.Policy, store map[segment.ObjectID]*
 	if err != nil {
 		return nil, fmt.Errorf("skipper: layout: %w", err)
 	}
-	var heat map[segment.ObjectID]int
-	if spec.Replication.Kind == layout.ReplicateHot {
-		heat = demandHeat(clients)
-	}
-	if f.place, err = layout.BuildPlacement(assign, n, spec.Replication, heat); err != nil {
+	if f.place, err = layout.BuildPlacement(assign, n, spec.Replication); err != nil {
 		return nil, fmt.Errorf("skipper: placement: %w", err)
 	}
 	f.assigns = make([]*layout.Assignment, n)

@@ -77,9 +77,9 @@ var (
 	fleets = []skipper.FleetSpec{
 		{},
 		{N: 2},
-		{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}},
+		{N: 2, Replication: layout.ReplicateFull},
 		{N: 4},
-		{N: 4, Replication: layout.Replication{Kind: layout.ReplicateFull}},
+		{N: 4, Replication: layout.ReplicateFull},
 	}
 )
 
@@ -296,7 +296,7 @@ func TestDeviceSpansMatchStats(t *testing.T) {
 		{"two devices", skipper.FleetSpec{N: 2}},
 		{"chaos", skipper.FleetSpec{Faults: lattice.Chaos(42)}},
 		{"restart", skipper.FleetSpec{Faults: &crash}},
-		{"no restart", skipper.FleetSpec{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}, Faults: &dead}},
+		{"no restart", skipper.FleetSpec{N: 2, Replication: layout.ReplicateFull, Faults: &dead}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cell := p.cell
@@ -573,7 +573,7 @@ func TestFleetPermanentCrashNoReplica(t *testing.T) {
 }
 
 // TestFleetFailoverUnderCrash: device 0 of a two-device fleet dies
-// permanently mid-run. With the demanded working set hot-replicated,
+// permanently mid-run. With every object replicated on both devices,
 // every query must complete with results identical to the oracle:
 // deliveries failed by the crash are re-requested from the replica
 // (counted failovers on the demand path), later demand routes around the
@@ -585,7 +585,7 @@ func TestFleetFailoverUnderCrash(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			cell := p.cell
 			cell.Fleet = skipper.FleetSpec{
-				N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot},
+				N: 2, Replication: layout.ReplicateFull,
 				Faults: &faults.Plan{Seed: 7, CrashAt: 15 * time.Second}, // no restart: dead for good
 			}
 			if pipe {

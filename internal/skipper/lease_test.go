@@ -104,7 +104,7 @@ func TestLeasesReturnedOnEveryExit(t *testing.T) {
 			}
 			return nil
 		}},
-		{"failed over", modes[1:], skipper.FleetSpec{N: 2, Replication: layout.Replication{Kind: layout.ReplicateHot}, Faults: dead}, nil, func(res *skipper.RunResult, err error) error {
+		{"failed over", modes[1:], skipper.FleetSpec{N: 2, Replication: layout.ReplicateFull, Faults: dead}, nil, func(res *skipper.RunResult, err error) error {
 			if err != nil {
 				return err
 			}

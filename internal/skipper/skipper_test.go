@@ -388,7 +388,7 @@ func getRoundTripAllocs(t *testing.T, calls, perCall, parked int) float64 {
 			t.Fatal(err)
 		}
 	}
-	place, err := layout.BuildPlacement(assign, 1, layout.Replication{}, nil)
+	place, err := layout.BuildPlacement(assign, 1, layout.ReplicateNone)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -597,6 +597,9 @@ func (b *binder) buildPlainShape(stmt *SelectStmt, postPred expr.Expr, joined *t
 			}
 			projCols = append(projCols, engine.ProjectCol{Name: outName(it, i), Kind: k, E: e})
 		}
+		if err := uniqueOutputs(len(projCols), func(i int) string { return projCols[i].Name }); err != nil {
+			return nil, err
+		}
 	}
 	sh := engine.NewShape(joined)
 	if postPred != nil {
@@ -641,6 +644,9 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 		idx, ok := joined.ColIndex(g.Column)
 		if !ok {
 			return nil, fmt.Errorf("sql: GROUP BY column %q not in scope", g.Column)
+		}
+		if _, dup := groupAt[g.Column]; dup {
+			return nil, fmt.Errorf("sql: GROUP BY column %q appears twice", g.Column)
 		}
 		groupAt[g.Column] = len(groups)
 		groups = append(groups, engine.GroupCol{
@@ -689,6 +695,9 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 		}
 		outs = append(outs, outCol{name: outName(it, i), src: len(groups) + len(aggs)})
 		aggs = append(aggs, spec)
+	}
+	if err := uniqueOutputs(len(outs), func(i int) string { return outs[i].name }); err != nil {
+		return nil, err
 	}
 	identity := len(outs) == len(groups)+len(aggs)
 	for i, oc := range outs {
@@ -743,6 +752,19 @@ func (b *binder) buildAggShape(stmt *SelectStmt, postPred expr.Expr, joined *tup
 		sh.Limit(stmt.Limit)
 	}
 	return sh.Apply, nil
+}
+
+// uniqueOutputs refuses n output columns, named by name, when two share a
+// name: the shaping operators' schemas are keyed by column name.
+func uniqueOutputs(n int, name func(int) string) error {
+	for i := 1; i < n; i++ {
+		for j := range i {
+			if name(i) == name(j) {
+				return fmt.Errorf("sql: output column %q appears twice; alias one of them", name(i))
+			}
+		}
+	}
+	return nil
 }
 
 // bindOutput binds a node against the final output schema (aliases and

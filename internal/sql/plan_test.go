@@ -439,6 +439,39 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsDuplicateOutputNames: the shaping stage's schemas are
+// keyed by column name, so a statement whose output or GROUP BY names one
+// column twice is a plan error naming it (it used to panic in the schema
+// constructor); aliases that tell the copies apart still plan and run.
+func TestPlanRejectsDuplicateOutputNames(t *testing.T) {
+	pl, ds := tpchPlanner(t)
+	for q, col := range map[string]string{
+		"SELECT n_name, n_name FROM nation":                                                                     "n_name",
+		"SELECT l_shipmode, COUNT(*) AS l_shipmode FROM lineitem GROUP BY l_shipmode":                           "l_shipmode",
+		"SELECT DISTINCT r_name, r_name FROM region":                                                            "r_name",
+		"SELECT l_shipmode, COUNT(*) FROM lineitem GROUP BY l_shipmode, l_shipmode":                             "l_shipmode",
+		"SELECT COUNT(*) AS n, SUM(l_quantity) AS n FROM lineitem":                                              "n",
+		"SELECT n_name, COUNT(*) AS n_name FROM nation, region WHERE n_regionkey = r_regionkey GROUP BY n_name": "n_name",
+	} {
+		if _, err := pl.Plan(q); err == nil || !strings.Contains(err.Error(), `"`+col+`"`) {
+			t.Errorf("plan %q: error %v, want one naming %q", q, err, col)
+		}
+	}
+	spec, err := pl.Plan("SELECT n_name AS a, n_name AS b FROM nation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := workload.Evaluate(ds, spec)
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("aliased copies: %d rows, %v", len(rows), err)
+	}
+	for _, r := range rows {
+		if len(r) != 2 || r[0] != r[1] {
+			t.Fatalf("aliased copies differ: %v", r)
+		}
+	}
+}
+
 func TestPlanCycleEdgeBecomesPostFilter(t *testing.T) {
 	// Q5's c_nationkey = s_nationkey closes a cycle; the planner must
 	// keep the chain valid and apply the extra equality post-join.
