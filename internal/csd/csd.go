@@ -252,14 +252,22 @@ type event struct {
 
 // CSD is the emulated device. Create with New, then Start it on a
 // simulation, send GETs via Submit, and Shutdown when clients are done.
+// After a clean run of its Sim, Sim.Reset and Reset ready the device for
+// the next run.
 type CSD struct {
 	sim    *vtime.Sim
 	cfg    Config
 	store  map[segment.ObjectID]*segment.Segment
 	assign *layout.Assignment
 
-	evCh    *vtime.Chan[event]
+	evCh *vtime.Chan[event]
+	// streams holds a stream per tenant the device ever served, kept
+	// across runs with its channel, process names and worker function.
 	streams map[int]*stream
+	// controllerName and controllerFn name and run the controller
+	// process, made once.
+	controllerName string
+	controllerFn   func(*vtime.Proc)
 
 	// controller state
 	loaded int // -1 before first load
@@ -310,11 +318,30 @@ type CSD struct {
 // stream carries transfers to one tenant over one or more workers.
 type stream struct {
 	queue   *vtime.Chan[*Request]
-	workers int
+	names   []string // one per worker; one[:] for a single worker
+	one     [1]string
+	work    func(*vtime.Proc)
+	started bool // its workers run in this run
 }
 
 // New builds a CSD over the given simulator, object store and layout.
 func New(sim *vtime.Sim, cfg Config, store map[segment.ObjectID]*segment.Segment, assign *layout.Assignment) *CSD {
+	c := &CSD{sim: sim, cfg: Config{ID: cfg.ID}, store: store, assign: assign}
+	c.evCh = vtime.NewChan[event](sim, deviceName(cfg.ID)+".events", 1<<20)
+	c.controllerName, c.controllerFn = deviceName(cfg.ID)+".controller", c.controller
+	c.Reset(cfg)
+	return c
+}
+
+// Reset readies the device for a run on its Sim, which is new or has been
+// Reset after a clean run: no group loaded, nothing pending, zero
+// statistics, and cfg — whose Trace and Faults a fleet stamps per run —
+// as its configuration. cfg keeps the device's ID. The device keeps its
+// request free list, queues, streams and scratch.
+func (c *CSD) Reset(cfg Config) {
+	if cfg.ID != c.cfg.ID {
+		panic("csd: Reset changes the device ID")
+	}
 	if cfg.GroupSwitch < 0 {
 		panic("csd: negative group switch latency")
 	}
@@ -324,15 +351,18 @@ func New(sim *vtime.Sim, cfg Config, store map[segment.ObjectID]*segment.Segment
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = NewRankBased(1)
 	}
-	c := &CSD{
-		sim:    sim,
-		cfg:    cfg,
-		store:  store,
-		assign: assign,
-		evCh:   vtime.NewChan[event](sim, deviceName(cfg.ID)+".events", 1<<20),
-		loaded: -1,
+	c.cfg = cfg
+	c.evCh.Reset()
+	for _, s := range c.streams {
+		s.queue.Reset()
+		s.started = false
 	}
-	return c
+	clear(c.pending)
+	clear(c.lastService)
+	clear(c.inflight)
+	c.loaded, c.inFlight, c.arrivalSeq = -1, 0, 0
+	c.fatal, c.down, c.downAt, c.downWall = nil, false, 0, time.Time{}
+	c.stats = Stats{}
 }
 
 // waiting is what Scheduler.NextGroup is given: the switches since the
@@ -450,10 +480,10 @@ func (c *CSD) Shutdown(p *vtime.Proc) {
 }
 
 // Start spawns the controller process — and, when the fault plan has a
-// crash schedule, the crash and restart timers. Call once before
+// crash schedule, the crash and restart timers. Call once per run, before
 // Sim.Run.
 func (c *CSD) Start() {
-	c.sim.Spawn(deviceName(c.cfg.ID)+".controller", c.controller)
+	c.sim.Spawn(c.controllerName, c.controllerFn)
 	if c.cfg.Faults == nil {
 		return
 	}
@@ -745,78 +775,90 @@ func (c *CSD) fail(p *vtime.Proc, err error) {
 	}
 }
 
-// tenantStream lazily spawns the per-tenant transfer worker(s).
+// tenantStream returns the tenant's stream, spawning its transfer
+// worker(s) at the tenant's first dispatch of the run. A stream is made
+// once per tenant and configured worker count, and kept across runs.
 func (c *CSD) tenantStream(tenant int) *stream {
-	if s, ok := c.streams[tenant]; ok {
+	s, ok := c.streams[tenant]
+	if ok && s.started {
 		return s
 	}
-	s := &stream{
-		queue: vtime.NewChan[*Request](c.sim, fmt.Sprintf("%s.stream.t%d", deviceName(c.cfg.ID), tenant), 1<<20),
+	workers := max(c.cfg.StreamsPerTenant, 1)
+	if !ok || len(s.names) != workers {
+		name := fmt.Sprintf("%s.stream.t%d", deviceName(c.cfg.ID), tenant)
+		s = &stream{queue: vtime.NewChan[*Request](c.sim, name, 1<<20)}
+		if s.names = s.one[:]; workers > 1 {
+			s.names = make([]string, workers)
+		}
+		for w := range s.names {
+			s.names[w] = fmt.Sprintf("%s.w%d", name, w)
+		}
+		s.work = func(p *vtime.Proc) { c.transfer(p, s.queue) }
+		c.streams[tenant] = s
 	}
-	c.streams[tenant] = s
-	workers := c.cfg.StreamsPerTenant
-	if workers < 1 {
-		workers = 1
-	}
-	s.workers = workers
-	for w := 0; w < workers; w++ {
-		c.sim.Spawn(fmt.Sprintf("%s.stream.t%d.w%d", deviceName(c.cfg.ID), tenant, w), func(p *vtime.Proc) {
-			for {
-				r := s.queue.Recv(p)
-				if r == nil {
-					return
-				}
-				seg := c.store[r.Object]
-				d := time.Duration(float64(seg.NominalBytes) / c.cfg.Bandwidth * float64(time.Second))
-				var out faults.Outcome
-				if c.cfg.Faults != nil {
-					out = c.cfg.Faults.Transfer(r.Object.String())
-				}
-				if out.Stall > 0 {
-					c.stats.StalledTransfers++
-				}
-				p.Sleep(d + out.Stall)
-				// Close the ride-along window before fanning out: from here
-				// on a new same-object request must pay its own transfer.
-				// This sequence runs without yielding (see the inflight
-				// field), so no follower can be attached after delivery.
-				delete(c.inflight, r.Object)
-				riders := 1 + len(r.followers)
-				switch {
-				case c.down:
-					// The device crashed while this transfer was in flight:
-					// every rider gets the same error, no byte charge.
-					c.stats.DownErrors += riders
-					c.fanOut(p, r, Delivery{Err: &DeviceDownError{Object: r.Object, Restarting: c.willRestart()}}, "down")
-				case out.Fail:
-					c.failTransient(p, r)
-				default:
-					served, outcome := seg, ""
-					if out.Corrupt {
-						if served = seg.CorruptedCopy(); served == nil {
-							// In-memory segments carry no wire bytes to flip;
-							// degrade the fault to a transient failure so the
-							// plan still exercises the retry path.
-							c.failTransient(p, r)
-							break
-						}
-						outcome = "corrupt"
-						c.stats.CorruptDeliveries++
-					}
-					// One transfer, one byte charge, however many riders.
-					// Corrupt bytes traveled, so they are charged like clean
-					// ones.
-					c.stats.BytesServed += seg.NominalBytes
-					c.stats.PayloadBytesServed += seg.EncodedSize()
-					c.stats.ObjectsServed += riders
-					c.fanOut(p, r, Delivery{Seg: served}, outcome)
-				}
-				c.recycle(r)
-				c.evCh.Send(p, event{done: true})
-			}
-		})
+	s.started = true
+	for _, name := range s.names {
+		c.sim.Spawn(name, s.work)
 	}
 	return s
+}
+
+// transfer is a stream worker: it serves the requests dispatched to its
+// queue until a nil one ends the run.
+func (c *CSD) transfer(p *vtime.Proc, queue *vtime.Chan[*Request]) {
+	for {
+		r := queue.Recv(p)
+		if r == nil {
+			return
+		}
+		seg := c.store[r.Object]
+		d := time.Duration(float64(seg.NominalBytes) / c.cfg.Bandwidth * float64(time.Second))
+		var out faults.Outcome
+		if c.cfg.Faults != nil {
+			out = c.cfg.Faults.Transfer(r.Object.String())
+		}
+		if out.Stall > 0 {
+			c.stats.StalledTransfers++
+		}
+		p.Sleep(d + out.Stall)
+		// Close the ride-along window before fanning out: from here
+		// on a new same-object request must pay its own transfer.
+		// This sequence runs without yielding (see the inflight
+		// field), so no follower can be attached after delivery.
+		delete(c.inflight, r.Object)
+		riders := 1 + len(r.followers)
+		switch {
+		case c.down:
+			// The device crashed while this transfer was in flight:
+			// every rider gets the same error, no byte charge.
+			c.stats.DownErrors += riders
+			c.fanOut(p, r, Delivery{Err: &DeviceDownError{Object: r.Object, Restarting: c.willRestart()}}, "down")
+		case out.Fail:
+			c.failTransient(p, r)
+		default:
+			served, outcome := seg, ""
+			if out.Corrupt {
+				if served = seg.CorruptedCopy(); served == nil {
+					// In-memory segments carry no wire bytes to flip;
+					// degrade the fault to a transient failure so the
+					// plan still exercises the retry path.
+					c.failTransient(p, r)
+					break
+				}
+				outcome = "corrupt"
+				c.stats.CorruptDeliveries++
+			}
+			// One transfer, one byte charge, however many riders.
+			// Corrupt bytes traveled, so they are charged like clean
+			// ones.
+			c.stats.BytesServed += seg.NominalBytes
+			c.stats.PayloadBytesServed += seg.EncodedSize()
+			c.stats.ObjectsServed += riders
+			c.fanOut(p, r, Delivery{Seg: served}, outcome)
+		}
+		c.recycle(r)
+		c.evCh.Send(p, event{done: true})
+	}
 }
 
 // stopStreams ends the run: the transfer workers exit, and the span of a
@@ -826,7 +868,10 @@ func (c *CSD) stopStreams(p *vtime.Proc) {
 		c.recordDown(p, "crash, never restarted")
 	}
 	for _, s := range c.streams {
-		for w := 0; w < s.workers; w++ {
+		if !s.started {
+			continue
+		}
+		for range s.names {
 			s.queue.Send(p, nil)
 		}
 	}

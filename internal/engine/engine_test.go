@@ -355,6 +355,10 @@ func TestSortStability(t *testing.T) {
 	}
 }
 
+// NewDistinct wraps child with duplicate elimination, as a compiled
+// Shape's Distinct stage does.
+func NewDistinct(child Iterator) *Distinct { return newDistinct(child, child.Schema()) }
+
 func TestDistinct(t *testing.T) {
 	sch := tuple.NewSchema(
 		tuple.Column{Name: "a", Kind: tuple.KindInt64},

@@ -217,10 +217,8 @@ type Distinct struct {
 	ostats *OpStats
 }
 
-// NewDistinct wraps child with duplicate elimination.
-func NewDistinct(child Iterator) *Distinct { return newDistinct(child, child.Schema()) }
-
-// newDistinct is NewDistinct over rows of sch.
+// newDistinct wraps child, whose rows are of sch, with duplicate
+// elimination.
 func newDistinct(child Iterator, sch *tuple.Schema) *Distinct {
 	d := &Distinct{child: child, kinds: make([]tuple.Kind, sch.Len()), keys: allKeys(sch.Len())}
 	for c, col := range sch.Cols {

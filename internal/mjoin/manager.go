@@ -136,6 +136,8 @@ type Stream struct {
 	src   Source
 	probe *probePlan
 
+	// ints is the slab the int arrays below are carved from.
+	ints []int
 	// dims[r] is relation r's segment count, stride[r] the weight of its
 	// digit in a subplan number, off[r] the number of its first object.
 	// pending holds bit i while subplan i is neither executed nor pruned;
@@ -217,16 +219,28 @@ func Run(q *Query, cfg Config, src Source) (*Result, error) {
 // state up to, not including, the first request cycle: nothing is asked of
 // the source before the first NextBatch or Close.
 func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
-	probe, err := q.compiled()
-	if err != nil {
+	m := new(Stream)
+	if err := m.Reset(q, cfg, src); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
+
+// Reset makes m a new run of the query over the source, as NewStream
+// would build it, reusing m's arrays where they are large enough. m must
+// be new, ended (its Close returned) or never read; an error leaves it as
+// it was.
+func (m *Stream) Reset(q *Query, cfg Config, src Source) error {
+	probe, err := q.compiled()
+	if err != nil {
+		return err
+	}
 	if probe.unrunnable != nil {
-		return nil, probe.unrunnable
+		return probe.unrunnable
 	}
 	size := probe.subplans
 	if cfg.CacheSize < len(q.Relations) {
-		return nil, &CacheTooSmallError{CacheSize: cfg.CacheSize, Widest: len(q.Relations)}
+		return &CacheTooSmallError{CacheSize: cfg.CacheSize, Widest: len(q.Relations)}
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = MaxProgress{}
@@ -238,20 +252,24 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 	for _, rel := range q.Relations {
 		objects += len(rel.Table.Objects)
 	}
-	m := &Stream{q: q, cfg: cfg, src: src, probe: probe, arriving: -1}
+	old := *m
+	*m = Stream{q: q, cfg: cfg, src: src, probe: probe, arriving: -1,
+		found: old.found[:0], entries: clearAll(old.entries), srcs: clearAll(old.srcs), out: clearAll(old.out)}
 	// One slab backs the per-relation and per-object int arrays.
-	ints := make([]int, 5*n+2+5*objects)
+	ints := reuse(old.ints, 5*n+2+5*objects)
+	m.ints = ints
 	m.dims, m.stride, m.digit, ints = ints[:n], ints[n:2*n], ints[2*n:3*n], ints[3*n:]
 	m.off, m.at, ints = ints[:n+1], ints[n+1:2*n+2], ints[2*n+2:]
 	m.pendingCount, m.arrivalSeq, m.exec = ints[:objects], ints[objects:2*objects], ints[2*objects:3*objects]
 	m.pick, m.cacheOrder = ints[3*objects:3*objects:4*objects], ints[4*objects:4*objects]
-	m.pinned, m.slots = make([]bool, objects), make([]cacheEntry, objects)
-	ids := make([]segment.ObjectID, 0, 2*objects+min(cfg.CacheSize, objects))
+	m.pinned, m.slots = reuse(old.pinned, objects), reuse(old.slots, objects)
+	ids := reuse(old.ids, 2*objects+min(cfg.CacheSize, objects))[:0]
 	for _, rel := range q.Relations {
 		ids = append(ids, rel.Table.Objects...)
 	}
-	m.ids, m.need, m.cands = ids[:objects:objects], ids[objects:objects:2*objects], ids[2*objects:2*objects]
-	m.legScratch = make([]engine.LegScratch, n)
+	// ids keeps the slab's capacity, which the next Reset reuses.
+	m.ids, m.need, m.cands = ids[:objects], ids[objects:objects:2*objects], ids[2*objects:2*objects]
+	m.legScratch = reuse(old.legScratch, n)
 	m.off[n] = objects
 	for r, stride := n-1, 1; r >= 0; r-- {
 		d := len(q.Relations[r].Table.Objects)
@@ -261,14 +279,32 @@ func NewStream(q *Query, cfg Config, src Source) (*Stream, error) {
 		}
 		stride *= d
 	}
-	m.pending, m.left, m.stats.SubplansTotal = make([]uint64, (size+63)/64), size, size
+	m.pending, m.left, m.stats.SubplansTotal = reuse(old.pending, (size+63)/64), size, size
 	for w := range m.pending {
 		m.pending[w] = ^uint64(0) >> max(0, 64*(w+1)-size)
 	}
 	if cfg.StatsPruning {
 		m.skipByStats()
 	}
-	return m, nil
+	return nil
+}
+
+// reuse returns s cleared and resliced to n elements when its capacity
+// allows, else a new slice of n.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// clearAll returns s emptied, its whole backing array cleared so that
+// nothing a past run held stays reachable through it.
+func clearAll[T any](s []T) []T {
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // Schema implements engine.Iterator: the output schema Query.Validate returns.
@@ -391,7 +427,7 @@ func (m *Stream) finish(err error) {
 		tuple.Release(m.scratch.next[r])
 	}
 	tuple.Release(m.hashBuf)
-	m.cacheOrder, m.legScratch, m.hashBuf, m.scratch = m.cacheOrder[:0], nil, nil, probeScratch{}
+	m.cacheOrder, m.hashBuf, m.scratch = m.cacheOrder[:0], nil, probeScratch{}
 }
 
 // skipByStats retires, before the first request cycle, every subplan

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -76,6 +77,10 @@ type Admission struct {
 	ring      []int             // tenant ids in first-seen order
 	ringIndex map[int]int       // tenant id → position in ring
 	cursor    int               // ring position of the last grant
+	// held lists the grants whose release has not run, by number; grants
+	// numbers them.
+	held   []uint64
+	grants uint64
 }
 
 // NewAdmission builds a controller from the (defaulted) config.
@@ -105,6 +110,16 @@ func (a *Admission) Acquire(ctx context.Context, tenant int) (release func(), wa
 	}
 	a.mu.Lock()
 	a.ensureTenant(tenant)
+	if a.queued == 0 && a.inflight < a.cfg.Slots && a.byTenant[tenant] < a.cfg.TenantSlots {
+		// Nobody waits, so there is no longer-waiting tenant to favour: the
+		// grant dispatch would make, without a waiter.
+		a.inflight++
+		a.byTenant[tenant]++
+		a.cursor = a.ringIndex[tenant]
+		release = a.releaseFunc(tenant)
+		a.mu.Unlock()
+		return release, 0, nil
+	}
 	w := &waiter{tenant: tenant, ready: make(chan struct{}), at: a.cfg.Now()}
 	a.queues[tenant] = append(a.queues[tenant], w)
 	a.queued++
@@ -113,8 +128,9 @@ func (a *Admission) Acquire(ctx context.Context, tenant int) (release func(), wa
 	// arrival order across tenants) is granted synchronously.
 	a.dispatchLocked()
 	if w.granted {
+		release = a.releaseFunc(tenant)
 		a.mu.Unlock()
-		return a.releaseFunc(tenant), 0, nil
+		return release, 0, nil
 	}
 	// Backpressure counts genuine waiters only: a query granted on
 	// arrival was never queued.
@@ -135,8 +151,9 @@ func (a *Admission) Acquire(ctx context.Context, tenant int) (release func(), wa
 	case <-w.ready:
 		a.mu.Lock()
 		wait = a.cfg.Now().Sub(w.at)
+		release = a.releaseFunc(tenant)
 		a.mu.Unlock()
-		return a.releaseFunc(tenant), wait, nil
+		return release, wait, nil
 	case <-done:
 		a.mu.Lock()
 		wait = a.cfg.Now().Sub(w.at)
@@ -207,16 +224,22 @@ func (a *Admission) removeWaiterLocked(w *waiter) {
 	}
 }
 
-// releaseFunc wraps releaseLocked in a sync.Once so double releases
-// (e.g. from deferred cleanup plus an error path) are harmless.
+// releaseFunc numbers a grant and returns its release, which runs
+// releaseLocked once: a second call (e.g. from deferred cleanup plus an
+// error path) finds the grant gone from held and does nothing. The
+// closure is the one allocation. Caller holds a.mu.
 func (a *Admission) releaseFunc(tenant int) func() {
-	var once sync.Once
+	a.grants++
+	id := a.grants
+	a.held = append(a.held, id)
 	return func() {
-		once.Do(func() {
-			a.mu.Lock()
+		a.mu.Lock()
+		if i := slices.Index(a.held, id); i >= 0 {
+			a.held[i] = a.held[len(a.held)-1]
+			a.held = a.held[:len(a.held)-1]
 			a.releaseLocked(tenant)
-			a.mu.Unlock()
-		})
+		}
+		a.mu.Unlock()
 	}
 }
 

@@ -322,3 +322,29 @@ func TestAdmissionSaturationFairness(t *testing.T) {
 		}
 	}
 }
+
+// TestAdmissionUncontendedAllocatesOnce: with nobody queued and a slot
+// free, Acquire grants without a waiter or a queue slot, and the grant's
+// release is one closure — the one allocation of an Acquire and its
+// release, however many tenants have been seen and however many grants
+// are out.
+func TestAdmissionUncontendedAllocatesOnce(t *testing.T) {
+	a := NewAdmission(AdmissionConfig{Slots: 4, TenantSlots: 2})
+	held := mustAcquire(t, a, 3) // another tenant's grant stays out
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		release, wait, err := a.Acquire(ctx, 1)
+		if err != nil || wait != 0 {
+			t.Fatalf("uncontended Acquire: wait %v, err %v", wait, err)
+		}
+		release()
+		release()
+	})
+	held()
+	if allocs > 1 {
+		t.Fatalf("%.1f allocations per uncontended Acquire and release, want at most 1", allocs)
+	}
+	if inflight, queued := a.Occupancy(); inflight != 0 || queued != 0 {
+		t.Fatalf("after the releases: %d in flight, %d queued", inflight, queued)
+	}
+}

@@ -2,6 +2,7 @@ package skipper
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -91,70 +92,127 @@ func (cl *Cluster) Run() (*RunResult, error) {
 	return f.run(cl.Clients, cl.SharedCache, cl.Fleet.Device.Trace)
 }
 
-// fleetRun is the per-run half of a cluster run: the kernel, the chooser
-// over this run's devices, and what every client process of the run reads.
+// fleetRun is a run kernel: a simulator, the fleet's devices on it, the
+// chooser over them and one proxy per client — everything a cluster run
+// builds. A Fleet keeps the kernels of its clean runs on an idle list: a
+// run takes one (or builds one), resets it, runs it and puts it back, so a
+// served query restarts the last query's kernel at virtual time 0 instead
+// of building one.
 type fleetRun struct {
-	sim    *vtime.Sim
-	fl     *DeviceChooser
-	store  map[segment.ObjectID]*segment.Segment
-	shared *segcache.Cache
-	err    error // the first client's failure
+	sim   *vtime.Sim
+	devs  []*csd.CSD
+	fl    *DeviceChooser
+	store map[segment.ObjectID]*segment.Segment
+	done  *vtime.Chan[int]
+	// proxies[i] serves clients[i], kept with its reply channel, scratch,
+	// MJoin stream, process name and process function.
+	proxies []*proxy
+	// coordinate is the coordinator process's function, bound once.
+	coordinate func(*vtime.Proc)
+
+	// What the current run reads: its clients, the shared cache, and the
+	// first client's failure.
+	clients []*Client
+	shared  *segcache.Cache
+	err     error
 }
 
-// run builds a kernel, the fleet's devices (each with a fresh injector and
-// the lane as its recorder), the chooser and one process per client, runs
-// the simulation and gathers the result.
-func (f *Fleet) run(clients []*Client, shared *segcache.Cache, lane *trace.QueryTrace) (*RunResult, error) {
-	sim := vtime.NewSim()
-	devCfg := f.dev
-	devCfg.Trace = lane
-	devs := make([]*csd.CSD, len(f.assigns))
-	var injs []*faults.Injector
+// newKernel builds an empty kernel over the fleet's devices.
+func (f *Fleet) newKernel() *fleetRun {
+	r := &fleetRun{sim: vtime.NewSim(), store: f.store, devs: make([]*csd.CSD, len(f.assigns))}
 	for i, da := range f.assigns {
-		devCfg.ID = i
+		cfg := f.dev
+		cfg.ID = i
+		r.devs[i] = csd.New(r.sim, cfg, f.store, da)
+	}
+	r.fl = newDeviceChooser(r.devs, f.place)
+	r.done = vtime.NewChan[int](r.sim, "cluster.done", 1<<20)
+	r.coordinate = r.coordinator
+	return r
+}
+
+// takeKernel takes an idle kernel, preferring one whose first proxy last
+// served the first client's tenant (its names are made), or builds one.
+func (f *Fleet) takeKernel(clients []*Client) *fleetRun {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.idle)
+	if n == 0 {
+		return f.newKernel()
+	}
+	k := n - 1
+	for i, r := range f.idle {
+		if len(clients) > 0 && len(r.proxies) > 0 && r.proxies[0].tenant == clients[0].Tenant {
+			k = i
+		}
+	}
+	r := f.idle[k]
+	f.idle = slices.Delete(f.idle, k, k+1)
+	return r
+}
+
+// putKernel returns the kernel of a clean run to the idle list, dropping
+// what it held of the run.
+func (f *Fleet) putKernel(r *fleetRun) {
+	for _, px := range r.proxies[:len(r.clients)] {
+		px.release()
+	}
+	r.clients, r.shared = nil, nil
+	f.mu.Lock()
+	f.idle = append(f.idle, r)
+	f.mu.Unlock()
+}
+
+// run takes a kernel and resets it for the clients — the simulator, each
+// device with a fresh injector and the lane as its recorder, one proxy per
+// client — runs the simulation and gathers the result. Only a kernel whose
+// simulation ended with every process finished and no client failed goes
+// back to the idle list; any other is dropped.
+func (f *Fleet) run(clients []*Client, shared *segcache.Cache, lane *trace.QueryTrace) (*RunResult, error) {
+	r := f.takeKernel(clients)
+	r.sim.Reset()
+	r.done.Reset()
+	r.clients, r.shared, r.err = clients, shared, nil
+	var injs []*faults.Injector
+	for i, dev := range r.devs {
+		cfg := f.dev
+		cfg.ID, cfg.Trace = i, lane
 		if f.plan != nil {
 			injs = append(injs, deviceInjector(*f.plan, i))
-			devCfg.Faults = injs[i]
+			cfg.Faults = injs[i]
 		}
-		devs[i] = csd.New(sim, devCfg, f.store, da)
-		devs[i].Start()
+		dev.Reset(cfg)
+		dev.Start()
 	}
-	r := &fleetRun{sim: sim, fl: newDeviceChooser(devs, f.place), store: f.store, shared: shared}
-
-	done := vtime.NewChan[int](sim, "cluster.done", len(clients))
-	for _, c := range clients {
-		c := c
-		sim.Spawn("client.t"+strconv.Itoa(c.Tenant), func(p *vtime.Proc) {
-			if err := r.runClient(p, c); err != nil && r.err == nil {
-				r.err = err
-			}
-			done.Send(p, c.Tenant)
-		})
+	if n := len(clients) - len(r.proxies); n > 0 {
+		r.proxies = slices.Grow(r.proxies, n)
 	}
-	sim.Spawn("cluster.coordinator", func(p *vtime.Proc) {
-		for range clients {
-			done.Recv(p)
+	for i, c := range clients {
+		if i == len(r.proxies) {
+			r.proxies = append(r.proxies, r.newClientProxy(c.Tenant))
 		}
-		for _, dev := range devs {
-			dev.Shutdown(p)
-		}
-	})
+		px := r.proxies[i]
+		px.bind(c)
+		r.sim.Spawn(px.name, px.run)
+	}
+	r.sim.Spawn("cluster.coordinator", r.coordinate)
 	res := &RunResult{}
 	if shared != nil {
 		res.cacheHitsBefore = shared.Stats().Hits
 	}
 	wallStart := time.Now()
-	if err := sim.Run(); err != nil {
+	if err := r.sim.Run(); err != nil {
 		return nil, fmt.Errorf("skipper: simulation: %w", err)
 	}
-	res.Makespan, res.Wall = sim.Now(), time.Since(wallStart)
-	for _, dev := range devs {
-		res.Devices = append(res.Devices, dev.Stats())
+	res.Makespan, res.Wall = r.sim.Now(), time.Since(wallStart)
+	res.Devices = make([]csd.Stats, len(r.devs))
+	for i, dev := range r.devs {
+		res.Devices[i] = dev.Stats()
 	}
 	for _, inj := range injs {
 		res.Faults = append(res.Faults, inj.Stats())
 	}
-	if len(devs) == 1 {
+	if len(r.devs) == 1 {
 		res.CSD = res.Devices[0]
 	} else {
 		for _, st := range res.Devices {
@@ -165,8 +223,9 @@ func (f *Fleet) run(clients []*Client, shared *segcache.Cache, lane *trace.Query
 		st := shared.Stats()
 		res.Cache = &st
 	}
-	for _, c := range clients {
-		res.Clients = append(res.Clients, &c.stats)
+	res.Clients = make([]*ClientStats, len(clients))
+	for i, c := range clients {
+		res.Clients[i] = &c.stats
 		// The device cannot observe requests that data skipping never
 		// issued; fold the clients' accounting into the device stats so
 		// served and avoided traffic read side by side.
@@ -175,28 +234,65 @@ func (f *Fleet) run(clients []*Client, shared *segcache.Cache, lane *trace.Query
 			res.sharedHits += int64(c.stats.CacheHits)
 		}
 	}
-	return res, r.err
+	err := r.err
+	if err == nil {
+		f.putKernel(r)
+	}
+	return res, err
+}
+
+// newClientProxy makes the kernel's proxy for a client of the tenant,
+// with its process name and function.
+func (r *fleetRun) newClientProxy(tenant int) *proxy {
+	px := newProxy(r.sim, r.fl, tenant, nil)
+	px.kernel, px.name = r, "client.t"+strconv.Itoa(tenant)
+	px.run = px.process
+	return px
+}
+
+// bind gives the proxy this run's client c: the tenant it last served
+// finds its reply channel emptied, another tenant gets its own channel and
+// process name.
+func (px *proxy) bind(c *Client) {
+	px.client = c
+	if px.tenant == c.Tenant {
+		px.reply.Reset()
+		return
+	}
+	px.tenant, px.reply = c.Tenant, newReply(px.kernel.sim, c.Tenant)
+	px.name = "client.t" + strconv.Itoa(c.Tenant)
+}
+
+// process is the client's simulated process: run the workload, record the
+// first failure, report to the coordinator.
+func (px *proxy) process(p *vtime.Proc) {
+	r := px.kernel
+	if err := r.runClient(p, px.client, px); err != nil && r.err == nil {
+		r.err = err
+	}
+	r.done.Send(p, px.client.Tenant)
+}
+
+// coordinator waits for every client, then shuts the devices down.
+func (r *fleetRun) coordinator(p *vtime.Proc) {
+	for range r.clients {
+		r.done.Recv(p)
+	}
+	for _, dev := range r.devs {
+		dev.Shutdown(p)
+	}
 }
 
 // runClient executes one client's query sequence. With c.PrefetchBytes
 // set it also owns the client's prefetch daemon, told to stop when the
 // workload ends, even on error; it exits once its in-flight transfers
 // drain, so the simulation always terminates.
-func (r *fleetRun) runClient(p *vtime.Proc, c *Client) error {
+func (r *fleetRun) runClient(p *vtime.Proc, c *Client, px *proxy) error {
 	c.stats = ClientStats{Tenant: c.Tenant, Mode: c.Mode, Start: p.Now()}
 	wallStart := time.Now()
 	defer func() { c.stats.WallElapsed = time.Since(wallStart) }()
-	px := newProxy(r.sim, r.fl, c.Tenant, &c.stats)
+	px.start(p, c, r.shared)
 	defer px.returnLeases()
-	px.proc = p
-	px.ctx = c.Ctx
-	px.tr = c.QTrace
-	if c.Retry != nil {
-		px.retry = newRetryState(c.Retry)
-	}
-	if px.cache = c.SegCache; px.cache == nil {
-		px.cache = r.shared
-	}
 	if c.PrefetchBytes > 0 {
 		px.pf = newPrefetcher(r.sim, r.fl, px.cache, c)
 		r.sim.Spawn("prefetch.t"+strconv.Itoa(c.Tenant), px.pf.run)
@@ -307,10 +403,13 @@ func runSkipper(px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 		StatsPruning: !c.NoStatsPruning,
 		Trace:        c.QTrace,
 	}
-	join, err := mjoin.NewStream(spec.Join, cfg, px)
-	if err != nil {
+	if px.stream == nil {
+		px.stream = new(mjoin.Stream)
+	}
+	if err := px.stream.Reset(spec.Join, cfg, px); err != nil {
 		return nil, err
 	}
+	join := px.stream
 	px.join = join
 	// The MJoin output chunks stream into the shaping stage as they are
 	// completed, so post-join filters, aggregation and ORDER BY run

@@ -2,6 +2,7 @@ package skipper
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/csd"
 	"repro/internal/faults"
@@ -67,18 +68,23 @@ func deviceInjector(plan faults.Plan, d int) *faults.Injector {
 	return faults.MustNew(plan)
 }
 
-// Fleet is the immutable half of a cluster run: the completed device
+// Fleet is the shared half of a cluster run: the completed device
 // configuration, the fault plan (nil when it enables nothing), the layout
 // of the clients' objects on disk groups and devices, and the store the
-// devices serve. Nothing writes to a Fleet after NewFleet, so any number
-// of runs, concurrent ones included, share one; each Run builds the
-// mutable half for itself.
+// devices serve. Nothing writes to those after NewFleet, so any number of
+// runs, concurrent ones included, share one. Its one mutable part is the
+// list of idle run kernels (simulator, devices, proxies) that clean runs
+// leave behind: each run takes one, or builds one, and resets it, so every
+// run still starts at virtual time 0 on devices with no group loaded.
 type Fleet struct {
 	dev     csd.Config // ID, Faults and Trace stamped per run
 	plan    *faults.Plan
 	place   *layout.Placement
 	assigns []*layout.Assignment // per device
 	store   map[segment.ObjectID]*segment.Segment
+
+	mu   sync.Mutex
+	idle []*fleetRun
 }
 
 // NewFleet expands the spec for the clients' catalogs: policy (nil means

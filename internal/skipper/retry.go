@@ -158,11 +158,12 @@ type retryState struct {
 
 var defaultRetryPolicy = DefaultRetryPolicy() // shared read-only by clients without a Retry
 
-func newRetryState(policy *RetryPolicy) retryState {
+// retryPolicy resolves a client's policy: nil is the default.
+func retryPolicy(policy *RetryPolicy) *RetryPolicy {
 	if policy == nil {
-		policy = defaultRetryPolicy
+		return defaultRetryPolicy
 	}
-	return retryState{policy: policy}
+	return policy
 }
 
 // beginQuery resets the per-query caps (the first retry makes the map).

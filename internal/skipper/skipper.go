@@ -406,8 +406,9 @@ type proxy struct {
 	ctx context.Context
 	// join, when non-nil, is the running query's MJoin stream: an arrival
 	// it still needs costs MJoinPerObject (set by runSkipper, cleared by
-	// beginQuery).
-	join *mjoin.Stream
+	// beginQuery). It is always stream, the proxy's one MJoin stream,
+	// which each skipper-mode query restarts (mjoin.Stream.Reset).
+	join, stream *mjoin.Stream
 	// pf, when non-nil, is the client's prefetch daemon: demand requests
 	// consult its staged deliveries before touching the device, and cache
 	// hits on prefetched entries are attributed to it.
@@ -429,6 +430,14 @@ type proxy struct {
 	// until returnLeases: the run may read their columns as views until it
 	// ends. From leaseLists, on the run's first lease.
 	leases *[]*segment.Segment
+
+	// In a run kernel, the proxy also carries its client's process: the
+	// kernel, the run's client, the process name for the tenant and the
+	// process function, bound once (see fleetRun).
+	kernel *fleetRun
+	client *Client
+	name   string
+	run    func(*vtime.Proc)
 }
 
 var leaseLists = sync.Pool{New: func() any { return new([]*segment.Segment) }}
@@ -464,10 +473,30 @@ func newProxy(sim *vtime.Sim, fl *DeviceChooser, tenant int, stats *ClientStats)
 		fl:      fl,
 		tenant:  tenant,
 		stats:   stats,
-		reply:   vtime.NewChan[csd.Delivery](sim, "proxy.t"+strconv.Itoa(tenant)+".reply", 1<<20),
-		retry:   newRetryState(nil),
+		reply:   newReply(sim, tenant),
+		retry:   retryState{policy: defaultRetryPolicy},
 		batches: make([][]*csd.Request, fl.numDevices()),
 	}
+}
+
+// newReply makes the tenant's reply channel.
+func newReply(sim *vtime.Sim, tenant int) *vtime.Chan[csd.Delivery] {
+	return vtime.NewChan[csd.Delivery](sim, "proxy.t"+strconv.Itoa(tenant)+".reply", 1<<20)
+}
+
+// start readies the proxy for client c's run on process p; its reply
+// channel, scratch and MJoin stream are kept from its last run.
+func (px *proxy) start(p *vtime.Proc, c *Client, shared *segcache.Cache) {
+	px.stats, px.proc, px.ctx, px.tr = &c.stats, p, c.Ctx, c.QTrace
+	px.retry.policy = retryPolicy(c.Retry)
+	if px.cache = c.SegCache; px.cache == nil {
+		px.cache = shared
+	}
+}
+
+// release drops what the proxy held of its run, once the run is over.
+func (px *proxy) release() {
+	px.client, px.stats, px.proc, px.ctx, px.tr, px.cache, px.pf, px.join = nil, nil, nil, nil, nil, nil, nil, nil
 }
 
 // beginQuery names the query for request tagging and resets the

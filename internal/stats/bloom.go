@@ -18,12 +18,9 @@ type Bloom struct {
 // multiplier decorrelates it from the first).
 const bloomMix = 0x9E3779B97F4A7C15
 
-// NewBloom sizes a filter for n keys at bitsPerKey bits each. The probe
-// count follows the standard k ≈ 0.69·bits/key optimum, clamped to
-// [1, 8].
-func NewBloom(n, bitsPerKey int) *Bloom { return &newBlooms(1, n, bitsPerKey)[0] }
-
-// newBlooms makes count filters as NewBloom does one, sharing two arrays.
+// newBlooms makes count filters, sharing two arrays, each sized for n keys
+// at bitsPerKey bits each. The probe count follows the standard
+// k ≈ 0.69·bits/key optimum, clamped to [1, 8].
 func newBlooms(count, n, bitsPerKey int) []Bloom {
 	n, bitsPerKey = max(n, 1), max(bitsPerKey, 1)
 	m := max((uint64(n)*uint64(bitsPerKey)+63)&^63, 64)

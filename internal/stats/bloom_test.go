@@ -6,6 +6,9 @@ import (
 	"testing"
 )
 
+// NewBloom makes one filter as newBlooms makes a segment's.
+func NewBloom(n, bitsPerKey int) *Bloom { return &newBlooms(1, n, bitsPerKey)[0] }
+
 // modAdd and modMayContain are Add and MayContain as first written, with
 // each probe reduced by %: the reference the Barrett reduction must
 // reproduce bit for bit.

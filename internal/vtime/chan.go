@@ -40,6 +40,15 @@ func NewChan[T any](s *Sim, name string, capacity int) *Chan[T] {
 	return &Chan[T]{sim: s, name: name, cap: capacity}
 }
 
+// Reset empties the channel for the next run of its Reset Sim: values
+// sent and never received are dropped. Call it only between runs.
+func (c *Chan[T]) Reset() {
+	c.buf.reset()
+	c.sendq.reset()
+	c.recvq.reset()
+	c.handed.reset()
+}
+
 // Len returns the number of buffered values.
 func (c *Chan[T]) Len() int { return c.buf.len() }
 

@@ -329,3 +329,91 @@ func TestDrainedChanHoldsNothing(t *testing.T) {
 		}
 	}
 }
+
+// resetScript is a run for TestResetRunsAsNew on s: ticking sleepers, a
+// process spawned by a running one, a rendezvous on unbuf, and a value
+// sent on buf that nobody receives. It logs (now, id, name, event).
+func resetScript(s *Sim, unbuf, buf *Chan[int]) []string {
+	var log []string
+	ev := func(p *Proc, format string, args ...any) {
+		log = append(log, fmt.Sprintf("%v %d %s %s", p.Now(), p.ID(), p.Name(), fmt.Sprintf(format, args...)))
+	}
+	for i := range 2 {
+		s.Spawn(fmt.Sprintf("tick%d", i), func(p *Proc) {
+			for j := range 3 {
+				p.Sleep(time.Duration(i+1) * time.Second)
+				ev(p, "tick %d", j)
+			}
+		})
+	}
+	s.Spawn("parent", func(p *Proc) {
+		s.Spawn("child", func(q *Proc) {
+			q.Sleep(time.Second)
+			unbuf.Send(q, q.ID())
+			ev(q, "sent")
+		})
+		if v, ok := buf.TryRecv(p); ok {
+			ev(p, "stale value %d", v)
+		}
+		ev(p, "got %d", unbuf.Recv(p))
+		buf.Send(p, 7) // left for nobody
+	})
+	if err := s.Run(); err != nil {
+		log = append(log, err.Error())
+	}
+	return append(log, fmt.Sprintf("end %v, %d spawned", s.Now(), s.spawned))
+}
+
+// TestResetRunsAsNew: a Sim Reset after a clean run, its channels Reset,
+// runs a script as a new Sim does — clock, ids, names, event order — and
+// reuses its finished processes' records instead of making new ones; a
+// value left in a channel does not survive Chan.Reset.
+func TestResetRunsAsNew(t *testing.T) {
+	fresh := func() []string {
+		s := NewSim()
+		return resetScript(s, NewChan[int](s, "unbuf", 0), NewChan[int](s, "buf", 1))
+	}
+	want := fresh()
+	s := NewSim()
+	unbuf, buf := NewChan[int](s, "unbuf", 0), NewChan[int](s, "buf", 1)
+	var records map[*Proc]bool
+	for run := 1; run <= 3; run++ {
+		if run > 1 {
+			s.Reset()
+			unbuf.Reset()
+			buf.Reset()
+		}
+		got := resetScript(s, unbuf, buf)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d differs from a new Sim's:\n got %v\nwant %v", run, got, want)
+		}
+		seen := make(map[*Proc]bool)
+		for _, p := range s.free {
+			seen[p] = true
+		}
+		if records != nil && fmt.Sprint(seen) != fmt.Sprint(records) {
+			t.Fatalf("run %d made new process records: %d now, %d after run 1", run, len(seen), len(records))
+		}
+		records = seen
+	}
+	if len(records) == 0 || len(records) > 4 {
+		t.Fatalf("%d records for 4 processes a run", len(records))
+	}
+}
+
+// TestResetRefusesUncleanSim: a Sim whose Run deadlocked keeps its blocked
+// processes, and Reset refuses it.
+func TestResetRefusesUncleanSim(t *testing.T) {
+	s := NewSim()
+	ch := NewChan[int](s, "never", 0)
+	s.Spawn("stuck", func(p *Proc) { ch.Recv(p) })
+	if err := s.Run(); err == nil {
+		t.Fatal("want a deadlock")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of a deadlocked Sim did not panic")
+		}
+	}()
+	s.Reset()
+}

@@ -33,3 +33,9 @@ func (q *ring[T]) pop() T {
 	q.n--
 	return v
 }
+
+// reset empties the queue, keeping its buffer.
+func (q *ring[T]) reset() {
+	clear(q.buf)
+	q.head, q.n = 0, 0
+}

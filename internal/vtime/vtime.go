@@ -36,6 +36,18 @@
 // outlives one batch of work — one that external goroutines hand work to —
 // will park at that site instead of returning.
 //
+// # Reset
+//
+// A Sim whose Run returned nil may be Reset and run again: the clock,
+// the process ids and the timer sequence return to zero, so the next run
+// is the run a new Sim would make, while the ready queue, the timer heap,
+// the live set and the records of finished processes keep their memory.
+// A finished process's record is reused by a later Spawn, in this run or
+// the next, only after its goroutine made its final hand-off (the baton
+// or the idle signal); a Chan of the Sim is emptied with Chan.Reset
+// rather than made again. A Sim whose Run failed is not reused: its
+// blocked processes are parked for good.
+//
 // The kernel is the substrate for the CSD emulator and the database
 // clients: group-switch latencies, transfer times and query processing
 // costs are all expressed as virtual durations, so experiments that take
@@ -50,16 +62,19 @@ import (
 )
 
 // Sim is a discrete-event simulator. Create one with NewSim, add processes
-// with Spawn, then call Run. A Sim must not be reused after Run returns.
+// with Spawn, then call Run. After a Run that returned nil the Sim may be
+// Reset and run again; otherwise it must not be reused.
 type Sim struct {
 	now     time.Duration
 	ready   ring[*Proc] // runnable processes, FIFO
 	timers  timerHeap
 	live    []*Proc // spawned and not finished, in no particular order
-	spawned int     // processes ever spawned: the next Proc.ID
+	spawned int     // processes spawned since NewSim or Reset: the next Proc.ID
 	seq     int     // tie-break counter for timers
 	running bool
 	halted  bool
+	// free holds the records of finished processes, for Spawn to reuse.
+	free []*Proc
 	// idle tells Run that nothing can run any more. Buffered so the last
 	// process can signal and exit without waiting for Run to be scheduled.
 	idle chan struct{}
@@ -79,6 +94,7 @@ type Proc struct {
 	id   int
 	name string
 	sim  *Sim
+	fn   func(*Proc) // the process body, dropped when it returns
 	// resume receives the baton. Buffered so the holder hands off without
 	// waiting for this process's goroutine to reach its receive.
 	resume chan struct{}
@@ -105,37 +121,50 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // Spawn registers a new process. If called before Run, the process starts
 // when Run begins; if called from inside a running process, the new process
 // becomes runnable at the current virtual time (after the caller yields).
+// The returned handle is valid until the process finishes: a later Spawn
+// may reuse its record.
 func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 	if s.halted {
 		panic("vtime: Spawn after Run returned")
 	}
-	p := &Proc{
-		id:     s.spawned,
-		name:   name,
-		sim:    s,
-		resume: make(chan struct{}, 1),
-		slot:   len(s.live),
+	var p *Proc
+	if n := len(s.free); n > 0 {
+		p, s.free[n-1], s.free = s.free[n-1], nil, s.free[:n-1]
+		p.waitOp, p.waitChan = "", ""
+	} else {
+		p = &Proc{sim: s, resume: make(chan struct{}, 1)}
 	}
+	p.id, p.name, p.fn, p.slot = s.spawned, name, fn, len(s.live)
 	s.spawned++
 	s.live = append(s.live, p)
-	go func() {
-		<-p.resume
-		fn(p)
-		s.finish(p)
-	}()
+	go p.body()
 	s.makeReady(p)
 	return p
 }
 
+// body is the process's goroutine: wait for the baton, run, retire.
+func (p *Proc) body() {
+	<-p.resume
+	p.fn(p)
+	p.sim.finish(p)
+}
+
 // finish retires p, the baton holder, and passes the baton on. The live
-// set forgets p (the last entry takes its slot), so a finished process is
-// reachable from nothing the kernel holds.
+// set forgets p (the last entry takes its slot) and the record goes on
+// the free list; passing the baton is the goroutine's final hand-off,
+// after which it touches neither the record nor the kernel, so whoever
+// holds the baton next may reuse the record.
 func (s *Sim) finish(p *Proc) {
 	last := len(s.live) - 1
 	s.live[p.slot] = s.live[last]
 	s.live[p.slot].slot = p.slot
 	s.live[last] = nil
 	s.live = s.live[:last]
+	p.fn = nil
+	if s.free == nil { // room for every process alive at once, in one go
+		s.free = make([]*Proc, 0, cap(s.live))
+	}
+	s.free = append(s.free, p)
 	s.pass(nil)
 }
 
@@ -310,4 +339,17 @@ func (s *Sim) Run() error {
 	}
 	sort.Strings(stuck)
 	return &DeadlockError{At: s.now, Blocked: stuck}
+}
+
+// Reset readies a Sim whose Run returned nil for another run, as if it
+// were new: the clock, the process ids and the timer sequence start from
+// zero. The queues and the finished processes' records keep their
+// memory; the Chans bound to the Sim are emptied by their owners
+// (Chan.Reset). Reset panics during a run and after a run that left
+// processes blocked.
+func (s *Sim) Reset() {
+	if s.running || len(s.live) > 0 {
+		panic("vtime: Reset of a Sim that did not finish cleanly")
+	}
+	s.now, s.spawned, s.seq, s.halted = 0, 0, 0, false
 }
