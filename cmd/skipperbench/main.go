@@ -9,7 +9,7 @@
 //	skipperbench -fig table3 -quick    # reduced-scale smoke run
 //	skipperbench -report cache -quick  # one feature report
 //	skipperbench -report all -quick    # every feature report
-//	skipperbench -format v2 -fig 9     # serve columnar (v2) encoded objects
+//	skipperbench -fig 9 -out csv       # one figure as CSV
 //	skipperbench -trace                # a 3-client run's device lane as a span tree
 //
 // Figures: table1, 2, 3, 4, 5, 7, 8, 9, table3, 10, 11a, 11b, 11c, 12,
@@ -37,20 +37,22 @@
 // query returns, and that no GET is lost, is held by the lattice harness
 // (go test ./internal/lattice ./internal/skipper).
 //
-// -format selects the wire format the CSD store serves for figure runs:
-// mem (in-memory segments, no decode work — the default) or v2.
-// Simulated timings are format-independent; real runtime and the byte
-// accounting are not.
+// Every run serves its generated datasets as v2 objects, as skipperd and
+// skipperql do, and decodes what it reads. -out takes table or csv; -sf
+// and -rows take a positive override or 0 (the configuration's own); any
+// other value exits 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/lattice"
+	"repro/internal/objstore"
 	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/trace"
@@ -66,20 +68,44 @@ func ids(entries []experiments.Entry) string {
 	return strings.Join(out, ",")
 }
 
-func main() {
-	figArg := flag.String("fig", "all", "comma-separated figure ids ("+ids(experiments.Default().Figures())+") or 'all'")
-	quick := flag.Bool("quick", false, "use the reduced-scale configuration")
-	sf := flag.Int("sf", 0, "override TPC-H scale factor")
-	outFmt := flag.String("out", "table", "output format: table or csv")
-	showTrace := flag.Bool("trace", false, "run a small 3-client scenario and print its device span tree instead of figures")
-	reportArg := flag.String("report", "", "comma-separated feature reports ("+ids(experiments.Default().Reports())+") or 'all'; runs instead of -fig")
-	rows := flag.Int("rows", 0, "override rows per 1 GB object (more rows = more decode work per object)")
-	segFormat := flag.String("format", "mem", "segment wire format served by the CSD store: mem or v2")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes to stdout and stderr, and
+// returns the exit status — 2 for a usage error, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("skipperbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	figArg := fs.String("fig", "all", "comma-separated figure ids ("+ids(experiments.Default().Figures())+") or 'all'")
+	quick := fs.Bool("quick", false, "use the reduced-scale configuration")
+	sf := fs.Int("sf", 0, "override TPC-H scale factor")
+	outFmt := fs.String("out", "table", "output format: table or csv")
+	showTrace := fs.Bool("trace", false, "run a small 3-client scenario and print its device span tree instead of figures")
+	reportArg := fs.String("report", "", "comma-separated feature reports ("+ids(experiments.Default().Reports())+") or 'all'; runs instead of -fig")
+	rows := fs.Int("rows", 0, "override rows per 1 GB object (more rows = more decode work per object)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2 // the flag package has printed why
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "skipperbench: "+format+"\n", a...)
+		return 2
+	}
+	switch {
+	case *outFmt != "table" && *outFmt != "csv":
+		return usage("-out %q: want table or csv", *outFmt)
+	case *sf < 0:
+		return usage("-sf %d: want a positive override, or 0 for none", *sf)
+	case *rows < 0:
+		return usage("-rows %d: want a positive override, or 0 for none", *rows)
+	}
 
 	if *showTrace {
-		runTraceDemo()
-		return
+		if err := runTraceDemo(stdout); err != nil {
+			fmt.Fprintf(stderr, "skipperbench: trace demo: %v\n", err)
+			return 1
+		}
+		return 0
 	}
 
 	p := experiments.Default()
@@ -92,12 +118,6 @@ func main() {
 	if *rows > 0 {
 		p.RowsPerObject = *rows
 	}
-	wireFmt, err := segment.ParseFormat(*segFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipperbench: %v\n", err)
-		os.Exit(2)
-	}
-	p.Format = wireFmt
 
 	all, arg := p.Figures(), *figArg
 	if *reportArg != "" {
@@ -118,31 +138,34 @@ func main() {
 		matched = true
 		f, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "skipperbench: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "skipperbench: %s: %v\n", e.ID, err)
+			return 1
 		}
 		if *outFmt == "csv" {
-			fmt.Printf("# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
+			fmt.Fprintf(stdout, "# %s: %s\n%s\n", f.ID, f.Title, f.CSV())
 		} else {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
 	if !matched {
-		fmt.Fprintf(os.Stderr, "skipperbench: no figure or report matched %q\n", arg)
-		os.Exit(2)
+		return usage("no figure or report matched %q", arg)
 	}
+	return 0
 }
 
-// runTraceDemo executes a 3-client Skipper run, data skipping off as in the
-// paper's figures, with a device recorder attached and prints what the
-// device did as a span tree — every transfer from its GET to its delivery,
-// every group switch — then each tenant's query span and the totals the
-// spans must add up to.
-func runTraceDemo() {
+// runTraceDemo executes a 3-client Skipper run over v2 objects, data
+// skipping off as in the paper's figures, with a device recorder attached
+// and prints what the device did as a span tree — every transfer from its
+// GET to its delivery, every group switch — then each tenant's query span
+// and the totals the spans must add up to.
+func runTraceDemo(stdout io.Writer) error {
 	var tenants []lattice.Tenant
 	store := make(map[segment.ObjectID]*segment.Segment)
 	for t := 0; t < 3; t++ {
-		ds := workload.TPCH(t, workload.TPCHConfig{SF: 3, RowsPerObject: 6, Seed: 1})
+		ds, err := objstore.ReencodeDataset(workload.TPCH(t, workload.TPCHConfig{SF: 3, RowsPerObject: 6, Seed: 1}), segment.FormatV2)
+		if err != nil {
+			return err
+		}
 		ds.MergeInto(store)
 		tenants = append(tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: []skipper.QuerySpec{workload.Q12(ds.Catalog)}})
 	}
@@ -151,15 +174,15 @@ func runTraceDemo() {
 	cl.Fleet.Device.Trace = rec
 	res, err := cl.Run()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "skipperbench: trace demo: %v\n", err)
-		os.Exit(1)
+		return err
 	}
-	rec.ExportTrace().Render(os.Stdout)
-	fmt.Println()
+	rec.ExportTrace().Render(stdout)
+	fmt.Fprintln(stdout)
 	for _, cs := range res.Clients {
 		for _, q := range cs.PerQuery {
-			fmt.Printf("t%d %-24s %.1fs .. %.1fs (%.1fs)\n", cs.Tenant, q.QueryID, q.Start.Seconds(), q.Finish.Seconds(), (q.Finish - q.Start).Seconds())
+			fmt.Fprintf(stdout, "t%d %-24s %.1fs .. %.1fs (%.1fs)\n", cs.Tenant, q.QueryID, q.Start.Seconds(), q.Finish.Seconds(), (q.Finish - q.Start).Seconds())
 		}
 	}
-	fmt.Printf("\nmakespan %.1fs, %d switches\n", res.Makespan.Seconds(), res.CSD.GroupSwitches)
+	fmt.Fprintf(stdout, "\nmakespan %.1fs, %d switches\n", res.Makespan.Seconds(), res.CSD.GroupSwitches)
+	return nil
 }

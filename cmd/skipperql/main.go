@@ -10,7 +10,7 @@
 // fault, cache, decode and prefetch accounts.
 //
 //	skipperql [-workload tpch|ssb|mrbench|nref] [-sf N] [-engine skipper|vanilla|local]
-//	          [-cache N] [-segcache N] [-prune=false] [-format mem|v2]
+//	          [-cache N] [-segcache N] [-prune=false]
 //	          [-trace] [-trace-out FILE] [-c "STMT; STMT"]
 //
 // Statements end with ';' and may span lines; -c (or a pipe) runs them

@@ -30,7 +30,7 @@ type Flags struct {
 
 	run                                 Run
 	plan                                faults.Plan
-	format, replication                 string
+	replication                         string
 	sf, rows, prefetchGB, retryAttempts int
 	clustered, prune                    bool
 	retryBackoff                        time.Duration
@@ -48,7 +48,6 @@ func Bind(fs *flag.FlagSet, segCache int) *Flags {
 	fs.IntVar(&f.sf, "sf", 10, "scale factor / footprint in GB")
 	fs.IntVar(&f.rows, "rows", 20, "tuples per 1 GB object")
 	fs.BoolVar(&f.clustered, "clustered", false, "sort the TPC-H date columns before segmenting (makes date predicates prunable)")
-	fs.StringVar(&f.format, "format", "v2", "segment wire format the store serves: mem or v2")
 	// Execution.
 	fs.StringVar(&f.run.Engine, "engine", serving.Mode.String(), "execution engine: skipper or vanilla")
 	fs.IntVar(&f.run.CacheObjects, "cache", serving.CacheObjects, "MJoin cache size in objects (skipper engine)")
@@ -75,10 +74,9 @@ func Bind(fs *flag.FlagSet, segCache int) *Flags {
 
 // Run is what the flags resolve to.
 type Run struct {
-	// Workload, Engine and Format echo the flags; Dataset is the generated
-	// dataset re-encoded in Format.
+	// Workload and Engine echo the flags; Dataset is the generated
+	// dataset encoded as v2 objects.
 	Workload, Engine string
-	Format           segment.Format
 	Dataset          *workload.Dataset
 	// Local is set for "-engine local", where Mode stays unset.
 	Local bool
@@ -103,15 +101,12 @@ func (r *Run) ServerConfig() server.Config {
 }
 
 // Resolve validates the parsed flags and builds the run. Every error is a
-// usage error: an unknown workload, format, engine or replication policy,
+// usage error: an unknown workload, engine or replication policy,
 // a negative prefetch budget or MJoin cache, a fleet of fewer than one
 // device, a rate outside [0,1].
 func (f *Flags) Resolve() (*Run, error) {
 	r := f.run
 	var err error
-	if r.Format, err = segment.ParseFormat(f.format); err != nil {
-		return nil, err
-	}
 	if r.Engine == "local" && f.AllowLocal {
 		r.Local = true
 	} else if r.Mode, err = skipper.ParseMode(r.Engine); err != nil {
@@ -158,11 +153,10 @@ func (f *Flags) Resolve() (*Run, error) {
 	default:
 		return nil, fmt.Errorf("unknown workload %q", r.Workload)
 	}
-	// Re-encode the dataset in the chosen wire format: the store then
-	// serves lazily decoded segments, scans pay (and report) real decode
-	// work, and the catalog statistics come from the v2 column
-	// directories. FormatMem keeps the generator's in-memory segments.
-	if r.Dataset, err = objstore.ReencodeDataset(ds, r.Format); err != nil {
+	// Encode the dataset as v2 objects: the store then serves lazily
+	// decoded segments, scans pay (and report) real decode work, and the
+	// catalog statistics come from the v2 column directories.
+	if r.Dataset, err = objstore.ReencodeDataset(ds, segment.FormatV2); err != nil {
 		return nil, fmt.Errorf("encode dataset: %w", err)
 	}
 	return &r, nil

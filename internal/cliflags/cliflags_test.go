@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/layout"
-	"repro/internal/segment"
 	"repro/internal/skipper"
 )
 
@@ -33,7 +32,7 @@ const small = "-sf 1 -rows 2 "
 // TestFullFlagLine: one line setting every group resolves to exactly the
 // values the library takes.
 func TestFullFlagLine(t *testing.T) {
-	r, err := resolve(t, false, small+"-workload tpch -clustered -format mem "+
+	r, err := resolve(t, false, small+"-workload tpch -clustered "+
 		"-engine vanilla -cache 7 -segcache 5 -prune=false -prefetch 3 "+
 		"-devices 2 -replication full "+
 		"-fault-transient 0.4 -fault-corrupt 0.25 -fault-stall 0.2 -fault-stall-dur 5s -fault-cap 2 -fault-seed 42 "+
@@ -41,8 +40,8 @@ func TestFullFlagLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Workload != "tpch" || r.Engine != "vanilla" || r.Format != segment.FormatMem || r.Dataset == nil {
-		t.Errorf("dataset group: %q %q %v %v", r.Workload, r.Engine, r.Format, r.Dataset)
+	if r.Workload != "tpch" || r.Engine != "vanilla" || r.Dataset == nil {
+		t.Errorf("dataset group: %q %q %v", r.Workload, r.Engine, r.Dataset)
 	}
 	if r.Mode != skipper.ModeVanilla || r.Local || r.CacheObjects != 7 || r.SegCache != 5 || !r.NoStatsPruning {
 		t.Errorf("execution group: %+v", r)
@@ -75,14 +74,14 @@ func TestFullFlagLine(t *testing.T) {
 }
 
 // TestDefaultsResolveToTheZeroFleet: no flags means today's plain run —
-// skipper engine, v2, pruning on, no prefetch, and the fleet every library caller gets
+// skipper engine, pruning on, no prefetch, and the fleet every library caller gets
 // by saying nothing (one device, clean), with library-default retries.
 func TestDefaultsResolveToTheZeroFleet(t *testing.T) {
 	r, err := resolve(t, false, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Mode != skipper.ModeSkipper || r.Format != segment.FormatV2 || r.NoStatsPruning || r.CacheObjects != 10 {
+	if r.Mode != skipper.ModeSkipper || r.NoStatsPruning || r.CacheObjects != 10 {
 		t.Errorf("defaults: %+v", r)
 	}
 	if r.PrefetchBytes != 0 || r.Retry != nil || !reflect.DeepEqual(r.Fleet, skipper.FleetSpec{N: 1}) {
@@ -100,8 +99,6 @@ func TestOutsideInputIsRejected(t *testing.T) {
 		{"unknown engine", "-engine vanila", false},
 		{"unknown engine with local allowed", "-engine vanila", true},
 		{"local engine where there is none", "-engine local", false},
-		{"unknown format", "-format v3", false},
-		{"a format no front end serves", "-format v1", false},
 		{"unknown replication", "-replication warm", false},
 		{"no devices", "-devices 0", false},
 		{"negative prefetch budget", "-prefetch -1", false},
@@ -137,6 +134,22 @@ func TestHotReplicationIsAUsageError(t *testing.T) {
 	}
 }
 
+// TestFormatFlagIsAUsageError: there is no -format flag (every dataset is
+// served as v2 objects); both front ends refuse it, whatever its value,
+// with exit status 2 and name the flag.
+func TestFormatFlagIsAUsageError(t *testing.T) {
+	for _, format := range []string{"v2", "mem"} {
+		for name, run := range map[string]func(...string) result{"skipperd": skipperd, "skipperql": skipperql} {
+			t.Run(name+"/"+format, func(t *testing.T) {
+				r := run("-format", format)
+				if r.code != 2 || !strings.Contains(r.errs, "-format") {
+					t.Fatalf("-format %s exited %d, want 2 naming the flag\nstderr:\n%s", format, r.code, r.errs)
+				}
+			})
+		}
+	}
+}
+
 // TestSharedDefaultsDifferOnlyInSegcache: skipperd (8) and skipperql (0)
 // bind the same flags with the same defaults, except -segcache — kept
 // apart on purpose, see Bind.
@@ -149,12 +162,16 @@ func TestSharedDefaultsDifferOnlyInSegcache(t *testing.T) {
 		return out
 	}
 	d, ql := defaults(8), defaults(0)
-	if len(d) != 22 || len(ql) != len(d) {
-		t.Fatalf("bound %d and %d flags, want 22 each", len(d), len(ql))
+	if len(d) != 21 || len(ql) != len(d) {
+		t.Fatalf("bound %d and %d flags, want 21 each", len(d), len(ql))
 	}
-	for _, gone := range []string{"pipeline", "decode-workers"} {
+	for gone, why := range map[string]string{
+		"pipeline":       "-prefetch N is the one prefetch setting",
+		"decode-workers": "-prefetch N is the one prefetch setting",
+		"format":         "every dataset is served as v2 objects",
+	} {
 		if _, ok := d[gone]; ok {
-			t.Errorf("-%s is still a flag; -prefetch N is the one prefetch setting", gone)
+			t.Errorf("-%s is still a flag; %s", gone, why)
 		}
 	}
 	for name, def := range d {

@@ -27,7 +27,7 @@ import (
 )
 
 // dataset is every run's generated dataset: small, with prunable dates.
-var dataset = []string{"-workload", "tpch", "-sf", "4", "-rows", "4", "-clustered", "-format", "v2"}
+var dataset = []string{"-workload", "tpch", "-sf", "4", "-rows", "4", "-clustered"}
 
 // queries is the statement mix: a join with LIMIT, a filtered scan, a
 // join with aggregation and a bare aggregate.

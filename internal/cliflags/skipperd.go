@@ -96,7 +96,7 @@ func Skipperd(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 		return usageError(stderr, "skipperd", err)
 	}
 	adm := s.Admission().Config()
-	fmt.Fprintf(stdout, "skipperd: serving %s dataset (%d objects, format=%s, engine=%s) on %s\n", run.Workload, len(run.Dataset.Catalog.AllObjects()), run.Format, run.Mode, bound)
+	fmt.Fprintf(stdout, "skipperd: serving %s dataset (%d objects, format=v2, engine=%s) on %s\n", run.Workload, len(run.Dataset.Catalog.AllObjects()), run.Mode, bound)
 	fmt.Fprintf(stdout, "skipperd: admission %d in flight (%d per tenant), queue depth %d, tenants [0,%d)\n", adm.Slots, adm.TenantSlots, adm.QueueDepth, *maxTenants)
 	if run.Fleet.N > 1 {
 		fmt.Fprintf(stdout, "skipperd: device fleet of %d, replication %s\n", run.Fleet.N, run.Fleet.Replication)

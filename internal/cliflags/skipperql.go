@@ -54,7 +54,7 @@ func Skipperql(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	var input io.Reader = strings.NewReader(*command)
 	if *command == "" {
 		input, sh.Interactive = stdin, true
-		fmt.Fprintf(stdout, "skipperql — %s dataset, %d objects, engine=%s, format=%s\n", run.Workload, len(ds.Catalog.AllObjects()), run.Engine, run.Format)
+		fmt.Fprintf(stdout, "skipperql — %s dataset, %d objects, engine=%s, format=v2\n", run.Workload, len(ds.Catalog.AllObjects()), run.Engine)
 		fmt.Fprintf(stdout, "tables: %s\n", strings.Join(ds.Catalog.TableNames(), ", "))
 		fmt.Fprintln(stdout, `end statements with ';', '\q' quits, '\d table' describes a table, EXPLAIN SELECT ... shows the plan`)
 	}

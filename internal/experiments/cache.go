@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/lattice"
-	"repro/internal/objstore"
-	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
@@ -39,26 +37,15 @@ func sweepWorkload(ds *workload.Dataset) lattice.Workload {
 	}, cacheSweepClients, cacheSweepGroups)
 }
 
-// measured is the encoded dataset the pipeline, fault and scale sweeps
-// measure on: the Params' format, except that FormatMem is promoted to
-// FormatV2, the format the front ends serve.
-func (p Params) measured() (*workload.Dataset, error) {
-	f := p.Format
-	if f == segment.FormatMem {
-		f = segment.FormatV2
-	}
-	return objstore.ReencodeDataset(p.clusteredDataset(), f)
-}
-
 // sweepRow is a row of the feature sweeps: the change, on sweepWorkload(ds).
 func sweepRow(ds *workload.Dataset, change Change, keys ...string) Row {
 	return Row{Keys: keys, Change: change, Workload: fixedWorkload(sweepWorkload(ds))}
 }
 
-// cacheReport sweeps the shared-cache budget (0 = off) on the Params'
-// format, skipper engine.
+// cacheReport sweeps the shared-cache budget (0 = off) on the skipper
+// engine.
 func (p Params) cacheReport() (*Grid, error) {
-	ds, err := p.encoded(p.clusteredDataset())
+	ds, err := encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +64,7 @@ func (p Params) cacheReport() (*Grid, error) {
 			{"avg client (s)", 0, avgClient, seconds},
 		},
 		Notes: []string{
-			"results are held byte-identical cache on/off across engines, formats (mem/v2) and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
+			"results over v2 objects are held byte-identical to workload.Evaluate over the generated rows, cache on and off, across engines and pruning on/off, and GET conservation is checked on every run, by the lattice harness (go test ./internal/skipper ./internal/lattice)",
 		},
 	}
 	footprint := len(ds.Catalog.AllObjects())

@@ -51,17 +51,12 @@ type Params struct {
 	CacheObjects int
 	// Seed drives the deterministic data generators.
 	Seed int64
-	// Format selects the segment wire format the CSD store serves:
-	// FormatMem (the zero value) the generator's in-memory segments,
-	// FormatV2 lazily decoded objects, whose scans do (and account) real
-	// decode work. Results are identical across formats (the lattice
-	// harness's format axis).
-	Format segment.Format
 }
 
-// encoded re-encodes a dataset per p.Format (no-op for FormatMem).
-func (p Params) encoded(ds *workload.Dataset) (*workload.Dataset, error) {
-	return objstore.ReencodeDataset(ds, p.Format)
+// encoded encodes a generated dataset as the v2 objects the CSD store
+// serves: every run decodes what it reads, as the front ends' runs do.
+func encoded(ds *workload.Dataset) (*workload.Dataset, error) {
+	return objstore.ReencodeDataset(ds, segment.FormatV2)
 }
 
 // Default returns the paper's configuration.

@@ -281,6 +281,25 @@ func TestFigure4PrunesWhenAsked(t *testing.T) {
 	}
 }
 
+// Every figure run serves v2 objects, as the front ends do: on each run of
+// Figure 7's cells, both engines, the device serves encoded bytes and the
+// clients decode some.
+func TestFigureCellsServeEncodedObjects(t *testing.T) {
+	m := quick(t, "7")
+	for r, runs := range m.runs {
+		for s, res := range runs {
+			var decoded int64
+			for _, cs := range res.Clients {
+				decoded += cs.BytesDecoded
+			}
+			if res.CSD.PayloadBytesServed <= 0 || decoded <= 0 {
+				t.Fatalf("row %v, series %d: %d encoded bytes served, %d decoded; want both > 0",
+					m.Keys(r), s, res.CSD.PayloadBytesServed, decoded)
+			}
+		}
+	}
+}
+
 func TestQuickRunsFast(t *testing.T) {
 	// Guard: the Quick experiment suite used by tests must stay cheap.
 	start := time.Now()

@@ -56,7 +56,7 @@ func (p Params) faultCell() lattice.Cell {
 // faultReport measures the skipper engine (prefetch on) under increasing
 // fault rates plus the crash/restart scenario.
 func (p Params) faultReport() (*Grid, error) {
-	ds, err := p.measured()
+	ds, err := encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
 	}

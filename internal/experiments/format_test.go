@@ -9,7 +9,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/lattice"
 	"repro/internal/mjoin"
-	"repro/internal/objstore"
 	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/tuple"
@@ -17,10 +16,10 @@ import (
 )
 
 // The format differential suite proves the columnar segment format end to
-// end: for every probe query, serving the same dataset as in-memory
-// segments (mem) and columnar objects with projection pushdown (v2) must
-// produce byte-identical, identically ordered results — across both
-// engines and data skipping on/off. Queries whose aggregates are
+// end: for every probe query, the generated dataset's in-memory rows and
+// its columnar objects with projection pushdown (v2) must produce
+// byte-identical, identically ordered results — across both engines and
+// data skipping on/off. Queries whose aggregates are
 // integer-only compare across engines too;
 // float-aggregating queries compare within each engine (the engines add
 // floats in different orders, which may differ in the last ulps — an
@@ -67,27 +66,36 @@ func evalFormat(ds *workload.Dataset, spec skipper.QuerySpec, mode skipper.Mode,
 	return engine.Collect(spec.Shape(engine.NewValues(res.Schema, res.Rows)))
 }
 
-// servedFormats are the formats a store serves.
-var servedFormats = []segment.Format{segment.FormatMem, segment.FormatV2}
+// store is one side of the format differentials.
+type store struct {
+	name string
+	ds   *workload.Dataset
+}
 
-func TestFormatDifferential(t *testing.T) {
-	p := Quick()
-	base := p.clusteredDataset()
-	v2, err := objstore.ReencodeDataset(base, segment.FormatV2)
+// stores returns the two sides: the generated dataset's in-memory rows,
+// the reference, and the v2 objects it is served as.
+func stores(t *testing.T) []store {
+	t.Helper()
+	base := Quick().clusteredDataset()
+	v2, err := encoded(base)
 	if err != nil {
 		t.Fatalf("encode v2: %v", err)
 	}
-	datasets := map[segment.Format]*workload.Dataset{segment.FormatMem: base, segment.FormatV2: v2}
+	return []store{{"generated", base}, {"v2", v2}}
+}
+
+func TestFormatDifferential(t *testing.T) {
+	sides := stores(t)
 	for _, q := range formatDiffQueries {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
 			want := map[skipper.Mode][]tuple.Row{}
 			for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-				for _, f := range servedFormats {
-					ds := datasets[f]
+				for _, side := range sides {
+					ds := side.ds
 					spec := q.spec(ds)
 					for _, prune := range []bool{true, false} {
-						label := fmt.Sprintf("%v/%s/prune=%v", f, mode, prune)
+						label := fmt.Sprintf("%s/%s/prune=%v", side.name, mode, prune)
 						rows, err := evalFormat(ds, spec, mode, prune)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
@@ -111,35 +119,30 @@ func TestFormatDifferential(t *testing.T) {
 }
 
 // TestFormatDifferentialScrambledArrivals drives the MJoin engine with
-// deterministic shuffled deliveries over every format: out-of-order
-// arrivals are the regime the state manager exists for, and the shaped
-// results must still be identical across formats.
+// deterministic shuffled deliveries over the generated rows and the v2
+// objects: out-of-order arrivals are the regime the state manager exists
+// for, and the shaped results must still be identical on both sides.
 func TestFormatDifferentialScrambledArrivals(t *testing.T) {
-	p := Quick()
-	base := p.clusteredDataset()
 	var want []tuple.Row
-	for _, f := range servedFormats {
-		ds, err := objstore.ReencodeDataset(base, f)
-		if err != nil {
-			t.Fatalf("encode %v: %v", f, err)
-		}
+	for _, side := range stores(t) {
+		ds := side.ds
 		spec := workload.QShipdateWindow(ds.Catalog, "1994-01-01", "1994-06-30")
 		for seed := int64(1); seed <= 3; seed++ {
 			cfg := mjoin.DefaultConfig(len(spec.Join.Objects()))
 			res, err := mjoin.Run(spec.Join, cfg, &scrambledSource{store: ds.Store, rng: rand.New(rand.NewSource(seed))})
 			if err != nil {
-				t.Fatalf("%v seed %d: %v", f, seed, err)
+				t.Fatalf("%s seed %d: %v", side.name, seed, err)
 			}
 			rows, err := engine.Collect(spec.Shape(engine.NewValues(res.Schema, res.Rows)))
 			if err != nil {
-				t.Fatalf("%v seed %d: %v", f, seed, err)
+				t.Fatalf("%s seed %d: %v", side.name, seed, err)
 			}
 			if want == nil {
 				want = rows
 				continue
 			}
 			if err := lattice.EqualRows(rows, want); err != nil {
-				t.Fatalf("%v seed %d diverges: %v", f, seed, err)
+				t.Fatalf("%s seed %d diverges: %v", side.name, seed, err)
 			}
 		}
 	}
@@ -171,15 +174,11 @@ func (s *scrambledSource) NextArrival() (*segment.Segment, error) {
 }
 
 // TestFormatPreservesCatalogStats asserts the v2 path's directory-derived
-// statistics are exactly what row-walking produces: same zone maps, same
-// pruning decisions.
+// statistics are exactly what row-walking the generated dataset produces:
+// same zone maps, same pruning decisions.
 func TestFormatPreservesCatalogStats(t *testing.T) {
-	p := Quick()
-	base := p.clusteredDataset()
-	v2, err := objstore.ReencodeDataset(base, segment.FormatV2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sides := stores(t)
+	base, v2 := sides[0].ds, sides[1].ds
 	for _, name := range base.Catalog.TableNames() {
 		bt, vt := base.Catalog.MustTable(name), v2.Catalog.MustTable(name)
 		if bt.RowCount != vt.RowCount {
@@ -208,19 +207,18 @@ func TestFormatPreservesCatalogStats(t *testing.T) {
 
 // TestReportQueriesVerify holds the queries of the pruning, selectivity
 // and projection reports, the pruning report's Q12 and Q5 over the figures'
-// dataset included, to the lattice harness across every format, both
-// engines and data skipping on/off — the assertion those reports used to
-// make on the side while measuring.
+// dataset included, to the lattice harness — v2 objects against
+// workload.Evaluate over the generated rows — on both engines and data
+// skipping on/off: the assertion those reports used to make on the side
+// while measuring.
 func TestReportQueriesVerify(t *testing.T) {
 	p := Quick()
 	var cells []lattice.Cell
-	for _, f := range servedFormats {
-		for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
-			for _, noPrune := range []bool{false, true} {
-				cell := p.cell(mode)
-				cell.Format, cell.NoStatsPruning = f, noPrune
-				cells = append(cells, cell)
-			}
+	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
+		for _, noPrune := range []bool{false, true} {
+			cell := p.cell(mode)
+			cell.NoStatsPruning = noPrune
+			cells = append(cells, cell)
 		}
 	}
 	queries := func(cat *catalog.Catalog) []skipper.QuerySpec {

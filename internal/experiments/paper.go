@@ -18,13 +18,13 @@ import (
 // their runs by hand, because their rows are not runs.
 
 // tpch is the workload of n TPC-H tenants at scale sf, each on a dataset of
-// its own in the Params' format and running queries, on one disk group per
+// its own served as v2 objects and running queries, on one disk group per
 // tenant.
 func (p Params) tpch(n, sf int, queries func(*catalog.Catalog) []skipper.QuerySpec) func() (lattice.Workload, error) {
 	return func() (lattice.Workload, error) {
 		w := lattice.Workload{Store: make(mapStore)}
 		for t := 0; t < n; t++ {
-			ds, err := p.encoded(workload.TPCH(t, p.tpchConfig(sf)))
+			ds, err := encoded(workload.TPCH(t, p.tpchConfig(sf)))
 			if err != nil {
 				return w, err
 			}
@@ -360,7 +360,7 @@ func (p Params) Figure8Data() (map[string]Figure8Point, error) {
 			workload.NREF(2, workload.NREFConfig{TotalGB: 13, RowsPerObject: p.RowsPerObject, Seed: p.Seed}),
 			workload.SSB(3, workload.SSBConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed}),
 		} {
-			ds, err := p.encoded(gen)
+			ds, err := encoded(gen)
 			if err != nil {
 				return nil, err
 			}

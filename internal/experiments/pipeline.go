@@ -21,7 +21,7 @@ const pipelinePrefetchBytes = 4e9
 // shared segment cache, so prefetched deliveries travel the staged
 // hand-off path).
 func (p Params) pipelineReport() (*Grid, error) {
-	ds, err := p.measured()
+	ds, err := encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/mjoin"
-	"repro/internal/objstore"
-	"repro/internal/segment"
 	"repro/internal/skipper"
 	"repro/internal/workload"
 )
@@ -18,9 +16,10 @@ import (
 // store, with Cols dropped from every relation (every block decoded, what
 // a row-major store pays) and with the planner's projection; the report
 // compares the scan-side byte accounting (fetched / decoded / skipped /
-// materialized) and the wall-clock decode time. (That the format never
-// changes a result is the lattice harness's format axis;
-// TestReportQueriesVerify runs it over this report's queries.)
+// materialized) and the wall-clock decode time. (That v2 objects return
+// what workload.Evaluate returns over the generated rows is the lattice
+// harness's oracle; TestReportQueriesVerify holds this report's queries
+// to it.)
 
 // ProjectionPoint is one query × projection row of the projection report.
 // Not a grid: the report drains pull plans, it runs no cell.
@@ -76,7 +75,7 @@ func allColumns(join *mjoin.Query) *mjoin.Query {
 // ProjectionReportData measures each probe query over the v2 store, every
 // column decoded and then projected: two points per query, in that order.
 func (p Params) ProjectionReportData() ([]ProjectionPoint, error) {
-	ds, err := objstore.ReencodeDataset(p.clusteredDataset(), segment.FormatV2)
+	ds, err := encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, fmt.Errorf("encode v2: %w", err)
 	}
@@ -140,7 +139,7 @@ func (p Params) ProjectionReport() (*Figure, error) {
 		Title:   "Scan-side decode bytes and time, columnar (v2) segments with every column decoded vs projection pushdown (date-clustered dataset, pull engine)",
 		Columns: []string{"query", "format", "projection", "fetched B", "decoded B", "skipped B", "skipped", "materialized B", fmt.Sprintf("decode ms (%d reps)", projReps)},
 		Notes: []string{
-			"results are held byte-identical across mem/v2 formats, both engines, pruning on/off, by the lattice harness (go test ./internal/experiments -run TestReportQueriesVerify)",
+			"results over v2 objects are held byte-identical to workload.Evaluate over the generated rows, both engines, pruning on/off, by the lattice harness (go test ./internal/experiments -run TestReportQueriesVerify)",
 			"skipped B = encoded column-block bytes projection pushdown never decoded (all cols decodes every block, as a row-major store must)",
 		},
 	}

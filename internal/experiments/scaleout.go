@@ -35,7 +35,7 @@ const (
 // replication must degrade strictly less than the unreplicated
 // crash+restart fleet.
 func (p Params) scaleReport() (*Grid, error) {
-	ds, err := p.measured()
+	ds, err := encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
 	}

@@ -85,7 +85,7 @@ func oneQuery(ds *workload.Dataset, spec skipper.QuerySpec) func() (lattice.Work
 // date-clustered dataset on the skipper engine, with data skipping on and
 // off.
 func (p Params) selectivity() (*Grid, error) {
-	ds, err := p.encoded(p.clusteredDataset())
+	ds, err := encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
 	}
@@ -106,15 +106,15 @@ func (p Params) selectivity() (*Grid, error) {
 // them with data skipping off, and these rows show what turning it on
 // would change.
 func (p Params) pruneReport() (*Grid, error) {
-	ds, err := p.encoded(p.clusteredDataset())
+	ds, err := encoded(p.clusteredDataset())
 	if err != nil {
 		return nil, err
 	}
-	figs, err := p.encoded(workload.TPCH(0, p.tpchConfig(p.SF)))
+	figs, err := encoded(workload.TPCH(0, p.tpchConfig(p.SF)))
 	if err != nil {
 		return nil, err
 	}
-	g := p.pruneGrid("Pruning report", "Segments fetched vs skipped with data skipping on/off (date-clustered dataset)",
+	g := p.pruneGrid("Pruning report", "Segments fetched vs skipped with data skipping on/off (date-clustered dataset, then the figures' unclustered one)",
 		[]string{"query", "engine", "input objects"},
 		func(keys []string) string { return keys[0] + " " + keys[1] })
 	g.Notes = []string{"results are held byte-identical with data skipping on and off, both engines, by the lattice harness (go test ./internal/experiments -run TestReportQueriesVerify)"}

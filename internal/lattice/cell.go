@@ -1,7 +1,7 @@
 // Package lattice is the one differential harness of the repository.
 // Every experiment of the paper is the same run with different settings —
-// an engine, a segment format, data skipping, a shared cache, a prefetch
-// budget, a fault plan, a device fleet, tracing — and every claim is an
+// an engine, data skipping, a shared cache, a prefetch budget, a fault
+// plan, a device fleet, tracing — and every claim is an
 // invariant across those settings: a setting may
 // change when a query finishes, never what it returns, and no GET is lost
 // between client, cache, prefetcher and device. A Cell is one point of
@@ -28,13 +28,11 @@ import (
 // may change when its queries finish but never what they return — the
 // clients' execution Options, the devices they share, and what the
 // harness adds around them. The zero value is the baseline corner: the
-// library's default Options, in-memory segments, no shared cache, one
-// clean default device, untraced.
+// library's default Options, no shared cache, one clean default device,
+// untraced. A cell has no format: Verify serves its dataset as v2
+// objects, and Cluster takes the store as it finds it.
 type Cell struct {
 	skipper.Options
-	// Format is the wire format the store serves. Verify re-encodes its
-	// dataset per cell; Cluster takes the store as it finds it.
-	Format segment.Format
 	// SharedCache is the budget, in objects, of one segment cache shared
 	// by every client of the cluster (0 = none).
 	SharedCache int
@@ -49,12 +47,13 @@ type Cell struct {
 
 // String names the cell by its path through the lattice, e.g.
 // "v2/skipper/dop1/prune=true/cache=9/pipe/faults/2xfull/traced". The fixed
-// "dop1" says every cell runs serially; it stays so that cell names, and
-// the test names built from them, are the ones they have always been. A
-// prefetch budget shows as "pipe".
+// "v2" says every cell serves v2 objects and the fixed "dop1" that every
+// cell runs serially; both stay so that cell names, and the test names
+// built from them, are the ones they have always been. A prefetch budget
+// shows as "pipe".
 func (c Cell) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%v/%v/dop1/prune=%v", c.Format, c.Mode, !c.NoStatsPruning)
+	fmt.Fprintf(&sb, "v2/%v/dop1/prune=%v", c.Mode, !c.NoStatsPruning)
 	if c.SharedCache > 0 {
 		fmt.Fprintf(&sb, "/cache=%d", c.SharedCache)
 	}

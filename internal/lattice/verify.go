@@ -46,7 +46,7 @@ func axisErr(axis, format string, args ...any) error {
 }
 
 // Verify is the differential gate. Every cell runs the queries on Tenants
-// clients sharing ds (re-encoded in the cell's Format) and must
+// clients sharing ds (encoded once, as v2 objects) and must
 //
 //   - return, for every client and query, exactly the rows
 //     workload.Evaluate computes from the in-memory dataset — an oracle
@@ -67,15 +67,11 @@ func Verify(ds *workload.Dataset, queries func(*catalog.Catalog) []skipper.Query
 	if err != nil {
 		return err
 	}
-	encoded := map[segment.Format]*workload.Dataset{}
+	enc, err := objstore.ReencodeDataset(ds, segment.FormatV2)
+	if err != nil {
+		return fmt.Errorf("lattice: encode: %w", err)
+	}
 	for _, c := range cells {
-		enc, ok := encoded[c.Format]
-		if !ok {
-			if enc, err = objstore.ReencodeDataset(ds, c.Format); err != nil {
-				return fmt.Errorf("lattice: encode %v: %w", c.Format, err)
-			}
-			encoded[c.Format] = enc
-		}
 		c.KeepResults = true
 		workload := func() Workload { return Shared(enc, queries, Tenants, Groups) }
 		if err := verifyCell(c, workload, want); err != nil {

@@ -19,16 +19,13 @@ import (
 // ReencodeDataset encodes every segment of a generated dataset in the
 // given wire format and returns a dataset whose store serves the lazily
 // decoded objects and whose catalog was rebuilt from them — so its
-// statistics come from the v2 column directories when f is FormatV2, and
-// every scan against the returned store performs real, per-access decode
-// work. FormatMem returns the dataset unchanged (in-memory segments, zero
-// decode cost). One par.For encodes and reads back every object; tables
-// then enter the catalog in order, so a failure is the serial pass's: the
-// first failing object, or failing statistics of a table before it.
+// statistics come from the v2 column directories, and every scan against
+// the returned store performs real, per-access decode work. A format
+// other than segment.FormatV2 is refused by the encoder. One par.For
+// encodes and reads back every object; tables then enter the catalog in
+// order, so a failure is the serial pass's: the first failing object, or
+// failing statistics of a table before it.
 func ReencodeDataset(ds *workload.Dataset, f segment.Format) (*workload.Dataset, error) {
-	if f == segment.FormatMem {
-		return ds, nil
-	}
 	names := ds.Catalog.TableNames()
 	var ids []segment.ObjectID
 	for _, name := range names {

@@ -51,8 +51,11 @@ func TestDatasetRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if same, err := ReencodeDataset(ds, segment.FormatMem); err != nil || same != ds {
-		t.Fatalf("FormatMem must hand the dataset back untouched: %p %v", same, err)
+	// v2 is the only format a device serves; any other is refused.
+	for _, f := range []segment.Format{0, 1, 3} {
+		if back, err := ReencodeDataset(ds, f); err == nil || !strings.Contains(err.Error(), "cannot encode format") {
+			t.Fatalf("%v: re-encoded (%p) with error %v, want a refusal", f, back, err)
+		}
 	}
 }
 

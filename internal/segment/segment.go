@@ -40,41 +40,21 @@ const MaxTableName = 255
 // from being talked into gigantic allocations by two bytes of input.
 const MaxSegmentRows = 1 << 20
 
-// Format selects the segment wire format.
+// Format selects the segment wire format. FormatV2 is the only one: a
+// device serves nothing but encoded objects, and EncodeFormat refuses any
+// other value.
 type Format uint8
 
-const (
-	// FormatMem marks a segment that was never encoded: it exists only as
-	// in-memory rows (generator output, test fixtures).
-	FormatMem Format = 0
-	// FormatV2 is the columnar wire format: header + column directory +
-	// independently decodable column blocks + checksum trailer.
-	FormatV2 Format = 2
-)
+// FormatV2 is the columnar wire format: header + column directory +
+// independently decodable column blocks + checksum trailer.
+const FormatV2 Format = 2
 
-// String returns the format's short name ("mem", "v2").
+// String returns the format's short name ("v2").
 func (f Format) String() string {
-	switch f {
-	case FormatMem:
-		return "mem"
-	case FormatV2:
+	if f == FormatV2 {
 		return "v2"
-	default:
-		return fmt.Sprintf("Format(%d)", uint8(f))
 	}
-}
-
-// ParseFormat parses the name of a format a store may serve: "mem" or
-// "v2".
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "mem":
-		return FormatMem, nil
-	case "v2":
-		return FormatV2, nil
-	default:
-		return 0, fmt.Errorf("segment: unknown format %q (want mem or v2)", s)
-	}
+	return fmt.Sprintf("Format(%d)", uint8(f))
 }
 
 // magicV2 opens every encoded object; a buffer that does not start with it

@@ -68,10 +68,8 @@ func verifyMatrix(t *testing.T, cells []lattice.Cell, name func(lattice.Cell) st
 const probeMJoinCache = 6
 
 var (
-	modes   = []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper}
-	wire    = []segment.Format{segment.FormatV2}
-	formats = []segment.Format{segment.FormatMem, segment.FormatV2}
-	onOff   = []bool{false, true}
+	modes = []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper}
+	onOff = []bool{false, true}
 	// fleets are the fleet axis: the classic single device, then growing
 	// fleets with and without replication.
 	fleets = []skipper.FleetSpec{
@@ -83,22 +81,20 @@ var (
 	}
 )
 
-// grid enumerates formats × engines, the part every feature matrix shares.
-func grid(formats []segment.Format) []lattice.Cell {
+// grid enumerates the engines, the part every feature matrix shares.
+func grid() []lattice.Cell {
 	var out []lattice.Cell
-	for _, f := range formats {
-		for _, m := range modes {
-			out = append(out, lattice.Cell{Options: skipper.Options{Mode: m, CacheObjects: probeMJoinCache}, Format: f})
-		}
+	for _, m := range modes {
+		out = append(out, lattice.Cell{Options: skipper.Options{Mode: m, CacheObjects: probeMJoinCache}})
 	}
 	return out
 }
 
 // cacheMatrix is the shared-segment-cache matrix: cache on (Verify runs
-// the cache-off twin itself) across every format, engine and pruning on/off.
+// the cache-off twin itself) across both engines and pruning on/off.
 func cacheMatrix(footprint int) []lattice.Cell {
 	var out []lattice.Cell
-	for _, c := range grid(formats) {
+	for _, c := range grid() {
 		for _, noPrune := range onOff {
 			c.NoStatsPruning, c.SharedCache = noPrune, footprint
 			out = append(out, c)
@@ -108,11 +104,11 @@ func cacheMatrix(footprint int) []lattice.Cell {
 }
 
 // pipelineMatrix is the prefetch matrix: prefetch off and on across
-// the wire formats, engines and pruning on/off. No segment cache, so
+// both engines and pruning on/off. No segment cache, so
 // prefetched deliveries travel the staged hand-off path.
 func pipelineMatrix() []lattice.Cell {
 	var out []lattice.Cell
-	for _, c := range grid(wire) {
+	for _, c := range grid() {
 		for _, noPrune := range onOff {
 			c.NoStatsPruning = noPrune
 			on := c
@@ -123,12 +119,12 @@ func pipelineMatrix() []lattice.Cell {
 	return out
 }
 
-// faultMatrix is the chaos matrix: the retryable-only plan across the wire
-// formats, engines and the pipeline off/on, over a shared cache so
+// faultMatrix is the chaos matrix: the retryable-only plan across both
+// engines and the pipeline off/on, over a shared cache so
 // corrupt-delivery quarantine and redelivery cross tenant boundaries.
 func faultMatrix(footprint int) []lattice.Cell {
 	var out []lattice.Cell
-	for _, c := range grid(wire) {
+	for _, c := range grid() {
 		c.SharedCache, c.Fleet.Faults = footprint, lattice.Chaos(42)
 		on := c
 		on.PrefetchBytes = lattice.PrefetchOn
@@ -138,11 +134,11 @@ func faultMatrix(footprint int) []lattice.Cell {
 }
 
 // fleetMatrix is the scale-out matrix: every fleet of the fleet axis
-// across the wire formats and engines, with the pipeline on (the
+// across both engines, with the pipeline on (the
 // prefetcher's device fan-out is under test) and a shared cache.
 func fleetMatrix(footprint int) []lattice.Cell {
 	var out []lattice.Cell
-	for _, c := range grid(wire) {
+	for _, c := range grid() {
 		c.SharedCache, c.PrefetchBytes = footprint, lattice.PrefetchOn
 		for _, fl := range fleets {
 			c.Fleet = fl
@@ -153,12 +149,12 @@ func fleetMatrix(footprint int) []lattice.Cell {
 }
 
 // traceMatrix is the tracing matrix: traced cells (Verify runs the
-// untraced twin itself) across the wire formats, engines and the
-// pipeline off/on — the prefetcher's disclosure spans and the device lane's
-// prefetch transfers are recorded only with it on.
+// untraced twin itself) across both engines and the pipeline off/on —
+// the prefetcher's disclosure spans and the device lane's prefetch
+// transfers are recorded only with it on.
 func traceMatrix() []lattice.Cell {
 	var out []lattice.Cell
-	for _, c := range grid(wire) {
+	for _, c := range grid() {
 		c.Traced = true
 		on := c
 		on.PrefetchBytes = lattice.PrefetchOn
@@ -167,18 +163,19 @@ func traceMatrix() []lattice.Cell {
 	return out
 }
 
-// The subtest names keep the "dop1" of lattice.Cell.String: every cell
-// runs serially, and the names stay the ones they have always been.
+// The subtest names keep the "v2" and "dop1" of lattice.Cell.String: every
+// cell serves v2 objects and runs serially, and the names stay the ones
+// they have always been.
 
 func byPrune(c lattice.Cell) string {
-	return fmt.Sprintf("%v/%v/dop1/prune=%v", c.Format, c.Mode, !c.NoStatsPruning)
+	return fmt.Sprintf("v2/%v/dop1/prune=%v", c.Mode, !c.NoStatsPruning)
 }
 
 func byPipe(c lattice.Cell) string {
-	return fmt.Sprintf("%v/%v/dop1/pipe=%v", c.Format, c.Mode, c.PrefetchBytes > 0)
+	return fmt.Sprintf("v2/%v/dop1/pipe=%v", c.Mode, c.PrefetchBytes > 0)
 }
 
-func byEngine(c lattice.Cell) string { return fmt.Sprintf("%v/%v/dop1", c.Format, c.Mode) }
+func byEngine(c lattice.Cell) string { return fmt.Sprintf("v2/%v/dop1", c.Mode) }
 
 func TestSharedCacheDifferential(t *testing.T) {
 	verifyMatrix(t, cacheMatrix(footprint()), byPrune)
@@ -196,8 +193,8 @@ func TestPipelineWithSharedCache(t *testing.T) {
 	var cells []lattice.Cell
 	for _, mode := range []skipper.Mode{skipper.ModeVanilla, skipper.ModeSkipper} {
 		cells = append(cells, lattice.Cell{
-			Options: skipper.Options{Mode: mode, CacheObjects: probeMJoinCache, PrefetchBytes: lattice.PrefetchOn},
-			Format:  segment.FormatV2, SharedCache: footprint(),
+			Options:     skipper.Options{Mode: mode, CacheObjects: probeMJoinCache, PrefetchBytes: lattice.PrefetchOn},
+			SharedCache: footprint(),
 		})
 	}
 	verifyMatrix(t, cells, func(c lattice.Cell) string { return c.Mode.String() })
@@ -208,10 +205,7 @@ func TestPipelineWithSharedCache(t *testing.T) {
 // be in flight when the client finishes) must drain its prefetcher
 // without leaking goroutines.
 func TestPipelineCompletionDrains(t *testing.T) {
-	cell := lattice.Cell{
-		Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: probeMJoinCache, PrefetchBytes: 64e9},
-		Format:  segment.FormatV2,
-	}
+	cell := lattice.Cell{Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: probeMJoinCache, PrefetchBytes: 64e9}}
 	if err := lattice.Verify(lattice.ProbeDataset(), lattice.Probe, []lattice.Cell{cell}); err != nil {
 		t.Fatal(err)
 	}
@@ -237,8 +231,8 @@ func newProbe(t *testing.T) probe {
 		t.Fatal(err)
 	}
 	return probe{ds: ds, want: want, cell: lattice.Cell{
-		Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: probeMJoinCache},
-		Format:  segment.FormatV2, SharedCache: len(ds.Catalog.AllObjects()), KeepResults: true,
+		Options:     skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: probeMJoinCache},
+		SharedCache: len(ds.Catalog.AllObjects()), KeepResults: true,
 	}}
 }
 

@@ -21,8 +21,17 @@ import (
 // wide everything between a segment's decode and the shaping stage is, and
 // through that how many bytes a query allocates — never what it returns.
 
-// The formats a store serves.
-var colsFormats = []segment.Format{segment.FormatMem, segment.FormatV2}
+// colsStores returns the two stores every test here runs over: the
+// generated dataset's in-memory rows, the reference, and the v2 objects it
+// is served as.
+func colsStores(t *testing.T, gen *workload.Dataset) map[string]*workload.Dataset {
+	t.Helper()
+	v2, err := objstore.ReencodeDataset(gen, segment.FormatV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*workload.Dataset{"generated": gen, "v2": v2}
+}
 
 // widen returns spec with Cols dropped from every relation and Out from the
 // query, so that every leg, cache entry and join row is as wide as its
@@ -103,11 +112,7 @@ func TestColsChangeWidthNotResults(t *testing.T) {
 	}
 	narrowed, nonEmpty := 0, 0
 	for _, su := range suites {
-		for _, f := range colsFormats {
-			ds, err := objstore.ReencodeDataset(su.gen, f)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for f, ds := range colsStores(t, su.gen) {
 			for _, spec := range su.specs(ds.Catalog) {
 				wide := widen(spec)
 				if wide.Join.OutputSchema().Len() > spec.Join.OutputSchema().Len() {
@@ -130,8 +135,8 @@ func TestColsChangeWidthNotResults(t *testing.T) {
 			}
 		}
 	}
-	if narrowed < len(colsFormats)*12 {
-		t.Fatalf("only %d spec × format cells declare a projection; the comparison is nearly vacuous", narrowed)
+	if narrowed < 2*12 { // two stores
+		t.Fatalf("only %d spec × store cells declare a projection; the comparison is nearly vacuous", narrowed)
 	}
 	if nonEmpty == 0 {
 		t.Fatal("no run returned a row")
@@ -144,11 +149,7 @@ func TestColsChangeWidthNotResults(t *testing.T) {
 func TestCountOnlyLegs(t *testing.T) {
 	gen := workload.TPCH(0, workload.TPCHConfig{SF: 8, RowsPerObject: 40, Seed: 3})
 	lines := gen.Catalog.MustTable("lineitem").RowCount
-	for _, f := range colsFormats {
-		ds, err := objstore.ReencodeDataset(gen, f)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for f, ds := range colsStores(t, gen) {
 		pl := &sql.Planner{Catalog: ds.Catalog}
 		for query, widths := range map[string][]int{
 			"SELECT COUNT(*) AS n FROM lineitem":                                       {0},
