@@ -1,23 +1,18 @@
 // Package repro_test hosts the benchmark harness: one testing.B benchmark
-// per table and figure of the paper's evaluation, plus ablation benches
-// for the design choices called out in docs/architecture.md. Benchmarks
+// per table and figure of the paper's evaluation, plus host-time probes of
+// the MJoin state manager and the pull engine. A setting's effect is not
+// printed here: internal/lattice's witness table asserts it. Benchmarks
 // run at the Quick (reduced) scale by default so `go test -bench=.` stays
 // fast; set SKIPPER_BENCH_FULL=1 to run the paper-scale configuration the
 // sweeps under docs/reports/ use.
 package repro_test
 
 import (
-	"fmt"
 	"os"
-	"slices"
 	"testing"
-	"time"
 
-	"repro/internal/catalog"
-	"repro/internal/csd"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/lattice"
 	"repro/internal/mjoin"
 	"repro/internal/segment"
 	"repro/internal/skipper"
@@ -153,138 +148,6 @@ func BenchmarkFigure12Scheduling(b *testing.B) {
 	m := measure(b, "12")
 	for r := 0; r < m.Len(); r++ {
 		b.ReportMetric(m.At(r, "max stretch"), m.Keys(r)[0]+"-max-stretch")
-	}
-}
-
-// --- Ablation benches (docs/architecture.md, "MJoin execution") ---
-
-// ablationCache picks a cache size that forces eviction pressure on Q5
-// (six relations) while staying valid at reduced scale.
-func ablationCache(p experiments.Params) int {
-	c := p.CacheObjects / 2
-	if c < 7 {
-		c = 7
-	}
-	return c
-}
-
-// tenants is a workload of n TPC-H tenants at the params' scale, each
-// with its own dataset and running its query once, over one store.
-func tenants(p experiments.Params, n int, clustered bool, query func(*catalog.Catalog) skipper.QuerySpec) lattice.Workload {
-	w := lattice.Workload{Store: make(map[segment.ObjectID]*segment.Segment)}
-	for t := 0; t < n; t++ {
-		ds := workload.TPCH(t, workload.TPCHConfig{SF: p.SF, RowsPerObject: p.RowsPerObject, Seed: p.Seed, ClusteredDates: clustered})
-		ds.MergeInto(w.Store)
-		w.Tenants = append(w.Tenants, lattice.Tenant{Catalog: ds.Catalog, Queries: []skipper.QuerySpec{query(ds.Catalog)}})
-	}
-	return w
-}
-
-// benchGets runs one tenant's query as the cell b.N times and reports the
-// GETs its client issued.
-func benchGets(b *testing.B, cell lattice.Cell, clustered bool, query func(*catalog.Catalog) skipper.QuerySpec) {
-	p := params()
-	var gets int
-	for i := 0; i < b.N; i++ {
-		res, err := cell.Run(tenants(p, 1, clustered, query))
-		if err != nil {
-			b.Fatal(err)
-		}
-		gets = res.Clients[0].GetsIssued
-	}
-	b.ReportMetric(float64(gets), "gets")
-}
-
-// benchCacheSweepPolicy measures GET traffic for one eviction policy.
-func benchCacheSweepPolicy(b *testing.B, pol mjoin.EvictionPolicy) {
-	opts := skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: ablationCache(params()), Policy: pol}
-	benchGets(b, lattice.Cell{Options: opts}, false, workload.Q5)
-}
-
-func BenchmarkAblationEvictionMaxProgress(b *testing.B) {
-	benchCacheSweepPolicy(b, mjoin.MaxProgress{})
-}
-
-func BenchmarkAblationEvictionMaxPending(b *testing.B) {
-	benchCacheSweepPolicy(b, mjoin.MaxPending{})
-}
-
-func BenchmarkAblationEvictionLRU(b *testing.B) {
-	benchCacheSweepPolicy(b, mjoin.LRU{})
-}
-
-// benchOrdering measures the effect of the in-group delivery order on
-// MJoin reissues (§4.4 "What ordering within a group?").
-func benchOrdering(b *testing.B, order csd.OrderKind) {
-	dev := csd.DefaultConfig()
-	dev.Order = order
-	opts := skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: ablationCache(params())}
-	benchGets(b, lattice.Cell{Options: opts, Fleet: skipper.FleetSpec{Device: dev}}, false, workload.Q5)
-}
-
-func BenchmarkAblationOrderSemanticRR(b *testing.B) {
-	benchOrdering(b, csd.SemanticRoundRobin)
-}
-
-func BenchmarkAblationOrderSequential(b *testing.B) {
-	benchOrdering(b, csd.SequentialOrder)
-}
-
-// benchPruning measures subplan pruning under clustered selectivity:
-// lineitem sorted by ship date concentrates Q12's matches in a few
-// segments, so pruning skips refetching the rest (§5.2.4). The MJoin
-// buffer is tight, 3 objects: without pruning it reissues.
-func benchPruning(b *testing.B, pruning, clustered bool) {
-	opts := skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: 3, NoSubplanPruning: !pruning}
-	benchGets(b, lattice.Cell{Options: opts}, clustered, workload.Q12)
-}
-
-func BenchmarkAblationPruningClusteredOn(b *testing.B)  { benchPruning(b, true, true) }
-func BenchmarkAblationPruningClusteredOff(b *testing.B) { benchPruning(b, false, true) }
-func BenchmarkAblationPruningUniformOn(b *testing.B)    { benchPruning(b, true, false) }
-func BenchmarkAblationPruningUniformOff(b *testing.B)   { benchPruning(b, false, false) }
-
-// BenchmarkAblationSchedulers compares Figure 12's policies — five
-// clients repeating Q12 ten times on the skewed layout, where the policies
-// have choices to make — by cumulative time.
-func BenchmarkAblationSchedulers(b *testing.B) {
-	m := measure(b, "12")
-	cum := m.Col("cumulative time (s)")
-	for r := range cum {
-		b.ReportMetric(time.Duration(cum[r]).Seconds(), m.Keys(r)[0]+"-cumulative-s")
-	}
-	if slices.Min(cum) == slices.Max(cum) {
-		b.Fatalf("all %d policies take %v cumulative: the ablation measures nothing", len(cum), time.Duration(cum[0]))
-	}
-}
-
-// BenchmarkOutlookParallelStreams implements §5.2.1's outlook: raising
-// the per-tenant transfer parallelism shrinks the transfer-bound portion
-// of Skipper's execution substantially.
-func BenchmarkOutlookParallelStreams(b *testing.B) {
-	p := params()
-	for _, streams := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("streams-%d", streams), func(b *testing.B) {
-			dev := csd.DefaultConfig()
-			dev.StreamsPerTenant = streams
-			cell := lattice.Cell{
-				Options: skipper.Options{Mode: skipper.ModeSkipper, CacheObjects: p.CacheObjects},
-				Fleet:   skipper.FleetSpec{Device: dev},
-			}
-			var avg time.Duration
-			for i := 0; i < b.N; i++ {
-				res, err := cell.Run(tenants(p, 3, false, workload.Q12))
-				if err != nil {
-					b.Fatal(err)
-				}
-				var sum time.Duration
-				for _, cs := range res.Clients {
-					sum += cs.Elapsed()
-				}
-				avg = sum / time.Duration(len(res.Clients))
-			}
-			b.ReportMetric(avg.Seconds(), "avg-exec-s")
-		})
 	}
 }
 

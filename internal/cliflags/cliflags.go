@@ -101,11 +101,24 @@ func (r *Run) ServerConfig() server.Config {
 }
 
 // Resolve validates the parsed flags and builds the run. Every error is a
-// usage error: an unknown workload, engine or replication policy,
-// a negative prefetch budget or MJoin cache, a fleet of fewer than one
-// device, a rate outside [0,1].
+// usage error: an unknown workload, engine or replication policy, a scale
+// or object size below 1, a negative segment cache, prefetch budget, MJoin
+// cache or retry setting, a fleet of fewer than one device, a rate outside
+// [0,1].
 func (f *Flags) Resolve() (*Run, error) {
 	r := f.run
+	switch {
+	case f.sf < 1:
+		return nil, fmt.Errorf("-sf %d < 1", f.sf)
+	case f.rows < 1:
+		return nil, fmt.Errorf("-rows %d < 1", f.rows)
+	case r.SegCache < 0:
+		return nil, fmt.Errorf("-segcache %d < 0", r.SegCache)
+	case f.retryAttempts < 0:
+		return nil, fmt.Errorf("-retry-attempts %d < 0", f.retryAttempts)
+	case f.retryBackoff < 0:
+		return nil, fmt.Errorf("-retry-backoff %v < 0", f.retryBackoff)
+	}
 	var err error
 	if r.Engine == "local" && f.AllowLocal {
 		r.Local = true

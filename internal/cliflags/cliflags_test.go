@@ -1,6 +1,7 @@
 package cliflags
 
 import (
+	"context"
 	"flag"
 	"io"
 	"reflect"
@@ -90,31 +91,82 @@ func TestDefaultsResolveToTheZeroFleet(t *testing.T) {
 }
 
 // TestOutsideInputIsRejected: names and ranges nobody checked used to
-// select a default silently ("-engine vanila" served MJoin).
+// select a default silently ("-engine vanila" served MJoin, "-sf 0" the
+// smallest dataset). A range error names its flag.
 func TestOutsideInputIsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name, line string
 		allowLocal bool
+		flag       string // the flag the error names, where it is one
 	}{
-		{"unknown engine", "-engine vanila", false},
-		{"unknown engine with local allowed", "-engine vanila", true},
-		{"local engine where there is none", "-engine local", false},
-		{"unknown replication", "-replication warm", false},
-		{"no devices", "-devices 0", false},
-		{"negative prefetch budget", "-prefetch -1", false},
-		{"negative MJoin cache", "-cache -1", false},
-		{"unknown workload", "-workload tpcc", false},
-		{"rate out of range", "-fault-transient 1.5", false},
-		{"stall rate without a duration", "-fault-stall 0.5 -fault-stall-dur 0s", false},
+		{"unknown engine", "-engine vanila", false, ""},
+		{"unknown engine with local allowed", "-engine vanila", true, ""},
+		{"local engine where there is none", "-engine local", false, ""},
+		{"unknown replication", "-replication warm", false, ""},
+		{"no devices", "-devices 0", false, ""},
+		{"negative prefetch budget", "-prefetch -1", false, ""},
+		{"negative MJoin cache", "-cache -1", false, ""},
+		{"unknown workload", "-workload tpcc", false, ""},
+		{"rate out of range", "-fault-transient 1.5", false, ""},
+		{"stall rate without a duration", "-fault-stall 0.5 -fault-stall-dur 0s", false, ""},
+		{"zero scale", "-sf 0", false, "-sf"},
+		{"negative scale", "-sf -5", false, "-sf"},
+		{"no rows per object", "-rows 0", false, "-rows"},
+		{"negative segment cache", "-segcache -1", false, "-segcache"},
+		{"negative retry attempts", "-retry-attempts -1", false, "-retry-attempts"},
+		{"negative retry backoff", "-retry-backoff -1s", false, "-retry-backoff"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if r, err := resolve(t, tc.allowLocal, small+tc.line); err == nil {
+			r, err := resolve(t, tc.allowLocal, small+tc.line)
+			if err == nil {
 				t.Fatalf("%q accepted: %+v", tc.line, r)
+			}
+			if !strings.Contains(err.Error(), tc.flag) {
+				t.Fatalf("%q refused with %q, which does not name %s", tc.line, err, tc.flag)
 			}
 		})
 	}
 	if r, err := resolve(t, true, small+"-engine local"); err != nil || !r.Local {
 		t.Fatalf("-engine local refused where allowed: %+v, %v", r, err)
+	}
+}
+
+// TestServeFlagsOutOfRangeAreUsageErrors: skipperd's serving flags used
+// to read an out-of-range value as a default ("-inflight 0" ran 4 slots,
+// "-tenants -2" printed [0,-2) and accepted [0,8)). Each now exits 2
+// naming the flag, before a dataset is built; the documented negative
+// values of -queue-depth and -fault-cap still serve.
+func TestServeFlagsOutOfRangeAreUsageErrors(t *testing.T) {
+	serve := func(args ...string) result {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // a daemon that starts at all drains and exits 0 at once
+		var out, errs syncBuffer
+		code := Skipperd(ctx, append([]string{"-addr", "127.0.0.1:0", "-sf", "1", "-rows", "2"}, args...), strings.NewReader(""), &out, &errs)
+		return result{out.String(), errs.String(), code}
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"inflight", "0"},
+		{"inflight", "-3"},
+		{"tenant-slots", "-1"},
+		{"tenants", "-2"},
+		{"tenants", "0"},
+		{"max-line", "-1"},
+		{"max-line", "0"},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			r := serve("-"+tc.flag, tc.value)
+			if r.code != 2 || !strings.Contains(r.errs, "-"+tc.flag) {
+				t.Fatalf("-%s %s exited %d, want 2 naming the flag\nstdout:\n%s\nstderr:\n%s", tc.flag, tc.value, r.code, r.out, r.errs)
+			}
+			if r.out != "" {
+				t.Fatalf("-%s %s served before it was refused:\n%s", tc.flag, tc.value, r.out)
+			}
+		})
+	}
+	r := serve("-queue-depth", "-1", "-fault-cap", "-1")
+	r.ok(t, "-queue-depth -1 -fault-cap -1")
+	if !strings.Contains(r.out, "queue depth 0") {
+		t.Fatalf("-queue-depth -1 did not serve without a queue:\n%s", r.out)
 	}
 }
 

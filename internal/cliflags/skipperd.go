@@ -65,7 +65,16 @@ func Skipperd(ctx context.Context, args []string, stdin io.Reader, stdout, stder
 		return r.loadgen(ctx, *workers, *maxTenants, *duration)
 	}
 
-	// Serve mode.
+	// Serve mode: its own flags are checked before Resolve builds the
+	// dataset.
+	for _, c := range []struct {
+		flag     string
+		val, min int
+	}{{"inflight", *inflight, 1}, {"tenant-slots", *tenantSlots, 0}, {"tenants", *maxTenants, 1}, {"max-line", *maxLine, 1}} {
+		if c.val < c.min {
+			return usageError(stderr, "skipperd", fmt.Errorf("-%s %d < %d", c.flag, c.val, c.min))
+		}
+	}
 	run, err := shared.Resolve()
 	if err != nil {
 		return usageError(stderr, "skipperd", err)

@@ -279,7 +279,7 @@ func TestMisbehavingSchedulerFailsTyped(t *testing.T) {
 // with rank and query count equal, the group whose pending requests
 // collapse onto fewer transfers wins.
 func TestRankBasedPrefersCoalescableGroup(t *testing.T) {
-	s := NewRankBased(1)
+	s := NewRankBased()
 	waiting := func(string) int { return 0 }
 	mk := func(table string, idx int, q string) *Request {
 		// A shared dataset: the object ids name tenant 0's data even when

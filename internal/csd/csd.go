@@ -190,17 +190,8 @@ type Config struct {
 	GroupSwitch time.Duration
 	// Bandwidth is the per-tenant-stream transfer rate in bytes/second.
 	Bandwidth float64
-	// Scheduler picks the next group (default: RankBased with K=1).
+	// Scheduler picks the next group (nil: RankBased, the paper's rank).
 	Scheduler Scheduler
-	// Order arranges requests within a loaded group for one tenant
-	// (default: SemanticRoundRobin).
-	Order OrderKind
-	// StreamsPerTenant is the number of concurrent transfers per tenant
-	// (default 1, the paper's serialized middleware). Raising it
-	// implements §5.2.1's outlook — "by parallelizing the servicing of
-	// requests within a group, we can reduce transfer time
-	// substantially" — at the cost of strict per-tenant delivery order.
-	StreamsPerTenant int
 	// Trace, when non-nil, is the device recorder: a switch span per group
 	// switch, a transfer span per request from arrival to delivery and a
 	// down span per crash window, each labeled with this device's ID (a
@@ -215,30 +206,15 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's defaults: 10 s switch, 100 MB/s
-// effective per-stream bandwidth (≈10 s per 1 GB object, Table 3), the
-// rank-based scheduler and semantic in-group ordering.
+// effective per-stream bandwidth (≈10 s per 1 GB object, Table 3) and the
+// rank-based scheduler.
 func DefaultConfig() Config {
 	return Config{
 		GroupSwitch: 10 * time.Second,
 		Bandwidth:   100e6,
-		Scheduler:   NewRankBased(1),
-		Order:       SemanticRoundRobin,
+		Scheduler:   NewRankBased(),
 	}
 }
-
-// OrderKind selects the in-group request ordering (§4.4 "What ordering
-// within a group?").
-type OrderKind uint8
-
-const (
-	// SemanticRoundRobin satisfies object requests evenly across the
-	// relations of each query (A.1, B.1, C.1, A.2, ...), which lets a
-	// cache-limited MJoin execute subplans as data streams in.
-	SemanticRoundRobin OrderKind = iota
-	// SequentialOrder returns objects in request-arrival order (all of
-	// A, then all of B, ...), the pathological ordering for MJoin.
-	SequentialOrder
-)
 
 // event multiplexes the controller's inputs over one channel (the vtime
 // kernel has no select).
@@ -315,13 +291,12 @@ type CSD struct {
 	stats Stats
 }
 
-// stream carries transfers to one tenant over one or more workers.
+// stream carries transfers to one tenant, one at a time, on one worker.
 type stream struct {
 	queue   *vtime.Chan[*Request]
-	names   []string // one per worker; one[:] for a single worker
-	one     [1]string
+	name    string
 	work    func(*vtime.Proc)
-	started bool // its workers run in this run
+	started bool // its worker runs in this run
 }
 
 // New builds a CSD over the given simulator, object store and layout.
@@ -349,7 +324,7 @@ func (c *CSD) Reset(cfg Config) {
 		panic("csd: bandwidth must be positive")
 	}
 	if cfg.Scheduler == nil {
-		cfg.Scheduler = NewRankBased(1)
+		cfg.Scheduler = NewRankBased()
 	}
 	c.cfg = cfg
 	c.evCh.Reset()
@@ -775,35 +750,25 @@ func (c *CSD) fail(p *vtime.Proc, err error) {
 	}
 }
 
-// tenantStream returns the tenant's stream, spawning its transfer
-// worker(s) at the tenant's first dispatch of the run. A stream is made
-// once per tenant and configured worker count, and kept across runs.
+// tenantStream returns the tenant's stream, spawning its transfer worker
+// at the tenant's first dispatch of the run. A stream is made once per
+// tenant and kept across runs.
 func (c *CSD) tenantStream(tenant int) *stream {
 	s, ok := c.streams[tenant]
-	if ok && s.started {
-		return s
-	}
-	workers := max(c.cfg.StreamsPerTenant, 1)
-	if !ok || len(s.names) != workers {
+	if !ok {
 		name := fmt.Sprintf("%s.stream.t%d", deviceName(c.cfg.ID), tenant)
-		s = &stream{queue: vtime.NewChan[*Request](c.sim, name, 1<<20)}
-		if s.names = s.one[:]; workers > 1 {
-			s.names = make([]string, workers)
-		}
-		for w := range s.names {
-			s.names[w] = fmt.Sprintf("%s.w%d", name, w)
-		}
+		s = &stream{queue: vtime.NewChan[*Request](c.sim, name, 1<<20), name: name + ".w0"}
 		s.work = func(p *vtime.Proc) { c.transfer(p, s.queue) }
 		c.streams[tenant] = s
 	}
-	s.started = true
-	for _, name := range s.names {
-		c.sim.Spawn(name, s.work)
+	if !s.started {
+		s.started = true
+		c.sim.Spawn(s.name, s.work)
 	}
 	return s
 }
 
-// transfer is a stream worker: it serves the requests dispatched to its
+// transfer is a stream's worker: it serves the requests dispatched to its
 // queue until a nil one ends the run.
 func (c *CSD) transfer(p *vtime.Proc, queue *vtime.Chan[*Request]) {
 	for {
@@ -868,25 +833,23 @@ func (c *CSD) stopStreams(p *vtime.Proc) {
 		c.recordDown(p, "crash, never restarted")
 	}
 	for _, s := range c.streams {
-		if !s.started {
-			continue
-		}
-		for range s.names {
+		if s.started {
 			s.queue.Send(p, nil)
 		}
 	}
 }
 
-// orderRequests arranges same-group requests, in place, before dispatch.
-// Requests of different tenants land on independent streams, so ordering
-// only matters within a tenant; SequentialOrder preserves arrival order,
-// SemanticRoundRobin serves the queries in order of first appearance and
-// interleaves each query's relations evenly (§4.4): A.1, B.1, C.1, A.2, ...
-// with the relations too in order of first appearance. That is the order
-// of (query, rank of the request within its relation, relation), which is
-// what gets sorted; one request is already in it.
+// orderRequests arranges same-group requests, in place, before dispatch,
+// in semantic round-robin (§4.4): the queries in order of first
+// appearance, each query's relations interleaved evenly — A.1, B.1, C.1,
+// A.2, ... — with the relations too in order of first appearance, so a
+// cache-limited MJoin executes subplans as data streams in. Requests of
+// different tenants land on independent streams, so the order only
+// matters within a tenant. It is the order of (query, rank of the request
+// within its relation, relation), which is what gets sorted; one request
+// is already in it.
 func (c *CSD) orderRequests(reqs []*Request) {
-	if c.cfg.Order == SequentialOrder || len(reqs) <= 1 {
+	if len(reqs) <= 1 {
 		return
 	}
 	o := &c.order

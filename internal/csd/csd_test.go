@@ -168,35 +168,6 @@ func TestSemanticRoundRobinOrdering(t *testing.T) {
 	}
 }
 
-func TestSequentialOrdering(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Order = SequentialOrder
-	objs := map[segment.ObjectID]int{
-		oid(0, "a", 0): 0,
-		oid(0, "a", 1): 0,
-		oid(0, "b", 0): 0,
-	}
-	rig := newRig(cfg, objs)
-	var order []string
-	rig.sim.Spawn("client", func(p *vtime.Proc) {
-		reply := vtime.NewChan[Delivery](rig.sim, "reply", 16)
-		for _, id := range []segment.ObjectID{oid(0, "a", 0), oid(0, "a", 1), oid(0, "b", 0)} {
-			rig.csd.Submit(p, &Request{Object: id, QueryID: "q", Tenant: 0, Reply: reply})
-		}
-		for i := 0; i < 3; i++ {
-			d := reply.Recv(p)
-			order = append(order, fmt.Sprintf("%s.%d", d.Object.Table, d.Object.Index))
-		}
-		rig.csd.Shutdown(p)
-	})
-	if err := rig.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(order); got != "[a.0 a.1 b.0]" {
-		t.Fatalf("delivery order %v", got)
-	}
-}
-
 func TestTransferTimeProportionalToSize(t *testing.T) {
 	sim := vtime.NewSim()
 	id := oid(0, "a", 0)
@@ -312,14 +283,13 @@ func TestRankBasedBalancesWaitAndCount(t *testing.T) {
 		}
 		return 0
 	}
-	s := NewRankBased(1)
 	// R(1) = 2, R(2) = 1 + 4 = 5: the starving group wins.
-	if g := s.NextGroup(0, pending, wait); g != 2 {
+	if g := NewRankBased().NextGroup(0, pending, wait); g != 2 {
 		t.Fatalf("rank picked %d, want 2", g)
 	}
-	// With K=0 the scheduler degenerates to Max-Queries.
-	if g := NewRankBased(0).NextGroup(0, pending, wait); g != 1 {
-		t.Fatalf("rank(K=0) picked %d, want 1", g)
+	// Max-Queries, blind to waiting, takes the busier group.
+	if g := NewMaxQueries().NextGroup(0, pending, wait); g != 1 {
+		t.Fatalf("max-queries picked %d, want 1", g)
 	}
 }
 
@@ -334,7 +304,7 @@ func TestRankBasedTieBreaksOnQueryCount(t *testing.T) {
 		}
 		return 0
 	}
-	if g := NewRankBased(1).NextGroup(0, pending, wait); g != 2 {
+	if g := NewRankBased().NextGroup(0, pending, wait); g != 2 {
 		t.Fatalf("rank tie-break picked %d, want 2 (higher Ng)", g)
 	}
 }
@@ -378,35 +348,6 @@ func TestVanillaPullPattern(t *testing.T) {
 	// Pull alternation forces a switch for nearly every object.
 	if st.GroupSwitches < 2*perTenant-2 {
 		t.Fatalf("switches = %d, want >= %d", st.GroupSwitches, 2*perTenant-2)
-	}
-}
-
-func TestParallelIntraTenantStreams(t *testing.T) {
-	// With 4 streams per tenant, 4 same-group objects transfer
-	// concurrently: all delivered at 10 s instead of 40 s.
-	cfg := DefaultConfig()
-	cfg.StreamsPerTenant = 4
-	objs := map[segment.ObjectID]int{
-		oid(0, "a", 0): 0, oid(0, "a", 1): 0, oid(0, "a", 2): 0, oid(0, "a", 3): 0,
-	}
-	rig := newRig(cfg, objs)
-	var last time.Duration
-	rig.sim.Spawn("client", func(p *vtime.Proc) {
-		reply := vtime.NewChan[Delivery](rig.sim, "reply", 8)
-		for i := 0; i < 4; i++ {
-			rig.csd.Submit(p, &Request{Object: oid(0, "a", i), QueryID: "q", Tenant: 0, Reply: reply})
-		}
-		for i := 0; i < 4; i++ {
-			reply.Recv(p)
-			last = p.Now()
-		}
-		rig.csd.Shutdown(p)
-	})
-	if err := rig.sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if last != 10*time.Second {
-		t.Fatalf("last delivery at %v, want 10s with 4-way streams", last)
 	}
 }
 

@@ -18,10 +18,7 @@ import (
 // referenceOrder is orderRequests as it was: bucket by query, then by
 // table, each in order of first appearance, and emit round-robin across a
 // query's tables.
-func referenceOrder(order OrderKind, reqs []*Request) []*Request {
-	if order == SequentialOrder {
-		return reqs
-	}
+func referenceOrder(reqs []*Request) []*Request {
 	type tableQueue struct {
 		table string
 		reqs  []*Request
@@ -67,35 +64,31 @@ func referenceOrder(order OrderKind, reqs []*Request) []*Request {
 }
 
 // TestOrderRequestsMatchesReference: 1-64 requests of 1-4 queries over 1-5
-// tables, both orders, on one device so the scratch carries over from
-// round to round the way it does in a run.
+// tables, on one device so the scratch carries over from round to round
+// the way it does in a run.
 func TestOrderRequestsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, order := range []OrderKind{SemanticRoundRobin, SequentialOrder} {
-		cfg := DefaultConfig()
-		cfg.Order = order
-		dev := newRig(cfg, nil).csd
-		for round := 0; round < 2000; round++ {
-			n := 1 + rng.Intn(64)
-			queries, tables := 1+rng.Intn(4), 1+rng.Intn(5)
-			reqs := make([]*Request, n)
-			for i := range reqs {
-				reqs[i] = &Request{
-					Object:  oid(0, fmt.Sprint("t", rng.Intn(tables)), i),
-					QueryID: fmt.Sprint("q", rng.Intn(queries)),
-					seq:     i,
-				}
+	dev := newRig(DefaultConfig(), nil).csd
+	for round := 0; round < 2000; round++ {
+		n := 1 + rng.Intn(64)
+		queries, tables := 1+rng.Intn(4), 1+rng.Intn(5)
+		reqs := make([]*Request, n)
+		for i := range reqs {
+			reqs[i] = &Request{
+				Object:  oid(0, fmt.Sprint("t", rng.Intn(tables)), i),
+				QueryID: fmt.Sprint("q", rng.Intn(queries)),
+				seq:     i,
 			}
-			want := referenceOrder(order, slices.Clone(reqs))
-			dev.orderRequests(reqs)
-			if !slices.Equal(reqs, want) {
-				t.Fatalf("order %d, round %d (%d requests, %d queries, %d tables): got %v, want %v",
-					order, round, n, queries, tables, describe(reqs), describe(want))
-			}
-			for _, k := range dev.order.keyed[:cap(dev.order.keyed)] {
-				if k.req != nil {
-					t.Fatalf("order %d, round %d: the scratch still holds a request", order, round)
-				}
+		}
+		want := referenceOrder(slices.Clone(reqs))
+		dev.orderRequests(reqs)
+		if !slices.Equal(reqs, want) {
+			t.Fatalf("round %d (%d requests, %d queries, %d tables): got %v, want %v",
+				round, n, queries, tables, describe(reqs), describe(want))
+		}
+		for _, k := range dev.order.keyed[:cap(dev.order.keyed)] {
+			if k.req != nil {
+				t.Fatalf("round %d: the scratch still holds a request", round)
 			}
 		}
 	}
@@ -152,7 +145,7 @@ func referenceOldest(loaded int, pending map[int][]*Request, match func(*Request
 // referenceNextGroup is each policy as it was over that walk: the first
 // strictly better candidate in ascending group order wins.
 func referenceNextGroup(s Scheduler, loaded int, pending map[int][]*Request, waiting func(string) int) int {
-	switch s := s.(type) {
+	switch s.(type) {
 	case FCFSObject:
 		return referenceOldest(loaded, pending, func(*Request) bool { return true })
 	case MaxQueries:
@@ -163,8 +156,8 @@ func referenceNextGroup(s Scheduler, loaded int, pending map[int][]*Request, wai
 			}
 		}
 		return best
-	case *RankBased:
-		best, bestRank, bestN, bestCoal := -1, -1.0, -1, -1
+	case RankBased:
+		best, bestRank, bestN, bestCoal := -1, -1, -1, -1
 		for _, g := range referenceSortedGroups(loaded, pending) {
 			queries := make(map[string]struct{})
 			for _, r := range pending[g] {
@@ -174,7 +167,7 @@ func referenceNextGroup(s Scheduler, loaded int, pending map[int][]*Request, wai
 			for q := range queries {
 				sumWait += waiting(q)
 			}
-			rank := float64(len(queries)) + s.K*float64(sumWait)
+			rank := len(queries) + sumWait
 			coal := coalescedRequests(pending[g])
 			if rank > bestRank ||
 				(rank == bestRank && len(queries) > bestN) ||
@@ -193,7 +186,7 @@ func referenceNextGroup(s Scheduler, loaded int, pending map[int][]*Request, wai
 // (Go varies the map's iteration order from one range to the next).
 func TestSchedulersMatchSortedWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	scheds := []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased(1), NewRankBased(0), NewRankBased(0.5)}
+	scheds := []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased()}
 	for round := 0; round < 2000; round++ {
 		loaded := rng.Intn(8) - 1
 		pending := make(map[int][]*Request)
@@ -218,7 +211,7 @@ func TestSchedulersMatchSortedWalk(t *testing.T) {
 			want := referenceNextGroup(s, loaded, pending, waiting)
 			for ask := 0; ask < 8; ask++ {
 				if got := s.NextGroup(loaded, pending, waiting); got != want {
-					t.Fatalf("round %d: %s (%+v) picked group %d, its sorted walk picks %d", round, s.Name(), s, got, want)
+					t.Fatalf("round %d: %s picked group %d, its sorted walk picks %d", round, s.Name(), got, want)
 				}
 			}
 		}

@@ -109,24 +109,22 @@ func (MaxQueries) NextGroup(loaded int, pending map[int][]*Request, _ func(strin
 }
 
 // RankBased implements the paper's scheduler: each candidate group g gets
-// rank R(g) = Ng + K·Σ Wq(g), where Ng is the number of distinct queries
+// rank R(g) = Ng + Σ Wq(g), where Ng is the number of distinct queries
 // with pending data on g and Wq is the number of switches since query q
-// was last serviced. K=1 maximizes fairness while preserving the
-// Max-Queries behaviour for equal waiting times (§4.4). The scheduler is
-// coalesce-aware: among equally ranked groups with the same query count
-// it prefers the one where more pending requests collapse onto shared
-// transfers (duplicate objects), i.e. the group that serves its demand
-// with the fewest transfers.
-type RankBased struct {
-	K float64
-}
+// was last serviced — the paper's K·ΣWq at K = 1, which maximizes
+// fairness while preserving the Max-Queries behaviour for equal waiting
+// times (§4.4). The scheduler is coalesce-aware: among equally ranked
+// groups with the same query count it prefers the one where more pending
+// requests collapse onto shared transfers (duplicate objects), i.e. the
+// group that serves its demand with the fewest transfers.
+type RankBased struct{}
 
-// NewRankBased returns the rank scheduler with scaling factor k.
-func NewRankBased(k float64) *RankBased { return &RankBased{K: k} }
+// NewRankBased returns the rank scheduler.
+func NewRankBased() RankBased { return RankBased{} }
 
-func (s *RankBased) Name() string { return "rank-based" }
+func (RankBased) Name() string { return "rank-based" }
 
-func (s *RankBased) NextGroup(loaded int, pending map[int][]*Request, waiting func(string) int) int {
+func (RankBased) NextGroup(loaded int, pending map[int][]*Request, waiting func(string) int) int {
 	best := ranked{group: -1, rank: -1, queries: -1, coalesced: -1}
 	for g, reqs := range pending {
 		if g == loaded {
@@ -140,7 +138,7 @@ func (s *RankBased) NextGroup(loaded int, pending map[int][]*Request, waiting fu
 		}
 		cand := ranked{
 			group:     g,
-			rank:      float64(len(queries)) + s.K*float64(sumWait),
+			rank:      len(queries) + sumWait,
 			queries:   len(queries),
 			coalesced: coalescedRequests(reqs),
 		}
@@ -154,7 +152,7 @@ func (s *RankBased) NextGroup(loaded int, pending map[int][]*Request, waiting fu
 // ranked is one candidate group as RankBased scores it.
 type ranked struct {
 	group     int
-	rank      float64
+	rank      int // Ng + ΣWq
 	queries   int // Ng
 	coalesced int
 }

@@ -63,7 +63,7 @@ func schedulerSim(s Scheduler, queryGroups []int, rounds int, seed int64) int {
 	return maxGap
 }
 
-// TestRankBasedBoundedWaiting: with K=1, a query's waiting time is
+// TestRankBasedBoundedWaiting: a query's waiting time is
 // bounded — the lone query's rank grows by one per switch, so it
 // eventually outranks any constant-population group. Max-Queries provides
 // no such bound and starves the lone query for the whole horizon.
@@ -71,7 +71,7 @@ func TestRankBasedBoundedWaiting(t *testing.T) {
 	// Two busy groups with three queries each, one lone query on group 2.
 	groups := []int{0, 0, 0, 1, 1, 1, 2}
 	const rounds = 60
-	rankGap := schedulerSim(NewRankBased(1), groups, rounds, 1)
+	rankGap := schedulerSim(NewRankBased(), groups, rounds, 1)
 	maxqGap := schedulerSim(NewMaxQueries(), groups, rounds, 1)
 	if rankGap > 8 {
 		t.Fatalf("rank-based max gap %d switches; expected bounded (<8)", rankGap)
@@ -84,7 +84,7 @@ func TestRankBasedBoundedWaiting(t *testing.T) {
 // TestSchedulersAlwaysPickValidGroup: every scheduler must return a
 // non-loaded group that has pending requests, for random pending maps.
 func TestSchedulersAlwaysPickValidGroup(t *testing.T) {
-	scheds := []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased(1), NewRankBased(0)}
+	scheds := []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased()}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		loaded := rng.Intn(5)
@@ -121,7 +121,7 @@ func TestSchedulersAlwaysPickValidGroup(t *testing.T) {
 	}
 }
 
-// TestRankFormulaMatchesDefinition checks R(g) = Ng + K·ΣWq(g) on a
+// TestRankFormulaMatchesDefinition checks R(g) = Ng + ΣWq(g) on a
 // hand-computable case.
 func TestRankFormulaMatchesDefinition(t *testing.T) {
 	pending := map[int][]*Request{
@@ -130,13 +130,14 @@ func TestRankFormulaMatchesDefinition(t *testing.T) {
 	}
 	waits := map[string]int{"qa": 0, "qb": 1, "qc": 2}
 	wait := func(q string) int { return waits[q] }
-	// K=1: R(1)=2+(0+1)=3, R(2)=1+2=3 -> tie, higher Ng wins -> group 1.
-	if g := NewRankBased(1).NextGroup(0, pending, wait); g != 1 {
+	// R(1)=2+(0+1)=3, R(2)=1+2=3 -> tie, higher Ng wins -> group 1.
+	if g := NewRankBased().NextGroup(0, pending, wait); g != 1 {
 		t.Fatalf("tie-break picked %d", g)
 	}
-	// K=2: R(1)=2+2=4, R(2)=1+4=5 -> group 2.
-	if g := NewRankBased(2).NextGroup(0, pending, wait); g != 2 {
-		t.Fatalf("K=2 picked %d", g)
+	// One more switch of waiting for qc: R(2)=1+3=4 -> group 2.
+	waits["qc"] = 3
+	if g := NewRankBased().NextGroup(0, pending, wait); g != 2 {
+		t.Fatalf("with qc waiting 3 picked %d", g)
 	}
 }
 
@@ -150,7 +151,7 @@ func TestSchedulersDoNotAllocate(t *testing.T) {
 		pending[g] = append(pending[g], &Request{Object: oid(0, "t", i%7), QueryID: fmt.Sprint("q", i%4), seq: i})
 	}
 	waiting := func(q string) int { return len(q) }
-	for _, s := range []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased(1)} {
+	for _, s := range []Scheduler{NewFCFSObject(), NewMaxQueries(), NewRankBased()} {
 		if allocs := testing.AllocsPerRun(100, func() { s.NextGroup(0, pending, waiting) }); allocs != 0 {
 			t.Errorf("%s: %.1f allocations per decision, want none", s.Name(), allocs)
 		}

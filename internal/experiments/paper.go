@@ -305,7 +305,7 @@ func (p Params) figure12() (*Grid, error) {
 	}{
 		{"fairness", csd.NewFCFSObject()},
 		{"maxquery", csd.NewMaxQueries()},
-		{"ranking", csd.NewRankBased(1)},
+		{"ranking", csd.NewRankBased()},
 	} {
 		g.Rows = append(g.Rows, Row{
 			Keys: []string{pol.name},

@@ -57,43 +57,3 @@ func (MaxProgress) PickVictim(cached []segment.ObjectID, _ segment.ObjectID, inf
 	}
 	return victim
 }
-
-// MaxPending is the paper's first cut (§4.2 "Maximal number of pending
-// subplans"): evict the object with the fewest pending subplans. It stalls
-// at low cache capacities because it ignores what is actually executable
-// right now.
-type MaxPending struct{}
-
-// Name implements EvictionPolicy.
-func (MaxPending) Name() string { return "max-pending" }
-
-// PickVictim implements EvictionPolicy: fewest pending subplans wins.
-func (MaxPending) PickVictim(cached []segment.ObjectID, _ segment.ObjectID, info PolicyInfo) segment.ObjectID {
-	victim := cached[0]
-	best := info.PendingCount(victim)
-	for _, id := range cached[1:] {
-		if p := info.PendingCount(id); p < best {
-			victim, best = id, p
-		}
-	}
-	return victim
-}
-
-// LRU evicts the least-recently-arrived object — the baseline ablation
-// showing that storage-oblivious caching wastes reissues.
-type LRU struct{}
-
-// Name implements EvictionPolicy.
-func (LRU) Name() string { return "lru" }
-
-// PickVictim implements EvictionPolicy: oldest arrival goes first.
-func (LRU) PickVictim(cached []segment.ObjectID, _ segment.ObjectID, info PolicyInfo) segment.ObjectID {
-	victim := cached[0]
-	best := info.ArrivalSeq(victim)
-	for _, id := range cached[1:] {
-		if s := info.ArrivalSeq(id); s < best {
-			victim, best = id, s
-		}
-	}
-	return victim
-}

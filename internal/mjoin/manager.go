@@ -49,7 +49,8 @@ type Config struct {
 	// CacheSize is the buffer capacity in objects; it must be at least
 	// the number of relations or no subplan could ever run.
 	CacheSize int
-	// Policy picks eviction victims (default MaxProgress).
+	// Policy picks eviction victims (nil = MaxProgress, the policy every
+	// run uses; the package's tests hold the paper's rejected ones to it).
 	Policy EvictionPolicy
 	// Pruning marks subplans containing a result-free object as executed
 	// and never refetches the object (§5.2.4). Default on.

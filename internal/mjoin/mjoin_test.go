@@ -457,6 +457,50 @@ func TestMJoinRandomizedEquivalence(t *testing.T) {
 	}
 }
 
+// The paper's rejected eviction policies live here, as what the policy
+// seam (Config.Policy) is tested with: MaxProgress is the one policy a run
+// uses, and decisions.golden pins how the three differ.
+
+// MaxPending is the paper's first cut (§4.2 "Maximal number of pending
+// subplans"): evict the object with the fewest pending subplans. It stalls
+// at low cache capacities because it ignores what is actually executable
+// right now.
+type MaxPending struct{}
+
+// Name implements EvictionPolicy.
+func (MaxPending) Name() string { return "max-pending" }
+
+// PickVictim implements EvictionPolicy: fewest pending subplans wins.
+func (MaxPending) PickVictim(cached []segment.ObjectID, _ segment.ObjectID, info PolicyInfo) segment.ObjectID {
+	victim := cached[0]
+	best := info.PendingCount(victim)
+	for _, id := range cached[1:] {
+		if p := info.PendingCount(id); p < best {
+			victim, best = id, p
+		}
+	}
+	return victim
+}
+
+// LRU evicts the least-recently-arrived object: storage-oblivious
+// caching, which wastes reissues.
+type LRU struct{}
+
+// Name implements EvictionPolicy.
+func (LRU) Name() string { return "lru" }
+
+// PickVictim implements EvictionPolicy: oldest arrival goes first.
+func (LRU) PickVictim(cached []segment.ObjectID, _ segment.ObjectID, info PolicyInfo) segment.ObjectID {
+	victim := cached[0]
+	best := info.ArrivalSeq(victim)
+	for _, id := range cached[1:] {
+		if s := info.ArrivalSeq(id); s < best {
+			victim, best = id, s
+		}
+	}
+	return victim
+}
+
 // fakeInfo scripts PolicyInfo for direct policy tests.
 type fakeInfo struct {
 	pending    map[segment.ObjectID]int

@@ -396,13 +396,8 @@ func runSkipper(px *proxy, c *Client, spec QuerySpec) ([]tuple.Row, error) {
 	if cacheSize <= 0 {
 		cacheSize = len(spec.Join.Objects())
 	}
-	cfg := mjoin.Config{
-		CacheSize:    cacheSize,
-		Policy:       c.Policy,
-		Pruning:      !c.NoSubplanPruning,
-		StatsPruning: !c.NoStatsPruning,
-		Trace:        c.QTrace,
-	}
+	cfg := mjoin.DefaultConfig(cacheSize)
+	cfg.StatsPruning, cfg.Trace = !c.NoStatsPruning, c.QTrace
 	if px.stream == nil {
 		px.stream = new(mjoin.Stream)
 	}

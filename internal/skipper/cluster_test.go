@@ -84,7 +84,7 @@ func TestOptionsValidate(t *testing.T) {
 // of the same name, and Options.Client copies it.
 func TestOptionsClientSetsEveryOption(t *testing.T) {
 	o := Options{Mode: ModeSkipper, CacheObjects: 3, NoStatsPruning: true, PrefetchBytes: 2e9,
-		Retry: DefaultRetryPolicy(), Policy: mjoin.LRU{}, NoSubplanPruning: true}
+		Retry: DefaultRetryPolicy()}
 	ov, cv := reflect.ValueOf(o), reflect.ValueOf(o.Client(4, nil, nil)).Elem()
 	for i := 0; i < ov.NumField(); i++ {
 		name := ov.Type().Field(i).Name
@@ -206,27 +206,6 @@ func TestEnergyIntegration(t *testing.T) {
 	}
 	if energies[ModeSkipper] >= energies[ModeVanilla] {
 		t.Fatalf("skipper energy %.0f J >= vanilla %.0f J", energies[ModeSkipper], energies[ModeVanilla])
-	}
-}
-
-func TestCustomEvictionPolicyOnCluster(t *testing.T) {
-	store := make(map[segment.ObjectID]*segment.Segment)
-	cat := makeTenantDB(0, 10, 4, 4, store)
-	for _, pol := range []mjoin.EvictionPolicy{mjoin.MaxProgress{}, mjoin.MaxPending{}, mjoin.LRU{}} {
-		st := make(map[segment.ObjectID]*segment.Segment)
-		for k, v := range store {
-			st[k] = v
-		}
-		c := &Client{Tenant: 0, Mode: ModeSkipper, Catalog: cat, CacheObjects: 2,
-			Policy:  pol,
-			Queries: []QuerySpec{{Name: "q", Join: joinQuery(cat)}}}
-		res, err := (&Cluster{Clients: []*Client{c}, Store: st}).Run()
-		if err != nil {
-			t.Fatalf("%s: %v", pol.Name(), err)
-		}
-		if res.Clients[0].Rows != 40 {
-			t.Fatalf("%s: rows %d", pol.Name(), res.Clients[0].Rows)
-		}
 	}
 }
 

@@ -255,7 +255,7 @@ func ExampleCluster_Run_scheduling() {
 	for _, pol := range []csd.Scheduler{
 		csd.NewFCFSObject(),
 		csd.NewMaxQueries(),
-		csd.NewRankBased(1),
+		csd.NewRankBased(),
 	} {
 		clients, store := q12Tenants(skipper.ModeSkipper, tenants, repeats, 16, cfg)
 		dev := csd.DefaultConfig()

@@ -18,10 +18,13 @@ import (
 // times (and by any number of goroutines) with identical, replayable
 // results.
 type FleetSpec struct {
-	// Device configures every device of the fleet. A nil Scheduler means
-	// csd.DefaultConfig. ID, Faults and Trace are stamped per device by
-	// each run — Trace from Cluster.Run's spec, or the lane Fleet.Run is
-	// given — so a Fleet never holds a recorder; Faults must be left nil.
+	// Device configures every device of the fleet. A Device that sets
+	// none of GroupSwitch, Bandwidth and Scheduler means
+	// csd.DefaultConfig; otherwise it runs as given, a nil Scheduler
+	// meaning the rank-based one, and its Bandwidth must be positive. ID,
+	// Faults and Trace are stamped per device by each run — Trace from
+	// Cluster.Run's spec, or the lane Fleet.Run is given — so a Fleet never
+	// holds a recorder; Faults must be left nil.
 	Device csd.Config
 	// N is the fleet size; 0 means 1, the classic single-device testbed.
 	// With more, disk groups spread across the devices (primary device =
@@ -43,11 +46,26 @@ type FleetSpec struct {
 	Faults *faults.Plan
 }
 
-// Validate rejects a spec Run could not expand: a negative fleet size, a
-// caller-built injector, an invalid fault plan.
+// device is the configuration every device of the fleet runs, before the
+// per-run stamps: Device, or csd.DefaultConfig when Device sets nothing.
+func (fs *FleetSpec) device() csd.Config {
+	if d := fs.Device; d.GroupSwitch == 0 && d.Bandwidth == 0 && d.Scheduler == nil {
+		return csd.DefaultConfig()
+	}
+	return fs.Device
+}
+
+// Validate rejects a spec Run could not expand: a caller-built injector, a
+// device with no bandwidth or a negative switch latency, a negative fleet
+// size, an invalid fault plan.
 func (fs *FleetSpec) Validate() error {
 	if fs.Device.Faults != nil {
 		return fmt.Errorf("skipper: FleetSpec.Device.Faults is set; describe faults with FleetSpec.Faults")
+	}
+	if d := fs.device(); !(d.Bandwidth > 0) {
+		return fmt.Errorf("skipper: device bandwidth %g bytes/s is not positive", d.Bandwidth)
+	} else if d.GroupSwitch < 0 {
+		return fmt.Errorf("skipper: device group switch %v < 0", d.GroupSwitch)
 	}
 	if fs.N < 0 {
 		return fmt.Errorf("skipper: fleet of %d devices", fs.N)
@@ -96,10 +114,7 @@ func NewFleet(spec FleetSpec, policy layout.Policy, store map[segment.ObjectID]*
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fleet{dev: spec.Device, plan: spec.Faults, store: store}
-	if f.dev.Scheduler == nil {
-		f.dev = csd.DefaultConfig()
-	}
+	f := &Fleet{dev: spec.device(), plan: spec.Faults, store: store}
 	f.dev.Trace = nil
 	if f.plan != nil && !f.plan.Enabled() {
 		f.plan = nil

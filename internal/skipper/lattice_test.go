@@ -661,3 +661,45 @@ func TestRetryExhaustionTyped(t *testing.T) {
 		t.Fatalf("failed run did not hand back its fault counters: %+v", res)
 	}
 }
+
+// TestPartialDeviceRunsAsGiven: only a Device that sets nothing means
+// csd.DefaultConfig. A Device that sets its switch latency and bandwidth
+// but no scheduler runs that latency on the rank-based scheduler — the
+// same makespan as DefaultConfig at that latency, not the default's — and
+// one whose bandwidth is not positive, or whose switch latency is
+// negative, is refused before any run.
+func TestPartialDeviceRunsAsGiven(t *testing.T) {
+	w := lattice.Shared(lattice.ProbeDataset(), lattice.Probe, 2, 3)
+	makespan := func(dev csd.Config) time.Duration {
+		t.Helper()
+		c := lattice.Cell{Options: skipper.Options{Mode: skipper.ModeSkipper}, Fleet: skipper.FleetSpec{Device: dev}}
+		res, err := c.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Makespan
+	}
+	slow := csd.DefaultConfig()
+	slow.GroupSwitch = 40 * time.Second
+	want, dflt := makespan(slow), makespan(csd.Config{})
+	if want == dflt {
+		t.Fatalf("40 s switches take the default's %v: the workload witnesses nothing", dflt)
+	}
+	if got := makespan(csd.Config{GroupSwitch: slow.GroupSwitch, Bandwidth: slow.Bandwidth}); got != want {
+		t.Fatalf("40 s switches without a scheduler took %v, want %v (the default's is %v)", got, want, dflt)
+	}
+	for _, dev := range []csd.Config{
+		{GroupSwitch: 40 * time.Second},
+		{Scheduler: csd.NewMaxQueries()},
+		{GroupSwitch: -time.Second, Bandwidth: 100e6},
+		{Bandwidth: -1},
+	} {
+		spec := skipper.FleetSpec{Device: dev}
+		if err := spec.Validate(); err == nil {
+			t.Errorf("device %+v accepted", dev)
+		}
+	}
+	if spec := (skipper.FleetSpec{Device: csd.Config{Bandwidth: 100e6}}); spec.Validate() != nil {
+		t.Errorf("a device with no switch latency refused: %v", spec.Validate())
+	}
+}

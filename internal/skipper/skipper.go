@@ -254,8 +254,9 @@ func (s *ClientStats) Stalled() time.Duration {
 // §5.1 varies: the engine, the MJoin buffer, data skipping, prefetch and
 // fault recovery. The zero value is the library default: the vanilla
 // engine, the query's footprint as the MJoin buffer, data skipping on, no
-// prefetch, DefaultRetryPolicy, MaxProgress eviction and subplan pruning
-// on. lattice.Cell, server.Config and cliflags.Run embed Options, and
+// prefetch and DefaultRetryPolicy. MJoin always runs as the paper fixes
+// it (mjoin.DefaultConfig): MaxProgress eviction, subplan pruning on.
+// lattice.Cell, server.Config and cliflags.Run embed Options, and
 // Options.Client builds every client they run.
 type Options struct {
 	// Mode selects the execution engine.
@@ -281,10 +282,6 @@ type Options struct {
 	// a retryable fault or a checksum failure — against a clean device it
 	// never runs, so the default is always safe.
 	Retry *RetryPolicy
-	// Policy overrides the MJoin eviction policy (nil = MaxProgress).
-	Policy mjoin.EvictionPolicy
-	// NoSubplanPruning turns MJoin's subplan pruning off (§5.2.4).
-	NoSubplanPruning bool
 }
 
 // Validate rejects settings no run can use: an unknown engine, a negative
@@ -312,7 +309,7 @@ func (o Options) Client(tenant int, cat *catalog.Catalog, queries []QuerySpec) *
 	return &Client{
 		Tenant: tenant, Catalog: cat, Queries: queries,
 		Mode: o.Mode, CacheObjects: o.CacheObjects, NoStatsPruning: o.NoStatsPruning,
-		PrefetchBytes: o.PrefetchBytes, Retry: o.Retry, Policy: o.Policy, NoSubplanPruning: o.NoSubplanPruning,
+		PrefetchBytes: o.PrefetchBytes, Retry: o.Retry,
 	}
 }
 
@@ -326,10 +323,6 @@ type Client struct {
 	Queries []QuerySpec
 	// CacheObjects: see Options.CacheObjects.
 	CacheObjects int
-	// Policy: see Options.Policy.
-	Policy mjoin.EvictionPolicy
-	// NoSubplanPruning: see Options.NoSubplanPruning.
-	NoSubplanPruning bool
 	// NoStatsPruning: see Options.NoStatsPruning.
 	NoStatsPruning bool
 	// SegCache, when non-nil, is this client's private segment cache: the
