@@ -1,6 +1,7 @@
 package cliflags
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -41,6 +42,7 @@ func Skipperql(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		return usageError(stderr, "skipperql", err)
 	}
+	defer srv.Shutdown(context.Background()) // stops the fleet's idle kernels
 	ds := run.Dataset
 	sh := &server.Shell{
 		RoundTrip: srv.NewSession().RoundTrip,

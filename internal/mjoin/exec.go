@@ -357,7 +357,8 @@ func (pp *probePlan) place(r, g int) int {
 // level being read and of the level being written, as one row-id array per
 // relation (cur[r][k] is partial k's row in relation r's cached batch). The
 // arrays come from the working-memory pool, grow through it, are
-// ping-ponged across chain levels and go back when the run ends.
+// ping-ponged across chain levels and go back when the run ends; the two
+// outer arrays are kept across runs, as wide as the widest query so far.
 type probeScratch struct {
 	cur, next [][]int32
 }
@@ -393,7 +394,7 @@ func (m *Stream) executeSubplan(i int) {
 // left in m.scratch.cur.
 func (m *Stream) probeLevels(entries []*cacheEntry, start, end int) int {
 	sc := &m.scratch
-	if sc.cur == nil {
+	if len(sc.cur) < len(entries) { // a wider query than the Stream ran before
 		sc.cur, sc.next = make([][]int32, len(entries)), make([][]int32, len(entries))
 	}
 	cur, next := sc.cur, sc.next

@@ -255,7 +255,8 @@ func (m *Stream) Reset(q *Query, cfg Config, src Source) error {
 	}
 	old := *m
 	*m = Stream{q: q, cfg: cfg, src: src, probe: probe, arriving: -1,
-		found: old.found[:0], entries: clearAll(old.entries), srcs: clearAll(old.srcs), out: clearAll(old.out)}
+		found: old.found[:0], entries: clearAll(old.entries), srcs: clearAll(old.srcs), out: clearAll(old.out),
+		scratch: old.scratch}
 	// One slab backs the per-relation and per-object int arrays.
 	ints := reuse(old.ints, 5*n+2+5*objects)
 	m.ints = ints
@@ -414,7 +415,8 @@ func (m *Stream) step() {
 
 // finish ends the run, failed when err is non-nil, and hands the cache,
 // the decode buffers, the probe chain's and their scratch back to the
-// working-memory pool.
+// working-memory pool. The probe chain's outer arrays stay with the
+// Stream, emptied, for its next run.
 func (m *Stream) finish(err error) {
 	m.done, m.err = true, err
 	for _, o := range m.cacheOrder {
@@ -427,8 +429,10 @@ func (m *Stream) finish(err error) {
 		tuple.Release(m.scratch.cur[r])
 		tuple.Release(m.scratch.next[r])
 	}
+	clear(m.scratch.cur)
+	clear(m.scratch.next)
 	tuple.Release(m.hashBuf)
-	m.cacheOrder, m.hashBuf, m.scratch = m.cacheOrder[:0], nil, probeScratch{}
+	m.cacheOrder, m.hashBuf = m.cacheOrder[:0], nil
 }
 
 // skipByStats retires, before the first request cycle, every subplan

@@ -72,6 +72,31 @@ func TestServedQueryAllocationsDoNotScaleWithObjects(t *testing.T) {
 	}
 }
 
+// TestServedMicroAllocations pins what one served micro statement
+// allocates through Session.Do once the server's fleet has a warm kernel:
+// the run starts no goroutine (its processes run on the goroutines parked
+// by the last run), MJoin keeps its probe chain's arrays, and the result's
+// rows are one arena and one header array. The count is 69 in a test
+// binary, whose plan check adds its own; with a goroutine started per
+// process per run and the probe arrays made per run the same loop counted
+// 79.
+func TestServedMicroAllocations(t *testing.T) {
+	const pinned = 69.0
+	if raceDetector {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	sess, tenant := microSession(t, servingDataset(t)), 0
+	req := &Request{Op: OpQuery, Tenant: &tenant, SQL: microSQL}
+	allocs := testing.AllocsPerRun(100, func() {
+		if resp := sess.Do(req); resp.Type != "result" {
+			t.Fatalf("%s: %s", resp.Code, resp.Error)
+		}
+	})
+	if allocs > pinned {
+		t.Fatalf("%.1f allocations per served micro statement, pinned at %.0f", allocs, pinned)
+	}
+}
+
 // TestConcurrentTenantsShareOneFleet: sessions of four tenants run the
 // shared statements at once on one server whose fleet — two devices,
 // every object on both, the chaos soak's seeded fault plan with device 0's

@@ -306,8 +306,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 
 // Shutdown stops accepting, waits for in-flight sessions to drain, and
 // — once ctx expires — cancels running queries and force-closes
-// connections. It returns nil on a clean drain, the ctx error when
-// force-closing was needed.
+// connections; then it stops the fleet's idle run kernels. It returns nil
+// on a clean drain, the ctx error when force-closing was needed.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true
@@ -332,6 +332,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 	}
 	s.cancel()
+	s.fleet.Close()
 	return dirty
 }
 

@@ -435,6 +435,56 @@ func TestServerShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestShutdownStopsParkedKernels: served queries leave their kernels'
+// process goroutines parked for the next query, and Shutdown stops them.
+// Two sessions interleave their queries so the fleet keeps two kernels.
+// The server stays reachable, so no cleanup of an unreachable fleet can
+// stand in for Shutdown.
+func TestShutdownStopsParkedKernels(t *testing.T) {
+	baseline := quietGoroutines()
+	s, err := New(servingConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := []*Session{s.NewSession(), s.NewSession()}
+	var wg sync.WaitGroup
+	for tenant, sess := range sessions {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				if resp := sess.Do(&Request{Op: OpQuery, Tenant: &tenant, SQL: servingQuery}); resp.Type != "result" {
+					t.Errorf("tenant %d: %s: %s", tenant, resp.Code, resp.Error)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := runtime.NumGoroutine(); n < baseline+3 {
+		t.Fatalf("%d goroutines after 20 served queries, %d before: no kernel parked its processes", n, baseline)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	requireSettle(t, baseline)
+	runtime.KeepAlive(s)
+}
+
+// quietGoroutines returns the goroutine count once it has held for 50 ms,
+// so that goroutines of earlier tests still on their way out are not
+// counted.
+func quietGoroutines() int {
+	for n := runtime.NumGoroutine(); ; {
+		time.Sleep(50 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+}
+
 // requireSettle waits for the goroutine count to return to the
 // baseline (small slack for runtime helpers).
 func requireSettle(t *testing.T, baseline int) {

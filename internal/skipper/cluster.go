@@ -2,6 +2,7 @@ package skipper
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strconv"
 	"time"
@@ -66,13 +67,13 @@ type RunResult struct {
 	sharedHits, cacheHitsBefore int64
 }
 
-// Run executes every client's workload to completion — NewFleet, then one
-// run on it — and returns the gathered statistics; it writes nothing into
-// the cluster. When a client's workload fails, the run's error comes with
-// the result gathered up to the failure — device, fault and client
-// counters of a query that, say, exhausted its retries are as real as a
-// successful one's. A nil result means the run never started or the
-// simulation itself broke.
+// Run executes every client's workload to completion — NewFleet, one run
+// on it, then Fleet.Close — and returns the gathered statistics; it
+// writes nothing into the cluster. When a client's workload fails, the
+// run's error comes with the result gathered up to the failure — device,
+// fault and client counters of a query that, say, exhausted its retries
+// are as real as a successful one's. A nil result means the run never
+// started or the simulation itself broke.
 func (cl *Cluster) Run() (*RunResult, error) {
 	if len(cl.Clients) == 0 {
 		return nil, fmt.Errorf("skipper: cluster has no clients")
@@ -89,7 +90,9 @@ func (cl *Cluster) Run() (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return f.run(cl.Clients, cl.SharedCache, cl.Fleet.Device.Trace)
+	res, err := f.run(cl.Clients, cl.SharedCache, cl.Fleet.Device.Trace)
+	f.Close()
+	return res, err
 }
 
 // fleetRun is a run kernel: a simulator, the fleet's devices on it, the
@@ -97,7 +100,11 @@ func (cl *Cluster) Run() (*RunResult, error) {
 // builds. A Fleet keeps the kernels of its clean runs on an idle list: a
 // run takes one (or builds one), resets it, runs it and puts it back, so a
 // served query restarts the last query's kernel at virtual time 0 instead
-// of building one.
+// of building one. The simulator is a vtime kernel: the goroutines of a
+// run's processes park on their records for the next run instead of
+// exiting, and a kernel no run will take again must stop them — Fleet.run
+// stops the kernel of a failed run, Fleet.Close the idle ones, and the
+// garbage collector the kernels of a fleet dropped without Close.
 type fleetRun struct {
 	sim   *vtime.Sim
 	devs  []*csd.CSD
@@ -119,7 +126,9 @@ type fleetRun struct {
 
 // newKernel builds an empty kernel over the fleet's devices.
 func (f *Fleet) newKernel() *fleetRun {
-	r := &fleetRun{sim: vtime.NewSim(), store: f.store, devs: make([]*csd.CSD, len(f.assigns))}
+	r := &fleetRun{sim: vtime.NewKernel(), store: f.store, devs: make([]*csd.CSD, len(f.assigns))}
+	// Nothing the parked goroutines reach points back at r.
+	runtime.AddCleanup(r, (*vtime.Sim).Stop, r.sim)
 	for i, da := range f.assigns {
 		cfg := f.dev
 		cfg.ID = i
@@ -167,7 +176,7 @@ func (f *Fleet) putKernel(r *fleetRun) {
 // device with a fresh injector and the lane as its recorder, one proxy per
 // client — runs the simulation and gathers the result. Only a kernel whose
 // simulation ended with every process finished and no client failed goes
-// back to the idle list; any other is dropped.
+// back to the idle list; any other is stopped and dropped.
 func (f *Fleet) run(clients []*Client, shared *segcache.Cache, lane *trace.QueryTrace) (*RunResult, error) {
 	r := f.takeKernel(clients)
 	r.sim.Reset()
@@ -202,6 +211,7 @@ func (f *Fleet) run(clients []*Client, shared *segcache.Cache, lane *trace.Query
 	}
 	wallStart := time.Now()
 	if err := r.sim.Run(); err != nil {
+		r.sim.Stop()
 		return nil, fmt.Errorf("skipper: simulation: %w", err)
 	}
 	res.Makespan, res.Wall = r.sim.Now(), time.Since(wallStart)
@@ -237,6 +247,8 @@ func (f *Fleet) run(clients []*Client, shared *segcache.Cache, lane *trace.Query
 	err := r.err
 	if err == nil {
 		f.putKernel(r)
+	} else {
+		r.sim.Stop()
 	}
 	return res, err
 }

@@ -143,6 +143,19 @@ func NewFleet(spec FleetSpec, policy layout.Policy, store map[segment.ObjectID]*
 	return f, nil
 }
 
+// Close stops the goroutines that the fleet's idle kernels keep parked for
+// their next runs, and forgets the kernels. Call it once no run is in
+// flight; the fleet stays usable, and a later run builds a new kernel.
+func (f *Fleet) Close() {
+	f.mu.Lock()
+	idle := f.idle
+	f.idle = nil
+	f.mu.Unlock()
+	for _, r := range idle {
+		r.sim.Stop()
+	}
+}
+
 // Run runs the clients on the fleet with no shared cache; every device
 // records into lane (nil records nothing).
 func (f *Fleet) Run(clients []*Client, lane *trace.QueryTrace) (*RunResult, error) {

@@ -339,7 +339,8 @@ func (b *Batch) Rows() []Row {
 }
 
 // AppendRows appends the materialized rows of the batch to dst, as Rows
-// does: one arena per call, however many rows, filled column by column.
+// does: one arena per call, however many rows, filled column by column,
+// and at most one growth of dst.
 func (b *Batch) AppendRows(dst []Row) []Row {
 	w := len(b.cols)
 	arena := make([]Value, b.n*w)
@@ -358,6 +359,11 @@ func (b *Batch) AppendRows(dst []Row) []Row {
 				arena[i*w+c] = Value{K: k, I: x}
 			}
 		}
+	}
+	if need := len(dst) + b.n; need > cap(dst) {
+		// The headers grow once, by at least doubling as append does.
+		// (slices.Grow makes a second allocation under -race.)
+		dst = append(make([]Row, 0, max(need, 2*cap(dst))), dst...)
 	}
 	for i := 0; i < b.n; i++ {
 		dst = append(dst, arena[i*w:(i+1)*w:(i+1)*w])

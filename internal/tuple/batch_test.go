@@ -26,6 +26,30 @@ func randRow(rng *rand.Rand) Row {
 	}
 }
 
+// TestAppendRowsAllocatesArenaAndHeaders: appending a batch's rows to an
+// empty slice makes two allocations, however many rows — the arena of
+// values and the row headers, grown once rather than by doubling — and
+// appending to a slice with room for them makes only the arena.
+func TestAppendRowsAllocatesArenaAndHeaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	rows := make([]Row, 25)
+	for i := range rows {
+		rows[i] = randRow(rng)
+	}
+	b := FromRows(batchTestSchema(), rows)
+	var got []Row
+	if n := testing.AllocsPerRun(20, func() { got = b.AppendRows(nil) }); n != 2 {
+		t.Fatalf("AppendRows of %d rows to a nil slice: %.1f allocations, want 2", len(rows), n)
+	}
+	if !reflect.DeepEqual(got, rows) {
+		t.Fatal("AppendRows differs from the rows the batch was built from")
+	}
+	dst := make([]Row, 0, len(rows))
+	if n := testing.AllocsPerRun(20, func() { got = b.AppendRows(dst) }); n != 1 {
+		t.Fatalf("AppendRows of %d rows into room for them: %.1f allocations, want 1", len(rows), n)
+	}
+}
+
 func TestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	sch := batchTestSchema()

@@ -417,3 +417,144 @@ func TestResetRefusesUncleanSim(t *testing.T) {
 	}()
 	s.Reset()
 }
+
+// goid returns the calling goroutine's id, read from its stack header.
+func goid() string {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = b[len("goroutine "):]
+	for i, c := range b {
+		if c == ' ' {
+			return string(b[:i])
+		}
+	}
+	return string(b)
+}
+
+// quietGoroutines returns the goroutine count once it has held for 50 ms, so
+// that goroutines of earlier runs still on their way out are not counted.
+func quietGoroutines() int {
+	for n := runtime.NumGoroutine(); ; {
+		time.Sleep(50 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		n = m
+	}
+}
+
+// settleTo waits for the goroutine count to reach want exactly, failing t
+// after five seconds.
+func settleTo(t *testing.T, want int, what string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() != want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), want)
+		}
+	}
+}
+
+// TestKernelParksGoroutinesUntilStop: a kernel runs, is Reset and runs
+// again, each run reading as a new Sim's; every process after the first
+// run runs on a goroutine the first run started — none is started after
+// it, none exits — and one goroutine stays parked per process record.
+// Stop brings the goroutine count back to where it was before the kernel,
+// and the kernel still runs after Stop, on goroutines a second Stop ends.
+func TestKernelParksGoroutinesUntilStop(t *testing.T) {
+	fresh := NewSim()
+	want := resetScript(fresh, NewChan[int](fresh, "unbuf", 0), NewChan[int](fresh, "buf", 1))
+	baseline := quietGoroutines()
+	s := NewKernel()
+	unbuf, buf := NewChan[int](s, "unbuf", 0), NewChan[int](s, "buf", 1)
+	var started map[string]bool
+	for run := 1; run <= 5; run++ {
+		if run > 1 {
+			s.Reset()
+			unbuf.Reset()
+			buf.Reset()
+		}
+		if got := resetScript(s, unbuf, buf); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d differs from a new Sim's:\n got %v\nwant %v", run, got, want)
+		}
+		// A second script on the same kernel: its processes name the
+		// goroutines they run on.
+		s.Reset()
+		used := make(map[string]bool)
+		for i := range 4 {
+			s.Spawn(fmt.Sprint("g", i), func(p *Proc) {
+				p.Sleep(time.Duration(i) * time.Second)
+				used[goid()] = true
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(used) != 4 {
+			t.Fatalf("run %d: 4 live processes shared %d goroutines", run, len(used))
+		}
+		if started == nil {
+			started = used
+		}
+		for id := range used {
+			if !started[id] {
+				t.Fatalf("run %d ran a process on goroutine %s, which the first run did not start", run, id)
+			}
+		}
+		settleTo(t, baseline+len(s.free), fmt.Sprintf("run %d, %d records", run, len(s.free)))
+	}
+	s.Stop()
+	settleTo(t, baseline, "after Stop")
+	s.Reset()
+	unbuf.Reset()
+	buf.Reset()
+	if got := resetScript(s, unbuf, buf); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("the run after Stop differs from a new Sim's:\n got %v\nwant %v", got, want)
+	}
+	settleTo(t, baseline+len(s.free), "the run after Stop")
+	s.Stop()
+	settleTo(t, baseline, "after the second Stop")
+}
+
+// TestSimGoroutinesExitWithTheirProcesses: a Sim made with NewSim keeps no
+// goroutine once Run returns, also after Reset and a second run, and its
+// Stop is harmless.
+func TestSimGoroutinesExitWithTheirProcesses(t *testing.T) {
+	baseline := quietGoroutines()
+	s := NewSim()
+	unbuf, buf := NewChan[int](s, "unbuf", 0), NewChan[int](s, "buf", 1)
+	resetScript(s, unbuf, buf)
+	settleTo(t, baseline, "after Run")
+	s.Reset()
+	unbuf.Reset()
+	buf.Reset()
+	resetScript(s, unbuf, buf)
+	settleTo(t, baseline, "after a second Run")
+	s.Stop()
+	settleTo(t, baseline, "after Stop")
+}
+
+// TestKernelStopAfterDeadlock: Stop after a deadlocked run ends the
+// goroutines of the processes that finished and leaves the blocked one's
+// parked, and the kernel still refuses Reset.
+func TestKernelStopAfterDeadlock(t *testing.T) {
+	baseline := quietGoroutines()
+	s := NewKernel()
+	ch := NewChan[int](s, "never", 0)
+	for i := range 3 {
+		s.Spawn(fmt.Sprint("done", i), func(p *Proc) { p.Sleep(time.Second) })
+	}
+	s.Spawn("stuck", func(p *Proc) { ch.Recv(p) })
+	if err := s.Run(); err == nil {
+		t.Fatal("want a deadlock")
+	}
+	settleTo(t, baseline+4, "after the deadlock")
+	s.Stop()
+	settleTo(t, baseline+1, "after Stop: only the blocked process's goroutine")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reset of a deadlocked kernel did not panic")
+		}
+	}()
+	s.Reset()
+}

@@ -46,7 +46,18 @@
 // the next, only after its goroutine made its final hand-off (the baton
 // or the idle signal); a Chan of the Sim is emptied with Chan.Reset
 // rather than made again. A Sim whose Run failed is not reused: its
-// blocked processes are parked for good.
+// blocked processes are parked for good, and nothing stops them.
+//
+// A Sim made with NewSim starts a goroutine per Spawn, and the goroutine
+// exits when its process finishes: once Run returns, nothing of the Sim
+// runs. A Sim made with NewKernel is meant to be Reset and run many
+// times, and keeps its goroutines as it keeps its records: a finished
+// process's goroutine parks on its record's resume channel, and the Spawn
+// that reuses the record hands it the new body, so a run on a recycled
+// kernel starts no goroutine and grows no fresh stack. The parked
+// goroutines live until the kernel's owner calls Stop, which ends them
+// between runs — after a clean run, a failed one, or a deadlock, whose
+// blocked processes Stop leaves as they are.
 //
 // The kernel is the substrate for the CSD emulator and the database
 // clients: group-switch latencies, transfer times and query processing
@@ -61,9 +72,9 @@ import (
 	"time"
 )
 
-// Sim is a discrete-event simulator. Create one with NewSim, add processes
-// with Spawn, then call Run. After a Run that returned nil the Sim may be
-// Reset and run again; otherwise it must not be reused.
+// Sim is a discrete-event simulator. Create one with NewSim (or NewKernel),
+// add processes with Spawn, then call Run. After a Run that returned nil
+// the Sim may be Reset and run again; otherwise it must not be reused.
 type Sim struct {
 	now     time.Duration
 	ready   ring[*Proc] // runnable processes, FIFO
@@ -74,7 +85,9 @@ type Sim struct {
 	running bool
 	halted  bool
 	// free holds the records of finished processes, for Spawn to reuse.
-	free []*Proc
+	// In a kernel (NewKernel) each one's goroutine is parked on it.
+	free   []*Proc
+	kernel bool
 	// idle tells Run that nothing can run any more. Buffered so the last
 	// process can signal and exit without waiting for Run to be scheduled.
 	idle chan struct{}
@@ -83,6 +96,14 @@ type Sim struct {
 // NewSim returns an empty simulator with the clock at zero.
 func NewSim() *Sim {
 	return &Sim{idle: make(chan struct{}, 1)}
+}
+
+// NewKernel returns an empty simulator whose finished processes' goroutines
+// park for later Spawns, in this run and after Reset, until Stop.
+func NewKernel() *Sim {
+	s := NewSim()
+	s.kernel = true
+	return s
 }
 
 // Now returns the current virtual time.
@@ -94,7 +115,7 @@ type Proc struct {
 	id   int
 	name string
 	sim  *Sim
-	fn   func(*Proc) // the process body, dropped when it returns
+	fn   func(*Proc) // the process body, dropped when it returns; nil tells a parked goroutine to exit
 	// resume receives the baton. Buffered so the holder hands off without
 	// waiting for this process's goroutine to reach its receive.
 	resume chan struct{}
@@ -128,33 +149,47 @@ func (s *Sim) Spawn(name string, fn func(*Proc)) *Proc {
 		panic("vtime: Spawn after Run returned")
 	}
 	var p *Proc
+	parked := false
 	if n := len(s.free); n > 0 {
 		p, s.free[n-1], s.free = s.free[n-1], nil, s.free[:n-1]
 		p.waitOp, p.waitChan = "", ""
+		parked = s.kernel
 	} else {
 		p = &Proc{sim: s, resume: make(chan struct{}, 1)}
 	}
 	p.id, p.name, p.fn, p.slot = s.spawned, name, fn, len(s.live)
 	s.spawned++
 	s.live = append(s.live, p)
-	go p.body()
+	if !parked {
+		go p.body()
+	}
 	s.makeReady(p)
 	return p
 }
 
-// body is the process's goroutine: wait for the baton, run, retire.
+// body is the process's goroutine: wait for the baton, run, retire. In a
+// kernel it then waits for the next body its record is given, and exits
+// when Stop wakes it with none.
 func (p *Proc) body() {
-	<-p.resume
-	p.fn(p)
-	p.sim.finish(p)
+	for {
+		<-p.resume
+		if p.fn == nil {
+			return
+		}
+		p.fn(p)
+		if !p.sim.finish(p) {
+			return
+		}
+	}
 }
 
 // finish retires p, the baton holder, and passes the baton on. The live
 // set forgets p (the last entry takes its slot) and the record goes on
 // the free list; passing the baton is the goroutine's final hand-off,
 // after which it touches neither the record nor the kernel, so whoever
-// holds the baton next may reuse the record.
-func (s *Sim) finish(p *Proc) {
+// holds the baton next may reuse the record. It reports whether the
+// goroutine parks on the record (a kernel's) rather than exits.
+func (s *Sim) finish(p *Proc) bool {
 	last := len(s.live) - 1
 	s.live[p.slot] = s.live[last]
 	s.live[p.slot].slot = p.slot
@@ -165,7 +200,9 @@ func (s *Sim) finish(p *Proc) {
 		s.free = make([]*Proc, 0, cap(s.live))
 	}
 	s.free = append(s.free, p)
+	parks := s.kernel
 	s.pass(nil)
+	return parks
 }
 
 // timer is a pending wake-up for a sleeping process.
@@ -352,4 +389,21 @@ func (s *Sim) Reset() {
 		panic("vtime: Reset of a Sim that did not finish cleanly")
 	}
 	s.now, s.spawned, s.seq, s.halted = 0, 0, 0, false
+}
+
+// Stop ends the goroutines parked on the records of finished processes
+// and drops the records; a later Spawn starts a goroutine again. Call it
+// between runs, once a kernel is done with: a process still blocked after
+// a deadlock keeps its goroutine. Stop panics during a run.
+func (s *Sim) Stop() {
+	if s.running {
+		panic("vtime: Stop during Run")
+	}
+	if s.kernel {
+		for _, p := range s.free {
+			p.resume <- struct{}{} // fn is nil: the goroutine exits
+		}
+	}
+	clear(s.free)
+	s.free = s.free[:0]
 }
